@@ -105,10 +105,12 @@ LOADGEN_DURATION ?= 3s
 loadgen-json:
 	$(GO) run ./cmd/loadgen -json BENCH_transport.json -duration $(LOADGEN_DURATION)
 
-# Short local fuzz passes over the snapshot and scenario-bundle decoders.
+# Short local fuzz passes over the snapshot, scenario-bundle and binary
+# wire envelope decoders.
 fuzz:
 	$(GO) test ./internal/agreement/ -fuzz FuzzSnapshotDecode -fuzztime 30s
 	$(GO) test ./internal/scenario/ -fuzz FuzzBundleDecode -fuzztime 30s
+	$(GO) test ./internal/grm/ -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s
 
 clean:
 	$(GO) clean ./...

@@ -594,7 +594,7 @@ type improvement struct {
 	AllocsPerOpX float64 `json:"allocs_per_op_x"`
 }
 
-const codecCostUnit = "one self-contained request+response exchange (report + alloc with 16 takes), marshal+unmarshal both ends, no stream state reused between messages"
+const codecCostUnit = "one self-contained request+response exchange (report + alloc taking from 4 of 16 principals), marshal+unmarshal both ends, no stream state reused between messages"
 
 // runSuite is the standard comparison: the frozen gob baseline (depth 1
 // — its stream is strictly alternating) versus the pipelined binary

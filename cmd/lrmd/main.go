@@ -91,11 +91,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "lrmd: peers: %v\n", err)
 			os.Exit(1)
 		}
-		for i, take := range reply.Takes {
+		reply.Each(func(i int, take float64) {
 			if take > 0 {
 				fmt.Printf("  %g from %s (principal %d)\n", take, names[i], i)
 			}
-		}
+		})
 		if *hold > 0 {
 			holdLease(lrm, reply, *hold)
 		}

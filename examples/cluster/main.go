@@ -60,13 +60,13 @@ func main() {
 	// A purely local allocation in the west.
 	reply, err := westNode0.Allocate(250)
 	check(err)
-	fmt.Printf("west-node0 allocates 250 locally: takes %v (theta %.1f)\n", round(reply.Takes), reply.Theta)
+	fmt.Printf("west-node0 allocates 250 locally: takes %v (theta %.1f)\n", round(reply.Dense(2)), reply.Theta)
 
 	// East wants 100: 10 local + 90 borrowed through the parent.
 	reply, err = eastNode.Allocate(100)
 	check(err)
 	fmt.Printf("east-node0 allocates 100 (only 10 local): takes %v — the rest came through the federation\n",
-		round(reply.Takes))
+		round(reply.Dense(1)))
 
 	// Releasing the lease repays the borrow at the parent: the sibling
 	// cluster's capacity comes back.

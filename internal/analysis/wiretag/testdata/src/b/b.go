@@ -13,7 +13,11 @@ type Response struct {
 	Ping *PingReply
 }
 
-type PingReply struct{ Seq int }
+type PingReply struct {
+	Seq  int
+	At   []int
+	Vals []float64
+}
 
 const (
 	kindNone = iota
@@ -23,6 +27,8 @@ const (
 func AppendUvarint(dst []byte, v uint64) []byte { return dst }
 func AppendString(dst []byte, s string) []byte  { return dst }
 func AppendInt(dst []byte, v int64) []byte      { return dst }
+
+func AppendSparseFloat64s(dst []byte, idx []int, vals []float64) []byte { return dst }
 
 func appendRequest(dst []byte, req *Request) ([]byte, error) {
 	switch {
@@ -39,6 +45,7 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 	case resp.Ping != nil:
 		dst = AppendUvarint(dst, kindPing)
 		dst = AppendInt(dst, int64(resp.Ping.Seq))
+		dst = AppendSparseFloat64s(dst, resp.Ping.At, resp.Ping.Vals)
 	default:
 		dst = AppendUvarint(dst, kindNone)
 	}

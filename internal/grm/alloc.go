@@ -70,12 +70,29 @@ func (s *Server) alloc(r *AllocRequest) *Response {
 	}
 }
 
+// batchScratch is the working storage of processBatch. Only the scheduler
+// goroutine runs processBatch, so one set, resliced per batch, serves
+// every batch; nothing in it outlives the call that filled it.
+type batchScratch struct {
+	replies []*Response
+	live    []*allocJob
+	liveIdx []int
+	reqs    []core.BatchRequest
+	v       []float64 // the availability snapshot a solve runs against
+}
+
 // scheduler drains the admission queue until the server closes: it takes
 // the first waiting job, coalesces whatever else is already queued into a
 // batch, and plans the batch as one PlanBatch call.
 func (s *Server) scheduler() {
 	defer s.wg.Done()
 	batch := make([]*allocJob, 0, maxBatchSize)
+	sc := &batchScratch{
+		replies: make([]*Response, maxBatchSize),
+		live:    make([]*allocJob, 0, maxBatchSize),
+		liveIdx: make([]int, 0, maxBatchSize),
+		reqs:    make([]core.BatchRequest, 0, maxBatchSize),
+	}
 	for {
 		select {
 		case <-s.closed:
@@ -93,7 +110,7 @@ func (s *Server) scheduler() {
 				}
 			}
 			s.mQueueDepth.Set(float64(len(s.allocQ)))
-			s.processBatch(batch)
+			s.processBatch(batch, sc)
 		}
 	}
 }
@@ -118,14 +135,14 @@ func (s *Server) drainAllocQ() {
 // holding the lock for guaranteed progress. Requests that exceed local
 // capacity while a parent GRM is attached leave the batch and retry on
 // the direct path, which performs the federation borrow round trip.
-func (s *Server) processBatch(jobs []*allocJob) {
+func (s *Server) processBatch(jobs []*allocJob, sc *batchScratch) {
 	started := time.Now()
-	replies := make([]*Response, len(jobs))
+	replies := sc.replies[:len(jobs)]
+	clear(replies)
 	var fallback []*allocJob
 
 	s.mu.Lock()
-	live := make([]*allocJob, 0, len(jobs))
-	liveIdx := make([]int, 0, len(jobs))
+	live, liveIdx := sc.live[:0], sc.liveIdx[:0]
 	for i, job := range jobs {
 		if err := s.checkPrincipal(job.req.Principal); err != nil {
 			replies[i] = errorf("grm: alloc: %v", err)
@@ -147,11 +164,11 @@ func (s *Server) processBatch(jobs []*allocJob) {
 			}
 			break
 		}
-		v := append([]float64(nil), s.avail...)
+		sc.v = append(sc.v[:0], s.avail...)
 		epoch := s.epoch
-		reqs := make([]core.BatchRequest, len(live))
-		for k, job := range live {
-			reqs[k] = core.BatchRequest{Requester: job.req.Principal, Amount: job.req.Amount}
+		reqs := sc.reqs[:0]
+		for _, job := range live {
+			reqs = append(reqs, core.BatchRequest{Requester: job.req.Principal, Amount: job.req.Amount})
 		}
 		locked := conflicts >= maxPlanConflicts
 		if !locked {
@@ -161,7 +178,7 @@ func (s *Server) processBatch(jobs []*allocJob) {
 				hook()
 			}
 		}
-		results := planner.PlanBatch(v, reqs)
+		results := planner.PlanBatch(sc.v, reqs)
 		if !locked {
 			s.mu.Lock()
 		}
@@ -184,13 +201,7 @@ func (s *Server) processBatch(jobs []*allocJob) {
 				continue
 			}
 			//lint:ignore sharingvet/lockorder held under the optimistic protocol: the unlock/relock pair is guarded by the same locked flag on every path
-			token, ttl := s.commitAllocLocked(job.req, res.Alloc.Take, nil, 0)
-			replies[i] = &Response{Alloc: &AllocReply{
-				Takes: append([]float64(nil), res.Alloc.Take...),
-				Theta: res.Alloc.Theta,
-				Lease: token,
-				TTL:   ttl,
-			}}
+			replies[i] = &Response{Alloc: s.commitAllocLocked(job.req, res.Alloc, nil, 0)}
 		}
 		s.mBatches.Inc()
 		s.mBatchedReqs.Add(int64(len(live) - len(fallback)))
@@ -221,19 +232,21 @@ func (s *Server) processBatch(jobs []*allocJob) {
 
 // commitAllocLocked applies a solved plan: debits the availability view,
 // bumps the epoch, mints the lease, and records the allocation in the
-// write-ahead log. Callers hold s.mu. It returns the lease token and TTL.
-func (s *Server) commitAllocLocked(req *AllocRequest, take []float64, borrowedFrom *parentLink, parentLease int) (int, time.Duration) {
-	for i, t := range take {
-		s.avail[i] -= t
-		if s.avail[i] < 0 {
-			s.avail[i] = 0
-		}
-	}
-	s.epoch++
+// write-ahead log. Callers hold s.mu and hand over plan, which the
+// journal may keep. It returns the reply to send.
+//
+// This is where the plan's population-sized Take is read for the last
+// time: its non-zero entries become one pair of slices that the lease,
+// the reply (and through it the tap) and the journal record share, so
+// everything from here to the client costs what the allocation touches.
+func (s *Server) commitAllocLocked(req *AllocRequest, plan *core.Allocation, borrowedFrom *parentLink, parentLease int) *AllocReply {
+	sources, takes := store.SparseTakes(nil, plan.Take)
+	s.debitLocked(sources, takes)
 	token := s.nextLease
 	s.nextLease++
 	le := &lease{
-		takes:       append([]float64(nil), take...),
+		sources:     sources,
+		takes:       takes,
 		parentLink:  borrowedFrom,
 		parentLease: parentLease,
 	}
@@ -241,16 +254,49 @@ func (s *Server) commitAllocLocked(req *AllocRequest, take []float64, borrowedFr
 		le.expires = s.clock.Now().Add(s.leaseTTL)
 	}
 	s.leases[token] = le
-	s.appendLocked(&store.Record{
+	rec := &store.Record{
 		Kind:        store.KindAlloc,
 		Principal:   req.Principal,
 		Amount:      req.Amount,
-		Takes:       le.takes,
+		Sources:     sources,
+		Takes:       takes,
 		Lease:       token,
 		Expires:     expiryUnix(le.expires),
 		ParentLease: parentLease,
-	})
-	return token, s.leaseTTL
+	}
+	if journalDense(len(sources), len(plan.Take)) {
+		rec.Sources, rec.Takes = nil, plan.Take
+	}
+	s.appendLocked(rec)
+	return &AllocReply{Sources: sources, Takes: takes, Theta: plan.Theta, Lease: token, TTL: s.leaseTTL}
+}
+
+// journalDense picks the form an allocation over n principals is
+// journaled in: true for the dense vector (nil Sources), false for pairs.
+// The log is JSON. There a principal that gives nothing costs 2 bytes in
+// the dense vector ("0,"), and a source costs, on top of its amount, its
+// id and a comma in the pair form — up to 6 bytes for ids below 10^5 —
+// plus 9 bytes once for the "src" key. With k sources the forms break
+// even where 6k+9 = 2(n−k), just short of k = n/4 (later for shorter
+// ids): below it pairs are the shorter record, above it the dense vector
+// is, and on a workload whose allocations draw on most of the population
+// (a ring, a small complete graph) the rule keeps the log at the size it
+// had before pairs existed. Recovery reads both forms, so the rule can
+// change without a migration; a binary record would not need one.
+func journalDense(sources, n int) bool { return 4*sources > n }
+
+// debitLocked takes an allocation's pairs out of the availability view,
+// clamped at zero. Callers hold s.mu and journal the allocation.
+//
+//lint:ignore sharingvet/waljournal callers journal the alloc record (commitAllocLocked) or are replaying one
+func (s *Server) debitLocked(sources []int, takes []float64) {
+	for k, p := range sources {
+		s.avail[p] -= takes[k]
+		if s.avail[p] < 0 {
+			s.avail[p] = 0
+		}
+	}
+	s.epoch++
 }
 
 // maxPlanConflicts bounds the optimistic re-solves in allocDirect and
@@ -355,8 +401,7 @@ func (s *Server) allocDirect(r *AllocRequest) *Response {
 		// Commit the GRM's availability view; LRMs overwrite it with
 		// their next reports, and Release returns the lease.
 		//lint:ignore sharingvet/lockorder held under the optimistic protocol: the unlock/relock pair is guarded by the same locked flag on every path
-		token, ttl := s.commitAllocLocked(r, plan.Take, borrowedFrom, parentLease)
-		return &Response{Alloc: &AllocReply{Takes: plan.Take, Theta: plan.Theta, Lease: token, TTL: ttl}}
+		return &Response{Alloc: s.commitAllocLocked(r, plan, borrowedFrom, parentLease)}
 	}
 }
 

@@ -610,8 +610,14 @@ func newBinWire(conn net.Conn, timeout time.Duration) (*binWire, error) {
 		return nil, err
 	}
 	br := bufio.NewReader(conn)
-	if _, err := transport.ReadHello(br); err != nil {
+	accepted, err := transport.ReadHello(br)
+	if err != nil {
 		return nil, err
+	}
+	if accepted != transport.Version {
+		// An older server settles on the version it knows; its allocation
+		// replies are laid out differently, so this is not a wire to use.
+		return nil, fmt.Errorf("grm: server speaks binary protocol version %d, want %d", accepted, transport.Version)
 	}
 	conn.SetDeadline(time.Time{})
 	w := &binWire{

@@ -1,9 +1,12 @@
 package grm
 
 import (
+	"bufio"
 	"encoding/gob"
 	"math"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grm/faultnet"
+	"repro/internal/grm/transport"
 )
 
 // TestBackoffBoundedWithoutMaxBackoff is the regression test for the
@@ -212,6 +216,86 @@ func TestAutoFallsBackToGobOnlyServer(t *testing.T) {
 	cfg.Codec = CodecBinary
 	if _, err := DialWithConfig(ln.Addr().String(), "strict", 10, cfg); err == nil {
 		t.Error("CodecBinary connected to a gob-only server")
+	}
+}
+
+// TestAutoFallsBackFromOlderBinaryServer dials a server one protocol
+// version behind: it answers the hello by settling on its own version,
+// whose allocation replies this client would misread. The handshake must
+// fail on that answer, auto negotiation must fall back to gob (which the
+// old server also speaks), and CodecBinary must refuse to connect.
+func TestAutoFallsBackFromOlderBinaryServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				if first, err := br.Peek(1); err == nil && transport.IsBinaryHello(first[0]) {
+					if _, err := transport.ReadHello(br); err == nil {
+						transport.WriteHello(c, transport.Version-1)
+					}
+					return
+				}
+				dec, enc := gob.NewDecoder(br), gob.NewEncoder(c)
+				for {
+					var req Request
+					if err := dec.Decode(&req); err != nil {
+						return
+					}
+					resp := &Response{}
+					switch {
+					case req.Register != nil:
+						resp.Register = &RegisterReply{Principal: 0}
+					case req.Alloc != nil:
+						// The old server's reply: takes indexed by principal.
+						resp.Alloc = &AllocReply{Takes: []float64{0, 2, 0, 3}, Lease: 1}
+					default:
+						resp.Err = "unsupported"
+					}
+					if err := enc.Encode(resp); err != nil {
+						return
+					}
+				}
+			}(c)
+		}
+	}()
+
+	cfg := DefaultDialConfig()
+	cfg.RetryMax = 1
+	l, err := DialWithConfig(ln.Addr().String(), "new", 10, cfg)
+	if err != nil {
+		t.Fatalf("auto against a version-%d server: %v", transport.Version-1, err)
+	}
+	defer l.Close()
+	if got := l.Codec(); got != CodecGob {
+		t.Errorf("negotiated %v, want gob fallback", got)
+	}
+	// The dense reply of the old server reads through the same helpers.
+	reply, err := l.Allocate(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Sources != nil {
+		t.Fatalf("gob carried sources %v from a server that has none", reply.Sources)
+	}
+	var from []int
+	reply.Each(func(p int, take float64) { from = append(from, p) })
+	if !reflect.DeepEqual(from, []int{1, 3}) || !reflect.DeepEqual(reply.Dense(4), []float64{0, 2, 0, 3}) {
+		t.Errorf("dense reply read as sources %v, vector %v", from, reply.Dense(4))
+	}
+
+	cfg.Codec = CodecBinary
+	if _, err := DialWithConfig(ln.Addr().String(), "strict", 10, cfg); err == nil || !strings.Contains(err.Error(), "protocol version") {
+		t.Errorf("CodecBinary against a version-%d server: err = %v, want a version refusal", transport.Version-1, err)
 	}
 }
 

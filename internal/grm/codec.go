@@ -6,13 +6,15 @@ package grm
 // of its payload (kindNone when the response carries only the error),
 // then the payload fields. Every field uses the transport encoding
 // primitives — uvarint/zigzag integers, 8-byte little-endian floats,
-// length-prefixed strings and slices — so the layout is deterministic
-// byte for byte, unlike gob's type-descriptor streams.
+// length-prefixed strings and slices, run-length encoded sparse vectors —
+// so the layout is deterministic byte for byte, unlike gob's
+// type-descriptor streams.
 
 import (
 	"fmt"
 
 	"repro/internal/grm/transport"
+	"repro/internal/store"
 )
 
 // Envelope kind tags. The values are the wire format: never renumber,
@@ -128,7 +130,11 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 		dst = transport.AppendUvarint(dst, kindRevoke)
 	case resp.Alloc != nil:
 		dst = transport.AppendUvarint(dst, kindAlloc)
-		dst = transport.AppendFloat64s(dst, resp.Alloc.Takes)
+		sources, takes := store.SparseTakes(resp.Alloc.Sources, resp.Alloc.Takes)
+		if len(sources) != len(takes) {
+			return nil, fmt.Errorf("grm: encode alloc reply with %d sources for %d takes", len(sources), len(takes))
+		}
+		dst = transport.AppendSparseFloat64s(dst, sources, takes)
 		dst = transport.AppendFloat64(dst, resp.Alloc.Theta)
 		dst = transport.AppendInt(dst, int64(resp.Alloc.Lease))
 		dst = transport.AppendInt(dst, int64(resp.Alloc.TTL))
@@ -171,7 +177,10 @@ func decodeResponse(data []byte) (*Response, error) {
 	case kindRevoke:
 		resp.Revoke = &ReportReply{}
 	case kindAlloc:
-		resp.Alloc = &AllocReply{Takes: d.Float64s(), Theta: d.Float64(), Lease: int(d.Int()), TTL: d.Duration()}
+		reply := &AllocReply{}
+		reply.Sources, reply.Takes = d.SparseFloat64s()
+		reply.Theta, reply.Lease, reply.TTL = d.Float64(), int(d.Int()), d.Duration()
+		resp.Alloc = reply
 	case kindRelease:
 		resp.Release = &ReportReply{}
 	case kindRenew:

@@ -1,6 +1,7 @@
 package grm
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func TestResponseCodecRoundTrip(t *testing.T) {
 		{Report: &ReportReply{}},
 		{Share: &ShareReply{Ticket: 11}},
 		{Revoke: &ReportReply{}},
-		{Alloc: &AllocReply{Takes: []float64{1, 0, 2.5}, Theta: 0.125, Lease: 3, TTL: 10 * time.Second}},
+		{Alloc: &AllocReply{Sources: []int{0, 2}, Takes: []float64{1, 2.5}, Theta: 0.125, Lease: 3, TTL: 10 * time.Second}},
 		{Alloc: &AllocReply{Theta: 0, Lease: 0}},
 		{Release: &ReportReply{}},
 		{Renew: &RenewReply{TTL: 3 * time.Second}},
@@ -97,6 +98,41 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	}
 	if _, err := decodeResponse(enc[:len(enc)-3]); err == nil {
 		t.Error("truncated alloc reply decoded")
+	}
+	if _, err := appendResponse(nil, &Response{Alloc: &AllocReply{Sources: []int{4}, Takes: []float64{1, 2}}}); err == nil {
+		t.Error("alloc reply with one source for two takes encoded")
+	}
+}
+
+// TestAllocReplyLegacyDenseEncodesAsPairs: a reply built the old way —
+// nil Sources, Takes indexed by principal id — goes out as the pairs of
+// its non-zero entries, so the wire has one form whatever the caller held.
+func TestAllocReplyLegacyDenseEncodesAsPairs(t *testing.T) {
+	dense := &AllocReply{Takes: []float64{1, 0, 2.5, 0}, Theta: 0.125, Lease: 3}
+	pairs := &AllocReply{Sources: []int{0, 2}, Takes: []float64{1, 2.5}, Theta: 0.125, Lease: 3}
+	a, err := appendResponse(nil, &Response{Alloc: dense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := appendResponse(nil, &Response{Alloc: pairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("dense form encodes to % x, pair form to % x", a, b)
+	}
+	got, err := decodeResponse(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Alloc, pairs) {
+		t.Fatalf("decoded %+v, want %+v", got.Alloc, pairs)
+	}
+	if d := got.Alloc.Dense(4); !reflect.DeepEqual(d, dense.Takes) {
+		t.Fatalf("Dense(4) = %v, want %v", d, dense.Takes)
+	}
+	if d := dense.Dense(2); !reflect.DeepEqual(d, []float64{1, 0, 2.5}) {
+		t.Fatalf("Dense(2) of a reply reaching principal 2 = %v", d)
 	}
 }
 

@@ -95,8 +95,8 @@ func TestShareReportAllocate(t *testing.T) {
 	if math.Abs(total-120) > 1e-6 {
 		t.Errorf("takes sum to %g, want 120", total)
 	}
-	if reply.Takes[b.Principal()] > 40+1e-6 {
-		t.Errorf("took %g from B, agreement cap is 40", reply.Takes[b.Principal()])
+	if fromB := reply.Dense(2)[b.Principal()]; fromB > 40+1e-6 {
+		t.Errorf("took %g from B, agreement cap is 40", fromB)
 	}
 
 	// The GRM's availability view reflects the allocation.

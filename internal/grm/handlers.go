@@ -244,7 +244,7 @@ func (s *Server) renew(r *RenewRequest) *Response {
 // during replay (where appendLocked no-ops). Callers hold s.mu.
 func (s *Server) removeLeaseLocked(kind store.Kind, token int, le *lease) {
 	delete(s.leases, token)
-	s.creditLocked(le.takes)
+	s.creditLocked(le.sources, le.takes)
 	s.appendLocked(&store.Record{Kind: kind, Lease: token, ParentLease: le.parentLease})
 }
 
@@ -254,14 +254,11 @@ func (s *Server) removeLeaseLocked(kind store.Kind, token int, le *lease) {
 // replayed removal), which is why the waljournal finding is suppressed.
 //
 //lint:ignore sharingvet/waljournal callers journal the triggering record via removeLeaseLocked or replay
-func (s *Server) creditLocked(takes []float64) {
-	for i, take := range takes {
-		if i >= len(s.avail) {
-			break
-		}
-		s.avail[i] += take
-		if s.avail[i] > s.reported[i] {
-			s.avail[i] = s.reported[i]
+func (s *Server) creditLocked(sources []int, takes []float64) {
+	for k, p := range sources {
+		s.avail[p] += takes[k]
+		if s.avail[p] > s.reported[p] {
+			s.avail[p] = s.reported[p]
 		}
 	}
 	s.epoch++

@@ -50,7 +50,7 @@ func TestAllocOptimisticConflictRetries(t *testing.T) {
 	}
 	// The retried plan saw B at 10: it can draw at most min(10*0.5, 10)=5
 	// from B, so A must cover at least 99 itself.
-	takes := resp.Alloc.Takes
+	takes := resp.Alloc.Dense(2)
 	if takes[b] > 5+1e-9 {
 		t.Errorf("take from B = %g exceeds post-conflict cap 5", takes[b])
 	}

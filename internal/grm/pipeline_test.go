@@ -91,11 +91,12 @@ func TestBatchedAllocPipeline(t *testing.T) {
 
 	// Books must balance: availability plus outstanding takes equals the
 	// reported capacities.
+	takenFrom := make([]float64, len(st.Principals))
+	for _, r := range replies {
+		r.Each(func(p int, take float64) { takenFrom[p] += take })
+	}
 	for i, p := range st.Principals {
-		var taken float64
-		for _, r := range replies {
-			taken += r.Takes[i]
-		}
+		taken := takenFrom[i]
 		if got := p.Available + taken; got < p.Reported-1e-6 || got > p.Reported+1e-6 {
 			t.Fatalf("principal %d: avail %v + taken %v != reported %v", i, p.Available, taken, p.Reported)
 		}

@@ -22,6 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/store"
 )
 
 // ErrNoPrincipals is returned when an operation needs a planner but no
@@ -123,15 +125,46 @@ type AllocRequest struct {
 }
 
 // AllocReply carries the GRM's allocation decision: how much to take from
-// each principal (indexed by principal id), the realized perturbation
-// metric θ, and a lease token to pass to Release when the resources are
-// done. TTL, when non-zero, is the lease's time to live: the GRM reclaims
-// the resources after TTL unless the holder calls Renew or Release first.
+// whom, the realized perturbation metric θ, and a lease token to pass to
+// Release when the resources are done. TTL, when non-zero, is the lease's
+// time to live: the GRM reclaims the resources after TTL unless the
+// holder calls Renew or Release first.
+//
+// The takes are pairs: Takes[k] > 0 is drawn from principal Sources[k],
+// and Sources is strictly ascending, so a reply costs what the allocation
+// touches, not what the GRM serves. nil Sources is the form older peers
+// and recorded bundles hold — Takes indexed by principal id, zeros
+// included; Each and Dense read either, and the codecs send pairs.
+//
+// The server builds the two slices once, when the allocation commits,
+// and the lease, this reply, the tap event and the journal record all
+// point at them. Nobody may write to them after that: a holder that
+// wants to change a take copies first.
 type AllocReply struct {
-	Takes []float64
-	Theta float64
-	Lease int
-	TTL   time.Duration
+	Sources []int
+	Takes   []float64
+	Theta   float64
+	Lease   int
+	TTL     time.Duration
+}
+
+// Each calls fn for every principal the allocation takes from, in
+// ascending principal order.
+func (r *AllocReply) Each(fn func(principal int, take float64)) {
+	sources, takes := store.SparseTakes(r.Sources, r.Takes)
+	for k, p := range sources {
+		fn(p, takes[k])
+	}
+}
+
+// Dense returns the takes as a fresh vector indexed by principal id, n
+// entries long, or longer if a source lies beyond n.
+func (r *AllocReply) Dense(n int) []float64 {
+	sources, takes := store.SparseTakes(r.Sources, r.Takes)
+	if k := len(sources); k > 0 && sources[k-1] >= n {
+		n = sources[k-1] + 1
+	}
+	return store.DenseTakes(sources, takes, n)
 }
 
 // ReleaseRequest returns a finished allocation's resources to the pool.

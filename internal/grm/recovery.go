@@ -143,21 +143,12 @@ func (s *Server) applyLocked(rec *store.Record) error {
 		// the solve already happened and its takes are the committed
 		// truth — replaying through the LP would have to reproduce the
 		// exact epoch interleaving to match.
-		for i, take := range rec.Takes {
-			if i >= len(s.avail) {
-				return fmt.Errorf("lease %d takes %d principals, have %d", rec.Lease, len(rec.Takes), len(s.avail))
-			}
-			s.avail[i] -= take
-			if s.avail[i] < 0 {
-				s.avail[i] = 0
-			}
+		le, err := s.recoveredLease(rec.Sources, rec.Takes, rec.Expires, rec.ParentLease)
+		if err != nil {
+			return fmt.Errorf("lease %d: %w", rec.Lease, err)
 		}
-		s.epoch++
-		s.leases[rec.Lease] = &lease{
-			takes:       append([]float64(nil), rec.Takes...),
-			expires:     expiryTime(rec.Expires),
-			parentLease: rec.ParentLease,
-		}
+		s.debitLocked(le.sources, le.takes)
+		s.leases[rec.Lease] = le
 		if rec.Lease >= s.nextLease {
 			s.nextLease = rec.Lease + 1
 		}
@@ -188,6 +179,26 @@ func (s *Server) applyLocked(rec *store.Record) error {
 	default:
 		return fmt.Errorf("unknown record kind %d", rec.Kind)
 	}
+}
+
+// recoveredLease rebuilds a lease from its journaled takes, in either
+// form (pairs, or the dense vector of older logs and of allocations that
+// draw on most principals), and checks the pairs against the books the
+// replay has rebuilt so far: the log is outside input, and debit and
+// credit index the availability view by source without looking. The
+// record's slices are kept, not copied; replayed records are not written
+// to again.
+func (s *Server) recoveredLease(sources []int, takes []float64, expires int64, parentLease int) (*lease, error) {
+	sources, takes = store.SparseTakes(sources, takes)
+	if len(sources) != len(takes) {
+		return nil, fmt.Errorf("%d sources for %d takes", len(sources), len(takes))
+	}
+	for k, p := range sources {
+		if p < 0 || p >= len(s.avail) || (k > 0 && p <= sources[k-1]) {
+			return nil, fmt.Errorf("source %d (entry %d) is out of order or not one of %d principals", p, k, len(s.avail))
+		}
+	}
+	return &lease{sources: sources, takes: takes, expires: expiryTime(expires), parentLease: parentLease}, nil
 }
 
 // applyStateLocked rebuilds the server from a compacted snapshot. It
@@ -253,11 +264,11 @@ func (s *Server) applyStateLocked(st *store.State) error {
 	copy(s.reported, st.Reported)
 	copy(s.avail, st.Avail)
 	for _, ls := range st.Leases {
-		s.leases[ls.Token] = &lease{
-			takes:       append([]float64(nil), ls.Takes...),
-			expires:     expiryTime(ls.Expires),
-			parentLease: ls.ParentLease,
+		le, err := s.recoveredLease(ls.Sources, ls.Takes, ls.Expires, ls.ParentLease)
+		if err != nil {
+			return fmt.Errorf("lease %d: %w", ls.Token, err)
 		}
+		s.leases[ls.Token] = le
 	}
 	for _, b := range st.Borrows {
 		s.borrows[b.ParentLease] = b.Amount
@@ -293,12 +304,17 @@ func (s *Server) stateLocked() *store.State {
 	sort.Ints(tokens)
 	for _, token := range tokens {
 		le := s.leases[token]
-		st.Leases = append(st.Leases, store.LeaseState{
+		ls := store.LeaseState{
 			Token:       token,
-			Takes:       append([]float64(nil), le.takes...),
+			Sources:     le.sources,
+			Takes:       le.takes,
 			Expires:     expiryUnix(le.expires),
 			ParentLease: le.parentLease,
-		})
+		}
+		if journalDense(len(le.sources), len(s.avail)) {
+			ls.Sources, ls.Takes = nil, store.DenseTakes(le.sources, le.takes, len(s.avail))
+		}
+		st.Leases = append(st.Leases, ls)
 	}
 	borrowTokens := make([]int, 0, len(s.borrows))
 	for token := range s.borrows {

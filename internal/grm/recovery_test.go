@@ -1,7 +1,11 @@
 package grm
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -82,10 +86,8 @@ func leasesEqual(t *testing.T, want, got *Server) {
 		if !ok {
 			t.Fatalf("lease %d missing after recovery", token)
 		}
-		for i := range wle.takes {
-			if gle.takes[i] != wle.takes[i] {
-				t.Fatalf("lease %d take[%d] = %v, want %v", token, i, gle.takes[i], wle.takes[i])
-			}
+		if !reflect.DeepEqual(gle.sources, wle.sources) || !reflect.DeepEqual(gle.takes, wle.takes) {
+			t.Fatalf("lease %d takes %v from %v, want %v from %v", token, gle.takes, gle.sources, wle.takes, wle.sources)
 		}
 		if !gle.expires.Equal(wle.expires) {
 			t.Fatalf("lease %d expires %v, want %v", token, gle.expires, wle.expires)
@@ -261,4 +263,221 @@ func TestRecoverSurfacesUnresolvedBorrows(t *testing.T) {
 	if resp := r.dispatch(&Request{Release: &ReleaseRequest{Lease: 1}}); resp.Err != "" {
 		t.Fatalf("release: %s", resp.Err)
 	}
+}
+
+// TestRecoverLegacyDenseLog replays testdata/legacy_wal, a log directory
+// written by the commit before takes became pairs: a compacted snapshot
+// holding one lease and a tail holding another, every takes vector dense
+// and no record with a "src" key. Recovery must read it, and must land on
+// the books its pair-form twin — the same records with each takes vector
+// rewritten as (src, takes) — lands on: the same status after recovery,
+// and the same status again once both held leases are released, which is
+// where a wrong source would credit the wrong principal.
+func TestRecoverLegacyDenseLog(t *testing.T) {
+	dir := t.TempDir() // OpenFileLog opens for append; keep testdata read-only
+	twin := store.NewMemLog()
+	pairForms := 0
+	for _, name := range []string{"snapshot.wal", "wal.log"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "legacy_wal", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(raw, []byte(`"src"`)) || !bytes.Contains(raw, []byte(`"takes":[`)) {
+			t.Fatalf("%s is not a legacy log: want dense takes and no src", name)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, valid, err := store.DecodeRecords(bytes.NewReader(raw))
+		if err != nil || valid != int64(len(raw)) {
+			t.Fatalf("%s: %d of %d bytes decode (%v)", name, valid, len(raw), err)
+		}
+		for _, rec := range recs {
+			if rec.Kind == store.KindAlloc {
+				rec.Sources, rec.Takes = store.SparseTakes(nil, rec.Takes)
+				pairForms++
+			}
+			if rec.State != nil {
+				for i := range rec.State.Leases {
+					ls := &rec.State.Leases[i]
+					ls.Sources, ls.Takes = store.SparseTakes(nil, ls.Takes)
+					pairForms++
+				}
+			}
+			if err := twin.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if pairForms != 3 {
+		t.Fatalf("rewrote %d takes vectors, the fixture holds 3", pairForms)
+	}
+
+	legacyLog, err := store.OpenFileLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := NewServer(core.Config{}, nil)
+	if err := legacy.Recover(legacyLog); err != nil {
+		t.Fatalf("legacy log: %v", err)
+	}
+	defer legacy.Close()
+	defer legacyLog.Close()
+	pairs := NewServer(core.Config{}, nil)
+	if err := pairs.Recover(twin); err != nil {
+		t.Fatalf("pair-form twin: %v", err)
+	}
+	defer pairs.Close()
+
+	if l, p := statusJSON(t, legacy), statusJSON(t, pairs); l != p {
+		t.Fatalf("recovered books differ\nlegacy: %s\npairs:  %s", l, p)
+	}
+	leasesEqual(t, pairs, legacy)
+	st, err := legacy.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Leases != 2 || st.Agreements != 3 {
+		t.Fatalf("recovered %d leases and %d agreements, the fixture holds 2 and 3", st.Leases, st.Agreements)
+	}
+	// Lease 1 took [100 15 0 15 0 0], lease 3 [0 0 120 0 20 0]; node1
+	// reported 60 in between, node5 reported 90 and got its 40 back.
+	wantAvail := []float64{0, 60, 0, 115, 120, 90}
+	for i, ps := range st.Principals {
+		if ps.Available != wantAvail[i] {
+			t.Fatalf("recovered availability %v at principal %d, want %v", ps.Available, i, wantAvail[i])
+		}
+	}
+
+	for _, lease := range []int{1, 3} {
+		for _, srv := range []*Server{legacy, pairs} {
+			if resp := srv.dispatch(&Request{Release: &ReleaseRequest{Lease: lease}}); resp.Err != "" {
+				t.Fatalf("release %d: %s", lease, resp.Err)
+			}
+		}
+	}
+	if l, p := statusJSON(t, legacy), statusJSON(t, pairs); l != p {
+		t.Fatalf("books differ after the releases\nlegacy: %s\npairs:  %s", l, p)
+	}
+	if st, err = legacy.Status(); err != nil {
+		t.Fatal(err)
+	}
+	wantAvail = []float64{100, 75, 120, 130, 140, 90}
+	for i, ps := range st.Principals {
+		if ps.Available != wantAvail[i] {
+			t.Fatalf("availability %v at principal %d after the releases, want %v", ps.Available, i, wantAvail[i])
+		}
+	}
+}
+
+// TestRecoverRejectsMalformedTakes: the log is input. Pairs that are out
+// of order, name a principal the replay has not registered, or do not
+// line up one source to one take must stop recovery, not index the books.
+func TestRecoverRejectsMalformedTakes(t *testing.T) {
+	cases := map[string]store.Record{
+		"out of order":         {Sources: []int{1, 0}, Takes: []float64{1, 1}},
+		"repeated source":      {Sources: []int{1, 1}, Takes: []float64{1, 1}},
+		"unknown principal":    {Sources: []int{2}, Takes: []float64{1}},
+		"negative principal":   {Sources: []int{-1}, Takes: []float64{1}},
+		"more takes":           {Sources: []int{0}, Takes: []float64{1, 1}},
+		"more sources":         {Sources: []int{0, 1}, Takes: []float64{1}},
+		"dense beyond the set": {Takes: []float64{1, 0, 1}},
+	}
+	for name, rec := range cases {
+		wal := store.NewMemLog()
+		rec.Seq, rec.Kind, rec.Lease = 3, store.KindAlloc, 1
+		for _, r := range []*store.Record{
+			{Seq: 1, Kind: store.KindRegister, Principal: 0, Name: "A", Capacity: 10},
+			{Seq: 2, Kind: store.KindRegister, Principal: 1, Name: "B", Capacity: 10},
+			&rec,
+		} {
+			if err := wal.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := NewServer(core.Config{}, nil).Recover(wal); err == nil {
+			t.Errorf("%s: recovery accepted takes %v from %v", name, rec.Takes, rec.Sources)
+		}
+	}
+}
+
+// TestJournalFormFollowsDensity: an allocation is journaled as pairs
+// while it draws on at most a quarter of the principals and as the dense
+// vector beyond that (journalDense has the arithmetic), in the tail and
+// in a compacted snapshot alike, and recovery lands on the same books
+// from either.
+func TestJournalFormFollowsDensity(t *testing.T) {
+	wal := store.NewMemLog()
+	s := NewServer(core.Config{}, nil)
+	s.SetLog(wal)
+	must := func(resp *Response) *Response {
+		t.Helper()
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		return resp
+	}
+	for i := 0; i < 8; i++ {
+		must(s.dispatch(&Request{Register: &RegisterRequest{Name: string(rune('A' + i)), Capacity: 100}}))
+	}
+	must(s.dispatch(&Request{Share: &ShareRequest{From: 1, To: 0, Fraction: 0.5}}))
+	sparse := must(s.dispatch(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 120}})).Alloc // A and its one sharer: two sources of eight
+	must(s.dispatch(&Request{Share: &ShareRequest{From: 2, To: 0, Fraction: 0.5}}))
+	must(s.dispatch(&Request{Share: &ShareRequest{From: 3, To: 0, Fraction: 0.5}}))
+	dense := must(s.dispatch(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 90}})).Alloc // A is empty, all three sharers give: three of eight
+	if len(sparse.Sources) != 2 || len(dense.Sources) != 3 {
+		t.Fatalf("replies take from %v and %v, want two and three sources", sparse.Sources, dense.Sources)
+	}
+
+	check := func(what string, lease int, sources []int, takes []float64) {
+		t.Helper()
+		switch lease {
+		case sparse.Lease:
+			if !reflect.DeepEqual(sources, sparse.Sources) || !reflect.DeepEqual(takes, sparse.Takes) {
+				t.Errorf("%s: two sources of eight journaled as %v from %v, want the reply's pairs", what, takes, sources)
+			}
+		case dense.Lease:
+			if sources != nil || !reflect.DeepEqual(takes, dense.Dense(8)) {
+				t.Errorf("%s: three sources of eight journaled as %v from %v, want the dense vector", what, takes, sources)
+			}
+		}
+	}
+	wal.Replay(func(rec *store.Record) error {
+		if rec.Kind == store.KindAlloc {
+			check("tail", rec.Lease, rec.Sources, rec.Takes)
+		}
+		return nil
+	})
+	before := statusJSON(t, s)
+	fromTail := NewServer(core.Config{}, nil)
+	tail := store.NewMemLog()
+	wal.Replay(func(rec *store.Record) error { return tail.Append(rec) })
+	if err := fromTail.Recover(tail); err != nil {
+		t.Fatal(err)
+	}
+	if got := statusJSON(t, fromTail); got != before {
+		t.Fatalf("recovered from the tail:\n%s\nwant\n%s", got, before)
+	}
+
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	wal.Replay(func(rec *store.Record) error {
+		if rec.State == nil {
+			t.Errorf("compacted log holds a %v record", rec.Kind)
+			return nil
+		}
+		for _, ls := range rec.State.Leases {
+			check("snapshot", ls.Token, ls.Sources, ls.Takes)
+		}
+		return nil
+	})
+	fromSnapshot := NewServer(core.Config{}, nil)
+	if err := fromSnapshot.Recover(wal); err != nil {
+		t.Fatal(err)
+	}
+	if got := statusJSON(t, fromSnapshot); got != before {
+		t.Fatalf("recovered from the snapshot:\n%s\nwant\n%s", got, before)
+	}
+	leasesEqual(t, s, fromSnapshot)
 }

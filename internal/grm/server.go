@@ -30,10 +30,13 @@ import (
 // the durability layer's integration (recording, recovery, compaction) in
 // recovery.go.
 
-// lease is one outstanding allocation: the per-principal takes to return
-// on release, an optional expiry, and the parent GRM's lease token when
-// part of the allocation was borrowed through the federation.
+// lease is one outstanding allocation: the takes to return on release
+// (takes[k] from principal sources[k], ascending — the slices the reply
+// and the journal record share, never written after commit), an optional
+// expiry, and the parent GRM's lease token when part of the allocation
+// was borrowed through the federation.
 type lease struct {
+	sources     []int
 	takes       []float64
 	expires     time.Time   // zero when leases do not expire
 	parentLink  *parentLink // federation link the borrow came through; nil when local

@@ -128,16 +128,15 @@ func (g *Sharded) splitTicket(global int) (shard, local int) {
 	return global % g.nshards, global / g.nshards
 }
 
-// globalTakes expands a shard-local takes vector into the global
-// principal space (all other shards' entries are zero by construction —
-// a shard can only take from its own principals).
-func (g *Sharded) globalTakes(shard int, takes []float64) []float64 {
-	if len(takes) == 0 {
-		return nil
-	}
-	out := make([]float64, g.globalPrincipal(shard, len(takes)-1)+1)
-	for local, t := range takes {
-		out[g.globalPrincipal(shard, local)] = t
+// globalSources renames a shard's reply sources into the global
+// principal space. The interleaving is monotonic within a shard, so the
+// result is still ascending, and a shard only takes from its own
+// principals, so nothing else needs adding: the amounts are shared with
+// the shard's reply, only the names are new.
+func (g *Sharded) globalSources(shard int, local []int) []int {
+	out := make([]int, len(local))
+	for k, p := range local {
+		out[k] = g.globalPrincipal(shard, p)
 	}
 	return out
 }
@@ -198,10 +197,11 @@ func (g *Sharded) Handle(req *Request) *Response {
 		resp := g.shards[shard].Handle(&Request{Alloc: &r})
 		if resp.Alloc != nil {
 			resp.Alloc = &AllocReply{
-				Takes: g.globalTakes(shard, resp.Alloc.Takes),
-				Theta: resp.Alloc.Theta,
-				Lease: g.globalLease(shard, resp.Alloc.Lease),
-				TTL:   resp.Alloc.TTL,
+				Sources: g.globalSources(shard, resp.Alloc.Sources),
+				Takes:   resp.Alloc.Takes,
+				Theta:   resp.Alloc.Theta,
+				Lease:   g.globalLease(shard, resp.Alloc.Lease),
+				TTL:     resp.Alloc.TTL,
 			}
 		}
 		return resp
@@ -502,11 +502,16 @@ func (g *Sharded) ReportUpstream() error {
 // parent link, so the parent lease tokens are disjoint).
 func (g *Sharded) Status() (*Status, error) {
 	out := &Status{}
+	parts := make([][]PrincipalStatus, g.nshards)
+	total, deepest := 0, 0
 	for shard, sh := range g.shards {
 		st, err := sh.Status()
 		if err != nil {
 			return nil, fmt.Errorf("grm: shard %d: %w", shard, err)
 		}
+		parts[shard] = st.Principals
+		total += len(st.Principals)
+		deepest = max(deepest, len(st.Principals))
 		out.Leases += st.Leases
 		out.Agreements += st.Agreements
 		out.PlanConflicts += st.PlanConflicts
@@ -520,12 +525,22 @@ func (g *Sharded) Status() (*Status, error) {
 		out.Federation.Attached = out.Federation.Attached || st.Federation.Attached
 		out.Federation.TotalBorrowed += st.Federation.TotalBorrowed
 		out.Federation.Borrows = append(out.Federation.Borrows, st.Federation.Borrows...)
-		for _, ps := range st.Principals {
-			ps.Principal = g.globalPrincipal(shard, ps.Principal)
-			out.Principals = append(out.Principals, ps)
+	}
+	// A global id is local·nshards + shard, so walking local ids outermost
+	// and shards innermost visits the principals in ascending global order:
+	// each row goes straight to its place, no sort.
+	if total > 0 {
+		out.Principals = make([]PrincipalStatus, 0, total)
+	}
+	for local := 0; local < deepest; local++ {
+		for shard, part := range parts {
+			if local < len(part) {
+				ps := part[local]
+				ps.Principal = g.globalPrincipal(shard, local)
+				out.Principals = append(out.Principals, ps)
+			}
 		}
 	}
-	sortPrincipalStatuses(out.Principals)
 	return out, nil
 }
 
@@ -546,14 +561,5 @@ func (g *Sharded) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(st); err != nil {
 		g.logger.Printf("grm: sharded status encode: %v", err)
-	}
-}
-
-// sortPrincipalStatuses orders a merged status by global principal id.
-func sortPrincipalStatuses(ps []PrincipalStatus) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].Principal < ps[j-1].Principal; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -123,23 +124,20 @@ func TestShardedRoutingRoundTrip(t *testing.T) {
 	// Reports land on the owning shard's books.
 	mustHandle(t, g, &Request{Report: &ReportRequest{Principal: prins[2].id, Available: 40}})
 
-	// An allocation returns a globally expanded takes vector: only
-	// columns of the requester's shard may be nonzero.
+	// An allocation's sources come back renamed into the global space,
+	// and only principals of the requester's shard may appear.
 	alloc := mustHandle(t, g, &Request{Alloc: &AllocRequest{Principal: prins[1].id, Amount: 120}})
 	if s, _ := g.splitLease(alloc.Alloc.Lease); s != prins[1].shard {
 		t.Fatalf("lease %d decodes to shard %d, want %d", alloc.Alloc.Lease, s, prins[1].shard)
 	}
 	var taken float64
-	for gp, take := range alloc.Alloc.Takes {
-		if take == 0 {
-			continue
-		}
+	alloc.Alloc.Each(func(gp int, take float64) {
 		taken += take
 		if s, _ := g.splitPrincipal(gp); s != prins[1].shard {
-			t.Fatalf("take of %v from global principal %d (shard %d) crossed out of shard %d",
+			t.Errorf("take of %v from global principal %d (shard %d) crossed out of shard %d",
 				take, gp, s, prins[1].shard)
 		}
-	}
+	})
 	if taken != 120 {
 		t.Fatalf("takes sum %v, want 120", taken)
 	}
@@ -392,4 +390,103 @@ func TestShardedWireEndToEnd(t *testing.T) {
 	}
 	g.Close()
 	<-done
+}
+
+// TestShardedReplyRemapMatchesExpansion pins the sharded allocation reply
+// against what the router used to build: the shard's takes expanded into
+// a vector over the whole global id space, other shards' columns zero.
+// Renaming the sources must say the same thing in pairs, and must share
+// the shard's amounts rather than copy them.
+func TestShardedReplyRemapMatchesExpansion(t *testing.T) {
+	const nshards = 3
+	g := NewSharded(nshards, core.Config{}, nil)
+	defer g.Close()
+	trees := subtreeNames(t, g)
+	const shard = 1
+	var ids []int
+	for k := 0; k < 4; k++ {
+		resp := mustHandle(t, g, &Request{Register: &RegisterRequest{Name: fmt.Sprintf("%s/node%d", trees[shard], k), Capacity: 100}})
+		ids = append(ids, resp.Register.Principal)
+	}
+	// Nodes 1 and 3 share with node 0; node 2 does not, so a request beyond
+	// node 0's own capacity leaves a hole in the sources.
+	mustHandle(t, g, &Request{Share: &ShareRequest{From: ids[1], To: ids[0], Fraction: 0.5}})
+	mustHandle(t, g, &Request{Share: &ShareRequest{From: ids[3], To: ids[0], Fraction: 0.5}})
+
+	var local *AllocReply
+	g.Shard(shard).SetTap(func(ev TapEvent) {
+		if ev.Resp.Alloc != nil {
+			local = ev.Resp.Alloc
+		}
+	})
+	reply := mustHandle(t, g, &Request{Alloc: &AllocRequest{Principal: ids[0], Amount: 160}}).Alloc
+	if local == nil {
+		t.Fatal("the shard's own reply was not observed")
+	}
+	if len(local.Sources) != 3 {
+		t.Fatalf("shard reply takes from %v, want three of its four principals", local.Sources)
+	}
+
+	// The expansion the router used to perform on the shard's dense vector.
+	dense := local.Dense(4)
+	want := make([]float64, g.globalPrincipal(shard, len(dense)-1)+1)
+	for l, take := range dense {
+		want[g.globalPrincipal(shard, l)] = take
+	}
+	if got := reply.Dense(len(want)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("remapped reply expands to %v, the old expansion was %v", got, want)
+	}
+	for k, p := range reply.Sources {
+		if s, l := g.splitPrincipal(p); s != shard || l != local.Sources[k] {
+			t.Fatalf("source %d is global %d = (shard %d, local %d), want (shard %d, local %d)", k, p, s, l, shard, local.Sources[k])
+		}
+		if k > 0 && p <= reply.Sources[k-1] {
+			t.Fatalf("remapped sources %v are not ascending", reply.Sources)
+		}
+	}
+	if &reply.Takes[0] != &local.Takes[0] {
+		t.Fatal("the router copied the amounts; it should share the shard's")
+	}
+}
+
+// TestShardedStatusMergeOrder: shards of uneven size leave holes in the
+// global id space, and the merged status must still list exactly the
+// registered principals in ascending global id, each under its own name.
+func TestShardedStatusMergeOrder(t *testing.T) {
+	const nshards = 3
+	g := NewSharded(nshards, core.Config{}, nil)
+	defer g.Close()
+	trees := subtreeNames(t, g)
+	want := map[int]string{}
+	for shard, population := range []int{5, 1, 3} {
+		for k := 0; k < population; k++ {
+			name := fmt.Sprintf("%s/node%d", trees[shard], k)
+			resp := mustHandle(t, g, &Request{Register: &RegisterRequest{Name: name, Capacity: float64(10*shard + k)}})
+			want[resp.Register.Principal] = name
+		}
+	}
+	st, err := g.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Principals) != len(want) {
+		t.Fatalf("status lists %d principals, registered %d", len(st.Principals), len(want))
+	}
+	for i, ps := range st.Principals {
+		if i > 0 && ps.Principal <= st.Principals[i-1].Principal {
+			t.Fatalf("row %d has global id %d after %d", i, ps.Principal, st.Principals[i-1].Principal)
+		}
+		if want[ps.Principal] != ps.Name {
+			t.Fatalf("global id %d is listed as %q, registered as %q", ps.Principal, ps.Name, want[ps.Principal])
+		}
+		shard, local := g.splitPrincipal(ps.Principal)
+		if ps.Reported != float64(10*shard+local) {
+			t.Fatalf("global id %d carries capacity %g, want shard %d's node %d", ps.Principal, ps.Reported, shard, local)
+		}
+	}
+	empty := NewSharded(nshards, core.Config{}, nil)
+	defer empty.Close()
+	if st, err := empty.Status(); err != nil || len(st.Principals) != 0 {
+		t.Fatalf("empty router: %d principals, err %v", len(st.Principals), err)
+	}
 }

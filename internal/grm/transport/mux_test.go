@@ -276,3 +276,22 @@ func TestSetTimeoutsArmsDeadlineOnLiveConn(t *testing.T) {
 		t.Error("quiet connection survived a newly enabled idle timeout")
 	}
 }
+
+// TestOlderBinaryVersionRefused: a client proposing a version this
+// package no longer writes gets no accept — the server hangs up, which
+// the client sees as a failed handshake read.
+func TestOlderBinaryVersionRefused(t *testing.T) {
+	_, addr := startBinaryEcho(t, transport.Options{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := transport.WriteHello(conn, transport.Version-1); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := transport.ReadHello(bufio.NewReader(conn)); err == nil {
+		t.Fatalf("version %d hello was accepted as version %d", transport.Version-1, v)
+	}
+}

@@ -288,10 +288,17 @@ func (t *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 		t.logger.Printf("transport: handshake from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
+	version, ok := NegotiateVersion(proposed)
+	if !ok {
+		// Hanging up is the refusal: the peer's handshake read fails, and a
+		// client dialing in auto mode falls back to gob.
+		t.logger.Printf("transport: handshake from %s: protocol version %d is no longer spoken (want %d)", conn.RemoteAddr(), proposed, Version)
+		return
+	}
 	if write > 0 {
 		conn.SetWriteDeadline(time.Now().Add(write))
 	}
-	if err := WriteHello(conn, NegotiateVersion(proposed)); err != nil {
+	if err := WriteHello(conn, version); err != nil {
 		t.logger.Printf("transport: handshake to %s: %v", conn.RemoteAddr(), err)
 		return
 	}

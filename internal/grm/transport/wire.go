@@ -1,6 +1,6 @@
 package transport
 
-// The binary wire format (protocol version 1). It replaces gob on the
+// The binary wire format (protocol version 2). It replaces gob on the
 // hot path while the gob stream stays decodable for old peers:
 //
 // Handshake. A binary client opens with the 5-byte hello
@@ -8,11 +8,13 @@ package transport
 //	[0x00 'G' 'R' 'M' <version>]
 //
 // and the server answers with the same magic and the version it accepts
-// (the minimum of the client's proposal and its own maximum). The lead
-// byte 0x00 is the discriminator: a gob stream's first byte is a
-// message-length uvarint and can never be zero, so the server peeks one
-// byte and routes the connection to the right codec. A gob peer sends no
-// hello and is served exactly as before.
+// (the minimum of the client's proposal and its own maximum). A proposal
+// below Version is refused by closing the connection: version 1 framed
+// allocation replies as population-sized vectors, which this package no
+// longer writes. The lead byte 0x00 is the discriminator: a gob stream's
+// first byte is a message-length uvarint and can never be zero, so the
+// server peeks one byte and routes the connection to the right codec. A
+// gob peer sends no hello and is served exactly as before.
 //
 // Frames. After the handshake every message in both directions is one
 // frame, reusing the CRC-framed record idiom of internal/store:
@@ -26,10 +28,14 @@ package transport
 // bytes are produced by the protocol package's Codec — the transport
 // never interprets them.
 //
-// Envelope encoding primitives. Integers are uvarints (zigzag for
-// signed values), float64s are 8-byte little-endian IEEE 754 bits,
-// strings and slices are length-prefixed. The Append*/Dec helpers below
-// are shared by the protocol codec so every field is encoded one way.
+// Envelope encoding primitives. Integers are minimal-length uvarints
+// (zigzag for signed values), float64s are 8-byte little-endian IEEE 754
+// bits, strings and slices are length-prefixed, and a sparse float64
+// vector is run-length encoded (AppendSparseFloat64s). The Append*/Dec
+// helpers below are shared by the protocol codec so every field is
+// encoded one way — and only one way: the decoder refuses padded
+// uvarints and split runs, so an accepted envelope re-encodes to the
+// bytes it was decoded from.
 
 import (
 	"encoding/binary"
@@ -42,8 +48,10 @@ import (
 )
 
 const (
-	// Version is the newest binary protocol version this package speaks.
-	Version = 1
+	// Version is the binary protocol version this package speaks, and the
+	// only one: version 2 carries an allocation's takes as sparse runs
+	// where version 1 sent one float per principal.
+	Version = 2
 	// frameHeaderSize is the length+CRC prefix of every frame.
 	frameHeaderSize = 8
 	// MaxFramePayload bounds one frame's payload; a length field beyond
@@ -97,12 +105,11 @@ func ReadHello(r io.Reader) (byte, error) {
 }
 
 // NegotiateVersion picks the version a server speaks with a client that
-// proposed the given one: the highest version both sides know.
-func NegotiateVersion(proposed byte) byte {
-	if proposed > Version {
-		return Version
-	}
-	return proposed
+// proposed the given one: the highest version both sides know. ok is
+// false when there is none — the client speaks only versions this
+// package dropped.
+func NegotiateVersion(proposed byte) (version byte, ok bool) {
+	return Version, proposed >= Version
 }
 
 // FrameWriter writes length+CRC framed messages, reusing one buffer
@@ -231,6 +238,38 @@ func AppendFloat64s(dst []byte, xs []float64) []byte {
 	return dst
 }
 
+// AppendSparseFloat64s appends a sparse float64 vector: vals[k] sits at
+// index idx[k], and idx is strictly ascending and non-negative. The
+// entries are grouped into runs of consecutive indices:
+//
+//	uvarint(len(idx))
+//	per run: uvarint(gap) uvarint(run length) run length × 8-byte floats
+//
+// where gap is the distance from the end of the previous run (from index
+// 0 for the first) to the start of this one. A vector with every index
+// present is one run and costs two bytes more than AppendFloat64s; an
+// isolated entry costs its float plus a gap and a length byte or two, so
+// the form is never meaningfully worse than dense and shrinks with the
+// number of entries, not with the highest index.
+func AppendSparseFloat64s(dst []byte, idx []int, vals []float64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(idx)))
+	next := 0 // one past the previous run's last index
+	for k := 0; k < len(idx); {
+		end := k + 1
+		for end < len(idx) && idx[end] == idx[end-1]+1 {
+			end++
+		}
+		dst = binary.AppendUvarint(dst, uint64(idx[k]-next))
+		dst = binary.AppendUvarint(dst, uint64(end-k))
+		for _, x := range vals[k:end] {
+			dst = AppendFloat64(dst, x)
+		}
+		next = idx[end-1] + 1
+		k = end
+	}
+	return dst
+}
+
 // Dec is a cursor over an envelope payload. Reads past the end or
 // malformed fields latch an error and return zero values, so decoders
 // can read a whole struct and check Err once at the end.
@@ -263,13 +302,14 @@ func (d *Dec) Done() error {
 	return nil
 }
 
-// Uvarint reads one uvarint.
+// Uvarint reads one uvarint. A padded encoding (a trailing zero group)
+// is refused: every value has exactly one accepted spelling.
 func (d *Dec) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, k := binary.Uvarint(d.buf)
-	if k <= 0 {
+	if k <= 0 || (k > 1 && d.buf[k-1] == 0) {
 		d.fail("uvarint")
 		return 0
 	}
@@ -321,7 +361,7 @@ func (d *Dec) Float64s() []float64 {
 	if n == 0 {
 		return nil
 	}
-	if uint64(len(d.buf)) < 8*n {
+	if n > uint64(len(d.buf))/8 {
 		d.fail("float64 slice")
 		return nil
 	}
@@ -331,6 +371,48 @@ func (d *Dec) Float64s() []float64 {
 	}
 	d.buf = d.buf[8*n:]
 	return xs
+}
+
+// SparseFloat64s reads one sparse float64 vector written by
+// AppendSparseFloat64s and returns it as parallel slices: strictly
+// ascending non-negative indices and their values (both nil when empty).
+// The count is checked against the bytes that remain before anything is
+// allocated, and only the canonical run structure is accepted — no empty
+// run, no run past the count, no two runs that touch (they would be one
+// run), no index beyond the int range.
+func (d *Dec) SparseFloat64s() (idx []int, vals []float64) {
+	n := d.Uvarint()
+	if d.err != nil || n == 0 {
+		return nil, nil
+	}
+	if n > uint64(len(d.buf))/8 {
+		d.fail("sparse float64 slice")
+		return nil, nil
+	}
+	idx = make([]int, 0, n)
+	vals = make([]float64, 0, n)
+	next := uint64(0) // one past the previous run's last index
+	for uint64(len(idx)) < n {
+		gap, run := d.Uvarint(), d.Uvarint()
+		if d.err != nil {
+			return nil, nil
+		}
+		first := len(idx) == 0
+		if run == 0 || run > n-uint64(len(idx)) || (gap == 0 && !first) ||
+			gap > math.MaxInt-next || run > math.MaxInt-(next+gap) ||
+			run > uint64(len(d.buf))/8 {
+			d.fail("sparse float64 run")
+			return nil, nil
+		}
+		start := next + gap
+		for i := uint64(0); i < run; i++ {
+			idx = append(idx, int(start+i))
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(d.buf[8*i:])))
+		}
+		d.buf = d.buf[8*run:]
+		next = start + run
+	}
+	return idx, vals
 }
 
 // Duration reads a zigzag-encoded time.Duration.

@@ -51,11 +51,14 @@ func TestReadHelloRejectsGobAndGarbage(t *testing.T) {
 }
 
 func TestNegotiateVersion(t *testing.T) {
-	if got := transport.NegotiateVersion(transport.Version); got != transport.Version {
-		t.Errorf("same version negotiates to %d", got)
+	if got, ok := transport.NegotiateVersion(transport.Version); !ok || got != transport.Version {
+		t.Errorf("same version negotiates to %d, %v", got, ok)
 	}
-	if got := transport.NegotiateVersion(200); got != transport.Version {
-		t.Errorf("future version negotiates to %d, want %d", got, transport.Version)
+	if got, ok := transport.NegotiateVersion(200); !ok || got != transport.Version {
+		t.Errorf("future version negotiates to %d, %v, want %d", got, ok, transport.Version)
+	}
+	if _, ok := transport.NegotiateVersion(transport.Version - 1); ok {
+		t.Errorf("version %d accepted; its dense allocation replies are no longer written", transport.Version-1)
 	}
 }
 
@@ -236,5 +239,78 @@ func TestDecLatchesErrors(t *testing.T) {
 	}
 	if d.Err() == nil {
 		t.Error("overlong slice length accepted")
+	}
+}
+
+func TestSparseFloat64sRoundTrip(t *testing.T) {
+	cases := []struct {
+		name string
+		idx  []int
+		vals []float64
+		size int // encoded bytes
+	}{
+		{"empty", nil, nil, 1},
+		{"one at zero", []int{0}, []float64{3}, 1 + 2 + 8},
+		{"isolated", []int{2, 40, 4000}, []float64{1, 2, 3}, 1 + 2 + 8 + 2 + 8 + 3 + 8},
+		// Every index present is one run: two bytes over AppendFloat64s.
+		{"dense", []int{0, 1, 2, 3, 4}, []float64{1, 2, 3, 4, 5}, 1 + 2 + 40},
+		{"runs", []int{1, 2, 5, 6, 7}, []float64{1, 2, 3, 4, 5}, 1 + 2 + 16 + 2 + 24},
+		{"far", []int{math.MaxInt - 2, math.MaxInt - 1}, []float64{1, 2}, 1 + 9 + 1 + 16},
+	}
+	for _, c := range cases {
+		enc := transport.AppendSparseFloat64s(nil, c.idx, c.vals)
+		if len(enc) != c.size {
+			t.Errorf("%s: %d bytes, want %d", c.name, len(enc), c.size)
+		}
+		d := transport.NewDec(enc)
+		idx, vals := d.SparseFloat64s()
+		if err := d.Done(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if len(idx) != len(c.idx) || len(vals) != len(c.vals) {
+			t.Errorf("%s: decoded %v at %v", c.name, vals, idx)
+			continue
+		}
+		for k := range idx {
+			if idx[k] != c.idx[k] || vals[k] != c.vals[k] {
+				t.Errorf("%s: entry %d = %g at %d, want %g at %d", c.name, k, vals[k], idx[k], c.vals[k], c.idx[k])
+			}
+		}
+	}
+}
+
+// TestSparseFloat64sRejectsMalformed: the count is checked against the
+// bytes present before anything is sized by it, and of the many ways to
+// spell one vector as runs only the encoder's is read.
+func TestSparseFloat64sRejectsMalformed(t *testing.T) {
+	uv := transport.AppendUvarint
+	f8 := func(dst []byte, n int) []byte {
+		for i := 0; i < n; i++ {
+			dst = transport.AppendFloat64(dst, 1)
+		}
+		return dst
+	}
+	cases := map[string][]byte{
+		"count beyond the input":     uv(nil, 1<<60),
+		"count beyond the floats":    f8(uv(uv(uv(nil, 3), 0), 3), 2),
+		"empty run":                  f8(uv(uv(uv(uv(uv(nil, 1), 0), 0), 0), 1), 1),
+		"run beyond the count":       f8(uv(uv(uv(nil, 1), 0), 2), 2),
+		"touching runs":              f8(uv(uv(f8(uv(uv(uv(nil, 2), 4), 1), 1), 0), 1), 1),
+		"index overflow in the gap":  f8(uv(uv(f8(uv(uv(uv(nil, 2), math.MaxInt-1), 1), 1), 5), 1), 1),
+		"index overflow in the run":  f8(uv(uv(uv(nil, 2), math.MaxInt-1), 2), 2),
+		"gap beyond the int range":   f8(uv(uv(uv(nil, 1), math.MaxUint64), 1), 1),
+		"padded uvarint":             f8(append(uv(nil, 1), 0x80, 0x00, 0x01), 1),
+		"truncated inside the float": f8(uv(uv(uv(nil, 1), 0), 1), 1)[:8],
+	}
+	for name, enc := range cases {
+		d := transport.NewDec(enc)
+		idx, vals := d.SparseFloat64s()
+		if d.Err() == nil {
+			t.Errorf("%s: accepted % x as %v at %v", name, enc, vals, idx)
+		}
+		if idx != nil || vals != nil {
+			t.Errorf("%s: a failed read returned %v at %v", name, vals, idx)
+		}
 	}
 }

@@ -23,20 +23,19 @@ type WireBenchResult struct {
 }
 
 // benchExchange is the representative traffic one op encodes and
-// decodes: a report exchange plus an allocation exchange with a
-// 16-principal takes vector.
+// decodes: a report exchange plus an allocation exchange whose reply
+// takes from 4 of 16 principals — two neighbours and two on their own,
+// so the run encoding carries both a shared and a single-entry run.
 func benchExchange() ([]*Request, []*Response) {
-	takes := make([]float64, 16)
-	for i := range takes {
-		takes[i] = float64(i) / 4
-	}
+	sources := []int{2, 3, 9, 14}
+	takes := []float64{0.5, 0.75, 2.25, 3.5}
 	reqs := []*Request{
 		{Report: &ReportRequest{Principal: 3, Available: 42.5}},
 		{Alloc: &AllocRequest{Principal: 3, Amount: 25}},
 	}
 	resps := []*Response{
 		{Report: &ReportReply{}},
-		{Alloc: &AllocReply{Takes: takes, Theta: 0.8125, Lease: 7, TTL: 30 * time.Second}},
+		{Alloc: &AllocReply{Sources: sources, Takes: takes, Theta: 0.8125, Lease: 7, TTL: 30 * time.Second}},
 	}
 	return reqs, resps
 }

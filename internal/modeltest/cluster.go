@@ -358,13 +358,19 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 				}
 				return fail(step, "alloc", "Allocate(%g): %v", amount, err), nil
 			}
-			if len(reply.Takes) != n {
-				return fail(step, "alloc", "reply has %d takes for %d principals", len(reply.Takes), n), nil
+			// The reply is pairs: one positive take per source, sources
+			// ascending and registered.
+			if len(reply.Sources) != len(reply.Takes) {
+				return fail(step, "alloc", "reply has %d sources for %d takes", len(reply.Sources), len(reply.Takes)), nil
 			}
 			var sum float64
-			for i, t := range reply.Takes {
-				if t < -tol {
-					return fail(step, "alloc", "take[%d] = %g negative", i, t), nil
+			for k, i := range reply.Sources {
+				t := reply.Takes[k]
+				if i < 0 || i >= n || (k > 0 && i <= reply.Sources[k-1]) {
+					return fail(step, "alloc", "source %d (entry %d) out of order or not one of %d principals", i, k, n), nil
+				}
+				if t <= 0 {
+					return fail(step, "alloc", "take[%d] = %g is not positive", i, t), nil
 				}
 				if t > before[i]+tol {
 					return fail(step, "alloc", "take[%d] = %g exceeds available %g", i, t, before[i]), nil
@@ -380,9 +386,10 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 			if _, dup := ld.leases[reply.Lease]; dup {
 				return fail(step, "alloc", "lease token %d reused", reply.Lease), nil
 			}
-			ld.debit(reply.Takes)
+			takes := reply.Dense(n)
+			ld.debit(takes)
 			ld.leases[reply.Lease] = &ledgerLease{
-				takes:   append([]float64(nil), reply.Takes...),
+				takes:   takes,
 				expires: vc.Now().Add(opts.TTL),
 			}
 			line = fmt.Sprintf("alloc p%d %g lease=%d theta=%.9g", p, amount, reply.Lease, reply.Theta)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -153,8 +154,8 @@ func TestIncrementalEquivalenceAfterRecover(t *testing.T) {
 	if recPlan.Theta != livePlan.Theta {
 		t.Errorf("θ = %g live, %g recovered", livePlan.Theta, recPlan.Theta)
 	}
-	if len(recPlan.Takes) != len(livePlan.Takes) {
-		t.Fatalf("takes: live %d entries, recovered %d", len(livePlan.Takes), len(recPlan.Takes))
+	if !reflect.DeepEqual(recPlan.Sources, livePlan.Sources) || len(recPlan.Takes) != len(livePlan.Takes) {
+		t.Fatalf("takes: live %d entries from %v, recovered %d from %v", len(livePlan.Takes), livePlan.Sources, len(recPlan.Takes), recPlan.Sources)
 	}
 	for i := range livePlan.Takes {
 		//lint:ignore sharingvet/floateq recovery replay is pinned bit-identical to the live incremental state

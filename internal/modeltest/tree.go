@@ -475,11 +475,15 @@ func RunTree(opts TreeOptions) (*TreeReport, error) {
 				return fail(step, "alloc", "lrm%d Allocate(%g): %v", i, amount, err), nil
 			}
 			var sum float64
-			for gp, take := range reply.Takes {
-				if take < -tol {
-					return fail(step, "alloc", "lrm%d take[%d] = %g negative", i, gp, take), nil
+			negative := -1
+			reply.Each(func(gp int, take float64) {
+				if take < -tol && negative < 0 {
+					negative = gp
 				}
 				sum += take
+			})
+			if negative >= 0 {
+				return fail(step, "alloc", "lrm%d take from principal %d is negative", i, negative), nil
 			}
 			if math.Abs(sum-amount) > tol {
 				return fail(step, "alloc", "lrm%d Σ takes = %g, requested %g", i, sum, amount), nil

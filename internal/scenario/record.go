@@ -97,7 +97,7 @@ func translate(ev grm.TapEvent) (*Event, *Outcome) {
 		event.P = req.Alloc.Principal
 		event.Amount = req.Alloc.Amount
 		if rep := ev.Resp.Alloc; rep != nil {
-			out.Takes = append([]float64(nil), rep.Takes...)
+			out.Takes = rep.Dense(len(ev.Avail))
 			theta := rep.Theta
 			out.Theta = &theta
 			lease := rep.Lease

@@ -290,7 +290,7 @@ func (st *replayState) execute(ev *Event) *Outcome {
 		if err != nil {
 			return fail(err)
 		}
-		out.Takes = append([]float64(nil), reply.Takes...)
+		out.Takes = reply.Dense(st.principals())
 		theta := reply.Theta
 		out.Theta = &theta
 		lease := reply.Lease
@@ -429,6 +429,17 @@ func (st *replayState) grantSiblingShares(spec *ParentSpec, sibs []*grm.LRM, clu
 		}
 	}
 	return nil
+}
+
+// principals counts the served GRM's principals. Bundles record an
+// allocation's takes as a vector of that length, so that is the length
+// the reply's pairs are expanded to before they are compared.
+func (st *replayState) principals() int {
+	status, err := st.srv.Status()
+	if err != nil {
+		return 0
+	}
+	return len(status.Principals)
 }
 
 // checkpoint captures the post-operation books into the outcome.

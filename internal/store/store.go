@@ -40,8 +40,9 @@ const (
 	// KindRevoke records an agreement revocation by ticket token.
 	KindRevoke
 	// KindAlloc records a committed allocation: the lease token, the
-	// per-principal takes, the expiry, and the parent lease token when
-	// part of the allocation was borrowed through the federation.
+	// takes (Sources and Takes, see Record), the expiry, and the parent
+	// lease token when part of the allocation was borrowed through the
+	// federation.
 	KindAlloc
 	// KindRelease records a lease being returned by its holder.
 	KindRelease
@@ -104,8 +105,14 @@ type Record struct {
 	Quantity float64 `json:"quantity,omitempty"`
 	Ticket   int     `json:"ticket,omitempty"`
 
-	// Alloc / Release / Renew / Expire / Borrow / Repay.
+	// Alloc / Release / Renew / Expire / Borrow / Repay. An allocation's
+	// takes are pairs: Takes[k] was drawn from principal Sources[k], with
+	// Sources strictly ascending. nil Sources is the dense form — Takes is
+	// indexed by principal id — which every log written before Sources
+	// existed holds and which the GRM still journals where most principals
+	// are sources; readers take either through SparseTakes.
 	Lease       int       `json:"lease,omitempty"`
+	Sources     []int     `json:"src,omitempty"`
 	Takes       []float64 `json:"takes,omitempty"`
 	Expires     int64     `json:"expires,omitempty"` // unix nanos; 0 = never
 	ParentLease int       `json:"parent_lease,omitempty"`
@@ -156,9 +163,11 @@ type ShareState struct {
 	Revoked  bool    `json:"revoked,omitempty"`
 }
 
-// LeaseState is one outstanding lease in the compacted state.
+// LeaseState is one outstanding lease in the compacted state. Sources
+// and Takes read as they do on Record.
 type LeaseState struct {
 	Token       int       `json:"token"`
+	Sources     []int     `json:"src,omitempty"`
 	Takes       []float64 `json:"takes"`
 	Expires     int64     `json:"expires,omitempty"`
 	ParentLease int       `json:"parent_lease,omitempty"`
@@ -168,6 +177,41 @@ type LeaseState struct {
 type BorrowState struct {
 	ParentLease int     `json:"parent_lease"`
 	Amount      float64 `json:"amount"`
+}
+
+// SparseTakes returns an allocation's takes as pairs whichever form they
+// were stored in. The pair form is returned as is, not copied; the dense
+// form (nil sources) is scanned once for its non-zero entries.
+func SparseTakes(sources []int, takes []float64) ([]int, []float64) {
+	if sources != nil || len(takes) == 0 {
+		return sources, takes
+	}
+	k := 0
+	for _, t := range takes {
+		if t != 0 {
+			k++
+		}
+	}
+	sources = make([]int, 0, k)
+	sparse := make([]float64, 0, k)
+	for i, t := range takes {
+		if t != 0 {
+			sources = append(sources, i)
+			sparse = append(sparse, t)
+		}
+	}
+	return sources, sparse
+}
+
+// DenseTakes expands pairs into a fresh vector of n entries indexed by
+// principal id — the journal's dense form, and what readers that compare
+// or print whole vectors want. Every source must be below n.
+func DenseTakes(sources []int, takes []float64, n int) []float64 {
+	out := make([]float64, n)
+	for k, p := range sources {
+		out[p] = takes[k]
+	}
+	return out
 }
 
 // Log is the interface the GRM records through. Implementations must be
