@@ -66,8 +66,11 @@ type File struct {
 	Current  *Snapshot `json:"current,omitempty"`
 }
 
+// benchLine also matches lines where custom metrics (MB/s, b.ReportMetric
+// units) sit between ns/op and the -benchmem pair, so B/op and allocs/op
+// are never dropped.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
 func main() {
 	out := flag.String("out", "BENCH_hotpath.json", "JSON file to write/update")

@@ -135,6 +135,7 @@ type System struct {
 	currencies []Currency
 	tickets    []Ticket
 	types      map[ResourceType]bool
+	virtuals   int // virtual currencies created so far
 }
 
 // ErrOverdraft is wrapped by CheckConservative when a currency has issued
@@ -322,6 +323,7 @@ func (s *System) NewVirtualCurrency(name string, source CurrencyID, units, faceV
 		s.currencies = s.currencies[:cid]
 		return 0, err
 	}
+	s.virtuals++
 	return cid, nil
 }
 
@@ -344,6 +346,43 @@ func (s *System) Inflate(c CurrencyID, newFaceValue float64) error {
 func (s *System) Revoke(t TicketID) {
 	s.checkTicket(t)
 	s.tickets[t].Revoked = true
+}
+
+// DirectAgreement returns the entries S[from][to] and A[from][to] that
+// SparseMatrices(typ) would hold, computed from the tickets alone: the
+// sums, in ticket-creation order, of the live tickets `from`'s default
+// currency issued straight into `to`'s — Face/FaceValue for relative
+// tickets, Face for absolute sharing tickets of typ. That is the same
+// per-cell accumulation sequence the matrix build performs, so the
+// values are bit-identical to the built cells; a caller holding a planner
+// can re-derive one cell after a revocation instead of rebuilding every
+// matrix. ok is false when the system holds a virtual currency: a cell
+// can then also collect contributions routed through it, which only the
+// full build accounts for.
+func (s *System) DirectAgreement(from, to PrincipalID, typ ResourceType) (rel, abs float64, ok bool) {
+	s.checkPrincipal(from)
+	s.checkPrincipal(to)
+	if s.virtuals > 0 {
+		return 0, 0, false
+	}
+	if from == to {
+		return 0, 0, true // S_ii = A_ii = 0 by definition
+	}
+	iss := s.currencies[s.principals[from].Currency]
+	target := s.principals[to].Currency
+	for _, tid := range iss.issued {
+		t := s.tickets[tid]
+		if t.Revoked || t.Backs != target {
+			continue
+		}
+		switch {
+		case t.Kind == Relative:
+			rel += t.Face / iss.FaceValue
+		case t.Type == typ && t.Mode == Sharing:
+			abs += t.Face
+		}
+	}
+	return rel, abs, true
 }
 
 // SetCapacity updates the capacity of a resource (LRMs report fluctuating

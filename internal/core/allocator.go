@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/agreement"
 	"repro/internal/lp"
@@ -121,8 +121,12 @@ type Allocator struct {
 	aCols [][]int32
 	aVals [][]float64
 	hasA  bool
-	k     [][]float64 // capped flow coefficients K^(level)
-	cfg   Config
+	// k[i] holds row i of the capped flow coefficients K = min(T, 1),
+	// aligned with the closure's FlowRow(i) columns: K has T's sparsity
+	// pattern, so the columns are never stored twice, and a row the cap
+	// does not bite (no T entry above 1) is the closure's own value slice.
+	k   [][]float64
+	cfg Config
 	// conn[i] is a connectivity weight used for deterministic
 	// tie-breaking: how much of i's capacity other principals can reach.
 	conn []float64
@@ -131,20 +135,28 @@ type Allocator struct {
 	// this index instead of scanning the dense column; the skipped terms
 	// are exactly zero, so the result is bit-identical. colK/colA carry
 	// the matching K_ki and A_ki values so the hot path never needs a
-	// dense random access.
+	// random access. A build lays all columns out in three arenas (one
+	// counting transpose of K∪A); mutators replace single columns with
+	// slices of their own.
 	colIdx [][]int32
 	colK   [][]float64
 	colA   [][]float64
 	// skel[r] caches the LP skeleton for requester r: the constraint
 	// coefficients depend only on K and the sparsity pattern of A, so per
 	// Plan call only the variable bounds and right-hand sides are rebound.
-	skel []*planSkeleton
+	// Slots stay nil until a requester first plans, so invalidating every
+	// skeleton is one fresh slice.
+	skel []atomic.Pointer[planSkeleton]
 	// clo maintains the transitive closure incrementally; SetShare derives
 	// allocators through its delta path instead of re-enumerating chains.
 	clo *transitive.Closure
-	// warm[r] holds requester r's saved simplex basis for WarmStart plans.
-	warm []*warmSlot
-	pool sync.Pool // *planWS
+	// warm[r] holds requester r's saved simplex basis for WarmStart plans,
+	// nil until its first warm solve.
+	warm []atomic.Pointer[warmSlot]
+	// pool recycles plan workspaces (*planWS). Derived allocators of the
+	// same size share it: the simplex scratch is the largest thing a plan
+	// allocates, and churn would otherwise strand one per mutation.
+	pool *sync.Pool
 }
 
 // warmSlot serializes basis reuse for one requester: the lp.Workspace
@@ -162,24 +174,23 @@ type planSkeleton struct {
 	once       sync.Once
 	model      *lp.Model
 	consumeRow int
-	perturbRow []int // row of perturb_i, -1 where the row does not exist
-	dropRow    int   // requester_drop row, -1 unless KeepRequesterConstraint
+	dropRow    int // requester_drop row, -1 unless KeepRequesterConstraint
 	// capFlowRows lists the cap_flow_k_i rows whose right-hand side is
 	// A[k][i]: rebound per solve so the skeleton depends only on A's
 	// sparsity pattern, never its values — SetAgreement value changes
 	// share every skeleton.
 	capFlowRows []capFlowRef
-	// Component restriction (cfg.ComponentLP). vars lists the live
-	// principals in ascending order — variable x of the model is
-	// V'_vars[x]; varOf is the inverse (-1 for principals folded into
-	// the right-hand sides); compRows lists the kept perturb rows. nil
-	// vars means the skeleton is the full formulation.
-	vars     []int32
-	varOf    []int32
-	compRows []compRow
+	// vars lists the live principals in ascending order — variable x of
+	// the model is V'_vars[x]: everyone in the full formulation, the
+	// requester's agreement component under cfg.ComponentLP. varOf is the
+	// inverse (-1 for principals folded into the right-hand sides);
+	// rows lists the perturb rows the model keeps.
+	vars  []int32
+	varOf []int32
+	rows  []compRow
 }
 
-// compRow locates one kept perturb row of a component skeleton.
+// compRow locates one kept perturb row of a skeleton.
 type compRow struct {
 	row int
 	i   int32
@@ -192,30 +203,35 @@ type capFlowRef struct {
 }
 
 // planWS is the per-Plan scratch recycled through Allocator.pool: the
-// capacity/source-cap vectors, the per-requester rebindable model clones,
-// and the LP solver workspace.
+// capacity/source-cap vectors, the per-requester rebindable model clones
+// (each with the skeleton it came from: an allocator down the lineage
+// that rebuilt the skeleton re-clones), and the LP solver workspace.
 type planWS struct {
 	caps   []float64 // C_i before the allocation
 	uCol   []float64 // U_{i→requester} (v[i] for the requester itself)
 	after  []float64 // C_i after the candidate allocation
 	chain  []float64 // PlanBatch's running availability between requests
 	clones []*lp.Model
+	cloned []*planSkeleton
 	lpws   lp.Workspace
 }
 
 // NewAllocator builds an allocator from a relative agreement matrix S and
 // an optional absolute agreement matrix A (nil for none). The transitive
 // flow coefficients are computed once here — they depend only on S and the
-// level, not on the fluctuating capacities. The dense inputs are converted
-// to the allocator's row-sparse form; NewAllocatorSparse skips the dense
-// detour entirely.
+// level, not on the fluctuating capacities. It is an adapter: the dense
+// inputs are converted to row-sparse form and built like
+// NewAllocatorSparse's, which skips the dense detour entirely.
 func NewAllocator(s [][]float64, a [][]float64, cfg Config) (*Allocator, error) {
 	if err := transitive.Validate(s); err != nil {
 		return nil, err
 	}
 	n := len(s)
-	aCols := make([][]int32, n)
-	aVals := make([][]float64, n)
+	sCols, sVals := make([][]int32, n), make([][]float64, n)
+	for i, row := range s {
+		sCols[i], sVals[i] = transitive.RowOf(row)
+	}
+	aCols, aVals := make([][]int32, n), make([][]float64, n)
 	if a != nil {
 		if len(a) != n {
 			return nil, fmt.Errorf("core: A is %d×?, S is %d×%d", len(a), n, n)
@@ -224,23 +240,10 @@ func NewAllocator(s [][]float64, a [][]float64, cfg Config) (*Allocator, error) 
 			if len(row) != n {
 				return nil, fmt.Errorf("core: A row %d has %d entries, want %d", i, len(row), n)
 			}
-			for j, x := range row {
-				if x < 0 {
-					return nil, fmt.Errorf("core: A[%d][%d] = %g, must be non-negative", i, j, x)
-				}
-				if !num.IsZero(x) {
-					aCols[i] = append(aCols[i], int32(j))
-					aVals[i] = append(aVals[i], x)
-				}
-			}
+			aCols[i], aVals[i] = transitive.RowOf(row)
 		}
 	}
-	level := effectiveLevel(cfg)
-	if !cfg.Approx && !transitive.WithinBudget(s, level, exactBudget) {
-		return nil, fmt.Errorf("core: exact transitive closure would exceed %d steps for this agreement graph; set Config.Approx or lower Config.Level", exactBudget)
-	}
-	clo := transitive.NewClosure(s, level, cfg.Approx).WithBudget(exactBudget)
-	return finishAllocator(n, clo, aCols, aVals, a != nil, cfg), nil
+	return newAllocatorRows(n, sCols, sVals, aCols, aVals, a != nil, cfg)
 }
 
 // NewAllocatorSparse builds an allocator straight from CSR agreement
@@ -251,10 +254,26 @@ func NewAllocator(s [][]float64, a [][]float64, cfg Config) (*Allocator, error) 
 // floats in the same order.
 func NewAllocatorSparse(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cfg Config) (*Allocator, error) {
 	n := s.N()
-	sCols := make([][]int32, n)
-	sVals := make([][]float64, n)
+	sCols, sVals := make([][]int32, n), make([][]float64, n)
 	for i := 0; i < n; i++ {
 		sCols[i], sVals[i] = s.Row(i)
+	}
+	aCols, aVals := make([][]int32, n), make([][]float64, n)
+	if a != nil {
+		if a.N() != n {
+			return nil, fmt.Errorf("core: A is %d×%d, S is %d×%d", a.N(), a.N(), n, n)
+		}
+		for i := 0; i < n; i++ {
+			aCols[i], aVals[i] = a.Row(i)
+		}
+	}
+	return newAllocatorRows(n, sCols, sVals, aCols, aVals, a != nil, cfg)
+}
+
+// newAllocatorRows validates row-sparse S and A, refuses an exact closure
+// past the enumeration budget, and builds the allocator.
+func newAllocatorRows(n int, sCols [][]int32, sVals [][]float64, aCols [][]int32, aVals [][]float64, hasA bool, cfg Config) (*Allocator, error) {
+	for i := 0; i < n; i++ {
 		for k, j := range sCols[i] {
 			if int(j) == i {
 				return nil, fmt.Errorf("core: S[%d][%d] = %g, diagonal must be zero", i, i, sVals[i][k])
@@ -263,19 +282,9 @@ func NewAllocatorSparse(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cf
 				return nil, fmt.Errorf("core: S[%d][%d] = %g, entries must be non-negative", i, j, sVals[i][k])
 			}
 		}
-	}
-	aCols := make([][]int32, n)
-	aVals := make([][]float64, n)
-	if a != nil {
-		if a.N() != n {
-			return nil, fmt.Errorf("core: A is %d×%d, S is %d×%d", a.N(), a.N(), n, n)
-		}
-		for i := 0; i < n; i++ {
-			aCols[i], aVals[i] = a.Row(i)
-			for k, j := range aCols[i] {
-				if aVals[i][k] < 0 {
-					return nil, fmt.Errorf("core: A[%d][%d] = %g, must be non-negative", i, j, aVals[i][k])
-				}
+		for k, j := range aCols[i] {
+			if aVals[i][k] < 0 {
+				return nil, fmt.Errorf("core: A[%d][%d] = %g, must be non-negative", i, j, aVals[i][k])
 			}
 		}
 	}
@@ -284,7 +293,7 @@ func NewAllocatorSparse(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cf
 		return nil, fmt.Errorf("core: exact transitive closure would exceed %d steps for this agreement graph; set Config.Approx or lower Config.Level", exactBudget)
 	}
 	clo := transitive.NewClosureCSR(n, sCols, sVals, level, cfg.Approx).WithBudget(exactBudget)
-	return finishAllocator(n, clo, aCols, aVals, a != nil, cfg), nil
+	return finishAllocator(n, clo, aCols, aVals, hasA, cfg), nil
 }
 
 // effectiveLevel resolves Config.Level: non-positive requests the
@@ -297,46 +306,73 @@ func effectiveLevel(cfg Config) int {
 	return cfg.Level
 }
 
-// finishAllocator builds the derived caches shared by both constructors.
+// finishAllocator builds the derived caches shared by both constructors,
+// each in one pass over the stored entries of T and A.
 func finishAllocator(n int, clo *transitive.Closure, aCols [][]int32, aVals [][]float64, hasA bool, cfg Config) *Allocator {
-	al := &Allocator{n: n, aCols: aCols, aVals: aVals, hasA: hasA, cfg: cfg, conn: make([]float64, n)}
-	al.clo = clo
-	k := transitive.Cap(al.clo.T())
-	al.k = k
+	al := &Allocator{n: n, aCols: aCols, aVals: aVals, hasA: hasA, cfg: cfg, clo: clo}
+	al.k = make([][]float64, n)
+	al.conn = make([]float64, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				al.conn[i] += k[i][j]
+		cols, tv := clo.FlowRow(i)
+		al.k[i] = capRow(tv)
+		al.conn[i] = connOf(i, cols, al.k[i])
+	}
+	al.transposeColumns()
+	al.skel = make([]atomic.Pointer[planSkeleton], n)
+	al.warm = make([]atomic.Pointer[warmSlot], n)
+	al.pool = newPlanPool(n)
+	return al
+}
+
+// capRow applies the overdraft rule K = min(T, 1) to one row's values: the
+// row itself when no entry exceeds 1 (K shares T's memory), else a copy.
+func capRow(tv []float64) []float64 {
+	for x, v := range tv {
+		if v > 1 {
+			out := append([]float64(nil), tv...)
+			for y := x; y < len(out); y++ {
+				if out[y] > 1 {
+					out[y] = 1
+				}
 			}
+			return out
 		}
 	}
-	al.colIdx = make([][]int32, n)
-	al.colK = make([][]float64, n)
-	al.colA = make([][]float64, n)
-	for i := 0; i < n; i++ {
-		al.colIdx[i], al.colK[i], al.colA[i] = al.colIdxFor(i)
+	return tv
+}
+
+// connOf sums K row i off the diagonal, ascending — the dense row sum
+// minus its exact zeros.
+func connOf(i int, cols []int32, kv []float64) float64 {
+	c := 0.0
+	for x, j := range cols {
+		if int(j) != i {
+			c += kv[x]
+		}
 	}
-	al.skel = make([]*planSkeleton, n)
-	for i := range al.skel {
-		al.skel[i] = &planSkeleton{}
-	}
-	al.warm = make([]*warmSlot, n)
-	for i := range al.warm {
-		al.warm[i] = &warmSlot{}
-	}
-	al.initPool()
-	return al
+	return c
+}
+
+// FlowRow returns row i of the flow coefficients as stored: the ascending
+// columns with a nonzero coefficient, the transitive coefficients T there,
+// and the capped ones K = min(T, 1) — the same slice as t unless some
+// entry exceeds 1. All three are shared with the allocator and read-only.
+func (al *Allocator) FlowRow(i int) (cols []int32, t, k []float64) {
+	cols, t = al.clo.FlowRow(i)
+	return cols, t, al.k[i]
+}
+
+// kAt returns K[k][i] — a binary search over row k's columns, 0 when
+// unstored.
+func (al *Allocator) kAt(k, i int) float64 {
+	cols, _, kv := al.FlowRow(k)
+	return transitive.At(cols, kv, i)
 }
 
 // aAt returns A[k][i] — a binary search over row k's sparse columns, 0
 // when unstored.
 func (al *Allocator) aAt(k, i int) float64 {
-	cols := al.aCols[k]
-	x := sort.Search(len(cols), func(x int) bool { return cols[x] >= int32(i) })
-	if x < len(cols) && cols[x] == int32(i) {
-		return al.aVals[k][x]
-	}
-	return 0
+	return transitive.At(al.aCols[k], al.aVals[k], i)
 }
 
 // denseA materializes A as dense rows, nil when no absolute matrix was
@@ -356,52 +392,126 @@ func (al *Allocator) denseA() [][]float64 {
 	return out
 }
 
-// colIdxFor computes the sparse column index for principal i — the
-// sources kk ≠ i with a nonzero flow into i, ascending — plus the
-// aligned K_ki and A_ki value lists.
-func (al *Allocator) colIdxFor(i int) ([]int32, []float64, []float64) {
-	var out []int32
-	var ks, as []float64
-	for kk := 0; kk < al.n; kk++ {
-		if kk == i {
-			continue
-		}
-		av := al.aAt(kk, i)
-		if !num.IsZero(al.k[kk][i]) || !num.IsZero(av) {
-			out = append(out, int32(kk))
-			ks = append(ks, al.k[kk][i])
-			as = append(as, av)
+// mergeCols walks two ascending column lists together, calling fn once
+// per distinct column with its position in each list (-1 where absent).
+func mergeCols(a, b []int32, fn func(c int32, x, y int)) {
+	x, y := 0, 0
+	for x < len(a) || y < len(b) {
+		switch {
+		case y == len(b) || (x < len(a) && a[x] < b[y]):
+			fn(a[x], x, -1)
+			x++
+		case x == len(a) || b[y] < a[x]:
+			fn(b[y], -1, y)
+			y++
+		default:
+			fn(a[x], x, y)
+			x, y = x+1, y+1
 		}
 	}
-	return out, ks, as
 }
 
-// initPool (re)binds the plan-workspace pool; every Allocator — built or
-// derived — gets its own pool because sync.Pool must not be copied.
-func (al *Allocator) initPool() {
+// eachInflow walks row kk of K∪A in ascending column order, calling fn
+// with every off-diagonal column either stores and the two values (0
+// where only the other holds it). Stored entries are never exactly zero,
+// so these are the (kk → c) pairs with a nonzero flow.
+func (al *Allocator) eachInflow(kk int, fn func(c int32, kv, av float64)) {
+	kc, _, kv := al.FlowRow(kk)
+	mergeCols(kc, al.aCols[kk], func(c int32, x, y int) {
+		var k, a float64
+		if x >= 0 {
+			k = kv[x]
+		}
+		if y >= 0 {
+			a = al.aVals[kk][y]
+		}
+		if int(c) != kk {
+			fn(c, k, a)
+		}
+	})
+}
+
+// transposeColumns builds colIdx/colK/colA for every principal with one
+// counting transpose of K∪A: count each column's sources, lay the columns
+// out back to back in three arenas, then fill them walking the rows in
+// ascending order — so every column lists its sources ascending, as a
+// per-column scan would.
+func (al *Allocator) transposeColumns() {
 	n := al.n
-	al.pool.New = func() any {
+	start := make([]int, n+1)
+	for kk := 0; kk < n; kk++ {
+		al.eachInflow(kk, func(c int32, _, _ float64) { start[c+1]++ })
+	}
+	for c := 0; c < n; c++ {
+		start[c+1] += start[c]
+	}
+	idx := make([]int32, start[n])
+	ks := make([]float64, start[n])
+	as := make([]float64, start[n])
+	al.colIdx = make([][]int32, n)
+	al.colK = make([][]float64, n)
+	al.colA = make([][]float64, n)
+	for c := 0; c < n; c++ {
+		lo, hi := start[c], start[c+1]
+		// Full slice expressions: a column never grows into its neighbour.
+		al.colIdx[c], al.colK[c], al.colA[c] = idx[lo:lo:hi], ks[lo:lo:hi], as[lo:lo:hi]
+	}
+	for kk := 0; kk < n; kk++ {
+		al.eachInflow(kk, func(c int32, kv, av float64) {
+			al.colIdx[c] = append(al.colIdx[c], int32(kk))
+			al.colK[c] = append(al.colK[c], kv)
+			al.colA[c] = append(al.colA[c], av)
+		})
+	}
+}
+
+// newPlanPool returns a workspace pool for allocators over n principals.
+func newPlanPool(n int) *sync.Pool {
+	return &sync.Pool{New: func() any {
 		return &planWS{
 			caps:   make([]float64, n),
 			uCol:   make([]float64, n),
 			after:  make([]float64, n),
 			chain:  make([]float64, n),
 			clones: make([]*lp.Model, n),
+			cloned: make([]*planSkeleton, n),
 		}
-	}
+	}}
 }
 
 // N returns the number of principals.
 func (al *Allocator) N() int { return al.n }
 
 // FlowCoefficients returns the capped transitive coefficients K in use
-// (row i: the fraction of i's capacity reachable by each principal).
+// (row i: the fraction of i's capacity reachable by each principal) as a
+// fresh dense matrix — an export for tests, baselines and the bench that
+// costs n² floats per call; planning reads the sparse rows and columns.
 func (al *Allocator) FlowCoefficients() [][]float64 {
 	out := make([][]float64, al.n)
 	for i := range out {
-		out[i] = append([]float64(nil), al.k[i]...)
+		out[i] = make([]float64, al.n)
+		cols, _, kv := al.FlowRow(i)
+		for x, j := range cols {
+			out[i][j] = kv[x]
+		}
 	}
 	return out
+}
+
+// Bytes returns the memory the agreement-derived planner state holds: the
+// closure's rows, the K rows that do not alias their T row, the A rows,
+// the column lists and the per-principal vectors and slots — not the LP
+// skeletons (built on first use) or pooled plan workspaces.
+func (al *Allocator) Bytes() int {
+	b := al.clo.Bytes()
+	for i, kv := range al.k {
+		if _, tv := al.clo.FlowRow(i); len(kv) > 0 && &kv[0] != &tv[0] {
+			b += 8 * len(kv)
+		}
+		b += 12*len(al.aCols[i]) + 20*len(al.colIdx[i])
+	}
+	// Headers: k, aCols, aVals, colIdx, colK, colA; then conn, skel, warm.
+	return b + al.n*(6*24+3*8)
 }
 
 // Capacities returns C_i = V_i + Σ_k U_ki for the current availability.
@@ -413,23 +523,18 @@ func (al *Allocator) Capacities(v []float64) []float64 {
 }
 
 // sourceCap returns U_iA: how much of principal i's current availability
-// the requester may draw.
+// the requester may draw — min(V_i·K_iA + A_iA, V_i) in the exact operation
+// order of transitive.Capacities, all of V_i for the requester itself.
 func (al *Allocator) sourceCap(v []float64, i, requester int) float64 {
 	if i == requester {
 		return v[i]
 	}
-	return al.uFlow(v, i, requester)
-}
-
-// uFlow returns U_ki = min(V_k·K_ki + A_ki, V_k) for k ≠ i, in the exact
-// operation order of transitive.Capacities.
-func (al *Allocator) uFlow(v []float64, k, i int) float64 {
-	u := v[k] * al.k[k][i]
+	u := v[i] * al.kAt(i, requester)
 	if al.hasA {
-		u += al.aAt(k, i)
+		u += al.aAt(i, requester)
 	}
-	if u > v[k] {
-		u = v[k]
+	if u > v[i] {
+		u = v[i]
 	}
 	return u
 }
@@ -525,117 +630,54 @@ func (al *Allocator) planInto(out *Allocation, v []float64, requester int, amoun
 // placeholder bounds and right-hand sides. The variable and constraint
 // order matches the historical per-call construction exactly, so solves
 // over a rebound skeleton pivot identically.
+//
+// Under cfg.ComponentLP only the requester and its source column are
+// live variables. In the full formulation every other V'_k is pinned by
+// its bounds (lo = v_k − U_k,req = v_k = up, because its U toward the
+// requester is exactly zero), so those variables and every perturb row
+// none of the live variables feeds are constants: folding them into the
+// right-hand sides leaves the feasible set and the optimum value
+// unchanged while the tableau shrinks to the agreement neighborhood.
+// Fold values are recomputed from the column triples on every solve
+// (rebind), so agreement-value changes stay as fresh as the capFlowRows
+// rebinding. The full formulation is the same construction with every
+// principal live and nothing to fold.
 func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
-	if al.cfg.ComponentLP && !al.cfg.Faithful {
-		al.buildComponentSkeleton(sk, requester)
-		return
-	}
 	n := al.n
-	m := lp.NewModel(lp.Minimize)
+	var live []int32
+	if al.cfg.ComponentLP {
+		// The requester merged into its ascending source column.
+		live = make([]int32, 0, len(al.colIdx[requester])+1)
+		merged := false
+		for _, k := range al.colIdx[requester] {
+			if !merged && int(k) > requester {
+				live = append(live, int32(requester))
+				merged = true
+			}
+			live = append(live, k)
+		}
+		if !merged {
+			live = append(live, int32(requester))
+		}
+	} else {
+		live = make([]int32, n)
+		for i := range live {
+			live[i] = int32(i)
+		}
+	}
+	sk.vars = live
+	sk.varOf = make([]int32, n)
+	for i := range sk.varOf {
+		sk.varOf[i] = -1
+	}
+	for x, i := range live {
+		sk.varOf[i] = int32(x)
+	}
 
 	// Tie-breaking: prefer drawing from weakly connected sources, whose
 	// capacity matters least to everyone else. V'_i enters the objective
 	// with −ε·conn_i so that *keeping* well-connected capacity is
 	// rewarded.
-	const eps = 1e-6
-	vp := make([]lp.VarID, n)
-	for i := 0; i < n; i++ {
-		vp[i] = m.AddVar(fmt.Sprintf("V'_%d", i), 0, 0, -eps*al.conn[i])
-	}
-	theta := m.AddVar("theta", 0, lp.Inf, 1)
-
-	// Σ V'_i = Σ V_i − amount  (eq. 5).
-	sumTerms := make([]lp.Term, n)
-	for i := 0; i < n; i++ {
-		sumTerms[i] = lp.Term{Var: vp[i], Coeff: 1}
-	}
-	sk.consumeRow = m.AddConstraint("consume", sumTerms, lp.EQ, 0)
-
-	// C'_i ≥ C_i − θ for the non-requesting principals (eq. 6; see the
-	// package comment for the requester treatment). When absolute
-	// agreements are present, min(V'_k·K_ki + A_ki, V'_k) is linearized
-	// with auxiliary variables u_ki (its superlevel set is convex).
-	sk.perturbRow = make([]int, n)
-	for i := range sk.perturbRow {
-		sk.perturbRow[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		if i == requester && !al.cfg.KeepRequesterConstraint {
-			continue
-		}
-		terms := []lp.Term{{Var: vp[i], Coeff: 1}, {Var: theta, Coeff: 1}}
-		// Walk the sparse column: colIdx lists exactly the k ≠ i with
-		// K_ki ≠ 0 or A_ki ≠ 0, ascending — the same sources the dense
-		// k-loop would admit, in the same order.
-		idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
-		for x, k := range idx {
-			hasAbs := al.hasA && as[x] > 0
-			if !hasAbs {
-				if !num.IsZero(ks[x]) {
-					terms = append(terms, lp.Term{Var: vp[k], Coeff: ks[x]})
-				}
-				continue
-			}
-			u := m.AddVar(fmt.Sprintf("u_%d_%d", k, i), 0, lp.Inf, 0)
-			cfRow := m.AddConstraint(fmt.Sprintf("cap_flow_%d_%d", k, i),
-				[]lp.Term{{Var: u, Coeff: 1}, {Var: vp[k], Coeff: -ks[x]}}, lp.LE, as[x])
-			sk.capFlowRows = append(sk.capFlowRows, capFlowRef{row: cfRow, k: k, i: int32(i)})
-			m.AddConstraint(fmt.Sprintf("cap_own_%d_%d", k, i),
-				[]lp.Term{{Var: u, Coeff: 1}, {Var: vp[k], Coeff: -1}}, lp.LE, 0)
-			terms = append(terms, lp.Term{Var: u, Coeff: 1})
-		}
-		sk.perturbRow[i] = m.AddConstraint(fmt.Sprintf("perturb_%d", i), terms, lp.GE, 0)
-	}
-	sk.dropRow = -1
-	if al.cfg.KeepRequesterConstraint {
-		// eq. 3: C'_A = C_A − x, expressed on the same linearization.
-		terms := []lp.Term{{Var: vp[requester], Coeff: 1}}
-		idx, ks := al.colIdx[requester], al.colK[requester]
-		for x, k := range idx {
-			if !num.IsZero(ks[x]) {
-				terms = append(terms, lp.Term{Var: vp[k], Coeff: ks[x]})
-			}
-		}
-		sk.dropRow = m.AddConstraint("requester_drop", terms, lp.GE, 0)
-	}
-	sk.model = m
-}
-
-// buildComponentSkeleton is buildSkeleton under cfg.ComponentLP. In the
-// full formulation every V'_k outside colIdx[requester] ∪ {requester}
-// is pinned by its bounds (lo = v_k − U_k,req = v_k = up, because its U
-// toward the requester is exactly zero), so those variables and every
-// perturb row none of the live variables feeds are constants: folding
-// them into the right-hand sides leaves the feasible set and the
-// optimum value unchanged while the tableau shrinks to the agreement
-// neighborhood. Fold values are recomputed from the column triples on
-// every solve, so agreement-value rebinds stay as fresh as the full
-// path's capFlowRows rebinding.
-func (al *Allocator) buildComponentSkeleton(sk *planSkeleton, requester int) {
-	n := al.n
-	// Live variables: the requester merged into its ascending source
-	// column.
-	sk.varOf = make([]int32, n)
-	for i := range sk.varOf {
-		sk.varOf[i] = -1
-	}
-	live := make([]int32, 0, len(al.colIdx[requester])+1)
-	merged := false
-	for _, k := range al.colIdx[requester] {
-		if !merged && int(k) > requester {
-			live = append(live, int32(requester))
-			merged = true
-		}
-		live = append(live, k)
-	}
-	if !merged {
-		live = append(live, int32(requester))
-	}
-	sk.vars = live
-	for x, i := range live {
-		sk.varOf[i] = int32(x)
-	}
-
 	m := lp.NewModel(lp.Minimize)
 	const eps = 1e-6
 	vp := make([]lp.VarID, len(live))
@@ -652,14 +694,17 @@ func (al *Allocator) buildComponentSkeleton(sk *planSkeleton, requester int) {
 	}
 	sk.consumeRow = m.AddConstraint("consume", sumTerms, lp.EQ, 0)
 
-	// A perturb row survives only if a live variable appears in it: its
-	// own V' is live, or a live source feeds it. Everything else is a
-	// constant inequality any θ ≥ 0 already satisfies.
+	// C'_i ≥ C_i − θ for the non-requesting principals (eq. 6; see the
+	// package comment for the requester treatment). A perturb row
+	// survives only if a live variable appears in it: its own V' is live,
+	// or a live source feeds it. Everything else is a constant inequality
+	// any θ ≥ 0 already satisfies.
 	touched := make([]bool, n)
 	for _, k := range live {
 		touched[k] = true
-		for j, kv := range al.k[k] {
-			if j != int(k) && !num.IsZero(kv) {
+		kc, _, kv := al.FlowRow(int(k))
+		for x, j := range kc {
+			if j != k && !num.IsZero(kv[x]) {
 				touched[j] = true
 			}
 		}
@@ -680,6 +725,11 @@ func (al *Allocator) buildComponentSkeleton(sk *planSkeleton, requester int) {
 			terms = append(terms, lp.Term{Var: vp[x], Coeff: 1})
 		}
 		terms = append(terms, lp.Term{Var: theta, Coeff: 1})
+		// Walk the sparse column: colIdx lists exactly the k ≠ i with
+		// K_ki ≠ 0 or A_ki ≠ 0, ascending — the same sources the dense
+		// k-loop would admit, in the same order. When absolute agreements
+		// are present, min(V'_k·K_ki + A_ki, V'_k) is linearized with
+		// auxiliary variables u_ki (its superlevel set is convex).
 		idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
 		for x, k := range idx {
 			if sk.varOf[k] < 0 {
@@ -700,14 +750,15 @@ func (al *Allocator) buildComponentSkeleton(sk *planSkeleton, requester int) {
 				[]lp.Term{{Var: u, Coeff: 1}, {Var: vp[sk.varOf[k]], Coeff: -1}}, lp.LE, 0)
 			terms = append(terms, lp.Term{Var: u, Coeff: 1})
 		}
-		sk.compRows = append(sk.compRows, compRow{
+		sk.rows = append(sk.rows, compRow{
 			row: m.AddConstraint(fmt.Sprintf("perturb_%d", i), terms, lp.GE, 0),
 			i:   int32(i),
 		})
 	}
 	sk.dropRow = -1
 	if al.cfg.KeepRequesterConstraint {
-		// eq. 3 references only the requester's own column — all live.
+		// eq. 3: C'_A = C_A − x, expressed on the same linearization. It
+		// references only the requester's own column — all live.
 		terms := []lp.Term{{Var: vp[sk.varOf[requester]], Coeff: 1}}
 		idx, ks := al.colIdx[requester], al.colK[requester]
 		for x, k := range idx {
@@ -720,13 +771,13 @@ func (al *Allocator) buildComponentSkeleton(sk *planSkeleton, requester int) {
 	sk.model = m
 }
 
-// rebindComponent is planSubstituted's per-solve rebinding for a
-// component skeleton: bounds and the consume row cover only the live
-// variables, and every kept perturb row's RHS re-folds its pinned
-// sources' contributions from the current column triples (so agreement
-// value changes are as fresh here as capFlowRows rebinding makes them
-// on the full path).
-func (al *Allocator) rebindComponent(m *lp.Model, sk *planSkeleton, v []float64, requester int, amount float64, ws *planWS) {
+// rebind is planSubstituted's per-solve rebinding: bounds and the consume
+// row cover the live variables, and every kept perturb row's RHS re-folds
+// its pinned sources' contributions from the current column triples (so
+// agreement value changes are as fresh here as capFlowRows rebinding
+// makes them). With every principal live nothing is pinned and a row's
+// RHS is C_i itself.
+func (al *Allocator) rebind(m *lp.Model, sk *planSkeleton, v []float64, requester int, amount float64, ws *planWS) {
 	var sumLive float64
 	for x, i := range sk.vars {
 		lo := v[i] - ws.uCol[i]
@@ -737,7 +788,7 @@ func (al *Allocator) rebindComponent(m *lp.Model, sk *planSkeleton, v []float64,
 		sumLive += v[i]
 	}
 	m.SetRHS(sk.consumeRow, sumLive-amount)
-	for _, pr := range sk.compRows {
+	for _, pr := range sk.rows {
 		i := int(pr.i)
 		rhs := ws.caps[i]
 		if sk.varOf[i] < 0 {
@@ -776,55 +827,33 @@ func (al *Allocator) rebindComponent(m *lp.Model, sk *planSkeleton, v []float64,
 
 // skeleton returns requester's LP skeleton, building it on first use.
 func (al *Allocator) skeleton(requester int) *planSkeleton {
-	sk := al.skel[requester]
+	sk := slotOf(&al.skel[requester])
 	sk.once.Do(func() { al.buildSkeleton(sk, requester) })
 	return sk
+}
+
+// slotOf returns the value of a lazily filled slot, installing an empty
+// one on first use; racing first users all get the one that won the CAS.
+func slotOf[T any](slot *atomic.Pointer[T]) *T {
+	if v := slot.Load(); v != nil {
+		return v
+	}
+	slot.CompareAndSwap(nil, new(T))
+	return slot.Load()
 }
 
 // planSubstituted solves the n+1-variable LP (variables V'_i and θ) by
 // rebinding the cached skeleton: only the V'_i bounds and the consume /
 // perturb / requester_drop right-hand sides change between calls.
 func (al *Allocator) planSubstituted(out *Allocation, v []float64, requester int, amount float64, ws *planWS) error {
-	n := al.n
 	sk := al.skeleton(requester)
 	m := ws.clones[requester]
-	if m == nil {
+	if ws.cloned[requester] != sk {
 		m = sk.model.Clone()
-		ws.clones[requester] = m
+		ws.clones[requester], ws.cloned[requester] = m, sk
 	}
 
-	if sk.vars != nil {
-		al.rebindComponent(m, sk, v, requester, amount, ws)
-	} else {
-		for i := 0; i < n; i++ {
-			lo := v[i] - ws.uCol[i]
-			if lo < 0 {
-				lo = 0
-			}
-			m.SetBounds(lp.VarID(i), lo, v[i])
-		}
-		var totalV float64
-		for i := 0; i < n; i++ {
-			totalV += v[i]
-		}
-		m.SetRHS(sk.consumeRow, totalV-amount)
-		for i := 0; i < n; i++ {
-			if r := sk.perturbRow[i]; r >= 0 {
-				m.SetRHS(r, ws.caps[i])
-			}
-		}
-		if sk.dropRow >= 0 {
-			m.SetRHS(sk.dropRow, ws.caps[requester]-amount)
-		}
-		// cap_flow right-hand sides carry the current A values; rebinding
-		// them per solve (same value the skeleton baked at build time,
-		// unless a SetAgreement mutation moved it) is what lets skeletons
-		// survive absolute-agreement value changes.
-		for _, cf := range sk.capFlowRows {
-			m.SetRHS(cf.row, al.aAt(int(cf.k), int(cf.i)))
-		}
-	}
-
+	al.rebind(m, sk, v, requester, amount, ws)
 	sol, err := al.solvePlan(m, requester, ws)
 	if err != nil {
 		return fmt.Errorf("core: allocation LP failed: %w", err)
@@ -838,7 +867,7 @@ func (al *Allocator) planSubstituted(out *Allocation, v []float64, requester int
 // simply solves cold in its own workspace.
 func (al *Allocator) solvePlan(m *lp.Model, requester int, ws *planWS) (*lp.Solution, error) {
 	if al.cfg.WarmStart && al.cfg.LPMethod == lp.Tableau {
-		slot := al.warm[requester]
+		slot := slotOf(&al.warm[requester])
 		if slot.mu.TryLock() {
 			sol, err := m.ResolveFrom(&slot.ws)
 			slot.mu.Unlock()
@@ -849,41 +878,31 @@ func (al *Allocator) solvePlan(m *lp.Model, requester int, ws *planWS) (*lp.Solu
 }
 
 // allocationInto converts an LP solution over V' variables into out,
-// cleaning round-off and recomputing θ exactly. In the full
-// formulations V'_i is variable i, so values are read by index; a
-// component skeleton (sk non-nil with vars set) reads its live
-// variables through the vars mapping, every pinned principal staying at
-// exactly v_i with a zero take.
+// cleaning round-off and recomputing θ exactly. Variable x of a skeleton's
+// model is V'_vars[x], and every principal pinned outside it stays at
+// exactly v_i with a zero take; without a skeleton (the Faithful
+// formulation) V'_i is variable i.
 func (al *Allocator) allocationInto(out *Allocation, v []float64, requester int, amount float64, sol *lp.Solution, sk *planSkeleton, ws *planWS) error {
-	n := al.n
-	if sk != nil && sk.vars != nil {
-		copy(out.NewV, v)
-		for i := range out.Take {
-			out.Take[i] = 0
+	copy(out.NewV, v)
+	clear(out.Take)
+	live := al.n
+	if sk != nil {
+		live = len(sk.vars)
+	}
+	for x := 0; x < live; x++ {
+		i := x
+		if sk != nil {
+			i = int(sk.vars[x])
 		}
-		for x, i := range sk.vars {
-			nv := sol.Value(lp.VarID(x))
-			if nv < 0 {
-				nv = 0
-			}
-			if nv > v[i] {
-				nv = v[i]
-			}
-			out.NewV[i] = nv
-			out.Take[i] = v[i] - nv
+		nv := sol.Value(lp.VarID(x))
+		if nv < 0 {
+			nv = 0
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			nv := sol.Value(lp.VarID(i))
-			if nv < 0 {
-				nv = 0
-			}
-			if nv > v[i] {
-				nv = v[i]
-			}
-			out.NewV[i] = nv
-			out.Take[i] = v[i] - nv
+		if nv > v[i] {
+			nv = v[i]
 		}
+		out.NewV[i] = nv
+		out.Take[i] = v[i] - nv
 	}
 	if resid := normalizeTakes(out, v, amount, ws.uCol); math.Abs(resid) > 1e-9*math.Max(1, amount) {
 		// Every source with a take is pinned at its agreement cap and the

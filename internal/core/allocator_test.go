@@ -228,7 +228,7 @@ func TestFlowCoefficientsCopy(t *testing.T) {
 	}
 	k := al.FlowCoefficients()
 	k[1][0] = 99
-	if al.k[1][0] == 99 {
+	if al.kAt(1, 0) == 99 || al.FlowCoefficients()[1][0] == 99 {
 		t.Error("FlowCoefficients leaked internal state")
 	}
 }

@@ -124,7 +124,7 @@ func NewGreedy(s [][]float64, a [][]float64, cfg Config) (*Greedy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Greedy{n: al.n, a: al.denseA(), k: al.k}, nil
+	return &Greedy{n: al.n, a: al.denseA(), k: al.FlowCoefficients()}, nil
 }
 
 // Capacities returns C_i with the configured transitivity level.

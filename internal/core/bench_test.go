@@ -435,7 +435,12 @@ func BenchmarkPlanIncremental100(b *testing.B) {
 // CSR-backed allocator never materializes an n² matrix.
 
 func sparse1000Scenario() (s, a *agreement.SparseMatrix, v []float64) {
-	const n, block = 1000, 8
+	return sparseBlocksScenario(1000)
+}
+
+// sparseBlocksScenario is the blocks-of-eight population at any n.
+func sparseBlocksScenario(n int) (s, a *agreement.SparseMatrix, v []float64) {
+	const block = 8
 	rng := rand.New(rand.NewSource(23))
 	sb := agreement.NewSparseBuilder(n)
 	ab := agreement.NewSparseBuilder(n)
@@ -529,5 +534,36 @@ func BenchmarkNewAllocatorDense1000(b *testing.B) {
 		if _, err := NewAllocator(sd, ad, Config{Level: 5}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// The next two are the n² → edges benches at the size one tree_sharded
+// shard would have unsharded: 4096 principals in blocks of eight. Bytes
+// per operation is the number to watch — a build used to allocate two
+// dense 4096² matrices (268 MB), a registration to copy them.
+
+func BenchmarkNewAllocatorSparse4096(b *testing.B) {
+	s, a, _ := sparseBlocksScenario(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewAllocatorSparse(s, a, Config{ComponentLP: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGrowSparse4096 registers one principal: O(n) slice headers,
+// every row and column shared with the receiver.
+func BenchmarkGrowSparse4096(b *testing.B) {
+	s, a, _ := sparseBlocksScenario(4096)
+	al, err := NewAllocatorSparse(s, a, Config{ComponentLP: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		al.Grow(1)
 	}
 }

@@ -119,7 +119,7 @@ func TestCapsIntoMatchesDense(t *testing.T) {
 		for i := range v {
 			v[i] = 10 * rng.Float64()
 		}
-		want := transitive.Capacities(v, al.k, al.denseA())
+		want := transitive.Capacities(v, al.FlowCoefficients(), al.denseA())
 		got := make([]float64, n)
 		al.capsInto(got, v)
 		for i := range want {

@@ -54,7 +54,7 @@ func (al *Allocator) planFaithful(out *Allocation, v []float64, requester int, a
 				continue
 			}
 			m.AddConstraint(fmt.Sprintf("flow_%d_%d", i, j),
-				[]lp.Term{{Var: flow[i][j], Coeff: 1}, {Var: vp[i], Coeff: -al.k[i][j]}}, lp.EQ, 0)
+				[]lp.Term{{Var: flow[i][j], Coeff: 1}, {Var: vp[i], Coeff: -al.kAt(i, j)}}, lp.EQ, 0)
 		}
 	}
 	// (2) C'_i = V'_i + Σ_{k≠i} I'_ki.

@@ -165,7 +165,6 @@ func (h *Hierarchy) Plan(v []float64, requester int, amount float64) (*Allocatio
 // averaged coefficients steer the objective without re-capping supply.
 func (h *Hierarchy) coarsePlan(vg []float64, home int, amount float64) ([]float64, error) {
 	ng := len(h.groups)
-	kg := h.coarse.k
 	m := lp.NewModel(lp.Minimize)
 	take := make([]lp.VarID, ng)
 	for gi := 0; gi < ng; gi++ {
@@ -183,7 +182,7 @@ func (h *Hierarchy) coarsePlan(vg []float64, home int, amount float64) ([]float6
 		}
 		row := []lp.Term{{Var: theta, Coeff: -1}}
 		for gk := 0; gk < ng; gk++ {
-			coeff := kg[gk][gi]
+			coeff := h.coarse.kAt(gk, gi)
 			if gk == gi {
 				coeff = 1
 			}
@@ -264,7 +263,7 @@ func (h *Hierarchy) refineGroup(v []float64, out *Allocation, g, requester int, 
 		}
 		row := []lp.Term{{Var: theta, Coeff: -1}}
 		for idx, k := range members {
-			coeff := h.full.k[k][i]
+			coeff := h.full.kAt(k, i)
 			if k == i {
 				coeff = 1
 			}

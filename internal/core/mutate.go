@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"sort"
+	"sync/atomic"
 
 	"repro/internal/num"
 	"repro/internal/transitive"
@@ -19,19 +21,27 @@ import (
 // their consistent snapshot, the concurrency model the grm server's
 // epoch-based planner swap relies on.
 //
-// What each cache depends on, and hence when it is invalidated:
+// What each cache depends on, what a mutation pays to refresh it, and
+// when it survives. Every cost is in stored entries of the rows and
+// columns that moved; only the slice-header copies are O(n):
 //
-//	cache     depends on                      survives
-//	───────── ─────────────────────────────── ─────────────────────────────
-//	clo (T)   S values, level                 delta rows only (UpdateEdge)
-//	K         T values (elementwise cap)      rows whose capped T row moved
-//	conn      K rows (row sums)               rows whose K row moved
-//	colIdx    K/A column sparsity pattern     columns whose pattern moved
-//	skel[r]   K values (all columns ≠ r),     no K column ≠ r moved, conn
-//	          conn (objective), A pattern     unchanged, A pattern ≠ r same
-//	warm[r]   LP structure + coefficients     always shared; the saved
-//	                                          basis self-invalidates via
-//	                                          lp.ResolveFrom's signature
+//	cache     depends on                  refreshed by             survives
+//	───────── ─────────────────────────── ──────────────────────── ─────────────────────────
+//	clo (T)   S values, level             re-enumerating the       rows that cannot reach
+//	                                      affected rows            the edited edge's source
+//	K         T rows (values capped at 1, capRow per changed T     rows whose T row held;
+//	          columns shared with T)      row; aliases the T row   K rows alias T rows
+//	                                      unless an entry > 1      unless the cap bites
+//	conn      K rows (row sums)           one walk of the row      rows whose K row held
+//	colIdx,   K and A columns (pattern    merging the moved cells  columns no moved cell
+//	colK,colA and values)                 into the old column      falls in
+//	skel[r]   K values (all columns ≠ r), one fresh slice of nil   no K column ≠ r moved,
+//	          conn (objective), A pattern slots; built on first    conn unchanged, A
+//	                                      Plan                     pattern ≠ r same
+//	warm[r]   LP structure + coefficients nothing                  always shared; the saved
+//	                                                               basis self-invalidates
+//	                                                               via lp.ResolveFrom's
+//	                                                               signature
 //
 // A derived allocator's Plan output is bit-identical to a freshly built
 // NewAllocator over the mutated matrices (pinned by the incremental
@@ -39,18 +49,16 @@ import (
 // rows replay NewAllocator's exact per-row computations.
 
 // derive clones the allocator's slice headers and cache references so a
-// mutator can swap individual entries without touching the receiver.
-// sync.Pool must not be copied, so the derived allocator gets a fresh
-// (empty) workspace pool.
+// mutator can swap individual entries without touching the receiver. The
+// workspace pool is shared: n is unchanged, and a workspace re-clones any
+// model whose skeleton the mutation rebuilt.
 func (al *Allocator) derive() *Allocator {
-	d := &Allocator{
+	return &Allocator{
 		n: al.n, aCols: al.aCols, aVals: al.aVals, hasA: al.hasA,
 		k: al.k, cfg: al.cfg,
 		conn: al.conn, colIdx: al.colIdx, colK: al.colK, colA: al.colA,
-		skel: al.skel, clo: al.clo, warm: al.warm,
+		skel: al.skel, clo: al.clo, warm: al.warm, pool: al.pool,
 	}
-	d.initPool()
-	return d
 }
 
 // SetShare derives an allocator with the relative agreement S[from][to]
@@ -76,27 +84,90 @@ func (al *Allocator) SetShare(from, to int, oldVal, newVal float64) (*Allocator,
 	return d, nil
 }
 
-// applyClosureDelta patches K, conn, colIdx, and the skeleton cache of a
-// derived allocator after its closure moved on the given T rows. Caches
-// are invalidated per the dependency table above; everything the change
-// cannot reach keeps sharing memory with prev.
+// cellMove is one K entry whose value a mutation moved: row r, column c,
+// the new value k (0 when the entry left the row).
+type cellMove struct {
+	c, r int32
+	k    float64
+}
+
+// rowMoves appends the cells at which K row r differs between its old
+// and new sparse forms, in ascending column order. Rows store no exact
+// zero, so a cell present on one side only always differs.
+func rowMoves(out []cellMove, r int, oc []int32, ov []float64, nc []int32, nv []float64) []cellMove {
+	mergeCols(oc, nc, func(c int32, x, y int) {
+		var k float64
+		if y >= 0 {
+			k = nv[y]
+		}
+		if x < 0 || y < 0 || !num.IsZero(ov[x]-k) {
+			out = append(out, cellMove{c: c, r: int32(r), k: k})
+		}
+	})
+	return out
+}
+
+// mergeColumn replaces column c's source list by the old one with the
+// moved cells (all in column c, ascending by row) merged in: a moved row
+// takes its new K value and d's current A value and stays listed only
+// while one of them is nonzero; every other source is copied. The old
+// slices are not modified — they stay shared with ancestor allocators.
+func (d *Allocator) mergeColumn(c int, moves []cellMove) {
+	oi, ok, oa := d.colIdx[c], d.colK[c], d.colA[c]
+	size := len(oi) + len(moves)
+	idx, ks, as := make([]int32, 0, size), make([]float64, 0, size), make([]float64, 0, size)
+	x := 0
+	for _, mv := range moves {
+		for x < len(oi) && oi[x] < mv.r {
+			idx, ks, as = append(idx, oi[x]), append(ks, ok[x]), append(as, oa[x])
+			x++
+		}
+		if x < len(oi) && oi[x] == mv.r {
+			x++
+		}
+		if av := d.aAt(int(mv.r), c); int(mv.r) != c && (!num.IsZero(mv.k) || !num.IsZero(av)) {
+			idx, ks, as = append(idx, mv.r), append(ks, mv.k), append(as, av)
+		}
+	}
+	idx, ks, as = append(idx, oi[x:]...), append(ks, ok[x:]...), append(as, oa[x:]...)
+	d.colIdx[c], d.colK[c], d.colA[c] = idx, ks, as
+}
+
+// cowColumns gives d its own column header slices before the first
+// column is replaced.
+func (d *Allocator) cowColumns() {
+	d.colIdx = append([][]int32(nil), d.colIdx...)
+	d.colK = append([][]float64(nil), d.colK...)
+	d.colA = append([][]float64(nil), d.colA...)
+}
+
+// applyClosureDelta patches K, conn, the column lists, and the skeleton
+// cache of a derived allocator after its closure moved on the given T
+// rows (ascending). Caches are invalidated per the dependency table
+// above; everything the change cannot reach keeps sharing memory with
+// prev.
 func (d *Allocator) applyClosureDelta(prev *Allocator, changed []int) {
-	n := d.n
-	t := d.clo.T()
+	if len(changed) == 0 {
+		return
+	}
+	// Every replaced T row gets its K row rebuilt (its columns may have
+	// moved, and an uncapped K row must be the new T row's own slice); the
+	// cells whose capped value moved decide everything downstream.
+	d.k = append([][]float64(nil), prev.k...)
+	var moves []cellMove
 	var kRows []int
 	for _, r := range changed {
-		fresh := capRow(t[r])
-		if floatsIdentical(fresh, prev.k[r]) {
-			continue // the cap clamped the whole change away
+		cols, tv := d.clo.FlowRow(r)
+		d.k[r] = capRow(tv)
+		oc, _, ov := prev.FlowRow(r)
+		before := len(moves)
+		if moves = rowMoves(moves, r, oc, ov, cols, d.k[r]); len(moves) > before {
+			kRows = append(kRows, r)
 		}
-		if kRows == nil {
-			d.k = append([][]float64(nil), prev.k...)
-		}
-		d.k[r] = fresh
-		kRows = append(kRows, r)
 	}
 	if kRows == nil {
-		// K is value-identical: conn, colIdx, and every skeleton survive.
+		// The cap clamped the whole change away: K is value-identical, so
+		// conn, the columns, and every skeleton survive.
 		return
 	}
 
@@ -105,36 +176,29 @@ func (d *Allocator) applyClosureDelta(prev *Allocator, changed []int) {
 	d.conn = append([]float64(nil), prev.conn...)
 	connChanged := false
 	for _, r := range kRows {
-		c := 0.0
-		for j := 0; j < n; j++ {
-			if j != r {
-				c += d.k[r][j]
-			}
-		}
+		cols, _, kv := d.FlowRow(r)
+		c := connOf(r, cols, kv)
 		if !num.IsZero(c - d.conn[r]) {
 			connChanged = true
 		}
 		d.conn[r] = c
 	}
 
-	// Columns whose values moved decide both the column-cache rebuild and
-	// which skeletons saw a coefficient change. colK caches K values, so
-	// a value move (not just a pattern flip) stales the cached column.
-	valCols := make(map[int]bool)
-	for _, r := range kRows {
-		for j := 0; j < n; j++ {
-			if !num.IsZero(prev.k[r][j] - d.k[r][j]) {
-				valCols[j] = true
-			}
+	// A column whose cell moved — in value, not just in pattern, since
+	// colK caches K values — is refreshed by merging its moved cells into
+	// the old list. Rows were visited ascending, so a stable sort by
+	// column leaves each column's cells ascending by row.
+	sort.SliceStable(moves, func(x, y int) bool { return moves[x].c < moves[y].c })
+	d.cowColumns()
+	valCols := 0
+	for lo := 0; lo < len(moves); {
+		hi := lo + 1
+		for hi < len(moves) && moves[hi].c == moves[lo].c {
+			hi++
 		}
-	}
-	if len(valCols) > 0 {
-		d.colIdx = append([][]int32(nil), prev.colIdx...)
-		d.colK = append([][]float64(nil), prev.colK...)
-		d.colA = append([][]float64(nil), prev.colA...)
-		for c := range valCols {
-			d.colIdx[c], d.colK[c], d.colA[c] = d.colIdxFor(c)
-		}
+		d.mergeColumn(int(moves[lo].c), moves[lo:hi])
+		valCols++
+		lo = hi
 	}
 
 	// Skeleton r bakes −eps·conn (all rows) into its objective and every
@@ -144,19 +208,10 @@ func (d *Allocator) applyClosureDelta(prev *Allocator, changed []int) {
 	// so nothing survives. Under ComponentLP the skeleton's live set is
 	// column r's sparsity pattern, which a flip inside column r rewrites,
 	// so nothing survives there either.)
-	soleCol := -1
-	if !connChanged && !d.cfg.KeepRequesterConstraint && !d.cfg.ComponentLP && len(valCols) == 1 {
-		for c := range valCols {
-			soleCol = c
-		}
-	}
-	d.skel = make([]*planSkeleton, n)
-	for i := range d.skel {
-		if i == soleCol {
-			d.skel[i] = prev.skel[i]
-		} else {
-			d.skel[i] = &planSkeleton{}
-		}
+	d.skel = make([]atomic.Pointer[planSkeleton], d.n)
+	if !connChanged && !d.cfg.KeepRequesterConstraint && !d.cfg.ComponentLP && valCols == 1 {
+		sole := moves[0].c
+		d.skel[sole].Store(prev.skel[sole].Load())
 	}
 }
 
@@ -186,13 +241,11 @@ func (al *Allocator) SetAgreement(from, to int, oldVal, newVal float64) (*Alloca
 	d.hasA = true
 	d.aCols = append([][]int32(nil), al.aCols...)
 	d.aVals = append([][]float64(nil), al.aVals...)
-	d.aCols[from], d.aVals[from] = setSparseRowEntry(al.aCols[from], al.aVals[from], to, newVal)
+	d.aCols[from], d.aVals[from] = transitive.SetEntry(al.aCols[from], al.aVals[from], to, newVal)
 	if from != to {
 		// colA[to] caches A's column values, so any value move stales it.
-		d.colIdx = append([][]int32(nil), al.colIdx...)
-		d.colK = append([][]float64(nil), al.colK...)
-		d.colA = append([][]float64(nil), al.colA...)
-		d.colIdx[to], d.colK[to], d.colA[to] = d.colIdxFor(to)
+		d.cowColumns()
+		d.mergeColumn(to, []cellMove{{c: int32(to), r: int32(from), k: d.kAt(from, to)}})
 	}
 	if (oldVal > 0) != (newVal > 0) && from != to {
 		// The u_{from,to} linearization appears or disappears: that entry
@@ -200,94 +253,48 @@ func (al *Allocator) SetAgreement(from, to int, oldVal, newVal float64) (*Alloca
 		// requester `to`'s own (diagonal entries are read by nothing).
 		// Under ComponentLP skeleton `to`'s live set is column `to`'s
 		// sparsity pattern, which this flip just changed, so it goes too.
-		d.skel = make([]*planSkeleton, n)
-		for i := range d.skel {
-			if i == to && !d.cfg.KeepRequesterConstraint && !d.cfg.ComponentLP {
-				d.skel[i] = al.skel[i]
-			} else {
-				d.skel[i] = &planSkeleton{}
-			}
+		d.skel = make([]atomic.Pointer[planSkeleton], n)
+		if !d.cfg.KeepRequesterConstraint && !d.cfg.ComponentLP {
+			d.skel[to].Store(al.skel[to].Load())
 		}
 	}
 	return d, nil
 }
 
-// setSparseRowEntry returns a copy of the sparse row (ascending cols,
-// aligned vals) with entry j set to v — removed when v is exactly zero,
-// replaced or inserted otherwise. The input slices are never mutated.
-func setSparseRowEntry(cols []int32, vals []float64, j int, v float64) ([]int32, []float64) {
-	jc := int32(j)
-	pos := 0
-	for pos < len(cols) && cols[pos] < jc {
-		pos++
-	}
-	found := pos < len(cols) && cols[pos] == jc
-	switch {
-	case num.IsZero(v) && !found:
-		return cols, vals
-	case num.IsZero(v):
-		nc := make([]int32, 0, len(cols)-1)
-		nv := make([]float64, 0, len(vals)-1)
-		nc = append(append(nc, cols[:pos]...), cols[pos+1:]...)
-		nv = append(append(nv, vals[:pos]...), vals[pos+1:]...)
-		return nc, nv
-	case found:
-		nv := append([]float64(nil), vals...)
-		nv[pos] = v
-		return cols, nv
-	default:
-		nc := make([]int32, 0, len(cols)+1)
-		nv := make([]float64, 0, len(vals)+1)
-		nc = append(append(append(nc, cols[:pos]...), jc), cols[pos:]...)
-		nv = append(append(append(nv, vals[:pos]...), v), vals[pos:]...)
-		return nc, nv
-	}
-}
-
 // Grow derives an allocator extended by extra principals holding no
-// agreements. A fresh principal has no edges, so the closure is the old
-// one zero-extended — no chain enumeration — and the caches are rebuilt
-// with NewAllocator's own loops over the extended matrices (O(n²),
-// trivial next to enumeration). All skeletons are invalidated: every
-// model's variable count changes.
+// agreements. A fresh principal has no edges, so its T, K and A rows and
+// its columns are empty and its conn is zero: the derived allocator
+// copies O(n) slice headers and shares every row and column with the
+// receiver — no chain enumeration, no pass over stored entries. All
+// skeletons are invalidated: every model's variable count changes. (An
+// Approx closure whose clamped level rises recomputes its rows, and the
+// caches are then rebuilt from them as a constructor would.)
 func (al *Allocator) Grow(extra int) *Allocator {
 	if extra <= 0 {
 		return al
 	}
 	n := al.n + extra
-	d := &Allocator{n: n, cfg: al.cfg, hasA: al.hasA}
-	d.clo = al.clo.Grow(extra)
+	clo := al.clo.Grow(extra)
 	// A's sparse rows zero-extend for free: new principals hold no
 	// agreements, so their rows stay empty and old rows are shared.
-	d.aCols = make([][]int32, n)
-	d.aVals = make([][]float64, n)
-	copy(d.aCols, al.aCols)
-	copy(d.aVals, al.aVals)
-	d.k = transitive.Cap(d.clo.T())
-	d.conn = make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				d.conn[i] += d.k[i][j]
-			}
-		}
+	aCols, aVals := grown(al.aCols, n), grown(al.aVals, n)
+	if al.cfg.Approx && clo.Level() != al.clo.Level() {
+		return finishAllocator(n, clo, aCols, aVals, al.hasA, al.cfg)
 	}
-	d.colIdx = make([][]int32, n)
-	d.colK = make([][]float64, n)
-	d.colA = make([][]float64, n)
-	for i := range d.colIdx {
-		d.colIdx[i], d.colK[i], d.colA[i] = d.colIdxFor(i)
-	}
-	d.skel = make([]*planSkeleton, n)
-	for i := range d.skel {
-		d.skel[i] = &planSkeleton{}
-	}
-	d.warm = make([]*warmSlot, n)
-	for i := range d.warm {
-		d.warm[i] = &warmSlot{}
-	}
-	d.initPool()
+	d := &Allocator{n: n, cfg: al.cfg, hasA: al.hasA, clo: clo, aCols: aCols, aVals: aVals}
+	d.k, d.conn = grown(al.k, n), grown(al.conn, n)
+	d.colIdx, d.colK, d.colA = grown(al.colIdx, n), grown(al.colK, n), grown(al.colA, n)
+	d.skel = make([]atomic.Pointer[planSkeleton], n)
+	d.warm = make([]atomic.Pointer[warmSlot], n)
+	d.pool = newPlanPool(n)
 	return d
+}
+
+// grown copies xs into a slice of n elements, the new tail zero.
+func grown[T any](xs []T, n int) []T {
+	out := make([]T, n)
+	copy(out, xs)
+	return out
 }
 
 // Share returns the current relative agreement entry S[from][to] — the
@@ -301,38 +308,3 @@ func (al *Allocator) Agreement(from, to int) float64 { return al.aAt(from, to) }
 
 // Shares returns a dense copy of the current relative agreement matrix.
 func (al *Allocator) Shares() [][]float64 { return al.clo.DenseS() }
-
-// capRow applies transitive.Cap's elementwise clamp to one row.
-func capRow(t []float64) []float64 {
-	out := make([]float64, len(t))
-	for j, v := range t {
-		if v > 1 {
-			v = 1
-		}
-		out[j] = v
-	}
-	return out
-}
-
-// floatsIdentical reports whether two rows hold identical values.
-func floatsIdentical(a, b []float64) bool {
-	for i := range a {
-		if !num.IsZero(a[i] - b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// growSquare copies an n×n matrix into a larger nn×nn one, zero-extending
-// every row and appending zero rows.
-func growSquare(m [][]float64, nn int) [][]float64 {
-	out := make([][]float64, nn)
-	for i := range out {
-		out[i] = make([]float64, nn)
-		if i < len(m) {
-			copy(out[i], m[i])
-		}
-	}
-	return out
-}

@@ -781,3 +781,99 @@ func TestStatusHTTP(t *testing.T) {
 		t.Errorf("POST status code %d, want 405", post.StatusCode)
 	}
 }
+
+// TestChurnKeepsOnePlannerLineage drives the churn cycle — share, alloc,
+// release, revoke, report — a hundred times and requires that the planner
+// built for the first allocation is the only one ever built: shares and
+// revokes both patch it in place. Every cycle's allocation needs the
+// cycle's own share, and the attempt after each revoke must be refused,
+// so a patch that failed to remove the entry could not pass either.
+func TestChurnKeepsOnePlannerLineage(t *testing.T) {
+	srv, addr := startServer(t, core.Config{})
+	a, err := Dial(addr, "A", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Dial(addr, "B", 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for cycle := 0; cycle < 100; cycle++ {
+		// Alternate relative and absolute agreements; both reach 40 units.
+		var ticket int
+		if cycle%2 == 0 {
+			ticket, err = b.ShareRelative(a.Principal(), 0.5)
+		} else {
+			ticket, err = b.ShareAbsolute(a.Principal(), 45)
+		}
+		if err != nil {
+			t.Fatalf("cycle %d: share: %v", cycle, err)
+		}
+		reply, err := a.Allocate(50)
+		if err != nil {
+			t.Fatalf("cycle %d: allocate under the agreement: %v", cycle, err)
+		}
+		if err := a.Release(reply.Lease); err != nil {
+			t.Fatalf("cycle %d: release: %v", cycle, err)
+		}
+		if err := a.Revoke(ticket); err != nil {
+			t.Fatalf("cycle %d: revoke: %v", cycle, err)
+		}
+		if _, err := a.Allocate(50); err == nil {
+			t.Fatalf("cycle %d: allocation beyond own capacity accepted after the revoke", cycle)
+		}
+		if err := a.Report(10); err != nil {
+			t.Fatalf("cycle %d: report: %v", cycle, err)
+		}
+	}
+	srv.mu.Lock()
+	builds, live := srv.plannerBuilds, srv.planner != nil
+	srv.mu.Unlock()
+	if builds != 1 || !live {
+		t.Fatalf("planner built %d times over 100 churn cycles (live=%v), want one lineage", builds, live)
+	}
+}
+
+// TestRevokeBesideVirtualCurrencyRebuilds pins the fallback: with a
+// virtual currency in the books a cell may collect routed contributions,
+// so a revoke discards the planner and the next plan rebuilds it.
+func TestRevokeBesideVirtualCurrencyRebuilds(t *testing.T) {
+	srv, addr := startServer(t, core.Config{})
+	a, err := Dial(addr, "A", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Dial(addr, "B", 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	srv.mu.Lock()
+	_, err = srv.sys.NewVirtualCurrency("B-side", srv.sys.CurrencyOf(1), 100, 1000)
+	srv.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticket, err := b.ShareRelative(a.Principal(), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Allocate(20); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Revoke(ticket); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	discarded := srv.planner == nil
+	srv.mu.Unlock()
+	if !discarded {
+		t.Fatal("revoke beside a virtual currency kept the planner")
+	}
+	if _, err := a.Allocate(50); err == nil {
+		t.Error("allocation should fail after revocation")
+	}
+}

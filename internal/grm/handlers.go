@@ -150,10 +150,10 @@ func (s *Server) shareLocked(fromP, toP int, fraction, quantity float64) (int, e
 // tickets in creation order, and this ticket is the newest, so its
 // increment is the final addition — old value plus one addition is
 // bit-identical to the rebuilt sum. Revocation has no such property
-// ((x+f)−f ≠ x in floats), which is why revokeLocked still discards the
-// planner. If the mutator refuses (enumeration budget) the planner is
-// discarded too; the rebuild path then surfaces the same refusal.
-// Callers hold s.mu.
+// ((x+f)−f ≠ x in floats); patchPlannerRevokeLocked re-derives the cell
+// from the surviving tickets instead. If the mutator refuses (enumeration
+// budget) the planner is discarded; the rebuild path then surfaces the
+// same refusal. Callers hold s.mu.
 func (s *Server) patchPlannerShareLocked(fromP, toP int, fraction, quantity float64) {
 	al := s.planner
 	if al == nil {
@@ -182,6 +182,40 @@ func (s *Server) patchPlannerShareLocked(fromP, toP int, fraction, quantity floa
 	s.planner = d
 }
 
+// patchPlannerRevokeLocked applies a revocation (already made in s.sys)
+// to the cached planner. The rebuilt S and A cells for the ticket's pair
+// are the sums, in ticket-creation order, of the surviving tickets
+// between the two default currencies; DirectAgreement computes exactly
+// those sums, so setting the cells to them is bit-identical to the
+// rebuild and removes an entry when no ticket survives. The planner is
+// discarded instead when the system holds a virtual currency (a
+// preloaded snapshot: cells then collect routed contributions too) or the
+// mutator refuses. Callers hold s.mu.
+func (s *Server) patchPlannerRevokeLocked(ticket int) {
+	al := s.planner
+	if al == nil {
+		return
+	}
+	sh := s.shareHist[ticket]
+	rel, abs, ok := s.sys.DirectAgreement(agreement.PrincipalID(sh.from), agreement.PrincipalID(sh.to), agreement.General)
+	if !ok {
+		s.planner = nil
+		return
+	}
+	// Whichever cell the ticket did not feed already holds its sum, and
+	// the mutator hands the receiver back.
+	d, err := al.SetShare(sh.from, sh.to, al.Share(sh.from, sh.to), rel)
+	if err == nil {
+		d, err = d.SetAgreement(sh.from, sh.to, d.Agreement(sh.from, sh.to), abs)
+	}
+	if err != nil {
+		s.logger.Printf("grm: revoke: incremental planner patch refused (%v); deferring to rebuild", err)
+		s.planner = nil
+		return
+	}
+	s.planner = d
+}
+
 func (s *Server) revoke(r *RevokeRequest) *Response {
 	if r.Ticket < 0 || r.Ticket >= len(s.tickets) {
 		return errorf("grm: revoke: unknown ticket %d", r.Ticket)
@@ -194,7 +228,7 @@ func (s *Server) revoke(r *RevokeRequest) *Response {
 // Callers hold s.mu.
 func (s *Server) revokeLocked(ticket int) {
 	s.sys.Revoke(s.tickets[ticket])
-	s.planner = nil
+	s.patchPlannerRevokeLocked(ticket)
 	s.epoch++
 	s.appendLocked(&store.Record{Kind: store.KindRevoke, Ticket: ticket})
 }

@@ -88,6 +88,10 @@ type Server struct {
 	// epoch moved in the meantime (optimistic concurrency).
 	epoch         uint64 // wal:derived
 	planConflicts uint64 // optimistic solves discarded due to an epoch move
+	// plannerBuilds counts full planner builds (currentPlannerLocked's
+	// slow path); registration, share and revoke churn should leave it
+	// where the first plan put it.
+	plannerBuilds int
 	// testHookUnlocked, when set, runs after alloc releases the lock for an
 	// optimistic solve; tests use it to mutate state and force a conflict.
 	testHookUnlocked func()
@@ -419,12 +423,12 @@ func (s *Server) dispatchInner(req *Request) *Response {
 }
 
 // currentPlannerLocked rebuilds the allocator when no incremental patch
-// covered the last structural change (revocation, snapshot install,
-// replayed state, or a mutation the delta path refused). Registration
-// and share churn normally keep s.planner patched in place (see
-// registerLocked / shareLocked), so this full rebuild — with its exact
-// chain re-enumeration — is the slow path, not the common one. Callers
-// hold s.mu.
+// covered the last structural change (snapshot install, replayed state,
+// a revocation beside virtual currencies, or a mutation the delta path
+// refused). Registration, share and revoke churn normally keep s.planner
+// patched in place (see registerLocked / shareLocked / revokeLocked), so
+// this full rebuild — with its exact chain re-enumeration — is the slow
+// path, not the common one. Callers hold s.mu.
 func (s *Server) currentPlannerLocked() (*core.Allocator, error) {
 	if len(s.avail) == 0 {
 		return nil, ErrNoPrincipals
@@ -441,6 +445,7 @@ func (s *Server) currentPlannerLocked() (*core.Allocator, error) {
 		return nil, err
 	}
 	s.planner = planner
+	s.plannerBuilds++
 	return planner, nil
 }
 

@@ -34,7 +34,10 @@ func TestCounterResetLosesNothing(t *testing.T) {
 	const goroutines, each = 8, 5_000
 	var c Counter
 	var wg sync.WaitGroup
-	drained := make(chan int64, 64)
+	// The drainer sums into its own variable, read after it exits: a
+	// bounded channel here deadlocks once more drains succeed than it
+	// holds, because nothing receives until the drainer is done.
+	var drained int64
 	stop := make(chan struct{})
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -54,20 +57,14 @@ func TestCounterResetLosesNothing(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if v := c.Reset(); v != 0 {
-					drained <- v
-				}
+				drained += c.Reset()
 			}
 		}
 	}()
 	wg.Wait()
 	close(stop)
 	drainWG.Wait()
-	close(drained)
-	total := c.Reset()
-	for v := range drained {
-		total += v
-	}
+	total := c.Reset() + drained
 	if total != goroutines*each {
 		t.Fatalf("drained+remainder = %d, want %d", total, goroutines*each)
 	}

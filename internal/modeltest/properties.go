@@ -106,6 +106,7 @@ func CheckGraphMutated(g *Graph, mut Mutation) *Failure {
 		{"monotonic-funding", c.checkMonotonicity},
 		{"permutation-invariance", c.checkPermutation},
 		{"plan-incremental", c.checkIncrementalPlan},
+		{"sparse-rows", func() error { return checkSparseRows(c.al) }},
 	} {
 		if err := check.fn(); err != nil {
 			return &Failure{Property: check.name, Msg: err.Error(), Graph: g, Mutation: mut}

@@ -114,9 +114,10 @@ func TestModelTreeScale(t *testing.T) {
 	if a.Restarts < 1 {
 		t.Fatal("scale schedule performed no leaf-cluster restart")
 	}
-	t.Logf("scale run: %d steps in %v, %d restarts, %.3g still borrowed",
-		a.Steps, time.Since(start), a.Restarts, a.Borrowed)
+	t.Logf("scale run: %d steps in %v, %d restarts, %.3g still borrowed, peak RSS %s",
+		a.Steps, time.Since(start), a.Restarts, a.Borrowed, vmHWM())
 
+	start = time.Now()
 	b, err := RunTree(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +125,26 @@ func TestModelTreeScale(t *testing.T) {
 	if b.Failure != nil {
 		t.Fatal(b.Failure.Error())
 	}
+	t.Logf("scale replay: %v, peak RSS %s", time.Since(start), vmHWM())
 	for i := range a.Trace {
 		if a.Trace[i] != b.Trace[i] {
 			t.Fatalf("scale traces diverge at step %d:\n%s\n%s", i, a.Trace[i], b.Trace[i])
 		}
 	}
+}
+
+// vmHWM returns the process's peak resident set as /proc/self/status
+// reports it ("123456 kB"), or "unknown" off Linux — logged, never gated,
+// so the uploaded scale-run log records memory at 10^5 principals.
+func vmHWM() string {
+	raw, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			return strings.TrimSpace(rest)
+		}
+	}
+	return "unknown"
 }

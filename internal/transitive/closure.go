@@ -33,17 +33,24 @@ var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 // argument covers Approx (walk counting) and whole-row updates (every
 // edited edge leaves src).
 //
-// Recomputed rows replay the exact per-row kernels of Exact/Approx
-// (exactRow and matmulInto's row loop), so an untouched-or-recomputed row
-// is bit-for-bit identical to a from-scratch rebuild — pinned by the
+// Recomputed rows run the same per-row kernel a full build runs
+// (rowScratch.row), so an untouched-or-recomputed row is bit-for-bit
+// identical to a from-scratch rebuild — pinned by the
 // closure tests and the modeltest incremental-equivalence property.
 //
-// The agreement matrix itself lives in CSR form — per-row ascending
-// column lists (adj) with aligned values (vals) — so a closure over a
-// sparse graph costs O(n + edges) for S regardless of n; only the flow
-// matrix T stays dense. The sparse kernels read the same floats in the
-// same order a dense scan would, keeping every result bit-identical to
-// the historical dense-row implementation.
+// Everything is row-sparse: the agreement matrix S as per-row ascending
+// column lists (adj) with aligned values (vals), and the flow matrix T the
+// same way (tc, tv) — a row keeps exactly the entries that are not
+// exactly zero. Between principals with no agreement chain T is zero, so
+// a closure over many small communities costs O(n) row headers plus its
+// stored entries, and every pass here (build, delta, compare, Grow) costs
+// the entries it visits, never n². The kernels accumulate into a
+// per-worker dense scratch row and emit exact-size rows; they read the
+// same floats in the same order a dense scan would, and every sum is
+// non-negative, so skipping an unstored +0 keeps each result
+// bit-identical to the dense library functions (Exact, Approx). T() and
+// DenseS() are dense exports for snapshots, tests and the bench; nothing
+// on the serving path calls them.
 //
 // Closures are copy-on-write: mutators return a derived *Closure sharing
 // every unchanged row slice with the receiver, which stays valid — the
@@ -56,7 +63,8 @@ type Closure struct {
 	reqLevel int
 	approx   bool
 	n        int
-	t        [][]float64 // flow coefficients; rows shared COW
+	tc       [][]int32   // ascending non-zero columns of each T row; shared COW
+	tv       [][]float64 // flow coefficients aligned with tc; shared COW
 	adj      [][]int32   // ascending non-zero out-edges per row; shared COW
 	vals     [][]float64 // edge values aligned with adj; shared COW
 	edges    int
@@ -100,13 +108,8 @@ func NewClosureCSR(n int, cols [][]int32, vals [][]float64, level int, approx bo
 }
 
 func newClosureFromRows(n int, adj [][]int32, vals [][]float64, edges, level int, approx bool) *Closure {
-	var t [][]float64
-	if approx {
-		t = approxWorkersCSR(n, adj, vals, level, par.Workers(n))
-	} else {
-		t = exactWorkersCSR(n, adj, vals, level, par.Workers(n))
-	}
-	return &Closure{reqLevel: level, approx: approx, n: n, t: t, adj: adj, vals: vals, edges: edges}
+	tc, tv := sparseRows(n, adj, vals, level, approx, par.Workers(n))
+	return &Closure{reqLevel: level, approx: approx, n: n, tc: tc, tv: tv, adj: adj, vals: vals, edges: edges}
 }
 
 // N returns the number of principals.
@@ -115,43 +118,44 @@ func (c *Closure) N() int { return c.n }
 // Level returns the effective (clamped) level of transitivity.
 func (c *Closure) Level() int { return clampLevel(c.reqLevel, c.n) }
 
-// IsApprox reports whether the closure uses the matrix-power
-// approximation instead of exact chain enumeration.
-func (c *Closure) IsApprox() bool { return c.approx }
+// T materializes the current flow-coefficient matrix as fresh dense rows
+// — the export for tests, snapshots and the dense library functions
+// (Cap, Capacities); unstored entries come out as +0 exactly. It costs
+// n² floats per call: the serving path reads FlowRow instead.
+func (c *Closure) T() [][]float64 { return denseOf(c.n, c.tc, c.tv) }
 
-// T returns the current flow-coefficient matrix. The rows are shared
-// with the Closure (and possibly with derived Closures): callers must
-// treat both levels of the slice as read-only.
-func (c *Closure) T() [][]float64 { return c.t }
+// FlowRow returns row src of T as ascending non-zero column indices and
+// their coefficients. The slices are shared with the closure and must be
+// treated as read-only.
+func (c *Closure) FlowRow(src int) ([]int32, []float64) {
+	return c.tc[src], c.tv[src]
+}
+
+// Bytes returns the memory the closure's rows hold: 12 bytes per stored
+// S and T entry plus four slice headers per principal. Rows shared with
+// other closures are counted in full.
+func (c *Closure) Bytes() int {
+	entries := c.edges
+	for _, row := range c.tc {
+		entries += len(row)
+	}
+	return 12*entries + 4*24*c.n
+}
 
 // Edge returns the current agreement entry S[src][dst]: a binary search
 // over row src's sorted column list, 0 when unstored.
-func (c *Closure) Edge(src, dst int) float64 {
-	cols := c.adj[src]
-	k := sort.Search(len(cols), func(k int) bool { return cols[k] >= int32(dst) })
-	if k < len(cols) && cols[k] == int32(dst) {
-		return c.vals[src][k]
-	}
-	return 0
-}
-
-// SparseRow returns row src of the agreement matrix as ascending column
-// indices and values. The slices are shared with the closure and must be
-// treated as read-only.
-func (c *Closure) SparseRow(src int) ([]int32, []float64) {
-	return c.adj[src], c.vals[src]
-}
-
-// Edges returns the number of stored agreement entries.
-func (c *Closure) Edges() int { return c.edges }
+func (c *Closure) Edge(src, dst int) float64 { return At(c.adj[src], c.vals[src], dst) }
 
 // DenseS materializes the agreement matrix as dense rows — the export
 // used by snapshots and tests; unstored entries come out as +0 exactly.
-func (c *Closure) DenseS() [][]float64 {
-	out := zeros(c.n)
-	for i := 0; i < c.n; i++ {
-		for k, j := range c.adj[i] {
-			out[i][j] = c.vals[i][k]
+func (c *Closure) DenseS() [][]float64 { return denseOf(c.n, c.adj, c.vals) }
+
+// denseOf scatters sparse rows into a fresh dense n×n matrix.
+func denseOf(n int, cols [][]int32, vals [][]float64) [][]float64 {
+	out := zeros(n)
+	for i := range cols {
+		for k, j := range cols[i] {
+			out[i][j] = vals[i][k]
 		}
 	}
 	return out
@@ -171,7 +175,8 @@ func (c *Closure) WithBudget(steps int) *Closure {
 // individual rows without touching the receiver.
 func (c *Closure) shallow() *Closure {
 	d := &Closure{reqLevel: c.reqLevel, approx: c.approx, n: c.n, edges: c.edges, budget: c.budget}
-	d.t = append([][]float64(nil), c.t...)
+	d.tc = append([][]int32(nil), c.tc...)
+	d.tv = append([][]float64(nil), c.tv...)
 	d.adj = append([][]int32(nil), c.adj...)
 	d.vals = append([][]float64(nil), c.vals...)
 	return d
@@ -203,42 +208,13 @@ func (c *Closure) UpdateEdge(src, dst int, oldVal, newVal float64) (*Closure, []
 		return c, nil, nil
 	}
 	d := c.shallow()
-	d.adj[src], d.vals[src] = setSparseEntry(c.adj[src], c.vals[src], dst, newVal)
+	d.adj[src], d.vals[src] = SetEntry(c.adj[src], c.vals[src], dst, newVal)
 	d.edges += len(d.adj[src]) - len(c.adj[src])
 	rows := c.affected(src)
 	if err := d.checkBudget(rows); err != nil {
 		return nil, nil, fmt.Errorf("transitive: UpdateEdge(%d, %d): %w", src, dst, err)
 	}
 	return d, d.recompute(c, rows), nil
-}
-
-// setSparseEntry returns fresh row slices with column dst set to v —
-// inserted, replaced, or removed (exact zeros are unstored) — leaving
-// the input rows untouched (they stay shared with ancestor closures).
-func setSparseEntry(cols []int32, vals []float64, dst int, v float64) ([]int32, []float64) {
-	k := sort.Search(len(cols), func(k int) bool { return cols[k] >= int32(dst) })
-	present := k < len(cols) && cols[k] == int32(dst)
-	switch {
-	case num.IsZero(v) && !present:
-		return cols, vals
-	case num.IsZero(v): // remove
-		nc := make([]int32, 0, len(cols)-1)
-		nv := make([]float64, 0, len(vals)-1)
-		nc = append(append(nc, cols[:k]...), cols[k+1:]...)
-		nv = append(append(nv, vals[:k]...), vals[k+1:]...)
-		return nc, nv
-	case present: // replace
-		nc := append([]int32(nil), cols...)
-		nv := append([]float64(nil), vals...)
-		nv[k] = v
-		return nc, nv
-	default: // insert at k
-		nc := make([]int32, 0, len(cols)+1)
-		nv := make([]float64, 0, len(vals)+1)
-		nc = append(append(append(nc, cols[:k]...), int32(dst)), cols[k:]...)
-		nv = append(append(append(nv, vals[:k]...), v), vals[k:]...)
-		return nc, nv
-	}
 }
 
 // UpdateRow derives a closure with the whole out-edge row S[src]
@@ -273,7 +249,7 @@ func (c *Closure) UpdateRow(src int, row []float64) (*Closure, []int, error) {
 		return c, nil, nil
 	}
 	d := c.shallow()
-	d.adj[src], d.vals[src] = sparseRowOf(row)
+	d.adj[src], d.vals[src] = RowOf(row)
 	d.edges += len(d.adj[src]) - len(c.adj[src])
 	rows := c.affected(src)
 	if err := d.checkBudget(rows); err != nil {
@@ -284,53 +260,29 @@ func (c *Closure) UpdateRow(src int, row []float64) (*Closure, []int, error) {
 
 // Grow derives a closure extended by k principals with no agreements. A
 // fresh principal has no edges, so no chain among the existing rows can
-// use it: the exact closure is the old one zero-extended, with no
-// enumeration at all. Approx closures recompute in the one corner case
-// where growing raises the clamped level (a full-transitivity request on
-// a cyclic graph gains longer walks).
+// use it: the exact closure is the old one with k empty rows — O(n) row
+// headers copied, no entry touched, no enumeration. Approx closures
+// recompute in the one corner case where growing raises the clamped level
+// (a full-transitivity request on a cyclic graph gains longer walks).
 func (c *Closure) Grow(k int) *Closure {
 	if k <= 0 {
 		return c
 	}
 	nn := c.n + k
 	d := &Closure{reqLevel: c.reqLevel, approx: c.approx, n: nn, edges: c.edges, budget: c.budget}
-	d.t = growRows(c.t, nn)
 	d.adj = make([][]int32, nn)
 	copy(d.adj, c.adj)
 	d.vals = make([][]float64, nn)
 	copy(d.vals, c.vals)
 	if c.approx && d.Level() != c.Level() {
-		d.t = approxWorkersCSR(nn, d.adj, d.vals, d.reqLevel, par.Workers(nn))
+		d.tc, d.tv = sparseRows(nn, d.adj, d.vals, d.reqLevel, true, par.Workers(nn))
+		return d
 	}
+	d.tc = make([][]int32, nn)
+	copy(d.tc, c.tc)
+	d.tv = make([][]float64, nn)
+	copy(d.tv, c.tv)
 	return d
-}
-
-// growRows copies an n×n matrix into nn×nn, zero-extending every row and
-// adding zero rows. Rows must be reallocated (they get longer), so unlike
-// the mutators this is an O(nn²) copy — but still no chain enumeration.
-func growRows(m [][]float64, nn int) [][]float64 {
-	out := make([][]float64, nn)
-	for i := range out {
-		out[i] = make([]float64, nn)
-		if i < len(m) {
-			copy(out[i], m[i])
-		}
-	}
-	return out
-}
-
-// sparseRowOf converts one dense row into its CSR form: ascending
-// non-zero columns plus values.
-func sparseRowOf(row []float64) ([]int32, []float64) {
-	var cols []int32
-	var vals []float64
-	for j, v := range row {
-		if !num.IsZero(v) {
-			cols = append(cols, int32(j))
-			vals = append(vals, v)
-		}
-	}
-	return cols, vals
 }
 
 // hasEdge reports whether S[x][u] is stored (non-zero).
@@ -371,76 +323,37 @@ func (c *Closure) affected(src int) []int {
 }
 
 // checkBudget pre-counts the DFS steps an exact recompute of the given
-// rows would take on d's (post-update) graph — the rows the blast
-// fallback would expand to all of them — and returns ErrBudget when the
-// count exceeds the handle's budget. The counting traversal is the same
-// depth-limited adjacency walk the recompute performs, minus the float
-// work, and aborts as soon as the budget is crossed, so its own cost is
-// bounded by the budget.
+// rows would take on d's (post-update) graph — all of them when the blast
+// fallback would expand to every row — and returns ErrBudget when the
+// count exceeds the handle's budget. The count is the depth-limited walk
+// the recompute performs, minus the float work, and aborts as soon as the
+// budget is crossed, so its own cost is bounded by the budget.
 func (d *Closure) checkBudget(rows []int) error {
 	if d.approx || d.budget <= 0 {
 		return nil
 	}
-	n := d.n
-	if blastDenominator*len(rows) > n {
-		rows = make([]int, n)
-		for i := range rows {
-			rows[i] = i
-		}
+	if blastDenominator*len(rows) > d.n {
+		rows = nil
 	}
-	maxLen := d.Level()
-	visited := make([]bool, n)
-	steps := 0
-	var dfs func(cur, depth int) bool
-	dfs = func(cur, depth int) bool {
-		if depth == maxLen {
-			return true
-		}
-		for _, next := range d.adj[cur] {
-			if visited[next] {
-				continue
-			}
-			steps++
-			if steps > d.budget {
-				return false
-			}
-			visited[next] = true
-			ok := dfs(int(next), depth+1)
-			visited[next] = false
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	for _, src := range rows {
-		visited[src] = true
-		ok := dfs(src, 0)
-		visited[src] = false
-		if !ok {
-			return fmt.Errorf("%w (%d affected rows, budget %d)", ErrBudget, len(rows), d.budget)
-		}
+	if !withinBudget(d.adj, d.vals, rows, d.Level(), d.budget) {
+		return fmt.Errorf("%w (budget %d)", ErrBudget, d.budget)
 	}
 	return nil
 }
 
-// recompute refreshes the given rows of d.t against d's agreement rows,
-// comparing each against prev's row: only rows that actually changed are
-// replaced (and reported), so unchanged rows keep sharing memory with
-// prev. Past the blast-radius threshold it abandons the delta and
-// recomputes the whole matrix with the parallel full kernels.
+// recompute refreshes the given rows of d's T against d's agreement
+// rows, comparing each against prev's row: only rows that actually
+// changed are replaced (and reported), so unchanged rows keep sharing
+// memory with prev. Past the blast-radius threshold it abandons the delta
+// and recomputes every row with the parallel full build.
 func (d *Closure) recompute(prev *Closure, rows []int) []int {
 	n := d.n
+	var changed []int
 	if blastDenominator*len(rows) > n {
-		if d.approx {
-			d.t = approxWorkersCSR(n, d.adj, d.vals, d.reqLevel, par.Workers(n))
-		} else {
-			d.t = exactWorkersCSR(n, d.adj, d.vals, d.reqLevel, par.Workers(n))
-		}
-		var changed []int
+		d.tc, d.tv = sparseRows(n, d.adj, d.vals, d.reqLevel, d.approx, par.Workers(n))
 		for i := 0; i < n; i++ {
-			if rowsEqual(prev.t[i], d.t[i]) {
-				d.t[i] = prev.t[i] // keep sharing the identical row
+			if rowsEqual(prev.tc[i], prev.tv[i], d.tc[i], d.tv[i]) {
+				d.tc[i], d.tv[i] = prev.tc[i], prev.tv[i] // keep sharing the identical row
 			} else {
 				changed = append(changed, i)
 			}
@@ -448,74 +361,28 @@ func (d *Closure) recompute(prev *Closure, rows []int) []int {
 		return changed
 	}
 	maxLen := d.Level()
-	var p, nx []float64 // approx row scratch, reused across rows
-	var changed []int
+	sc := getScratch(n)
 	for _, src := range rows {
-		fresh := make([]float64, n)
-		if d.approx {
-			if p == nil {
-				p = make([]float64, n)
-				nx = make([]float64, n)
-			}
-			d.approxRow(src, fresh, p, nx)
-		} else {
-			exactRowCSR(n, d.adj, d.vals, src, maxLen, fresh)
-		}
-		if rowsEqual(prev.t[src], fresh) {
+		sc.row(d.adj, d.vals, src, maxLen, d.approx)
+		cols, vals := sc.take()
+		if rowsEqual(prev.tc[src], prev.tv[src], cols, vals) {
 			continue
 		}
-		d.t[src] = fresh
+		d.tc[src], d.tv[src] = cols, vals
 		changed = append(changed, src)
 	}
+	scratchPool.Put(sc)
 	return changed
 }
 
-// approxRow computes one row of Σ_{k=1..level} S^k. Row src of S^k
-// depends only on row src of S^(k-1), so the row iterates a vector-matrix
-// product — replicating matmulInto's per-row operation order (ascending
-// k, zero entries skipped, ascending j accumulation) and approxWorkers'
-// add order exactly, which is what makes the result bit-identical to the
-// full recompute.
-func (d *Closure) approxRow(src int, sum, p, nx []float64) {
-	n := d.n
-	for j := 0; j < n; j++ {
-		p[j] = 0
+// rowsEqual reports whether two sparse rows hold identical values. Rows
+// store no exact zero, so a differing pattern is a differing value.
+func rowsEqual(ac []int32, av []float64, bc []int32, bv []float64) bool {
+	if len(ac) != len(bc) {
+		return false
 	}
-	for k, j := range d.adj[src] {
-		p[j] = d.vals[src][k]
-	}
-	for j := 0; j < n; j++ {
-		sum[j] = 0
-	}
-	for j := 0; j < n; j++ {
-		sum[j] += p[j]
-	}
-	maxLen := d.Level()
-	for k := 2; k <= maxLen; k++ {
-		for j := 0; j < n; j++ {
-			nx[j] = 0
-		}
-		for kk := 0; kk < n; kk++ {
-			aik := p[kk]
-			if num.IsZero(aik) {
-				continue
-			}
-			cols, vs := d.adj[kk], d.vals[kk]
-			for idx, j := range cols {
-				nx[j] += aik * vs[idx]
-			}
-		}
-		p, nx = nx, p
-		for j := 0; j < n; j++ {
-			sum[j] += p[j]
-		}
-	}
-}
-
-// rowsEqual reports whether two rows hold identical values.
-func rowsEqual(a, b []float64) bool {
-	for i := range a {
-		if !num.IsZero(a[i] - b[i]) {
+	for k := range ac {
+		if ac[k] != bc[k] || !num.IsZero(av[k]-bv[k]) {
 			return false
 		}
 	}

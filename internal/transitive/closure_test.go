@@ -20,6 +20,16 @@ func randomSparse(rng *rand.Rand, n, edges int) [][]float64 {
 	return s
 }
 
+// growRows copies an n×n matrix into nn×nn, zero-extending every row and
+// adding zero rows.
+func growRows(m [][]float64, nn int) [][]float64 {
+	out := zeros(nn)
+	for i := range m {
+		copy(out[i], m[i])
+	}
+	return out
+}
+
 // requireBitEqual fails unless got and want hold identical values in
 // every entry.
 func requireBitEqual(t *testing.T, got, want [][]float64, label string) {
@@ -223,6 +233,100 @@ func TestClosureBlastFallback(t *testing.T) {
 		}
 		if same == changedSet[i] {
 			t.Fatalf("row %d: changed reporting wrong (same=%v, reported=%v)", i, same, changedSet[i])
+		}
+	}
+}
+
+// TestClosureBlastFallbackSharesUnchangedRows trips the fallback on a
+// graph where part of the population cannot reach the edited edge: the
+// full rebuild recomputes those rows too, finds them identical, and must
+// hand back the receiver's own slices and leave them out of the report.
+func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
+	const n = 10
+	s := zeros(n)
+	for i := 0; i < 6; i++ { // 0→1→…→6: rows 0..5 reach the edge out of 5
+		s[i][i+1] = 0.5
+	}
+	s[7][8], s[8][9], s[9][7] = 0.3, 0.3, 0.3 // a ring that never reaches it
+	c := NewClosure(s, n-1, false)
+	if got := len(c.affected(5)); blastDenominator*got <= n {
+		t.Fatalf("affected=%d of n=%d does not trip the fallback", got, n)
+	}
+	next, changed, err := c.UpdateEdge(5, 6, 0.5, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s[5][6] = 0.25
+	requireBitEqual(t, next.T(), Exact(s, n-1), "fallback T")
+	want := []int{0, 1, 2, 3, 4, 5}
+	if len(changed) != len(want) {
+		t.Fatalf("changed rows %v, want %v", changed, want)
+	}
+	for x, r := range want {
+		if changed[x] != r {
+			t.Fatalf("changed rows %v, want %v", changed, want)
+		}
+	}
+	for _, r := range []int{7, 8, 9} {
+		nc, nv := next.FlowRow(r)
+		oc, ov := c.FlowRow(r)
+		if &nc[0] != &oc[0] || &nv[0] != &ov[0] {
+			t.Fatalf("row %d was recomputed to the same values but no longer shares the receiver's slices", r)
+		}
+	}
+	for _, r := range want {
+		nc, _ := next.FlowRow(r)
+		oc, _ := c.FlowRow(r)
+		if &nc[0] == &oc[0] {
+			t.Fatalf("changed row %d still shares the receiver's slices", r)
+		}
+	}
+}
+
+// TestClosureRowsAreExactSize pins the emit contract of the row kernels
+// on both variants (n <= 64 bitmask, n > 64 scratch stacks) and both
+// closures: ascending columns, no stored zero, no spare capacity, nil for
+// an empty row — and the dense export of the same kernel (ExactCSR,
+// ApproxCSR) holds the same entries.
+func TestClosureRowsAreExactSize(t *testing.T) {
+	for _, n := range []int{12, 90} {
+		for _, approx := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			s := randomSparse(rng, n, 2*n)
+			c := NewClosure(s, 4, approx)
+			adj, vals, _ := adjacency(s)
+			dense := ExactCSR(n, adj, vals, 4)
+			if approx {
+				dense = ApproxCSR(n, adj, vals, 4)
+			}
+			requireBitEqual(t, c.T(), dense, "dense export of the sparse kernel")
+			for i := 0; i < n; i++ {
+				cols, vals := c.FlowRow(i)
+				if len(cols) == 0 && (cols != nil || vals != nil) {
+					t.Fatalf("n=%d approx=%v: empty row %d is not nil", n, approx, i)
+				}
+				if cap(cols) != len(cols) || cap(vals) != len(vals) || len(cols) != len(vals) {
+					t.Fatalf("n=%d approx=%v: row %d has len/cap %d/%d cols, %d/%d vals", n, approx, i, len(cols), cap(cols), len(vals), cap(vals))
+				}
+				stored := 0
+				for x, j := range cols {
+					if x > 0 && cols[x-1] >= j {
+						t.Fatalf("n=%d approx=%v: row %d columns not ascending: %v", n, approx, i, cols)
+					}
+					if vals[x] == 0 { //lint:ignore sharingvet/floateq rows store no exact zero
+						t.Fatalf("n=%d approx=%v: row %d stores a zero at column %d", n, approx, i, j)
+					}
+					stored++
+				}
+				for _, v := range dense[i] {
+					if v != 0 { //lint:ignore sharingvet/floateq counting exact non-zeros
+						stored--
+					}
+				}
+				if stored != 0 {
+					t.Fatalf("n=%d approx=%v: row %d stores a different entry count than its dense export holds", n, approx, i)
+				}
+			}
 		}
 	}
 }

@@ -25,6 +25,11 @@ package transitive
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
+	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/num"
 	"repro/internal/par"
@@ -74,40 +79,34 @@ func exactWorkers(s [][]float64, maxLen, workers int) [][]float64 {
 		panic(err)
 	}
 	n := len(s)
-	maxLen = clampLevel(maxLen, n)
-	t := zeros(n)
 	adj, vals, edges := adjacency(s)
 	// On dense graphs a straight 0..n-1 scan with a zero test beats the
 	// adjacency indirection; on sparse graphs the edge lists skip the
 	// zeros entirely. Either scan visits the same non-zero edges in the
 	// same ascending order, so the choice never changes the result.
-	dense := 2*edges >= n*n
-	par.Do(n, workers, func(src int) {
-		exactRow(s, adj, vals, src, maxLen, t[src], dense)
-	})
-	return t
+	if n <= 64 && 2*edges >= n*n {
+		maxLen = clampLevel(maxLen, n)
+		t := zeros(n)
+		par.Do(n, workers, func(src int) {
+			exactRowDense64(s, src, maxLen, t[src])
+		})
+		return t
+	}
+	return denseRows(n, adj, vals, maxLen, false, workers)
 }
 
 // ExactCSR is Exact over a CSR agreement matrix: adj holds each row's
-// ascending non-zero column indices and vals the matching values. The
-// sparse kernels visit the same non-zero edges in the same ascending
-// order as the dense scan, so the result is bit-identical to
+// ascending non-zero column indices and vals the matching values. It is
+// the dense export of the sparse row kernel a Closure is built with, and
+// that kernel visits the same non-zero edges in the same ascending order
+// as the dense scan, so the result is bit-identical to
 // Exact(dense(adj, vals), maxLen). Rows may be nil (no out-edges).
 // Diagonal or negative entries panic, mirroring Validate.
 func ExactCSR(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
-	return exactWorkersCSR(n, adj, vals, maxLen, par.Workers(n))
-}
-
-func exactWorkersCSR(n int, adj [][]int32, vals [][]float64, maxLen, workers int) [][]float64 {
 	if err := validateCSR(n, adj, vals); err != nil {
 		panic(err)
 	}
-	maxLen = clampLevel(maxLen, n)
-	t := zeros(n)
-	par.Do(n, workers, func(src int) {
-		exactRowCSR(n, adj, vals, src, maxLen, t[src])
-	})
-	return t
+	return denseRows(n, adj, vals, maxLen, false, par.Workers(n))
 }
 
 // validateCSR is Validate for CSR rows: square shape is implied, so only
@@ -140,46 +139,192 @@ func adjacency(s [][]float64) (adj [][]int32, vals [][]float64, edges int) {
 	adj = make([][]int32, len(s))
 	vals = make([][]float64, len(s))
 	for i, row := range s {
-		var out []int32
-		var ov []float64
-		for j, v := range row {
-			if !num.IsZero(v) {
-				out = append(out, int32(j))
-				ov = append(ov, v)
-			}
-		}
-		adj[i], vals[i] = out, ov
-		edges += len(out)
+		adj[i], vals[i] = RowOf(row)
+		edges += len(adj[i])
 	}
 	return adj, vals, edges
 }
 
-// exactRow enumerates every cycle-free chain out of src, accumulating the
-// chain products into row (row[j] += product for a chain ending at j).
-// The recursion of the definition is unrolled onto an explicit stack with
-// the hot frame held in locals; the visited set is a uint64 bitmask for
-// n <= 64 (which also bounds the stack, so it lives entirely on the
-// goroutine stack) and a bool slice above that. Visit order — and
-// therefore floating-point summation order — is identical to the
-// recursive formulation's.
-func exactRow(s [][]float64, adj [][]int32, vals [][]float64, src, maxLen int, row []float64, dense bool) {
+// RowOf converts one dense row into its sparse form: ascending non-zero
+// columns plus values.
+func RowOf(row []float64) ([]int32, []float64) {
+	var cols []int32
+	var vals []float64
+	for j, v := range row {
+		if !num.IsZero(v) {
+			cols = append(cols, int32(j))
+			vals = append(vals, v)
+		}
+	}
+	return cols, vals
+}
+
+// At returns entry j of a sparse row (ascending cols, aligned vals): a
+// binary search, 0 when unstored.
+func At(cols []int32, vals []float64, j int) float64 {
+	k := sort.Search(len(cols), func(k int) bool { return cols[k] >= int32(j) })
+	if k < len(cols) && cols[k] == int32(j) {
+		return vals[k]
+	}
+	return 0
+}
+
+// SetEntry returns a sparse row (ascending cols, aligned vals) with
+// column j set to v — inserted, replaced, or removed (exact zeros are
+// unstored). The input slices are never modified: they stay shared with
+// whoever else holds the row.
+func SetEntry(cols []int32, vals []float64, j int, v float64) ([]int32, []float64) {
+	k := sort.Search(len(cols), func(k int) bool { return cols[k] >= int32(j) })
+	present := k < len(cols) && cols[k] == int32(j)
 	switch {
-	case len(s) > 64:
-		exactRowBig(len(s), adj, vals, src, maxLen, row)
-	case dense:
-		exactRowDense64(s, src, maxLen, row)
-	default:
-		exactRowSparse64(adj, vals, src, maxLen, row)
+	case num.IsZero(v) && !present:
+		return cols, vals
+	case num.IsZero(v): // remove
+		nc := make([]int32, 0, len(cols)-1)
+		nv := make([]float64, 0, len(vals)-1)
+		nc = append(append(nc, cols[:k]...), cols[k+1:]...)
+		nv = append(append(nv, vals[:k]...), vals[k+1:]...)
+		return nc, nv
+	case present: // replace: the columns are unchanged and stay shared
+		nv := append([]float64(nil), vals...)
+		nv[k] = v
+		return cols, nv
+	default: // insert at k
+		nc := make([]int32, 0, len(cols)+1)
+		nv := make([]float64, 0, len(vals)+1)
+		nc = append(append(append(nc, cols[:k]...), int32(j)), cols[k:]...)
+		nv = append(append(append(nv, vals[:k]...), v), vals[k:]...)
+		return nc, nv
 	}
 }
 
-// exactRowCSR dispatches the sparse kernels when no dense matrix exists.
-func exactRowCSR(n int, adj [][]int32, vals [][]float64, src, maxLen int, row []float64) {
-	if n > 64 {
-		exactRowBig(n, adj, vals, src, maxLen, row)
-	} else {
-		exactRowSparse64(adj, vals, src, maxLen, row)
+// rowScratch is one worker's state for the sparse row kernels: a dense
+// accumulator with the list of columns written, so that one row of T
+// costs its own chains and entries, never a pass over the population.
+// Between rows acc is all zero and mark and visited all false; take and
+// takeDense restore that. Scratch sets are pooled and handed out one per
+// worker (forRows), so a build holds at most GOMAXPROCS of them.
+type rowScratch struct {
+	acc     []float64 // row accumulator
+	mark    []bool    // acc[j] was written this row (n > 64, and approx)
+	touched []int32   // columns written, ascending once a kernel returns
+	// Exact kernel, n > 64: the visited set and the suspended DFS frames.
+	visited []bool
+	nodeStk []int32
+	idxStk  []int32
+	prodStk []float64
+	// Approx kernel: the current and next power rows as dense values plus
+	// their non-zero column lists.
+	p, nx         []float64
+	pCols, nxCols []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
+
+// getScratch returns a pooled scratch set sized for n principals.
+func getScratch(n int) *rowScratch {
+	sc := scratchPool.Get().(*rowScratch)
+	if len(sc.acc) < n {
+		*sc = rowScratch{acc: make([]float64, n), mark: make([]bool, n)}
 	}
+	return sc
+}
+
+// forRows runs fn for every row in [0, n) on up to `workers` goroutines,
+// each holding one scratch set for all the rows it takes.
+func forRows(n, workers int, fn func(sc *rowScratch, src int)) {
+	if workers < 1 {
+		workers = 1
+	}
+	var next atomic.Int64
+	par.Do(workers, workers, func(int) {
+		sc := getScratch(n)
+		for {
+			src := int(next.Add(1)) - 1
+			if src >= n {
+				break
+			}
+			fn(sc, src)
+		}
+		scratchPool.Put(sc)
+	})
+}
+
+// row accumulates row src of T^(maxLen) into the scratch: exact chain
+// enumeration, or the walk-counting approximation. maxLen is already
+// clamped.
+func (sc *rowScratch) row(adj [][]int32, vals [][]float64, src, maxLen int, approx bool) {
+	switch {
+	case approx:
+		sc.approxRow(adj, vals, src, maxLen)
+	case len(adj) <= 64:
+		reached := exactRowSparse64(adj, vals, src, maxLen, sc.acc)
+		for ; reached != 0; reached &= reached - 1 {
+			sc.touched = append(sc.touched, int32(bits.TrailingZeros64(reached)))
+		}
+	default:
+		sc.exactRowBig(adj, vals, src, maxLen)
+		slices.Sort(sc.touched)
+	}
+}
+
+// take emits the accumulated row as exact-size ascending (cols, vals)
+// holding every entry that is not exactly zero — nil slices for an empty
+// row — and clears the scratch for the next row.
+func (sc *rowScratch) take() ([]int32, []float64) {
+	nnz := 0
+	for _, j := range sc.touched {
+		if !num.IsZero(sc.acc[j]) {
+			nnz++
+		}
+	}
+	var cols []int32
+	var vals []float64
+	if nnz > 0 {
+		cols, vals = make([]int32, 0, nnz), make([]float64, 0, nnz)
+	}
+	for _, j := range sc.touched {
+		if v := sc.acc[j]; !num.IsZero(v) {
+			cols, vals = append(cols, j), append(vals, v)
+		}
+		sc.acc[j], sc.mark[j] = 0, false
+	}
+	sc.touched = sc.touched[:0]
+	return cols, vals
+}
+
+// takeDense scatters the accumulated row into an all-zero dense row and
+// clears the scratch for the next row.
+func (sc *rowScratch) takeDense(row []float64) {
+	for _, j := range sc.touched {
+		row[j] = sc.acc[j]
+		sc.acc[j], sc.mark[j] = 0, false
+	}
+	sc.touched = sc.touched[:0]
+}
+
+// sparseRows computes every row of T^(level) as ascending non-zero
+// (cols, vals) pairs — the form a Closure stores.
+func sparseRows(n int, adj [][]int32, vals [][]float64, level int, approx bool, workers int) ([][]int32, [][]float64) {
+	maxLen := clampLevel(level, n)
+	tc, tv := make([][]int32, n), make([][]float64, n)
+	forRows(n, workers, func(sc *rowScratch, src int) {
+		sc.row(adj, vals, src, maxLen, approx)
+		tc[src], tv[src] = sc.take()
+	})
+	return tc, tv
+}
+
+// denseRows is sparseRows scattered into a dense matrix: the export
+// behind ExactCSR and ApproxCSR.
+func denseRows(n int, adj [][]int32, vals [][]float64, level int, approx bool, workers int) [][]float64 {
+	maxLen := clampLevel(level, n)
+	t := zeros(n)
+	forRows(n, workers, func(sc *rowScratch, src int) {
+		sc.row(adj, vals, src, maxLen, approx)
+		sc.takeDense(t[src])
+	})
+	return t
 }
 
 // exactRowDense64 is the n <= 64 bitmask variant scanning full matrix
@@ -227,8 +372,9 @@ outer:
 // exactRowSparse64 is the n <= 64 bitmask variant walking adjacency
 // lists, skipping zero edges entirely. Edge values come from the vals
 // lists aligned with adj — the same floats a dense row lookup would
-// read, multiplied in the same order.
-func exactRowSparse64(adj [][]int32, vals [][]float64, src, maxLen int, row []float64) {
+// read, multiplied in the same order. It returns the set of columns it
+// added to.
+func exactRowSparse64(adj [][]int32, vals [][]float64, src, maxLen int, row []float64) (reached uint64) {
 	var (
 		nodeStk [64]int32
 		idxStk  [64]int32
@@ -251,6 +397,7 @@ outer:
 				p := product * v
 				row[next] += p
 				visited |= 1 << next
+				reached |= 1 << next
 				nodeStk[depth], idxStk[depth], prodStk[depth] = node, idx, product
 				depth++
 				node, idx, product = next, 0, p
@@ -259,7 +406,7 @@ outer:
 			}
 		}
 		if depth == 0 {
-			return
+			return reached
 		}
 		visited &^= 1 << node
 		depth--
@@ -268,13 +415,21 @@ outer:
 	}
 }
 
-// exactRowBig is the bool-slice fallback for n > 64 (adjacency walk; a
-// dense graph that large is out of Exact's reach anyway).
-func exactRowBig(n int, adj [][]int32, vals [][]float64, src, maxLen int, row []float64) {
-	nodeStk := make([]int32, maxLen+1)
-	idxStk := make([]int32, maxLen+1)
-	prodStk := make([]float64, maxLen+1)
-	visited := make([]bool, n)
+// exactRowBig is the bool-slice variant for n > 64 (adjacency walk; a
+// dense graph that large is out of Exact's reach anyway). The visited set
+// and the frame stacks live in the scratch; columns are recorded in
+// touched on their first write.
+func (sc *rowScratch) exactRowBig(adj [][]int32, vals [][]float64, src, maxLen int) {
+	if len(sc.visited) < len(sc.acc) {
+		sc.visited = make([]bool, len(sc.acc))
+	}
+	if len(sc.nodeStk) < maxLen+1 {
+		sc.nodeStk = make([]int32, maxLen+1)
+		sc.idxStk = make([]int32, maxLen+1)
+		sc.prodStk = make([]float64, maxLen+1)
+	}
+	row, mark, visited := sc.acc, sc.mark, sc.visited
+	nodeStk, idxStk, prodStk := sc.nodeStk, sc.idxStk, sc.prodStk
 	node, idx, product, depth := int32(src), int32(0), 1.0, 0
 	visited[src] = true
 	edges := adj[node]
@@ -291,6 +446,10 @@ outer:
 				}
 				p := product * v
 				row[next] += p
+				if !mark[next] {
+					mark[next] = true
+					sc.touched = append(sc.touched, next)
+				}
 				visited[next] = true
 				nodeStk[depth], idxStk[depth], prodStk[depth] = node, idx, product
 				depth++
@@ -300,6 +459,7 @@ outer:
 			}
 		}
 		if depth == 0 {
+			visited[src] = false
 			return
 		}
 		visited[node] = false
@@ -307,6 +467,66 @@ outer:
 		node, idx, product = nodeStk[depth], idxStk[depth], prodStk[depth]
 		edges, vrow = adj[node], vals[node]
 	}
+}
+
+// approxRow accumulates row src of Σ_{k=1..maxLen} S^k. Row src of S^k
+// depends only on row src of S^(k-1), so the row iterates a vector-matrix
+// product over the non-zero entries of the current power row — in
+// matmulInto's per-row operation order (ascending k, ascending j within
+// each S row, the powers added in order), which makes the result
+// bit-identical to Approx: every term skipped is an exact +0 added to a
+// non-negative sum. Once a power row is empty so are all later ones, and
+// the loop stops.
+func (sc *rowScratch) approxRow(adj [][]int32, vals [][]float64, src, maxLen int) {
+	if len(sc.p) < len(sc.acc) {
+		sc.p, sc.nx = make([]float64, len(sc.acc)), make([]float64, len(sc.acc))
+	}
+	p, nx, pCols, nxCols := sc.p, sc.nx, sc.pCols[:0], sc.nxCols[:0]
+	sum, mark := sc.acc, sc.mark
+	pCols = append(pCols, adj[src]...)
+	for k, j := range pCols {
+		p[j] = vals[src][k]
+	}
+	for k := 1; ; k++ {
+		for _, j := range pCols {
+			sum[j] += p[j]
+			if !mark[j] {
+				mark[j] = true
+				sc.touched = append(sc.touched, j)
+			}
+		}
+		if k == maxLen || len(pCols) == 0 {
+			break
+		}
+		// nx = p·S. A column joins nxCols on its first write; nx[j] is
+		// still zero then unless the product underflowed, in which case
+		// the column is listed twice and deduplicated below.
+		nxCols = nxCols[:0]
+		for _, kk := range pCols {
+			aik := p[kk]
+			if num.IsZero(aik) {
+				continue
+			}
+			cols, vs := adj[kk], vals[kk]
+			for idx, j := range cols {
+				if num.IsZero(nx[j]) {
+					nxCols = append(nxCols, j)
+				}
+				nx[j] += aik * vs[idx]
+			}
+		}
+		for _, j := range pCols {
+			p[j] = 0
+		}
+		slices.Sort(nxCols)
+		nxCols = slices.Compact(nxCols)
+		p, nx, pCols, nxCols = nx, p, nxCols, pCols
+	}
+	for _, j := range pCols {
+		p[j] = 0
+	}
+	slices.Sort(sc.touched)
+	sc.p, sc.nx, sc.pCols, sc.nxCols = p, nx, pCols, nxCols
 }
 
 // Approx computes Σ_{k=1..maxLen} S^k — the matrix-power approximation of
@@ -341,56 +561,15 @@ func approxWorkers(s [][]float64, maxLen, workers int) [][]float64 {
 	return sum
 }
 
-// ApproxCSR is Approx over a CSR agreement matrix. Skipping a zero
-// column of S in the multiply drops only exact `+= aik·0` terms, so the
-// result is bit-identical to Approx on the dense export.
+// ApproxCSR is Approx over a CSR agreement matrix: the dense export of
+// the sparse row kernel (approxRow). Skipping a zero column of S in the
+// multiply drops only exact `+= aik·0` terms, so the result is
+// bit-identical to Approx on the dense export.
 func ApproxCSR(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
-	return approxWorkersCSR(n, adj, vals, maxLen, par.Workers(n))
-}
-
-func approxWorkersCSR(n int, adj [][]int32, vals [][]float64, maxLen, workers int) [][]float64 {
 	if err := validateCSR(n, adj, vals); err != nil {
 		panic(err)
 	}
-	maxLen = clampLevel(maxLen, n)
-	sum := zeros(n)
-	power := zeros(n)
-	for i := 0; i < n; i++ {
-		for k, j := range adj[i] {
-			power[i][j] = vals[i][k]
-		}
-	}
-	add(sum, power)
-	next := zeros(n) // double buffer: matmul reads power, writes next
-	for k := 2; k <= maxLen; k++ {
-		matmulIntoCSR(next, power, adj, vals, workers)
-		power, next = next, power
-		add(sum, power)
-	}
-	return sum
-}
-
-// matmulIntoCSR computes out = a·S with S in CSR form, replicating
-// matmulInto's per-row operation order (ascending k, ascending j over
-// the non-zero columns). out must not alias a.
-func matmulIntoCSR(out, a [][]float64, badj [][]int32, bvals [][]float64, workers int) {
-	n := len(a)
-	par.Do(n, workers, func(i int) {
-		row := out[i]
-		for j := range row {
-			row[j] = 0
-		}
-		for k := 0; k < n; k++ {
-			aik := a[i][k]
-			if num.IsZero(aik) {
-				continue
-			}
-			cols, vs := badj[k], bvals[k]
-			for idx, j := range cols {
-				row[j] += aik * vs[idx]
-			}
-		}
-	})
+	return denseRows(n, adj, vals, maxLen, true, par.Workers(n))
 }
 
 // Cap applies the overdraft rule of Section 3.2: K_ij = min(T_ij, 1). The
@@ -418,30 +597,6 @@ func Flows(v []float64, t [][]float64) [][]float64 {
 	for i, row := range t {
 		for j, tij := range row {
 			out[i][j] = v[i] * tij
-		}
-	}
-	return out
-}
-
-// SourceCaps returns the matrix U of Section 3.2:
-//
-//	U[k][i] = min(I_ki + A_ki, V_k)
-//
-// the amount of principal k's capacity usable by principal i, combining
-// relative flows and absolute agreements but never exceeding what k owns.
-// A may be nil, meaning no absolute agreements.
-func SourceCaps(v []float64, t, a [][]float64) [][]float64 {
-	n := len(v)
-	if len(t) != n || (a != nil && len(a) != n) {
-		panic(fmt.Sprintf("transitive: SourceCaps: inconsistent sizes V=%d T=%d A=%d", n, len(t), len(a)))
-	}
-	out := zeros(n)
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if k == i {
-				continue
-			}
-			out[k][i] = sourceCap(v, t, a, k, i)
 		}
 	}
 	return out
@@ -492,49 +647,15 @@ func CapacitiesInto(dst, v []float64, t, a [][]float64) {
 // WithinBudget reports whether exact enumeration of cycle-free chains up
 // to maxLen would perform at most `budget` DFS steps. It runs the same
 // traversal as Exact but only counts, aborting as soon as the budget is
-// exceeded, so its own cost is bounded by the budget. Callers use it to
-// fail fast (suggesting Approx) instead of launching an astronomically
+// exceeded, so the count's cost is bounded by the budget. Callers use it
+// to fail fast (suggesting Approx) instead of launching an astronomically
 // exponential enumeration on a dense graph.
 func WithinBudget(s [][]float64, maxLen int, budget int) bool {
 	if err := Validate(s); err != nil {
 		panic(err)
 	}
-	n := len(s)
-	maxLen = clampLevel(maxLen, n)
-	visited := make([]bool, n)
-	steps := 0
-
-	var dfs func(cur, depth int) bool
-	dfs = func(cur, depth int) bool {
-		if depth == maxLen {
-			return true
-		}
-		for next := 0; next < n; next++ {
-			if visited[next] || num.IsZero(s[cur][next]) {
-				continue
-			}
-			steps++
-			if steps > budget {
-				return false
-			}
-			visited[next] = true
-			ok := dfs(next, depth+1)
-			visited[next] = false
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	for src := 0; src < n; src++ {
-		visited[src] = true
-		ok := dfs(src, 0)
-		visited[src] = false
-		if !ok {
-			return false
-		}
-	}
-	return true
+	adj, vals, _ := adjacency(s)
+	return withinBudget(adj, vals, nil, clampLevel(maxLen, len(s)), budget)
 }
 
 // WithinBudgetCSR is WithinBudget over CSR rows (ascending columns with
@@ -544,10 +665,15 @@ func WithinBudgetCSR(n int, adj [][]int32, vals [][]float64, maxLen int, budget 
 	if err := validateCSR(n, adj, vals); err != nil {
 		panic(err)
 	}
-	maxLen = clampLevel(maxLen, n)
-	visited := make([]bool, n)
-	steps := 0
+	return withinBudget(adj, vals, nil, clampLevel(maxLen, n), budget)
+}
 
+// withinBudget counts the DFS steps exact enumeration out of the given
+// source rows (nil: every row) takes, and reports whether they fit the
+// budget.
+func withinBudget(adj [][]int32, vals [][]float64, rows []int, maxLen, budget int) bool {
+	visited := make([]bool, len(adj))
+	steps := 0
 	var dfs func(cur, depth int) bool
 	dfs = func(cur, depth int) bool {
 		if depth == maxLen {
@@ -571,7 +697,15 @@ func WithinBudgetCSR(n int, adj [][]int32, vals [][]float64, maxLen int, budget 
 		}
 		return true
 	}
-	for src := 0; src < n; src++ {
+	count := len(rows)
+	if rows == nil {
+		count = len(adj)
+	}
+	for x := 0; x < count; x++ {
+		src := x
+		if rows != nil {
+			src = rows[x]
+		}
 		visited[src] = true
 		ok := dfs(src, 0)
 		visited[src] = false
