@@ -62,11 +62,17 @@ lint:
 wire-manifest:
 	$(GO) run ./cmd/sharingvet -write-wire-manifest ./internal/grm
 
+# The federation tests that are shaped by timing (a faultnet-slowed parent
+# link, a close racing a queued borrow): check repeats them under -race
+# so a flake shows up here and not on someone else's change.
+FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFederationRepaysBorrowOnFailedRetry|TestCloseRepaysQueuedBorrow)$$
+
 check: build
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/grm/... ./internal/store/...
+	$(GO) test -race -count=5 -run '$(FEDERATION_TIMING_TESTS)' ./internal/grm/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -16,7 +16,8 @@
 //
 // Fields marked "wal:derived" are the second class: state fully
 // reconstructible from the journaled fields (the GRM's lazily built or
-// incrementally patched planner, its epoch counter). Replay must not
+// incrementally patched planner, the only derived field left on
+// grm.Server). Replay must not
 // record them, but they shadow journaled state, so every write still has
 // to be serialized under the state mutex — the analyzer requires the
 // *Locked suffix for them while exempting them from the appendLocked

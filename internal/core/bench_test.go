@@ -225,15 +225,17 @@ func batchBenchRequests() []BatchRequest {
 	return reqs
 }
 
-// BenchmarkPlanSequential8 is the GRM's pre-batching alloc path for a
-// burst of eight concurrent requests, serialized deterministically: the
-// server's optimistic loop solves each request against the availability
-// snapshot taken at admission, and every commit bumps the epoch, so a
-// request that arrived before an earlier commit re-solves against the
-// fresh state before its own commit (grm/server.go's conflict path).
-// Only the re-solved plans commit, so the final allocations are
+// BenchmarkPlanSequential8 models the pre-batching alloc protocol this
+// repo once had, for a burst of eight concurrent requests, serialized
+// deterministically: an optimistic per-request loop solved each request
+// against the availability snapshot taken at admission, and every commit
+// bumped a state epoch, so a request that arrived before an earlier
+// commit re-solved against the fresh state before its own commit. Only
+// the re-solved plans committed, so the final allocations are
 // bit-identical to the chained sequence PlanBatch produces — the burst
-// just pays seven discarded solves to get there.
+// just pays seven discarded solves to get there. The grm server no
+// longer works this way (it plans each batch once, under its lock); the
+// benchmark stays as the baseline PlanBatch8 is compared against.
 func BenchmarkPlanSequential8(b *testing.B) {
 	s, v := benchScenario(8)
 	al, err := NewAllocator(s, nil, Config{})

@@ -18,8 +18,8 @@ import (
 // Mutators are copy-on-write: they return a derived *Allocator sharing
 // every unchanged row slice, skeleton, and warm slot with the receiver,
 // which stays valid — in-flight Plans against the old allocator keep
-// their consistent snapshot, the concurrency model the grm server's
-// epoch-based planner swap relies on.
+// their consistent snapshot. (The grm server plans and swaps its planner
+// pointer under one state lock, so it never has such a plan in flight.)
 //
 // What each cache depends on, what a mutation pays to refresh it, and
 // when it survives. Every cost is in stored entries of the rows and

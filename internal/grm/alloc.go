@@ -8,46 +8,53 @@ import (
 	"repro/internal/store"
 )
 
-// The batched allocation pipeline. Connection handlers do not solve the
-// LP themselves: alloc enqueues the request on an admission queue and a
-// single scheduler goroutine (started by Serve) drains it, coalescing
-// every concurrently pending request into one core.PlanBatch solve. One
-// batch pays one availability snapshot, one epoch check, and one commit
-// critical section for the whole burst, where the per-request optimistic
-// loop paid a discarded stale solve plus a conflict re-solve per
-// concurrent request.
-//
-// The per-request optimistic path survives as allocDirect: it serves
-// dispatch calls made before Serve starts the scheduler (unit tests drive
-// the server that way) and federation fallbacks, where a request that
-// exceeds local capacity needs the borrow round trip the batch must not
-// block on.
+// The batched allocation pipeline, the one place an allocation is planned
+// and committed. Connection handlers do not solve the LP themselves: alloc
+// enqueues the request on an admission queue and a single scheduler
+// goroutine drains it, coalescing every concurrently pending request into
+// one batch that is validated, planned, committed and journaled while
+// s.mu is held. Nothing can move the books under a plan, so each plan is
+// solved once; a report, a share or a release waits out at most one batch
+// of maxBatchSize solves. A request that must borrow from a parent GRM
+// leaves its batch for the round trip (settle) and rejoins the queue with
+// the credit, so the scheduler never waits on the network.
 
 const (
 	// allocQueueCap bounds the admission queue; enqueueing blocks (with a
 	// shutdown escape) when a burst outruns the scheduler.
 	allocQueueCap = 128
-	// maxBatchSize caps how many queued requests coalesce into one
-	// PlanBatch solve, bounding both commit latency for the first request
-	// in a batch and the size of the bulk result arrays.
+	// maxBatchSize caps how many queued requests coalesce into one batch,
+	// bounding commit latency for the first request in it, how long s.mu
+	// is held, and the size of the bulk result arrays.
 	maxBatchSize = 16
+	// maxBorrowRounds caps the parent round trips one request may make.
+	// Only local capacity shrinking during a round trip calls for another,
+	// so a request still short after this many is losing a race it will
+	// not win and is refused.
+	maxBorrowRounds = 3
 )
 
 // allocJob carries one allocation request through the admission queue.
-// resp is buffered so neither the scheduler nor a fallback goroutine ever
-// blocks on a requester that stopped listening.
+// resp is buffered so neither the scheduler nor a settle goroutine ever
+// blocks on a requester that stopped listening. The fields below it are
+// the federation borrow a request holds between two plans. Whoever holds
+// the job owns them: the scheduler while it is in a batch, its settle
+// goroutine while it is away.
 type allocJob struct {
 	req  *AllocRequest
 	resp chan *Response
+
+	parentLease int         // the parent's lease behind credit, repaid unless the job commits; 0 when nothing is borrowed
+	credit      float64     // the borrowed amount, lent to the requester for its next plan
+	link        *parentLink // the link parentLease was borrowed through
+	capacity    float64     // local capacity where the last plan fell short of req.Amount
+	rounds      int         // parent round trips made so far
 }
 
-// alloc plans and commits an allocation. With the scheduler running it
-// goes through the admission queue; otherwise (dispatch driven directly
-// in tests, before any Serve) it plans inline via the optimistic path.
+// alloc plans and commits an allocation through the admission queue,
+// starting the scheduler if Serve has not already.
 func (s *Server) alloc(r *AllocRequest) *Response {
-	if !s.schedOn.Load() {
-		return s.allocDirect(r)
-	}
+	s.startScheduler()
 	job := &allocJob{req: r, resp: make(chan *Response, 1)}
 	select {
 	case s.allocQ <- job:
@@ -59,8 +66,9 @@ func (s *Server) alloc(r *AllocRequest) *Response {
 	case resp := <-job.resp:
 		return resp
 	case <-s.closed:
-		// The scheduler answers queued jobs while shutting down; prefer
-		// its reply when it raced ahead of the close signal.
+		// A job already in a batch is still answered while the server
+		// shuts down; prefer that reply when it raced ahead of the close
+		// signal.
 		select {
 		case resp := <-job.resp:
 			return resp
@@ -70,33 +78,40 @@ func (s *Server) alloc(r *AllocRequest) *Response {
 	}
 }
 
+// startScheduler launches the scheduler goroutine once. Close takes the
+// same Once first, so a request arriving after Close starts nothing.
+func (s *Server) startScheduler() {
+	s.schedStart.Do(func() {
+		s.wg.Add(1)
+		go s.scheduler()
+	})
+}
+
 // batchScratch is the working storage of processBatch. Only the scheduler
 // goroutine runs processBatch, so one set, resliced per batch, serves
 // every batch; nothing in it outlives the call that filled it.
 type batchScratch struct {
 	replies []*Response
-	live    []*allocJob
-	liveIdx []int
+	live    []int // the jobs that passed validation, as indexes into the batch
 	reqs    []core.BatchRequest
-	v       []float64 // the availability snapshot a solve runs against
+	v       []float64 // the availability view plus one job's credit
 }
 
 // scheduler drains the admission queue until the server closes: it takes
 // the first waiting job, coalesces whatever else is already queued into a
-// batch, and plans the batch as one PlanBatch call.
+// batch, and plans and commits the batch in one critical section. Jobs
+// still queued at shutdown are left for Close to drain.
 func (s *Server) scheduler() {
 	defer s.wg.Done()
 	batch := make([]*allocJob, 0, maxBatchSize)
 	sc := &batchScratch{
 		replies: make([]*Response, maxBatchSize),
-		live:    make([]*allocJob, 0, maxBatchSize),
-		liveIdx: make([]int, 0, maxBatchSize),
+		live:    make([]int, 0, maxBatchSize),
 		reqs:    make([]core.BatchRequest, 0, maxBatchSize),
 	}
 	for {
 		select {
 		case <-s.closed:
-			s.drainAllocQ()
 			return
 		case job := <-s.allocQ:
 			batch = append(batch[:0], job)
@@ -115,34 +130,49 @@ func (s *Server) scheduler() {
 	}
 }
 
-// drainAllocQ answers every still-queued job with a shutdown error.
+// drainAllocQ empties the admission queue. Close calls it once the
+// scheduler and every settle goroutine have exited, so nothing rejoins.
 func (s *Server) drainAllocQ() {
 	for {
 		select {
 		case job := <-s.allocQ:
-			job.resp <- errorf("grm: alloc: server closed")
+			s.abandon(job)
 		default:
 			return
 		}
 	}
 }
 
+// abandon refuses a job the closing server will not plan, first settling
+// and repaying the borrow it holds.
+func (s *Server) abandon(job *allocJob) {
+	if job.parentLease != 0 {
+		s.mu.Lock()
+		s.noteRepayLocked(job.parentLease)
+		s.mu.Unlock()
+		s.repayParent(job.link, job.parentLease)
+	}
+	job.resp <- errorf("grm: alloc: server closed")
+}
+
 // processBatch validates, plans, and commits one batch of allocation
-// requests. The PlanBatch solve runs outside the lock against a
-// snapshotted availability vector and state epoch, exactly like the
-// optimistic single-request path; if the epoch moved mid-solve the whole
-// batch re-solves, and after maxPlanConflicts discards it solves while
-// holding the lock for guaranteed progress. Requests that exceed local
-// capacity while a parent GRM is attached leave the batch and retry on
-// the direct path, which performs the federation borrow round trip.
+// requests while holding s.mu. PlanBatch chains its requests: each sees
+// the availability the earlier ones left. A request that rejoined the
+// queue with a borrowed credit is planned in a call of its own, against
+// the view with the credit added to its requester, so no other plan draws
+// on capacity that is not on the books.
+//
+// A request local capacity cannot cover, while a parent is attached,
+// leaves without a reply to borrow the rest; one that holds a borrow and
+// ends the batch without a lease has the repayment journaled here. Both
+// round trips are settle's.
 func (s *Server) processBatch(jobs []*allocJob, sc *batchScratch) {
 	started := time.Now()
 	replies := sc.replies[:len(jobs)]
 	clear(replies)
-	var fallback []*allocJob
 
 	s.mu.Lock()
-	live, liveIdx := sc.live[:0], sc.liveIdx[:0]
+	live, reqs := sc.live[:0], sc.reqs[:0]
 	for i, job := range jobs {
 		if err := s.checkPrincipal(job.req.Principal); err != nil {
 			replies[i] = errorf("grm: alloc: %v", err)
@@ -152,88 +182,113 @@ func (s *Server) processBatch(jobs []*allocJob, sc *batchScratch) {
 			replies[i] = errorf("grm: alloc: negative amount %g", job.req.Amount)
 			continue
 		}
-		live = append(live, job)
-		liveIdx = append(liveIdx, i)
+		live = append(live, i)
+		reqs = append(reqs, core.BatchRequest{Requester: job.req.Principal, Amount: job.req.Amount})
 	}
-	conflicts := 0
-	for len(live) > 0 {
-		planner, err := s.currentPlannerLocked()
-		if err != nil {
-			for _, i := range liveIdx {
-				replies[i] = errorResponse(err, "grm: alloc: %v", err)
-			}
-			break
+	planner, err := s.currentPlannerLocked()
+	if err != nil {
+		for _, i := range live {
+			replies[i] = errorResponse(err, "grm: alloc: %v", err)
 		}
-		sc.v = append(sc.v[:0], s.avail...)
-		epoch := s.epoch
-		reqs := sc.reqs[:0]
-		for _, job := range live {
-			reqs = append(reqs, core.BatchRequest{Requester: job.req.Principal, Amount: job.req.Amount})
-		}
-		locked := conflicts >= maxPlanConflicts
-		if !locked {
-			hook := s.testHookUnlocked
-			s.mu.Unlock()
-			if hook != nil {
-				hook()
+		live = live[:0]
+	}
+	parent, borrowing := s.parent, 0
+	for lo := 0; lo < len(live); {
+		// The next run to plan in one call: a credited job alone, or
+		// every job up to the next credited one.
+		v, hi := s.avail, lo+1
+		if job := jobs[live[lo]]; job.parentLease != 0 {
+			sc.v = append(sc.v[:0], s.avail...)
+			sc.v[job.req.Principal] += job.credit
+			v = sc.v
+		} else {
+			for hi < len(live) && jobs[live[hi]].parentLease == 0 {
+				hi++
 			}
 		}
-		results := planner.PlanBatch(sc.v, reqs)
-		if !locked {
-			s.mu.Lock()
-		}
-		if !locked && s.epoch != epoch {
-			// State moved while the batch solved: the chained plans may
-			// overdraw sources. Discard and re-solve the whole batch.
-			conflicts++
-			s.planConflicts++
-			continue
-		}
-		for k, job := range live {
-			i := liveIdx[k]
-			res := results[k]
-			if res.Err != nil {
-				if errors.Is(res.Err, core.ErrInsufficient) && s.parent != nil {
-					fallback = append(fallback, job)
-					continue
-				}
+		for k, res := range planner.PlanBatch(v, reqs[lo:hi]) {
+			i := live[lo+k]
+			job := jobs[i]
+			switch {
+			case res.Err == nil:
+				replies[i] = &Response{Alloc: s.commitAllocLocked(job.req, res.Alloc, job.link, job.parentLease)}
+				job.parentLease = 0 // the lease owns the borrow now
+			case errors.Is(res.Err, core.ErrInsufficient) && parent != nil && job.rounds < maxBorrowRounds:
+				// What this plan saw, its own credit aside: the view
+				// less the batch's commits so far.
+				job.capacity = planner.Capacities(s.avail)[job.req.Principal]
+				borrowing++
+			default:
 				replies[i] = errorf("grm: alloc: %v", res.Err)
-				continue
 			}
-			//lint:ignore sharingvet/lockorder held under the optimistic protocol: the unlock/relock pair is guarded by the same locked flag on every path
-			replies[i] = &Response{Alloc: s.commitAllocLocked(job.req, res.Alloc, nil, 0)}
 		}
+		lo = hi
+	}
+	if len(live) > 0 {
 		s.mBatches.Inc()
-		s.mBatchedReqs.Add(int64(len(live) - len(fallback)))
+		s.mBatchedReqs.Add(int64(len(live) - borrowing)) // a borrower counts in the batch that answers it
 		if size := float64(len(live)); size > s.mMaxBatch.Value() {
 			s.mMaxBatch.Set(size) // scheduler is the only writer
 		}
-		break
+	}
+	for _, job := range jobs {
+		if job.parentLease != 0 {
+			s.noteRepayLocked(job.parentLease)
+		}
 	}
 	s.mu.Unlock()
 	s.mBatchPlanNS.Add(time.Since(started).Nanoseconds())
 
 	for i, job := range jobs {
-		if replies[i] != nil {
+		if replies[i] != nil && job.parentLease == 0 {
 			job.resp <- replies[i]
+			continue
 		}
-	}
-	// Federation fallbacks replan on the direct path, which may block on
-	// the parent round trip; they must not stall the next batch. The
-	// goroutines are wg-tracked so Close still waits for them.
-	for _, job := range fallback {
+		// Parent round trips must not stall the next batch. The
+		// goroutines are wg-tracked so Close still waits for them.
 		s.wg.Add(1)
-		go func(j *allocJob) {
-			defer s.wg.Done()
-			j.resp <- s.allocDirect(j.req)
-		}(job)
+		go s.settle(job, parent, replies[i])
+	}
+}
+
+// settle makes a job's parent round trips, with s.mu released. It returns
+// the borrow the job still holds (processBatch journaled the repayment),
+// then delivers refusal or, when there is none, borrows what the job's
+// last plan fell short by, journals the borrow and puts the job back on
+// the admission queue with the credit. Every way out hands the borrow on
+// or repays it: a failed request leaves the federation's books untouched.
+func (s *Server) settle(job *allocJob, parent *parentLink, refusal *Response) {
+	defer s.wg.Done()
+	if job.parentLease != 0 {
+		s.repayParent(job.link, job.parentLease)
+		job.parentLease = 0
+	}
+	if refusal != nil {
+		job.resp <- refusal
+		return
+	}
+	got, token, err := parent.borrow(job.req.Amount - job.capacity)
+	if err != nil {
+		job.resp <- errorf("grm: alloc: local capacity %g short of %g and parent refused: %v",
+			job.capacity, job.req.Amount, err)
+		return
+	}
+	job.credit, job.parentLease, job.link = got, token, parent
+	job.rounds++
+	s.mu.Lock()
+	s.noteBorrowLocked(job.req.Principal, got, token)
+	s.mu.Unlock()
+	select {
+	case s.allocQ <- job:
+	case <-s.closed:
+		s.abandon(job)
 	}
 }
 
 // commitAllocLocked applies a solved plan: debits the availability view,
-// bumps the epoch, mints the lease, and records the allocation in the
-// write-ahead log. Callers hold s.mu and hand over plan, which the
-// journal may keep. It returns the reply to send.
+// mints the lease, and records the allocation in the write-ahead log.
+// Callers hold s.mu and hand over plan, which the journal may keep. It
+// returns the reply to send.
 //
 // This is where the plan's population-sized Take is read for the last
 // time: its non-zero entries become one pair of slices that the lease,
@@ -296,119 +351,4 @@ func (s *Server) debitLocked(sources []int, takes []float64) {
 			s.avail[p] = 0
 		}
 	}
-	s.epoch++
-}
-
-// maxPlanConflicts bounds the optimistic re-solves in allocDirect and
-// processBatch before they fall back to planning under the lock for
-// guaranteed progress.
-const maxPlanConflicts = 8
-
-// allocDirect plans and commits one allocation on the per-request
-// optimistic path. The LP solve runs OUTSIDE the lock: it snapshots the
-// planner, the availability vector, and the state epoch, releases the
-// lock, solves, then re-acquires and commits only if the epoch is
-// unchanged. If another request moved the epoch in the meantime the stale
-// plan is discarded and the solve repeated; after maxPlanConflicts
-// discards it plans while holding the lock, which cannot conflict.
-//
-// When local capacity falls short and a parent GRM is attached, the lock
-// is likewise released around the parent's network round trip, then the
-// plan is retried against the then-current availability with the borrowed
-// capacity credited to the requester. The parent's lease token is recorded
-// on the local lease so Release (or the reaper) repays the borrow; if the
-// retried plan fails, the borrow is repaid immediately — a failed
-// allocation must leave the federation's books untouched.
-func (s *Server) allocDirect(r *AllocRequest) *Response {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkPrincipal(r.Principal); err != nil {
-		return errorf("grm: alloc: %v", err)
-	}
-	if r.Amount < 0 {
-		return errorf("grm: alloc: negative amount %g", r.Amount)
-	}
-	var borrowed float64
-	var parentLease int
-	var borrowedFrom *parentLink
-	borrowTried := false
-	// repay undoes a pending federation borrow on a non-commit exit path.
-	// Called with s.mu held; drops it around the parent round trip.
-	repay := func() {
-		if parentLease == 0 {
-			return
-		}
-		link, token := borrowedFrom, parentLease
-		parentLease = 0
-		s.noteRepayLocked(token)
-		s.mu.Unlock()
-		if err := link.repay(token); err != nil {
-			s.logger.Printf("grm: alloc: repaying parent lease %d: %v", token, err)
-		}
-		s.mu.Lock()
-	}
-	conflicts := 0
-	for {
-		planner, err := s.currentPlannerLocked()
-		if err != nil {
-			repay()
-			return errorResponse(err, "grm: alloc: %v", err)
-		}
-		// Snapshot what the solve needs. planner is immutable and v a
-		// private copy, so the solve itself needs no lock.
-		v := append([]float64(nil), s.avail...)
-		v[r.Principal] += borrowed
-		epoch := s.epoch
-		locked := conflicts >= maxPlanConflicts
-		if !locked {
-			hook := s.testHookUnlocked
-			s.mu.Unlock()
-			if hook != nil {
-				hook()
-			}
-		}
-		plan, err := planner.Plan(v, r.Principal, r.Amount)
-		if !locked {
-			s.mu.Lock()
-		}
-		if errors.Is(err, core.ErrInsufficient) && s.parent != nil && !borrowTried {
-			borrowTried = true
-			caps := planner.Capacities(v)
-			deficit := r.Amount - caps[r.Principal]
-			parent := s.parent
-			s.mu.Unlock()
-			got, token, berr := parent.borrow(deficit)
-			s.mu.Lock()
-			if berr != nil {
-				return errorf("grm: alloc: local capacity %g short of %g and parent refused: %v",
-					caps[r.Principal], r.Amount, berr)
-			}
-			borrowed, parentLease, borrowedFrom = got, token, parent
-			s.noteBorrowLocked(r.Principal, got, token)
-			continue
-		}
-		if err != nil {
-			repay()
-			return errorf("grm: alloc: %v", err)
-		}
-		if !locked && s.epoch != epoch {
-			// Availability or agreements moved while we solved: the plan
-			// may overdraw sources. Discard it and re-solve.
-			conflicts++
-			s.planConflicts++
-			continue
-		}
-		// Commit the GRM's availability view; LRMs overwrite it with
-		// their next reports, and Release returns the lease.
-		//lint:ignore sharingvet/lockorder held under the optimistic protocol: the unlock/relock pair is guarded by the same locked flag on every path
-		return &Response{Alloc: s.commitAllocLocked(r, plan, borrowedFrom, parentLease)}
-	}
-}
-
-// PlanConflicts reports how many optimistic solves have been discarded
-// and retried because the server state changed mid-solve.
-func (s *Server) PlanConflicts() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.planConflicts
 }

@@ -129,12 +129,12 @@ func (s *Server) noteRepayLocked(parentLease int) {
 
 // borrow asks the parent for `amount` units from the federation and
 // returns the granted amount together with the parent's lease token. The
-// token MUST eventually be repaid via repay — on child Release, on lease
-// expiry, or immediately when the retried local plan fails — otherwise
-// sibling-cluster capacity leaks at the parent. It is called with s.mu
-// released by the allocation path; the parent round trip runs on the
-// parent's own connection, so no lock ordering issue arises (the parent
-// GRM never calls back into this server).
+// token MUST eventually be repaid via repayParent — on child Release, on
+// lease expiry, or by the allocation pipeline when the request it was
+// borrowed for ends without a lease — otherwise sibling-cluster capacity
+// leaks at the parent. It is called with s.mu released; the parent round
+// trip runs on the parent's own connection, so no lock ordering issue
+// arises (the parent GRM never calls back into this server).
 func (p *parentLink) borrow(amount float64) (float64, int, error) {
 	if amount <= 0 {
 		return 0, 0, nil
@@ -150,11 +150,12 @@ func (p *parentLink) borrow(amount float64) (float64, int, error) {
 	return got, reply.Lease, nil
 }
 
-// repay returns a borrow's lease to the parent, restoring sibling-cluster
-// availability. A token of 0 (nothing borrowed) is a no-op.
-func (p *parentLink) repay(token int) error {
-	if token == 0 {
-		return nil
+// repayParent returns a borrow's lease to the parent, restoring
+// sibling-cluster availability. Called with s.mu released, after the
+// repayment was journaled (noteRepayLocked); a parent that cannot be
+// reached is logged and its lease left to the parent's TTL reaper.
+func (s *Server) repayParent(link *parentLink, token int) {
+	if err := link.lrm.Release(token); err != nil {
+		s.logger.Printf("grm: repaying parent lease %d: %v", token, err)
 	}
-	return p.lrm.Release(token)
 }

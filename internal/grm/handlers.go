@@ -39,7 +39,6 @@ func (s *Server) registerLocked(name string, capacity float64) (int, error) {
 			if capacity > s.reported[i] {
 				s.reported[i] = capacity
 			}
-			s.epoch++
 			s.appendLocked(&store.Record{Kind: store.KindRegister, Principal: i, Name: name, Capacity: capacity})
 			s.logger.Printf("grm: %q re-attached as principal %d (capacity %g)", name, i, capacity)
 			return i, nil
@@ -60,7 +59,6 @@ func (s *Server) registerLocked(name string, capacity float64) (int, error) {
 		// zero-extension, no chain re-enumeration.
 		s.planner = s.planner.Grow(1)
 	}
-	s.epoch++
 	s.appendLocked(&store.Record{Kind: store.KindRegister, Principal: int(pid), Name: name, Capacity: capacity})
 	s.logger.Printf("grm: registered %q as principal %d (capacity %g)", name, pid, capacity)
 	return int(pid), nil
@@ -85,7 +83,6 @@ func (s *Server) reportLocked(principal int, available float64) {
 	if available > s.reported[principal] {
 		s.reported[principal] = available
 	}
-	s.epoch++
 	s.appendLocked(&store.Record{Kind: store.KindReport, Principal: principal, Available: available})
 }
 
@@ -134,7 +131,6 @@ func (s *Server) shareLocked(fromP, toP int, fraction, quantity float64) (int, e
 	s.tickets = append(s.tickets, tid)
 	s.shareHist = append(s.shareHist, shareInfo{from: fromP, to: toP, fraction: fraction, quantity: quantity})
 	s.patchPlannerShareLocked(fromP, toP, fraction, quantity)
-	s.epoch++
 	ticket := len(s.tickets) - 1
 	s.appendLocked(&store.Record{Kind: store.KindShare, From: fromP, To: toP,
 		Fraction: fraction, Quantity: quantity, Ticket: ticket})
@@ -229,7 +225,6 @@ func (s *Server) revoke(r *RevokeRequest) *Response {
 func (s *Server) revokeLocked(ticket int) {
 	s.sys.Revoke(s.tickets[ticket])
 	s.patchPlannerRevokeLocked(ticket)
-	s.epoch++
 	s.appendLocked(&store.Record{Kind: store.KindRevoke, Ticket: ticket})
 }
 
@@ -252,9 +247,7 @@ func (s *Server) release(r *ReleaseRequest) *Response {
 	}
 	s.mu.Unlock()
 	if le.parentLease != 0 && le.parentLink != nil {
-		if err := le.parentLink.repay(le.parentLease); err != nil {
-			s.logger.Printf("grm: release: repaying parent lease %d: %v", le.parentLease, err)
-		}
+		s.repayParent(le.parentLink, le.parentLease)
 	}
 	return &Response{Release: &ReportReply{}}
 }
@@ -295,7 +288,6 @@ func (s *Server) creditLocked(sources []int, takes []float64) {
 			s.avail[p] = s.reported[p]
 		}
 	}
-	s.epoch++
 }
 
 // reaper periodically returns expired leases to the pool (and repays their
@@ -347,9 +339,7 @@ func (s *Server) reapExpired(now time.Time) int {
 	}
 	s.mu.Unlock()
 	for _, le := range repay {
-		if err := le.parentLink.repay(le.parentLease); err != nil {
-			s.logger.Printf("grm: reaper: repaying parent lease %d: %v", le.parentLease, err)
-		}
+		s.repayParent(le.parentLink, le.parentLease)
 	}
 	return reaped
 }

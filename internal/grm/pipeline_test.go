@@ -2,7 +2,9 @@ package grm
 
 import (
 	"net"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -119,6 +121,175 @@ func TestBatchedAllocPipeline(t *testing.T) {
 		if p.Available < p.Reported-1e-6 || p.Available > p.Reported+1e-6 {
 			t.Fatalf("principal %d: avail %v after releases, want %v", p.Principal, p.Available, p.Reported)
 		}
+	}
+
+	// A server driven through dispatch without ever being served plans on
+	// the same pipeline: the same requests, two of them borrowing from a
+	// parent, get bit-equal replies either way.
+	t.Run("dispatch before Serve", func(t *testing.T) {
+		unserved, served := federatedSequence(t, false), federatedSequence(t, true)
+		if !reflect.DeepEqual(unserved, served) {
+			t.Fatalf("replies differ:\nunserved %+v\nserved   %+v", unserved, served)
+		}
+	})
+}
+
+// federatedSequence drives one fixed request sequence through a child
+// GRM's dispatch — local allocations, a release, and two requests that
+// exceed local capacity and borrow from the parent — and returns the
+// allocation replies. serve decides whether the child is serving a
+// listener first.
+func federatedSequence(t *testing.T, serve bool) []AllocReply {
+	t.Helper()
+	_, parentAddr := startServer(t, core.Config{})
+	donor, err := Dial(parentAddr, "donor", 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { donor.Close() })
+
+	child := NewServer(core.Config{}, nil)
+	if serve {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go child.Serve(l)
+	}
+	t.Cleanup(func() { child.Close() })
+	do := func(req *Request) *Response {
+		t.Helper()
+		resp := child.dispatch(req)
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		return resp
+	}
+	a := do(&Request{Register: &RegisterRequest{Name: "A", Capacity: 20}}).Register.Principal
+	b := do(&Request{Register: &RegisterRequest{Name: "B", Capacity: 10}}).Register.Principal
+	do(&Request{Share: &ShareRequest{From: a, To: b, Fraction: 0.5}})
+	if err := child.AttachParent(parentAddr, "cluster"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { child.DetachParent() })
+	if _, err := donor.ShareRelative(child.Parent().Principal(), 0.6); err != nil {
+		t.Fatal(err)
+	}
+
+	var replies []AllocReply
+	alloc := func(p int, amount float64) int {
+		t.Helper()
+		r := do(&Request{Alloc: &AllocRequest{Principal: p, Amount: amount}}).Alloc
+		replies = append(replies, *r)
+		return r.Lease
+	}
+	first := alloc(b, 12) // B's own 10 plus 2 through A's share
+	alloc(a, 30)          // 18 left locally: borrows 12
+	alloc(b, 1)           // nothing left locally: borrows it all
+	do(&Request{Release: &ReleaseRequest{Lease: first}})
+	alloc(b, 4)
+	st, err := child.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Federation.Borrows) != 2 {
+		t.Fatalf("sequence made %d borrows, want 2", len(st.Federation.Borrows))
+	}
+	return replies
+}
+
+// TestAllocParallelNoOverdraw runs local allocations, allocations that
+// must borrow from a parent GRM, releases, and reports against one server
+// from many goroutines (run under -race) and then checks conservation:
+// every availability stays within [0, reported], all granted leases
+// release cleanly, and every borrow is back at the parent.
+func TestAllocParallelNoOverdraw(t *testing.T) {
+	parentSrv, parentAddr := startServer(t, core.Config{})
+	donor, err := Dial(parentAddr, "donor", 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer donor.Close()
+
+	s := NewServer(core.Config{}, nil)
+	defer s.Close()
+	const n = 4
+	ids := make([]int, n)
+	names := []string{"A", "B", "C", "D"}
+	for i, name := range names {
+		resp := s.dispatch(&Request{Register: &RegisterRequest{Name: name, Capacity: 100}})
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		ids[i] = resp.Register.Principal
+	}
+	for i := 0; i < n; i++ {
+		resp := s.dispatch(&Request{Share: &ShareRequest{From: ids[i], To: ids[(i+1)%n], Fraction: 0.4}})
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+	}
+	if err := s.AttachParent(parentAddr, "cluster"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.DetachParent()
+	if _, err := donor.ShareRelative(s.Parent().Principal(), 0.9); err != nil {
+		t.Fatal(err)
+	}
+	before := availVector(t, parentSrv)
+
+	var wg sync.WaitGroup
+	var borrowed atomic.Int64
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			p := ids[g%n]
+			for round := 0; round < 30; round++ {
+				// 15 fits locally; 200 is beyond what any principal can
+				// reach through the ring and needs the parent.
+				for _, amount := range []float64{15, 200} {
+					resp := s.dispatch(&Request{Alloc: &AllocRequest{Principal: p, Amount: amount}})
+					if resp.Err != "" {
+						continue // insufficient under contention is legitimate
+					}
+					if amount > 15 {
+						borrowed.Add(1)
+					}
+					rel := s.dispatch(&Request{Release: &ReleaseRequest{Lease: resp.Alloc.Lease}})
+					if rel.Err != "" {
+						t.Errorf("release: %s", rel.Err)
+						return
+					}
+				}
+				if round%7 == 0 {
+					s.dispatch(&Request{Report: &ReportRequest{Principal: p, Available: 100}})
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if borrowed.Load() == 0 {
+		t.Error("no oversized request was granted: the borrow path never committed")
+	}
+
+	st, err := s.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Leases != 0 {
+		t.Errorf("%d leases left outstanding", st.Leases)
+	}
+	if len(st.Federation.Borrows) != 0 {
+		t.Errorf("borrows left outstanding: %+v", st.Federation.Borrows)
+	}
+	for _, p := range st.Principals {
+		if p.Available < 0 || p.Available > p.Reported+1e-9 {
+			t.Errorf("avail[%d] = %g outside [0, %g]", p.Principal, p.Available, p.Reported)
+		}
+	}
+	if after := availVector(t, parentSrv); !sameVector(before, after) {
+		t.Errorf("parent availability = %v, want pre-borrow %v (a borrow leaked)", after, before)
 	}
 }
 

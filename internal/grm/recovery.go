@@ -142,7 +142,7 @@ func (s *Server) applyLocked(rec *store.Record) error {
 		// Install the recorded outcome directly instead of replanning:
 		// the solve already happened and its takes are the committed
 		// truth — replaying through the LP would have to reproduce the
-		// exact epoch interleaving to match.
+		// exact batch order, and every borrowed credit, to match.
 		le, err := s.recoveredLease(rec.Sources, rec.Takes, rec.Expires, rec.ParentLease)
 		if err != nil {
 			return fmt.Errorf("lease %d: %w", rec.Lease, err)
@@ -274,7 +274,6 @@ func (s *Server) applyStateLocked(st *store.State) error {
 		s.borrows[b.ParentLease] = b.Amount
 	}
 	s.nextLease = st.NextLease
-	s.epoch++
 	return nil
 }
 

@@ -63,6 +63,15 @@ func statusJSON(t *testing.T, s *Server) string {
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
+	return recoverableJSON(t, st)
+}
+
+// recoverableJSON renders the part of a status that recovery restores:
+// the pipeline meters count what this process served, which a freshly
+// recovered server has not, so they are cleared first.
+func recoverableJSON(t *testing.T, st *Status) string {
+	t.Helper()
+	st.Batches, st.BatchedRequests, st.MaxBatch, st.BatchPlanNanos, st.QueueDepth = 0, 0, 0, 0, 0
 	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)

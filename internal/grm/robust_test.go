@@ -4,13 +4,13 @@ import (
 	"errors"
 	"math"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/grm/faultnet"
+	"repro/internal/store"
 	"repro/internal/vclock"
 )
 
@@ -432,28 +432,47 @@ func TestFederationRepaysBorrowOnRelease(t *testing.T) {
 	}
 }
 
-func TestFederationRepaysBorrowOnFailedRetry(t *testing.T) {
+// shrunkBorrow is what borrowWhileCapacityShrinks leaves behind.
+type shrunkBorrow struct {
+	parent, child *Server
+	wal           *store.MemLog // the child's journal
+	before        []float64     // parent availability before the request
+	poor          *LRM
+	reply         *AllocReply
+	err           error
+}
+
+// borrowWhileCapacityShrinks runs a 100-unit request for a principal that
+// holds 5 on a child GRM: the child borrows the 95 it is short over a
+// slowed parent link, and while that round trip is on the wire the
+// principal's availability is reported down to 0, so the credited plan
+// comes up 5 short and the child must repay and borrow 100. The sibling
+// cluster shares 0.6 of richCapacity with the child, which decides
+// whether the parent can cover that.
+func borrowWhileCapacityShrinks(t *testing.T, richCapacity float64) *shrunkBorrow {
+	t.Helper()
 	parentSrv, parentAddr := startServer(t, core.Config{})
-	child1, child1Addr := startServer(t, core.Config{})
+	wal := store.NewMemLog()
+	child1, child1Addr := startServerWith(t, core.Config{}, func(s *Server) { s.SetLog(wal) })
 	child2, child2Addr := startServer(t, core.Config{})
 
 	poor, err := Dial(child1Addr, "poor", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer poor.Close()
-	// A second local client used to sabotage poor's availability while
-	// the borrow is in flight.
+	t.Cleanup(func() { poor.Close() })
+	// A second local client shrinks poor's availability while the borrow
+	// is in flight.
 	sab, err := Dial(child1Addr, "sab", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sab.Close()
-	rich, err := Dial(child2Addr, "rich", 500)
+	t.Cleanup(func() { sab.Close() })
+	rich, err := Dial(child2Addr, "rich", richCapacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rich.Close()
+	t.Cleanup(func() { rich.Close() })
 
 	// Slow the child1->parent link so the borrow round trip leaves a wide
 	// window in which child1's local state can change under it.
@@ -463,48 +482,195 @@ func TestFederationRepaysBorrowOnFailedRetry(t *testing.T) {
 	if err := child1.AttachParentConfig(parentAddr, "cluster1", linkCfg); err != nil {
 		t.Fatal(err)
 	}
-	defer child1.DetachParent()
+	t.Cleanup(func() { child1.DetachParent() })
 	if err := child2.AttachParent(parentAddr, "cluster2"); err != nil {
 		t.Fatal(err)
 	}
-	defer child2.DetachParent()
+	t.Cleanup(func() { child2.DetachParent() })
 	if _, err := child2.Parent().ShareRelative(child1.Parent().Principal(), 0.6); err != nil {
 		t.Fatal(err)
 	}
 
-	before := availVector(t, parentSrv)
-	poorPrincipal := poor.Principal()
+	out := &shrunkBorrow{parent: parentSrv, child: child1, wal: wal, poor: poor, before: availVector(t, parentSrv)}
 	linkFaults.SetLatency(300 * time.Millisecond)
-
-	allocErr := make(chan error, 1)
+	batches := child1.mBatches.Value()
+	done := make(chan struct{})
 	go func() {
-		_, err := poor.Allocate(100)
-		allocErr <- err
+		defer close(done)
+		out.reply, out.err = poor.Allocate(100)
 	}()
-	// While the borrow is on the slow wire, zero out poor's availability:
-	// the retried plan then still fails and the borrow must be repaid.
-	time.Sleep(150 * time.Millisecond)
-	if _, err := sab.roundTrip(&Request{Report: &ReportRequest{Principal: poorPrincipal, Available: 0}}); err != nil {
+	// Once the request's first batch has run, its borrow is held up on the
+	// slow wire; the report below lands well inside that delay.
+	for deadline := time.Now().Add(10 * time.Second); child1.mBatches.Value() == batches; {
+		if time.Now().After(deadline) {
+			t.Fatal("allocation never reached a batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := sab.roundTrip(&Request{Report: &ReportRequest{Principal: poor.Principal(), Available: 0}}); err != nil {
 		t.Fatal(err)
 	}
-
 	select {
-	case err := <-allocErr:
-		if err == nil {
-			t.Fatal("allocation succeeded despite sabotaged local capacity")
-		}
-		// The borrow must have been granted (a parent refusal means the
-		// window was missed and the repay path was never exercised).
-		if strings.Contains(err.Error(), "parent refused") {
-			t.Fatalf("borrow was refused, repay path not exercised: %v", err)
-		}
+	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("allocation never returned")
 	}
+	linkFaults.SetLatency(0)
+	return out
+}
+
+// journaled counts the records of one kind in a child's journal.
+func journaled(t *testing.T, wal *store.MemLog, kind store.Kind) int {
+	t.Helper()
+	n := 0
+	err := wal.Replay(func(rec *store.Record) error {
+		if rec.Kind == kind {
+			n++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestFederationBorrowSurvivesShrinkingCapacity: local capacity shrinks
+// during the parent round trip and the parent can cover the larger
+// deficit, so the request is granted on a second borrow and the first is
+// repaid.
+func TestFederationBorrowSurvivesShrinkingCapacity(t *testing.T) {
+	b := borrowWhileCapacityShrinks(t, 500)
+	if b.err != nil {
+		t.Fatalf("allocation refused although the parent could cover the larger deficit: %v", b.err)
+	}
+	if borrows, repays := journaled(t, b.wal, store.KindBorrow), journaled(t, b.wal, store.KindRepay); borrows != 2 || repays != 1 {
+		t.Fatalf("child journaled %d borrows and %d repayments, want 2 and 1 (capacity did not shrink under the first borrow)", borrows, repays)
+	}
+
+	// The parent holds exactly one lease, for the final amount.
+	b.parent.mu.Lock()
+	var parentLease int
+	var lent float64
+	for token, le := range b.parent.leases {
+		parentLease = token
+		for _, take := range le.takes {
+			lent += take
+		}
+	}
+	parentLeases := len(b.parent.leases)
+	b.parent.mu.Unlock()
+	if parentLeases != 1 || math.Abs(lent-100) > 1e-6 {
+		t.Fatalf("parent holds %d leases lending %g, want 1 lending 100", parentLeases, lent)
+	}
+	// The leaf's borrow balance agrees with the parent's books.
+	st, err := b.child.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []BorrowBalance{{ParentLease: parentLease, Amount: lent}}
+	if got := st.Federation.Borrows; len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("child borrow balance = %+v, want %+v", got, want)
+	}
+
+	if err := b.poor.Release(b.reply.Lease); err != nil {
+		t.Fatal(err)
+	}
+	if after := availVector(t, b.parent); !sameVector(b.before, after) {
+		t.Errorf("parent availability after release = %v, want pre-borrow %v", after, b.before)
+	}
+}
+
+// TestFederationRepaysBorrowOnFailedRetry: local capacity shrinks during
+// the parent round trip and the parent cannot cover the larger deficit
+// (the 5 it holds for the cluster plus 0.6 of 155 is 98: enough for the
+// first 95, not for the 100 asked for next), so the request fails and
+// must leave the federation's books untouched.
+func TestFederationRepaysBorrowOnFailedRetry(t *testing.T) {
+	b := borrowWhileCapacityShrinks(t, 155)
+	if b.err == nil {
+		t.Fatal("allocation succeeded although the parent could not cover the deficit")
+	}
+	// The first borrow must have been granted and then returned, or the
+	// repay path was never exercised.
+	if borrows, repays := journaled(t, b.wal, store.KindBorrow), journaled(t, b.wal, store.KindRepay); borrows != 1 || repays != 1 {
+		t.Fatalf("child journaled %d borrows and %d repayments, want 1 and 1: %v", borrows, repays, b.err)
+	}
 	// The repayment happens before alloc returns its error.
-	after := availVector(t, parentSrv)
-	if !sameVector(before, after) {
-		t.Errorf("parent availability after failed retry = %v, want pre-borrow %v (borrow leaked)", after, before)
+	if after := availVector(t, b.parent); !sameVector(b.before, after) {
+		t.Errorf("parent availability after failed retry = %v, want pre-borrow %v (borrow leaked)", after, b.before)
+	}
+	st, err := b.child.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Federation.Borrows) != 0 {
+		t.Errorf("child still carries borrows %+v after the refusal", st.Federation.Borrows)
+	}
+}
+
+// TestCloseRepaysQueuedBorrow: a request that is waiting in the admission
+// queue with a borrowed credit when the server closes has the borrow
+// repaid and the repayment journaled, so a recovered server owes nothing.
+func TestCloseRepaysQueuedBorrow(t *testing.T) {
+	parentSrv, parentAddr := startServer(t, core.Config{})
+	donor, err := Dial(parentAddr, "donor", 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer donor.Close()
+
+	// The child is never served and never asked to allocate, so it has no
+	// scheduler: a job put on its queue stays there until Close.
+	wal := store.NewMemLog()
+	child := NewServer(core.Config{}, nil)
+	child.SetLog(wal)
+	if resp := child.dispatch(&Request{Register: &RegisterRequest{Name: "poor", Capacity: 5}}); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	if err := child.AttachParent(parentAddr, "cluster"); err != nil {
+		t.Fatal(err)
+	}
+	defer child.DetachParent()
+	if _, err := donor.ShareRelative(child.Parent().Principal(), 0.6); err != nil {
+		t.Fatal(err)
+	}
+	before := availVector(t, parentSrv)
+
+	// The step processBatch hands a short request to: borrow the 95 and
+	// rejoin the queue.
+	job := &allocJob{req: &AllocRequest{Principal: 0, Amount: 100}, resp: make(chan *Response, 1), capacity: 5}
+	child.wg.Add(1)
+	child.settle(job, child.parent, nil)
+	if len(child.allocQ) != 1 || job.parentLease == 0 {
+		t.Fatalf("job not queued with a credit: queue %d, parent lease %d", len(child.allocQ), job.parentLease)
+	}
+	if sameVector(before, availVector(t, parentSrv)) {
+		t.Fatal("parent availability unchanged during the borrow")
+	}
+
+	if err := child.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if resp := <-job.resp; resp.Err == "" {
+		t.Error("queued job was not refused at close")
+	}
+	if after := availVector(t, parentSrv); !sameVector(before, after) {
+		t.Errorf("parent availability after close = %v, want pre-borrow %v (borrow leaked)", after, before)
+	}
+	if journaled(t, wal, store.KindRepay) != 1 {
+		t.Error("the repayment was not journaled")
+	}
+	r := NewServer(core.Config{}, nil)
+	if err := r.Recover(wal); err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unresolved := r.UnresolvedBorrows(); len(unresolved) != 0 || len(st.Federation.Borrows) != 0 {
+		t.Errorf("recovered server still owes: unresolved %v, borrows %+v", unresolved, st.Federation.Borrows)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"log"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/agreement"
@@ -82,19 +81,10 @@ type Server struct {
 	// borrows per level instead of flattening the tree.
 	borrows map[int]float64 // wal:journaled
 
-	// epoch counts state changes that could invalidate an in-flight plan:
-	// availability edits, agreement edits, and lease commits. alloc
-	// snapshots it, solves the LP outside the lock, and re-solves when the
-	// epoch moved in the meantime (optimistic concurrency).
-	epoch         uint64 // wal:derived
-	planConflicts uint64 // optimistic solves discarded due to an epoch move
 	// plannerBuilds counts full planner builds (currentPlannerLocked's
 	// slow path); registration, share and revoke churn should leave it
 	// where the first plan put it.
 	plannerBuilds int
-	// testHookUnlocked, when set, runs after alloc releases the lock for an
-	// optimistic solve; tests use it to mutate state and force a conflict.
-	testHookUnlocked func()
 
 	// Durability (recovery.go): every committed transition is appended to
 	// log as a store.Record with a strictly increasing seq. nil = volatile.
@@ -117,17 +107,17 @@ type Server struct {
 	reapEvery time.Duration
 
 	// Batched allocation pipeline (alloc.go): the transport's connection
-	// goroutines enqueue alloc jobs, one scheduler goroutine coalesces
-	// them into PlanBatch solves and replies per request.
-	allocQ    chan *allocJob
-	schedOn   atomic.Bool // scheduler goroutine running (Serve started it)
-	schedOnce sync.Once
+	// goroutines enqueue alloc jobs, one scheduler goroutine (started by
+	// Serve, or by the first alloc on a server driven without one)
+	// coalesces them into PlanBatch solves and replies per request.
+	allocQ     chan *allocJob
+	schedStart sync.Once
 
 	mQueueDepth  metrics.Gauge   // current admission-queue depth
 	mBatches     metrics.Counter // batches committed
 	mBatchedReqs metrics.Counter // alloc requests served through batches
 	mMaxBatch    metrics.Gauge   // largest batch so far (scheduler-only writer)
-	mBatchPlanNS metrics.Counter // cumulative nanoseconds spent in PlanBatch
+	mBatchPlanNS metrics.Counter // cumulative nanoseconds of batch critical sections: validate, solve, commit, journal
 
 	tr         *transport.Server
 	wg         sync.WaitGroup
@@ -224,11 +214,7 @@ func (s *Server) startBackground() {
 			go s.reaper()
 		})
 	}
-	s.schedOnce.Do(func() {
-		s.wg.Add(1)
-		s.schedOn.Store(true)
-		go s.scheduler()
-	})
+	s.startScheduler()
 }
 
 // Handle serves one request envelope in-process, exactly as if it had
@@ -250,14 +236,17 @@ func (s *Server) ListenAndServe(addr string) error {
 func (s *Server) Addr() net.Addr { return s.tr.Addr() }
 
 // Close stops the accept loop, severs live LRM connections, waits for
-// in-flight handlers, the batch scheduler, and the lease reaper, then
-// flushes the write-ahead log. Safe to call more than once; repeated
-// calls return the first call's error.
+// in-flight handlers, the batch scheduler with its federation round
+// trips, and the lease reaper, repays the borrow of any request still
+// queued, then flushes the write-ahead log. Safe to call more than once;
+// repeated calls return the first call's error.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
+		s.schedStart.Do(func() {}) // a scheduler not yet started never starts
 		close(s.closed)
 		s.closeErr = s.tr.Close()
 		s.wg.Wait()
+		s.drainAllocQ()
 		s.mu.Lock()
 		lg := s.log
 		s.mu.Unlock()
@@ -328,7 +317,6 @@ func (s *Server) installSnapshotLocked(snap *agreement.Snapshot, raw []byte) err
 	copy(s.reported, m.V)
 	s.declaredSnap = append([]byte(nil), raw...)
 	s.planner = nil
-	s.epoch++
 	return nil
 }
 

@@ -514,7 +514,6 @@ func (g *Sharded) Status() (*Status, error) {
 		deepest = max(deepest, len(st.Principals))
 		out.Leases += st.Leases
 		out.Agreements += st.Agreements
-		out.PlanConflicts += st.PlanConflicts
 		out.Batches += st.Batches
 		out.BatchedRequests += st.BatchedRequests
 		if st.MaxBatch > out.MaxBatch {

@@ -1,7 +1,6 @@
 package grm
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"reflect"
@@ -233,11 +232,7 @@ func shardedStatusJSON(t *testing.T, g *Sharded) string {
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
-	b, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
+	return recoverableJSON(t, st)
 }
 
 // TestShardedPerShardWALRecovery proves the per-shard logs carry the

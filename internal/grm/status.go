@@ -16,9 +16,9 @@ type Status struct {
 	// Agreements is the number of live (unrevoked) agreement tickets
 	// created over the wire.
 	Agreements int `json:"agreements"`
-	// PlanConflicts counts allocation solves that were discarded and
-	// retried because the server state changed while the LP ran outside
-	// the lock.
+	// PlanConflicts is always 0: plans are solved under the state lock,
+	// so none is ever discarded. The field stays because the benchmark's
+	// frozen per-layer table reads it.
 	PlanConflicts uint64 `json:"plan_conflicts"`
 	// Batches and BatchedRequests describe the allocation pipeline:
 	// how many PlanBatch commits ran and how many requests they served.
@@ -26,8 +26,9 @@ type Status struct {
 	BatchedRequests int64 `json:"batched_requests"`
 	// MaxBatch is the largest batch coalesced so far.
 	MaxBatch int `json:"max_batch"`
-	// BatchPlanNanos is the cumulative wall time spent processing
-	// batches (solve plus commit), for mean-batch-latency math.
+	// BatchPlanNanos is the cumulative wall time of batch critical
+	// sections (validation, solve, commit, WAL append — not the solve
+	// alone), for mean-batch-latency math.
 	BatchPlanNanos int64 `json:"batch_plan_nanos"`
 	// QueueDepth is the current admission-queue backlog.
 	QueueDepth int `json:"queue_depth"`
@@ -78,7 +79,6 @@ func (s *Server) Status() (*Status, error) {
 	defer s.mu.Unlock()
 	out := &Status{
 		Leases:          len(s.leases),
-		PlanConflicts:   s.planConflicts,
 		Batches:         s.mBatches.Value(),
 		BatchedRequests: s.mBatchedReqs.Value(),
 		MaxBatch:        int(s.mMaxBatch.Value()),
