@@ -111,12 +111,13 @@ LOADGEN_DURATION ?= 3s
 loadgen-json:
 	$(GO) run ./cmd/loadgen -json BENCH_transport.json -duration $(LOADGEN_DURATION)
 
-# Short local fuzz passes over the snapshot, scenario-bundle and binary
-# wire envelope decoders.
+# Short local fuzz passes over the snapshot, scenario-bundle, binary wire
+# envelope and write-ahead-log decoders.
 fuzz:
 	$(GO) test ./internal/agreement/ -fuzz FuzzSnapshotDecode -fuzztime 30s
 	$(GO) test ./internal/scenario/ -fuzz FuzzBundleDecode -fuzztime 30s
 	$(GO) test ./internal/grm/ -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s
+	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLogDecode -fuzztime 30s
 
 clean:
 	$(GO) clean ./...

@@ -9,6 +9,7 @@
 //	grmd -listen :7070 -lease-ttl 5m -idle-timeout 10m
 //	grmd -listen :7070 -wal-dir /var/lib/grmd -snapshot-interval 5m
 //	grmd -listen :7072 -shards 4 -parent host:7071 -name site-a
+//	grmd -wal-dump /var/lib/grmd
 //
 // With -parent, the GRM attaches to a higher-level GRM as one aggregated
 // principal, realizing the paper's multi-level GRM architecture; the
@@ -34,9 +35,18 @@
 // a compacted snapshot to bound replay time. SIGTERM and SIGINT shut the
 // server down cleanly: connections are severed, in-flight requests
 // finish, and the log is flushed before exit.
+//
+// The log is binary (DESIGN.md §7b has the record layout); to read one,
+//
+//	grmd -wal-dump /var/lib/grmd
+//
+// prints the snapshot and then the WAL tail as one JSON object per line,
+// and exits non-zero naming the byte offset if a file ends in a torn or
+// corrupt frame. It only reads, so it is safe beside a running grmd.
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -88,8 +98,22 @@ func main() {
 		snapInterval = flag.Duration("snapshot-interval", 0, "fold the WAL into a compacted snapshot this often (0 = never; requires -wal-dir)")
 		codec        = flag.String("codec", "auto", "wire codec for the parent link: auto, binary, or gob (the listener always serves both)")
 		record       = flag.String("record", "", "capture live traffic into a scenario bundle written to this directory on shutdown (see SCENARIOS.md)")
+		walDump      = flag.String("wal-dump", "", "print the records of this log directory (snapshot, then WAL tail; one shard<i>/ of a sharded -wal-dir) as JSON lines and exit; non-zero with the byte offset if a file is torn")
 	)
 	flag.Parse()
+
+	if *walDump != "" {
+		out := bufio.NewWriter(os.Stdout)
+		err := store.DumpJSON(*walDump, out)
+		if ferr := out.Flush(); err == nil {
+			err = ferr
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "grmd: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	parentCodec, err := grm.ParseWireCodec(*codec)
 	if err != nil {

@@ -3,7 +3,7 @@
 //
 // The binary codec (internal/grm/codec.go) defines the wire format
 // twice: a const block of kind tags ("kindAlloc") whose numeric values
-// go on the wire, and append functions whose ordered transport.Append*
+// go on the wire, and append functions whose ordered wirefmt.Append*
 // calls fix each kind's field layout. Both are trivially easy to break
 // silently — inserting a const mid-iota renumbers every later tag,
 // reordering two Append calls shifts every later field — and the decoder

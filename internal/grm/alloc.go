@@ -287,8 +287,7 @@ func (s *Server) settle(job *allocJob, parent *parentLink, refusal *Response) {
 
 // commitAllocLocked applies a solved plan: debits the availability view,
 // mints the lease, and records the allocation in the write-ahead log.
-// Callers hold s.mu and hand over plan, which the journal may keep. It
-// returns the reply to send.
+// Callers hold s.mu. It returns the reply to send.
 //
 // This is where the plan's population-sized Take is read for the last
 // time: its non-zero entries become one pair of slices that the lease,
@@ -309,7 +308,7 @@ func (s *Server) commitAllocLocked(req *AllocRequest, plan *core.Allocation, bor
 		le.expires = s.clock.Now().Add(s.leaseTTL)
 	}
 	s.leases[token] = le
-	rec := &store.Record{
+	s.appendLocked(&store.Record{
 		Kind:        store.KindAlloc,
 		Principal:   req.Principal,
 		Amount:      req.Amount,
@@ -318,27 +317,9 @@ func (s *Server) commitAllocLocked(req *AllocRequest, plan *core.Allocation, bor
 		Lease:       token,
 		Expires:     expiryUnix(le.expires),
 		ParentLease: parentLease,
-	}
-	if journalDense(len(sources), len(plan.Take)) {
-		rec.Sources, rec.Takes = nil, plan.Take
-	}
-	s.appendLocked(rec)
+	})
 	return &AllocReply{Sources: sources, Takes: takes, Theta: plan.Theta, Lease: token, TTL: s.leaseTTL}
 }
-
-// journalDense picks the form an allocation over n principals is
-// journaled in: true for the dense vector (nil Sources), false for pairs.
-// The log is JSON. There a principal that gives nothing costs 2 bytes in
-// the dense vector ("0,"), and a source costs, on top of its amount, its
-// id and a comma in the pair form — up to 6 bytes for ids below 10^5 —
-// plus 9 bytes once for the "src" key. With k sources the forms break
-// even where 6k+9 = 2(n−k), just short of k = n/4 (later for shorter
-// ids): below it pairs are the shorter record, above it the dense vector
-// is, and on a workload whose allocations draw on most of the population
-// (a ring, a small complete graph) the rule keeps the log at the size it
-// had before pairs existed. Recovery reads both forms, so the rule can
-// change without a migration; a binary record would not need one.
-func journalDense(sources, n int) bool { return 4*sources > n }
 
 // debitLocked takes an allocation's pairs out of the availability view,
 // clamped at zero. Callers hold s.mu and journal the allocation.

@@ -13,8 +13,8 @@ package grm
 import (
 	"fmt"
 
-	"repro/internal/grm/transport"
 	"repro/internal/store"
+	"repro/internal/wirefmt"
 )
 
 // Envelope kind tags. The values are the wire format: never renumber,
@@ -38,38 +38,38 @@ const (
 func appendRequest(dst []byte, req *Request) ([]byte, error) {
 	switch {
 	case req.Register != nil:
-		dst = transport.AppendUvarint(dst, kindRegister)
-		dst = transport.AppendString(dst, req.Register.Name)
-		dst = transport.AppendFloat64(dst, req.Register.Capacity)
+		dst = wirefmt.AppendUvarint(dst, kindRegister)
+		dst = wirefmt.AppendString(dst, req.Register.Name)
+		dst = wirefmt.AppendFloat64(dst, req.Register.Capacity)
 	case req.Report != nil:
-		dst = transport.AppendUvarint(dst, kindReport)
-		dst = transport.AppendInt(dst, int64(req.Report.Principal))
-		dst = transport.AppendFloat64(dst, req.Report.Available)
+		dst = wirefmt.AppendUvarint(dst, kindReport)
+		dst = wirefmt.AppendInt(dst, int64(req.Report.Principal))
+		dst = wirefmt.AppendFloat64(dst, req.Report.Available)
 	case req.Share != nil:
-		dst = transport.AppendUvarint(dst, kindShare)
-		dst = transport.AppendInt(dst, int64(req.Share.From))
-		dst = transport.AppendInt(dst, int64(req.Share.To))
-		dst = transport.AppendFloat64(dst, req.Share.Fraction)
-		dst = transport.AppendFloat64(dst, req.Share.Quantity)
+		dst = wirefmt.AppendUvarint(dst, kindShare)
+		dst = wirefmt.AppendInt(dst, int64(req.Share.From))
+		dst = wirefmt.AppendInt(dst, int64(req.Share.To))
+		dst = wirefmt.AppendFloat64(dst, req.Share.Fraction)
+		dst = wirefmt.AppendFloat64(dst, req.Share.Quantity)
 	case req.Revoke != nil:
-		dst = transport.AppendUvarint(dst, kindRevoke)
-		dst = transport.AppendInt(dst, int64(req.Revoke.Ticket))
+		dst = wirefmt.AppendUvarint(dst, kindRevoke)
+		dst = wirefmt.AppendInt(dst, int64(req.Revoke.Ticket))
 	case req.Alloc != nil:
-		dst = transport.AppendUvarint(dst, kindAlloc)
-		dst = transport.AppendInt(dst, int64(req.Alloc.Principal))
-		dst = transport.AppendFloat64(dst, req.Alloc.Amount)
+		dst = wirefmt.AppendUvarint(dst, kindAlloc)
+		dst = wirefmt.AppendInt(dst, int64(req.Alloc.Principal))
+		dst = wirefmt.AppendFloat64(dst, req.Alloc.Amount)
 	case req.Release != nil:
-		dst = transport.AppendUvarint(dst, kindRelease)
-		dst = transport.AppendInt(dst, int64(req.Release.Lease))
+		dst = wirefmt.AppendUvarint(dst, kindRelease)
+		dst = wirefmt.AppendInt(dst, int64(req.Release.Lease))
 	case req.Renew != nil:
-		dst = transport.AppendUvarint(dst, kindRenew)
-		dst = transport.AppendInt(dst, int64(req.Renew.Lease))
+		dst = wirefmt.AppendUvarint(dst, kindRenew)
+		dst = wirefmt.AppendInt(dst, int64(req.Renew.Lease))
 	case req.Caps != nil:
-		dst = transport.AppendUvarint(dst, kindCaps)
+		dst = wirefmt.AppendUvarint(dst, kindCaps)
 	case req.Peers != nil:
-		dst = transport.AppendUvarint(dst, kindPeers)
+		dst = wirefmt.AppendUvarint(dst, kindPeers)
 	case req.Ping != nil:
-		dst = transport.AppendUvarint(dst, kindPing)
+		dst = wirefmt.AppendUvarint(dst, kindPing)
 	default:
 		return nil, fmt.Errorf("grm: encode request with no payload")
 	}
@@ -78,7 +78,7 @@ func appendRequest(dst []byte, req *Request) ([]byte, error) {
 
 // decodeRequest parses one binary request envelope.
 func decodeRequest(data []byte) (*Request, error) {
-	d := transport.NewDec(data)
+	d := wirefmt.NewDec(data)
 	req := &Request{}
 	switch kind := d.Uvarint(); kind {
 	case kindRegister:
@@ -115,55 +115,55 @@ func decodeRequest(data []byte) (*Request, error) {
 
 // appendResponse appends resp's binary envelope to dst.
 func appendResponse(dst []byte, resp *Response) ([]byte, error) {
-	dst = transport.AppendString(dst, resp.Err)
-	dst = transport.AppendUvarint(dst, resp.Code)
+	dst = wirefmt.AppendString(dst, resp.Err)
+	dst = wirefmt.AppendUvarint(dst, resp.Code)
 	switch {
 	case resp.Register != nil:
-		dst = transport.AppendUvarint(dst, kindRegister)
-		dst = transport.AppendInt(dst, int64(resp.Register.Principal))
+		dst = wirefmt.AppendUvarint(dst, kindRegister)
+		dst = wirefmt.AppendInt(dst, int64(resp.Register.Principal))
 	case resp.Report != nil:
-		dst = transport.AppendUvarint(dst, kindReport)
+		dst = wirefmt.AppendUvarint(dst, kindReport)
 	case resp.Share != nil:
-		dst = transport.AppendUvarint(dst, kindShare)
-		dst = transport.AppendInt(dst, int64(resp.Share.Ticket))
+		dst = wirefmt.AppendUvarint(dst, kindShare)
+		dst = wirefmt.AppendInt(dst, int64(resp.Share.Ticket))
 	case resp.Revoke != nil:
-		dst = transport.AppendUvarint(dst, kindRevoke)
+		dst = wirefmt.AppendUvarint(dst, kindRevoke)
 	case resp.Alloc != nil:
-		dst = transport.AppendUvarint(dst, kindAlloc)
+		dst = wirefmt.AppendUvarint(dst, kindAlloc)
 		sources, takes := store.SparseTakes(resp.Alloc.Sources, resp.Alloc.Takes)
 		if len(sources) != len(takes) {
 			return nil, fmt.Errorf("grm: encode alloc reply with %d sources for %d takes", len(sources), len(takes))
 		}
-		dst = transport.AppendSparseFloat64s(dst, sources, takes)
-		dst = transport.AppendFloat64(dst, resp.Alloc.Theta)
-		dst = transport.AppendInt(dst, int64(resp.Alloc.Lease))
-		dst = transport.AppendInt(dst, int64(resp.Alloc.TTL))
+		dst = wirefmt.AppendSparseFloat64s(dst, sources, takes)
+		dst = wirefmt.AppendFloat64(dst, resp.Alloc.Theta)
+		dst = wirefmt.AppendInt(dst, int64(resp.Alloc.Lease))
+		dst = wirefmt.AppendInt(dst, int64(resp.Alloc.TTL))
 	case resp.Release != nil:
-		dst = transport.AppendUvarint(dst, kindRelease)
+		dst = wirefmt.AppendUvarint(dst, kindRelease)
 	case resp.Renew != nil:
-		dst = transport.AppendUvarint(dst, kindRenew)
-		dst = transport.AppendInt(dst, int64(resp.Renew.TTL))
+		dst = wirefmt.AppendUvarint(dst, kindRenew)
+		dst = wirefmt.AppendInt(dst, int64(resp.Renew.TTL))
 	case resp.Caps != nil:
-		dst = transport.AppendUvarint(dst, kindCaps)
-		dst = transport.AppendFloat64s(dst, resp.Caps.Available)
-		dst = transport.AppendFloat64s(dst, resp.Caps.Capacities)
+		dst = wirefmt.AppendUvarint(dst, kindCaps)
+		dst = wirefmt.AppendFloat64s(dst, resp.Caps.Available)
+		dst = wirefmt.AppendFloat64s(dst, resp.Caps.Capacities)
 	case resp.Peers != nil:
-		dst = transport.AppendUvarint(dst, kindPeers)
-		dst = transport.AppendUvarint(dst, uint64(len(resp.Peers.Names)))
+		dst = wirefmt.AppendUvarint(dst, kindPeers)
+		dst = wirefmt.AppendUvarint(dst, uint64(len(resp.Peers.Names)))
 		for _, name := range resp.Peers.Names {
-			dst = transport.AppendString(dst, name)
+			dst = wirefmt.AppendString(dst, name)
 		}
 	case resp.Ping != nil:
-		dst = transport.AppendUvarint(dst, kindPing)
+		dst = wirefmt.AppendUvarint(dst, kindPing)
 	default:
-		dst = transport.AppendUvarint(dst, kindNone)
+		dst = wirefmt.AppendUvarint(dst, kindNone)
 	}
 	return dst, nil
 }
 
 // decodeResponse parses one binary response envelope.
 func decodeResponse(data []byte) (*Response, error) {
-	d := transport.NewDec(data)
+	d := wirefmt.NewDec(data)
 	resp := &Response{Err: d.String()}
 	resp.Code = d.Uvarint()
 	switch kind := d.Uvarint(); kind {

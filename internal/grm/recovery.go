@@ -44,11 +44,12 @@ func (s *Server) SetLog(l store.Log) {
 }
 
 // appendLocked assigns the next sequence number and appends rec to the
-// log. A log write failure is logged and otherwise ignored: the GRM keeps
-// serving from memory rather than failing requests on a full disk (the
-// WAL is a recovery aid, not a commit gate). No-op when no log is
-// attached — which is also what makes replay safe to run through the
-// live helpers. Callers hold s.mu.
+// log. A log write failure is logged, counted in Status.WalAppendErrors
+// and otherwise ignored: the GRM keeps serving from memory rather than
+// failing requests on a full disk (the WAL is a recovery aid, not a
+// commit gate), and the log drops only the record that failed. No-op when
+// no log is attached — which is also what makes replay safe to run
+// through the live helpers. Callers hold s.mu.
 func (s *Server) appendLocked(rec *store.Record) {
 	if s.log == nil {
 		return
@@ -56,6 +57,7 @@ func (s *Server) appendLocked(rec *store.Record) {
 	s.seq++
 	rec.Seq = s.seq
 	if err := s.log.Append(rec); err != nil {
+		s.walAppendErrors++
 		s.logger.Printf("grm: wal append (%s): %v", rec.Kind, err)
 	}
 }
@@ -181,13 +183,12 @@ func (s *Server) applyLocked(rec *store.Record) error {
 	}
 }
 
-// recoveredLease rebuilds a lease from its journaled takes, in either
-// form (pairs, or the dense vector of older logs and of allocations that
-// draw on most principals), and checks the pairs against the books the
-// replay has rebuilt so far: the log is outside input, and debit and
-// credit index the availability view by source without looking. The
-// record's slices are kept, not copied; replayed records are not written
-// to again.
+// recoveredLease rebuilds a lease from its journaled takes — pairs, or
+// the dense vector some JSON-era logs hold — and checks the pairs against
+// the books the replay has rebuilt so far: the log is outside input, and
+// debit and credit index the availability view by source without looking.
+// The record's slices are kept, not copied; replayed records are not
+// written to again.
 func (s *Server) recoveredLease(sources []int, takes []float64, expires int64, parentLease int) (*lease, error) {
 	sources, takes = store.SparseTakes(sources, takes)
 	if len(sources) != len(takes) {
@@ -303,17 +304,13 @@ func (s *Server) stateLocked() *store.State {
 	sort.Ints(tokens)
 	for _, token := range tokens {
 		le := s.leases[token]
-		ls := store.LeaseState{
+		st.Leases = append(st.Leases, store.LeaseState{
 			Token:       token,
 			Sources:     le.sources,
 			Takes:       le.takes,
 			Expires:     expiryUnix(le.expires),
 			ParentLease: le.parentLease,
-		}
-		if journalDense(len(le.sources), len(s.avail)) {
-			ls.Sources, ls.Takes = nil, store.DenseTakes(le.sources, le.takes, len(s.avail))
-		}
-		st.Leases = append(st.Leases, ls)
+		})
 	}
 	borrowTokens := make([]int, 0, len(s.borrows))
 	for token := range s.borrows {

@@ -3,6 +3,7 @@ package grm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/store"
 	"repro/internal/vclock"
+	"repro/internal/wirefmt"
 )
 
 // driveWorkload runs a representative mix of transitions through the
@@ -379,6 +381,23 @@ func TestRecoverLegacyDenseLog(t *testing.T) {
 	}
 }
 
+// jsonFrame frames rec the way logs were written before the binary record
+// encoding: the Record as encoding/json text inside the CRC frame. Only
+// such a log can hold pairs that are out of order or do not line up; the
+// binary writer refuses them and its reader cannot produce them.
+func jsonFrame(t *testing.T, rec *store.Record) []byte {
+	t.Helper()
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := append(wirefmt.BeginFrame(nil), payload...)
+	if err := wirefmt.EndFrame(frame, 0); err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
 // TestRecoverRejectsMalformedTakes: the log is input. Pairs that are out
 // of order, name a principal the replay has not registered, or do not
 // line up one source to one take must stop recovery, not index the books.
@@ -392,30 +411,51 @@ func TestRecoverRejectsMalformedTakes(t *testing.T) {
 		"more sources":         {Sources: []int{0, 1}, Takes: []float64{1}},
 		"dense beyond the set": {Takes: []float64{1, 0, 1}},
 	}
+	regs := []*store.Record{
+		{Seq: 1, Kind: store.KindRegister, Principal: 0, Name: "A", Capacity: 10},
+		{Seq: 2, Kind: store.KindRegister, Principal: 1, Name: "B", Capacity: 10},
+	}
 	for name, rec := range cases {
-		wal := store.NewMemLog()
 		rec.Seq, rec.Kind, rec.Lease = 3, store.KindAlloc, 1
-		for _, r := range []*store.Record{
-			{Seq: 1, Kind: store.KindRegister, Principal: 0, Name: "A", Capacity: 10},
-			{Seq: 2, Kind: store.KindRegister, Principal: 1, Name: "B", Capacity: 10},
-			&rec,
-		} {
-			if err := wal.Append(r); err != nil {
-				t.Fatal(err)
-			}
+		var raw []byte
+		for _, r := range append(regs[:2:2], &rec) {
+			raw = append(raw, jsonFrame(t, r)...)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal.log"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wal, err := store.OpenFileLog(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := NewServer(core.Config{}, nil).Recover(wal); err == nil {
 			t.Errorf("%s: recovery accepted takes %v from %v", name, rec.Takes, rec.Sources)
 		}
+		wal.Close()
+
+		// The binary log refuses to write most of these; what it does
+		// hold (a source nobody registered) recovery must still refuse.
+		mem := store.NewMemLog()
+		for _, r := range regs {
+			if err := mem.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := mem.Append(&rec); err != nil {
+			continue
+		}
+		if err := NewServer(core.Config{}, nil).Recover(mem); err == nil {
+			t.Errorf("%s: recovery accepted binary takes %v from %v", name, rec.Takes, rec.Sources)
+		}
 	}
 }
 
-// TestJournalFormFollowsDensity: an allocation is journaled as pairs
-// while it draws on at most a quarter of the principals and as the dense
-// vector beyond that (journalDense has the arithmetic), in the tail and
-// in a compacted snapshot alike, and recovery lands on the same books
+// TestJournalTakesArePairs: an allocation is journaled as the pairs its
+// reply carries however many of the principals it draws on, in the tail
+// and in a compacted snapshot alike, and recovery lands on the same books
 // from either.
-func TestJournalFormFollowsDensity(t *testing.T) {
+func TestJournalTakesArePairs(t *testing.T) {
 	wal := store.NewMemLog()
 	s := NewServer(core.Config{}, nil)
 	s.SetLog(wal)
@@ -426,28 +466,23 @@ func TestJournalFormFollowsDensity(t *testing.T) {
 		}
 		return resp
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 4; i++ {
 		must(s.dispatch(&Request{Register: &RegisterRequest{Name: string(rune('A' + i)), Capacity: 100}}))
 	}
 	must(s.dispatch(&Request{Share: &ShareRequest{From: 1, To: 0, Fraction: 0.5}}))
-	sparse := must(s.dispatch(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 120}})).Alloc // A and its one sharer: two sources of eight
+	few := must(s.dispatch(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 120}})).Alloc // A and its one sharer
 	must(s.dispatch(&Request{Share: &ShareRequest{From: 2, To: 0, Fraction: 0.5}}))
 	must(s.dispatch(&Request{Share: &ShareRequest{From: 3, To: 0, Fraction: 0.5}}))
-	dense := must(s.dispatch(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 90}})).Alloc // A is empty, all three sharers give: three of eight
-	if len(sparse.Sources) != 2 || len(dense.Sources) != 3 {
-		t.Fatalf("replies take from %v and %v, want two and three sources", sparse.Sources, dense.Sources)
+	most := must(s.dispatch(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 90}})).Alloc // A is empty, all three sharers give
+	if len(few.Sources) != 2 || len(most.Sources) != 3 {
+		t.Fatalf("replies take from %v and %v, want two and three sources", few.Sources, most.Sources)
 	}
 
 	check := func(what string, lease int, sources []int, takes []float64) {
 		t.Helper()
-		switch lease {
-		case sparse.Lease:
-			if !reflect.DeepEqual(sources, sparse.Sources) || !reflect.DeepEqual(takes, sparse.Takes) {
-				t.Errorf("%s: two sources of eight journaled as %v from %v, want the reply's pairs", what, takes, sources)
-			}
-		case dense.Lease:
-			if sources != nil || !reflect.DeepEqual(takes, dense.Dense(8)) {
-				t.Errorf("%s: three sources of eight journaled as %v from %v, want the dense vector", what, takes, sources)
+		for _, reply := range []*AllocReply{few, most} {
+			if lease == reply.Lease && (!reflect.DeepEqual(sources, reply.Sources) || !reflect.DeepEqual(takes, reply.Takes)) {
+				t.Errorf("%s: lease %d journaled as %v from %v, want the reply's %v from %v", what, lease, takes, sources, reply.Takes, reply.Sources)
 			}
 		}
 	}
@@ -489,4 +524,186 @@ func TestJournalFormFollowsDensity(t *testing.T) {
 		t.Fatalf("recovered from the snapshot:\n%s\nwant\n%s", got, before)
 	}
 	leasesEqual(t, s, fromSnapshot)
+}
+
+// TestRecoverJSONLogThroughAppendAndCompact replays testdata/json_wal, a
+// log directory written by the last build that journaled JSON: a snapshot
+// (declared agreements, a revoked share, one lease in pair form and one
+// dense) and a tail holding both forms again, a renewal and a release.
+// This build must read it, append to it in binary, compact it, and land
+// on identical books after every reopen.
+func TestRecoverJSONLogThroughAppendAndCompact(t *testing.T) {
+	dir := t.TempDir() // OpenFileLog opens for append; keep testdata read-only
+	for _, name := range []string{"snapshot.wal", "wal.log"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "json_wal", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(raw, []byte(`"src":[`)) || !bytes.Contains(raw, []byte(`"takes":[0,0,0,`)) {
+			t.Fatalf("%s is not a JSON log holding pair-form and dense takes", name)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vc := vclock.NewVirtual(time.Unix(1_000_000_060, 0)) // where the writer's clock stood
+	reopen := func() (*Server, *store.FileLog) {
+		t.Helper()
+		wal, err := store.OpenFileLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewServer(core.Config{}, nil)
+		s.SetClock(vc)
+		s.SetLeaseTTL(time.Hour)
+		if err := s.Recover(wal); err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		return s, wal
+	}
+	must := func(resp *Response) *Response {
+		t.Helper()
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		return resp
+	}
+
+	live, wal := reopen()
+	defer live.Close()
+	st, err := live.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What the writer's Status read when it stopped.
+	wantAvail := []float64{98.88888888888891, 56.111111111111086, 0, 2.842170943040401e-14, 66.66666666666666,
+		106.66666666666666, 116.66666666666666, 140, 150, 0, 170, 180, 23.25}
+	if st.Leases != 4 || st.Agreements != 4 || len(st.Principals) != len(wantAvail) {
+		t.Fatalf("recovered %d leases, %d agreements, %d principals; the fixture holds 4, 4 and %d", st.Leases, st.Agreements, len(st.Principals), len(wantAvail))
+	}
+	for i, ps := range st.Principals {
+		if ps.Available != wantAvail[i] {
+			t.Fatalf("recovered availability %v at principal %d, want %v", ps.Available, i, wantAvail[i])
+		}
+	}
+
+	// Append in binary behind the JSON tail: a report, an allocation, a
+	// renewal of the snapshot's pair-form lease, a release of the tail's
+	// dense one, a revocation.
+	jsonTail, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(live.dispatch(&Request{Report: &ReportRequest{Principal: 10, Available: 165}}))
+	must(live.dispatch(&Request{Alloc: &AllocRequest{Principal: 10, Amount: 20}}))
+	must(live.dispatch(&Request{Renew: &RenewRequest{Lease: 1}}))
+	must(live.dispatch(&Request{Release: &ReleaseRequest{Lease: 5}}))
+	must(live.dispatch(&Request{Revoke: &RevokeRequest{Ticket: 4}}))
+	want := statusJSON(t, live)
+	live.SetLog(nil) // it lives on as the reference; the directory goes to its successors
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(mixed, jsonTail) || len(mixed) == len(jsonTail) || bytes.Contains(mixed[len(jsonTail):], []byte(`"seq"`)) {
+		t.Fatalf("WAL is not the JSON tail followed by binary frames")
+	}
+
+	fromMixed, wal := reopen()
+	defer fromMixed.Close()
+	if got := statusJSON(t, fromMixed); got != want {
+		t.Fatalf("recovered from the mixed log:\n%s\nwant\n%s", got, want)
+	}
+	leasesEqual(t, live, fromMixed)
+	if err := fromMixed.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := statusJSON(t, fromMixed); got != want {
+		t.Fatalf("books moved under Compact:\n%s\nwant\n%s", got, want)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"snapshot.wal", "wal.log"} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(raw, []byte(`"seq"`)) {
+			t.Errorf("%s still holds JSON after Compact", name)
+		}
+	}
+
+	fromSnapshot, wal := reopen()
+	defer fromSnapshot.Close()
+	defer wal.Close()
+	if got := statusJSON(t, fromSnapshot); got != want {
+		t.Fatalf("recovered from the compacted log:\n%s\nwant\n%s", got, want)
+	}
+	leasesEqual(t, live, fromSnapshot)
+	// Releasing everything is where a wrong source would credit the wrong
+	// principal: the never-restarted server and the twice-recovered one
+	// must still agree.
+	for _, lease := range []int{1, 4, 6, 7} {
+		for _, srv := range []*Server{live, fromSnapshot} {
+			must(srv.dispatch(&Request{Release: &ReleaseRequest{Lease: lease}}))
+		}
+	}
+	if l, r := statusJSON(t, live), statusJSON(t, fromSnapshot); l != r {
+		t.Fatalf("books differ after the releases\nlive:      %s\nrecovered: %s", l, r)
+	}
+}
+
+// refusingLog fails every Append while refuse is set.
+type refusingLog struct {
+	store.Log
+	refuse bool
+}
+
+func (l *refusingLog) Append(rec *store.Record) error {
+	if l.refuse {
+		return errors.New("no space left on device")
+	}
+	return l.Log.Append(rec)
+}
+
+// TestStatusCountsWalAppendErrors: a transition the log failed to record
+// is served all the same and shows up in Status, summed across shards.
+func TestStatusCountsWalAppendErrors(t *testing.T) {
+	logs := []*refusingLog{{Log: store.NewMemLog()}, {Log: store.NewMemLog()}}
+	g := NewSharded(2, core.Config{}, nil)
+	defer g.Close()
+	if err := g.RecoverShards([]store.Log{logs[0], logs[1]}); err != nil {
+		t.Fatal(err)
+	}
+	register := func(name string) {
+		t.Helper()
+		if resp := g.Handle(&Request{Register: &RegisterRequest{Name: name, Capacity: 10}}); resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+	}
+	names := []string{"a/0", "b/0", "c/0", "d/0", "e/0", "f/0"}
+	for _, name := range names[:2] {
+		register(name)
+	}
+	logs[0].refuse, logs[1].refuse = true, true
+	for _, name := range names[2:5] {
+		register(name)
+	}
+	logs[0].refuse, logs[1].refuse = false, false
+	register(names[5])
+	st, err := g.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.WalAppendErrors != 3 || len(st.Principals) != len(names) {
+		t.Fatalf("Status counts %d append errors over %d principals, want 3 over %d", st.WalAppendErrors, len(st.Principals), len(names))
+	}
+	kept := logs[0].Log.(*store.MemLog).Len() + logs[1].Log.(*store.MemLog).Len()
+	if kept != 3 {
+		t.Fatalf("the logs hold %d records, want the 3 appended while they accepted writes", kept)
+	}
 }

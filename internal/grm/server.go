@@ -88,9 +88,12 @@ type Server struct {
 
 	// Durability (recovery.go): every committed transition is appended to
 	// log as a store.Record with a strictly increasing seq. nil = volatile.
-	log          store.Log
-	seq          uint64
-	declaredSnap []byte // preloaded agreement snapshot JSON, for compaction; wal:journaled
+	log store.Log
+	seq uint64
+	// walAppendErrors counts records the log refused or failed to write;
+	// each is a transition the next recovery will not see.
+	walAppendErrors uint64
+	declaredSnap    []byte // preloaded agreement snapshot JSON, for compaction; wal:journaled
 
 	// clock drives the lease lifecycle (expiry stamps, the reaper's
 	// ticker). Real time by default; the model-based testing harness and

@@ -521,6 +521,7 @@ func (g *Sharded) Status() (*Status, error) {
 		}
 		out.BatchPlanNanos += st.BatchPlanNanos
 		out.QueueDepth += st.QueueDepth
+		out.WalAppendErrors += st.WalAppendErrors
 		out.Federation.Attached = out.Federation.Attached || st.Federation.Attached
 		out.Federation.TotalBorrowed += st.Federation.TotalBorrowed
 		out.Federation.Borrows = append(out.Federation.Borrows, st.Federation.Borrows...)

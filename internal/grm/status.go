@@ -32,6 +32,11 @@ type Status struct {
 	BatchPlanNanos int64 `json:"batch_plan_nanos"`
 	// QueueDepth is the current admission-queue backlog.
 	QueueDepth int `json:"queue_depth"`
+	// WalAppendErrors counts committed transitions the write-ahead log
+	// failed to record since this process started (summed across shards):
+	// each is missing from the log, so a recovery now would not land on
+	// these books until the next Compact folds them in.
+	WalAppendErrors uint64 `json:"wal_append_errors"`
 	// Federation is this node's level of the GRM tree: whether a parent
 	// is attached and the node's own borrow balance against it. Each node
 	// reports only its own level — querying every node of a tree yields
@@ -84,6 +89,7 @@ func (s *Server) Status() (*Status, error) {
 		MaxBatch:        int(s.mMaxBatch.Value()),
 		BatchPlanNanos:  s.mBatchPlanNS.Value(),
 		QueueDepth:      len(s.allocQ),
+		WalAppendErrors: s.walAppendErrors,
 	}
 	for _, tid := range s.tickets {
 		if !s.sys.Ticket(tid).Revoked {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/grm/transport"
+	"repro/internal/wirefmt"
 )
 
 // echoCodec is the binary codec for the echoReq/echoResp test envelopes:
@@ -15,7 +16,7 @@ import (
 type echoCodec struct{}
 
 func (echoCodec) DecodeRequest(data []byte) (any, error) {
-	d := transport.NewDec(data)
+	d := wirefmt.NewDec(data)
 	n := int(d.Int())
 	if err := d.Done(); err != nil {
 		return nil, err
@@ -24,7 +25,7 @@ func (echoCodec) DecodeRequest(data []byte) (any, error) {
 }
 
 func (echoCodec) AppendResponse(dst []byte, resp any) ([]byte, error) {
-	return transport.AppendInt(dst, int64(resp.(*echoResp).N)), nil
+	return wirefmt.AppendInt(dst, int64(resp.(*echoResp).N)), nil
 }
 
 // slowMark makes the echo handler sleep before answering, so tests can
@@ -81,7 +82,7 @@ func dialBinary(t *testing.T, addr string) (net.Conn, *transport.FrameWriter, *t
 func writeEcho(t *testing.T, fw *transport.FrameWriter, id uint64, n int) {
 	t.Helper()
 	err := fw.WriteFrame(id, func(dst []byte) ([]byte, error) {
-		return transport.AppendInt(dst, int64(n)), nil
+		return wirefmt.AppendInt(dst, int64(n)), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func readEcho(t *testing.T, fr *transport.FrameReader) (uint64, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := transport.NewDec(envelope)
+	d := wirefmt.NewDec(envelope)
 	n := int(d.Int())
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
@@ -210,7 +211,7 @@ func TestSetTimeoutsClearsArmedDeadline(t *testing.T) {
 			return func() error {
 				id++
 				if err := fw.WriteFrame(id, func(dst []byte) ([]byte, error) {
-					return transport.AppendInt(dst, 1), nil
+					return wirefmt.AppendInt(dst, 1), nil
 				}); err != nil {
 					return err
 				}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/grm/transport"
+	"repro/internal/wirefmt"
 )
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -139,20 +140,20 @@ func TestFrameTruncatedMidPayload(t *testing.T) {
 
 func TestDecRoundTrip(t *testing.T) {
 	var dst []byte
-	dst = transport.AppendUvarint(dst, 0)
-	dst = transport.AppendUvarint(dst, 1<<60)
-	dst = transport.AppendInt(dst, -1)
-	dst = transport.AppendInt(dst, math.MinInt64)
-	dst = transport.AppendInt(dst, math.MaxInt64)
-	dst = transport.AppendFloat64(dst, -0.125)
-	dst = transport.AppendFloat64(dst, math.Inf(1))
-	dst = transport.AppendString(dst, "")
-	dst = transport.AppendString(dst, "nonempty ∞ string")
-	dst = transport.AppendFloat64s(dst, nil)
-	dst = transport.AppendFloat64s(dst, []float64{1, -2.5, 0})
-	dst = transport.AppendInt(dst, int64(5*time.Second))
+	dst = wirefmt.AppendUvarint(dst, 0)
+	dst = wirefmt.AppendUvarint(dst, 1<<60)
+	dst = wirefmt.AppendInt(dst, -1)
+	dst = wirefmt.AppendInt(dst, math.MinInt64)
+	dst = wirefmt.AppendInt(dst, math.MaxInt64)
+	dst = wirefmt.AppendFloat64(dst, -0.125)
+	dst = wirefmt.AppendFloat64(dst, math.Inf(1))
+	dst = wirefmt.AppendString(dst, "")
+	dst = wirefmt.AppendString(dst, "nonempty ∞ string")
+	dst = wirefmt.AppendFloat64s(dst, nil)
+	dst = wirefmt.AppendFloat64s(dst, []float64{1, -2.5, 0})
+	dst = wirefmt.AppendInt(dst, int64(5*time.Second))
 
-	d := transport.NewDec(dst)
+	d := wirefmt.NewDec(dst)
 	if v := d.Uvarint(); v != 0 {
 		t.Errorf("uvarint = %d", v)
 	}
@@ -196,7 +197,7 @@ func TestDecRoundTrip(t *testing.T) {
 
 func TestDecLatchesErrors(t *testing.T) {
 	// Truncated float: the error latches and every later read is zero.
-	d := transport.NewDec([]byte{1, 2, 3})
+	d := wirefmt.NewDec([]byte{1, 2, 3})
 	if v := d.Float64(); v != 0 {
 		t.Errorf("truncated float = %g", v)
 	}
@@ -211,19 +212,19 @@ func TestDecLatchesErrors(t *testing.T) {
 	}
 
 	// Trailing bytes are an error even when every read succeeded.
-	d = transport.NewDec(transport.AppendUvarint(nil, 9))
+	d = wirefmt.NewDec(wirefmt.AppendUvarint(nil, 9))
 	_ = d.Uvarint()
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	d = transport.NewDec(append(transport.AppendUvarint(nil, 9), 0xAA))
+	d = wirefmt.NewDec(append(wirefmt.AppendUvarint(nil, 9), 0xAA))
 	_ = d.Uvarint()
 	if d.Done() == nil {
 		t.Error("trailing bytes accepted")
 	}
 
 	// String length prefix pointing past the buffer.
-	d = transport.NewDec(transport.AppendUvarint(nil, 1000))
+	d = wirefmt.NewDec(wirefmt.AppendUvarint(nil, 1000))
 	if v := d.String(); v != "" {
 		t.Errorf("overlong string = %q", v)
 	}
@@ -233,7 +234,7 @@ func TestDecLatchesErrors(t *testing.T) {
 
 	// Float64s length prefix pointing past the buffer must not allocate
 	// or succeed.
-	d = transport.NewDec(transport.AppendUvarint(nil, 1<<50))
+	d = wirefmt.NewDec(wirefmt.AppendUvarint(nil, 1<<50))
 	if v := d.Float64s(); v != nil {
 		t.Errorf("overlong slice = %v", v)
 	}
@@ -258,11 +259,11 @@ func TestSparseFloat64sRoundTrip(t *testing.T) {
 		{"far", []int{math.MaxInt - 2, math.MaxInt - 1}, []float64{1, 2}, 1 + 9 + 1 + 16},
 	}
 	for _, c := range cases {
-		enc := transport.AppendSparseFloat64s(nil, c.idx, c.vals)
+		enc := wirefmt.AppendSparseFloat64s(nil, c.idx, c.vals)
 		if len(enc) != c.size {
 			t.Errorf("%s: %d bytes, want %d", c.name, len(enc), c.size)
 		}
-		d := transport.NewDec(enc)
+		d := wirefmt.NewDec(enc)
 		idx, vals := d.SparseFloat64s()
 		if err := d.Done(); err != nil {
 			t.Errorf("%s: %v", c.name, err)
@@ -284,10 +285,10 @@ func TestSparseFloat64sRoundTrip(t *testing.T) {
 // bytes present before anything is sized by it, and of the many ways to
 // spell one vector as runs only the encoder's is read.
 func TestSparseFloat64sRejectsMalformed(t *testing.T) {
-	uv := transport.AppendUvarint
+	uv := wirefmt.AppendUvarint
 	f8 := func(dst []byte, n int) []byte {
 		for i := 0; i < n; i++ {
-			dst = transport.AppendFloat64(dst, 1)
+			dst = wirefmt.AppendFloat64(dst, 1)
 		}
 		return dst
 	}
@@ -304,7 +305,7 @@ func TestSparseFloat64sRejectsMalformed(t *testing.T) {
 		"truncated inside the float": f8(uv(uv(uv(nil, 1), 0), 1), 1)[:8],
 	}
 	for name, enc := range cases {
-		d := transport.NewDec(enc)
+		d := wirefmt.NewDec(enc)
 		idx, vals := d.SparseFloat64s()
 		if d.Err() == nil {
 			t.Errorf("%s: accepted % x as %v at %v", name, enc, vals, idx)

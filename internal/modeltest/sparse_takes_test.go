@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/grm/transport"
 	"repro/internal/store"
+	"repro/internal/wirefmt"
 )
 
 // TestSparseTakesWireProperty runs the wire's run-length form over the
@@ -47,7 +47,7 @@ func TestSparseTakesWireProperty(t *testing.T) {
 				if got := store.DenseTakes(sources, takes, g.N); !reflect.DeepEqual(got, plan.Take) {
 					t.Fatalf("case %d: pairs %v at %v expand to %v, want %v", c, takes, sources, got, plan.Take)
 				}
-				dense := len(transport.AppendFloat64s(nil, plan.Take))
+				dense := len(wirefmt.AppendFloat64s(nil, plan.Take))
 				checkSparseWire(t, sources, takes, dense)
 				vectors++
 
@@ -71,8 +71,8 @@ func TestSparseTakesWireProperty(t *testing.T) {
 // against the per-entry bound.
 func checkSparseWire(t *testing.T, sources []int, takes []float64, denseBytes int) {
 	t.Helper()
-	enc := transport.AppendSparseFloat64s(nil, sources, takes)
-	d := transport.NewDec(enc)
+	enc := wirefmt.AppendSparseFloat64s(nil, sources, takes)
+	d := wirefmt.NewDec(enc)
 	idx, vals := d.SparseFloat64s()
 	if err := d.Done(); err != nil {
 		t.Fatalf("%v at %v: %v", takes, sources, err)

@@ -2,39 +2,37 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/wirefmt"
 )
 
-// On-disk framing: every record is one frame of
-//
-//	[4B little-endian payload length][4B CRC-32 (IEEE) of payload][payload]
-//
-// where the payload is the Record encoded as JSON. The CRC catches
-// torn or bit-rotted frames; a short header or payload marks the point
-// a crash truncated the file. Decoding stops at the first frame that
-// fails any check — everything before it is the recovered prefix, and
-// the file is truncated back to that point on open so later appends
-// never follow garbage.
-const (
-	frameHeaderSize = 8
-	// maxFramePayload bounds one record's encoded size; a length field
-	// beyond it is treated as corruption, not an allocation request.
-	maxFramePayload = 16 << 20
-)
-
+// On disk a log is a sequence of CRC frames, one Record each (codec.go
+// has the layout). The CRC catches torn or bit-rotted frames; a short
+// header or payload marks the point a crash truncated the file. Decoding
+// stops at the first frame that fails any check — everything before it is
+// the recovered prefix, and the file is truncated back to that point on
+// open so later appends never follow garbage.
 const (
 	walName  = "wal.log"
 	snapName = "snapshot.wal"
 	tmpName  = "snapshot.tmp"
 )
+
+// walFile is what FileLog needs of its WAL file; *os.File in production,
+// a failing wrapper in the tests of the write-error path.
+type walFile interface {
+	io.WriterAt
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
 
 // FileLog is a file-backed Log: an append-only WAL file plus a
 // compacted snapshot file, both under one directory. Every Append is
@@ -47,8 +45,9 @@ type FileLog struct {
 	dir string
 
 	mu   sync.Mutex
-	wal  *os.File
-	bw   *bufio.Writer
+	wal  walFile
+	size int64  // bytes of whole frames in the WAL; the next frame goes here
+	buf  []byte // the frame being appended, reused from one Append to the next
 	open bool
 }
 
@@ -63,7 +62,7 @@ func OpenFileLog(dir string) (*FileLog, error) {
 	// file that was never activated; drop it.
 	os.Remove(filepath.Join(dir, tmpName))
 	walPath := filepath.Join(dir, walName)
-	valid, _, err := scanFrames(walPath)
+	valid, _, err := scanFile(walPath, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -75,82 +74,60 @@ func OpenFileLog(dir string) (*FileLog, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: truncate %s to %d: %w", walPath, valid, err)
 	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seek %s: %w", walPath, err)
-	}
-	return &FileLog{dir: dir, wal: f, bw: bufio.NewWriter(f), open: true}, nil
+	return &FileLog{dir: dir, wal: f, size: valid, open: true}, nil
 }
 
 // Dir returns the log directory.
 func (fl *FileLog) Dir() string { return fl.dir }
 
-// Append encodes rec as one frame at the WAL tail and writes it through
-// to the OS, so a killed process loses nothing; call Sync to force it
-// to stable storage.
+// Append encodes rec as one frame in the log's own buffer and writes it
+// at the WAL tail with a single write, through to the OS, so a killed
+// process loses nothing; call Sync to force it to stable storage. A
+// failed or short write leaves the log as it was before the call: the
+// torn bytes are cut off again and the next Append starts at the same
+// frame boundary.
 func (fl *FileLog) Append(rec *Record) error {
-	frame, err := encodeFrame(rec)
-	if err != nil {
-		return err
-	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	if !fl.open {
 		return fmt.Errorf("store: append to closed log")
 	}
-	if _, err := fl.bw.Write(frame); err != nil {
+	buf, err := appendFrame(fl.buf[:0], rec)
+	if err != nil {
+		return err
+	}
+	fl.buf = buf
+	if _, err := fl.wal.WriteAt(buf, fl.size); err != nil {
+		// Best effort: if the cut fails too, the next frame still lands at
+		// fl.size and whatever outlives it fails its CRC on the next scan.
+		_ = fl.wal.Truncate(fl.size)
 		return fmt.Errorf("store: append: %w", err)
 	}
-	if err := fl.bw.Flush(); err != nil {
-		return fmt.Errorf("store: append flush: %w", err)
-	}
+	fl.size += int64(len(buf))
 	return nil
 }
 
 // Replay feeds fn the snapshot's state record (if present) followed by
-// every tail record newer than the snapshot's fold point. Buffered
-// appends are flushed first so the replay sees them.
+// every tail record newer than the snapshot's fold point, each as it is
+// decoded.
 func (fl *FileLog) Replay(fn func(*Record) error) error {
-	fl.mu.Lock()
-	if fl.open {
-		if err := fl.bw.Flush(); err != nil {
-			fl.mu.Unlock()
-			return fmt.Errorf("store: flush before replay: %w", err)
-		}
-	}
-	fl.mu.Unlock()
-
 	var foldSeq uint64
-	snapPath := filepath.Join(fl.dir, snapName)
-	if _, err := os.Stat(snapPath); err == nil {
-		_, recs, err := scanFrames(snapPath)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if rec.Seq > foldSeq {
-				foldSeq = rec.Seq
-			}
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
-	}
-	_, recs, err := scanFrames(filepath.Join(fl.dir, walName))
+	_, _, err := scanFile(filepath.Join(fl.dir, snapName), func(rec *Record) error {
+		foldSeq = max(foldSeq, rec.Seq)
+		return fn(rec)
+	})
 	if err != nil {
 		return err
 	}
-	for _, rec := range recs {
+	_, _, err = scanFile(filepath.Join(fl.dir, walName), func(rec *Record) error {
 		if rec.Seq <= foldSeq {
 			// Already folded into the snapshot: a crash between the
 			// snapshot rename and the WAL truncate leaves such records.
-			continue
+			return nil
 		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(rec)
+	})
+	return err
 }
 
 // Compact atomically replaces the log's contents with the single state
@@ -161,7 +138,7 @@ func (fl *FileLog) Compact(state *Record) error {
 	if state.Kind != KindState {
 		return fmt.Errorf("store: Compact with %v record, want state", state.Kind)
 	}
-	frame, err := encodeFrame(state)
+	frame, err := appendFrame(nil, state)
 	if err != nil {
 		return err
 	}
@@ -190,25 +167,19 @@ func (fl *FileLog) Compact(state *Record) error {
 		return fmt.Errorf("store: compact rename: %w", err)
 	}
 	// The snapshot is durable; the WAL tail it folded in can go.
-	fl.bw.Reset(fl.wal)
 	if err := fl.wal.Truncate(0); err != nil {
 		return fmt.Errorf("store: compact truncate: %w", err)
 	}
-	if _, err := fl.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: compact seek: %w", err)
-	}
+	fl.size = 0
 	return nil
 }
 
-// Sync flushes buffered appends and fsyncs the WAL.
+// Sync fsyncs the WAL.
 func (fl *FileLog) Sync() error {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	if !fl.open {
 		return nil
-	}
-	if err := fl.bw.Flush(); err != nil {
-		return fmt.Errorf("store: sync flush: %w", err)
 	}
 	if err := fl.wal.Sync(); err != nil {
 		return fmt.Errorf("store: sync: %w", err)
@@ -224,12 +195,8 @@ func (fl *FileLog) Close() error {
 		return nil
 	}
 	fl.open = false
-	flushErr := fl.bw.Flush()
 	syncErr := fl.wal.Sync()
 	closeErr := fl.wal.Close()
-	if flushErr != nil {
-		return fmt.Errorf("store: close flush: %w", flushErr)
-	}
 	if syncErr != nil {
 		return fmt.Errorf("store: close sync: %w", syncErr)
 	}
@@ -239,88 +206,95 @@ func (fl *FileLog) Close() error {
 	return nil
 }
 
-// encodeFrame renders one record as a length+CRC framed JSON payload.
-func encodeFrame(rec *Record) ([]byte, error) {
-	if !rec.Kind.Valid() {
-		return nil, fmt.Errorf("store: encode record with invalid kind %d", uint8(rec.Kind))
+// DecodeRecords reads frames from r until it hits EOF or the first
+// invalid frame (short header, a payload length beyond the limit or
+// beyond what r holds, short payload, CRC mismatch, a payload the record
+// decoder refuses, or a sequence regression). It returns the valid
+// prefix's records and its byte length; corruption is a stop condition,
+// never an error — recovery resumes from the last valid record. The only
+// error returned is a non-EOF read failure.
+func DecodeRecords(r io.Reader) (recs []*Record, validLen int64, err error) {
+	size := int64(-1)
+	if sized, ok := r.(interface{ Len() int }); ok { // bytes.Reader, bytes.Buffer
+		size = int64(sized.Len())
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode record: %w", err)
-	}
-	if len(payload) > maxFramePayload {
-		return nil, fmt.Errorf("store: record payload %d bytes exceeds frame limit", len(payload))
-	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
-	return frame, nil
+	validLen, err = scanFrames(r, size, func(rec *Record) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, validLen, err
 }
 
-// DecodeRecords reads frames from r until it hits EOF or the first
-// invalid frame (short header, oversized or short payload, CRC
-// mismatch, malformed JSON, unknown kind, or a sequence regression).
-// It returns the valid prefix's records and its byte length; corruption
-// is a stop condition, never an error — recovery resumes from the last
-// valid record. The only error returned is a non-EOF read failure.
-func DecodeRecords(r io.Reader) (recs []*Record, validLen int64, err error) {
-	br := bufio.NewReader(r)
+// scanFrames is DecodeRecords' loop: it hands each valid record to fn as
+// it is decoded (a nil fn only validates) and returns the byte length of
+// the valid prefix. size is how many bytes r holds, negative if unknown.
+// An fn error stops the scan and is returned.
+func scanFrames(r io.Reader, size int64, fn func(*Record) error) (validLen int64, err error) {
+	fr := wirefmt.NewReader(bufio.NewReader(r), size)
 	var lastSeq uint64
 	for {
-		header := make([]byte, frameHeaderSize)
-		if _, err := io.ReadFull(br, header); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return recs, validLen, nil
+		payload, err := fr.Next()
+		if err != nil {
+			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, wirefmt.ErrCorrupt) {
+				return validLen, nil
 			}
-			return recs, validLen, fmt.Errorf("store: read frame header: %w", err)
+			return validLen, fmt.Errorf("store: scan: %w", err)
 		}
-		n := binary.LittleEndian.Uint32(header[0:4])
-		if n > maxFramePayload {
-			return recs, validLen, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return recs, validLen, nil
-			}
-			return recs, validLen, fmt.Errorf("store: read frame payload: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(header[4:8]) {
-			return recs, validLen, nil
-		}
-		rec := &Record{}
-		if err := json.Unmarshal(payload, rec); err != nil {
-			return recs, validLen, nil
-		}
-		if !rec.Kind.Valid() {
-			return recs, validLen, nil
-		}
-		if len(recs) > 0 && rec.Seq <= lastSeq {
-			// Sequence regressions mean the tail predates the prefix
+		rec, err := decodeRecord(payload)
+		if err != nil || (validLen > 0 && rec.Seq <= lastSeq) {
+			// A sequence regression means the tail predates the prefix
 			// (e.g. a recycled file); stop at the consistent prefix.
-			return recs, validLen, nil
+			return validLen, nil
 		}
 		lastSeq = rec.Seq
-		recs = append(recs, rec)
-		validLen += int64(frameHeaderSize) + int64(n)
+		if fn != nil {
+			if err := fn(rec); err != nil {
+				return validLen, err
+			}
+		}
+		validLen += wirefmt.FrameHeaderSize + int64(len(payload))
 	}
 }
 
-// scanFrames decodes every valid record in the named file. A missing
-// file is an empty log.
-func scanFrames(path string) (validLen int64, recs []*Record, err error) {
+// scanFile runs scanFrames over the named file and also returns the
+// file's size. A missing file is an empty log.
+func scanFile(path string, fn func(*Record) error) (validLen, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, nil, nil
+			return 0, 0, nil
 		}
-		return 0, nil, fmt.Errorf("store: open %s: %w", path, err)
+		return 0, 0, fmt.Errorf("store: open %s: %w", path, err)
 	}
 	defer f.Close()
-	recs, validLen, err = DecodeRecords(f)
+	info, err := f.Stat()
 	if err != nil {
-		return 0, nil, fmt.Errorf("store: scan %s: %w", path, err)
+		return 0, 0, fmt.Errorf("store: stat %s: %w", path, err)
 	}
-	return validLen, recs, nil
+	validLen, err = scanFrames(f, info.Size(), fn)
+	return validLen, info.Size(), err
+}
+
+// DumpJSON prints every record of the log directory — the snapshot, then
+// the WAL tail, whichever encoding each frame is in — to w as one JSON
+// object per line. It returns an error naming the byte offset if either
+// file has bytes beyond its last valid frame.
+func DumpJSON(dir string, w io.Writer) error {
+	enc := json.NewEncoder(w)
+	for _, name := range []string{snapName, walName} {
+		path := filepath.Join(dir, name)
+		valid, size, err := scanFile(path, func(rec *Record) error {
+			if err := enc.Encode(rec); err != nil {
+				return fmt.Errorf("store: dump seq %d (%v): %w", rec.Seq, rec.Kind, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if valid < size {
+			return fmt.Errorf("store: %s: torn or corrupt at byte offset %d of %d", path, valid, size)
+		}
+	}
+	return nil
 }

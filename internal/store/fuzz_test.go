@@ -2,40 +2,49 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
+
+	"repro/internal/wirefmt"
 )
 
 // fuzzPrefix is a short valid log whose frames seed the corpus and whose
 // records must survive any fuzzed tail appended after them.
-func fuzzPrefix(t interface{ Fatal(...any) }) ([]byte, []*Record) {
+func fuzzPrefix(t testing.TB) ([]byte, []*Record) {
 	recs := []*Record{
 		{Seq: 1, Kind: KindRegister, Name: "node0", Capacity: 100},
 		{Seq: 2, Kind: KindReport, Principal: 0, Available: 55.5},
-		{Seq: 3, Kind: KindAlloc, Lease: 1, Takes: []float64{10, 0}, Expires: 42},
+		{Seq: 3, Kind: KindAlloc, Lease: 1, Sources: []int{0}, Takes: []float64{10}, Expires: 42},
 	}
-	var buf bytes.Buffer
+	var buf []byte
 	for _, r := range recs {
-		frame, err := encodeFrame(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(frame)
+		buf = append(buf, binaryFrame(t, r)...)
 	}
-	return buf.Bytes(), recs
+	return buf, recs
 }
 
 // FuzzLogDecode feeds arbitrary bytes through the frame decoder. The
 // decoder must never panic, must treat any corruption as a clean stop at
-// the last valid record, and must always recover the intact prefix when
-// garbage is appended after valid frames.
+// the last valid record, must read nothing from a binary frame that it
+// would not write back byte for byte, and must always recover the intact
+// prefix when garbage is appended after valid frames.
 func FuzzLogDecode(f *testing.F) {
 	prefix, _ := fuzzPrefix(f)
 	f.Add([]byte{})
 	f.Add(prefix)
-	f.Add(prefix[:len(prefix)-3])               // torn tail
+	f.Add(prefix[:len(prefix)-3])                // torn tail
 	f.Add(append([]byte{0xFF, 0xFF}, prefix...)) // garbage header
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
+	logs, _ := legacyAndBinary(f)
+	f.Add(logs["binary"])
+	f.Add(logs["json"])
+	f.Add(logs["mixed"]) // JSON with a binary tail
+	var every []byte
+	for _, rec := range allKinds() {
+		every = append(every, binaryFrame(f, rec)...)
+	}
+	f.Add(every)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Raw bytes: any outcome but a panic or a read error is fine, and
 		// the reported valid length must cover exactly the decoded frames.
@@ -50,6 +59,21 @@ func FuzzLogDecode(f *testing.F) {
 		if err != nil || n2 != n || len(reDecoded) != len(recs) {
 			t.Fatalf("valid prefix not self-consistent: %d records/%d bytes vs %d/%d (%v)",
 				len(reDecoded), n2, len(recs), n, err)
+		}
+		// One spelling per record: an accepted binary frame is the frame
+		// the encoder writes for the record it decoded to.
+		rest := data[:n]
+		for i, rec := range recs {
+			size := wirefmt.FrameHeaderSize + int(binary.LittleEndian.Uint32(rest))
+			frame := rest[:size]
+			rest = rest[size:]
+			if frame[wirefmt.FrameHeaderSize] == legacyJSONLead {
+				continue
+			}
+			again, err := appendFrame(nil, rec)
+			if err != nil || !bytes.Equal(again, frame) {
+				t.Fatalf("record %d (%v) accepted from % x re-encodes to % x (%v)", i, rec.Kind, frame, again, err)
+			}
 		}
 
 		// Valid frames followed by the fuzz input: the prefix records must

@@ -10,11 +10,12 @@
 // Two Log implementations are provided: MemLog (in-memory; the
 // model-based testing harness's "durable medium" across simulated
 // restarts) and FileLog (a directory holding a CRC-framed WAL file and a
-// compacted snapshot file; see filelog.go for the on-disk format and its
-// truncated-tail recovery semantics).
+// compacted snapshot file; see filelog.go for its truncated-tail recovery
+// semantics). Both hold records in the binary encoding of codec.go.
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 )
@@ -108,9 +109,9 @@ type Record struct {
 	// Alloc / Release / Renew / Expire / Borrow / Repay. An allocation's
 	// takes are pairs: Takes[k] was drawn from principal Sources[k], with
 	// Sources strictly ascending. nil Sources is the dense form — Takes is
-	// indexed by principal id — which every log written before Sources
-	// existed holds and which the GRM still journals where most principals
-	// are sources; readers take either through SparseTakes.
+	// indexed by principal id — which JSON-era logs can hold and a caller
+	// may still hand to Append (it is stored as its pairs); readers take
+	// either through SparseTakes.
 	Lease       int       `json:"lease,omitempty"`
 	Sources     []int     `json:"src,omitempty"`
 	Takes       []float64 `json:"takes,omitempty"`
@@ -204,8 +205,8 @@ func SparseTakes(sources []int, takes []float64) ([]int, []float64) {
 }
 
 // DenseTakes expands pairs into a fresh vector of n entries indexed by
-// principal id — the journal's dense form, and what readers that compare
-// or print whole vectors want. Every source must be below n.
+// principal id, which is what readers that compare or print whole vectors
+// want. Every source must be below n.
 func DenseTakes(sources []int, takes []float64, n int) []float64 {
 	out := make([]float64, n)
 	for k, p := range sources {
@@ -217,8 +218,9 @@ func DenseTakes(sources []int, takes []float64, n int) []float64 {
 // Log is the interface the GRM records through. Implementations must be
 // safe for concurrent use.
 type Log interface {
-	// Append adds one record to the tail. The caller hands over
-	// ownership of rec and its slices.
+	// Append adds one record to the tail. The record is encoded before
+	// Append returns and nothing of it is kept, so the caller may share
+	// its slices (an allocation's takes) or reuse it.
 	Append(rec *Record) error
 	// Replay calls fn for every live record in order: the compacted
 	// state record first (if any), then the tail. An fn error aborts
@@ -234,35 +236,40 @@ type Log interface {
 }
 
 // MemLog is an in-memory Log. It survives a grm.Server restart within
-// one process — the model-based testing harness's stand-in for a disk.
-// The zero value is ready to use.
+// one process — the model-based testing harness's stand-in for a disk,
+// and like a disk it holds encoded frames, not the caller's records: what
+// Replay returns has been through the codec a FileLog would put it
+// through. The zero value is ready to use.
 type MemLog struct {
-	mu   sync.Mutex
-	recs []*Record
+	mu     sync.Mutex
+	frames []byte // the whole log, frame after frame
+	n      int    // how many
 }
 
 // NewMemLog returns an empty in-memory log.
 func NewMemLog() *MemLog { return &MemLog{} }
 
-// Append adds rec to the tail.
+// Append encodes rec at the tail.
 func (m *MemLog) Append(rec *Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.recs = append(m.recs, rec)
+	frames, err := appendFrame(m.frames, rec)
+	if err != nil {
+		return err
+	}
+	m.frames = frames
+	m.n++
 	return nil
 }
 
-// Replay calls fn over every record in order.
+// Replay decodes the log as it stood when Replay was called and calls fn
+// over every record in order.
 func (m *MemLog) Replay(fn func(*Record) error) error {
 	m.mu.Lock()
-	recs := append([]*Record(nil), m.recs...)
+	frames := m.frames[:len(m.frames):len(m.frames)] // later appends reallocate or write past this view, never into it
 	m.mu.Unlock()
-	for _, rec := range recs {
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := scanFrames(bytes.NewReader(frames), int64(len(frames)), fn)
+	return err
 }
 
 // Compact replaces the log's contents with the single state record.
@@ -270,9 +277,13 @@ func (m *MemLog) Compact(state *Record) error {
 	if state.Kind != KindState {
 		return fmt.Errorf("store: Compact with %v record, want state", state.Kind)
 	}
+	frames, err := appendFrame(nil, state)
+	if err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.recs = append(m.recs[:0:0], state)
+	m.frames, m.n = frames, 1
 	return nil
 }
 
@@ -281,7 +292,7 @@ func (m *MemLog) Compact(state *Record) error {
 func (m *MemLog) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.recs)
+	return m.n
 }
 
 // Sync is a no-op for the in-memory log.

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/wirefmt"
 )
 
 func sampleRecords() []*Record {
@@ -14,8 +16,8 @@ func sampleRecords() []*Record {
 		{Seq: 2, Kind: KindRegister, Name: "B", Capacity: 80},
 		{Seq: 3, Kind: KindShare, From: 1, To: 0, Fraction: 0.5, Ticket: 0},
 		{Seq: 4, Kind: KindReport, Principal: 1, Available: 60},
-		{Seq: 5, Kind: KindAlloc, Lease: 1, Takes: []float64{30, 10}, Expires: 12345},
-		{Seq: 6, Kind: KindRelease, Lease: 1, Takes: []float64{30, 10}},
+		{Seq: 5, Kind: KindAlloc, Lease: 1, Sources: []int{0, 1}, Takes: []float64{30, 10}, Expires: 12345},
+		{Seq: 6, Kind: KindRelease, Lease: 1},
 	}
 }
 
@@ -64,7 +66,7 @@ func TestFileLogRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Replay flushes buffered appends, so it sees them pre-Sync.
+	// Appends are written through, so Replay sees them pre-Sync.
 	if got := replayAll(t, l); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replay mismatch:\ngot  %+v\nwant %+v", got, want)
 	}
@@ -147,7 +149,7 @@ func TestFileLogStaleTailSkipped(t *testing.T) {
 	// Write the snapshot by hand, leaving the WAL untruncated — exactly
 	// the torn-compaction state.
 	state := &Record{Seq: 6, Kind: KindState, State: &State{Names: []string{"A", "B"}}}
-	frame, err := encodeFrame(state)
+	frame, err := appendFrame(nil, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +186,7 @@ func TestFileLogTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastFrame, err := encodeFrame(recs[len(recs)-1])
+	lastFrame, err := appendFrame(nil, recs[len(recs)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +244,10 @@ func TestFileLogCorruptMiddle(t *testing.T) {
 	// Corrupt a byte inside the third frame's payload.
 	var off int64
 	for i := 0; i < 2; i++ {
-		fr, _ := encodeFrame(recs[i])
+		fr, _ := appendFrame(nil, recs[i])
 		off += int64(len(fr))
 	}
-	full[off+frameHeaderSize+2] ^= 0xFF
+	full[off+wirefmt.FrameHeaderSize+2] ^= 0xFF
 	if err := os.WriteFile(walPath, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
