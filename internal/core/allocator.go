@@ -34,7 +34,11 @@ type Planner interface {
 	Capacities(v []float64) []float64
 }
 
-// Allocation is the outcome of planning one request.
+// Allocation is the outcome of planning one request in dense form: two
+// vectors over the whole population. It is what Plan and PlanBatch export
+// for the simulator, the baselines, the oracles and the benchmark; the GRM
+// serves requests from PlanPairs, which emits the same plan as the
+// (source, take) pairs it stores and never builds these vectors.
 type Allocation struct {
 	// Take[i] is the amount drawn from principal i's resources
 	// (V_i − V'_i ≥ 0); it sums to the requested amount.
@@ -153,9 +157,10 @@ type Allocator struct {
 	// warm[r] holds requester r's saved simplex basis for WarmStart plans,
 	// nil until its first warm solve.
 	warm []atomic.Pointer[warmSlot]
-	// pool recycles plan workspaces (*planWS). Derived allocators of the
-	// same size share it: the simplex scratch is the largest thing a plan
-	// allocates, and churn would otherwise strand one per mutation.
+	// pool recycles plan workspaces (*planWS). Derived allocators share
+	// it, grown ones included — nothing in a workspace is sized by the
+	// population: the simplex scratch is the largest thing a plan allocates,
+	// and churn would otherwise strand one per mutation.
 	pool *sync.Pool
 }
 
@@ -202,18 +207,32 @@ type capFlowRef struct {
 	k, i int32
 }
 
-// planWS is the per-Plan scratch recycled through Allocator.pool: the
-// capacity/source-cap vectors, the per-requester rebindable model clones
-// (each with the skeleton it came from: an allocator down the lineage
-// that rebuilt the skeleton re-clones), and the LP solver workspace.
+// planWS is the per-Plan scratch recycled through Allocator.pool. plan
+// leaves one request's result in it, indexed by variable position — entry x
+// belongs to principal vars[x] — so a plan costs its component; the two
+// emitters (appendPairs, scatter) read it from there. Beside the result it
+// keeps the rebindable model clones of the requesters it has planned for
+// (each with the skeleton it came from: an allocator down the lineage that
+// rebuilt the skeleton re-clones) and the LP solver workspace. Nothing in
+// it is sized by the population; the full formulation's vectors are,
+// because its vars are everyone.
 type planWS struct {
-	caps   []float64 // C_i before the allocation
-	uCol   []float64 // U_{i→requester} (v[i] for the requester itself)
-	after  []float64 // C_i after the candidate allocation
-	chain  []float64 // PlanBatch's running availability between requests
-	clones []*lp.Model
-	cloned []*planSkeleton
+	vars   []int32   // the planned skeleton's live principals; empty for a zero-amount plan
+	uCol   []float64 // U_{vars[x]→requester} (v for the requester itself)
+	take   []float64 // V_i − V'_i
+	newV   []float64 // V'_i
+	theta  float64   // realized max perturbation over the skeleton's rows
+	caps   []float64 // C_i before the allocation, one per kept perturb row
+	capReq float64   // the requester's C before the allocation
+	clones map[int]modelClone
 	lpws   lp.Workspace
+}
+
+// modelClone is a workspace's private, rebindable copy of a skeleton's
+// model.
+type modelClone struct {
+	model *lp.Model
+	of    *planSkeleton
 }
 
 // NewAllocator builds an allocator from a relative agreement matrix S and
@@ -320,7 +339,7 @@ func finishAllocator(n int, clo *transitive.Closure, aCols [][]int32, aVals [][]
 	al.transposeColumns()
 	al.skel = make([]atomic.Pointer[planSkeleton], n)
 	al.warm = make([]atomic.Pointer[warmSlot], n)
-	al.pool = newPlanPool(n)
+	al.pool = newPlanPool()
 	return al
 }
 
@@ -465,18 +484,9 @@ func (al *Allocator) transposeColumns() {
 	}
 }
 
-// newPlanPool returns a workspace pool for allocators over n principals.
-func newPlanPool(n int) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		return &planWS{
-			caps:   make([]float64, n),
-			uCol:   make([]float64, n),
-			after:  make([]float64, n),
-			chain:  make([]float64, n),
-			clones: make([]*lp.Model, n),
-			cloned: make([]*planSkeleton, n),
-		}
-	}}
+// newPlanPool returns a workspace pool for one allocator lineage.
+func newPlanPool() *sync.Pool {
+	return &sync.Pool{New: func() any { return &planWS{clones: map[int]modelClone{}} }}
 }
 
 // N returns the number of principals.
@@ -518,8 +528,20 @@ func (al *Allocator) Bytes() int {
 func (al *Allocator) Capacities(v []float64) []float64 {
 	al.checkV(v)
 	out := make([]float64, al.n)
-	al.capsInto(out, v)
+	for i := range out {
+		out[i] = al.capacity(v, i)
+	}
 	return out
+}
+
+// Capacity returns C_i alone, bit-identical to Capacities(v)[i], walking
+// column i only: what a caller that needs one number should pay.
+func (al *Allocator) Capacity(v []float64, i int) float64 {
+	al.checkLen(v)
+	if i < 0 || i >= al.n {
+		panic(fmt.Sprintf("core: principal %d out of range [0,%d)", i, al.n))
+	}
+	return al.capacity(v, i)
 }
 
 // sourceCap returns U_iA: how much of principal i's current availability
@@ -539,27 +561,59 @@ func (al *Allocator) sourceCap(v []float64, i, requester int) float64 {
 	return u
 }
 
-// capsInto computes C_i = V_i + Σ_{k≠i} U_ki into dst, walking the
-// precomputed sparse column index with its aligned K/A value lists.
-// Sources skipped by the index have K_ki = 0 and A_ki = 0, so their U_ki
-// is exactly zero and the sum is bit-identical to the dense
-// transitive.Capacities scan.
-func (al *Allocator) capsInto(dst, v []float64) {
-	for i := 0; i < al.n; i++ {
-		c := v[i]
-		idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
-		for x, k := range idx {
-			u := v[k] * ks[x]
-			if al.hasA {
-				u += as[x]
-			}
-			if u > v[k] {
-				u = v[k]
-			}
-			c += u
-		}
-		dst[i] = c
+// capacity computes C_i = V_i + Σ_{k≠i} U_ki walking the precomputed sparse
+// column index with its aligned K/A value lists. Sources skipped by the
+// index have K_ki = 0 and A_ki = 0, so their U_ki is exactly zero and the
+// sum is bit-identical to the dense transitive.Capacities scan. It panics
+// on an invalid availability among the entries it reads: every entry of v a
+// plan touches passes through here first, so a plan validates what it
+// reads and nothing else.
+func (al *Allocator) capacity(v []float64, i int) float64 {
+	c := v[i]
+	if !(c >= 0) {
+		panic(invalidV(i, c))
 	}
+	idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
+	for x, k := range idx {
+		vk := v[k]
+		if !(vk >= 0) {
+			panic(invalidV(int(k), vk))
+		}
+		u := vk * ks[x]
+		if al.hasA {
+			u += as[x]
+		}
+		if u > vk {
+			u = vk
+		}
+		c += u
+	}
+	return c
+}
+
+// capacityAfter is capacity at a plan's outcome: V'_k = newV[x] where
+// principal k is the plan's live variable x, V_k everywhere else.
+func (al *Allocator) capacityAfter(v []float64, i int, sk *planSkeleton, newV []float64) float64 {
+	c := v[i]
+	if x := sk.varOf[i]; x >= 0 {
+		c = newV[x]
+	}
+	idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
+	for x, k := range idx {
+		vk := v[k]
+		if y := sk.varOf[k]; y >= 0 {
+			vk = newV[y]
+		}
+		u := vk * ks[x]
+		if al.hasA {
+			u += as[x]
+		}
+		if u > vk {
+			u = vk
+		}
+		c += u
+	}
+	return c
 }
 
 // Plan chooses the allocation minimizing the maximum capacity perturbation
@@ -568,46 +622,97 @@ func (al *Allocator) capsInto(dst, v []float64) {
 // (wrapped, with the shortfall) if C_requester < amount.
 func (al *Allocator) Plan(v []float64, requester int, amount float64) (*Allocation, error) {
 	al.checkV(v)
-	if requester < 0 || requester >= al.n {
-		panic(fmt.Sprintf("core: requester %d out of range [0,%d)", requester, al.n))
-	}
+	al.checkRequester(requester)
 	ws := al.pool.Get().(*planWS)
 	defer al.pool.Put(ws)
-	out := &Allocation{Take: make([]float64, al.n), NewV: make([]float64, al.n)}
-	if err := al.planInto(out, v, requester, amount, ws); err != nil {
+	if err := al.plan(ws, v, requester, amount); err != nil {
 		return nil, err
 	}
+	out := &Allocation{Take: make([]float64, al.n), NewV: make([]float64, al.n)}
+	ws.scatter(out, v)
 	return out, nil
 }
 
-// planInto plans one request into out (Take and NewV pre-sized to n).
-// Factored out of Plan so PlanBatch can solve many requests against one
-// workspace and bulk-allocated result arrays; the computation is
-// bit-identical to Plan's.
-func (al *Allocator) planInto(out *Allocation, v []float64, requester int, amount float64, ws *planWS) error {
+// PlanPairs is Plan for a caller that keeps an allocation as its takes: it
+// appends the plan's non-zero takes to sources and takes — takes[k] drawn
+// from principal sources[k], ascending, exactly the non-zero entries of
+// Plan's Take — and returns the grown slices with θ. Nothing of population
+// size is read, written or allocated on the way: the plan costs its
+// skeleton's variables and rows, and with capacity in the two slices a
+// steady-state call allocates nothing. It validates the entries of v the
+// plan reads, not the whole vector. On error the slices come back as given.
+func (al *Allocator) PlanPairs(sources []int, takes []float64, v []float64, requester int, amount float64) ([]int, []float64, float64, error) {
+	al.checkLen(v)
+	al.checkRequester(requester)
+	ws := al.pool.Get().(*planWS)
+	defer al.pool.Put(ws)
+	if err := al.plan(ws, v, requester, amount); err != nil {
+		return sources, takes, 0, err
+	}
+	sources, takes = ws.appendPairs(sources, takes)
+	return sources, takes, ws.theta, nil
+}
+
+// appendPairs is the pair emitter: the planned non-zero takes, ascending
+// by source because vars is.
+func (ws *planWS) appendPairs(sources []int, takes []float64) ([]int, []float64) {
+	for x, i := range ws.vars {
+		if t := ws.take[x]; !num.IsZero(t) {
+			sources, takes = append(sources, int(i)), append(takes, t)
+		}
+	}
+	return sources, takes
+}
+
+// scatter is the dense emitter: the plan written over the whole population
+// into out, whose Take and NewV are freshly made vectors of n entries.
+// Everyone outside vars keeps exactly v_i and the zero take out.Take
+// already holds.
+func (ws *planWS) scatter(out *Allocation, v []float64) {
+	copy(out.NewV, v)
+	for x, i := range ws.vars {
+		out.Take[i], out.NewV[i] = ws.take[x], ws.newV[x]
+	}
+	out.Theta = ws.theta
+}
+
+// plan plans one request and leaves the result in ws — the one computation
+// behind Plan, PlanBatch and PlanPairs. It reads v at the requester, the
+// planned skeleton's variables and the sources of its rows, and nowhere
+// else.
+func (al *Allocator) plan(ws *planWS, v []float64, requester int, amount float64) error {
+	ws.vars, ws.theta = nil, 0
 	if amount < 0 {
 		return fmt.Errorf("core: negative request %g", amount)
 	}
-	al.capsInto(ws.caps, v)
-	if ws.caps[requester] < amount-1e-9 {
+	ws.capReq = al.capacity(v, requester)
+	if ws.capReq < amount-1e-9 {
 		return fmt.Errorf("%w: principal %d has capacity %g, requested %g",
-			ErrInsufficient, requester, ws.caps[requester], amount)
+			ErrInsufficient, requester, ws.capReq, amount)
 	}
 	if num.IsZero(amount) {
-		for i := range out.Take {
-			out.Take[i] = 0
-		}
-		copy(out.NewV, v)
-		out.Theta = 0
-		return nil
+		return nil // the empty plan: no take, V' = V, θ = 0
 	}
+	if al.cfg.Faithful {
+		return al.planFaithful(ws, v, requester, amount)
+	}
+	return al.planSubstituted(ws, v, requester, amount)
+}
+
+// bindPlan sizes ws for a plan over sk and fills what both formulations
+// read before they solve: the requester's U column by variable position,
+// and C_i for every kept row.
+func (al *Allocator) bindPlan(ws *planWS, sk *planSkeleton, v []float64, requester int) {
+	live := len(sk.vars)
+	ws.vars = sk.vars
+	ws.uCol, ws.take, ws.newV = sized(ws.uCol, live), sized(ws.take, live), sized(ws.newV, live)
+	ws.caps = sized(ws.caps, len(sk.rows))
 	// The requester's U column, computed once: it bounds V'_i from below
-	// in the LP and caps each source's take during normalization. Sources
-	// outside colIdx[requester] have K = A = 0, so their U is exactly 0 —
-	// zero-filling and walking the sparse column matches the dense scan.
-	for i := range ws.uCol {
-		ws.uCol[i] = 0
-	}
+	// in the LP and caps each source's take during normalization. Live
+	// principals outside colIdx[requester] have K = A = 0, so their U is
+	// exactly 0 — zero-filling and walking the sparse column matches the
+	// dense scan.
+	clear(ws.uCol)
 	uIdx, uKs, uAs := al.colIdx[requester], al.colK[requester], al.colA[requester]
 	for x, k := range uIdx {
 		u := v[k] * uKs[x]
@@ -617,13 +722,21 @@ func (al *Allocator) planInto(out *Allocation, v []float64, requester int, amoun
 		if u > v[k] {
 			u = v[k]
 		}
-		ws.uCol[k] = u
+		ws.uCol[sk.varOf[k]] = u
 	}
-	ws.uCol[requester] = v[requester]
-	if al.cfg.Faithful {
-		return al.planFaithful(out, v, requester, amount, ws)
+	ws.uCol[sk.varOf[requester]] = v[requester]
+	for r, pr := range sk.rows {
+		ws.caps[r] = al.capacity(v, int(pr.i))
 	}
-	return al.planSubstituted(out, v, requester, amount, ws)
+}
+
+// sized returns buf with length n, reallocating only when it must grow;
+// the contents are unspecified.
+func sized(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // buildSkeleton constructs requester's substituted LP structure with
@@ -665,14 +778,7 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 			live[i] = int32(i)
 		}
 	}
-	sk.vars = live
-	sk.varOf = make([]int32, n)
-	for i := range sk.varOf {
-		sk.varOf[i] = -1
-	}
-	for x, i := range live {
-		sk.varOf[i] = int32(x)
-	}
+	sk.setVars(live, n)
 
 	// Tie-breaking: prefer drawing from weakly connected sources, whose
 	// capacity matters least to everyone else. V'_i enters the objective
@@ -771,6 +877,19 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 	sk.model = m
 }
 
+// setVars installs the live principals (ascending) of a skeleton over n
+// principals, with the inverse index.
+func (sk *planSkeleton) setVars(live []int32, n int) {
+	sk.vars = live
+	sk.varOf = make([]int32, n)
+	for i := range sk.varOf {
+		sk.varOf[i] = -1
+	}
+	for x, i := range live {
+		sk.varOf[i] = int32(x)
+	}
+}
+
 // rebind is planSubstituted's per-solve rebinding: bounds and the consume
 // row cover the live variables, and every kept perturb row's RHS re-folds
 // its pinned sources' contributions from the current column triples (so
@@ -780,7 +899,7 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 func (al *Allocator) rebind(m *lp.Model, sk *planSkeleton, v []float64, requester int, amount float64, ws *planWS) {
 	var sumLive float64
 	for x, i := range sk.vars {
-		lo := v[i] - ws.uCol[i]
+		lo := v[i] - ws.uCol[x]
 		if lo < 0 {
 			lo = 0
 		}
@@ -788,9 +907,9 @@ func (al *Allocator) rebind(m *lp.Model, sk *planSkeleton, v []float64, requeste
 		sumLive += v[i]
 	}
 	m.SetRHS(sk.consumeRow, sumLive-amount)
-	for _, pr := range sk.rows {
+	for r, pr := range sk.rows {
 		i := int(pr.i)
-		rhs := ws.caps[i]
+		rhs := ws.caps[r]
 		if sk.varOf[i] < 0 {
 			rhs -= v[i] // pinned self term
 		}
@@ -818,7 +937,7 @@ func (al *Allocator) rebind(m *lp.Model, sk *planSkeleton, v []float64, requeste
 		m.SetRHS(pr.row, rhs)
 	}
 	if sk.dropRow >= 0 {
-		m.SetRHS(sk.dropRow, ws.caps[requester]-amount)
+		m.SetRHS(sk.dropRow, ws.capReq-amount)
 	}
 	for _, cf := range sk.capFlowRows {
 		m.SetRHS(cf.row, al.aAt(int(cf.k), int(cf.i)))
@@ -845,66 +964,78 @@ func slotOf[T any](slot *atomic.Pointer[T]) *T {
 // planSubstituted solves the n+1-variable LP (variables V'_i and θ) by
 // rebinding the cached skeleton: only the V'_i bounds and the consume /
 // perturb / requester_drop right-hand sides change between calls.
-func (al *Allocator) planSubstituted(out *Allocation, v []float64, requester int, amount float64, ws *planWS) error {
+func (al *Allocator) planSubstituted(ws *planWS, v []float64, requester int, amount float64) error {
 	sk := al.skeleton(requester)
-	m := ws.clones[requester]
-	if ws.cloned[requester] != sk {
-		m = sk.model.Clone()
-		ws.clones[requester], ws.cloned[requester] = m, sk
+	c := ws.clones[requester]
+	if c.of != sk {
+		c = modelClone{model: sk.model.Clone(), of: sk}
+		ws.clones[requester] = c
 	}
+	m := c.model
 
+	al.bindPlan(ws, sk, v, requester)
 	al.rebind(m, sk, v, requester, amount, ws)
-	sol, err := al.solvePlan(m, requester, ws)
-	if err != nil {
+	if err := al.solvePlan(m, requester, ws); err != nil {
 		return fmt.Errorf("core: allocation LP failed: %w", err)
 	}
-	return al.allocationInto(out, v, requester, amount, sol, sk, ws)
+	return al.finishPlan(ws, sk, v, requester, amount)
 }
 
-// solvePlan runs the rebound model, through the requester's warm slot
-// when basis reuse is enabled. TryLock keeps concurrent Plans for the
-// same requester correct without contention: the loser of the race
-// simply solves cold in its own workspace.
-func (al *Allocator) solvePlan(m *lp.Model, requester int, ws *planWS) (*lp.Solution, error) {
+// solvePlan runs the rebound model and reads its V' into ws.newV. With
+// basis reuse enabled it solves through the requester's warm slot;
+// TryLock keeps concurrent Plans for the same requester correct without
+// contention: the loser of the race simply solves cold in its own
+// workspace. The answer lives in the workspace that solved it, so the slot
+// stays locked until the values are out.
+func (al *Allocator) solvePlan(m *lp.Model, requester int, ws *planWS) error {
+	var sol *lp.Solution
+	var err error
+	warm := false
 	if al.cfg.WarmStart && al.cfg.LPMethod == lp.Tableau {
-		slot := slotOf(&al.warm[requester])
-		if slot.mu.TryLock() {
-			sol, err := m.ResolveFrom(&slot.ws)
-			slot.mu.Unlock()
-			return sol, err
+		if slot := slotOf(&al.warm[requester]); slot.mu.TryLock() {
+			defer slot.mu.Unlock()
+			sol, err = m.ResolveFrom(&slot.ws)
+			warm = true
 		}
 	}
-	return m.SolveWithWorkspace(al.cfg.LPMethod, &ws.lpws)
+	if !warm {
+		sol, err = m.SolveWithWorkspace(al.cfg.LPMethod, &ws.lpws)
+	}
+	if err != nil {
+		return err
+	}
+	ws.readNewV(sol)
+	return nil
 }
 
-// allocationInto converts an LP solution over V' variables into out,
-// cleaning round-off and recomputing θ exactly. Variable x of a skeleton's
-// model is V'_vars[x], and every principal pinned outside it stays at
-// exactly v_i with a zero take; without a skeleton (the Faithful
-// formulation) V'_i is variable i.
-func (al *Allocator) allocationInto(out *Allocation, v []float64, requester int, amount float64, sol *lp.Solution, sk *planSkeleton, ws *planWS) error {
-	copy(out.NewV, v)
-	clear(out.Take)
-	live := al.n
-	if sk != nil {
-		live = len(sk.vars)
+// readNewV copies V'_x for every live variable out of a solution; variable
+// x of either formulation's model is V'_vars[x].
+func (ws *planWS) readNewV(sol *lp.Solution) {
+	for x := range ws.newV {
+		ws.newV[x] = sol.Value(lp.VarID(x))
 	}
-	for x := 0; x < live; x++ {
-		i := x
-		if sk != nil {
-			i = int(sk.vars[x])
-		}
-		nv := sol.Value(lp.VarID(x))
+}
+
+// finishPlan turns the LP's V' (in ws.newV) into the plan's result:
+// clamped into [0, V_i], round-off cleaned so the takes sum to amount
+// exactly, and θ recomputed from first principles — max over i ≠ requester
+// of C_i − C'_i, including the exact min-caps the LP linearized. Only the
+// skeleton's rows are looked at: a principal outside them has every source
+// pinned at V_k, its C'_i is the same sum over the same numbers as C_i, and
+// its difference is exactly 0, which the maximum already starts from.
+func (al *Allocator) finishPlan(ws *planWS, sk *planSkeleton, v []float64, requester int, amount float64) error {
+	for x, i := range sk.vars {
+		nv := ws.newV[x]
 		if nv < 0 {
 			nv = 0
 		}
 		if nv > v[i] {
 			nv = v[i]
 		}
-		out.NewV[i] = nv
-		out.Take[i] = v[i] - nv
+		ws.newV[x] = nv
+		ws.take[x] = v[i] - nv
 	}
-	if resid := normalizeTakes(out, v, amount, ws.uCol); math.Abs(resid) > 1e-9*math.Max(1, amount) {
+	if resid := normalizeTakes(ws.take, ws.newV, sk.vars, v, amount, ws.uCol, al.n); math.Abs(resid) > 1e-9*math.Max(1, amount) {
 		// Every source with a take is pinned at its agreement cap and the
 		// solution still misses the request: the plan cannot be repaired
 		// within the agreements. Surface it instead of returning an
@@ -912,58 +1043,54 @@ func (al *Allocator) allocationInto(out *Allocation, v []float64, requester int,
 		return fmt.Errorf("core: repaired allocation off by %g of %g requested with every source at its cap: %w",
 			resid, amount, ErrInfeasible)
 	}
-	out.Theta = al.realizedTheta(v, out.NewV, requester, ws.caps, ws.after)
-	return nil
-}
-
-// realizedTheta recomputes max_{i≠requester} (C_i − C'_i) from first
-// principles (including the exact min-caps the LP linearized), using
-// `after` as scratch for the post-allocation capacities.
-func (al *Allocator) realizedTheta(v, newV []float64, requester int, caps, after []float64) float64 {
-	al.capsInto(after, newV)
 	worst := 0.0
-	for i := range v {
-		if i == requester {
+	for r, pr := range sk.rows {
+		if int(pr.i) == requester {
 			continue
 		}
-		if d := caps[i] - after[i]; d > worst {
+		if d := ws.caps[r] - al.capacityAfter(v, int(pr.i), sk, ws.newV); d > worst {
 			worst = d
 		}
 	}
-	return worst
+	ws.theta = worst
+	return nil
 }
 
-// normalizeTakes removes round-off so that ΣTake == amount exactly: tiny
+// normalizeTakes removes round-off so that Σtake == amount exactly: tiny
 // negative takes are zeroed and the residual is absorbed by the largest
-// takes — never beyond a source's agreement cap maxTake[i] (U_{i→A}), so
+// takes — never beyond a source's agreement cap maxTake[x] (U_{i→A}), so
 // round-off repair cannot manufacture an allocation the agreements forbid.
-// It returns the residual the capped sources could not absorb (possible
-// only when every source with a take is at its cap); callers must treat a
-// non-negligible residual as an infeasible plan, not ship a short one.
-func normalizeTakes(a *Allocation, v []float64, amount float64, maxTake []float64) float64 {
+// take, newV and maxTake are indexed by variable position, entry x
+// belonging to principal vars[x] of v; rounds bounds the repair steps
+// (callers pass the population, so the bound is the same whichever
+// formulation chose the variables). It returns the residual the
+// capped sources could not absorb (possible only when every source with a
+// take is at its cap); callers must treat a non-negligible residual as an
+// infeasible plan, not ship a short one.
+func normalizeTakes(take, newV []float64, vars []int32, v []float64, amount float64, maxTake []float64, rounds int) float64 {
 	var sum float64
-	for i := range a.Take {
-		if a.Take[i] < 1e-12 {
-			a.Take[i] = 0
-			a.NewV[i] = v[i]
+	for x := range take {
+		if take[x] < 1e-12 {
+			take[x] = 0
+			newV[x] = v[vars[x]]
 		}
-		sum += a.Take[i]
+		sum += take[x]
 	}
 	resid := amount - sum
-	for iter := 0; !num.IsZero(resid) && iter < len(a.Take); iter++ {
+	for iter := 0; !num.IsZero(resid) && iter < rounds; iter++ {
 		// Pick the source with the largest take that still has headroom
 		// in the needed direction.
 		best := -1
-		for i := range a.Take {
+		for x := range take {
 			if resid > 0 {
-				if a.Take[i] >= maxTake[i] {
+				if take[x] >= maxTake[x] {
 					continue
 				}
-			} else if a.Take[i] <= 0 {
+			} else if take[x] <= 0 {
 				continue
 			}
-			if best == -1 || a.Take[i] > a.Take[best] {
-				best = i
+			if best == -1 || take[x] > take[best] {
+				best = x
 			}
 		}
 		if best == -1 {
@@ -971,26 +1098,43 @@ func normalizeTakes(a *Allocation, v []float64, amount float64, maxTake []float6
 		}
 		delta := resid
 		if resid > 0 {
-			if room := maxTake[best] - a.Take[best]; delta > room {
+			if room := maxTake[best] - take[best]; delta > room {
 				delta = room
 			}
-		} else if -delta > a.Take[best] {
-			delta = -a.Take[best]
+		} else if -delta > take[best] {
+			delta = -take[best]
 		}
-		a.Take[best] += delta
-		a.NewV[best] = v[best] - a.Take[best]
+		take[best] += delta
+		newV[best] = v[vars[best]] - take[best]
 		resid -= delta
 	}
 	return resid
 }
 
+// checkV panics unless v is a valid availability vector for this
+// allocator: the whole-vector check of the dense exports.
 func (al *Allocator) checkV(v []float64) {
+	al.checkLen(v)
+	for i, x := range v {
+		if !(x >= 0) {
+			panic(invalidV(i, x))
+		}
+	}
+}
+
+func (al *Allocator) checkLen(v []float64) {
 	if len(v) != al.n {
 		panic(fmt.Sprintf("core: got %d capacities for %d principals", len(v), al.n))
 	}
-	for i, x := range v {
-		if x < 0 || math.IsNaN(x) {
-			panic(fmt.Sprintf("core: capacity V[%d] = %g invalid", i, x))
-		}
+}
+
+func (al *Allocator) checkRequester(requester int) {
+	if requester < 0 || requester >= al.n {
+		panic(fmt.Sprintf("core: requester %d out of range [0,%d)", requester, al.n))
 	}
+}
+
+// invalidV is the panic message for a negative or NaN availability.
+func invalidV(i int, x float64) string {
+	return fmt.Sprintf("core: capacity V[%d] = %g invalid", i, x)
 }

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // BatchRequest is one allocation request inside a PlanBatch call.
 type BatchRequest struct {
 	Requester int
@@ -19,11 +17,12 @@ type BatchResult struct {
 // vector, committing each successful allocation before planning the
 // next with the GRM's commit rule (avail[i] -= Take[i], clamped at 0).
 // The results are bit-identical to calling Plan once per request with
-// that rule applied between calls — the point is not a different
-// schedule but a cheaper one: the whole batch shares one pooled
-// workspace and two bulk-allocated backing arrays instead of paying
-// Plan's per-call allocations, and the GRM's batcher holds its state
-// lock for one commit instead of one per request.
+// that rule applied between calls; the batch shares one pooled workspace
+// and two bulk-allocated backing arrays instead of paying Plan's per-call
+// allocations. It is an export for the simulator, the oracles and the
+// benchmark, and the reference the served path is tested against: the GRM
+// plans each request with PlanPairs against its own books and commits it
+// before the next, which is this chain without the dense vectors.
 //
 // A failed request (insufficient capacity, infeasible repair, negative
 // amount) consumes nothing and does not stop the batch; its BatchResult
@@ -33,9 +32,7 @@ func (al *Allocator) PlanBatch(v []float64, reqs []BatchRequest) []BatchResult {
 	al.checkV(v)
 	n := al.n
 	for _, req := range reqs {
-		if req.Requester < 0 || req.Requester >= n {
-			panic(fmt.Sprintf("core: requester %d out of range [0,%d)", req.Requester, n))
-		}
+		al.checkRequester(req.Requester)
 	}
 	results := make([]BatchResult, len(reqs))
 	if len(reqs) == 0 {
@@ -44,26 +41,25 @@ func (al *Allocator) PlanBatch(v []float64, reqs []BatchRequest) []BatchResult {
 	ws := al.pool.Get().(*planWS)
 	defer al.pool.Put(ws)
 
-	// One backing array per field for the whole batch: 3 allocations
-	// regardless of batch size, against 3 per request in Plan.
+	// One backing array per field for the whole batch.
 	takeBuf := make([]float64, 2*len(reqs)*n)
 	newVBuf := takeBuf[len(reqs)*n:]
-	takeBuf = takeBuf[:len(reqs)*n:len(reqs)*n]
+	takeBuf = takeBuf[: len(reqs)*n : len(reqs)*n]
 	allocs := make([]Allocation, len(reqs))
 
-	cur := ws.chain
-	copy(cur, v)
+	cur := append([]float64(nil), v...) // the running availability between requests
 	for r, req := range reqs {
-		out := &allocs[r]
-		out.Take = takeBuf[r*n : (r+1)*n : (r+1)*n]
-		out.NewV = newVBuf[r*n : (r+1)*n : (r+1)*n]
-		if err := al.planInto(out, cur, req.Requester, req.Amount, ws); err != nil {
+		if err := al.plan(ws, cur, req.Requester, req.Amount); err != nil {
 			results[r].Err = err
 			continue
 		}
+		out := &allocs[r]
+		out.Take = takeBuf[r*n : (r+1)*n : (r+1)*n]
+		out.NewV = newVBuf[r*n : (r+1)*n : (r+1)*n]
+		ws.scatter(out, cur)
 		results[r].Alloc = out
-		for i, take := range out.Take {
-			cur[i] -= take
+		for x, i := range ws.vars {
+			cur[i] -= ws.take[x]
 			if cur[i] < 0 {
 				cur[i] = 0
 			}

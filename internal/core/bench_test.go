@@ -496,6 +496,27 @@ func BenchmarkPlanSparseComponent1000(b *testing.B) {
 	benchPlan(b, al, v)
 }
 
+// BenchmarkPlanPairsComponent4096 is the plan the sharded GRM serves: the
+// blocks-of-eight population at the tree benchmark's size under
+// ComponentLP, planned in pair form into reused slices. It costs the
+// block, not the 4 096, and allocates nothing.
+func BenchmarkPlanPairsComponent4096(b *testing.B) {
+	s, a, v := sparseBlocksScenario(4096)
+	al, err := NewAllocatorSparse(s, a, Config{Level: 5, ComponentLP: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sources []int
+	var takes []float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sources, takes, _, err = al.PlanPairs(sources[:0], takes[:0], v, 0, 40); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCapacitiesSparse1000 is the caps sweep the status and caps
 // handlers pay: one pass over the column triples, O(n + nnz).
 func BenchmarkCapacitiesSparse1000(b *testing.B) {

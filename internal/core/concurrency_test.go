@@ -120,14 +120,26 @@ func TestCapsIntoMatchesDense(t *testing.T) {
 			v[i] = 10 * rng.Float64()
 		}
 		want := transitive.Capacities(v, al.FlowCoefficients(), al.denseA())
-		got := make([]float64, n)
-		al.capsInto(got, v)
+		got := al.Capacities(v)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d: capsInto[%d]=%v, dense=%v", trial, i, got[i], want[i])
+				t.Fatalf("trial %d: Capacities[%d]=%v, dense=%v", trial, i, got[i], want[i])
+			}
+			if one := al.Capacity(v, i); one != want[i] {
+				t.Fatalf("trial %d: Capacity(%d)=%v, dense=%v", trial, i, one, want[i])
 			}
 		}
 	}
+}
+
+// normalizeDense runs normalizeTakes over an allocation whose every
+// principal is a variable.
+func normalizeDense(a *Allocation, v []float64, amount float64, maxTake []float64) float64 {
+	vars := make([]int32, len(a.Take))
+	for i := range vars {
+		vars[i] = int32(i)
+	}
+	return normalizeTakes(a.Take, a.NewV, vars, v, amount, maxTake, len(vars))
 }
 
 // TestNormalizeTakesRespectsCaps checks that round-off repair never pushes
@@ -143,7 +155,7 @@ func TestNormalizeTakesRespectsCaps(t *testing.T) {
 	// Sum is 7, amount is 7.5: the largest take (index 0) can only absorb
 	// 0.05 before hitting its cap; the rest must spill to index 1 (0.2)
 	// and then index 2 (0.25).
-	if resid := normalizeTakes(a, v, 7.5, maxTake); resid != 0 {
+	if resid := normalizeDense(a, v, 7.5, maxTake); resid != 0 {
 		t.Fatalf("repairable case reported residual %v", resid)
 	}
 	var sum float64
@@ -162,7 +174,7 @@ func TestNormalizeTakesRespectsCaps(t *testing.T) {
 
 	// Negative residual: takes shrink but never below zero.
 	b := &Allocation{Take: []float64{3.0, 0.5}, NewV: []float64{7.0, 9.5}}
-	if resid := normalizeTakes(b, v[:2], 3.2, []float64{5, 5}); resid != 0 {
+	if resid := normalizeDense(b, v[:2], 3.2, []float64{5, 5}); resid != 0 {
 		t.Fatalf("negative residual not repaired: %v left, takes %v", resid, b.Take)
 	}
 	if b.Take[0]+b.Take[1] != 3.2 {
@@ -181,7 +193,7 @@ func TestNormalizeTakesRespectsCaps(t *testing.T) {
 func TestNormalizeTakesAllAtCapReportsResidual(t *testing.T) {
 	v := []float64{10, 10}
 	c := &Allocation{Take: []float64{2.0, 2.0}, NewV: []float64{8.0, 8.0}}
-	resid := normalizeTakes(c, v, 5.0, []float64{2.0, 2.0})
+	resid := normalizeDense(c, v, 5.0, []float64{2.0, 2.0})
 	if c.Take[0] != 2.0 || c.Take[1] != 2.0 {
 		t.Fatalf("capped takes mutated: %v", c.Take)
 	}
@@ -190,7 +202,7 @@ func TestNormalizeTakesAllAtCapReportsResidual(t *testing.T) {
 	}
 	// A repairable case reports zero even when one source caps out.
 	d := &Allocation{Take: []float64{2.0, 1.0}, NewV: []float64{8.0, 9.0}}
-	if resid := normalizeTakes(d, v, 4.0, []float64{2.0, 5.0}); resid != 0 {
+	if resid := normalizeDense(d, v, 4.0, []float64{2.0, 5.0}); resid != 0 {
 		t.Fatalf("repairable case reported residual %v", resid)
 	}
 }

@@ -29,6 +29,19 @@
 // discriminating. A small connectivity-weighted secondary term breaks ties
 // deterministically.
 //
+// # One plan, two forms
+//
+// A plan is computed once, over the variables and rows of the requester's
+// LP skeleton and nothing else — under Config.ComponentLP that is the
+// requester's agreement component, in the full formulation everyone — and
+// leaves in one of two forms. PlanPairs appends the non-zero (source, take)
+// pairs and θ to slices the caller owns: what the GRM serves from, costing
+// the component and allocating nothing in the steady state. Plan and
+// PlanBatch scatter the same result into a dense Allocation, two vectors
+// over the whole population, for the simulator, the baselines, the oracles
+// and the benchmark; they are exports, bit-identical to the pairs, not the
+// served path.
+//
 // # Baselines
 //
 // The package also provides the non-LP schemes the paper compares against:

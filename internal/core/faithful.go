@@ -14,12 +14,23 @@ import (
 // the pivot cost; it exists for validation and the ablation bench.
 // Absolute agreements are not part of the paper's printed LP, so the
 // faithful mode rejects them.
-func (al *Allocator) planFaithful(out *Allocation, v []float64, requester int, amount float64, ws *planWS) error {
+func (al *Allocator) planFaithful(ws *planWS, v []float64, requester int, amount float64) error {
 	if al.hasA {
 		return fmt.Errorf("core: Faithful formulation covers the paper's basic model only (no absolute agreement matrix)")
 	}
 	n := al.n
-	caps := ws.caps
+	// The shape a substituted skeleton would have with everyone live:
+	// variable i is V'_i, and eq. 6 keeps a row per constrained principal.
+	sk := &planSkeleton{}
+	everyone := make([]int32, n)
+	for i := range everyone {
+		everyone[i] = int32(i)
+		if i != requester || al.cfg.KeepRequesterConstraint {
+			sk.rows = append(sk.rows, compRow{i: int32(i)})
+		}
+	}
+	sk.setVars(everyone, n)
+	al.bindPlan(ws, sk, v, requester)
 	m := lp.NewModel(lp.Minimize)
 
 	const eps = 1e-6
@@ -76,26 +87,25 @@ func (al *Allocator) planFaithful(out *Allocation, v []float64, requester int, a
 	}
 	m.AddConstraint("consume", sumTerms, lp.EQ, totalV-amount)
 	// (6) C_i − θ ≤ C'_i ≤ C_i.
-	for i := 0; i < n; i++ {
-		if i == requester && !al.cfg.KeepRequesterConstraint {
-			continue
-		}
+	for r, pr := range sk.rows {
+		i := pr.i
 		m.AddConstraint(fmt.Sprintf("perturb_lo_%d", i),
-			[]lp.Term{{Var: cp[i], Coeff: 1}, {Var: theta, Coeff: 1}}, lp.GE, caps[i])
+			[]lp.Term{{Var: cp[i], Coeff: 1}, {Var: theta, Coeff: 1}}, lp.GE, ws.caps[r])
 		m.AddConstraint(fmt.Sprintf("perturb_hi_%d", i),
-			[]lp.Term{{Var: cp[i], Coeff: 1}}, lp.LE, caps[i])
+			[]lp.Term{{Var: cp[i], Coeff: 1}}, lp.LE, ws.caps[r])
 	}
 	if al.cfg.KeepRequesterConstraint {
 		// (3) C'_A = C_A − x, relaxed to ≥: the flow model only loses
 		// K_kA ≤ 1 per unit taken from k, so demanding equality would be
 		// infeasible whenever any take crosses a fractional agreement.
 		m.AddConstraint("requester_drop",
-			[]lp.Term{{Var: cp[requester], Coeff: 1}}, lp.GE, caps[requester]-amount)
+			[]lp.Term{{Var: cp[requester], Coeff: 1}}, lp.GE, ws.capReq-amount)
 	}
 
 	sol, err := m.SolveWithWorkspace(al.cfg.LPMethod, &ws.lpws)
 	if err != nil {
 		return fmt.Errorf("core: faithful allocation LP failed: %w", err)
 	}
-	return al.allocationInto(out, v, requester, amount, sol, nil, ws)
+	ws.readNewV(sol)
+	return al.finishPlan(ws, sk, v, requester, amount)
 }

@@ -124,7 +124,7 @@ func (h *Hierarchy) Plan(v []float64, requester int, amount float64) (*Allocatio
 		if err := h.refineGroup(v, out, g, requester, amount); err != nil {
 			return nil, err
 		}
-		out.Theta = h.full.realizedTheta(v, out.NewV, requester, h.full.Capacities(v), make([]float64, n))
+		out.Theta = h.full.perturbation(v, out.NewV, requester)
 		return out, nil
 	}
 
@@ -154,8 +154,23 @@ func (h *Hierarchy) Plan(v []float64, requester int, amount float64) (*Allocatio
 			return nil, err
 		}
 	}
-	out.Theta = h.full.realizedTheta(v, out.NewV, requester, h.full.Capacities(v), make([]float64, n))
+	out.Theta = h.full.perturbation(v, out.NewV, requester)
 	return out, nil
+}
+
+// perturbation recomputes θ = max_{i≠requester} (C_i − C'_i) from first
+// principles for an allocation in dense form.
+func (al *Allocator) perturbation(v, newV []float64, requester int) float64 {
+	worst := 0.0
+	for i := range v {
+		if i == requester {
+			continue
+		}
+		if d := al.capacity(v, i) - al.capacity(newV, i); d > worst {
+			worst = d
+		}
+	}
+	return worst
 }
 
 // coarsePlan distributes `amount` across groups: take_g ∈ [0, vg_g],

@@ -50,8 +50,8 @@ import (
 
 // derive clones the allocator's slice headers and cache references so a
 // mutator can swap individual entries without touching the receiver. The
-// workspace pool is shared: n is unchanged, and a workspace re-clones any
-// model whose skeleton the mutation rebuilt.
+// workspace pool is shared: a workspace re-clones any model whose skeleton
+// the mutation rebuilt.
 func (al *Allocator) derive() *Allocator {
 	return &Allocator{
 		n: al.n, aCols: al.aCols, aVals: al.aVals, hasA: al.hasA,
@@ -286,7 +286,7 @@ func (al *Allocator) Grow(extra int) *Allocator {
 	d.colIdx, d.colK, d.colA = grown(al.colIdx, n), grown(al.colK, n), grown(al.colA, n)
 	d.skel = make([]atomic.Pointer[planSkeleton], n)
 	d.warm = make([]atomic.Pointer[warmSlot], n)
-	d.pool = newPlanPool(n)
+	d.pool = al.pool
 	return d
 }
 

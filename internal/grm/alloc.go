@@ -14,7 +14,8 @@ import (
 // goroutine drains it, coalescing every concurrently pending request into
 // one batch that is validated, planned, committed and journaled while
 // s.mu is held. Nothing can move the books under a plan, so each plan is
-// solved once; a report, a share or a release waits out at most one batch
+// solved once, against the books themselves, and committed before the next
+// is planned; a report, a share or a release waits out at most one batch
 // of maxBatchSize solves. A request that must borrow from a parent GRM
 // leaves its batch for the round trip (settle) and rejoins the queue with
 // the credit, so the scheduler never waits on the network.
@@ -24,8 +25,8 @@ const (
 	// shutdown escape) when a burst outruns the scheduler.
 	allocQueueCap = 128
 	// maxBatchSize caps how many queued requests coalesce into one batch,
-	// bounding commit latency for the first request in it, how long s.mu
-	// is held, and the size of the bulk result arrays.
+	// bounding commit latency for the first request in it and how long
+	// s.mu is held.
 	maxBatchSize = 16
 	// maxBorrowRounds caps the parent round trips one request may make.
 	// Only local capacity shrinking during a round trip calls for another,
@@ -39,7 +40,9 @@ const (
 // blocks on a requester that stopped listening. The fields below it are
 // the federation borrow a request holds between two plans. Whoever holds
 // the job owns them: the scheduler while it is in a batch, its settle
-// goroutine while it is away.
+// goroutine while it is away. Jobs are recycled through Server.jobs by the
+// requester that received the reply — the one send on resp — after which
+// neither the scheduler nor a settle goroutine looks at the job again.
 type allocJob struct {
 	req  *AllocRequest
 	resp chan *Response
@@ -55,7 +58,8 @@ type allocJob struct {
 // starting the scheduler if Serve has not already.
 func (s *Server) alloc(r *AllocRequest) *Response {
 	s.startScheduler()
-	job := &allocJob{req: r, resp: make(chan *Response, 1)}
+	job := s.jobs.Get().(*allocJob)
+	*job = allocJob{req: r, resp: job.resp}
 	select {
 	case s.allocQ <- job:
 		s.mQueueDepth.Set(float64(len(s.allocQ)))
@@ -64,11 +68,13 @@ func (s *Server) alloc(r *AllocRequest) *Response {
 	}
 	select {
 	case resp := <-job.resp:
+		s.jobs.Put(job)
 		return resp
 	case <-s.closed:
 		// A job already in a batch is still answered while the server
 		// shuts down; prefer that reply when it raced ahead of the close
-		// signal.
+		// signal. Either way the job may still be in the pipeline's hands
+		// and is not recycled.
 		select {
 		case resp := <-job.resp:
 			return resp
@@ -93,8 +99,10 @@ func (s *Server) startScheduler() {
 type batchScratch struct {
 	replies []*Response
 	live    []int // the jobs that passed validation, as indexes into the batch
-	reqs    []core.BatchRequest
-	v       []float64 // the availability view plus one job's credit
+	// One plan's takes as PlanPairs emits them; commitAllocLocked copies
+	// them out before the next plan overwrites them.
+	sources []int
+	takes   []float64
 }
 
 // scheduler drains the admission queue until the server closes: it takes
@@ -107,7 +115,6 @@ func (s *Server) scheduler() {
 	sc := &batchScratch{
 		replies: make([]*Response, maxBatchSize),
 		live:    make([]int, 0, maxBatchSize),
-		reqs:    make([]core.BatchRequest, 0, maxBatchSize),
 	}
 	for {
 		select {
@@ -156,11 +163,9 @@ func (s *Server) abandon(job *allocJob) {
 }
 
 // processBatch validates, plans, and commits one batch of allocation
-// requests while holding s.mu. PlanBatch chains its requests: each sees
-// the availability the earlier ones left. A request that rejoined the
-// queue with a borrowed credit is planned in a call of its own, against
-// the view with the credit added to its requester, so no other plan draws
-// on capacity that is not on the books.
+// requests while holding s.mu, one request at a time: each is planned
+// against the books the earlier ones left and committed before the next is
+// planned (allocLocked).
 //
 // A request local capacity cannot cover, while a parent is attached,
 // leaves without a reply to borrow the rest; one that holds a borrow and
@@ -172,7 +177,7 @@ func (s *Server) processBatch(jobs []*allocJob, sc *batchScratch) {
 	clear(replies)
 
 	s.mu.Lock()
-	live, reqs := sc.live[:0], sc.reqs[:0]
+	live := sc.live[:0]
 	for i, job := range jobs {
 		if err := s.checkPrincipal(job.req.Principal); err != nil {
 			replies[i] = errorf("grm: alloc: %v", err)
@@ -183,7 +188,6 @@ func (s *Server) processBatch(jobs []*allocJob, sc *batchScratch) {
 			continue
 		}
 		live = append(live, i)
-		reqs = append(reqs, core.BatchRequest{Requester: job.req.Principal, Amount: job.req.Amount})
 	}
 	planner, err := s.currentPlannerLocked()
 	if err != nil {
@@ -193,36 +197,21 @@ func (s *Server) processBatch(jobs []*allocJob, sc *batchScratch) {
 		live = live[:0]
 	}
 	parent, borrowing := s.parent, 0
-	for lo := 0; lo < len(live); {
-		// The next run to plan in one call: a credited job alone, or
-		// every job up to the next credited one.
-		v, hi := s.avail, lo+1
-		if job := jobs[live[lo]]; job.parentLease != 0 {
-			sc.v = append(sc.v[:0], s.avail...)
-			sc.v[job.req.Principal] += job.credit
-			v = sc.v
-		} else {
-			for hi < len(live) && jobs[live[hi]].parentLease == 0 {
-				hi++
-			}
+	for _, i := range live {
+		job := jobs[i]
+		reply, err := s.allocLocked(planner, job, sc)
+		switch {
+		case err == nil:
+			replies[i] = &Response{Alloc: reply}
+			job.parentLease = 0 // the lease owns the borrow now
+		case errors.Is(err, core.ErrInsufficient) && parent != nil && job.rounds < maxBorrowRounds:
+			// What this plan saw, its own credit aside: the books less
+			// the batch's commits so far.
+			job.capacity = planner.Capacity(s.avail, job.req.Principal)
+			borrowing++
+		default:
+			replies[i] = errorf("grm: alloc: %v", err)
 		}
-		for k, res := range planner.PlanBatch(v, reqs[lo:hi]) {
-			i := live[lo+k]
-			job := jobs[i]
-			switch {
-			case res.Err == nil:
-				replies[i] = &Response{Alloc: s.commitAllocLocked(job.req, res.Alloc, job.link, job.parentLease)}
-				job.parentLease = 0 // the lease owns the borrow now
-			case errors.Is(res.Err, core.ErrInsufficient) && parent != nil && job.rounds < maxBorrowRounds:
-				// What this plan saw, its own credit aside: the view
-				// less the batch's commits so far.
-				job.capacity = planner.Capacities(s.avail)[job.req.Principal]
-				borrowing++
-			default:
-				replies[i] = errorf("grm: alloc: %v", res.Err)
-			}
-		}
-		lo = hi
 	}
 	if len(live) > 0 {
 		s.mBatches.Inc()
@@ -249,6 +238,32 @@ func (s *Server) processBatch(jobs []*allocJob, sc *batchScratch) {
 		s.wg.Add(1)
 		go s.settle(job, parent, replies[i])
 	}
+}
+
+// allocLocked plans one request against the availability view itself and,
+// when the plan succeeds, commits it. Under s.mu nothing else moves the
+// books, so planning and committing a batch's requests one after the other
+// is the chain core.PlanBatch computes over a copy — each plan sees the
+// availability the earlier commits left, debited under the same clamp —
+// without the copy. A request that rejoined the queue with a borrowed
+// credit is lent the credit on its own entry for the length of its plan, so
+// no other plan draws on capacity that is not on the books; the entry is
+// put back, not subtracted back, because (x + c) − c need not be x.
+// Callers hold s.mu.
+func (s *Server) allocLocked(planner *core.Allocator, job *allocJob, sc *batchScratch) (*AllocReply, error) {
+	p := job.req.Principal
+	own := s.avail[p]
+	if job.parentLease != 0 {
+		s.avail[p] = own + job.credit
+	}
+	var theta float64
+	var err error
+	sc.sources, sc.takes, theta, err = planner.PlanPairs(sc.sources[:0], sc.takes[:0], s.avail, p, job.req.Amount)
+	s.avail[p] = own
+	if err != nil {
+		return nil, err
+	}
+	return s.commitAllocLocked(job.req, sc.sources, sc.takes, theta, job.link, job.parentLease), nil
 }
 
 // settle makes a job's parent round trips, with s.mu released. It returns
@@ -289,12 +304,14 @@ func (s *Server) settle(job *allocJob, parent *parentLink, refusal *Response) {
 // mints the lease, and records the allocation in the write-ahead log.
 // Callers hold s.mu. It returns the reply to send.
 //
-// This is where the plan's population-sized Take is read for the last
-// time: its non-zero entries become one pair of slices that the lease,
-// the reply (and through it the tap) and the journal record share, so
-// everything from here to the client costs what the allocation touches.
-func (s *Server) commitAllocLocked(req *AllocRequest, plan *core.Allocation, borrowedFrom *parentLink, parentLease int) *AllocReply {
-	sources, takes := store.SparseTakes(nil, plan.Take)
+// The plan arrives as its pairs in the scheduler's scratch and is copied
+// once, into two exact-size slices that the lease, the reply (and through
+// it the tap) and the journal record share; nothing on the way from the
+// admission queue to the client is sized by the population.
+func (s *Server) commitAllocLocked(req *AllocRequest, planSources []int, planTakes []float64, theta float64, borrowedFrom *parentLink, parentLease int) *AllocReply {
+	sources, takes := make([]int, len(planSources)), make([]float64, len(planTakes))
+	copy(sources, planSources)
+	copy(takes, planTakes)
 	s.debitLocked(sources, takes)
 	token := s.nextLease
 	s.nextLease++
@@ -308,7 +325,7 @@ func (s *Server) commitAllocLocked(req *AllocRequest, plan *core.Allocation, bor
 		le.expires = s.clock.Now().Add(s.leaseTTL)
 	}
 	s.leases[token] = le
-	s.appendLocked(&store.Record{
+	s.appendLocked(store.Record{
 		Kind:        store.KindAlloc,
 		Principal:   req.Principal,
 		Amount:      req.Amount,
@@ -318,7 +335,7 @@ func (s *Server) commitAllocLocked(req *AllocRequest, plan *core.Allocation, bor
 		Expires:     expiryUnix(le.expires),
 		ParentLease: parentLease,
 	})
-	return &AllocReply{Sources: sources, Takes: takes, Theta: plan.Theta, Lease: token, TTL: s.leaseTTL}
+	return &AllocReply{Sources: sources, Takes: takes, Theta: theta, Lease: token, TTL: s.leaseTTL}
 }
 
 // debitLocked takes an allocation's pairs out of the availability view,

@@ -584,7 +584,7 @@ type binWire struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan *Response // nil once the reader exited
+	pending map[uint64]*binCall // nil once the reader exited
 	err     error
 
 	done chan struct{} // closed when the reader exits
@@ -625,7 +625,7 @@ func newBinWire(conn net.Conn, timeout time.Duration) (*binWire, error) {
 		timeout: timeout,
 		fw:      transport.NewFrameWriter(conn),
 		fr:      transport.NewFrameReader(br),
-		pending: map[uint64]chan *Response{},
+		pending: map[uint64]*binCall{},
 		done:    make(chan struct{}),
 	}
 	go w.readLoop()
@@ -657,11 +657,11 @@ func (w *binWire) readLoop() {
 			break
 		}
 		w.mu.Lock()
-		ch, ok := w.pending[id]
+		call, ok := w.pending[id]
 		delete(w.pending, id)
 		w.mu.Unlock()
 		if ok {
-			ch <- resp // buffered; a reply for a timed-out id was forgotten
+			call.reply <- resp // buffered; a reply for a timed-out id was forgotten
 		}
 	}
 	w.mu.Lock()
@@ -683,14 +683,55 @@ func (w *binWire) forget(id uint64) {
 	w.mu.Unlock()
 }
 
+// binCall is what one exchange on a binary wire waits on: the channel the
+// reader delivers the reply through and the timer bounding the wait.
+// Records are recycled through binCalls, and only by a call that received
+// its reply: the reader took the id out of pending before that one send,
+// so nothing can reach the record afterwards. A call that timed out or saw
+// the connection die abandons its record — the reader may already hold it,
+// and a late reply must land in a record no later call reads.
+type binCall struct {
+	reply chan *Response // buffered: the reader never blocks on a waiter that left
+	timer *time.Timer    // nil until a call first waits under a deadline; stopped and drained between calls
+}
+
+var binCalls = sync.Pool{New: func() any { return &binCall{reply: make(chan *Response, 1)} }}
+
+// arm starts the call's timer and returns its channel (nil, which never
+// fires, without a timeout).
+func (c *binCall) arm(timeout time.Duration) <-chan time.Time {
+	if timeout <= 0 {
+		return nil
+	}
+	if c.timer == nil {
+		c.timer = time.NewTimer(timeout)
+	} else {
+		c.timer.Reset(timeout)
+	}
+	return c.timer.C
+}
+
+// recycle returns an answered call's record for reuse, its timer stopped
+// with no stale tick left in the channel.
+func (c *binCall) recycle() {
+	if c.timer != nil && !c.timer.Stop() {
+		select {
+		case <-c.timer.C:
+		default:
+		}
+	}
+	binCalls.Put(c)
+}
+
 // do writes one tagged request frame and waits for its reply, however
 // many other operations are in flight on the connection.
 func (w *binWire) do(req *Request, timeout time.Duration) (*Response, error) {
-	ch := make(chan *Response, 1)
+	call := binCalls.Get().(*binCall)
 	w.mu.Lock()
 	if w.pending == nil {
 		err := w.err
 		w.mu.Unlock()
+		binCalls.Put(call) // never published
 		if err == nil {
 			err = fmt.Errorf("grm: send: %w", net.ErrClosed)
 		}
@@ -698,7 +739,7 @@ func (w *binWire) do(req *Request, timeout time.Duration) (*Response, error) {
 	}
 	w.nextID++
 	id := w.nextID
-	w.pending[id] = ch
+	w.pending[id] = call
 	w.mu.Unlock()
 
 	w.wmu.Lock()
@@ -720,19 +761,15 @@ func (w *binWire) do(req *Request, timeout time.Duration) (*Response, error) {
 		return nil, fmt.Errorf("grm: send: %w", err)
 	}
 
-	var timeoutC <-chan time.Time
-	if timeout > 0 {
-		tm := time.NewTimer(timeout)
-		defer tm.Stop()
-		timeoutC = tm.C
-	}
+	timeoutC := call.arm(timeout)
 	select {
-	case resp := <-ch:
+	case resp := <-call.reply:
+		call.recycle()
 		return resp, nil
 	case <-w.done:
 		// The reader may have delivered the reply just before exiting.
 		select {
-		case resp := <-ch:
+		case resp := <-call.reply:
 			return resp, nil
 		default:
 		}

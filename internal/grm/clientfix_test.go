@@ -342,3 +342,73 @@ func TestPipelinedClientSharesOneConnection(t *testing.T) {
 		t.Errorf("%d connections dialed, want 1 (pipelined)", n)
 	}
 }
+
+// TestLateReplyReachesNoLaterCall delays one reply past its call's deadline
+// on a pipelined connection that stays open, then issues 100 more calls on
+// it. The timed-out call abandoned its recycled call record, so the late
+// reply is dropped by the reader and every later call gets the answer to
+// its own request: its own amount, a lease of its own.
+func TestLateReplyReachesNoLaterCall(t *testing.T) {
+	s := NewServer(core.Config{}, nil)
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := faultnet.NewFaults() // on the server's side: its reads and writes are what gets slow
+	go s.Serve(faultnet.WrapListener(raw, faults))
+	defer s.Close()
+
+	conn, err := net.Dial("tcp", raw.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := newBinWire(conn, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	resp, err := w.do(&Request{Register: &RegisterRequest{Name: "site", Capacity: 1e6}}, 10*time.Second)
+	if err != nil || resp.Register == nil {
+		t.Fatalf("register: %v %+v", err, resp)
+	}
+	who := resp.Register.Principal
+	// Warm the record pool with an answered call, so the calls below reuse
+	// records.
+	if _, err := w.do(&Request{Ping: &PingRequest{}}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	faults.SetLatency(150 * time.Millisecond)
+	_, err = w.do(&Request{Alloc: &AllocRequest{Principal: who, Amount: 777}}, 30*time.Millisecond)
+	if nerr, ok := err.(net.Error); !ok || !nerr.Timeout() {
+		t.Fatalf("delayed call: want a timeout, got %v", err)
+	}
+	faults.SetLatency(0)
+
+	leases := map[int]bool{}
+	for i := 0; i < 100; i++ {
+		amount := float64(i + 1)
+		resp, err := w.do(&Request{Alloc: &AllocRequest{Principal: who, Amount: amount}}, 10*time.Second)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if resp.Alloc == nil {
+			t.Fatalf("call %d: not an allocation reply: %+v", i, resp)
+		}
+		var sum float64
+		for _, take := range resp.Alloc.Takes {
+			sum += take
+		}
+		if sum != amount {
+			t.Fatalf("call %d asked for %v and was answered with takes of %v: another call's reply", i, amount, sum)
+		}
+		if leases[resp.Alloc.Lease] {
+			t.Fatalf("call %d: lease %d answered twice", i, resp.Alloc.Lease)
+		}
+		leases[resp.Alloc.Lease] = true
+	}
+	// The delayed allocation was committed; its reply went nowhere.
+	if st, err := s.Status(); err != nil || st.Leases != 101 {
+		t.Fatalf("status: %v, %d leases, want 101", err, st.Leases)
+	}
+}

@@ -115,7 +115,7 @@ func (s *Server) DetachParent() error {
 // token for principal's allocation. Callers hold s.mu.
 func (s *Server) noteBorrowLocked(principal int, amount float64, parentLease int) {
 	s.borrows[parentLease] += amount
-	s.appendLocked(&store.Record{Kind: store.KindBorrow, Principal: principal,
+	s.appendLocked(store.Record{Kind: store.KindBorrow, Principal: principal,
 		Amount: amount, ParentLease: parentLease})
 }
 
@@ -124,7 +124,7 @@ func (s *Server) noteBorrowLocked(principal int, amount float64, parentLease int
 // outside the lock. Callers hold s.mu.
 func (s *Server) noteRepayLocked(parentLease int) {
 	delete(s.borrows, parentLease)
-	s.appendLocked(&store.Record{Kind: store.KindRepay, ParentLease: parentLease})
+	s.appendLocked(store.Record{Kind: store.KindRepay, ParentLease: parentLease})
 }
 
 // borrow asks the parent for `amount` units from the federation and

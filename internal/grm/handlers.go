@@ -39,7 +39,7 @@ func (s *Server) registerLocked(name string, capacity float64) (int, error) {
 			if capacity > s.reported[i] {
 				s.reported[i] = capacity
 			}
-			s.appendLocked(&store.Record{Kind: store.KindRegister, Principal: i, Name: name, Capacity: capacity})
+			s.appendLocked(store.Record{Kind: store.KindRegister, Principal: i, Name: name, Capacity: capacity})
 			s.logger.Printf("grm: %q re-attached as principal %d (capacity %g)", name, i, capacity)
 			return i, nil
 		}
@@ -59,7 +59,7 @@ func (s *Server) registerLocked(name string, capacity float64) (int, error) {
 		// zero-extension, no chain re-enumeration.
 		s.planner = s.planner.Grow(1)
 	}
-	s.appendLocked(&store.Record{Kind: store.KindRegister, Principal: int(pid), Name: name, Capacity: capacity})
+	s.appendLocked(store.Record{Kind: store.KindRegister, Principal: int(pid), Name: name, Capacity: capacity})
 	s.logger.Printf("grm: registered %q as principal %d (capacity %g)", name, pid, capacity)
 	return int(pid), nil
 }
@@ -83,7 +83,7 @@ func (s *Server) reportLocked(principal int, available float64) {
 	if available > s.reported[principal] {
 		s.reported[principal] = available
 	}
-	s.appendLocked(&store.Record{Kind: store.KindReport, Principal: principal, Available: available})
+	s.appendLocked(store.Record{Kind: store.KindReport, Principal: principal, Available: available})
 }
 
 func (s *Server) share(r *ShareRequest) *Response {
@@ -132,7 +132,7 @@ func (s *Server) shareLocked(fromP, toP int, fraction, quantity float64) (int, e
 	s.shareHist = append(s.shareHist, shareInfo{from: fromP, to: toP, fraction: fraction, quantity: quantity})
 	s.patchPlannerShareLocked(fromP, toP, fraction, quantity)
 	ticket := len(s.tickets) - 1
-	s.appendLocked(&store.Record{Kind: store.KindShare, From: fromP, To: toP,
+	s.appendLocked(store.Record{Kind: store.KindShare, From: fromP, To: toP,
 		Fraction: fraction, Quantity: quantity, Ticket: ticket})
 	return ticket, nil
 }
@@ -225,7 +225,7 @@ func (s *Server) revoke(r *RevokeRequest) *Response {
 func (s *Server) revokeLocked(ticket int) {
 	s.sys.Revoke(s.tickets[ticket])
 	s.patchPlannerRevokeLocked(ticket)
-	s.appendLocked(&store.Record{Kind: store.KindRevoke, Ticket: ticket})
+	s.appendLocked(store.Record{Kind: store.KindRevoke, Ticket: ticket})
 }
 
 // release returns a lease's takes to the availability view, capped by
@@ -260,7 +260,7 @@ func (s *Server) renew(r *RenewRequest) *Response {
 	}
 	if s.leaseTTL > 0 {
 		le.expires = s.clock.Now().Add(s.leaseTTL)
-		s.appendLocked(&store.Record{Kind: store.KindRenew, Lease: r.Lease, Expires: expiryUnix(le.expires)})
+		s.appendLocked(store.Record{Kind: store.KindRenew, Lease: r.Lease, Expires: expiryUnix(le.expires)})
 	}
 	return &Response{Renew: &RenewReply{TTL: s.leaseTTL}}
 }
@@ -272,7 +272,7 @@ func (s *Server) renew(r *RenewRequest) *Response {
 func (s *Server) removeLeaseLocked(kind store.Kind, token int, le *lease) {
 	delete(s.leases, token)
 	s.creditLocked(le.sources, le.takes)
-	s.appendLocked(&store.Record{Kind: kind, Lease: token, ParentLease: le.parentLease})
+	s.appendLocked(store.Record{Kind: kind, Lease: token, ParentLease: le.parentLease})
 }
 
 // creditLocked returns takes to the availability view, capped by the last

@@ -316,3 +316,105 @@ func TestAllocAfterCloseRefused(t *testing.T) {
 		t.Fatal("alloc after Close succeeded")
 	}
 }
+
+// blockServer builds an in-process server over blocks of 8 principals,
+// each block a chain of relative shares closed by one absolute share, with
+// capacities no float represents exactly, and plans once so the planner and
+// its skeletons exist.
+func blockServer(t testing.TB, cfg core.Config, blocks int) *Server {
+	t.Helper()
+	s := NewServer(cfg, nil)
+	n := 8 * blocks
+	for i := 0; i < n; i++ {
+		resp := s.Handle(&Request{Register: &RegisterRequest{Name: "p" + string(rune('a'+i/26)) + string(rune('a'+i%26)), Capacity: 10.1 + float64(i%8)/10}})
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+	}
+	for b := 0; b < blocks; b++ {
+		for k := 0; k < 8; k++ {
+			share := &ShareRequest{From: 8*b + k, To: 8*b + (k+1)%8, Fraction: 0.3}
+			if k == 7 {
+				share.Fraction, share.Quantity = 0, 2.5
+			}
+			if resp := s.Handle(&Request{Share: share}); resp.Err != "" {
+				t.Fatal(resp.Err)
+			}
+		}
+	}
+	return s
+}
+
+// TestCreditedReplanLeavesBooksExact plans a request that rejoined the
+// queue with a borrowed credit and checks the books afterwards, bit for
+// bit, against the recipe the pipeline replaced: PlanBatch over a copy of
+// the view with the credit added, its takes debited from the view itself.
+// The credit is lent on the requester's own entry of s.avail for the plan
+// and must be put back exactly — 0.1 + 0.2 − 0.2 is not 0.1 — when the plan
+// commits and when it fails.
+func TestCreditedReplanLeavesBooksExact(t *testing.T) {
+	for _, cfg := range []core.Config{{}, {ComponentLP: true}} {
+		s := blockServer(t, cfg, 2)
+		defer s.Close()
+		const p = 3
+		s.mu.Lock()
+		s.avail[p] = 0.1
+		planner, err := s.currentPlannerLocked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := append([]float64(nil), s.avail...)
+		s.mu.Unlock()
+
+		sc := &batchScratch{replies: make([]*Response, maxBatchSize), live: make([]int, 0, maxBatchSize)}
+		credited := func(amount float64) *allocJob {
+			return &allocJob{
+				req:         &AllocRequest{Principal: p, Amount: amount},
+				resp:        make(chan *Response, 1),
+				parentLease: 7, credit: 0.2,
+			}
+		}
+
+		// A plan no credit can cover fails and must leave every entry as it
+		// was. (No parent is attached, so the job is refused, not sent to
+		// borrow again; settle would repay lease 7 through a link this job
+		// does not have, so plan and commit are driven directly.)
+		s.mu.Lock()
+		if _, err := s.allocLocked(planner, credited(1e6), sc); err == nil {
+			t.Fatal("oversized credited request planned")
+		}
+		for i, got := range s.avail {
+			if got != before[i] {
+				t.Fatalf("%+v: failed credited plan moved avail[%d]: %v -> %v", cfg, i, before[i], got)
+			}
+		}
+
+		v := append([]float64(nil), before...)
+		v[p] += 0.2
+		const amount = 4.3
+		want := planner.PlanBatch(v, []core.BatchRequest{{Requester: p, Amount: amount}})[0]
+		if want.Err != nil {
+			t.Fatal(want.Err)
+		}
+		reply, err := s.allocLocked(planner, credited(amount), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range s.avail {
+			exp := before[i] - want.Alloc.Take[i]
+			if exp < 0 {
+				exp = 0
+			}
+			if got != exp {
+				t.Fatalf("%+v: avail[%d] = %v after the credited commit, the replaced recipe gives %v", cfg, i, got, exp)
+			}
+		}
+		if reply.Theta != want.Alloc.Theta {
+			t.Fatalf("%+v: theta %v, PlanBatch gives %v", cfg, reply.Theta, want.Alloc.Theta)
+		}
+		if s.leases[reply.Lease].parentLease != 7 {
+			t.Fatalf("%+v: the lease did not take over the borrow", cfg)
+		}
+		s.mu.Unlock()
+	}
+}

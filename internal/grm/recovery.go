@@ -44,19 +44,23 @@ func (s *Server) SetLog(l store.Log) {
 }
 
 // appendLocked assigns the next sequence number and appends rec to the
-// log. A log write failure is logged, counted in Status.WalAppendErrors
-// and otherwise ignored: the GRM keeps serving from memory rather than
-// failing requests on a full disk (the WAL is a recovery aid, not a
-// commit gate), and the log drops only the record that failed. No-op when
-// no log is attached — which is also what makes replay safe to run
-// through the live helpers. Callers hold s.mu.
-func (s *Server) appendLocked(rec *store.Record) {
+// log. The record is journaled from s.rec, the server's one scratch
+// record — Append keeps nothing of what it is handed and s.mu serializes
+// its users — so journaling an operation allocates nothing. A log write
+// failure is logged, counted in Status.WalAppendErrors and otherwise
+// ignored: the GRM keeps serving from memory rather than failing requests
+// on a full disk (the WAL is a recovery aid, not a commit gate), and the
+// log drops only the record that failed. No-op when no log is attached —
+// which is also what makes replay safe to run through the live helpers.
+// Callers hold s.mu.
+func (s *Server) appendLocked(rec store.Record) {
 	if s.log == nil {
 		return
 	}
 	s.seq++
-	rec.Seq = s.seq
-	if err := s.log.Append(rec); err != nil {
+	s.rec = rec
+	s.rec.Seq = s.seq
+	if err := s.log.Append(&s.rec); err != nil {
 		s.walAppendErrors++
 		s.logger.Printf("grm: wal append (%s): %v", rec.Kind, err)
 	}

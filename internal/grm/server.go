@@ -90,6 +90,7 @@ type Server struct {
 	// log as a store.Record with a strictly increasing seq. nil = volatile.
 	log store.Log
 	seq uint64
+	rec store.Record // appendLocked's scratch: the record being journaled
 	// walAppendErrors counts records the log refused or failed to write;
 	// each is a transition the next recovery will not see.
 	walAppendErrors uint64
@@ -112,9 +113,11 @@ type Server struct {
 	// Batched allocation pipeline (alloc.go): the transport's connection
 	// goroutines enqueue alloc jobs, one scheduler goroutine (started by
 	// Serve, or by the first alloc on a server driven without one)
-	// coalesces them into PlanBatch solves and replies per request.
+	// plans and commits them one after the other under one hold of mu and
+	// replies per request.
 	allocQ     chan *allocJob
 	schedStart sync.Once
+	jobs       sync.Pool // answered *allocJob values, reply channel included
 
 	mQueueDepth  metrics.Gauge   // current admission-queue depth
 	mBatches     metrics.Counter // batches committed
@@ -150,6 +153,7 @@ func NewServer(cfg core.Config, logger *log.Logger) *Server {
 		allocQ:    make(chan *allocJob, allocQueueCap),
 		clock:     vclock.Real{},
 	}
+	s.jobs.New = func() any { return &allocJob{resp: make(chan *Response, 1)} }
 	s.tr = transport.NewServer(
 		func() any { return &Request{} },
 		transport.HandlerFunc(func(req any) any { return s.dispatch(req.(*Request)) }),
@@ -283,7 +287,7 @@ func (s *Server) LoadSnapshot(snap *agreement.Snapshot) error {
 	if err := s.installSnapshotLocked(snap, raw.Bytes()); err != nil {
 		return err
 	}
-	s.appendLocked(&store.Record{Kind: store.KindSnapshotLoad, Snapshot: raw.Bytes()})
+	s.appendLocked(store.Record{Kind: store.KindSnapshotLoad, Snapshot: raw.Bytes()})
 	s.logger.Printf("grm: loaded snapshot with %d principals", len(s.names))
 	return nil
 }

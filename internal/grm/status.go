@@ -21,7 +21,7 @@ type Status struct {
 	// frozen per-layer table reads it.
 	PlanConflicts uint64 `json:"plan_conflicts"`
 	// Batches and BatchedRequests describe the allocation pipeline:
-	// how many PlanBatch commits ran and how many requests they served.
+	// how many batches were committed and how many requests they served.
 	Batches         int64 `json:"batches"`
 	BatchedRequests int64 `json:"batched_requests"`
 	// MaxBatch is the largest batch coalesced so far.

@@ -233,11 +233,19 @@ func (t *tableau) extractInto(x []float64) {
 // Solution together with a wrapped ErrInfeasible / ErrUnbounded /
 // ErrIterationLimit.
 func (m *Model) Solve() (*Solution, error) {
-	return m.solveTableau(&Workspace{})
+	sol, err := m.solveTableau(&Workspace{})
+	if sol != nil {
+		// Detach the answer from the one-shot workspace so keeping it does
+		// not keep the tableau.
+		detached := *sol
+		sol = &detached
+	}
+	return sol, err
 }
 
-// solveTableau is Solve with all solver scratch drawn from ws, so repeated
-// solves of same-shaped models allocate only the returned Solution.
+// solveTableau is Solve with all solver scratch drawn from ws, the returned
+// Solution included, so repeated solves of same-shaped models allocate
+// nothing.
 func (m *Model) solveTableau(ws *Workspace) (*Solution, error) {
 	sf, err := buildStandardInto(m, &ws.sf)
 	if err != nil {
@@ -247,7 +255,7 @@ func (m *Model) solveTableau(ws *Workspace) (*Solution, error) {
 	t.reset(sf)
 	maxPivots := 200 + 60*(sf.m+sf.n)
 
-	sol := &Solution{values: make([]float64, len(m.vars)), duals: make([]float64, len(m.cons))}
+	sol := ws.solution(m)
 
 	// Phase 1: minimize the sum of artificial variables.
 	if len(sf.artCols) > 0 {

@@ -49,7 +49,8 @@ type warmState struct {
 // re-snapshots the basis. Results are Optimal solutions either way;
 // warm and cold answers for the same model agree within the documented
 // num.SolveTol policy (different pivot paths, same optimum). The warm
-// path is reported on Solution.Warm.
+// path is reported on Solution.Warm. Like SolveWithWorkspace's, the
+// Solution lives in ws until the next solve on it.
 func (m *Model) ResolveFrom(ws *Workspace) (*Solution, error) {
 	if ws == nil {
 		return m.Solve()
@@ -170,11 +171,8 @@ func (m *Model) tryWarm(ws *Workspace) (*Solution, bool) {
 		}
 	}
 
-	sol := &Solution{
-		values: make([]float64, len(m.vars)),
-		duals:  make([]float64, len(m.cons)),
-		Warm:   true,
-	}
+	sol := ws.solution(m)
+	sol.Warm = true
 	ws.x = growFloats(ws.x, sf.n)
 	for r, bc := range w.basis {
 		ws.x[bc] = bNew[r]

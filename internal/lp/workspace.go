@@ -6,12 +6,16 @@ package lp
 // instead of reallocating them per call. The zero value is ready to use.
 //
 // A Workspace may be reused across models of different shapes (buffers grow
-// as needed) but must not be used by two solves concurrently.
+// as needed) but must not be used by two solves concurrently. It also owns
+// the Solution a solve returns: the next solve on the same Workspace
+// overwrites it, so a caller that keeps answers across solves copies what
+// it needs first (Values does).
 type Workspace struct {
 	sf     standardForm
 	t      tableau
 	phase1 []float64
 	x      []float64
+	sol    Solution
 
 	// warm is the final basis of the last ResolveFrom solve (see warm.go);
 	// keepWarm tells solveTableau to snapshot it on success.
@@ -19,11 +23,21 @@ type Workspace struct {
 	keepWarm bool
 }
 
-// SolveWithWorkspace is SolveWith drawing all solver scratch from ws. Only
-// the Tableau method currently has a workspace-reusing path; other methods
-// fall back to SolveWith and ignore ws. The numeric results are identical
-// to Solve/SolveWith: buffer reuse changes where intermediates live, never
-// the order of floating-point operations.
+// solution resets the workspace's Solution for a solve of m and returns it.
+func (ws *Workspace) solution(m *Model) *Solution {
+	ws.sol = Solution{
+		values: growFloats(ws.sol.values, len(m.vars)),
+		duals:  growFloats(ws.sol.duals, len(m.cons)),
+	}
+	return &ws.sol
+}
+
+// SolveWithWorkspace is SolveWith drawing all solver scratch from ws,
+// including the returned Solution, which is valid until the next solve on
+// ws. Only the Tableau method currently has a workspace-reusing path; other
+// methods fall back to SolveWith and ignore ws. The numeric results are
+// identical to Solve/SolveWith: buffer reuse changes where intermediates
+// live, never the order of floating-point operations.
 func (m *Model) SolveWithWorkspace(method Method, ws *Workspace) (*Solution, error) {
 	if ws == nil || method != Tableau {
 		return m.SolveWith(method)
