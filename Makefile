@@ -39,21 +39,24 @@ scale:
 	MODELTEST_SCALE=1 $(GO) test ./internal/modeltest -run TestModelTreeScale \
 		-v -timeout 45m -tree-seed $(MODELTEST_SEED)
 
-# Replay the checked-in scenario corpus (SCENARIOS.md) under both wire
-# codecs: every bundle must reproduce its blessed outcomes exactly. A
-# divergence report lands in scenario-divergence.txt — the CI scenarios
-# job uploads it as an artifact.
+# Replay the checked-in scenario corpus (SCENARIOS.md): every bundle must
+# reproduce its blessed outcomes exactly. A divergence report lands in
+# scenario-divergence.txt — the CI scenarios job uploads it as an
+# artifact.
 scenarios:
-	$(GO) run ./cmd/scenario verify -codec both -report scenario-divergence.txt ./scenarios/...
+	$(GO) run ./cmd/scenario verify -report scenario-divergence.txt ./scenarios/...
 
 # Static analysis: the seven sharingvet analyzers (floateq, errwrap,
 # lockedio, netdeadline, plus the call-graph-aware lockorder, waljournal
 # and wiretag passes) and the agreement snapshot validator over every
 # checked-in snapshot. Invalid example snapshots live under
-# testdata/invalid/ and are exercised by tests.
+# testdata/invalid/ and are exercised by tests. The grep keeps the gob
+# codec deleted: one wire is served, and a second cannot come back as an
+# unreviewed import.
 lint:
 	$(GO) run ./cmd/sharingvet ./...
 	$(GO) run ./cmd/agreements lint testdata/*.json
+	! grep -rl '"encoding/gob"' --include='*.go' .
 
 # Regenerate the golden wire manifest after a deliberate protocol change.
 # The wiretag analyzer diffs internal/grm/codec.go against this file, so
@@ -101,17 +104,16 @@ BENCH_TOLERANCE ?= 50
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_TOLERANCE) BENCH_hotpath.json
 
-# Transport comparison suite: cmd/loadgen drives an in-process GRM over
-# both wire codecs (gob at its protocol-limited depth 1, binary
-# pipelined) under a simulated RTT, plus the message-level codec
-# benchmark, and refreshes BENCH_transport.json. The gob sections freeze
-# as the baseline on first write, mirroring BENCH_hotpath.json.
-# LOADGEN_DURATION=500ms gives a smoke run in CI.
+# Transport suite: cmd/loadgen drives an in-process GRM through the
+# pipelined closed loop under a simulated RTT (mixed, agreement churn,
+# sharded plan, a concurrency ramp), plus the message-level codec
+# benchmark, and rewrites BENCH_transport.json. LOADGEN_DURATION=500ms
+# gives a smoke run in CI.
 LOADGEN_DURATION ?= 3s
 loadgen-json:
 	$(GO) run ./cmd/loadgen -json BENCH_transport.json -duration $(LOADGEN_DURATION)
 
-# Short local fuzz passes over the snapshot, scenario-bundle, binary wire
+# Short local fuzz passes over the snapshot, scenario-bundle, wire
 # envelope and write-ahead-log decoders.
 fuzz:
 	$(GO) test ./internal/agreement/ -fuzz FuzzSnapshotDecode -fuzztime 30s

@@ -96,7 +96,6 @@ func main() {
 		backoff      = flag.Duration("backoff", 100*time.Millisecond, "initial parent-link reconnect backoff (doubles, jittered)")
 		walDir       = flag.String("wal-dir", "", "directory for the write-ahead log; state is replayed from it on boot (empty = volatile)")
 		snapInterval = flag.Duration("snapshot-interval", 0, "fold the WAL into a compacted snapshot this often (0 = never; requires -wal-dir)")
-		codec        = flag.String("codec", "auto", "wire codec for the parent link: auto, binary, or gob (the listener always serves both)")
 		record       = flag.String("record", "", "capture live traffic into a scenario bundle written to this directory on shutdown (see SCENARIOS.md)")
 		walDump      = flag.String("wal-dump", "", "print the records of this log directory (snapshot, then WAL tail; one shard<i>/ of a sharded -wal-dir) as JSON lines and exit; non-zero with the byte offset if a file is torn")
 	)
@@ -113,12 +112,6 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-
-	parentCodec, err := grm.ParseWireCodec(*codec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "grmd: %v\n", err)
-		os.Exit(2)
 	}
 
 	logger := log.New(os.Stderr, "grmd ", log.LstdFlags)
@@ -266,7 +259,6 @@ func main() {
 		cfg.Timeout = *ioTimeout
 		cfg.RetryMax = *retries
 		cfg.Backoff = *backoff
-		cfg.Codec = parentCodec
 		// The parent may still be coming up; retry the initial attach with
 		// the same backoff policy the link uses afterwards.
 		var err error

@@ -6,8 +6,7 @@
 //
 //   - closed loop (-mode closed): -conns LRM connections each keep
 //     -depth operations permanently in flight (depth > 1 exercises the
-//     binary codec's pipelining; the gob codec serializes at depth 1).
-//     Throughput is whatever the server sustains.
+//     wire's pipelining). Throughput is whatever the server sustains.
 //   - open loop (-mode open): operations arrive at -rate per second with
 //     -arrival poisson or uniform inter-arrival gaps and are served by a
 //     pool of -conns connections. Latency includes queueing delay, so an
@@ -20,27 +19,23 @@
 // operation (client and server side together, measured via runtime
 // MemStats deltas). -rtt injects a simulated network round trip on the
 // client side (default 1ms — GRMs federate across clusters, and raw
-// loopback hides the blocking cost of an alternating protocol).
+// loopback hides what pipelining buys).
 // -shards N shards the in-process server across N subtrees (the grm
 // shard router, one WAL and pipeline per shard) and -principals P
 // bulk-registers P principals with sparse agreement blocks before
 // driving, so plans run against a populated book.
 //
-// -json FILE runs the standard comparison suite and writes
-// BENCH_transport.json: the gob codec at depth 1 (its stream is strictly
-// alternating) versus the binary codec at -depth, end to end under the
-// same -conns and -rtt, plus a message-level codec benchmark (the cost
-// of one self-contained exchange — the unit the framed transport works
-// in). The gob numbers are frozen as the baseline the first time the
-// file is written; later runs refresh only the binary sections and the
-// improvement ratios, so the comparison stays anchored to the pre-binary
-// transport.
+// -json FILE runs the standard suite and writes BENCH_transport.json:
+// the closed loop at -depth under -conns and -rtt (mixed, agreement
+// churn, sharded plan, a concurrency ramp) plus a message-level codec
+// benchmark (the cost of one self-contained exchange — the unit the
+// framed transport works in).
 //
 // Usage:
 //
-//	loadgen -mode closed -codec binary -conns 4 -depth 64 -duration 2s
+//	loadgen -mode closed -conns 4 -depth 64 -duration 2s
 //	loadgen -mode open -rate 5000 -arrival poisson -duration 5s
-//	loadgen -ramp 1,2,4,8 -codec binary
+//	loadgen -ramp 1,2,4,8
 //	loadgen -json BENCH_transport.json -duration 2s
 package main
 
@@ -68,7 +63,6 @@ import (
 func main() {
 	var (
 		addr     = flag.String("grm", "", "GRM address; empty spawns an in-process server (enables allocs/op)")
-		codec    = flag.String("codec", "binary", "wire codec to drive: auto, binary, or gob")
 		mode     = flag.String("mode", "closed", "driving discipline: closed or open")
 		conns    = flag.Int("conns", 4, "LRM connections")
 		depth    = flag.Int("depth", 64, "in-flight operations per connection (closed loop)")
@@ -79,7 +73,7 @@ func main() {
 		op       = flag.String("op", "mixed", "operation mix: ping, report, mixed, or share (agreement churn: share/revoke cycles with periodic allocate+release)")
 		rtt      = flag.Duration("rtt", time.Millisecond, "simulated network round-trip time injected on the client side (0 = raw loopback)")
 		ramp     = flag.String("ramp", "", "comma-separated connection counts; runs the closed loop at each")
-		jsonOut  = flag.String("json", "", "run the gob-vs-binary comparison suite and write this JSON file")
+		jsonOut  = flag.String("json", "", "run the standard suite and write this JSON file")
 		seed     = flag.Int64("seed", 1, "seed for arrival gaps and the report value stream")
 		shards   = flag.Int("shards", 0, "shard the in-process server across this many subtrees (0 = unsharded; ignored with -grm)")
 		bulk     = flag.Int("principals", 0, "bulk principals to pre-register on the in-process server, with sparse agreement blocks")
@@ -87,10 +81,6 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "loadgen ", 0)
 
-	wc, err := grm.ParseWireCodec(*codec)
-	if err != nil {
-		logger.Fatal(err)
-	}
 	target := *addr
 	inProcess := target == ""
 	if inProcess {
@@ -125,7 +115,7 @@ func main() {
 			if err != nil || c <= 0 {
 				logger.Fatalf("bad -ramp entry %q", field)
 			}
-			res := runClosed(base, wc, c, *depth)
+			res := runClosed(base, c, *depth)
 			printResult(res)
 		}
 		return
@@ -133,9 +123,9 @@ func main() {
 
 	switch *mode {
 	case "closed":
-		printResult(runClosed(base, wc, *conns, *depth))
+		printResult(runClosed(base, *conns, *depth))
 	case "open":
-		res, err := runOpen(base, wc, *conns, *rate, *arrival)
+		res, err := runOpen(base, *conns, *rate, *arrival)
 		if err != nil {
 			logger.Fatal(err)
 		}
@@ -234,7 +224,6 @@ type runConfig struct {
 // result is one measured run; the JSON shape is what lands in
 // BENCH_transport.json.
 type result struct {
-	Codec       string  `json:"codec"`
 	Mode        string  `json:"mode"`
 	Op          string  `json:"op,omitempty"`
 	Conns       int     `json:"conns"`
@@ -350,11 +339,10 @@ func (w *worker) measure(op string, n int64) {
 
 // dialWorkers connects the per-connection clients, injecting the
 // simulated RTT when one is configured.
-func dialWorkers(cfg runConfig, wc grm.WireCodec, conns int) ([]*worker, error) {
+func dialWorkers(cfg runConfig, conns int) ([]*worker, error) {
 	workers := make([]*worker, conns)
 	for i := range workers {
 		dial := grm.DefaultDialConfig()
-		dial.Codec = wc
 		if cfg.rtt > 0 {
 			oneWay := cfg.rtt / 2
 			dial.Dialer = func(addr string) (net.Conn, error) {
@@ -416,11 +404,8 @@ func percentile(sorted []float64, q float64) float64 {
 // runClosed keeps conns×depth operations in flight for the configured
 // duration. With the in-process server it also reports allocations per
 // operation across both ends of the wire.
-func runClosed(cfg runConfig, wc grm.WireCodec, conns, depth int) result {
-	if wc == grm.CodecGob && depth > 1 {
-		depth = 1 // the gob stream is strictly alternating; extra depth just queues on the client mutex
-	}
-	workers, err := dialWorkers(cfg, wc, conns)
+func runClosed(cfg runConfig, conns, depth int) result {
+	workers, err := dialWorkers(cfg, conns)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -466,7 +451,7 @@ func runClosed(cfg runConfig, wc grm.WireCodec, conns, depth int) result {
 	wg.Wait()
 
 	r := collect(workers, result{
-		Codec: wc.String(), Mode: "closed", Op: cfg.op, Conns: conns, Depth: depth,
+		Mode: "closed", Op: cfg.op, Conns: conns, Depth: depth,
 		RTTms: float64(cfg.rtt) / 1e6,
 	}, elapsed)
 	if cfg.inProcess && r.Ops > 0 {
@@ -478,7 +463,7 @@ func runClosed(cfg runConfig, wc grm.WireCodec, conns, depth int) result {
 // runOpen offers arrivals at the target rate with the chosen
 // inter-arrival distribution; a pool of connections serves them and
 // latency is measured from arrival (queueing delay included).
-func runOpen(cfg runConfig, wc grm.WireCodec, conns int, rate float64, arrival string) (result, error) {
+func runOpen(cfg runConfig, conns int, rate float64, arrival string) (result, error) {
 	if rate <= 0 {
 		return result{}, fmt.Errorf("open loop needs -rate > 0")
 	}
@@ -492,7 +477,7 @@ func runOpen(cfg runConfig, wc grm.WireCodec, conns int, rate float64, arrival s
 	default:
 		return result{}, fmt.Errorf("unknown -arrival %q (want poisson or uniform)", arrival)
 	}
-	workers, err := dialWorkers(cfg, wc, conns)
+	workers, err := dialWorkers(cfg, conns)
 	if err != nil {
 		return result{}, err
 	}
@@ -551,103 +536,60 @@ func runOpen(cfg runConfig, wc grm.WireCodec, conns int, rate float64, arrival s
 	elapsed := time.Since(start)
 
 	r := collect(workers, result{
-		Codec: wc.String(), Mode: "open", Op: cfg.op, Conns: conns,
+		Mode: "open", Op: cfg.op, Conns: conns,
 		RatePerSec: rate, Arrival: arrival,
 		RTTms: float64(cfg.rtt) / 1e6,
 	}, elapsed)
 	return r, nil
 }
 
-// benchFile is the BENCH_transport.json layout. The gob sections
-// (BaselineGob and CodecCost.Gob) freeze on first write; later runs
-// refresh the binary sections and the ratios only, so the comparison
-// stays anchored to the pre-binary transport.
+// benchFile is the BENCH_transport.json layout.
 type benchFile struct {
-	Schema        string      `json:"schema"`
-	UpdatedAt     string      `json:"updated_at"`
-	Note          string      `json:"note"`
-	CodecCost     codecCost   `json:"codec_cost"`
-	BaselineGob   *result     `json:"baseline_gob"`
-	CurrentBinary *result     `json:"current_binary"`
-	ChurnShare    *result     `json:"churn_share,omitempty"`
-	ShardedPlan   *result     `json:"sharded_plan,omitempty"`
-	Ramp          []result    `json:"ramp,omitempty"`
-	Improvement   improvement `json:"improvement"`
+	Schema        string    `json:"schema"`
+	UpdatedAt     string    `json:"updated_at"`
+	CodecCost     codecCost `json:"codec_cost"`
+	CurrentBinary *result   `json:"current_binary"`
+	ChurnShare    *result   `json:"churn_share,omitempty"`
+	ShardedPlan   *result   `json:"sharded_plan,omitempty"`
+	Ramp          []result  `json:"ramp,omitempty"`
 }
 
-// codecCost compares the codecs at the message level: the cost of one
+// codecCost is the codec at the message level: the cost of one
 // self-contained request/response exchange, which is the unit the framed
 // transport works in (every frame is independently decodable and
-// reorderable; gob pays stream setup to produce one).
+// reorderable).
 type codecCost struct {
 	Unit   string               `json:"unit"`
-	Gob    *grm.WireBenchResult `json:"gob"`
 	Binary *grm.WireBenchResult `json:"binary"`
-}
-
-// improvement holds the headline ratios: msgs_per_sec_x from the
-// end-to-end closed-loop runs (same connection count, gob at its
-// protocol-limited depth 1, binary pipelined), allocs_per_op_x from the
-// self-contained-message codec benchmark.
-type improvement struct {
-	MsgsPerSecX  float64 `json:"msgs_per_sec_x"`
-	AllocsPerOpX float64 `json:"allocs_per_op_x"`
 }
 
 const codecCostUnit = "one self-contained request+response exchange (report + alloc taking from 4 of 16 principals), marshal+unmarshal both ends, no stream state reused between messages"
 
-// runSuite is the standard comparison: the frozen gob baseline (depth 1
-// — its stream is strictly alternating) versus the pipelined binary
-// codec at the requested depth under the same connection count and
-// simulated RTT, plus the message-level codec benchmark and a binary
-// concurrency ramp.
+// runSuite is the standard suite: the pipelined closed loop at the
+// requested depth, connection count and simulated RTT under three
+// operation mixes, the message-level codec benchmark and a concurrency
+// ramp.
 func runSuite(path string, cfg runConfig, conns, depth, shards, bulk int, logger *log.Logger) error {
-	file := &benchFile{
-		Schema: "bench-transport/v1",
-		Note: "gob sections are frozen at the first run on this machine; improvement ratios compare the binary codec against them. " +
-			"msgs_per_sec_x is end-to-end closed loop at equal conns and rtt; allocs_per_op_x is per self-contained message (codec_cost).",
-	}
-	if raw, err := os.ReadFile(path); err == nil {
-		var prev benchFile
-		if err := json.Unmarshal(raw, &prev); err == nil && prev.BaselineGob != nil {
-			file.BaselineGob = prev.BaselineGob
-			file.CodecCost.Gob = prev.CodecCost.Gob
-			logger.Printf("keeping frozen gob baseline: %.0f msgs/s", prev.BaselineGob.MsgsPerSec)
-		}
-	}
+	file := &benchFile{Schema: "bench-transport/v2"}
 
 	const benchIters = 20000
-	if file.CodecCost.Gob == nil {
-		r, err := grm.BenchWireCodec(grm.CodecGob, benchIters)
-		if err != nil {
-			return err
-		}
-		file.CodecCost.Gob = &r
-	}
 	binCost, err := grm.BenchWireCodec(grm.CodecBinary, benchIters)
 	if err != nil {
 		return err
 	}
-	file.CodecCost.Binary = &binCost
-	file.CodecCost.Unit = codecCostUnit
+	file.CodecCost = codecCost{Unit: codecCostUnit, Binary: &binCost}
 
-	if file.BaselineGob == nil {
-		logger.Printf("measuring gob baseline (%d conns, depth 1, rtt %v)...", conns, cfg.rtt)
-		gobRes := runClosed(cfg, grm.CodecGob, conns, 1)
-		file.BaselineGob = &gobRes
-	}
-
-	logger.Printf("measuring binary (%d conns, depth %d, rtt %v)...", conns, depth, cfg.rtt)
-	binRes := runClosed(cfg, grm.CodecBinary, conns, depth)
+	logger.Printf("measuring mixed (%d conns, depth %d, rtt %v)...", conns, depth, cfg.rtt)
+	binRes := runClosed(cfg, conns, depth)
 	file.CurrentBinary = &binRes
 
 	// Agreement churn: the -op share mix keeps the server's planner under
 	// constant share/revoke pressure with periodic allocations, so this
 	// section tracks the incremental planner-patch path end to end.
-	logger.Printf("measuring agreement churn (binary, %d conns, depth %d, rtt %v)...", conns, depth, cfg.rtt)
+	logger.Printf("measuring agreement churn (%d conns, depth %d, rtt %v)...", conns, depth, cfg.rtt)
 	churnCfg := cfg
 	churnCfg.op = "share"
-	churnRes := runClosed(churnCfg, grm.CodecBinary, conns, depth)
+	churnRes := runClosed(churnCfg, conns, depth)
 	file.ChurnShare = &churnRes
 
 	// Sharded allocation: a fresh shard router with a bulk-registered
@@ -661,7 +603,7 @@ func runSuite(path string, cfg runConfig, conns, depth, shards, bulk int, logger
 	if bulk <= 0 {
 		bulk = 2000
 	}
-	logger.Printf("measuring sharded plan (binary, %d shards, %d principals, %d conns, depth %d)...", shards, bulk, conns, depth)
+	logger.Printf("measuring sharded plan (%d shards, %d principals, %d conns, depth %d)...", shards, bulk, conns, depth)
 	shSrv, shAddr, err := spawnServer(shards, bulk, cfg.seed)
 	if err != nil {
 		return err
@@ -669,7 +611,7 @@ func runSuite(path string, cfg runConfig, conns, depth, shards, bulk int, logger
 	shCfg := cfg
 	shCfg.addr = shAddr
 	shCfg.op = "alloc"
-	shRes := runClosed(shCfg, grm.CodecBinary, conns, depth)
+	shRes := runClosed(shCfg, conns, depth)
 	shRes.Shards = shards
 	shRes.Principals = bulk
 	file.ShardedPlan = &shRes
@@ -679,14 +621,7 @@ func runSuite(path string, cfg runConfig, conns, depth, shards, bulk int, logger
 		if c > conns {
 			continue
 		}
-		file.Ramp = append(file.Ramp, runClosed(cfg, grm.CodecBinary, c, depth))
-	}
-
-	if file.BaselineGob.MsgsPerSec > 0 {
-		file.Improvement.MsgsPerSecX = binRes.MsgsPerSec / file.BaselineGob.MsgsPerSec
-	}
-	if binCost.AllocsPerOp > 0 {
-		file.Improvement.AllocsPerOpX = file.CodecCost.Gob.AllocsPerOp / binCost.AllocsPerOp
+		file.Ramp = append(file.Ramp, runClosed(cfg, c, depth))
 	}
 	file.UpdatedAt = time.Now().UTC().Format(time.RFC3339)
 
@@ -697,9 +632,8 @@ func runSuite(path string, cfg runConfig, conns, depth, shards, bulk int, logger
 	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 		return err
 	}
-	logger.Printf("binary vs gob: %.1fx msgs/s (%.0f vs %.0f), %.1fx allocs/op per message (%.1f vs %.1f)",
-		file.Improvement.MsgsPerSecX, binRes.MsgsPerSec, file.BaselineGob.MsgsPerSec,
-		file.Improvement.AllocsPerOpX, binCost.AllocsPerOp, file.CodecCost.Gob.AllocsPerOp)
+	logger.Printf("mixed: %.0f msgs/s, p50 %.2f ms; codec: %.0f ns and %.1f allocs per exchange, %d B per message",
+		binRes.MsgsPerSec, binRes.P50ms, binCost.NsPerOp, binCost.AllocsPerOp, binCost.BytesPerMsg)
 	return nil
 }
 

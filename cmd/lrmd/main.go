@@ -40,7 +40,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-operation deadline")
 		retries  = flag.Int("retries", 3, "reconnect rounds per failed operation")
 		backoff  = flag.Duration("backoff", 50*time.Millisecond, "initial reconnect backoff (doubles, jittered)")
-		codec    = flag.String("codec", "auto", "wire codec: auto (binary with gob fallback), binary, or gob")
 	)
 	flag.Parse()
 
@@ -48,12 +47,6 @@ func main() {
 	cfg.Timeout = *timeout
 	cfg.RetryMax = *retries
 	cfg.Backoff = *backoff
-	wc, err := grm.ParseWireCodec(*codec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lrmd: %v\n", err)
-		os.Exit(2)
-	}
-	cfg.Codec = wc
 
 	lrm, err := grm.DialWithConfig(*addr, *name, *capacity, cfg)
 	if err != nil {

@@ -3,11 +3,11 @@
 //
 // Usage:
 //
-//	scenario run [-codec auto|binary|gob] <bundle-dir>
-//	scenario verify [-codec auto|binary|gob|both] [-report file] <dir|dir/...> ...
-//	scenario record [-seed N] [-steps N] [-ttl D] [-codec C] -o <bundle-dir>
-//	scenario rebless [-codec C] <bundle-dir> ...
-//	scenario seed [-dir scenarios] [-codec C]
+//	scenario run <bundle-dir>
+//	scenario verify [-report file] <dir|dir/...> ...
+//	scenario record [-seed N] [-steps N] [-ttl D] -o <bundle-dir>
+//	scenario rebless <bundle-dir> ...
+//	scenario seed [-dir scenarios]
 //
 // run replays one bundle and prints its trace; verify replays many and
 // reports the first divergence of each (exit 1 if any diverged); record
@@ -23,7 +23,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/grm"
 	"repro/internal/modeltest"
 	"repro/internal/scenario"
 )
@@ -61,31 +60,24 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  scenario run [-codec auto|binary|gob] <bundle-dir>
-  scenario verify [-codec auto|binary|gob|both] [-report file] <dir|dir/...> ...
-  scenario record [-seed N] [-steps N] [-ttl D] [-codec C] -o <bundle-dir>
-  scenario rebless [-codec C] <bundle-dir> ...
-  scenario seed [-dir scenarios] [-codec C]`)
+  scenario run <bundle-dir>
+  scenario verify [-report file] <dir|dir/...> ...
+  scenario record [-seed N] [-steps N] [-ttl D] -o <bundle-dir>
+  scenario rebless <bundle-dir> ...
+  scenario seed [-dir scenarios]`)
 }
-
-func parseCodec(s string) (grm.WireCodec, error) { return grm.ParseWireCodec(s) }
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	codecFlag := fs.String("codec", "auto", "wire codec for the replayed LRMs")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("run: want exactly one bundle directory")
-	}
-	codec, err := parseCodec(*codecFlag)
-	if err != nil {
-		return err
 	}
 	b, err := scenario.ReadBundle(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	res, err := scenario.Replay(b, scenario.ReplayOptions{Codec: codec})
+	res, err := scenario.Replay(b, scenario.ReplayOptions{})
 	if err != nil {
 		return err
 	}
@@ -99,29 +91,11 @@ func cmdRun(args []string) error {
 
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	codecFlag := fs.String("codec", "auto", "wire codec: auto, binary, gob, or both")
 	report := fs.String("report", "", "write the divergence report to this file on failure")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
 		return fmt.Errorf("verify: want at least one bundle path (dir or dir/...)")
 	}
-	var codecs []grm.WireCodec
-	if *codecFlag == "both" {
-		for _, name := range []string{"gob", "binary"} {
-			c, err := parseCodec(name)
-			if err != nil {
-				return err
-			}
-			codecs = append(codecs, c)
-		}
-	} else {
-		c, err := parseCodec(*codecFlag)
-		if err != nil {
-			return err
-		}
-		codecs = append(codecs, c)
-	}
-
 	dirs, err := scenario.Discover(fs.Args())
 	if err != nil {
 		return err
@@ -140,23 +114,21 @@ func cmdVerify(args []string) error {
 			reportBody += fmt.Sprintf("== %s (decode) ==\n%v\n\n", dir, err)
 			continue
 		}
-		for _, codec := range codecs {
-			res, err := scenario.Replay(b, scenario.ReplayOptions{Codec: codec})
-			if err != nil {
-				failures++
-				fmt.Printf("FAIL %s [%s] (replay)\n  %v\n", dir, codec, err)
-				reportBody += fmt.Sprintf("== %s [%s] (replay) ==\n%v\n\n", dir, codec, err)
-				continue
-			}
-			if res.Divergence != nil {
-				failures++
-				fmt.Printf("FAIL %s [%s]\n  %v\n", dir, codec, res.Divergence)
-				reportBody += fmt.Sprintf("== %s [%s] ==\n%v\n\ntrace up to divergence:\n%s\n",
-					dir, codec, res.Divergence, res.Trace)
-				continue
-			}
-			fmt.Printf("ok   %s [%s] (%d events)\n", dir, codec, res.Events)
+		res, err := scenario.Replay(b, scenario.ReplayOptions{})
+		if err != nil {
+			failures++
+			fmt.Printf("FAIL %s (replay)\n  %v\n", dir, err)
+			reportBody += fmt.Sprintf("== %s (replay) ==\n%v\n\n", dir, err)
+			continue
 		}
+		if res.Divergence != nil {
+			failures++
+			fmt.Printf("FAIL %s\n  %v\n", dir, res.Divergence)
+			reportBody += fmt.Sprintf("== %s ==\n%v\n\ntrace up to divergence:\n%s\n",
+				dir, res.Divergence, res.Trace)
+			continue
+		}
+		fmt.Printf("ok   %s (%d events)\n", dir, res.Events)
 	}
 	if failures > 0 {
 		if *report != "" {
@@ -176,21 +148,15 @@ func cmdRecord(args []string) error {
 	seed := fs.Int64("seed", 1, "modeltest cluster schedule seed")
 	steps := fs.Int("steps", 60, "schedule operations to record")
 	ttl := fs.Duration("ttl", 10*time.Second, "virtual lease TTL of the recorded cluster")
-	codecFlag := fs.String("codec", "auto", "wire codec the recorded cluster speaks")
 	out := fs.String("o", "", "bundle directory to write (required)")
 	fs.Parse(args)
 	if *out == "" {
 		return fmt.Errorf("record: -o is required")
 	}
-	codec, err := parseCodec(*codecFlag)
-	if err != nil {
-		return err
-	}
 	bundle, rep, err := scenario.RecordCluster(modeltest.ClusterOptions{
 		Seed:  *seed,
 		Steps: *steps,
 		TTL:   *ttl,
-		Codec: codec,
 	}, time.Now())
 	if err != nil {
 		return err
@@ -208,14 +174,9 @@ func cmdRecord(args []string) error {
 
 func cmdRebless(args []string) error {
 	fs := flag.NewFlagSet("rebless", flag.ExitOnError)
-	codecFlag := fs.String("codec", "auto", "wire codec for the bless replay")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
 		return fmt.Errorf("rebless: want at least one bundle directory")
-	}
-	codec, err := parseCodec(*codecFlag)
-	if err != nil {
-		return err
 	}
 	dirs, err := scenario.Discover(fs.Args())
 	if err != nil {
@@ -226,7 +187,7 @@ func cmdRebless(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := scenario.Replay(b, scenario.ReplayOptions{Codec: codec, Bless: true})
+		res, err := scenario.Replay(b, scenario.ReplayOptions{Bless: true})
 		if err != nil {
 			return err
 		}
@@ -242,13 +203,8 @@ func cmdRebless(args []string) error {
 func cmdSeed(args []string) error {
 	fs := flag.NewFlagSet("seed", flag.ExitOnError)
 	dir := fs.String("dir", "scenarios", "corpus directory to (re)generate")
-	codecFlag := fs.String("codec", "auto", "wire codec for the bless replays")
 	fs.Parse(args)
-	codec, err := parseCodec(*codecFlag)
-	if err != nil {
-		return err
-	}
-	written, err := scenario.Seed(*dir, codec)
+	written, err := scenario.Seed(*dir)
 	for _, w := range written {
 		fmt.Printf("seeded %s\n", w)
 	}

@@ -25,7 +25,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/grm"
 	"repro/internal/modeltest"
 )
 
@@ -36,17 +35,6 @@ type artifact struct {
 	Replay  string                    `json:"replay"`
 	Graph   *modeltest.Failure        `json:"graph,omitempty"`
 	Cluster *modeltest.ClusterFailure `json:"cluster,omitempty"`
-}
-
-// firstDivergence returns the first index where the two traces differ
-// (including one ending early), or ok=false when they are identical.
-func firstDivergence(a, b []string) (int, bool) {
-	for i := 0; i < len(a) || i < len(b); i++ {
-		if i >= len(a) || i >= len(b) || a[i] != b[i] {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 func writeArtifact(path string, a *artifact) {
@@ -72,21 +60,10 @@ func main() {
 		clusterSeed  = flag.Int64("cluster-seed", 1, "base seed for the cluster schedules")
 		clusterRuns  = flag.Int("cluster-runs", 3, "number of cluster schedules to run (0 skips)")
 		clusterSteps = flag.Int("cluster-steps", 150, "operations per cluster schedule")
-		clusterCodec = flag.String("cluster-codec", "both", "wire codec for cluster schedules: auto, binary, gob, or both (run each schedule under gob and binary and require byte-identical traces)")
 		out          = flag.String("out", "", "write a JSON failure artifact to this path")
 		mutations    = flag.Bool("mutations", false, "also run the mutation smoke test (the suite must catch each seeded bug)")
 	)
 	flag.Parse()
-
-	clusterCodecs := []grm.WireCodec{grm.CodecGob, grm.CodecBinary}
-	if *clusterCodec != "both" {
-		wc, err := grm.ParseWireCodec(*clusterCodec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sharingcheck: %v\n", err)
-			os.Exit(2)
-		}
-		clusterCodecs = []grm.WireCodec{wc}
-	}
 
 	start := time.Now()
 	fmt.Printf("sharingcheck: graph campaign: %d graphs from seed %d\n", *iters, *seed)
@@ -105,45 +82,22 @@ func main() {
 
 	for i := 0; i < *clusterRuns; i++ {
 		s := *clusterSeed + int64(i)
-		var traces [][]string
-		for _, wc := range clusterCodecs {
-			crep, err := modeltest.RunCluster(modeltest.ClusterOptions{Seed: s, Steps: *clusterSteps, Codec: wc})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sharingcheck: cluster run (seed %d, codec %v): %v\n", s, wc, err)
-				os.Exit(1)
-			}
-			if f := crep.Failure; f != nil {
-				fmt.Fprintln(os.Stderr, f.Error())
-				for _, line := range crep.Trace[max(0, len(crep.Trace)-10):] {
-					fmt.Fprintln(os.Stderr, "  "+line)
-				}
-				fmt.Fprintf(os.Stderr, "replay: go run ./cmd/sharingcheck -iters 0 -cluster-seed %d -cluster-steps %d -cluster-codec %v\n", f.Seed, *clusterSteps, wc)
-				writeArtifact(*out, &artifact{
-					Kind:    "cluster",
-					Replay:  fmt.Sprintf("go run ./cmd/sharingcheck -iters 0 -cluster-seed %d -cluster-steps %d -cluster-codec %v", f.Seed, *clusterSteps, wc),
-					Cluster: f,
-				})
-				os.Exit(1)
-			}
-			traces = append(traces, crep.Trace)
+		crep, err := modeltest.RunCluster(modeltest.ClusterOptions{Seed: s, Steps: *clusterSteps})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sharingcheck: cluster run (seed %d): %v\n", s, err)
+			os.Exit(1)
 		}
-		// Under -cluster-codec both, the same schedule ran on gob and on
-		// the binary codec: the wire format must be invisible to the
-		// replayed state machine, byte for byte.
-		if len(traces) == 2 {
-			if line, ok := firstDivergence(traces[0], traces[1]); ok {
-				fmt.Fprintf(os.Stderr, "sharingcheck: cluster schedule seed %d diverges between codecs at trace line %d:\n", s, line)
-				for ti, wc := range clusterCodecs {
-					if line < len(traces[ti]) {
-						fmt.Fprintf(os.Stderr, "  %v: %s\n", wc, traces[ti][line])
-					} else {
-						fmt.Fprintf(os.Stderr, "  %v: <trace ended at %d lines>\n", wc, len(traces[ti]))
-					}
-				}
-				os.Exit(1)
+		if f := crep.Failure; f != nil {
+			fmt.Fprintln(os.Stderr, f.Error())
+			for _, line := range crep.Trace[max(0, len(crep.Trace)-10):] {
+				fmt.Fprintln(os.Stderr, "  "+line)
 			}
+			replay := fmt.Sprintf("go run ./cmd/sharingcheck -iters 0 -cluster-seed %d -cluster-steps %d", f.Seed, *clusterSteps)
+			fmt.Fprintf(os.Stderr, "replay: %s\n", replay)
+			writeArtifact(*out, &artifact{Kind: "cluster", Replay: replay, Cluster: f})
+			os.Exit(1)
 		}
-		fmt.Printf("sharingcheck: cluster schedule seed %d clean (%d steps, codecs %v)\n", s, *clusterSteps, clusterCodecs)
+		fmt.Printf("sharingcheck: cluster schedule seed %d clean (%d steps)\n", s, *clusterSteps)
 	}
 
 	if *mutations {

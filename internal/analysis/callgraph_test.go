@@ -23,10 +23,10 @@ type binWire struct{ mu sync.Mutex }
 func (w *binWire) do(n int) int { return n + 1 }
 func (w *binWire) close()       {}
 
-type gobWire struct{}
+type memWire struct{}
 
-func (w *gobWire) do(n int) int { return n + 2 }
-func (w *gobWire) close()       {}
+func (w *memWire) do(n int) int { return n + 2 }
+func (w *memWire) close()       {}
 
 type Server struct {
 	mu sync.Mutex
@@ -42,7 +42,7 @@ func (s *Server) exchange(n int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.releaseLocked()
-	return s.w.do(n) // interface call: fans out to binWire.do and gobWire.do
+	return s.w.do(n) // interface call: fans out to binWire.do and memWire.do
 }
 
 func (s *Server) viaLiteral() {
@@ -97,8 +97,8 @@ func TestCallGraphInterfaceResolution(t *testing.T) {
 
 	exchange := g.Lookup("Server.exchange")
 	binDo := g.Lookup("binWire.do")
-	gobDo := g.Lookup("gobWire.do")
-	if exchange == nil || binDo == nil || gobDo == nil {
+	memDo := g.Lookup("memWire.do")
+	if exchange == nil || binDo == nil || memDo == nil {
 		t.Fatal("Lookup failed for interface-call fixtures")
 	}
 	targets := map[*types.Func]bool{}
@@ -110,8 +110,8 @@ func TestCallGraphInterfaceResolution(t *testing.T) {
 			}
 		}
 	}
-	if !targets[binDo] || !targets[gobDo] || len(targets) != 2 {
-		t.Fatalf("interface call resolved to %v, want {binWire.do, gobWire.do}", targets)
+	if !targets[binDo] || !targets[memDo] || len(targets) != 2 {
+		t.Fatalf("interface call resolved to %v, want {binWire.do, memWire.do}", targets)
 	}
 }
 

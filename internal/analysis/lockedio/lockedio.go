@@ -6,8 +6,8 @@
 //
 // "I/O" means: Read/Write on anything implementing net.Conn, Accept on a
 // net.Listener, net.Dial*/net.Listen, calls through func values whose
-// name contains "Dial", gob/json Encode/Decode (their underlying writer
-// is a conn in this codebase), blocking channel sends, and — one level
+// name contains "Dial", json Encode/Decode (the stream under it may be a
+// conn), blocking channel sends, and — one level
 // deeper — calls to same-package functions that transitively do any of
 // the above. Function literals and go/defer statements are not analyzed
 // (they run outside the lexical lock region or asynchronously).
@@ -31,7 +31,7 @@ import (
 // Analyzer flags network I/O and blocking channel sends under a mutex.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockedio",
-	Doc:  "flags conn I/O, dials, gob/json codec calls and channel sends while a sync.Mutex/RWMutex is held",
+	Doc:  "flags conn I/O, dials, json codec calls and channel sends while a sync.Mutex/RWMutex is held",
 	Run:  run,
 }
 
@@ -57,8 +57,6 @@ var dialFuncs = map[string]bool{
 }
 
 var codecCalls = map[string]string{
-	"(*encoding/gob.Encoder).Encode":  "gob encode to the connection",
-	"(*encoding/gob.Decoder).Decode":  "gob decode from the connection",
 	"(*encoding/json.Encoder).Encode": "json encode to the stream",
 	"(*encoding/json.Decoder).Decode": "json decode from the stream",
 }

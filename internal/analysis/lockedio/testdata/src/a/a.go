@@ -2,7 +2,7 @@
 package a
 
 import (
-	"encoding/gob"
+	"encoding/json"
 	"net"
 	"sync"
 )
@@ -65,11 +65,11 @@ func nonBlockingSelect(s *S, ch chan int) {
 	s.mu.Unlock()
 }
 
-func badCodec(s *S, dec *gob.Decoder) {
+func badCodec(s *S, dec *json.Decoder) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var v int
-	dec.Decode(&v) // want "gob decode from the connection"
+	dec.Decode(&v) // want "json decode from the stream"
 }
 
 func doIO(c net.Conn, buf []byte) {

@@ -1,6 +1,6 @@
 // Package netdeadline implements the sharingvet netdeadline analyzer:
 // every raw network operation in the GRM protocol layer must be covered
-// by a deadline. A Read or Write (or a gob/json Encode/Decode whose
+// by a deadline. A Read or Write (or a json Encode/Decode whose
 // stream is a conn) with no SetDeadline/SetReadDeadline/SetWriteDeadline
 // call earlier in the same function blocks forever when the peer stalls
 // — the hang class PR 1 eliminated; the analyzer keeps it eliminated.
@@ -23,13 +23,11 @@ import (
 // Analyzer flags conn reads/writes not preceded by a deadline call.
 var Analyzer = &analysis.Analyzer{
 	Name: "netdeadline",
-	Doc:  "flags net.Conn reads/writes (and conn-backed gob/json codec calls) with no Set*Deadline earlier in the function",
+	Doc:  "flags net.Conn reads/writes (and conn-backed json codec calls) with no Set*Deadline earlier in the function",
 	Run:  run,
 }
 
 var codecOps = map[string]bool{
-	"(*encoding/gob.Encoder).Encode":  true,
-	"(*encoding/gob.Decoder).Decode":  true,
 	"(*encoding/json.Encoder).Encode": true,
 	"(*encoding/json.Decoder).Decode": true,
 }

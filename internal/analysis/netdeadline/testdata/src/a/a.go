@@ -2,7 +2,7 @@
 package a
 
 import (
-	"encoding/gob"
+	"encoding/json"
 	"io"
 	"net"
 	"time"
@@ -30,17 +30,17 @@ func goodWrite(c net.Conn, buf []byte, timeout time.Duration) {
 
 func badCodec(c net.Conn) error {
 	var v int
-	return gob.NewDecoder(c).Decode(&v) // want "conn-backed"
+	return json.NewDecoder(c).Decode(&v) // want "conn-backed"
 }
 
 func goodCodec(c net.Conn, timeout time.Duration) error {
 	c.SetDeadline(time.Now().Add(timeout))
 	var v int
-	return gob.NewDecoder(c).Decode(&v)
+	return json.NewDecoder(c).Decode(&v)
 }
 
 func fileCodec(w io.Writer, v any) error {
-	return gob.NewEncoder(w).Encode(v) // no conn in scope: ok
+	return json.NewEncoder(w).Encode(v) // no conn in scope: ok
 }
 
 type wrapped struct {

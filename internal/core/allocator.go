@@ -67,16 +67,12 @@ type Config struct {
 	// exactly as printed in the paper. See the package comment for why
 	// that makes the optimum non-discriminating; off by default.
 	KeepRequesterConstraint bool
-	// LPMethod selects the simplex implementation (lp.Tableau by
-	// default; lp.Revised pays off on large sparse agreement graphs).
-	LPMethod lp.Method
 	// WarmStart reuses each requester's final simplex basis across Plan
 	// calls (lp.ResolveFrom): when only the availability vector moved,
 	// revalidating the old basis replaces the full pivot sequence. Warm
 	// answers agree with cold ones within num.SolveTol, not bit-for-bit,
 	// so this is off by default — deployments that replay logs for
-	// byte-identical state must leave it off. Only effective with the
-	// tableau method (lp.Tableau); other methods always solve cold.
+	// byte-identical state must leave it off.
 	WarmStart bool
 	// ComponentLP restricts each plan skeleton to the requester's
 	// agreement component: only the V'_i a plan can actually move — the
@@ -991,7 +987,7 @@ func (al *Allocator) solvePlan(m *lp.Model, requester int, ws *planWS) error {
 	var sol *lp.Solution
 	var err error
 	warm := false
-	if al.cfg.WarmStart && al.cfg.LPMethod == lp.Tableau {
+	if al.cfg.WarmStart {
 		if slot := slotOf(&al.warm[requester]); slot.mu.TryLock() {
 			defer slot.mu.Unlock()
 			sol, err = m.ResolveFrom(&slot.ws)
@@ -999,7 +995,7 @@ func (al *Allocator) solvePlan(m *lp.Model, requester int, ws *planWS) error {
 		}
 	}
 	if !warm {
-		sol, err = m.SolveWithWorkspace(al.cfg.LPMethod, &ws.lpws)
+		sol, err = m.SolveWithWorkspace(lp.Tableau, &ws.lpws)
 	}
 	if err != nil {
 		return err

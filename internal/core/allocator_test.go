@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/lp"
 )
 
 func almost(t *testing.T, got, want, tol float64, what string) {
@@ -422,59 +420,5 @@ func TestNewAllocatorRefusesExplosiveExact(t *testing.T) {
 	}
 	if _, err := NewAllocator(s, nil, Config{Level: 2}); err != nil {
 		t.Fatalf("low level should keep exact mode affordable: %v", err)
-	}
-}
-
-func TestRevisedLPMethodMatchesTableau(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s, v, requester, amount := randomScenario(rng)
-		tab, err := NewAllocator(s, nil, Config{})
-		if err != nil {
-			return false
-		}
-		rev, err := NewAllocator(s, nil, Config{LPMethod: lp.Revised})
-		if err != nil {
-			return false
-		}
-		p1, e1 := tab.Plan(v, requester, amount)
-		p2, e2 := rev.Plan(v, requester, amount)
-		if (e1 == nil) != (e2 == nil) {
-			return false
-		}
-		if e1 != nil {
-			return true
-		}
-		return math.Abs(p1.Theta-p2.Theta) < 1e-4*(1+p1.Theta)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBoundedLPMethodMatchesTableau(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s, v, requester, amount := randomScenario(rng)
-		tab, err := NewAllocator(s, nil, Config{})
-		if err != nil {
-			return false
-		}
-		bnd, err := NewAllocator(s, nil, Config{LPMethod: lp.BoundedRevised})
-		if err != nil {
-			return false
-		}
-		p1, e1 := tab.Plan(v, requester, amount)
-		p2, e2 := bnd.Plan(v, requester, amount)
-		if (e1 == nil) != (e2 == nil) {
-			return false
-		}
-		if e1 != nil {
-			return true
-		}
-		return math.Abs(p1.Theta-p2.Theta) < 1e-4*(1+p1.Theta)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

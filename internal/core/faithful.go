@@ -102,7 +102,7 @@ func (al *Allocator) planFaithful(ws *planWS, v []float64, requester int, amount
 			[]lp.Term{{Var: cp[requester], Coeff: 1}}, lp.GE, ws.capReq-amount)
 	}
 
-	sol, err := m.SolveWithWorkspace(al.cfg.LPMethod, &ws.lpws)
+	sol, err := m.SolveWithWorkspace(lp.Tableau, &ws.lpws)
 	if err != nil {
 		return fmt.Errorf("core: faithful allocation LP failed: %w", err)
 	}

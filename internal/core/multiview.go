@@ -27,8 +27,6 @@ type MultiView struct {
 	views []string
 	// k[view] are the capped transitive coefficients for that view.
 	k map[string][][]float64
-	// method selects the simplex implementation.
-	method lp.Method
 }
 
 // NewMultiView builds a multi-view planner. Every view's matrix must
@@ -37,7 +35,7 @@ func NewMultiView(views map[string][][]float64, cfg Config) (*MultiView, error) 
 	if len(views) == 0 {
 		return nil, fmt.Errorf("core: NewMultiView: no views")
 	}
-	mv := &MultiView{k: map[string][][]float64{}, method: cfg.LPMethod}
+	mv := &MultiView{k: map[string][][]float64{}}
 	for name := range views {
 		mv.views = append(mv.views, name)
 	}
@@ -184,7 +182,7 @@ func (mv *MultiView) Plan(v []float64, requester int, request map[string]float64
 		}
 	}
 
-	sol, err := m.SolveWith(mv.method)
+	sol, err := m.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("core: multi-view LP failed: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/lp"
 	"repro/internal/num"
 )
 
@@ -140,7 +139,7 @@ func TestDenseExportsAreCopies(t *testing.T) {
 func TestConcurrentFirstPlansShareOneSkeleton(t *testing.T) {
 	s, v := mutateScenario(rand.New(rand.NewSource(9)), 12, 22)
 	for trial := 0; trial < 20; trial++ {
-		al, err := NewAllocator(s, nil, Config{WarmStart: true, LPMethod: lp.Tableau})
+		al, err := NewAllocator(s, nil, Config{WarmStart: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,6 @@ package grm
 
 import (
 	"bufio"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -13,48 +11,10 @@ import (
 	"repro/internal/grm/transport"
 )
 
-// WireCodec selects the wire format an LRM speaks to the GRM.
+// WireCodec and CodecBinary are compile shims for frozen bench/; nothing reads them (ROADMAP item 1f).
 type WireCodec int
 
-const (
-	// CodecAuto opens with the binary handshake and falls back to a gob
-	// connection when the server does not speak it. The default.
-	CodecAuto WireCodec = iota
-	// CodecBinary requires the binary protocol; connecting to a server
-	// without it fails.
-	CodecBinary
-	// CodecGob speaks the legacy gob stream: one blocking exchange at a
-	// time on the connection.
-	CodecGob
-)
-
-// String renders the codec as its flag spelling.
-func (c WireCodec) String() string {
-	switch c {
-	case CodecAuto:
-		return "auto"
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("WireCodec(%d)", int(c))
-	}
-}
-
-// ParseWireCodec parses a -codec flag value ("auto", "binary", "gob").
-func ParseWireCodec(s string) (WireCodec, error) {
-	switch s {
-	case "", "auto":
-		return CodecAuto, nil
-	case "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return 0, fmt.Errorf("grm: unknown wire codec %q (want auto, binary, or gob)", s)
-	}
-}
+const CodecBinary WireCodec = 0
 
 // DialConfig controls the LRM's failure behavior: per-operation I/O
 // deadlines and the reconnect policy applied when the GRM connection dies
@@ -71,8 +31,7 @@ type DialConfig struct {
 	// when MaxBackoff is 0).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// Codec selects the wire format; the zero value negotiates binary
-	// with a gob fallback (CodecAuto).
+	// Codec is ignored: a compile shim, see WireCodec.
 	Codec WireCodec
 	// Dialer overrides how the TCP connection is made — the hook used by
 	// fault-injection tests (see internal/grm/faultnet). nil uses
@@ -91,24 +50,22 @@ func DefaultDialConfig() DialConfig {
 	}
 }
 
+// errClosed is what every operation on a closed LRM returns. It is
+// matched by identity: a connect attempt can fail with an error that also
+// wraps net.ErrClosed (a connection reset under the handshake), and that
+// one is retried.
+var errClosed = fmt.Errorf("grm: %w", net.ErrClosed)
+
 // backoffCeiling caps the exponential doubling when DialConfig.MaxBackoff
 // is 0, so the doubling can never overflow into a negative duration (which
 // would silently disable backoff).
 const backoffCeiling = time.Minute
 
-// wire is one live connection to the GRM. do performs a request/response
-// exchange bounded by timeout; implementations decide whether exchanges
-// on one connection serialize (gob) or pipeline (binary).
-type wire interface {
-	do(req *Request, timeout time.Duration) (*Response, error)
-	close() error
-}
-
 // LRM is a Local Resource Manager: the client side of the GRM protocol.
 // It registers a principal, reports availability, manages agreements and
-// requests allocations. An LRM is safe for concurrent use; on the binary
-// codec concurrent operations pipeline on one connection (tagged request
-// ids correlate the out-of-order replies), on gob they serialize.
+// requests allocations. An LRM is safe for concurrent use: concurrent
+// operations pipeline on one connection (tagged request ids correlate
+// the out-of-order replies).
 //
 // When the connection to the GRM dies, the next operation transparently
 // reconnects under DialConfig's policy: it re-registers under the same
@@ -122,14 +79,11 @@ type LRM struct {
 	capacity float64
 
 	mu         sync.Mutex
-	w          wire
+	w          *binWire
 	principal  int
 	closed     bool
 	hasReport  bool
 	lastReport float64
-	// gobFallback records that auto negotiation settled on gob, so
-	// reconnects skip the doomed binary handshake.
-	gobFallback bool
 }
 
 // Dial connects to a GRM and registers a principal with the given starting
@@ -184,50 +138,20 @@ func (l *LRM) Principal() int {
 // Name returns the name used at registration.
 func (l *LRM) Name() string { return l.name }
 
-// Codec returns the wire codec the live connection speaks (the
-// configured codec with auto negotiation resolved).
-func (l *LRM) Codec() WireCodec {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	switch {
-	case l.cfg.Codec == CodecGob || (l.cfg.Codec == CodecAuto && l.gobFallback):
-		return CodecGob
-	default:
-		return CodecBinary
-	}
-}
-
-// dialWire dials and negotiates the wire codec per cfg.Codec. In auto
-// mode a failed binary handshake (an old GRM) falls back to a fresh gob
-// connection, and the choice sticks for later reconnects.
-func (l *LRM) dialWire() (wire, error) {
+// dialWire makes one connection and shakes hands on it. A peer that
+// closes on, ignores or mis-answers the hello is a transport error like
+// any other: the reconnect loop retries it and never speaks anything else.
+func (l *LRM) dialWire() (*binWire, error) {
 	conn, err := l.cfg.Dialer(l.addr)
 	if err != nil {
 		return nil, fmt.Errorf("grm: dial %s: %w", l.addr, err)
 	}
-	codec := l.cfg.Codec
-	if codec == CodecAuto && l.gobFallback {
-		codec = CodecGob
-	}
-	if codec == CodecGob {
-		return newGobWire(conn), nil
-	}
 	w, err := newBinWire(conn, l.cfg.Timeout)
-	if err == nil {
-		return w, nil
-	}
-	conn.Close()
-	if codec != CodecAuto {
-		return nil, fmt.Errorf("grm: handshake with %s: %w", l.addr, err)
-	}
-	// The peer rejected or ignored the binary hello — an old GRM. Redial
-	// and speak gob; remember so reconnects skip the failed handshake.
-	l.gobFallback = true
-	conn, err = l.cfg.Dialer(l.addr)
 	if err != nil {
-		return nil, fmt.Errorf("grm: dial %s: %w", l.addr, err)
+		conn.Close()
+		return nil, fmt.Errorf("grm: %s did not complete the binary protocol v%d handshake: %w", l.addr, transport.Version, err)
 	}
-	return newGobWire(conn), nil
+	return w, nil
 }
 
 // connectLocked dials the GRM, registers under the LRM's name (rebinding
@@ -281,7 +205,7 @@ func (l *LRM) dropLocked() {
 
 // dropWire discards w if it is still the live connection; a concurrent
 // operation may already have replaced it.
-func (l *LRM) dropWire(w wire) {
+func (l *LRM) dropWire(w *binWire) {
 	l.mu.Lock()
 	if l.w == w {
 		l.w = nil
@@ -324,11 +248,11 @@ func (l *LRM) backoff(attempt int) time.Duration {
 // the backoff delay before redialing.
 //
 //lint:ignore sharingvet/lockedio l.mu intentionally serializes reconnection (the dial + register/replay exchange in connectLocked); each step is bounded by cfg.Timeout and no other lock nests under l.mu
-func (l *LRM) acquire(attempt int) (wire, int, error) {
+func (l *LRM) acquire(attempt int) (*binWire, int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return nil, 0, fmt.Errorf("grm: %w", net.ErrClosed)
+		return nil, 0, errClosed
 	}
 	if l.w == nil {
 		if attempt > 0 {
@@ -373,7 +297,7 @@ func (l *LRM) exchange(req *Request, bind bool) (*Response, error) {
 	for attempt := 0; ; attempt++ {
 		w, principal, err := l.acquire(attempt)
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
+			if err == errClosed {
 				return nil, err
 			}
 			lastErr = err
@@ -526,55 +450,10 @@ func (l *LRM) Peers() ([]string, error) {
 	return resp.Peers.Names, nil
 }
 
-// --- gob wire ---
-
-// gobWire is the legacy codec: a strictly alternating request/response
-// gob stream, one exchange at a time under its mutex.
-type gobWire struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-// newGobWire wraps a fresh connection in gob codecs; no handshake is
-// exchanged (the server recognizes a gob stream by its first byte).
-func newGobWire(conn net.Conn) *gobWire {
-	return &gobWire{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-}
-
-// do performs one blocking exchange under the deadline.
-//
-//lint:ignore sharingvet/lockedio w.mu is what serializes the strictly alternating gob stream; every exchange is bounded by the deadline armed below and no other lock nests under it
-func (w *gobWire) do(req *Request, timeout time.Duration) (*Response, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if timeout > 0 {
-		w.conn.SetDeadline(time.Now().Add(timeout))
-	} else {
-		w.conn.SetDeadline(time.Time{})
-	}
-	if err := w.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("grm: send: %w", err)
-	}
-	var resp Response
-	if err := w.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("grm: receive: %w", err)
-	}
-	if timeout > 0 {
-		w.conn.SetDeadline(time.Time{})
-	}
-	return &resp, nil
-}
-
-func (w *gobWire) close() error { return w.conn.Close() }
-
-// --- binary wire ---
-
-// binWire is the pipelined binary codec: any number of operations may be
-// in flight on the connection at once. Writers serialize frame emission
-// under wmu; a single reader goroutine demultiplexes replies to waiters
-// by request id.
+// binWire is one live, pipelined connection to the GRM: any number of
+// operations may be in flight on it at once. Writers serialize frame
+// emission under wmu; a single reader goroutine demultiplexes replies to
+// waiters by request id.
 type binWire struct {
 	conn    net.Conn
 	timeout time.Duration
@@ -593,7 +472,7 @@ type binWire struct {
 
 // wireTimeout is the pipelined client-side timeout: the request was
 // written but no reply arrived within the deadline. It implements
-// net.Error so callers detect timeouts uniformly across codecs.
+// net.Error so callers detect it the way they detect a socket timeout.
 type wireTimeout struct{}
 
 func (wireTimeout) Error() string   { return "grm: receive: timeout waiting for reply" }

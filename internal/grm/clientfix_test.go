@@ -1,11 +1,11 @@
 package grm
 
 import (
-	"bufio"
-	"encoding/gob"
+	"bytes"
+	"errors"
+	"io"
 	"math"
 	"net"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -129,178 +129,214 @@ func TestRetryAfterRestartRebindsPrincipal(t *testing.T) {
 	}
 }
 
-// TestCodecSelection checks each explicit codec works against the real
-// server and that auto negotiation lands on binary.
-func TestCodecSelection(t *testing.T) {
-	_, addr := startServer(t, core.Config{})
-	for _, tc := range []struct {
-		codec WireCodec
-		want  WireCodec
+// handshakeStub listens, reads a hello off every accepted connection and
+// lets answer reply before hanging up — a peer that does not speak
+// protocol v2.
+func handshakeStub(t *testing.T, answer func(c net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				if _, err := io.ReadFull(c, make([]byte, 5)); err == nil {
+					answer(c)
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestDialPreV2PeerSaysWhy dials peers that predate protocol v2: one that
+// hangs up on the hello (what a gob decoder does with it), one that
+// answers with bytes that are not the magic, one that settles on version
+// 1. Each costs exactly one connection, and the error tells an operator
+// which address failed to speak which protocol.
+func TestDialPreV2PeerSaysWhy(t *testing.T) {
+	for name, tc := range map[string]struct {
+		answer func(c net.Conn)
+		check  func(err error) bool
 	}{
-		{CodecAuto, CodecBinary},
-		{CodecBinary, CodecBinary},
-		{CodecGob, CodecGob},
+		"hangs up": {
+			answer: func(c net.Conn) {},
+			check:  func(err error) bool { return errors.Is(err, io.EOF) },
+		},
+		"answers gob": {
+			answer: func(c net.Conn) { c.Write([]byte{0x1f, 0xff, 0x81, 0x03, 0x01, 0x01}) },
+			check:  func(err error) bool { return errors.Is(err, transport.ErrNotBinary) },
+		},
+		"settles on v1": {
+			answer: func(c net.Conn) { transport.WriteHello(c, transport.Version-1) },
+			check:  func(err error) bool { return strings.Contains(err.Error(), "protocol version 1") },
+		},
 	} {
-		cfg := DefaultDialConfig()
-		cfg.Codec = tc.codec
-		l, err := DialWithConfig(addr, "c-"+tc.codec.String(), 10, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", tc.codec, err)
-		}
-		if err := l.Ping(); err != nil {
-			t.Errorf("%v: ping: %v", tc.codec, err)
-		}
-		if got := l.Codec(); got != tc.want {
-			t.Errorf("%v negotiated %v, want %v", tc.codec, got, tc.want)
-		}
-		l.Close()
+		t.Run(name, func(t *testing.T) {
+			addr := handshakeStub(t, tc.answer)
+			var dials atomic.Int64
+			cfg := DefaultDialConfig()
+			cfg.Dialer = func(addr string) (net.Conn, error) {
+				dials.Add(1)
+				return net.DialTimeout("tcp", addr, time.Second)
+			}
+			_, err := DialWithConfig(addr, "new", 10, cfg)
+			if err == nil {
+				t.Fatal("connected to a peer that does not speak protocol v2")
+			}
+			if !tc.check(err) {
+				t.Errorf("err = %v: the cause is lost", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, addr) || !strings.Contains(msg, "binary protocol v2") {
+				t.Errorf("err = %q, want it to name %s and binary protocol v2", msg, addr)
+			}
+			if n := dials.Load(); n != 1 {
+				t.Errorf("%d connections dialed, want 1: a failed handshake is not retried on another wire", n)
+			}
+		})
 	}
 }
 
-// TestAutoFallsBackToGobOnlyServer dials a server that predates the
-// binary protocol (it feeds every byte to a gob decoder): auto
-// negotiation must settle on gob and work, while CodecBinary must fail.
-func TestAutoFallsBackToGobOnlyServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// TestSilentPeerDialsOncePerAttempt points an LRM at a listener that
+// accepts and never answers the hello. Dialing fails within Timeout on
+// one connection; an operation on the disconnected LRM retries under
+// RetryMax like any transport error — 1 + RetryMax connections, each a
+// fresh handshake, none of them a second try in another protocol.
+func TestSilentPeerDialsOncePerAttempt(t *testing.T) {
+	silent := handshakeStub(t, func(c net.Conn) { io.Copy(io.Discard, c) })
+	_, healthy := startServer(t, core.Config{})
+
+	var dials atomic.Int64
+	var target atomic.Value
+	target.Store(silent)
+	conns := make(chan *faultnet.Conn, 16)
+	dial := faultnet.Dialer(nil, conns)
+	cfg := DialConfig{
+		Timeout:  100 * time.Millisecond,
+		RetryMax: 2,
+		Backoff:  time.Millisecond,
+		Dialer: func(string) (net.Conn, error) {
+			dials.Add(1)
+			return dial(target.Load().(string))
+		},
+	}
+	start := time.Now()
+	_, err := DialWithConfig(silent, "quiet", 10, cfg)
+	if nerr := net.Error(nil); !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Fatalf("dial of a silent peer: err = %v, want a timeout", err)
+	}
+	if elapsed := time.Since(start); elapsed >= 2*cfg.Timeout {
+		t.Errorf("dial of a silent peer took %v, want one handshake of at most %v", elapsed, cfg.Timeout)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d connections dialed, want 1", n)
+	}
+
+	// Connect for real, then lose the GRM to the silent peer.
+	target.Store(healthy)
+	l, err := DialWithConfig(healthy, "quiet", 10, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				dec, enc := gob.NewDecoder(c), gob.NewEncoder(c)
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
-						return // a binary hello lands here: garbage to gob
-					}
-					resp := &Response{}
-					switch {
-					case req.Register != nil:
-						resp.Register = &RegisterReply{Principal: 0}
-					case req.Report != nil:
-						resp.Report = &ReportReply{}
-					case req.Ping != nil:
-						resp.Ping = &PingReply{}
-					default:
-						resp.Err = "unsupported"
-					}
-					if err := enc.Encode(resp); err != nil {
-						return
-					}
-				}
-			}(c)
-		}
-	}()
+	defer l.Close()
+	target.Store(silent)
+	(<-conns).Kill() // the silent dial's connection
+	(<-conns).Kill() // the live one
+	if err := l.Ping(); err == nil {
+		t.Fatal("ping reached a GRM through a peer that never answers")
+	}
+	// The LRM is now disconnected: every attempt of the next operation dials.
+	dials.Store(0)
+	if err := l.Ping(); err == nil {
+		t.Fatal("ping reached a GRM through a peer that never answers")
+	}
+	if n, want := dials.Load(), int64(1+cfg.RetryMax); n != want {
+		t.Errorf("%d connections dialed, want 1 + RetryMax = %d", n, want)
+	}
+}
 
-	cfg := DefaultDialConfig()
-	cfg.RetryMax = 1
-	l, err := DialWithConfig(ln.Addr().String(), "old", 10, cfg)
+// TestCutHandshakeDoesNotChangeWire is the sticky-downgrade regression:
+// a handshake that dies of a transport fault says nothing about what the
+// peer speaks. The reconnect after it must open with the hello again —
+// the pipelined protocol — and serve the operation.
+func TestCutHandshakeDoesNotChangeWire(t *testing.T) {
+	_, addr := startServer(t, core.Config{})
+	var dials atomic.Int64
+	first := make(chan *faultnet.Conn, 1)
+	var last *openerConn
+	cfg := DialConfig{
+		Timeout:  2 * time.Second,
+		RetryMax: 3,
+		Backoff:  time.Millisecond,
+		Dialer: func(addr string) (net.Conn, error) {
+			raw, err := net.DialTimeout("tcp", addr, time.Second)
+			if err != nil {
+				return nil, err
+			}
+			switch dials.Add(1) {
+			case 1:
+				c := faultnet.Wrap(raw, nil)
+				first <- c
+				return c, nil
+			case 2:
+				// Die two bytes into the hello.
+				f := faultnet.NewFaults()
+				f.ResetAfterBytes(1)
+				return faultnet.Wrap(raw, f), nil
+			default:
+				last = &openerConn{Conn: raw}
+				return last, nil
+			}
+		},
+	}
+	l, err := DialWithConfig(addr, "site", 10, cfg)
 	if err != nil {
-		t.Fatalf("auto against gob-only server: %v", err)
+		t.Fatal(err)
 	}
 	defer l.Close()
-	if got := l.Codec(); got != CodecGob {
-		t.Errorf("negotiated %v, want gob fallback", got)
-	}
+	(<-first).Kill()
 	if err := l.Ping(); err != nil {
-		t.Errorf("ping over fallback: %v", err)
+		t.Fatalf("ping across a cut handshake and a healthy redial: %v", err)
 	}
-
-	cfg.Codec = CodecBinary
-	if _, err := DialWithConfig(ln.Addr().String(), "strict", 10, cfg); err == nil {
-		t.Error("CodecBinary connected to a gob-only server")
+	if n := dials.Load(); n != 3 {
+		t.Fatalf("%d connections dialed, want 3 (live, cut, healthy)", n)
+	}
+	if got, want := last.opener(), []byte{0x00, 'G', 'R', 'M', transport.Version}; !bytes.Equal(got, want) {
+		t.Fatalf("the redial after a cut handshake opened with %x, want the hello %x", got, want)
 	}
 }
 
-// TestAutoFallsBackFromOlderBinaryServer dials a server one protocol
-// version behind: it answers the hello by settling on its own version,
-// whose allocation replies this client would misread. The handshake must
-// fail on that answer, auto negotiation must fall back to gob (which the
-// old server also speaks), and CodecBinary must refuse to connect.
-func TestAutoFallsBackFromOlderBinaryServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				br := bufio.NewReader(c)
-				if first, err := br.Peek(1); err == nil && transport.IsBinaryHello(first[0]) {
-					if _, err := transport.ReadHello(br); err == nil {
-						transport.WriteHello(c, transport.Version-1)
-					}
-					return
-				}
-				dec, enc := gob.NewDecoder(br), gob.NewEncoder(c)
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					resp := &Response{}
-					switch {
-					case req.Register != nil:
-						resp.Register = &RegisterReply{Principal: 0}
-					case req.Alloc != nil:
-						// The old server's reply: takes indexed by principal.
-						resp.Alloc = &AllocReply{Takes: []float64{0, 2, 0, 3}, Lease: 1}
-					default:
-						resp.Err = "unsupported"
-					}
-					if err := enc.Encode(resp); err != nil {
-						return
-					}
-				}
-			}(c)
-		}
-	}()
+// openerConn remembers the first bytes written through it.
+type openerConn struct {
+	net.Conn
+	mu    sync.Mutex
+	wrote []byte
+}
 
-	cfg := DefaultDialConfig()
-	cfg.RetryMax = 1
-	l, err := DialWithConfig(ln.Addr().String(), "new", 10, cfg)
-	if err != nil {
-		t.Fatalf("auto against a version-%d server: %v", transport.Version-1, err)
+func (c *openerConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	if room := 5 - len(c.wrote); room > 0 {
+		c.wrote = append(c.wrote, p[:min(room, len(p))]...)
 	}
-	defer l.Close()
-	if got := l.Codec(); got != CodecGob {
-		t.Errorf("negotiated %v, want gob fallback", got)
-	}
-	// The dense reply of the old server reads through the same helpers.
-	reply, err := l.Allocate(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Sources != nil {
-		t.Fatalf("gob carried sources %v from a server that has none", reply.Sources)
-	}
-	var from []int
-	reply.Each(func(p int, take float64) { from = append(from, p) })
-	if !reflect.DeepEqual(from, []int{1, 3}) || !reflect.DeepEqual(reply.Dense(4), []float64{0, 2, 0, 3}) {
-		t.Errorf("dense reply read as sources %v, vector %v", from, reply.Dense(4))
-	}
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
 
-	cfg.Codec = CodecBinary
-	if _, err := DialWithConfig(ln.Addr().String(), "strict", 10, cfg); err == nil || !strings.Contains(err.Error(), "protocol version") {
-		t.Errorf("CodecBinary against a version-%d server: err = %v, want a version refusal", transport.Version-1, err)
-	}
+func (c *openerConn) opener() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]byte(nil), c.wrote...)
 }
 
 // TestPipelinedClientSharesOneConnection runs many concurrent operations
-// on one binary LRM: they must all succeed over a single dialed
+// on one LRM: they must all succeed over a single dialed
 // connection (the pipelining mux), never by opening more.
 func TestPipelinedClientSharesOneConnection(t *testing.T) {
 	_, addr := startServer(t, core.Config{})

@@ -7,8 +7,7 @@ package grm
 // then the payload fields. Every field uses the transport encoding
 // primitives — uvarint/zigzag integers, 8-byte little-endian floats,
 // length-prefixed strings and slices, run-length encoded sparse vectors —
-// so the layout is deterministic byte for byte, unlike gob's
-// type-descriptor streams.
+// so the layout is deterministic byte for byte.
 
 import (
 	"fmt"

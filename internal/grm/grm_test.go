@@ -270,7 +270,10 @@ func TestNoPrincipalsErrorCrossesWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	w := newGobWire(conn)
+	w, err := newBinWire(conn, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer w.close()
 	resp, err := w.do(&Request{Caps: &CapsRequest{}}, 5*time.Second)
 	if err != nil {
@@ -550,7 +553,7 @@ func TestGarbageBytesDoNotKillServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := raw.Write([]byte("this is not gob at all \x00\xff\x13\x37")); err != nil {
+	if _, err := raw.Write([]byte("this is not a hello at all \x00\xff\x13\x37")); err != nil {
 		t.Fatal(err)
 	}
 	raw.Close()

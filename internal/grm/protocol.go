@@ -4,9 +4,13 @@
 // Resource Managers (LRMs) that register their resources, report
 // fluctuating availability, and request allocations.
 //
-// The wire protocol is gob over TCP (stdlib only): each LRM connection
-// carries strictly alternating request/response envelopes. The GRM embeds
-// the ticket-and-currency agreement system (package agreement) for
+// The wire protocol is version 2 of a binary framing over TCP (stdlib
+// only): after a 5-byte hello each LRM connection carries CRC-framed
+// request/response envelopes tagged with request ids, any number in
+// flight, answered in completion order (transport/wire.go has the frame,
+// codec.go the envelope fields). It is the only protocol served or
+// dialed: a peer that opens with anything else is hung up on. The GRM
+// embeds the ticket-and-currency agreement system (package agreement) for
 // expression and the LP allocator (package core) for enforcement, so the
 // full stack of the paper runs end to end over a real network boundary.
 //
@@ -18,7 +22,6 @@
 package grm
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -207,13 +210,6 @@ type PeersRequest struct{}
 // PeersReply lists principal names indexed by id.
 type PeersReply struct {
 	Names []string
-}
-
-func init() {
-	// The envelopes are concrete structs, but registering them keeps gob
-	// stream layouts stable across versions.
-	gob.Register(Request{})
-	gob.Register(Response{})
 }
 
 // errorf builds a Response carrying only an error.

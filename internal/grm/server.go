@@ -19,7 +19,7 @@ import (
 
 // The GRM is split into three layers:
 //
-//	transport (internal/grm/transport)  — connections, gob framing, deadlines
+//	transport (internal/grm/transport)  — connections, hello + frames, deadlines
 //	service   (this package)            — handlers, the batched alloc pipeline
 //	state     (internal/store)          — the write-ahead log and snapshots
 //
@@ -154,8 +154,7 @@ func NewServer(cfg core.Config, logger *log.Logger) *Server {
 		clock:     vclock.Real{},
 	}
 	s.jobs.New = func() any { return &allocJob{resp: make(chan *Response, 1)} }
-	s.tr = transport.NewServer(
-		func() any { return &Request{} },
+	s.tr = transport.NewServer(nil,
 		transport.HandlerFunc(func(req any) any { return s.dispatch(req.(*Request)) }),
 		transport.Options{WriteTimeout: 30 * time.Second, Logger: logger, Codec: binaryCodec{}},
 	)

@@ -67,8 +67,7 @@ func NewSharded(nshards int, cfg core.Config, logger *log.Logger) *Sharded {
 		shards[i] = NewServer(cfg, logger)
 	}
 	g := &Sharded{nshards: nshards, shards: shards, logger: logger}
-	g.tr = transport.NewServer(
-		func() any { return &Request{} },
+	g.tr = transport.NewServer(nil,
 		transport.HandlerFunc(func(req any) any { return g.Handle(req.(*Request)) }),
 		transport.Options{WriteTimeout: 30 * time.Second, Logger: logger, Codec: binaryCodec{}},
 	)

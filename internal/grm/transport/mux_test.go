@@ -2,8 +2,11 @@ package transport_test
 
 import (
 	"bufio"
-	"encoding/gob"
+	"io"
+	"log"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,7 +14,7 @@ import (
 	"repro/internal/wirefmt"
 )
 
-// echoCodec is the binary codec for the echoReq/echoResp test envelopes:
+// echoCodec is the codec for the echoReq/echoResp test envelopes:
 // each is a single zigzag integer.
 type echoCodec struct{}
 
@@ -26,33 +29,6 @@ func (echoCodec) DecodeRequest(data []byte) (any, error) {
 
 func (echoCodec) AppendResponse(dst []byte, resp any) ([]byte, error) {
 	return wirefmt.AppendInt(dst, int64(resp.(*echoResp).N)), nil
-}
-
-// slowMark makes the echo handler sleep before answering, so tests can
-// force out-of-order completion.
-const slowMark = 1_000_000
-
-func startBinaryEcho(t *testing.T, opts transport.Options) (*transport.Server, string) {
-	t.Helper()
-	opts.Codec = echoCodec{}
-	srv := transport.NewServer(
-		func() any { return &echoReq{} },
-		transport.HandlerFunc(func(req any) any {
-			n := req.(*echoReq).N
-			if n >= slowMark {
-				time.Sleep(200 * time.Millisecond)
-			}
-			return &echoResp{N: n + 1}
-		}),
-		opts,
-	)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close() })
-	return srv, l.Addr().String()
 }
 
 // dialBinary dials and completes the binary handshake, returning the
@@ -107,7 +83,7 @@ func readEcho(t *testing.T, fr *transport.FrameReader) (uint64, int) {
 // before reading anything back; every reply must carry its request's id
 // and value.
 func TestBinaryPipelining(t *testing.T) {
-	_, addr := startBinaryEcho(t, transport.Options{})
+	_, addr := startEcho(t, transport.Options{})
 	_, fw, fr := dialBinary(t, addr)
 	const total = 100
 	for i := 1; i <= total; i++ {
@@ -129,7 +105,7 @@ func TestBinaryPipelining(t *testing.T) {
 // not arrival order: a slow request issued first must not block a fast
 // one issued after it.
 func TestBinaryOutOfOrderReplies(t *testing.T) {
-	_, addr := startBinaryEcho(t, transport.Options{})
+	_, addr := startEcho(t, transport.Options{})
 	_, fw, fr := dialBinary(t, addr)
 	writeEcho(t, fw, 1, slowMark) // handler sleeps 200ms
 	writeEcho(t, fw, 2, 5)
@@ -143,10 +119,10 @@ func TestBinaryOutOfOrderReplies(t *testing.T) {
 	}
 }
 
-// TestBinaryHelloWithoutCodec: a server with no codec must drop a binary
-// hello instead of feeding it to the gob decoder.
+// TestBinaryHelloWithoutCodec: a server with no codec has nothing to
+// decode frames with and must hang up on a hello rather than accept it.
 func TestBinaryHelloWithoutCodec(t *testing.T) {
-	_, addr := startEcho(t, transport.Options{}) // no Codec
+	_, addr := serveEcho(t, transport.Options{}) // no Codec
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -162,53 +138,84 @@ func TestBinaryHelloWithoutCodec(t *testing.T) {
 	}
 }
 
-// TestGobStreamStillServedWithCodec: with the binary codec configured,
-// a plain gob peer (no hello) is still served on the same listener.
-func TestGobStreamStillServedWithCodec(t *testing.T) {
-	_, addr := startBinaryEcho(t, transport.Options{})
+// logBuffer collects a server's log lines from its connection goroutines.
+type logBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// expectHangUp sends opener on a fresh connection and requires the server
+// to close it without writing a single byte back.
+func expectHangUp(t *testing.T, addr string, opener []byte) net.Conn {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := enc.Encode(&echoReq{N: 41}); err != nil {
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(opener); err != nil {
 		t.Fatal(err)
 	}
-	var resp echoResp
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
+	if n, err := conn.Read(make([]byte, 16)); n != 0 || err != io.EOF {
+		t.Fatalf("opener %x: read %d bytes, err %v; want a bare hang-up", opener, n, err)
 	}
-	if resp.N != 42 {
-		t.Fatalf("reply %d, want 42", resp.N)
+	return conn
+}
+
+// TestNonHelloOpenerRefused: a peer that opens with anything but the v2
+// hello — the gob stream this listener used to serve, or a v1 hello — is
+// closed without a reply, the refusal says why and to whom, and the
+// server keeps serving.
+func TestNonHelloOpenerRefused(t *testing.T) {
+	var logs logBuffer
+	_, addr := startEcho(t, transport.Options{Logger: log.New(&logs, "", 0)})
+
+	// What gob.NewEncoder(conn).Encode(&echoReq{}) opens with: a positive
+	// message-length uvarint, then type descriptors.
+	gobish := expectHangUp(t, addr, []byte{0x1f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x07, 'e', 'c', 'h', 'o', 'R', 'e', 'q'})
+	if want := gobish.LocalAddr().String() + " is not speaking protocol v2 (legacy gob peer or garbage)"; !strings.Contains(logs.String(), want) {
+		t.Errorf("log %q does not name the refusal %q", logs.String(), want)
+	}
+	expectHangUp(t, addr, []byte{0x00, 'G', 'R', 'M', transport.Version - 1})
+	if !strings.Contains(logs.String(), "protocol version 1 is no longer spoken") {
+		t.Errorf("log %q does not name the v1 refusal", logs.String())
+	}
+
+	_, fw, fr := dialBinary(t, addr)
+	writeEcho(t, fw, 1, 41)
+	if id, n := readEcho(t, fr); id != 1 || n != 42 {
+		t.Fatalf("after the refusals: reply frame %d value %d, want frame 1 value 42", id, n)
 	}
 }
 
 // TestSetTimeoutsClearsArmedDeadline is the regression test for the
-// deadline-clearing bug: dropping the idle timeout to 0 with SetTimeouts
-// must clear a previously armed read deadline on the next loop pass, not
-// leave it ticking under a live connection.
+// deadline-clearing bug: dropping a timeout to 0 with SetTimeouts must
+// clear the previously armed deadline on the next loop pass — the
+// reader's idle deadline, the writer's write deadline — not leave it
+// ticking under a live connection.
 func TestSetTimeoutsClearsArmedDeadline(t *testing.T) {
-	exchangers := map[string]func(t *testing.T, addr string) func() error{
-		"gob": func(t *testing.T, addr string) func() error {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { conn.Close() })
-			enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-			return func() error {
-				if err := enc.Encode(&echoReq{N: 1}); err != nil {
-					return err
-				}
-				var resp echoResp
-				return dec.Decode(&resp)
-			}
-		},
-		"binary": func(t *testing.T, addr string) func() error {
+	for name, opts := range map[string]transport.Options{
+		"idle":  {IdleTimeout: 100 * time.Millisecond},
+		"write": {WriteTimeout: 100 * time.Millisecond},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, addr := startEcho(t, opts)
 			_, fw, fr := dialBinary(t, addr)
 			var id uint64
-			return func() error {
+			exchange := func() error {
 				id++
 				if err := fw.WriteFrame(id, func(dst []byte) ([]byte, error) {
 					return wirefmt.AppendInt(dst, 1), nil
@@ -218,28 +225,22 @@ func TestSetTimeoutsClearsArmedDeadline(t *testing.T) {
 				_, _, err := fr.ReadFrame()
 				return err
 			}
-		},
-	}
-	for name, mk := range exchangers {
-		t.Run(name, func(t *testing.T) {
-			srv, addr := startBinaryEcho(t, transport.Options{IdleTimeout: 100 * time.Millisecond})
-			exchange := mk(t, addr)
 			if err := exchange(); err != nil {
 				t.Fatal(err)
 			}
 			srv.SetTimeouts(0, 0)
 			// This exchange runs within the old 100ms window; serving it
-			// makes the loop re-read the timeouts and clear the armed
+			// makes the loops re-read the timeouts and clear the armed
 			// deadline.
 			if err := exchange(); err != nil {
 				t.Fatal(err)
 			}
 			// Outlive the old deadline. Without the clear, the stale
-			// deadline fires during this quiet period and kills the
-			// connection.
+			// deadline fires during this quiet period (idle) or fails the
+			// next reply (write) and kills the connection.
 			time.Sleep(250 * time.Millisecond)
 			if err := exchange(); err != nil {
-				t.Fatalf("connection died after idle timeout was disabled: %v", err)
+				t.Fatalf("connection died after the timeout was disabled: %v", err)
 			}
 		})
 	}
@@ -250,30 +251,16 @@ func TestSetTimeoutsClearsArmedDeadline(t *testing.T) {
 // quiet connections from the next request on.
 func TestSetTimeoutsArmsDeadlineOnLiveConn(t *testing.T) {
 	srv, addr := startEcho(t, transport.Options{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	var resp echoResp
-	if err := enc.Encode(&echoReq{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
+	conn, fw, fr := dialBinary(t, addr)
+	writeEcho(t, fw, 1, 0)
+	readEcho(t, fr)
 	srv.SetTimeouts(40*time.Millisecond, 0)
 	// One more exchange so the loop re-arms with the new idle timeout.
-	if err := enc.Encode(&echoReq{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
+	writeEcho(t, fw, 2, 0)
+	readEcho(t, fr)
 	// Now go quiet: the server must hang up on its own.
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if err := dec.Decode(&resp); err == nil {
+	if _, _, err := fr.ReadFrame(); err == nil {
 		t.Error("quiet connection survived a newly enabled idle timeout")
 	}
 }
@@ -282,7 +269,7 @@ func TestSetTimeoutsArmsDeadlineOnLiveConn(t *testing.T) {
 // package no longer writes gets no accept — the server hangs up, which
 // the client sees as a failed handshake read.
 func TestOlderBinaryVersionRefused(t *testing.T) {
-	_, addr := startBinaryEcho(t, transport.Options{})
+	_, addr := startEcho(t, transport.Options{})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -7,22 +7,21 @@
 // without ever blocking on the network (the invariant the sharingvet
 // lockedio analyzer enforces).
 //
-// Two codecs share the listener (wire.go documents the format). A peer
-// that opens with the binary handshake gets CRC-framed envelopes with
-// request ids and may pipeline: the connection's reader dispatches each
-// decoded request to its own handler goroutine and a single writer
+// One protocol is served (wire.go documents the format): a peer opens
+// with the version-2 hello, then exchanges CRC-framed envelopes tagged
+// with request ids and may pipeline: the connection's reader dispatches
+// each decoded request to its own handler goroutine and a single writer
 // goroutine serializes the replies, so responses return in completion
-// order, not arrival order. A peer that opens with a gob stream gets
-// the original strictly alternating request/response loop.
+// order, not arrival order. A connection whose first byte is not the
+// hello magic (a legacy gob peer, or garbage) is logged and closed.
 //
 // The package is protocol-agnostic: the request/response envelope types
-// are supplied by the caller through a factory, a Handler, and a Codec,
-// so the transport has no dependency on the grm package above it.
+// are supplied by the caller through a Handler and a Codec, so the
+// transport has no dependency on the grm package above it.
 package transport
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -56,11 +55,11 @@ type Options struct {
 	WriteTimeout time.Duration
 	// Logger receives per-connection diagnostics; nil discards them.
 	Logger *log.Logger
-	// Codec serves peers that open with the binary handshake. nil
-	// serves gob only (binary hellos are dropped as garbage).
+	// Codec translates frame payloads to and from envelopes. nil serves
+	// nobody: every hello is logged and hung up on.
 	Codec Codec
-	// MaxInflight caps concurrently executing requests per binary
-	// connection; further frames wait in the kernel buffer. 0 uses
+	// MaxInflight caps concurrently executing requests per connection;
+	// further frames wait in the kernel buffer. 0 uses
 	// DefaultMaxInflight.
 	MaxInflight int
 }
@@ -69,11 +68,10 @@ type Options struct {
 // does not set one.
 const DefaultMaxInflight = 64
 
-// Server is the connection plane: one accept loop plus one
-// request/response goroutine per live connection. It owns every
-// net.Conn it accepts; the layers above never see one.
+// Server is the connection plane: one accept loop plus one reader and
+// one writer goroutine per live connection. It owns every net.Conn it
+// accepts; the layers above never see one.
 type Server struct {
-	newReq   func() any // allocates a fresh request envelope to decode into
 	handler  Handler
 	codec    Codec
 	inflight int
@@ -91,10 +89,9 @@ type Server struct {
 	closeErr  error
 }
 
-// NewServer builds a transport server. newReq must return a pointer to a
-// zero request envelope for the decoder to fill; handler serves each
-// decoded request.
-func NewServer(newReq func() any, handler Handler, opts Options) *Server {
+// NewServer builds a transport server; handler serves each decoded
+// request. The unnamed parameter is a compile shim for frozen bench/ (ROADMAP item 1f).
+func NewServer(_ func() any, handler Handler, opts Options) *Server {
 	logger := opts.Logger
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
@@ -104,7 +101,6 @@ func NewServer(newReq func() any, handler Handler, opts Options) *Server {
 		inflight = DefaultMaxInflight
 	}
 	return &Server{
-		newReq:   newReq,
 		handler:  handler,
 		codec:    opts.Codec,
 		inflight: inflight,
@@ -204,8 +200,8 @@ func (t *Server) timeouts() (idle, write time.Duration) {
 	return t.idle, t.write
 }
 
-// serveConn routes one accepted connection to its codec: the first byte
-// distinguishes a binary handshake from a gob stream (wire.go). The
+// serveConn admits one accepted connection: its first byte must open the
+// version-2 hello (wire.go), anything else is refused by hanging up. The
 // peek runs under the idle deadline so a silent peer is still dropped.
 func (t *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
@@ -221,54 +217,19 @@ func (t *Server) serveConn(conn net.Conn) {
 		}
 		return
 	}
-	if IsBinaryHello(first[0]) {
-		if t.codec == nil {
-			t.logger.Printf("transport: binary hello from %s but no codec configured", conn.RemoteAddr())
-			return
-		}
-		t.serveBinary(conn, br)
+	if !IsBinaryHello(first[0]) {
+		t.logger.Printf("transport: %s is not speaking protocol v%d (legacy gob peer or garbage)", conn.RemoteAddr(), Version)
 		return
 	}
-	t.serveGob(conn, br)
-}
-
-// serveGob runs one connection's strictly alternating request/response
-// loop: decode under the idle deadline, hand the envelope to the service
-// layer, write its reply under the write deadline. When SetTimeouts
-// drops a deadline to 0 the previously armed one is cleared — a live
-// connection must not be killed by a deadline configured away.
-func (t *Server) serveGob(conn net.Conn, br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	for {
-		idle, write := t.timeouts()
-		if idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(idle))
-		} else {
-			conn.SetReadDeadline(time.Time{})
-		}
-		req := t.newReq()
-		if err := dec.Decode(req); err != nil {
-			if !errors.Is(err, io.EOF) {
-				t.logger.Printf("transport: decode from %s: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		resp := t.handler.Handle(req)
-		if write > 0 {
-			conn.SetWriteDeadline(time.Now().Add(write))
-		} else {
-			conn.SetWriteDeadline(time.Time{})
-		}
-		if err := enc.Encode(resp); err != nil {
-			t.logger.Printf("transport: encode to %s: %v", conn.RemoteAddr(), err)
-			return
-		}
+	if t.codec == nil {
+		t.logger.Printf("transport: binary hello from %s but no codec configured", conn.RemoteAddr())
+		return
 	}
+	t.serveBinary(conn, br)
 }
 
-// respFrame is one finished response on its way to a binary
-// connection's writer goroutine.
+// respFrame is one finished response on its way to its connection's
+// writer goroutine.
 type respFrame struct {
 	id   uint64
 	resp any
@@ -290,8 +251,7 @@ func (t *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 	}
 	version, ok := NegotiateVersion(proposed)
 	if !ok {
-		// Hanging up is the refusal: the peer's handshake read fails, and a
-		// client dialing in auto mode falls back to gob.
+		// Hanging up is the refusal: the peer's handshake read fails.
 		t.logger.Printf("transport: handshake from %s: protocol version %d is no longer spoken (want %d)", conn.RemoteAddr(), proposed, Version)
 		return
 	}
@@ -345,7 +305,7 @@ func (t *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 	<-writerDone
 }
 
-// connWriter is a binary connection's single writer: it frames each
+// connWriter is a connection's single writer: it frames each
 // finished response under the write deadline. Replies are batched
 // through a buffered writer that flushes only when the queue runs dry,
 // so a pipelined burst of responses costs one syscall, not one per

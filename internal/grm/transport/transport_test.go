@@ -1,7 +1,6 @@
 package transport_test
 
 import (
-	"encoding/gob"
 	"net"
 	"strings"
 	"testing"
@@ -20,12 +19,21 @@ type echoResp struct {
 	N int
 }
 
-func startEcho(t *testing.T, opts transport.Options) (*transport.Server, string) {
+// slowMark makes the echo handler sleep before answering, so tests can
+// force out-of-order completion.
+const slowMark = 1_000_000
+
+// serveEcho starts an echo server with exactly the given options (no
+// codec unless the caller set one).
+func serveEcho(t *testing.T, opts transport.Options) (*transport.Server, string) {
 	t.Helper()
-	srv := transport.NewServer(
-		func() any { return &echoReq{} },
+	srv := transport.NewServer(nil,
 		transport.HandlerFunc(func(req any) any {
-			return &echoResp{N: req.(*echoReq).N + 1}
+			n := req.(*echoReq).N
+			if n >= slowMark {
+				time.Sleep(200 * time.Millisecond)
+			}
+			return &echoResp{N: n + 1}
 		}),
 		opts,
 	)
@@ -38,33 +46,28 @@ func startEcho(t *testing.T, opts transport.Options) (*transport.Server, string)
 	return srv, l.Addr().String()
 }
 
+// startEcho is serveEcho speaking echoCodec.
+func startEcho(t *testing.T, opts transport.Options) (*transport.Server, string) {
+	t.Helper()
+	opts.Codec = echoCodec{}
+	return serveEcho(t, opts)
+}
+
 func TestRequestResponseLoop(t *testing.T) {
 	_, addr := startEcho(t, transport.Options{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	_, fw, fr := dialBinary(t, addr)
 	for i := 0; i < 5; i++ {
-		if err := enc.Encode(&echoReq{N: i}); err != nil {
-			t.Fatal(err)
-		}
-		var resp echoResp
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.N != i+1 {
-			t.Fatalf("reply %d, want %d", resp.N, i+1)
+		writeEcho(t, fw, uint64(i+1), i)
+		if id, n := readEcho(t, fr); id != uint64(i+1) || n != i+1 {
+			t.Fatalf("reply frame %d value %d, want frame %d value %d", id, n, i+1, i+1)
 		}
 	}
 }
 
 func TestCloseUnblocksServeAndSeversConns(t *testing.T) {
-	srv := transport.NewServer(
-		func() any { return &echoReq{} },
+	srv := transport.NewServer(nil,
 		transport.HandlerFunc(func(req any) any { return &echoResp{} }),
-		transport.Options{},
+		transport.Options{Codec: echoCodec{}},
 	)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -73,20 +76,10 @@ func TestCloseUnblocksServeAndSeversConns(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	// One exchange proves the connection is registered with the server.
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := enc.Encode(&echoReq{}); err != nil {
-		t.Fatal(err)
-	}
-	var resp echoResp
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
+	conn, fw, fr := dialBinary(t, l.Addr().String())
+	writeEcho(t, fw, 1, 0)
+	readEcho(t, fr)
 
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -101,7 +94,7 @@ func TestCloseUnblocksServeAndSeversConns(t *testing.T) {
 	}
 	// The live connection must have been severed.
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if err := dec.Decode(&resp); err == nil {
+	if _, _, err := fr.ReadFrame(); err == nil {
 		t.Error("connection still alive after Close")
 	}
 	// Close is idempotent.
@@ -127,8 +120,7 @@ func TestIdleTimeoutDropsQuietConn(t *testing.T) {
 }
 
 func TestAddrBeforeAndAfterServe(t *testing.T) {
-	srv := transport.NewServer(
-		func() any { return &echoReq{} },
+	srv := transport.NewServer(nil,
 		transport.HandlerFunc(func(req any) any { return &echoResp{} }),
 		transport.Options{},
 	)

@@ -1,9 +1,8 @@
 package transport
 
-// The binary wire format (protocol version 2). It replaces gob on the
-// hot path while the gob stream stays decodable for old peers:
+// The wire format (protocol version 2), the only one served:
 //
-// Handshake. A binary client opens with the 5-byte hello
+// Handshake. A client opens with the 5-byte hello
 //
 //	[0x00 'G' 'R' 'M' <version>]
 //
@@ -11,10 +10,11 @@ package transport
 // (the minimum of the client's proposal and its own maximum). A proposal
 // below Version is refused by closing the connection: version 1 framed
 // allocation replies as population-sized vectors, which this package no
-// longer writes. The lead byte 0x00 is the discriminator: a gob stream's
-// first byte is a message-length uvarint and can never be zero, so the
-// server peeks one byte and routes the connection to the right codec. A
-// gob peer sends no hello and is served exactly as before.
+// longer writes. A connection that does not open with the lead byte 0x00
+// is refused the same way after one peeked byte — that is what the gob
+// stream this protocol replaced looks like (its first byte is a
+// message-length uvarint and can never be zero), and a reply whose
+// meaning depends on the vintage of the peer's decoder is not served.
 //
 // Frames. After the handshake every message in both directions is one
 // CRC frame of internal/wirefmt — the layout the write-ahead log of
@@ -49,17 +49,17 @@ const (
 	helloSize = 5
 )
 
-// hsMagic is the handshake magic. The 0x00 lead byte cannot begin a gob
-// stream (gob frames a positive message length first), which is what
-// makes codec detection a one-byte peek.
+// hsMagic is the handshake magic. The 0x00 lead byte cannot begin a
+// legacy gob stream (gob frames a positive message length first), which
+// is what makes refusing one a one-byte peek.
 var hsMagic = [4]byte{0x00, 'G', 'R', 'M'}
 
-// ErrNotBinary reports that the peer did not open with the binary
-// handshake magic — it is speaking gob (or garbage).
+// ErrNotBinary reports that the peer did not open (or answer) with the
+// handshake magic — it is a pre-v2 gob peer, or garbage.
 var ErrNotBinary = errors.New("transport: peer did not send the binary handshake")
 
 // IsBinaryHello reports whether a connection whose first byte is b is
-// opening the binary handshake rather than a gob stream.
+// opening the handshake.
 func IsBinaryHello(b byte) bool { return b == hsMagic[0] }
 
 // WriteHello sends one handshake message (client hello or server

@@ -1,21 +1,16 @@
 package grm
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"runtime"
 	"time"
 )
 
 // WireBenchResult is the measured cost of carrying one request/response
-// exchange in a wire codec as a self-contained message — no stream
-// state carried between messages. That is the unit the binary transport
-// works in: every frame is independently CRC-checked, decodable in
-// isolation, and reorderable, which is what makes pipelining and
-// out-of-order replies possible. Gob cannot produce a self-contained
-// message without re-transmitting its type descriptors, and that
-// per-message setup is exactly the cost the binary codec removes.
+// exchange through the codec as self-contained messages — no stream
+// state carried between messages. That is the unit the transport works
+// in: every frame is independently CRC-checked, decodable in isolation,
+// and reorderable, which is what makes pipelining and out-of-order
+// replies possible.
 type WireBenchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -42,73 +37,37 @@ func benchExchange() ([]*Request, []*Response) {
 
 // BenchWireCodec measures codec cost for iters self-contained exchanges
 // (see WireBenchResult) on the calling goroutine. cmd/loadgen uses it to
-// populate the codec section of BENCH_transport.json.
-func BenchWireCodec(c WireCodec, iters int) (WireBenchResult, error) {
+// populate the codec section of BENCH_transport.json. The unnamed
+// parameter is a compile shim for frozen bench/ (ROADMAP item 1f).
+func BenchWireCodec(_ WireCodec, iters int) (WireBenchResult, error) {
 	if iters <= 0 {
 		iters = 1
 	}
 	reqs, resps := benchExchange()
-	var oneOp func() (int, error)
-	switch c {
-	case CodecBinary:
-		var buf []byte
-		oneOp = func() (int, error) {
-			msgBytes := 0
-			for i := range reqs {
-				var err error
-				if buf, err = appendRequest(buf[:0], reqs[i]); err != nil {
-					return 0, err
-				}
-				msgBytes += len(buf)
-				if _, err = decodeRequest(buf); err != nil {
-					return 0, err
-				}
-				if buf, err = appendResponse(buf[:0], resps[i]); err != nil {
-					return 0, err
-				}
-				msgBytes += len(buf)
-				if _, err = decodeResponse(buf); err != nil {
-					return 0, err
-				}
+	var buf []byte
+	oneOp := func() (int, error) {
+		msgBytes := 0
+		for i := range reqs {
+			var err error
+			if buf, err = appendRequest(buf[:0], reqs[i]); err != nil {
+				return 0, err
 			}
-			return msgBytes, nil
+			msgBytes += len(buf)
+			if _, err = decodeRequest(buf); err != nil {
+				return 0, err
+			}
+			if buf, err = appendResponse(buf[:0], resps[i]); err != nil {
+				return 0, err
+			}
+			msgBytes += len(buf)
+			if _, err = decodeResponse(buf); err != nil {
+				return 0, err
+			}
 		}
-	case CodecGob:
-		var buf bytes.Buffer
-		oneOp = func() (int, error) {
-			msgBytes := 0
-			encode := func(v any) error {
-				buf.Reset()
-				if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-					return err
-				}
-				msgBytes += buf.Len()
-				return nil
-			}
-			for i := range reqs {
-				if err := encode(reqs[i]); err != nil {
-					return 0, err
-				}
-				var req Request
-				if err := gob.NewDecoder(&buf).Decode(&req); err != nil {
-					return 0, err
-				}
-				if err := encode(resps[i]); err != nil {
-					return 0, err
-				}
-				var resp Response
-				if err := gob.NewDecoder(&buf).Decode(&resp); err != nil {
-					return 0, err
-				}
-			}
-			return msgBytes, nil
-		}
-	default:
-		return WireBenchResult{}, fmt.Errorf("grm: BenchWireCodec: codec %v not measurable", c)
+		return msgBytes, nil
 	}
 
-	// Warm up internal caches (gob's type registry, buffer growth) so
-	// the measured window sees steady state.
+	// Warm up (buffer growth) so the measured window sees steady state.
 	msgBytes, err := oneOp()
 	if err != nil {
 		return WireBenchResult{}, err

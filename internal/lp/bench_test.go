@@ -80,9 +80,8 @@ c3: x + 2 y + 3 z = 9
 	}
 }
 
-// Method ablation: tableau vs revised simplex on the same problems. The
-// revised method prices columns lazily against an explicit basis inverse,
-// which wins as the column count outgrows the row count.
+// Method ablation: the tableau against the bounded revised simplex (the
+// modeltest oracle's reference solver) on the same problems.
 
 func benchSolveWith(b *testing.B, method Method, nVars, nCons int) {
 	m := benchLP(nVars, nCons)
@@ -95,17 +94,13 @@ func benchSolveWith(b *testing.B, method Method, nVars, nCons int) {
 }
 
 func BenchmarkTableau30x30(b *testing.B)  { benchSolveWith(b, Tableau, 30, 30) }
-func BenchmarkRevised30x30(b *testing.B)  { benchSolveWith(b, Revised, 30, 30) }
 func BenchmarkTableau200x20(b *testing.B) { benchSolveWith(b, Tableau, 200, 20) }
-func BenchmarkRevised200x20(b *testing.B) { benchSolveWith(b, Revised, 200, 20) }
-
 func BenchmarkBounded30x30(b *testing.B)  { benchSolveWith(b, BoundedRevised, 30, 30) }
 func BenchmarkBounded200x20(b *testing.B) { benchSolveWith(b, BoundedRevised, 200, 20) }
 
-// BenchmarkSchedulerShapeByMethod compares all three methods on the
-// allocation engine's doubly-bounded LP shape, where implicit bounds
-// should shine (the other methods materialize one extra row per bounded
-// variable).
+// BenchmarkSchedulerShapeByMethod compares both methods on the allocation
+// engine's doubly-bounded LP shape, where implicit bounds should shine
+// (the tableau materializes one extra row per bounded variable).
 func benchSchedulerShape(b *testing.B, method Method) {
 	const n = 20
 	m := NewModel(Minimize)
@@ -137,5 +132,4 @@ func benchSchedulerShape(b *testing.B, method Method) {
 }
 
 func BenchmarkSchedulerTableau20(b *testing.B) { benchSchedulerShape(b, Tableau) }
-func BenchmarkSchedulerRevised20(b *testing.B) { benchSchedulerShape(b, Revised) }
 func BenchmarkSchedulerBounded20(b *testing.B) { benchSchedulerShape(b, BoundedRevised) }

@@ -9,7 +9,7 @@ import (
 
 // BoundedRevised is the revised simplex with implicit variable bounds:
 // instead of materializing every "x <= hi" as a constraint row (what the
-// other two methods do via buildStandard), nonbasic variables rest at
+// tableau does via buildStandard), nonbasic variables rest at
 // either bound and the ratio test handles bound flips. For the scheduler
 // LPs — whose variables V'_i are all doubly bounded — this roughly halves
 // the row count.
@@ -189,6 +189,21 @@ func (bf *boundedForm) recoverPoint(x []float64) []float64 {
 		case substSplit:
 			out[i] = x[s.col] - x[s.negCol]
 		}
+	}
+	return out
+}
+
+// colEntry is one non-zero of a sparse constraint column.
+type colEntry struct {
+	row int
+	val float64
+}
+
+func identity(n int) [][]float64 {
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = make([]float64, n)
+		out[i][i] = 1
 	}
 	return out
 }

@@ -151,6 +151,40 @@ func TestBoundedFixedVariable(t *testing.T) {
 	almost(t, sol.Value(y), 2, 1e-7, "y")
 }
 
+// TestBoundedBealeCycling: Beale's degenerate LP cycles under a naive
+// pivot rule; the anti-cycling rule must reach the optimum.
+func TestBoundedBealeCycling(t *testing.T) {
+	m := NewModel(Minimize)
+	x4 := m.AddVar("x4", 0, Inf, -0.75)
+	x5 := m.AddVar("x5", 0, Inf, 150)
+	x6 := m.AddVar("x6", 0, Inf, -0.02)
+	x7 := m.AddVar("x7", 0, Inf, 6)
+	m.AddConstraint("r1", []Term{{x4, 0.25}, {x5, -60}, {x6, -0.04}, {x7, 9}}, LE, 0)
+	m.AddConstraint("r2", []Term{{x4, 0.5}, {x5, -90}, {x6, -0.02}, {x7, 3}}, LE, 0)
+	m.AddConstraint("r3", []Term{{x6, 1}}, LE, 1)
+	sol, err := m.SolveWith(BoundedRevised)
+	if err != nil {
+		t.Fatal(err)
+	}
+	almost(t, sol.Objective, -0.05, 1e-7, "objective")
+}
+
+// TestBoundedRefactorPath exercises the periodic refactorization of the
+// basis inverse by solving a problem that needs more than 64 pivots.
+func TestBoundedRefactorPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	m, _ := randomFeasibleLP(rng, 40, 60)
+	tab, errT := m.Solve()
+	bnd, errB := m.SolveWith(BoundedRevised)
+	if errT != nil || errB != nil {
+		t.Fatalf("tableau err %v, bounded err %v", errT, errB)
+	}
+	almost(t, bnd.Objective, tab.Objective, 1e-5*(1+math.Abs(tab.Objective)), "large-problem parity")
+	if bnd.Pivots <= 64 {
+		t.Fatalf("only %d pivots: the refactorization never ran", bnd.Pivots)
+	}
+}
+
 func TestBoundedMethodString(t *testing.T) {
 	if BoundedRevised.String() != "bounded-revised" {
 		t.Errorf("String = %q", BoundedRevised.String())

@@ -300,3 +300,9 @@ func TestSolutionFeasibleAtOptimum(t *testing.T) {
 		t.Errorf("optimal point is not feasible: %v", sol.Values())
 	}
 }
+
+func TestMethodString(t *testing.T) {
+	if Tableau.String() != "tableau" {
+		t.Error("Method.String wrong")
+	}
+}

@@ -34,8 +34,8 @@ func (ws *Workspace) solution(m *Model) *Solution {
 
 // SolveWithWorkspace is SolveWith drawing all solver scratch from ws,
 // including the returned Solution, which is valid until the next solve on
-// ws. Only the Tableau method currently has a workspace-reusing path; other
-// methods fall back to SolveWith and ignore ws. The numeric results are
+// ws. Only the Tableau method has a workspace-reusing path; BoundedRevised
+// falls back to SolveWith and ignores ws. The numeric results are
 // identical to Solve/SolveWith: buffer reuse changes where intermediates
 // live, never the order of floating-point operations.
 func (m *Model) SolveWithWorkspace(method Method, ws *Workspace) (*Solution, error) {

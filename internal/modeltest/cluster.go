@@ -1,7 +1,6 @@
 package modeltest
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/grm"
 	"repro/internal/grm/faultnet"
+	"repro/internal/grm/transport"
 	"repro/internal/store"
 	"repro/internal/vclock"
 )
@@ -31,10 +31,6 @@ type ClusterOptions struct {
 	// TTL is the lease time-to-live on the virtual clock. 0 means the
 	// default of 10 (virtual) seconds.
 	TTL time.Duration
-	// Codec is the wire codec the cluster's LRMs speak. The schedule and
-	// its trace are codec-independent, so the same seed must produce a
-	// byte-identical trace under every codec.
-	Codec grm.WireCodec
 	// Tap, when non-nil, is installed on every GRM the run creates —
 	// the initial server and each restart-recovered one — so a scenario
 	// recorder (internal/scenario) can capture the whole schedule as a
@@ -184,7 +180,6 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 			RetryMax:   5,
 			Backoff:    time.Millisecond,
 			MaxBackoff: 4 * time.Millisecond,
-			Codec:      opts.Codec,
 			Dialer:     faultnet.Dialer(nil, node.conns),
 		}
 		lrm, err := grm.DialWithConfig(addr, fmt.Sprintf("p%d", p), node.capacity, cfg)
@@ -252,7 +247,7 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 		}
 	}
 	// pingOnce proves the restarted server's accept loop is live: a
-	// completed request/response exchange means Serve already read the
+	// completed hello exchange means Serve already read the
 	// (still zero) lease TTL, so enabling the TTL afterwards keeps the
 	// background reaper off and expiry stays under the schedule's explicit
 	// Reap calls — same invariant as the initial dial-before-SetLeaseTTL.
@@ -262,11 +257,11 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 			return err
 		}
 		defer c.Close()
-		if err := gob.NewEncoder(c).Encode(&grm.Request{Ping: &grm.PingRequest{}}); err != nil {
+		if err := transport.WriteHello(c, transport.Version); err != nil {
 			return err
 		}
-		var resp grm.Response
-		return gob.NewDecoder(c).Decode(&resp)
+		_, err = transport.ReadHello(c)
+		return err
 	}
 	fail := func(step int, op, format string, args ...any) *ClusterReport {
 		rep.Steps = step + 1

@@ -2,7 +2,6 @@ package modeltest
 
 import (
 	"flag"
-	"repro/internal/grm"
 	"strings"
 	"testing"
 )
@@ -10,25 +9,7 @@ import (
 var (
 	clusterSeedFlag  = flag.Int64("cluster-seed", 1, "seed for the cluster schedule")
 	clusterStepsFlag = flag.Int("cluster-steps", 120, "operations per cluster run")
-	clusterWireFlag  = flag.String("cluster-wire", "auto", "wire codec the LRMs speak: auto, binary, or gob")
 )
-
-// clusterWire maps -cluster-wire to the codec every cluster test runs
-// under, so CI can matrix the whole model suite over both wire formats.
-func clusterWire(t *testing.T) grm.WireCodec {
-	t.Helper()
-	switch *clusterWireFlag {
-	case "auto":
-		return grm.CodecAuto
-	case "binary":
-		return grm.CodecBinary
-	case "gob":
-		return grm.CodecGob
-	default:
-		t.Fatalf("unknown -cluster-wire %q (want auto, binary, or gob)", *clusterWireFlag)
-		return grm.CodecAuto
-	}
-}
 
 // TestModelCluster drives a real GRM + LRM cluster through the seeded
 // schedule and checks the server's books against the independent ledger
@@ -36,7 +17,7 @@ func clusterWire(t *testing.T) grm.WireCodec {
 // go test ./internal/modeltest -run TestModelCluster -cluster-seed <s>
 func TestModelCluster(t *testing.T) {
 	for _, seed := range []int64{*clusterSeedFlag, *clusterSeedFlag + 1, *clusterSeedFlag + 2} {
-		rep, err := RunCluster(ClusterOptions{Seed: seed, Steps: *clusterStepsFlag, Codec: clusterWire(t)})
+		rep, err := RunCluster(ClusterOptions{Seed: seed, Steps: *clusterStepsFlag})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -50,11 +31,11 @@ func TestModelCluster(t *testing.T) {
 // TestModelClusterDeterministic: the same seed must produce a
 // byte-identical trace — the replay contract for protocol-level failures.
 func TestModelClusterDeterministic(t *testing.T) {
-	a, err := RunCluster(ClusterOptions{Seed: *clusterSeedFlag, Steps: 80, Codec: clusterWire(t)})
+	a, err := RunCluster(ClusterOptions{Seed: *clusterSeedFlag, Steps: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCluster(ClusterOptions{Seed: *clusterSeedFlag, Steps: 80, Codec: clusterWire(t)})
+	b, err := RunCluster(ClusterOptions{Seed: *clusterSeedFlag, Steps: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +56,7 @@ func TestModelClusterDeterministic(t *testing.T) {
 // exercises the interesting transitions: allocations, lease expiry via
 // clock advance, and connection kills followed by reconnects.
 func TestModelClusterCoversOps(t *testing.T) {
-	rep, err := RunCluster(ClusterOptions{Seed: *clusterSeedFlag, Steps: 200, Codec: clusterWire(t)})
+	rep, err := RunCluster(ClusterOptions{Seed: *clusterSeedFlag, Steps: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +81,7 @@ func TestModelClusterCoversOps(t *testing.T) {
 // trace — restarts included — must replay byte-for-byte.
 func TestModelClusterRestart(t *testing.T) {
 	const steps = 200
-	a, err := RunCluster(ClusterOptions{Seed: *clusterSeedFlag, Steps: steps, Codec: clusterWire(t)})
+	a, err := RunCluster(ClusterOptions{Seed: *clusterSeedFlag, Steps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +105,7 @@ func TestModelClusterRestart(t *testing.T) {
 		t.Errorf("no restart happened with leases outstanding; recovery of live leases untested")
 	}
 
-	b, err := RunCluster(ClusterOptions{Seed: *clusterSeedFlag, Steps: steps, Codec: clusterWire(t)})
+	b, err := RunCluster(ClusterOptions{Seed: *clusterSeedFlag, Steps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,39 +124,4 @@ func tail(lines []string, n int) string {
 		lines = lines[len(lines)-n:]
 	}
 	return strings.Join(lines, "\n")
-}
-
-// TestModelClusterCodecEquivalence is the wire-format correctness
-// contract: the same seeded schedule — restarts, kills, and recovery
-// included — must replay byte-identical whether the LRMs speak the
-// legacy gob stream or the pipelined binary codec. 200 steps covers the
-// restart-grm recovery path (TestModelClusterRestart pins that the
-// fixed seed restarts with leases outstanding).
-func TestModelClusterCodecEquivalence(t *testing.T) {
-	const steps = 200
-	for _, seed := range []int64{*clusterSeedFlag, *clusterSeedFlag + 1} {
-		gobRep, err := RunCluster(ClusterOptions{Seed: seed, Steps: steps, Codec: grm.CodecGob})
-		if err != nil {
-			t.Fatalf("seed %d gob: %v", seed, err)
-		}
-		if gobRep.Failure != nil {
-			t.Fatalf("seed %d gob: %s\ntrail:\n%s", seed, gobRep.Failure.Error(), tail(gobRep.Trace, 10))
-		}
-		binRep, err := RunCluster(ClusterOptions{Seed: seed, Steps: steps, Codec: grm.CodecBinary})
-		if err != nil {
-			t.Fatalf("seed %d binary: %v", seed, err)
-		}
-		if binRep.Failure != nil {
-			t.Fatalf("seed %d binary: %s\ntrail:\n%s", seed, binRep.Failure.Error(), tail(binRep.Trace, 10))
-		}
-		if len(gobRep.Trace) != len(binRep.Trace) {
-			t.Fatalf("seed %d: trace lengths differ: gob %d vs binary %d", seed, len(gobRep.Trace), len(binRep.Trace))
-		}
-		for i := range gobRep.Trace {
-			if gobRep.Trace[i] != binRep.Trace[i] {
-				t.Fatalf("seed %d: codec traces diverge at step %d:\ngob:    %s\nbinary: %s",
-					seed, i, gobRep.Trace[i], binRep.Trace[i])
-			}
-		}
-	}
 }

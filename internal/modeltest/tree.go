@@ -40,9 +40,6 @@ type TreeOptions struct {
 	Principals int
 	// LRMs is how many real wire clients dial the leaf clusters.
 	LRMs int
-	// Codec is the wire codec the LRM fleet speaks. The schedule and its
-	// trace are codec-independent.
-	Codec grm.WireCodec
 }
 
 func (o *TreeOptions) defaults() {
@@ -301,7 +298,6 @@ func RunTree(opts TreeOptions) (*TreeReport, error) {
 	// The LRM fleet, spread round-robin over leaves and shard prefixes.
 	lrms := make([]*treeLRM, opts.LRMs)
 	cfg := grm.DefaultDialConfig()
-	cfg.Codec = opts.Codec
 	for i := range lrms {
 		leaf := i % nleaves
 		lf := leaves[leaf]

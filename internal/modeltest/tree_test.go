@@ -18,7 +18,7 @@ var (
 // go test ./internal/modeltest -run TestModelTree -tree-seed <s>
 func TestModelTree(t *testing.T) {
 	for _, seed := range []int64{*treeSeedFlag, *treeSeedFlag + 1} {
-		rep, err := RunTree(TreeOptions{Seed: seed, Steps: *treeStepsFlag, Codec: clusterWire(t)})
+		rep, err := RunTree(TreeOptions{Seed: seed, Steps: *treeStepsFlag})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -40,7 +40,7 @@ func TestModelTree(t *testing.T) {
 // trace across the whole tree — the replay contract at every level,
 // leaf-cluster restarts included.
 func TestModelTreeDeterministic(t *testing.T) {
-	opts := TreeOptions{Seed: *treeSeedFlag, Steps: *treeStepsFlag, Codec: clusterWire(t)}
+	opts := TreeOptions{Seed: *treeSeedFlag, Steps: *treeStepsFlag}
 	a, err := RunTree(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestModelTreeDeterministic(t *testing.T) {
 // transitions: allocations that borrow up the tree, releases, upstream
 // refreshes, and a mid-run leaf restart.
 func TestModelTreeCoversOps(t *testing.T) {
-	rep, err := RunTree(TreeOptions{Seed: *treeSeedFlag, Steps: 120, Codec: clusterWire(t)})
+	rep, err := RunTree(TreeOptions{Seed: *treeSeedFlag, Steps: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,6 @@ func TestModelTreeScale(t *testing.T) {
 		ShardsPerLeaf: 4,
 		Principals:    100_000,
 		LRMs:          1000,
-		Codec:         clusterWire(t),
 	}
 	start := time.Now()
 	a, err := RunTree(opts)

@@ -15,8 +15,6 @@ import (
 
 // ReplayOptions configures one replay run.
 type ReplayOptions struct {
-	// Codec is the wire codec the replayed LRMs speak.
-	Codec grm.WireCodec
 	// Bless records the actual outcome of every event into
 	// Result.Actual instead of comparing against expectations — the
 	// engine behind "scenario rebless" and corpus seeding.
@@ -201,7 +199,6 @@ func (st *replayState) dialCfg(conns chan *faultnet.Conn) grm.DialConfig {
 		RetryMax:   5,
 		Backoff:    time.Millisecond,
 		MaxBackoff: 4 * time.Millisecond,
-		Codec:      st.opts.Codec,
 		Dialer:     faultnet.Dialer(nil, conns),
 	}
 }

@@ -13,65 +13,57 @@ import (
 // TestRecordReplayRoundTrip records seeded modeltest cluster schedules
 // through the server tap, replays the captured bundles, and asserts the
 // replay trace is byte-identical to the recording — the full
-// record→bundle→replay loop, under both wire codecs (and -race when the
-// suite runs with it). The trace identity is strict: every event's
-// takes, θ, lease tokens, errors, and post-op availability checkpoints
-// must reproduce exactly, with reconnect re-registrations and lease
-// expiry landing on the same virtual timestamps.
+// record→bundle→replay loop (under -race when the suite runs with it).
+// The trace identity is strict: every event's takes, θ, lease tokens,
+// errors, and post-op availability checkpoints must reproduce exactly,
+// with reconnect re-registrations and lease expiry landing on the same
+// virtual timestamps.
 func TestRecordReplayRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("record/replay spins real servers; skipped in -short")
 	}
-	codecs := map[string]string{"gob": "gob", "binary": "binary"}
-	for name, codecName := range codecs {
-		codec, err := grm.ParseWireCodec(codecName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, seed := range []int64{1, 7} {
-			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				bundle, rep, err := RecordCluster(modeltest.ClusterOptions{
-					Seed:  seed,
-					Steps: 40,
-					TTL:   10 * time.Second,
-					Codec: codec,
-				}, time.Unix(0, 0))
-				if err != nil {
-					t.Fatalf("record: %v", err)
-				}
-				if rep.Failure != nil {
-					t.Fatalf("cluster run failed: %v", rep.Failure)
-				}
-				if len(bundle.Events) == 0 {
-					t.Fatal("recorded no events")
-				}
+	for _, seed := range []int64{1, 7} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			bundle, rep, err := RecordCluster(modeltest.ClusterOptions{
+				Seed:  seed,
+				Steps: 40,
+				TTL:   10 * time.Second,
+			}, time.Unix(0, 0))
+			if err != nil {
+				t.Fatalf("record: %v", err)
+			}
+			if rep.Failure != nil {
+				t.Fatalf("cluster run failed: %v", rep.Failure)
+			}
+			if len(bundle.Events) == 0 {
+				t.Fatal("recorded no events")
+			}
 
-				// The bundle must survive its own codec before replay.
-				dir := filepath.Join(t.TempDir(), bundle.Meta.Name)
-				if err := WriteBundle(dir, bundle); err != nil {
-					t.Fatalf("write: %v", err)
-				}
-				reread, err := ReadBundle(dir)
-				if err != nil {
-					t.Fatalf("reread: %v", err)
-				}
+			// The bundle must survive its own codec before replay.
+			dir := filepath.Join(t.TempDir(), bundle.Meta.Name)
+			if err := WriteBundle(dir, bundle); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			reread, err := ReadBundle(dir)
+			if err != nil {
+				t.Fatalf("reread: %v", err)
+			}
 
-				res, err := Replay(reread, ReplayOptions{Codec: codec})
-				if err != nil {
-					t.Fatalf("replay: %v", err)
-				}
-				if res.Divergence != nil {
-					t.Fatalf("replay diverged from the recording:\n%v", res.Divergence)
-				}
-				if res.Events != len(reread.Events) {
-					t.Fatalf("replay executed %d of %d events", res.Events, len(reread.Events))
-				}
-				want := reread.Trace()
-				if res.Trace != want {
-					t.Fatalf("replay trace not byte-identical to the recording\nrecorded:\n%s\nreplayed:\n%s", want, res.Trace)
-				}
-			})
-		}
+			res, err := Replay(reread, ReplayOptions{})
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			if res.Divergence != nil {
+				t.Fatalf("replay diverged from the recording:\n%v", res.Divergence)
+			}
+			if res.Events != len(reread.Events) {
+				t.Fatalf("replay executed %d of %d events", res.Events, len(reread.Events))
+			}
+			want := reread.Trace()
+			if res.Trace != want {
+				t.Fatalf("replay trace not byte-identical to the recording\nrecorded:\n%s\nreplayed:\n%s", want, res.Trace)
+			}
+		})
 	}
 }
 

@@ -3,8 +3,6 @@ package scenario
 import (
 	"fmt"
 	"path/filepath"
-
-	"repro/internal/grm"
 )
 
 // This file builds the checked-in corpus under scenarios/: each builder
@@ -26,14 +24,12 @@ var seedBuilders = []func() *Bundle{
 	leaseChurn,
 }
 
-// Seed builds, blesses, and writes the full corpus under dir. The bless
-// replay runs with the given codec; the corpus itself is codec-agnostic
-// (CI verifies it under both).
-func Seed(dir string, codec grm.WireCodec) ([]string, error) {
+// Seed builds, blesses, and writes the full corpus under dir.
+func Seed(dir string) ([]string, error) {
 	var written []string
 	for _, build := range seedBuilders {
 		b := build()
-		res, err := Replay(b, ReplayOptions{Codec: codec, Bless: true})
+		res, err := Replay(b, ReplayOptions{Bless: true})
 		if err != nil {
 			return written, fmt.Errorf("scenario: seed %s: %w", b.Meta.Name, err)
 		}
