@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint check modeltest scale scenarios bench bench-json bench-compare loadgen-json fuzz wire-manifest clean
+.PHONY: build test race lint allocs check modeltest scale scenarios bench bench-json bench-compare loadgen-json fuzz wire-manifest clean
 
 build:
 	$(GO) build ./...
@@ -70,9 +70,19 @@ wire-manifest:
 # so a flake shows up here and not on someone else's change.
 FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFederationRepaysBorrowOnFailedRetry|TestCloseRepaysQueuedBorrow)$$
 
+# The allocation pins: the `//go:build !race` tests (named ...Allocs or
+# ...AllocatesNothing) that hold what a reserved model build, a steady plan,
+# a skeleton build, a column patch, an allocate+release pair and a whole
+# churn cycle may heap-allocate. Run alone, uncached and without -race (the
+# detector's instrumentation allocates), so a pin that breaks says so by
+# name here and not somewhere inside `go test ./...`.
+allocs:
+	$(GO) test -count=1 -run 'Allocs$$|AllocatesNothing$$' ./internal/lp/ ./internal/core/ ./internal/grm/
+
 check: build
 	$(GO) vet ./...
 	$(MAKE) lint
+	$(MAKE) allocs
 	$(GO) test ./...
 	$(GO) test -race ./internal/grm/... ./internal/store/...
 	$(GO) test -race -count=5 -run '$(FEDERATION_TIMING_TESTS)' ./internal/grm/

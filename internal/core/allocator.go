@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -136,8 +137,8 @@ type Allocator struct {
 	// are exactly zero, so the result is bit-identical. colK/colA carry
 	// the matching K_ki and A_ki values so the hot path never needs a
 	// random access. A build lays all columns out in three arenas (one
-	// counting transpose of K∪A); mutators replace single columns with
-	// slices of their own.
+	// counting transpose of K∪A); a mutator lays the columns it replaces
+	// out of three arenas of its own.
 	colIdx [][]int32
 	colK   [][]float64
 	colA   [][]float64
@@ -170,7 +171,8 @@ type warmSlot struct {
 
 // planSkeleton is the reusable part of requester r's substituted LP:
 // the model structure plus the rows whose right-hand sides change per
-// solve. Built once per requester on first use.
+// solve. Built once per requester on first use, and sized by its variables:
+// a ComponentLP skeleton costs its component wherever in a population it is.
 type planSkeleton struct {
 	once       sync.Once
 	model      *lp.Model
@@ -179,22 +181,28 @@ type planSkeleton struct {
 	// capFlowRows lists the cap_flow_k_i rows whose right-hand side is
 	// A[k][i]: rebound per solve so the skeleton depends only on A's
 	// sparsity pattern, never its values — SetAgreement value changes
-	// share every skeleton.
+	// share every skeleton. The j-th one's auxiliary variable u_k_i is
+	// model variable len(vars)+1+j and its cap_own_k_i row the next row.
 	capFlowRows []capFlowRef
 	// vars lists the live principals in ascending order — variable x of
-	// the model is V'_vars[x]: everyone in the full formulation, the
-	// requester's agreement component under cfg.ComponentLP. varOf is the
-	// inverse (-1 for principals folded into the right-hand sides);
-	// rows lists the perturb rows the model keeps.
-	vars  []int32
-	varOf []int32
-	rows  []compRow
+	// the model is V'_vars[x], then theta: everyone in the full
+	// formulation, the requester's agreement component under
+	// cfg.ComponentLP (the rest fold into the right-hand sides). req is the
+	// requester's position in it; rows lists the perturb rows the model
+	// keeps, ascending by principal and by model row.
+	vars []int32
+	req  int
+	rows []compRow
 }
 
-// compRow locates one kept perturb row of a skeleton.
+// compRow locates one kept perturb row of a skeleton. self is i's variable
+// position and src[x] that of source colIdx[i][x], -1 for the pinned: the
+// column itself where everyone is live, else a view of one position arena.
 type compRow struct {
-	row int
-	i   int32
+	row  int
+	i    int32
+	self int32
+	src  []int32
 }
 
 // capFlowRef locates one cap_flow_k_i row for per-solve RHS rebinding.
@@ -587,17 +595,17 @@ func (al *Allocator) capacity(v []float64, i int) float64 {
 	return c
 }
 
-// capacityAfter is capacity at a plan's outcome: V'_k = newV[x] where
-// principal k is the plan's live variable x, V_k everywhere else.
-func (al *Allocator) capacityAfter(v []float64, i int, sk *planSkeleton, newV []float64) float64 {
-	c := v[i]
-	if x := sk.varOf[i]; x >= 0 {
-		c = newV[x]
+// capacityAfter is row pr's capacity at a plan's outcome: V'_k = newV[x]
+// where principal k is the plan's live variable x, V_k everywhere else.
+func (al *Allocator) capacityAfter(v []float64, pr compRow, newV []float64) float64 {
+	c := v[pr.i]
+	if pr.self >= 0 {
+		c = newV[pr.self]
 	}
-	idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
+	idx, ks, as := al.colIdx[pr.i], al.colK[pr.i], al.colA[pr.i]
 	for x, k := range idx {
 		vk := v[k]
-		if y := sk.varOf[k]; y >= 0 {
+		if y := pr.src[x]; y >= 0 {
 			vk = newV[y]
 		}
 		u := vk * ks[x]
@@ -710,6 +718,7 @@ func (al *Allocator) bindPlan(ws *planWS, sk *planSkeleton, v []float64, request
 	// dense scan.
 	clear(ws.uCol)
 	uIdx, uKs, uAs := al.colIdx[requester], al.colK[requester], al.colA[requester]
+	y := 0
 	for x, k := range uIdx {
 		u := v[k] * uKs[x]
 		if al.hasA {
@@ -718,9 +727,12 @@ func (al *Allocator) bindPlan(ws *planWS, sk *planSkeleton, v []float64, request
 		if u > v[k] {
 			u = v[k]
 		}
-		ws.uCol[sk.varOf[k]] = u
+		for sk.vars[y] != k {
+			y++ // vars holds the whole column, both ascending
+		}
+		ws.uCol[y] = u
 	}
-	ws.uCol[sk.varOf[requester]] = v[requester]
+	ws.uCol[sk.req] = v[requester]
 	for r, pr := range sk.rows {
 		ws.caps[r] = al.capacity(v, int(pr.i))
 	}
@@ -736,9 +748,13 @@ func sized(buf []float64, n int) []float64 {
 }
 
 // buildSkeleton constructs requester's substituted LP structure with
-// placeholder bounds and right-hand sides. The variable and constraint
-// order matches the historical per-call construction exactly, so solves
-// over a rebound skeleton pivot identically.
+// placeholder bounds and right-hand sides, in the variable and constraint
+// order of the historical per-call construction, so solves over a rebound
+// skeleton pivot identically. It runs on the write path — every share and
+// revoke drops skeletons — so it is a counting walk over the kept rows'
+// column lengths and one emitting pass into a model reserved to that
+// count: every slice is made once, terms go through one scratch, and no
+// name is formatted (varName and rowName give them on demand).
 //
 // Under cfg.ComponentLP only the requester and its source column are
 // live variables. In the full formulation every other V'_k is pinned by
@@ -752,79 +768,102 @@ func sized(buf []float64, n int) []float64 {
 // rebinding. The full formulation is the same construction with every
 // principal live and nothing to fold.
 func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
-	n := al.n
-	var live []int32
-	if al.cfg.ComponentLP {
+	comp, reqCol := al.cfg.ComponentLP, al.colIdx[requester]
+	// kept lists the principals whose perturb row survives, ascending: a
+	// row stays only if a live variable appears in it — its own V' is
+	// live, or a live source feeds it. Everything else is a constant
+	// inequality any θ ≥ 0 already satisfies.
+	var kept []int32
+	if comp {
 		// The requester merged into its ascending source column.
-		live = make([]int32, 0, len(al.colIdx[requester])+1)
-		merged := false
-		for _, k := range al.colIdx[requester] {
-			if !merged && int(k) > requester {
-				live = append(live, int32(requester))
-				merged = true
+		sk.req, _ = slices.BinarySearch(reqCol, int32(requester))
+		sk.vars = append(append(append(make([]int32, 0, len(reqCol)+1), reqCol[:sk.req]...), int32(requester)), reqCol[sk.req:]...)
+		reach := len(sk.vars)
+		for _, k := range sk.vars {
+			reach += len(al.k[k]) + len(al.aCols[k])
+		}
+		kept = append(make([]int32, 0, reach), sk.vars...)
+		for _, k := range sk.vars {
+			kc, _, kv := al.FlowRow(int(k))
+			for x, j := range kc {
+				if j != k && !num.IsZero(kv[x]) {
+					kept = append(kept, j)
+				}
 			}
-			live = append(live, k)
+			for x, j := range al.aCols[k] {
+				if j != k && al.aVals[k][x] > 0 {
+					kept = append(kept, j)
+				}
+			}
 		}
-		if !merged {
-			live = append(live, int32(requester))
-		}
+		slices.Sort(kept)
+		kept = slices.Compact(kept)
 	} else {
-		live = make([]int32, n)
-		for i := range live {
-			live[i] = int32(i)
+		sk.vars, sk.req = make([]int32, al.n), requester
+		for i := range sk.vars {
+			sk.vars[i] = int32(i)
+		}
+		kept = sk.vars
+	}
+	spared, nDrop := int32(requester), 0 // eq. 6 spares the requester: see the package comment
+	if al.cfg.KeepRequesterConstraint {
+		spared, nDrop = -1, 1
+	}
+	live, nRows, nAux, nSrc := len(sk.vars), 0, 0, 0
+	for _, i := range kept {
+		if i == spared {
+			continue
+		}
+		nRows++
+		nSrc += len(al.colIdx[i])
+		for _, a := range al.colA[i] {
+			if al.hasA && a > 0 {
+				nAux++ // an upper bound under ComponentLP: a pinned source gets no u
+			}
 		}
 	}
-	sk.setVars(live, n)
+	m := lp.NewModel(lp.Minimize)
+	m.Reserve(live+1+nAux, 1+nRows+2*nAux+nDrop, live+2*nRows+nSrc+4*nAux+nDrop*live)
+	m.NameWith(sk.varName, sk.rowName)
+	sk.rows = make([]compRow, 0, nRows)
+	sk.capFlowRows = make([]capFlowRef, 0, nAux)
+	var pos []int32 // the arena compRow.src views under ComponentLP
+	if comp {
+		pos = make([]int32, 0, nSrc)
+	}
+	terms := make([]lp.Term, 0, live+1) // no row is longer: a V' or u per live principal, and theta
 
 	// Tie-breaking: prefer drawing from weakly connected sources, whose
 	// capacity matters least to everyone else. V'_i enters the objective
 	// with −ε·conn_i so that *keeping* well-connected capacity is
 	// rewarded.
-	m := lp.NewModel(lp.Minimize)
 	const eps = 1e-6
-	vp := make([]lp.VarID, len(live))
-	for x, i := range live {
-		vp[x] = m.AddVar(fmt.Sprintf("V'_%d", i), 0, 0, -eps*al.conn[i])
+	for x, i := range sk.vars {
+		m.AddVar("", 0, 0, -eps*al.conn[i])
+		terms = append(terms, lp.Term{Var: lp.VarID(x), Coeff: 1})
 	}
-	theta := m.AddVar("theta", 0, lp.Inf, 1)
-
+	theta := m.AddVar("", 0, lp.Inf, 1)
 	// Σ_{live} V'_i = Σ_{live} V_i − amount (eq. 5 with the pinned
 	// variables cancelled from both sides).
-	sumTerms := make([]lp.Term, len(live))
-	for x := range live {
-		sumTerms[x] = lp.Term{Var: vp[x], Coeff: 1}
-	}
-	sk.consumeRow = m.AddConstraint("consume", sumTerms, lp.EQ, 0)
+	sk.consumeRow = m.AddConstraint("", terms, lp.EQ, 0)
 
-	// C'_i ≥ C_i − θ for the non-requesting principals (eq. 6; see the
-	// package comment for the requester treatment). A perturb row
-	// survives only if a live variable appears in it: its own V' is live,
-	// or a live source feeds it. Everything else is a constant inequality
-	// any θ ≥ 0 already satisfies.
-	touched := make([]bool, n)
-	for _, k := range live {
-		touched[k] = true
-		kc, _, kv := al.FlowRow(int(k))
-		for x, j := range kc {
-			if j != k && !num.IsZero(kv[x]) {
-				touched[j] = true
-			}
-		}
-		if al.hasA {
-			for x, j := range al.aCols[k] {
-				if j != k && al.aVals[k][x] > 0 {
-					touched[j] = true
-				}
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !touched[i] || (i == requester && !al.cfg.KeepRequesterConstraint) {
+	// C'_i ≥ C_i − θ for the non-requesting principals (eq. 6).
+	for _, i := range kept {
+		if i == spared {
 			continue
 		}
-		var terms []lp.Term
-		if x := sk.varOf[i]; x >= 0 {
-			terms = append(terms, lp.Term{Var: vp[x], Coeff: 1})
+		idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
+		pr := compRow{i: i, self: i, src: idx}
+		if comp {
+			pr.self, pr.src = sk.find(i), pos[len(pos):len(pos)+len(idx):len(pos)+len(idx)]
+			pos = pos[:len(pos)+len(idx)]
+			for x, k := range idx {
+				pr.src[x] = sk.find(k)
+			}
+		}
+		terms = terms[:0]
+		if pr.self >= 0 {
+			terms = append(terms, lp.Term{Var: lp.VarID(pr.self), Coeff: 1})
 		}
 		terms = append(terms, lp.Term{Var: theta, Coeff: 1})
 		// Walk the sparse column: colIdx lists exactly the k ≠ i with
@@ -832,58 +871,77 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 		// k-loop would admit, in the same order. When absolute agreements
 		// are present, min(V'_k·K_ki + A_ki, V'_k) is linearized with
 		// auxiliary variables u_ki (its superlevel set is convex).
-		idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
-		for x, k := range idx {
-			if sk.varOf[k] < 0 {
-				continue // pinned source: folded into the RHS per solve
+		for x, at := range pr.src {
+			vk := lp.VarID(at)
+			switch {
+			case at < 0: // pinned source: folded into the RHS per solve
+			case al.hasA && as[x] > 0:
+				u := m.AddVar("", 0, lp.Inf, 0)
+				capFlow := m.AddConstraint("", []lp.Term{{Var: u, Coeff: 1}, {Var: vk, Coeff: -ks[x]}}, lp.LE, as[x])
+				sk.capFlowRows = append(sk.capFlowRows, capFlowRef{row: capFlow, k: idx[x], i: i})
+				m.AddConstraint("", []lp.Term{{Var: u, Coeff: 1}, {Var: vk, Coeff: -1}}, lp.LE, 0)
+				terms = append(terms, lp.Term{Var: u, Coeff: 1})
+			case !num.IsZero(ks[x]):
+				terms = append(terms, lp.Term{Var: vk, Coeff: ks[x]})
 			}
-			hasAbs := al.hasA && as[x] > 0
-			if !hasAbs {
-				if !num.IsZero(ks[x]) {
-					terms = append(terms, lp.Term{Var: vp[sk.varOf[k]], Coeff: ks[x]})
-				}
-				continue
-			}
-			u := m.AddVar(fmt.Sprintf("u_%d_%d", k, i), 0, lp.Inf, 0)
-			cfRow := m.AddConstraint(fmt.Sprintf("cap_flow_%d_%d", k, i),
-				[]lp.Term{{Var: u, Coeff: 1}, {Var: vp[sk.varOf[k]], Coeff: -ks[x]}}, lp.LE, as[x])
-			sk.capFlowRows = append(sk.capFlowRows, capFlowRef{row: cfRow, k: k, i: int32(i)})
-			m.AddConstraint(fmt.Sprintf("cap_own_%d_%d", k, i),
-				[]lp.Term{{Var: u, Coeff: 1}, {Var: vp[sk.varOf[k]], Coeff: -1}}, lp.LE, 0)
-			terms = append(terms, lp.Term{Var: u, Coeff: 1})
 		}
-		sk.rows = append(sk.rows, compRow{
-			row: m.AddConstraint(fmt.Sprintf("perturb_%d", i), terms, lp.GE, 0),
-			i:   int32(i),
-		})
+		pr.row = m.AddConstraint("", terms, lp.GE, 0)
+		sk.rows = append(sk.rows, pr)
 	}
 	sk.dropRow = -1
 	if al.cfg.KeepRequesterConstraint {
 		// eq. 3: C'_A = C_A − x, expressed on the same linearization. It
 		// references only the requester's own column — all live.
-		terms := []lp.Term{{Var: vp[sk.varOf[requester]], Coeff: 1}}
-		idx, ks := al.colIdx[requester], al.colK[requester]
-		for x, k := range idx {
-			if !num.IsZero(ks[x]) {
-				terms = append(terms, lp.Term{Var: vp[sk.varOf[k]], Coeff: ks[x]})
+		terms = append(terms[:0], lp.Term{Var: lp.VarID(sk.req), Coeff: 1})
+		for x, k := range reqCol {
+			if kx := al.colK[requester][x]; !num.IsZero(kx) {
+				terms = append(terms, lp.Term{Var: lp.VarID(sk.find(k)), Coeff: kx})
 			}
 		}
-		sk.dropRow = m.AddConstraint("requester_drop", terms, lp.GE, 0)
+		sk.dropRow = m.AddConstraint("", terms, lp.GE, 0)
 	}
 	sk.model = m
 }
 
-// setVars installs the live principals (ascending) of a skeleton over n
-// principals, with the inverse index.
-func (sk *planSkeleton) setVars(live []int32, n int) {
-	sk.vars = live
-	sk.varOf = make([]int32, n)
-	for i := range sk.varOf {
-		sk.varOf[i] = -1
+// find returns principal i's position in the ascending vars, -1 when pinned.
+func (sk *planSkeleton) find(i int32) int32 {
+	if x, ok := slices.BinarySearch(sk.vars, i); ok {
+		return int32(x)
 	}
-	for x, i := range live {
-		sk.varOf[i] = int32(x)
+	return -1
+}
+
+// varName names model variable v on demand: the V'_i in vars' order, theta,
+// then one u_k_i per capFlowRows entry.
+func (sk *planSkeleton) varName(v lp.VarID) string {
+	switch x := int(v) - len(sk.vars); {
+	case x < 0:
+		return fmt.Sprintf("V'_%d", sk.vars[v])
+	case x == 0:
+		return "theta"
+	default:
+		return fmt.Sprintf("u_%d_%d", sk.capFlowRows[x-1].k, sk.capFlowRows[x-1].i)
 	}
+}
+
+// rowName names model row r on demand: perturb rows and cap_flow rows are
+// both ascending by row, and a cap_own row follows its cap_flow row.
+func (sk *planSkeleton) rowName(r int) string {
+	if r == sk.consumeRow {
+		return "consume"
+	}
+	if r == sk.dropRow {
+		return "requester_drop"
+	}
+	if x, ok := slices.BinarySearchFunc(sk.rows, r, func(pr compRow, r int) int { return pr.row - r }); ok {
+		return fmt.Sprintf("perturb_%d", sk.rows[x].i)
+	}
+	x, _ := slices.BinarySearchFunc(sk.capFlowRows, r-1, func(cf capFlowRef, r int) int { return cf.row - r })
+	cf := sk.capFlowRows[x]
+	if cf.row == r {
+		return fmt.Sprintf("cap_flow_%d_%d", cf.k, cf.i)
+	}
+	return fmt.Sprintf("cap_own_%d_%d", cf.k, cf.i)
 }
 
 // rebind is planSubstituted's per-solve rebinding: bounds and the consume
@@ -906,12 +964,12 @@ func (al *Allocator) rebind(m *lp.Model, sk *planSkeleton, v []float64, requeste
 	for r, pr := range sk.rows {
 		i := int(pr.i)
 		rhs := ws.caps[r]
-		if sk.varOf[i] < 0 {
+		if pr.self < 0 {
 			rhs -= v[i] // pinned self term
 		}
 		idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
 		for x, k := range idx {
-			if sk.varOf[k] >= 0 {
+			if pr.src[x] >= 0 {
 				continue // live: its terms are in the model
 			}
 			hasAbs := al.hasA && as[x] > 0
@@ -1044,7 +1102,7 @@ func (al *Allocator) finishPlan(ws *planWS, sk *planSkeleton, v []float64, reque
 		if int(pr.i) == requester {
 			continue
 		}
-		if d := ws.caps[r] - al.capacityAfter(v, int(pr.i), sk, ws.newV); d > worst {
+		if d := ws.caps[r] - al.capacityAfter(v, pr, ws.newV); d > worst {
 			worst = d
 		}
 	}

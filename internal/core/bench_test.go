@@ -590,3 +590,53 @@ func BenchmarkGrowSparse4096(b *testing.B) {
 		al.Grow(1)
 	}
 }
+
+// The write path at the benchmark's churn128 shape: every share and every
+// revoke derives an allocator (SetShare) and drops skeletons, and the next
+// plan rebuilds the requester's.
+
+// churn128Allocator is that shape: 16 blocks of eight principals, each a
+// chain of relative agreements closed by one absolute back-edge, under the
+// full formulation.
+func churn128Allocator(t testing.TB) *Allocator {
+	t.Helper()
+	s, a, _ := sparseBlockScenario(128, 1)
+	al, err := NewAllocatorSparse(s, a, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return al
+}
+
+// BenchmarkBuildSkeleton128 builds one requester's 129-variable skeleton
+// under the full formulation.
+func BenchmarkBuildSkeleton128(b *testing.B) {
+	al := churn128Allocator(b)
+	sk := new(planSkeleton)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		*sk = planSkeleton{}
+		al.buildSkeleton(sk, i%al.n)
+	}
+}
+
+// BenchmarkSetShareChurn128 is a churn cycle's two writes: a block's head
+// shares a further 0.005 with a neighbour down its chain (one T row and up
+// to seven K columns move) and revokes it.
+func BenchmarkSetShareChurn128(b *testing.B) {
+	cur := churn128Allocator(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		to := 1 + i%7
+		old := cur.Share(0, to)
+		shared, err := cur.SetShare(0, to, old, old+0.005)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cur, err = shared.SetShare(0, to, old+0.005, old); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

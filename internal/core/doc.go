@@ -42,6 +42,14 @@
 // and the benchmark; they are exports, bit-identical to the pairs, not the
 // served path.
 //
+// # What a write costs
+//
+// SetShare, SetAgreement and Grow derive an Allocator copy-on-write (see
+// mutate.go) and drop the skeletons the change reaches; the next plan
+// rebuilds its requester's. Both halves cost what moved: replaced columns
+// come out of one arena per mutation, a skeleton is built in one pass into
+// one arena, names on demand, nothing population-sized under ComponentLP.
+//
 // # Baselines
 //
 // The package also provides the non-LP schemes the paper compares against:

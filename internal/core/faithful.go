@@ -21,15 +21,13 @@ func (al *Allocator) planFaithful(ws *planWS, v []float64, requester int, amount
 	n := al.n
 	// The shape a substituted skeleton would have with everyone live:
 	// variable i is V'_i, and eq. 6 keeps a row per constrained principal.
-	sk := &planSkeleton{}
-	everyone := make([]int32, n)
-	for i := range everyone {
-		everyone[i] = int32(i)
+	sk := &planSkeleton{vars: make([]int32, n), req: requester}
+	for i := range sk.vars {
+		sk.vars[i] = int32(i)
 		if i != requester || al.cfg.KeepRequesterConstraint {
-			sk.rows = append(sk.rows, compRow{i: int32(i)})
+			sk.rows = append(sk.rows, compRow{i: int32(i), self: int32(i), src: al.colIdx[i]})
 		}
 	}
-	sk.setVars(everyone, n)
 	al.bindPlan(ws, sk, v, requester)
 	m := lp.NewModel(lp.Minimize)
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/num"
@@ -33,11 +34,11 @@ import (
 //	          columns shared with T)      row; aliases the T row   K rows alias T rows
 //	                                      unless an entry > 1      unless the cap bites
 //	conn      K rows (row sums)           one walk of the row      rows whose K row held
-//	colIdx,   K and A columns (pattern    merging the moved cells  columns no moved cell
-//	colK,colA and values)                 into the old column      falls in
+//	colIdx,   K and A columns (pattern    one merge of the moved   columns no moved cell
+//	colK,colA and values)                 cells, one arena a list  falls in
 //	skel[r]   K values (all columns ≠ r), one fresh slice of nil   no K column ≠ r moved,
-//	          conn (objective), A pattern slots; built on first    conn unchanged, A
-//	                                      Plan                     pattern ≠ r same
+//	          conn (objective), A pattern slots; r's next Plan     conn unchanged, A
+//	                                      builds it in one pass    pattern ≠ r same
 //	warm[r]   LP structure + coefficients nothing                  always shared; the saved
 //	                                                               basis self-invalidates
 //	                                                               via lp.ResolveFrom's
@@ -107,38 +108,46 @@ func rowMoves(out []cellMove, r int, oc []int32, ov []float64, nc []int32, nv []
 	return out
 }
 
-// mergeColumn replaces column c's source list by the old one with the
-// moved cells (all in column c, ascending by row) merged in: a moved row
-// takes its new K value and d's current A value and stays listed only
-// while one of them is nonzero; every other source is copied. The old
-// slices are not modified — they stay shared with ancestor allocators.
-func (d *Allocator) mergeColumn(c int, moves []cellMove) {
-	oi, ok, oa := d.colIdx[c], d.colK[c], d.colA[c]
-	size := len(oi) + len(moves)
-	idx, ks, as := make([]int32, 0, size), make([]float64, 0, size), make([]float64, 0, size)
-	x := 0
-	for _, mv := range moves {
-		for x < len(oi) && oi[x] < mv.r {
-			idx, ks, as = append(idx, oi[x]), append(ks, ok[x]), append(as, oa[x])
-			x++
-		}
-		if x < len(oi) && oi[x] == mv.r {
-			x++
-		}
-		if av := d.aAt(int(mv.r), c); int(mv.r) != c && (!num.IsZero(mv.k) || !num.IsZero(av)) {
-			idx, ks, as = append(idx, mv.r), append(ks, mv.k), append(as, av)
-		}
-	}
-	idx, ks, as = append(idx, oi[x:]...), append(ks, ok[x:]...), append(as, oa[x:]...)
-	d.colIdx[c], d.colK[c], d.colA[c] = idx, ks, as
-}
-
-// cowColumns gives d its own column header slices before the first
-// column is replaced.
-func (d *Allocator) cowColumns() {
+// replaceColumns merges moves — sorted by column, ascending by row within
+// one — into d's column lists and returns how many columns it replaced: a
+// moved row takes its new K value and d's current A value and stays listed
+// only while one of them is nonzero; every other source is copied. The new
+// columns come out of one arena per list, sized first, so a mutation pays
+// three allocations however many columns it moves; the old slices stay
+// shared with ancestor allocators, unmodified.
+func (d *Allocator) replaceColumns(moves []cellMove) (cols int) {
 	d.colIdx = append([][]int32(nil), d.colIdx...)
 	d.colK = append([][]float64(nil), d.colK...)
 	d.colA = append([][]float64(nil), d.colA...)
+	size := len(moves)
+	for x, mv := range moves {
+		if x == 0 || mv.c != moves[x-1].c {
+			size += len(d.colIdx[mv.c])
+			cols++
+		}
+	}
+	idx, ks, as := make([]int32, 0, size), make([]float64, 0, size), make([]float64, 0, size)
+	for len(moves) > 0 {
+		c, from := int(moves[0].c), len(idx)
+		oi, ok, oa := d.colIdx[c], d.colK[c], d.colA[c]
+		x := 0
+		for ; len(moves) > 0 && int(moves[0].c) == c; moves = moves[1:] {
+			mv := moves[0]
+			for ; x < len(oi) && oi[x] < mv.r; x++ {
+				idx, ks, as = append(idx, oi[x]), append(ks, ok[x]), append(as, oa[x])
+			}
+			if x < len(oi) && oi[x] == mv.r {
+				x++
+			}
+			if av := d.aAt(int(mv.r), c); int(mv.r) != c && (!num.IsZero(mv.k) || !num.IsZero(av)) {
+				idx, ks, as = append(idx, mv.r), append(ks, mv.k), append(as, av)
+			}
+		}
+		idx, ks, as = append(idx, oi[x:]...), append(ks, ok[x:]...), append(as, oa[x:]...)
+		// Full slice expressions: a column never grows into its neighbour.
+		d.colIdx[c], d.colK[c], d.colA[c] = idx[from:len(idx):len(idx)], ks[from:len(ks):len(ks)], as[from:len(as):len(as)]
+	}
+	return cols
 }
 
 // applyClosureDelta patches K, conn, the column lists, and the skeleton
@@ -154,18 +163,23 @@ func (d *Allocator) applyClosureDelta(prev *Allocator, changed []int) {
 	// moved, and an uncapped K row must be the new T row's own slice); the
 	// cells whose capped value moved decide everything downstream.
 	d.k = append([][]float64(nil), prev.k...)
-	var moves []cellMove
-	var kRows []int
+	room := 0
 	for _, r := range changed {
 		cols, tv := d.clo.FlowRow(r)
 		d.k[r] = capRow(tv)
+		room += len(prev.k[r]) + len(cols) // a row cannot move more cells than both forms hold
+	}
+	moves := make([]cellMove, 0, room)
+	kRows := make([]int, 0, len(changed))
+	for _, r := range changed {
+		cols, _, kv := d.FlowRow(r)
 		oc, _, ov := prev.FlowRow(r)
 		before := len(moves)
-		if moves = rowMoves(moves, r, oc, ov, cols, d.k[r]); len(moves) > before {
+		if moves = rowMoves(moves, r, oc, ov, cols, kv); len(moves) > before {
 			kRows = append(kRows, r)
 		}
 	}
-	if kRows == nil {
+	if len(kRows) == 0 {
 		// The cap clamped the whole change away: K is value-identical, so
 		// conn, the columns, and every skeleton survive.
 		return
@@ -188,18 +202,8 @@ func (d *Allocator) applyClosureDelta(prev *Allocator, changed []int) {
 	// colK caches K values — is refreshed by merging its moved cells into
 	// the old list. Rows were visited ascending, so a stable sort by
 	// column leaves each column's cells ascending by row.
-	sort.SliceStable(moves, func(x, y int) bool { return moves[x].c < moves[y].c })
-	d.cowColumns()
-	valCols := 0
-	for lo := 0; lo < len(moves); {
-		hi := lo + 1
-		for hi < len(moves) && moves[hi].c == moves[lo].c {
-			hi++
-		}
-		d.mergeColumn(int(moves[lo].c), moves[lo:hi])
-		valCols++
-		lo = hi
-	}
+	slices.SortStableFunc(moves, func(a, b cellMove) int { return cmp.Compare(a.c, b.c) })
+	valCols := d.replaceColumns(moves)
 
 	// Skeleton r bakes −eps·conn (all rows) into its objective and every
 	// K column except r into its constraint rows, so it survives only if
@@ -244,8 +248,7 @@ func (al *Allocator) SetAgreement(from, to int, oldVal, newVal float64) (*Alloca
 	d.aCols[from], d.aVals[from] = transitive.SetEntry(al.aCols[from], al.aVals[from], to, newVal)
 	if from != to {
 		// colA[to] caches A's column values, so any value move stales it.
-		d.cowColumns()
-		d.mergeColumn(to, []cellMove{{c: int32(to), r: int32(from), k: d.kAt(from, to)}})
+		d.replaceColumns([]cellMove{{c: int32(to), r: int32(from), k: d.kAt(from, to)}})
 	}
 	if (oldVal > 0) != (newVal > 0) && from != to {
 		// The u_{from,to} linearization appears or disappears: that entry

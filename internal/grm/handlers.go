@@ -220,9 +220,14 @@ func (s *Server) revoke(r *RevokeRequest) *Response {
 	return &Response{Revoke: &ReportReply{}}
 }
 
-// revokeLocked revokes an agreement by its validated ticket token.
-// Callers hold s.mu.
+// revokeLocked revokes an agreement by its validated ticket token. A
+// ticket already revoked — an LRM retrying after a lost reply, or an older
+// log that journaled such retries — is answered and changes nothing: no
+// second record, no planner patch. Callers hold s.mu.
 func (s *Server) revokeLocked(ticket int) {
+	if s.sys.Ticket(s.tickets[ticket]).Revoked {
+		return
+	}
 	s.sys.Revoke(s.tickets[ticket])
 	s.patchPlannerRevokeLocked(ticket)
 	s.appendLocked(store.Record{Kind: store.KindRevoke, Ticket: ticket})

@@ -707,3 +707,95 @@ func TestStatusCountsWalAppendErrors(t *testing.T) {
 		t.Fatalf("the logs hold %d records, want the 3 appended while they accepted writes", kept)
 	}
 }
+
+// TestDoubleRevokeChangesNothing revokes a ticket twice — what an LRM does
+// when the first reply is lost. The second call is answered like the first
+// and leaves the journal's bytes, the status and the planner as they were.
+// Servers before this fix journaled every retry, so such logs exist: one
+// with the revoke record duplicated must still recover to the same state.
+func TestDoubleRevokeChangesNothing(t *testing.T) {
+	dir := t.TempDir()
+	wal, err := store.OpenFileLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	s := NewServer(core.Config{}, nil)
+	defer s.Close()
+	s.SetLog(wal)
+	driveWorkload(t, s)
+	share := s.dispatch(&Request{Share: &ShareRequest{From: 1, To: 2, Fraction: 0.125}})
+	if share.Err != "" {
+		t.Fatal(share.Err)
+	}
+	revoke := &Request{Revoke: &RevokeRequest{Ticket: share.Share.Ticket}}
+	if resp := s.dispatch(revoke); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	// An allocation after the revoke, so there is a planner to compare.
+	if resp := s.dispatch(&Request{Alloc: &AllocRequest{Principal: 2, Amount: 1}}); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	observe := func() (journal []byte, status string, planner *core.Allocator) {
+		t.Helper()
+		if journal, err = os.ReadFile(filepath.Join(dir, "wal.log")); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		planner = s.planner
+		s.mu.Unlock()
+		return journal, statusJSON(t, s), planner
+	}
+	journal, status, planner := observe()
+	if planner == nil {
+		t.Fatal("no planner after an allocation")
+	}
+	for retry := 0; retry < 2; retry++ {
+		if resp := s.dispatch(revoke); resp.Err != "" || resp.Revoke == nil {
+			t.Fatalf("revoking a revoked ticket answered %+v, want the first call's reply", resp)
+		}
+		j, st, p := observe()
+		if !bytes.Equal(j, journal) {
+			t.Fatalf("retry %d grew the journal from %d to %d bytes", retry, len(journal), len(j))
+		}
+		if st != status {
+			t.Fatalf("retry %d changed the status\n %s\nwas\n %s", retry, st, status)
+		}
+		if p != planner {
+			t.Fatalf("retry %d replaced the planner", retry)
+		}
+	}
+
+	dup := store.NewMemLog()
+	revokes, seq := 0, uint64(0)
+	if err := wal.Replay(func(rec *store.Record) error {
+		copies := 1
+		if rec.Kind == store.KindRevoke {
+			copies = 3
+			revokes++
+		}
+		for ; copies > 0; copies-- {
+			again := *rec // each retry was journaled under a sequence number of its own
+			seq++
+			again.Seq = seq
+			if err := dup.Append(&again); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if revokes != 2 || dup.Len() != int(seq) {
+		t.Fatalf("the journal holds %d revoke records, want one per revoked ticket (2); the copy holds %d of %d records", revokes, dup.Len(), seq)
+	}
+	r := NewServer(core.Config{}, nil)
+	defer r.Close()
+	if err := r.Recover(dup); err != nil {
+		t.Fatalf("Recover from a log with duplicate revokes: %v", err)
+	}
+	if got := statusJSON(t, r); got != status {
+		t.Fatalf("recovered status\n %s\nwant\n %s", got, status)
+	}
+	leasesEqual(t, s, r)
+}

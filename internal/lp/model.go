@@ -3,6 +3,8 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/num"
 )
@@ -84,6 +86,16 @@ type Model struct {
 	sense Sense
 	vars  []variable
 	cons  []constraint
+	// arena is the chunk rows' terms are laid into back to back, each row a
+	// cap-limited view of it. A full chunk is left to its rows and a larger
+	// one started, so no row ever moves.
+	arena []Term
+	// seen is AddConstraint's merge scratch: per variable, the 1-based
+	// position of its term in the row being added; zero between calls.
+	seen []int32
+	// varName and rowName name what was added with an empty name (NameWith).
+	varName func(VarID) string
+	rowName func(int) string
 }
 
 // NewModel returns an empty model with the given optimization sense.
@@ -115,6 +127,25 @@ func (m *Model) AddVar(name string, lo, hi, obj float64) VarID {
 	return VarID(len(m.vars) - 1)
 }
 
+// Reserve makes room for vars more variables and rows more constraints of
+// terms terms in all (as passed to AddConstraint, before merging), so a
+// builder that knows its sizes adds them without a reallocation.
+func (m *Model) Reserve(vars, rows, terms int) {
+	m.vars = slices.Grow(m.vars, vars)
+	m.cons = slices.Grow(m.cons, rows)
+	m.seen = slices.Grow(m.seen, len(m.vars)+vars-len(m.seen))
+	if cap(m.arena)-len(m.arena) < terms {
+		m.arena = make([]Term, 0, terms)
+	}
+}
+
+// NameWith installs the functions that name, on demand, what was added with
+// an empty name: a model built on a hot path formats no string until one is
+// asked for (VarName, ConstraintName, String, a panic). Clones share them.
+func (m *Model) NameWith(varName func(VarID) string, rowName func(int) string) {
+	m.varName, m.rowName = varName, rowName
+}
+
 // SetObjective replaces the objective coefficient of v.
 func (m *Model) SetObjective(v VarID, obj float64) {
 	m.vars[v].obj = obj
@@ -126,10 +157,10 @@ func (m *Model) SetObjective(v VarID, obj float64) {
 // the numbers that actually change.
 func (m *Model) SetBounds(v VarID, lo, hi float64) {
 	if math.IsNaN(lo) || math.IsNaN(hi) {
-		panic(fmt.Sprintf("lp: SetBounds(%q): NaN bound", m.vars[v].name))
+		panic(fmt.Sprintf("lp: SetBounds(%q): NaN bound", m.VarName(v)))
 	}
 	if lo > hi {
-		panic(fmt.Sprintf("lp: SetBounds(%q): lower bound %g exceeds upper bound %g", m.vars[v].name, lo, hi))
+		panic(fmt.Sprintf("lp: SetBounds(%q): lower bound %g exceeds upper bound %g", m.VarName(v), lo, hi))
 	}
 	m.vars[v].lo, m.vars[v].hi = lo, hi
 }
@@ -137,26 +168,30 @@ func (m *Model) SetBounds(v VarID, lo, hi float64) {
 // SetRHS replaces the right-hand side of constraint row i.
 func (m *Model) SetRHS(i int, rhs float64) {
 	if math.IsNaN(rhs) {
-		panic(fmt.Sprintf("lp: SetRHS(%q): NaN right-hand side", m.cons[i].name))
+		panic(fmt.Sprintf("lp: SetRHS(%q): NaN right-hand side", m.ConstraintName(i)))
 	}
 	m.cons[i].rhs = rhs
 }
 
-// Clone returns a model that shares all structural data (names, constraint
-// term lists) with the receiver but owns its variable and constraint
-// headers, so bounds, objective coefficients and right-hand sides can be
-// rebound independently. Neither model may structurally mutate shared
-// term slices afterwards; AddVar/AddConstraint on the clone are safe (they
-// append to the clone's own headers).
+// Clone returns a model that shares all structural data (names, namers, the
+// term arena its rows view) with the receiver but owns its variable and
+// constraint headers, so bounds, objective coefficients and right-hand sides
+// can be rebound independently. AddVar/AddConstraint on the clone are safe:
+// its new rows go into a chunk of its own, never into the receiver's arena.
 func (m *Model) Clone() *Model {
-	out := &Model{sense: m.sense}
+	out := &Model{sense: m.sense, varName: m.varName, rowName: m.rowName}
 	out.vars = append(make([]variable, 0, len(m.vars)), m.vars...)
 	out.cons = append(make([]constraint, 0, len(m.cons)), m.cons...)
 	return out
 }
 
-// VarName returns the name a variable was registered with.
-func (m *Model) VarName(v VarID) string { return m.vars[v].name }
+// VarName returns the name v was registered with, NameWith's if that is empty.
+func (m *Model) VarName(v VarID) string {
+	if name := m.vars[v].name; name != "" || m.varName == nil {
+		return name
+	}
+	return m.varName(v)
+}
 
 // Bounds returns the lower and upper bound of v.
 func (m *Model) Bounds(v VarID) (lo, hi float64) {
@@ -164,39 +199,55 @@ func (m *Model) Bounds(v VarID) (lo, hi float64) {
 }
 
 // AddConstraint adds the linear constraint sum(terms) rel rhs and returns
-// its zero-based row index. Terms referencing the same variable are
-// accumulated. AddConstraint panics on out-of-range variable references or
-// NaN coefficients.
+// its zero-based row index. Terms referencing the same variable accumulate
+// at the first one's place; terms that are or cancel to zero are dropped. It
+// panics on unknown variables or NaN coefficients, before writing anything.
 func (m *Model) AddConstraint(name string, terms []Term, rel Relation, rhs float64) int {
 	if math.IsNaN(rhs) {
 		panic(fmt.Sprintf("lp: AddConstraint(%q): NaN right-hand side", name))
 	}
-	merged := make(map[VarID]float64, len(terms))
-	order := make([]VarID, 0, len(terms))
 	for _, t := range terms {
 		if t.Var < 0 || int(t.Var) >= len(m.vars) {
 			panic(fmt.Sprintf("lp: AddConstraint(%q): unknown variable %d", name, t.Var))
 		}
 		if math.IsNaN(t.Coeff) {
-			panic(fmt.Sprintf("lp: AddConstraint(%q): NaN coefficient for %s", name, m.vars[t.Var].name))
-		}
-		if _, seen := merged[t.Var]; !seen {
-			order = append(order, t.Var)
-		}
-		merged[t.Var] += t.Coeff
-	}
-	clean := make([]Term, 0, len(order))
-	for _, v := range order {
-		if c := merged[v]; !num.IsZero(c) {
-			clean = append(clean, Term{Var: v, Coeff: c})
+			panic(fmt.Sprintf("lp: AddConstraint(%q): NaN coefficient for %s", name, m.VarName(t.Var)))
 		}
 	}
-	m.cons = append(m.cons, constraint{name: name, terms: clean, rel: rel, rhs: rhs})
+	if cap(m.arena)-len(m.arena) < len(terms) {
+		m.arena = make([]Term, 0, max(len(terms), 2*cap(m.arena)))
+	}
+	m.seen = slices.Grow(m.seen, len(m.vars)-len(m.seen))[:len(m.vars)]
+	start := len(m.arena)
+	row := m.arena[start:start]
+	for _, t := range terms {
+		if at := m.seen[t.Var]; at != 0 {
+			row[at-1].Coeff += t.Coeff
+		} else {
+			row = append(row, t)
+			m.seen[t.Var] = int32(len(row))
+		}
+	}
+	kept := 0
+	for _, t := range row {
+		m.seen[t.Var] = 0
+		if !num.IsZero(t.Coeff) {
+			row[kept] = t
+			kept++
+		}
+	}
+	m.arena = m.arena[:start+kept]
+	m.cons = append(m.cons, constraint{name: name, terms: row[:kept:kept], rel: rel, rhs: rhs})
 	return len(m.cons) - 1
 }
 
-// ConstraintName returns the name of constraint row i.
-func (m *Model) ConstraintName(i int) string { return m.cons[i].name }
+// ConstraintName returns the name of row i, NameWith's if it was added with none.
+func (m *Model) ConstraintName(i int) string {
+	if name := m.cons[i].name; name != "" || m.rowName == nil {
+		return name
+	}
+	return m.rowName(i)
+}
 
 // Eval computes the value of the objective function at the given point.
 // The point must have one entry per variable.
@@ -248,37 +299,38 @@ func (m *Model) violation(point []float64) float64 {
 // String renders the model in a human-readable algebraic form, mainly for
 // debugging and error reports.
 func (m *Model) String() string {
-	out := m.sense.String() + " "
+	var b strings.Builder
+	b.WriteString(m.sense.String() + " ")
 	first := true
-	for _, v := range m.vars {
+	for i, v := range m.vars {
 		if num.IsZero(v.obj) {
 			continue
 		}
 		if !first {
-			out += " + "
+			b.WriteString(" + ")
 		}
-		out += fmt.Sprintf("%g*%s", v.obj, v.name)
+		fmt.Fprintf(&b, "%g*%s", v.obj, m.VarName(VarID(i)))
 		first = false
 	}
 	if first {
-		out += "0"
+		b.WriteByte('0')
 	}
-	out += "\nsubject to\n"
-	for _, c := range m.cons {
-		out += "  "
-		for i, t := range c.terms {
-			if i > 0 {
-				out += " + "
+	b.WriteString("\nsubject to\n")
+	for i, c := range m.cons {
+		b.WriteString("  ")
+		for k, t := range c.terms {
+			if k > 0 {
+				b.WriteString(" + ")
 			}
-			out += fmt.Sprintf("%g*%s", t.Coeff, m.vars[t.Var].name)
+			fmt.Fprintf(&b, "%g*%s", t.Coeff, m.VarName(t.Var))
 		}
 		if len(c.terms) == 0 {
-			out += "0"
+			b.WriteByte('0')
 		}
-		out += fmt.Sprintf(" %s %g  [%s]\n", c.rel, c.rhs, c.name)
+		fmt.Fprintf(&b, " %s %g  [%s]\n", c.rel, c.rhs, m.ConstraintName(i))
 	}
-	for _, v := range m.vars {
-		out += fmt.Sprintf("  %g <= %s <= %g\n", v.lo, v.name, v.hi)
+	for i, v := range m.vars {
+		fmt.Fprintf(&b, "  %g <= %s <= %g\n", v.lo, m.VarName(VarID(i)), v.hi)
 	}
-	return out
+	return b.String()
 }
