@@ -53,16 +53,15 @@ func NewMultiView(views map[string][][]float64, cfg Config) (*MultiView, error) 
 		if level <= 0 {
 			level = mv.n - 1
 		}
-		var t [][]float64
-		if cfg.Approx {
-			t = transitive.Approx(s, level)
-		} else {
-			const exactBudget = 50_000_000
-			if !transitive.WithinBudget(s, level, exactBudget) {
-				return nil, fmt.Errorf("core: NewMultiView: view %q needs Config.Approx (graph too dense for exact closure)", name)
-			}
-			t = transitive.Exact(s, level)
+		sCols, sVals := make([][]int32, mv.n), make([][]float64, mv.n)
+		for i, row := range s {
+			sCols[i], sVals[i] = transitive.RowOf(row)
 		}
+		clo, err := transitive.NewClosureBudget(mv.n, sCols, sVals, level, cfg.Approx, exactBudget)
+		if err != nil {
+			return nil, fmt.Errorf("core: NewMultiView: view %q needs Config.Approx (graph too dense for exact closure): %w", name, err)
+		}
+		t := clo.T()
 		mv.k[name] = transitive.Cap(t)
 	}
 	return mv, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/num"
@@ -280,45 +281,44 @@ func TestSetShareErrors(t *testing.T) {
 		t.Fatalf("no-op share: d=%p al=%p err=%v", d, al, err)
 	}
 
-	// Densify an exact allocator until the enumeration budget trips: the
-	// mutation must be refused with ErrBudget, like NewAllocator would
-	// refuse building the densified graph. Seed with a complete clique on
-	// 10 of 13 principals (~10M enumeration steps, inside the budget) so
-	// wiring the remaining principals into the clique trips quickly.
-	n := 13
+	// Densify an exact allocator past the budget: the mutation must be
+	// refused with ErrBudget, like NewAllocator refuses to build the
+	// densified graph, and the receiver must go on planning. The seed is a
+	// complete graph of 12 principals (5 M steps: its rows are summed by
+	// the subset DP) beside a chain of 5; one share from the clique to the
+	// chain's head makes every clique row reach 17 principals, past the
+	// DP's table, and 12 principals' chains cannot be enumerated.
+	n := 17
 	dense := make([][]float64, n)
 	for i := range dense {
 		dense[i] = make([]float64, n)
 		for j := range dense[i] {
-			if i != j && i < 10 && j < 10 {
-				dense[i][j] = 0.2
+			if i != j && i < 12 && j < 12 {
+				dense[i][j] = 0.07
 			}
 		}
-	}
-	// Principal 10 starts as a sink of the whole clique: enumeration stays
-	// cheap (chains can only end there). Out-edges then turn it into a
-	// router, and routing through an 11th clique member exceeds the budget.
-	for j := 0; j < 10; j++ {
-		dense[j][10] = 0.2
+		if i >= 12 && i+1 < n {
+			dense[i][i+1] = 0.5
+		}
 	}
 	cur, err := NewAllocator(cloneMatrix(dense), nil, Config{})
 	if err != nil {
 		t.Fatalf("clique seed refused: %v", err)
 	}
-	tripped := false
-	for j := 0; j < 10 && !tripped; j++ {
-		d, err := cur.SetShare(10, j, 0, 0.2)
-		if err != nil {
-			if !errors.Is(err, transitive.ErrBudget) {
-				t.Fatalf("densify: %v, want ErrBudget", err)
-			}
-			tripped = true
-			break
-		}
-		cur = d
+	if _, err := cur.SetShare(0, 12, 0, 0.07); !errors.Is(err, transitive.ErrBudget) {
+		t.Fatalf("densify: %v, want ErrBudget", err)
 	}
-	if !tripped {
-		t.Fatal("wiring a router into the clique never hit the enumeration budget")
+	dense[0][12] = 0.07
+	_, err = NewAllocator(dense, nil, Config{})
+	if !errors.Is(err, transitive.ErrBudget) || !strings.Contains(err.Error(), "would exceed 50000000 steps for this agreement graph; set Config.Approx or lower Config.Level") {
+		t.Fatalf("building the densified graph: %v, want the budget refusal", err)
+	}
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = 10
+	}
+	if _, err := cur.Plan(v, 3, 12); err != nil {
+		t.Fatalf("receiver after the refused share: %v", err)
 	}
 }
 

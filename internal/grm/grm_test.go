@@ -839,6 +839,73 @@ func TestChurnKeepsOnePlannerLineage(t *testing.T) {
 	}
 }
 
+// TestRefusedPlannerBuildIsRemembered wires a graph past the exact-closure
+// budget (a complete dozen whose rows also reach a chain of five, 17 in
+// all: past the subset DP's table, and a dozen's chains cannot be
+// enumerated) and allocates twice: the refused build is attempted once
+// and both requests get its error. Revoking the share that joins the two
+// parts is an agreement mutation: the refusal is forgotten, and the next
+// allocation builds a planner for the graph that is left.
+func TestRefusedPlannerBuildIsRemembered(t *testing.T) {
+	srv, addr := startServer(t, core.Config{})
+	lrms := make([]*LRM, 17)
+	for i := range lrms {
+		l, err := Dial(addr, fmt.Sprintf("p%d", i), 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		lrms[i] = l
+	}
+	share := func(from, to int, fraction float64) int {
+		t.Helper()
+		ticket, err := lrms[from].ShareRelative(lrms[to].Principal(), fraction)
+		if err != nil {
+			t.Fatalf("share %d->%d: %v", from, to, err)
+		}
+		return ticket
+	}
+	for i := 0; i < 12; i++ {
+		for j := 0; j < 12; j++ {
+			if i != j {
+				share(i, j, 0.05)
+			}
+		}
+	}
+	for i := 12; i+1 < 17; i++ {
+		share(i, i+1, 0.5)
+	}
+	bridge := share(0, 12, 0.05)
+
+	_, err1 := lrms[3].Allocate(12)
+	_, err2 := lrms[4].Allocate(12)
+	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
+		t.Fatalf("allocations on a refused graph: %v / %v, want the same refusal twice", err1, err2)
+	}
+	if !strings.Contains(err1.Error(), "would exceed 50000000 steps") {
+		t.Fatalf("refusal %q does not name the closure budget", err1)
+	}
+	srv.mu.Lock()
+	builds := srv.plannerBuilds
+	srv.mu.Unlock()
+	if builds != 1 {
+		t.Fatalf("two allocations on a refused graph attempted %d planner builds, want 1", builds)
+	}
+
+	if err := lrms[0].Revoke(bridge); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lrms[3].Allocate(12); err != nil {
+		t.Fatalf("allocation after the revoke brought the graph back under the budget: %v", err)
+	}
+	srv.mu.Lock()
+	builds = srv.plannerBuilds
+	srv.mu.Unlock()
+	if builds != 2 {
+		t.Fatalf("%d planner builds after the revoke, want 2", builds)
+	}
+}
+
 // TestRevokeBesideVirtualCurrencyRebuilds pins the fallback: with a
 // virtual currency in the books a cell may collect routed contributions,
 // so a revoke discards the planner and the next plan rebuilds it.

@@ -149,10 +149,11 @@ func (s *Server) shareLocked(fromP, toP int, fraction, quantity float64) (int, e
 // ((x+f)−f ≠ x in floats); patchPlannerRevokeLocked re-derives the cell
 // from the surviving tickets instead. If the mutator refuses (enumeration
 // budget) the planner is discarded; the rebuild path then surfaces the
-// same refusal. Callers hold s.mu.
+// same refusal, once (currentPlannerLocked). Callers hold s.mu.
 func (s *Server) patchPlannerShareLocked(fromP, toP int, fraction, quantity float64) {
 	al := s.planner
 	if al == nil {
+		s.dropPlannerLocked() // the graph changed: a remembered refusal is stale
 		return
 	}
 	if fromP == toP {
@@ -172,7 +173,7 @@ func (s *Server) patchPlannerShareLocked(fromP, toP int, fraction, quantity floa
 	}
 	if err != nil {
 		s.logger.Printf("grm: share: incremental planner patch refused (%v); deferring to rebuild", err)
-		s.planner = nil
+		s.dropPlannerLocked()
 		return
 	}
 	s.planner = d
@@ -190,12 +191,13 @@ func (s *Server) patchPlannerShareLocked(fromP, toP int, fraction, quantity floa
 func (s *Server) patchPlannerRevokeLocked(ticket int) {
 	al := s.planner
 	if al == nil {
+		s.dropPlannerLocked() // the graph changed: a remembered refusal is stale
 		return
 	}
 	sh := s.shareHist[ticket]
 	rel, abs, ok := s.sys.DirectAgreement(agreement.PrincipalID(sh.from), agreement.PrincipalID(sh.to), agreement.General)
 	if !ok {
-		s.planner = nil
+		s.dropPlannerLocked()
 		return
 	}
 	// Whichever cell the ticket did not feed already holds its sum, and
@@ -206,7 +208,7 @@ func (s *Server) patchPlannerRevokeLocked(ticket int) {
 	}
 	if err != nil {
 		s.logger.Printf("grm: revoke: incremental planner patch refused (%v); deferring to rebuild", err)
-		s.planner = nil
+		s.dropPlannerLocked()
 		return
 	}
 	s.planner = d

@@ -222,7 +222,7 @@ func (s *Server) applyStateLocked(st *store.State) error {
 	s.declaredSnap = nil
 	s.leases = map[int]*lease{}
 	s.borrows = map[int]float64{}
-	s.planner = nil
+	s.dropPlannerLocked()
 
 	if len(st.Declared) > 0 {
 		snap, err := agreement.ReadSnapshot(bytes.NewReader(st.Declared))

@@ -71,19 +71,24 @@ type Server struct {
 	reported  []float64              // last reported capacity per principal (release cap); wal:journaled
 	names     []string               // wal:journaled
 	planner   *core.Allocator        // rebuilt lazily after structural changes; wal:derived
-	parent    *parentLink
-	attaching bool           // AttachParent reservation held across the parent dial
-	leases    map[int]*lease // wal:journaled
-	nextLease int            // wal:journaled
+	// plannerErr is why the last rebuild of a nil planner was refused (an
+	// agreement graph past the exact-closure budget), kept until the next
+	// agreement mutation so the refusal is paid once and not by every
+	// request that finds no planner.
+	plannerErr error // wal:derived
+	parent     *parentLink
+	attaching  bool           // AttachParent reservation held across the parent dial
+	leases     map[int]*lease // wal:journaled
+	nextLease  int            // wal:journaled
 	// borrows is this level's federation borrow balance: parent lease
 	// token → amount still outstanding at the parent. In a multi-level GRM
 	// tree every node carries its own balance, so Status can report the
 	// borrows per level instead of flattening the tree.
 	borrows map[int]float64 // wal:journaled
 
-	// plannerBuilds counts full planner builds (currentPlannerLocked's
-	// slow path); registration, share and revoke churn should leave it
-	// where the first plan put it.
+	// plannerBuilds counts full planner builds, refused ones included
+	// (currentPlannerLocked's slow path); registration, share and revoke
+	// churn should leave it where the first plan put it.
 	plannerBuilds int
 
 	// Durability (recovery.go): every committed transition is appended to
@@ -322,7 +327,7 @@ func (s *Server) installSnapshotLocked(snap *agreement.Snapshot, raw []byte) err
 	copy(s.avail, m.V)
 	copy(s.reported, m.V)
 	s.declaredSnap = append([]byte(nil), raw...)
-	s.planner = nil
+	s.dropPlannerLocked()
 	return nil
 }
 
@@ -421,8 +426,11 @@ func (s *Server) dispatchInner(req *Request) *Response {
 // a revocation beside virtual currencies, or a mutation the delta path
 // refused). Registration, share and revoke churn normally keep s.planner
 // patched in place (see registerLocked / shareLocked / revokeLocked), so
-// this full rebuild — with its exact chain re-enumeration — is the slow
-// path, not the common one. Callers hold s.mu.
+// this full rebuild — with its exact closure of the whole graph — is the
+// slow path, not the common one. A refused build (up to the closure
+// budget's ~0.3 s under s.mu) is remembered: until an agreement changes,
+// the same graph would be refused the same way, so every later caller is
+// handed the same error without building. Callers hold s.mu.
 func (s *Server) currentPlannerLocked() (*core.Allocator, error) {
 	if len(s.avail) == 0 {
 		return nil, ErrNoPrincipals
@@ -430,17 +438,26 @@ func (s *Server) currentPlannerLocked() (*core.Allocator, error) {
 	if s.planner != nil {
 		return s.planner, nil
 	}
-	m, err := s.sys.SparseMatrices(agreement.General)
-	if err != nil {
-		return nil, err
+	if s.plannerErr != nil {
+		return nil, s.plannerErr
 	}
-	planner, err := core.NewAllocatorSparse(m.S, m.A, s.cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.planner = planner
 	s.plannerBuilds++
-	return planner, nil
+	m, err := s.sys.SparseMatrices(agreement.General)
+	if err == nil {
+		s.planner, err = core.NewAllocatorSparse(m.S, m.A, s.cfg)
+	}
+	if err != nil {
+		s.planner, s.plannerErr = nil, err
+		return nil, err
+	}
+	return s.planner, nil
+}
+
+// dropPlannerLocked discards the cached planner, and any remembered
+// refusal to build one, after a change no incremental patch covers; the
+// next plan rebuilds. Callers hold s.mu.
+func (s *Server) dropPlannerLocked() {
+	s.planner, s.plannerErr = nil, nil
 }
 
 func (s *Server) checkPrincipal(id int) error {

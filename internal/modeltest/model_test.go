@@ -4,6 +4,9 @@ import (
 	"flag"
 	"math/rand"
 	"testing"
+
+	"repro/internal/num"
+	"repro/internal/transitive"
 )
 
 var (
@@ -150,5 +153,36 @@ func TestModelOracleTransitiveKnownValues(t *testing.T) {
 	lt := RefTransitive(loop, 0)
 	if lt[0][1] != 1 || lt[1][0] != 1 {
 		t.Fatalf("loop coefficients wrong: %v", lt)
+	}
+}
+
+// TestExactMatchesOracleOnCliques holds transitive.Exact to the recursive
+// oracle on complete graphs of 3 to 9 principals at every level: the dense
+// end of the space, where the generator's graphs rarely go and where
+// Exact sums a row by subset DP instead of enumerating it (from 7
+// principals up at full level). Shares are unequal and some exceed 1.
+// The two add the same chains in different orders and must agree to
+// num.ChainSumTol.
+func TestExactMatchesOracleOnCliques(t *testing.T) {
+	for n := 3; n <= 9; n++ {
+		rng := rand.New(rand.NewSource(int64(n)))
+		s := zeroMatrix(n)
+		for i := range s {
+			for j := range s[i] {
+				if i != j {
+					s[i][j] = 0.02 + 1.2*rng.Float64()*rng.Float64()
+				}
+			}
+		}
+		for level := 1; level < n; level++ {
+			got, want := transitive.Exact(s, level), RefTransitive(s, level)
+			for i := range want {
+				for j := range want[i] {
+					if !num.EqChainSum(got[i][j], want[i][j]) {
+						t.Fatalf("K%d level %d: T[%d][%d] = %v, recursive oracle says %v", n, level, i, j, got[i][j], want[i][j])
+					}
+				}
+			}
+		}
 	}
 }

@@ -49,3 +49,21 @@ func TestLeqGeq(t *testing.T) {
 		t.Error("Geq cases failed")
 	}
 }
+
+func TestEqChainSum(t *testing.T) {
+	for _, c := range []struct {
+		a, b float64
+		want bool
+	}{
+		{0, 0, true},
+		{0.3, 0.3 * (1 + 1e-12), true},
+		{0.3, 0.3 * (1 + 1e-9), false},
+		{1e-30, 1e-30 * (1 + 1e-12), true}, // relative all the way down
+		{1e-30, 2e-30, false},
+		{0, 1e-300, false},
+	} {
+		if got := EqChainSum(c.a, c.b); got != c.want {
+			t.Errorf("EqChainSum(%g, %g) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}

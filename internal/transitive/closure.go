@@ -9,11 +9,10 @@ import (
 	"repro/internal/par"
 )
 
-// ErrBudget is wrapped by UpdateEdge/UpdateRow when re-enumerating the
-// affected rows of an exact closure would exceed the handle's step
-// budget — the incremental analogue of the WithinBudget refusal guarding
-// full Exact builds. Callers should treat the mutation as "too dense to
-// enforce exactly", the same answer a from-scratch rebuild would give.
+// ErrBudget is wrapped by NewClosureBudget when building an exact
+// closure, and by UpdateEdge/UpdateRow when recomputing the affected rows
+// of one, charges more steps than the budget allows. Callers should treat
+// the graph, or the mutation, as "too dense to enforce exactly".
 var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 
 // Closure maintains a flow-coefficient matrix T^(level) incrementally
@@ -68,8 +67,9 @@ type Closure struct {
 	adj      [][]int32   // ascending non-zero out-edges per row; shared COW
 	vals     [][]float64 // edge values aligned with adj; shared COW
 	edges    int
-	// budget caps the DFS steps an exact delta may enumerate (0 = no
-	// cap); exceeded budgets surface as ErrBudget before any recompute.
+	// budget caps the steps (DFS steps plus DP cell updates) one exact
+	// build or delta may charge (0 = no cap); past it the build or the
+	// mutation is abandoned with ErrBudget.
 	budget int
 }
 
@@ -88,7 +88,8 @@ func NewClosure(s [][]float64, level int, approx bool) *Closure {
 		panic(err)
 	}
 	adj, vals, edges := adjacency(s)
-	return newClosureFromRows(len(s), adj, vals, edges, level, approx)
+	c, _ := newClosureFromRows(len(s), adj, vals, edges, level, approx, 0)
+	return c
 }
 
 // NewClosureCSR is NewClosure over CSR rows: cols holds each row's
@@ -97,6 +98,17 @@ func NewClosure(s [][]float64, level int, approx bool) *Closure {
 // them as immutable afterwards. Invalid input (diagonal or negative
 // entries) panics, mirroring NewClosure.
 func NewClosureCSR(n int, cols [][]int32, vals [][]float64, level int, approx bool) *Closure {
+	c, _ := NewClosureBudget(n, cols, vals, level, approx, 0)
+	return c
+}
+
+// NewClosureBudget is NewClosureCSR under a step budget: an exact build
+// charges its DFS steps and DP cell updates as it works and is abandoned
+// with ErrBudget once they pass budget (0 = no cap), so a refused graph
+// costs about the budget, not its enumeration. The closure keeps the
+// budget for its mutators (see WithBudget). Approx closures are
+// polynomial and never refused.
+func NewClosureBudget(n int, cols [][]int32, vals [][]float64, level int, approx bool, budget int) (*Closure, error) {
 	if err := validateCSR(n, cols, vals); err != nil {
 		panic(err)
 	}
@@ -104,12 +116,15 @@ func NewClosureCSR(n int, cols [][]int32, vals [][]float64, level int, approx bo
 	for _, row := range cols {
 		edges += len(row)
 	}
-	return newClosureFromRows(n, cols, vals, edges, level, approx)
+	return newClosureFromRows(n, cols, vals, edges, level, approx, budget)
 }
 
-func newClosureFromRows(n int, adj [][]int32, vals [][]float64, edges, level int, approx bool) *Closure {
-	tc, tv := sparseRows(n, adj, vals, level, approx, par.Workers(n))
-	return &Closure{reqLevel: level, approx: approx, n: n, tc: tc, tv: tv, adj: adj, vals: vals, edges: edges}
+func newClosureFromRows(n int, adj [][]int32, vals [][]float64, edges, level int, approx bool, budget int) (*Closure, error) {
+	tc, tv, ok := sparseRows(n, adj, vals, level, approx, par.Workers(n), newMeter(budget))
+	if !ok {
+		return nil, budgetErr(budget)
+	}
+	return &Closure{reqLevel: level, approx: approx, n: n, tc: tc, tv: tv, adj: adj, vals: vals, edges: edges, budget: budget}, nil
 }
 
 // N returns the number of principals.
@@ -161,11 +176,11 @@ func denseOf(n int, cols [][]int32, vals [][]float64) [][]float64 {
 	return out
 }
 
-// WithBudget caps the DFS steps an exact delta recompute may take before
+// WithBudget caps the steps an exact delta recompute may charge before
 // giving up with ErrBudget (0 removes the cap). It returns the receiver
 // for chaining at construction time; derived closures inherit the
-// budget. Mutations that would exceed it are refused before any row is
-// enumerated, mirroring the WithinBudget guard on full builds.
+// budget. A mutation that runs past it is abandoned and the receiver
+// stays as it was.
 func (c *Closure) WithBudget(steps int) *Closure {
 	c.budget = steps
 	return c
@@ -210,11 +225,11 @@ func (c *Closure) UpdateEdge(src, dst int, oldVal, newVal float64) (*Closure, []
 	d := c.shallow()
 	d.adj[src], d.vals[src] = SetEntry(c.adj[src], c.vals[src], dst, newVal)
 	d.edges += len(d.adj[src]) - len(c.adj[src])
-	rows := c.affected(src)
-	if err := d.checkBudget(rows); err != nil {
+	changed, err := d.recompute(c, c.affected(src))
+	if err != nil {
 		return nil, nil, fmt.Errorf("transitive: UpdateEdge(%d, %d): %w", src, dst, err)
 	}
-	return d, d.recompute(c, rows), nil
+	return d, changed, nil
 }
 
 // UpdateRow derives a closure with the whole out-edge row S[src]
@@ -251,11 +266,11 @@ func (c *Closure) UpdateRow(src int, row []float64) (*Closure, []int, error) {
 	d := c.shallow()
 	d.adj[src], d.vals[src] = RowOf(row)
 	d.edges += len(d.adj[src]) - len(c.adj[src])
-	rows := c.affected(src)
-	if err := d.checkBudget(rows); err != nil {
+	changed, err := d.recompute(c, c.affected(src))
+	if err != nil {
 		return nil, nil, fmt.Errorf("transitive: UpdateRow(%d): %w", src, err)
 	}
-	return d, d.recompute(c, rows), nil
+	return d, changed, nil
 }
 
 // Grow derives a closure extended by k principals with no agreements. A
@@ -275,7 +290,7 @@ func (c *Closure) Grow(k int) *Closure {
 	d.vals = make([][]float64, nn)
 	copy(d.vals, c.vals)
 	if c.approx && d.Level() != c.Level() {
-		d.tc, d.tv = sparseRows(nn, d.adj, d.vals, d.reqLevel, true, par.Workers(nn))
+		d.tc, d.tv, _ = sparseRows(nn, d.adj, d.vals, d.reqLevel, true, par.Workers(nn), nil)
 		return d
 	}
 	d.tc = make([][]int32, nn)
@@ -322,35 +337,25 @@ func (c *Closure) affected(src int) []int {
 	return out
 }
 
-// checkBudget pre-counts the DFS steps an exact recompute of the given
-// rows would take on d's (post-update) graph — all of them when the blast
-// fallback would expand to every row — and returns ErrBudget when the
-// count exceeds the handle's budget. The count is the depth-limited walk
-// the recompute performs, minus the float work, and aborts as soon as the
-// budget is crossed, so its own cost is bounded by the budget.
-func (d *Closure) checkBudget(rows []int) error {
-	if d.approx || d.budget <= 0 {
-		return nil
-	}
-	if blastDenominator*len(rows) > d.n {
-		rows = nil
-	}
-	if !withinBudget(d.adj, d.vals, rows, d.Level(), d.budget) {
-		return fmt.Errorf("%w (budget %d)", ErrBudget, d.budget)
-	}
-	return nil
-}
-
 // recompute refreshes the given rows of d's T against d's agreement
 // rows, comparing each against prev's row: only rows that actually
 // changed are replaced (and reported), so unchanged rows keep sharing
 // memory with prev. Past the blast-radius threshold it abandons the delta
-// and recomputes every row with the parallel full build.
-func (d *Closure) recompute(prev *Closure, rows []int) []int {
+// and recomputes every row with the parallel full build. Either way the
+// work is charged to d's budget as it is done, and ErrBudget abandons d.
+func (d *Closure) recompute(prev *Closure, rows []int) ([]int, error) {
 	n := d.n
+	var m *meter
+	if !d.approx {
+		m = newMeter(d.budget)
+	}
 	var changed []int
 	if blastDenominator*len(rows) > n {
-		d.tc, d.tv = sparseRows(n, d.adj, d.vals, d.reqLevel, d.approx, par.Workers(n))
+		var ok bool
+		d.tc, d.tv, ok = sparseRows(n, d.adj, d.vals, d.reqLevel, d.approx, par.Workers(n), m)
+		if !ok {
+			return nil, budgetErr(d.budget)
+		}
 		for i := 0; i < n; i++ {
 			if rowsEqual(prev.tc[i], prev.tv[i], d.tc[i], d.tv[i]) {
 				d.tc[i], d.tv[i] = prev.tc[i], prev.tv[i] // keep sharing the identical row
@@ -358,12 +363,15 @@ func (d *Closure) recompute(prev *Closure, rows []int) []int {
 				changed = append(changed, i)
 			}
 		}
-		return changed
+		return changed, nil
 	}
 	maxLen := d.Level()
 	sc := getScratch(n)
+	defer scratchPool.Put(sc)
 	for _, src := range rows {
-		sc.row(d.adj, d.vals, src, maxLen, d.approx)
+		if !sc.row(d.adj, d.vals, src, maxLen, d.approx, m) {
+			return nil, budgetErr(d.budget)
+		}
 		cols, vals := sc.take()
 		if rowsEqual(prev.tc[src], prev.tv[src], cols, vals) {
 			continue
@@ -371,8 +379,7 @@ func (d *Closure) recompute(prev *Closure, rows []int) []int {
 		d.tc[src], d.tv[src] = cols, vals
 		changed = append(changed, src)
 	}
-	scratchPool.Put(sc)
-	return changed
+	return changed, nil
 }
 
 // rowsEqual reports whether two sparse rows hold identical values. Rows

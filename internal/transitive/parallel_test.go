@@ -88,48 +88,58 @@ func requireBitIdentical(t *testing.T, got, want [][]float64, label string) {
 	}
 }
 
-// TestExactParallelMatchesSerial pins the parallel iterative DFS to the
-// recursive reference on randomized graphs across sizes (crossing the
-// n=64 bitmask/bool-slice boundary), densities, levels and worker counts.
+// requireMatchesRecursive holds an exact result to the recursive
+// reference: bit for bit on the rows the DFS finishes (it adds in the
+// reference's order), within num.ChainSumTol on the rows handed to the DP.
+func requireMatchesRecursive(t *testing.T, got, want [][]float64, s [][]float64, level int, label string) {
+	t.Helper()
+	n, adj, vals := csrOf(s)
+	for i, dp := range dpChosen(n, adj, vals, level) {
+		if dp {
+			worstRel(t, [][]float64{got[i]}, [][]float64{want[i]}, label+" (DP row)")
+		} else {
+			requireBitIdentical(t, [][]float64{got[i]}, [][]float64{want[i]}, label)
+		}
+	}
+}
+
+// TestExactParallelMatchesSerial pins the parallel build to the recursive
+// reference on randomized graphs across sizes (crossing the n=64
+// bitmask/bool-slice boundary), densities, levels and worker counts, and
+// every worker count to the serial build bit for bit.
 func TestExactParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 5, 9, 12, 66} {
 		for _, density := range []float64{0.15, 0.5, 1.0} {
 			s := randomGraph(rng, n, density)
-			// Full closure only at small n: simple-path enumeration is
-			// exponential in the chain length, and these graphs are dense.
+			// Full closure only at small n: the reference enumerates, which
+			// is exponential in the chain length, and these graphs are dense.
 			levels := []int{1, 2, 3}
 			if n <= 9 {
 				levels = append(levels, n-1)
 			}
 			for _, level := range levels {
-				want := exactRecursive(s, level)
-				for _, workers := range []int{1, 2, 4, 8} {
-					got := exactWorkers(s, level, workers)
-					requireBitIdentical(t, got, want, "Exact")
+				serial := exactWorkers(s, level, 1)
+				requireMatchesRecursive(t, serial, exactRecursive(s, level), s, level, "Exact")
+				for _, workers := range []int{2, 4, 8} {
+					requireBitIdentical(t, exactWorkers(s, level, workers), serial, "Exact on more workers")
 				}
-				requireBitIdentical(t, Exact(s, level), want, "Exact(default)")
+				requireBitIdentical(t, Exact(s, level), serial, "Exact(default)")
 			}
 		}
 	}
 }
 
 // TestExactParallelPaperGraph is the acceptance case: the paper's
-// 10-principal complete graph at full transitive closure.
+// 10-principal complete graph at full transitive closure, every row of
+// which the DP sums.
 func TestExactParallelPaperGraph(t *testing.T) {
 	n := 10
-	s := make([][]float64, n)
-	for i := range s {
-		s[i] = make([]float64, n)
-		for j := range s[i] {
-			if i != j {
-				s[i][j] = 0.1
-			}
-		}
-	}
-	want := exactRecursive(s, n-1)
-	for _, workers := range []int{1, 2, 4} {
-		requireBitIdentical(t, exactWorkers(s, n-1, workers), want, "Exact(complete10)")
+	s := complete(n, 0.1)
+	serial := exactWorkers(s, n-1, 1)
+	requireMatchesRecursive(t, serial, exactRecursive(s, n-1), s, n-1, "Exact(complete10)")
+	for _, workers := range []int{2, 4} {
+		requireBitIdentical(t, exactWorkers(s, n-1, workers), serial, "Exact(complete10) on more workers")
 	}
 }
 

@@ -9,11 +9,18 @@
 //
 // determines the resource amount I_ij = V_i · T_ij that principal i's
 // capacity contributes to principal j. The chain constraint (all nodes
-// distinct) makes exact computation a simple-path enumeration, which this
-// package performs by depth-first search — exact and fast for the paper's
-// scales (n around 10–20). An Approx variant uses plain matrix powers,
-// which overcounts cycles but scales polynomially; the two agree on
-// cycle-free graphs and Approx is always an upper bound.
+// distinct) makes exact computation a sum over simple paths. Each row of
+// T is computed by whichever of two exact kernels is cheaper for that
+// row's graph (exactRow): a depth-first enumeration, whose cost is the
+// number of chains, or a dynamic program over (visited set, end) states,
+// whose cost grows as 2^r·edges for the r principals the source reaches.
+// Sparse graphs of any size — rings, trees, many small communities —
+// enumerate; a dense group is summed without enumerating, which admits
+// complete graphs of up to 15 principals under the serving budget (the
+// paper's K10 builds in ~2.5 ms, K14 in ~0.1 s). Denser or larger cliques
+// are refused (ErrBudget). An Approx variant uses plain matrix powers, which
+// overcounts cycles but scales polynomially; the two agree on cycle-free
+// graphs and Approx is always an upper bound.
 //
 // The package also implements the two extensions of Section 3.2:
 //
@@ -25,6 +32,7 @@ package transitive
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -64,10 +72,10 @@ func Validate(s [][]float64) error {
 // clamped. Exact panics if Validate(s) fails; validate untrusted input
 // first.
 //
-// The enumeration runs one iterative DFS per source row; rows are
-// independent and are distributed over a pool of GOMAXPROCS workers. Each
-// row is computed in exactly the order the serial DFS would use, so the
-// result is bit-for-bit identical regardless of the worker count.
+// Rows are independent and are distributed over a pool of GOMAXPROCS
+// workers; each is a pure function of its own graph (exactRow), so the
+// result is bit-for-bit identical regardless of the worker count. Exact is
+// the dense export of the row kernel a Closure is built with.
 func Exact(s [][]float64, maxLen int) [][]float64 {
 	return exactWorkers(s, maxLen, par.Workers(len(s)))
 }
@@ -78,21 +86,8 @@ func exactWorkers(s [][]float64, maxLen, workers int) [][]float64 {
 	if err := Validate(s); err != nil {
 		panic(err)
 	}
-	n := len(s)
-	adj, vals, edges := adjacency(s)
-	// On dense graphs a straight 0..n-1 scan with a zero test beats the
-	// adjacency indirection; on sparse graphs the edge lists skip the
-	// zeros entirely. Either scan visits the same non-zero edges in the
-	// same ascending order, so the choice never changes the result.
-	if n <= 64 && 2*edges >= n*n {
-		maxLen = clampLevel(maxLen, n)
-		t := zeros(n)
-		par.Do(n, workers, func(src int) {
-			exactRowDense64(s, src, maxLen, t[src])
-		})
-		return t
-	}
-	return denseRows(n, adj, vals, maxLen, false, workers)
+	adj, vals, _ := adjacency(s)
+	return denseRows(len(s), adj, vals, maxLen, false, workers)
 }
 
 // ExactCSR is Exact over a CSR agreement matrix: adj holds each row's
@@ -201,18 +196,27 @@ func SetEntry(cols []int32, vals []float64, j int, v float64) ([]int32, []float6
 // rowScratch is one worker's state for the sparse row kernels: a dense
 // accumulator with the list of columns written, so that one row of T
 // costs its own chains and entries, never a pass over the population.
-// Between rows acc is all zero and mark and visited all false; take and
-// takeDense restore that. Scratch sets are pooled and handed out one per
-// worker (forRows), so a build holds at most GOMAXPROCS of them.
+// Between rows acc and dp are all zero and mark and visited all false;
+// take, takeDense and discard restore that. Scratch sets are pooled and
+// handed out one per worker (forRows), so a build holds at most
+// GOMAXPROCS of them.
 type rowScratch struct {
 	acc     []float64 // row accumulator
 	mark    []bool    // acc[j] was written this row (n > 64, and approx)
 	touched []int32   // columns written, ascending once a kernel returns
-	// Exact kernel, n > 64: the visited set and the suspended DFS frames.
+	// Exact kernels: the reach pass's seen set, which is also the
+	// visited set of the n > 64 DFS, and that DFS's suspended frames.
 	visited []bool
 	nodeStk []int32
 	idxStk  []int32
 	prodStk []float64
+	// Exact kernels, reach of at most maxDPReach: the principals the
+	// source reaches, the edges among them in local numbering, and the
+	// (visited set, end) table of the subset DP.
+	reached []int32
+	dpStart []int32
+	dpEdges []dpEdge
+	dp      []float64
 	// Approx kernel: the current and next power rows as dense values plus
 	// their non-zero column lists.
 	p, nx         []float64
@@ -225,47 +229,86 @@ var scratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
 func getScratch(n int) *rowScratch {
 	sc := scratchPool.Get().(*rowScratch)
 	if len(sc.acc) < n {
-		*sc = rowScratch{acc: make([]float64, n), mark: make([]bool, n)}
+		*sc = rowScratch{acc: make([]float64, n), mark: make([]bool, n), visited: make([]bool, n)}
 	}
 	return sc
 }
 
+// meter is the one step budget a build or an update charges as it works:
+// DFS steps and DP cell updates, a chunk at a time, from every worker.
+// The total a finished build has charged is a sum over its rows of a
+// function of each row's graph, so whether it passes the limit — and so
+// whether the build is refused — does not depend on how rows were
+// scheduled; only how early a refused build stops does. A nil meter
+// charges nothing.
+type meter struct {
+	limit int64
+	spent atomic.Int64
+}
+
+// meterChunk is how many steps a kernel takes between charges: large
+// enough that the shared counter is off the hot path, small enough that
+// a refused build overshoots its budget by a sliver.
+const meterChunk = 1 << 14
+
+// newMeter returns a meter refusing past budget steps, nil for no budget.
+func newMeter(budget int) *meter {
+	if budget <= 0 {
+		return nil
+	}
+	return &meter{limit: int64(budget)}
+}
+
+// charge adds steps to the total and reports whether it is still within
+// the limit.
+func (m *meter) charge(steps int) bool {
+	if m == nil {
+		return true
+	}
+	return m.spent.Add(int64(steps)) <= m.limit
+}
+
+// budgetErr is the refusal every budgeted build and update returns.
+func budgetErr(budget int) error {
+	return fmt.Errorf("%w (budget %d)", ErrBudget, budget)
+}
+
 // forRows runs fn for every row in [0, n) on up to `workers` goroutines,
-// each holding one scratch set for all the rows it takes.
-func forRows(n, workers int, fn func(sc *rowScratch, src int)) {
+// each holding one scratch set for all the rows it takes. A false return
+// from fn stops every worker at its next row; forRows reports whether
+// all rows ran.
+func forRows(n, workers int, fn func(sc *rowScratch, src int) bool) bool {
 	if workers < 1 {
 		workers = 1
 	}
 	var next atomic.Int64
+	var stopped atomic.Bool
 	par.Do(workers, workers, func(int) {
 		sc := getScratch(n)
-		for {
+		for !stopped.Load() {
 			src := int(next.Add(1)) - 1
 			if src >= n {
 				break
 			}
-			fn(sc, src)
+			if !fn(sc, src) {
+				stopped.Store(true)
+			}
 		}
 		scratchPool.Put(sc)
 	})
+	return !stopped.Load()
 }
 
-// row accumulates row src of T^(maxLen) into the scratch: exact chain
-// enumeration, or the walk-counting approximation. maxLen is already
-// clamped.
-func (sc *rowScratch) row(adj [][]int32, vals [][]float64, src, maxLen int, approx bool) {
-	switch {
-	case approx:
+// row accumulates row src of T^(maxLen) into the scratch: the exact sum
+// over chains, or the walk-counting approximation. maxLen is already
+// clamped. It reports false, with the scratch cleared, when the exact
+// sum ran m out of budget.
+func (sc *rowScratch) row(adj [][]int32, vals [][]float64, src, maxLen int, approx bool, m *meter) bool {
+	if approx {
 		sc.approxRow(adj, vals, src, maxLen)
-	case len(adj) <= 64:
-		reached := exactRowSparse64(adj, vals, src, maxLen, sc.acc)
-		for ; reached != 0; reached &= reached - 1 {
-			sc.touched = append(sc.touched, int32(bits.TrailingZeros64(reached)))
-		}
-	default:
-		sc.exactRowBig(adj, vals, src, maxLen)
-		slices.Sort(sc.touched)
+		return true
 	}
+	return sc.exactRow(adj, vals, src, maxLen, m)
 }
 
 // take emits the accumulated row as exact-size ascending (cols, vals)
@@ -287,9 +330,8 @@ func (sc *rowScratch) take() ([]int32, []float64) {
 		if v := sc.acc[j]; !num.IsZero(v) {
 			cols, vals = append(cols, j), append(vals, v)
 		}
-		sc.acc[j], sc.mark[j] = 0, false
 	}
-	sc.touched = sc.touched[:0]
+	sc.discard()
 	return cols, vals
 }
 
@@ -298,83 +340,212 @@ func (sc *rowScratch) take() ([]int32, []float64) {
 func (sc *rowScratch) takeDense(row []float64) {
 	for _, j := range sc.touched {
 		row[j] = sc.acc[j]
+	}
+	sc.discard()
+}
+
+// discard drops the accumulated row, leaving the scratch clear.
+func (sc *rowScratch) discard() {
+	for _, j := range sc.touched {
 		sc.acc[j], sc.mark[j] = 0, false
 	}
 	sc.touched = sc.touched[:0]
 }
 
 // sparseRows computes every row of T^(level) as ascending non-zero
-// (cols, vals) pairs — the form a Closure stores.
-func sparseRows(n int, adj [][]int32, vals [][]float64, level int, approx bool, workers int) ([][]int32, [][]float64) {
+// (cols, vals) pairs — the form a Closure stores — charging m. It
+// reports false when the budget ran out.
+func sparseRows(n int, adj [][]int32, vals [][]float64, level int, approx bool, workers int, m *meter) ([][]int32, [][]float64, bool) {
 	maxLen := clampLevel(level, n)
 	tc, tv := make([][]int32, n), make([][]float64, n)
-	forRows(n, workers, func(sc *rowScratch, src int) {
-		sc.row(adj, vals, src, maxLen, approx)
+	ok := forRows(n, workers, func(sc *rowScratch, src int) bool {
+		if !sc.row(adj, vals, src, maxLen, approx, m) {
+			return false
+		}
 		tc[src], tv[src] = sc.take()
+		return true
 	})
-	return tc, tv
+	return tc, tv, ok
 }
 
-// denseRows is sparseRows scattered into a dense matrix: the export
-// behind ExactCSR and ApproxCSR.
+// denseRows is sparseRows scattered into a dense matrix, with no budget:
+// the export behind Exact, ExactCSR and ApproxCSR.
 func denseRows(n int, adj [][]int32, vals [][]float64, level int, approx bool, workers int) [][]float64 {
 	maxLen := clampLevel(level, n)
 	t := zeros(n)
-	forRows(n, workers, func(sc *rowScratch, src int) {
-		sc.row(adj, vals, src, maxLen, approx)
+	forRows(n, workers, func(sc *rowScratch, src int) bool {
+		sc.row(adj, vals, src, maxLen, approx, nil)
 		sc.takeDense(t[src])
+		return true
 	})
 	return t
 }
 
-// exactRowDense64 is the n <= 64 bitmask variant scanning full matrix
-// rows. depth counts edges already on the chain; the saved stacks hold
-// the suspended ancestor frames.
-func exactRowDense64(s [][]float64, src, maxLen int, row []float64) {
-	n := int32(len(s))
-	var (
-		nodeStk [64]int32
-		idxStk  [64]int32
-		prodStk [64]float64
-	)
-	node, idx, product, depth := int32(src), int32(0), 1.0, 0
-	visited := uint64(1) << src
-	srow := s[node]
-outer:
-	for {
-		if depth < maxLen {
-			for idx < n {
-				next := idx
-				idx++
-				if visited&(1<<next) != 0 || num.IsZero(srow[next]) {
-					continue
-				}
-				p := product * srow[next]
-				row[next] += p
-				visited |= 1 << next
-				nodeStk[depth], idxStk[depth], prodStk[depth] = node, idx, product
-				depth++
-				node, idx, product = next, 0, p
-				srow = s[node]
-				continue outer
-			}
+// maxDPReach is the largest reach (source included) the subset DP takes
+// on: its table holds (r-1)·2^(r-1) floats, 3.9 MB a worker at 16 and
+// doubling with each principal after. It is sized by that table, not
+// tuned: under the serving budget the DP's own cost already refuses a
+// complete graph of 16.
+const maxDPReach = 16
+
+// noCap is the DFS step cap of a row the DP cannot take.
+const noCap = math.MaxInt
+
+// exactRow accumulates row src of the exact T^(maxLen). Two kernels sum
+// the same chains: the DFS enumerates them, at a cost of one step per
+// chain, and the DP adds them up by (visited set, end) state, at a cost
+// that depends on the reach r and the edges within it and not on how
+// many chains there are (dpCost). The choice is a function of the row's
+// graph alone: when the source reaches at most maxDPReach principals the
+// DFS runs under a step cap equal to the DP's cost, and only when it
+// hits the cap is the row cleared and summed by the DP. A complete graph
+// at full level goes to the DP from 7 principals up (1956 chains a row
+// against a cost of 1056); rings, chains, trees, low levels and anything
+// sparse never do. So no row costs more than twice its cheaper kernel,
+// every row the DFS finishes is bit-identical to plain enumeration, and
+// a row recomputed after an edit equals the same row of a from-scratch
+// build bit for bit. The two kernels add in different orders and agree
+// to num.ChainSumTol.
+//
+// Everything that decides the choice — the reach, the cap, the step
+// count — reads only the out-edges of principals within maxLen-1 hops of
+// src, which is exactly the set whose edits Closure.affected maps back to
+// this row.
+func (sc *rowScratch) exactRow(adj [][]int32, vals [][]float64, src, maxLen int, m *meter) bool {
+	st := newSteps(sc.reach(adj, src, maxLen), m)
+	var end dfsEnd
+	if len(adj) <= 64 {
+		var reached uint64
+		reached, end = exactRowSparse64(adj, vals, src, maxLen, sc.acc, &st)
+		for ; reached != 0; reached &= reached - 1 {
+			sc.touched = append(sc.touched, int32(bits.TrailingZeros64(reached)))
 		}
-		if depth == 0 {
-			return
-		}
-		visited &^= 1 << node
-		depth--
-		node, idx, product = nodeStk[depth], idxStk[depth], prodStk[depth]
-		srow = s[node]
+	} else {
+		end = sc.exactRowBig(adj, vals, src, maxLen, &st)
+		slices.Sort(sc.touched)
 	}
+	if !st.settle() {
+		end = dfsOverBudget
+	}
+	switch end {
+	case dfsDone:
+		return true
+	case dfsOverBudget:
+		sc.discard()
+		return false
+	}
+	sc.discard()
+	return sc.exactRowDP(adj, vals, src, maxLen, m)
 }
 
-// exactRowSparse64 is the n <= 64 bitmask variant walking adjacency
-// lists, skipping zero edges entirely. Edge values come from the vals
-// lists aligned with adj — the same floats a dense row lookup would
-// read, multiplied in the same order. It returns the set of columns it
-// added to.
-func exactRowSparse64(adj [][]int32, vals [][]float64, src, maxLen int, row []float64) (reached uint64) {
+// reach finds the principals within maxLen hops of src and returns the
+// DFS step cap for the row: the DP's cost over that reach and the
+// out-edges of the principals the search expanded (those nearer than
+// maxLen hops; a principal maxLen hops out only ever ends a chain), or
+// noCap once the reach passes maxDPReach. The search stops there, so it
+// reads at most maxDPReach edge lists whatever the component's size.
+// With a cap, sc.reached holds the reach, src first.
+func (sc *rowScratch) reach(adj [][]int32, src, maxLen int) int {
+	seen := sc.visited
+	reached := append(sc.reached[:0], int32(src))
+	seen[src] = true
+	edges, lo := 0, 0
+search:
+	for depth := 0; depth < maxLen && lo < len(reached); depth++ {
+		hi := len(reached)
+		for _, u := range reached[lo:hi] {
+			edges += len(adj[u])
+			for _, y := range adj[u] {
+				if seen[y] {
+					continue
+				}
+				seen[y] = true
+				reached = append(reached, y)
+				if len(reached) > maxDPReach {
+					break search
+				}
+			}
+		}
+		lo = hi
+	}
+	for _, y := range reached {
+		seen[y] = false
+	}
+	sc.reached = reached
+	if len(reached) > maxDPReach {
+		return noCap
+	}
+	return dpCost(len(reached), edges)
+}
+
+// dpCost bounds the work of the subset DP over a reach of r principals
+// (source included) with the given number of edges among them: each of
+// the table's (r-1)·2^(r-1) cells is read once, and an edge updates a
+// cell for every visited set that holds its tail and not its head, a
+// quarter of the 2^(r-1) sets — edges·2^(r-3) updates, which is exact for
+// a complete graph at full level.
+func dpCost(r, edges int) int {
+	return (4*(r-1) + edges) << r >> 3
+}
+
+// dpEdge is one edge among a DP row's reach, by its head's local number
+// l: the head's bit in a visited set, and where the state (mask|bit, l)
+// sits relative to mask's own cells, k<<l + l.
+type dpEdge struct {
+	bit, cell int
+	val       float64
+}
+
+// dfsEnd is how an exact DFS stopped.
+type dfsEnd int
+
+const (
+	dfsDone       dfsEnd = iota // every chain enumerated
+	dfsCapped                   // the row has more chains than its cap
+	dfsOverBudget               // the meter ran out
+)
+
+// steps counts one row's DFS steps against the row's cap and, a chunk at
+// a time, against the build's meter. The DFS loops hold it by pointer and
+// touch only n and stop between checkpoints.
+type steps struct {
+	n, stop, limit int
+	charged        int
+	m              *meter
+}
+
+// newSteps starts a row's count under the given cap.
+func newSteps(limit int, m *meter) steps {
+	return steps{limit: limit, stop: min(limit, meterChunk), m: m}
+}
+
+// checkpoint runs when n reaches stop, before the next step is taken: at
+// the cap the row is over, otherwise the chunk is charged.
+func (st *steps) checkpoint() dfsEnd {
+	if st.n == st.limit {
+		return dfsCapped
+	}
+	if !st.settle() {
+		return dfsOverBudget
+	}
+	st.stop = min(st.limit, st.n+meterChunk)
+	return dfsDone
+}
+
+// settle charges the steps taken since the last charge and reports
+// whether the meter is still within its limit.
+func (st *steps) settle() bool {
+	ok := st.m.charge(st.n - st.charged)
+	st.charged = st.n
+	return ok
+}
+
+// exactRowSparse64 is the n <= 64 bitmask DFS walking adjacency lists,
+// skipping zero edges entirely. Edge values come from the vals lists
+// aligned with adj — the same floats a dense row lookup would read,
+// multiplied in the same order. It returns the set of columns it added
+// to, complete or not.
+func exactRowSparse64(adj [][]int32, vals [][]float64, src, maxLen int, row []float64, st *steps) (reached uint64, end dfsEnd) {
 	var (
 		nodeStk [64]int32
 		idxStk  [64]int32
@@ -394,6 +565,12 @@ outer:
 				if visited&(1<<next) != 0 {
 					continue
 				}
+				if st.n == st.stop {
+					if end := st.checkpoint(); end != dfsDone {
+						return reached, end
+					}
+				}
+				st.n++
 				p := product * v
 				row[next] += p
 				visited |= 1 << next
@@ -406,7 +583,7 @@ outer:
 			}
 		}
 		if depth == 0 {
-			return reached
+			return reached, dfsDone
 		}
 		visited &^= 1 << node
 		depth--
@@ -415,14 +592,10 @@ outer:
 	}
 }
 
-// exactRowBig is the bool-slice variant for n > 64 (adjacency walk; a
-// dense graph that large is out of Exact's reach anyway). The visited set
-// and the frame stacks live in the scratch; columns are recorded in
-// touched on their first write.
-func (sc *rowScratch) exactRowBig(adj [][]int32, vals [][]float64, src, maxLen int) {
-	if len(sc.visited) < len(sc.acc) {
-		sc.visited = make([]bool, len(sc.acc))
-	}
+// exactRowBig is the bool-slice DFS for n > 64. The visited set and the
+// frame stacks live in the scratch; columns are recorded in touched on
+// their first write.
+func (sc *rowScratch) exactRowBig(adj [][]int32, vals [][]float64, src, maxLen int, st *steps) dfsEnd {
 	if len(sc.nodeStk) < maxLen+1 {
 		sc.nodeStk = make([]int32, maxLen+1)
 		sc.idxStk = make([]int32, maxLen+1)
@@ -444,6 +617,18 @@ outer:
 				if visited[next] {
 					continue
 				}
+				if st.n == st.stop {
+					if end := st.checkpoint(); end != dfsDone {
+						// Unwind: the chain so far is src, the suspended
+						// frames' nodes, and node.
+						visited[node] = false
+						for _, u := range nodeStk[:depth] {
+							visited[u] = false
+						}
+						return end
+					}
+				}
+				st.n++
 				p := product * v
 				row[next] += p
 				if !mark[next] {
@@ -460,13 +645,97 @@ outer:
 		}
 		if depth == 0 {
 			visited[src] = false
-			return
+			return dfsDone
 		}
 		visited[node] = false
 		depth--
 		node, idx, product = nodeStk[depth], idxStk[depth], prodStk[depth]
 		edges, vrow = adj[node], vals[node]
 	}
+}
+
+// exactRowDP sums the chains out of src by dynamic programming over the
+// principals src reaches (sc.reached, at most maxDPReach), numbered
+// 0..k-1 in ascending order without src. f[mask][e] is the summed weight
+// of the chains from src that visit exactly the set mask and end at e;
+// each state is added to the row and pushed along e's out-edges into the
+// states one principal larger, masks ascending and ends ascending within
+// a mask (Held–Karp order), so a state is complete before it is read and
+// every sum is taken in one fixed order. A state of maxLen principals is
+// a chain of maxLen edges and is not extended. The table is zeroed as it
+// is read, so it is clear again on return. It reports false, with the
+// scratch cleared, when the updates ran m out of budget.
+func (sc *rowScratch) exactRowDP(adj [][]int32, vals [][]float64, src, maxLen int, m *meter) bool {
+	nodes := sc.reached[1:]
+	slices.Sort(nodes)
+	k := len(nodes)
+	// The edges among the reach, by local number; an edge back to src
+	// closes a cycle and is dropped.
+	start, edges := sc.dpStart[:0], sc.dpEdges[:0]
+	for _, u := range nodes {
+		start = append(start, int32(len(edges)))
+		for x, y := range adj[u] {
+			if l, ok := slices.BinarySearch(nodes, y); ok {
+				edges = append(edges, dpEdge{bit: 1 << l, cell: k<<l + l, val: vals[u][x]})
+			}
+		}
+	}
+	start = append(start, int32(len(edges)))
+	sc.dpStart, sc.dpEdges = start, edges
+
+	size := k << k
+	if len(sc.dp) < size {
+		sc.dp = make([]float64, size)
+	}
+	f, acc := sc.dp[:size], sc.acc
+	for x, y := range adj[src] {
+		if l, ok := slices.BinarySearch(nodes, y); ok {
+			f[(k<<l)+l] = vals[src][x]
+		}
+	}
+	updates := len(adj[src])
+	for mask := 1; mask < 1<<k; mask++ {
+		length := bits.OnesCount(uint(mask))
+		if length > maxLen {
+			continue
+		}
+		base := mask * k
+		extend := length < maxLen
+		for rest := mask; rest != 0; rest &= rest - 1 {
+			e := bits.TrailingZeros(uint(rest))
+			w := f[base+e]
+			if num.IsZero(w) {
+				continue
+			}
+			f[base+e] = 0
+			acc[nodes[e]] += w
+			if !extend {
+				continue
+			}
+			for _, ed := range edges[start[e]:start[e+1]] {
+				if mask&ed.bit == 0 {
+					f[base+ed.cell] += w * ed.val
+					updates++
+				}
+			}
+		}
+		if updates >= meterChunk {
+			if !m.charge(updates) {
+				clear(f[base:])
+				for _, y := range nodes {
+					acc[y] = 0
+				}
+				return false
+			}
+			updates = 0
+		}
+	}
+	sc.touched = append(sc.touched, nodes...)
+	if !m.charge(updates) {
+		sc.discard()
+		return false
+	}
+	return true
 }
 
 // approxRow accumulates row src of Σ_{k=1..maxLen} S^k. Row src of S^k
@@ -642,78 +911,6 @@ func CapacitiesInto(dst, v []float64, t, a [][]float64) {
 		}
 		dst[i] = c
 	}
-}
-
-// WithinBudget reports whether exact enumeration of cycle-free chains up
-// to maxLen would perform at most `budget` DFS steps. It runs the same
-// traversal as Exact but only counts, aborting as soon as the budget is
-// exceeded, so the count's cost is bounded by the budget. Callers use it
-// to fail fast (suggesting Approx) instead of launching an astronomically
-// exponential enumeration on a dense graph.
-func WithinBudget(s [][]float64, maxLen int, budget int) bool {
-	if err := Validate(s); err != nil {
-		panic(err)
-	}
-	adj, vals, _ := adjacency(s)
-	return withinBudget(adj, vals, nil, clampLevel(maxLen, len(s)), budget)
-}
-
-// WithinBudgetCSR is WithinBudget over CSR rows (ascending columns with
-// aligned values): the same counting DFS, visiting the same nonzero
-// edges in the same order as the dense scan.
-func WithinBudgetCSR(n int, adj [][]int32, vals [][]float64, maxLen int, budget int) bool {
-	if err := validateCSR(n, adj, vals); err != nil {
-		panic(err)
-	}
-	return withinBudget(adj, vals, nil, clampLevel(maxLen, n), budget)
-}
-
-// withinBudget counts the DFS steps exact enumeration out of the given
-// source rows (nil: every row) takes, and reports whether they fit the
-// budget.
-func withinBudget(adj [][]int32, vals [][]float64, rows []int, maxLen, budget int) bool {
-	visited := make([]bool, len(adj))
-	steps := 0
-	var dfs func(cur, depth int) bool
-	dfs = func(cur, depth int) bool {
-		if depth == maxLen {
-			return true
-		}
-		row, vrow := adj[cur], vals[cur]
-		for x, next := range row {
-			if visited[next] || num.IsZero(vrow[x]) {
-				continue
-			}
-			steps++
-			if steps > budget {
-				return false
-			}
-			visited[next] = true
-			ok := dfs(int(next), depth+1)
-			visited[next] = false
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	count := len(rows)
-	if rows == nil {
-		count = len(adj)
-	}
-	for x := 0; x < count; x++ {
-		src := x
-		if rows != nil {
-			src = rows[x]
-		}
-		visited[src] = true
-		ok := dfs(src, 0)
-		visited[src] = false
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 func clampLevel(level, n int) int {

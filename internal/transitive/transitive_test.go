@@ -1,6 +1,7 @@
 package transitive
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -301,32 +302,55 @@ func randomAgreements(rng *rand.Rand, n int) [][]float64 {
 	return s
 }
 
+// csrOf is the row-sparse form of a dense matrix.
+func csrOf(s [][]float64) (int, [][]int32, [][]float64) {
+	adj, vals, _ := adjacency(s)
+	return len(s), adj, vals
+}
+
 func TestWithinBudget(t *testing.T) {
-	small := ring(5, 0.5)
-	if !WithinBudget(small, 4, 1000) {
-		t.Error("small ring should fit a 1000-step budget")
+	n, adj, vals := csrOf(ring(5, 0.5))
+	if _, err := NewClosureBudget(n, adj, vals, 4, false, 1000); err != nil {
+		t.Errorf("small ring should fit a 1000-step budget: %v", err)
 	}
-	dense := make([][]float64, 20)
-	for i := range dense {
-		dense[i] = make([]float64, 20)
-		for j := range dense[i] {
-			if i != j {
-				dense[i][j] = 0.1
-			}
-		}
+	// A complete 20-node graph is past the DP's reach, so it enumerates
+	// until the budget stops it — promptly, whatever the graph would cost.
+	n, adj, vals = csrOf(complete(20, 0.1))
+	c, err := NewClosureBudget(n, adj, vals, 19, false, 100000)
+	if !errors.Is(err, ErrBudget) || c != nil {
+		t.Errorf("dense 20-node graph under a 100k-step budget: closure %v, err %v, want ErrBudget", c, err)
 	}
-	if WithinBudget(dense, 19, 100000) {
-		t.Error("dense 20-node graph cannot fit a 100k-step budget")
+	// Approx is polynomial and never refused.
+	if _, err := NewClosureBudget(n, adj, vals, 19, true, 1); err != nil {
+		t.Errorf("approx build refused: %v", err)
 	}
-	// The check itself must return quickly even on the dense graph.
 }
 
 func TestWithinBudgetMatchesExactCost(t *testing.T) {
-	// If WithinBudget approves a graph, Exact must terminate promptly —
-	// run it to be sure (the budget bounds its work).
+	// The budget is charged what the build does: a ring of 8 at full level
+	// enumerates 7 chains a row, so 56 steps fit and 55 do not, and the
+	// admitted closure is the unbudgeted one.
 	s := ring(8, 0.9)
-	if !WithinBudget(s, 7, 10000) {
-		t.Fatal("ring should be cheap")
+	n, adj, vals := csrOf(s)
+	c, err := NewClosureBudget(n, adj, vals, 7, false, 56)
+	if err != nil {
+		t.Fatalf("ring under its exact cost: %v", err)
 	}
-	Exact(s, 7)
+	requireBitEqual(t, c.T(), Exact(s, 7), "budgeted build")
+	if _, err := NewClosureBudget(n, adj, vals, 7, false, 55); !errors.Is(err, ErrBudget) {
+		t.Fatalf("ring one step short: err = %v, want ErrBudget", err)
+	}
+}
+
+// complete is the complete graph on n principals with one share.
+func complete(n int, share float64) [][]float64 {
+	s := zeros(n)
+	for i := range s {
+		for j := range s[i] {
+			if i != j {
+				s[i][j] = share
+			}
+		}
+	}
+	return s
 }
