@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint allocs check modeltest scale scenarios bench bench-json bench-compare loadgen-json fuzz wire-manifest clean
+.PHONY: build test race lint allocs loc check modeltest scale scenarios bench bench-json bench-compare loadgen-json fuzz wire-manifest clean
 
 build:
 	$(GO) build ./...
@@ -79,9 +79,20 @@ FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFe
 allocs:
 	$(GO) test -count=1 -run 'Allocs$$|AllocatesNothing$$' ./internal/lp/ ./internal/core/ ./internal/grm/
 
+# The serving-code ratchet (ROADMAP item 10): the non-test lines of lp, core
+# and grm — what a request runs through — may not grow past the recorded
+# count. A PR that shrinks them lowers SERVING_LOC_MAX to what it prints;
+# raising it is a reviewed diff of this line, for a simplicity PR to argue.
+SERVING_LOC_MAX = 8396
+loc:
+	@n=$$(ls internal/lp/*.go internal/core/*.go internal/grm/*.go | grep -v _test | xargs cat | wc -l); \
+	echo "serving lines (lp+core+grm, non-test): $$n (max $(SERVING_LOC_MAX))"; \
+	test $$n -le $(SERVING_LOC_MAX)
+
 check: build
 	$(GO) vet ./...
 	$(MAKE) lint
+	$(MAKE) loc
 	$(MAKE) allocs
 	$(GO) test ./...
 	$(GO) test -race ./internal/grm/... ./internal/store/...

@@ -60,21 +60,6 @@ type Config struct {
 	// Approx switches the flow coefficients to the matrix-power
 	// approximation (walks instead of simple paths). Default exact.
 	Approx bool
-	// Faithful keeps the paper's full n²+n+1-variable LP instead of the
-	// substituted n+1-variable formulation. Results are identical; this
-	// exists for validation and the ablation bench.
-	Faithful bool
-	// KeepRequesterConstraint applies eq. 6 to the requester as well,
-	// exactly as printed in the paper. See the package comment for why
-	// that makes the optimum non-discriminating; off by default.
-	KeepRequesterConstraint bool
-	// WarmStart reuses each requester's final simplex basis across Plan
-	// calls (lp.ResolveFrom): when only the availability vector moved,
-	// revalidating the old basis replaces the full pivot sequence. Warm
-	// answers agree with cold ones within num.SolveTol, not bit-for-bit,
-	// so this is off by default — deployments that replay logs for
-	// byte-identical state must leave it off.
-	WarmStart bool
 	// ComponentLP restricts each plan skeleton to the requester's
 	// agreement component: only the V'_i a plan can actually move — the
 	// requester and its sparse source column — become LP variables, and
@@ -86,9 +71,9 @@ type Config struct {
 	// from O(n²) cells to the agreement neighborhood. The pivot sequence
 	// differs from the full model's, so on degenerate ties the realized
 	// take vector may be a different (equally optimal) vertex — off by
-	// default; the sharded GRM tree turns it on to make allocation cost
-	// scale with agreement density instead of population. Ignored by the
-	// Faithful formulation.
+	// default. The bench's tree_sharded workload, cmd/loadgen's sharded
+	// suite and the modeltest tree turn it on to make allocation cost scale
+	// with agreement density instead of population; no grmd flag does.
 	ComponentLP bool
 }
 
@@ -123,9 +108,8 @@ type Allocator struct {
 	// aCols/aVals hold the absolute agreement matrix A in row-sparse form
 	// (ascending columns, values aligned); hasA records whether an A was
 	// supplied at all — an explicitly passed all-zero matrix still counts,
-	// preserving the historical `a != nil` behavior (e.g. the Faithful
-	// refusal). The relative matrix S lives inside clo's CSR rows; neither
-	// dense n×n array is materialized.
+	// preserving the historical `a != nil` behavior. The relative matrix S
+	// lives inside clo's CSR rows; neither dense n×n array is materialized.
 	aCols [][]int32
 	aVals [][]float64
 	hasA  bool
@@ -158,22 +142,11 @@ type Allocator struct {
 	// clo maintains the transitive closure incrementally; SetShare derives
 	// allocators through its delta path instead of re-enumerating chains.
 	clo *transitive.Closure
-	// warm[r] holds requester r's saved simplex basis for WarmStart plans,
-	// nil until its first warm solve.
-	warm []atomic.Pointer[warmSlot]
 	// pool recycles plan workspaces (*planWS). Derived allocators share
 	// it, grown ones included — nothing in a workspace is sized by the
 	// population: the simplex scratch is the largest thing a plan allocates,
 	// and churn would otherwise strand one per mutation.
 	pool *sync.Pool
-}
-
-// warmSlot serializes basis reuse for one requester: the lp.Workspace
-// holding the saved final basis, plus a mutex so a concurrent Plan for
-// the same requester falls back to a cold solve instead of contending.
-type warmSlot struct {
-	mu sync.Mutex
-	ws lp.Workspace
 }
 
 // planSkeleton is the reusable part of requester r's substituted LP:
@@ -184,7 +157,6 @@ type planSkeleton struct {
 	once       sync.Once
 	model      *lp.Model
 	consumeRow int
-	dropRow    int // requester_drop row, -1 unless KeepRequesterConstraint
 	// capFlowRows lists the cap_flow_k_i rows whose right-hand side is
 	// A[k][i]: rebound per solve so the skeleton depends only on A's
 	// sparsity pattern, never its values — SetAgreement value changes
@@ -234,7 +206,6 @@ type planWS struct {
 	newV   []float64 // V'_i
 	theta  float64   // realized max perturbation over the skeleton's rows
 	caps   []float64 // C_i before the allocation, one per kept perturb row
-	capReq float64   // the requester's C before the allocation
 	clones map[int]modelClone
 	lpws   lp.Workspace
 }
@@ -349,7 +320,6 @@ func finishAllocator(n int, clo *transitive.Closure, aCols [][]int32, aVals [][]
 	}
 	al.transposeColumns()
 	al.skel = make([]atomic.Pointer[planSkeleton], n)
-	al.warm = make([]atomic.Pointer[warmSlot], n)
 	al.pool = newPlanPool()
 	return al
 }
@@ -531,8 +501,8 @@ func (al *Allocator) Bytes() int {
 		}
 		b += 12*len(al.aCols[i]) + 20*len(al.colIdx[i])
 	}
-	// Headers: k, aCols, aVals, colIdx, colK, colA; then conn, skel, warm.
-	return b + al.n*(6*24+3*8)
+	// Headers: k, aCols, aVals, colIdx, colK, colA; then conn and skel.
+	return b + al.n*(6*24+2*8)
 }
 
 // Capacities returns C_i = V_i + Σ_k U_ki for the current availability.
@@ -696,23 +666,32 @@ func (al *Allocator) plan(ws *planWS, v []float64, requester int, amount float64
 	if amount < 0 {
 		return fmt.Errorf("core: negative request %g", amount)
 	}
-	ws.capReq = al.capacity(v, requester)
-	if ws.capReq < amount-1e-9 {
+	if c := al.capacity(v, requester); c < amount-1e-9 {
 		return fmt.Errorf("%w: principal %d has capacity %g, requested %g",
-			ErrInsufficient, requester, ws.capReq, amount)
+			ErrInsufficient, requester, c, amount)
 	}
 	if num.IsZero(amount) {
 		return nil // the empty plan: no take, V' = V, θ = 0
 	}
-	if al.cfg.Faithful {
-		return al.planFaithful(ws, v, requester, amount)
+	sk := al.skeleton(requester)
+	c := ws.clones[requester]
+	if c.of != sk {
+		c = modelClone{model: sk.model.Clone(), of: sk}
+		ws.clones[requester] = c
 	}
-	return al.planSubstituted(ws, v, requester, amount)
+	al.bindPlan(ws, sk, v, requester)
+	al.rebind(c.model, sk, v, amount, ws)
+	sol, err := c.model.SolveWithWorkspace(lp.Tableau, &ws.lpws)
+	if err != nil {
+		return fmt.Errorf("core: allocation LP failed: %w", err)
+	}
+	ws.readNewV(sol)
+	return al.finishPlan(ws, sk, v, amount)
 }
 
-// bindPlan sizes ws for a plan over sk and fills what both formulations
-// read before they solve: the requester's U column by variable position,
-// and C_i for every kept row.
+// bindPlan sizes ws for a plan over sk and fills what the rebinding and the
+// finish read: the requester's U column by variable position, and C_i for
+// every kept row.
 func (al *Allocator) bindPlan(ws *planWS, sk *planSkeleton, v []float64, requester int) {
 	live := len(sk.vars)
 	ws.vars = sk.vars
@@ -812,13 +791,9 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 		}
 		kept = sk.vars
 	}
-	spared, nDrop := int32(requester), 0 // eq. 6 spares the requester: see the package comment
-	if al.cfg.KeepRequesterConstraint {
-		spared, nDrop = -1, 1
-	}
 	live, nRows, nAux, nSrc := len(sk.vars), 0, 0, 0
 	for _, i := range kept {
-		if i == spared {
+		if int(i) == requester { // eq. 6 spares the requester: see the package comment
 			continue
 		}
 		nRows++
@@ -830,7 +805,7 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 		}
 	}
 	m := lp.NewModel(lp.Minimize)
-	m.Reserve(live+1+nAux, 1+nRows+2*nAux+nDrop, live+2*nRows+nSrc+4*nAux+nDrop*live)
+	m.Reserve(live+1+nAux, 1+nRows+2*nAux, live+2*nRows+nSrc+4*nAux)
 	m.NameWith(sk.varName, sk.rowName)
 	sk.rows = make([]compRow, 0, nRows)
 	sk.capFlowRows = make([]capFlowRef, 0, nAux)
@@ -856,7 +831,7 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 
 	// C'_i ≥ C_i − θ for the non-requesting principals (eq. 6).
 	for _, i := range kept {
-		if i == spared {
+		if int(i) == requester {
 			continue
 		}
 		idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
@@ -895,18 +870,6 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 		pr.row = m.AddConstraint("", terms, lp.GE, 0)
 		sk.rows = append(sk.rows, pr)
 	}
-	sk.dropRow = -1
-	if al.cfg.KeepRequesterConstraint {
-		// eq. 3: C'_A = C_A − x, expressed on the same linearization. It
-		// references only the requester's own column — all live.
-		terms = append(terms[:0], lp.Term{Var: lp.VarID(sk.req), Coeff: 1})
-		for x, k := range reqCol {
-			if kx := al.colK[requester][x]; !num.IsZero(kx) {
-				terms = append(terms, lp.Term{Var: lp.VarID(sk.find(k)), Coeff: kx})
-			}
-		}
-		sk.dropRow = m.AddConstraint("", terms, lp.GE, 0)
-	}
 	sk.model = m
 }
 
@@ -937,9 +900,6 @@ func (sk *planSkeleton) rowName(r int) string {
 	if r == sk.consumeRow {
 		return "consume"
 	}
-	if r == sk.dropRow {
-		return "requester_drop"
-	}
 	if x, ok := slices.BinarySearchFunc(sk.rows, r, func(pr compRow, r int) int { return pr.row - r }); ok {
 		return fmt.Sprintf("perturb_%d", sk.rows[x].i)
 	}
@@ -951,13 +911,13 @@ func (sk *planSkeleton) rowName(r int) string {
 	return fmt.Sprintf("cap_own_%d_%d", cf.k, cf.i)
 }
 
-// rebind is planSubstituted's per-solve rebinding: bounds and the consume
+// rebind is plan's per-solve rebinding: bounds and the consume
 // row cover the live variables, and every kept perturb row's RHS re-folds
 // its pinned sources' contributions from the current column triples (so
 // agreement value changes are as fresh here as capFlowRows rebinding
 // makes them). With every principal live nothing is pinned and a row's
 // RHS is C_i itself.
-func (al *Allocator) rebind(m *lp.Model, sk *planSkeleton, v []float64, requester int, amount float64, ws *planWS) {
+func (al *Allocator) rebind(m *lp.Model, sk *planSkeleton, v []float64, amount float64, ws *planWS) {
 	var sumLive float64
 	for x, i := range sk.vars {
 		lo := v[i] - ws.uCol[x]
@@ -997,9 +957,6 @@ func (al *Allocator) rebind(m *lp.Model, sk *planSkeleton, v []float64, requeste
 		}
 		m.SetRHS(pr.row, rhs)
 	}
-	if sk.dropRow >= 0 {
-		m.SetRHS(sk.dropRow, ws.capReq-amount)
-	}
 	for _, cf := range sk.capFlowRows {
 		m.SetRHS(cf.row, al.aAt(int(cf.k), int(cf.i)))
 	}
@@ -1022,55 +979,8 @@ func slotOf[T any](slot *atomic.Pointer[T]) *T {
 	return slot.Load()
 }
 
-// planSubstituted solves the n+1-variable LP (variables V'_i and θ) by
-// rebinding the cached skeleton: only the V'_i bounds and the consume /
-// perturb / requester_drop right-hand sides change between calls.
-func (al *Allocator) planSubstituted(ws *planWS, v []float64, requester int, amount float64) error {
-	sk := al.skeleton(requester)
-	c := ws.clones[requester]
-	if c.of != sk {
-		c = modelClone{model: sk.model.Clone(), of: sk}
-		ws.clones[requester] = c
-	}
-	m := c.model
-
-	al.bindPlan(ws, sk, v, requester)
-	al.rebind(m, sk, v, requester, amount, ws)
-	if err := al.solvePlan(m, requester, ws); err != nil {
-		return fmt.Errorf("core: allocation LP failed: %w", err)
-	}
-	return al.finishPlan(ws, sk, v, requester, amount)
-}
-
-// solvePlan runs the rebound model and reads its V' into ws.newV. With
-// basis reuse enabled it solves through the requester's warm slot;
-// TryLock keeps concurrent Plans for the same requester correct without
-// contention: the loser of the race simply solves cold in its own
-// workspace. The answer lives in the workspace that solved it, so the slot
-// stays locked until the values are out.
-func (al *Allocator) solvePlan(m *lp.Model, requester int, ws *planWS) error {
-	var sol *lp.Solution
-	var err error
-	warm := false
-	if al.cfg.WarmStart {
-		if slot := slotOf(&al.warm[requester]); slot.mu.TryLock() {
-			defer slot.mu.Unlock()
-			sol, err = m.ResolveFrom(&slot.ws)
-			warm = true
-		}
-	}
-	if !warm {
-		sol, err = m.SolveWithWorkspace(lp.Tableau, &ws.lpws)
-	}
-	if err != nil {
-		return err
-	}
-	ws.readNewV(sol)
-	return nil
-}
-
 // readNewV copies V'_x for every live variable out of a solution; variable
-// x of either formulation's model is V'_vars[x].
+// x of the model is V'_vars[x].
 func (ws *planWS) readNewV(sol *lp.Solution) {
 	for x := range ws.newV {
 		ws.newV[x] = sol.Value(lp.VarID(x))
@@ -1081,10 +991,11 @@ func (ws *planWS) readNewV(sol *lp.Solution) {
 // clamped into [0, V_i], round-off cleaned so the takes sum to amount
 // exactly, and θ recomputed from first principles — max over i ≠ requester
 // of C_i − C'_i, including the exact min-caps the LP linearized. Only the
-// skeleton's rows are looked at: a principal outside them has every source
-// pinned at V_k, its C'_i is the same sum over the same numbers as C_i, and
-// its difference is exactly 0, which the maximum already starts from.
-func (al *Allocator) finishPlan(ws *planWS, sk *planSkeleton, v []float64, requester int, amount float64) error {
+// skeleton's rows are looked at (the requester has none): a principal
+// outside them has every source pinned at V_k, its C'_i is the same sum over
+// the same numbers as C_i, and its difference is exactly 0, which the
+// maximum already starts from.
+func (al *Allocator) finishPlan(ws *planWS, sk *planSkeleton, v []float64, amount float64) error {
 	for x, i := range sk.vars {
 		nv := ws.newV[x]
 		if nv < 0 {
@@ -1106,9 +1017,6 @@ func (al *Allocator) finishPlan(ws *planWS, sk *planSkeleton, v []float64, reque
 	}
 	worst := 0.0
 	for r, pr := range sk.rows {
-		if int(pr.i) == requester {
-			continue
-		}
 		if d := ws.caps[r] - al.capacityAfter(v, pr, ws.newV); d > worst {
 			worst = d
 		}

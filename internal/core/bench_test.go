@@ -49,14 +49,25 @@ func BenchmarkPlanSubstituted10(b *testing.B) {
 	benchPlan(b, al, v)
 }
 
+// benchPlanPrinted is benchPlan over the printed LP (faithful_test.go): the
+// ablation the substituted form is measured against.
+func benchPlanPrinted(b *testing.B, al *Allocator, v []float64) {
+	b.Helper()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := planPrinted(al, v, 0, 40, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPlanFaithful10(b *testing.B) {
 	s, v := benchScenario(10)
-	al, err := NewAllocator(s, nil, Config{Faithful: true})
+	al, err := NewAllocator(s, nil, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	benchPlan(b, al, v)
+	benchPlanPrinted(b, al, v)
 }
 
 // The 30-principal variants use the matrix-power approximation: exact
@@ -75,12 +86,12 @@ func BenchmarkPlanSubstituted30(b *testing.B) {
 
 func BenchmarkPlanFaithful30(b *testing.B) {
 	s, v := benchScenario(30)
-	al, err := NewAllocator(s, nil, Config{Faithful: true, Approx: true})
+	al, err := NewAllocator(s, nil, Config{Approx: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	benchPlan(b, al, v)
+	benchPlanPrinted(b, al, v)
 }
 
 // benchLoopScenario is the sparse shape: each principal shares only with
@@ -399,34 +410,6 @@ func BenchmarkUpdateEdge100(b *testing.B) {
 			b.Fatal(err)
 		}
 		cur = d
-	}
-}
-
-// BenchmarkPlanIncremental100 plans against availability-only churn with
-// basis reuse on: each iteration moves V slightly and resolves from the
-// previous optimal basis (zero pivots on the warm path).
-func BenchmarkPlanIncremental100(b *testing.B) {
-	s, v := incrementalScenario(100)
-	al, err := NewAllocator(s, nil, Config{Level: 5, WarmStart: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	v2 := append([]float64(nil), v...)
-	for i := range v2 {
-		v2[i] *= 1.01
-	}
-	if _, err := al.Plan(v, 0, 30); err != nil { // seed the basis
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		use := v
-		if i%2 == 1 {
-			use = v2
-		}
-		if _, err := al.Plan(use, 0, 30); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -53,7 +53,7 @@ func comparePlans(t *testing.T, full, comp *Allocator, v []float64, requester in
 	}
 	if errF != nil {
 		// Both refused; the classification must agree too (insufficiency
-		// vs. an infeasible LP under KeepRequesterConstraint).
+		// vs. an infeasible LP).
 		if errors.Is(errF, ErrInsufficient) != errors.Is(errC, ErrInsufficient) {
 			t.Fatalf("req %d amount %g: refusal classes differ: %v / %v", requester, amount, errF, errC)
 		}
@@ -97,26 +97,6 @@ func TestComponentLPMatchesFull(t *testing.T) {
 	}
 	for _, r := range requesters {
 		for _, amount := range []float64{1, v[r] * 0.5, v[r], v[r] * 1.4, v[r] * 50} {
-			comparePlans(t, full, comp, v, r, amount)
-		}
-	}
-}
-
-// TestComponentLPKeepRequesterConstraint covers the eq.-6-on-requester
-// variant: the drop row stays in the component model and must bind the
-// same way it does in the full LP.
-func TestComponentLPKeepRequesterConstraint(t *testing.T) {
-	s, a, v := sparseBlockScenario(64, 5)
-	full, err := NewAllocatorSparse(s, a, Config{Level: 5, KeepRequesterConstraint: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := NewAllocatorSparse(s, a, Config{Level: 5, KeepRequesterConstraint: true, ComponentLP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []int{0, 7, 8, 31, 63} {
-		for _, amount := range []float64{1, v[r] * 0.8, v[r] * 1.3} {
 			comparePlans(t, full, comp, v, r, amount)
 		}
 	}

@@ -14,10 +14,11 @@
 // # Formulations
 //
 // The paper's LP has n²+n+1 variables (all post-allocation flows I'_ij are
-// variables). Because I'_ij = V'_i·T_ij is linear in V'_i, the default
-// formulation here substitutes the flows away, leaving n+1 variables
-// (V'_0..V'_{n−1}, θ) — the Faithful option keeps the full variable set
-// for validation and ablation; both produce the same allocations.
+// variables). Because I'_ij = V'_i·T_ij is linear in V'_i, the formulation
+// here substitutes the flows away, leaving n+1 variables (V'_0..V'_{n−1},
+// θ). The printed variable set is not served: it is a reference the tests
+// build (planPrinted in faithful_test.go) to check that both produce the
+// same optimum, and an ablation bench.
 //
 // One deliberate deviation from the paper's constraint list: the paper
 // imposes both C'_A = C_A − x (eq. 3) and C_A − θ ≤ C'_A (eq. 6 for the
@@ -26,8 +27,8 @@
 // apply eq. 6 to the non-requesting principals only, which preserves the
 // stated intent ("leave the system able to satisfy future requests
 // independent of which principal makes them") and makes the optimum
-// discriminating. A small connectivity-weighted secondary term breaks ties
-// deterministically.
+// discriminating (TestKeepRequesterConstraint shows both optima). A small
+// connectivity-weighted secondary term breaks ties deterministically.
 //
 // # One plan, two forms
 //

@@ -17,10 +17,10 @@ import (
 // the dominant cost at scale).
 //
 // Mutators are copy-on-write: they return a derived *Allocator sharing
-// every unchanged row slice, skeleton, and warm slot with the receiver,
-// which stays valid — in-flight Plans against the old allocator keep
-// their consistent snapshot. (The grm server plans and swaps its planner
-// pointer under one state lock, so it never has such a plan in flight.)
+// every unchanged row slice and skeleton with the receiver, which stays
+// valid — in-flight Plans against the old allocator keep their consistent
+// snapshot. (The grm server plans and swaps its planner pointer under one
+// state lock, so it never has such a plan in flight.)
 //
 // What each cache depends on, what a mutation pays to refresh it, and
 // when it survives. Every cost is in stored entries of the rows and
@@ -39,10 +39,6 @@ import (
 //	skel[r]   K values (all columns ≠ r), one fresh slice of nil   no K column ≠ r moved,
 //	          conn (objective), A pattern slots; r's next Plan     conn unchanged, A
 //	                                      builds it in one pass    pattern ≠ r same
-//	warm[r]   LP structure + coefficients nothing                  always shared; the saved
-//	                                                               basis self-invalidates
-//	                                                               via lp.ResolveFrom's
-//	                                                               signature
 //
 // A derived allocator's Plan output is bit-identical to a freshly built
 // NewAllocator over the mutated matrices (pinned by the incremental
@@ -58,7 +54,7 @@ func (al *Allocator) derive() *Allocator {
 		n: al.n, aCols: al.aCols, aVals: al.aVals, hasA: al.hasA,
 		k: al.k, cfg: al.cfg,
 		conn: al.conn, colIdx: al.colIdx, colK: al.colK, colA: al.colA,
-		skel: al.skel, clo: al.clo, warm: al.warm, pool: al.pool,
+		skel: al.skel, clo: al.clo, pool: al.pool,
 	}
 }
 
@@ -208,12 +204,10 @@ func (d *Allocator) applyClosureDelta(prev *Allocator, changed []int) {
 	// Skeleton r bakes −eps·conn (all rows) into its objective and every
 	// K column except r into its constraint rows, so it survives only if
 	// conn held still and the change stayed inside column r. (Under
-	// KeepRequesterConstraint column r appears in r's own drop row too,
-	// so nothing survives. Under ComponentLP the skeleton's live set is
-	// column r's sparsity pattern, which a flip inside column r rewrites,
-	// so nothing survives there either.)
+	// ComponentLP the skeleton's live set is column r's sparsity pattern,
+	// which a flip inside column r rewrites, so nothing survives.)
 	d.skel = make([]atomic.Pointer[planSkeleton], d.n)
-	if !connChanged && !d.cfg.KeepRequesterConstraint && !d.cfg.ComponentLP && valCols == 1 {
+	if !connChanged && !d.cfg.ComponentLP && valCols == 1 {
 		sole := moves[0].c
 		d.skel[sole].Store(prev.skel[sole].Load())
 	}
@@ -257,7 +251,7 @@ func (al *Allocator) SetAgreement(from, to int, oldVal, newVal float64) (*Alloca
 		// Under ComponentLP skeleton `to`'s live set is column `to`'s
 		// sparsity pattern, which this flip just changed, so it goes too.
 		d.skel = make([]atomic.Pointer[planSkeleton], n)
-		if !d.cfg.KeepRequesterConstraint && !d.cfg.ComponentLP {
+		if !d.cfg.ComponentLP {
 			d.skel[to].Store(al.skel[to].Load())
 		}
 	}
@@ -288,7 +282,6 @@ func (al *Allocator) Grow(extra int) *Allocator {
 	d.k, d.conn = grown(al.k, n), grown(al.conn, n)
 	d.colIdx, d.colK, d.colA = grown(al.colIdx, n), grown(al.colK, n), grown(al.colA, n)
 	d.skel = make([]atomic.Pointer[planSkeleton], n)
-	d.warm = make([]atomic.Pointer[warmSlot], n)
 	d.pool = al.pool
 	return d
 }

@@ -321,84 +321,3 @@ func TestSetShareErrors(t *testing.T) {
 		t.Fatalf("receiver after the refused share: %v", err)
 	}
 }
-
-// TestWarmStartPlanMatchesCold runs an availability-churn schedule with
-// basis reuse on and pins every answer to a cold allocator's within the
-// num.SolveTol policy.
-func TestWarmStartPlanMatchesCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	s, v := mutateScenario(rng, 12, 22)
-	warm, err := NewAllocator(cloneMatrix(s), nil, Config{WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := NewAllocator(cloneMatrix(s), nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requester := 4
-	for step := 0; step < 40; step++ {
-		for i := range v {
-			v[i] = 15 + 45*rng.Float64()
-		}
-		amount := cold.Capacities(v)[requester] * (0.1 + 0.5*rng.Float64())
-		pw, ew := warm.Plan(v, requester, amount)
-		pc, ec := cold.Plan(v, requester, amount)
-		if (ew == nil) != (ec == nil) {
-			t.Fatalf("step %d: warm err %v, cold err %v", step, ew, ec)
-		}
-		if ew != nil {
-			continue
-		}
-		for i := range pw.Take {
-			if !num.EqSolve(pw.Take[i], pc.Take[i]) {
-				t.Fatalf("step %d: Take[%d] warm %v, cold %v", step, i, pw.Take[i], pc.Take[i])
-			}
-		}
-		if !num.EqSolve(pw.Theta, pc.Theta) {
-			t.Fatalf("step %d: Theta warm %v, cold %v", step, pw.Theta, pc.Theta)
-		}
-	}
-	if !warm.warm[requester].Load().ws.HasWarmBasis() {
-		t.Fatal("no basis was ever saved for the churned requester")
-	}
-}
-
-// TestWarmStartAfterMutation checks basis reuse stays correct across a
-// SetShare: the saved basis must be rejected (structure moved) and the
-// answer still matches a rebuild.
-func TestWarmStartAfterMutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	s, v := mutateScenario(rng, 10, 18)
-	al, err := NewAllocator(cloneMatrix(s), nil, Config{WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requester := 2
-	amount := al.Capacities(v)[requester] * 0.4
-	if _, err := al.Plan(v, requester, amount); err != nil {
-		t.Fatal(err)
-	}
-	d, err := al.SetShare(3, 2, s[3][2], 0.48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s[3][2] = 0.48
-	pd, err := d.Plan(v, requester, amount)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := NewAllocator(cloneMatrix(s), nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := rebuilt.Plan(v, requester, amount)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pd.Take {
-		if !num.EqSolve(pd.Take[i], pr.Take[i]) {
-			t.Fatalf("Take[%d] after mutation: %v, rebuild %v", i, pd.Take[i], pr.Take[i])
-		}
-	}
-}

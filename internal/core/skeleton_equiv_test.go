@@ -15,7 +15,7 @@ import (
 // equivalence tests look at: with the graph's absolute agreements and
 // without any (a graph generated without gets a few synthesized, so both
 // sides of hasA are seen on every graph), under the full formulation and
-// ComponentLP, with and without KeepRequesterConstraint.
+// ComponentLP.
 func skeletonVariants(g *modeltest.Graph, fn func(a [][]float64, cfg core.Config, al *core.Allocator)) {
 	withA := g.A
 	if withA == nil {
@@ -28,8 +28,8 @@ func skeletonVariants(g *modeltest.Graph, fn func(a [][]float64, cfg core.Config
 		}
 	}
 	for _, a := range [][][]float64{nil, withA} {
-		for variant := 0; variant < 4; variant++ {
-			cfg := core.Config{Level: g.Level, ComponentLP: variant&1 != 0, KeepRequesterConstraint: variant&2 != 0}
+		for _, comp := range []bool{false, true} {
+			cfg := core.Config{Level: g.Level, ComponentLP: comp}
 			al, err := core.NewAllocator(g.S, a, cfg)
 			if err != nil {
 				continue // the closure budget refused the graph
@@ -61,11 +61,11 @@ func samePlans(t *testing.T, label string, got, want *core.Allocator, v []float6
 
 // TestSkeletonEqualsReference checks the one-pass, one-arena builder against
 // the builder it replaced (kept in skeleton_ref_test.go) over the generated
-// taxonomy — all five shapes × {full, ComponentLP} × KeepRequesterConstraint
-// × with/without A: the same variables in the same order with the same
-// names, bounds and objective, the same rows term for term with the same
-// relation, right-hand side and name, the same row bookkeeping; and every
-// plan through it equal bit for bit to the plan through the reference's.
+// taxonomy — all five shapes × {full, ComponentLP} × with/without A: the
+// same variables in the same order with the same names, bounds and
+// objective, the same rows term for term with the same relation, right-hand
+// side and name, the same row bookkeeping; and every plan through it equal
+// bit for bit to the plan through the reference's.
 func TestSkeletonEqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	cases := 150

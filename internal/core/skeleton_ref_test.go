@@ -80,7 +80,7 @@ func (al *Allocator) refSkeleton(requester int) *planSkeleton {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if !touched[i] || (i == requester && !al.cfg.KeepRequesterConstraint) {
+		if !touched[i] || i == requester {
 			continue
 		}
 		var terms []lp.Term
@@ -113,17 +113,6 @@ func (al *Allocator) refSkeleton(requester int) *planSkeleton {
 		pr.row = m.AddConstraint(fmt.Sprintf("perturb_%d", i), terms, lp.GE, 0)
 		sk.rows = append(sk.rows, pr)
 	}
-	sk.dropRow = -1
-	if al.cfg.KeepRequesterConstraint {
-		terms := []lp.Term{{Var: vp[varOf[requester]], Coeff: 1}}
-		idx, ks := al.colIdx[requester], al.colK[requester]
-		for x, k := range idx {
-			if !num.IsZero(ks[x]) {
-				terms = append(terms, lp.Term{Var: vp[varOf[k]], Coeff: ks[x]})
-			}
-		}
-		sk.dropRow = m.AddConstraint("requester_drop", terms, lp.GE, 0)
-	}
 	sk.model = m
 	sk.once.Do(func() {})
 	return sk
@@ -142,8 +131,8 @@ func (al *Allocator) SkeletonDiff(requester int) string {
 	switch {
 	case !slices.Equal(got.vars, want.vars) || got.req != want.req:
 		return fmt.Sprintf("vars %v (requester at %d), reference %v (at %d)", got.vars, got.req, want.vars, want.req)
-	case got.consumeRow != want.consumeRow || got.dropRow != want.dropRow:
-		return fmt.Sprintf("consume/drop rows %d/%d, reference %d/%d", got.consumeRow, got.dropRow, want.consumeRow, want.dropRow)
+	case got.consumeRow != want.consumeRow:
+		return fmt.Sprintf("consume row %d, reference %d", got.consumeRow, want.consumeRow)
 	case !slices.Equal(got.capFlowRows, want.capFlowRows):
 		return fmt.Sprintf("cap_flow rows %v, reference %v", got.capFlowRows, want.capFlowRows)
 	case len(got.rows) != len(want.rows):

@@ -135,11 +135,11 @@ func TestDenseExportsAreCopies(t *testing.T) {
 
 // TestConcurrentFirstPlansShareOneSkeleton races first Plans for one
 // requester (under -race in `make race`): the lazily installed skeleton
-// and warm slot must come out unique, and every plan identical.
+// must come out unique, and every plan identical.
 func TestConcurrentFirstPlansShareOneSkeleton(t *testing.T) {
 	s, v := mutateScenario(rand.New(rand.NewSource(9)), 12, 22)
 	for trial := 0; trial < 20; trial++ {
-		al, err := NewAllocator(s, nil, Config{WarmStart: true})
+		al, err := NewAllocator(s, nil, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,17 +171,12 @@ func TestConcurrentFirstPlansShareOneSkeleton(t *testing.T) {
 			if skels[g] != skels[0] || skels[g] == nil {
 				t.Fatalf("trial %d: racer %d saw skeleton %p, racer 0 saw %p", trial, g, skels[g], skels[0])
 			}
-			for i := range plans[0].Take {
-				if !num.EqSolve(plans[g].Take[i], plans[0].Take[i]) {
-					t.Fatalf("trial %d: racer %d Take[%d] = %v, racer 0 %v", trial, g, i, plans[g].Take[i], plans[0].Take[i])
-				}
+			if !floatsIdentical(plans[g].Take, plans[0].Take) {
+				t.Fatalf("trial %d: racer %d Take = %v, racer 0 %v", trial, g, plans[g].Take, plans[0].Take)
 			}
 		}
-		if al.warm[5].Load() == nil {
-			t.Fatalf("trial %d: no warm slot installed", trial)
-		}
 		for r := range al.skel {
-			if r != 5 && (al.skel[r].Load() != nil || al.warm[r].Load() != nil) {
+			if r != 5 && al.skel[r].Load() != nil {
 				t.Fatalf("trial %d: requester %d never planned but has a slot", trial, r)
 			}
 		}

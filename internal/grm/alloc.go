@@ -183,8 +183,8 @@ func (s *Server) processBatch(jobs []*allocJob, sc *batchScratch) {
 			replies[i] = errorf("grm: alloc: %v", err)
 			continue
 		}
-		if job.req.Amount < 0 {
-			replies[i] = errorf("grm: alloc: negative amount %g", job.req.Amount)
+		if err := checkQuantity("amount", job.req.Amount); err != nil {
+			replies[i] = errorf("grm: alloc: %v", err)
 			continue
 		}
 		live = append(live, i)

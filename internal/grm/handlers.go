@@ -1,6 +1,8 @@
 package grm
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/agreement"
@@ -14,12 +16,25 @@ import (
 // (recovery.go) replays the same *Locked helpers, so a restarted server
 // walks the identical code paths live operation did.
 
+// checkQuantity refuses a capacity, availability, amount, fraction or
+// quantity that is negative or not finite. These floats come off the wire
+// (wirefmt hands any bit pattern through) or out of a log, and one NaN or
+// +Inf in the books panics the next plan under s.mu; so the *Locked helpers
+// check what they store, and a request and a replayed record are refused by
+// the same line.
+func checkQuantity(what string, x float64) error {
+	switch {
+	case x < 0:
+		return fmt.Errorf("negative %s %g", what, x)
+	case math.IsNaN(x) || math.IsInf(x, 1):
+		return fmt.Errorf("non-finite %s %g", what, x)
+	}
+	return nil
+}
+
 func (s *Server) register(r *RegisterRequest) *Response {
 	if r.Name == "" {
 		return errorf("grm: register: empty name")
-	}
-	if r.Capacity < 0 {
-		return errorf("grm: register: negative capacity %g", r.Capacity)
 	}
 	pid, err := s.registerLocked(r.Name, r.Capacity)
 	if err != nil {
@@ -33,6 +48,9 @@ func (s *Server) register(r *RegisterRequest) *Response {
 // re-attached with the fresh capacity, otherwise a new principal and its
 // general resource are created. Callers hold s.mu.
 func (s *Server) registerLocked(name string, capacity float64) (int, error) {
+	if err := checkQuantity("capacity", capacity); err != nil {
+		return 0, err
+	}
 	for i, have := range s.names {
 		if have == name {
 			s.avail[i] = capacity
@@ -68,22 +86,25 @@ func (s *Server) report(r *ReportRequest) *Response {
 	if err := s.checkPrincipal(r.Principal); err != nil {
 		return errorf("grm: report: %v", err)
 	}
-	if r.Available < 0 {
-		return errorf("grm: report: negative availability %g", r.Available)
+	if err := s.reportLocked(r.Principal, r.Available); err != nil {
+		return errorf("grm: report: %v", err)
 	}
-	s.reportLocked(r.Principal, r.Available)
 	return &Response{Report: &ReportReply{}}
 }
 
 // reportLocked overwrites a principal's availability with its LRM's
 // report and lifts the reported high-water mark. Callers hold s.mu and
-// have validated the principal and amount.
-func (s *Server) reportLocked(principal int, available float64) {
+// have validated the principal.
+func (s *Server) reportLocked(principal int, available float64) error {
+	if err := checkQuantity("availability", available); err != nil {
+		return err
+	}
 	s.avail[principal] = available
 	if available > s.reported[principal] {
 		s.reported[principal] = available
 	}
 	s.appendLocked(store.Record{Kind: store.KindReport, Principal: principal, Available: available})
+	return nil
 }
 
 func (s *Server) share(r *ShareRequest) *Response {
@@ -115,6 +136,12 @@ func (s *Server) share(r *ShareRequest) *Response {
 // the ordered share history). Callers hold s.mu and have validated the
 // principals and that exactly one of fraction/quantity is positive.
 func (s *Server) shareLocked(fromP, toP int, fraction, quantity float64) (int, error) {
+	if err := checkQuantity("fraction", fraction); err != nil {
+		return 0, err
+	}
+	if err := checkQuantity("quantity", quantity); err != nil {
+		return 0, err
+	}
 	from := s.sys.CurrencyOf(agreement.PrincipalID(fromP))
 	to := s.sys.CurrencyOf(agreement.PrincipalID(toP))
 	var tid agreement.TicketID
@@ -128,10 +155,10 @@ func (s *Server) shareLocked(fromP, toP int, fraction, quantity float64) (int, e
 	if err != nil {
 		return 0, err
 	}
-	s.tickets = append(s.tickets, tid)
-	s.shareHist = append(s.shareHist, shareInfo{from: fromP, to: toP, fraction: fraction, quantity: quantity})
+	s.shareHist = append(s.shareHist, shareInfo{tid: tid, from: fromP, to: toP, fraction: fraction, quantity: quantity})
+	s.liveShares++
 	s.patchPlannerShareLocked(fromP, toP, fraction, quantity)
-	ticket := len(s.tickets) - 1
+	ticket := len(s.shareHist) - 1
 	s.appendLocked(store.Record{Kind: store.KindShare, From: fromP, To: toP,
 		Fraction: fraction, Quantity: quantity, Ticket: ticket})
 	return ticket, nil
@@ -215,7 +242,7 @@ func (s *Server) patchPlannerRevokeLocked(ticket int) {
 }
 
 func (s *Server) revoke(r *RevokeRequest) *Response {
-	if r.Ticket < 0 || r.Ticket >= len(s.tickets) {
+	if r.Ticket < 0 || r.Ticket >= len(s.shareHist) {
 		return errorf("grm: revoke: unknown ticket %d", r.Ticket)
 	}
 	s.revokeLocked(r.Ticket)
@@ -227,10 +254,12 @@ func (s *Server) revoke(r *RevokeRequest) *Response {
 // log that journaled such retries — is answered and changes nothing: no
 // second record, no planner patch. Callers hold s.mu.
 func (s *Server) revokeLocked(ticket int) {
-	if s.sys.Ticket(s.tickets[ticket]).Revoked {
+	tid := s.shareHist[ticket].tid
+	if s.sys.Ticket(tid).Revoked {
 		return
 	}
-	s.sys.Revoke(s.tickets[ticket])
+	s.sys.Revoke(tid)
+	s.liveShares--
 	s.patchPlannerRevokeLocked(ticket)
 	s.appendLocked(store.Record{Kind: store.KindRevoke, Ticket: ticket})
 }

@@ -127,8 +127,7 @@ func (s *Server) applyLocked(rec *store.Record) error {
 		if err := s.checkPrincipal(rec.Principal); err != nil {
 			return err
 		}
-		s.reportLocked(rec.Principal, rec.Available)
-		return nil
+		return s.reportLocked(rec.Principal, rec.Available)
 	case store.KindShare:
 		ticket, err := s.shareLocked(rec.From, rec.To, rec.Fraction, rec.Quantity)
 		if err != nil {
@@ -139,7 +138,7 @@ func (s *Server) applyLocked(rec *store.Record) error {
 		}
 		return nil
 	case store.KindRevoke:
-		if rec.Ticket < 0 || rec.Ticket >= len(s.tickets) {
+		if rec.Ticket < 0 || rec.Ticket >= len(s.shareHist) {
 			return fmt.Errorf("unknown ticket %d", rec.Ticket)
 		}
 		s.revokeLocked(rec.Ticket)
@@ -202,6 +201,9 @@ func (s *Server) recoveredLease(sources []int, takes []float64, expires int64, p
 		if p < 0 || p >= len(s.avail) || (k > 0 && p <= sources[k-1]) {
 			return nil, fmt.Errorf("source %d (entry %d) is out of order or not one of %d principals", p, k, len(s.avail))
 		}
+		if err := checkQuantity("take", takes[k]); err != nil {
+			return nil, fmt.Errorf("source %d: %w", p, err)
+		}
 	}
 	return &lease{sources: sources, takes: takes, expires: expiryTime(expires), parentLease: parentLease}, nil
 }
@@ -214,8 +216,7 @@ func (s *Server) recoveredLease(sources []int, takes []float64, expires int64, p
 func (s *Server) applyStateLocked(st *store.State) error {
 	s.sys = agreement.NewSystem()
 	s.resources = nil
-	s.tickets = nil
-	s.shareHist = nil
+	s.shareHist, s.liveShares = nil, 0
 	s.names = nil
 	s.avail = nil
 	s.reported = nil
@@ -266,6 +267,14 @@ func (s *Server) applyStateLocked(st *store.State) error {
 	if len(st.Reported) != len(s.names) || len(st.Avail) != len(s.names) {
 		return fmt.Errorf("books cover %d/%d principals, have %d", len(st.Reported), len(st.Avail), len(s.names))
 	}
+	for i := range s.names {
+		if err := checkQuantity("reported capacity", st.Reported[i]); err != nil {
+			return fmt.Errorf("principal %d: %w", i, err)
+		}
+		if err := checkQuantity("availability", st.Avail[i]); err != nil {
+			return fmt.Errorf("principal %d: %w", i, err)
+		}
+	}
 	copy(s.reported, st.Reported)
 	copy(s.avail, st.Avail)
 	for _, ls := range st.Leases {
@@ -292,13 +301,13 @@ func (s *Server) stateLocked() *store.State {
 		Avail:     append([]float64(nil), s.avail...),
 		NextLease: s.nextLease,
 	}
-	for i, sh := range s.shareHist {
+	for _, sh := range s.shareHist {
 		st.Shares = append(st.Shares, store.ShareState{
 			From:     sh.from,
 			To:       sh.to,
 			Fraction: sh.fraction,
 			Quantity: sh.quantity,
-			Revoked:  s.sys.Ticket(s.tickets[i]).Revoked,
+			Revoked:  s.sys.Ticket(sh.tid).Revoked,
 		})
 	}
 	tokens := make([]int, 0, len(s.leases))

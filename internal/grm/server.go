@@ -42,9 +42,11 @@ type lease struct {
 	parentLease int         // parent lease token to repay; 0 when nothing borrowed
 }
 
-// shareInfo mirrors one wire-created agreement so compacted snapshots can
-// carry the full ordered share history (ticket tokens are indexes into it).
+// shareInfo is one wire-created agreement: its ticket in the agreement
+// system, and the wire parameters, so compacted snapshots can carry the full
+// ordered share history (ticket tokens are indexes into it).
 type shareInfo struct {
+	tid      agreement.TicketID
 	from, to int
 	fraction float64
 	quantity float64
@@ -65,8 +67,7 @@ type Server struct {
 	mu        sync.Mutex
 	sys       *agreement.System      // wal:journaled
 	resources []agreement.ResourceID // wal:journaled
-	tickets   []agreement.TicketID   // ticket token -> system ticket; wal:journaled
-	shareHist []shareInfo            // ticket token -> wire parameters; wal:journaled
+	shareHist []shareInfo            // ticket token -> system ticket and wire parameters; wal:journaled
 	avail     []float64              // wal:journaled
 	reported  []float64              // last reported capacity per principal (release cap); wal:journaled
 	names     []string               // wal:journaled
@@ -80,6 +81,7 @@ type Server struct {
 	attaching  bool           // AttachParent reservation held across the parent dial
 	leases     map[int]*lease // wal:journaled
 	nextLease  int            // wal:journaled
+	liveShares int            // unrevoked entries of shareHist, what Status.Agreements reads; wal:derived
 	// borrows is this level's federation borrow balance: parent lease
 	// token → amount still outstanding at the parent. In a multi-level GRM
 	// tree every node carries its own balance, so Status can report the

@@ -90,11 +90,7 @@ func (s *Server) Status() (*Status, error) {
 		BatchPlanNanos:  s.mBatchPlanNS.Value(),
 		QueueDepth:      len(s.allocQ),
 		WalAppendErrors: s.walAppendErrors,
-	}
-	for _, tid := range s.tickets {
-		if !s.sys.Ticket(tid).Revoked {
-			out.Agreements++
-		}
+		Agreements:      s.liveShares,
 	}
 	out.Federation = s.federationLocked()
 	if len(s.avail) == 0 {

@@ -325,11 +325,11 @@ func (m *Model) solveTableau(ws *Workspace) (*Solution, error) {
 	// tableau value, shedding accumulated round-off.
 	sol.Objective = m.Eval(sol.values)
 
-	// Duals: the reduced cost of each row's initial basic column encodes
-	// y_i because those columns formed the identity matrix.
+	// Duals: the reduced cost of each row's initial basic column (sf.basis:
+	// its slack or artificial) encodes y_i because those columns formed the
+	// identity matrix.
 	for ci, r := range sf.rowOfCons {
-		col := sf.basisColOfRow(r)
-		y := -t.obj[col]
+		y := -t.obj[sf.basis[r]]
 		y *= sf.rowSign[r]
 		if sf.negate {
 			y = -y
@@ -337,14 +337,5 @@ func (m *Model) solveTableau(ws *Workspace) (*Solution, error) {
 		sol.duals[ci] = y
 	}
 	sol.Status = Optimal
-	if ws.keepWarm {
-		ws.saveWarm(sf, t)
-	}
 	return sol, nil
-}
-
-// basisColOfRow returns the column that held row r's +1 entry of the
-// initial identity basis (its slack or artificial column).
-func (sf *standardForm) basisColOfRow(r int) int {
-	return sf.basis[r]
 }

@@ -63,12 +63,6 @@ type Solution struct {
 	duals []float64
 	// Pivots is the total number of simplex pivots across both phases.
 	Pivots int
-	// Warm reports that the solution was obtained by revalidating a saved
-	// basis (ResolveFrom's zero-pivot path) rather than a cold solve.
-	// Warm and cold solutions of the same model agree within the
-	// num.SolveTol policy, not bit-for-bit: they reach the optimum along
-	// different pivot paths.
-	Warm bool
 }
 
 // Value returns the optimal value of variable v.

@@ -16,11 +16,6 @@ type Workspace struct {
 	phase1 []float64
 	x      []float64
 	sol    Solution
-
-	// warm is the final basis of the last ResolveFrom solve (see warm.go);
-	// keepWarm tells solveTableau to snapshot it on success.
-	warm     warmState
-	keepWarm bool
 }
 
 // solution resets the workspace's Solution for a solve of m and returns it.

@@ -11,8 +11,7 @@ import (
 
 // TestPairPlanProperty checks the served plan form against the dense
 // exports over the generated taxonomy, under the full formulation and
-// ComponentLP, with and without KeepRequesterConstraint, on graphs with
-// and without absolute agreements:
+// ComponentLP, on graphs with and without absolute agreements:
 //
 //   - PlanPairs returns exactly the non-zero entries of Plan's Take, and
 //     the same θ, bit for bit;
@@ -31,8 +30,8 @@ func TestPairPlanProperty(t *testing.T) {
 	shapes := map[Shape]int{}
 	for c := 0; c < cases; c++ {
 		g := Generate(rng)
-		for variant := 0; variant < 4; variant++ {
-			cfg := core.Config{Level: g.Level, ComponentLP: variant&1 != 0, KeepRequesterConstraint: variant&2 != 0}
+		for _, comp := range []bool{false, true} {
+			cfg := core.Config{Level: g.Level, ComponentLP: comp}
 			al, err := core.NewAllocator(g.S, g.A, cfg)
 			if err != nil {
 				continue // the closure budget refused the graph

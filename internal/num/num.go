@@ -31,13 +31,15 @@ func IsZero(x float64) bool {
 	return x == 0 //lint:ignore sharingvet/floateq exact zero is the documented contract
 }
 
-// SolveTol is the documented tolerance for comparing two optimal LP
-// solutions obtained along different pivot paths — in particular a
-// warm-started lp.ResolveFrom against a cold solve of the same model.
-// Both paths land within the solver's feasibility tolerance (1e-7) of
-// the same optimum, but the basic solutions they report can differ by
-// accumulated pivot round-off on either side; 1e-6 relative absorbs
-// that while still catching genuinely divergent answers. Incremental
+// SolveTol is the documented tolerance for a quantity that comes out of
+// an LP solve and is then compared with one reached another way: the
+// bench's book check holds a reply's takes against the requested amount
+// and a status's availability against what was reported, and two
+// optimal solutions reached along different pivot paths compare the
+// same way. Each lands within the solver's feasibility tolerance (1e-7)
+// of the optimum, but what is reported can differ by accumulated pivot
+// round-off on either side; 1e-6 relative absorbs that while still
+// catching genuinely divergent answers. Incremental
 // results that must be bit-identical (closure deltas, COW allocator
 // state) are pinned with exact comparison instead — this constant is
 // only for solver outputs.
@@ -45,8 +47,8 @@ const SolveTol = 1e-6
 
 // EqSolve reports whether two solver outputs (objective values, solution
 // coordinates, allocation takes) are equal within SolveTol, scaled by the
-// larger magnitude. This is the comparison the incremental-equivalence
-// properties use for warm-started solves.
+// larger magnitude. This is the comparison bench/check.go makes on every
+// reply and every status.
 func EqSolve(a, b float64) bool {
 	if a == b { //lint:ignore sharingvet/floateq the helper the analyzer points to
 		return true
