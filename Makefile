@@ -72,18 +72,20 @@ FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFe
 
 # The allocation pins: the `//go:build !race` tests (named ...Allocs or
 # ...AllocatesNothing) that hold what a reserved model build, a steady plan,
-# a skeleton build, a column patch, an allocate+release pair and a whole
-# churn cycle may heap-allocate. Run alone, uncached and without -race (the
-# detector's instrumentation allocates), so a pin that breaks says so by
-# name here and not somewhere inside `go test ./...`.
+# a skeleton build, a column patch, an allocate+release pair (in process and
+# over the wire), a lone release, a renew, a whole churn cycle and a
+# pipelined frame through the transport may heap-allocate. Run alone,
+# uncached and without -race (the detector's instrumentation allocates), so
+# a pin that breaks says so by name here and not somewhere inside
+# `go test ./...`.
 allocs:
-	$(GO) test -count=1 -run 'Allocs$$|AllocatesNothing$$' ./internal/lp/ ./internal/core/ ./internal/grm/
+	$(GO) test -count=1 -run 'Allocs$$|AllocatesNothing$$' ./internal/lp/ ./internal/core/ ./internal/grm/ ./internal/grm/transport/
 
 # The serving-code ratchet (ROADMAP item 10): the non-test lines of lp, core
 # and grm — what a request runs through — may not grow past the recorded
 # count. A PR that shrinks them lowers SERVING_LOC_MAX to what it prints;
 # raising it is a reviewed diff of this line, for a simplicity PR to argue.
-SERVING_LOC_MAX = 8396
+SERVING_LOC_MAX = 8394
 loc:
 	@n=$$(ls internal/lp/*.go internal/core/*.go internal/grm/*.go | grep -v _test | xargs cat | wc -l); \
 	echo "serving lines (lp+core+grm, non-test): $$n (max $(SERVING_LOC_MAX))"; \

@@ -42,9 +42,12 @@ const (
 // the job owns them: the scheduler while it is in a batch, its settle
 // goroutine while it is away. Jobs are recycled through Server.jobs by the
 // requester that received the reply — the one send on resp — after which
-// neither the scheduler nor a settle goroutine looks at the job again.
+// neither the scheduler nor a settle goroutine looks at the job again. The
+// request is a copy: a job can outlive the Handle call that queued it
+// (Close abandons it to the pipeline), and the envelope it came in is
+// recycled.
 type allocJob struct {
-	req  *AllocRequest
+	req  AllocRequest
 	resp chan *Response
 
 	parentLease int         // the parent's lease behind credit, repaid unless the job commits; 0 when nothing is borrowed
@@ -59,7 +62,7 @@ type allocJob struct {
 func (s *Server) alloc(r *AllocRequest) *Response {
 	s.startScheduler()
 	job := s.jobs.Get().(*allocJob)
-	*job = allocJob{req: r, resp: job.resp}
+	*job = allocJob{req: *r, resp: job.resp}
 	select {
 	case s.allocQ <- job:
 		s.mQueueDepth.Set(float64(len(s.allocQ)))
@@ -202,7 +205,7 @@ func (s *Server) processBatch(jobs []*allocJob, sc *batchScratch) {
 		reply, err := s.allocLocked(planner, job, sc)
 		switch {
 		case err == nil:
-			replies[i] = &Response{Alloc: reply}
+			replies[i] = reply
 			job.parentLease = 0 // the lease owns the borrow now
 		case errors.Is(err, core.ErrInsufficient) && parent != nil && job.rounds < maxBorrowRounds:
 			// What this plan saw, its own credit aside: the books less
@@ -250,7 +253,7 @@ func (s *Server) processBatch(jobs []*allocJob, sc *batchScratch) {
 // no other plan draws on capacity that is not on the books; the entry is
 // put back, not subtracted back, because (x + c) − c need not be x.
 // Callers hold s.mu.
-func (s *Server) allocLocked(planner *core.Allocator, job *allocJob, sc *batchScratch) (*AllocReply, error) {
+func (s *Server) allocLocked(planner *core.Allocator, job *allocJob, sc *batchScratch) (*Response, error) {
 	p := job.req.Principal
 	own := s.avail[p]
 	if job.parentLease != 0 {
@@ -263,7 +266,7 @@ func (s *Server) allocLocked(planner *core.Allocator, job *allocJob, sc *batchSc
 	if err != nil {
 		return nil, err
 	}
-	return s.commitAllocLocked(job.req, sc.sources, sc.takes, theta, job.link, job.parentLease), nil
+	return s.commitAllocLocked(&job.req, sc.sources, sc.takes, theta, job.link, job.parentLease), nil
 }
 
 // settle makes a job's parent round trips, with s.mu released. It returns
@@ -307,8 +310,9 @@ func (s *Server) settle(job *allocJob, parent *parentLink, refusal *Response) {
 // The plan arrives as its pairs in the scheduler's scratch and is copied
 // once, into two exact-size slices that the lease, the reply (and through
 // it the tap) and the journal record share; nothing on the way from the
-// admission queue to the client is sized by the population.
-func (s *Server) commitAllocLocked(req *AllocRequest, planSources []int, planTakes []float64, theta float64, borrowedFrom *parentLink, parentLease int) *AllocReply {
+// admission queue to the client is sized by the population. The reply and
+// its envelope are one allocation (grant).
+func (s *Server) commitAllocLocked(req *AllocRequest, planSources []int, planTakes []float64, theta float64, borrowedFrom *parentLink, parentLease int) *Response {
 	sources, takes := make([]int, len(planSources)), make([]float64, len(planTakes))
 	copy(sources, planSources)
 	copy(takes, planTakes)
@@ -335,7 +339,15 @@ func (s *Server) commitAllocLocked(req *AllocRequest, planSources []int, planTak
 		Expires:     expiryUnix(le.expires),
 		ParentLease: parentLease,
 	})
-	return &AllocReply{Sources: sources, Takes: takes, Theta: theta, Lease: token, TTL: s.leaseTTL}
+	g := &grant{alloc: AllocReply{Sources: sources, Takes: takes, Theta: theta, Lease: token, TTL: s.leaseTTL}}
+	g.resp.Alloc = &g.alloc
+	return &g.resp
+}
+
+// grant is a granted allocation's reply: the envelope and its payload.
+type grant struct {
+	resp  Response
+	alloc AllocReply
 }
 
 // debitLocked takes an allocation's pairs out of the availability view,

@@ -3,7 +3,9 @@
 package grm
 
 import (
+	"net"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -11,9 +13,10 @@ import (
 
 // TestHandleAllocReleaseAllocs pins what one warmed allocate+release pair
 // through Server.Handle heap-allocates with a journal attached: the
-// lease, its two pair slices, the two replies and their envelopes — nothing
-// for the admission job, the plan or the journal records. The race
-// detector's instrumentation allocates, so the race legs skip this file.
+// lease, its two pair slices and the granted reply, envelope and payload
+// in one — nothing for the admission job, the plan, the journal records or
+// the release's acknowledgement. The race detector's instrumentation
+// allocates, so the race legs skip this file.
 func TestHandleAllocReleaseAllocs(t *testing.T) {
 	s := blockServer(t, core.Config{ComponentLP: true}, 4)
 	defer s.Close()
@@ -33,8 +36,101 @@ func TestHandleAllocReleaseAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		pair()
 	}
-	if got := testing.AllocsPerRun(200, pair); got > 8 {
-		t.Fatalf("allocate+release pair makes %v allocations, want at most 8", got)
+	got := testing.AllocsPerRun(200, pair)
+	t.Logf("an allocate+release pair through Handle makes %v allocations", got)
+	if got > 4 {
+		t.Fatalf("allocate+release pair makes %v allocations, want at most 4", got)
+	}
+}
+
+// TestWireAllocReleaseAllocs is the same pair from a real LRM over
+// loopback, both ends of the connection counted: the server's four, and
+// the AllocReply with its two slices that Allocate hands its caller.
+// Nothing for the frames, the request records, the handler workers or the
+// replies' envelopes.
+func TestWireAllocReleaseAllocs(t *testing.T) {
+	s := blockServer(t, core.Config{ComponentLP: true}, 4)
+	s.SetLog(store.NewMemLog())
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(l)
+	defer s.Close()
+	lrm, err := Dial(l.Addr().String(), "paj", 11) // principal 9, as above
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lrm.Close()
+	pair := func() {
+		reply, err := lrm.Allocate(12.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lrm.Release(reply.Lease); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		pair()
+	}
+	got := testing.AllocsPerRun(200, pair)
+	t.Logf("an allocate+release pair over the wire makes %v allocations", got)
+	if got > 7 {
+		t.Fatalf("allocate+release pair over the wire makes %v allocations, want at most 7", got)
+	}
+}
+
+// TestReleaseAllocs pins a lone release through Handle at nothing: the
+// lease leaves the table, the journal records it and the acknowledgement
+// is shared.
+func TestReleaseAllocs(t *testing.T) {
+	s := blockServer(t, core.Config{ComponentLP: true}, 4)
+	defer s.Close()
+	s.SetLog(store.NewMemLog())
+	const runs = 200
+	leases := make([]int, 0, runs+1) // AllocsPerRun calls once more to warm up
+	for len(leases) < cap(leases) {
+		resp := s.Handle(&Request{Alloc: &AllocRequest{Principal: 9, Amount: 0.01}})
+		if resp.Alloc == nil {
+			t.Fatal(resp.Err)
+		}
+		leases = append(leases, resp.Alloc.Lease)
+	}
+	release := &Request{Release: &ReleaseRequest{}}
+	got := testing.AllocsPerRun(runs, func() {
+		release.Release.Lease, leases = leases[0], leases[1:]
+		if resp := s.Handle(release); resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+	})
+	t.Logf("a release makes %v allocations", got)
+	if got > 0 {
+		t.Fatalf("a release makes %v allocations, want none", got)
+	}
+}
+
+// TestRenewAllocs pins a renew under a lease TTL through Handle: the
+// reply and its payload; the new expiry and its journal record cost
+// nothing.
+func TestRenewAllocs(t *testing.T) {
+	s := blockServer(t, core.Config{ComponentLP: true}, 4)
+	defer s.Close()
+	s.SetLog(store.NewMemLog())
+	s.SetLeaseTTL(time.Hour)
+	resp := s.Handle(&Request{Alloc: &AllocRequest{Principal: 9, Amount: 12.5}})
+	if resp.Alloc == nil {
+		t.Fatal(resp.Err)
+	}
+	renew := &Request{Renew: &RenewRequest{Lease: resp.Alloc.Lease}}
+	got := testing.AllocsPerRun(200, func() {
+		if resp := s.Handle(renew); resp.Renew == nil || resp.Renew.TTL != time.Hour {
+			t.Fatalf("renew: %+v", resp)
+		}
+	})
+	t.Logf("a renew makes %v allocations", got)
+	if got > 2 {
+		t.Fatalf("a renew makes %v allocations, want at most 2", got)
 	}
 }
 

@@ -167,31 +167,20 @@ func (l *LRM) connectLocked() error {
 	}
 	l.w = w
 	resp, err := w.do(&Request{Register: &RegisterRequest{Name: l.name, Capacity: l.capacity}}, l.cfg.Timeout)
+	if err == nil {
+		if err = wireError(resp); err == nil {
+			l.principal = resp.Register.Principal
+		}
+	}
+	if err == nil && l.hasReport {
+		if resp, err = w.do(&Request{Report: &ReportRequest{Principal: l.principal, Available: l.lastReport}}, l.cfg.Timeout); err == nil {
+			err = wireError(resp)
+		}
+	}
 	if err != nil {
 		l.dropLocked()
-		return err
 	}
-	if err := wireError(resp); err != nil {
-		l.dropLocked()
-		return err
-	}
-	if resp.Register == nil {
-		l.dropLocked()
-		return fmt.Errorf("grm: register: malformed reply")
-	}
-	l.principal = resp.Register.Principal
-	if l.hasReport {
-		resp, err := w.do(&Request{Report: &ReportRequest{Principal: l.principal, Available: l.lastReport}}, l.cfg.Timeout)
-		if err != nil {
-			l.dropLocked()
-			return err
-		}
-		if err := wireError(resp); err != nil {
-			l.dropLocked()
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // dropLocked discards a dead connection so the next operation redials.
@@ -288,21 +277,25 @@ func bindPrincipal(req *Request, principal int) {
 
 // exchange performs one request/response exchange, reconnecting and
 // retrying on transport errors up to RetryMax times. Application-level
-// errors (Response.Err) are returned immediately and never retried. With
-// bind set, the envelope's own-principal field is restamped on every
-// attempt so a retry after a reconnect that re-registered under a fresh
-// principal id never carries the stale one.
-func (l *LRM) exchange(req *Request, bind bool) (*Response, error) {
+// errors (Response.Err) are returned immediately and never retried, and
+// so is a success reply whose payload does not answer the request (the
+// reader makes it an error reply): on a nil error the reply carries the
+// payload of the request's kind. With bind set, the envelope's
+// own-principal field is restamped on every attempt so a retry after a
+// reconnect that re-registered under a fresh principal id never carries
+// the stale one; without it the envelope goes exactly as given (tests
+// send envelopes on behalf of other principals that way).
+func (l *LRM) exchange(req *Request, bind bool) (Response, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		w, principal, err := l.acquire(attempt)
 		if err != nil {
 			if err == errClosed {
-				return nil, err
+				return Response{}, err
 			}
 			lastErr = err
 			if attempt >= l.cfg.RetryMax {
-				return nil, fmt.Errorf("grm: gave up after %d attempts: %w", attempt+1, lastErr)
+				return Response{}, fmt.Errorf("grm: gave up after %d attempts: %w", attempt+1, lastErr)
 			}
 			continue
 		}
@@ -314,12 +307,12 @@ func (l *LRM) exchange(req *Request, bind bool) (*Response, error) {
 			l.dropWire(w)
 			lastErr = err
 			if attempt >= l.cfg.RetryMax {
-				return nil, lastErr
+				return Response{}, lastErr
 			}
 			continue
 		}
 		if err := wireError(resp); err != nil {
-			return nil, err
+			return Response{}, err
 		}
 		if req.Report != nil {
 			l.noteReport(req.Report.Available)
@@ -328,66 +321,45 @@ func (l *LRM) exchange(req *Request, bind bool) (*Response, error) {
 	}
 }
 
-// roundTrip performs one exchange with the envelope exactly as given —
-// principal fields are not rebound (tests use this to send envelopes on
-// behalf of other principals).
-func (l *LRM) roundTrip(req *Request) (*Response, error) { return l.exchange(req, false) }
-
-// ownRoundTrip is roundTrip for operations acting as this LRM's own
-// principal: the envelope's principal field is bound to the current id on
-// every attempt, including retries after a reconnect rebound it.
-func (l *LRM) ownRoundTrip(req *Request) (*Response, error) { return l.exchange(req, true) }
-
 // Report updates the GRM's view of this principal's free capacity. The
 // value is remembered and replayed after a reconnect.
 func (l *LRM) Report(available float64) error {
-	// ownRoundTrip stamps the principal id per attempt.
-	_, err := l.ownRoundTrip(&Request{Report: &ReportRequest{Available: available}})
+	_, err := l.exchange(&Request{Report: &ReportRequest{Available: available}}, true)
 	return err
 }
 
 // Ping probes the GRM for liveness over the LRM's connection (and, like
 // any operation, reconnects if the connection died).
 func (l *LRM) Ping() error {
-	resp, err := l.roundTrip(&Request{Ping: &PingRequest{}})
-	if err != nil {
-		return err
-	}
-	if resp.Ping == nil {
-		return fmt.Errorf("grm: ping: malformed reply")
-	}
-	return nil
+	_, err := l.exchange(&Request{Ping: &PingRequest{}}, false)
+	return err
 }
 
 // ShareRelative creates a relative sharing agreement: this principal
 // shares `fraction` of its fluctuating capacity with principal `to`. The
 // returned ticket token can revoke the agreement.
 func (l *LRM) ShareRelative(to int, fraction float64) (int, error) {
-	resp, err := l.ownRoundTrip(&Request{Share: &ShareRequest{To: to, Fraction: fraction}})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Share == nil {
-		return 0, fmt.Errorf("grm: share: malformed reply")
-	}
-	return resp.Share.Ticket, nil
+	return l.share(&ShareRequest{To: to, Fraction: fraction})
 }
 
 // ShareAbsolute creates an absolute agreement of a fixed quantity.
 func (l *LRM) ShareAbsolute(to int, quantity float64) (int, error) {
-	resp, err := l.ownRoundTrip(&Request{Share: &ShareRequest{To: to, Quantity: quantity}})
+	return l.share(&ShareRequest{To: to, Quantity: quantity})
+}
+
+// share creates one agreement from this LRM's principal and returns its
+// ticket.
+func (l *LRM) share(r *ShareRequest) (int, error) {
+	resp, err := l.exchange(&Request{Share: r}, true)
 	if err != nil {
 		return 0, err
-	}
-	if resp.Share == nil {
-		return 0, fmt.Errorf("grm: share: malformed reply")
 	}
 	return resp.Share.Ticket, nil
 }
 
 // Revoke cancels an agreement created by this or any other LRM.
 func (l *LRM) Revoke(ticket int) error {
-	_, err := l.roundTrip(&Request{Revoke: &RevokeRequest{Ticket: ticket}})
+	_, err := l.exchange(&Request{Revoke: &RevokeRequest{Ticket: ticket}}, false)
 	return err
 }
 
@@ -395,32 +367,23 @@ func (l *LRM) Revoke(ticket int) error {
 // reply says how much to take from each principal and carries the lease
 // token (renew it with Renew when the reply's TTL is non-zero).
 func (l *LRM) Allocate(amount float64) (*AllocReply, error) {
-	resp, err := l.ownRoundTrip(&Request{Alloc: &AllocRequest{Amount: amount}})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Alloc == nil {
-		return nil, fmt.Errorf("grm: alloc: malformed reply")
-	}
-	return resp.Alloc, nil
+	resp, err := l.exchange(&Request{Alloc: &AllocRequest{Amount: amount}}, true)
+	return resp.Alloc, err
 }
 
 // Release returns an allocation's resources to the GRM's pool using the
 // lease token from AllocReply.
 func (l *LRM) Release(lease int) error {
-	_, err := l.roundTrip(&Request{Release: &ReleaseRequest{Lease: lease}})
+	_, err := l.exchange(&Request{Release: &ReleaseRequest{Lease: lease}}, false)
 	return err
 }
 
 // Renew extends a lease's TTL and returns the renewed time to live (zero
 // when the GRM does not expire leases).
 func (l *LRM) Renew(lease int) (time.Duration, error) {
-	resp, err := l.roundTrip(&Request{Renew: &RenewRequest{Lease: lease}})
+	resp, err := l.exchange(&Request{Renew: &RenewRequest{Lease: lease}}, false)
 	if err != nil {
 		return 0, err
-	}
-	if resp.Renew == nil {
-		return 0, fmt.Errorf("grm: renew: malformed reply")
 	}
 	return resp.Renew.TTL, nil
 }
@@ -428,24 +391,18 @@ func (l *LRM) Renew(lease int) (time.Duration, error) {
 // Capacities returns the GRM's availability view and every principal's
 // capacity C_i.
 func (l *LRM) Capacities() (available, capacities []float64, err error) {
-	resp, err := l.roundTrip(&Request{Caps: &CapsRequest{}})
+	resp, err := l.exchange(&Request{Caps: &CapsRequest{}}, false)
 	if err != nil {
 		return nil, nil, err
-	}
-	if resp.Caps == nil {
-		return nil, nil, fmt.Errorf("grm: caps: malformed reply")
 	}
 	return resp.Caps.Available, resp.Caps.Capacities, nil
 }
 
 // Peers lists the registered principal names, indexed by principal id.
 func (l *LRM) Peers() ([]string, error) {
-	resp, err := l.roundTrip(&Request{Peers: &PeersRequest{}})
+	resp, err := l.exchange(&Request{Peers: &PeersRequest{}}, false)
 	if err != nil {
 		return nil, err
-	}
-	if resp.Peers == nil {
-		return nil, fmt.Errorf("grm: peers: malformed reply")
 	}
 	return resp.Peers.Names, nil
 }
@@ -511,11 +468,14 @@ func newBinWire(conn net.Conn, timeout time.Duration) (*binWire, error) {
 	return w, nil
 }
 
-// readLoop demultiplexes reply frames to their waiters. The read
-// deadline is armed only while replies are owed — an idle pipelined
-// connection stays open indefinitely.
+// readLoop demultiplexes reply frames to their waiters, decoding each
+// into one Response it owns and handing the waiter a copy. A success
+// reply whose payload is not of the kind its request asked for becomes an
+// error reply. The read deadline is armed only while replies are owed —
+// an idle pipelined connection stays open indefinitely.
 func (w *binWire) readLoop() {
 	var err error
+	var resp Response
 	for {
 		w.mu.Lock()
 		waiting := len(w.pending)
@@ -530,7 +490,7 @@ func (w *binWire) readLoop() {
 			err = fmt.Errorf("grm: receive: %w", rerr)
 			break
 		}
-		resp, derr := decodeResponse(envelope)
+		kind, derr := resp.decode(envelope)
 		if derr != nil {
 			err = fmt.Errorf("grm: receive: %w", derr)
 			break
@@ -539,9 +499,13 @@ func (w *binWire) readLoop() {
 		call, ok := w.pending[id]
 		delete(w.pending, id)
 		w.mu.Unlock()
-		if ok {
-			call.reply <- resp // buffered; a reply for a timed-out id was forgotten
+		if !ok {
+			continue // a reply for a timed-out id was forgotten
 		}
+		if resp.Err == "" && kind != call.kind {
+			resp = Response{Err: fmt.Sprintf("grm: malformed reply: a kind %d payload answers a kind %d request", kind, call.kind)}
+		}
+		call.reply <- resp // buffered
 	}
 	w.mu.Lock()
 	if w.err == nil {
@@ -562,7 +526,8 @@ func (w *binWire) forget(id uint64) {
 	w.mu.Unlock()
 }
 
-// binCall is what one exchange on a binary wire waits on: the channel the
+// binCall is what one exchange on a binary wire waits on: the kind of the
+// request, which a success reply's payload must match, the channel the
 // reader delivers the reply through and the timer bounding the wait.
 // Records are recycled through binCalls, and only by a call that received
 // its reply: the reader took the id out of pending before that one send,
@@ -570,11 +535,12 @@ func (w *binWire) forget(id uint64) {
 // the connection die abandons its record — the reader may already hold it,
 // and a late reply must land in a record no later call reads.
 type binCall struct {
-	reply chan *Response // buffered: the reader never blocks on a waiter that left
-	timer *time.Timer    // nil until a call first waits under a deadline; stopped and drained between calls
+	kind  uint64
+	reply chan Response // buffered: the reader never blocks on a waiter that left
+	timer *time.Timer   // nil until a call first waits under a deadline; stopped and drained between calls
 }
 
-var binCalls = sync.Pool{New: func() any { return &binCall{reply: make(chan *Response, 1)} }}
+var binCalls = sync.Pool{New: func() any { return &binCall{reply: make(chan Response, 1)} }}
 
 // arm starts the call's timer and returns its channel (nil, which never
 // fires, without a timeout).
@@ -604,8 +570,9 @@ func (c *binCall) recycle() {
 
 // do writes one tagged request frame and waits for its reply, however
 // many other operations are in flight on the connection.
-func (w *binWire) do(req *Request, timeout time.Duration) (*Response, error) {
+func (w *binWire) do(req *Request, timeout time.Duration) (Response, error) {
 	call := binCalls.Get().(*binCall)
+	call.kind = req.kind()
 	w.mu.Lock()
 	if w.pending == nil {
 		err := w.err
@@ -614,7 +581,7 @@ func (w *binWire) do(req *Request, timeout time.Duration) (*Response, error) {
 		if err == nil {
 			err = fmt.Errorf("grm: send: %w", net.ErrClosed)
 		}
-		return nil, err
+		return Response{}, err
 	}
 	w.nextID++
 	id := w.nextID
@@ -637,7 +604,7 @@ func (w *binWire) do(req *Request, timeout time.Duration) (*Response, error) {
 		// A failed or torn write poisons the frame stream; sever the
 		// connection so every waiter unblocks and the LRM redials.
 		w.conn.Close()
-		return nil, fmt.Errorf("grm: send: %w", err)
+		return Response{}, fmt.Errorf("grm: send: %w", err)
 	}
 
 	timeoutC := call.arm(timeout)
@@ -655,10 +622,10 @@ func (w *binWire) do(req *Request, timeout time.Duration) (*Response, error) {
 		w.mu.Lock()
 		err := w.err
 		w.mu.Unlock()
-		return nil, err
+		return Response{}, err
 	case <-timeoutC:
 		w.forget(id)
-		return nil, wireTimeout{}
+		return Response{}, wireTimeout{}
 	}
 }
 

@@ -448,3 +448,165 @@ func TestLateReplyReachesNoLaterCall(t *testing.T) {
 		t.Fatalf("status: %v, %d leases, want 101", err, st.Leases)
 	}
 }
+
+// TestWrongKindReplyIsAnError serves LRMs from a handler that, once the
+// first LRM has registered, answers every request with a success reply of
+// another kind. Every LRM method — Dial's register included — must return
+// that as an error, after one request: a reply that answers another
+// question is refused like any error reply, not retried.
+func TestWrongKindReplyIsAnError(t *testing.T) {
+	answers := []*Response{
+		kindRegister: {Register: &RegisterReply{Principal: 1}},
+		kindReport:   reportAck,
+		kindShare:    {Share: &ShareReply{Ticket: 2}},
+		kindRevoke:   revokeAck,
+		kindAlloc:    {Alloc: &AllocReply{Sources: []int{1}, Takes: []float64{1}, Lease: 3}},
+		kindRelease:  releaseAck,
+		kindRenew:    {Renew: &RenewReply{TTL: time.Second}},
+		kindCaps:     {Caps: &CapsReply{Available: []float64{1}, Capacities: []float64{1}}},
+		kindPeers:    {Peers: &PeersReply{Names: []string{"a"}}},
+		kindPing:     pingAck,
+	}
+	var wrong atomic.Bool
+	var served atomic.Int64
+	tr := serveRequests(func(req *Request) *Response {
+		served.Add(1)
+		k := req.kind()
+		if wrong.Load() {
+			k = k%kindPing + 1 // the next kind, round the ring
+		}
+		return answers[k]
+	}, nil)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go tr.Serve(l)
+	defer tr.Close()
+	cfg := DefaultDialConfig()
+	lrm, err := DialWithConfig(l.Addr().String(), "a", 10, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lrm.Close()
+	wrong.Store(true)
+
+	for name, call := range map[string]func() error{
+		"Dial": func() error {
+			other, err := DialWithConfig(l.Addr().String(), "b", 10, cfg)
+			if err == nil {
+				other.Close()
+			}
+			return err
+		},
+		"Report":        func() error { return lrm.Report(1) },
+		"Ping":          lrm.Ping,
+		"ShareRelative": func() error { _, err := lrm.ShareRelative(1, 0.5); return err },
+		"ShareAbsolute": func() error { _, err := lrm.ShareAbsolute(1, 5); return err },
+		"Revoke":        func() error { return lrm.Revoke(2) },
+		"Allocate":      func() error { _, err := lrm.Allocate(1); return err },
+		"Release":       func() error { return lrm.Release(3) },
+		"Renew":         func() error { _, err := lrm.Renew(3); return err },
+		"Capacities":    func() error { _, _, err := lrm.Capacities(); return err },
+		"Peers":         func() error { _, err := lrm.Peers(); return err },
+	} {
+		before := served.Load()
+		if err := call(); err == nil || !strings.Contains(err.Error(), "malformed reply") {
+			t.Errorf("%s answered with another kind's payload: err %v, want a malformed reply", name, err)
+		}
+		if n := served.Load() - before; n != 1 {
+			t.Errorf("%s sent %d requests, want 1", name, n)
+		}
+	}
+}
+
+// TestPipelinedRepliesReachTheirCallers keeps 8 goroutines' worth of 32
+// allocations each in flight on one LRM, each for an amount no other call
+// asks for, over rounds that reuse the request and call records at both
+// ends. Every caller must be answered with its own allocation — takes
+// that sum to its amount — under a lease no other reply names, and every
+// lease must release. Then the connection is severed mid-burst: a call may
+// fail, or be retried on a new connection, but none may be handed another
+// caller's reply.
+func TestPipelinedRepliesReachTheirCallers(t *testing.T) {
+	s, addr := startServer(t, core.Config{})
+	conns := make(chan *faultnet.Conn, 16)
+	cfg := DefaultDialConfig()
+	cfg.Dialer = faultnet.Dialer(nil, conns)
+	cfg.Backoff = time.Millisecond
+	lrm, err := DialWithConfig(addr, "big", 1e9, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lrm.Close()
+	live := <-conns
+
+	const callers, inflight = 8, 32
+	next := 0.0 // the last amount asked for
+	burst := func(sever func()) (failed int) {
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		var answered atomic.Int64
+		var leases []int
+		seen := map[int]bool{}
+		for c := 0; c < callers*inflight; c++ {
+			next++
+			wg.Add(1)
+			go func(amount float64) {
+				defer wg.Done()
+				reply, err := lrm.Allocate(amount)
+				if err == nil && answered.Add(1) == inflight && sever != nil {
+					sever()
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if err != nil {
+					failed++
+					return
+				}
+				var sum float64
+				for _, take := range reply.Takes {
+					sum += take
+				}
+				if sum != amount {
+					t.Errorf("asked for %v and was answered with takes of %v: another caller's reply", amount, sum)
+				}
+				if seen[reply.Lease] {
+					t.Errorf("lease %d answered twice", reply.Lease)
+				}
+				seen[reply.Lease] = true
+				leases = append(leases, reply.Lease)
+			}(next)
+		}
+		wg.Wait()
+		for _, lease := range leases {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := lrm.Release(lease); err != nil {
+					t.Errorf("release %d: %v", lease, err)
+				}
+			}()
+		}
+		wg.Wait()
+		return failed
+	}
+	for round := 0; round < 3; round++ {
+		if failed := burst(nil); failed > 0 {
+			t.Fatalf("round %d: %d allocations failed on a healthy connection", round, failed)
+		}
+	}
+	if st, err := s.Status(); err != nil || st.Leases != 0 {
+		t.Fatalf("status: %v, %d leases outstanding after every release", err, st.Leases)
+	}
+	failed := burst(live.Kill)
+	select {
+	case <-conns:
+	default:
+		t.Fatal("the burst ran to its end on the severed connection")
+	}
+	t.Logf("severed mid-burst: %d of %d allocations failed", failed, callers*inflight)
+	if failed := burst(nil); failed > 0 {
+		t.Fatalf("%d allocations failed on the redialed connection", failed)
+	}
+}

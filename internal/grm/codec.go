@@ -11,8 +11,11 @@ package grm
 
 import (
 	"fmt"
+	"log"
+	"sync"
+	"time"
 
-	"repro/internal/store"
+	"repro/internal/grm/transport"
 	"repro/internal/wirefmt"
 )
 
@@ -31,6 +34,20 @@ const (
 	kindPeers
 	kindPing
 )
+
+// kind is the envelope tag appendRequest gives req: that of its first
+// payload, kindNone when it has none. The payloads are declared in tag
+// order, which TestCodecCarriesEveryField holds.
+func (req *Request) kind() uint64 {
+	set := [...]bool{req.Register != nil, req.Report != nil, req.Share != nil, req.Revoke != nil, req.Alloc != nil,
+		req.Release != nil, req.Renew != nil, req.Caps != nil, req.Peers != nil, req.Ping != nil}
+	for k, ok := range set {
+		if ok {
+			return kindRegister + uint64(k)
+		}
+	}
+	return kindNone
+}
 
 // appendRequest appends req's binary envelope to dst. Exactly one
 // request field must be non-nil.
@@ -75,41 +92,63 @@ func appendRequest(dst []byte, req *Request) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRequest parses one binary request envelope.
-func decodeRequest(data []byte) (*Request, error) {
+// wireCall is one request off a connection, decoded in place: the
+// envelope and one value of each payload it can point at, so a decode
+// allocates nothing but a registered name. Records are pooled. The
+// connection owns one from DecodeRequest until AppendResponse has encoded
+// its reply and put it back, so nothing the server keeps may point into a
+// request (allocJob copies its AllocRequest) and a tap must not retain the
+// envelopes it is shown.
+type wireCall struct {
+	req      Request
+	resp     *Response
+	register RegisterRequest
+	report   ReportRequest
+	share    ShareRequest
+	revoke   RevokeRequest
+	alloc    AllocRequest
+	release  ReleaseRequest
+	renew    RenewRequest
+}
+
+var wireCalls = sync.Pool{New: func() any { return new(wireCall) }}
+
+// decode parses one binary request envelope into c, replacing the request
+// c held: only the decoded kind's payload pointer is set.
+func (c *wireCall) decode(data []byte) error {
 	d := wirefmt.NewDec(data)
-	req := &Request{}
+	c.req = Request{}
 	switch kind := d.Uvarint(); kind {
 	case kindRegister:
-		req.Register = &RegisterRequest{Name: d.String(), Capacity: d.Float64()}
+		c.register, c.req.Register = RegisterRequest{Name: d.String(), Capacity: d.Float64()}, &c.register
 	case kindReport:
-		req.Report = &ReportRequest{Principal: int(d.Int()), Available: d.Float64()}
+		c.report, c.req.Report = ReportRequest{Principal: int(d.Int()), Available: d.Float64()}, &c.report
 	case kindShare:
-		req.Share = &ShareRequest{From: int(d.Int()), To: int(d.Int()), Fraction: d.Float64(), Quantity: d.Float64()}
+		c.share, c.req.Share = ShareRequest{From: int(d.Int()), To: int(d.Int()), Fraction: d.Float64(), Quantity: d.Float64()}, &c.share
 	case kindRevoke:
-		req.Revoke = &RevokeRequest{Ticket: int(d.Int())}
+		c.revoke, c.req.Revoke = RevokeRequest{Ticket: int(d.Int())}, &c.revoke
 	case kindAlloc:
-		req.Alloc = &AllocRequest{Principal: int(d.Int()), Amount: d.Float64()}
+		c.alloc, c.req.Alloc = AllocRequest{Principal: int(d.Int()), Amount: d.Float64()}, &c.alloc
 	case kindRelease:
-		req.Release = &ReleaseRequest{Lease: int(d.Int())}
+		c.release, c.req.Release = ReleaseRequest{Lease: int(d.Int())}, &c.release
 	case kindRenew:
-		req.Renew = &RenewRequest{Lease: int(d.Int())}
+		c.renew, c.req.Renew = RenewRequest{Lease: int(d.Int())}, &c.renew
 	case kindCaps:
-		req.Caps = &CapsRequest{}
+		c.req.Caps = &CapsRequest{}
 	case kindPeers:
-		req.Peers = &PeersRequest{}
+		c.req.Peers = &PeersRequest{}
 	case kindPing:
-		req.Ping = &PingRequest{}
+		c.req.Ping = &PingRequest{}
 	default:
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		return nil, fmt.Errorf("grm: decode request: unknown kind %d", kind)
+		return fmt.Errorf("grm: decode request: unknown kind %d", kind)
 	}
 	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("grm: decode request: %w", err)
+		return fmt.Errorf("grm: decode request: %w", err)
 	}
-	return req, nil
+	return nil
 }
 
 // appendResponse appends resp's binary envelope to dst.
@@ -129,11 +168,10 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 		dst = wirefmt.AppendUvarint(dst, kindRevoke)
 	case resp.Alloc != nil:
 		dst = wirefmt.AppendUvarint(dst, kindAlloc)
-		sources, takes := store.SparseTakes(resp.Alloc.Sources, resp.Alloc.Takes)
-		if len(sources) != len(takes) {
-			return nil, fmt.Errorf("grm: encode alloc reply with %d sources for %d takes", len(sources), len(takes))
+		if len(resp.Alloc.Sources) != len(resp.Alloc.Takes) {
+			return nil, fmt.Errorf("grm: encode alloc reply with %d sources for %d takes", len(resp.Alloc.Sources), len(resp.Alloc.Takes))
 		}
-		dst = wirefmt.AppendSparseFloat64s(dst, sources, takes)
+		dst = wirefmt.AppendSparseFloat64s(dst, resp.Alloc.Sources, resp.Alloc.Takes)
 		dst = wirefmt.AppendFloat64(dst, resp.Alloc.Theta)
 		dst = wirefmt.AppendInt(dst, int64(resp.Alloc.Lease))
 		dst = wirefmt.AppendInt(dst, int64(resp.Alloc.TTL))
@@ -160,12 +198,15 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeResponse parses one binary response envelope.
-func decodeResponse(data []byte) (*Response, error) {
+// decode parses one binary response envelope into resp, replacing what
+// it held, and returns the kind of its payload (kindNone when it has
+// none). The payloads are fresh: a caller may keep them.
+func (resp *Response) decode(data []byte) (uint64, error) {
 	d := wirefmt.NewDec(data)
-	resp := &Response{Err: d.String()}
+	*resp = Response{Err: d.String()}
 	resp.Code = d.Uvarint()
-	switch kind := d.Uvarint(); kind {
+	kind := d.Uvarint()
+	switch kind {
 	case kindNone:
 	case kindRegister:
 		resp.Register = &RegisterReply{Principal: int(d.Int())}
@@ -203,28 +244,47 @@ func decodeResponse(data []byte) (*Response, error) {
 		resp.Ping = &PingReply{}
 	default:
 		if err := d.Err(); err != nil {
-			return nil, err
+			return 0, err
 		}
-		return nil, fmt.Errorf("grm: decode response: unknown kind %d", kind)
+		return 0, fmt.Errorf("grm: decode response: unknown kind %d", kind)
 	}
 	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("grm: decode response: %w", err)
+		return 0, fmt.Errorf("grm: decode response: %w", err)
 	}
-	return resp, nil
+	return kind, nil
 }
 
 // binaryCodec adapts the envelope codec to the transport's Codec
-// interface for the server side of the connection.
+// interface for the server side of the connection. A request travels as
+// its pooled *wireCall, which the handler answers in place (serveRequests)
+// and AppendResponse recycles once the reply is encoded.
 type binaryCodec struct{}
 
 // DecodeRequest implements transport.Codec.
-func (binaryCodec) DecodeRequest(data []byte) (any, error) { return decodeRequest(data) }
+func (binaryCodec) DecodeRequest(data []byte) (any, error) {
+	c := wireCalls.Get().(*wireCall)
+	if err := c.decode(data); err != nil {
+		wireCalls.Put(c)
+		return nil, err
+	}
+	return c, nil
+}
 
 // AppendResponse implements transport.Codec.
 func (binaryCodec) AppendResponse(dst []byte, resp any) ([]byte, error) {
-	r, ok := resp.(*Response)
-	if !ok {
-		return nil, fmt.Errorf("grm: encode response of type %T", resp)
-	}
-	return appendResponse(dst, r)
+	c := resp.(*wireCall)
+	dst, err := appendResponse(dst, c.resp)
+	c.resp = nil
+	wireCalls.Put(c)
+	return dst, err
+}
+
+// serveRequests is the GRM's connection plane, for a Server or a Sharded
+// front: handle answers every request decoded off a connection.
+func serveRequests(handle func(*Request) *Response, logger *log.Logger) *transport.Server {
+	return transport.NewServer(nil, transport.HandlerFunc(func(req any) any {
+		c := req.(*wireCall)
+		c.resp = handle(&c.req)
+		return c
+	}), transport.Options{WriteTimeout: 30 * time.Second, Logger: logger, Codec: binaryCodec{}})
 }

@@ -1,12 +1,30 @@
 package grm
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/wirefmt"
 )
+
+// decodeRequest and decodeResponse parse one envelope into a fresh record.
+func decodeRequest(data []byte) (*Request, error) {
+	var c wireCall
+	if err := c.decode(data); err != nil {
+		return nil, err
+	}
+	return &c.req, nil
+}
+
+func decodeResponse(data []byte) (*Response, error) {
+	resp := new(Response)
+	if _, err := resp.decode(data); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
 
 func TestRequestCodecRoundTrip(t *testing.T) {
 	reqs := []*Request{
@@ -76,7 +94,7 @@ func TestResponseCodecRoundTrip(t *testing.T) {
 // fillDistinct sets every field reachable from v to a non-zero value no
 // other field got (counter-derived, so slices of ints come out ascending).
 // A kind it does not know fails the test: extend it with the protocol.
-func fillDistinct(t *testing.T, v reflect.Value, next *int) {
+func fillDistinct(t testing.TB, v reflect.Value, next *int) {
 	t.Helper()
 	*next++
 	switch v.Kind() {
@@ -105,7 +123,7 @@ func fillDistinct(t *testing.T, v reflect.Value, next *int) {
 // eachFilledEnvelope calls fn once per payload member of the envelope
 // type T (Request or Response), with an envelope whose scalar fields and
 // that one member are filled by fillDistinct.
-func eachFilledEnvelope[T any](t *testing.T, fn func(member string, env *T)) {
+func eachFilledEnvelope[T any](t testing.TB, fn func(member string, env *T)) {
 	t.Helper()
 	typ := reflect.TypeFor[T]()
 	for i := 0; i < typ.NumField(); i++ {
@@ -141,6 +159,9 @@ func TestCodecCarriesEveryField(t *testing.T) {
 		enc, err := appendRequest(nil, req)
 		if err != nil {
 			t.Fatalf("Request.%s: encode: %v", member, err)
+		}
+		if tag := wirefmt.NewDec(enc).Uvarint(); req.kind() != tag {
+			t.Errorf("Request.%s: kind() says %d, the envelope is tagged %d", member, req.kind(), tag)
 		}
 		got, err := decodeRequest(enc)
 		if err != nil {
@@ -185,7 +206,7 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	if _, err := decodeResponse(nil); err == nil {
 		t.Error("empty response envelope decoded")
 	}
-	enc, err = appendResponse(nil, &Response{Alloc: &AllocReply{Takes: []float64{1, 2}}})
+	enc, err = appendResponse(nil, &Response{Alloc: &AllocReply{Sources: []int{0, 1}, Takes: []float64{1, 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,26 +216,26 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	if _, err := appendResponse(nil, &Response{Alloc: &AllocReply{Sources: []int{4}, Takes: []float64{1, 2}}}); err == nil {
 		t.Error("alloc reply with one source for two takes encoded")
 	}
+	if _, err := appendResponse(nil, &Response{Alloc: &AllocReply{Takes: []float64{1, 2}}}); err == nil {
+		t.Error("alloc reply with takes and no sources encoded")
+	}
 }
 
-// TestAllocReplyLegacyDenseEncodesAsPairs: a reply built the old way —
-// nil Sources, Takes indexed by principal id — goes out as the pairs of
-// its non-zero entries, so the wire has one form whatever the caller held.
-func TestAllocReplyLegacyDenseEncodesAsPairs(t *testing.T) {
+// TestAllocReplyLegacyDenseRefused: the reply form older peers held —
+// nil Sources, Takes indexed by principal id — is gone since the wire
+// stopped serving them, so the encoder refuses it rather than guess; the
+// pairs it would have meant encode, decode, and read back densely.
+func TestAllocReplyLegacyDenseRefused(t *testing.T) {
 	dense := &AllocReply{Takes: []float64{1, 0, 2.5, 0}, Theta: 0.125, Lease: 3}
+	if enc, err := appendResponse(nil, &Response{Alloc: dense}); err == nil {
+		t.Fatalf("dense-form reply encoded as % x", enc)
+	}
 	pairs := &AllocReply{Sources: []int{0, 2}, Takes: []float64{1, 2.5}, Theta: 0.125, Lease: 3}
-	a, err := appendResponse(nil, &Response{Alloc: dense})
+	enc, err := appendResponse(nil, &Response{Alloc: pairs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := appendResponse(nil, &Response{Alloc: pairs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("dense form encodes to % x, pair form to % x", a, b)
-	}
-	got, err := decodeResponse(a)
+	got, err := decodeResponse(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +245,7 @@ func TestAllocReplyLegacyDenseEncodesAsPairs(t *testing.T) {
 	if d := got.Alloc.Dense(4); !reflect.DeepEqual(d, dense.Takes) {
 		t.Fatalf("Dense(4) = %v, want %v", d, dense.Takes)
 	}
-	if d := dense.Dense(2); !reflect.DeepEqual(d, []float64{1, 0, 2.5}) {
+	if d := pairs.Dense(2); !reflect.DeepEqual(d, []float64{1, 0, 2.5}) {
 		t.Fatalf("Dense(2) of a reply reaching principal 2 = %v", d)
 	}
 }

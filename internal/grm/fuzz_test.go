@@ -3,8 +3,8 @@ package grm
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
-	"time"
 )
 
 // FuzzDecodeEnvelope feeds arbitrary bytes to both binary envelope
@@ -13,14 +13,17 @@ import (
 // cannot back, and the wire has one spelling per message: whatever a
 // decoder accepts re-encodes to the bytes it was decoded from. An
 // accepted allocation reply is pairs — as many sources as takes, the
-// sources strictly ascending and representable.
+// sources strictly ascending and representable. Decoding in place into a
+// record a previous input left dirty — a connection's pooled wireCall, the
+// client reader's Response — must read exactly what a fresh decode reads:
+// a stale payload pointer would misroute the request.
 func FuzzDecodeEnvelope(f *testing.F) {
 	reqs, resps := benchExchange()
 	resps = append(resps,
 		&Response{Alloc: &AllocReply{Theta: 1, Lease: 2}},                                           // takes nothing
 		&Response{Alloc: &AllocReply{Sources: []int{0, 1, 2, 3}, Takes: []float64{1, 2, 3, 4}}},     // one run: a dense reply
 		&Response{Alloc: &AllocReply{Sources: []int{7, 4096, 1 << 30}, Takes: []float64{1, 2, 3}}},  // isolated, wide gaps
-		&Response{Alloc: &AllocReply{Takes: []float64{0, 5, 0, 0, 6, 7}, TTL: time.Second}},         // the legacy dense form
+		&Response{Alloc: &AllocReply{Sources: []int{1, 4, 5}, Takes: []float64{5, 6, 7}, TTL: 1}},   // one alone, then a run
 		&Response{Err: "grm: alloc: refused", Code: CodeNoPrincipals},                               // error only
 		&Response{Caps: &CapsReply{Available: []float64{1, 2}, Capacities: []float64{3, 4}}},        // the other float slices
 		&Response{Peers: &PeersReply{Names: []string{"a", "", "clusterA/node7"}}},                   // counted strings
@@ -45,17 +48,30 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x05, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // alloc reply claiming 2^63 takes
 	f.Add([]byte{0x00, 0x00, 0x05, 0x01, 0x80, 0x00, 0x01})                               // padded gap uvarint
 
+	// Dirty from the start: every payload of the reused records is set.
+	var call wireCall
+	var reply Response
+	eachFilledEnvelope(f, func(_ string, req *Request) {
+		enc, _ := appendRequest(nil, req)
+		call.decode(enc)
+	})
+	eachFilledEnvelope(f, func(_ string, resp *Response) {
+		enc, _ := appendResponse(nil, resp)
+		reply.decode(enc)
+	})
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if req, err := decodeRequest(data); err == nil {
-			enc, err := appendRequest(nil, req)
-			if err != nil {
-				t.Fatalf("accepted request %+v does not re-encode: %v", req, err)
-			}
-			if !bytes.Equal(enc, data) {
-				t.Fatalf("request % x re-encodes to % x", data, enc)
-			}
+		req, err := decodeRequest(data)
+		if reuseErr := call.decode(data); (reuseErr == nil) != (err == nil) {
+			t.Fatalf("request % x: a fresh decode says %v, one in place %v", data, err, reuseErr)
+		}
+		if err == nil {
+			sameEnvelope(t, data, req, &call.req, appendRequest)
 		}
 		resp, err := decodeResponse(data)
+		if _, reuseErr := reply.decode(data); (reuseErr == nil) != (err == nil) {
+			t.Fatalf("response % x: a fresh decode says %v, one in place %v", data, err, reuseErr)
+		}
 		if err != nil {
 			return
 		}
@@ -81,12 +97,29 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		if p := resp.Peers; p != nil && cap(p.Names) > budget {
 			t.Fatalf("peers reply sized for %d names from %d bytes", cap(p.Names), budget)
 		}
-		enc, err := appendResponse(nil, resp)
+		sameEnvelope(t, data, resp, &reply, appendResponse)
+	})
+}
+
+// sameEnvelope holds an accepted envelope, decoded fresh and in place, to
+// the input: both re-encode to data, and both set the same payload
+// pointers. That is DeepEqual between the two, save that a NaN the input
+// carries equals itself.
+func sameEnvelope[T any](t *testing.T, data []byte, fresh, inPlace *T, encode func([]byte, *T) ([]byte, error)) {
+	t.Helper()
+	for _, env := range []*T{fresh, inPlace} {
+		enc, err := encode(nil, env)
 		if err != nil {
-			t.Fatalf("accepted response %+v does not re-encode: %v", resp, err)
+			t.Fatalf("accepted %+v does not re-encode: %v", env, err)
 		}
 		if !bytes.Equal(enc, data) {
-			t.Fatalf("response % x re-encodes to % x", data, enc)
+			t.Fatalf("% x re-encodes to % x", data, enc)
 		}
-	})
+	}
+	f, p := reflect.ValueOf(fresh).Elem(), reflect.ValueOf(inPlace).Elem()
+	for i := 0; i < f.NumField(); i++ {
+		if f.Field(i).Kind() == reflect.Pointer && f.Field(i).IsNil() != p.Field(i).IsNil() {
+			t.Fatalf("% x: decoded in place, %s is set %v; decoded fresh, %v", data, f.Type().Field(i).Name, !p.Field(i).IsNil(), !f.Field(i).IsNil())
+		}
+	}
 }

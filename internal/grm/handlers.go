@@ -89,7 +89,7 @@ func (s *Server) report(r *ReportRequest) *Response {
 	if err := s.reportLocked(r.Principal, r.Available); err != nil {
 		return errorf("grm: report: %v", err)
 	}
-	return &Response{Report: &ReportReply{}}
+	return reportAck
 }
 
 // reportLocked overwrites a principal's availability with its LRM's
@@ -246,7 +246,7 @@ func (s *Server) revoke(r *RevokeRequest) *Response {
 		return errorf("grm: revoke: unknown ticket %d", r.Ticket)
 	}
 	s.revokeLocked(r.Ticket)
-	return &Response{Revoke: &ReportReply{}}
+	return revokeAck
 }
 
 // revokeLocked revokes an agreement by its validated ticket token. A
@@ -285,7 +285,7 @@ func (s *Server) release(r *ReleaseRequest) *Response {
 	if le.parentLease != 0 && le.parentLink != nil {
 		s.repayParent(le.parentLink, le.parentLease)
 	}
-	return &Response{Release: &ReportReply{}}
+	return releaseAck
 }
 
 // renew pushes a live lease's expiry out by the configured TTL.

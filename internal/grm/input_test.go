@@ -47,7 +47,7 @@ func TestNonFiniteQuantitiesRefused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("the connection did not survive %+v: %v", req, err)
 		}
-		return resp
+		return &resp
 	}
 
 	cases := map[string]*Request{

@@ -159,7 +159,7 @@ func federatedSequence(t *testing.T, serve bool) []AllocReply {
 	t.Cleanup(func() { child.Close() })
 	do := func(req *Request) *Response {
 		t.Helper()
-		resp := child.dispatch(req)
+		resp := child.Handle(req)
 		if resp.Err != "" {
 			t.Fatal(resp.Err)
 		}
@@ -217,14 +217,14 @@ func TestAllocParallelNoOverdraw(t *testing.T) {
 	ids := make([]int, n)
 	names := []string{"A", "B", "C", "D"}
 	for i, name := range names {
-		resp := s.dispatch(&Request{Register: &RegisterRequest{Name: name, Capacity: 100}})
+		resp := s.Handle(&Request{Register: &RegisterRequest{Name: name, Capacity: 100}})
 		if resp.Err != "" {
 			t.Fatal(resp.Err)
 		}
 		ids[i] = resp.Register.Principal
 	}
 	for i := 0; i < n; i++ {
-		resp := s.dispatch(&Request{Share: &ShareRequest{From: ids[i], To: ids[(i+1)%n], Fraction: 0.4}})
+		resp := s.Handle(&Request{Share: &ShareRequest{From: ids[i], To: ids[(i+1)%n], Fraction: 0.4}})
 		if resp.Err != "" {
 			t.Fatal(resp.Err)
 		}
@@ -249,21 +249,21 @@ func TestAllocParallelNoOverdraw(t *testing.T) {
 				// 15 fits locally; 200 is beyond what any principal can
 				// reach through the ring and needs the parent.
 				for _, amount := range []float64{15, 200} {
-					resp := s.dispatch(&Request{Alloc: &AllocRequest{Principal: p, Amount: amount}})
+					resp := s.Handle(&Request{Alloc: &AllocRequest{Principal: p, Amount: amount}})
 					if resp.Err != "" {
 						continue // insufficient under contention is legitimate
 					}
 					if amount > 15 {
 						borrowed.Add(1)
 					}
-					rel := s.dispatch(&Request{Release: &ReleaseRequest{Lease: resp.Alloc.Lease}})
+					rel := s.Handle(&Request{Release: &ReleaseRequest{Lease: resp.Alloc.Lease}})
 					if rel.Err != "" {
 						t.Errorf("release: %s", rel.Err)
 						return
 					}
 				}
 				if round%7 == 0 {
-					s.dispatch(&Request{Report: &ReportRequest{Principal: p, Available: 100}})
+					s.Handle(&Request{Report: &ReportRequest{Principal: p, Available: 100}})
 				}
 			}
 		}(g)
@@ -311,7 +311,7 @@ func TestAllocAfterCloseRefused(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	resp := s.dispatch(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 1}})
+	resp := s.Handle(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 1}})
 	if resp.Err == "" {
 		t.Fatal("alloc after Close succeeded")
 	}
@@ -369,7 +369,7 @@ func TestCreditedReplanLeavesBooksExact(t *testing.T) {
 		sc := &batchScratch{replies: make([]*Response, maxBatchSize), live: make([]int, 0, maxBatchSize)}
 		credited := func(amount float64) *allocJob {
 			return &allocJob{
-				req:         &AllocRequest{Principal: p, Amount: amount},
+				req:         AllocRequest{Principal: p, Amount: amount},
 				resp:        make(chan *Response, 1),
 				parentLease: 7, credit: 0.2,
 			}
@@ -396,10 +396,11 @@ func TestCreditedReplanLeavesBooksExact(t *testing.T) {
 		if want.Err != nil {
 			t.Fatal(want.Err)
 		}
-		reply, err := s.allocLocked(planner, credited(amount), sc)
+		resp, err := s.allocLocked(planner, credited(amount), sc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		reply := resp.Alloc
 		for i, got := range s.avail {
 			exp := before[i] - want.Alloc.Take[i]
 			if exp < 0 {

@@ -135,9 +135,7 @@ type AllocRequest struct {
 //
 // The takes are pairs: Takes[k] > 0 is drawn from principal Sources[k],
 // and Sources is strictly ascending, so a reply costs what the allocation
-// touches, not what the GRM serves. nil Sources is the form older peers
-// and recorded bundles hold — Takes indexed by principal id, zeros
-// included; Each and Dense read either, and the codecs send pairs.
+// touches, not what the GRM serves.
 //
 // The server builds the two slices once, when the allocation commits,
 // and the lease, this reply, the tap event and the journal record all
@@ -154,20 +152,18 @@ type AllocReply struct {
 // Each calls fn for every principal the allocation takes from, in
 // ascending principal order.
 func (r *AllocReply) Each(fn func(principal int, take float64)) {
-	sources, takes := store.SparseTakes(r.Sources, r.Takes)
-	for k, p := range sources {
-		fn(p, takes[k])
+	for k, p := range r.Sources {
+		fn(p, r.Takes[k])
 	}
 }
 
 // Dense returns the takes as a fresh vector indexed by principal id, n
 // entries long, or longer if a source lies beyond n.
 func (r *AllocReply) Dense(n int) []float64 {
-	sources, takes := store.SparseTakes(r.Sources, r.Takes)
-	if k := len(sources); k > 0 && sources[k-1] >= n {
-		n = sources[k-1] + 1
+	if k := len(r.Sources); k > 0 && r.Sources[k-1] >= n {
+		n = r.Sources[k-1] + 1
 	}
-	return store.DenseTakes(sources, takes, n)
+	return store.DenseTakes(r.Sources, r.Takes, n)
 }
 
 // ReleaseRequest returns a finished allocation's resources to the pool.
@@ -212,6 +208,16 @@ type PeersReply struct {
 	Names []string
 }
 
+// The payload-free acknowledgements are shared values that nothing writes
+// to. Every other reply a handler returns is fresh and its caller's to
+// keep or change (the shard router renames its ids in place).
+var (
+	reportAck  = &Response{Report: &ReportReply{}}
+	revokeAck  = &Response{Revoke: &ReportReply{}}
+	releaseAck = &Response{Release: &ReportReply{}}
+	pingAck    = &Response{Ping: &PingReply{}}
+)
+
 // errorf builds a Response carrying only an error.
 func errorf(format string, args ...any) *Response {
 	return &Response{Err: fmt.Sprintf(format, args...)}
@@ -231,7 +237,7 @@ func errorResponse(err error, format string, args ...any) *Response {
 // wireError rehydrates a Response's error on the client side: coded
 // errors wrap their sentinel so errors.Is sees through the network
 // boundary. Returns nil when the response carries no error.
-func wireError(resp *Response) error {
+func wireError(resp Response) error {
 	if resp.Err == "" {
 		return nil
 	}

@@ -33,27 +33,27 @@ func driveWorkload(t *testing.T, s *Server) []int {
 		name string
 		cap  float64
 	}{{"A", 100}, {"B", 80}, {"C", 60}} {
-		must(s.dispatch(&Request{Register: &RegisterRequest{Name: n.name, Capacity: n.cap}}))
+		must(s.Handle(&Request{Register: &RegisterRequest{Name: n.name, Capacity: n.cap}}))
 	}
-	must(s.dispatch(&Request{Share: &ShareRequest{From: 1, To: 0, Fraction: 0.5}}))
-	must(s.dispatch(&Request{Share: &ShareRequest{From: 2, To: 0, Quantity: 20}}))
-	tick := must(s.dispatch(&Request{Share: &ShareRequest{From: 0, To: 2, Fraction: 0.25}})).Share.Ticket
-	must(s.dispatch(&Request{Report: &ReportRequest{Principal: 1, Available: 70}}))
+	must(s.Handle(&Request{Share: &ShareRequest{From: 1, To: 0, Fraction: 0.5}}))
+	must(s.Handle(&Request{Share: &ShareRequest{From: 2, To: 0, Quantity: 20}}))
+	tick := must(s.Handle(&Request{Share: &ShareRequest{From: 0, To: 2, Fraction: 0.25}})).Share.Ticket
+	must(s.Handle(&Request{Report: &ReportRequest{Principal: 1, Available: 70}}))
 
 	var leases []int
 	for _, a := range []struct {
 		p   int
 		amt float64
 	}{{0, 120}, {2, 30}, {1, 15}} {
-		resp := must(s.dispatch(&Request{Alloc: &AllocRequest{Principal: a.p, Amount: a.amt}}))
+		resp := must(s.Handle(&Request{Alloc: &AllocRequest{Principal: a.p, Amount: a.amt}}))
 		leases = append(leases, resp.Alloc.Lease)
 	}
-	must(s.dispatch(&Request{Release: &ReleaseRequest{Lease: leases[1]}}))
+	must(s.Handle(&Request{Release: &ReleaseRequest{Lease: leases[1]}}))
 	leases = append(leases[:1], leases[2:]...)
-	must(s.dispatch(&Request{Revoke: &RevokeRequest{Ticket: tick}}))
-	must(s.dispatch(&Request{Report: &ReportRequest{Principal: 0, Available: 90}}))
+	must(s.Handle(&Request{Revoke: &RevokeRequest{Ticket: tick}}))
+	must(s.Handle(&Request{Report: &ReportRequest{Principal: 0, Available: 90}}))
 	if s.leaseTTL > 0 {
-		must(s.dispatch(&Request{Renew: &RenewRequest{Lease: leases[0]}}))
+		must(s.Handle(&Request{Renew: &RenewRequest{Lease: leases[0]}}))
 	}
 	return leases
 }
@@ -130,7 +130,7 @@ func TestRecoverReplaysLog(t *testing.T) {
 
 	// The recovered server keeps serving: the next lease token continues
 	// the sequence instead of reusing a replayed one.
-	resp := r.dispatch(&Request{Alloc: &AllocRequest{Principal: 1, Amount: 5}})
+	resp := r.Handle(&Request{Alloc: &AllocRequest{Principal: 1, Amount: 5}})
 	if resp.Err != "" {
 		t.Fatalf("alloc after recovery: %s", resp.Err)
 	}
@@ -155,10 +155,10 @@ func TestRecoverFromCompactedLog(t *testing.T) {
 	}
 	// Transitions after the compaction land on the tail and must replay
 	// on top of the snapshot.
-	if resp := s.dispatch(&Request{Release: &ReleaseRequest{Lease: leases[0]}}); resp.Err != "" {
+	if resp := s.Handle(&Request{Release: &ReleaseRequest{Lease: leases[0]}}); resp.Err != "" {
 		t.Fatalf("release: %s", resp.Err)
 	}
-	if resp := s.dispatch(&Request{Share: &ShareRequest{From: 0, To: 1, Quantity: 5}}); resp.Err != "" {
+	if resp := s.Handle(&Request{Share: &ShareRequest{From: 0, To: 1, Quantity: 5}}); resp.Err != "" {
 		t.Fatalf("share: %s", resp.Err)
 	}
 	want := statusJSON(t, s)
@@ -238,7 +238,7 @@ func TestRecoverRequiresPristineServer(t *testing.T) {
 		t.Fatal("Recover on a server with a log attached succeeded")
 	}
 	used := NewServer(core.Config{}, nil)
-	if resp := used.dispatch(&Request{Register: &RegisterRequest{Name: "X", Capacity: 1}}); resp.Err != "" {
+	if resp := used.Handle(&Request{Register: &RegisterRequest{Name: "X", Capacity: 1}}); resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
 	if err := used.Recover(wal); err == nil {
@@ -271,7 +271,7 @@ func TestRecoverSurfacesUnresolvedBorrows(t *testing.T) {
 	}
 	// Releasing the recovered lease credits locally and does not attempt
 	// a parent round trip (there is no link to make one through).
-	if resp := r.dispatch(&Request{Release: &ReleaseRequest{Lease: 1}}); resp.Err != "" {
+	if resp := r.Handle(&Request{Release: &ReleaseRequest{Lease: 1}}); resp.Err != "" {
 		t.Fatalf("release: %s", resp.Err)
 	}
 }
@@ -362,7 +362,7 @@ func TestRecoverLegacyDenseLog(t *testing.T) {
 
 	for _, lease := range []int{1, 3} {
 		for _, srv := range []*Server{legacy, pairs} {
-			if resp := srv.dispatch(&Request{Release: &ReleaseRequest{Lease: lease}}); resp.Err != "" {
+			if resp := srv.Handle(&Request{Release: &ReleaseRequest{Lease: lease}}); resp.Err != "" {
 				t.Fatalf("release %d: %s", lease, resp.Err)
 			}
 		}
@@ -467,13 +467,13 @@ func TestJournalTakesArePairs(t *testing.T) {
 		return resp
 	}
 	for i := 0; i < 4; i++ {
-		must(s.dispatch(&Request{Register: &RegisterRequest{Name: string(rune('A' + i)), Capacity: 100}}))
+		must(s.Handle(&Request{Register: &RegisterRequest{Name: string(rune('A' + i)), Capacity: 100}}))
 	}
-	must(s.dispatch(&Request{Share: &ShareRequest{From: 1, To: 0, Fraction: 0.5}}))
-	few := must(s.dispatch(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 120}})).Alloc // A and its one sharer
-	must(s.dispatch(&Request{Share: &ShareRequest{From: 2, To: 0, Fraction: 0.5}}))
-	must(s.dispatch(&Request{Share: &ShareRequest{From: 3, To: 0, Fraction: 0.5}}))
-	most := must(s.dispatch(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 90}})).Alloc // A is empty, all three sharers give
+	must(s.Handle(&Request{Share: &ShareRequest{From: 1, To: 0, Fraction: 0.5}}))
+	few := must(s.Handle(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 120}})).Alloc // A and its one sharer
+	must(s.Handle(&Request{Share: &ShareRequest{From: 2, To: 0, Fraction: 0.5}}))
+	must(s.Handle(&Request{Share: &ShareRequest{From: 3, To: 0, Fraction: 0.5}}))
+	most := must(s.Handle(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 90}})).Alloc // A is empty, all three sharers give
 	if len(few.Sources) != 2 || len(most.Sources) != 3 {
 		t.Fatalf("replies take from %v and %v, want two and three sources", few.Sources, most.Sources)
 	}
@@ -594,11 +594,11 @@ func TestRecoverJSONLogThroughAppendAndCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	must(live.dispatch(&Request{Report: &ReportRequest{Principal: 10, Available: 165}}))
-	must(live.dispatch(&Request{Alloc: &AllocRequest{Principal: 10, Amount: 20}}))
-	must(live.dispatch(&Request{Renew: &RenewRequest{Lease: 1}}))
-	must(live.dispatch(&Request{Release: &ReleaseRequest{Lease: 5}}))
-	must(live.dispatch(&Request{Revoke: &RevokeRequest{Ticket: 4}}))
+	must(live.Handle(&Request{Report: &ReportRequest{Principal: 10, Available: 165}}))
+	must(live.Handle(&Request{Alloc: &AllocRequest{Principal: 10, Amount: 20}}))
+	must(live.Handle(&Request{Renew: &RenewRequest{Lease: 1}}))
+	must(live.Handle(&Request{Release: &ReleaseRequest{Lease: 5}}))
+	must(live.Handle(&Request{Revoke: &RevokeRequest{Ticket: 4}}))
 	want := statusJSON(t, live)
 	live.SetLog(nil) // it lives on as the reference; the directory goes to its successors
 	if err := wal.Close(); err != nil {
@@ -649,7 +649,7 @@ func TestRecoverJSONLogThroughAppendAndCompact(t *testing.T) {
 	// must still agree.
 	for _, lease := range []int{1, 4, 6, 7} {
 		for _, srv := range []*Server{live, fromSnapshot} {
-			must(srv.dispatch(&Request{Release: &ReleaseRequest{Lease: lease}}))
+			must(srv.Handle(&Request{Release: &ReleaseRequest{Lease: lease}}))
 		}
 	}
 	if l, r := statusJSON(t, live), statusJSON(t, fromSnapshot); l != r {
@@ -724,16 +724,16 @@ func TestDoubleRevokeChangesNothing(t *testing.T) {
 	defer s.Close()
 	s.SetLog(wal)
 	driveWorkload(t, s)
-	share := s.dispatch(&Request{Share: &ShareRequest{From: 1, To: 2, Fraction: 0.125}})
+	share := s.Handle(&Request{Share: &ShareRequest{From: 1, To: 2, Fraction: 0.125}})
 	if share.Err != "" {
 		t.Fatal(share.Err)
 	}
 	revoke := &Request{Revoke: &RevokeRequest{Ticket: share.Share.Ticket}}
-	if resp := s.dispatch(revoke); resp.Err != "" {
+	if resp := s.Handle(revoke); resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
 	// An allocation after the revoke, so there is a planner to compare.
-	if resp := s.dispatch(&Request{Alloc: &AllocRequest{Principal: 2, Amount: 1}}); resp.Err != "" {
+	if resp := s.Handle(&Request{Alloc: &AllocRequest{Principal: 2, Amount: 1}}); resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
 	observe := func() (journal []byte, status string, planner *core.Allocator) {
@@ -751,7 +751,7 @@ func TestDoubleRevokeChangesNothing(t *testing.T) {
 		t.Fatal("no planner after an allocation")
 	}
 	for retry := 0; retry < 2; retry++ {
-		if resp := s.dispatch(revoke); resp.Err != "" || resp.Revoke == nil {
+		if resp := s.Handle(revoke); resp.Err != "" || resp.Revoke == nil {
 			t.Fatalf("revoking a revoked ticket answered %+v, want the first call's reply", resp)
 		}
 		j, st, p := observe()

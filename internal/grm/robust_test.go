@@ -507,7 +507,7 @@ func borrowWhileCapacityShrinks(t *testing.T, richCapacity float64) *shrunkBorro
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := sab.roundTrip(&Request{Report: &ReportRequest{Principal: poor.Principal(), Available: 0}}); err != nil {
+	if _, err := sab.exchange(&Request{Report: &ReportRequest{Principal: poor.Principal(), Available: 0}}, false); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -625,7 +625,7 @@ func TestCloseRepaysQueuedBorrow(t *testing.T) {
 	wal := store.NewMemLog()
 	child := NewServer(core.Config{}, nil)
 	child.SetLog(wal)
-	if resp := child.dispatch(&Request{Register: &RegisterRequest{Name: "poor", Capacity: 5}}); resp.Err != "" {
+	if resp := child.Handle(&Request{Register: &RegisterRequest{Name: "poor", Capacity: 5}}); resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
 	if err := child.AttachParent(parentAddr, "cluster"); err != nil {
@@ -639,7 +639,7 @@ func TestCloseRepaysQueuedBorrow(t *testing.T) {
 
 	// The step processBatch hands a short request to: borrow the 95 and
 	// rejoin the queue.
-	job := &allocJob{req: &AllocRequest{Principal: 0, Amount: 100}, resp: make(chan *Response, 1), capacity: 5}
+	job := &allocJob{req: AllocRequest{Principal: 0, Amount: 100}, resp: make(chan *Response, 1), capacity: 5}
 	child.wg.Add(1)
 	child.settle(job, child.parent, nil)
 	if len(child.allocQ) != 1 || job.parentLease == 0 {

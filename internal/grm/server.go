@@ -161,10 +161,7 @@ func NewServer(cfg core.Config, logger *log.Logger) *Server {
 		clock:     vclock.Real{},
 	}
 	s.jobs.New = func() any { return &allocJob{resp: make(chan *Response, 1)} }
-	s.tr = transport.NewServer(nil,
-		transport.HandlerFunc(func(req any) any { return s.dispatch(req.(*Request)) }),
-		transport.Options{WriteTimeout: 30 * time.Second, Logger: logger, Codec: binaryCodec{}},
-	)
+	s.tr = serveRequests(s.Handle, logger)
 	return s
 }
 
@@ -229,12 +226,6 @@ func (s *Server) startBackground() {
 	}
 	s.startScheduler()
 }
-
-// Handle serves one request envelope in-process, exactly as if it had
-// arrived over a connection (taps fire, records journal). The shard
-// router and large-scale model tests drive servers through it without
-// paying a transport round trip.
-func (s *Server) Handle(req *Request) *Response { return s.dispatch(req) }
 
 // ListenAndServe listens on addr and serves until Close.
 func (s *Server) ListenAndServe(addr string) error {
@@ -366,9 +357,11 @@ func (s *Server) SetTap(tap Tap) {
 	s.tap = tap
 }
 
-// dispatch serves one decoded request envelope and feeds the record tap,
-// when one is installed, with the response and the post-operation books.
-func (s *Server) dispatch(req *Request) *Response {
+// Handle serves one request envelope, off a connection or in-process
+// (the shard router and large-scale model tests drive servers through it
+// without paying a transport round trip), and feeds the record tap, when
+// one is installed, with the response and the post-operation books.
+func (s *Server) Handle(req *Request) *Response {
 	resp := s.dispatchInner(req)
 	s.mu.Lock()
 	tap := s.tap
@@ -417,7 +410,7 @@ func (s *Server) dispatchInner(req *Request) *Response {
 	case req.Peers != nil:
 		return &Response{Peers: &PeersReply{Names: append([]string(nil), s.names...)}}
 	case req.Ping != nil:
-		return &Response{Ping: &PingReply{}}
+		return pingAck
 	default:
 		return errorf("grm: empty request envelope")
 	}

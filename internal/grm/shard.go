@@ -1,7 +1,6 @@
 package grm
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -67,10 +66,7 @@ func NewSharded(nshards int, cfg core.Config, logger *log.Logger) *Sharded {
 		shards[i] = NewServer(cfg, logger)
 	}
 	g := &Sharded{nshards: nshards, shards: shards, logger: logger}
-	g.tr = transport.NewServer(nil,
-		transport.HandlerFunc(func(req any) any { return g.Handle(req.(*Request)) }),
-		transport.Options{WriteTimeout: 30 * time.Second, Logger: logger, Codec: binaryCodec{}},
-	)
+	g.tr = serveRequests(g.Handle, logger)
 	return g
 }
 
@@ -130,8 +126,8 @@ func (g *Sharded) splitTicket(global int) (shard, local int) {
 // globalSources renames a shard's reply sources into the global
 // principal space. The interleaving is monotonic within a shard, so the
 // result is still ascending, and a shard only takes from its own
-// principals, so nothing else needs adding: the amounts are shared with
-// the shard's reply, only the names are new.
+// principals, so nothing else needs adding: the amounts stay the slice the
+// shard's lease holds, only the names are new.
 func (g *Sharded) globalSources(shard int, local []int) []int {
 	out := make([]int, len(local))
 	for k, p := range local {
@@ -141,14 +137,15 @@ func (g *Sharded) globalSources(shard int, local []int) []int {
 }
 
 // Handle routes one request envelope to its shard and translates the
-// identifiers in the reply back into the global space.
+// identifiers in the reply back into the global space, in place: a
+// shard's replies that carry one are fresh.
 func (g *Sharded) Handle(req *Request) *Response {
 	switch {
 	case req.Register != nil:
 		shard := g.shardOfName(req.Register.Name)
 		resp := g.shards[shard].Handle(req)
 		if resp.Register != nil {
-			resp.Register = &RegisterReply{Principal: g.globalPrincipal(shard, resp.Register.Principal)}
+			resp.Register.Principal = g.globalPrincipal(shard, resp.Register.Principal)
 		}
 		return resp
 	case req.Report != nil:
@@ -176,7 +173,7 @@ func (g *Sharded) Handle(req *Request) *Response {
 		r.From, r.To = fromLocal, toLocal
 		resp := g.shards[fromShard].Handle(&Request{Share: &r})
 		if resp.Share != nil {
-			resp.Share = &ShareReply{Ticket: g.globalTicket(fromShard, resp.Share.Ticket)}
+			resp.Share.Ticket = g.globalTicket(fromShard, resp.Share.Ticket)
 		}
 		return resp
 	case req.Revoke != nil:
@@ -184,8 +181,7 @@ func (g *Sharded) Handle(req *Request) *Response {
 			return errorf("grm: revoke: unknown ticket %d", req.Revoke.Ticket)
 		}
 		shard, local := g.splitTicket(req.Revoke.Ticket)
-		r := RevokeRequest{Ticket: local}
-		return g.shards[shard].Handle(&Request{Revoke: &r})
+		return g.shards[shard].Handle(&Request{Revoke: &RevokeRequest{Ticket: local}})
 	case req.Alloc != nil:
 		shard, local, err := g.principalShard(req.Alloc.Principal)
 		if err != nil {
@@ -194,14 +190,8 @@ func (g *Sharded) Handle(req *Request) *Response {
 		r := *req.Alloc
 		r.Principal = local
 		resp := g.shards[shard].Handle(&Request{Alloc: &r})
-		if resp.Alloc != nil {
-			resp.Alloc = &AllocReply{
-				Sources: g.globalSources(shard, resp.Alloc.Sources),
-				Takes:   resp.Alloc.Takes,
-				Theta:   resp.Alloc.Theta,
-				Lease:   g.globalLease(shard, resp.Alloc.Lease),
-				TTL:     resp.Alloc.TTL,
-			}
+		if a := resp.Alloc; a != nil {
+			a.Sources, a.Lease = g.globalSources(shard, a.Sources), g.globalLease(shard, a.Lease)
 		}
 		return resp
 	case req.Release != nil:
@@ -209,21 +199,19 @@ func (g *Sharded) Handle(req *Request) *Response {
 			return errorf("grm: release: unknown lease %d", req.Release.Lease)
 		}
 		shard, local := g.splitLease(req.Release.Lease)
-		r := ReleaseRequest{Lease: local}
-		return g.shards[shard].Handle(&Request{Release: &r})
+		return g.shards[shard].Handle(&Request{Release: &ReleaseRequest{Lease: local}})
 	case req.Renew != nil:
 		if req.Renew.Lease < 1 {
 			return errorf("grm: renew: unknown lease %d", req.Renew.Lease)
 		}
 		shard, local := g.splitLease(req.Renew.Lease)
-		r := RenewRequest{Lease: local}
-		return g.shards[shard].Handle(&Request{Renew: &r})
+		return g.shards[shard].Handle(&Request{Renew: &RenewRequest{Lease: local}})
 	case req.Caps != nil:
 		return g.mergedCaps()
 	case req.Peers != nil:
 		return &Response{Peers: &PeersReply{Names: g.mergedNames()}}
 	case req.Ping != nil:
-		return &Response{Ping: &PingReply{}}
+		return pingAck
 	default:
 		return errorf("grm: empty request envelope")
 	}
@@ -546,19 +534,5 @@ func (g *Sharded) Status() (*Status, error) {
 // ServeHTTP exposes the merged status as JSON, mirroring
 // (*Server).ServeHTTP so a sharded GRM plugs into the same monitoring.
 func (g *Sharded) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	st, err := g.Status()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(st); err != nil {
-		g.logger.Printf("grm: sharded status encode: %v", err)
-	}
+	serveStatus(w, r, g.Status, g.logger)
 }

@@ -411,7 +411,8 @@ func TestShardedReplyRemapMatchesExpansion(t *testing.T) {
 	var local *AllocReply
 	g.Shard(shard).SetTap(func(ev TapEvent) {
 		if ev.Resp.Alloc != nil {
-			local = ev.Resp.Alloc
+			copied := *ev.Resp.Alloc // a tap may not retain the reply: the router renames it
+			local = &copied
 		}
 	})
 	reply := mustHandle(t, g, &Request{Alloc: &AllocRequest{Principal: ids[0], Amount: 160}}).Alloc

@@ -2,6 +2,7 @@ package grm
 
 import (
 	"encoding/json"
+	"log"
 	"net/http"
 	"sort"
 )
@@ -150,11 +151,16 @@ func (s *Server) federationLocked() FederationStatus {
 //
 //	http.Handle("/status", grmServer)
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	serveStatus(w, r, s.Status, s.logger)
+}
+
+// serveStatus answers a GET with the status as indented JSON.
+func serveStatus(w http.ResponseWriter, r *http.Request, status func() (*Status, error), logger *log.Logger) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	st, err := s.Status()
+	st, err := status()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -163,6 +169,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(st); err != nil {
-		s.logger.Printf("grm: status encode: %v", err)
+		logger.Printf("grm: status encode: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -281,5 +282,64 @@ func TestOlderBinaryVersionRefused(t *testing.T) {
 	}
 	if v, err := transport.ReadHello(bufio.NewReader(conn)); err == nil {
 		t.Fatalf("version %d hello was accepted as version %d", transport.Version-1, v)
+	}
+}
+
+// countingCodec is echoCodec counting the frames it has decoded: a frame
+// not decoded yet is still in the kernel buffer.
+type countingCodec struct {
+	echoCodec
+	decoded *atomic.Int64
+}
+
+func (c countingCodec) DecodeRequest(data []byte) (any, error) {
+	c.decoded.Add(1)
+	return c.echoCodec.DecodeRequest(data)
+}
+
+// TestMaxInflightHoldsFrameInKernel: with MaxInflight 2 and both requests
+// blocked in the handler, the third frame is not even read off the
+// connection; once one handler returns it is served, and every frame is
+// answered.
+func TestMaxInflightHoldsFrameInKernel(t *testing.T) {
+	var decoded atomic.Int64
+	started, unblock := make(chan int, 3), make(chan struct{})
+	srv := transport.NewServer(nil, transport.HandlerFunc(func(req any) any {
+		n := req.(*echoReq).N
+		started <- n
+		<-unblock
+		return &echoResp{N: n + 1}
+	}), transport.Options{Codec: countingCodec{decoded: &decoded}, MaxInflight: 2})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+	_, fw, fr := dialBinary(t, l.Addr().String())
+	for i := 1; i <= 3; i++ {
+		writeEcho(t, fw, uint64(i), 10*i)
+	}
+	<-started
+	<-started
+	time.Sleep(50 * time.Millisecond) // time for a reader that does not wait to take the third frame
+	if n := decoded.Load(); n != 2 {
+		t.Fatalf("%d frames decoded with both workers blocked, want 2", n)
+	}
+	select {
+	case n := <-started:
+		t.Fatalf("request %d ran beside two blocked ones under MaxInflight 2", n)
+	default:
+	}
+	close(unblock)
+	got := map[uint64]int{}
+	for i := 0; i < 3; i++ {
+		id, n := readEcho(t, fr)
+		got[id] = n
+	}
+	for i := 1; i <= 3; i++ {
+		if got[uint64(i)] != 10*i+1 {
+			t.Fatalf("replies %v, want frame i answered with 10i+1", got)
+		}
 	}
 }

@@ -9,11 +9,12 @@
 //
 // One protocol is served (wire.go documents the format): a peer opens
 // with the version-2 hello, then exchanges CRC-framed envelopes tagged
-// with request ids and may pipeline: the connection's reader dispatches
-// each decoded request to its own handler goroutine and a single writer
-// goroutine serializes the replies, so responses return in completion
-// order, not arrival order. A connection whose first byte is not the
-// hello magic (a legacy gob peer, or garbage) is logged and closed.
+// with request ids and may pipeline: the connection's reader hands each
+// decoded request to one of the connection's handler workers and a single
+// writer goroutine serializes the replies, so responses return in
+// completion order, not arrival order. A connection whose first byte is
+// not the hello magic (a legacy gob peer, or garbage) is logged and
+// closed.
 //
 // The package is protocol-agnostic: the request/response envelope types
 // are supplied by the caller through a Handler and a Codec, so the
@@ -28,13 +29,14 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Handler processes one decoded request envelope and returns the
 // response envelope to write back. Implementations must be safe for
-// concurrent use: every live connection drives the handler from its own
-// goroutine.
+// concurrent use: every live connection drives the handler from up to
+// MaxInflight worker goroutines.
 type Handler interface {
 	Handle(req any) (resp any)
 }
@@ -58,9 +60,9 @@ type Options struct {
 	// Codec translates frame payloads to and from envelopes. nil serves
 	// nobody: every hello is logged and hung up on.
 	Codec Codec
-	// MaxInflight caps concurrently executing requests per connection;
-	// further frames wait in the kernel buffer. 0 uses
-	// DefaultMaxInflight.
+	// MaxInflight caps concurrently executing requests per connection,
+	// and so the connection's handler workers; further frames wait in the
+	// kernel buffer. 0 uses DefaultMaxInflight.
 	MaxInflight int
 }
 
@@ -68,18 +70,20 @@ type Options struct {
 // does not set one.
 const DefaultMaxInflight = 64
 
-// Server is the connection plane: one accept loop plus one reader and
-// one writer goroutine per live connection. It owns every net.Conn it
-// accepts; the layers above never see one.
+// Server is the connection plane: one accept loop plus, per live
+// connection, one reader, one writer and up to MaxInflight handler
+// workers. It owns every net.Conn it accepts; the layers above never see
+// one.
 type Server struct {
 	handler  Handler
 	codec    Codec
 	inflight int
 	logger   *log.Logger
+	// idle and write are the deadlines, in nanoseconds, every frame read
+	// and written arms; atomics, so no frame takes mu.
+	idle, write atomic.Int64
 
 	mu       sync.Mutex
-	idle     time.Duration
-	write    time.Duration
 	listener net.Listener
 	conns    map[net.Conn]struct{}
 
@@ -100,24 +104,23 @@ func NewServer(_ func() any, handler Handler, opts Options) *Server {
 	if inflight <= 0 {
 		inflight = DefaultMaxInflight
 	}
-	return &Server{
+	t := &Server{
 		handler:  handler,
 		codec:    opts.Codec,
 		inflight: inflight,
 		logger:   logger,
-		idle:     opts.IdleTimeout,
-		write:    opts.WriteTimeout,
 		conns:    map[net.Conn]struct{}{},
 		closed:   make(chan struct{}),
 	}
+	t.SetTimeouts(opts.IdleTimeout, opts.WriteTimeout)
+	return t
 }
 
 // SetTimeouts changes the idle and write deadlines applied to every
 // connection from the next request on.
 func (t *Server) SetTimeouts(idle, write time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.idle, t.write = idle, write
+	t.idle.Store(int64(idle))
+	t.write.Store(int64(write))
 }
 
 // Addr returns the listener address, or nil before Serve.
@@ -193,11 +196,13 @@ func (t *Server) Close() error {
 	return t.closeErr
 }
 
-// timeouts snapshots the current idle/write deadlines.
-func (t *Server) timeouts() (idle, write time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.idle, t.write
+// deadline is what a timeout of d nanoseconds arms from now: the zero
+// time, which clears an armed deadline, when d is 0.
+func deadline(d *atomic.Int64) time.Time {
+	if d := d.Load(); d > 0 {
+		return time.Now().Add(time.Duration(d))
+	}
+	return time.Time{}
 }
 
 // serveConn admits one accepted connection: its first byte must open the
@@ -205,10 +210,7 @@ func (t *Server) timeouts() (idle, write time.Duration) {
 // peek runs under the idle deadline so a silent peer is still dropped.
 func (t *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	idle, _ := t.timeouts()
-	if idle > 0 {
-		conn.SetReadDeadline(time.Now().Add(idle))
-	}
+	conn.SetReadDeadline(deadline(&t.idle))
 	br := bufio.NewReader(conn)
 	first, err := br.Peek(1)
 	if err != nil {
@@ -228,22 +230,22 @@ func (t *Server) serveConn(conn net.Conn) {
 	t.serveBinary(conn, br)
 }
 
-// respFrame is one finished response on its way to its connection's
-// writer goroutine.
-type respFrame struct {
-	id   uint64
-	resp any
+// frame is one request on its way from its connection's reader to a
+// handler worker and then, msg replaced by the response, to the writer.
+type frame struct {
+	id  uint64
+	msg any
 }
 
 // serveBinary answers the handshake then runs the pipelined loop: this
-// goroutine reads and decodes frames, each request executes in its own
-// goroutine (bounded by the inflight cap), and the writer goroutine
-// serializes replies back onto the wire in completion order.
+// goroutine reads and decodes frames and hands each to an idle handler
+// worker, starting one while fewer than the inflight cap exist, and the
+// writer goroutine serializes replies back onto the wire in completion
+// order. The reader takes a slot before it reads a frame and a worker
+// frees it once the reply is queued, so with every slot taken the next
+// frame waits in the kernel buffer.
 func (t *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
-	idle, write := t.timeouts()
-	if idle > 0 {
-		conn.SetReadDeadline(time.Now().Add(idle))
-	}
+	conn.SetReadDeadline(deadline(&t.idle))
 	proposed, err := ReadHello(br)
 	if err != nil {
 		t.logger.Printf("transport: handshake from %s: %v", conn.RemoteAddr(), err)
@@ -255,28 +257,24 @@ func (t *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 		t.logger.Printf("transport: handshake from %s: protocol version %d is no longer spoken (want %d)", conn.RemoteAddr(), proposed, Version)
 		return
 	}
-	if write > 0 {
-		conn.SetWriteDeadline(time.Now().Add(write))
-	}
+	conn.SetWriteDeadline(deadline(&t.write))
 	if err := WriteHello(conn, version); err != nil {
 		t.logger.Printf("transport: handshake to %s: %v", conn.RemoteAddr(), err)
 		return
 	}
 
-	writes := make(chan respFrame, t.inflight)
+	writes := make(chan frame, t.inflight)
 	writerDone := make(chan struct{})
 	go t.connWriter(conn, writes, writerDone)
-	sem := make(chan struct{}, t.inflight)
-	var handlers sync.WaitGroup
+	slots := make(chan struct{}, t.inflight)
+	work := make(chan frame)
+	var workers sync.WaitGroup
+	started := 0
 
 	fr := NewFrameReader(br)
 	for {
-		idle, _ := t.timeouts()
-		if idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(idle))
-		} else {
-			conn.SetReadDeadline(time.Time{})
-		}
+		slots <- struct{}{}
+		conn.SetReadDeadline(deadline(&t.idle))
 		id, envelope, err := fr.ReadFrame()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
@@ -289,20 +287,42 @@ func (t *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 			t.logger.Printf("transport: decode frame %d from %s: %v", id, conn.RemoteAddr(), err)
 			break
 		}
-		sem <- struct{}{}
-		handlers.Add(1)
-		go func(id uint64, req any) {
-			defer handlers.Done()
-			defer func() { <-sem }()
-			// The writer drains until the channel closes (below, after
-			// every handler finished), so this send cannot deadlock even
-			// when the connection is already dead.
-			writes <- respFrame{id: id, resp: t.handler.Handle(req)}
-		}(id, req)
+		f := frame{id: id, msg: req}
+		select {
+		case work <- f:
+		default:
+			if started < t.inflight {
+				started++
+				workers.Add(1)
+				go t.handle(f, work, writes, slots, &workers)
+			} else {
+				// A slot is free, so a worker is on its way back to work.
+				work <- f
+			}
+		}
 	}
-	handlers.Wait()
+	close(work)
+	workers.Wait()
 	close(writes)
 	<-writerDone
+}
+
+// handle is one of a connection's handler workers: it serves f, then
+// every frame the reader hands it, until the reader closes work.
+func (t *Server) handle(f frame, work <-chan frame, writes chan<- frame, slots <-chan struct{}, done *sync.WaitGroup) {
+	defer done.Done()
+	for {
+		f.msg = t.handler.Handle(f.msg)
+		// The writer drains until the channel closes (after every worker
+		// finished), so this send cannot deadlock even when the connection
+		// is already dead.
+		writes <- f
+		<-slots
+		var ok bool
+		if f, ok = <-work; !ok {
+			return
+		}
+	}
 }
 
 // connWriter is a connection's single writer: it frames each
@@ -310,9 +330,9 @@ func (t *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 // through a buffered writer that flushes only when the queue runs dry,
 // so a pipelined burst of responses costs one syscall, not one per
 // frame. On a write error it severs the connection (unblocking the
-// reader) and keeps draining so handler goroutines never block on a
+// reader) and keeps draining so handler workers never block on a
 // dead peer.
-func (t *Server) connWriter(conn net.Conn, writes <-chan respFrame, done chan<- struct{}) {
+func (t *Server) connWriter(conn net.Conn, writes <-chan frame, done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriter(conn)
 	fw := NewFrameWriter(bw)
@@ -321,14 +341,9 @@ func (t *Server) connWriter(conn net.Conn, writes <-chan respFrame, done chan<- 
 		if broken {
 			continue
 		}
-		_, write := t.timeouts()
-		if write > 0 {
-			conn.SetWriteDeadline(time.Now().Add(write))
-		} else {
-			conn.SetWriteDeadline(time.Time{})
-		}
+		conn.SetWriteDeadline(deadline(&t.write))
 		err := fw.WriteFrame(f.id, func(dst []byte) ([]byte, error) {
-			return t.codec.AppendResponse(dst, f.resp)
+			return t.codec.AppendResponse(dst, f.msg)
 		})
 		if err == nil && len(writes) == 0 {
 			err = bw.Flush()

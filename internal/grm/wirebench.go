@@ -45,6 +45,10 @@ func BenchWireCodec(_ WireCodec, iters int) (WireBenchResult, error) {
 	}
 	reqs, resps := benchExchange()
 	var buf []byte
+	// Decoded in place, the way a connection's pooled record and the
+	// client's reader decode them.
+	var call wireCall
+	var reply Response
 	oneOp := func() (int, error) {
 		msgBytes := 0
 		for i := range reqs {
@@ -53,14 +57,14 @@ func BenchWireCodec(_ WireCodec, iters int) (WireBenchResult, error) {
 				return 0, err
 			}
 			msgBytes += len(buf)
-			if _, err = decodeRequest(buf); err != nil {
+			if err = call.decode(buf); err != nil {
 				return 0, err
 			}
 			if buf, err = appendResponse(buf[:0], resps[i]); err != nil {
 				return 0, err
 			}
 			msgBytes += len(buf)
-			if _, err = decodeResponse(buf); err != nil {
+			if _, err = reply.decode(buf); err != nil {
 				return 0, err
 			}
 		}

@@ -9,7 +9,7 @@ import (
 
 // BoundedRevised is the revised simplex with implicit variable bounds:
 // instead of materializing every "x <= hi" as a constraint row (what the
-// tableau does via buildStandard), nonbasic variables rest at
+// tableau does via buildStandardInto), nonbasic variables rest at
 // either bound and the ratio test handles bound flips. For the scheduler
 // LPs — whose variables V'_i are all doubly bounded — this roughly halves
 // the row count.
@@ -36,7 +36,7 @@ type boundedForm struct {
 }
 
 // buildBounded converts a Model into the bounds-aware form: variables are
-// shifted/mirrored/split exactly like buildStandard, but finite upper
+// shifted/mirrored/split exactly like buildStandardInto, but finite upper
 // bounds become column bounds instead of extra rows.
 func buildBounded(m *Model) (*boundedForm, error) {
 	if len(m.vars) == 0 {

@@ -146,11 +146,6 @@ func (m *Model) NameWith(varName func(VarID) string, rowName func(int) string) {
 	m.varName, m.rowName = varName, rowName
 }
 
-// SetObjective replaces the objective coefficient of v.
-func (m *Model) SetObjective(v VarID, obj float64) {
-	m.vars[v].obj = obj
-}
-
 // SetBounds replaces the bounds of v, with the same validation as AddVar.
 // Together with SetRHS and Clone it supports the skeleton-rebinding
 // pattern: build the constraint structure once, then per solve only rebind

@@ -31,12 +31,6 @@ type tableau struct {
 	pivots int
 }
 
-func newTableau(sf *standardForm) *tableau {
-	t := &tableau{}
-	t.reset(sf)
-	return t
-}
-
 // reset (re)initializes the tableau for a standard form, reusing the
 // buffers of any previous solve that fit.
 func (t *tableau) reset(sf *standardForm) {

@@ -110,18 +110,12 @@ func growMatrix(rows [][]float64, flat []float64, m, n int) ([][]float64, []floa
 	return rows, flat
 }
 
-// buildStandard converts a Model into standard form. It returns an error
+// buildStandardInto converts a Model into standard form in sf, reusing
+// whatever buffers a previous conversion left there. It returns an error
 // only for structurally empty models; bound inconsistencies are rejected
-// earlier by AddVar.
-func buildStandard(m *Model) (*standardForm, error) {
-	return buildStandardInto(m, &standardForm{})
-}
-
-// buildStandardInto is buildStandard writing into sf, reusing whatever
-// buffers a previous conversion left there. The numeric results are
-// identical to a fresh conversion: every coefficient is written (not
-// accumulated) exactly once, and right-hand-side adjustments follow the
-// same term order as before.
+// earlier by AddVar. The numeric results are identical to a fresh
+// conversion: every coefficient is written (not accumulated) exactly once,
+// and right-hand-side adjustments follow the same term order as before.
 func buildStandardInto(mo *Model, sf *standardForm) (*standardForm, error) {
 	if len(mo.vars) == 0 {
 		return nil, fmt.Errorf("lp: model has no variables")
@@ -286,15 +280,8 @@ func buildStandardInto(mo *Model, sf *standardForm) (*standardForm, error) {
 	return sf, nil
 }
 
-// recoverPoint maps a standard-form column vector back to model-variable
-// values.
-func (sf *standardForm) recoverPoint(x []float64) []float64 {
-	out := make([]float64, len(sf.subs))
-	sf.recoverPointInto(out, x)
-	return out
-}
-
-// recoverPointInto is recoverPoint writing into out (len(sf.subs)).
+// recoverPointInto maps a standard-form column vector back to
+// model-variable values, written into out (len(sf.subs)).
 func (sf *standardForm) recoverPointInto(out, x []float64) {
 	for i, s := range sf.subs {
 		switch s.kind {
