@@ -153,7 +153,7 @@ func cmdRecord(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("record: -o is required")
 	}
-	bundle, rep, err := scenario.RecordCluster(modeltest.ClusterOptions{
+	bundle, rep, err := modeltest.RecordCluster(modeltest.ClusterOptions{
 		Seed:  *seed,
 		Steps: *steps,
 		TTL:   *ttl,

@@ -4,7 +4,7 @@
 // and the GRM/LRM concurrency layer depend on:
 //
 //	floateq      no ==/!= on floats in the numeric layers (lp,
-//	             transitive, core, agreement); use internal/num
+//	             transitive, core, planners, agreement); use internal/num
 //	lockedio     no conn I/O, dial, codec call or blocking channel send
 //	             while holding a mutex in internal/grm
 //	netdeadline  every conn read/write in internal/grm{,/transport} is
@@ -64,11 +64,12 @@ type check struct {
 func checks() []check {
 	numeric := map[string]bool{
 		"internal/lp": true, "internal/transitive": true,
-		"internal/core": true, "internal/agreement": true,
+		"internal/core": true, "internal/planners": true,
+		"internal/agreement": true,
 	}
 	grmLayer := map[string]bool{"internal/grm": true, "internal/grm/transport": true}
 	return []check{
-		{floateq.Analyzer, func(rel string) bool { return numeric[rel] }, "internal/{lp,transitive,core,agreement}"},
+		{floateq.Analyzer, func(rel string) bool { return numeric[rel] }, "internal/{lp,transitive,core,planners,agreement}"},
 		{lockedio.Analyzer, func(rel string) bool { return rel == "internal/grm" }, "internal/grm"},
 		{netdeadline.Analyzer, func(rel string) bool { return grmLayer[rel] }, "internal/grm{,/transport}"},
 		{errwrap.Analyzer, func(rel string) bool { return strings.HasPrefix(rel, "internal/") }, "internal/..."},

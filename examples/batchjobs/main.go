@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/core"
+	"repro/internal/planners"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 		jobsPerOrg, meanDuration, capacity)
 	for _, tc := range []struct {
 		label   string
-		planner core.Planner
+		planner planners.Planner
 	}{
 		{"isolation (no agreements)", isolated},
 		{"reciprocal 30% agreements", reciprocal},
@@ -59,7 +60,7 @@ func main() {
 	fmt.Println("the other's peak — the same effect as the web-proxy case study.")
 }
 
-func planner(s [][]float64) core.Planner {
+func planner(s [][]float64) planners.Planner {
 	al, err := core.NewAllocator(s, nil, core.Config{})
 	if err != nil {
 		log.Fatal(err)

@@ -22,6 +22,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/planners"
 )
 
 func main() {
@@ -38,7 +39,7 @@ func main() {
 	}
 
 	// --- 1. multi-type request ------------------------------------
-	mu := core.NewMulti(n)
+	mu := planners.NewMulti(n)
 	check(mu.AddType("cpu", s, nil, core.Config{}))
 	check(mu.AddType("disk", s, nil, core.Config{}))
 	v := map[string][]float64{
@@ -55,7 +56,7 @@ func main() {
 	}
 
 	// --- 2. coupled bundle -----------------------------------------
-	coupled, err := core.NewCoupled(s, nil, core.Config{}, map[string]float64{"cpu": 2, "mem": 4})
+	coupled, err := planners.NewCoupled(s, nil, core.Config{}, map[string]float64{"cpu": 2, "mem": 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func main() {
 
 	// --- 3. hierarchical multi-grid -------------------------------
 	groups := [][]int{{0, 1, 2}, {3, 4, 5}}
-	h, err := core.NewHierarchy(s, nil, groups, core.Config{})
+	h, err := planners.NewHierarchy(s, nil, groups, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func main() {
 		"disk-read":  {{0, 0}, {0.8, 0}},
 		"disk-write": {{0, 0}, {0.2, 0}},
 	}
-	mv, err := core.NewMultiView(views, core.Config{})
+	mv, err := planners.NewMultiView(views, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,8 +56,8 @@ func main() {
 		}
 		fmt.Printf("%s:\n", when)
 		fmt.Printf("  A1 = %.2f, A2 = %.2f\n", v[a1], v[a2])
-		for name, p := range map[string]agreement.PrincipalID{"B": b, "C": c, "D": d} {
-			fmt.Printf("  value(%s) = %.2f\n", name, v[sys.CurrencyOf(p)])
+		for _, p := range []agreement.PrincipalID{b, c, d} {
+			fmt.Printf("  value(%s) = %.2f\n", sys.Principal(p).Name, v[sys.CurrencyOf(p)])
 		}
 	}
 

@@ -7,7 +7,7 @@
 //
 // Unlike the web-proxy case study (package sim), where requests are
 // serially processed work, batch jobs hold capacity concurrently — which
-// is exactly the allocate/release lifecycle core.Ledger provides.
+// is exactly the allocate/release lifecycle planners.Ledger provides.
 package batch
 
 import (
@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/planners"
 )
 
 // Job is one unit of work: it needs Amount capacity units from its
@@ -31,7 +31,7 @@ type Job struct {
 // Config describes one batch simulation.
 type Config struct {
 	// Planner enforces the sharing agreements across organizations.
-	Planner core.Planner
+	Planner planners.Planner
 	// Capacity is each organization's CPU capacity.
 	Capacity []float64
 	// Jobs is the workload, in any order (sorted internally).
@@ -66,7 +66,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Planner == nil {
 		return nil, fmt.Errorf("batch: nil planner (use core.NewAllocator, or a zero agreement matrix for isolation)")
 	}
-	ledger, err := core.NewLedger(cfg.Planner, cfg.Capacity)
+	ledger, err := planners.NewLedger(cfg.Planner, cfg.Capacity)
 	if err != nil {
 		return nil, err
 	}

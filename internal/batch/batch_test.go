@@ -5,9 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/planners"
 )
 
-func isolatedPlanner(t *testing.T, n int) core.Planner {
+func isolatedPlanner(t *testing.T, n int) planners.Planner {
 	t.Helper()
 	s := make([][]float64, n)
 	for i := range s {
@@ -20,7 +21,7 @@ func isolatedPlanner(t *testing.T, n int) core.Planner {
 	return al
 }
 
-func reciprocalPlanner(t *testing.T, share float64) core.Planner {
+func reciprocalPlanner(t *testing.T, share float64) planners.Planner {
 	t.Helper()
 	s := [][]float64{
 		{0, share},

@@ -25,20 +25,10 @@ var ErrInsufficient = errors.New("core: insufficient capacity for request")
 // requested amount would violate an agreement.
 var ErrInfeasible = errors.New("core: allocation infeasible within agreement caps")
 
-// Planner is the common interface of the LP allocator and the baseline
-// schemes: decide where to take `amount` units for `requester` given the
-// current per-principal capacities v.
-type Planner interface {
-	// Plan returns the allocation for a request, or ErrInsufficient.
-	Plan(v []float64, requester int, amount float64) (*Allocation, error)
-	// Capacities returns C_i for every principal at availability v.
-	Capacities(v []float64) []float64
-}
-
 // Allocation is the outcome of planning one request in dense form: two
 // vectors over the whole population. It is what Plan and PlanBatch export
-// for the simulator, the baselines, the oracles and the benchmark; the GRM
-// serves requests from PlanPairs, which emits the same plan as the
+// for the simulator, package planners, the oracles and the benchmark; the
+// GRM serves requests from PlanPairs, which emits the same plan as the
 // (source, take) pairs it stores and never builds these vectors.
 type Allocation struct {
 	// Take[i] is the amount drawn from principal i's resources
@@ -375,23 +365,6 @@ func (al *Allocator) aAt(k, i int) float64 {
 	return transitive.At(al.aCols[k], al.aVals[k], i)
 }
 
-// denseA materializes A as dense rows, nil when no absolute matrix was
-// ever supplied — the shape transitive.Capacities and the baseline
-// planners expect.
-func (al *Allocator) denseA() [][]float64 {
-	if !al.hasA {
-		return nil
-	}
-	out := make([][]float64, al.n)
-	for i := range out {
-		out[i] = make([]float64, al.n)
-		for idx, j := range al.aCols[i] {
-			out[i][j] = al.aVals[i][idx]
-		}
-	}
-	return out
-}
-
 // mergeCols walks two ascending column lists together, calling fn once
 // per distinct column with its position in each list (-1 where absent).
 func mergeCols(a, b []int32, fn func(c int32, x, y int)) {
@@ -475,8 +448,8 @@ func (al *Allocator) N() int { return al.n }
 
 // FlowCoefficients returns the capped transitive coefficients K in use
 // (row i: the fraction of i's capacity reachable by each principal) as a
-// fresh dense matrix — an export for tests, baselines and the bench that
-// costs n² floats per call; planning reads the sparse rows and columns.
+// fresh dense matrix — an export for tests, the sharing facade and the
+// bench that costs n² floats per call; planning reads the sparse rows.
 func (al *Allocator) FlowCoefficients() [][]float64 {
 	out := make([][]float64, al.n)
 	for i := range out {
@@ -523,23 +496,6 @@ func (al *Allocator) Capacity(v []float64, i int) float64 {
 		panic(fmt.Sprintf("core: principal %d out of range [0,%d)", i, al.n))
 	}
 	return al.capacity(v, i)
-}
-
-// sourceCap returns U_iA: how much of principal i's current availability
-// the requester may draw — min(V_i·K_iA + A_iA, V_i) in the exact operation
-// order of transitive.Capacities, all of V_i for the requester itself.
-func (al *Allocator) sourceCap(v []float64, i, requester int) float64 {
-	if i == requester {
-		return v[i]
-	}
-	u := v[i] * al.kAt(i, requester)
-	if al.hasA {
-		u += al.aAt(i, requester)
-	}
-	if u > v[i] {
-		u = v[i]
-	}
-	return u
 }
 
 // capacity computes C_i = V_i + Σ_{k≠i} U_ki walking the precomputed sparse

@@ -285,7 +285,7 @@ func TestQuickPlanInvariants(t *testing.T) {
 				return false
 			}
 			if i != requester {
-				if cap := al.sourceCap(v, i, requester); plan.Take[i] > cap+1e-6 {
+				if cap := min(v[i]*al.kAt(i, requester), v[i]); plan.Take[i] > cap+1e-6 {
 					t.Logf("seed %d: take[%d]=%g exceeds cap %g", seed, i, plan.Take[i], cap)
 					return false
 				}
@@ -303,36 +303,6 @@ func TestQuickPlanInvariants(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickLPThetaBeatsBaselines(t *testing.T) {
-	// The LP allocation's realized θ must not exceed the baselines' (it
-	// minimizes exactly that metric).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s, v, requester, amount := randomScenario(rng)
-		al, err := NewAllocator(s, nil, Config{})
-		if err != nil {
-			return false
-		}
-		gr, err := NewGreedy(s, nil, Config{})
-		if err != nil {
-			return false
-		}
-		lpPlan, e1 := al.Plan(v, requester, amount)
-		grPlan, e2 := gr.Plan(v, requester, amount)
-		if e1 != nil || e2 != nil {
-			return errors.Is(e1, ErrInsufficient) == errors.Is(e2, ErrInsufficient)
-		}
-		if lpPlan.Theta > grPlan.Theta+1e-6 {
-			t.Logf("seed %d: LP theta %g > greedy theta %g", seed, lpPlan.Theta, grPlan.Theta)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }

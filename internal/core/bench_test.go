@@ -9,8 +9,8 @@ import (
 
 // Ablation benches for the design choices DESIGN.md calls out: the
 // substituted n+1-variable LP vs the paper's literal n²+n+1-variable
-// formulation, the LP scheme vs the cheaper baselines, and flat vs
-// hierarchical (multi-grid) planning.
+// formulation, and flat planning over the 40 principals package planners
+// refines by multi-grid (its BenchmarkPlanHierarchy40).
 
 func benchScenario(n int) (s [][]float64, v []float64) {
 	rng := rand.New(rand.NewSource(11))
@@ -30,10 +30,10 @@ func benchScenario(n int) (s [][]float64, v []float64) {
 	return
 }
 
-func benchPlan(b *testing.B, planner Planner, v []float64) {
+func benchPlan(b *testing.B, al *Allocator, v []float64) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := planner.Plan(v, 0, 40); err != nil {
+		if _, err := al.Plan(v, 0, 40); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,26 +152,6 @@ func BenchmarkPlanParallel10(b *testing.B) {
 	})
 }
 
-func BenchmarkPlanGreedy10(b *testing.B) {
-	s, v := benchScenario(10)
-	g, err := NewGreedy(s, nil, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	benchPlan(b, g, v)
-}
-
-func BenchmarkPlanProportional10(b *testing.B) {
-	s, v := benchScenario(10)
-	p, err := NewProportional(s, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	benchPlan(b, p, v)
-}
-
 func BenchmarkPlanFlat40(b *testing.B) {
 	s, v := benchScenario(40)
 	al, err := NewAllocator(s, nil, Config{Approx: true})
@@ -180,27 +160,6 @@ func BenchmarkPlanFlat40(b *testing.B) {
 	}
 	b.ResetTimer()
 	benchPlan(b, al, v)
-}
-
-func BenchmarkPlanHierarchy40(b *testing.B) {
-	s, v := benchScenario(40)
-	groups := make([][]int, 8)
-	for g := range groups {
-		for k := 0; k < 5; k++ {
-			groups[g] = append(groups[g], g*5+k)
-		}
-	}
-	h, err := NewHierarchy(s, nil, groups, Config{Approx: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Force the coarse path: drain the home group.
-	drained := append([]float64(nil), v...)
-	for _, p := range groups[0] {
-		drained[p] = 1
-	}
-	b.ResetTimer()
-	benchPlan(b, h, drained)
 }
 
 func BenchmarkNewAllocator10(b *testing.B) {

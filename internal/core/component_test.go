@@ -42,6 +42,19 @@ func sparseBlockScenario(n int, seed int64) (s, a *agreement.SparseMatrix, v []f
 	return sb.Build(), ab.Build(), v
 }
 
+// denseOf reads an n×n matrix entry by entry through at (Share or
+// Agreement).
+func denseOf(n int, at func(i, j int) float64) [][]float64 {
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+		for j := range m[i] {
+			m[i][j] = at(i, j)
+		}
+	}
+	return m
+}
+
 // comparePlans runs the same request through both allocators and checks
 // the outcomes agree: same feasibility, same objective, same takes.
 func comparePlans(t *testing.T, full, comp *Allocator, v []float64, requester int, amount float64) {
@@ -132,7 +145,7 @@ func TestComponentLPMutations(t *testing.T) {
 	}
 	check := func(stage string) {
 		t.Helper()
-		full, err := NewAllocator(comp.Shares(), comp.denseA(), Config{Level: 5})
+		full, err := NewAllocator(denseOf(comp.N(), comp.Share), denseOf(comp.N(), comp.Agreement), Config{Level: 5})
 		if err != nil {
 			t.Fatalf("%s: rebuild: %v", stage, err)
 		}

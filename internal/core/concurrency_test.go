@@ -119,7 +119,7 @@ func TestCapsIntoMatchesDense(t *testing.T) {
 		for i := range v {
 			v[i] = 10 * rng.Float64()
 		}
-		want := transitive.Capacities(v, al.FlowCoefficients(), al.denseA())
+		want := transitive.Capacities(v, al.FlowCoefficients(), a)
 		got := al.Capacities(v)
 		for i := range want {
 			if got[i] != want[i] {

@@ -39,9 +39,9 @@
 // pairs and θ to slices the caller owns: what the GRM serves from, costing
 // the component and allocating nothing in the steady state. Plan and
 // PlanBatch scatter the same result into a dense Allocation, two vectors
-// over the whole population, for the simulator, the baselines, the oracles
-// and the benchmark; they are exports, bit-identical to the pairs, not the
-// served path.
+// over the whole population, for the simulator, package planners, the
+// oracles and the benchmark; they are exports, bit-identical to the pairs,
+// not the served path.
 //
 // # What a write costs
 //
@@ -51,17 +51,11 @@
 // come out of one arena per mutation, a skeleton is built in one pass into
 // one arena, names on demand, nothing population-sized under ComponentLP.
 //
-// # Baselines
+// # Library
 //
-// The package also provides the non-LP schemes the paper compares against:
-// Proportional (the "endpoint enforcement" scheme of Figure 13, which
-// splits the request in proportion to direct agreement quantities,
-// ignoring availability) and Greedy (availability-aware but myopic).
-//
-// # Extensions (Section 3.2)
-//
-// Multi-resource requests solve one LP per resource type; coupled
-// resources can be bound into bundles allocated together; hierarchical
-// agreement structures are handled by multi-grid refinement (a group-level
-// LP followed by within-group LPs).
+// The paper's Section 3.2 extensions (multi-resource, coupled and
+// multi-view requests, multi-grid hierarchies), the baselines it compares
+// against (Figure 13's endpoint-proportional scheme, a greedy one) and a
+// lease ledger live in package planners, built on this package's exported
+// API. Nothing served imports them.
 package core

@@ -1,20 +1,23 @@
-package core
+package core_test
 
 import (
 	"errors"
 	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/planners"
 )
 
-func newTestLedger(t *testing.T) *Ledger {
+func newTestLedger(t *testing.T) *planners.Ledger {
 	t.Helper()
 	// Principal 1 shares 50% with 0.
-	al, err := NewAllocator([][]float64{{0, 0}, {0.5, 0}}, nil, Config{})
+	al, err := core.NewAllocator([][]float64{{0, 0}, {0.5, 0}}, nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLedger(al, []float64{10, 20})
+	l, err := planners.NewLedger(al, []float64{10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,15 +55,15 @@ func TestLedgerAcquireRelease(t *testing.T) {
 func TestLedgerInsufficient(t *testing.T) {
 	l := newTestLedger(t)
 	// C_0 = 10 + 10 = 20.
-	if _, err := l.Acquire(0, 25); !errors.Is(err, ErrInsufficient) {
-		t.Errorf("want ErrInsufficient, got %v", err)
+	if _, err := l.Acquire(0, 25); !errors.Is(err, core.ErrInsufficient) {
+		t.Errorf("want core.ErrInsufficient, got %v", err)
 	}
 	// Drain and verify the pool shrinks for the next caller: after taking
 	// 18, at most 12 remain with principal 1, of which 0 may use half.
 	if _, err := l.Acquire(0, 18); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Acquire(0, 7); !errors.Is(err, ErrInsufficient) {
+	if _, err := l.Acquire(0, 7); !errors.Is(err, core.ErrInsufficient) {
 		t.Errorf("second acquire should fail (capacity is now 6), got %v", err)
 	}
 }
@@ -117,11 +120,11 @@ func TestLedgerConcurrentAcquireRelease(t *testing.T) {
 			}
 		}
 	}
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := core.NewAllocator(s, nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLedger(al, v)
+	l, err := planners.NewLedger(al, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +175,11 @@ func TestLedgerOutstandingFor(t *testing.T) {
 }
 
 func TestNewLedgerValidation(t *testing.T) {
-	al, err := NewAllocator([][]float64{{0, 0}, {0, 0}}, nil, Config{})
+	al, err := core.NewAllocator([][]float64{{0, 0}, {0, 0}}, nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewLedger(al, []float64{-1, 2}); err == nil {
+	if _, err := planners.NewLedger(al, []float64{-1, 2}); err == nil {
 		t.Error("negative capacity accepted")
 	}
 }

@@ -1,20 +1,31 @@
-package core
+package core_test
 
 import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/planners"
+)
+
+// This file, multiview_test.go and ledger_test.go drive core through the
+// library in package planners. They are external tests so that they can
+// import it: planners imports core.
+var (
+	almost         = core.Almost
+	randomScenario = core.RandomScenario
 )
 
 func TestMultiPlan(t *testing.T) {
 	// Two types with different agreement structures.
 	sCPU := [][]float64{{0, 0}, {0.5, 0}}
 	sDisk := [][]float64{{0, 0}, {0.8, 0}}
-	mu := NewMulti(2)
-	if err := mu.AddType("cpu", sCPU, nil, Config{}); err != nil {
+	mu := planners.NewMulti(2)
+	if err := mu.AddType("cpu", sCPU, nil, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mu.AddType("disk", sDisk, nil, Config{}); err != nil {
+	if err := mu.AddType("disk", sDisk, nil, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	v := map[string][]float64{
@@ -38,11 +49,11 @@ func TestMultiPlan(t *testing.T) {
 
 func TestMultiPlanAtomicFailure(t *testing.T) {
 	s := [][]float64{{0, 0}, {0.5, 0}}
-	mu := NewMulti(2)
-	if err := mu.AddType("cpu", s, nil, Config{}); err != nil {
+	mu := planners.NewMulti(2)
+	if err := mu.AddType("cpu", s, nil, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mu.AddType("disk", s, nil, Config{}); err != nil {
+	if err := mu.AddType("disk", s, nil, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	v := map[string][]float64{
@@ -50,21 +61,21 @@ func TestMultiPlanAtomicFailure(t *testing.T) {
 		"disk": {0, 1}, // disk capacity for 0 is 0 + 0.5 = 0.5 < 3
 	}
 	_, err := mu.Plan(v, 0, map[string]float64{"cpu": 1, "disk": 3})
-	if !errors.Is(err, ErrInsufficient) {
-		t.Errorf("want ErrInsufficient, got %v", err)
+	if !errors.Is(err, core.ErrInsufficient) {
+		t.Errorf("want core.ErrInsufficient, got %v", err)
 	}
 }
 
 func TestMultiErrors(t *testing.T) {
-	mu := NewMulti(2)
+	mu := planners.NewMulti(2)
 	s := [][]float64{{0, 0}, {0.5, 0}}
-	if err := mu.AddType("cpu", s, nil, Config{}); err != nil {
+	if err := mu.AddType("cpu", s, nil, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mu.AddType("cpu", s, nil, Config{}); err == nil {
+	if err := mu.AddType("cpu", s, nil, core.Config{}); err == nil {
 		t.Error("duplicate type accepted")
 	}
-	if err := mu.AddType("bad", [][]float64{{0}}, nil, Config{}); err == nil {
+	if err := mu.AddType("bad", [][]float64{{0}}, nil, core.Config{}); err == nil {
 		t.Error("wrong-size matrix accepted")
 	}
 	if _, err := mu.Plan(map[string][]float64{}, 0, map[string]float64{"gpu": 1}); err == nil {
@@ -87,7 +98,7 @@ func TestMultiErrors(t *testing.T) {
 func TestCoupledPlan(t *testing.T) {
 	// A bundle consumes 2 cpu + 1 mem. Principal 1 shares 100% with 0.
 	s := [][]float64{{0, 0}, {1, 0}}
-	c, err := NewCoupled(s, nil, Config{}, map[string]float64{"cpu": 2, "mem": 1})
+	c, err := planners.NewCoupled(s, nil, core.Config{}, map[string]float64{"cpu": 2, "mem": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,25 +135,25 @@ func TestCoupledPlan(t *testing.T) {
 
 func TestCoupledInsufficient(t *testing.T) {
 	s := [][]float64{{0, 0}, {1, 0}}
-	c, err := NewCoupled(s, nil, Config{}, map[string]float64{"cpu": 1})
+	c, err := planners.NewCoupled(s, nil, core.Config{}, map[string]float64{"cpu": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := map[string][]float64{"cpu": {1, 1}}
-	if _, err := c.Plan(v, 0, 5); !errors.Is(err, ErrInsufficient) {
-		t.Errorf("want ErrInsufficient, got %v", err)
+	if _, err := c.Plan(v, 0, 5); !errors.Is(err, core.ErrInsufficient) {
+		t.Errorf("want core.ErrInsufficient, got %v", err)
 	}
 }
 
 func TestCoupledValidation(t *testing.T) {
 	s := [][]float64{{0, 0}, {1, 0}}
-	if _, err := NewCoupled(s, nil, Config{}, nil); err == nil {
+	if _, err := planners.NewCoupled(s, nil, core.Config{}, nil); err == nil {
 		t.Error("empty rates accepted")
 	}
-	if _, err := NewCoupled(s, nil, Config{}, map[string]float64{"cpu": -1}); err == nil {
+	if _, err := planners.NewCoupled(s, nil, core.Config{}, map[string]float64{"cpu": -1}); err == nil {
 		t.Error("negative rate accepted")
 	}
-	c, err := NewCoupled(s, nil, Config{}, map[string]float64{"cpu": 1})
+	c, err := planners.NewCoupled(s, nil, core.Config{}, map[string]float64{"cpu": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +168,7 @@ func TestCoupledValidation(t *testing.T) {
 func TestHierarchyFastPathStaysLocal(t *testing.T) {
 	// Two groups of two; requester's own group has plenty.
 	s := complete(4, 0.5)
-	h, err := NewHierarchy(s, nil, [][]int{{0, 1}, {2, 3}}, Config{})
+	h, err := planners.NewHierarchy(s, nil, [][]int{{0, 1}, {2, 3}}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +183,7 @@ func TestHierarchyFastPathStaysLocal(t *testing.T) {
 
 func TestHierarchyCrossGroup(t *testing.T) {
 	s := complete(4, 0.5)
-	h, err := NewHierarchy(s, nil, [][]int{{0, 1}, {2, 3}}, Config{})
+	h, err := planners.NewHierarchy(s, nil, [][]int{{0, 1}, {2, 3}}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +210,11 @@ func TestHierarchyCrossGroup(t *testing.T) {
 
 func TestHierarchyMatchesFlatFeasibility(t *testing.T) {
 	s := complete(6, 0.3)
-	h, err := NewHierarchy(s, nil, [][]int{{0, 1, 2}, {3, 4, 5}}, Config{})
+	h, err := planners.NewHierarchy(s, nil, [][]int{{0, 1, 2}, {3, 4, 5}}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := NewAllocator(s, nil, Config{})
+	flat, err := core.NewAllocator(s, nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +230,11 @@ func TestHierarchyMatchesFlatFeasibility(t *testing.T) {
 	// Both must respect per-source caps and sum to 9; hierarchy's θ may be
 	// modestly worse (it is an approximation).
 	var hSum, fSum float64
+	k := flat.FlowCoefficients()
 	for i := range v {
 		hSum += hp.Take[i]
 		fSum += fp.Take[i]
-		if cap := flat.sourceCap(v, i, 0); hp.Take[i] > cap+1e-6 && i != 0 {
+		if cap := min(v[i]*k[i][0], v[i]); hp.Take[i] > cap+1e-6 && i != 0 {
 			t.Errorf("hierarchy take[%d] = %g exceeds cap %g", i, hp.Take[i], cap)
 		}
 	}
@@ -235,12 +247,12 @@ func TestHierarchyMatchesFlatFeasibility(t *testing.T) {
 
 func TestHierarchyInsufficient(t *testing.T) {
 	s := complete(4, 0.1)
-	h, err := NewHierarchy(s, nil, [][]int{{0, 1}, {2, 3}}, Config{})
+	h, err := planners.NewHierarchy(s, nil, [][]int{{0, 1}, {2, 3}}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Plan([]float64{1, 1, 1, 1}, 0, 50); !errors.Is(err, ErrInsufficient) {
-		t.Errorf("want ErrInsufficient, got %v", err)
+	if _, err := h.Plan([]float64{1, 1, 1, 1}, 0, 50); !errors.Is(err, core.ErrInsufficient) {
+		t.Errorf("want core.ErrInsufficient, got %v", err)
 	}
 }
 
@@ -253,7 +265,7 @@ func TestHierarchyValidation(t *testing.T) {
 		{{0, 1}, {2, 9}},     // out of range
 	}
 	for i, groups := range cases {
-		if _, err := NewHierarchy(s, nil, groups, Config{}); err == nil {
+		if _, err := planners.NewHierarchy(s, nil, groups, core.Config{}); err == nil {
 			t.Errorf("case %d: invalid grouping accepted", i)
 		}
 	}
@@ -268,7 +280,7 @@ func TestProportionalIgnoresAvailability(t *testing.T) {
 		{0.5, 0, 0},
 		{0.5, 0, 0},
 	}
-	p, err := NewProportional(s, nil)
+	p, err := planners.NewProportional(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +299,7 @@ func TestProportionalIgnoresAvailability(t *testing.T) {
 
 func TestProportionalOwnFirst(t *testing.T) {
 	s := [][]float64{{0, 0}, {0.5, 0}}
-	p, err := NewProportional(s, nil)
+	p, err := planners.NewProportional(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +317,7 @@ func TestGreedyTakesFromLargestHeadroom(t *testing.T) {
 		{1, 0, 0},
 		{1, 0, 0},
 	}
-	g, err := NewGreedy(s, nil, Config{})
+	g, err := planners.NewGreedy(s, nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,18 +332,18 @@ func TestGreedyTakesFromLargestHeadroom(t *testing.T) {
 
 func TestGreedyInsufficient(t *testing.T) {
 	s := [][]float64{{0, 0}, {0.5, 0}}
-	g, err := NewGreedy(s, nil, Config{})
+	g, err := planners.NewGreedy(s, nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Plan([]float64{1, 2}, 0, 10); !errors.Is(err, ErrInsufficient) {
-		t.Errorf("want ErrInsufficient, got %v", err)
+	if _, err := g.Plan([]float64{1, 2}, 0, 10); !errors.Is(err, core.ErrInsufficient) {
+		t.Errorf("want core.ErrInsufficient, got %v", err)
 	}
 }
 
 func TestGreedyRespectsCaps(t *testing.T) {
 	s := [][]float64{{0, 0}, {0.4, 0}}
-	g, err := NewGreedy(s, nil, Config{})
+	g, err := planners.NewGreedy(s, nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +373,7 @@ func complete(n int, share float64) [][]float64 {
 func TestProportionalAbsoluteWeights(t *testing.T) {
 	s := [][]float64{{0, 0}, {0, 0}}
 	a := [][]float64{{0, 0}, {5, 0}}
-	p, err := NewProportional(s, a)
+	p, err := planners.NewProportional(s, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,17 +392,17 @@ func TestProportionalAbsoluteWeights(t *testing.T) {
 }
 
 func TestPlannersSatisfyInterface(t *testing.T) {
-	// Compile-time checks live in baselines.go; this exercises the
+	// Compile-time checks live in package planners; this exercises the
 	// dynamic path through the interface.
-	var planners []Planner
+	var all []planners.Planner
 	s := complete(3, 0.2)
-	al, _ := NewAllocator(s, nil, Config{})
-	pr, _ := NewProportional(s, nil)
-	gr, _ := NewGreedy(s, nil, Config{})
-	hi, _ := NewHierarchy(s, nil, [][]int{{0}, {1}, {2}}, Config{})
-	planners = append(planners, al, pr, gr, hi)
+	al, _ := core.NewAllocator(s, nil, core.Config{})
+	pr, _ := planners.NewProportional(s, nil)
+	gr, _ := planners.NewGreedy(s, nil, core.Config{})
+	hi, _ := planners.NewHierarchy(s, nil, [][]int{{0}, {1}, {2}}, core.Config{})
+	all = append(all, al, pr, gr, hi)
 	v := []float64{5, 5, 5}
-	for i, p := range planners {
+	for i, p := range all {
 		if p == nil {
 			t.Fatalf("planner %d is nil", i)
 		}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"errors"
@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core"
+	"repro/internal/planners"
 )
 
 // diskViews: principal 1 shares reads generously but writes stingily.
@@ -17,7 +20,7 @@ func diskViews() map[string][][]float64 {
 }
 
 func TestMultiViewPlanRespectsPerViewAgreements(t *testing.T) {
-	mv, err := NewMultiView(diskViews(), Config{})
+	mv, err := planners.NewMultiView(diskViews(), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func TestMultiViewSharedPhysicalPool(t *testing.T) {
 		"read":  {{0, 0}, {1, 0}},
 		"write": {{0, 0}, {1, 0}},
 	}
-	mv, err := NewMultiView(views, Config{})
+	mv, err := planners.NewMultiView(views, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,28 +64,28 @@ func TestMultiViewSharedPhysicalPool(t *testing.T) {
 }
 
 func TestMultiViewInsufficientPerView(t *testing.T) {
-	mv, err := NewMultiView(diskViews(), Config{})
+	mv, err := planners.NewMultiView(diskViews(), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Write entitlement is only 20% of 10 = 2.
 	_, err = mv.Plan([]float64{0, 10}, 0, map[string]float64{"write": 3})
-	if !errors.Is(err, ErrInsufficient) {
-		t.Errorf("want ErrInsufficient, got %v", err)
+	if !errors.Is(err, core.ErrInsufficient) {
+		t.Errorf("want core.ErrInsufficient, got %v", err)
 	}
 }
 
 func TestMultiViewValidation(t *testing.T) {
-	if _, err := NewMultiView(nil, Config{}); err == nil {
+	if _, err := planners.NewMultiView(nil, core.Config{}); err == nil {
 		t.Error("empty views accepted")
 	}
-	if _, err := NewMultiView(map[string][][]float64{
+	if _, err := planners.NewMultiView(map[string][][]float64{
 		"a": {{0, 0}, {0.5, 0}},
 		"b": {{0}},
-	}, Config{}); err == nil {
+	}, core.Config{}); err == nil {
 		t.Error("mismatched view sizes accepted")
 	}
-	mv, err := NewMultiView(diskViews(), Config{})
+	mv, err := planners.NewMultiView(diskViews(), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestMultiViewValidation(t *testing.T) {
 }
 
 func TestMultiViewCapacities(t *testing.T) {
-	mv, err := NewMultiView(diskViews(), Config{})
+	mv, err := planners.NewMultiView(diskViews(), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +112,11 @@ func TestMultiViewSingleViewMatchesAllocator(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s, v, requester, amount := randomScenario(rng)
-		al, err := NewAllocator(s, nil, Config{})
+		al, err := core.NewAllocator(s, nil, core.Config{})
 		if err != nil {
 			return false
 		}
-		mv, err := NewMultiView(map[string][][]float64{"only": s}, Config{})
+		mv, err := planners.NewMultiView(map[string][][]float64{"only": s}, core.Config{})
 		if err != nil {
 			return false
 		}

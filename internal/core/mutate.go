@@ -301,6 +301,3 @@ func (al *Allocator) Share(from, to int) float64 { return al.clo.Edge(from, to) 
 // Agreement returns the current absolute agreement entry A[from][to]
 // (zero when the allocator holds no absolute agreements).
 func (al *Allocator) Agreement(from, to int) float64 { return al.aAt(from, to) }
-
-// Shares returns a dense copy of the current relative agreement matrix.
-func (al *Allocator) Shares() [][]float64 { return al.clo.DenseS() }

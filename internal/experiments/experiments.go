@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/par"
+	"repro/internal/planners"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -316,7 +317,7 @@ func loopOrCompleteLevels(o Options, id, title string, skip int, share float64) 
 	levels := []int{1, 2, 3, o.Proxies - 1}
 	cfgs := make([]sim.Config, len(levels))
 	for i, lvl := range levels {
-		var planner core.Planner
+		var planner planners.Planner
 		var err error
 		if skip == 0 {
 			planner, err = sim.CompletePlanner(o.Proxies, share, core.Config{Level: lvl})
@@ -406,15 +407,15 @@ func Fig13(o Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	planners := []struct {
+	schemes := []struct {
 		label   string
-		planner core.Planner
+		planner planners.Planner
 	}{
 		{"linear programming", lpPlanner},
 		{"endpoint proportional", propPlanner},
 	}
-	cfgs := make([]sim.Config, len(planners))
-	for i, pl := range planners {
+	cfgs := make([]sim.Config, len(schemes))
+	for i, pl := range schemes {
 		cfgs[i] = o.baseConfig(p, m)
 		cfgs[i].Planner = pl.planner
 	}
@@ -424,7 +425,7 @@ func Fig13(o Options) (*Figure, error) {
 	}
 	var peak [2]float64
 	for i, res := range results {
-		pl := planners[i]
+		pl := schemes[i]
 		fig.Series = append(fig.Series, Series{
 			Label: pl.label,
 			X:     hours(res, o.Warmup),
@@ -475,7 +476,7 @@ func ExtOutage(o Options) (*Figure, error) {
 	}
 	cases := []struct {
 		label   string
-		planner core.Planner
+		planner planners.Planner
 	}{
 		{"no sharing", nil},
 		{"direct only", direct},

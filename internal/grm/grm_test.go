@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -519,6 +520,33 @@ func TestLoadSnapshotRejectsInvalid(t *testing.T) {
 	snap.Overdraft = true
 	if err := s.LoadSnapshot(snap); err != nil {
 		t.Fatalf("LoadSnapshot rejected a declared overdraft: %v", err)
+	}
+}
+
+// TestLoadSnapshotMemoryIsSparse pins what installing a snapshot costs on a
+// chain of 2000 principals: seeding the books reads the declared
+// capacities alone, so the load costs the agreements it holds (about
+// 9 MB), not two dense n×n matrices (about 72 MB; 160 GB at 10^5).
+func TestLoadSnapshotMemoryIsSparse(t *testing.T) {
+	const n = 2000
+	snap := &agreement.Snapshot{}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("p%d", i)
+		snap.Principals = append(snap.Principals, agreement.PrincipalSnapshot{Name: name})
+		snap.Resources = append(snap.Resources, agreement.ResourceSnapshot{Name: "r" + name, Type: "general", Owner: name, Capacity: 10})
+		if i > 0 {
+			snap.Agreements = append(snap.Agreements, agreement.AgreementSnapshot{From: fmt.Sprintf("p%d", i-1), To: name, Fraction: 0.5})
+		}
+	}
+	s := NewServer(core.Config{}, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.LoadSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 20 {
+		t.Errorf("LoadSnapshot of a %d-principal chain allocated %.1f MB, want ≤ 20", n, mb)
 	}
 }
 

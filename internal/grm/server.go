@@ -312,8 +312,9 @@ func (s *Server) installSnapshotLocked(snap *agreement.Snapshot, raw []byte) err
 	for name, pid := range principals {
 		s.names[pid] = name
 	}
-	// Seed availability from the declared "general" capacities.
-	m, err := sys.Matrices(agreement.General)
+	// Seed availability from the declared "general" capacities; only V is
+	// read, so the sparse collapse, never the dense n×n S and A.
+	m, err := sys.SparseMatrices(agreement.General)
 	if err != nil {
 		return fmt.Errorf("grm: LoadSnapshot: %w", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/grm"
 	"repro/internal/grm/faultnet"
 	"repro/internal/grm/transport"
+	"repro/internal/scenario"
 	"repro/internal/store"
 	"repro/internal/vclock"
 )
@@ -497,6 +498,32 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 		rep.Steps = step + 1
 	}
 	return rep, nil
+}
+
+// RecordCluster runs one seeded cluster schedule with a scenario recorder
+// tapping the server, returning the captured bundle alongside the cluster
+// report. The schedule is single-threaded, so the recording
+// replays exactly. `created` stamps the bundle's Created field.
+func RecordCluster(opts ClusterOptions, created time.Time) (*scenario.Bundle, *ClusterReport, error) {
+	if opts.Steps <= 0 {
+		opts.Steps = 100
+	}
+	if opts.TTL <= 0 {
+		opts.TTL = 10 * time.Second
+	}
+	rec := scenario.NewRecorder(scenario.Meta{
+		Name:    fmt.Sprintf("cluster-seed%d", opts.Seed),
+		Title:   fmt.Sprintf("recorded modeltest cluster schedule (seed %d, %d steps)", opts.Seed, opts.Steps),
+		Source:  "scenario record (internal/modeltest.RunCluster)",
+		Created: created.UTC().Format(time.RFC3339),
+		TTLMS:   opts.TTL.Milliseconds(),
+	})
+	opts.Tap = rec.Tap
+	rep, err := RunCluster(opts)
+	if err != nil {
+		return nil, rep, err
+	}
+	return rec.Bundle(), rep, nil
 }
 
 // fmtVec renders a float vector compactly and stably for the trace.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/planners"
 	"repro/internal/transitive"
 )
 
@@ -123,7 +124,7 @@ type checker struct {
 	al  *core.Allocator
 	mut Mutation
 	// greedy stands in for the LP under MutLP.
-	greedy *core.Greedy
+	greedy *planners.Greedy
 }
 
 func newChecker(g *Graph, mut Mutation) (*checker, error) {
@@ -133,7 +134,7 @@ func newChecker(g *Graph, mut Mutation) (*checker, error) {
 	}
 	c := &checker{g: g, o: NewOracle(g), al: al, mut: mut}
 	if mut == MutLP {
-		c.greedy, err = core.NewGreedy(g.S, g.A, core.Config{Level: g.Level})
+		c.greedy, err = planners.NewGreedy(g.S, g.A, core.Config{Level: g.Level})
 		if err != nil {
 			return nil, fmt.Errorf("greedy construction: %w", err)
 		}

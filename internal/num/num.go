@@ -1,5 +1,5 @@
 // Package num centralizes floating-point comparison policy for the
-// numeric layers (lp, transitive, core, agreement). Raw ==/!= on floats
+// numeric layers (lp, transitive, core, planners, agreement). Raw ==/!= on floats
 // is banned there by the sharingvet floateq analyzer; comparisons must go
 // through these helpers so every call site states whether it wants exact
 // (bit-level, e.g. sparsity guards) or tolerant (epsilon) semantics.

@@ -1,10 +1,10 @@
-package core
+package planners
 
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/lp"
-
 	"repro/internal/num"
 )
 
@@ -20,17 +20,16 @@ import (
 // contributing group, each over only that group's members. For g groups of
 // size k this costs O(g³ + g·k³) simplex work instead of O((gk)³).
 type Hierarchy struct {
-	full   *Allocator
+	full   *core.Allocator
 	groups [][]int
 	of     []int // principal -> group index
-	coarse *Allocator
-	cfg    Config
+	coarse *core.Allocator
 }
 
 // NewHierarchy builds a hierarchical planner over the full agreement
 // matrices with the given disjoint groups covering all principals.
-func NewHierarchy(s, a [][]float64, groups [][]int, cfg Config) (*Hierarchy, error) {
-	full, err := NewAllocator(s, a, cfg)
+func NewHierarchy(s, a [][]float64, groups [][]int, cfg core.Config) (*Hierarchy, error) {
+	full, err := core.NewAllocator(s, a, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -41,21 +40,21 @@ func NewHierarchy(s, a [][]float64, groups [][]int, cfg Config) (*Hierarchy, err
 	}
 	for g, members := range groups {
 		if len(members) == 0 {
-			return nil, fmt.Errorf("core: NewHierarchy: group %d is empty", g)
+			return nil, fmt.Errorf("planners: NewHierarchy: group %d is empty", g)
 		}
 		for _, p := range members {
 			if p < 0 || p >= n {
-				return nil, fmt.Errorf("core: NewHierarchy: group %d member %d out of range", g, p)
+				return nil, fmt.Errorf("planners: NewHierarchy: group %d member %d out of range", g, p)
 			}
 			if of[p] != -1 {
-				return nil, fmt.Errorf("core: NewHierarchy: principal %d in two groups", p)
+				return nil, fmt.Errorf("planners: NewHierarchy: principal %d in two groups", p)
 			}
 			of[p] = g
 		}
 	}
 	for p, g := range of {
 		if g == -1 {
-			return nil, fmt.Errorf("core: NewHierarchy: principal %d not in any group", p)
+			return nil, fmt.Errorf("planners: NewHierarchy: principal %d not in any group", p)
 		}
 	}
 
@@ -85,7 +84,11 @@ func NewHierarchy(s, a [][]float64, groups [][]int, cfg Config) (*Hierarchy, err
 		}
 	}
 	for g := range sg {
-		if sum := rowSum(sg[g]); sum > 1 {
+		var sum float64
+		for _, x := range sg[g] {
+			sum += x
+		}
+		if sum > 1 {
 			// Keep the coarse model conservative; the fine grid enforces
 			// the real per-member caps anyway.
 			for j := range sg[g] {
@@ -93,11 +96,11 @@ func NewHierarchy(s, a [][]float64, groups [][]int, cfg Config) (*Hierarchy, err
 			}
 		}
 	}
-	coarse, err := NewAllocator(sg, ag, Config{Level: cfg.Level, Approx: cfg.Approx})
+	coarse, err := core.NewAllocator(sg, ag, core.Config{Level: cfg.Level, Approx: cfg.Approx})
 	if err != nil {
-		return nil, fmt.Errorf("core: NewHierarchy: coarse allocator: %w", err)
+		return nil, fmt.Errorf("planners: NewHierarchy: coarse allocator: %w", err)
 	}
-	return &Hierarchy{full: full, groups: groups, of: of, coarse: coarse, cfg: cfg}, nil
+	return &Hierarchy{full: full, groups: groups, of: of, coarse: coarse}, nil
 }
 
 // Capacities reports the exact (full-matrix) capacities.
@@ -107,13 +110,12 @@ func (h *Hierarchy) Capacities(v []float64) []float64 { return h.full.Capacities
 // can satisfy the request it never leaves the group; otherwise the coarse
 // LP splits the request across groups and a fine LP inside each
 // contributing group picks the actual sources.
-func (h *Hierarchy) Plan(v []float64, requester int, amount float64) (*Allocation, error) {
-	h.full.checkV(v)
+func (h *Hierarchy) Plan(v []float64, requester int, amount float64) (*core.Allocation, error) {
 	if amount < 0 {
-		return nil, fmt.Errorf("core: negative request %g", amount)
+		return nil, fmt.Errorf("planners: negative request %g", amount)
 	}
 	n := h.full.N()
-	out := &Allocation{Take: make([]float64, n), NewV: append([]float64(nil), v...)}
+	out := &core.Allocation{Take: make([]float64, n), NewV: append([]float64(nil), v...)}
 	if num.IsZero(amount) {
 		return out, nil
 	}
@@ -124,7 +126,7 @@ func (h *Hierarchy) Plan(v []float64, requester int, amount float64) (*Allocatio
 		if err := h.refineGroup(v, out, g, requester, amount); err != nil {
 			return nil, err
 		}
-		out.Theta = h.full.perturbation(v, out.NewV, requester)
+		out.Theta = perturbation(h.full, v, out.NewV, requester)
 		return out, nil
 	}
 
@@ -137,11 +139,11 @@ func (h *Hierarchy) Plan(v []float64, requester int, amount float64) (*Allocatio
 		reachable += vg[gi]
 	}
 	if reachable < amount-1e-9 {
-		return nil, fmt.Errorf("%w: groups can supply %g of requested %g", ErrInsufficient, reachable, amount)
+		return nil, fmt.Errorf("%w: groups can supply %g of requested %g", core.ErrInsufficient, reachable, amount)
 	}
 	groupTake, err := h.coarsePlan(vg, g, amount)
 	if err != nil {
-		return nil, fmt.Errorf("core: hierarchy coarse grid: %w", err)
+		return nil, fmt.Errorf("planners: hierarchy coarse grid: %w", err)
 	}
 
 	// Fine grid: refine inside each contributing group.
@@ -154,23 +156,8 @@ func (h *Hierarchy) Plan(v []float64, requester int, amount float64) (*Allocatio
 			return nil, err
 		}
 	}
-	out.Theta = h.full.perturbation(v, out.NewV, requester)
+	out.Theta = perturbation(h.full, v, out.NewV, requester)
 	return out, nil
-}
-
-// perturbation recomputes θ = max_{i≠requester} (C_i − C'_i) from first
-// principles for an allocation in dense form.
-func (al *Allocator) perturbation(v, newV []float64, requester int) float64 {
-	worst := 0.0
-	for i := range v {
-		if i == requester {
-			continue
-		}
-		if d := al.capacity(v, i) - al.capacity(newV, i); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }
 
 // coarsePlan distributes `amount` across groups: take_g ∈ [0, vg_g],
@@ -179,48 +166,16 @@ func (al *Allocator) perturbation(v, newV []float64, requester int) float64 {
 // exportable headroom directly (vg is already capped per member), so the
 // averaged coefficients steer the objective without re-capping supply.
 func (h *Hierarchy) coarsePlan(vg []float64, home int, amount float64) ([]float64, error) {
-	ng := len(h.groups)
-	m := lp.NewModel(lp.Minimize)
-	take := make([]lp.VarID, ng)
-	for gi := 0; gi < ng; gi++ {
-		take[gi] = m.AddVar(fmt.Sprintf("take_g%d", gi), 0, vg[gi], 0)
+	groups := make([]int, len(vg))
+	for gi := range groups {
+		groups[gi] = gi
 	}
-	theta := m.AddVar("theta", 0, lp.Inf, 1)
-	terms := make([]lp.Term, ng)
-	for gi := 0; gi < ng; gi++ {
-		terms[gi] = lp.Term{Var: take[gi], Coeff: 1}
-	}
-	m.AddConstraint("consume", terms, lp.EQ, amount)
-	for gi := 0; gi < ng; gi++ {
-		if gi == home {
-			continue
-		}
-		row := []lp.Term{{Var: theta, Coeff: -1}}
-		for gk := 0; gk < ng; gk++ {
-			coeff := h.coarse.kAt(gk, gi)
-			if gk == gi {
-				coeff = 1
-			}
-			if !num.IsZero(coeff) {
-				row = append(row, lp.Term{Var: take[gk], Coeff: coeff})
-			}
-		}
-		m.AddConstraint(fmt.Sprintf("perturb_g%d", gi), row, lp.LE, 0)
-	}
-	sol, err := m.Solve()
+	out, err := gridLP(h.coarse, groups, vg, home, amount)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, ng)
-	for gi := range out {
-		x := sol.Value(take[gi])
-		if x < 0 {
-			x = 0
-		}
-		if x > vg[gi] {
-			x = vg[gi]
-		}
-		out[gi] = x
+	for gi, x := range out {
+		out[gi] = min(max(x, 0), vg[gi])
 	}
 	// Absorb round-off in the home group if possible.
 	var sum float64
@@ -237,11 +192,7 @@ func (h *Hierarchy) coarsePlan(vg []float64, home int, amount float64) ([]float6
 func (h *Hierarchy) groupHeadroom(v []float64, g, requester int) float64 {
 	var sum float64
 	for _, p := range h.groups[g] {
-		if p == requester {
-			sum += v[p]
-		} else {
-			sum += h.full.sourceCap(v, p, requester)
-		}
+		sum += capToward(h.full, v, p, requester)
 	}
 	return sum
 }
@@ -250,68 +201,67 @@ func (h *Hierarchy) groupHeadroom(v []float64, g, requester int) float64 {
 // its members, minimizing the worst member-capacity perturbation, honoring
 // each member's agreement cap toward the requester. It updates out in
 // place.
-func (h *Hierarchy) refineGroup(v []float64, out *Allocation, g, requester int, amount float64) error {
+func (h *Hierarchy) refineGroup(v []float64, out *core.Allocation, g, requester int, amount float64) error {
 	members := h.groups[g]
 	if have := h.groupHeadroom(v, g, requester); have < amount-1e-9 {
-		return fmt.Errorf("%w: group %d can supply %g of requested %g", ErrInsufficient, g, have, amount)
+		return fmt.Errorf("%w: group %d can supply %g of requested %g", core.ErrInsufficient, g, have, amount)
 	}
-	m := lp.NewModel(lp.Minimize)
-	take := make([]lp.VarID, len(members))
+	caps := make([]float64, len(members))
 	for idx, p := range members {
-		cap := h.full.sourceCap(v, p, requester)
-		if p == requester {
-			cap = v[p]
-		}
-		take[idx] = m.AddVar(fmt.Sprintf("take_%d", p), 0, cap, 0)
+		caps[idx] = capToward(h.full, v, p, requester)
 	}
-	theta := m.AddVar("theta", 0, lp.Inf, 1)
-	terms := make([]lp.Term, len(members))
-	for idx := range members {
-		terms[idx] = lp.Term{Var: take[idx], Coeff: 1}
-	}
-	m.AddConstraint("consume", terms, lp.EQ, amount)
-	// Perturbation of member i's capacity from takes inside this group:
-	// ΔC_i = take_i + Σ_{k∈g, k≠i} K[k][i]·take_k  <=  θ.
-	for _, i := range members {
-		if i == requester {
-			continue
-		}
-		row := []lp.Term{{Var: theta, Coeff: -1}}
-		for idx, k := range members {
-			coeff := h.full.kAt(k, i)
-			if k == i {
-				coeff = 1
-			}
-			if !num.IsZero(coeff) {
-				row = append(row, lp.Term{Var: take[idx], Coeff: coeff})
-			}
-		}
-		m.AddConstraint(fmt.Sprintf("perturb_%d", i), row, lp.LE, 0)
-	}
-	sol, err := m.Solve()
+	takes, err := gridLP(h.full, members, caps, requester, amount)
 	if err != nil {
-		return fmt.Errorf("core: hierarchy fine grid (group %d): %w", g, err)
+		return fmt.Errorf("planners: hierarchy fine grid (group %d): %w", g, err)
 	}
 	for idx, p := range members {
-		amt := sol.Value(take[idx])
-		if amt < 0 {
-			amt = 0
-		}
-		if amt > out.NewV[p] {
-			amt = out.NewV[p]
-		}
+		amt := min(max(takes[idx], 0), out.NewV[p])
 		out.Take[p] += amt
 		out.NewV[p] -= amt
 	}
 	return nil
 }
 
-func rowSum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
+// gridLP is the LP both grids solve, over the given nodes of al (groups of
+// the coarse allocator, members of the full one): take_x ∈ [0, caps[x]]
+// from nodes[x], Σ take = amount, minimizing θ subject to each node i's
+// capacity drop ΔC_i = take_i + Σ_{k≠i} K[k][i]·take_k ≤ θ — for every node
+// but skip, whose own drop is the request. It returns the takes as solved.
+func gridLP(al *core.Allocator, nodes []int, caps []float64, skip int, amount float64) ([]float64, error) {
+	m := lp.NewModel(lp.Minimize)
+	take := make([]lp.VarID, len(nodes))
+	for x, p := range nodes {
+		take[x] = m.AddVar(fmt.Sprintf("take_%d", p), 0, caps[x], 0)
 	}
-	return s
+	theta := m.AddVar("theta", 0, lp.Inf, 1)
+	terms := make([]lp.Term, len(nodes))
+	for x := range nodes {
+		terms[x] = lp.Term{Var: take[x], Coeff: 1}
+	}
+	m.AddConstraint("consume", terms, lp.EQ, amount)
+	for _, i := range nodes {
+		if i == skip {
+			continue
+		}
+		row := []lp.Term{{Var: theta, Coeff: -1}}
+		for x, k := range nodes {
+			coeff := 1.0
+			if k != i {
+				coeff = kAt(al, k, i)
+			}
+			if !num.IsZero(coeff) {
+				row = append(row, lp.Term{Var: take[x], Coeff: coeff})
+			}
+		}
+		m.AddConstraint(fmt.Sprintf("perturb_%d", i), row, lp.LE, 0)
+	}
+	sol, err := m.Solve()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(nodes))
+	for x := range out {
+		out[x] = sol.Value(take[x])
+	}
+	return out, nil
 }
-
-var _ Planner = (*Hierarchy)(nil)

@@ -1,4 +1,4 @@
-package core
+package planners
 
 import (
 	"fmt"
@@ -7,9 +7,9 @@ import (
 
 // Ledger adds an allocation lifecycle on top of a Planner: it owns the
 // availability vector, applies planned takes when a request is admitted,
-// and returns them when the allocation is released. The GRM uses one to
-// keep its availability view consistent across concurrent LRMs (resources
-// flow back on job completion instead of leaking away).
+// and returns them when the allocation is released, so resources flow back
+// on job completion instead of leaking away. The batch simulator and the
+// sharing facade use one; the GRM keeps its own books (package grm).
 //
 // A Ledger is safe for concurrent use.
 type Ledger struct {
@@ -35,7 +35,7 @@ type Lease struct {
 func NewLedger(planner Planner, capacity []float64) (*Ledger, error) {
 	for i, c := range capacity {
 		if c < 0 {
-			return nil, fmt.Errorf("core: NewLedger: capacity[%d] = %g negative", i, c)
+			return nil, fmt.Errorf("planners: NewLedger: capacity[%d] = %g negative", i, c)
 		}
 	}
 	l := &Ledger{
@@ -69,12 +69,12 @@ func (l *Ledger) Capacities() []float64 {
 // until leases drain).
 func (l *Ledger) SetCapacity(principal int, capacity float64) error {
 	if capacity < 0 {
-		return fmt.Errorf("core: SetCapacity: negative capacity %g", capacity)
+		return fmt.Errorf("planners: SetCapacity: negative capacity %g", capacity)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if principal < 0 || principal >= len(l.base) {
-		return fmt.Errorf("core: SetCapacity: unknown principal %d", principal)
+		return fmt.Errorf("planners: SetCapacity: unknown principal %d", principal)
 	}
 	delta := capacity - l.base[principal]
 	l.base[principal] = capacity
@@ -89,7 +89,7 @@ func (l *Ledger) SetCapacity(principal int, capacity float64) error {
 }
 
 // Acquire plans and admits an allocation atomically, returning the lease.
-// The planner's ErrInsufficient passes through when capacity is short.
+// The planner's core.ErrInsufficient passes through when capacity is short.
 func (l *Ledger) Acquire(requester int, amount float64) (*Lease, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -123,7 +123,7 @@ func (l *Ledger) Release(id int) error {
 	defer l.mu.Unlock()
 	lease, ok := l.leases[id]
 	if !ok {
-		return fmt.Errorf("core: Release: unknown lease %d", id)
+		return fmt.Errorf("planners: Release: unknown lease %d", id)
 	}
 	delete(l.leases, id)
 	for i, take := range lease.Take {

@@ -1,9 +1,11 @@
-package core
+package planners
 
 import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/core"
 )
 
 // Multi plans requests that span several resource types at once
@@ -22,14 +24,14 @@ func NewMulti(n int) *Multi {
 }
 
 // AddType registers the agreement matrices for one resource type.
-func (mu *Multi) AddType(name string, s, a [][]float64, cfg Config) error {
+func (mu *Multi) AddType(name string, s, a [][]float64, cfg core.Config) error {
 	if _, dup := mu.planners[name]; dup {
-		return fmt.Errorf("core: resource type %q already registered", name)
+		return fmt.Errorf("planners: resource type %q already registered", name)
 	}
 	if len(s) != mu.n {
-		return fmt.Errorf("core: type %q has %d principals, planner has %d", name, len(s), mu.n)
+		return fmt.Errorf("planners: type %q has %d principals, planner has %d", name, len(s), mu.n)
 	}
-	al, err := NewAllocator(s, a, cfg)
+	al, err := core.NewAllocator(s, a, cfg)
 	if err != nil {
 		return err
 	}
@@ -50,24 +52,24 @@ func (mu *Multi) Types() []string {
 // Plan allocates a multi-type request: request[t] units of each type t for
 // the requester, given availability v[t] per type. If any type cannot be
 // satisfied the whole request fails and nothing is reported as allocated.
-func (mu *Multi) Plan(v map[string][]float64, requester int, request map[string]float64) (map[string]*Allocation, error) {
+func (mu *Multi) Plan(v map[string][]float64, requester int, request map[string]float64) (map[string]*core.Allocation, error) {
 	// Deterministic order, and validation before any planning.
 	types := make([]string, 0, len(request))
 	for t := range request {
 		if _, ok := mu.planners[t]; !ok {
-			return nil, fmt.Errorf("core: unknown resource type %q in request", t)
+			return nil, fmt.Errorf("planners: unknown resource type %q in request", t)
 		}
 		if _, ok := v[t]; !ok {
-			return nil, fmt.Errorf("core: no availability vector for type %q", t)
+			return nil, fmt.Errorf("planners: no availability vector for type %q", t)
 		}
 		types = append(types, t)
 	}
 	sort.Strings(types)
-	out := make(map[string]*Allocation, len(types))
+	out := make(map[string]*core.Allocation, len(types))
 	for _, t := range types {
 		alloc, err := mu.planners[t].Plan(v[t], requester, request[t])
 		if err != nil {
-			return nil, fmt.Errorf("core: type %q: %w", t, err)
+			return nil, fmt.Errorf("planners: type %q: %w", t, err)
 		}
 		out[t] = alloc
 	}
@@ -80,7 +82,7 @@ func (mu *Multi) Capacities(v map[string][]float64) (map[string][]float64, error
 	for t, p := range mu.planners {
 		vec, ok := v[t]
 		if !ok {
-			return nil, fmt.Errorf("core: no availability vector for type %q", t)
+			return nil, fmt.Errorf("planners: no availability vector for type %q", t)
 		}
 		out[t] = p.Capacities(vec)
 	}
@@ -92,7 +94,7 @@ func (mu *Multi) Capacities(v map[string][]float64) (map[string][]float64, error
 // component types are bound into a bundle with fixed per-bundle rates, and
 // the bundle is allocated as a single new resource type.
 type Coupled struct {
-	alloc *Allocator
+	alloc *core.Allocator
 	rates map[string]float64
 	types []string
 }
@@ -101,19 +103,19 @@ type Coupled struct {
 // component type consumed per bundle unit (all positive); s and a are the
 // agreement matrices governing the bundle (the paper treats the bound
 // combination as a new resource type with its own agreements).
-func NewCoupled(s, a [][]float64, cfg Config, rates map[string]float64) (*Coupled, error) {
+func NewCoupled(s, a [][]float64, cfg core.Config, rates map[string]float64) (*Coupled, error) {
 	if len(rates) == 0 {
-		return nil, fmt.Errorf("core: NewCoupled: empty rate table")
+		return nil, fmt.Errorf("planners: NewCoupled: empty rate table")
 	}
 	types := make([]string, 0, len(rates))
 	for t, r := range rates {
 		if r <= 0 {
-			return nil, fmt.Errorf("core: NewCoupled: rate for %q is %g, must be positive", t, r)
+			return nil, fmt.Errorf("planners: NewCoupled: rate for %q is %g, must be positive", t, r)
 		}
 		types = append(types, t)
 	}
 	sort.Strings(types)
-	al, err := NewAllocator(s, a, cfg)
+	al, err := core.NewAllocator(s, a, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -132,10 +134,10 @@ func (c *Coupled) BundleAvailability(v map[string][]float64) ([]float64, error) 
 	for _, t := range c.types {
 		vec, ok := v[t]
 		if !ok {
-			return nil, fmt.Errorf("core: no availability vector for component %q", t)
+			return nil, fmt.Errorf("planners: no availability vector for component %q", t)
 		}
 		if len(vec) != n {
-			return nil, fmt.Errorf("core: component %q has %d principals, want %d", t, len(vec), n)
+			return nil, fmt.Errorf("planners: component %q has %d principals, want %d", t, len(vec), n)
 		}
 		for i, x := range vec {
 			if b := x / c.rates[t]; b < out[i] {
@@ -149,7 +151,7 @@ func (c *Coupled) BundleAvailability(v map[string][]float64) ([]float64, error) 
 // Plan allocates `bundles` coupled units for the requester and expands the
 // result into per-component takes. Every component of a bundle comes from
 // the same principal by construction.
-func (c *Coupled) Plan(v map[string][]float64, requester int, bundles float64) (map[string]*Allocation, error) {
+func (c *Coupled) Plan(v map[string][]float64, requester int, bundles float64) (map[string]*core.Allocation, error) {
 	avail, err := c.BundleAvailability(v)
 	if err != nil {
 		return nil, err
@@ -158,9 +160,9 @@ func (c *Coupled) Plan(v map[string][]float64, requester int, bundles float64) (
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*Allocation, len(c.types))
+	out := make(map[string]*core.Allocation, len(c.types))
 	for _, t := range c.types {
-		a := &Allocation{
+		a := &core.Allocation{
 			Take:  make([]float64, len(plan.Take)),
 			NewV:  make([]float64, len(plan.Take)),
 			Theta: plan.Theta,

@@ -1,12 +1,11 @@
-package core
+package planners
 
 import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/lp"
-	"repro/internal/transitive"
-
 	"repro/internal/num"
 )
 
@@ -25,17 +24,17 @@ import (
 type MultiView struct {
 	n     int
 	views []string
-	// k[view] are the capped transitive coefficients for that view.
-	k map[string][][]float64
+	// al[view] holds that view's agreements and flow coefficients.
+	al map[string]*core.Allocator
 }
 
 // NewMultiView builds a multi-view planner. Every view's matrix must
 // cover the same n principals.
-func NewMultiView(views map[string][][]float64, cfg Config) (*MultiView, error) {
+func NewMultiView(views map[string][][]float64, cfg core.Config) (*MultiView, error) {
 	if len(views) == 0 {
-		return nil, fmt.Errorf("core: NewMultiView: no views")
+		return nil, fmt.Errorf("planners: NewMultiView: no views")
 	}
-	mv := &MultiView{k: map[string][][]float64{}}
+	mv := &MultiView{al: map[string]*core.Allocator{}}
 	for name := range views {
 		mv.views = append(mv.views, name)
 	}
@@ -44,25 +43,13 @@ func NewMultiView(views map[string][][]float64, cfg Config) (*MultiView, error) 
 	for _, name := range mv.views {
 		s := views[name]
 		if len(s) != mv.n {
-			return nil, fmt.Errorf("core: NewMultiView: view %q has %d principals, want %d", name, len(s), mv.n)
+			return nil, fmt.Errorf("planners: NewMultiView: view %q has %d principals, want %d", name, len(s), mv.n)
 		}
-		if err := transitive.Validate(s); err != nil {
-			return nil, fmt.Errorf("core: NewMultiView: view %q: %w", name, err)
-		}
-		level := cfg.Level
-		if level <= 0 {
-			level = mv.n - 1
-		}
-		sCols, sVals := make([][]int32, mv.n), make([][]float64, mv.n)
-		for i, row := range s {
-			sCols[i], sVals[i] = transitive.RowOf(row)
-		}
-		clo, err := transitive.NewClosureBudget(mv.n, sCols, sVals, level, cfg.Approx, exactBudget)
+		al, err := core.NewAllocator(s, nil, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("core: NewMultiView: view %q needs Config.Approx (graph too dense for exact closure): %w", name, err)
+			return nil, fmt.Errorf("planners: NewMultiView: view %q: %w", name, err)
 		}
-		t := clo.T()
-		mv.k[name] = transitive.Cap(t)
+		mv.al[name] = al
 	}
 	return mv, nil
 }
@@ -77,7 +64,7 @@ func (mv *MultiView) Views() []string { return append([]string(nil), mv.views...
 func (mv *MultiView) Capacities(v []float64) map[string][]float64 {
 	out := make(map[string][]float64, len(mv.views))
 	for _, name := range mv.views {
-		out[name] = transitive.Capacities(v, mv.k[name], nil)
+		out[name] = mv.al[name].Capacities(v)
 	}
 	return out
 }
@@ -92,34 +79,31 @@ func (mv *MultiView) Capacities(v []float64) map[string][]float64 {
 //
 // minimizing θ. Returns one Allocation per view; the per-view takes sum
 // to the request and jointly respect the physical pools.
-func (mv *MultiView) Plan(v []float64, requester int, request map[string]float64) (map[string]*Allocation, error) {
+func (mv *MultiView) Plan(v []float64, requester int, request map[string]float64) (map[string]*core.Allocation, error) {
 	if len(v) != mv.n {
-		panic(fmt.Sprintf("core: MultiView.Plan: %d capacities for %d principals", len(v), mv.n))
+		panic(fmt.Sprintf("planners: MultiView.Plan: %d capacities for %d principals", len(v), mv.n))
 	}
 	if requester < 0 || requester >= mv.n {
-		panic(fmt.Sprintf("core: MultiView.Plan: requester %d out of range", requester))
+		panic(fmt.Sprintf("planners: MultiView.Plan: requester %d out of range", requester))
 	}
 	asked := make([]string, 0, len(request))
-	var totalAsk float64
 	for name, amt := range request {
-		if _, ok := mv.k[name]; !ok {
-			return nil, fmt.Errorf("core: MultiView.Plan: unknown view %q", name)
+		if _, ok := mv.al[name]; !ok {
+			return nil, fmt.Errorf("planners: MultiView.Plan: unknown view %q", name)
 		}
 		if amt < 0 {
-			return nil, fmt.Errorf("core: MultiView.Plan: negative request %g for view %q", amt, name)
+			return nil, fmt.Errorf("planners: MultiView.Plan: negative request %g for view %q", amt, name)
 		}
 		asked = append(asked, name)
-		totalAsk += amt
 	}
 	sort.Strings(asked)
 
-	// Feasibility pre-checks with precise errors: per-view entitlement
-	// and the joint physical pool.
+	// Feasibility pre-check with a precise error: per-view entitlement.
+	// The joint physical pool is left to the LP.
 	for _, name := range asked {
-		caps := transitive.Capacities(v, mv.k[name], nil)
-		if caps[requester] < request[name]-1e-9 {
+		if c := mv.al[name].Capacity(v, requester); c < request[name]-1e-9 {
 			return nil, fmt.Errorf("%w: view %q capacity %g, requested %g",
-				ErrInsufficient, name, caps[requester], request[name])
+				core.ErrInsufficient, name, c, request[name])
 		}
 	}
 
@@ -128,14 +112,7 @@ func (mv *MultiView) Plan(v []float64, requester int, request map[string]float64
 	for _, name := range asked {
 		vars := make([]lp.VarID, mv.n)
 		for i := 0; i < mv.n; i++ {
-			hi := v[i]
-			if i != requester {
-				u := v[i] * mv.k[name][i][requester]
-				if u < hi {
-					hi = u
-				}
-			}
-			vars[i] = m.AddVar(fmt.Sprintf("take_%s_%d", name, i), 0, hi, 0)
+			vars[i] = m.AddVar(fmt.Sprintf("take_%s_%d", name, i), 0, capToward(mv.al[name], v, i, requester), 0)
 		}
 		take[name] = vars
 	}
@@ -166,9 +143,9 @@ func (mv *MultiView) Plan(v []float64, requester int, request map[string]float64
 			}
 			terms := []lp.Term{{Var: theta, Coeff: -1}}
 			for k := 0; k < mv.n; k++ {
-				coeff := mv.k[w][k][j]
-				if k == j {
-					coeff = 1
+				coeff := 1.0
+				if k != j {
+					coeff = kAt(mv.al[w], k, j)
 				}
 				if num.IsZero(coeff) {
 					continue
@@ -183,11 +160,11 @@ func (mv *MultiView) Plan(v []float64, requester int, request map[string]float64
 
 	sol, err := m.Solve()
 	if err != nil {
-		return nil, fmt.Errorf("core: multi-view LP failed: %w", err)
+		return nil, fmt.Errorf("planners: multi-view LP failed: %w", err)
 	}
-	out := make(map[string]*Allocation, len(asked))
+	out := make(map[string]*core.Allocation, len(asked))
 	for _, name := range asked {
-		alloc := &Allocation{Take: make([]float64, mv.n), NewV: make([]float64, mv.n), Theta: sol.Objective}
+		alloc := &core.Allocation{Take: make([]float64, mv.n), NewV: make([]float64, mv.n), Theta: sol.Objective}
 		for i := 0; i < mv.n; i++ {
 			x := sol.Value(take[name][i])
 			if x < 1e-12 {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/grm"
-	"repro/internal/modeltest"
 )
 
 // Recorder captures live GRM traffic into a bundle. Install it with
@@ -158,30 +157,4 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.events)
-}
-
-// RecordCluster runs one seeded modeltest cluster schedule with a
-// recorder tapping the server, returning the captured bundle alongside
-// the cluster report. The schedule is single-threaded, so the recording
-// replays exactly. `created` stamps the bundle's Created field.
-func RecordCluster(opts modeltest.ClusterOptions, created time.Time) (*Bundle, *modeltest.ClusterReport, error) {
-	if opts.Steps <= 0 {
-		opts.Steps = 100
-	}
-	if opts.TTL <= 0 {
-		opts.TTL = 10 * time.Second
-	}
-	rec := NewRecorder(Meta{
-		Name:    fmt.Sprintf("cluster-seed%d", opts.Seed),
-		Title:   fmt.Sprintf("recorded modeltest cluster schedule (seed %d, %d steps)", opts.Seed, opts.Steps),
-		Source:  "scenario record (internal/modeltest.RunCluster)",
-		Created: created.UTC().Format(time.RFC3339),
-		TTLMS:   opts.TTL.Milliseconds(),
-	})
-	opts.Tap = rec.Tap
-	rep, err := modeltest.RunCluster(opts)
-	if err != nil {
-		return nil, rep, err
-	}
-	return rec.Bundle(), rep, nil
 }

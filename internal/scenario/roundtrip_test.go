@@ -1,4 +1,4 @@
-package scenario
+package scenario_test
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/grm"
 	"repro/internal/modeltest"
+	"repro/internal/scenario"
 )
 
 // TestRecordReplayRoundTrip records seeded modeltest cluster schedules
@@ -24,7 +25,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 7} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			bundle, rep, err := RecordCluster(modeltest.ClusterOptions{
+			bundle, rep, err := modeltest.RecordCluster(modeltest.ClusterOptions{
 				Seed:  seed,
 				Steps: 40,
 				TTL:   10 * time.Second,
@@ -41,15 +42,15 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 
 			// The bundle must survive its own codec before replay.
 			dir := filepath.Join(t.TempDir(), bundle.Meta.Name)
-			if err := WriteBundle(dir, bundle); err != nil {
+			if err := scenario.WriteBundle(dir, bundle); err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			reread, err := ReadBundle(dir)
+			reread, err := scenario.ReadBundle(dir)
 			if err != nil {
 				t.Fatalf("reread: %v", err)
 			}
 
-			res, err := Replay(reread, ReplayOptions{})
+			res, err := scenario.Replay(reread, scenario.ReplayOptions{})
 			if err != nil {
 				t.Fatalf("replay: %v", err)
 			}
@@ -73,7 +74,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 // recorded schedule polluted with them would replay fine but bloat
 // every bundle.
 func TestRecorderSkipsReadOnlyOps(t *testing.T) {
-	rec := NewRecorder(Meta{Name: "x"})
+	rec := scenario.NewRecorder(scenario.Meta{Name: "x"})
 	rec.Tap(grm.TapEvent{Req: &grm.Request{Ping: &grm.PingRequest{}}, Resp: &grm.Response{Ping: &grm.PingReply{}}})
 	rec.Tap(grm.TapEvent{Req: &grm.Request{Caps: &grm.CapsRequest{}}, Resp: &grm.Response{Caps: &grm.CapsReply{}}})
 	rec.Tap(grm.TapEvent{Req: &grm.Request{Peers: &grm.PeersRequest{}}, Resp: &grm.Response{Peers: &grm.PeersReply{}}})
@@ -89,7 +90,7 @@ func TestRecorderSkipsReadOnlyOps(t *testing.T) {
 		t.Fatalf("recorder captured %d events, want 1", n)
 	}
 	b := rec.Bundle()
-	if b.Events[0].Op != OpRegister || b.Events[0].T != 0 {
+	if b.Events[0].Op != scenario.OpRegister || b.Events[0].T != 0 {
 		t.Fatalf("first event %+v, want register at t=0", b.Events[0])
 	}
 	if out := b.Expected[0]; out == nil || out.Principal == nil || *out.Principal != 0 {

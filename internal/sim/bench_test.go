@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/planners"
 	"repro/internal/trace"
 )
 
 // Engine benches: raw event throughput without scheduling, the cost of
 // LP-scheduled sharing, and the forecast-vs-myopic availability ablation.
 
-func benchConfig(b *testing.B, planner core.Planner, myopic bool) Config {
+func benchConfig(b *testing.B, planner planners.Planner, myopic bool) Config {
 	b.Helper()
 	p, m := ScaleWorkload(trace.BerkeleyLike(), trace.PaperServiceModel(), 20)
 	return Config{
@@ -67,7 +68,7 @@ func BenchmarkSimGreedySharing(b *testing.B) {
 }
 
 // greedyComplete builds the greedy baseline on a complete agreement graph.
-func greedyComplete(n int, share float64) (core.Planner, error) {
+func greedyComplete(n int, share float64) (planners.Planner, error) {
 	s := make([][]float64, n)
 	for i := range s {
 		s[i] = make([]float64, n)
@@ -77,5 +78,5 @@ func greedyComplete(n int, share float64) (core.Planner, error) {
 			}
 		}
 	}
-	return core.NewGreedy(s, nil, core.Config{})
+	return planners.NewGreedy(s, nil, core.Config{})
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/planners"
 	"repro/internal/trace"
 )
 
@@ -25,7 +26,7 @@ func SkewVector(n int, step float64) []float64 {
 // CompletePlanner builds the LP planner for a complete agreement graph of
 // n proxies, each sharing `share` of its resources with every other proxy
 // (Figures 6–8 use 10 proxies at 10%).
-func CompletePlanner(n int, share float64, cfg core.Config) (core.Planner, error) {
+func CompletePlanner(n int, share float64, cfg core.Config) (planners.Planner, error) {
 	sys, _, err := agreement.BuildComplete(n, agreement.General, 1, share)
 	if err != nil {
 		return nil, err
@@ -38,7 +39,7 @@ func CompletePlanner(n int, share float64, cfg core.Config) (core.Planner, error
 // (i+skip) mod n. With time zones of one hour between adjacent proxies,
 // skip is exactly the paper's "time zone gap between sharing neighbors".
 // skip must be coprime with n for the agreements to form a single loop.
-func LoopPlanner(n, skip int, share float64, cfg core.Config) (core.Planner, error) {
+func LoopPlanner(n, skip int, share float64, cfg core.Config) (planners.Planner, error) {
 	if skip <= 0 || skip >= n {
 		return nil, fmt.Errorf("sim: loop skip %d out of range (0, %d)", skip, n)
 	}
@@ -67,7 +68,7 @@ func LoopPlanner(n, skip int, share float64, cfg core.Config) (core.Planner, err
 // DistanceDecayPlanner builds the Figure 13 structure: a complete graph
 // where each ISP shares 20% with neighbors one time zone away, 10% at two,
 // 5% at three and 3% with everyone farther.
-func DistanceDecayPlanner(n int, cfg core.Config) (core.Planner, error) {
+func DistanceDecayPlanner(n int, cfg core.Config) (planners.Planner, error) {
 	sys, _, err := agreement.BuildDistanceDecay(n, agreement.General, 1, []float64{0.20, 0.10, 0.05, 0.03})
 	if err != nil {
 		return nil, err
@@ -77,7 +78,7 @@ func DistanceDecayPlanner(n int, cfg core.Config) (core.Planner, error) {
 
 // DistanceDecayProportional is the endpoint-enforcement baseline on the
 // same Figure 13 structure.
-func DistanceDecayProportional(n int) (core.Planner, error) {
+func DistanceDecayProportional(n int) (planners.Planner, error) {
 	sys, _, err := agreement.BuildDistanceDecay(n, agreement.General, 1, []float64{0.20, 0.10, 0.05, 0.03})
 	if err != nil {
 		return nil, err
@@ -86,13 +87,13 @@ func DistanceDecayProportional(n int) (core.Planner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewProportional(m.S, m.A)
+	return planners.NewProportional(m.S, m.A)
 }
 
 // plannerFromSystem collapses an agreement system to matrices and builds
 // the LP allocator. The dynamic availability V is supplied per consult by
 // the simulator; only the structure (S, A) is taken from the system.
-func plannerFromSystem(sys *agreement.System, cfg core.Config) (core.Planner, error) {
+func plannerFromSystem(sys *agreement.System, cfg core.Config) (planners.Planner, error) {
 	m, err := sys.Matrices(agreement.General)
 	if err != nil {
 		return nil, err

@@ -8,7 +8,7 @@
 // of the requests queued at a proxy's front-end exceed a threshold, the
 // global scheduler is consulted: it computes each proxy's available
 // capacity over a short horizon and plans where to redirect the excess,
-// honoring the sharing agreements (any core.Planner — the LP scheme, the
+// honoring the sharing agreements (any planners.Planner — the LP scheme, the
 // endpoint-proportional baseline, or greedy). Redirected requests carry a
 // fixed redirection cost as extra work at the target.
 //
@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/planners"
 	"repro/internal/trace"
 )
 
@@ -51,7 +52,7 @@ type Config struct {
 	Warmup  float64
 	// Planner enforces the sharing agreements; nil disables sharing
 	// entirely (the no-sharing baseline of Figure 5).
-	Planner core.Planner
+	Planner planners.Planner
 	// Threshold is the front-end backlog (in work-seconds) beyond which
 	// the scheduler is consulted; the proxy sheds down to TargetBacklog.
 	Threshold     float64
@@ -95,7 +96,7 @@ type Config struct {
 // PlannerChange swaps the active planner at a point in simulated time.
 type PlannerChange struct {
 	At      float64
-	Planner core.Planner
+	Planner planners.Planner
 }
 
 // Outage takes one proxy's server down for a time window.
@@ -466,7 +467,7 @@ func (e *engine) record(req request, wait float64) {
 
 // activePlanner returns the planner in force at time t, applying any
 // scheduled agreement changes.
-func (e *engine) activePlanner(t float64) core.Planner {
+func (e *engine) activePlanner(t float64) planners.Planner {
 	planner := e.cfg.Planner
 	for _, ch := range e.cfg.PlannerSchedule {
 		if t >= ch.At {

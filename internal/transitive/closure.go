@@ -47,9 +47,9 @@ var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 // per-worker dense scratch row and emit exact-size rows; they read the
 // same floats in the same order a dense scan would, and every sum is
 // non-negative, so skipping an unstored +0 keeps each result
-// bit-identical to the dense library functions (Exact, Approx). T() and
-// DenseS() are dense exports for snapshots, tests and the bench; nothing
-// on the serving path calls them.
+// bit-identical to the dense library functions (Exact, Approx). T() is a
+// dense export for tests and the bench; nothing on the serving path calls
+// it.
 //
 // Closures are copy-on-write: mutators return a derived *Closure sharing
 // every unchanged row slice with the receiver, which stays valid — the
@@ -134,9 +134,9 @@ func (c *Closure) N() int { return c.n }
 func (c *Closure) Level() int { return clampLevel(c.reqLevel, c.n) }
 
 // T materializes the current flow-coefficient matrix as fresh dense rows
-// — the export for tests, snapshots and the dense library functions
-// (Cap, Capacities); unstored entries come out as +0 exactly. It costs
-// n² floats per call: the serving path reads FlowRow instead.
+// — the export for tests and the bench; unstored entries come out as +0
+// exactly. It costs n² floats per call: the serving path reads FlowRow
+// instead.
 func (c *Closure) T() [][]float64 { return denseOf(c.n, c.tc, c.tv) }
 
 // FlowRow returns row src of T as ascending non-zero column indices and
@@ -160,10 +160,6 @@ func (c *Closure) Bytes() int {
 // Edge returns the current agreement entry S[src][dst]: a binary search
 // over row src's sorted column list, 0 when unstored.
 func (c *Closure) Edge(src, dst int) float64 { return At(c.adj[src], c.vals[src], dst) }
-
-// DenseS materializes the agreement matrix as dense rows — the export
-// used by snapshots and tests; unstored entries come out as +0 exactly.
-func (c *Closure) DenseS() [][]float64 { return denseOf(c.n, c.adj, c.vals) }
 
 // denseOf scatters sparse rows into a fresh dense n×n matrix.
 func denseOf(n int, cols [][]int32, vals [][]float64) [][]float64 {

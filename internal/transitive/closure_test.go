@@ -391,7 +391,8 @@ func TestClosureBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unbounded update: %v", err)
 	}
-	want := NewClosure(d.DenseS(), n-1, false)
+	s[0][1] = 0.2
+	want := NewClosure(s, n-1, false)
 	requireBitEqual(t, d.T(), want.T(), "post-budget-lift closure")
 
 	// A sparse graph with a generous budget must not trip.

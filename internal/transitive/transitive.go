@@ -856,21 +856,6 @@ func Cap(t [][]float64) [][]float64 {
 	return out
 }
 
-// Flows returns I[i][j] = V[i] · T[i][j], the amount of principal i's
-// capacity available to principal j through chained agreements.
-func Flows(v []float64, t [][]float64) [][]float64 {
-	if len(v) != len(t) {
-		panic(fmt.Sprintf("transitive: Flows: %d capacities for %d×%d T", len(v), len(t), len(t)))
-	}
-	out := zeros(len(t))
-	for i, row := range t {
-		for j, tij := range row {
-			out[i][j] = v[i] * tij
-		}
-	}
-	return out
-}
-
 // sourceCap returns U_ki = min(V_k·T_ki + A_ki, V_k) for k != i.
 func sourceCap(v []float64, t, a [][]float64, k, i int) float64 {
 	u := v[k] * t[k][i]

@@ -255,19 +255,11 @@ func TestLevelClamping(t *testing.T) {
 	}
 }
 
-func TestFlows(t *testing.T) {
-	s := [][]float64{{0, 0.5}, {0, 0}}
-	v := []float64{20, 0}
-	i := Flows(v, Exact(s, 1))
-	almost(t, i[0][1], 10, 1e-12, "I[0][1]")
-}
-
 func TestPanicsOnBadInput(t *testing.T) {
 	bad := [][]float64{{1}}
 	for name, f := range map[string]func(){
 		"Exact":  func() { Exact(bad, 1) },
 		"Approx": func() { Approx(bad, 1) },
-		"Flows":  func() { Flows([]float64{1, 2}, [][]float64{{0}}) },
 	} {
 		func() {
 			defer func() {

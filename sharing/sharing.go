@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/planners"
 	"repro/internal/transitive"
 )
 
@@ -301,12 +302,12 @@ func Validate(s [][]float64) error { return transitive.Validate(s) }
 // allocation atomically, Release returns it. Use it when allocations have
 // a lifetime (jobs, sessions) rather than being consumed outright.
 // Agreements changed after the call do not affect an existing ledger.
-func (c *Community) Ledger(typ string) (*core.Ledger, error) {
+func (c *Community) Ledger(typ string) (*planners.Ledger, error) {
 	planner, v, err := c.plannerFor(typ)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewLedger(planner, v)
+	return planners.NewLedger(planner, v)
 }
 
 // Snapshot serializes the community's principals, resources and live
