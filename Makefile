@@ -74,14 +74,14 @@ FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFe
 
 # The allocation pins: the `//go:build !race` tests (named ...Allocs or
 # ...AllocatesNothing) that hold what a reserved model build, a steady plan,
-# a skeleton build, a column patch, an allocate+release pair (in process and
-# over the wire), a lone release, a renew, a whole churn cycle and a
-# pipelined frame through the transport may heap-allocate. Run alone,
-# uncached and without -race (the detector's instrumentation allocates), so
-# a pin that breaks says so by name here and not somewhere inside
-# `go test ./...`.
+# a skeleton build, a closure delta, a column patch, an allocate+release pair
+# (in process and over the wire), a lone release, a renew, a register, a
+# re-attach, a share, a whole churn cycle and a pipelined frame through the
+# transport may heap-allocate. Run alone, uncached and without -race (the
+# detector's instrumentation allocates), so a pin that breaks says so by
+# name here and not somewhere inside `go test ./...`.
 allocs:
-	$(GO) test -count=1 -run 'Allocs$$|AllocatesNothing$$' ./internal/lp/ ./internal/core/ ./internal/grm/ ./internal/grm/transport/
+	$(GO) test -count=1 -run 'Allocs$$|AllocatesNothing$$' ./internal/lp/ ./internal/transitive/ ./internal/core/ ./internal/grm/ ./internal/grm/transport/
 
 # The line ratchets (ROADMAP item 10): the non-test lines of lp, core and
 # grm — what a request runs through — and of the paper's library in
@@ -89,7 +89,7 @@ allocs:
 # shrinks either lowers its MAX to what it prints; raising one is a
 # reviewed diff of its line, for a simplicity PR to argue. Two lines, so
 # code cannot leave the serving count by moving into the library unseen.
-SERVING_LOC_MAX = 7260
+SERVING_LOC_MAX = 7258
 LIBRARY_LOC_MAX = 1049
 loc:
 	@n=$$(ls internal/lp/*.go internal/core/*.go internal/grm/*.go | grep -v _test | xargs cat | wc -l); \

@@ -36,50 +36,52 @@ func (s *Server) register(r *RegisterRequest) *Response {
 	if r.Name == "" {
 		return errorf("grm: register: empty name")
 	}
+	n := len(s.names)
 	pid, err := s.registerLocked(r.Name, r.Capacity)
 	if err != nil {
 		return errorf("grm: register: %v", err)
+	}
+	// Logged here and not in registerLocked, which recovery replays.
+	if s.logs() && pid < n {
+		s.logger.Printf("grm: %q re-attached as principal %d (capacity %g)", r.Name, pid, r.Capacity)
+	} else if s.logs() {
+		s.logger.Printf("grm: registered %q as principal %d (capacity %g)", r.Name, pid, r.Capacity)
 	}
 	return &Response{Register: &RegisterReply{Principal: pid}}
 }
 
 // registerLocked binds name to a principal: an existing principal (one
-// declared by a preloaded snapshot, or a previous registration) is
-// re-attached with the fresh capacity, otherwise a new principal and its
-// general resource are created. Callers hold s.mu.
+// declared by a preloaded snapshot, or a previous registration; byName
+// finds it) is re-attached with the fresh capacity, otherwise a new
+// principal and its general resource are created. Callers hold s.mu.
 func (s *Server) registerLocked(name string, capacity float64) (int, error) {
 	if err := checkQuantity("capacity", capacity); err != nil {
 		return 0, err
 	}
-	for i, have := range s.names {
-		if have == name {
-			s.avail[i] = capacity
-			if capacity > s.reported[i] {
-				s.reported[i] = capacity
-			}
-			s.appendLocked(store.Record{Kind: store.KindRegister, Principal: i, Name: name, Capacity: capacity})
-			s.logger.Printf("grm: %q re-attached as principal %d (capacity %g)", name, i, capacity)
-			return i, nil
+	pid, ok := s.byName[name]
+	if ok {
+		s.avail[pid] = capacity
+		s.reported[pid] = max(s.reported[pid], capacity)
+	} else {
+		p := s.sys.AddPrincipal(name)
+		rid, err := s.sys.AddResource(name, agreement.General, p, capacity)
+		if err != nil {
+			return 0, err
+		}
+		pid, s.byName[name] = int(p), int(p)
+		s.resources = append(s.resources, rid)
+		s.avail = append(s.avail, capacity)
+		s.reported = append(s.reported, capacity)
+		s.names = append(s.names, name)
+		if s.planner != nil {
+			// A fresh principal holds no agreements: extend the planner by a
+			// zero row/column instead of discarding it — Grow's closure is a
+			// zero-extension, no chain re-enumeration.
+			s.planner = s.planner.Grow(1)
 		}
 	}
-	pid := s.sys.AddPrincipal(name)
-	rid, err := s.sys.AddResource(name, agreement.General, pid, capacity)
-	if err != nil {
-		return 0, err
-	}
-	s.resources = append(s.resources, rid)
-	s.avail = append(s.avail, capacity)
-	s.reported = append(s.reported, capacity)
-	s.names = append(s.names, name)
-	if s.planner != nil {
-		// A fresh principal holds no agreements: extend the planner by a
-		// zero row/column instead of discarding it — Grow's closure is a
-		// zero-extension, no chain re-enumeration.
-		s.planner = s.planner.Grow(1)
-	}
-	s.appendLocked(store.Record{Kind: store.KindRegister, Principal: int(pid), Name: name, Capacity: capacity})
-	s.logger.Printf("grm: registered %q as principal %d (capacity %g)", name, pid, capacity)
-	return int(pid), nil
+	s.appendLocked(store.Record{Kind: store.KindRegister, Principal: pid, Name: name, Capacity: capacity})
+	return pid, nil
 }
 
 func (s *Server) report(r *ReportRequest) *Response {
@@ -100,9 +102,7 @@ func (s *Server) reportLocked(principal int, available float64) error {
 		return err
 	}
 	s.avail[principal] = available
-	if available > s.reported[principal] {
-		s.reported[principal] = available
-	}
+	s.reported[principal] = max(s.reported[principal], available)
 	s.appendLocked(store.Record{Kind: store.KindReport, Principal: principal, Available: available})
 	return nil
 }
@@ -127,7 +127,9 @@ func (s *Server) share(r *ShareRequest) *Response {
 	if err != nil {
 		return errorf("grm: share: %v", err)
 	}
-	s.logger.Printf("grm: agreement %d -> %d (fraction %g, quantity %g)", r.From, r.To, r.Fraction, r.Quantity)
+	if s.logs() {
+		s.logger.Printf("grm: agreement %d -> %d (fraction %g, quantity %g)", r.From, r.To, r.Fraction, r.Quantity)
+	}
 	return &Response{Share: &ShareReply{Ticket: ticket}}
 }
 

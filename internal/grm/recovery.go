@@ -86,9 +86,7 @@ func (s *Server) Recover(l store.Log) error {
 		if err := s.applyLocked(rec); err != nil {
 			return fmt.Errorf("grm: Recover: seq %d (%s): %w", rec.Seq, rec.Kind, err)
 		}
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
+		maxSeq = max(maxSeq, rec.Seq)
 		return nil
 	})
 	if err != nil {
@@ -154,9 +152,7 @@ func (s *Server) applyLocked(rec *store.Record) error {
 		}
 		s.debitLocked(le.sources, le.takes)
 		s.leases[rec.Lease] = le
-		if rec.Lease >= s.nextLease {
-			s.nextLease = rec.Lease + 1
-		}
+		s.nextLease = max(s.nextLease, rec.Lease+1)
 		return nil
 	case store.KindRelease, store.KindExpire:
 		le, ok := s.leases[rec.Lease]
@@ -217,7 +213,7 @@ func (s *Server) applyStateLocked(st *store.State) error {
 	s.sys = agreement.NewSystem()
 	s.resources = nil
 	s.shareHist, s.liveShares = nil, 0
-	s.names = nil
+	s.names, s.byName = nil, map[string]int{}
 	s.avail = nil
 	s.reported = nil
 	s.declaredSnap = nil

@@ -71,6 +71,7 @@ type Server struct {
 	avail     []float64              // wal:journaled
 	reported  []float64              // last reported capacity per principal (release cap); wal:journaled
 	names     []string               // wal:journaled
+	byName    map[string]int         // names inverted, so a register is one lookup; wal:derived
 	planner   *core.Allocator        // rebuilt lazily after structural changes; wal:derived
 	// plannerErr is why the last rebuild of a nil planner was refused (an
 	// agreement graph past the exact-closure budget), kept until the next
@@ -154,6 +155,7 @@ func NewServer(cfg core.Config, logger *log.Logger) *Server {
 		sys:       agreement.NewSystem(),
 		closed:    make(chan struct{}),
 		logger:    logger,
+		byName:    map[string]int{},
 		leases:    map[int]*lease{},
 		borrows:   map[int]float64{},
 		nextLease: 1,
@@ -188,10 +190,7 @@ func (s *Server) SetLeaseTTL(ttl time.Duration) {
 		return
 	}
 	s.leaseTTL = ttl
-	s.reapEvery = ttl / 4
-	if s.reapEvery < time.Millisecond {
-		s.reapEvery = time.Millisecond
-	}
+	s.reapEvery = max(ttl/4, time.Millisecond)
 }
 
 // SetTimeouts configures per-connection deadlines: idle is the maximum
@@ -307,10 +306,11 @@ func (s *Server) installSnapshotLocked(snap *agreement.Snapshot, raw []byte) err
 	}
 	s.sys = sys
 	s.names = make([]string, len(principals))
+	s.byName = make(map[string]int, len(principals))
 	s.avail = make([]float64, len(principals))
 	s.reported = make([]float64, len(principals))
 	for name, pid := range principals {
-		s.names[pid] = name
+		s.names[pid], s.byName[name] = name, int(pid)
 	}
 	// Seed availability from the declared "general" capacities; only V is
 	// read, so the sparse collapse, never the dense n×n S and A.
@@ -455,6 +455,11 @@ func (s *Server) currentPlannerLocked() (*core.Allocator, error) {
 func (s *Server) dropPlannerLocked() {
 	s.planner, s.plannerErr = nil, nil
 }
+
+// logs reports whether the logger writes anywhere. It guards the
+// per-operation lines: Printf boxes its arguments at the call, which costs
+// allocations even when the logger discards them.
+func (s *Server) logs() bool { return s.logger.Writer() != io.Discard }
 
 func (s *Server) checkPrincipal(id int) error {
 	if id < 0 || id >= len(s.avail) {

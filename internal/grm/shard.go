@@ -2,7 +2,6 @@ package grm
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log"
 	"net"
@@ -55,9 +54,7 @@ type Sharded struct {
 // NewSharded creates a sharded GRM with nshards sub-servers, each using
 // the given LP configuration. logger may be nil to discard diagnostics.
 func NewSharded(nshards int, cfg core.Config, logger *log.Logger) *Sharded {
-	if nshards < 1 {
-		nshards = 1
-	}
+	nshards = max(nshards, 1)
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
@@ -81,17 +78,17 @@ func (g *Sharded) Shard(i int) *Server { return g.shards[i] }
 // test harnesses can place principals deliberately.
 func (g *Sharded) ShardOf(name string) int { return g.shardOfName(name) }
 
-// shardOfName routes a registered name: FNV-1a over the first
-// '/'-separated segment, modulo the shard count, so a whole subtree
-// shares a shard.
+// shardOfName routes a registered name: 32-bit FNV-1a over the bytes of
+// the first '/'-separated segment, modulo the shard count, so a whole
+// subtree shares a shard. The hash is computed inline, allocating nothing,
+// and is bit-identical to hash/fnv's New32a: shard WAL layouts depend on it.
 func (g *Sharded) shardOfName(name string) int {
-	seg := name
-	if i := strings.IndexByte(name, '/'); i >= 0 {
-		seg = name[:i]
+	seg, _, _ := strings.Cut(name, "/")
+	h := uint32(2166136261)
+	for i := 0; i < len(seg); i++ {
+		h = (h ^ uint32(seg[i])) * 16777619
 	}
-	h := fnv.New32a()
-	h.Write([]byte(seg))
-	return int(h.Sum32() % uint32(g.nshards))
+	return int(h % uint32(g.nshards))
 }
 
 // Global/local identifier codecs. All three are stateless interleavings;
@@ -503,9 +500,7 @@ func (g *Sharded) Status() (*Status, error) {
 		out.Agreements += st.Agreements
 		out.Batches += st.Batches
 		out.BatchedRequests += st.BatchedRequests
-		if st.MaxBatch > out.MaxBatch {
-			out.MaxBatch = st.MaxBatch
-		}
+		out.MaxBatch = max(out.MaxBatch, st.MaxBatch)
 		out.BatchPlanNanos += st.BatchPlanNanos
 		out.QueueDepth += st.QueueDepth
 		out.WalAppendErrors += st.WalAppendErrors

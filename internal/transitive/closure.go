@@ -52,9 +52,12 @@ var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 // it.
 //
 // Closures are copy-on-write: mutators return a derived *Closure sharing
-// every unchanged row slice with the receiver, which stays valid — the
-// concurrency model the grm server needs, where in-flight solves hold a
-// snapshot of the previous planner.
+// every unchanged row slice with the receiver, which stays valid. The grm
+// server does not need that — it plans and swaps its planner under one
+// state lock, so no solve is in flight across a mutation — but callers
+// that keep the old handle do: the model-based tests compare a derived
+// closure against its parent, and the benchmark's probe mutates one
+// closure over and over.
 type Closure struct {
 	// reqLevel is the level of transitivity as requested at construction,
 	// before clamping; clamping is redone against the current n so a
@@ -221,7 +224,9 @@ func (c *Closure) UpdateEdge(src, dst int, oldVal, newVal float64) (*Closure, []
 	d := c.shallow()
 	d.adj[src], d.vals[src] = SetEntry(c.adj[src], c.vals[src], dst, newVal)
 	d.edges += len(d.adj[src]) - len(c.adj[src])
-	changed, err := d.recompute(c, c.affected(src))
+	sc := getScratch(n)
+	defer scratchPool.Put(sc)
+	changed, err := d.recompute(c, c.affected(sc, src), sc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("transitive: UpdateEdge(%d, %d): %w", src, dst, err)
 	}
@@ -262,7 +267,9 @@ func (c *Closure) UpdateRow(src int, row []float64) (*Closure, []int, error) {
 	d := c.shallow()
 	d.adj[src], d.vals[src] = RowOf(row)
 	d.edges += len(d.adj[src]) - len(c.adj[src])
-	changed, err := d.recompute(c, c.affected(src))
+	sc := getScratch(n)
+	defer scratchPool.Put(sc)
+	changed, err := d.recompute(c, c.affected(sc, src), sc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("transitive: UpdateRow(%d): %w", src, err)
 	}
@@ -308,28 +315,32 @@ func (c *Closure) hasEdge(x, u int) bool {
 // distance level-1 of src. The scan walks predecessors by a per-row
 // binary search for the target column (S holds no reverse index); the
 // cost is O(level · n · log deg · frontier) — negligible next to the
-// recompute it prunes.
-func (c *Closure) affected(src int) []int {
+// recompute it prunes. The breadth-first queue is the result itself, held
+// in sc.rows, and the seen set is sc.visited, left clear again; the
+// result stays valid until sc is next handed to affected.
+func (c *Closure) affected(sc *rowScratch, src int) []int {
 	n := c.n
 	depth := c.Level() - 1
-	seen := make([]bool, n)
+	seen := sc.visited
 	seen[src] = true
-	out := []int{src}
-	frontier := []int{src}
-	for d := 0; d < depth && len(frontier) > 0; d++ {
-		var next []int
-		for _, u := range frontier {
+	out := append(sc.rows[:0], src)
+	for d, lo := 0, 0; d < depth && lo < len(out); d++ {
+		hi := len(out)
+		for _, u := range out[lo:hi] {
 			for x := 0; x < n; x++ {
 				if !seen[x] && c.hasEdge(x, u) {
 					seen[x] = true
-					next = append(next, x)
 					out = append(out, x)
 				}
 			}
 		}
-		frontier = next
+		lo = hi
+	}
+	for _, x := range out {
+		seen[x] = false
 	}
 	sort.Ints(out)
+	sc.rows = out
 	return out
 }
 
@@ -339,16 +350,17 @@ func (c *Closure) affected(src int) []int {
 // memory with prev. Past the blast-radius threshold it abandons the delta
 // and recomputes every row with the parallel full build. Either way the
 // work is charged to d's budget as it is done, and ErrBudget abandons d.
-func (d *Closure) recompute(prev *Closure, rows []int) ([]int, error) {
+// The delta runs its rows through sc, which must be clear.
+func (d *Closure) recompute(prev *Closure, rows []int, sc *rowScratch) ([]int, error) {
 	n := d.n
-	var m *meter
-	if !d.approx {
-		m = newMeter(d.budget)
+	budget := d.budget
+	if d.approx {
+		budget = 0 // walk counting is polynomial and never refused
 	}
 	var changed []int
 	if blastDenominator*len(rows) > n {
 		var ok bool
-		d.tc, d.tv, ok = sparseRows(n, d.adj, d.vals, d.reqLevel, d.approx, par.Workers(n), m)
+		d.tc, d.tv, ok = sparseRows(n, d.adj, d.vals, d.reqLevel, d.approx, par.Workers(n), newMeter(budget))
 		if !ok {
 			return nil, budgetErr(d.budget)
 		}
@@ -362,8 +374,7 @@ func (d *Closure) recompute(prev *Closure, rows []int) ([]int, error) {
 		return changed, nil
 	}
 	maxLen := d.Level()
-	sc := getScratch(n)
-	defer scratchPool.Put(sc)
+	m := newMeter(budget) // charged by this goroutine alone, so it stays on the stack
 	for _, src := range rows {
 		if !sc.row(d.adj, d.vals, src, maxLen, d.approx, m) {
 			return nil, budgetErr(d.budget)

@@ -215,7 +215,7 @@ func TestClosureBlastFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(c.affected(4)); blastDenominator*got <= n {
+	if got := len(c.affected(getScratch(n), 4)); blastDenominator*got <= n {
 		t.Fatalf("test graph too sparse: affected=%d of n=%d does not trip the fallback", got, n)
 	}
 	s[4][7] = 0.9
@@ -249,7 +249,7 @@ func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
 	}
 	s[7][8], s[8][9], s[9][7] = 0.3, 0.3, 0.3 // a ring that never reaches it
 	c := NewClosure(s, n-1, false)
-	if got := len(c.affected(5)); blastDenominator*got <= n {
+	if got := len(c.affected(getScratch(n), 5)); blastDenominator*got <= n {
 		t.Fatalf("affected=%d of n=%d does not trip the fallback", got, n)
 	}
 	next, changed, err := c.UpdateEdge(5, 6, 0.5, 0.25)

@@ -221,6 +221,9 @@ type rowScratch struct {
 	// their non-zero column lists.
 	p, nx         []float64
 	pCols, nxCols []int32
+	// Closure.affected's rows, which the kernels never touch: a delta
+	// recomputes them with this same scratch.
+	rows []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
