@@ -89,7 +89,7 @@ allocs:
 # shrinks either lowers its MAX to what it prints; raising one is a
 # reviewed diff of its line, for a simplicity PR to argue. Two lines, so
 # code cannot leave the serving count by moving into the library unseen.
-SERVING_LOC_MAX = 7258
+SERVING_LOC_MAX = 7249
 LIBRARY_LOC_MAX = 1049
 loc:
 	@n=$$(ls internal/lp/*.go internal/core/*.go internal/grm/*.go | grep -v _test | xargs cat | wc -l); \

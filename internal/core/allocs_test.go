@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/agreement"
+	"repro/internal/lp"
 )
 
 // TestPlanPairsAllocatesNothing pins the served plan's steady state: with
@@ -42,6 +43,34 @@ func TestPlanPairsAllocatesNothing(t *testing.T) {
 		if got := res.AllocedBytesPerOp(); got != 0 {
 			t.Errorf("n=%d: a steady-state PlanPairs allocates %d bytes, want 0", n, got)
 		}
+	}
+}
+
+// TestSolveChurn128AllocatesNothing pins the served solve at the churn128
+// shape, the largest LP a benchmark workload serves: once a workspace has
+// solved the rebound model, solving it again — standard form, both phases
+// and every pivot — allocates nothing.
+func TestSolveChurn128AllocatesNothing(t *testing.T) {
+	al := churn128Allocator(t)
+	_, _, v := sparseBlockScenario(128, 1)
+	ws := al.pool.Get().(*planWS)
+	if err := al.plan(ws, v, 5, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	model := ws.clones[5].model
+	var pivots int
+	solve := func() {
+		sol, err := model.SolveWithWorkspace(lp.Tableau, &ws.lpws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pivots = sol.Pivots
+	}
+	got := testing.AllocsPerRun(20, solve)
+	t.Logf("churn128 LP: %d variables, %d rows, %d pivots", model.NumVars(), model.NumConstraints(), pivots)
+	if got != 0 {
+		t.Errorf("a warmed solve of the churn128 LP (%d variables, %d rows, %d pivots) makes %v allocations, want 0",
+			model.NumVars(), model.NumConstraints(), pivots, got)
 	}
 }
 

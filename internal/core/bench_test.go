@@ -550,6 +550,63 @@ func churn128Allocator(t testing.TB) *Allocator {
 	return al
 }
 
+// ring64Allocator is the benchmark's ring64 shape: one ring of 64
+// principals, each sharing about 0.4 of its capacity with both neighbours,
+// under the full closure; v is about 100 each.
+func ring64Allocator(t testing.TB) (*Allocator, []float64) {
+	t.Helper()
+	const n = 64
+	rng := rand.New(rand.NewSource(1))
+	sb := agreement.NewSparseBuilder(n)
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = 90 + 20*rng.Float64()
+		sb.Add(i, (i+1)%n, 0.38+0.04*rng.Float64())
+		sb.Add(i, (i+n-1)%n, 0.38+0.04*rng.Float64())
+	}
+	al, err := NewAllocatorSparse(sb.Build(), nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return al, v
+}
+
+// benchPlanPairs times the served plan, PlanPairs into reused slices, for
+// every requester in turn after each has planned once (so its skeleton and
+// model clone exist): the simplex is most of what it measures.
+func benchPlanPairs(b *testing.B, al *Allocator, v []float64, amount float64) {
+	var sources []int
+	var takes []float64
+	plan := func(r int) {
+		var err error
+		if sources, takes, _, err = al.PlanPairs(sources[:0], takes[:0], v, r%al.N(), amount); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for r := 0; r < al.N(); r++ {
+		plan(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan(i)
+	}
+}
+
+// BenchmarkPlanPairsChurn128 is a plan as churn128 serves it: the full
+// formulation over 128 principals in blocks of eight.
+func BenchmarkPlanPairsChurn128(b *testing.B) {
+	_, _, v := sparseBlockScenario(128, 1)
+	benchPlanPairs(b, churn128Allocator(b), v, 1.5)
+}
+
+// BenchmarkPlanPairsRing64 is a plan as ring64 serves it: one 64-principal
+// component, every principal a variable of every plan.
+func BenchmarkPlanPairsRing64(b *testing.B) {
+	al, v := ring64Allocator(b)
+	benchPlanPairs(b, al, v, 10)
+}
+
 // BenchmarkBuildSkeleton128 builds one requester's 129-variable skeleton
 // under the full formulation.
 func BenchmarkBuildSkeleton128(b *testing.B) {

@@ -411,6 +411,12 @@ func (l *LRM) Peers() ([]string, error) {
 // operations may be in flight on it at once. Writers serialize frame
 // emission under wmu; a single reader goroutine demultiplexes replies to
 // waiters by request id.
+//
+// Ids are recycled: an id goes back on freeIDs when its reply arrives, so
+// they stay as small as the most requests ever in flight at once plus the
+// timeouts, and a uvarint id stays one byte. An id that timed out or failed
+// to write never returns — its reply may still come, and must find no
+// later call.
 type binWire struct {
 	conn    net.Conn
 	timeout time.Duration
@@ -420,6 +426,7 @@ type binWire struct {
 
 	mu      sync.Mutex
 	nextID  uint64
+	freeIDs []uint64
 	pending map[uint64]*binCall // nil once the reader exited
 	err     error
 
@@ -497,7 +504,10 @@ func (w *binWire) readLoop() {
 		}
 		w.mu.Lock()
 		call, ok := w.pending[id]
-		delete(w.pending, id)
+		if ok { // answered: no second reply can come, so the id is free
+			delete(w.pending, id)
+			w.freeIDs = append(w.freeIDs, id)
+		}
 		w.mu.Unlock()
 		if !ok {
 			continue // a reply for a timed-out id was forgotten
@@ -517,10 +527,12 @@ func (w *binWire) readLoop() {
 	w.conn.Close()
 }
 
-// forget abandons a pending request id (timed out or failed to write).
-func (w *binWire) forget(id uint64) {
+// forget abandons call's pending request id (timed out or failed to
+// write). If the reply won the race, the reader has already recycled the
+// id, and it may name a later call by now: that call stays pending.
+func (w *binWire) forget(id uint64, call *binCall) {
 	w.mu.Lock()
-	if w.pending != nil {
+	if w.pending[id] == call {
 		delete(w.pending, id)
 	}
 	w.mu.Unlock()
@@ -583,8 +595,13 @@ func (w *binWire) do(req *Request, timeout time.Duration) (Response, error) {
 		}
 		return Response{}, err
 	}
-	w.nextID++
-	id := w.nextID
+	var id uint64
+	if n := len(w.freeIDs); n > 0 {
+		id, w.freeIDs = w.freeIDs[n-1], w.freeIDs[:n-1]
+	} else {
+		w.nextID++
+		id = w.nextID
+	}
 	w.pending[id] = call
 	w.mu.Unlock()
 
@@ -600,7 +617,7 @@ func (w *binWire) do(req *Request, timeout time.Duration) (Response, error) {
 	})
 	w.wmu.Unlock()
 	if err != nil {
-		w.forget(id)
+		w.forget(id, call)
 		// A failed or torn write poisons the frame stream; sever the
 		// connection so every waiter unblocks and the LRM redials.
 		w.conn.Close()
@@ -624,7 +641,7 @@ func (w *binWire) do(req *Request, timeout time.Duration) (Response, error) {
 		w.mu.Unlock()
 		return Response{}, err
 	case <-timeoutC:
-		w.forget(id)
+		w.forget(id, call)
 		return Response{}, wireTimeout{}
 	}
 }

@@ -1,6 +1,7 @@
 package grm
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -608,5 +609,156 @@ func TestPipelinedRepliesReachTheirCallers(t *testing.T) {
 	t.Logf("severed mid-burst: %d of %d allocations failed", failed, callers*inflight)
 	if failed := burst(nil); failed > 0 {
 		t.Fatalf("%d allocations failed on the redialed connection", failed)
+	}
+}
+
+// stubGRM is a hand-written GRM on a loopback listener: it completes the
+// v2 handshake on every connection and hands each request frame, with its
+// id, to serve, which answers through reply — at once, later, or never.
+// serve runs on the connection's reader, one frame at a time.
+func stubGRM(t *testing.T, serve func(id uint64, req *Request, reply func(id uint64, resp *Response))) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				if _, err := transport.ReadHello(br); err != nil {
+					return
+				}
+				if err := transport.WriteHello(c, transport.Version); err != nil {
+					return
+				}
+				fr, fw := transport.NewFrameReader(br), transport.NewFrameWriter(c)
+				reply := func(id uint64, resp *Response) {
+					fw.WriteFrame(id, func(dst []byte) ([]byte, error) { return appendResponse(dst, resp) })
+				}
+				var call wireCall
+				for {
+					id, envelope, err := fr.ReadFrame()
+					if err != nil || call.decode(envelope) != nil {
+						return
+					}
+					serve(id, &call.req, reply)
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestPipelinedIDsStaySmall keeps 32 operations in flight on one LRM for
+// 2048 requests. An id goes back into use when its reply arrives, so no id
+// exceeds the most requests ever in flight at once, and every one is a
+// one-byte uvarint on the wire; a counter would have reached 2049.
+func TestPipelinedIDsStaySmall(t *testing.T) {
+	var requests atomic.Int64
+	var maxID atomic.Uint64
+	addr := stubGRM(t, func(id uint64, req *Request, reply func(uint64, *Response)) {
+		requests.Add(1)
+		maxID.Store(max(maxID.Load(), id))
+		if req.Register != nil {
+			reply(id, &Response{Register: &RegisterReply{}})
+			return
+		}
+		reply(id, pingAck)
+	})
+	l, err := Dial(addr, "busy", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const callers, each = 32, 64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := l.Ping(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := requests.Load(); n != 1+callers*each {
+		t.Fatalf("the GRM saw %d requests, want %d", n, 1+callers*each)
+	}
+	if id := maxID.Load(); id > callers {
+		t.Fatalf("the largest request id was %d, want at most %d: the calls in flight at once", id, callers)
+	}
+}
+
+// TestTimedOutIDIsNotReused answers one allocation only after its call
+// has timed out, immediately before the reply to the next call. The
+// timed-out id must not have gone back into use: the late reply is
+// dropped, and each later call gets its own answer under an id of its own.
+func TestTimedOutIDIsNotReused(t *testing.T) {
+	var mu sync.Mutex
+	var ids []uint64
+	var late uint64 // the id of the allocation answered late; serve's own
+	addr := stubGRM(t, func(id uint64, req *Request, reply func(uint64, *Response)) {
+		mu.Lock()
+		ids = append(ids, id)
+		mu.Unlock()
+		if req.Alloc != nil && req.Alloc.Amount == 777 {
+			late = id
+			return
+		}
+		if late != 0 {
+			reply(late, &Response{Alloc: &AllocReply{Sources: []int{0}, Takes: []float64{777}, Lease: 777}})
+			late = 0
+		}
+		if req.Alloc != nil {
+			reply(id, &Response{Alloc: &AllocReply{Sources: []int{0}, Takes: []float64{req.Alloc.Amount}, Lease: int(req.Alloc.Amount)}})
+			return
+		}
+		reply(id, pingAck)
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := newBinWire(conn, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	if _, err := w.do(&Request{Ping: &PingRequest{}}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	_, err = w.do(&Request{Alloc: &AllocRequest{Amount: 777}}, 30*time.Millisecond)
+	if nerr, ok := err.(net.Error); !ok || !nerr.Timeout() {
+		t.Fatalf("the unanswered call: want a timeout, got %v", err)
+	}
+	for lease := 1; lease <= 3; lease++ {
+		resp, err := w.do(&Request{Alloc: &AllocRequest{Amount: float64(lease)}}, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Alloc == nil || resp.Alloc.Lease != lease {
+			t.Fatalf("allocation %d was answered with %+v: the late reply reached a later call", lease, resp.Alloc)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if ids[1] != ids[0] {
+		t.Errorf("ids %v: the call after an answered ping did not reuse its id", ids)
+	}
+	for _, id := range ids[2:] {
+		if id == ids[1] {
+			t.Fatalf("ids %v: id %d went back into use after its call timed out", ids, id)
+		}
 	}
 }

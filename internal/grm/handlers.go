@@ -95,11 +95,16 @@ func (s *Server) report(r *ReportRequest) *Response {
 }
 
 // reportLocked overwrites a principal's availability with its LRM's
-// report and lifts the reported high-water mark. Callers hold s.mu and
+// report and lifts the reported high-water mark. A report that restates
+// both, bit for bit — an LRM's heartbeat of one fixed capacity — changes
+// nothing and journals nothing, like a double revoke. Callers hold s.mu and
 // have validated the principal.
 func (s *Server) reportLocked(principal int, available float64) error {
 	if err := checkQuantity("availability", available); err != nil {
 		return err
+	}
+	if math.Float64bits(s.avail[principal]) == math.Float64bits(available) && s.reported[principal] >= available {
+		return nil
 	}
 	s.avail[principal] = available
 	s.reported[principal] = max(s.reported[principal], available)

@@ -799,3 +799,79 @@ func TestDoubleRevokeChangesNothing(t *testing.T) {
 	}
 	leasesEqual(t, s, r)
 }
+
+// TestRestatedReportJournalsNothing beats an LRM's heartbeat: a report of
+// the availability the server already holds, below the high-water mark,
+// appends no record and leaves the status as it was, while a report that
+// changes the availability or raises the mark appends one. A log written
+// before this, with every beat journaled, recovers to the same books.
+func TestRestatedReportJournalsNothing(t *testing.T) {
+	wal := store.NewMemLog()
+	s := NewServer(core.Config{}, nil)
+	defer s.Close()
+	s.SetLog(wal)
+	driveWorkload(t, s)
+	report := func(available float64) (appended int) {
+		t.Helper()
+		before := wal.Len()
+		if resp := s.Handle(&Request{Report: &ReportRequest{Principal: 1, Available: available}}); resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		return wal.Len() - before
+	}
+	s.mu.Lock()
+	avail, reported := s.avail[1], s.reported[1]
+	s.mu.Unlock()
+	status := statusJSON(t, s)
+	for beat := 0; beat < 3; beat++ {
+		if n := report(avail); n != 0 {
+			t.Fatalf("beat %d restating availability %g appended %d records, want 0", beat, avail, n)
+		}
+	}
+	if got := statusJSON(t, s); got != status {
+		t.Fatalf("restating reports changed the status\n %s\nwas\n %s", got, status)
+	}
+	for _, step := range []struct {
+		available float64
+		want      int
+	}{
+		{avail / 2, 1},     // lowers the availability
+		{avail / 2, 0},     // restates it
+		{reported + 10, 1}, // raises the high-water mark
+		{reported + 10, 0}, // restates both
+	} {
+		if n := report(step.available); n != step.want {
+			t.Fatalf("a report of %g appended %d records, want %d", step.available, n, step.want)
+		}
+	}
+
+	chatty, seq := store.NewMemLog(), uint64(0)
+	if err := wal.Replay(func(rec *store.Record) error {
+		copies := 1
+		if rec.Kind == store.KindReport {
+			copies = 3
+		}
+		for ; copies > 0; copies-- {
+			again := *rec
+			seq++
+			again.Seq = seq
+			if err := chatty.Append(&again); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := statusJSON(t, s)
+	for name, log := range map[string]store.Log{"quiet": wal, "chatty": chatty} {
+		r := NewServer(core.Config{}, nil)
+		if err := r.Recover(log); err != nil {
+			t.Fatalf("Recover the %s log: %v", name, err)
+		}
+		if got := statusJSON(t, r); got != want {
+			t.Fatalf("the %s log recovered status\n %s\nwant\n %s", name, got, want)
+		}
+		r.Close()
+	}
+}

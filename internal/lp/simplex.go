@@ -17,17 +17,16 @@ const (
 	stallLimit = 64
 )
 
-// tableau is a dense simplex tableau: the constraint matrix, right-hand
-// side, reduced-cost row, and current basis over a standardForm.
+// tableau is a dense simplex tableau over a standardForm: it pivots the
+// form's constraint matrix and right-hand side in place, and keeps the
+// reduced-cost row and the current basis.
 type tableau struct {
 	sf     *standardForm
-	a      [][]float64 // m x n, mutated in place
-	aFlat  []float64   // backing array of a (kept for workspace reuse)
-	b      []float64   // m
-	obj    []float64   // n reduced costs
-	objRHS float64     // -(current objective value)
+	obj    []float64 // n reduced costs
+	objRHS float64   // -(current objective value)
 	basis  []int
 	banned []bool // columns barred from entering (artificials in phase 2)
+	nz     []int  // the pivot row's nonzero columns, scratch for pivot
 	pivots int
 }
 
@@ -35,18 +34,10 @@ type tableau struct {
 // buffers of any previous solve that fit.
 func (t *tableau) reset(sf *standardForm) {
 	t.sf = sf
-	t.a, t.aFlat = growMatrix(t.a, t.aFlat, sf.m, sf.n)
-	for i := range sf.a {
-		copy(t.a[i], sf.a[i])
-	}
-	t.b = growFloats(t.b, sf.m)
-	copy(t.b, sf.b)
-	t.obj = growFloats(t.obj, sf.n)
-	t.basis = growInts(t.basis, sf.m)
-	copy(t.basis, sf.basis)
-	t.banned = growBools(t.banned, sf.n)
-	t.objRHS = 0
-	t.pivots = 0
+	t.obj = zeroed(t.obj, sf.n)
+	t.basis = append(t.basis[:0], sf.basis...)
+	t.banned = zeroed(t.banned, sf.n)
+	t.objRHS, t.pivots = 0, 0
 }
 
 // setObjective loads per-column costs into the reduced-cost row and prices
@@ -60,9 +51,9 @@ func (t *tableau) setObjective(cost []float64) {
 			continue
 		}
 		for j := range t.obj {
-			t.obj[j] -= c * t.a[r][j]
+			t.obj[j] -= c * t.sf.a[r][j]
 		}
-		t.objRHS -= c * t.b[r]
+		t.objRHS -= c * t.sf.b[r]
 	}
 }
 
@@ -70,37 +61,40 @@ func (t *tableau) setObjective(cost []float64) {
 func (t *tableau) objective() float64 { return -t.objRHS }
 
 // pivot performs a basis exchange: column enter becomes basic in row leave.
+// Rows are updated over the leaving row's nonzero columns only: where it
+// holds an exact zero the update would subtract f·0, which changes at most
+// the sign of a zero, and the solver neither compares nor divides in a way
+// that tells the two zeros apart.
 func (t *tableau) pivot(leave, enter int) {
-	p := t.a[leave][enter]
-	inv := 1 / p
-	rowL := t.a[leave]
-	for j := range rowL {
-		rowL[j] *= inv
+	a, b := t.sf.a, t.sf.b
+	rowL := a[leave]
+	inv := 1 / rowL[enter]
+	t.nz = t.nz[:0]
+	for j, v := range rowL {
+		if !num.IsZero(v) {
+			rowL[j] = v * inv
+			t.nz = append(t.nz, j)
+		}
 	}
-	t.b[leave] *= inv
-	for r := range t.a {
-		if r == leave {
+	b[leave] *= inv
+	for r, row := range a {
+		f := row[enter]
+		if r == leave || num.IsZero(f) {
 			continue
 		}
-		f := t.a[r][enter]
-		if num.IsZero(f) {
-			continue
-		}
-		row := t.a[r]
-		for j := range row {
+		for _, j := range t.nz {
 			row[j] -= f * rowL[j]
 		}
-		t.b[r] -= f * t.b[leave]
-		if t.b[r] < 0 && t.b[r] > -feasTol {
-			t.b[r] = 0
+		b[r] -= f * b[leave]
+		if b[r] < 0 && b[r] > -feasTol {
+			b[r] = 0
 		}
 	}
-	f := t.obj[enter]
-	if !num.IsZero(f) {
-		for j := range t.obj {
+	if f := t.obj[enter]; !num.IsZero(f) {
+		for _, j := range t.nz {
 			t.obj[j] -= f * rowL[j]
 		}
-		t.objRHS -= f * t.b[leave]
+		t.objRHS -= f * b[leave]
 	}
 	t.basis[leave] = enter
 	t.pivots++
@@ -136,12 +130,12 @@ func (t *tableau) chooseEnter(bland bool) int {
 func (t *tableau) chooseLeave(enter int) int {
 	leave := -1
 	bestRatio := math.Inf(1)
-	for r := range t.a {
-		coef := t.a[r][enter]
+	for r, row := range t.sf.a {
+		coef := row[enter]
 		if coef <= pivotTol {
 			continue
 		}
-		ratio := t.b[r] / coef
+		ratio := t.sf.b[r] / coef
 		if ratio < bestRatio-feasTol ||
 			(ratio < bestRatio+feasTol && (leave == -1 || t.basis[r] < t.basis[leave])) {
 			bestRatio = ratio
@@ -174,8 +168,7 @@ func (t *tableau) iterate(maxPivots int) Status {
 				bland = true
 			}
 		} else {
-			stall = 0
-			bland = false
+			stall, bland = 0, false
 		}
 		prev = cur
 	}
@@ -196,7 +189,7 @@ func (t *tableau) driveOutArtificials() {
 			if t.sf.isArt[j] || t.banned[j] {
 				continue
 			}
-			if math.Abs(t.a[r][j]) > pivotTol {
+			if math.Abs(t.sf.a[r][j]) > pivotTol {
 				t.pivot(r, j)
 				break
 			}
@@ -213,7 +206,7 @@ func (t *tableau) driveOutArtificials() {
 // sf.n, pre-zeroed).
 func (t *tableau) extractInto(x []float64) {
 	for r, bc := range t.basis {
-		v := t.b[r]
+		v := t.sf.b[r]
 		if v < 0 {
 			v = 0 // clamp tiny negative residue
 		}
@@ -279,12 +272,11 @@ func (m *Model) solveTableau(ws *Workspace) (*Solution, error) {
 
 	// Phase 1: minimize the sum of artificial variables.
 	if len(sf.artCols) > 0 {
-		ws.phase1 = growFloats(ws.phase1, sf.n)
-		phase1 := ws.phase1
+		ws.phase1 = zeroed(ws.phase1, sf.n)
 		for _, j := range sf.artCols {
-			phase1[j] = 1
+			ws.phase1[j] = 1
 		}
-		t.setObjective(phase1)
+		t.setObjective(ws.phase1)
 		st := t.iterate(maxPivots)
 		sol.Pivots = t.pivots
 		if st == IterationLimit {
@@ -312,7 +304,7 @@ func (m *Model) solveTableau(ws *Workspace) (*Solution, error) {
 		return sol, fmt.Errorf("%w (phase 2 after %d pivots)", ErrIterationLimit, t.pivots)
 	}
 
-	ws.x = growFloats(ws.x, sf.n)
+	ws.x = zeroed(ws.x, sf.n)
 	t.extractInto(ws.x)
 	sf.recoverPointInto(sol.values, ws.x)
 	// Compute the objective in model space rather than from the running
@@ -323,8 +315,7 @@ func (m *Model) solveTableau(ws *Workspace) (*Solution, error) {
 	// its slack or artificial) encodes y_i because those columns formed the
 	// identity matrix.
 	for ci, r := range sf.rowOfCons {
-		y := -t.obj[sf.basis[r]]
-		y *= sf.rowSign[r]
+		y := -t.obj[sf.basis[r]] * sf.rowSign[r]
 		if sf.negate {
 			y = -y
 		}

@@ -34,12 +34,13 @@ type boundRow struct {
 
 // standardForm is the canonical problem: minimize cost·x subject to
 // A x = b, x >= 0, b >= 0, expressed as a dense tableau ready for the
-// simplex method.
+// simplex method. The solve pivots a and b in place, so after it they hold
+// the final tableau, not the problem.
 type standardForm struct {
 	m, n int // rows, total columns (structural + slack + artificial)
 
 	a    [][]float64 // m rows of n coefficients
-	b    []float64   // right-hand sides, all >= 0
+	b    []float64   // right-hand sides, >= 0 before the solve
 	cost []float64   // phase-2 costs per column
 
 	nStruct int   // structural columns (model variables after substitution)
@@ -62,44 +63,26 @@ type standardForm struct {
 	adjs      []float64
 }
 
-// growFloats returns a zeroed float slice of length n, reusing buf's
-// backing array when it is large enough.
-func growFloats(buf []float64, n int) []float64 {
+// grow returns buf at length n, reusing its backing array when it is large
+// enough; the contents are unspecified.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growInts returns an int slice of length n (contents unspecified),
-// reusing buf when possible.
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
 
-// growBools returns a zeroed bool slice of length n, reusing buf.
-func growBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = false
-	}
+// zeroed is grow with every entry zero.
+func zeroed[T any](buf []T, n int) []T {
+	buf = grow(buf, n)
+	clear(buf)
 	return buf
 }
 
 // growMatrix returns an m×n zeroed dense matrix as row headers over one
 // flat backing array, reusing the given buffers when large enough.
 func growMatrix(rows [][]float64, flat []float64, m, n int) ([][]float64, []float64) {
-	flat = growFloats(flat, m*n)
+	flat = zeroed(flat, m*n)
 	if cap(rows) < m {
 		rows = make([][]float64, m)
 	}
@@ -123,10 +106,7 @@ func buildStandardInto(mo *Model, sf *standardForm) (*standardForm, error) {
 
 	// 1. Substitute variables so every structural column is >= 0;
 	// doubly-bounded variables get an extra "u <= hi-lo" row.
-	if cap(sf.subs) < len(mo.vars) {
-		sf.subs = make([]subst, len(mo.vars))
-	}
-	sf.subs = sf.subs[:len(mo.vars)]
+	sf.subs = grow(sf.subs, len(mo.vars))
 	sf.boundRows = sf.boundRows[:0]
 	col := 0
 	for i, v := range mo.vars {
@@ -151,13 +131,10 @@ func buildStandardInto(mo *Model, sf *standardForm) (*standardForm, error) {
 	// right-hand side, the post-flip relation, and the row sign, which
 	// together determine the slack/artificial layout.
 	nRows := len(mo.cons) + len(sf.boundRows)
-	if cap(sf.rels) < nRows {
-		sf.rels = make([]Relation, nRows)
-	}
-	sf.rels = sf.rels[:nRows]
-	sf.adjs = growFloats(sf.adjs, nRows)
-	sf.rowSign = growFloats(sf.rowSign, nRows)
-	sf.rowOfCons = growInts(sf.rowOfCons, len(mo.cons))
+	sf.rels = grow(sf.rels, nRows)
+	sf.adjs = zeroed(sf.adjs, nRows)
+	sf.rowSign = zeroed(sf.rowSign, nRows)
+	sf.rowOfCons = grow(sf.rowOfCons, len(mo.cons))
 
 	for i, c := range mo.cons {
 		sf.rowOfCons[i] = i
@@ -202,11 +179,11 @@ func buildStandardInto(mo *Model, sf *standardForm) (*standardForm, error) {
 	sf.m = nRows
 	sf.n = sf.nStruct + nSlack + nArt
 	sf.a, sf.aFlat = growMatrix(sf.a, sf.aFlat, sf.m, sf.n)
-	sf.b = growFloats(sf.b, nRows)
+	sf.b = zeroed(sf.b, nRows)
 	copy(sf.b, sf.adjs)
-	sf.cost = growFloats(sf.cost, sf.n)
-	sf.isArt = growBools(sf.isArt, sf.n)
-	sf.basis = growInts(sf.basis, nRows)
+	sf.cost = zeroed(sf.cost, sf.n)
+	sf.isArt = zeroed(sf.isArt, sf.n)
+	sf.basis = grow(sf.basis, nRows)
 	sf.artCols = sf.artCols[:0]
 
 	for i, c := range mo.cons {

@@ -1,9 +1,10 @@
 package lp
 
 // Workspace holds the scratch state of a tableau solve — the standard-form
-// conversion, the tableau itself, and the phase-1 / extraction vectors — so
-// that repeated solves of same-shaped models reuse one set of buffers
-// instead of reallocating them per call. The zero value is ready to use.
+// conversion (which the tableau pivots in place), the tableau's reduced
+// costs and basis, and the phase-1 / extraction vectors — so that repeated
+// solves of same-shaped models reuse one set of buffers instead of
+// reallocating them per call. The zero value is ready to use.
 //
 // A Workspace may be reused across models of different shapes (buffers grow
 // as needed) but must not be used by two solves concurrently. It also owns
@@ -21,8 +22,8 @@ type Workspace struct {
 // solution resets the workspace's Solution for a solve of m and returns it.
 func (ws *Workspace) solution(m *Model) *Solution {
 	ws.sol = Solution{
-		values: growFloats(ws.sol.values, len(m.vars)),
-		duals:  growFloats(ws.sol.duals, len(m.cons)),
+		values: zeroed(ws.sol.values, len(m.vars)),
+		duals:  zeroed(ws.sol.duals, len(m.cons)),
 	}
 	return &ws.sol
 }
