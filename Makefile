@@ -52,13 +52,15 @@ scenarios:
 # checked-in snapshot. Invalid example snapshots live under
 # testdata/invalid/ and are exercised by tests. The grep keeps the gob
 # codec deleted: one wire is served, and a second cannot come back as an
-# unreviewed import. The go list keeps the served binaries off the paper's
-# library: nothing grm, grmd or lrmd builds may import internal/planners.
+# unreviewed import. The go lists keep the served binaries off the paper's
+# library and off the test oracles: nothing grm, grmd or lrmd builds may
+# import internal/planners, or internal/modeltest with its reference simplex.
 lint:
 	$(GO) run ./cmd/sharingvet ./...
 	$(GO) run ./cmd/agreements lint testdata/*.json
 	! grep -rl '"encoding/gob"' --include='*.go' .
 	! $(GO) list -deps ./internal/grm/... ./cmd/grmd ./cmd/lrmd | grep -x 'repro/internal/planners'
+	! $(GO) list -deps ./internal/grm/... ./cmd/grmd ./cmd/lrmd | grep -x 'repro/internal/modeltest'
 
 # Regenerate the golden wire manifest after a deliberate protocol change.
 # The wiretag analyzer diffs internal/grm/codec.go against this file, so
@@ -89,7 +91,7 @@ allocs:
 # shrinks either lowers its MAX to what it prints; raising one is a
 # reviewed diff of its line, for a simplicity PR to argue. Two lines, so
 # code cannot leave the serving count by moving into the library unseen.
-SERVING_LOC_MAX = 7249
+SERVING_LOC_MAX = 6346
 LIBRARY_LOC_MAX = 1049
 loc:
 	@n=$$(ls internal/lp/*.go internal/core/*.go internal/grm/*.go | grep -v _test | xargs cat | wc -l); \
@@ -120,14 +122,15 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # Enforcement hot-path benchmarks (allocation planning, transitive
-# closure, the simplex solvers) captured into BENCH_hotpath.json. The
-# file's "baseline" snapshot is frozen on first write; later runs only
-# replace "current", so the tracked file records the trajectory against
-# the pre-optimization numbers. BENCHTIME=1x gives a smoke run in CI.
+# closure, the simplex and its modeltest reference, lpsolve's parser)
+# captured into BENCH_hotpath.json. The file's "baseline" snapshot is
+# frozen on first write; later runs only replace "current", so the tracked
+# file records the trajectory against the pre-optimization numbers.
+# BENCHTIME=1x gives a smoke run in CI.
 BENCHTIME ?= 1s
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) \
-		./internal/core/ ./internal/planners/ ./internal/transitive/ ./internal/lp/ \
+		./internal/core/ ./internal/planners/ ./internal/transitive/ ./internal/lp/ ./cmd/lpsolve/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_hotpath.json
 
 # Regression gate over the committed bench trajectory: every current
@@ -153,12 +156,13 @@ loadgen-json:
 	$(GO) run ./cmd/loadgen -json BENCH_transport.json -duration $(LOADGEN_DURATION)
 
 # Short local fuzz passes over the snapshot, scenario-bundle, wire
-# envelope and write-ahead-log decoders.
+# envelope and write-ahead-log decoders, and lpsolve's model parser.
 fuzz:
 	$(GO) test ./internal/agreement/ -fuzz FuzzSnapshotDecode -fuzztime 30s
 	$(GO) test ./internal/scenario/ -fuzz FuzzBundleDecode -fuzztime 30s
 	$(GO) test ./internal/grm/ -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLogDecode -fuzztime 30s
+	$(GO) test ./cmd/lpsolve/ -run '^$$' -fuzz FuzzParseModel -fuzztime 30s
 
 clean:
 	$(GO) clean ./...

@@ -193,6 +193,17 @@ func (m *Model) Bounds(v VarID) (lo, hi float64) {
 	return m.vars[v].lo, m.vars[v].hi
 }
 
+// ObjCoeff returns the objective coefficient of v.
+func (m *Model) ObjCoeff(v VarID) float64 { return m.vars[v].obj }
+
+// Constraint returns row i as AddConstraint left it: its merged terms, its
+// relation and its right-hand side. The terms are a view of the model's
+// own storage, for reading only.
+func (m *Model) Constraint(i int) (terms []Term, rel Relation, rhs float64) {
+	c := &m.cons[i]
+	return c.terms, c.rel, c.rhs
+}
+
 // AddConstraint adds the linear constraint sum(terms) rel rhs and returns
 // its zero-based row index. Terms referencing the same variable accumulate
 // at the first one's place; terms that are or cancel to zero are dropped. It

@@ -200,8 +200,8 @@ func TestCloneAddConstraintLeavesParentRows(t *testing.T) {
 }
 
 // TestOnDemandNames checks that a model built without names answers with
-// NameWith's wherever a name shows — VarName, ConstraintName, String,
-// WriteSolution, the rebinding panics — that a given name wins over them,
+// NameWith's wherever a name shows — VarName, ConstraintName, String, the
+// rebinding panics — that a given name wins over them,
 // and that a model with neither still renders.
 func TestOnDemandNames(t *testing.T) {
 	m := NewModel(Maximize)
@@ -224,12 +224,8 @@ func TestOnDemandNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out strings.Builder
-	if err := WriteSolution(&out, m, sol); err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); got != "V'_40 = 2\ngiven = 3\nobjective = 8\n" {
-		t.Fatalf("WriteSolution wrote %q", got)
+	if got := fmt.Sprint(sol.Values(), sol.Objective); got != "[2 3] 8" {
+		t.Fatalf("solution %s", got)
 	}
 	for msg, fn := range map[string]func(){
 		`lp: SetBounds("V'_40"): NaN bound`:                           func() { m.SetBounds(x, math.NaN(), 1) },
@@ -243,6 +239,18 @@ func TestOnDemandNames(t *testing.T) {
 	} {
 		if got := panicOf(fn); got != msg {
 			t.Errorf("panic %q, want %q", got, msg)
+		}
+	}
+}
+
+func TestModelString(t *testing.T) {
+	m := NewModel(Maximize)
+	x := m.AddVar("x", 0, 5, 2)
+	m.AddConstraint("c", []Term{{x, 1}}, LE, 4)
+	s := m.String()
+	for _, want := range []string{"maximize", "2*x", "<= 4", "[c]"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("String() missing %q:\n%s", want, s)
 		}
 	}
 }

@@ -230,32 +230,6 @@ func (m *Model) Solve() (*Solution, error) {
 	return sol, err
 }
 
-// Method selects the simplex implementation.
-type Method int
-
-// Tableau is the dense two-phase tableau simplex, the production solver:
-// simplest and fastest for the small LPs the allocation engine generates.
-// BoundedRevised (bounded.go) is the independent reference.
-const Tableau Method = 0
-
-// String returns the method name.
-func (m Method) String() string {
-	if m == BoundedRevised {
-		return "bounded-revised"
-	}
-	return "tableau"
-}
-
-// SolveWith optimizes the model with the chosen simplex implementation.
-// Solve is equivalent to SolveWith(Tableau); both methods produce the
-// same optima (a property the tests check on random LPs).
-func (m *Model) SolveWith(method Method) (*Solution, error) {
-	if method == BoundedRevised {
-		return solveBounded(m)
-	}
-	return m.Solve()
-}
-
 // solveTableau is Solve with all solver scratch drawn from ws, the returned
 // Solution included, so repeated solves of same-shaped models allocate
 // nothing.

@@ -28,15 +28,21 @@ func (ws *Workspace) solution(m *Model) *Solution {
 	return &ws.sol
 }
 
-// SolveWithWorkspace is SolveWith drawing all solver scratch from ws,
-// including the returned Solution, which is valid until the next solve on
-// ws. Only the Tableau method has a workspace-reusing path; BoundedRevised
-// falls back to SolveWith and ignores ws. The numeric results are
-// identical to Solve/SolveWith: buffer reuse changes where intermediates
-// live, never the order of floating-point operations.
-func (m *Model) SolveWithWorkspace(method Method, ws *Workspace) (*Solution, error) {
-	if ws == nil || method != Tableau {
-		return m.SolveWith(method)
+// Method and Tableau are a compile shim for bench/layers.go, which passes
+// Tableau to SolveWithWorkspace (as core does); nothing reads the value,
+// because lp has one solver (ROADMAP item 1f).
+type Method int
+
+const Tableau Method = 0
+
+// SolveWithWorkspace is Solve drawing all solver scratch from ws, including
+// the returned Solution, which is valid until the next solve on ws; a nil
+// ws means Solve. The numeric results are identical to Solve's: buffer
+// reuse changes where intermediates live, never the order of floating-point
+// operations. The Method argument is ignored (see Method).
+func (m *Model) SolveWithWorkspace(_ Method, ws *Workspace) (*Solution, error) {
+	if ws == nil {
+		return m.Solve()
 	}
 	return m.solveTableau(ws)
 }

@@ -190,10 +190,10 @@ func (o *Oracle) CheckAllocation(v []float64, requester int, amount float64, a *
 // PlanTheta solves the allocation problem with an independently
 // constructed LP — the substituted formulation written straight from the
 // printed equations, built fresh per call (no skeleton cache, no clone
-// rebinding, no pooled workspace) and solved with the bounds-aware revised
-// simplex rather than the allocator's default tableau — then returns the
-// brute-force realized θ of its solution. Within tolerance this is the
-// true minimum perturbation for the request.
+// rebinding, no pooled workspace) and solved with RefSolve rather than the
+// allocator's tableau — then returns the brute-force realized θ of its
+// solution. Within tolerance this is the true minimum perturbation for the
+// request.
 func (o *Oracle) PlanTheta(v []float64, requester int, amount float64) (float64, error) {
 	n := o.g.N
 	m := lp.NewModel(lp.Minimize)
@@ -242,13 +242,13 @@ func (o *Oracle) PlanTheta(v []float64, requester int, amount float64) (float64,
 		m.AddConstraint(fmt.Sprintf("perturb_%d", i), terms, lp.GE, caps[i])
 	}
 
-	sol, err := m.SolveWith(lp.BoundedRevised)
+	sol, err := RefSolve(m)
 	if err != nil {
 		return 0, fmt.Errorf("reference LP: %w", err)
 	}
 	newV := make([]float64, n)
 	for i := 0; i < n; i++ {
-		nv := sol.Value(vp[i])
+		nv := sol.Values[vp[i]]
 		newV[i] = math.Min(math.Max(nv, 0), v[i])
 	}
 	return o.RealizedTheta(v, newV, requester), nil

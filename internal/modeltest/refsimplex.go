@@ -1,23 +1,129 @@
-package lp
+package modeltest
 
 import (
 	"fmt"
 	"math"
 
+	"repro/internal/lp"
 	"repro/internal/num"
 )
 
-// BoundedRevised is the revised simplex with implicit variable bounds:
-// instead of materializing every "x <= hi" as a constraint row (what the
-// tableau does via buildStandardInto), nonbasic variables rest at
-// either bound and the ratio test handles bound flips. For the scheduler
-// LPs — whose variables V'_i are all doubly bounded — this roughly halves
-// the row count.
-const BoundedRevised Method = 2
+// RefSolve is the oracle's reference LP solver: a two-phase revised simplex
+// with implicit variable bounds. Instead of materializing every "x <= hi" as
+// a constraint row (what lp's tableau does), nonbasic variables rest at
+// either bound and the ratio test handles bound flips, and the basis inverse
+// is refactorized every 64 pivots. It reads the model through lp's exported
+// API only and shares no code with lp's solver — its own standard form,
+// substitutions and tolerances — so a bug in the served tableau is not also
+// a bug here. Failures wrap lp.ErrInfeasible, lp.ErrUnbounded or
+// lp.ErrIterationLimit.
+func RefSolve(m *lp.Model) (*RefSolution, error) {
+	bf, err := buildBounded(m)
+	if err != nil {
+		return nil, err
+	}
+	s := newBoundedSolver(bf)
+	maxPivots := 200 + 60*(bf.m+bf.n)
+
+	if len(bf.artCols) > 0 {
+		phase1 := make([]float64, bf.n)
+		for _, j := range bf.artCols {
+			phase1[j] = 1
+		}
+		if s.iterate(phase1, maxPivots) == lp.IterationLimit {
+			return nil, fmt.Errorf("%w (bounded phase 1 after %d pivots)", lp.ErrIterationLimit, s.pivots)
+		}
+		if s.objective(phase1) > feasTol*float64(1+bf.m) {
+			return nil, fmt.Errorf("%w (artificial residual %g)", lp.ErrInfeasible, s.objective(phase1))
+		}
+		s.driveOutArtificials()
+		for j, art := range bf.isArt {
+			if art {
+				s.banned[j] = true
+			}
+		}
+	}
+
+	switch s.iterate(bf.cost, maxPivots) {
+	case lp.Unbounded:
+		return nil, fmt.Errorf("%w (bounded, after %d pivots)", lp.ErrUnbounded, s.pivots)
+	case lp.IterationLimit:
+		return nil, fmt.Errorf("%w (bounded phase 2 after %d pivots)", lp.ErrIterationLimit, s.pivots)
+	}
+
+	x := make([]float64, bf.n)
+	for j := 0; j < bf.n; j++ {
+		if !s.inBase[j] && s.atUpper[j] {
+			x[j] = bf.ub[j]
+		}
+	}
+	xb := s.basicValues()
+	for i, bc := range s.basis {
+		v := xb[i]
+		if v < 0 {
+			v = 0
+		}
+		x[bc] = v
+	}
+	sol := &RefSolution{Values: bf.recoverPoint(x), Duals: make([]float64, len(bf.rowOfCons)), Pivots: s.pivots}
+	sol.Objective = m.Eval(sol.Values)
+
+	y := s.dualVector(bf.cost)
+	for ci, row := range bf.rowOfCons {
+		d := y[row] * bf.rowSign[row]
+		if bf.negate {
+			d = -d
+		}
+		sol.Duals[ci] = d
+	}
+	return sol, nil
+}
+
+// RefSolution is RefSolve's optimum.
+type RefSolution struct {
+	// Values holds one entry per model variable, indexed by lp.VarID.
+	Values []float64
+	// Objective is the optimum in the model's own sense.
+	Objective float64
+	// Duals holds one shadow price per constraint row, with lp.Solution's
+	// sign convention.
+	Duals []float64
+	// Pivots counts basis exchanges and bound flips across both phases.
+	Pivots int
+}
+
+const (
+	// pivotTol is the smallest acceptable pivot element magnitude.
+	pivotTol = 1e-9
+	// feasTol is the feasibility / optimality tolerance.
+	feasTol = 1e-7
+	// stallLimit is the number of non-improving pivots tolerated before
+	// the solver switches from Dantzig to Bland's anti-cycling rule.
+	stallLimit = 64
+)
+
+// substKind records how a model variable was rewritten into nonnegative
+// columns.
+type substKind int
+
+const (
+	// substShift: x = lo + u with u >= 0 (finite lower bound).
+	substShift substKind = iota
+	// substMirror: x = hi - u with u >= 0 (finite upper bound only).
+	substMirror
+	// substSplit: x = u - w with u, w >= 0 (free variable).
+	substSplit
+)
+
+type subst struct {
+	kind   substKind
+	col    int     // primary column
+	negCol int     // second column for substSplit
+	offset float64 // lo for substShift, hi for substMirror
+}
 
 // boundedForm is the bounds-aware standard form: min cost·x subject to
-// A x = b with 0 <= x_j <= ub_j (ub may be +inf). Unlike standardForm it
-// carries no bound rows.
+// A x = b with 0 <= x_j <= ub_j (ub may be +inf). It carries no bound rows.
 type boundedForm struct {
 	m, n    int
 	a       [][]float64
@@ -36,24 +142,26 @@ type boundedForm struct {
 }
 
 // buildBounded converts a Model into the bounds-aware form: variables are
-// shifted/mirrored/split exactly like buildStandardInto, but finite upper
-// bounds become column bounds instead of extra rows.
-func buildBounded(m *Model) (*boundedForm, error) {
-	if len(m.vars) == 0 {
-		return nil, fmt.Errorf("lp: model has no variables")
+// shifted, mirrored or split to be nonnegative, and finite upper bounds
+// become column bounds instead of extra rows.
+func buildBounded(m *lp.Model) (*boundedForm, error) {
+	nVars := m.NumVars()
+	if nVars == 0 {
+		return nil, fmt.Errorf("reference simplex: model has no variables")
 	}
-	bf := &boundedForm{subs: make([]subst, len(m.vars))}
+	bf := &boundedForm{subs: make([]subst, nVars)}
 
 	col := 0
 	var ubs []float64
-	for i, v := range m.vars {
+	for i := range bf.subs {
+		lo, hi := m.Bounds(lp.VarID(i))
 		switch {
-		case !math.IsInf(v.lo, -1):
-			bf.subs[i] = subst{kind: substShift, col: col, offset: v.lo}
-			ubs = append(ubs, v.hi-v.lo) // +inf stays +inf
+		case !math.IsInf(lo, -1):
+			bf.subs[i] = subst{kind: substShift, col: col, offset: lo}
+			ubs = append(ubs, hi-lo) // +inf stays +inf
 			col++
-		case !math.IsInf(v.hi, 1):
-			bf.subs[i] = subst{kind: substMirror, col: col, offset: v.hi}
+		case !math.IsInf(hi, 1):
+			bf.subs[i] = subst{kind: substMirror, col: col, offset: hi}
 			ubs = append(ubs, math.Inf(1))
 			col++
 		default:
@@ -64,18 +172,18 @@ func buildBounded(m *Model) (*boundedForm, error) {
 	}
 	bf.nStruct = col
 
-	nRows := len(m.cons)
+	nRows := m.NumConstraints()
 	rows := make([][]float64, nRows)
 	rhs := make([]float64, nRows)
-	rels := make([]Relation, nRows)
+	rels := make([]lp.Relation, nRows)
 	bf.rowSign = make([]float64, nRows)
 	bf.rowOfCons = make([]int, nRows)
 
-	for r, c := range m.cons {
+	for r := range rows {
+		terms, rel, adj := m.Constraint(r)
 		bf.rowOfCons[r] = r
 		row := make([]float64, bf.nStruct)
-		adj := c.rhs
-		for _, t := range c.terms {
+		for _, t := range terms {
 			s := bf.subs[t.Var]
 			switch s.kind {
 			case substShift:
@@ -89,7 +197,6 @@ func buildBounded(m *Model) (*boundedForm, error) {
 				row[s.negCol] -= t.Coeff
 			}
 		}
-		rel := c.rel
 		sign := 1.0
 		if adj < 0 {
 			sign = -1
@@ -98,10 +205,10 @@ func buildBounded(m *Model) (*boundedForm, error) {
 				row[j] = -row[j]
 			}
 			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
+			case lp.LE:
+				rel = lp.GE
+			case lp.GE:
+				rel = lp.LE
 			}
 		}
 		rows[r], rhs[r], rels[r] = row, adj, rel
@@ -110,10 +217,10 @@ func buildBounded(m *Model) (*boundedForm, error) {
 
 	nSlack, nArt := 0, 0
 	for _, rel := range rels {
-		if rel == LE || rel == GE {
+		if rel == lp.LE || rel == lp.GE {
 			nSlack++
 		}
-		if rel != LE {
+		if rel != lp.LE {
 			nArt++
 		}
 	}
@@ -130,13 +237,12 @@ func buildBounded(m *Model) (*boundedForm, error) {
 		bf.ub[j] = math.Inf(1)
 	}
 
-	bf.negate = m.sense == Maximize
-	for i, v := range m.vars {
-		c := v.obj
+	bf.negate = m.Sense() == lp.Maximize
+	for i, s := range bf.subs {
+		c := m.ObjCoeff(lp.VarID(i))
 		if bf.negate {
 			c = -c
 		}
-		s := bf.subs[i]
 		switch s.kind {
 		case substShift:
 			bf.cost[s.col] += c
@@ -154,11 +260,11 @@ func buildBounded(m *Model) (*boundedForm, error) {
 		row := make([]float64, bf.n)
 		copy(row, rows[r])
 		switch rels[r] {
-		case LE:
+		case lp.LE:
 			row[slackAt] = 1
 			bf.basis[r] = slackAt
 			slackAt++
-		case GE:
+		case lp.GE:
 			row[slackAt] = -1
 			slackAt++
 			row[artAt] = 1
@@ -166,7 +272,7 @@ func buildBounded(m *Model) (*boundedForm, error) {
 			bf.artCols = append(bf.artCols, artAt)
 			bf.basis[r] = artAt
 			artAt++
-		case EQ:
+		case lp.EQ:
 			row[artAt] = 1
 			bf.isArt[artAt] = true
 			bf.artCols = append(bf.artCols, artAt)
@@ -327,7 +433,7 @@ func (s *boundedSolver) ftran(j int) []float64 {
 }
 
 // iterate optimizes the loaded cost vector.
-func (s *boundedSolver) iterate(cost []float64, maxPivots int) Status {
+func (s *boundedSolver) iterate(cost []float64, maxPivots int) lp.Status {
 	stall := 0
 	bland := false
 	prev := s.objective(cost)
@@ -362,7 +468,7 @@ func (s *boundedSolver) iterate(cost []float64, maxPivots int) Status {
 			}
 		}
 		if enter == -1 {
-			return Optimal
+			return lp.Optimal
 		}
 
 		d := s.ftran(enter)
@@ -399,7 +505,7 @@ func (s *boundedSolver) iterate(cost []float64, maxPivots int) Status {
 			}
 		}
 		if math.IsInf(tMax, 1) {
-			return Unbounded
+			return lp.Unbounded
 		}
 		if leave == -1 {
 			// Bound flip: the entering variable crosses to its other
@@ -425,7 +531,7 @@ func (s *boundedSolver) iterate(cost []float64, maxPivots int) Status {
 		}
 		prev = cur
 	}
-	return IterationLimit
+	return lp.IterationLimit
 }
 
 func (s *boundedSolver) pivot(leave, enter int, d []float64) {
@@ -524,78 +630,4 @@ func (s *boundedSolver) driveOutArtificials() {
 			}
 		}
 	}
-}
-
-// solveBounded runs the two-phase bounds-aware revised simplex.
-func solveBounded(m *Model) (*Solution, error) {
-	bf, err := buildBounded(m)
-	if err != nil {
-		return nil, err
-	}
-	s := newBoundedSolver(bf)
-	maxPivots := 200 + 60*(bf.m+bf.n)
-	sol := &Solution{values: make([]float64, len(m.vars)), duals: make([]float64, len(m.cons))}
-
-	if len(bf.artCols) > 0 {
-		phase1 := make([]float64, bf.n)
-		for _, j := range bf.artCols {
-			phase1[j] = 1
-		}
-		st := s.iterate(phase1, maxPivots)
-		sol.Pivots = s.pivots
-		if st == IterationLimit {
-			sol.Status = IterationLimit
-			return sol, fmt.Errorf("%w (bounded phase 1 after %d pivots)", ErrIterationLimit, s.pivots)
-		}
-		if s.objective(phase1) > feasTol*float64(1+bf.m) {
-			sol.Status = Infeasible
-			return sol, fmt.Errorf("%w (artificial residual %g)", ErrInfeasible, s.objective(phase1))
-		}
-		s.driveOutArtificials()
-		for j, art := range bf.isArt {
-			if art {
-				s.banned[j] = true
-			}
-		}
-	}
-
-	st := s.iterate(bf.cost, maxPivots)
-	sol.Pivots = s.pivots
-	switch st {
-	case Unbounded:
-		sol.Status = Unbounded
-		return sol, fmt.Errorf("%w (bounded, after %d pivots)", ErrUnbounded, s.pivots)
-	case IterationLimit:
-		sol.Status = IterationLimit
-		return sol, fmt.Errorf("%w (bounded phase 2 after %d pivots)", ErrIterationLimit, s.pivots)
-	}
-
-	x := make([]float64, bf.n)
-	for j := 0; j < bf.n; j++ {
-		if !s.inBase[j] && s.atUpper[j] {
-			x[j] = bf.ub[j]
-		}
-	}
-	xb := s.basicValues()
-	for i, bc := range s.basis {
-		v := xb[i]
-		if v < 0 {
-			v = 0
-		}
-		x[bc] = v
-	}
-	point := bf.recoverPoint(x)
-	copy(sol.values, point)
-	sol.Objective = m.Eval(point)
-
-	y := s.dualVector(bf.cost)
-	for ci, row := range bf.rowOfCons {
-		d := y[row] * bf.rowSign[row]
-		if bf.negate {
-			d = -d
-		}
-		sol.duals[ci] = d
-	}
-	sol.Status = Optimal
-	return sol, nil
 }
