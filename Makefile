@@ -1,8 +1,10 @@
 # Build/verify entry points. `make check` is the CI gate: vet, the
-# domain-specific sharingvet analyzers, snapshot linting, and the full
-# test suite with the race detector (the grm protocol layer's
-# reconnect/reaper/federation paths are concurrency-heavy and must stay
-# honest under -race).
+# domain-specific sharingvet analyzers, snapshot linting, the line and
+# allocation pins, and the full test suite; then the race detector over
+# the packages whose concurrency must stay honest under -race — the grm
+# protocol layer's reconnect/reaper/federation paths, the store, and the
+# closure's parallel row kernel (transitive's workers share one step
+# meter and a pool of scratch sets; par is their pool).
 
 GO ?= go
 
@@ -14,10 +16,12 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-enabled run of the concurrency-critical packages plus a plain run
-# of everything else (LP benches are pure-CPU and slow under -race).
+# Race-enabled run of the concurrency-critical packages (LP benches are
+# pure-CPU and slow under -race). The closure kernel's tests enumerate
+# dense graphs, so its leg is -short: the same kernels on smaller cliques.
 race:
 	$(GO) test -race ./internal/grm/... ./internal/store/... ./internal/core/... ./internal/planners/... ./internal/batch/... ./internal/sim/... ./internal/metrics/... ./internal/modeltest/... ./internal/vclock/... ./internal/scenario/...
+	$(GO) test -race -short ./internal/transitive/ ./internal/par/
 
 # Model-based testing campaign (DESIGN.md §8): random agreement graphs
 # checked against brute-force oracles, deterministic GRM cluster
@@ -77,11 +81,12 @@ FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFe
 # The allocation pins: the `//go:build !race` tests (named ...Allocs or
 # ...AllocatesNothing) that hold what a reserved model build, a steady plan,
 # a skeleton build, a closure delta, a column patch, an allocate+release pair
-# (in process and over the wire), a lone release, a renew, a register, a
-# re-attach, a share, a whole churn cycle and a pipelined frame through the
-# transport may heap-allocate. Run alone, uncached and without -race (the
-# detector's instrumentation allocates), so a pin that breaks says so by
-# name here and not somewhere inside `go test ./...`.
+# (in process and over the wire), a lone release, a renew, a reap pass
+# (TestReapAllocs), a register, a re-attach, a share, a whole churn cycle
+# and a pipelined frame through the transport may heap-allocate. Run
+# alone, uncached and without -race (the detector's instrumentation
+# allocates), so a pin that breaks says so by name here and not somewhere
+# inside `go test ./...`.
 allocs:
 	$(GO) test -count=1 -run 'Allocs$$|AllocatesNothing$$' ./internal/lp/ ./internal/transitive/ ./internal/core/ ./internal/grm/ ./internal/grm/transport/
 
@@ -107,6 +112,7 @@ check: build
 	$(MAKE) allocs
 	$(GO) test ./...
 	$(GO) test -race ./internal/grm/... ./internal/store/...
+	$(GO) test -race -short ./internal/transitive/ ./internal/par/
 	$(GO) test -race -count=5 -run '$(FEDERATION_TIMING_TESTS)' ./internal/grm/
 
 # Regenerate the paper's figures at full scale (cmd/proxysim, about a

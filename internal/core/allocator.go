@@ -77,16 +77,15 @@ const fullLevel = 1 << 30
 // subset DP (transitive.exactRow picks per row). Exact closure is
 // exponential on dense graphs either way; refuse plainly instead of
 // hanging (a dense 20-principal graph has ~10^17 cycle-free chains). The
-// build charges the budget as it works, in one pass, and stops when it
-// runs out, so a refusal costs about the budget (~0.3 s) and no more.
-// The budget admits complete graphs of up to 15 principals at full
-// closure — the paper's K10 charges 0.25 M steps and builds in ~2.5 ms
-// (9.86 M chains, walked twice, and 237 ms before the DP), K12 1.8 M and
-// ~13 ms, K14 11 M and ~90 ms, K15 28 M — and refuses K16 (67 M) and
-// anything denser or larger; sparse graphs of any size are charged their
-// chains as before. The same budget meters the incremental UpdateEdge
-// path via the closure handle, so a mutation that densifies the graph
-// past the budget is refused exactly like a from-scratch build would be.
+// build charges the budget as it works and stops when it runs out, so a
+// refusal costs at most the budget (~0.1 s for K16, ~0.7 s for K20). It
+// admits complete graphs of up to 15 principals at full closure — the
+// paper's K10 charges 0.25 M steps and builds in ~0.4 ms, K12 1.8 M and
+// ~4 ms, K14 11 M and ~24 ms, K15 28 M — and refuses K16 (67 M) and
+// anything denser or larger; sparse graphs are charged their chains. The
+// same budget meters the incremental UpdateEdge path via the closure
+// handle, so a mutation that densifies the graph past the budget is
+// refused exactly like a from-scratch build would be.
 const exactBudget = 50_000_000
 
 // Allocator enforces sharing agreements by linear programming. Its

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/vclock"
 )
 
 // TestRegisterShareAllocs pins a register, a re-attach and a share through
@@ -218,6 +219,52 @@ func TestRenewAllocs(t *testing.T) {
 	t.Logf("a renew makes %v allocations", got)
 	if got > 2 {
 		t.Fatalf("a renew makes %v allocations, want at most 2", got)
+	}
+}
+
+// TestReapAllocs pins a reap pass at nothing: an expired lease leaves the
+// table, its takes go back to the pool and its expiry is logged without a
+// heap allocation, the log line boxing nothing for the discarding logger.
+// The leases' tokens are past 255, where boxing an int allocates. A
+// virtual clock expires one lease per pass, 200 passes in all.
+func TestReapAllocs(t *testing.T) {
+	const runs, ttl = 200, time.Hour
+	s := blockServer(t, core.Config{ComponentLP: true}, 4)
+	defer s.Close()
+	start := time.Unix(0, 0)
+	vc := vclock.NewVirtual(start)
+	s.SetClock(vc)
+	s.SetLeaseTTL(ttl)
+	alloc := &Request{Alloc: &AllocRequest{Principal: 9, Amount: 0.01}}
+	grant := func() int {
+		resp := s.Handle(alloc)
+		if resp.Alloc == nil {
+			t.Fatal(resp.Err)
+		}
+		return resp.Alloc.Lease
+	}
+	release := &Request{Release: &ReleaseRequest{}}
+	for release.Release.Lease < 255 {
+		release.Release.Lease = grant()
+		if resp := s.Handle(release); resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+	}
+	for i := 0; i <= runs; i++ { // AllocsPerRun calls once more to warm up
+		vc.Set(start.Add(time.Duration(i) * time.Second))
+		grant()
+	}
+	k := 0
+	got := testing.AllocsPerRun(runs, func() {
+		vc.Set(start.Add(ttl + time.Duration(k)*time.Second))
+		k++
+		if n := s.Reap(); n != 1 {
+			t.Fatalf("reap pass %d reclaimed %d leases, want 1", k, n)
+		}
+	})
+	t.Logf("reaping an expired lease makes %v allocations", got)
+	if got > 0 {
+		t.Fatalf("reaping an expired lease makes %v allocations, want none", got)
 	}
 }
 

@@ -354,10 +354,9 @@ func (s *Server) reaper() {
 }
 
 // Reap synchronously returns every lease expired at the current clock
-// reading, exactly as the background reaper would. The deterministic
-// cluster runner calls it after advancing a virtual clock so expiry
-// happens at a known point in its schedule instead of whenever the reaper
-// goroutine wakes. It reports how many leases were reclaimed.
+// reading, exactly as the background reaper would, and reports how many.
+// The deterministic cluster runner calls it after advancing a virtual
+// clock, so expiry happens at a known point in its schedule.
 func (s *Server) Reap() int {
 	return s.reapExpired(s.clock.Now())
 }
@@ -378,7 +377,9 @@ func (s *Server) reapExpired(now time.Time) int {
 			s.noteRepayLocked(le.parentLease)
 			repay = append(repay, le)
 		}
-		s.logger.Printf("grm: lease %d expired, takes returned to pool", token)
+		if s.logs() {
+			s.logger.Printf("grm: lease %d expired, takes returned to pool", token)
+		}
 	}
 	s.mu.Unlock()
 	for _, le := range repay {

@@ -424,7 +424,7 @@ func (s *Server) dispatchInner(req *Request) *Response {
 // patched in place (see registerLocked / shareLocked / revokeLocked), so
 // this full rebuild — with its exact closure of the whole graph — is the
 // slow path, not the common one. A refused build (up to the closure
-// budget's ~0.3 s under s.mu) is remembered: until an agreement changes,
+// budget's ~0.7 s under s.mu) is remembered: until an agreement changes,
 // the same graph would be refused the same way, so every later caller is
 // handed the same error without building. Callers hold s.mu.
 func (s *Server) currentPlannerLocked() (*core.Allocator, error) {

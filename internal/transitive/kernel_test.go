@@ -49,25 +49,107 @@ func dpRows(t *testing.T, n int, adj [][]int32, vals [][]float64, maxLen int) []
 	return out
 }
 
-// dpChosen reports, per row, whether exactRow hands the row to the DP:
-// the capped DFS runs out of steps.
+// enumerate runs the DFS of row src under the given step cap and no
+// meter, and returns the steps it took and how it stopped; the scratch is
+// left clear.
+func enumerate(sc *rowScratch, adj [][]int32, vals [][]float64, src, maxLen, limit int) (int, dfsEnd) {
+	st := newSteps(limit, nil)
+	var end dfsEnd
+	if len(adj) <= 64 {
+		_, end = exactRowSparse64(adj, vals, src, maxLen, make([]float64, len(adj)), &st)
+	} else {
+		end = sc.exactRowBig(adj, vals, src, maxLen, &st)
+		sc.discard()
+	}
+	return st.n, end
+}
+
+// dpChosen reports, per row, whether the row's kernel is the DP: the DFS
+// capped at the DP's cost runs out of steps.
 func dpChosen(n int, adj [][]int32, vals [][]float64, maxLen int) []bool {
 	maxLen = clampLevel(maxLen, n)
 	out := make([]bool, n)
 	sc := getScratch(n)
 	for src := 0; src < n; src++ {
-		st := newSteps(sc.reach(adj, src, maxLen), nil)
-		var end dfsEnd
-		if n <= 64 {
-			_, end = exactRowSparse64(adj, vals, src, maxLen, make([]float64, n), &st)
-		} else {
-			end = sc.exactRowBig(adj, vals, src, maxLen, &st)
-			sc.discard()
-		}
+		_, end := enumerate(sc, adj, vals, src, maxLen, sc.reach(adj, src, maxLen))
 		out[src] = end == dfsCapped
 	}
 	scratchPool.Put(sc)
 	return out
+}
+
+// rowsBy computes the first rows rows of T^(maxLen), the rest left zero,
+// one row at a time through kernel on one scratch, under a counting
+// meter, and returns the rows and what they charged.
+func rowsBy(t *testing.T, n, rows, maxLen int, kernel func(sc *rowScratch, src, maxLen int, m *meter) bool) ([][]float64, int64) {
+	t.Helper()
+	maxLen = clampLevel(maxLen, n)
+	out := zeros(n)
+	m := &meter{limit: math.MaxInt64}
+	sc := getScratch(n)
+	defer scratchPool.Put(sc)
+	for src := range out[:rows] {
+		if !kernel(sc, src, maxLen, m) {
+			t.Fatalf("row %d: unbudgeted kernel refused", src)
+		}
+		sc.takeDense(out[src])
+	}
+	return out, m.spent.Load()
+}
+
+// parentRule is the kernel choice before the router: every row runs the
+// DFS capped at its DP's cost, and one that hits the cap is cleared and
+// summed by the DP.
+func parentRule(adj [][]int32, vals [][]float64) func(*rowScratch, int, int, *meter) bool {
+	return func(sc *rowScratch, src, maxLen int, m *meter) bool {
+		return sc.cappedRow(adj, vals, src, maxLen, sc.reach(adj, src, maxLen), m)
+	}
+}
+
+// servedRule is exactRow, the kernel choice every build and delta makes.
+func servedRule(adj [][]int32, vals [][]float64) func(*rowScratch, int, int, *meter) bool {
+	return func(sc *rowScratch, src, maxLen int, m *meter) bool {
+		return sc.exactRow(adj, vals, src, maxLen, m)
+	}
+}
+
+// weighted builds a complete graph of k principals with unequal shares
+// of about scale each; a scale past 1 is the overdraft extension, which
+// lifts the row-sum restriction.
+func weighted(scale float64) func(*rand.Rand, int) (int, [][]int32, [][]float64) {
+	return func(rng *rand.Rand, k int) (int, [][]int32, [][]float64) {
+		s := zeros(k)
+		for i := range s {
+			for j := range s[i] {
+				if i != j {
+					s[i][j] = scale * (0.01 + rng.Float64())
+				}
+			}
+		}
+		return csrOf(s)
+	}
+}
+
+// storedZeros builds a complete graph of k principals whose rows store
+// every off-diagonal column, a third of them holding 0; with diagonal the
+// rows store a zero diagonal entry too, which validateCSR admits.
+func storedZeros(diagonal bool) func(*rand.Rand, int) (int, [][]int32, [][]float64) {
+	return func(rng *rand.Rand, k int) (int, [][]int32, [][]float64) {
+		adj, vals := make([][]int32, k), make([][]float64, k)
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				v := 0.0
+				switch {
+				case i == j && !diagonal:
+					continue
+				case i != j && rng.Intn(3) != 0:
+					v = 0.05 + 0.5*rng.Float64()
+				}
+				adj[i], vals[i] = append(adj[i], int32(j)), append(vals[i], v)
+			}
+		}
+		return k, adj, vals
+	}
 }
 
 // worstRel returns the largest relative difference between two matrices
@@ -103,39 +185,10 @@ func TestKernelsAgree(t *testing.T) {
 		name  string
 		build func(rng *rand.Rand, k int) (n int, adj [][]int32, vals [][]float64)
 	}
-	weighted := func(scale float64) func(*rand.Rand, int) (int, [][]int32, [][]float64) {
-		return func(rng *rand.Rand, k int) (int, [][]int32, [][]float64) {
-			s := zeros(k)
-			for i := range s {
-				for j := range s[i] {
-					if i != j {
-						s[i][j] = scale * (0.01 + rng.Float64())
-					}
-				}
-			}
-			return csrOf(s)
-		}
-	}
 	variants := []variant{
 		{"unequal", weighted(0.3)},
 		{"overdraft", weighted(1.7)},
-		{"stored-zeros", func(rng *rand.Rand, k int) (int, [][]int32, [][]float64) {
-			// Every off-diagonal column is stored; a third hold 0.
-			adj, vals := make([][]int32, k), make([][]float64, k)
-			for i := 0; i < k; i++ {
-				for j := 0; j < k; j++ {
-					if i == j {
-						continue
-					}
-					v := 0.0
-					if rng.Intn(3) != 0 {
-						v = 0.05 + 0.5*rng.Float64()
-					}
-					adj[i], vals[i] = append(adj[i], int32(j)), append(vals[i], v)
-				}
-			}
-			return k, adj, vals
-		}},
+		{"stored-zeros", storedZeros(false)},
 	}
 	worst := 0.0
 	for _, v := range variants {
@@ -165,20 +218,10 @@ func TestKernelsAgree(t *testing.T) {
 		}
 	}
 
-	// A complete block of 10 in a population of 80, with a sparse tail
-	// hanging off it so the block's rows reach past it.
-	const n, lo, hi = 80, 30, 40
-	rng := rand.New(rand.NewSource(80))
-	s := zeros(n)
-	for i := lo; i < hi; i++ {
-		for j := lo; j < hi; j++ {
-			if i != j {
-				s[i][j] = 0.02 + 0.2*rng.Float64()
-			}
-		}
-	}
-	s[5][lo], s[hi-1][70], s[70][71] = 0.5, 0.4, 0.3
-	_, adj, vals := csrOf(s)
+	// A complete block of 10 (principals 30 to 39) in a population of 80.
+	const lo = 30
+	s := blockIn80()
+	n, adj, vals := csrOf(s)
 	for _, level := range []int{1, 2, 5, 8, 9, n - 1} {
 		dfs := dfsRows(n, adj, vals, level)
 		got := Exact(s, level)
@@ -232,6 +275,110 @@ func TestKernelChoiceIsPerRow(t *testing.T) {
 
 	// A clique beside a ring: the clique's rows go to the DP, the ring's
 	// are enumerated, in one build.
+	n, adj, vals := csrOf(cliqueBesideRing())
+	for i, dp := range dpChosen(n, adj, vals, 29) {
+		if dp != (i < 10) {
+			t.Errorf("clique beside ring: row %d DP=%v", i, dp)
+		}
+	}
+}
+
+// routerGraph is one graph the router tests sweep at every level, over
+// its first rows rows.
+type routerGraph struct {
+	name string
+	n    int
+	adj  [][]int32
+	vals [][]float64
+	rows int
+}
+
+// routerGraphs is every family the kernel tests build: uniform complete
+// graphs of 3 to 16 principals (12 under -short); unequal, overdraft and
+// stored-zero complete graphs, with and without stored zero diagonals; a
+// complete block of 10 inside 80 principals; random dense graphs; rings;
+// and blocks side by side, cliques beside rings and chains. A uniform
+// complete graph's rows are one row up to relabelling, so past 10
+// principals only row 0 is swept: the parent rule walks 2.5 M chains a
+// row of K16 at full level.
+func routerGraphs(short bool) []routerGraph {
+	var gs []routerGraph
+	add := func(name string, n int, adj [][]int32, vals [][]float64) {
+		gs = append(gs, routerGraph{name, n, adj, vals, n})
+	}
+	addDense := func(name string, s [][]float64) {
+		n, adj, vals := csrOf(s)
+		add(name, n, adj, vals)
+	}
+	maxK := 16
+	if short {
+		maxK = 12
+	}
+	for k := 3; k <= maxK; k++ {
+		addDense(fmt.Sprintf("K%d", k), complete(k, 0.05))
+		if k > 10 {
+			gs[len(gs)-1].rows = 1
+		}
+	}
+	for _, v := range []struct {
+		name  string
+		build func(*rand.Rand, int) (int, [][]int32, [][]float64)
+	}{
+		{"unequal", weighted(0.3)},
+		{"overdraft", weighted(1.7)},
+		{"stored-zeros", storedZeros(false)},
+		{"stored-zero-diagonal", storedZeros(true)},
+	} {
+		for k := 3; k <= 11; k++ {
+			n, adj, vals := v.build(rand.New(rand.NewSource(int64(k))), k)
+			add(fmt.Sprintf("%s K%d", v.name, k), n, adj, vals)
+		}
+	}
+	addDense("block of 10 in 80", blockIn80())
+	rng := rand.New(rand.NewSource(30))
+	for _, n := range []int{9, 10, 11} {
+		for _, density := range []float64{0.6, 0.9} {
+			addDense(fmt.Sprintf("random n=%d density %.1f", n, density), randomGraph(rng, n, density))
+		}
+	}
+	addDense("ring12", ring(12, 0.5))
+	addDense("ring64", ring(64, 0.5))
+	addDense("clique beside ring", cliqueBesideRing())
+	// Five blocks of 8: cliques alternating with chains, each chain's
+	// last principal sharing nothing, as a block of churn128 does.
+	blocks := zeros(40)
+	for b := 0; b < 5; b++ {
+		for i := 8 * b; i < 8*b+8; i++ {
+			for j := 8 * b; j < 8*b+8; j++ {
+				if b%2 == 0 && i != j || b%2 == 1 && j == i+1 {
+					blocks[i][j] = 0.1
+				}
+			}
+		}
+	}
+	addDense("cliques and chains of 8", blocks)
+	return gs
+}
+
+// blockIn80 is a complete block of 10 in a population of 80, with a
+// sparse tail hanging off it so the block's rows reach past it.
+func blockIn80() [][]float64 {
+	const n, lo, hi = 80, 30, 40
+	rng := rand.New(rand.NewSource(80))
+	s := zeros(n)
+	for i := lo; i < hi; i++ {
+		for j := lo; j < hi; j++ {
+			if i != j {
+				s[i][j] = 0.02 + 0.2*rng.Float64()
+			}
+		}
+	}
+	s[5][lo], s[hi-1][70], s[70][71] = 0.5, 0.4, 0.3
+	return s
+}
+
+// cliqueBesideRing is a clique of 10 beside a ring of 20.
+func cliqueBesideRing() [][]float64 {
 	s := zeros(30)
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {
@@ -243,11 +390,152 @@ func TestKernelChoiceIsPerRow(t *testing.T) {
 	for i := 10; i < 30; i++ {
 		s[i][10+(i-9)%20] = 0.5
 	}
-	n, adj, vals := csrOf(s)
-	for i, dp := range dpChosen(n, adj, vals, 29) {
-		if dp != (i < 10) {
-			t.Errorf("clique beside ring: row %d DP=%v", i, dp)
+	return s
+}
+
+// TestRouterIsTheParentRule holds the router to the rule it shortcuts on
+// every family at every level:
+//   - a row's chain floor never exceeds its chains, counted by the DFS up
+//     to the DP's cost: the uncapped count's verdict, since the floor the
+//     router computes is saturated one step past that cost, without
+//     enumerating a K16 row's trillions of chains;
+//   - every row the router sends to the DP is one the DFS capped at the
+//     DP's cost would have abandoned;
+//   - the build is the parent rule's bit for bit and charges the meter
+//     the same steps, so the budget refuses exactly the same graphs.
+//
+// Levels run from 1 to 16 and then n-1: past 16, a row either reaches
+// more principals than the DP takes, so the router never looks at it, or
+// has reached its whole component and holds no chain longer than 15, so
+// it is the same row as at n-1.
+func TestRouterIsTheParentRule(t *testing.T) {
+	routed, undecided, enumerated := 0, 0, 0
+	for _, g := range routerGraphs(testing.Short()) {
+		sc := getScratch(g.n)
+		for level := 1; level < g.n; level++ {
+			if level > maxDPReach && level < g.n-1 {
+				continue
+			}
+			label := fmt.Sprintf("%s level %d", g.name, level)
+			for src := 0; src < g.rows; src++ {
+				limit := sc.reach(g.adj, src, level)
+				if limit == noCap {
+					enumerated++
+					continue
+				}
+				floor := chainFloor(sc.minOut, level, limit+1)
+				over := sc.overCap(level, limit)
+				// dpChosen's verdict, and the chains themselves when there
+				// are no more than the cap; past it they are at least
+				// limit+1, which no floor exceeds.
+				chains, end := enumerate(sc, g.adj, g.vals, src, level, limit)
+				dp := end == dfsCapped
+				if !dp && chains < floor {
+					t.Fatalf("%s: row %d has %d chains, under its floor %d", label, src, chains, floor)
+				}
+				switch {
+				case over && !dp:
+					t.Fatalf("%s: row %d is routed to the DP but the capped DFS finishes it", label, src)
+				case over:
+					routed++
+				case dp:
+					undecided++
+				default:
+					enumerated++
+				}
+			}
+			want, wantSteps := rowsBy(t, g.n, g.rows, level, parentRule(g.adj, g.vals))
+			got, gotSteps := rowsBy(t, g.n, g.rows, level, servedRule(g.adj, g.vals))
+			requireBitEqual(t, got, want, label+": routed build vs the parent rule")
+			if gotSteps != wantSteps {
+				t.Fatalf("%s: the routed build charged %d steps, the parent rule %d", label, gotSteps, wantSteps)
+			}
 		}
+		scratchPool.Put(sc)
+	}
+	t.Logf("rows routed to the DP %d, capped by the DFS %d, enumerated %d", routed, undecided, enumerated)
+	if routed == 0 || undecided == 0 || enumerated == 0 {
+		t.Fatal("the families miss one of the router's three outcomes")
+	}
+}
+
+// TestCompleteRowsSkipTheDFS pins the router where the serving path meets
+// it: every row of a complete graph of 7 or more at full level — the
+// paper's ten ISPs with equal shares, the bench's unequal ones, a stored
+// zero diagonal — is sent to the DP by overCap, the one test exactRow
+// makes before it would start the DFS, and exactRow heeds it: no K10 row
+// enters the DFS at all. A complete graph of 6 is enumerated: its 325
+// chains a row are under the DP's cost of 400.
+func TestCompleteRowsSkipTheDFS(t *testing.T) {
+	check := func(name string, n int, adj [][]int32, want bool) {
+		t.Helper()
+		sc := getScratch(n)
+		defer scratchPool.Put(sc)
+		for src := 0; src < n; src++ {
+			if got := sc.overCap(n-1, sc.reach(adj, src, n-1)); got != want {
+				t.Fatalf("%s: row %d sent straight to the DP = %v, want %v", name, src, got, want)
+			}
+		}
+	}
+	n, adj, _ := csrOf(complete(10, 0.1))
+	check("the paper's K10", n, adj, true)
+	n, adj, _ = csrOf(benchMatrix(10, 1))
+	check("the bench's K10", n, adj, true)
+	n, adj, _ = storedZeros(true)(rand.New(rand.NewSource(10)), 10)
+	check("K10 with stored zeros on and off the diagonal", n, adj, true)
+	for k := 3; k <= 16; k++ {
+		n, adj, _ := csrOf(complete(k, 0.05))
+		check(fmt.Sprintf("K%d", k), n, adj, k >= 7)
+	}
+
+	// And exactRow acts on it: past 64 principals the DFS is the
+	// bool-slice variant, which makes its frame stacks on first use, so a
+	// fresh scratch that has summed every row of a K10 block keeps none.
+	s := zeros(70)
+	for i := 0; i < 10; i++ {
+		for j := 0; j < 10; j++ {
+			if i != j {
+				s[i][j] = 0.1
+			}
+		}
+	}
+	n, adj, vals := csrOf(s)
+	sc := &rowScratch{acc: make([]float64, n), mark: make([]bool, n), visited: make([]bool, n)}
+	for src := 0; src < 10; src++ {
+		if !sc.exactRow(adj, vals, src, n-1, nil) {
+			t.Fatalf("row %d: unbudgeted exactRow refused", src)
+		}
+		sc.discard()
+	}
+	if sc.nodeStk != nil {
+		t.Fatal("a row of the K10 block entered the DFS")
+	}
+}
+
+// TestChainFloor pins the floor's arithmetic: it is the exact chain count
+// of a complete graph at every level, and it saturates at its ceiling
+// where the product would overflow.
+func TestChainFloor(t *testing.T) {
+	for k := 2; k <= 20; k++ {
+		for level := 1; level < k; level++ {
+			want, p := 0, 1
+			for j := 0; j < level; j++ {
+				p *= k - 1 - j
+				want += p
+			}
+			if got := chainFloor(k-1, level, math.MaxInt); got != want {
+				t.Fatalf("K%d level %d: floor %d, chains %d", k, level, got, want)
+			}
+			if got := chainFloor(k-1, level, want); got != want {
+				t.Fatalf("K%d level %d: floor at a ceiling of its count is %d, want %d", k, level, got, want)
+			}
+		}
+	}
+	if got := chainFloor(60, 59, math.MaxInt); got != math.MaxInt {
+		t.Fatalf("K61's floor is %d, want it saturated at MaxInt", got)
+	}
+	if got := chainFloor(0, 9, 100); got != 0 {
+		t.Fatalf("a row with no out-edges has floor %d", got)
 	}
 }
 

@@ -17,10 +17,10 @@
 // Sparse graphs of any size — rings, trees, many small communities —
 // enumerate; a dense group is summed without enumerating, which admits
 // complete graphs of up to 15 principals under the serving budget (the
-// paper's K10 builds in ~2.5 ms, K14 in ~0.1 s). Denser or larger cliques
-// are refused (ErrBudget). An Approx variant uses plain matrix powers, which
-// overcounts cycles but scales polynomially; the two agree on cycle-free
-// graphs and Approx is always an upper bound.
+// paper's K10 builds in ~0.4 ms, K14 in ~25 ms, on two cores). Denser or
+// larger cliques are refused (ErrBudget). An Approx variant uses plain
+// matrix powers, which overcounts cycles but scales polynomially; the two
+// agree on cycle-free graphs and Approx is always an upper bound.
 //
 // The package also implements the two extensions of Section 3.2:
 //
@@ -211,9 +211,11 @@ type rowScratch struct {
 	idxStk  []int32
 	prodStk []float64
 	// Exact kernels, reach of at most maxDPReach: the principals the
-	// source reaches, the edges among them in local numbering, and the
+	// source reaches, the least out-degree among those the reach pass
+	// expanded, the edges among them in local numbering, and the
 	// (visited set, end) table of the subset DP.
 	reached []int32
+	minOut  int
 	dpStart []int32
 	dpEdges []dpEdge
 	dp      []float64
@@ -400,22 +402,35 @@ const noCap = math.MaxInt
 // that depends on the reach r and the edges within it and not on how
 // many chains there are (dpCost). The choice is a function of the row's
 // graph alone: when the source reaches at most maxDPReach principals the
-// DFS runs under a step cap equal to the DP's cost, and only when it
-// hits the cap is the row cleared and summed by the DP. A complete graph
-// at full level goes to the DP from 7 principals up (1956 chains a row
-// against a cost of 1056); rings, chains, trees, low levels and anything
-// sparse never do. So no row costs more than twice its cheaper kernel,
-// every row the DFS finishes is bit-identical to plain enumeration, and
-// a row recomputed after an edit equals the same row of a from-scratch
-// build bit for bit. The two kernels add in different orders and agree
-// to num.ChainSumTol.
+// row's kernel is the DP if it has more chains than the DP's cost (the
+// cap), and the DFS otherwise. When the out-degrees alone prove the row
+// is over the cap (overCap) it goes straight to the DP, charged the cap
+// the DFS would have spent finding that out; every row of a complete
+// graph of 7 or more at full level does (1956 chains a row against a
+// cost of 1056). Any other row runs the DFS under the cap, and only if
+// it hits the cap is the row cleared and summed by the DP, so such a row
+// costs at most twice its cheaper kernel. Rings, chains, trees, low
+// levels and anything sparse are enumerated. Every row the DFS finishes
+// is bit-identical to plain enumeration, and a row recomputed after an
+// edit equals the same row of a from-scratch build bit for bit. The two
+// kernels add in different orders and agree to num.ChainSumTol.
 //
-// Everything that decides the choice — the reach, the cap, the step
-// count — reads only the out-edges of principals within maxLen-1 hops of
-// src, which is exactly the set whose edits Closure.affected maps back to
-// this row.
+// Everything that decides the choice — the reach, the cap, the degrees,
+// the step count — reads only the out-edges of principals within
+// maxLen-1 hops of src, which is exactly the set whose edits
+// Closure.affected maps back to this row.
 func (sc *rowScratch) exactRow(adj [][]int32, vals [][]float64, src, maxLen int, m *meter) bool {
-	st := newSteps(sc.reach(adj, src, maxLen), m)
+	limit := sc.reach(adj, src, maxLen)
+	if sc.overCap(maxLen, limit) {
+		return m.charge(limit) && sc.exactRowDP(adj, vals, src, maxLen, m)
+	}
+	return sc.cappedRow(adj, vals, src, maxLen, limit, m)
+}
+
+// cappedRow enumerates row src by the DFS under the given step cap, and
+// sums it by the DP instead if the DFS hits the cap.
+func (sc *rowScratch) cappedRow(adj [][]int32, vals [][]float64, src, maxLen, limit int, m *meter) bool {
+	st := newSteps(limit, m)
 	var end dfsEnd
 	if len(adj) <= 64 {
 		var reached uint64
@@ -447,19 +462,26 @@ func (sc *rowScratch) exactRow(adj [][]int32, vals [][]float64, src, maxLen int,
 // maxLen hops; a principal maxLen hops out only ever ends a chain), or
 // noCap once the reach passes maxDPReach. The search stops there, so it
 // reads at most maxDPReach edge lists whatever the component's size.
-// With a cap, sc.reached holds the reach, src first.
+// With a cap, sc.reached holds the reach, src first, and sc.minOut the
+// least out-degree among the expanded principals, counted as the DFS
+// counts steps: a stored zero-valued edge counts, a stored zero diagonal
+// entry does not.
 func (sc *rowScratch) reach(adj [][]int32, src, maxLen int) int {
 	seen := sc.visited
 	reached := append(sc.reached[:0], int32(src))
 	seen[src] = true
-	edges, lo := 0, 0
+	edges, lo, minOut := 0, 0, math.MaxInt
 search:
 	for depth := 0; depth < maxLen && lo < len(reached); depth++ {
 		hi := len(reached)
 		for _, u := range reached[lo:hi] {
-			edges += len(adj[u])
+			out := len(adj[u])
+			edges += out
 			for _, y := range adj[u] {
 				if seen[y] {
+					if y == u {
+						out--
+					}
 					continue
 				}
 				seen[y] = true
@@ -468,17 +490,47 @@ search:
 					break search
 				}
 			}
+			minOut = min(minOut, out)
 		}
 		lo = hi
 	}
 	for _, y := range reached {
 		seen[y] = false
 	}
-	sc.reached = reached
+	sc.reached, sc.minOut = reached, minOut
 	if len(reached) > maxDPReach {
 		return noCap
 	}
 	return dpCost(len(reached), edges)
+}
+
+// overCap reports whether the row reach just measured provably has more
+// chains than limit, its DP's cost: the capped DFS would stop at the cap.
+// A chain's position j < maxLen is held by an expanded principal, which
+// has at least minOut out-edges of which at most j lead back into the
+// chain (a row lists each column once), so the row has at least
+// chainFloor(minOut, maxLen, ·) chains.
+func (sc *rowScratch) overCap(maxLen, limit int) bool {
+	return limit != noCap && chainFloor(sc.minOut, maxLen, limit+1) > limit
+}
+
+// chainFloor returns Σ_{l=1..maxLen} Π_{j<l}(δ−j), the fewest chains of
+// at most maxLen edges out of a source when every principal a chain
+// leaves from has at least δ out-edges, saturated at ceiling. It is the
+// exact count on a complete graph.
+func chainFloor(delta, maxLen, ceiling int) int {
+	sum, p := 0, 1
+	for j := 0; j < maxLen && j < delta; j++ {
+		if p > ceiling/(delta-j) {
+			return ceiling
+		}
+		p *= delta - j
+		if p >= ceiling-sum {
+			return ceiling
+		}
+		sum += p
+	}
+	return sum
 }
 
 // dpCost bounds the work of the subset DP over a reach of r principals
