@@ -2,9 +2,11 @@
 # domain-specific sharingvet analyzers, snapshot linting, the line and
 # allocation pins, and the full test suite; then the race detector over
 # the packages whose concurrency must stay honest under -race — the grm
-# protocol layer's reconnect/reaper/federation paths, the store, and the
+# protocol layer's reconnect/reaper/federation paths, the store, the
 # closure's parallel row kernel (transitive's workers share one step
-# meter and a pool of scratch sets; par is their pool).
+# meter and a pool of scratch sets; par is their pool), and the planner
+# (core's skeleton slots and workspace pool are shared by every allocator
+# a share or revoke derives; its leg is -short, as transitive's is).
 
 GO ?= go
 
@@ -80,7 +82,8 @@ FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFe
 
 # The allocation pins: the `//go:build !race` tests (named ...Allocs or
 # ...AllocatesNothing) that hold what a reserved model build, a steady plan,
-# a skeleton build, a closure delta, a column patch, an allocate+release pair
+# a plan after a value-only write, a refusal for want of capacity, a
+# skeleton build, a closure delta, a column patch, an allocate+release pair
 # (in process and over the wire), a lone release, a renew, a reap pass
 # (TestReapAllocs), a register, a re-attach, a share, a whole churn cycle
 # and a pipelined frame through the transport may heap-allocate. Run
@@ -112,7 +115,7 @@ check: build
 	$(MAKE) allocs
 	$(GO) test ./...
 	$(GO) test -race ./internal/grm/... ./internal/store/...
-	$(GO) test -race -short ./internal/transitive/ ./internal/par/
+	$(GO) test -race -short ./internal/transitive/ ./internal/par/ ./internal/core/
 	$(GO) test -race -count=5 -run '$(FEDERATION_TIMING_TESTS)' ./internal/grm/
 
 # Regenerate the paper's figures at full scale (cmd/proxysim, about a

@@ -19,6 +19,18 @@ import (
 // smaller than the requested amount.
 var ErrInsufficient = errors.New("core: insufficient capacity for request")
 
+// shortfall is the ErrInsufficient a plan returns, formatted only when read
+// (a GRM that borrows the rest from its parent never reads it).
+type shortfall struct {
+	principal        int
+	capacity, amount float64
+}
+
+func (e *shortfall) Unwrap() error { return ErrInsufficient }
+func (e *shortfall) Error() string {
+	return fmt.Sprintf("%v: principal %d has capacity %g, requested %g", ErrInsufficient, e.principal, e.capacity, e.amount)
+}
+
 // ErrInfeasible is wrapped by Plan when the LP solution cannot be repaired
 // into an exact allocation: round-off cleanup left a residual with every
 // contributing source already at its agreement cap, so delivering the
@@ -102,29 +114,12 @@ type Allocator struct {
 	aCols [][]int32
 	aVals [][]float64
 	hasA  bool
-	// k[i] holds row i of the capped flow coefficients K = min(T, 1),
-	// aligned with the closure's FlowRow(i) columns: K has T's sparsity
-	// pattern, so the columns are never stored twice, and a row the cap
-	// does not bite (no T entry above 1) is the closure's own value slice.
-	k   [][]float64
-	cfg Config
-	// conn[i] is a connectivity weight used for deterministic
-	// tie-breaking: how much of i's capacity other principals can reach.
-	conn []float64
-	// colIdx[i] lists the sources k≠i with a nonzero flow into i
-	// (K_ki ≠ 0 or A_ki ≠ 0), in ascending order. Capacity sums walk
-	// this index instead of scanning the dense column; the skipped terms
-	// are exactly zero, so the result is bit-identical. colK/colA carry
-	// the matching K_ki and A_ki values so the hot path never needs a
-	// random access. A build lays all columns out in three arenas (one
-	// counting transpose of K∪A); a mutator lays the columns it replaces
-	// out of three arenas of its own.
-	colIdx [][]int32
-	colK   [][]float64
-	colA   [][]float64
-	// skel[r] caches the LP skeleton for requester r: the constraint
-	// coefficients depend only on K and the sparsity pattern of A, so per
-	// Plan call only the variable bounds and right-hand sides are rebound.
+	flow  []flowRow // flow[i] is row i of K with its row sum
+	cfg   Config
+	cols  []column // cols[i] is column i of K∪A, what capacity sums walk
+	// skel[r] caches the LP skeleton for requester r: a shape, which follows
+	// the sparsity patterns of K and A alone while rebind writes every number
+	// in it per solve, so allocators whose patterns agree share one table.
 	// Slots stay nil until a requester first plans, so invalidating every
 	// skeleton is one fresh slice.
 	skel []atomic.Pointer[planSkeleton]
@@ -138,19 +133,36 @@ type Allocator struct {
 	pool *sync.Pool
 }
 
-// planSkeleton is the reusable part of requester r's substituted LP:
-// the model structure plus the rows whose right-hand sides change per
-// solve. Built once per requester on first use, and sized by its variables:
-// a ComponentLP skeleton costs its component wherever in a population it is.
+// flowRow is row i of the capped flow coefficients K = min(T, 1), aligned
+// with the closure's FlowRow(i) columns (a row the cap does not bite is the
+// closure's own value slice), and conn, its sum off the diagonal: how much
+// of i's capacity others can reach, the weight of i's tie-break.
+type flowRow struct {
+	k    []float64
+	conn float64
+}
+
+// column lists the sources k ≠ i with a nonzero flow into principal i
+// (K_ki ≠ 0 or A_ki ≠ 0), ascending, with their K_ki and A_ki: what a
+// capacity sum reads, bit-identical to the dense scan, whose other terms are
+// exactly zero. Columns are views of an int32 and a float64 arena, laid out
+// by a build (transposeColumns) or by a mutation for the columns it moves.
+type column struct {
+	idx  []int32
+	k, a []float64
+}
+
+// planSkeleton is the reusable part of requester r's substituted LP: the
+// model's shape, and where rebind finds its numbers. Built once per
+// requester on first use, and sized by its variables: a ComponentLP
+// skeleton costs its component wherever in a population it is.
 type planSkeleton struct {
 	once       sync.Once
 	model      *lp.Model
 	consumeRow int
-	// capFlowRows lists the cap_flow_k_i rows whose right-hand side is
-	// A[k][i]: rebound per solve so the skeleton depends only on A's
-	// sparsity pattern, never its values — SetAgreement value changes
-	// share every skeleton. The j-th one's auxiliary variable u_k_i is
-	// model variable len(vars)+1+j and its cap_own_k_i row the next row.
+	// capFlowRows lists the cap_flow_k_i rows in the order rebind meets
+	// them. The j-th one's auxiliary variable u_k_i is model variable
+	// len(vars)+1+j and its cap_own_k_i row the next row.
 	capFlowRows []capFlowRef
 	// vars lists the live principals in ascending order — variable x of
 	// the model is V'_vars[x], then theta: everyone in the full
@@ -164,7 +176,7 @@ type planSkeleton struct {
 }
 
 // compRow locates one kept perturb row of a skeleton. self is i's variable
-// position and src[x] that of source colIdx[i][x], -1 for the pinned: the
+// position and src[x] that of source cols[i].idx[x], -1 for the pinned: the
 // column itself where everyone is live, else a view of one position arena.
 type compRow struct {
 	row  int
@@ -173,7 +185,7 @@ type compRow struct {
 	src  []int32
 }
 
-// capFlowRef locates one cap_flow_k_i row for per-solve RHS rebinding.
+// capFlowRef locates one cap_flow_k_i row.
 type capFlowRef struct {
 	row  int
 	k, i int32
@@ -300,12 +312,9 @@ func effectiveLevel(cfg Config) int {
 // each in one pass over the stored entries of T and A.
 func finishAllocator(n int, clo *transitive.Closure, aCols [][]int32, aVals [][]float64, hasA bool, cfg Config) *Allocator {
 	al := &Allocator{n: n, aCols: aCols, aVals: aVals, hasA: hasA, cfg: cfg, clo: clo}
-	al.k = make([][]float64, n)
-	al.conn = make([]float64, n)
-	for i := 0; i < n; i++ {
-		cols, tv := clo.FlowRow(i)
-		al.k[i] = capRow(tv)
-		al.conn[i] = connOf(i, cols, al.k[i])
+	al.flow = make([]flowRow, n)
+	for i := range al.flow {
+		al.flow[i] = flowRowOf(clo, i)
 	}
 	al.transposeColumns()
 	al.skel = make([]atomic.Pointer[planSkeleton], n)
@@ -330,16 +339,17 @@ func capRow(tv []float64) []float64 {
 	return tv
 }
 
-// connOf sums K row i off the diagonal, ascending — the dense row sum
-// minus its exact zeros.
-func connOf(i int, cols []int32, kv []float64) float64 {
-	c := 0.0
+// flowRowOf derives row i of K from the closure's T row, its conn summed off
+// the diagonal, ascending — the dense row sum minus its exact zeros.
+func flowRowOf(clo *transitive.Closure, i int) flowRow {
+	cols, tv := clo.FlowRow(i)
+	r := flowRow{k: capRow(tv)}
 	for x, j := range cols {
 		if int(j) != i {
-			c += kv[x]
+			r.conn += r.k[x]
 		}
 	}
-	return c
+	return r
 }
 
 // FlowRow returns row i of the flow coefficients as stored: the ascending
@@ -348,7 +358,7 @@ func connOf(i int, cols []int32, kv []float64) float64 {
 // entry exceeds 1. All three are shared with the allocator and read-only.
 func (al *Allocator) FlowRow(i int) (cols []int32, t, k []float64) {
 	cols, t = al.clo.FlowRow(i)
-	return cols, t, al.k[i]
+	return cols, t, al.flow[i].k
 }
 
 // kAt returns K[k][i] — a binary search over row k's columns, 0 when
@@ -403,11 +413,10 @@ func (al *Allocator) eachInflow(kk int, fn func(c int32, kv, av float64)) {
 	})
 }
 
-// transposeColumns builds colIdx/colK/colA for every principal with one
-// counting transpose of K∪A: count each column's sources, lay the columns
-// out back to back in three arenas, then fill them walking the rows in
-// ascending order — so every column lists its sources ascending, as a
-// per-column scan would.
+// transposeColumns builds every column with one counting transpose of K∪A:
+// count each column's sources, lay the columns out back to back (K values in
+// the float arena's first half, A in its second), then fill them walking the
+// rows in ascending order, so every column lists its sources ascending.
 func (al *Allocator) transposeColumns() {
 	n := al.n
 	start := make([]int, n+1)
@@ -417,24 +426,31 @@ func (al *Allocator) transposeColumns() {
 	for c := 0; c < n; c++ {
 		start[c+1] += start[c]
 	}
-	idx := make([]int32, start[n])
-	ks := make([]float64, start[n])
-	as := make([]float64, start[n])
-	al.colIdx = make([][]int32, n)
-	al.colK = make([][]float64, n)
-	al.colA = make([][]float64, n)
-	for c := 0; c < n; c++ {
+	idx, vals := make([]int32, start[n]), make([]float64, 2*start[n])
+	ks, as := vals[:start[n]], vals[start[n]:]
+	al.cols = make([]column, n)
+	for c := range al.cols {
 		lo, hi := start[c], start[c+1]
 		// Full slice expressions: a column never grows into its neighbour.
-		al.colIdx[c], al.colK[c], al.colA[c] = idx[lo:lo:hi], ks[lo:lo:hi], as[lo:lo:hi]
+		al.cols[c] = column{idx: idx[lo:lo:hi], k: ks[lo:lo:hi], a: as[lo:lo:hi]}
 	}
 	for kk := 0; kk < n; kk++ {
 		al.eachInflow(kk, func(c int32, kv, av float64) {
-			al.colIdx[c] = append(al.colIdx[c], int32(kk))
-			al.colK[c] = append(al.colK[c], kv)
-			al.colA[c] = append(al.colA[c], av)
+			al.cols[c].append(int32(kk), kv, av)
 		})
 	}
+}
+
+// append adds source k with its K and A values to the column.
+func (col *column) append(k int32, kv, av float64) {
+	col.idx, col.k, col.a = append(col.idx, k), append(col.k, kv), append(col.a, av)
+}
+
+// since returns the column's entries from position from on, cap-limited so
+// the view never grows into whatever follows it.
+func (col column) since(from int) column {
+	end := len(col.idx)
+	return column{idx: col.idx[from:end:end], k: col.k[from:end:end], a: col.a[from:end:end]}
 }
 
 // newPlanPool returns a workspace pool for one allocator lineage.
@@ -467,13 +483,13 @@ func (al *Allocator) FlowCoefficients() [][]float64 {
 // skeletons (built on first use) or pooled plan workspaces.
 func (al *Allocator) Bytes() int {
 	b := al.clo.Bytes()
-	for i, kv := range al.k {
-		if _, tv := al.clo.FlowRow(i); len(kv) > 0 && &kv[0] != &tv[0] {
-			b += 8 * len(kv)
+	for i, r := range al.flow {
+		if _, tv := al.clo.FlowRow(i); len(r.k) > 0 && &r.k[0] != &tv[0] {
+			b += 8 * len(r.k)
 		}
-		b += 12*len(al.aCols[i]) + 20*len(al.colIdx[i])
+		b += 12*len(al.aCols[i]) + 20*len(al.cols[i].idx)
 	}
-	// Headers: k, aCols, aVals, colIdx, colK, colA; then conn and skel.
+	// Per principal: a flow row, an A row, a column and a skeleton slot.
 	return b + al.n*(6*24+2*8)
 }
 
@@ -497,9 +513,8 @@ func (al *Allocator) Capacity(v []float64, i int) float64 {
 	return al.capacity(v, i)
 }
 
-// capacity computes C_i = V_i + Σ_{k≠i} U_ki walking the precomputed sparse
-// column index with its aligned K/A value lists. Sources skipped by the
-// index have K_ki = 0 and A_ki = 0, so their U_ki is exactly zero and the
+// capacity computes C_i = V_i + Σ_{k≠i} U_ki walking column i. Sources
+// it skips have K_ki = 0 and A_ki = 0, so their U_ki is exactly zero and the
 // sum is bit-identical to the dense transitive.Capacities scan. It panics
 // on an invalid availability among the entries it reads: every entry of v a
 // plan touches passes through here first, so a plan validates what it
@@ -509,22 +524,27 @@ func (al *Allocator) capacity(v []float64, i int) float64 {
 	if !(c >= 0) {
 		panic(invalidV(i, c))
 	}
-	idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
-	for x, k := range idx {
+	col := &al.cols[i]
+	for x, k := range col.idx {
 		vk := v[k]
 		if !(vk >= 0) {
 			panic(invalidV(int(k), vk))
 		}
-		u := vk * ks[x]
-		if al.hasA {
-			u += as[x]
-		}
-		if u > vk {
-			u = vk
-		}
-		c += u
+		c += al.sourceCap(col, x, vk)
 	}
 	return c
+}
+
+// sourceCap is U_ki = min(V_k·K_ki + A_ki, V_k) for column source x.
+func (al *Allocator) sourceCap(col *column, x int, vk float64) float64 {
+	u := vk * col.k[x]
+	if al.hasA {
+		u += col.a[x]
+	}
+	if u > vk {
+		u = vk
+	}
+	return u
 }
 
 // capacityAfter is row pr's capacity at a plan's outcome: V'_k = newV[x]
@@ -534,20 +554,13 @@ func (al *Allocator) capacityAfter(v []float64, pr compRow, newV []float64) floa
 	if pr.self >= 0 {
 		c = newV[pr.self]
 	}
-	idx, ks, as := al.colIdx[pr.i], al.colK[pr.i], al.colA[pr.i]
-	for x, k := range idx {
+	col := &al.cols[pr.i]
+	for x, k := range col.idx {
 		vk := v[k]
 		if y := pr.src[x]; y >= 0 {
 			vk = newV[y]
 		}
-		u := vk * ks[x]
-		if al.hasA {
-			u += as[x]
-		}
-		if u > vk {
-			u = vk
-		}
-		c += u
+		c += al.sourceCap(col, x, vk)
 	}
 	return c
 }
@@ -622,8 +635,7 @@ func (al *Allocator) plan(ws *planWS, v []float64, requester int, amount float64
 		return fmt.Errorf("core: negative request %g", amount)
 	}
 	if c := al.capacity(v, requester); c < amount-1e-9 {
-		return fmt.Errorf("%w: principal %d has capacity %g, requested %g",
-			ErrInsufficient, requester, c, amount)
+		return &shortfall{principal: requester, capacity: c, amount: amount}
 	}
 	if num.IsZero(amount) {
 		return nil // the empty plan: no take, V' = V, θ = 0
@@ -654,24 +666,17 @@ func (al *Allocator) bindPlan(ws *planWS, sk *planSkeleton, v []float64, request
 	ws.caps = sized(ws.caps, len(sk.rows))
 	// The requester's U column, computed once: it bounds V'_i from below
 	// in the LP and caps each source's take during normalization. Live
-	// principals outside colIdx[requester] have K = A = 0, so their U is
-	// exactly 0 — zero-filling and walking the sparse column matches the
+	// principals outside the requester's column have K = A = 0, so their U
+	// is exactly 0 — zero-filling and walking the sparse column matches the
 	// dense scan.
 	clear(ws.uCol)
-	uIdx, uKs, uAs := al.colIdx[requester], al.colK[requester], al.colA[requester]
+	col := &al.cols[requester]
 	y := 0
-	for x, k := range uIdx {
-		u := v[k] * uKs[x]
-		if al.hasA {
-			u += uAs[x]
-		}
-		if u > v[k] {
-			u = v[k]
-		}
+	for x, k := range col.idx {
 		for sk.vars[y] != k {
 			y++ // vars holds the whole column, both ascending
 		}
-		ws.uCol[y] = u
+		ws.uCol[y] = al.sourceCap(col, x, v[k])
 	}
 	ws.uCol[sk.req] = v[requester]
 	for r, pr := range sk.rows {
@@ -688,12 +693,12 @@ func sized(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// buildSkeleton constructs requester's substituted LP structure with
-// placeholder bounds and right-hand sides, in the variable and constraint
-// order of the historical per-call construction, so solves over a rebound
-// skeleton pivot identically. It runs on the write path — every share and
-// revoke drops skeletons — so it is a counting walk over the kept rows'
-// column lengths and one emitting pass into a model reserved to that
+// buildSkeleton constructs requester's substituted LP structure, in the
+// variable and constraint order of the historical per-call construction, so
+// solves over a rebound skeleton pivot identically. What it emits depends on
+// the patterns of K and A alone; rebind overwrites every number. A write
+// that flips a cell drops skeletons, so a build is a counting walk over the
+// kept rows' column lengths and one pass into a model reserved to that
 // count: every slice is made once, terms go through one scratch, and no
 // name is formatted (varName and rowName give them on demand).
 //
@@ -702,14 +707,12 @@ func sized(buf []float64, n int) []float64 {
 // its bounds (lo = v_k − U_k,req = v_k = up, because its U toward the
 // requester is exactly zero), so those variables and every perturb row
 // none of the live variables feeds are constants: folding them into the
-// right-hand sides leaves the feasible set and the optimum value
-// unchanged while the tableau shrinks to the agreement neighborhood.
-// Fold values are recomputed from the column triples on every solve
-// (rebind), so agreement-value changes stay as fresh as the capFlowRows
-// rebinding. The full formulation is the same construction with every
-// principal live and nothing to fold.
+// right-hand sides (rebind) leaves the feasible set and the optimum value
+// unchanged while the tableau shrinks to the agreement neighborhood. The
+// full formulation is the same construction with every principal live and
+// nothing to fold.
 func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
-	comp, reqCol := al.cfg.ComponentLP, al.colIdx[requester]
+	comp, reqCol := al.cfg.ComponentLP, al.cols[requester].idx
 	// kept lists the principals whose perturb row survives, ascending: a
 	// row stays only if a live variable appears in it — its own V' is
 	// live, or a live source feeds it. Everything else is a constant
@@ -721,7 +724,7 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 		sk.vars = append(append(append(make([]int32, 0, len(reqCol)+1), reqCol[:sk.req]...), int32(requester)), reqCol[sk.req:]...)
 		reach := len(sk.vars)
 		for _, k := range sk.vars {
-			reach += len(al.k[k]) + len(al.aCols[k])
+			reach += len(al.flow[k].k) + len(al.aCols[k])
 		}
 		kept = append(make([]int32, 0, reach), sk.vars...)
 		for _, k := range sk.vars {
@@ -752,8 +755,8 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 			continue
 		}
 		nRows++
-		nSrc += len(al.colIdx[i])
-		for _, a := range al.colA[i] {
+		nSrc += len(al.cols[i].idx)
+		for _, a := range al.cols[i].a {
 			if al.hasA && a > 0 {
 				nAux++ // an upper bound under ComponentLP: a pinned source gets no u
 			}
@@ -770,13 +773,8 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 	}
 	terms := make([]lp.Term, 0, live+1) // no row is longer: a V' or u per live principal, and theta
 
-	// Tie-breaking: prefer drawing from weakly connected sources, whose
-	// capacity matters least to everyone else. V'_i enters the objective
-	// with −ε·conn_i so that *keeping* well-connected capacity is
-	// rewarded.
-	const eps = 1e-6
 	for x, i := range sk.vars {
-		m.AddVar("", 0, 0, -eps*al.conn[i])
+		m.AddVar("", 0, 0, al.tieBreak(i))
 		terms = append(terms, lp.Term{Var: lp.VarID(x), Coeff: 1})
 	}
 	theta := m.AddVar("", 0, lp.Inf, 1)
@@ -789,12 +787,12 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 		if int(i) == requester {
 			continue
 		}
-		idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
-		pr := compRow{i: i, self: i, src: idx}
+		col := &al.cols[i]
+		pr := compRow{i: i, self: i, src: col.idx}
 		if comp {
-			pr.self, pr.src = sk.find(i), pos[len(pos):len(pos)+len(idx):len(pos)+len(idx)]
-			pos = pos[:len(pos)+len(idx)]
-			for x, k := range idx {
+			end := len(pos) + len(col.idx)
+			pr.self, pr.src, pos = sk.find(i), pos[len(pos):end:end], pos[:end]
+			for x, k := range col.idx {
 				pr.src[x] = sk.find(k)
 			}
 		}
@@ -803,23 +801,24 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 			terms = append(terms, lp.Term{Var: lp.VarID(pr.self), Coeff: 1})
 		}
 		terms = append(terms, lp.Term{Var: theta, Coeff: 1})
-		// Walk the sparse column: colIdx lists exactly the k ≠ i with
-		// K_ki ≠ 0 or A_ki ≠ 0, ascending — the same sources the dense
-		// k-loop would admit, in the same order. When absolute agreements
-		// are present, min(V'_k·K_ki + A_ki, V'_k) is linearized with
-		// auxiliary variables u_ki (its superlevel set is convex).
+		// Walk the sparse column: it lists exactly the k ≠ i with K_ki ≠ 0
+		// or A_ki ≠ 0, ascending — the same sources the dense k-loop would
+		// admit, in the same order. When absolute agreements are present,
+		// min(V'_k·K_ki + A_ki, V'_k) is linearized with auxiliary variables
+		// u_ki (its superlevel set is convex). Every K term is nonzero, so
+		// AddConstraint keeps each where rebind finds it.
 		for x, at := range pr.src {
 			vk := lp.VarID(at)
 			switch {
 			case at < 0: // pinned source: folded into the RHS per solve
-			case al.hasA && as[x] > 0:
+			case al.hasA && col.a[x] > 0:
 				u := m.AddVar("", 0, lp.Inf, 0)
-				capFlow := m.AddConstraint("", []lp.Term{{Var: u, Coeff: 1}, {Var: vk, Coeff: -ks[x]}}, lp.LE, as[x])
-				sk.capFlowRows = append(sk.capFlowRows, capFlowRef{row: capFlow, k: idx[x], i: i})
+				capFlow := m.AddConstraint("", []lp.Term{{Var: u, Coeff: 1}, {Var: vk, Coeff: -col.k[x]}}, lp.LE, col.a[x])
+				sk.capFlowRows = append(sk.capFlowRows, capFlowRef{row: capFlow, k: col.idx[x], i: i})
 				m.AddConstraint("", []lp.Term{{Var: u, Coeff: 1}, {Var: vk, Coeff: -1}}, lp.LE, 0)
 				terms = append(terms, lp.Term{Var: u, Coeff: 1})
-			case !num.IsZero(ks[x]):
-				terms = append(terms, lp.Term{Var: vk, Coeff: ks[x]})
+			case !num.IsZero(col.k[x]):
+				terms = append(terms, lp.Term{Var: vk, Coeff: col.k[x]})
 			}
 		}
 		pr.row = m.AddConstraint("", terms, lp.GE, 0)
@@ -866,12 +865,19 @@ func (sk *planSkeleton) rowName(r int) string {
 	return fmt.Sprintf("cap_own_%d_%d", cf.k, cf.i)
 }
 
-// rebind is plan's per-solve rebinding: bounds and the consume
-// row cover the live variables, and every kept perturb row's RHS re-folds
-// its pinned sources' contributions from the current column triples (so
-// agreement value changes are as fresh here as capFlowRows rebinding
-// makes them). With every principal live nothing is pinned and a row's
-// RHS is C_i itself.
+// tieBreak is V'_i's objective coefficient, −ε·conn_i: drawing from weakly
+// connected sources, whose capacity matters least to everyone else, wins.
+func (al *Allocator) tieBreak(i int32) float64 {
+	const eps = 1e-6
+	return -eps * al.flow[i].conn
+}
+
+// rebind writes every number of plan's model m from the current agreements,
+// availability and request: bounds and objective, the consume row, each kept
+// perturb row's K terms and RHS (re-folding its pinned sources; with everyone
+// live the RHS is C_i) and each cap_flow row's −K term and RHS. It finds
+// terms where buildSkeleton emitted them, which the patterns fix, so m comes
+// out as a fresh build's, whichever allocator last rebound it.
 func (al *Allocator) rebind(m *lp.Model, sk *planSkeleton, v []float64, amount float64, ws *planWS) {
 	var sumLive float64
 	for x, i := range sk.vars {
@@ -880,40 +886,44 @@ func (al *Allocator) rebind(m *lp.Model, sk *planSkeleton, v []float64, amount f
 			lo = 0
 		}
 		m.SetBounds(lp.VarID(x), lo, v[i])
+		m.SetObj(lp.VarID(x), al.tieBreak(i))
 		sumLive += v[i]
 	}
 	m.SetRHS(sk.consumeRow, sumLive-amount)
+	aux := 0 // the next capFlowRows entry
 	for r, pr := range sk.rows {
 		i := int(pr.i)
 		rhs := ws.caps[r]
+		term := 2 // the next term: past V'_i's and theta's
 		if pr.self < 0 {
-			rhs -= v[i] // pinned self term
+			rhs, term = rhs-v[i], 1 // pinned self term
 		}
-		idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
-		for x, k := range idx {
-			if pr.src[x] >= 0 {
-				continue // live: its terms are in the model
-			}
-			hasAbs := al.hasA && as[x] > 0
-			if !hasAbs {
-				if !num.IsZero(ks[x]) {
-					rhs -= ks[x] * v[k]
+		col := &al.cols[i]
+		for x, k := range col.idx {
+			kv, hasAbs := col.k[x], al.hasA && col.a[x] > 0
+			switch {
+			case pr.src[x] >= 0 && hasAbs: // u_ki's term; its cap_flow row holds the K
+				cf := sk.capFlowRows[aux].row
+				aux, term = aux+1, term+1
+				if !num.IsZero(kv) {
+					m.SetCoeff(cf, 1, -kv)
 				}
-				continue
+				m.SetRHS(cf, col.a[x])
+			case pr.src[x] >= 0:
+				if !num.IsZero(kv) {
+					m.SetCoeff(pr.row, term, kv)
+					term++
+				}
+			case hasAbs:
+				// The pinned flow takes its LP maximum min(v_k·K + A, v_k):
+				// u_ki appears only positively in this ≥ row, so any optimum
+				// admits it at its cap.
+				rhs -= al.sourceCap(col, x, v[k])
+			case !num.IsZero(kv):
+				rhs -= kv * v[k]
 			}
-			// The pinned flow takes its LP maximum min(v_k·K + A, v_k):
-			// u_ki appears only positively in this ≥ row, so any optimum
-			// admits it at its cap.
-			u := v[k]*ks[x] + as[x]
-			if u > v[k] {
-				u = v[k]
-			}
-			rhs -= u
 		}
 		m.SetRHS(pr.row, rhs)
-	}
-	for _, cf := range sk.capFlowRows {
-		m.SetRHS(cf.row, al.aAt(int(cf.k), int(cf.i)))
 	}
 }
 

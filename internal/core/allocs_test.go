@@ -3,8 +3,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/agreement"
@@ -99,13 +102,14 @@ func buildCost(al *Allocator, requester int) (allocs float64, bytes int64) {
 	return allocs, bytes
 }
 
-// TestBuildSkeletonAllocs pins what a mutation leaves the next plan to
-// pay. Every share and revoke drops skeletons, so a build is on the write
-// path: at the churn128 shape (129 variables, 143 rows under the full
-// formulation) it makes a dozen allocations — the slices of the skeleton
-// and of the model, each once — not one per name, row and term list; and
-// under ComponentLP the same nine-principal component costs the same
-// allocations and the same bytes in a population of 64 and in one of 8 192.
+// TestBuildSkeletonAllocs pins what a mutation that flips a cell leaves
+// the next plan to pay. Such a share or revoke drops skeletons, so a build
+// is on the write path: at the churn128 shape (129 variables, 143 rows
+// under the full formulation) it makes a dozen allocations — the slices of
+// the skeleton and of the model, each once — not one per name, row and
+// term list; and under ComponentLP the same nine-principal component costs
+// the same allocations and the same bytes in a population of 64 and in one
+// of 8 192.
 func TestBuildSkeletonAllocs(t *testing.T) {
 	al := churn128Allocator(t)
 	for _, r := range []int{0, 5, 127} {
@@ -155,12 +159,12 @@ func TestSetShareAllocs(t *testing.T) {
 		}
 		var moved int
 		allocs := testing.AllocsPerRun(50, func() {
-			d := al.derive()
+			d := *al
 			d.clo = clo
 			d.applyClosureDelta(al, changed)
 			moved = 0
-			for c := range d.colIdx {
-				if len(d.colIdx[c]) > 0 && &d.colIdx[c][0] != &al.colIdx[c][0] {
+			for c, col := range d.cols {
+				if len(col.idx) > 0 && &col.idx[0] != &al.cols[c].idx[0] {
 					moved++
 				}
 			}
@@ -175,7 +179,76 @@ func TestSetShareAllocs(t *testing.T) {
 	if few != many {
 		t.Errorf("patching 2 columns makes %v allocations, patching 41 makes %v: a mutation should not pay per column", few, many)
 	}
-	if many > 12 {
-		t.Errorf("patching 41 columns makes %v allocations, want <= 12", many)
+	if many > 4 {
+		t.Errorf("patching 41 columns makes %v allocations, want <= 4: the flow table, the column table and two arenas", many)
+	}
+}
+
+// TestValueChurnPlanAllocatesNothing pins what a value-only write leaves
+// the next plan to pay, in every variant of the churn blocks: nothing. A
+// share moved, or an absolute agreement raised, and then a PlanPairs on the
+// derived allocator makes exactly the allocations of the write alone — the
+// plan reuses the skeleton and the model clone the receiver's plans left,
+// rebound to the new values — and plans as a fresh build does.
+func TestValueChurnPlanAllocatesNothing(t *testing.T) {
+	churnVariants(t, func(label string, al *Allocator, v []float64) {
+		sources, takes := make([]int, 0, 16), make([]float64, 0, 16)
+		var d *Allocator
+		plan := func() {
+			var err error
+			if sources, takes, _, err = d.PlanPairs(sources[:0], takes[:0], v, 3, 2.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writes := map[string]func() (*Allocator, error){
+			"a share halved": func() (*Allocator, error) { return al.SetShare(0, 1, al.Share(0, 1), al.Share(0, 1)/2) },
+		}
+		if al.hasA {
+			writes["an absolute agreement raised"] = func() (*Allocator, error) {
+				return al.SetAgreement(7, 0, al.Agreement(7, 0), al.Agreement(7, 0)+1)
+			}
+		}
+		for what, write := range writes {
+			derive := func() {
+				var err error
+				if d, err = write(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			alone := testing.AllocsPerRun(50, derive)
+			withPlan := testing.AllocsPerRun(50, func() { derive(); plan() })
+			t.Logf("%s, %s: the write makes %v allocations, the write and a plan %v", label, what, alone, withPlan)
+			if withPlan != alone {
+				t.Errorf("%s, %s: the plan after the write makes %v allocations, want 0", label, what, withPlan-alone)
+			}
+			fresh := rebuilt(t, d)
+			ws, wt, wth, err := fresh.PlanPairs(nil, nil, v, 3, 2.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan()
+			if !slices.Equal(sources, ws) || !sameBits(takes, wt) {
+				t.Errorf("%s, %s: plans %v %v, a fresh build %v %v (θ %v)", label, what, sources, takes, ws, wt, wth)
+			}
+		}
+	})
+}
+
+// TestShortfallAllocs pins a refusal for want of capacity at one
+// allocation, the error itself: its message, the same text the wrapped
+// ErrInsufficient used to carry, is formatted only when read.
+func TestShortfallAllocs(t *testing.T) {
+	al, v, member := embeddedComponent(t, 64)
+	var err error
+	got := testing.AllocsPerRun(100, func() {
+		_, _, _, err = al.PlanPairs(nil, nil, v, member[0], 1e9)
+	})
+	if got > 1 {
+		t.Errorf("refusing an oversized request makes %v allocations, want at most 1", got)
+	}
+	c := al.Capacity(v, member[0])
+	want := fmt.Errorf("%w: principal %d has capacity %g, requested %g", ErrInsufficient, member[0], c, 1e9)
+	if !errors.Is(err, ErrInsufficient) || err.Error() != want.Error() {
+		t.Errorf("refusal %q (is ErrInsufficient: %v), want %q", err, errors.Is(err, ErrInsufficient), want)
 	}
 }

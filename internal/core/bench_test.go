@@ -639,3 +639,36 @@ func BenchmarkSetShareChurn128(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkChurnCycle128 is what a churn128 cycle asks of the planner: a
+// block's head shares a further 0.005 with a neighbour down its chain,
+// plans, revokes the share and plans again — two writes that move only
+// values, each followed by the plan it leaves to pay.
+func BenchmarkChurnCycle128(b *testing.B) {
+	cur := churn128Allocator(b)
+	_, _, v := sparseBlockScenario(128, 1)
+	var sources []int
+	var takes []float64
+	plan := func(al *Allocator) {
+		var err error
+		if sources, takes, _, err = al.PlanPairs(sources[:0], takes[:0], v, 0, 1.5); err != nil {
+			b.Fatal(err)
+		}
+	}
+	plan(cur)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		to := 1 + i%7
+		old := cur.Share(0, to)
+		shared, err := cur.SetShare(0, to, old, old+0.005)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan(shared)
+		if cur, err = shared.SetShare(0, to, old+0.005, old); err != nil {
+			b.Fatal(err)
+		}
+		plan(cur)
+	}
+}

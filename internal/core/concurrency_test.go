@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -204,5 +205,76 @@ func TestNormalizeTakesAllAtCapReportsResidual(t *testing.T) {
 	d := &Allocation{Take: []float64{2.0, 1.0}, NewV: []float64{8.0, 9.0}}
 	if resid := normalizeDense(d, v, 4.0, []float64{2.0, 5.0}); resid != 0 {
 		t.Fatalf("repairable case reported residual %v", resid)
+	}
+}
+
+// TestConcurrentPlansAcrossValueChurn races PlanPairs on an allocator and on
+// two value-only derivations of it (run under -race in `make race` and
+// `make check`). The three share the skeleton slots and the workspace pool,
+// so a model clone one plan rebound to its allocator's values may next serve
+// another's; every plan must still equal, bit for bit, the same plan on a
+// fresh NewAllocatorSparse over its own allocator's agreements.
+func TestConcurrentPlansAcrossValueChurn(t *testing.T) {
+	s, a, v := sparseBlockScenario(32, 5)
+	for _, cfg := range []Config{{}, {ComponentLP: true}} {
+		base, err := NewAllocatorSparse(s, a, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		halved, err := base.SetShare(0, 1, base.Share(0, 1), base.Share(0, 1)/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raised, err := halved.SetAgreement(7, 0, halved.Agreement(7, 0), halved.Agreement(7, 0)+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		als := []*Allocator{base, halved, raised}
+		if !sameSkeletons(halved, base) || !sameSkeletons(raised, base) {
+			t.Fatalf("%+v: value-only derivations dropped the skeletons", cfg)
+		}
+		type pairs struct {
+			sources []int
+			takes   []float64
+			theta   float64
+		}
+		want := make([][]pairs, len(als))
+		for k, al := range als {
+			fresh := rebuilt(t, al)
+			for r := range v {
+				sources, takes, theta, err := fresh.PlanPairs(nil, nil, v, r, 2.5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[k] = append(want[k], pairs{sources, takes, theta})
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var sources []int
+				var takes []float64
+				for round := 0; round < 20; round++ {
+					for r := range v {
+						k := (g + round + r) % len(als)
+						var theta float64
+						var err error
+						if sources, takes, theta, err = als[k].PlanPairs(sources[:0], takes[:0], v, r, 2.5); err != nil {
+							t.Error(err)
+							return
+						}
+						w := want[k][r]
+						if !slices.Equal(sources, w.sources) || !sameBits(takes, w.takes) || !sameBits([]float64{theta}, []float64{w.theta}) {
+							t.Errorf("%+v: allocator %d, requester %d plans %v %v θ=%v, a fresh build %v %v θ=%v",
+								cfg, k, r, sources, takes, theta, w.sources, w.takes, w.theta)
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

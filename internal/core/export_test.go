@@ -8,4 +8,5 @@ var (
 	Churn128Allocator   = churn128Allocator
 	Ring64Allocator     = ring64Allocator
 	SparseBlockScenario = sparseBlockScenario
+	SharesSkeletons     = sameSkeletons
 )

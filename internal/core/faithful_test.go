@@ -34,7 +34,7 @@ func planPrinted(al *Allocator, v []float64, requester int, amount float64, requ
 	for i := range sk.vars {
 		sk.vars[i] = int32(i)
 		if i != requester {
-			sk.rows = append(sk.rows, compRow{i: int32(i), self: int32(i), src: al.colIdx[i]})
+			sk.rows = append(sk.rows, compRow{i: int32(i), self: int32(i), src: al.cols[i].idx})
 		}
 	}
 	ws := &planWS{}
@@ -44,7 +44,7 @@ func planPrinted(al *Allocator, v []float64, requester int, amount float64, requ
 	const eps = 1e-6
 	vp := make([]lp.VarID, n)
 	for i := 0; i < n; i++ {
-		vp[i] = m.AddVar(fmt.Sprintf("V'_%d", i), math.Max(0, v[i]-ws.uCol[i]), v[i], -eps*al.conn[i])
+		vp[i] = m.AddVar(fmt.Sprintf("V'_%d", i), math.Max(0, v[i]-ws.uCol[i]), v[i], -eps*al.flow[i].conn)
 	}
 	cp := make([]lp.VarID, n)
 	for i := 0; i < n; i++ {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/num"
@@ -16,47 +17,36 @@ import (
 // paying a full NewAllocator rebuild (whose exact chain enumeration is
 // the dominant cost at scale).
 //
-// Mutators are copy-on-write: they return a derived *Allocator sharing
-// every unchanged row slice and skeleton with the receiver, which stays
-// valid — in-flight Plans against the old allocator keep their consistent
+// Mutators are copy-on-write: they return a derived *Allocator, a copy of
+// the receiver's struct that shares every unchanged row slice, its skeleton
+// table and its workspace pool, and swaps in what the change moved — so the
+// receiver stays valid and in-flight Plans against it keep their consistent
 // snapshot. (The grm server plans and swaps its planner pointer under one
 // state lock, so it never has such a plan in flight.)
 //
 // What each cache depends on, what a mutation pays to refresh it, and
 // when it survives. Every cost is in stored entries of the rows and
-// columns that moved; only the slice-header copies are O(n):
+// columns that moved; only the slice-header copies are O(n), one table
+// per structure:
 //
 //	cache     depends on                  refreshed by             survives
 //	───────── ─────────────────────────── ──────────────────────── ─────────────────────────
 //	clo (T)   S values, level             re-enumerating the       rows that cannot reach
 //	                                      affected rows            the edited edge's source
-//	K         T rows (values capped at 1, capRow per changed T     rows whose T row held;
-//	          columns shared with T)      row; aliases the T row   K rows alias T rows
-//	                                      unless an entry > 1      unless the cap bites
-//	conn      K rows (row sums)           one walk of the row      rows whose K row held
-//	colIdx,   K and A columns (pattern    one merge of the moved   columns no moved cell
-//	colK,colA and values)                 cells, one arena a list  falls in
-//	skel[r]   K values (all columns ≠ r), one fresh slice of nil   no K column ≠ r moved,
-//	          conn (objective), A pattern slots; r's next Plan     conn unchanged, A
-//	                                      builds it in one pass    pattern ≠ r same
+//	flow: K,  T rows (values capped at 1, capRow per changed T     rows whose T row held;
+//	conn      columns shared with T);     row, aliasing it unless  K rows alias T rows
+//	          conn: K row sums            an entry > 1; one walk   unless the cap bites
+//	cols      K and A columns (pattern    one merge of the moved   columns no moved cell
+//	          and values)                 cells into two arenas    falls in
+//	skel[r]   K and A patterns only:      one fresh slice of nil   every change that flips
+//	          every number is rebound     slots; r's next Plan     no K or A cell between
+//	          per solve                   builds it in one pass    zero and nonzero
 //
 // A derived allocator's Plan output is bit-identical to a freshly built
 // NewAllocator over the mutated matrices (pinned by the incremental
-// equivalence tests): shared rows are trivially identical, and patched
-// rows replay NewAllocator's exact per-row computations.
-
-// derive clones the allocator's slice headers and cache references so a
-// mutator can swap individual entries without touching the receiver. The
-// workspace pool is shared: a workspace re-clones any model whose skeleton
-// the mutation rebuilt.
-func (al *Allocator) derive() *Allocator {
-	return &Allocator{
-		n: al.n, aCols: al.aCols, aVals: al.aVals, hasA: al.hasA,
-		k: al.k, cfg: al.cfg,
-		conn: al.conn, colIdx: al.colIdx, colK: al.colK, colA: al.colA,
-		skel: al.skel, clo: al.clo, pool: al.pool,
-	}
-}
+// equivalence tests): shared rows are trivially identical, patched rows
+// replay NewAllocator's exact per-row computations, and a kept skeleton is
+// rebound to the fresh build's numbers.
 
 // SetShare derives an allocator with the relative agreement S[from][to]
 // changed from oldVal to newVal. oldVal must match the current entry
@@ -75,10 +65,10 @@ func (al *Allocator) SetShare(from, to int, oldVal, newVal float64) (*Allocator,
 	}
 	// S itself lives inside the closure's CSR rows; UpdateEdge already
 	// patched it copy-on-write, so the allocator carries no second copy.
-	d := al.derive()
+	d := *al
 	d.clo = clo
 	d.applyClosureDelta(al, changed)
-	return d, nil
+	return &d, nil
 }
 
 // cellMove is one K entry whose value a mutation moved: row r, column c,
@@ -104,112 +94,82 @@ func rowMoves(out []cellMove, r int, oc []int32, ov []float64, nc []int32, nv []
 	return out
 }
 
+// movesPool recycles applyClosureDelta's list of moved cells.
+var movesPool = sync.Pool{New: func() any { return new([]cellMove) }}
+
 // replaceColumns merges moves — sorted by column, ascending by row within
-// one — into d's column lists and returns how many columns it replaced: a
-// moved row takes its new K value and d's current A value and stays listed
-// only while one of them is nonzero; every other source is copied. The new
-// columns come out of one arena per list, sized first, so a mutation pays
-// three allocations however many columns it moves; the old slices stay
-// shared with ancestor allocators, unmodified.
-func (d *Allocator) replaceColumns(moves []cellMove) (cols int) {
-	d.colIdx = append([][]int32(nil), d.colIdx...)
-	d.colK = append([][]float64(nil), d.colK...)
-	d.colA = append([][]float64(nil), d.colA...)
+// one — into d's columns: a moved row takes its new K value and d's current
+// A value and stays listed only while one of them is nonzero; every other
+// source is copied. The new columns come out of one int32 and one float64
+// arena, sized first, so a mutation pays the column table and two arenas
+// however many columns it moves; the old columns stay shared with ancestor
+// allocators, unmodified.
+func (d *Allocator) replaceColumns(moves []cellMove) {
+	d.cols = slices.Clone(d.cols)
 	size := len(moves)
 	for x, mv := range moves {
 		if x == 0 || mv.c != moves[x-1].c {
-			size += len(d.colIdx[mv.c])
-			cols++
+			size += len(d.cols[mv.c].idx)
 		}
 	}
-	idx, ks, as := make([]int32, 0, size), make([]float64, 0, size), make([]float64, 0, size)
+	vals := make([]float64, 2*size)
+	out := column{idx: make([]int32, 0, size), k: vals[:0:size], a: vals[size:size]}
 	for len(moves) > 0 {
-		c, from := int(moves[0].c), len(idx)
-		oi, ok, oa := d.colIdx[c], d.colK[c], d.colA[c]
+		c, from := int(moves[0].c), len(out.idx)
+		old := d.cols[c]
 		x := 0
 		for ; len(moves) > 0 && int(moves[0].c) == c; moves = moves[1:] {
 			mv := moves[0]
-			for ; x < len(oi) && oi[x] < mv.r; x++ {
-				idx, ks, as = append(idx, oi[x]), append(ks, ok[x]), append(as, oa[x])
+			for ; x < len(old.idx) && old.idx[x] < mv.r; x++ {
+				out.append(old.idx[x], old.k[x], old.a[x])
 			}
-			if x < len(oi) && oi[x] == mv.r {
+			if x < len(old.idx) && old.idx[x] == mv.r {
 				x++
 			}
 			if av := d.aAt(int(mv.r), c); int(mv.r) != c && (!num.IsZero(mv.k) || !num.IsZero(av)) {
-				idx, ks, as = append(idx, mv.r), append(ks, mv.k), append(as, av)
+				out.append(mv.r, mv.k, av)
 			}
 		}
-		idx, ks, as = append(idx, oi[x:]...), append(ks, ok[x:]...), append(as, oa[x:]...)
-		// Full slice expressions: a column never grows into its neighbour.
-		d.colIdx[c], d.colK[c], d.colA[c] = idx[from:len(idx):len(idx)], ks[from:len(ks):len(ks)], as[from:len(as):len(as)]
+		out.idx, out.k, out.a = append(out.idx, old.idx[x:]...), append(out.k, old.k[x:]...), append(out.a, old.a[x:]...)
+		d.cols[c] = out.since(from)
 	}
-	return cols
 }
 
-// applyClosureDelta patches K, conn, the column lists, and the skeleton
-// cache of a derived allocator after its closure moved on the given T
-// rows (ascending). Caches are invalidated per the dependency table
-// above; everything the change cannot reach keeps sharing memory with
-// prev.
+// applyClosureDelta patches the flow rows, the columns and the skeleton
+// table of a derived allocator after its closure moved on the given T rows
+// (ascending). Caches are invalidated per the dependency table above;
+// everything the change cannot reach keeps sharing memory with prev.
 func (d *Allocator) applyClosureDelta(prev *Allocator, changed []int) {
 	if len(changed) == 0 {
 		return
 	}
 	// Every replaced T row gets its K row rebuilt (its columns may have
-	// moved, and an uncapped K row must be the new T row's own slice); the
-	// cells whose capped value moved decide everything downstream.
-	d.k = append([][]float64(nil), prev.k...)
-	room := 0
+	// moved, and an uncapped K row must be the new T row's own slice) and
+	// its conn re-summed in NewAllocator's order; the cells whose capped
+	// value moved decide everything downstream, and a row whose columns
+	// moved flipped a cell.
+	d.flow = slices.Clone(prev.flow)
+	buf := movesPool.Get().(*[]cellMove)
+	defer movesPool.Put(buf)
+	moves, flipped := (*buf)[:0], false
 	for _, r := range changed {
-		cols, tv := d.clo.FlowRow(r)
-		d.k[r] = capRow(tv)
-		room += len(prev.k[r]) + len(cols) // a row cannot move more cells than both forms hold
-	}
-	moves := make([]cellMove, 0, room)
-	kRows := make([]int, 0, len(changed))
-	for _, r := range changed {
+		d.flow[r] = flowRowOf(d.clo, r)
 		cols, _, kv := d.FlowRow(r)
 		oc, _, ov := prev.FlowRow(r)
-		before := len(moves)
-		if moves = rowMoves(moves, r, oc, ov, cols, kv); len(moves) > before {
-			kRows = append(kRows, r)
-		}
+		moves, flipped = rowMoves(moves, r, oc, ov, cols, kv), flipped || !slices.Equal(oc, cols)
 	}
-	if len(kRows) == 0 {
-		// The cap clamped the whole change away: K is value-identical, so
-		// conn, the columns, and every skeleton survive.
-		return
+	*buf = moves
+	if len(moves) == 0 {
+		return // the cap clamped the whole change away: K is value-identical
 	}
-
-	// conn rows are K row sums; recompute the moved ones in NewAllocator's
-	// exact ascending-j order so shared skeletons stay bit-faithful.
-	d.conn = append([]float64(nil), prev.conn...)
-	connChanged := false
-	for _, r := range kRows {
-		cols, _, kv := d.FlowRow(r)
-		c := connOf(r, cols, kv)
-		if !num.IsZero(c - d.conn[r]) {
-			connChanged = true
-		}
-		d.conn[r] = c
-	}
-
 	// A column whose cell moved — in value, not just in pattern, since
-	// colK caches K values — is refreshed by merging its moved cells into
+	// columns cache K values — is refreshed by merging its moved cells into
 	// the old list. Rows were visited ascending, so a stable sort by
 	// column leaves each column's cells ascending by row.
 	slices.SortStableFunc(moves, func(a, b cellMove) int { return cmp.Compare(a.c, b.c) })
-	valCols := d.replaceColumns(moves)
-
-	// Skeleton r bakes −eps·conn (all rows) into its objective and every
-	// K column except r into its constraint rows, so it survives only if
-	// conn held still and the change stayed inside column r. (Under
-	// ComponentLP the skeleton's live set is column r's sparsity pattern,
-	// which a flip inside column r rewrites, so nothing survives.)
-	d.skel = make([]atomic.Pointer[planSkeleton], d.n)
-	if !connChanged && !d.cfg.ComponentLP && valCols == 1 {
-		sole := moves[0].c
-		d.skel[sole].Store(prev.skel[sole].Load())
+	d.replaceColumns(moves)
+	if flipped {
+		d.skel = make([]atomic.Pointer[planSkeleton], d.n)
 	}
 }
 
@@ -217,9 +177,9 @@ func (d *Allocator) applyClosureDelta(prev *Allocator, changed []int) {
 // A[from][to] changed from oldVal to newVal (growing an all-zero A if
 // the allocator had none). Absolute agreements never enter the closure,
 // so no enumeration happens at all: a value-only change (both sides
-// positive) shares every cache — the cap_flow right-hand sides are
-// rebound per solve — while a sparsity flip (zero ↔ positive) rebuilds
-// column `to`'s index and the skeletons that linearize the new entry.
+// positive) replaces column `to` and shares every other cache — its
+// numbers are rebound per solve — while a sparsity flip (zero ↔ positive)
+// also drops the skeletons that linearize the entry.
 func (al *Allocator) SetAgreement(from, to int, oldVal, newVal float64) (*Allocator, error) {
 	n := al.n
 	if from < 0 || from >= n || to < 0 || to >= n {
@@ -235,13 +195,12 @@ func (al *Allocator) SetAgreement(from, to int, oldVal, newVal float64) (*Alloca
 	if num.IsZero(oldVal - newVal) {
 		return al, nil
 	}
-	d := al.derive()
+	d := *al
 	d.hasA = true
-	d.aCols = append([][]int32(nil), al.aCols...)
-	d.aVals = append([][]float64(nil), al.aVals...)
+	d.aCols, d.aVals = slices.Clone(al.aCols), slices.Clone(al.aVals)
 	d.aCols[from], d.aVals[from] = transitive.SetEntry(al.aCols[from], al.aVals[from], to, newVal)
 	if from != to {
-		// colA[to] caches A's column values, so any value move stales it.
+		// Column `to` caches A's values, so any value move stales it.
 		d.replaceColumns([]cellMove{{c: int32(to), r: int32(from), k: d.kAt(from, to)}})
 	}
 	if (oldVal > 0) != (newVal > 0) && from != to {
@@ -255,7 +214,7 @@ func (al *Allocator) SetAgreement(from, to int, oldVal, newVal float64) (*Alloca
 			d.skel[to].Store(al.skel[to].Load())
 		}
 	}
-	return d, nil
+	return &d, nil
 }
 
 // Grow derives an allocator extended by extra principals holding no
@@ -278,12 +237,9 @@ func (al *Allocator) Grow(extra int) *Allocator {
 	if al.cfg.Approx && clo.Level() != al.clo.Level() {
 		return finishAllocator(n, clo, aCols, aVals, al.hasA, al.cfg)
 	}
-	d := &Allocator{n: n, cfg: al.cfg, hasA: al.hasA, clo: clo, aCols: aCols, aVals: aVals}
-	d.k, d.conn = grown(al.k, n), grown(al.conn, n)
-	d.colIdx, d.colK, d.colA = grown(al.colIdx, n), grown(al.colK, n), grown(al.colA, n)
-	d.skel = make([]atomic.Pointer[planSkeleton], n)
-	d.pool = al.pool
-	return d
+	return &Allocator{n: n, cfg: al.cfg, hasA: al.hasA, clo: clo, aCols: aCols, aVals: aVals,
+		flow: grown(al.flow, n), cols: grown(al.cols, n),
+		skel: make([]atomic.Pointer[planSkeleton], n), pool: al.pool}
 }
 
 // grown copies xs into a slice of n elements, the new tail zero.

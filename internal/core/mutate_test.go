@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/agreement"
 	"repro/internal/num"
 	"repro/internal/transitive"
 )
@@ -131,8 +133,10 @@ func TestSetShareMatchesRebuild(t *testing.T) {
 					t.Fatalf("cfg %+v step %d: K row %d diverged", cfg, step, i)
 				}
 			}
-			if !floatsIdentical(d.conn, rebuilt.conn) {
-				t.Fatalf("cfg %+v step %d: conn diverged", cfg, step)
+			for i := range rebuilt.flow {
+				if !num.IsZero(d.flow[i].conn - rebuilt.flow[i].conn) {
+					t.Fatalf("cfg %+v step %d: conn[%d] diverged", cfg, step, i)
+				}
 			}
 			if !floatsIdentical(d.Capacities(v), rebuilt.Capacities(v)) {
 				t.Fatalf("cfg %+v step %d: capacities diverged", cfg, step)
@@ -320,4 +324,147 @@ func TestSetShareErrors(t *testing.T) {
 	if _, err := cur.Plan(v, 3, 12); err != nil {
 		t.Fatalf("receiver after the refused share: %v", err)
 	}
+}
+
+// churnVariants calls fn with the four allocators the invalidation tests
+// look at — the full formulation and ComponentLP, with the blocks' absolute
+// back-edges and without — over two blocks of eight, each a chain of
+// relative agreements, after every requester has planned once, so every
+// skeleton slot is filled.
+func churnVariants(t *testing.T, fn func(label string, al *Allocator, v []float64)) {
+	s, a, v := sparseBlockScenario(16, 3)
+	for _, comp := range []bool{false, true} {
+		for _, withA := range []bool{false, true} {
+			sa := a
+			if !withA {
+				sa = nil
+			}
+			al, err := NewAllocatorSparse(s, sa, Config{ComponentLP: comp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range v {
+				if _, err := al.Plan(v, r, 1.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fn(fmt.Sprintf("ComponentLP %v, A %v", comp, withA), al, v)
+		}
+	}
+}
+
+// rebuilt is a fresh NewAllocatorSparse over al's current agreements.
+func rebuilt(t *testing.T, al *Allocator) *Allocator {
+	t.Helper()
+	sb, ab := agreement.NewSparseBuilder(al.n), agreement.NewSparseBuilder(al.n)
+	for i := 0; i < al.n; i++ {
+		for j := 0; j < al.n; j++ {
+			sb.Add(i, j, al.Share(i, j)) // Build drops the zeros
+			ab.Add(i, j, al.Agreement(i, j))
+		}
+	}
+	var a *agreement.SparseMatrix
+	if al.hasA {
+		a = ab.Build()
+	}
+	fresh, err := NewAllocatorSparse(sb.Build(), a, al.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
+// sameSkeletons reports whether d holds al's skeleton table: the same slots,
+// so every skeleton either builds serves both.
+func sameSkeletons(d, al *Allocator) bool { return &d.skel[0] == &al.skel[0] }
+
+// TestValueChurnKeepsSkeletons moves agreement values without flipping a
+// cell between zero and nonzero — a chain's head sharing half as much, which
+// moves K and conn in all eight columns of its block, and an absolute
+// back-edge raised — in every variant: the derived allocator keeps the
+// receiver's skeleton table, the model clones built from it are rebound, and
+// every plan equals a fresh build's bit for bit.
+func TestValueChurnKeepsSkeletons(t *testing.T) {
+	churnVariants(t, func(label string, al *Allocator, v []float64) {
+		built := make([]*planSkeleton, al.n)
+		for r := range built {
+			built[r] = al.skel[r].Load()
+		}
+		step := func(what string, d *Allocator, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s, %s: %v", label, what, err)
+			}
+			if !sameSkeletons(d, al) {
+				t.Fatalf("%s, %s: the derived allocator dropped the skeletons", label, what)
+			}
+			for r, sk := range built {
+				if d.skel[r].Load() != sk {
+					t.Fatalf("%s, %s: skeleton %d was replaced", label, what, r)
+				}
+			}
+			requirePlansIdentical(t, d, rebuilt(t, d), v, label+", "+what)
+			al = d
+		}
+		d, err := al.SetShare(0, 1, al.Share(0, 1), al.Share(0, 1)/2)
+		step("a share halved", d, err)
+		if al.hasA {
+			d, err = al.SetAgreement(7, 0, al.Agreement(7, 0), al.Agreement(7, 0)+1)
+			step("an absolute agreement raised", d, err)
+		}
+		d, err = al.SetShare(9, 10, al.Share(9, 10), 0.95)
+		step("a share raised in the other block", d, err)
+	})
+}
+
+// TestPatternFlipDropsSkeletons makes every kind of change that flips a
+// cell — a K entry appearing and vanishing, under a cap_flow row too (the
+// last principal of a block closing its chain into a ring, where the
+// block's absolute back-edge already is), an absolute agreement appearing
+// and vanishing, and Grow — and checks each drops the skeleton table, the
+// derived allocator planning every requester as a fresh build does.
+func TestPatternFlipDropsSkeletons(t *testing.T) {
+	churnVariants(t, func(label string, al *Allocator, v []float64) {
+		step := func(what string, d *Allocator, err error, kept int) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s, %s: %v", label, what, err)
+			}
+			if sameSkeletons(d, al) {
+				t.Fatalf("%s, %s: the derived allocator kept the skeleton table", label, what)
+			}
+			for r := range d.skel {
+				if sk := d.skel[r].Load(); sk != nil && r != kept {
+					t.Fatalf("%s, %s: skeleton %d survived", label, what, r)
+				}
+			}
+			if len(v) < d.n {
+				v = append(v, 6.5)
+			}
+			requirePlansIdentical(t, d, rebuilt(t, d), v, label+", "+what)
+			for r := range v {
+				if _, err := d.Plan(v, r, 1.5); err != nil { // refill the slots for the next step
+					t.Fatal(err)
+				}
+			}
+			al = d
+		}
+		d, err := al.SetShare(7, 0, 0, 0.25)
+		step("a ring closed", d, err, -1)
+		d, err = al.SetShare(7, 0, 0.25, 0)
+		step("the ring opened again", d, err, -1)
+		d, err = al.SetShare(3, 4, al.Share(3, 4), 0)
+		step("a chain cut", d, err, -1)
+		d, err = al.SetShare(7, 8, 0, 0.2)
+		step("two blocks bridged", d, err, -1)
+		kept := 5 // requester 5 has no perturb_5 row; its live set is column 5 under ComponentLP
+		if al.cfg.ComponentLP {
+			kept = -1
+		}
+		d, err = al.SetAgreement(2, 5, 0, 1.5)
+		step("an absolute agreement made", d, err, kept)
+		d, err = al.SetAgreement(2, 5, 1.5, 0)
+		step("an absolute agreement revoked", d, err, kept)
+		step("a principal registered", al.Grow(1), nil, -1)
+	})
 }

@@ -94,11 +94,13 @@ func TestSkeletonEqualsReference(t *testing.T) {
 }
 
 // TestDerivationChainEqualsFresh walks every variant through a chain of
-// SetShare, SetAgreement and Grow derivations — edges created, halved and
-// removed, quantities created, raised and removed, a principal added and
-// wired in — and after every step requires the derived allocator to hold
-// the column lists a fresh NewAllocatorSparse over the mutated matrices
-// builds, the skeletons the reference builds, and to plan the same.
+// SetShare, SetAgreement and Grow derivations — edges created, halved,
+// moved and removed, quantities created, raised and removed, a principal
+// added and wired in — and after every step requires the derived allocator
+// to hold the column lists a fresh NewAllocatorSparse over the mutated
+// matrices builds, the skeletons the reference builds, and to plan the
+// same. Value-only steps, which flip no cell, must also keep the skeletons
+// the plans before them built: the plans after them run on those, rebound.
 func TestDerivationChainEqualsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cases := 40
@@ -152,18 +154,33 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 			if i == j {
 				j = (i + 1) % n
 			}
+			// valueOnly checks a step that moved values only.
+			valueOnly := func(step string, prev *core.Allocator) {
+				t.Helper()
+				if !core.SharesSkeletons(al, prev) {
+					t.Fatalf("case %d %+v: %s dropped the skeletons\n%s", c, cfg, step, g)
+				}
+				check(step)
+			}
 			if setShare(i, j, s[i][j]/2+0.125) {
 				check("SetShare")
 			}
+			if prev := al; s[i][j] > 0 && setShare(i, j, s[i][j]*0.75) {
+				valueOnly("SetShare moving a value", prev)
+			}
 			setAgreement(j, i, a[j][i]+1.5)
 			check("SetAgreement creating an entry")
+			prev := al
 			setAgreement(j, i, a[j][i]+0.25)
-			check("SetAgreement moving a value")
+			valueOnly("SetAgreement moving a value", prev)
 			al, n = al.Grow(1), n+1
 			s, a, v = cloneSquare(s, n), cloneSquare(a, n), append(v, 6.5)
 			check("Grow")
 			if setShare(n-1, i, 0.25) && setShare(j, n-1, 0.125) {
 				check("SetShare wiring the new principal in")
+				if prev := al; setShare(n-1, i, 0.5) {
+					valueOnly("SetShare moving the new principal's share", prev)
+				}
 			}
 			if setShare(i, j, 0) {
 				check("SetShare removing an edge")

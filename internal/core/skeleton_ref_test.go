@@ -23,7 +23,7 @@ func (al *Allocator) refSkeleton(requester int) *planSkeleton {
 	var live []int32
 	if al.cfg.ComponentLP {
 		merged := false
-		for _, k := range al.colIdx[requester] {
+		for _, k := range al.cols[requester].idx {
 			if !merged && int(k) > requester {
 				live = append(live, int32(requester))
 				merged = true
@@ -52,7 +52,7 @@ func (al *Allocator) refSkeleton(requester int) *planSkeleton {
 	const eps = 1e-6
 	vp := make([]lp.VarID, len(live))
 	for x, i := range live {
-		vp[x] = m.AddVar(fmt.Sprintf("V'_%d", i), 0, 0, -eps*al.conn[i])
+		vp[x] = m.AddVar(fmt.Sprintf("V'_%d", i), 0, 0, -eps*al.flow[i].conn)
 	}
 	theta := m.AddVar("theta", 0, lp.Inf, 1)
 
@@ -88,7 +88,7 @@ func (al *Allocator) refSkeleton(requester int) *planSkeleton {
 			terms = append(terms, lp.Term{Var: vp[x], Coeff: 1})
 		}
 		terms = append(terms, lp.Term{Var: theta, Coeff: 1})
-		idx, ks, as := al.colIdx[i], al.colK[i], al.colA[i]
+		idx, ks, as := al.cols[i].idx, al.cols[i].k, al.cols[i].a
 		pr := compRow{i: int32(i), self: varOf[i]}
 		for x, k := range idx {
 			pr.src = append(pr.src, varOf[k])
@@ -153,12 +153,12 @@ func (al *Allocator) SkeletonDiff(requester int) string {
 // WithReferenceSkeletons returns an allocator over al's agreements whose
 // every skeleton came from the reference builder.
 func (al *Allocator) WithReferenceSkeletons() *Allocator {
-	ref := al.derive()
+	ref := *al
 	ref.skel = make([]atomic.Pointer[planSkeleton], al.n)
 	for r := range ref.skel {
 		ref.skel[r].Store(al.refSkeleton(r))
 	}
-	return ref
+	return &ref
 }
 
 // SameBits is sameBits for the external test package.
@@ -172,9 +172,9 @@ func ColumnsDiff(a, b *Allocator) string {
 		return fmt.Sprintf("%d principals against %d", a.n, b.n)
 	}
 	for c := 0; c < a.n; c++ {
-		if !slices.Equal(a.colIdx[c], b.colIdx[c]) || !sameBits(a.colK[c], b.colK[c]) || !sameBits(a.colA[c], b.colA[c]) {
-			return fmt.Sprintf("column %d: %v %v %v against %v %v %v", c,
-				a.colIdx[c], a.colK[c], a.colA[c], b.colIdx[c], b.colK[c], b.colA[c])
+		ac, bc := a.cols[c], b.cols[c]
+		if !slices.Equal(ac.idx, bc.idx) || !sameBits(ac.k, bc.k) || !sameBits(ac.a, bc.a) {
+			return fmt.Sprintf("column %d: %v %v %v against %v %v %v", c, ac.idx, ac.k, ac.a, bc.idx, bc.k, bc.a)
 		}
 	}
 	return ""

@@ -311,7 +311,7 @@ func (s *Server) settle(job *allocJob, parent *parentLink, refusal *Response) {
 // once, into two exact-size slices that the lease, the reply (and through
 // it the tap) and the journal record share; nothing on the way from the
 // admission queue to the client is sized by the population. The reply and
-// its envelope are one allocation (grant).
+// its envelope are one allocation (boxed).
 func (s *Server) commitAllocLocked(req *AllocRequest, planSources []int, planTakes []float64, theta float64, borrowedFrom *parentLink, parentLease int) *Response {
 	sources, takes := make([]int, len(planSources)), make([]float64, len(planTakes))
 	copy(sources, planSources)
@@ -339,15 +339,15 @@ func (s *Server) commitAllocLocked(req *AllocRequest, planSources []int, planTak
 		Expires:     expiryUnix(le.expires),
 		ParentLease: parentLease,
 	})
-	g := &grant{alloc: AllocReply{Sources: sources, Takes: takes, Theta: theta, Lease: token, TTL: s.leaseTTL}}
-	g.resp.Alloc = &g.alloc
+	g := &boxed[AllocReply]{payload: AllocReply{Sources: sources, Takes: takes, Theta: theta, Lease: token, TTL: s.leaseTTL}}
+	g.resp.Alloc = &g.payload
 	return &g.resp
 }
 
-// grant is a granted allocation's reply: the envelope and its payload.
-type grant struct {
-	resp  Response
-	alloc AllocReply
+// boxed is a reply's envelope and its payload in one allocation.
+type boxed[T any] struct {
+	resp    Response
+	payload T
 }
 
 // debitLocked takes an allocation's pairs out of the availability view,

@@ -47,7 +47,9 @@ func (s *Server) register(r *RegisterRequest) *Response {
 	} else if s.logs() {
 		s.logger.Printf("grm: registered %q as principal %d (capacity %g)", r.Name, pid, r.Capacity)
 	}
-	return &Response{Register: &RegisterReply{Principal: pid}}
+	b := &boxed[RegisterReply]{payload: RegisterReply{Principal: pid}}
+	b.resp.Register = &b.payload
+	return &b.resp
 }
 
 // registerLocked binds name to a principal: an existing principal (one
@@ -135,7 +137,9 @@ func (s *Server) share(r *ShareRequest) *Response {
 	if s.logs() {
 		s.logger.Printf("grm: agreement %d -> %d (fraction %g, quantity %g)", r.From, r.To, r.Fraction, r.Quantity)
 	}
-	return &Response{Share: &ShareReply{Ticket: ticket}}
+	b := &boxed[ShareReply]{payload: ShareReply{Ticket: ticket}}
+	b.resp.Share = &b.payload
+	return &b.resp
 }
 
 // shareLocked creates one agreement — relative when fraction is positive,

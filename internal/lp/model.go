@@ -147,9 +147,9 @@ func (m *Model) NameWith(varName func(VarID) string, rowName func(int) string) {
 }
 
 // SetBounds replaces the bounds of v, with the same validation as AddVar.
-// Together with SetRHS and Clone it supports the skeleton-rebinding
-// pattern: build the constraint structure once, then per solve only rebind
-// the numbers that actually change.
+// Together with SetRHS, SetObj, SetCoeff and Clone it supports the
+// skeleton-rebinding pattern: build the constraint structure once, then per
+// solve only rebind the numbers.
 func (m *Model) SetBounds(v VarID, lo, hi float64) {
 	if math.IsNaN(lo) || math.IsNaN(hi) {
 		panic(fmt.Sprintf("lp: SetBounds(%q): NaN bound", m.VarName(v)))
@@ -168,15 +168,45 @@ func (m *Model) SetRHS(i int, rhs float64) {
 	m.cons[i].rhs = rhs
 }
 
-// Clone returns a model that shares all structural data (names, namers, the
-// term arena its rows view) with the receiver but owns its variable and
-// constraint headers, so bounds, objective coefficients and right-hand sides
-// can be rebound independently. AddVar/AddConstraint on the clone are safe:
-// its new rows go into a chunk of its own, never into the receiver's arena.
+// SetObj replaces the objective coefficient of v.
+func (m *Model) SetObj(v VarID, obj float64) {
+	if math.IsNaN(obj) {
+		panic(fmt.Sprintf("lp: SetObj(%q): NaN objective", m.VarName(v)))
+	}
+	m.vars[v].obj = obj
+}
+
+// SetCoeff replaces the coefficient of the k-th term of row i, counted in
+// the order Constraint returns them: what AddConstraint kept, merged
+// duplicates at their first place. The term keeps its variable, and a zero
+// coefficient stays stored.
+func (m *Model) SetCoeff(i, k int, coeff float64) {
+	if math.IsNaN(coeff) {
+		panic(fmt.Sprintf("lp: SetCoeff(%q): NaN coefficient", m.ConstraintName(i)))
+	}
+	m.cons[i].terms[k].Coeff = coeff
+}
+
+// Clone returns a model that shares its names and namers with the receiver
+// and owns everything else — variables, constraints and their terms, copied
+// into one arena — so bounds, objective coefficients, right-hand sides and
+// term coefficients can be rebound on either without the other seeing it.
+// AddVar/AddConstraint on the clone are safe: its new rows go into a chunk of
+// its own.
 func (m *Model) Clone() *Model {
 	out := &Model{sense: m.sense, varName: m.varName, rowName: m.rowName}
 	out.vars = append(make([]variable, 0, len(m.vars)), m.vars...)
 	out.cons = append(make([]constraint, 0, len(m.cons)), m.cons...)
+	size := 0
+	for _, c := range m.cons {
+		size += len(c.terms)
+	}
+	out.arena = make([]Term, 0, size)
+	for i, c := range m.cons {
+		start := len(out.arena)
+		out.arena = append(out.arena, c.terms...)
+		out.cons[i].terms = out.arena[start:len(out.arena):len(out.arena)]
+	}
 	return out
 }
 

@@ -156,8 +156,8 @@ func TestAddConstraintMergeMatchesReference(t *testing.T) {
 
 // TestCloneAddConstraintLeavesParentRows adds rows to a clone and to its
 // parent in turn and checks neither ever changes a row the other holds:
-// the clone shares the parent's rows as views and lays its own into a chunk
-// of its own, whatever room the parent's arena has left.
+// the clone copies the parent's rows and lays its own into a chunk of its
+// own, whatever room the parent's arena has left.
 func TestCloneAddConstraintLeavesParentRows(t *testing.T) {
 	for _, reserve := range []int{0, 6, 1000} {
 		parent := NewModel(Minimize)
@@ -199,6 +199,53 @@ func TestCloneAddConstraintLeavesParentRows(t *testing.T) {
 	}
 }
 
+// TestCloneRebindsAlone rewrites every number of a clone — bounds, objective
+// coefficients, right-hand sides and each stored term — into another model's:
+// the clone then renders and solves as that model does, and the parent it
+// was cloned from is untouched.
+func TestCloneRebindsAlone(t *testing.T) {
+	build := func(scale float64) *Model {
+		m := NewModel(Maximize)
+		x := m.AddVar("x", 0, 4*scale, 1*scale)
+		y := m.AddVar("y", 0, 3, 2)
+		m.AddConstraint("c0", []Term{{x, 1 * scale}, {y, 2}, {x, 1}}, LE, 6*scale) // x's terms merge
+		m.AddConstraint("c1", []Term{{y, 3 * scale}, {x, 0}}, GE, scale)           // the zero is dropped
+		return m
+	}
+	parent, want := build(1), build(2)
+	before := parent.String()
+	clone := parent.Clone()
+	for v := VarID(0); v < VarID(want.NumVars()); v++ {
+		lo, hi := want.Bounds(v)
+		clone.SetBounds(v, lo, hi)
+		clone.SetObj(v, want.ObjCoeff(v))
+	}
+	for i := 0; i < want.NumConstraints(); i++ {
+		terms, _, rhs := want.Constraint(i)
+		for k, term := range terms {
+			clone.SetCoeff(i, k, term.Coeff)
+		}
+		clone.SetRHS(i, rhs)
+	}
+	if got := clone.String(); got != want.String() {
+		t.Fatalf("rebound clone renders\n%s\nwant\n%s", got, want)
+	}
+	if got := parent.String(); got != before {
+		t.Fatalf("rebinding the clone changed its parent:\n%s\nwas\n%s", got, before)
+	}
+	got, err := clone.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := want.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Values(), got.Objective) != fmt.Sprint(ref.Values(), ref.Objective) {
+		t.Fatalf("rebound clone solves to %v %v, the model it was rebound to %v %v", got.Values(), got.Objective, ref.Values(), ref.Objective)
+	}
+}
+
 // TestOnDemandNames checks that a model built without names answers with
 // NameWith's wherever a name shows — VarName, ConstraintName, String, the
 // rebinding panics — that a given name wins over them,
@@ -231,6 +278,8 @@ func TestOnDemandNames(t *testing.T) {
 		`lp: SetBounds("V'_40"): NaN bound`:                           func() { m.SetBounds(x, math.NaN(), 1) },
 		`lp: SetBounds("V'_40"): lower bound 2 exceeds upper bound 1`: func() { m.SetBounds(x, 2, 1) },
 		`lp: SetRHS("perturb_40"): NaN right-hand side`:               func() { m.SetRHS(0, math.NaN()) },
+		`lp: SetObj("V'_40"): NaN objective`:                          func() { m.SetObj(x, math.NaN()) },
+		`lp: SetCoeff("perturb_40"): NaN coefficient`:                 func() { m.SetCoeff(0, 1, math.NaN()) },
 		`lp: AddConstraint("late"): NaN coefficient for V'_40`:        func() { m.AddConstraint("late", []Term{{x, math.NaN()}}, LE, 0) },
 		`lp: AddConstraint("late"): unknown variable 2`:               func() { m.AddConstraint("late", []Term{{2, 1}}, LE, 0) },
 		`lp: AddVar("z"): lower bound 3 exceeds upper bound 1`:        func() { m.AddVar("z", 3, 1, 0) },

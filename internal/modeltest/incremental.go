@@ -9,23 +9,29 @@ import (
 
 // PlanIncrementalEquivalence (the "plan-incremental" property): an
 // allocator evolved through the incremental mutators — SetShare edge
-// updates, SetAgreement quantity updates, availability deltas, and the
-// revocation of each (the cell set back to exactly zero, which is what
-// the GRM's revoke patch does when no ticket survives) — must be
-// indistinguishable from a freshly built NewAllocator over the mutated
-// matrices at every step of the schedule: same capacities, same plan
-// takes, same θ, bit for bit. The schedule is derived deterministically
-// from the graph itself (row-major pair walk, kind cycling by step), so
-// replaying a failing seed reruns the identical schedule and the shrinker
-// minimizes the divergent schedule simply by minimizing the graph; the
-// check stops at the first divergent step, so the reported step index is
-// the minimal failing prefix.
+// updates, SetAgreement quantity updates, availability deltas, moves of
+// the values those made, and the revocation of each (the cell set back to
+// exactly zero, which is what the GRM's revoke patch does when no ticket
+// survives) — must be indistinguishable from a freshly built NewAllocator
+// over the mutated matrices at every step of the schedule: same
+// capacities, same plan takes, same θ, bit for bit. Value moves flip no
+// cell, so the allocator keeps the skeletons earlier steps built and
+// rebinds them; each cycle plans one requester throughout, so the plans
+// after the moves run on the skeleton the plans before them built. The
+// schedule is derived deterministically from the graph itself (row-major
+// pair walk, kind cycling by step), so replaying a failing seed reruns the
+// identical schedule and the shrinker minimizes the divergent schedule
+// simply by minimizing the graph; the check stops at the first divergent
+// step, so the reported step index is the minimal failing prefix.
 
-// maxIncrementalSteps bounds the schedule per graph; divergence from a
-// patched closure or a stale cache shows up within a handful of
-// mutations, and CheckGraph runs on thousands of generated graphs. Ten
-// steps run every kind of the five-step cycle twice.
-const maxIncrementalSteps = 10
+// incrementalCycle is the number of step kinds; maxIncrementalSteps bounds
+// the schedule per graph. Divergence from a patched closure or a stale
+// cache shows up within a handful of mutations, and CheckGraph runs on
+// thousands of generated graphs: fourteen steps run every kind twice.
+const (
+	incrementalCycle    = 7
+	maxIncrementalSteps = 2 * incrementalCycle
+)
 
 func (c *checker) checkIncrementalPlan() error {
 	if c.mut != MutNone {
@@ -44,59 +50,54 @@ func (c *checker) checkIncrementalPlan() error {
 
 	step := 0
 	relI, relJ, absI, absJ := -1, -1, -1, -1 // the last pairs steps 0 and 1 edited
+	// set derives through one mutator call, refusing like the schedule does.
+	set := func(what string, i, j int, old, next float64, mutate func(i, j int, old, next float64) (*core.Allocator, error)) error {
+		d, err := mutate(i, j, old, next)
+		if err != nil {
+			return fmt.Errorf("step %d: %s(%d, %d, %g, %g): %w", step, what, i, j, old, next, err)
+		}
+		cur = d
+		return nil
+	}
 	for i := 0; i < n && step < maxIncrementalSteps; i++ {
 		for j := 0; j < n && step < maxIncrementalSteps; j++ {
 			if i == j {
 				continue
 			}
-			switch step % 5 {
+			var err error
+			switch step % incrementalCycle {
 			case 0: // relative edge update: halve a live edge or create one
-				old := s[i][j]
 				next := 0.25
-				if old > 0 {
-					next = old / 2
+				if s[i][j] > 0 {
+					next = s[i][j] / 2
 				}
-				d, err := cur.SetShare(i, j, old, next)
-				if err != nil {
-					return fmt.Errorf("step %d: SetShare(%d, %d, %g, %g): %w", step, i, j, old, next, err)
-				}
-				s[i][j] = next
-				cur = d
-				relI, relJ = i, j
+				err = set("SetShare", i, j, s[i][j], next, cur.SetShare)
+				s[i][j], relI, relJ = next, i, j
 			case 1: // absolute agreement update (creates A when absent)
-				old := 0.0
-				if a != nil {
-					old = a[i][j]
-				}
-				next := old + 0.5
-				d, err := cur.SetAgreement(i, j, old, next)
-				if err != nil {
-					return fmt.Errorf("step %d: SetAgreement(%d, %d, %g, %g): %w", step, i, j, old, next, err)
-				}
 				if a == nil {
 					a = zeroMatrix(n)
 				}
-				a[i][j] = next
-				cur = d
-				absI, absJ = i, j
+				err = set("SetAgreement", i, j, a[i][j], a[i][j]+0.5, cur.SetAgreement)
+				a[i][j], absI, absJ = a[i][j]+0.5, i, j
 			case 2: // availability delta: no mutator, but the planner replans
 				v[i] += 1
-			case 3: // revoke the relative edge step 0 last edited: the entry leaves S
-				d, err := cur.SetShare(relI, relJ, s[relI][relJ], 0)
-				if err != nil {
-					return fmt.Errorf("step %d: SetShare(%d, %d, %g, 0): %w", step, relI, relJ, s[relI][relJ], err)
-				}
+			case 3: // move the value of the relative edge step 0 last edited
+				err = set("SetShare", relI, relJ, s[relI][relJ], s[relI][relJ]*0.75, cur.SetShare)
+				s[relI][relJ] *= 0.75
+			case 4: // move the value of the absolute agreement step 1 last edited
+				err = set("SetAgreement", absI, absJ, a[absI][absJ], a[absI][absJ]+0.25, cur.SetAgreement)
+				a[absI][absJ] += 0.25
+			case 5: // revoke the relative edge: the entry leaves S
+				err = set("SetShare", relI, relJ, s[relI][relJ], 0, cur.SetShare)
 				s[relI][relJ] = 0
-				cur = d
-			default: // revoke the absolute agreement step 1 last edited
-				d, err := cur.SetAgreement(absI, absJ, a[absI][absJ], 0)
-				if err != nil {
-					return fmt.Errorf("step %d: SetAgreement(%d, %d, %g, 0): %w", step, absI, absJ, a[absI][absJ], err)
-				}
+			default: // revoke the absolute agreement
+				err = set("SetAgreement", absI, absJ, a[absI][absJ], 0, cur.SetAgreement)
 				a[absI][absJ] = 0
-				cur = d
 			}
-			if err := compareIncremental(cur, s, a, v, c.g.Level, step%n); err != nil {
+			if err != nil {
+				return err
+			}
+			if err := compareIncremental(cur, s, a, v, c.g.Level, step/incrementalCycle%n); err != nil {
 				return fmt.Errorf("incremental allocator diverged from fresh rebuild at step %d: %w", step, err)
 			}
 			if err := checkSparseRows(cur); err != nil {

@@ -3,6 +3,7 @@ package transitive
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/num"
@@ -37,14 +38,14 @@ var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 // identical to a from-scratch rebuild — pinned by the
 // closure tests and the modeltest incremental-equivalence property.
 //
-// Everything is row-sparse: the agreement matrix S as per-row ascending
-// column lists (adj) with aligned values (vals), and the flow matrix T the
-// same way (tc, tv) — a row keeps exactly the entries that are not
-// exactly zero. Between principals with no agreement chain T is zero, so
-// a closure over many small communities costs O(n) row headers plus its
-// stored entries, and every pass here (build, delta, compare, Grow) costs
-// the entries it visits, never n². The kernels accumulate into a
-// per-worker dense scratch row and emit exact-size rows; they read the
+// Everything is row-sparse: the agreement matrix S and the flow matrix T
+// are each one table of rows, a row the ascending columns of exactly the
+// entries that are not exactly zero, with their values. Between principals
+// with no agreement chain T is zero, so a closure over many small
+// communities costs O(n) row headers plus its stored entries, every pass
+// here (build, delta, compare, Grow) costs the entries it visits, never
+// n², and a derivation copies the two tables. The kernels accumulate into
+// a per-worker dense scratch row and emit exact-size rows; they read the
 // same floats in the same order a dense scan would, and every sum is
 // non-negative, so skipping an unstored +0 keeps each result
 // bit-identical to the dense library functions (Exact, Approx). T() is a
@@ -65,10 +66,8 @@ type Closure struct {
 	reqLevel int
 	approx   bool
 	n        int
-	tc       [][]int32   // ascending non-zero columns of each T row; shared COW
-	tv       [][]float64 // flow coefficients aligned with tc; shared COW
-	adj      [][]int32   // ascending non-zero out-edges per row; shared COW
-	vals     [][]float64 // edge values aligned with adj; shared COW
+	t        []sparseRow // T's rows; each shared COW
+	s        []sparseRow // S's rows, the out-edges of each principal; each shared COW
 	edges    int
 	// budget caps the steps (DFS steps plus DP cell updates) one exact
 	// build or delta may charge (0 = no cap); past it the build or the
@@ -90,8 +89,8 @@ func NewClosure(s [][]float64, level int, approx bool) *Closure {
 	if err := Validate(s); err != nil {
 		panic(err)
 	}
-	adj, vals, edges := adjacency(s)
-	c, _ := newClosureFromRows(len(s), adj, vals, edges, level, approx, 0)
+	g, edges := adjacency(s)
+	c, _ := newClosureFromRows(len(s), g, edges, level, approx, 0)
 	return c
 }
 
@@ -119,15 +118,15 @@ func NewClosureBudget(n int, cols [][]int32, vals [][]float64, level int, approx
 	for _, row := range cols {
 		edges += len(row)
 	}
-	return newClosureFromRows(n, cols, vals, edges, level, approx, budget)
+	return newClosureFromRows(n, rowsOf(cols, vals), edges, level, approx, budget)
 }
 
-func newClosureFromRows(n int, adj [][]int32, vals [][]float64, edges, level int, approx bool, budget int) (*Closure, error) {
-	tc, tv, ok := sparseRows(n, adj, vals, level, approx, par.Workers(n), newMeter(budget))
+func newClosureFromRows(n int, g []sparseRow, edges, level int, approx bool, budget int) (*Closure, error) {
+	t, ok := sparseRows(n, g, level, approx, par.Workers(n), newMeter(budget))
 	if !ok {
 		return nil, budgetErr(budget)
 	}
-	return &Closure{reqLevel: level, approx: approx, n: n, tc: tc, tv: tv, adj: adj, vals: vals, edges: edges, budget: budget}, nil
+	return &Closure{reqLevel: level, approx: approx, n: n, t: t, s: g, edges: edges, budget: budget}, nil
 }
 
 // N returns the number of principals.
@@ -140,36 +139,36 @@ func (c *Closure) Level() int { return clampLevel(c.reqLevel, c.n) }
 // — the export for tests and the bench; unstored entries come out as +0
 // exactly. It costs n² floats per call: the serving path reads FlowRow
 // instead.
-func (c *Closure) T() [][]float64 { return denseOf(c.n, c.tc, c.tv) }
+func (c *Closure) T() [][]float64 { return denseOf(c.n, c.t) }
 
 // FlowRow returns row src of T as ascending non-zero column indices and
 // their coefficients. The slices are shared with the closure and must be
 // treated as read-only.
 func (c *Closure) FlowRow(src int) ([]int32, []float64) {
-	return c.tc[src], c.tv[src]
+	return c.t[src].cols, c.t[src].vals
 }
 
 // Bytes returns the memory the closure's rows hold: 12 bytes per stored
-// S and T entry plus four slice headers per principal. Rows shared with
-// other closures are counted in full.
+// S and T entry plus a row of each per principal (two slice headers a
+// row). Rows shared with other closures are counted in full.
 func (c *Closure) Bytes() int {
 	entries := c.edges
-	for _, row := range c.tc {
-		entries += len(row)
+	for _, row := range c.t {
+		entries += len(row.cols)
 	}
 	return 12*entries + 4*24*c.n
 }
 
 // Edge returns the current agreement entry S[src][dst]: a binary search
 // over row src's sorted column list, 0 when unstored.
-func (c *Closure) Edge(src, dst int) float64 { return At(c.adj[src], c.vals[src], dst) }
+func (c *Closure) Edge(src, dst int) float64 { return At(c.s[src].cols, c.s[src].vals, dst) }
 
 // denseOf scatters sparse rows into a fresh dense n×n matrix.
-func denseOf(n int, cols [][]int32, vals [][]float64) [][]float64 {
+func denseOf(n int, g []sparseRow) [][]float64 {
 	out := zeros(n)
-	for i := range cols {
-		for k, j := range cols[i] {
-			out[i][j] = vals[i][k]
+	for i, row := range g {
+		for k, j := range row.cols {
+			out[i][j] = row.vals[k]
 		}
 	}
 	return out
@@ -185,15 +184,12 @@ func (c *Closure) WithBudget(steps int) *Closure {
 	return c
 }
 
-// shallow clones the slice headers so a derived closure can swap
+// shallow clones the two row tables so a derived closure can swap
 // individual rows without touching the receiver.
 func (c *Closure) shallow() *Closure {
-	d := &Closure{reqLevel: c.reqLevel, approx: c.approx, n: c.n, edges: c.edges, budget: c.budget}
-	d.tc = append([][]int32(nil), c.tc...)
-	d.tv = append([][]float64(nil), c.tv...)
-	d.adj = append([][]int32(nil), c.adj...)
-	d.vals = append([][]float64(nil), c.vals...)
-	return d
+	d := *c
+	d.t, d.s = slices.Clone(c.t), slices.Clone(c.s)
+	return &d
 }
 
 // UpdateEdge derives a closure with S[src][dst] changed from oldVal to
@@ -222,8 +218,8 @@ func (c *Closure) UpdateEdge(src, dst int, oldVal, newVal float64) (*Closure, []
 		return c, nil, nil
 	}
 	d := c.shallow()
-	d.adj[src], d.vals[src] = SetEntry(c.adj[src], c.vals[src], dst, newVal)
-	d.edges += len(d.adj[src]) - len(c.adj[src])
+	d.s[src].cols, d.s[src].vals = SetEntry(c.s[src].cols, c.s[src].vals, dst, newVal)
+	d.edges += len(d.s[src].cols) - len(c.s[src].cols)
 	sc := getScratch(n)
 	defer scratchPool.Put(sc)
 	changed, err := d.recompute(c, c.affected(sc, src), sc)
@@ -249,8 +245,8 @@ func (c *Closure) UpdateRow(src int, row []float64) (*Closure, []int, error) {
 		return nil, nil, fmt.Errorf("transitive: UpdateRow(%d): diagonal entry %g must be zero", src, row[src])
 	}
 	cur := make([]float64, n)
-	for k, j := range c.adj[src] {
-		cur[j] = c.vals[src][k]
+	for k, j := range c.s[src].cols {
+		cur[j] = c.s[src].vals[k]
 	}
 	same := true
 	for j, v := range row {
@@ -265,8 +261,8 @@ func (c *Closure) UpdateRow(src int, row []float64) (*Closure, []int, error) {
 		return c, nil, nil
 	}
 	d := c.shallow()
-	d.adj[src], d.vals[src] = RowOf(row)
-	d.edges += len(d.adj[src]) - len(c.adj[src])
+	d.s[src].cols, d.s[src].vals = RowOf(row)
+	d.edges += len(d.s[src].cols) - len(c.s[src].cols)
 	sc := getScratch(n)
 	defer scratchPool.Put(sc)
 	changed, err := d.recompute(c, c.affected(sc, src), sc)
@@ -288,24 +284,20 @@ func (c *Closure) Grow(k int) *Closure {
 	}
 	nn := c.n + k
 	d := &Closure{reqLevel: c.reqLevel, approx: c.approx, n: nn, edges: c.edges, budget: c.budget}
-	d.adj = make([][]int32, nn)
-	copy(d.adj, c.adj)
-	d.vals = make([][]float64, nn)
-	copy(d.vals, c.vals)
+	d.s = make([]sparseRow, nn)
+	copy(d.s, c.s)
 	if c.approx && d.Level() != c.Level() {
-		d.tc, d.tv, _ = sparseRows(nn, d.adj, d.vals, d.reqLevel, true, par.Workers(nn), nil)
+		d.t, _ = sparseRows(nn, d.s, d.reqLevel, true, par.Workers(nn), nil)
 		return d
 	}
-	d.tc = make([][]int32, nn)
-	copy(d.tc, c.tc)
-	d.tv = make([][]float64, nn)
-	copy(d.tv, c.tv)
+	d.t = make([]sparseRow, nn)
+	copy(d.t, c.t)
 	return d
 }
 
 // hasEdge reports whether S[x][u] is stored (non-zero).
 func (c *Closure) hasEdge(x, u int) bool {
-	cols := c.adj[x]
+	cols := c.s[x].cols
 	k := sort.Search(len(cols), func(k int) bool { return cols[k] >= int32(u) })
 	return k < len(cols) && cols[k] == int32(u)
 }
@@ -360,13 +352,13 @@ func (d *Closure) recompute(prev *Closure, rows []int, sc *rowScratch) ([]int, e
 	var changed []int
 	if blastDenominator*len(rows) > n {
 		var ok bool
-		d.tc, d.tv, ok = sparseRows(n, d.adj, d.vals, d.reqLevel, d.approx, par.Workers(n), newMeter(budget))
+		d.t, ok = sparseRows(n, d.s, d.reqLevel, d.approx, par.Workers(n), newMeter(budget))
 		if !ok {
 			return nil, budgetErr(d.budget)
 		}
 		for i := 0; i < n; i++ {
-			if rowsEqual(prev.tc[i], prev.tv[i], d.tc[i], d.tv[i]) {
-				d.tc[i], d.tv[i] = prev.tc[i], prev.tv[i] // keep sharing the identical row
+			if rowsEqual(prev.t[i], d.t[i]) {
+				d.t[i] = prev.t[i] // keep sharing the identical row
 			} else {
 				changed = append(changed, i)
 			}
@@ -376,14 +368,14 @@ func (d *Closure) recompute(prev *Closure, rows []int, sc *rowScratch) ([]int, e
 	maxLen := d.Level()
 	m := newMeter(budget) // charged by this goroutine alone, so it stays on the stack
 	for _, src := range rows {
-		if !sc.row(d.adj, d.vals, src, maxLen, d.approx, m) {
+		if !sc.row(d.s, src, maxLen, d.approx, m) {
 			return nil, budgetErr(d.budget)
 		}
-		cols, vals := sc.take()
-		if rowsEqual(prev.tc[src], prev.tv[src], cols, vals) {
+		row := sc.take()
+		if rowsEqual(prev.t[src], row) {
 			continue
 		}
-		d.tc[src], d.tv[src] = cols, vals
+		d.t[src] = row
 		changed = append(changed, src)
 	}
 	return changed, nil
@@ -391,12 +383,12 @@ func (d *Closure) recompute(prev *Closure, rows []int, sc *rowScratch) ([]int, e
 
 // rowsEqual reports whether two sparse rows hold identical values. Rows
 // store no exact zero, so a differing pattern is a differing value.
-func rowsEqual(ac []int32, av []float64, bc []int32, bv []float64) bool {
-	if len(ac) != len(bc) {
+func rowsEqual(a, b sparseRow) bool {
+	if len(a.cols) != len(b.cols) {
 		return false
 	}
-	for k := range ac {
-		if ac[k] != bc[k] || !num.IsZero(av[k]-bv[k]) {
+	for k := range a.cols {
+		if a.cols[k] != b.cols[k] || !num.IsZero(a.vals[k]-b.vals[k]) {
 			return false
 		}
 	}

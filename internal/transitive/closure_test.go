@@ -294,7 +294,7 @@ func TestClosureRowsAreExactSize(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n)))
 			s := randomSparse(rng, n, 2*n)
 			c := NewClosure(s, 4, approx)
-			adj, vals, _ := adjacency(s)
+			_, adj, vals := csrOf(s)
 			dense := ExactCSR(n, adj, vals, 4)
 			if approx {
 				dense = ApproxCSR(n, adj, vals, 4)

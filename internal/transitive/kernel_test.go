@@ -14,14 +14,14 @@ import (
 // or no cap: the parent commit's kernel.
 func dfsRows(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
 	maxLen = clampLevel(maxLen, n)
-	t := zeros(n)
+	t, g := zeros(n), rowsOf(adj, vals)
 	sc := getScratch(n)
 	for src := 0; src < n; src++ {
 		st := newSteps(noCap, nil)
 		if n <= 64 {
-			exactRowSparse64(adj, vals, src, maxLen, t[src], &st)
+			exactRowSparse64(g, src, maxLen, t[src], &st)
 		} else {
-			sc.exactRowBig(adj, vals, src, maxLen, &st)
+			sc.exactRowBig(g, src, maxLen, &st)
 			sc.takeDense(t[src])
 		}
 	}
@@ -34,13 +34,13 @@ func dfsRows(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
 func dpRows(t *testing.T, n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
 	t.Helper()
 	maxLen = clampLevel(maxLen, n)
-	out := zeros(n)
+	out, g := zeros(n), rowsOf(adj, vals)
 	sc := getScratch(n)
 	for src := 0; src < n; src++ {
-		if sc.reach(adj, src, maxLen) == noCap {
+		if sc.reach(g, src, maxLen) == noCap {
 			t.Fatalf("row %d reaches more than %d principals", src, maxDPReach)
 		}
-		if !sc.exactRowDP(adj, vals, src, maxLen, nil) {
+		if !sc.exactRowDP(g, src, maxLen, nil) {
 			t.Fatalf("row %d: unbudgeted DP refused", src)
 		}
 		sc.takeDense(out[src])
@@ -52,13 +52,13 @@ func dpRows(t *testing.T, n int, adj [][]int32, vals [][]float64, maxLen int) []
 // enumerate runs the DFS of row src under the given step cap and no
 // meter, and returns the steps it took and how it stopped; the scratch is
 // left clear.
-func enumerate(sc *rowScratch, adj [][]int32, vals [][]float64, src, maxLen, limit int) (int, dfsEnd) {
+func enumerate(sc *rowScratch, g []sparseRow, src, maxLen, limit int) (int, dfsEnd) {
 	st := newSteps(limit, nil)
 	var end dfsEnd
-	if len(adj) <= 64 {
-		_, end = exactRowSparse64(adj, vals, src, maxLen, make([]float64, len(adj)), &st)
+	if len(g) <= 64 {
+		_, end = exactRowSparse64(g, src, maxLen, make([]float64, len(g)), &st)
 	} else {
-		end = sc.exactRowBig(adj, vals, src, maxLen, &st)
+		end = sc.exactRowBig(g, src, maxLen, &st)
 		sc.discard()
 	}
 	return st.n, end
@@ -68,10 +68,10 @@ func enumerate(sc *rowScratch, adj [][]int32, vals [][]float64, src, maxLen, lim
 // capped at the DP's cost runs out of steps.
 func dpChosen(n int, adj [][]int32, vals [][]float64, maxLen int) []bool {
 	maxLen = clampLevel(maxLen, n)
-	out := make([]bool, n)
+	out, g := make([]bool, n), rowsOf(adj, vals)
 	sc := getScratch(n)
 	for src := 0; src < n; src++ {
-		_, end := enumerate(sc, adj, vals, src, maxLen, sc.reach(adj, src, maxLen))
+		_, end := enumerate(sc, g, src, maxLen, sc.reach(g, src, maxLen))
 		out[src] = end == dfsCapped
 	}
 	scratchPool.Put(sc)
@@ -101,15 +101,17 @@ func rowsBy(t *testing.T, n, rows, maxLen int, kernel func(sc *rowScratch, src, 
 // DFS capped at its DP's cost, and one that hits the cap is cleared and
 // summed by the DP.
 func parentRule(adj [][]int32, vals [][]float64) func(*rowScratch, int, int, *meter) bool {
+	g := rowsOf(adj, vals)
 	return func(sc *rowScratch, src, maxLen int, m *meter) bool {
-		return sc.cappedRow(adj, vals, src, maxLen, sc.reach(adj, src, maxLen), m)
+		return sc.cappedRow(g, src, maxLen, sc.reach(g, src, maxLen), m)
 	}
 }
 
 // servedRule is exactRow, the kernel choice every build and delta makes.
 func servedRule(adj [][]int32, vals [][]float64) func(*rowScratch, int, int, *meter) bool {
+	g := rowsOf(adj, vals)
 	return func(sc *rowScratch, src, maxLen int, m *meter) bool {
-		return sc.exactRow(adj, vals, src, maxLen, m)
+		return sc.exactRow(g, src, maxLen, m)
 	}
 }
 
@@ -195,7 +197,7 @@ func TestKernelsAgree(t *testing.T) {
 		for k := 3; k <= 9; k++ {
 			rng := rand.New(rand.NewSource(int64(k)))
 			n, adj, vals := v.build(rng, k)
-			dense := denseOf(n, adj, vals)
+			dense := denseOf(n, rowsOf(adj, vals))
 			for level := 1; level < k; level++ {
 				label := func(what string) string {
 					return fmt.Sprintf("%s K%d level %d: %s", v.name, k, level, what)
@@ -411,14 +413,14 @@ func cliqueBesideRing() [][]float64 {
 func TestRouterIsTheParentRule(t *testing.T) {
 	routed, undecided, enumerated := 0, 0, 0
 	for _, g := range routerGraphs(testing.Short()) {
-		sc := getScratch(g.n)
+		sc, rows := getScratch(g.n), rowsOf(g.adj, g.vals)
 		for level := 1; level < g.n; level++ {
 			if level > maxDPReach && level < g.n-1 {
 				continue
 			}
 			label := fmt.Sprintf("%s level %d", g.name, level)
 			for src := 0; src < g.rows; src++ {
-				limit := sc.reach(g.adj, src, level)
+				limit := sc.reach(rows, src, level)
 				if limit == noCap {
 					enumerated++
 					continue
@@ -428,7 +430,7 @@ func TestRouterIsTheParentRule(t *testing.T) {
 				// dpChosen's verdict, and the chains themselves when there
 				// are no more than the cap; past it they are at least
 				// limit+1, which no floor exceeds.
-				chains, end := enumerate(sc, g.adj, g.vals, src, level, limit)
+				chains, end := enumerate(sc, rows, src, level, limit)
 				dp := end == dfsCapped
 				if !dp && chains < floor {
 					t.Fatalf("%s: row %d has %d chains, under its floor %d", label, src, chains, floor)
@@ -467,25 +469,25 @@ func TestRouterIsTheParentRule(t *testing.T) {
 // enters the DFS at all. A complete graph of 6 is enumerated: its 325
 // chains a row are under the DP's cost of 400.
 func TestCompleteRowsSkipTheDFS(t *testing.T) {
-	check := func(name string, n int, adj [][]int32, want bool) {
+	check := func(name string, n int, adj [][]int32, vals [][]float64, want bool) {
 		t.Helper()
-		sc := getScratch(n)
+		sc, g := getScratch(n), rowsOf(adj, vals)
 		defer scratchPool.Put(sc)
 		for src := 0; src < n; src++ {
-			if got := sc.overCap(n-1, sc.reach(adj, src, n-1)); got != want {
+			if got := sc.overCap(n-1, sc.reach(g, src, n-1)); got != want {
 				t.Fatalf("%s: row %d sent straight to the DP = %v, want %v", name, src, got, want)
 			}
 		}
 	}
-	n, adj, _ := csrOf(complete(10, 0.1))
-	check("the paper's K10", n, adj, true)
-	n, adj, _ = csrOf(benchMatrix(10, 1))
-	check("the bench's K10", n, adj, true)
-	n, adj, _ = storedZeros(true)(rand.New(rand.NewSource(10)), 10)
-	check("K10 with stored zeros on and off the diagonal", n, adj, true)
+	n, adj, vals := csrOf(complete(10, 0.1))
+	check("the paper's K10", n, adj, vals, true)
+	n, adj, vals = csrOf(benchMatrix(10, 1))
+	check("the bench's K10", n, adj, vals, true)
+	n, adj, vals = storedZeros(true)(rand.New(rand.NewSource(10)), 10)
+	check("K10 with stored zeros on and off the diagonal", n, adj, vals, true)
 	for k := 3; k <= 16; k++ {
-		n, adj, _ := csrOf(complete(k, 0.05))
-		check(fmt.Sprintf("K%d", k), n, adj, k >= 7)
+		n, adj, vals := csrOf(complete(k, 0.05))
+		check(fmt.Sprintf("K%d", k), n, adj, vals, k >= 7)
 	}
 
 	// And exactRow acts on it: past 64 principals the DFS is the
@@ -499,10 +501,11 @@ func TestCompleteRowsSkipTheDFS(t *testing.T) {
 			}
 		}
 	}
-	n, adj, vals := csrOf(s)
+	n, adj, vals = csrOf(s)
+	g := rowsOf(adj, vals)
 	sc := &rowScratch{acc: make([]float64, n), mark: make([]bool, n), visited: make([]bool, n)}
 	for src := 0; src < 10; src++ {
-		if !sc.exactRow(adj, vals, src, n-1, nil) {
+		if !sc.exactRow(g, src, n-1, nil) {
 			t.Fatalf("row %d: unbudgeted exactRow refused", src)
 		}
 		sc.discard()
@@ -619,7 +622,7 @@ func TestUpdateEdgeAcrossKernelChoice(t *testing.T) {
 // under a counting meter and returns what the build charged.
 func stepsCharged(n int, adj [][]int32, vals [][]float64, level, workers int) int64 {
 	m := &meter{limit: math.MaxInt64}
-	sparseRows(n, adj, vals, level, false, workers, m)
+	sparseRows(n, rowsOf(adj, vals), level, false, workers, m)
 	return m.spent.Load()
 }
 
@@ -630,7 +633,7 @@ func stepsCharged(n int, adj [][]int32, vals [][]float64, level, workers int) in
 func TestBuildChargesOneEnumeration(t *testing.T) {
 	n, adj, vals := csrOf(complete(10, 0.1))
 	sc := getScratch(n)
-	bound := int64(sc.reach(adj, 0, 9))
+	bound := int64(sc.reach(rowsOf(adj, vals), 0, 9))
 	scratchPool.Put(sc)
 	got := stepsCharged(n, adj, vals, 9, 1)
 	if got <= 10*bound || got > 2*10*bound {
@@ -660,10 +663,10 @@ func TestBudgetRefusalIsDeterministic(t *testing.T) {
 	n, adj, vals := csrOf(s)
 	cost := int(stepsCharged(n, adj, vals, 10, 1))
 	for _, workers := range []int{1, 2, 8} {
-		if _, _, ok := sparseRows(n, adj, vals, 10, false, workers, newMeter(cost)); !ok {
+		if _, ok := sparseRows(n, rowsOf(adj, vals), 10, false, workers, newMeter(cost)); !ok {
 			t.Fatalf("%d workers: refused at its exact cost %d", workers, cost)
 		}
-		if _, _, ok := sparseRows(n, adj, vals, 10, false, workers, newMeter(cost-1)); ok {
+		if _, ok := sparseRows(n, rowsOf(adj, vals), 10, false, workers, newMeter(cost-1)); ok {
 			t.Fatalf("%d workers: admitted one step under its cost %d", workers, cost)
 		}
 	}

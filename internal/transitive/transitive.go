@@ -86,8 +86,8 @@ func exactWorkers(s [][]float64, maxLen, workers int) [][]float64 {
 	if err := Validate(s); err != nil {
 		panic(err)
 	}
-	adj, vals, _ := adjacency(s)
-	return denseRows(len(s), adj, vals, maxLen, false, workers)
+	g, _ := adjacency(s)
+	return denseRows(len(s), g, maxLen, false, workers)
 }
 
 // ExactCSR is Exact over a CSR agreement matrix: adj holds each row's
@@ -101,7 +101,7 @@ func ExactCSR(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
 	if err := validateCSR(n, adj, vals); err != nil {
 		panic(err)
 	}
-	return denseRows(n, adj, vals, maxLen, false, par.Workers(n))
+	return denseRows(n, rowsOf(adj, vals), maxLen, false, par.Workers(n))
 }
 
 // validateCSR is Validate for CSR rows: square shape is implied, so only
@@ -130,14 +130,31 @@ func validateCSR(n int, adj [][]int32, vals [][]float64) error {
 // with the matching edge values, plus the total edge count. The DFS
 // iterates lists in index order, matching the dense j-loop order of the
 // definition (zero entries contribute nothing).
-func adjacency(s [][]float64) (adj [][]int32, vals [][]float64, edges int) {
-	adj = make([][]int32, len(s))
-	vals = make([][]float64, len(s))
+func adjacency(s [][]float64) (g []sparseRow, edges int) {
+	g = make([]sparseRow, len(s))
 	for i, row := range s {
-		adj[i], vals[i] = RowOf(row)
-		edges += len(adj[i])
+		g[i].cols, g[i].vals = RowOf(row)
+		edges += len(g[i].cols)
 	}
-	return adj, vals, edges
+	return g, edges
+}
+
+// sparseRow is one row of a sparse matrix — S's out-edges of a principal or
+// T's flow coefficients — as the ascending columns of its entries and their
+// values. A matrix is one slice of rows, so a copy-on-write derivation
+// copies one table of them.
+type sparseRow struct {
+	cols []int32
+	vals []float64
+}
+
+// rowsOf pairs CSR column and value lists into rows, sharing their slices.
+func rowsOf(cols [][]int32, vals [][]float64) []sparseRow {
+	g := make([]sparseRow, len(cols))
+	for i := range g {
+		g[i] = sparseRow{cols[i], vals[i]}
+	}
+	return g
 }
 
 // RowOf converts one dense row into its sparse form: ascending non-zero
@@ -308,18 +325,18 @@ func forRows(n, workers int, fn func(sc *rowScratch, src int) bool) bool {
 // over chains, or the walk-counting approximation. maxLen is already
 // clamped. It reports false, with the scratch cleared, when the exact
 // sum ran m out of budget.
-func (sc *rowScratch) row(adj [][]int32, vals [][]float64, src, maxLen int, approx bool, m *meter) bool {
+func (sc *rowScratch) row(g []sparseRow, src, maxLen int, approx bool, m *meter) bool {
 	if approx {
-		sc.approxRow(adj, vals, src, maxLen)
+		sc.approxRow(g, src, maxLen)
 		return true
 	}
-	return sc.exactRow(adj, vals, src, maxLen, m)
+	return sc.exactRow(g, src, maxLen, m)
 }
 
-// take emits the accumulated row as exact-size ascending (cols, vals)
-// holding every entry that is not exactly zero — nil slices for an empty
-// row — and clears the scratch for the next row.
-func (sc *rowScratch) take() ([]int32, []float64) {
+// take emits the accumulated row at exact size, holding every entry that
+// is not exactly zero — nil slices for an empty row — and clears the
+// scratch for the next row.
+func (sc *rowScratch) take() sparseRow {
 	nnz := 0
 	for _, j := range sc.touched {
 		if !num.IsZero(sc.acc[j]) {
@@ -337,7 +354,7 @@ func (sc *rowScratch) take() ([]int32, []float64) {
 		}
 	}
 	sc.discard()
-	return cols, vals
+	return sparseRow{cols, vals}
 }
 
 // takeDense scatters the accumulated row into an all-zero dense row and
@@ -357,29 +374,29 @@ func (sc *rowScratch) discard() {
 	sc.touched = sc.touched[:0]
 }
 
-// sparseRows computes every row of T^(level) as ascending non-zero
-// (cols, vals) pairs — the form a Closure stores — charging m. It
-// reports false when the budget ran out.
-func sparseRows(n int, adj [][]int32, vals [][]float64, level int, approx bool, workers int, m *meter) ([][]int32, [][]float64, bool) {
+// sparseRows computes every row of T^(level) over the agreement rows g —
+// the form a Closure stores — charging m. It reports false when the budget
+// ran out.
+func sparseRows(n int, g []sparseRow, level int, approx bool, workers int, m *meter) ([]sparseRow, bool) {
 	maxLen := clampLevel(level, n)
-	tc, tv := make([][]int32, n), make([][]float64, n)
+	t := make([]sparseRow, n)
 	ok := forRows(n, workers, func(sc *rowScratch, src int) bool {
-		if !sc.row(adj, vals, src, maxLen, approx, m) {
+		if !sc.row(g, src, maxLen, approx, m) {
 			return false
 		}
-		tc[src], tv[src] = sc.take()
+		t[src] = sc.take()
 		return true
 	})
-	return tc, tv, ok
+	return t, ok
 }
 
 // denseRows is sparseRows scattered into a dense matrix, with no budget:
 // the export behind Exact, ExactCSR and ApproxCSR.
-func denseRows(n int, adj [][]int32, vals [][]float64, level int, approx bool, workers int) [][]float64 {
+func denseRows(n int, g []sparseRow, level int, approx bool, workers int) [][]float64 {
 	maxLen := clampLevel(level, n)
 	t := zeros(n)
 	forRows(n, workers, func(sc *rowScratch, src int) bool {
-		sc.row(adj, vals, src, maxLen, approx, nil)
+		sc.row(g, src, maxLen, approx, nil)
 		sc.takeDense(t[src])
 		return true
 	})
@@ -419,27 +436,27 @@ const noCap = math.MaxInt
 // the step count — reads only the out-edges of principals within
 // maxLen-1 hops of src, which is exactly the set whose edits
 // Closure.affected maps back to this row.
-func (sc *rowScratch) exactRow(adj [][]int32, vals [][]float64, src, maxLen int, m *meter) bool {
-	limit := sc.reach(adj, src, maxLen)
+func (sc *rowScratch) exactRow(g []sparseRow, src, maxLen int, m *meter) bool {
+	limit := sc.reach(g, src, maxLen)
 	if sc.overCap(maxLen, limit) {
-		return m.charge(limit) && sc.exactRowDP(adj, vals, src, maxLen, m)
+		return m.charge(limit) && sc.exactRowDP(g, src, maxLen, m)
 	}
-	return sc.cappedRow(adj, vals, src, maxLen, limit, m)
+	return sc.cappedRow(g, src, maxLen, limit, m)
 }
 
 // cappedRow enumerates row src by the DFS under the given step cap, and
 // sums it by the DP instead if the DFS hits the cap.
-func (sc *rowScratch) cappedRow(adj [][]int32, vals [][]float64, src, maxLen, limit int, m *meter) bool {
+func (sc *rowScratch) cappedRow(g []sparseRow, src, maxLen, limit int, m *meter) bool {
 	st := newSteps(limit, m)
 	var end dfsEnd
-	if len(adj) <= 64 {
+	if len(g) <= 64 {
 		var reached uint64
-		reached, end = exactRowSparse64(adj, vals, src, maxLen, sc.acc, &st)
+		reached, end = exactRowSparse64(g, src, maxLen, sc.acc, &st)
 		for ; reached != 0; reached &= reached - 1 {
 			sc.touched = append(sc.touched, int32(bits.TrailingZeros64(reached)))
 		}
 	} else {
-		end = sc.exactRowBig(adj, vals, src, maxLen, &st)
+		end = sc.exactRowBig(g, src, maxLen, &st)
 		slices.Sort(sc.touched)
 	}
 	if !st.settle() {
@@ -453,7 +470,7 @@ func (sc *rowScratch) cappedRow(adj [][]int32, vals [][]float64, src, maxLen, li
 		return false
 	}
 	sc.discard()
-	return sc.exactRowDP(adj, vals, src, maxLen, m)
+	return sc.exactRowDP(g, src, maxLen, m)
 }
 
 // reach finds the principals within maxLen hops of src and returns the
@@ -466,7 +483,7 @@ func (sc *rowScratch) cappedRow(adj [][]int32, vals [][]float64, src, maxLen, li
 // least out-degree among the expanded principals, counted as the DFS
 // counts steps: a stored zero-valued edge counts, a stored zero diagonal
 // entry does not.
-func (sc *rowScratch) reach(adj [][]int32, src, maxLen int) int {
+func (sc *rowScratch) reach(g []sparseRow, src, maxLen int) int {
 	seen := sc.visited
 	reached := append(sc.reached[:0], int32(src))
 	seen[src] = true
@@ -475,9 +492,9 @@ search:
 	for depth := 0; depth < maxLen && lo < len(reached); depth++ {
 		hi := len(reached)
 		for _, u := range reached[lo:hi] {
-			out := len(adj[u])
+			out := len(g[u].cols)
 			edges += out
-			for _, y := range adj[u] {
+			for _, y := range g[u].cols {
 				if seen[y] {
 					if y == u {
 						out--
@@ -596,11 +613,11 @@ func (st *steps) settle() bool {
 }
 
 // exactRowSparse64 is the n <= 64 bitmask DFS walking adjacency lists,
-// skipping zero edges entirely. Edge values come from the vals lists
-// aligned with adj — the same floats a dense row lookup would read,
+// skipping zero edges entirely. Edge values come from the values aligned
+// with each row's columns — the same floats a dense row lookup would read,
 // multiplied in the same order. It returns the set of columns it added
 // to, complete or not.
-func exactRowSparse64(adj [][]int32, vals [][]float64, src, maxLen int, row []float64, st *steps) (reached uint64, end dfsEnd) {
+func exactRowSparse64(g []sparseRow, src, maxLen int, row []float64, st *steps) (reached uint64, end dfsEnd) {
 	var (
 		nodeStk [64]int32
 		idxStk  [64]int32
@@ -608,8 +625,7 @@ func exactRowSparse64(adj [][]int32, vals [][]float64, src, maxLen int, row []fl
 	)
 	node, idx, product, depth := int32(src), int32(0), 1.0, 0
 	visited := uint64(1) << src
-	edges := adj[node]
-	vrow := vals[node]
+	edges, vrow := g[node].cols, g[node].vals
 outer:
 	for {
 		if depth < maxLen {
@@ -633,7 +649,7 @@ outer:
 				nodeStk[depth], idxStk[depth], prodStk[depth] = node, idx, product
 				depth++
 				node, idx, product = next, 0, p
-				edges, vrow = adj[node], vals[node]
+				edges, vrow = g[node].cols, g[node].vals
 				continue outer
 			}
 		}
@@ -643,14 +659,14 @@ outer:
 		visited &^= 1 << node
 		depth--
 		node, idx, product = nodeStk[depth], idxStk[depth], prodStk[depth]
-		edges, vrow = adj[node], vals[node]
+		edges, vrow = g[node].cols, g[node].vals
 	}
 }
 
 // exactRowBig is the bool-slice DFS for n > 64. The visited set and the
 // frame stacks live in the scratch; columns are recorded in touched on
 // their first write.
-func (sc *rowScratch) exactRowBig(adj [][]int32, vals [][]float64, src, maxLen int, st *steps) dfsEnd {
+func (sc *rowScratch) exactRowBig(g []sparseRow, src, maxLen int, st *steps) dfsEnd {
 	if len(sc.nodeStk) < maxLen+1 {
 		sc.nodeStk = make([]int32, maxLen+1)
 		sc.idxStk = make([]int32, maxLen+1)
@@ -660,8 +676,7 @@ func (sc *rowScratch) exactRowBig(adj [][]int32, vals [][]float64, src, maxLen i
 	nodeStk, idxStk, prodStk := sc.nodeStk, sc.idxStk, sc.prodStk
 	node, idx, product, depth := int32(src), int32(0), 1.0, 0
 	visited[src] = true
-	edges := adj[node]
-	vrow := vals[node]
+	edges, vrow := g[node].cols, g[node].vals
 outer:
 	for {
 		if depth < maxLen {
@@ -694,7 +709,7 @@ outer:
 				nodeStk[depth], idxStk[depth], prodStk[depth] = node, idx, product
 				depth++
 				node, idx, product = next, 0, p
-				edges, vrow = adj[node], vals[node]
+				edges, vrow = g[node].cols, g[node].vals
 				continue outer
 			}
 		}
@@ -705,7 +720,7 @@ outer:
 		visited[node] = false
 		depth--
 		node, idx, product = nodeStk[depth], idxStk[depth], prodStk[depth]
-		edges, vrow = adj[node], vals[node]
+		edges, vrow = g[node].cols, g[node].vals
 	}
 }
 
@@ -720,7 +735,7 @@ outer:
 // a chain of maxLen edges and is not extended. The table is zeroed as it
 // is read, so it is clear again on return. It reports false, with the
 // scratch cleared, when the updates ran m out of budget.
-func (sc *rowScratch) exactRowDP(adj [][]int32, vals [][]float64, src, maxLen int, m *meter) bool {
+func (sc *rowScratch) exactRowDP(g []sparseRow, src, maxLen int, m *meter) bool {
 	nodes := sc.reached[1:]
 	slices.Sort(nodes)
 	k := len(nodes)
@@ -729,9 +744,9 @@ func (sc *rowScratch) exactRowDP(adj [][]int32, vals [][]float64, src, maxLen in
 	start, edges := sc.dpStart[:0], sc.dpEdges[:0]
 	for _, u := range nodes {
 		start = append(start, int32(len(edges)))
-		for x, y := range adj[u] {
+		for x, y := range g[u].cols {
 			if l, ok := slices.BinarySearch(nodes, y); ok {
-				edges = append(edges, dpEdge{bit: 1 << l, cell: k<<l + l, val: vals[u][x]})
+				edges = append(edges, dpEdge{bit: 1 << l, cell: k<<l + l, val: g[u].vals[x]})
 			}
 		}
 	}
@@ -743,12 +758,12 @@ func (sc *rowScratch) exactRowDP(adj [][]int32, vals [][]float64, src, maxLen in
 		sc.dp = make([]float64, size)
 	}
 	f, acc := sc.dp[:size], sc.acc
-	for x, y := range adj[src] {
+	for x, y := range g[src].cols {
 		if l, ok := slices.BinarySearch(nodes, y); ok {
-			f[(k<<l)+l] = vals[src][x]
+			f[(k<<l)+l] = g[src].vals[x]
 		}
 	}
-	updates := len(adj[src])
+	updates := len(g[src].cols)
 	for mask := 1; mask < 1<<k; mask++ {
 		length := bits.OnesCount(uint(mask))
 		if length > maxLen {
@@ -801,15 +816,15 @@ func (sc *rowScratch) exactRowDP(adj [][]int32, vals [][]float64, src, maxLen in
 // bit-identical to Approx: every term skipped is an exact +0 added to a
 // non-negative sum. Once a power row is empty so are all later ones, and
 // the loop stops.
-func (sc *rowScratch) approxRow(adj [][]int32, vals [][]float64, src, maxLen int) {
+func (sc *rowScratch) approxRow(g []sparseRow, src, maxLen int) {
 	if len(sc.p) < len(sc.acc) {
 		sc.p, sc.nx = make([]float64, len(sc.acc)), make([]float64, len(sc.acc))
 	}
 	p, nx, pCols, nxCols := sc.p, sc.nx, sc.pCols[:0], sc.nxCols[:0]
 	sum, mark := sc.acc, sc.mark
-	pCols = append(pCols, adj[src]...)
+	pCols = append(pCols, g[src].cols...)
 	for k, j := range pCols {
-		p[j] = vals[src][k]
+		p[j] = g[src].vals[k]
 	}
 	for k := 1; ; k++ {
 		for _, j := range pCols {
@@ -831,7 +846,7 @@ func (sc *rowScratch) approxRow(adj [][]int32, vals [][]float64, src, maxLen int
 			if num.IsZero(aik) {
 				continue
 			}
-			cols, vs := adj[kk], vals[kk]
+			cols, vs := g[kk].cols, g[kk].vals
 			for idx, j := range cols {
 				if num.IsZero(nx[j]) {
 					nxCols = append(nxCols, j)
@@ -893,7 +908,7 @@ func ApproxCSR(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
 	if err := validateCSR(n, adj, vals); err != nil {
 		panic(err)
 	}
-	return denseRows(n, adj, vals, maxLen, true, par.Workers(n))
+	return denseRows(n, rowsOf(adj, vals), maxLen, true, par.Workers(n))
 }
 
 // Cap applies the overdraft rule of Section 3.2: K_ij = min(T_ij, 1). The

@@ -296,7 +296,10 @@ func randomAgreements(rng *rand.Rand, n int) [][]float64 {
 
 // csrOf is the row-sparse form of a dense matrix.
 func csrOf(s [][]float64) (int, [][]int32, [][]float64) {
-	adj, vals, _ := adjacency(s)
+	adj, vals := make([][]int32, len(s)), make([][]float64, len(s))
+	for i, row := range s {
+		adj[i], vals[i] = RowOf(row)
+	}
 	return len(s), adj, vals
 }
 
