@@ -84,14 +84,16 @@ FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFe
 # ...AllocatesNothing) that hold what a reserved model build, a steady plan,
 # a plan after a value-only write, a refusal for want of capacity, a
 # skeleton build, a closure delta, a column patch, an allocate+release pair
-# (in process and over the wire), a lone release, a renew, a reap pass
-# (TestReapAllocs), a register, a re-attach, a share, a whole churn cycle
-# and a pipelined frame through the transport may heap-allocate. Run
+# (in process and over the wire, on both sides of the grant box's
+# capacity), a lone release, a renew, a reap pass (TestReapAllocs), a
+# register, a re-attach, a share, a whole churn cycle, what the shard
+# router adds to each kind it routes, a sparse decode into room for it and
+# a pipelined frame through the transport may heap-allocate. Run
 # alone, uncached and without -race (the detector's instrumentation
 # allocates), so a pin that breaks says so by name here and not somewhere
 # inside `go test ./...`.
 allocs:
-	$(GO) test -count=1 -run 'Allocs$$|AllocatesNothing$$' ./internal/lp/ ./internal/transitive/ ./internal/core/ ./internal/grm/ ./internal/grm/transport/
+	$(GO) test -count=1 -run 'Allocs$$|AllocatesNothing$$' ./internal/lp/ ./internal/transitive/ ./internal/core/ ./internal/grm/ ./internal/grm/transport/ ./internal/wirefmt/
 
 # The line ratchets (ROADMAP item 10): the non-test lines of lp, core and
 # grm — what a request runs through — and of the paper's library in
@@ -99,7 +101,7 @@ allocs:
 # shrinks either lowers its MAX to what it prints; raising one is a
 # reviewed diff of its line, for a simplicity PR to argue. Two lines, so
 # code cannot leave the serving count by moving into the library unseen.
-SERVING_LOC_MAX = 6346
+SERVING_LOC_MAX = 6376
 LIBRARY_LOC_MAX = 1049
 loc:
 	@n=$$(ls internal/lp/*.go internal/core/*.go internal/grm/*.go | grep -v _test | xargs cat | wc -l); \

@@ -310,16 +310,19 @@ func (s *Server) settle(job *allocJob, parent *parentLink, refusal *Response) {
 // The plan arrives as its pairs in the scheduler's scratch and is copied
 // once, into two exact-size slices that the lease, the reply (and through
 // it the tap) and the journal record share; nothing on the way from the
-// admission queue to the client is sized by the population. The reply and
-// its envelope are one allocation (boxed).
+// admission queue to the client is sized by the population. The lease,
+// the reply with its envelope and the pairs of a grant of up to
+// grantInline sources are one allocation (grant); a larger grant's pairs
+// are two more.
 func (s *Server) commitAllocLocked(req *AllocRequest, planSources []int, planTakes []float64, theta float64, borrowedFrom *parentLink, parentLease int) *Response {
-	sources, takes := make([]int, len(planSources)), make([]float64, len(planTakes))
-	copy(sources, planSources)
-	copy(takes, planTakes)
+	g, n := new(grant), len(planSources)
+	sources := append(g.sources[:0], planSources...)[:n:n] // capped: an append never writes into the box
+	takes := append(g.takes[:0], planTakes...)[:n:n]
 	s.debitLocked(sources, takes)
 	token := s.nextLease
 	s.nextLease++
-	le := &lease{
+	le := &g.lease
+	*le = lease{
 		sources:     sources,
 		takes:       takes,
 		parentLink:  borrowedFrom,
@@ -339,16 +342,33 @@ func (s *Server) commitAllocLocked(req *AllocRequest, planSources []int, planTak
 		Expires:     expiryUnix(le.expires),
 		ParentLease: parentLease,
 	})
-	g := &boxed[AllocReply]{payload: AllocReply{Sources: sources, Takes: takes, Theta: theta, Lease: token, TTL: s.leaseTTL}}
-	g.resp.Alloc = &g.payload
-	return &g.resp
+	g.reply.payload = AllocReply{Sources: sources, Takes: takes, Theta: theta, Lease: token, TTL: s.leaseTTL}
+	g.reply.resp.Alloc = &g.reply.payload
+	return &g.reply.resp
 }
 
-// boxed is a reply's envelope and its payload in one allocation.
+// boxed is a reply's envelope and its payload in one allocation; a grant
+// holds one beside its lease and pairs.
 type boxed[T any] struct {
 	resp    Response
 	payload T
 }
+
+// grant is a committed allocation in one heap object: its lease, its reply
+// and room for the pairs the two and the journal record share.
+type grant struct {
+	lease   lease
+	reply   boxed[AllocReply]
+	sources [grantInline]int
+	takes   [grantInline]float64
+}
+
+// grantInline is how many pairs a grant, or a decoded allocation reply,
+// holds in its own object. The benchmark's grants take from 5 sources
+// (isp10), 2 (churn128), and 1, or the requester and its block of eight
+// when borrowing (tree_sharded); nine fits them all in eight's size class.
+// A larger grant (63 sources on ring64) pays two heap slices.
+const grantInline = 9
 
 // debitLocked takes an allocation's pairs out of the availability view,
 // clamped at zero. Callers hold s.mu and journal the allocation.

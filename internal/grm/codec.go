@@ -96,9 +96,10 @@ func appendRequest(dst []byte, req *Request) ([]byte, error) {
 // envelope and one value of each payload it can point at, so a decode
 // allocates nothing but a registered name. Records are pooled. The
 // connection owns one from DecodeRequest until AppendResponse has encoded
-// its reply and put it back, so nothing the server keeps may point into a
-// request (allocJob copies its AllocRequest) and a tap must not retain the
-// envelopes it is shown.
+// its reply and put it back, and the shard router holds one across the
+// shard's Handle it passes it to; so nothing the server keeps may point
+// into a request (allocJob copies its AllocRequest) and a tap must not
+// retain the envelopes it is shown.
 type wireCall struct {
 	req      Request
 	resp     *Response
@@ -198,6 +199,14 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 	return dst, nil
 }
 
+// allocReplyBox is a decoded allocation reply in one allocation, the pairs
+// of a grant of up to grantInline sources included.
+type allocReplyBox struct {
+	reply   AllocReply
+	sources [grantInline]int
+	takes   [grantInline]float64
+}
+
 // decode parses one binary response envelope into resp, replacing what
 // it held, and returns the kind of its payload (kindNone when it has
 // none). The payloads are fresh: a caller may keep them.
@@ -217,10 +226,12 @@ func (resp *Response) decode(data []byte) (uint64, error) {
 	case kindRevoke:
 		resp.Revoke = &ReportReply{}
 	case kindAlloc:
-		reply := &AllocReply{}
-		reply.Sources, reply.Takes = d.SparseFloat64s()
-		reply.Theta, reply.Lease, reply.TTL = d.Float64(), int(d.Int()), d.Duration()
-		resp.Alloc = reply
+		b := new(allocReplyBox)
+		if src, takes := d.AppendSparseFloat64s(b.sources[:0], b.takes[:0]); len(src) > 0 {
+			b.reply.Sources, b.reply.Takes = src[:len(src):len(src)], takes[:len(takes):len(takes)]
+		}
+		b.reply.Theta, b.reply.Lease, b.reply.TTL = d.Float64(), int(d.Int()), d.Duration()
+		resp.Alloc = &b.reply
 	case kindRelease:
 		resp.Release = &ReportReply{}
 	case kindRenew:

@@ -309,7 +309,9 @@ func (s *Server) renew(r *RenewRequest) *Response {
 		le.expires = s.clock.Now().Add(s.leaseTTL)
 		s.appendLocked(store.Record{Kind: store.KindRenew, Lease: r.Lease, Expires: expiryUnix(le.expires)})
 	}
-	return &Response{Renew: &RenewReply{TTL: s.leaseTTL}}
+	b := &boxed[RenewReply]{payload: RenewReply{TTL: s.leaseTTL}}
+	b.resp.Renew = &b.payload
+	return &b.resp
 }
 
 // removeLeaseLocked drops one lease, credits its takes back to the

@@ -135,74 +135,61 @@ func (g *Sharded) globalSources(shard int, local []int) []int {
 
 // Handle routes one request envelope to its shard and translates the
 // identifiers in the reply back into the global space, in place: a
-// shard's replies that carry one are fresh.
+// shard's replies that carry one are fresh. The shard is handed its
+// request, ids made shard-local, in a pooled wireCall that goes back when
+// Handle returns — a shard keeps nothing of a request and a tap retains
+// no envelope (wireCall) — so routing allocates nothing but an allocation
+// reply's renamed sources.
 func (g *Sharded) Handle(req *Request) *Response {
+	c := wireCalls.Get().(*wireCall)
+	defer wireCalls.Put(c)
+	var shard, local int
+	var err error
 	switch {
 	case req.Register != nil:
-		shard := g.shardOfName(req.Register.Name)
-		resp := g.shards[shard].Handle(req)
-		if resp.Register != nil {
-			resp.Register.Principal = g.globalPrincipal(shard, resp.Register.Principal)
-		}
-		return resp
+		shard, c.req = g.shardOfName(req.Register.Name), Request{Register: req.Register}
 	case req.Report != nil:
-		shard, local, err := g.principalShard(req.Report.Principal)
-		if err != nil {
+		if shard, local, err = g.principalShard(req.Report.Principal); err != nil {
 			return errorf("grm: report: %v", err)
 		}
-		r := *req.Report
-		r.Principal = local
-		return g.shards[shard].Handle(&Request{Report: &r})
+		c.report, c.req = ReportRequest{Principal: local, Available: req.Report.Available}, Request{Report: &c.report}
 	case req.Share != nil:
-		fromShard, fromLocal, err := g.principalShard(req.Share.From)
+		var toShard, toLocal int
+		if shard, local, err = g.principalShard(req.Share.From); err == nil {
+			toShard, toLocal, err = g.principalShard(req.Share.To)
+		}
 		if err != nil {
 			return errorf("grm: share: %v", err)
 		}
-		toShard, toLocal, err := g.principalShard(req.Share.To)
-		if err != nil {
-			return errorf("grm: share: %v", err)
-		}
-		if fromShard != toShard {
+		if shard != toShard {
 			return errorf("grm: share: principals %d and %d live on different shards (%d and %d); agreements must stay within one subtree",
-				req.Share.From, req.Share.To, fromShard, toShard)
+				req.Share.From, req.Share.To, shard, toShard)
 		}
-		r := *req.Share
-		r.From, r.To = fromLocal, toLocal
-		resp := g.shards[fromShard].Handle(&Request{Share: &r})
-		if resp.Share != nil {
-			resp.Share.Ticket = g.globalTicket(fromShard, resp.Share.Ticket)
-		}
-		return resp
+		c.share, c.req = *req.Share, Request{Share: &c.share}
+		c.share.From, c.share.To = local, toLocal
 	case req.Revoke != nil:
 		if req.Revoke.Ticket < 0 {
 			return errorf("grm: revoke: unknown ticket %d", req.Revoke.Ticket)
 		}
-		shard, local := g.splitTicket(req.Revoke.Ticket)
-		return g.shards[shard].Handle(&Request{Revoke: &RevokeRequest{Ticket: local}})
+		shard, local = g.splitTicket(req.Revoke.Ticket)
+		c.revoke, c.req = RevokeRequest{Ticket: local}, Request{Revoke: &c.revoke}
 	case req.Alloc != nil:
-		shard, local, err := g.principalShard(req.Alloc.Principal)
-		if err != nil {
+		if shard, local, err = g.principalShard(req.Alloc.Principal); err != nil {
 			return errorf("grm: alloc: %v", err)
 		}
-		r := *req.Alloc
-		r.Principal = local
-		resp := g.shards[shard].Handle(&Request{Alloc: &r})
-		if a := resp.Alloc; a != nil {
-			a.Sources, a.Lease = g.globalSources(shard, a.Sources), g.globalLease(shard, a.Lease)
-		}
-		return resp
+		c.alloc, c.req = AllocRequest{Principal: local, Amount: req.Alloc.Amount}, Request{Alloc: &c.alloc}
 	case req.Release != nil:
 		if req.Release.Lease < 1 {
 			return errorf("grm: release: unknown lease %d", req.Release.Lease)
 		}
-		shard, local := g.splitLease(req.Release.Lease)
-		return g.shards[shard].Handle(&Request{Release: &ReleaseRequest{Lease: local}})
+		shard, local = g.splitLease(req.Release.Lease)
+		c.release, c.req = ReleaseRequest{Lease: local}, Request{Release: &c.release}
 	case req.Renew != nil:
 		if req.Renew.Lease < 1 {
 			return errorf("grm: renew: unknown lease %d", req.Renew.Lease)
 		}
-		shard, local := g.splitLease(req.Renew.Lease)
-		return g.shards[shard].Handle(&Request{Renew: &RenewRequest{Lease: local}})
+		shard, local = g.splitLease(req.Renew.Lease)
+		c.renew, c.req = RenewRequest{Lease: local}, Request{Renew: &c.renew}
 	case req.Caps != nil:
 		return g.mergedCaps()
 	case req.Peers != nil:
@@ -212,6 +199,16 @@ func (g *Sharded) Handle(req *Request) *Response {
 	default:
 		return errorf("grm: empty request envelope")
 	}
+	resp := g.shards[shard].Handle(&c.req)
+	switch {
+	case resp.Register != nil:
+		resp.Register.Principal = g.globalPrincipal(shard, resp.Register.Principal)
+	case resp.Share != nil:
+		resp.Share.Ticket = g.globalTicket(shard, resp.Share.Ticket)
+	case resp.Alloc != nil:
+		resp.Alloc.Sources, resp.Alloc.Lease = g.globalSources(shard, resp.Alloc.Sources), g.globalLease(shard, resp.Alloc.Lease)
+	}
+	return resp
 }
 
 // principalShard decodes a global principal id and bounds-checks the

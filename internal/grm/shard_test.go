@@ -5,7 +5,9 @@ import (
 	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -176,6 +178,83 @@ func TestShardedRoutingRoundTrip(t *testing.T) {
 		if resp := g.Handle(bad); resp.Err == "" {
 			t.Fatalf("request %+v succeeded, want error", bad)
 		}
+	}
+}
+
+// TestShardedRoutingConcurrent routes every kind from several goroutines
+// at once, each on a subtree of its own, and checks every reply against
+// the request that asked for it. Each routed request travels in a pooled
+// envelope: two handlers that shared one would answer each other.
+func TestShardedRoutingConcurrent(t *testing.T) {
+	const workers, rounds = 4, 50
+	g := NewSharded(2, core.Config{ComponentLP: true}, nil)
+	defer g.Close()
+	g.SetLeaseTTL(time.Hour)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fail := func(format string, args ...any) {
+				t.Errorf("worker %d: "+format, append([]any{w}, args...)...)
+			}
+			var ids [2]int
+			for k := range ids {
+				name := fmt.Sprintf("w%d/node%d", w, k)
+				resp := g.Handle(&Request{Register: &RegisterRequest{Name: name, Capacity: 100}})
+				if resp.Register == nil {
+					fail("register %s: %s", name, resp.Err)
+					return
+				}
+				ids[k] = resp.Register.Principal
+				if s, _ := g.splitPrincipal(ids[k]); s != g.ShardOf(name) {
+					fail("%s registered as %d on shard %d, want shard %d", name, ids[k], s, g.ShardOf(name))
+				}
+			}
+			shard, _ := g.splitPrincipal(ids[0])
+			for r := 0; r < rounds; r++ {
+				if resp := g.Handle(&Request{Report: &ReportRequest{Principal: ids[1], Available: float64(50 + r%2)}}); resp.Report == nil {
+					fail("report: %s", resp.Err)
+					return
+				}
+				shared := g.Handle(&Request{Share: &ShareRequest{From: ids[1], To: ids[0], Fraction: 0.5}})
+				if shared.Share == nil {
+					fail("share: %s", shared.Err)
+					return
+				}
+				if s, _ := g.splitTicket(shared.Share.Ticket); s != shard {
+					fail("ticket %d is shard %d's, want %d", shared.Share.Ticket, s, shard)
+				}
+				granted := g.Handle(&Request{Alloc: &AllocRequest{Principal: ids[0], Amount: 110}})
+				if granted.Alloc == nil {
+					fail("alloc: %s", granted.Err)
+					return
+				}
+				if src := granted.Alloc.Sources; len(src) != 2 || src[0] != min(ids[0], ids[1]) || src[1] != max(ids[0], ids[1]) {
+					fail("a grant to %d takes from %v, want its own subtree %v", ids[0], src, ids)
+				}
+				lease := granted.Alloc.Lease
+				if s, _ := g.splitLease(lease); s != shard {
+					fail("lease %d is shard %d's, want %d", lease, s, shard)
+				}
+				if resp := g.Handle(&Request{Renew: &RenewRequest{Lease: lease}}); resp.Renew == nil || resp.Renew.TTL != time.Hour {
+					fail("renew %d: %+v", lease, resp)
+				}
+				for _, req := range []*Request{{Release: &ReleaseRequest{Lease: lease}}, {Revoke: &RevokeRequest{Ticket: shared.Share.Ticket}}} {
+					if resp := g.Handle(req); resp.Err != "" {
+						fail("%s", resp.Err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st, err := g.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Leases != 0 || st.Agreements != 0 || len(st.Principals) != 2*workers {
+		t.Fatalf("after the workers: %d leases, %d agreements, %d principals", st.Leases, st.Agreements, len(st.Principals))
 	}
 }
 

@@ -250,24 +250,36 @@ func (d *Dec) Float64s() []float64 {
 // run, no run past the count, no two runs that touch (they would be one
 // run), no index beyond the int range.
 func (d *Dec) SparseFloat64s() (idx []int, vals []float64) {
-	n := uint64(d.Count(8))
-	if n == 0 {
+	idx, vals = d.AppendSparseFloat64s(nil, nil)
+	if len(idx) == 0 {
 		return nil, nil
 	}
-	idx = make([]int, 0, n)
-	vals = make([]float64, 0, n)
+	return idx, vals
+}
+
+// AppendSparseFloat64s is SparseFloat64s appending to idx and vals, so a
+// caller with room for the vector decodes it without allocating. It reads
+// and refuses exactly what SparseFloat64s does, and a refusal hands idx
+// and vals back at the length they came with. Slices without room for the
+// count are copied once, into exactly the room needed.
+func (d *Dec) AppendSparseFloat64s(idx []int, vals []float64) ([]int, []float64) {
+	n := uint64(d.Count(8))
+	if n == 0 {
+		return idx, vals
+	}
+	base := len(idx)
+	idx, vals = grow(idx, int(n)), grow(vals, int(n))
 	next := uint64(0) // one past the previous run's last index
-	for uint64(len(idx)) < n {
+	for got := uint64(0); got < n; got = uint64(len(idx) - base) {
 		gap, run := d.Uvarint(), d.Uvarint()
 		if d.err != nil {
-			return nil, nil
+			return idx[:base], vals[:base]
 		}
-		first := len(idx) == 0
-		if run == 0 || run > n-uint64(len(idx)) || (gap == 0 && !first) ||
+		if run == 0 || run > n-got || (gap == 0 && got > 0) ||
 			gap > math.MaxInt-next || run > math.MaxInt-(next+gap) ||
 			run > uint64(len(d.buf))/8 {
 			d.fail("sparse float64 run")
-			return nil, nil
+			return idx[:base], vals[:base]
 		}
 		start := next + gap
 		for i := uint64(0); i < run; i++ {
@@ -278,6 +290,16 @@ func (d *Dec) SparseFloat64s() (idx []int, vals []float64) {
 		next = start + run
 	}
 	return idx, vals
+}
+
+// grow returns s with room for n more elements, copying it into exactly
+// that capacity when it has not: a decoder sizes nothing past the count it
+// checked.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
 }
 
 // Duration reads a zigzag-encoded time.Duration.

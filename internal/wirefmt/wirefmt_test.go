@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
 	"testing/iotest"
 )
@@ -88,6 +90,60 @@ func TestReaderRefusesLengthBeforeSizing(t *testing.T) {
 	}
 	if _, err := fr.Next(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("second frame past the stated size: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestAppendSparseFloat64sAgrees holds the appending decode to
+// SparseFloat64s on vectors the encoder wrote and on spellings it refuses
+// (internal/grm/transport's tests name each refusal): the same entries
+// after whatever the slices held, the same refusals with the slices handed
+// back as they came, and slices without room grown to exactly the count.
+func TestAppendSparseFloat64sAgrees(t *testing.T) {
+	uv := AppendUvarint
+	f8 := func(dst []byte, n int) []byte {
+		for i := 0; i < n; i++ {
+			dst = AppendFloat64(dst, float64(i)+0.5)
+		}
+		return dst
+	}
+	inputs := [][]byte{
+		AppendSparseFloat64s(nil, nil, nil),
+		AppendSparseFloat64s(nil, []int{0}, []float64{3}),
+		AppendSparseFloat64s(nil, []int{2, 40, 4000}, []float64{1, 2, 3}),
+		AppendSparseFloat64s(nil, []int{1, 2, 5, 6, 7, 9, 10, 11, 12, 20}, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}),
+		AppendSparseFloat64s(nil, []int{math.MaxInt - 2, math.MaxInt - 1}, []float64{1, 2}),
+		uv(nil, 1<<60),                                       // count beyond the input
+		f8(uv(uv(uv(nil, 3), 0), 3), 2),                      // count beyond the floats
+		f8(uv(uv(uv(uv(uv(nil, 1), 0), 0), 0), 1), 1),        // empty run
+		f8(uv(uv(uv(nil, 1), 0), 2), 2),                      // run beyond the count
+		f8(uv(uv(f8(uv(uv(uv(nil, 2), 4), 1), 1), 0), 1), 1), // touching runs
+		f8(uv(uv(uv(nil, 2), math.MaxInt-1), 2), 2),          // index overflow in the run
+		f8(uv(uv(uv(nil, 1), math.MaxUint64), 1), 1),         // gap beyond the int range
+		f8(append(uv(nil, 1), 0x80, 0x00, 0x01), 1),          // padded uvarint
+		f8(uv(uv(uv(nil, 1), 0), 1), 1)[:8],                  // truncated inside the float
+		f8(uv(uv(f8(uv(uv(uv(nil, 4), 0), 2), 2), 3), 3), 2), // second run past the floats
+	}
+	for _, enc := range inputs {
+		d := NewDec(enc)
+		wantIdx, wantVals := d.SparseFloat64s()
+		wantErr := d.Err()
+		for _, room := range []int{0, 3, 16} {
+			idx, vals := append(make([]int, 0, 1+room), -1), append(make([]float64, 0, 1+room), -1)
+			d := NewDec(enc)
+			idx, vals = d.AppendSparseFloat64s(idx, vals)
+			if (d.Err() == nil) != (wantErr == nil) {
+				t.Fatalf("% x with room for %d: error %v, SparseFloat64s says %v", enc, room, d.Err(), wantErr)
+			}
+			if len(idx) == 0 || idx[0] != -1 || vals[0] != -1 {
+				t.Fatalf("% x with room for %d: what the slices held is gone: %v at %v", enc, room, vals, idx)
+			}
+			if !slices.Equal(idx[1:], wantIdx) || !slices.Equal(vals[1:], wantVals) {
+				t.Fatalf("% x with room for %d: %v at %v, SparseFloat64s reads %v at %v", enc, room, vals[1:], idx[1:], wantVals, wantIdx)
+			}
+			if n := len(idx) - 1; n > room && (cap(idx) != len(idx) || cap(vals) != len(vals)) {
+				t.Fatalf("% x with room for %d: %d entries grew the slices to %d and %d", enc, room, n, cap(idx), cap(vals))
+			}
+		}
 	}
 }
 
