@@ -94,16 +94,15 @@ const fullLevel = 1 << 30
 // admits complete graphs of up to 15 principals at full closure — the
 // paper's K10 charges 0.25 M steps and builds in ~0.4 ms, K12 1.8 M and
 // ~4 ms, K14 11 M and ~24 ms, K15 28 M — and refuses K16 (67 M) and
-// anything denser or larger; sparse graphs are charged their chains. The
-// same budget meters the incremental UpdateEdge path via the closure
-// handle, so a mutation that densifies the graph past the budget is
-// refused exactly like a from-scratch build would be.
+// anything denser or larger; sparse graphs are charged their chains. It
+// meters the closure's delta path too, refusing a mutation as a build
+// would.
 const exactBudget = 50_000_000
 
-// Allocator enforces sharing agreements by linear programming. Its
-// agreement state is immutable after construction and it is safe for
-// concurrent use: the lazily built LP skeletons and the pooled plan
-// workspaces are internally synchronized.
+// Allocator enforces sharing agreements by linear programming. Only
+// PatchShare and PatchAgreement change it, for a sole owner (mutate.go);
+// otherwise it is safe for concurrent use: the lazily built LP skeletons
+// and the pooled plan workspaces are internally synchronized.
 type Allocator struct {
 	n int
 	// aCols/aVals hold the absolute agreement matrix A in row-sparse form
@@ -123,13 +122,11 @@ type Allocator struct {
 	// Slots stay nil until a requester first plans, so invalidating every
 	// skeleton is one fresh slice.
 	skel []atomic.Pointer[planSkeleton]
-	// clo maintains the transitive closure incrementally; SetShare derives
-	// allocators through its delta path instead of re-enumerating chains.
+	// clo is the transitive closure, which a mutation patches by rows.
 	clo *transitive.Closure
-	// pool recycles plan workspaces (*planWS). Derived allocators share
-	// it, grown ones included — nothing in a workspace is sized by the
-	// population: the simplex scratch is the largest thing a plan allocates,
-	// and churn would otherwise strand one per mutation.
+	// pool recycles plan workspaces (*planWS), shared by every derived and
+	// grown allocator: nothing in one is sized by the population, and the
+	// simplex scratch is the largest thing a plan allocates.
 	pool *sync.Pool
 }
 

@@ -540,9 +540,12 @@ func BenchmarkGrowSparse4096(b *testing.B) {
 // churn128Allocator is that shape: 16 blocks of eight principals, each a
 // chain of relative agreements closed by one absolute back-edge, under the
 // full formulation.
-func churn128Allocator(t testing.TB) *Allocator {
+func churn128Allocator(t testing.TB) *Allocator { return churnAllocator(t, 128) }
+
+// churnAllocator is the same shape over n principals, n/8 blocks.
+func churnAllocator(t testing.TB, n int) *Allocator {
 	t.Helper()
-	s, a, _ := sparseBlockScenario(128, 1)
+	s, a, _ := sparseBlockScenario(n, 1)
 	al, err := NewAllocatorSparse(s, a, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -635,6 +638,37 @@ func BenchmarkSetShareChurn128(b *testing.B) {
 			b.Fatal(err)
 		}
 		if cur, err = shared.SetShare(0, to, old+0.005, old); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// patchSharePair is that share and revoke as the grm server makes them:
+// both patch al in place, the i-th pair sharing with neighbour 1 + i%7.
+func patchSharePair(al *Allocator, i int) error {
+	to := 1 + i%7
+	old := al.Share(0, to)
+	if err := al.PatchShare(0, to, old, old+0.005); err != nil {
+		return err
+	}
+	return al.PatchShare(0, to, old+0.005, old)
+}
+
+// BenchmarkPatchShareChurn128 is BenchmarkSetShareChurn128's two writes
+// patched in place: no table is copied, so what is left is the edited S
+// row, the recomputed T row and the moved columns' arenas.
+func BenchmarkPatchShareChurn128(b *testing.B) { benchPatchShare(b, churn128Allocator(b)) }
+
+// BenchmarkPatchShare4096 is the same pair in a population of 4 096: it
+// costs what it costs at 128, but for the affected set's predecessor scan,
+// which reads every row.
+func BenchmarkPatchShare4096(b *testing.B) { benchPatchShare(b, churnAllocator(b, 4096)) }
+
+func benchPatchShare(b *testing.B, al *Allocator) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := patchSharePair(al, i); err != nil {
 			b.Fatal(err)
 		}
 	}

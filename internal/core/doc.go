@@ -45,9 +45,10 @@
 //
 // # What a write costs
 //
-// SetShare, SetAgreement and Grow derive an Allocator copy-on-write (see
-// mutate.go) and drop the skeletons the change reaches; the next plan
-// rebuilds its requester's. Both halves cost what moved: replaced columns
+// SetShare, SetAgreement and Grow derive an Allocator copy-on-write, and
+// PatchShare and PatchAgreement patch one in place (see mutate.go); each
+// drops the skeletons a flip reaches, and the next plan rebuilds its
+// requester's. Both halves cost what moved: replaced columns
 // come out of one arena per mutation, a skeleton is built in one pass into
 // one arena, names on demand, nothing population-sized under ComponentLP.
 //

@@ -10,3 +10,10 @@ var (
 	SparseBlockScenario = sparseBlockScenario
 	SharesSkeletons     = sameSkeletons
 )
+
+// StructCopy copies al's struct as it stands: its tables are al's own, so it
+// serves to ask later whether a patch of al replaced a table, not to plan.
+func (al *Allocator) StructCopy() *Allocator {
+	d := *al
+	return &d
+}

@@ -11,23 +11,27 @@ import (
 	"repro/internal/transitive"
 )
 
-// This file implements incremental Allocator derivation: agreement
-// mutations that patch S/A through the delta transitive closure and
-// invalidate only the caches the change can actually reach, instead of
-// paying a full NewAllocator rebuild (whose exact chain enumeration is
-// the dominant cost at scale).
+// This file implements agreement mutations: S/A patched through the delta
+// transitive closure, and only the caches the change reaches invalidated,
+// instead of a full NewAllocator rebuild and its exact chain enumeration.
 //
-// Mutators are copy-on-write: they return a derived *Allocator, a copy of
-// the receiver's struct that shares every unchanged row slice, its skeleton
-// table and its workspace pool, and swaps in what the change moved — so the
-// receiver stays valid and in-flight Plans against it keep their consistent
-// snapshot. (The grm server plans and swaps its planner pointer under one
-// state lock, so it never has such a plan in flight.)
+// Each mutation is one patch with two entry points. SetShare, SetAgreement
+// and Grow are copy-on-write: the result owns clones of the tables its
+// patch writes and shares every row, the skeleton table and the workspace
+// pool, so the receiver stays valid under in-flight Plans. PatchShare and
+// PatchAgreement write into the receiver's own tables — the grm server's
+// path. A patch writes table slots, never a row's backing array, so its
+// receiver needs one owner, planning under its writes' lock, and no
+// allocator in use may share a table it writes: PatchShare's are the
+// closure's, flow and cols, PatchAgreement's A's and cols. SetShare's
+// result shares A's with its receiver, SetAgreement's the closure and flow;
+// a constructor's or Grow's, none. After an error the receiver is partly
+// patched and must be discarded.
 //
-// What each cache depends on, what a mutation pays to refresh it, and
-// when it survives. Every cost is in stored entries of the rows and
-// columns that moved; only the slice-header copies are O(n), one table
-// per structure:
+// What each cache depends on, what a mutation pays to refresh it, and when
+// it survives. Every cost is in stored entries of the rows and columns that
+// moved; only a persistent mutator's clones are O(n), one table per
+// structure:
 //
 //	cache     depends on                  refreshed by             survives
 //	───────── ─────────────────────────── ──────────────────────── ─────────────────────────
@@ -42,34 +46,52 @@ import (
 //	          every number is rebound     slots; r's next Plan     no K or A cell between
 //	          per solve                   builds it in one pass    zero and nonzero
 //
-// A derived allocator's Plan output is bit-identical to a freshly built
-// NewAllocator over the mutated matrices (pinned by the incremental
-// equivalence tests): shared rows are trivially identical, patched rows
-// replay NewAllocator's exact per-row computations, and a kept skeleton is
-// rebound to the fresh build's numbers.
+// A mutated allocator plans bit-identically to a fresh NewAllocator over
+// the mutated matrices (pinned by the incremental equivalence tests):
+// shared rows are identical, patched rows replay NewAllocator's per-row
+// computations, and a kept skeleton is rebound to the fresh numbers.
 
 // SetShare derives an allocator with the relative agreement S[from][to]
-// changed from oldVal to newVal. oldVal must match the current entry
-// (the staleness check catches callers whose shadow copy of S drifted).
-// The transitive closure is patched through the delta path; a mutation
-// that would densify the graph past the exact-enumeration budget is
-// refused with transitive.ErrBudget, exactly as a from-scratch
-// NewAllocator would refuse it. A no-op change returns the receiver.
+// changed from oldVal to newVal: PatchShare on a copy owning the closure,
+// flow and column tables. A no-op change returns the receiver.
 func (al *Allocator) SetShare(from, to int, oldVal, newVal float64) (*Allocator, error) {
-	clo, changed, err := al.clo.UpdateEdge(from, to, oldVal, newVal)
-	if err != nil {
-		return nil, fmt.Errorf("core: SetShare: %w", err)
+	d := al // a patch that changes nothing writes nothing: it only checks
+	if !num.IsZero(oldVal - newVal) {
+		c := *al
+		c.clo, c.flow, c.cols = al.clo.Clone(), slices.Clone(al.flow), slices.Clone(al.cols)
+		d = &c
 	}
-	if clo == al.clo {
-		return al, nil
+	if err := d.PatchShare(from, to, oldVal, newVal); err != nil {
+		return nil, err
 	}
-	// S itself lives inside the closure's CSR rows; UpdateEdge already
-	// patched it copy-on-write, so the allocator carries no second copy.
-	d := *al
-	d.clo = clo
-	d.applyClosureDelta(al, changed)
-	return &d, nil
+	return d, nil
 }
+
+// PatchShare changes S[from][to] from oldVal to newVal in the receiver,
+// under the ownership rule above. It refuses a stale oldVal and, with
+// transitive.ErrBudget, a graph densified past the enumeration budget, as
+// NewAllocator would.
+func (al *Allocator) PatchShare(from, to int, oldVal, newVal float64) error {
+	ps := patchPool.Get().(*patchScratch)
+	defer func() { clear(ps.old); patchPool.Put(ps) }()
+	var err error
+	ps.rows, ps.old, err = al.clo.PatchEdge(from, to, oldVal, newVal, ps.rows[:0], ps.old[:0])
+	if err != nil {
+		return fmt.Errorf("core: PatchShare: %w", err)
+	}
+	al.applyClosureDelta(ps)
+	return nil
+}
+
+// patchScratch holds a patch's lists — the T rows replaced, the columns
+// each held, the K cells moved — pooled: struct copies would share a field.
+type patchScratch struct {
+	rows  []int
+	old   [][]int32
+	moves []cellMove
+}
+
+var patchPool = sync.Pool{New: func() any { return new(patchScratch) }}
 
 // cellMove is one K entry whose value a mutation moved: row r, column c,
 // the new value k (0 when the entry left the row).
@@ -94,18 +116,12 @@ func rowMoves(out []cellMove, r int, oc []int32, ov []float64, nc []int32, nv []
 	return out
 }
 
-// movesPool recycles applyClosureDelta's list of moved cells.
-var movesPool = sync.Pool{New: func() any { return new([]cellMove) }}
-
 // replaceColumns merges moves — sorted by column, ascending by row within
 // one — into d's columns: a moved row takes its new K value and d's current
 // A value and stays listed only while one of them is nonzero; every other
 // source is copied. The new columns come out of one int32 and one float64
-// arena, sized first, so a mutation pays the column table and two arenas
-// however many columns it moves; the old columns stay shared with ancestor
-// allocators, unmodified.
+// arena, sized first; the old columns stay shared, unmodified.
 func (d *Allocator) replaceColumns(moves []cellMove) {
-	d.cols = slices.Clone(d.cols)
 	size := len(moves)
 	for x, mv := range moves {
 		if x == 0 || mv.c != moves[x-1].c {
@@ -136,29 +152,22 @@ func (d *Allocator) replaceColumns(moves []cellMove) {
 }
 
 // applyClosureDelta patches the flow rows, the columns and the skeleton
-// table of a derived allocator after its closure moved on the given T rows
-// (ascending). Caches are invalidated per the dependency table above;
-// everything the change cannot reach keeps sharing memory with prev.
-func (d *Allocator) applyClosureDelta(prev *Allocator, changed []int) {
-	if len(changed) == 0 {
-		return
-	}
-	// Every replaced T row gets its K row rebuilt (its columns may have
-	// moved, and an uncapped K row must be the new T row's own slice) and
-	// its conn re-summed in NewAllocator's order; the cells whose capped
-	// value moved decide everything downstream, and a row whose columns
-	// moved flipped a cell.
-	d.flow = slices.Clone(prev.flow)
-	buf := movesPool.Get().(*[]cellMove)
-	defer movesPool.Put(buf)
-	moves, flipped := (*buf)[:0], false
-	for _, r := range changed {
+// table after the closure replaced T rows ps.rows (ascending), which held
+// columns ps.old, per the dependency table above.
+func (d *Allocator) applyClosureDelta(ps *patchScratch) {
+	// Each replaced T row gets its K row rebuilt (an uncapped one is the T
+	// row's own slice) and its conn re-summed in NewAllocator's order, the
+	// old K row read from its slot first; the cells whose capped value moved
+	// decide all downstream, and a row whose columns moved flipped a cell.
+	moves, flipped := ps.moves[:0], false
+	for x, r := range ps.rows {
+		ov := d.flow[r].k
 		d.flow[r] = flowRowOf(d.clo, r)
 		cols, _, kv := d.FlowRow(r)
-		oc, _, ov := prev.FlowRow(r)
+		oc := ps.old[x]
 		moves, flipped = rowMoves(moves, r, oc, ov, cols, kv), flipped || !slices.Equal(oc, cols)
 	}
-	*buf = moves
+	ps.moves = moves
 	if len(moves) == 0 {
 		return // the cap clamped the whole change away: K is value-identical
 	}
@@ -174,65 +183,69 @@ func (d *Allocator) applyClosureDelta(prev *Allocator, changed []int) {
 }
 
 // SetAgreement derives an allocator with the absolute agreement
-// A[from][to] changed from oldVal to newVal (growing an all-zero A if
-// the allocator had none). Absolute agreements never enter the closure,
-// so no enumeration happens at all: a value-only change (both sides
-// positive) replaces column `to` and shares every other cache — its
-// numbers are rebound per solve — while a sparsity flip (zero ↔ positive)
-// also drops the skeletons that linearize the entry.
+// A[from][to] changed from oldVal to newVal: PatchAgreement on a copy
+// owning A's and the column tables. A no-op change returns the receiver.
 func (al *Allocator) SetAgreement(from, to int, oldVal, newVal float64) (*Allocator, error) {
+	d := al // a patch that changes nothing writes nothing: it only checks
+	if !num.IsZero(oldVal - newVal) {
+		c := *al
+		c.aCols, c.aVals, c.cols = slices.Clone(al.aCols), slices.Clone(al.aVals), slices.Clone(al.cols)
+		d = &c
+	}
+	if err := d.PatchAgreement(from, to, oldVal, newVal); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// PatchAgreement changes A[from][to] from oldVal to newVal in the
+// receiver, under the ownership rule above (making A if there was none). A
+// never enters the closure: a value-only change replaces column `to` and
+// keeps every other cache, numbers being rebound per solve, and a flip
+// between zero and positive also drops the skeletons linearizing the entry.
+func (al *Allocator) PatchAgreement(from, to int, oldVal, newVal float64) error {
 	n := al.n
-	if from < 0 || from >= n || to < 0 || to >= n {
-		return nil, fmt.Errorf("core: SetAgreement(%d, %d): index out of range for n=%d", from, to, n)
+	if from < 0 || from >= n || to < 0 || to >= n || newVal < 0 {
+		return fmt.Errorf("core: PatchAgreement(%d, %d): index out of range for n=%d or value %g negative", from, to, n, newVal)
 	}
-	if newVal < 0 {
-		return nil, fmt.Errorf("core: SetAgreement(%d, %d): value %g must be non-negative", from, to, newVal)
-	}
-	cur := al.aAt(from, to)
-	if !num.IsZero(cur - oldVal) {
-		return nil, fmt.Errorf("core: SetAgreement(%d, %d): stale old value %g, allocator holds %g", from, to, oldVal, cur)
+	if cur := al.aAt(from, to); !num.IsZero(cur - oldVal) {
+		return fmt.Errorf("core: PatchAgreement(%d, %d): stale old value %g, allocator holds %g", from, to, oldVal, cur)
 	}
 	if num.IsZero(oldVal - newVal) {
-		return al, nil
+		return nil
 	}
-	d := *al
-	d.hasA = true
-	d.aCols, d.aVals = slices.Clone(al.aCols), slices.Clone(al.aVals)
-	d.aCols[from], d.aVals[from] = transitive.SetEntry(al.aCols[from], al.aVals[from], to, newVal)
-	if from != to {
-		// Column `to` caches A's values, so any value move stales it.
-		d.replaceColumns([]cellMove{{c: int32(to), r: int32(from), k: d.kAt(from, to)}})
+	al.hasA = true
+	al.aCols[from], al.aVals[from] = transitive.SetEntry(al.aCols[from], al.aVals[from], to, newVal)
+	if from == to {
+		return nil // diagonal entries are read by nothing
 	}
-	if (oldVal > 0) != (newVal > 0) && from != to {
-		// The u_{from,to} linearization appears or disappears: that entry
-		// sits in every skeleton whose perturb_to row exists, i.e. all but
-		// requester `to`'s own (diagonal entries are read by nothing).
-		// Under ComponentLP skeleton `to`'s live set is column `to`'s
-		// sparsity pattern, which this flip just changed, so it goes too.
-		d.skel = make([]atomic.Pointer[planSkeleton], n)
-		if !d.cfg.ComponentLP {
-			d.skel[to].Store(al.skel[to].Load())
+	// Column `to` caches A's values, so any value move stales it.
+	al.replaceColumns([]cellMove{{c: int32(to), r: int32(from), k: al.kAt(from, to)}})
+	if (oldVal > 0) != (newVal > 0) {
+		// u_{from,to} sits in every skeleton with a perturb_to row: all but
+		// requester `to`'s own, which under ComponentLP goes too, its live
+		// set being column `to`'s pattern.
+		kept := al.skel[to].Load()
+		al.skel = make([]atomic.Pointer[planSkeleton], n)
+		if !al.cfg.ComponentLP {
+			al.skel[to].Store(kept)
 		}
 	}
-	return &d, nil
+	return nil
 }
 
 // Grow derives an allocator extended by extra principals holding no
-// agreements. A fresh principal has no edges, so its T, K and A rows and
-// its columns are empty and its conn is zero: the derived allocator
-// copies O(n) slice headers and shares every row and column with the
-// receiver — no chain enumeration, no pass over stored entries. All
-// skeletons are invalidated: every model's variable count changes. (An
-// Approx closure whose clamped level rises recomputes its rows, and the
-// caches are then rebuilt from them as a constructor would.)
+// agreements, whose rows and columns are empty: it copies O(n) slice
+// headers and shares every row and column with the receiver, with no
+// enumeration, and drops every skeleton, each model's variable count
+// changing. (An Approx closure whose clamped level rises recomputes its
+// rows, and the caches are rebuilt from them as a constructor would.)
 func (al *Allocator) Grow(extra int) *Allocator {
 	if extra <= 0 {
 		return al
 	}
 	n := al.n + extra
 	clo := al.clo.Grow(extra)
-	// A's sparse rows zero-extend for free: new principals hold no
-	// agreements, so their rows stay empty and old rows are shared.
 	aCols, aVals := grown(al.aCols, n), grown(al.aVals, n)
 	if al.cfg.Approx && clo.Level() != al.clo.Level() {
 		return finishAllocator(n, clo, aCols, aVals, al.hasA, al.cfg)
@@ -249,11 +262,9 @@ func grown[T any](xs []T, n int) []T {
 	return out
 }
 
-// Share returns the current relative agreement entry S[from][to] — the
-// old-value witness callers pass back into SetShare. S lives in the
-// closure's CSR rows; Edge is a binary search over row `from`.
+// Share returns S[from][to], the old value callers pass back into
+// SetShare: a binary search over the closure's row `from`.
 func (al *Allocator) Share(from, to int) float64 { return al.clo.Edge(from, to) }
 
-// Agreement returns the current absolute agreement entry A[from][to]
-// (zero when the allocator holds no absolute agreements).
+// Agreement returns A[from][to], zero when the allocator holds no A.
 func (al *Allocator) Agreement(from, to int) float64 { return al.aAt(from, to) }

@@ -468,3 +468,64 @@ func TestPatternFlipDropsSkeletons(t *testing.T) {
 		step("a principal registered", al.Grow(1), nil, -1)
 	})
 }
+
+// TestPatchLeavesDerivationsAlone takes persistent derivations of an
+// allocator — SetShare's before it is patched with PatchShare, and
+// SetAgreement's before PatchAgreement, as the ownership rule allows: each
+// result owns what the patch writes — and
+// then patches the receiver in place through value moves and pattern flips
+// on the very rows and columns the derivations share with it: a ring closed
+// and opened, a chain cut, two blocks bridged, an absolute agreement made,
+// raised and revoked. Every derivation must still plan as a fresh build of
+// its matrices taken before the patches did, bit for bit, and still hold
+// those matrices; the patched allocator must plan as a fresh build of its
+// own.
+func TestPatchLeavesDerivationsAlone(t *testing.T) {
+	churnVariants(t, func(label string, al *Allocator, v []float64) {
+		type derivation struct {
+			what    string
+			d, want *Allocator
+		}
+		var kept []derivation
+		derive := func(what string) func(*Allocator, error) {
+			return func(d *Allocator, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s, %s: %v", label, what, err)
+				}
+				for r := range v {
+					if _, err := d.Plan(v, r, 1.5); err != nil { // fill the skeleton slots it shares
+						t.Fatal(err)
+					}
+				}
+				kept = append(kept, derivation{what, d, rebuilt(t, d)})
+			}
+		}
+		patch := func(what string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s, %s: %v", label, what, err)
+			}
+			for _, k := range kept {
+				requirePlansIdentical(t, k.d, k.want, v, label+", "+k.what+" after the patch "+what)
+				requirePlansIdentical(t, rebuilt(t, k.d), k.want, v, label+", the matrices of "+k.what+" after the patch "+what)
+			}
+			requirePlansIdentical(t, al, rebuilt(t, al), v, label+", patched: "+what)
+		}
+		derive("a share moved")(al.SetShare(0, 1, al.Share(0, 1), al.Share(0, 1)/2))
+		derive("a ring closed")(al.SetShare(7, 0, 0, 0.25))
+		patch("a share moved", al.PatchShare(0, 1, al.Share(0, 1), al.Share(0, 1)*0.75))
+		patch("a ring closed", al.PatchShare(7, 0, 0, 0.3))
+		patch("the ring opened", al.PatchShare(7, 0, 0.3, 0))
+		patch("a chain cut", al.PatchShare(3, 4, al.Share(3, 4), 0))
+		patch("two blocks bridged", al.PatchShare(7, 8, 0, 0.2))
+		// SetShare's results share A's tables with al, which PatchAgreement
+		// writes: the rule has them dropped first.
+		kept = kept[:0]
+		derive("an absolute agreement made")(al.SetAgreement(2, 5, 0, 1.5))
+		derive("an absolute agreement raised")(al.SetAgreement(15, 8, al.Agreement(15, 8), al.Agreement(15, 8)+1))
+		patch("an absolute agreement made", al.PatchAgreement(2, 5, 0, 2.5))
+		patch("an absolute agreement raised", al.PatchAgreement(15, 8, al.Agreement(15, 8), al.Agreement(15, 8)+2))
+		patch("an absolute agreement revoked", al.PatchAgreement(2, 5, 2.5, 0))
+	})
+}

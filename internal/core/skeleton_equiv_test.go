@@ -94,12 +94,16 @@ func TestSkeletonEqualsReference(t *testing.T) {
 }
 
 // TestDerivationChainEqualsFresh walks every variant through a chain of
-// SetShare, SetAgreement and Grow derivations — edges created, halved,
-// moved and removed, quantities created, raised and removed, a principal
-// added and wired in — and after every step requires the derived allocator
-// to hold the column lists a fresh NewAllocatorSparse over the mutated
-// matrices builds, the skeletons the reference builds, and to plan the
-// same. Value-only steps, which flip no cell, must also keep the skeletons
+// agreement changes twice over — once through the persistent SetShare,
+// SetAgreement and Grow derivations, once patching one allocator in place
+// with PatchShare and PatchAgreement (Grow between) — and after every step
+// requires both to hold the column lists a fresh NewAllocatorSparse over the
+// mutated matrices builds, the skeletons the reference builds, and to plan
+// as it does, bit for bit. The schedule moves values and flips patterns:
+// edges created, halved, moved and removed; a ring closed and opened;
+// quantities created, raised and removed (A made where the variant had
+// none); a principal added, its block bridged to the rest and cut off
+// again. Value-only steps, which flip no cell, must also keep the skeletons
 // the plans before them built: the plans after them run on those, rebound.
 func TestDerivationChainEqualsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -107,6 +111,7 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 	if testing.Short() {
 		cases = 12
 	}
+	seen := map[string]int{}
 	for c := 0; c < cases; c++ {
 		g := modeltest.Generate(rng)
 		skeletonVariants(g, func(a [][]float64, cfg core.Config, al *core.Allocator) {
@@ -115,38 +120,58 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 			hasA := a != nil
 			a = cloneSquare(a, n)
 			v := slices.Clone(g.V)
-			check := func(step string) {
+			fresh := func(step string) *core.Allocator {
 				t.Helper()
 				var sa *agreement.SparseMatrix
 				if hasA {
 					sa = toSparse(a)
 				}
-				fresh, err := core.NewAllocatorSparse(toSparse(s), sa, cfg)
+				f, err := core.NewAllocatorSparse(toSparse(s), sa, cfg)
 				if err != nil {
 					t.Fatalf("case %d %+v after %s: fresh build refused what the mutators accepted: %v\n%s", c, cfg, step, err, g)
 				}
-				if diff := core.ColumnsDiff(al, fresh); diff != "" {
-					t.Fatalf("case %d %+v after %s: %s\n%s", c, cfg, step, diff, g)
-				}
-				for r := 0; r < n; r++ {
-					if diff := al.SkeletonDiff(r); diff != "" {
-						t.Fatalf("case %d %+v after %s, requester %d: %s\n%s", c, cfg, step, r, diff, g)
+				return f
+			}
+			in := fresh("the start") // patched in place; shares no table with al
+			check := func(step string) {
+				t.Helper()
+				seen[step]++
+				want := fresh(step)
+				for _, got := range []struct {
+					how string
+					al  *core.Allocator
+				}{{"derived", al}, {"patched", in}} {
+					if diff := core.ColumnsDiff(got.al, want); diff != "" {
+						t.Fatalf("case %d %+v after %s, %s: %s\n%s", c, cfg, step, got.how, diff, g)
 					}
+					for r := 0; r < n; r++ {
+						if diff := got.al.SkeletonDiff(r); diff != "" {
+							t.Fatalf("case %d %+v after %s, %s, requester %d: %s\n%s", c, cfg, step, got.how, r, diff, g)
+						}
+					}
+					samePlans(t, got.how+" against fresh after "+step, got.al, want, v)
 				}
-				samePlans(t, "derived against fresh after "+step, al, fresh, v)
 			}
 			setShare := func(i, j int, next float64) bool {
 				d, err := al.SetShare(i, j, s[i][j], next)
+				perr := in.PatchShare(i, j, s[i][j], next)
+				if (err == nil) != (perr == nil) {
+					t.Fatalf("case %d %+v: S[%d][%d] %v → %v: SetShare says %v, PatchShare %v", c, cfg, i, j, s[i][j], next, err, perr)
+				}
 				if err != nil {
-					return false // the enumeration budget refused the denser graph
+					in = fresh("a refused share") // a refused patch leaves in to discard
+					return false                  // the enumeration budget refused the denser graph
 				}
 				al, s[i][j] = d, next
 				return true
 			}
 			setAgreement := func(i, j int, next float64) {
 				d, err := al.SetAgreement(i, j, a[i][j], next)
+				if err == nil {
+					err = in.PatchAgreement(i, j, a[i][j], next)
+				}
 				if err != nil {
-					t.Fatalf("case %d %+v: SetAgreement(%d, %d, %v, %v): %v", c, cfg, i, j, a[i][j], next, err)
+					t.Fatalf("case %d %+v: A[%d][%d] %v → %v: %v", c, cfg, i, j, a[i][j], next, err)
 				}
 				al, a[i][j], hasA = d, next, true
 			}
@@ -155,31 +180,54 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 				j = (i + 1) % n
 			}
 			// valueOnly checks a step that moved values only.
-			valueOnly := func(step string, prev *core.Allocator) {
+			valueOnly := func(step string, prev, prevIn *core.Allocator) {
 				t.Helper()
-				if !core.SharesSkeletons(al, prev) {
+				if !core.SharesSkeletons(al, prev) || !core.SharesSkeletons(in, prevIn) {
 					t.Fatalf("case %d %+v: %s dropped the skeletons\n%s", c, cfg, step, g)
 				}
 				check(step)
 			}
+			// keep holds in's tables as they stand, to compare with after a
+			// value-only patch: in itself is the same pointer.
+			keep := func() *core.Allocator { return in.StructCopy() }
 			if setShare(i, j, s[i][j]/2+0.125) {
 				check("SetShare")
 			}
-			if prev := al; s[i][j] > 0 && setShare(i, j, s[i][j]*0.75) {
-				valueOnly("SetShare moving a value", prev)
+			if prev, prevIn := al, keep(); s[i][j] > 0 && setShare(i, j, s[i][j]*0.75) {
+				valueOnly("SetShare moving a value", prev, prevIn)
+			}
+			// A ring i → j → k → i: open it if it is closed, close it, open it.
+			if k := (j + 1) % n; k != i && setShare(j, k, s[j][k]+0.0625) {
+				if s[k][i] > 0 && setShare(k, i, 0) {
+					check("SetShare opening a ring")
+				}
+				if setShare(k, i, 0.1875) {
+					check("SetShare closing a ring")
+					if setShare(k, i, 0) {
+						check("SetShare opening the ring again")
+					}
+				}
 			}
 			setAgreement(j, i, a[j][i]+1.5)
 			check("SetAgreement creating an entry")
-			prev := al
+			prev, prevIn := al, keep()
 			setAgreement(j, i, a[j][i]+0.25)
-			valueOnly("SetAgreement moving a value", prev)
-			al, n = al.Grow(1), n+1
-			s, a, v = cloneSquare(s, n), cloneSquare(a, n), append(v, 6.5)
+			valueOnly("SetAgreement moving a value", prev, prevIn)
+			al, in, n = al.Grow(2), in.Grow(2), n+2
+			s, a, v = cloneSquare(s, n), cloneSquare(a, n), append(v, 6.5, 3.25)
 			check("Grow")
-			if setShare(n-1, i, 0.25) && setShare(j, n-1, 0.125) {
-				check("SetShare wiring the new principal in")
-				if prev := al; setShare(n-1, i, 0.5) {
-					valueOnly("SetShare moving the new principal's share", prev)
+			// The two new principals are a block of their own; bridge it to
+			// i's and cut it off again.
+			if setShare(n-2, n-1, 0.375) {
+				check("SetShare making a block")
+			}
+			if setShare(n-1, i, 0.25) && setShare(j, n-2, 0.125) {
+				check("SetShare bridging two blocks")
+				if prev, prevIn := al, keep(); setShare(n-1, i, 0.5) {
+					valueOnly("SetShare moving the bridge's share", prev, prevIn)
+				}
+				if setShare(n-1, i, 0) && setShare(j, n-2, 0) {
+					check("SetShare cutting the bridge")
 				}
 			}
 			if setShare(i, j, 0) {
@@ -188,6 +236,13 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 			setAgreement(j, i, 0)
 			check("SetAgreement removing an entry")
 		})
+	}
+	t.Logf("steps checked: %v", seen)
+	for _, step := range []string{"SetShare closing a ring", "SetShare opening the ring again", "SetShare bridging two blocks",
+		"SetShare moving the bridge's share", "SetShare cutting the bridge", "SetAgreement creating an entry"} {
+		if seen[step] == 0 {
+			t.Errorf("no case reached %q", step)
+		}
 	}
 }
 

@@ -406,16 +406,18 @@ func TestReapAllocs(t *testing.T) {
 // share → allocate → release → revoke → report cycle through Server.Handle
 // with a journal attached, at the benchmark's churn128 shape (16 blocks of
 // eight under the full formulation, a block's head sharing 0.005 down its
-// chain). Each of the two writes derives a planner — the closure delta, one
-// table per structure and the arenas of the columns it moved — and moves
-// only values, so the allocate between them plans on the requester's
+// chain). Each of the two writes patches the planner in place — the edited
+// S row, the recomputed T row and the arenas of the columns it moved — and
+// moves only values, so the allocate between them plans on the requester's
 // 129-variable skeleton and model clone as they were. The cycle made 1 272
 // allocations when a build formatted a name per variable and row and made a
 // map and a term slice per constraint, 72 when each closure delta made its
 // affected set, seen set and meter on the heap and the share's log line
-// boxed its arguments, and 65 when every write dropped every skeleton and
-// copied one header table per field, and 31 while a grant was four
-// allocations; it is 28. The bound is that 31 plus a fifth.
+// boxed its arguments, 65 when every write dropped every skeleton and
+// copied one header table per field, 31 while a grant was four
+// allocations, and 28 while every write derived a planner, cloning the
+// closure's, flow and column tables and listing its changed rows; it is 14.
+// The bound is that 14 plus a fifth.
 func TestChurnCycleAllocs(t *testing.T) {
 	s := blockServer(t, core.Config{}, 16)
 	defer s.Close()
@@ -449,7 +451,7 @@ func TestChurnCycleAllocs(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(100, cycle)
 	t.Logf("one churn cycle makes %v allocations", got)
-	if got > 37 {
-		t.Fatalf("one churn cycle makes %v allocations, want at most 37", got)
+	if got > 16 {
+		t.Fatalf("one churn cycle makes %v allocations, want at most 16", got)
 	}
 }

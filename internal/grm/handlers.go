@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/agreement"
-	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -176,8 +175,10 @@ func (s *Server) shareLocked(fromP, toP int, fraction, quantity float64) (int, e
 }
 
 // patchPlannerShareLocked applies one new share ticket to the cached
-// planner through the incremental mutators, so agreement churn skips the
-// full NewAllocator rebuild (and its exact chain re-enumeration).
+// planner in place, so agreement churn skips a full NewAllocator rebuild.
+// Core patches only for a sole owner planning under its writes' lock:
+// s.planner is read only under s.mu (processBatch, Status, caps, register's
+// Grow), so no plan is in flight across a patch and no older planner kept.
 //
 // Bit-equality with the rebuild path: agreement.Matrices accumulates
 // S[from][to] += Face/FaceValue (and A[from][to] += quantity) walking
@@ -185,9 +186,9 @@ func (s *Server) shareLocked(fromP, toP int, fraction, quantity float64) (int, e
 // increment is the final addition — old value plus one addition is
 // bit-identical to the rebuilt sum. Revocation has no such property
 // ((x+f)−f ≠ x in floats); patchPlannerRevokeLocked re-derives the cell
-// from the surviving tickets instead. If the mutator refuses (enumeration
-// budget) the planner is discarded; the rebuild path then surfaces the
-// same refusal, once (currentPlannerLocked). Callers hold s.mu.
+// from the surviving tickets instead. A refused patch discards the
+// planner; the rebuild then surfaces the same refusal, once
+// (currentPlannerLocked). Callers hold s.mu.
 func (s *Server) patchPlannerShareLocked(fromP, toP int, fraction, quantity float64) {
 	al := s.planner
 	if al == nil {
@@ -197,38 +198,26 @@ func (s *Server) patchPlannerShareLocked(fromP, toP int, fraction, quantity floa
 	if fromP == toP {
 		return // self-shares never reach S/A (S_ii = 0 by definition)
 	}
-	var d *core.Allocator
-	var err error
+	rel, abs := al.Share(fromP, toP), al.Agreement(fromP, toP)
 	if fraction > 0 {
 		// The same Face/FaceValue division Matrices performs on the ticket.
 		face := s.sys.Currency(s.sys.CurrencyOf(agreement.PrincipalID(fromP))).FaceValue
-		frac := (fraction * face) / face
-		old := al.Share(fromP, toP)
-		d, err = al.SetShare(fromP, toP, old, old+frac)
+		rel += (fraction * face) / face
 	} else {
-		old := al.Agreement(fromP, toP)
-		d, err = al.SetAgreement(fromP, toP, old, old+quantity)
+		abs += quantity
 	}
-	if err != nil {
-		s.logger.Printf("grm: share: incremental planner patch refused (%v); deferring to rebuild", err)
-		s.dropPlannerLocked()
-		return
-	}
-	s.planner = d
+	s.setPlannerCellsLocked("share", fromP, toP, rel, abs)
 }
 
 // patchPlannerRevokeLocked applies a revocation (already made in s.sys)
 // to the cached planner. The rebuilt S and A cells for the ticket's pair
-// are the sums, in ticket-creation order, of the surviving tickets
-// between the two default currencies; DirectAgreement computes exactly
-// those sums, so setting the cells to them is bit-identical to the
-// rebuild and removes an entry when no ticket survives. The planner is
-// discarded instead when the system holds a virtual currency (a
-// preloaded snapshot: cells then collect routed contributions too) or the
-// mutator refuses. Callers hold s.mu.
+// are the sums, in ticket order, of the surviving tickets between the two
+// default currencies, which DirectAgreement computes: setting the cells
+// to them is bit-identical to the rebuild. The planner is discarded
+// instead beside a virtual currency (a preloaded snapshot: cells then
+// collect routed contributions too). Callers hold s.mu.
 func (s *Server) patchPlannerRevokeLocked(ticket int) {
-	al := s.planner
-	if al == nil {
+	if s.planner == nil {
 		s.dropPlannerLocked() // the graph changed: a remembered refusal is stale
 		return
 	}
@@ -238,18 +227,21 @@ func (s *Server) patchPlannerRevokeLocked(ticket int) {
 		s.dropPlannerLocked()
 		return
 	}
-	// Whichever cell the ticket did not feed already holds its sum, and
-	// the mutator hands the receiver back.
-	d, err := al.SetShare(sh.from, sh.to, al.Share(sh.from, sh.to), rel)
+	s.setPlannerCellsLocked("revoke", sh.from, sh.to, rel, abs)
+}
+
+// setPlannerCellsLocked patches the planner's S[from][to] to rel and
+// A[from][to] to abs, discarding it if a patch refuses. Callers hold s.mu.
+func (s *Server) setPlannerCellsLocked(op string, from, to int, rel, abs float64) {
+	al := s.planner
+	err := al.PatchShare(from, to, al.Share(from, to), rel)
 	if err == nil {
-		d, err = d.SetAgreement(sh.from, sh.to, d.Agreement(sh.from, sh.to), abs)
+		err = al.PatchAgreement(from, to, al.Agreement(from, to), abs)
 	}
 	if err != nil {
-		s.logger.Printf("grm: revoke: incremental planner patch refused (%v); deferring to rebuild", err)
+		s.logger.Printf("grm: %s: incremental planner patch refused (%v); deferring to rebuild", op, err)
 		s.dropPlannerLocked()
-		return
 	}
-	s.planner = d
 }
 
 func (s *Server) revoke(r *RevokeRequest) *Response {

@@ -417,16 +417,14 @@ func (s *Server) dispatchInner(req *Request) *Response {
 	}
 }
 
-// currentPlannerLocked rebuilds the allocator when no incremental patch
-// covered the last structural change (snapshot install, replayed state,
-// a revocation beside virtual currencies, or a mutation the delta path
-// refused). Registration, share and revoke churn normally keep s.planner
-// patched in place (see registerLocked / shareLocked / revokeLocked), so
-// this full rebuild — with its exact closure of the whole graph — is the
-// slow path, not the common one. A refused build (up to the closure
-// budget's ~0.7 s under s.mu) is remembered: until an agreement changes,
-// the same graph would be refused the same way, so every later caller is
-// handed the same error without building. Callers hold s.mu.
+// currentPlannerLocked rebuilds the allocator when no patch covered the
+// last structural change (snapshot install, replayed state, a revocation
+// beside virtual currencies, or a refused patch). Registration, share and
+// revoke churn keep s.planner patched, so this full rebuild — an exact
+// closure of the whole graph — is the slow path. A refused build (up to
+// the closure budget's ~0.7 s under s.mu) is remembered until an agreement
+// changes, so later callers get the same error without building. Callers
+// hold s.mu.
 func (s *Server) currentPlannerLocked() (*core.Allocator, error) {
 	if len(s.avail) == 0 {
 		return nil, ErrNoPrincipals

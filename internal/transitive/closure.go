@@ -11,9 +11,10 @@ import (
 )
 
 // ErrBudget is wrapped by NewClosureBudget when building an exact
-// closure, and by UpdateEdge/UpdateRow when recomputing the affected rows
-// of one, charges more steps than the budget allows. Callers should treat
-// the graph, or the mutation, as "too dense to enforce exactly".
+// closure, and by UpdateEdge/UpdateRow/PatchEdge when recomputing the
+// affected rows of one, charges more steps than the budget allows.
+// Callers should treat the graph, or the mutation, as "too dense to
+// enforce exactly".
 var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 
 // Closure maintains a flow-coefficient matrix T^(level) incrementally
@@ -52,13 +53,17 @@ var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 // dense export for tests and the bench; nothing on the serving path calls
 // it.
 //
-// Closures are copy-on-write: mutators return a derived *Closure sharing
-// every unchanged row slice with the receiver, which stays valid. The grm
-// server does not need that — it plans and swaps its planner under one
-// state lock, so no solve is in flight across a mutation — but callers
-// that keep the old handle do: the model-based tests compare a derived
-// closure against its parent, and the benchmark's probe mutates one
-// closure over and over.
+// One patch serves two kinds of caller. UpdateEdge and UpdateRow are
+// copy-on-write: they Clone the two row tables and patch the clone, so the
+// derived *Closure shares every unchanged row with the receiver, which
+// stays valid — what callers that keep the old handle need: the
+// model-based tests compare a derived closure against its parent, and the
+// benchmark's probe mutates one closure over and over. PatchEdge patches
+// the receiver's own tables, for an owner that never reads an older
+// version: the grm server plans and patches its planner under one state
+// lock, so no solve is in flight across a mutation, and its writes copy no
+// O(n) table. Either way a patch writes table slots, never a row's backing
+// array, so a row is immutable once stored.
 type Closure struct {
 	// reqLevel is the level of transitivity as requested at construction,
 	// before clamping; clamping is redone against the current n so a
@@ -66,8 +71,8 @@ type Closure struct {
 	reqLevel int
 	approx   bool
 	n        int
-	t        []sparseRow // T's rows; each shared COW
-	s        []sparseRow // S's rows, the out-edges of each principal; each shared COW
+	t        []sparseRow // T's rows; each shared with clones, never written
+	s        []sparseRow // S's rows, the out-edges of each principal; likewise
 	edges    int
 	// budget caps the steps (DFS steps plus DP cell updates) one exact
 	// build or delta may charge (0 = no cap); past it the build or the
@@ -177,56 +182,84 @@ func denseOf(n int, g []sparseRow) [][]float64 {
 // WithBudget caps the steps an exact delta recompute may charge before
 // giving up with ErrBudget (0 removes the cap). It returns the receiver
 // for chaining at construction time; derived closures inherit the
-// budget. A mutation that runs past it is abandoned and the receiver
-// stays as it was.
+// budget. A derivation that runs past it is abandoned and the receiver
+// stays as it was; a PatchEdge that does leaves its receiver to discard.
 func (c *Closure) WithBudget(steps int) *Closure {
 	c.budget = steps
 	return c
 }
 
-// shallow clones the two row tables so a derived closure can swap
-// individual rows without touching the receiver.
-func (c *Closure) shallow() *Closure {
+// Clone returns a closure that shares every row with c but owns its two
+// row tables, so a patch of the clone (PatchEdge) leaves c as it was.
+func (c *Closure) Clone() *Closure {
 	d := *c
 	d.t, d.s = slices.Clone(c.t), slices.Clone(c.s)
 	return &d
 }
 
-// UpdateEdge derives a closure with S[src][dst] changed from oldVal to
-// newVal, recomputing only the affected rows. It returns the derived
-// closure (the receiver is unchanged and stays valid) and the ascending
-// list of rows whose T actually changed — rows recomputed to bit-identical
-// values are reported as unchanged and keep their shared slices. oldVal
-// must match the current entry; the mismatch error catches callers whose
-// shadow copy of S has drifted from the closure's.
-func (c *Closure) UpdateEdge(src, dst int, oldVal, newVal float64) (*Closure, []int, error) {
+// checkEdge validates an edit of S[src][dst] from oldVal to newVal.
+func (c *Closure) checkEdge(src, dst int, oldVal, newVal float64) error {
 	n := c.n
 	if src < 0 || src >= n || dst < 0 || dst >= n {
-		return nil, nil, fmt.Errorf("transitive: UpdateEdge(%d, %d): index out of range for n=%d", src, dst, n)
+		return fmt.Errorf("index out of range for n=%d", n)
 	}
 	if src == dst {
-		return nil, nil, fmt.Errorf("transitive: UpdateEdge(%d, %d): diagonal must stay zero", src, dst)
+		return errors.New("diagonal must stay zero")
 	}
 	if newVal < 0 {
-		return nil, nil, fmt.Errorf("transitive: UpdateEdge(%d, %d): value %g must be non-negative", src, dst, newVal)
+		return fmt.Errorf("value %g must be non-negative", newVal)
 	}
-	cur := c.Edge(src, dst)
-	if !num.IsZero(cur - oldVal) {
-		return nil, nil, fmt.Errorf("transitive: UpdateEdge(%d, %d): stale old value %g, closure holds %g", src, dst, oldVal, cur)
+	if cur := c.Edge(src, dst); !num.IsZero(cur - oldVal) {
+		return fmt.Errorf("stale old value %g, closure holds %g", oldVal, cur)
+	}
+	return nil
+}
+
+// UpdateEdge derives a closure with S[src][dst] changed from oldVal to
+// newVal, recomputing only the affected rows: PatchEdge on a Clone. It
+// returns the derived closure (the receiver is unchanged and stays valid)
+// and the ascending list of rows whose T actually changed — rows
+// recomputed to bit-identical values are reported as unchanged and keep
+// their shared slices. oldVal must match the current entry; the mismatch
+// error catches callers whose shadow copy of S has drifted from the
+// closure's.
+func (c *Closure) UpdateEdge(src, dst int, oldVal, newVal float64) (*Closure, []int, error) {
+	if err := c.checkEdge(src, dst, oldVal, newVal); err != nil {
+		return nil, nil, fmt.Errorf("transitive: UpdateEdge(%d, %d): %w", src, dst, err)
 	}
 	if num.IsZero(oldVal - newVal) {
 		return c, nil, nil
 	}
-	d := c.shallow()
-	d.s[src].cols, d.s[src].vals = SetEntry(c.s[src].cols, c.s[src].vals, dst, newVal)
-	d.edges += len(d.s[src].cols) - len(c.s[src].cols)
-	sc := getScratch(n)
-	defer scratchPool.Put(sc)
-	changed, err := d.recompute(c, c.affected(sc, src), sc)
+	cols, vals := SetEntry(c.s[src].cols, c.s[src].vals, dst, newVal)
+	d, changed, err := c.derive(src, cols, vals)
 	if err != nil {
 		return nil, nil, fmt.Errorf("transitive: UpdateEdge(%d, %d): %w", src, dst, err)
 	}
 	return d, changed, nil
+}
+
+// PatchEdge is UpdateEdge applied to the receiver itself: it writes the
+// new S row and every T row that changed into c's own tables, and appends
+// those T rows, ascending, to changed and the column list each held before
+// to old. A patch writes table slots only, never a row's backing array, so
+// rows stay shared with every Clone and ancestor, and those stay valid;
+// but c's caller must be its only user, with no read of c in flight. After
+// an error c is partly patched and must be discarded. A no-op change
+// writes nothing.
+func (c *Closure) PatchEdge(src, dst int, oldVal, newVal float64, changed []int, old [][]int32) ([]int, [][]int32, error) {
+	if err := c.checkEdge(src, dst, oldVal, newVal); err != nil {
+		return changed, old, fmt.Errorf("transitive: PatchEdge(%d, %d): %w", src, dst, err)
+	}
+	if num.IsZero(oldVal - newVal) {
+		return changed, old, nil
+	}
+	cols, vals := SetEntry(c.s[src].cols, c.s[src].vals, dst, newVal)
+	sc := getScratch(c.n)
+	defer sc.put()
+	if err := c.edit(sc, src, cols, vals); err != nil {
+		return changed, old, fmt.Errorf("transitive: PatchEdge(%d, %d): %w", src, dst, err)
+	}
+	return append(changed, sc.changed...), append(old, sc.old...), nil
 }
 
 // UpdateRow derives a closure with the whole out-edge row S[src]
@@ -260,16 +293,34 @@ func (c *Closure) UpdateRow(src int, row []float64) (*Closure, []int, error) {
 	if same {
 		return c, nil, nil
 	}
-	d := c.shallow()
-	d.s[src].cols, d.s[src].vals = RowOf(row)
-	d.edges += len(d.s[src].cols) - len(c.s[src].cols)
-	sc := getScratch(n)
-	defer scratchPool.Put(sc)
-	changed, err := d.recompute(c, c.affected(sc, src), sc)
+	cols, vals := RowOf(row)
+	d, changed, err := c.derive(src, cols, vals)
 	if err != nil {
 		return nil, nil, fmt.Errorf("transitive: UpdateRow(%d): %w", src, err)
 	}
 	return d, changed, nil
+}
+
+// derive edits a Clone of c, so c stays as it was, and returns the clone
+// with the T rows the edit replaced.
+func (c *Closure) derive(src int, cols []int32, vals []float64) (*Closure, []int, error) {
+	d := c.Clone()
+	sc := getScratch(c.n)
+	defer sc.put()
+	if err := d.edit(sc, src, cols, vals); err != nil {
+		return nil, nil, err
+	}
+	return d, append([]int(nil), sc.changed...), nil
+}
+
+// edit puts (cols, vals) in S's row src and recomputes, through sc, the T
+// rows that can reach src: the one patch behind every mutator. The
+// affected set is read after the edit, which cannot change it (see
+// Closure).
+func (c *Closure) edit(sc *rowScratch, src int, cols []int32, vals []float64) error {
+	c.edges += len(cols) - len(c.s[src].cols)
+	c.s[src] = sparseRow{cols: cols, vals: vals}
+	return c.recompute(c.affected(sc, src), sc)
 }
 
 // Grow derives a closure extended by k principals with no agreements. A
@@ -336,49 +387,52 @@ func (c *Closure) affected(sc *rowScratch, src int) []int {
 	return out
 }
 
-// recompute refreshes the given rows of d's T against d's agreement
-// rows, comparing each against prev's row: only rows that actually
-// changed are replaced (and reported), so unchanged rows keep sharing
-// memory with prev. Past the blast-radius threshold it abandons the delta
-// and recomputes every row with the parallel full build. Either way the
-// work is charged to d's budget as it is done, and ErrBudget abandons d.
-// The delta runs its rows through sc, which must be clear.
-func (d *Closure) recompute(prev *Closure, rows []int, sc *rowScratch) ([]int, error) {
-	n := d.n
-	budget := d.budget
-	if d.approx {
+// recompute refreshes the given rows of c's T against c's agreement rows,
+// comparing each against the row c holds: only rows that actually changed
+// are replaced, so an unchanged row keeps sharing memory with every clone.
+// sc.changed lists the replaced rows, ascending, and sc.old the column
+// list each held. Past the blast-radius threshold it abandons the delta
+// and recomputes every row with the parallel full build, keeping c's table
+// until it has compared. Either way the work is charged to c's budget as
+// it is done, and ErrBudget abandons c. The delta runs its rows through
+// sc, which must be clear.
+func (c *Closure) recompute(rows []int, sc *rowScratch) error {
+	n := c.n
+	budget := c.budget
+	if c.approx {
 		budget = 0 // walk counting is polynomial and never refused
 	}
-	var changed []int
+	sc.changed, sc.old = sc.changed[:0], sc.old[:0]
 	if blastDenominator*len(rows) > n {
-		var ok bool
-		d.t, ok = sparseRows(n, d.s, d.reqLevel, d.approx, par.Workers(n), newMeter(budget))
+		t, ok := sparseRows(n, c.s, c.reqLevel, c.approx, par.Workers(n), newMeter(budget))
 		if !ok {
-			return nil, budgetErr(d.budget)
+			return budgetErr(c.budget)
 		}
-		for i := 0; i < n; i++ {
-			if rowsEqual(prev.t[i], d.t[i]) {
-				d.t[i] = prev.t[i] // keep sharing the identical row
-			} else {
-				changed = append(changed, i)
+		for i, row := range t {
+			if !rowsEqual(c.t[i], row) {
+				c.replace(sc, i, row)
 			}
 		}
-		return changed, nil
+		return nil
 	}
-	maxLen := d.Level()
+	maxLen := c.Level()
 	m := newMeter(budget) // charged by this goroutine alone, so it stays on the stack
 	for _, src := range rows {
-		if !sc.row(d.s, src, maxLen, d.approx, m) {
-			return nil, budgetErr(d.budget)
+		if !sc.row(c.s, src, maxLen, c.approx, m) {
+			return budgetErr(c.budget)
 		}
-		row := sc.take()
-		if rowsEqual(prev.t[src], row) {
-			continue
+		if row := sc.take(); !rowsEqual(c.t[src], row) {
+			c.replace(sc, src, row)
 		}
-		d.t[src] = row
-		changed = append(changed, src)
 	}
-	return changed, nil
+	return nil
+}
+
+// replace puts row in T's slot i, noting i and the columns it replaced in
+// sc.
+func (c *Closure) replace(sc *rowScratch, i int, row sparseRow) {
+	sc.changed, sc.old = append(sc.changed, i), append(sc.old, c.t[i].cols)
+	c.t[i] = row
 }
 
 // rowsEqual reports whether two sparse rows hold identical values. Rows

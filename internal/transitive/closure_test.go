@@ -2,7 +2,9 @@ package transitive
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -107,6 +109,91 @@ func TestClosureUpdateEdgeMatchesFull(t *testing.T) {
 				c = next
 			}
 		})
+	}
+}
+
+// TestPatchEdgeMatchesUpdateEdge drives one closure through PatchEdge and
+// another through UpdateEdge over the same random edits, on the delta path
+// and past the blast-radius threshold, and after each requires both to hold
+// NewClosure's rows bit for bit and the same agreement entries, to report
+// the same changed rows, and PatchEdge to hand back the columns each of
+// those rows held. A Clone taken before each patch shares every row with
+// the patched closure; it must keep its T as it was.
+func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
+	cases := []struct {
+		name   string
+		n      int
+		edges  int
+		level  int
+		approx bool
+	}{
+		{"exact-small-full", 8, 14, 7, false},
+		{"exact-small-level2", 8, 14, 2, false},
+		{"exact-big-level4", 80, 160, 4, false},
+		{"exact-big-full", 70, 90, 69, false},
+		{"approx-small-full", 10, 25, 9, true},
+		{"approx-big-level6", 70, 200, 6, true},
+	}
+	paths := map[string]int{}
+	for _, tc := range cases {
+		rng := rand.New(rand.NewSource(11))
+		s := randomSparse(rng, tc.n, tc.edges)
+		up, p := NewClosure(s, tc.level, tc.approx), NewClosure(s, tc.level, tc.approx)
+		prevCols := make([][]int32, tc.n)
+		for step := 0; step < 40; step++ {
+			src, dst := rng.Intn(tc.n), rng.Intn(tc.n)
+			if src == dst {
+				continue
+			}
+			nv := 0.0
+			if rng.Intn(3) > 0 {
+				nv = 0.05 + 0.4*rng.Float64()
+			}
+			ov := s[src][dst]
+			sc := getScratch(tc.n)
+			path := "delta"
+			if blastDenominator*len(p.affected(sc, src)) > tc.n {
+				path = "blast"
+			}
+			sc.put()
+			for i := range prevCols {
+				prevCols[i], _ = p.FlowRow(i)
+			}
+			clone := p.Clone()
+			cloneT, cloneS := clone.T(), edgesOf(clone)
+			next, changed, err := up.UpdateEdge(src, dst, ov, nv)
+			if err != nil {
+				t.Fatalf("%s step %d: UpdateEdge(%d,%d,%v,%v): %v", tc.name, step, src, dst, ov, nv, err)
+			}
+			patched, old, err := p.PatchEdge(src, dst, ov, nv, nil, nil)
+			if err != nil {
+				t.Fatalf("%s step %d: PatchEdge(%d,%d,%v,%v): %v", tc.name, step, src, dst, ov, nv, err)
+			}
+			s[src][dst] = nv
+			label := fmt.Sprintf("%s step %d (%s path)", tc.name, step, path)
+			want := NewClosure(s, tc.level, tc.approx).T()
+			requireBitEqual(t, next.T(), want, label+": UpdateEdge")
+			requireBitEqual(t, p.T(), want, label+": PatchEdge")
+			requireBitEqual(t, edgesOf(p), s, label+": PatchEdge's agreement entries")
+			requireBitEqual(t, clone.T(), cloneT, label+": a Clone taken before the patch")
+			requireBitEqual(t, edgesOf(clone), cloneS, label+": the agreement entries of a Clone taken before the patch")
+			if !slices.Equal(changed, patched) || len(old) != len(patched) {
+				t.Fatalf("%s: UpdateEdge changed rows %v, PatchEdge %v with %d old column lists", label, changed, patched, len(old))
+			}
+			for x, r := range patched {
+				if !slices.Equal(old[x], prevCols[r]) {
+					t.Fatalf("%s: row %d held columns %v, PatchEdge handed back %v", label, r, prevCols[r], old[x])
+				}
+			}
+			if ov != nv { //lint:ignore sharingvet/floateq counts edits that moved a value
+				paths[path]++
+			}
+			up = next
+		}
+	}
+	t.Logf("edits by path: %v", paths)
+	if paths["delta"] == 0 || paths["blast"] == 0 {
+		t.Fatalf("edits by path %v: want both the delta and the blast-radius path", paths)
 	}
 }
 

@@ -241,11 +241,20 @@ type rowScratch struct {
 	p, nx         []float64
 	pCols, nxCols []int32
 	// Closure.affected's rows, which the kernels never touch: a delta
-	// recomputes them with this same scratch.
-	rows []int
+	// recomputes them with this same scratch. Of those, the rows it
+	// replaced and the column lists they held.
+	rows    []int
+	changed []int
+	old     [][]int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
+
+// put returns sc to the pool, letting go of the replaced column lists.
+func (sc *rowScratch) put() {
+	clear(sc.old)
+	scratchPool.Put(sc)
+}
 
 // getScratch returns a pooled scratch set sized for n principals.
 func getScratch(n int) *rowScratch {
