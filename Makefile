@@ -86,8 +86,8 @@ FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFe
 # skeleton build, a closure delta, a column patch, an allocate+release pair
 # (in process and over the wire, on both sides of the grant box's
 # capacity), a lone release, a renew, a reap pass (TestReapAllocs), a
-# register, a re-attach, a share, a share+revoke patched in place, a whole
-# churn cycle, what the shard router adds to each kind it routes, a sparse
+# register, a re-attach, a share, a value-only share+revoke written in
+# place (nothing) and one that flips S's pattern, a whole churn cycle, what the shard router adds to each kind it routes, a sparse
 # decode into room for it and a pipelined frame through the transport may
 # heap-allocate. Run
 # alone, uncached and without -race (the detector's instrumentation
@@ -102,7 +102,7 @@ allocs:
 # shrinks either lowers its MAX to what it prints; raising one is a
 # reviewed diff of its line, for a simplicity PR to argue. Two lines, so
 # code cannot leave the serving count by moving into the library unseen.
-SERVING_LOC_MAX = 6375
+SERVING_LOC_MAX = 6457
 LIBRARY_LOC_MAX = 1049
 loc:
 	@n=$$(ls internal/lp/*.go internal/core/*.go internal/grm/*.go | grep -v _test | xargs cat | wc -l); \

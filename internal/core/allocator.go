@@ -104,7 +104,10 @@ const exactBudget = 50_000_000
 // otherwise it is safe for concurrent use: the lazily built LP skeletons
 // and the pooled plan workspaces are internally synchronized.
 type Allocator struct {
-	n int
+	// epoch marks the columns it may write over (mutate.go); first, so
+	// sync/atomic finds it 64-bit aligned.
+	epoch uint64
+	n     int
 	// aCols/aVals hold the absolute agreement matrix A in row-sparse form
 	// (ascending columns, values aligned); hasA records whether an A was
 	// supplied at all — an explicitly passed all-zero matrix still counts,
@@ -143,10 +146,12 @@ type flowRow struct {
 // (K_ki ≠ 0 or A_ki ≠ 0), ascending, with their K_ki and A_ki: what a
 // capacity sum reads, bit-identical to the dense scan, whose other terms are
 // exactly zero. Columns are views of an int32 and a float64 arena, laid out
-// by a build (transposeColumns) or by a mutation for the columns it moves.
+// by a build (transposeColumns) or by a mutation for the columns it moves;
+// epoch is that of the allocator whose mutation laid it out, 0 for a build's.
 type column struct {
-	idx  []int32
-	k, a []float64
+	idx   []int32
+	k, a  []float64
+	epoch uint64
 }
 
 // planSkeleton is the reusable part of requester r's substituted LP: the
@@ -308,7 +313,7 @@ func effectiveLevel(cfg Config) int {
 // finishAllocator builds the derived caches shared by both constructors,
 // each in one pass over the stored entries of T and A.
 func finishAllocator(n int, clo *transitive.Closure, aCols [][]int32, aVals [][]float64, hasA bool, cfg Config) *Allocator {
-	al := &Allocator{n: n, aCols: aCols, aVals: aVals, hasA: hasA, cfg: cfg, clo: clo}
+	al := &Allocator{epoch: epochs.Add(1), n: n, aCols: aCols, aVals: aVals, hasA: hasA, cfg: cfg, clo: clo}
 	al.flow = make([]flowRow, n)
 	for i := range al.flow {
 		al.flow[i] = flowRowOf(clo, i)
@@ -357,6 +362,9 @@ func (al *Allocator) FlowRow(i int) (cols []int32, t, k []float64) {
 	cols, t = al.clo.FlowRow(i)
 	return cols, t, al.flow[i].k
 }
+
+// sameArray reports whether two non-empty slices start at one element.
+func sameArray(a, b []float64) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 // kAt returns K[k][i] — a binary search over row k's columns, 0 when
 // unstored.
@@ -447,7 +455,7 @@ func (col *column) append(k int32, kv, av float64) {
 // the view never grows into whatever follows it.
 func (col column) since(from int) column {
 	end := len(col.idx)
-	return column{idx: col.idx[from:end:end], k: col.k[from:end:end], a: col.a[from:end:end]}
+	return column{idx: col.idx[from:end:end], k: col.k[from:end:end], a: col.a[from:end:end], epoch: col.epoch}
 }
 
 // newPlanPool returns a workspace pool for one allocator lineage.
@@ -481,13 +489,14 @@ func (al *Allocator) FlowCoefficients() [][]float64 {
 func (al *Allocator) Bytes() int {
 	b := al.clo.Bytes()
 	for i, r := range al.flow {
-		if _, tv := al.clo.FlowRow(i); len(r.k) > 0 && &r.k[0] != &tv[0] {
+		if _, tv := al.clo.FlowRow(i); !sameArray(r.k, tv) {
 			b += 8 * len(r.k)
 		}
 		b += 12*len(al.aCols[i]) + 20*len(al.cols[i].idx)
 	}
-	// Per principal: a flow row, an A row, a column and a skeleton slot.
-	return b + al.n*(6*24+2*8)
+	// Per principal: a flow row, an A row, a column with its epoch and a
+	// skeleton slot.
+	return b + al.n*(6*24+3*8)
 }
 
 // Capacities returns C_i = V_i + Σ_k U_ki for the current availability.

@@ -644,19 +644,34 @@ func BenchmarkSetShareChurn128(b *testing.B) {
 }
 
 // patchSharePair is that share and revoke as the grm server makes them:
-// both patch al in place, the i-th pair sharing with neighbour 1 + i%7.
-func patchSharePair(al *Allocator, i int) error {
-	to := 1 + i%7
-	old := al.Share(0, to)
-	if err := al.PatchShare(0, to, old, old+0.005); err != nil {
+// both patch al in place, the i-th pair sharing with neighbour 1 + i%7. Six
+// pairs in seven add an S entry and remove it again (flipSharePair); the
+// seventh moves a value only (valueSharePair).
+func patchSharePair(al *Allocator, i int) error { return sharePair(al, 0, 1+i%7) }
+
+// valueSharePair is a share and its revoke that move values only: the i-th
+// pair has principal i%7 of the first block share a further 0.005 with its
+// successor down the chain, and take it back.
+func valueSharePair(al *Allocator, i int) error { return sharePair(al, i%7, i%7+1) }
+
+// flipSharePair is a share and its revoke that flip S's pattern: the i-th
+// pair has the first block's head share 0.005 with principal 2 + i%6, which
+// it reaches down its chain but does not share with, and take it back.
+func flipSharePair(al *Allocator, i int) error { return sharePair(al, 0, 2+i%6) }
+
+// sharePair patches S[from][to] up by 0.005 and back, in place.
+func sharePair(al *Allocator, from, to int) error {
+	old := al.Share(from, to)
+	if err := al.PatchShare(from, to, old, old+0.005); err != nil {
 		return err
 	}
-	return al.PatchShare(0, to, old+0.005, old)
+	return al.PatchShare(from, to, old+0.005, old)
 }
 
 // BenchmarkPatchShareChurn128 is BenchmarkSetShareChurn128's two writes
-// patched in place: no table is copied, so what is left is the edited S
-// row, the recomputed T row and the moved columns' arenas.
+// patched in place: no table is copied, and the T row and the columns,
+// whose values alone move, are written over, so what is left is the S row
+// of the six pairs in seven that add an entry and remove it.
 func BenchmarkPatchShareChurn128(b *testing.B) { benchPatchShare(b, churn128Allocator(b)) }
 
 // BenchmarkPatchShare4096 is the same pair in a population of 4 096: it
@@ -664,11 +679,32 @@ func BenchmarkPatchShareChurn128(b *testing.B) { benchPatchShare(b, churn128Allo
 // which reads every row.
 func BenchmarkPatchShare4096(b *testing.B) { benchPatchShare(b, churnAllocator(b, 4096)) }
 
-func benchPatchShare(b *testing.B, al *Allocator) {
+// BenchmarkPatchShareValues128 is the served write as churn128's
+// sequential window makes it: a share on an edge that already exists and
+// its revoke (valueSharePair), which move values only and, once the
+// allocator has laid out the rows and columns they touch, allocate nothing.
+func BenchmarkPatchShareValues128(b *testing.B) {
+	benchPairs(b, churn128Allocator(b), valueSharePair)
+}
+
+// BenchmarkPatchShareValues4096 is the same pair in a population of 4 096.
+func BenchmarkPatchShareValues4096(b *testing.B) {
+	benchPairs(b, churnAllocator(b, 4096), valueSharePair)
+}
+
+func benchPatchShare(b *testing.B, al *Allocator) { benchPairs(b, al, patchSharePair) }
+
+// benchPairs times pair(al, i) for i from 0, after seven untimed pairs.
+func benchPairs(b *testing.B, al *Allocator, pair func(*Allocator, int) error) {
+	for i := 0; i < 7; i++ {
+		if err := pair(al, i); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := patchSharePair(al, i); err != nil {
+		if err := pair(al, i); err != nil {
 			b.Fatal(err)
 		}
 	}

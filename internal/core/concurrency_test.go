@@ -278,3 +278,89 @@ func TestConcurrentPlansAcrossValueChurn(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestPlansBesideInPlacePatches races PlanPairs on a SetShare derivation
+// against value-only PatchShare moves on its receiver (run under -race in
+// `make race` and `make check`). Before the derivation the receiver has
+// written rows and columns of its own, which the derivation then shares;
+// afterwards the receiver writes over the values of the rows and columns it
+// lays out anew, in place, while the derivation plans from the ones they
+// shared. Each side plans, bit for bit, as a fresh NewAllocatorSparse over
+// its own agreements does.
+func TestPlansBesideInPlacePatches(t *testing.T) {
+	s, a, v := sparseBlockScenario(32, 5)
+	for _, cfg := range []Config{{}, {ComponentLP: true}} {
+		al, err := NewAllocatorSparse(s, a, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		move := func(step int) {
+			from := step % 3
+			x := al.Share(from, from+1)
+			if err := al.PatchShare(from, from+1, x, x*(0.8+0.1*float64(step%3))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step := 0; step < 3; step++ {
+			move(step)
+		}
+		d, err := al.SetShare(9, 10, al.Share(9, 10), al.Share(9, 10)/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type pairs struct {
+			sources []int
+			takes   []float64
+			theta   float64
+		}
+		planAll := func(al *Allocator) []pairs {
+			var out []pairs
+			for r := range v {
+				sources, takes, theta, err := al.PlanPairs(nil, nil, v, r, 2.5)
+				if err != nil {
+					t.Error(err)
+				}
+				out = append(out, pairs{sources, takes, theta})
+			}
+			return out
+		}
+		// differ returns the first requester whose plans differ, -1 for none.
+		differ := func(got, want []pairs) int {
+			for r, w := range want {
+				if !slices.Equal(got[r].sources, w.sources) || !sameBits(got[r].takes, w.takes) ||
+					!sameBits([]float64{got[r].theta}, []float64{w.theta}) {
+					return r
+				}
+			}
+			return -1
+		}
+		want := planAll(rebuilt(t, d))
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := planAll(d); differ(got, want) >= 0 {
+					r := differ(got, want)
+					t.Errorf("%+v: requester %d: the derivation plans %v, a fresh build %v", cfg, r, got[r], want[r])
+					return
+				}
+			}
+		}()
+		for step := 3; step < 12; step++ {
+			move(step)
+			if got, fresh := planAll(al), planAll(rebuilt(t, al)); differ(got, fresh) >= 0 {
+				r := differ(got, fresh)
+				t.Errorf("%+v, step %d: requester %d: the patched receiver plans %v, a fresh build %v", cfg, step, r, got[r], fresh[r])
+			}
+		}
+		close(stop)
+		wg.Wait()
+	}
+}

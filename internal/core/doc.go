@@ -48,9 +48,10 @@
 // SetShare, SetAgreement and Grow derive an Allocator copy-on-write, and
 // PatchShare and PatchAgreement patch one in place (see mutate.go); each
 // drops the skeletons a flip reaches, and the next plan rebuilds its
-// requester's. Both halves cost what moved: replaced columns
-// come out of one arena per mutation, a skeleton is built in one pass into
-// one arena, names on demand, nothing population-sized under ComponentLP.
+// requester's. Both halves cost what moved: a patch writes over the values
+// of rows and columns its receiver owns, replaced columns come out of one
+// arena per mutation, a skeleton is built in one pass into one arena, names
+// on demand, nothing population-sized under ComponentLP.
 //
 // # Library
 //

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -480,6 +481,15 @@ func TestPatternFlipDropsSkeletons(t *testing.T) {
 // its matrices taken before the patches did, bit for bit, and still hold
 // those matrices; the patched allocator must plan as a fresh build of its
 // own.
+//
+// Then it takes every kind of derivation mid-chain — Clone, UpdateEdge and
+// UpdateRow of the closure, SetShare, SetAgreement and Grow — each after
+// the receiver has written rows and columns of its own, and has the
+// receiver move values in those same rows and columns three more times, in
+// place. A derivation shares them with its receiver until one of the two
+// writes, so it must give both fresh epochs: its S, T, K, columns and plans
+// must stay as they were, bit for bit, and the rows the build was given
+// must be untouched.
 func TestPatchLeavesDerivationsAlone(t *testing.T) {
 	churnVariants(t, func(label string, al *Allocator, v []float64) {
 		type derivation struct {
@@ -527,5 +537,155 @@ func TestPatchLeavesDerivationsAlone(t *testing.T) {
 		patch("an absolute agreement made", al.PatchAgreement(2, 5, 0, 2.5))
 		patch("an absolute agreement raised", al.PatchAgreement(15, 8, al.Agreement(15, 8), al.Agreement(15, 8)+2))
 		patch("an absolute agreement revoked", al.PatchAgreement(2, 5, 2.5, 0))
+	})
+	derivationsMidChain(t)
+}
+
+// derivationsMidChain is the second half of TestPatchLeavesDerivationsAlone.
+func derivationsMidChain(t *testing.T) {
+	s, a, v := sparseBlockScenario(16, 3)
+	inS, inA := denseOf(s.N(), s.At), denseOf(a.N(), a.At)
+	for _, cfg := range []Config{{}, {ComponentLP: true}} {
+		al, err := NewAllocatorSparse(s, a, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		must := func(what string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%+v: %s: %v", cfg, what, err)
+			}
+		}
+		// The moves the receiver makes: shares down block 0's chain (T rows
+		// 0..2 and columns 1..7 move), and the blocks' absolute back-edges
+		// raised (columns 0 and 8). Each returns a value it wrote over in
+		// place if the receiver owns it, so a move writing in place leaves
+		// the pointer where it was.
+		shareMoves := func() *float64 {
+			for from := 0; from < 3; from++ {
+				x := al.Share(from, from+1)
+				must("a share moved", al.PatchShare(from, from+1, x, x*0.75))
+			}
+			_, tv := al.clo.FlowRow(0)
+			return &tv[0]
+		}
+		agreementMoves := func() *float64 {
+			for _, e := range [][2]int{{7, 0}, {15, 8}} {
+				x := al.Agreement(e[0], e[1])
+				must("an absolute agreement raised", al.PatchAgreement(e[0], e[1], x, x+0.5))
+			}
+			return &al.cols[0].a[0]
+		}
+		halvedRow := func(i, j int) []float64 {
+			row := make([]float64, al.n)
+			for k := range row {
+				row[k] = al.Share(i, k)
+			}
+			row[j] /= 2
+			return row
+		}
+		kinds := []struct {
+			name             string
+			share, agreement bool // the patches the rule allows beside the derivation
+			derive           func() (*transitive.Closure, *Allocator, error)
+		}{
+			{"Clone", true, false, func() (*transitive.Closure, *Allocator, error) { return al.clo.Clone(), nil, nil }},
+			{"UpdateEdge", true, false, func() (*transitive.Closure, *Allocator, error) {
+				c, _, err := al.clo.UpdateEdge(9, 10, al.Share(9, 10), al.Share(9, 10)/2)
+				return c, nil, err
+			}},
+			{"UpdateRow", true, false, func() (*transitive.Closure, *Allocator, error) {
+				c, _, err := al.clo.UpdateRow(9, halvedRow(9, 10))
+				return c, nil, err
+			}},
+			{"SetShare", true, false, func() (*transitive.Closure, *Allocator, error) {
+				d, err := al.SetShare(9, 10, al.Share(9, 10), al.Share(9, 10)/2)
+				return nil, d, err
+			}},
+			{"SetAgreement", false, true, func() (*transitive.Closure, *Allocator, error) {
+				d, err := al.SetAgreement(15, 8, al.Agreement(15, 8), al.Agreement(15, 8)+1)
+				return nil, d, err
+			}},
+			{"Grow", true, true, func() (*transitive.Closure, *Allocator, error) { return nil, al.Grow(1), nil }},
+		}
+		for _, k := range kinds {
+			label := fmt.Sprintf("%+v, %s", cfg, k.name)
+			moves := func() (written []*float64) {
+				if k.share {
+					written = append(written, shareMoves())
+				}
+				if k.agreement {
+					written = append(written, agreementMoves())
+				}
+				return written
+			}
+			moves() // the receiver writes rows and columns of its own
+			c, d, err := k.derive()
+			must(k.name, err)
+			state := func() plannerState { return closureState(c) }
+			var want *Allocator
+			vd := v
+			if d != nil {
+				state = func() plannerState { return allocatorState(d) }
+				want = rebuilt(t, d)
+				for len(vd) < d.n {
+					vd = append(vd, 6.5)
+				}
+			}
+			before := state()
+			var last []*float64
+			for m := 0; m < 3; m++ {
+				written := moves()
+				if m > 0 && !slices.Equal(written, last) {
+					t.Fatalf("%s: the receiver's value moves after the first did not write in place", label)
+				}
+				last = written
+			}
+			if !sameState(state(), before) {
+				t.Fatalf("%s: the receiver's value moves changed the derivation's S, A, T, K or columns", label)
+			}
+			if d != nil {
+				requirePlansIdentical(t, d, want, vd, label+": the derivation after the receiver's moves")
+			}
+			requirePlansIdentical(t, al, rebuilt(t, al), v, label+": the receiver after its moves")
+		}
+		if !slices.EqualFunc(denseOf(s.N(), s.At), inS, sameBits) || !slices.EqualFunc(denseOf(a.N(), a.At), inA, sameBits) {
+			t.Fatalf("%+v: the patches wrote the rows the build was given", cfg)
+		}
+	}
+}
+
+// plannerState is a deep copy of what a planner plans from: S, A, T and K
+// as dense matrices, each flow row's conn and every column with its values.
+// A bare closure's holds S and T only.
+type plannerState struct {
+	s, a, t, k [][]float64
+	conn       []float64
+	cols       []column
+}
+
+func closureState(c *transitive.Closure) plannerState {
+	return plannerState{s: denseOf(c.N(), c.Edge), t: c.T()}
+}
+
+func allocatorState(al *Allocator) plannerState {
+	st := closureState(al.clo)
+	st.a, st.k = denseOf(al.n, al.Agreement), al.FlowCoefficients()
+	for i, col := range al.cols {
+		st.conn = append(st.conn, al.flow[i].conn)
+		st.cols = append(st.cols, column{idx: slices.Clone(col.idx), k: slices.Clone(col.k), a: slices.Clone(col.a)})
+	}
+	return st
+}
+
+// sameState reports whether two states hold the same numbers, bit for bit.
+func sameState(x, y plannerState) bool {
+	for _, m := range [][2][][]float64{{x.s, y.s}, {x.a, y.a}, {x.t, y.t}, {x.k, y.k}} {
+		if !slices.EqualFunc(m[0], m[1], sameBits) {
+			return false
+		}
+	}
+	return sameBits(x.conn, y.conn) && slices.EqualFunc(x.cols, y.cols, func(p, q column) bool {
+		return slices.Equal(p.idx, q.idx) && sameBits(p.k, q.k) && sameBits(p.a, q.a)
 	})
 }

@@ -2,27 +2,35 @@ package modeltest
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/num"
 )
 
 // PlanIncrementalEquivalence (the "plan-incremental" property): an
-// allocator evolved through the incremental mutators — SetShare edge
-// updates, SetAgreement quantity updates, availability deltas, moves of
+// allocator evolved in place through the served mutators — PatchShare edge
+// updates, PatchAgreement quantity updates, availability deltas, moves of
 // the values those made, and the revocation of each (the cell set back to
 // exactly zero, which is what the GRM's revoke patch does when no ticket
 // survives) — must be indistinguishable from a freshly built NewAllocator
 // over the mutated matrices at every step of the schedule: same
 // capacities, same plan takes, same θ, bit for bit. Value moves flip no
 // cell, so the allocator keeps the skeletons earlier steps built and
-// rebinds them; each cycle plans one requester throughout, so the plans
-// after the moves run on the skeleton the plans before them built. The
-// schedule is derived deterministically from the graph itself (row-major
-// pair walk, kind cycling by step), so replaying a failing seed reruns the
-// identical schedule and the shrinker minimizes the divergent schedule
-// simply by minimizing the graph; the check stops at the first divergent
-// step, so the reported step index is the minimal failing prefix.
+// rebinds them, and writes over the values of the rows and columns earlier
+// steps laid out; each cycle plans one requester throughout, so the plans
+// after the moves run on the skeleton the plans before them built. At one
+// step, picked from the graph, the schedule also takes a persistent
+// derivation, Grow(1), which shares every row and column with the patched
+// allocator: from then on the derivation must plan as a fresh build of the
+// matrices it was taken over, at every step, however the allocator is
+// patched beside it. The schedule is derived deterministically from the
+// graph itself (row-major pair walk, kind cycling by step), so replaying a
+// failing seed reruns the identical schedule and the shrinker minimizes the
+// divergent schedule simply by minimizing the graph; the check stops at the
+// first divergent step, so the reported step index is the minimal failing
+// prefix.
 
 // incrementalCycle is the number of step kinds; maxIncrementalSteps bounds
 // the schedule per graph. Divergence from a patched closure or a stale
@@ -40,29 +48,41 @@ func (c *checker) checkIncrementalPlan() error {
 		return nil
 	}
 	n := c.g.N
-	cur := c.al
 	s := cloneSquare(c.g.S)
 	var a [][]float64
 	if c.g.A != nil {
 		a = cloneSquare(c.g.A)
 	}
 	v := append([]float64(nil), c.g.V...)
+	cur, err := core.NewAllocator(s, a, core.Config{Level: c.g.Level})
+	if err != nil {
+		return fmt.Errorf("allocator construction: %w", err)
+	}
+	if n < 2 {
+		return nil // no pair to edit
+	}
+	// The persistent derivation: Grow(1) at step deriveAt, over the matrices
+	// then in force, grown by an unconnected principal.
+	deriveAt := int(math.Float64bits(v[0]) % uint64(min(maxIncrementalSteps, n*(n-1))))
+	var grown *core.Allocator
+	var grownS, grownA [][]float64
 
 	step := 0
 	relI, relJ, absI, absJ := -1, -1, -1, -1 // the last pairs steps 0 and 1 edited
-	// set derives through one mutator call, refusing like the schedule does.
-	set := func(what string, i, j int, old, next float64, mutate func(i, j int, old, next float64) (*core.Allocator, error)) error {
-		d, err := mutate(i, j, old, next)
-		if err != nil {
+	// patch makes one in-place mutation, refusing like the schedule does.
+	patch := func(what string, i, j int, old, next float64, mutate func(i, j int, old, next float64) error) error {
+		if err := mutate(i, j, old, next); err != nil {
 			return fmt.Errorf("step %d: %s(%d, %d, %g, %g): %w", step, what, i, j, old, next, err)
 		}
-		cur = d
 		return nil
 	}
 	for i := 0; i < n && step < maxIncrementalSteps; i++ {
 		for j := 0; j < n && step < maxIncrementalSteps; j++ {
 			if i == j {
 				continue
+			}
+			if step == deriveAt {
+				grown, grownS, grownA = cur.Grow(1), growSquare(s, n+1), growSquare(a, n+1)
 			}
 			var err error
 			switch step % incrementalCycle {
@@ -71,37 +91,43 @@ func (c *checker) checkIncrementalPlan() error {
 				if s[i][j] > 0 {
 					next = s[i][j] / 2
 				}
-				err = set("SetShare", i, j, s[i][j], next, cur.SetShare)
+				err = patch("PatchShare", i, j, s[i][j], next, cur.PatchShare)
 				s[i][j], relI, relJ = next, i, j
 			case 1: // absolute agreement update (creates A when absent)
 				if a == nil {
 					a = zeroMatrix(n)
 				}
-				err = set("SetAgreement", i, j, a[i][j], a[i][j]+0.5, cur.SetAgreement)
+				err = patch("PatchAgreement", i, j, a[i][j], a[i][j]+0.5, cur.PatchAgreement)
 				a[i][j], absI, absJ = a[i][j]+0.5, i, j
 			case 2: // availability delta: no mutator, but the planner replans
 				v[i] += 1
 			case 3: // move the value of the relative edge step 0 last edited
-				err = set("SetShare", relI, relJ, s[relI][relJ], s[relI][relJ]*0.75, cur.SetShare)
+				err = patch("PatchShare", relI, relJ, s[relI][relJ], s[relI][relJ]*0.75, cur.PatchShare)
 				s[relI][relJ] *= 0.75
 			case 4: // move the value of the absolute agreement step 1 last edited
-				err = set("SetAgreement", absI, absJ, a[absI][absJ], a[absI][absJ]+0.25, cur.SetAgreement)
+				err = patch("PatchAgreement", absI, absJ, a[absI][absJ], a[absI][absJ]+0.25, cur.PatchAgreement)
 				a[absI][absJ] += 0.25
 			case 5: // revoke the relative edge: the entry leaves S
-				err = set("SetShare", relI, relJ, s[relI][relJ], 0, cur.SetShare)
+				err = patch("PatchShare", relI, relJ, s[relI][relJ], 0, cur.PatchShare)
 				s[relI][relJ] = 0
 			default: // revoke the absolute agreement
-				err = set("SetAgreement", absI, absJ, a[absI][absJ], 0, cur.SetAgreement)
+				err = patch("PatchAgreement", absI, absJ, a[absI][absJ], 0, cur.PatchAgreement)
 				a[absI][absJ] = 0
 			}
 			if err != nil {
 				return err
 			}
-			if err := compareIncremental(cur, s, a, v, c.g.Level, step/incrementalCycle%n); err != nil {
+			requester := step / incrementalCycle % n
+			if err := compareIncremental(cur, s, a, v, c.g.Level, requester); err != nil {
 				return fmt.Errorf("incremental allocator diverged from fresh rebuild at step %d: %w", step, err)
 			}
 			if err := checkSparseRows(cur); err != nil {
 				return fmt.Errorf("after step %d: %w", step, err)
+			}
+			if grown != nil {
+				if err := compareIncremental(grown, grownS, grownA, append(v[:n:n], 1), c.g.Level, requester); err != nil {
+					return fmt.Errorf("the allocator Grow derived at step %d diverged from a fresh build of its matrices after step %d: %w", deriveAt, step, err)
+				}
 			}
 			step++
 		}
@@ -109,14 +135,42 @@ func (c *checker) checkIncrementalPlan() error {
 	return nil
 }
 
+// growSquare copies an n×n matrix into a larger nn×nn one, zero-extending
+// every row and appending zero rows; nil stays nil.
+func growSquare(m [][]float64, nn int) [][]float64 {
+	if m == nil {
+		return nil
+	}
+	out := zeroMatrix(nn)
+	for i := range m {
+		copy(out[i], m[i])
+	}
+	return out
+}
+
 // compareIncremental pins the evolved allocator against a from-scratch
-// NewAllocator over the same matrices: capacities and one full plan must
-// agree bit for bit (the incremental paths replay NewAllocator's exact
-// per-row arithmetic, so this is equality, not tolerance).
+// NewAllocator over the same matrices: the agreements it holds, every flow
+// row it stores, capacities and one full plan must agree bit for bit (the
+// incremental paths replay NewAllocator's exact per-row arithmetic, so this
+// is equality, not tolerance).
 func compareIncremental(cur *core.Allocator, s, a [][]float64, v []float64, level, requester int) error {
 	fresh, err := core.NewAllocator(s, a, core.Config{Level: level})
 	if err != nil {
 		return fmt.Errorf("fresh rebuild refused matrices the mutators accepted: %w", err)
+	}
+	for i := range s {
+		for j := range s[i] {
+			//lint:ignore sharingvet/floateq incremental results are pinned bit-identical to the rebuild
+			if cur.Share(i, j) != s[i][j] || cur.Agreement(i, j) != fresh.Agreement(i, j) {
+				return fmt.Errorf("S[%d][%d], A[%d][%d] = %g, %g incremental, %g, %g fresh",
+					i, j, i, j, cur.Share(i, j), cur.Agreement(i, j), s[i][j], fresh.Agreement(i, j))
+			}
+		}
+		gc, gt, gk := cur.FlowRow(i)
+		wc, wt, wk := fresh.FlowRow(i)
+		if !slices.Equal(gc, wc) || !sameFloats(gt, wt) || !sameFloats(gk, wk) {
+			return fmt.Errorf("flow row %d: columns %v, T %v, K %v incremental, %v, %v, %v fresh", i, gc, gt, gk, wc, wt, wk)
+		}
 	}
 	gotCaps := cur.Capacities(v)
 	wantCaps := fresh.Capacities(v)
@@ -151,6 +205,11 @@ func compareIncremental(cur *core.Allocator, s, a [][]float64, v []float64, leve
 		}
 	}
 	return nil
+}
+
+// sameFloats reports whether two slices hold the same values, bit for bit.
+func sameFloats(x, y []float64) bool {
+	return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
 }
 
 // cloneSquare deep-copies a square matrix.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/num"
 	"repro/internal/par"
@@ -62,8 +63,15 @@ var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 // the receiver's own tables, for an owner that never reads an older
 // version: the grm server plans and patches its planner under one state
 // lock, so no solve is in flight across a mutation, and its writes copy no
-// O(n) table. Either way a patch writes table slots, never a row's backing
-// array, so a row is immutable once stored.
+// O(n) table.
+//
+// A row's column list never changes once it is stored: later readers
+// alias it (a planner's full-formulation skeleton holds column lists it
+// was built from). Its values may be written in place, by the one closure
+// that owns them: the row's epoch is that closure's (see Closure.epoch).
+// So a patch that moves only values of rows its closure owns allocates
+// nothing, and a row shared with a Clone or an ancestor is copied before
+// it is written, leaving those valid.
 type Closure struct {
 	// reqLevel is the level of transitivity as requested at construction,
 	// before clamping; clamping is redone against the current n so a
@@ -71,13 +79,35 @@ type Closure struct {
 	reqLevel int
 	approx   bool
 	n        int
-	t        []sparseRow // T's rows; each shared with clones, never written
+	t        []sparseRow // T's rows, each shared with clones until a patch replaces it
 	s        []sparseRow // S's rows, the out-edges of each principal; likewise
 	edges    int
 	// budget caps the steps (DFS steps plus DP cell updates) one exact
 	// build or delta may charge (0 = no cap); past it the build or the
 	// mutation is abandoned with ErrBudget.
 	budget int
+	// epoch marks the rows whose values this closure owns: those stamped
+	// with it, which it allocated since it last took part in a derivation.
+	// Every derivation (Clone, and so UpdateEdge and UpdateRow, and Grow)
+	// gives its receiver and its result fresh epochs, so a row two closures
+	// share is owned by neither. Derivations of one receiver may run
+	// concurrently, hence the atomic.
+	epoch atomic.Uint64
+}
+
+// epochs hands out closure epochs from 1: rows stamped 0, such as
+// NewClosureCSR's S rows, which alias the caller's input, are owned by no
+// closure.
+var epochs atomic.Uint64
+
+// renew gives c a fresh epoch: no row allocated so far is c's to write.
+func (c *Closure) renew() { c.epoch.Store(epochs.Add(1)) }
+
+// stamp marks rows as allocated by the closure holding epoch.
+func stamp(rows []sparseRow, epoch uint64) {
+	for i := range rows {
+		rows[i].epoch = epoch
+	}
 }
 
 // blastDenominator sets the delta fallback threshold: once an update's
@@ -131,7 +161,10 @@ func newClosureFromRows(n int, g []sparseRow, edges, level int, approx bool, bud
 	if !ok {
 		return nil, budgetErr(budget)
 	}
-	return &Closure{reqLevel: level, approx: approx, n: n, t: t, s: g, edges: edges, budget: budget}, nil
+	c := &Closure{reqLevel: level, approx: approx, n: n, t: t, s: g, edges: edges, budget: budget}
+	c.renew()
+	stamp(t, c.epoch.Load())
+	return c, nil
 }
 
 // N returns the number of principals.
@@ -154,14 +187,14 @@ func (c *Closure) FlowRow(src int) ([]int32, []float64) {
 }
 
 // Bytes returns the memory the closure's rows hold: 12 bytes per stored
-// S and T entry plus a row of each per principal (two slice headers a
-// row). Rows shared with other closures are counted in full.
+// S and T entry plus a row of each per principal (two slice headers and
+// an epoch a row). Rows shared with other closures are counted in full.
 func (c *Closure) Bytes() int {
 	entries := c.edges
 	for _, row := range c.t {
 		entries += len(row.cols)
 	}
-	return 12*entries + 4*24*c.n
+	return 12*entries + 2*(2*24+8)*c.n
 }
 
 // Edge returns the current agreement entry S[src][dst]: a binary search
@@ -190,11 +223,15 @@ func (c *Closure) WithBudget(steps int) *Closure {
 }
 
 // Clone returns a closure that shares every row with c but owns its two
-// row tables, so a patch of the clone (PatchEdge) leaves c as it was.
+// row tables, so a patch of the clone (PatchEdge) leaves c as it was, and
+// a patch of c the clone. Both take fresh epochs: neither writes a shared
+// row in place.
 func (c *Closure) Clone() *Closure {
-	d := *c
-	d.t, d.s = slices.Clone(c.t), slices.Clone(c.s)
-	return &d
+	d := &Closure{reqLevel: c.reqLevel, approx: c.approx, n: c.n, t: slices.Clone(c.t), s: slices.Clone(c.s),
+		edges: c.edges, budget: c.budget}
+	c.renew()
+	d.renew()
+	return d
 }
 
 // checkEdge validates an edit of S[src][dst] from oldVal to newVal.
@@ -238,28 +275,38 @@ func (c *Closure) UpdateEdge(src, dst int, oldVal, newVal float64) (*Closure, []
 	return d, changed, nil
 }
 
-// PatchEdge is UpdateEdge applied to the receiver itself: it writes the
-// new S row and every T row that changed into c's own tables, and appends
-// those T rows, ascending, to changed and the column list each held before
-// to old. A patch writes table slots only, never a row's backing array, so
-// rows stay shared with every Clone and ancestor, and those stay valid;
-// but c's caller must be its only user, with no read of c in flight. After
-// an error c is partly patched and must be discarded. A no-op change
-// writes nothing.
-func (c *Closure) PatchEdge(src, dst int, oldVal, newVal float64, changed []int, old [][]int32) ([]int, [][]int32, error) {
+// PatchEdge is UpdateEdge applied to the receiver itself: it puts the
+// new S entry and every T row that changed into c, and appends those T
+// rows, ascending, to changed, the column list each held before to old,
+// and the values each held to vals, back to back (row x's are the
+// len(old[x]) after row x-1's). A value that c owns (see Closure) is
+// written in place, so the values a row held survive only in vals; any
+// other row is replaced in c's tables, staying as it was for every Clone
+// and ancestor sharing it. c's caller must be its only user, with no read
+// of c in flight. After an error c is partly patched and must be
+// discarded. A no-op change writes nothing.
+func (c *Closure) PatchEdge(src, dst int, oldVal, newVal float64, changed []int, old [][]int32, vals []float64) ([]int, [][]int32, []float64, error) {
 	if err := c.checkEdge(src, dst, oldVal, newVal); err != nil {
-		return changed, old, fmt.Errorf("transitive: PatchEdge(%d, %d): %w", src, dst, err)
+		return changed, old, vals, fmt.Errorf("transitive: PatchEdge(%d, %d): %w", src, dst, err)
 	}
 	if num.IsZero(oldVal - newVal) {
-		return changed, old, nil
+		return changed, old, vals, nil
 	}
-	cols, vals := SetEntry(c.s[src].cols, c.s[src].vals, dst, newVal)
 	sc := getScratch(c.n)
 	defer sc.put()
-	if err := c.edit(sc, src, cols, vals); err != nil {
-		return changed, old, fmt.Errorf("transitive: PatchEdge(%d, %d): %w", src, dst, err)
+	var err error
+	row := c.s[src]
+	if k, ok := slices.BinarySearch(row.cols, int32(dst)); ok && !num.IsZero(newVal) && row.epoch == c.epoch.Load() {
+		row.vals[k] = newVal // an owned value moved; the affected set reads patterns only
+		err = c.recompute(c.affected(sc, src), sc)
+	} else {
+		nc, nv := SetEntry(row.cols, row.vals, dst, newVal)
+		err = c.edit(sc, src, nc, nv)
 	}
-	return append(changed, sc.changed...), append(old, sc.old...), nil
+	if err != nil {
+		return changed, old, vals, fmt.Errorf("transitive: PatchEdge(%d, %d): %w", src, dst, err)
+	}
+	return append(changed, sc.changed...), append(old, sc.old...), append(vals, sc.oldVals...), nil
 }
 
 // UpdateRow derives a closure with the whole out-edge row S[src]
@@ -313,13 +360,13 @@ func (c *Closure) derive(src int, cols []int32, vals []float64) (*Closure, []int
 	return d, append([]int(nil), sc.changed...), nil
 }
 
-// edit puts (cols, vals) in S's row src and recomputes, through sc, the T
-// rows that can reach src: the one patch behind every mutator. The
-// affected set is read after the edit, which cannot change it (see
-// Closure).
+// edit puts (cols, vals), whose values c owns, in S's row src and
+// recomputes, through sc, the T rows that can reach src: the one patch
+// behind every mutator. The affected set is read after the edit, which
+// cannot change it (see Closure).
 func (c *Closure) edit(sc *rowScratch, src int, cols []int32, vals []float64) error {
 	c.edges += len(cols) - len(c.s[src].cols)
-	c.s[src] = sparseRow{cols: cols, vals: vals}
+	c.s[src] = sparseRow{cols: cols, vals: vals, epoch: c.epoch.Load()}
 	return c.recompute(c.affected(sc, src), sc)
 }
 
@@ -335,10 +382,13 @@ func (c *Closure) Grow(k int) *Closure {
 	}
 	nn := c.n + k
 	d := &Closure{reqLevel: c.reqLevel, approx: c.approx, n: nn, edges: c.edges, budget: c.budget}
+	c.renew()
+	d.renew()
 	d.s = make([]sparseRow, nn)
 	copy(d.s, c.s)
 	if c.approx && d.Level() != c.Level() {
 		d.t, _ = sparseRows(nn, d.s, d.reqLevel, true, par.Workers(nn), nil)
+		stamp(d.t, d.epoch.Load())
 		return d
 	}
 	d.t = make([]sparseRow, nn)
@@ -388,21 +438,22 @@ func (c *Closure) affected(sc *rowScratch, src int) []int {
 }
 
 // recompute refreshes the given rows of c's T against c's agreement rows,
-// comparing each against the row c holds: only rows that actually changed
-// are replaced, so an unchanged row keeps sharing memory with every clone.
-// sc.changed lists the replaced rows, ascending, and sc.old the column
-// list each held. Past the blast-radius threshold it abandons the delta
+// comparing each against the row c holds before it stores anything (see
+// store): an unchanged row keeps sharing memory with every clone.
+// sc.changed lists the changed rows, ascending, and sc.old and sc.oldVals
+// what each held. Past the blast-radius threshold it abandons the delta
 // and recomputes every row with the parallel full build, keeping c's table
-// until it has compared. Either way the work is charged to c's budget as
-// it is done, and ErrBudget abandons c. The delta runs its rows through
-// sc, which must be clear.
+// until it has compared and replacing each row that changed. Either way
+// the work is charged to c's budget as it is done, and ErrBudget abandons
+// c. The delta runs its rows through sc, which must be clear.
 func (c *Closure) recompute(rows []int, sc *rowScratch) error {
 	n := c.n
 	budget := c.budget
 	if c.approx {
 		budget = 0 // walk counting is polynomial and never refused
 	}
-	sc.changed, sc.old = sc.changed[:0], sc.old[:0]
+	epoch := c.epoch.Load()
+	sc.changed, sc.old, sc.oldVals = sc.changed[:0], sc.old[:0], sc.oldVals[:0]
 	if blastDenominator*len(rows) > n {
 		t, ok := sparseRows(n, c.s, c.reqLevel, c.approx, par.Workers(n), newMeter(budget))
 		if !ok {
@@ -410,7 +461,9 @@ func (c *Closure) recompute(rows []int, sc *rowScratch) error {
 		}
 		for i, row := range t {
 			if !rowsEqual(c.t[i], row) {
-				c.replace(sc, i, row)
+				sc.note(i, c.t[i])
+				row.epoch = epoch
+				c.t[i] = row
 			}
 		}
 		return nil
@@ -421,18 +474,33 @@ func (c *Closure) recompute(rows []int, sc *rowScratch) error {
 		if !sc.row(c.s, src, maxLen, c.approx, m) {
 			return budgetErr(c.budget)
 		}
-		if row := sc.take(); !rowsEqual(c.t[src], row) {
-			c.replace(sc, src, row)
-		}
+		c.store(sc, src, epoch)
 	}
 	return nil
 }
 
-// replace puts row in T's slot i, noting i and the columns it replaced in
-// sc.
-func (c *Closure) replace(sc *rowScratch, i int, row sparseRow) {
-	sc.changed, sc.old = append(sc.changed, i), append(sc.old, c.t[i].cols)
-	c.t[i] = row
+// store settles T's row i against the row sc accumulated, comparing before
+// it copies: an identical row costs nothing; one whose values alone moved
+// is written over the held values if c owns them (epoch is c's), else into
+// fresh values beside the held column list; any other row is taken at
+// exact size. A changed row is noted in sc.
+func (c *Closure) store(sc *rowScratch, i int, epoch uint64) {
+	held := c.t[i]
+	pattern, same := sc.matches(held)
+	if same {
+		sc.discard()
+		return
+	}
+	sc.note(i, held)
+	switch {
+	case !pattern:
+		c.t[i] = sc.take()
+		c.t[i].epoch = epoch
+		return
+	case held.epoch != epoch: // other closures may read these values
+		c.t[i] = sparseRow{cols: held.cols, vals: make([]float64, len(held.cols)), epoch: epoch}
+	}
+	sc.emit(c.t[i].vals)
 }
 
 // rowsEqual reports whether two sparse rows hold identical values. Rows

@@ -116,9 +116,11 @@ func TestClosureUpdateEdgeMatchesFull(t *testing.T) {
 // another through UpdateEdge over the same random edits, on the delta path
 // and past the blast-radius threshold, and after each requires both to hold
 // NewClosure's rows bit for bit and the same agreement entries, to report
-// the same changed rows, and PatchEdge to hand back the columns each of
-// those rows held. A Clone taken before each patch shares every row with
-// the patched closure; it must keep its T as it was.
+// the same changed rows, and PatchEdge to hand back the columns and the
+// values each of those rows held. A Clone taken before every third patch
+// shares every row with the patched closure; it must keep its T as it
+// was. Between clones the patched closure owns the rows it wrote, and
+// writes the values of those whose pattern holds in place.
 func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -139,7 +141,7 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		s := randomSparse(rng, tc.n, tc.edges)
 		up, p := NewClosure(s, tc.level, tc.approx), NewClosure(s, tc.level, tc.approx)
-		prevCols := make([][]int32, tc.n)
+		prevCols, prevVals, prevPtr := make([][]int32, tc.n), make([][]float64, tc.n), make([]*float64, tc.n)
 		for step := 0; step < 40; step++ {
 			src, dst := rng.Intn(tc.n), rng.Intn(tc.n)
 			if src == dst {
@@ -157,15 +159,23 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 			}
 			sc.put()
 			for i := range prevCols {
-				prevCols[i], _ = p.FlowRow(i)
+				cols, vals := p.FlowRow(i)
+				prevCols[i], prevVals[i], prevPtr[i] = cols, slices.Clone(vals), nil
+				if len(vals) > 0 {
+					prevPtr[i] = &vals[0]
+				}
 			}
-			clone := p.Clone()
-			cloneT, cloneS := clone.T(), edgesOf(clone)
+			var clone *Closure
+			var cloneT, cloneS [][]float64
+			if step%3 == 0 {
+				clone = p.Clone()
+				cloneT, cloneS = clone.T(), edgesOf(clone)
+			}
 			next, changed, err := up.UpdateEdge(src, dst, ov, nv)
 			if err != nil {
 				t.Fatalf("%s step %d: UpdateEdge(%d,%d,%v,%v): %v", tc.name, step, src, dst, ov, nv, err)
 			}
-			patched, old, err := p.PatchEdge(src, dst, ov, nv, nil, nil)
+			patched, old, oldVals, err := p.PatchEdge(src, dst, ov, nv, nil, nil, nil)
 			if err != nil {
 				t.Fatalf("%s step %d: PatchEdge(%d,%d,%v,%v): %v", tc.name, step, src, dst, ov, nv, err)
 			}
@@ -175,8 +185,10 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 			requireBitEqual(t, next.T(), want, label+": UpdateEdge")
 			requireBitEqual(t, p.T(), want, label+": PatchEdge")
 			requireBitEqual(t, edgesOf(p), s, label+": PatchEdge's agreement entries")
-			requireBitEqual(t, clone.T(), cloneT, label+": a Clone taken before the patch")
-			requireBitEqual(t, edgesOf(clone), cloneS, label+": the agreement entries of a Clone taken before the patch")
+			if clone != nil {
+				requireBitEqual(t, clone.T(), cloneT, label+": a Clone taken before the patch")
+				requireBitEqual(t, edgesOf(clone), cloneS, label+": the agreement entries of a Clone taken before the patch")
+			}
 			if !slices.Equal(changed, patched) || len(old) != len(patched) {
 				t.Fatalf("%s: UpdateEdge changed rows %v, PatchEdge %v with %d old column lists", label, changed, patched, len(old))
 			}
@@ -184,6 +196,15 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 				if !slices.Equal(old[x], prevCols[r]) {
 					t.Fatalf("%s: row %d held columns %v, PatchEdge handed back %v", label, r, prevCols[r], old[x])
 				}
+				held := oldVals[:len(old[x])]
+				oldVals = oldVals[len(old[x]):]
+				requireBitEqual(t, [][]float64{held}, [][]float64{prevVals[r]}, label+": the values PatchEdge handed back")
+				if _, vals := p.FlowRow(r); len(vals) > 0 && &vals[0] == prevPtr[r] {
+					paths["in place"]++
+				}
+			}
+			if len(oldVals) != 0 {
+				t.Fatalf("%s: PatchEdge handed back %d values beyond the rows' columns", label, len(oldVals))
 			}
 			if ov != nv { //lint:ignore sharingvet/floateq counts edits that moved a value
 				paths[path]++
@@ -191,9 +212,9 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 			up = next
 		}
 	}
-	t.Logf("edits by path: %v", paths)
-	if paths["delta"] == 0 || paths["blast"] == 0 {
-		t.Fatalf("edits by path %v: want both the delta and the blast-radius path", paths)
+	t.Logf("edits by path, and rows written in place: %v", paths)
+	if paths["delta"] == 0 || paths["blast"] == 0 || paths["in place"] == 0 {
+		t.Fatalf("edits by path %v: want both the delta and the blast-radius path, and rows written in place", paths)
 	}
 }
 

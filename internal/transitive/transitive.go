@@ -142,17 +142,20 @@ func adjacency(s [][]float64) (g []sparseRow, edges int) {
 // sparseRow is one row of a sparse matrix — S's out-edges of a principal or
 // T's flow coefficients — as the ascending columns of its entries and their
 // values. A matrix is one slice of rows, so a copy-on-write derivation
-// copies one table of them.
+// copies one table of them. epoch is that of the closure that allocated
+// vals, the one closure that may write them in place while it holds that
+// epoch (see Closure); cols are never written once stored.
 type sparseRow struct {
-	cols []int32
-	vals []float64
+	cols  []int32
+	vals  []float64
+	epoch uint64
 }
 
 // rowsOf pairs CSR column and value lists into rows, sharing their slices.
 func rowsOf(cols [][]int32, vals [][]float64) []sparseRow {
 	g := make([]sparseRow, len(cols))
 	for i := range g {
-		g[i] = sparseRow{cols[i], vals[i]}
+		g[i] = sparseRow{cols: cols[i], vals: vals[i]}
 	}
 	return g
 }
@@ -214,8 +217,8 @@ func SetEntry(cols []int32, vals []float64, j int, v float64) ([]int32, []float6
 // accumulator with the list of columns written, so that one row of T
 // costs its own chains and entries, never a pass over the population.
 // Between rows acc and dp are all zero and mark and visited all false;
-// take, takeDense and discard restore that. Scratch sets are pooled and
-// handed out one per worker (forRows), so a build holds at most
+// take, emit, takeDense and discard restore that. Scratch sets are pooled
+// and handed out one per worker (forRows), so a build holds at most
 // GOMAXPROCS of them.
 type rowScratch struct {
 	acc     []float64 // row accumulator
@@ -241,11 +244,12 @@ type rowScratch struct {
 	p, nx         []float64
 	pCols, nxCols []int32
 	// Closure.affected's rows, which the kernels never touch: a delta
-	// recomputes them with this same scratch. Of those, the rows it
-	// replaced and the column lists they held.
+	// recomputes them with this same scratch. Of those, the rows that
+	// changed, the column lists they held and their values back to back.
 	rows    []int
 	changed []int
 	old     [][]int32
+	oldVals []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
@@ -363,7 +367,46 @@ func (sc *rowScratch) take() sparseRow {
 		}
 	}
 	sc.discard()
-	return sparseRow{cols, vals}
+	return sparseRow{cols: cols, vals: vals}
+}
+
+// matches compares the accumulated row with row: whether it stores the
+// same columns, and whether also the same values.
+func (sc *rowScratch) matches(row sparseRow) (pattern, same bool) {
+	x, same := 0, true
+	for _, j := range sc.touched {
+		v := sc.acc[j]
+		if num.IsZero(v) {
+			continue
+		}
+		if x == len(row.cols) || row.cols[x] != j {
+			return false, false
+		}
+		same = same && num.IsZero(v-row.vals[x])
+		x++
+	}
+	if x != len(row.cols) {
+		return false, false
+	}
+	return true, same
+}
+
+// emit writes the accumulated row's values into vals, which has room for
+// exactly its entries, and clears the scratch for the next row.
+func (sc *rowScratch) emit(vals []float64) {
+	x := 0
+	for _, j := range sc.touched {
+		if v := sc.acc[j]; !num.IsZero(v) {
+			vals[x] = v
+			x++
+		}
+	}
+	sc.discard()
+}
+
+// note records that T's row i changed, and the columns and values it held.
+func (sc *rowScratch) note(i int, held sparseRow) {
+	sc.changed, sc.old, sc.oldVals = append(sc.changed, i), append(sc.old, held.cols), append(sc.oldVals, held.vals...)
 }
 
 // takeDense scatters the accumulated row into an all-zero dense row and
