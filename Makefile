@@ -134,15 +134,16 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # Enforcement hot-path benchmarks (allocation planning, transitive
-# closure, the simplex and its modeltest reference, lpsolve's parser)
-# captured into BENCH_hotpath.json. The file's "baseline" snapshot is
+# closure, the simplex and its modeltest reference, lpsolve's parser, the
+# take-vector spelling of the wire and the log) captured into
+# BENCH_hotpath.json. The file's "baseline" snapshot is
 # frozen on first write; later runs only replace "current", so the tracked
 # file records the trajectory against the pre-optimization numbers.
 # BENCHTIME=1x gives a smoke run in CI.
 BENCHTIME ?= 1s
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) \
-		./internal/core/ ./internal/planners/ ./internal/transitive/ ./internal/lp/ ./cmd/lpsolve/ \
+		./internal/core/ ./internal/planners/ ./internal/transitive/ ./internal/lp/ ./cmd/lpsolve/ ./internal/wirefmt/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_hotpath.json
 
 # Regression gate over the committed bench trajectory: every current
@@ -167,10 +168,11 @@ LOADGEN_DURATION ?= 3s
 loadgen-json:
 	$(GO) run ./cmd/loadgen -json BENCH_transport.json -duration $(LOADGEN_DURATION)
 
-# Short local fuzz passes over the snapshot, scenario-bundle, wire
-# envelope and write-ahead-log decoders, and lpsolve's model parser.
+# Short local fuzz passes over the snapshot, scenario-bundle, take-vector,
+# wire envelope and write-ahead-log decoders, and lpsolve's model parser.
 fuzz:
 	$(GO) test ./internal/agreement/ -fuzz FuzzSnapshotDecode -fuzztime 30s
+	$(GO) test ./internal/wirefmt/ -run '^$$' -fuzz FuzzTakes -fuzztime 30s
 	$(GO) test ./internal/scenario/ -fuzz FuzzBundleDecode -fuzztime 30s
 	$(GO) test ./internal/grm/ -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLogDecode -fuzztime 30s

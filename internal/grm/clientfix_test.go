@@ -132,7 +132,7 @@ func TestRetryAfterRestartRebindsPrincipal(t *testing.T) {
 
 // handshakeStub listens, reads a hello off every accepted connection and
 // lets answer reply before hanging up — a peer that does not speak
-// protocol v2.
+// protocol v3.
 func handshakeStub(t *testing.T, answer func(c net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -157,11 +157,11 @@ func handshakeStub(t *testing.T, answer func(c net.Conn)) string {
 	return ln.Addr().String()
 }
 
-// TestDialPreV2PeerSaysWhy dials peers that predate protocol v2: one that
+// TestDialPreV2PeerSaysWhy dials peers that predate protocol v3: one that
 // hangs up on the hello (what a gob decoder does with it), one that
 // answers with bytes that are not the magic, one that settles on version
-// 1. Each costs exactly one connection, and the error tells an operator
-// which address failed to speak which protocol.
+// 1 and one on version 2. Each costs exactly one connection, and the
+// error tells an operator which address failed to speak which protocol.
 func TestDialPreV2PeerSaysWhy(t *testing.T) {
 	for name, tc := range map[string]struct {
 		answer func(c net.Conn)
@@ -176,8 +176,12 @@ func TestDialPreV2PeerSaysWhy(t *testing.T) {
 			check:  func(err error) bool { return errors.Is(err, transport.ErrNotBinary) },
 		},
 		"settles on v1": {
-			answer: func(c net.Conn) { transport.WriteHello(c, transport.Version-1) },
+			answer: func(c net.Conn) { transport.WriteHello(c, 1) },
 			check:  func(err error) bool { return strings.Contains(err.Error(), "protocol version 1") },
+		},
+		"settles on v2": {
+			answer: func(c net.Conn) { transport.WriteHello(c, 2) },
+			check:  func(err error) bool { return strings.Contains(err.Error(), "protocol version 2") },
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -190,13 +194,13 @@ func TestDialPreV2PeerSaysWhy(t *testing.T) {
 			}
 			_, err := DialWithConfig(addr, "new", 10, cfg)
 			if err == nil {
-				t.Fatal("connected to a peer that does not speak protocol v2")
+				t.Fatal("connected to a peer that does not speak protocol v3")
 			}
 			if !tc.check(err) {
 				t.Errorf("err = %v: the cause is lost", err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, addr) || !strings.Contains(msg, "binary protocol v2") {
-				t.Errorf("err = %q, want it to name %s and binary protocol v2", msg, addr)
+			if msg := err.Error(); !strings.Contains(msg, addr) || !strings.Contains(msg, "binary protocol v3") {
+				t.Errorf("err = %q, want it to name %s and binary protocol v3", msg, addr)
 			}
 			if n := dials.Load(); n != 1 {
 				t.Errorf("%d connections dialed, want 1: a failed handshake is not retried on another wire", n)

@@ -6,8 +6,8 @@ package grm
 // of its payload (kindNone when the response carries only the error),
 // then the payload fields. Every field uses the transport encoding
 // primitives — uvarint/zigzag integers, 8-byte little-endian floats,
-// length-prefixed strings and slices, run-length encoded sparse vectors —
-// so the layout is deterministic byte for byte.
+// length-prefixed strings and slices, takes as wirefmt.AppendTakes spells
+// them — so the layout is deterministic byte for byte.
 
 import (
 	"fmt"
@@ -169,10 +169,10 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 		dst = wirefmt.AppendUvarint(dst, kindRevoke)
 	case resp.Alloc != nil:
 		dst = wirefmt.AppendUvarint(dst, kindAlloc)
-		if len(resp.Alloc.Sources) != len(resp.Alloc.Takes) {
-			return nil, fmt.Errorf("grm: encode alloc reply with %d sources for %d takes", len(resp.Alloc.Sources), len(resp.Alloc.Takes))
+		var err error
+		if dst, err = wirefmt.AppendTakes(dst, resp.Alloc.Sources, resp.Alloc.Takes); err != nil {
+			return nil, fmt.Errorf("grm: encode alloc reply: %w", err)
 		}
-		dst = wirefmt.AppendSparseFloat64s(dst, resp.Alloc.Sources, resp.Alloc.Takes)
 		dst = wirefmt.AppendFloat64(dst, resp.Alloc.Theta)
 		dst = wirefmt.AppendInt(dst, int64(resp.Alloc.Lease))
 		dst = wirefmt.AppendInt(dst, int64(resp.Alloc.TTL))
@@ -227,7 +227,7 @@ func (resp *Response) decode(data []byte) (uint64, error) {
 		resp.Revoke = &ReportReply{}
 	case kindAlloc:
 		b := new(allocReplyBox)
-		if src, takes := d.AppendSparseFloat64s(b.sources[:0], b.takes[:0]); len(src) > 0 {
+		if src, takes := d.AppendTakes(b.sources[:0], b.takes[:0]); len(src) > 0 {
 			b.reply.Sources, b.reply.Takes = src[:len(src):len(src)], takes[:len(takes):len(takes)]
 		}
 		b.reply.Theta, b.reply.Lease, b.reply.TTL = d.Float64(), int(d.Int()), d.Duration()

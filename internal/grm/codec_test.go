@@ -250,6 +250,22 @@ func TestAllocReplyLegacyDenseRefused(t *testing.T) {
 	}
 }
 
+// TestAllocReplyOutOfOrderRefused: a reply whose pairs the client's
+// decoder would refuse is an encode error, not a frame — repeated,
+// descending or negative sources included, not only unequal lengths.
+func TestAllocReplyOutOfOrderRefused(t *testing.T) {
+	for name, reply := range map[string]*AllocReply{
+		"descending": {Sources: []int{4, 2}, Takes: []float64{1, 2.5}, Lease: 3},
+		"repeated":   {Sources: []int{2, 2}, Takes: []float64{1, 2.5}, Lease: 3},
+		"negative":   {Sources: []int{-1}, Takes: []float64{1}, Lease: 3},
+		"unequal":    {Sources: []int{0, 2}, Takes: []float64{1}, Lease: 3},
+	} {
+		if enc, err := appendResponse(nil, &Response{Alloc: reply}); err == nil || enc != nil {
+			t.Errorf("%s: encoded as % x (%v), want an error and no frame", name, enc, err)
+		}
+	}
+}
+
 // TestCodecNoPanicOnGarbage feeds deterministic pseudo-random bytes to
 // both decoders: any outcome is fine except a panic, and anything
 // accepted must re-encode cleanly (garbage that parses is harmless —

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // FuzzDecodeEnvelope feeds arbitrary bytes to both binary envelope
@@ -28,6 +29,10 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		&Response{Caps: &CapsReply{Available: []float64{1, 2}, Capacities: []float64{3, 4}}},        // the other float slices
 		&Response{Peers: &PeersReply{Names: []string{"a", "", "clusterA/node7"}}},                   // counted strings
 		&Response{Err: "partial", Alloc: &AllocReply{Sources: []int{3}, Takes: []float64{math.Pi}}}, // error beside a payload
+		// Trimmed takes: whole numbers, a far ring member's, -0 and +Inf.
+		&Response{Alloc: &AllocReply{Sources: []int{0, 2, 3}, Takes: []float64{40, math.Float64frombits(0x3dc4000000000000), 2.5}, Lease: 9}},
+		&Response{Alloc: &AllocReply{Sources: []int{1, 6}, Takes: []float64{math.Copysign(0, -1), math.Inf(1)}, TTL: time.Second}},
+		&Response{Alloc: ringReply()}, // 63 sources, most of them trimmed
 	)
 	for _, req := range reqs {
 		enc, err := appendRequest(nil, req)
@@ -76,13 +81,14 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			return
 		}
 		// Every decoded element took at least one input byte (a float
-		// eight), so nothing the decoder sized can exceed the input.
+		// eight), and a take at least half of one (its nibble in the
+		// trimmed form), so nothing the decoder sized can exceed the input.
 		budget := len(data)
 		if a := resp.Alloc; a != nil {
 			if len(a.Sources) != len(a.Takes) {
 				t.Fatalf("%d sources for %d takes", len(a.Sources), len(a.Takes))
 			}
-			if 8*cap(a.Sources) > budget || 8*cap(a.Takes) > budget {
+			if cap(a.Sources) > 2*budget || cap(a.Takes) > 2*budget {
 				t.Fatalf("alloc reply sized for %d sources and %d takes from %d bytes", cap(a.Sources), cap(a.Takes), budget)
 			}
 			for k, p := range a.Sources {
@@ -99,6 +105,20 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 		sameEnvelope(t, data, resp, &reply, appendResponse)
 	})
+}
+
+// ringReply is a grant shaped like ring64's: 63 sources in two runs
+// around requester 32, the takes falling by 0.4 a hop and rounded to
+// float32, so that each ends in zero bytes.
+func ringReply() *AllocReply {
+	r := &AllocReply{Theta: 0.5, Lease: 77, TTL: time.Minute}
+	for p := 0; p < 64; p++ {
+		if hops := 32 - min(p, 64-p); hops > 0 {
+			r.Sources = append(r.Sources, p)
+			r.Takes = append(r.Takes, float64(float32(12*math.Pow(0.4, float64(hops)))))
+		}
+	}
+	return r
 }
 
 // sameEnvelope holds an accepted envelope, decoded fresh and in place, to

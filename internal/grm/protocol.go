@@ -4,7 +4,7 @@
 // Resource Managers (LRMs) that register their resources, report
 // fluctuating availability, and request allocations.
 //
-// The wire protocol is version 2 of a binary framing over TCP (stdlib
+// The wire protocol is version 3 of a binary framing over TCP (stdlib
 // only): after a 5-byte hello each LRM connection carries CRC-framed
 // request/response envelopes tagged with request ids, any number in
 // flight, answered in completion order (transport/wire.go has the frame,

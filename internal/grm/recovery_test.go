@@ -533,20 +533,114 @@ func TestJournalTakesArePairs(t *testing.T) {
 // This build must read it, append to it in binary, compact it, and land
 // on identical books after every reopen.
 func TestRecoverJSONLogThroughAppendAndCompact(t *testing.T) {
+	recoverOldLog(t, oldLog{
+		dir: "json_wal",
+		isOld: func(raw []byte) bool {
+			return bytes.Contains(raw, []byte(`"src":[`)) && bytes.Contains(raw, []byte(`"takes":[0,0,0,`))
+		},
+		stale: func(raw []byte) bool { return bytes.Contains(raw, []byte(`"seq"`)) },
+		clock: time.Unix(1_000_000_060, 0),
+		avail: []float64{98.88888888888891, 56.111111111111086, 0, 2.842170943040401e-14, 66.66666666666666,
+			106.66666666666666, 116.66666666666666, 140, 150, 0, 170, 180, 23.25},
+		leases: 4, agreements: 4,
+		// A report, an allocation, a renewal of the snapshot's pair-form
+		// lease, a release of the tail's dense one, a revocation.
+		appends: []*Request{
+			{Report: &ReportRequest{Principal: 10, Available: 165}},
+			{Alloc: &AllocRequest{Principal: 10, Amount: 20}},
+			{Renew: &RenewRequest{Lease: 1}},
+			{Release: &ReleaseRequest{Lease: 5}},
+			{Revoke: &RevokeRequest{Ticket: 4}},
+		},
+		held: []int{1, 4, 6, 7},
+	})
+}
+
+// TestRecoverV2BinaryLogThroughAppendAndCompact replays
+// testdata/binary_v2_wal, a log directory written by the last build whose
+// takes were protocol version 2's 8-byte runs: a snapshot of a ring of
+// eight (a revoked share, three leases) and a tail of two allocations, a
+// renewal, a release and a share. This build must read it, append to it
+// in its own spelling, compact it, and land on identical books after
+// every reopen.
+func TestRecoverV2BinaryLogThroughAppendAndCompact(t *testing.T) {
+	// v2Takes reports whether raw holds a frame with an alloc or state
+	// kind byte as version 2 wrote it, without the mark of the current
+	// spelling.
+	v2Takes := func(raw []byte) bool {
+		fr := wirefmt.NewReader(bytes.NewReader(raw), int64(len(raw)))
+		for {
+			payload, err := fr.Next()
+			if err != nil {
+				return false
+			}
+			if k := store.Kind(payload[0]); k == store.KindAlloc || k == store.KindState {
+				return true
+			}
+		}
+	}
+	recoverOldLog(t, oldLog{
+		dir: "binary_v2_wal",
+		isOld: func(raw []byte) bool {
+			return v2Takes(raw) && !bytes.Contains(raw, []byte(`"seq"`))
+		},
+		stale: v2Takes,
+		clock: time.Unix(1_000_000_060, 0),
+		avail: []float64{9.89500492000864, 21.763549739906836, 41.066522907339724, 60.31164578852651,
+			11.927795602485538, 81.25915063945924, 39.29975413289319, 90.97829661038794},
+		leases: 4, agreements: 17,
+		// A report, a registration, two allocations — the newcomer's,
+		// which takes a whole number from itself alone and so is written
+		// trimmed, and one of full mantissas from the ring — a renewal of
+		// the snapshot's lease, a release of one from the tail, a
+		// revocation.
+		appends: []*Request{
+			{Report: &ReportRequest{Principal: 2, Available: 64}},
+			{Register: &RegisterRequest{Name: "solo", Capacity: 100}},
+			{Alloc: &AllocRequest{Principal: 8, Amount: 40}},
+			{Alloc: &AllocRequest{Principal: 7, Amount: 37.1}},
+			{Renew: &RenewRequest{Lease: 3}},
+			{Release: &ReleaseRequest{Lease: 5}},
+			{Revoke: &RevokeRequest{Ticket: 5}},
+		},
+		held: []int{1, 3, 4, 6, 7},
+	})
+}
+
+// oldLog is a log directory in testdata written by an older build, and
+// what its writer's books read when it stopped.
+type oldLog struct {
+	dir        string
+	isOld      func(raw []byte) bool // the file is in the old format
+	stale      func(raw []byte) bool // raw still holds a record in the old format
+	clock      time.Time             // where the writer's clock stood
+	avail      []float64             // the writer's Status availabilities
+	leases     int
+	agreements int
+	appends    []*Request // served after recovery, journaled by this build
+	held       []int      // the leases outstanding after appends
+}
+
+// recoverOldLog reads old's directory, appends to it, reopens it,
+// compacts it and reopens it again, and requires the books of a server
+// that never restarted at every step — and once more after every held
+// lease is released, which is where a wrong source would credit the
+// wrong principal.
+func recoverOldLog(t *testing.T, old oldLog) {
 	dir := t.TempDir() // OpenFileLog opens for append; keep testdata read-only
 	for _, name := range []string{"snapshot.wal", "wal.log"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "json_wal", name))
+		raw, err := os.ReadFile(filepath.Join("testdata", old.dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Contains(raw, []byte(`"src":[`)) || !bytes.Contains(raw, []byte(`"takes":[0,0,0,`)) {
-			t.Fatalf("%s is not a JSON log holding pair-form and dense takes", name)
+		if !old.isOld(raw) {
+			t.Fatalf("%s/%s is not the log it stands for", old.dir, name)
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	vc := vclock.NewVirtual(time.Unix(1_000_000_060, 0)) // where the writer's clock stood
+	vc := vclock.NewVirtual(old.clock)
 	reopen := func() (*Server, *store.FileLog) {
 		t.Helper()
 		wal, err := store.OpenFileLog(dir)
@@ -575,30 +669,23 @@ func TestRecoverJSONLogThroughAppendAndCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// What the writer's Status read when it stopped.
-	wantAvail := []float64{98.88888888888891, 56.111111111111086, 0, 2.842170943040401e-14, 66.66666666666666,
-		106.66666666666666, 116.66666666666666, 140, 150, 0, 170, 180, 23.25}
-	if st.Leases != 4 || st.Agreements != 4 || len(st.Principals) != len(wantAvail) {
-		t.Fatalf("recovered %d leases, %d agreements, %d principals; the fixture holds 4, 4 and %d", st.Leases, st.Agreements, len(st.Principals), len(wantAvail))
+	if st.Leases != old.leases || st.Agreements != old.agreements || len(st.Principals) != len(old.avail) {
+		t.Fatalf("recovered %d leases, %d agreements, %d principals; the fixture holds %d, %d and %d",
+			st.Leases, st.Agreements, len(st.Principals), old.leases, old.agreements, len(old.avail))
 	}
 	for i, ps := range st.Principals {
-		if ps.Available != wantAvail[i] {
-			t.Fatalf("recovered availability %v at principal %d, want %v", ps.Available, i, wantAvail[i])
+		if ps.Available != old.avail[i] {
+			t.Fatalf("recovered availability %v at principal %d, want %v", ps.Available, i, old.avail[i])
 		}
 	}
 
-	// Append in binary behind the JSON tail: a report, an allocation, a
-	// renewal of the snapshot's pair-form lease, a release of the tail's
-	// dense one, a revocation.
-	jsonTail, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	oldTail, err := os.ReadFile(filepath.Join(dir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	must(live.Handle(&Request{Report: &ReportRequest{Principal: 10, Available: 165}}))
-	must(live.Handle(&Request{Alloc: &AllocRequest{Principal: 10, Amount: 20}}))
-	must(live.Handle(&Request{Renew: &RenewRequest{Lease: 1}}))
-	must(live.Handle(&Request{Release: &ReleaseRequest{Lease: 5}}))
-	must(live.Handle(&Request{Revoke: &RevokeRequest{Ticket: 4}}))
+	for _, req := range old.appends {
+		must(live.Handle(req))
+	}
 	want := statusJSON(t, live)
 	live.SetLog(nil) // it lives on as the reference; the directory goes to its successors
 	if err := wal.Close(); err != nil {
@@ -608,8 +695,8 @@ func TestRecoverJSONLogThroughAppendAndCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(mixed, jsonTail) || len(mixed) == len(jsonTail) || bytes.Contains(mixed[len(jsonTail):], []byte(`"seq"`)) {
-		t.Fatalf("WAL is not the JSON tail followed by binary frames")
+	if !bytes.HasPrefix(mixed, oldTail) || len(mixed) == len(oldTail) || old.stale(mixed[len(oldTail):]) {
+		t.Fatalf("WAL is not the old tail followed by frames of this build")
 	}
 
 	fromMixed, wal := reopen()
@@ -632,8 +719,8 @@ func TestRecoverJSONLogThroughAppendAndCompact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bytes.Contains(raw, []byte(`"seq"`)) {
-			t.Errorf("%s still holds JSON after Compact", name)
+		if old.stale(raw) {
+			t.Errorf("%s still holds a record in the old format after Compact", name)
 		}
 	}
 
@@ -644,10 +731,7 @@ func TestRecoverJSONLogThroughAppendAndCompact(t *testing.T) {
 		t.Fatalf("recovered from the compacted log:\n%s\nwant\n%s", got, want)
 	}
 	leasesEqual(t, live, fromSnapshot)
-	// Releasing everything is where a wrong source would credit the wrong
-	// principal: the never-restarted server and the twice-recovered one
-	// must still agree.
-	for _, lease := range []int{1, 4, 6, 7} {
+	for _, lease := range old.held {
 		for _, srv := range []*Server{live, fromSnapshot} {
 			must(srv.Handle(&Request{Release: &ReleaseRequest{Lease: lease}}))
 		}

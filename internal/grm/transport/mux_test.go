@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -176,10 +177,10 @@ func expectHangUp(t *testing.T, addr string, opener []byte) net.Conn {
 	return conn
 }
 
-// TestNonHelloOpenerRefused: a peer that opens with anything but the v2
-// hello — the gob stream this listener used to serve, or a v1 hello — is
-// closed without a reply, the refusal says why and to whom, and the
-// server keeps serving.
+// TestNonHelloOpenerRefused: a peer that opens with anything but the v3
+// hello — the gob stream this listener used to serve, or a v1 or v2
+// hello — is closed without a reply, the refusal says why and to whom,
+// and the server keeps serving.
 func TestNonHelloOpenerRefused(t *testing.T) {
 	var logs logBuffer
 	_, addr := startEcho(t, transport.Options{Logger: log.New(&logs, "", 0)})
@@ -187,12 +188,14 @@ func TestNonHelloOpenerRefused(t *testing.T) {
 	// What gob.NewEncoder(conn).Encode(&echoReq{}) opens with: a positive
 	// message-length uvarint, then type descriptors.
 	gobish := expectHangUp(t, addr, []byte{0x1f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x07, 'e', 'c', 'h', 'o', 'R', 'e', 'q'})
-	if want := gobish.LocalAddr().String() + " is not speaking protocol v2 (legacy gob peer or garbage)"; !strings.Contains(logs.String(), want) {
+	if want := gobish.LocalAddr().String() + " is not speaking protocol v3 (legacy gob peer or garbage)"; !strings.Contains(logs.String(), want) {
 		t.Errorf("log %q does not name the refusal %q", logs.String(), want)
 	}
-	expectHangUp(t, addr, []byte{0x00, 'G', 'R', 'M', transport.Version - 1})
-	if !strings.Contains(logs.String(), "protocol version 1 is no longer spoken") {
-		t.Errorf("log %q does not name the v1 refusal", logs.String())
+	for _, old := range []byte{1, 2} {
+		expectHangUp(t, addr, []byte{0x00, 'G', 'R', 'M', old})
+		if want := fmt.Sprintf("protocol version %d is no longer spoken", old); !strings.Contains(logs.String(), want) {
+			t.Errorf("log %q does not name the v%d refusal", logs.String(), old)
+		}
 	}
 
 	_, fw, fr := dialBinary(t, addr)
@@ -267,21 +270,24 @@ func TestSetTimeoutsArmsDeadlineOnLiveConn(t *testing.T) {
 }
 
 // TestOlderBinaryVersionRefused: a client proposing a version this
-// package no longer writes gets no accept — the server hangs up, which
-// the client sees as a failed handshake read.
+// package no longer writes — v2, whose takes were 8 bytes each, or v1 —
+// gets no accept: the server hangs up, which the client sees as a failed
+// handshake read.
 func TestOlderBinaryVersionRefused(t *testing.T) {
 	_, addr := startEcho(t, transport.Options{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := transport.WriteHello(conn, transport.Version-1); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := transport.ReadHello(bufio.NewReader(conn)); err == nil {
-		t.Fatalf("version %d hello was accepted as version %d", transport.Version-1, v)
+	for _, old := range []byte{transport.Version - 1, 1} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := transport.WriteHello(conn, old); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := transport.ReadHello(bufio.NewReader(conn)); err == nil {
+			t.Fatalf("version %d hello was accepted as version %d", old, v)
+		}
 	}
 }
 

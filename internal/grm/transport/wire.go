@@ -1,6 +1,6 @@
 package transport
 
-// The wire format (protocol version 2), the only one served:
+// The wire format (protocol version 3), the only one served:
 //
 // Handshake. A client opens with the 5-byte hello
 //
@@ -9,12 +9,13 @@ package transport
 // and the server answers with the same magic and the version it accepts
 // (the minimum of the client's proposal and its own maximum). A proposal
 // below Version is refused by closing the connection: version 1 framed
-// allocation replies as population-sized vectors, which this package no
-// longer writes. A connection that does not open with the lead byte 0x00
-// is refused the same way after one peeked byte — that is what the gob
-// stream this protocol replaced looks like (its first byte is a
-// message-length uvarint and can never be zero), and a reply whose
-// meaning depends on the vintage of the peer's decoder is not served.
+// allocation replies as population-sized vectors and version 2 spelled
+// every take in 8 bytes, neither of which this package writes any more.
+// A connection that does not open with the lead byte 0x00 is refused the
+// same way after one peeked byte — that is what the gob stream this
+// protocol replaced looks like (its first byte is a message-length
+// uvarint and can never be zero), and a reply whose meaning depends on
+// the vintage of the peer's decoder is not served.
 //
 // Frames. After the handshake every message in both directions is one
 // CRC frame of internal/wirefmt — the layout the write-ahead log of
@@ -40,9 +41,10 @@ import (
 
 const (
 	// Version is the binary protocol version this package speaks, and the
-	// only one: version 2 carries an allocation's takes as sparse runs
-	// where version 1 sent one float per principal.
-	Version = 2
+	// only one: version 3 spells an allocation's takes without their
+	// trailing zero bytes (wirefmt.AppendTakes), version 2 sent them as
+	// sparse runs of 8-byte floats and version 1 one float per principal.
+	Version = 3
 	// MaxFramePayload bounds one frame's payload (wirefmt.MaxFramePayload).
 	MaxFramePayload = wirefmt.MaxFramePayload
 	// helloSize is the fixed length of the handshake hello/accept.
@@ -55,7 +57,8 @@ const (
 var hsMagic = [4]byte{0x00, 'G', 'R', 'M'}
 
 // ErrNotBinary reports that the peer did not open (or answer) with the
-// handshake magic — it is a pre-v2 gob peer, or garbage.
+// handshake magic — it is a gob peer from before the binary protocol,
+// or garbage.
 var ErrNotBinary = errors.New("transport: peer did not send the binary handshake")
 
 // IsBinaryHello reports whether a connection whose first byte is b is

@@ -59,7 +59,7 @@ func TestNegotiateVersion(t *testing.T) {
 		t.Errorf("future version negotiates to %d, %v, want %d", got, ok, transport.Version)
 	}
 	if _, ok := transport.NegotiateVersion(transport.Version - 1); ok {
-		t.Errorf("version %d accepted; its dense allocation replies are no longer written", transport.Version-1)
+		t.Errorf("version %d accepted; its allocation replies are no longer written", transport.Version-1)
 	}
 }
 
@@ -243,6 +243,10 @@ func TestDecLatchesErrors(t *testing.T) {
 	}
 }
 
+// TestSparseFloat64sRoundTrip: an allocation reply's takes in the
+// spelling the wire carries (wirefmt.AppendTakes). Small whole takes keep
+// a byte or two each behind a nibble; full mantissas keep all eight, and
+// then a vector is the runs of protocol version 2 behind a doubled count.
 func TestSparseFloat64sRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -251,20 +255,24 @@ func TestSparseFloat64sRoundTrip(t *testing.T) {
 		size int // encoded bytes
 	}{
 		{"empty", nil, nil, 1},
-		{"one at zero", []int{0}, []float64{3}, 1 + 2 + 8},
-		{"isolated", []int{2, 40, 4000}, []float64{1, 2, 3}, 1 + 2 + 8 + 2 + 8 + 3 + 8},
-		// Every index present is one run: two bytes over AppendFloat64s.
-		{"dense", []int{0, 1, 2, 3, 4}, []float64{1, 2, 3, 4, 5}, 1 + 2 + 40},
-		{"runs", []int{1, 2, 5, 6, 7}, []float64{1, 2, 3, 4, 5}, 1 + 2 + 16 + 2 + 24},
-		{"far", []int{math.MaxInt - 2, math.MaxInt - 1}, []float64{1, 2}, 1 + 9 + 1 + 16},
+		{"one at zero", []int{0}, []float64{3}, 1 + 1 + 2 + 2},
+		{"isolated", []int{2, 40, 4000}, []float64{1, 2, 3}, 1 + 2 + 2 + 2 + 2 + 1 + 3 + 2},
+		// Every index present is one run: two bytes over the values.
+		{"dense", []int{0, 1, 2, 3, 4}, []float64{1, 2, 3, 4, 5}, 1 + 3 + 2 + 9},
+		{"runs", []int{1, 2, 5, 6, 7}, []float64{1, 2, 3, 4, 5}, 1 + 3 + 2 + 3 + 2 + 6},
+		{"far", []int{math.MaxInt - 2, math.MaxInt - 1}, []float64{1, 2}, 1 + 1 + 9 + 1 + 3},
+		{"full mantissas", []int{1, 2, 5}, []float64{math.Pi, math.E, math.Sqrt2}, 1 + 2 + 16 + 2 + 8},
 	}
 	for _, c := range cases {
-		enc := wirefmt.AppendSparseFloat64s(nil, c.idx, c.vals)
+		enc, err := wirefmt.AppendTakes(nil, c.idx, c.vals)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		if len(enc) != c.size {
 			t.Errorf("%s: %d bytes, want %d", c.name, len(enc), c.size)
 		}
 		d := wirefmt.NewDec(enc)
-		idx, vals := d.SparseFloat64s()
+		idx, vals := d.Takes()
 		if err := d.Done(); err != nil {
 			t.Errorf("%s: %v", c.name, err)
 			continue
@@ -281,9 +289,10 @@ func TestSparseFloat64sRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSparseFloat64sRejectsMalformed: the count is checked against the
-// bytes present before anything is sized by it, and of the many ways to
-// spell one vector as runs only the encoder's is read.
+// TestSparseFloat64sRejectsMalformed: in version 2's spelling, which the
+// log still reads, the count is checked against the bytes present before
+// anything is sized by it, and of the many ways to spell one vector as
+// runs only the encoder's was read. Its run rules are the wire's.
 func TestSparseFloat64sRejectsMalformed(t *testing.T) {
 	uv := wirefmt.AppendUvarint
 	f8 := func(dst []byte, n int) []byte {

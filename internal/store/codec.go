@@ -13,7 +13,7 @@ import (
 //
 // and a payload is one Record in wirefmt's field primitives:
 //
-//	[kind byte 1–12][uvarint seq][the kind's fields, in this order]
+//	[kind byte][uvarint seq][the kind's fields, in this order]
 //
 //	state          declared bytes · names n×string · reported floats ·
 //	               avail floats · shares n×(from to fraction quantity
@@ -32,24 +32,34 @@ import (
 //	borrow         principal · amount · parent-lease
 //	repay          parent-lease
 //
-// Ids, tokens and expiries are zigzag ints, amounts 8-byte floats, n× a
-// uvarint count, revoked one 0/1 byte, and takes the sparse run form of
-// AppendSparseFloat64s over (Sources, Takes) — pairs only: a record handed
-// over in the dense form (nil Sources) is written as its non-zero pairs
-// and read back that way. A field outside its kind's row is not stored.
-// The decoder is strict (no padded uvarint, no split run, no trailing
-// byte), so a payload it accepts re-encodes to its own bytes.
+// The kind byte is the Kind (1–12), with takesV3 (0x80) added to it in
+// the two kinds that carry takes, alloc and state. Ids, tokens and
+// expiries are zigzag ints, amounts 8-byte floats, n× a uvarint count,
+// revoked one 0/1 byte, and takes wirefmt.AppendTakes's spelling of
+// (Sources, Takes) — pairs only: a record handed over in the dense form
+// (nil Sources) is written as its non-zero pairs and read back that way.
+// A field outside its kind's row is not stored. The decoder is strict (no
+// padded uvarint, no split run, no padded take, no trailing byte), so a
+// payload it accepts re-encodes to its own bytes.
 //
-// Logs written before this encoding hold the Record as JSON. A JSON
-// payload starts with '{' (0x7B), which is no kind byte, so the decoder
-// tells the two apart per frame and a log may mix them: an old log is
-// read as it is, appended to in binary, and rewritten by its next
-// Compact. The JSON branch of decodeRecord can be deleted once no
-// deployment holds a wal.log or snapshot.wal last compacted by a build
-// older than this encoding.
+// Older logs stay readable, told apart by the first payload byte of each
+// frame, so a log may mix them: it is read as it is, appended to in this
+// encoding and rewritten by its next Compact. A record of the first binary
+// encoding is an alloc or state kind byte without takesV3, and its takes
+// are protocol version 2's sparse runs (wirefmt's SparseFloat64s); every
+// other kind is spelled as it is now. A record from before the binary
+// encoding is the Record as JSON, whose '{' (0x7B) is no kind byte. Those
+// branches of decodeRecord can be deleted once no deployment holds a
+// wal.log or snapshot.wal last compacted by a build older than this
+// encoding.
 
-// legacyJSONLead is the first payload byte of a JSON-era record.
-const legacyJSONLead = '{'
+const (
+	// legacyJSONLead is the first payload byte of a JSON-era record.
+	legacyJSONLead = '{'
+	// takesV3 marks the kind byte of a record whose takes are spelled by
+	// wirefmt.AppendTakes.
+	takesV3 = 0x80
+)
 
 // appendFrame appends rec to dst as one frame.
 func appendFrame(dst []byte, rec *Record) ([]byte, error) {
@@ -69,7 +79,11 @@ func readInt(d *wirefmt.Dec) int         { return int(d.Int()) }
 
 // appendRecord appends rec's payload to dst.
 func appendRecord(dst []byte, rec *Record) ([]byte, error) {
-	dst = append(dst, byte(rec.Kind))
+	if rec.Kind == KindAlloc || rec.Kind == KindState {
+		dst = append(dst, byte(rec.Kind)|takesV3)
+	} else {
+		dst = append(dst, byte(rec.Kind))
+	}
 	dst = wirefmt.AppendUvarint(dst, rec.Seq)
 	switch rec.Kind {
 	case KindState:
@@ -122,20 +136,24 @@ func appendRecord(dst []byte, rec *Record) ([]byte, error) {
 	return dst, nil
 }
 
-// appendTakes appends an allocation's takes as sparse runs. The pairs are
-// checked first: a record the decoder would refuse takes every later
+// appendTakes appends an allocation's takes as pairs. AppendTakes refuses
+// pairs the decoder would: a record it cannot read takes every later
 // record of the log with it at the next recovery.
 func appendTakes(dst []byte, sources []int, takes []float64) ([]byte, error) {
 	sources, takes = SparseTakes(sources, takes)
-	if len(sources) != len(takes) {
-		return nil, fmt.Errorf("store: encode takes: %d sources for %d takes", len(sources), len(takes))
+	dst, err := wirefmt.AppendTakes(dst, sources, takes)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	for k, p := range sources {
-		if p < 0 || (k > 0 && p <= sources[k-1]) {
-			return nil, fmt.Errorf("store: encode takes: source %d (entry %d) is negative or out of order", p, k)
-		}
+	return dst, nil
+}
+
+// readTakes reads takes in the spelling the kind byte named.
+func readTakes(d *wirefmt.Dec, v3 bool) ([]int, []float64) {
+	if v3 {
+		return d.Takes()
 	}
-	return wirefmt.AppendSparseFloat64s(dst, sources, takes), nil
+	return d.SparseFloat64s()
 }
 
 func appendState(dst []byte, st *State) ([]byte, error) {
@@ -194,10 +212,15 @@ func decodeRecord(payload []byte) (*Record, error) {
 		return rec, nil
 	}
 	d := wirefmt.NewDec(payload)
-	rec := &Record{Kind: Kind(d.Byte()), Seq: d.Uvarint()}
+	lead := d.Byte()
+	rec := &Record{Kind: Kind(lead &^ takesV3), Seq: d.Uvarint()}
+	v3 := lead&takesV3 != 0
+	if v3 && rec.Kind != KindAlloc && rec.Kind != KindState {
+		return nil, fmt.Errorf("store: decode record: invalid kind byte %#x", lead)
+	}
 	switch rec.Kind {
 	case KindState:
-		rec.State = decodeState(d)
+		rec.State = decodeState(d, v3)
 	case KindSnapshotLoad:
 		rec.Snapshot = d.Bytes()
 	case KindRegister:
@@ -219,7 +242,7 @@ func decodeRecord(payload []byte) (*Record, error) {
 		rec.Principal = readInt(d)
 		rec.Amount = d.Float64()
 		rec.Lease = readInt(d)
-		rec.Sources, rec.Takes = d.SparseFloat64s()
+		rec.Sources, rec.Takes = readTakes(d, v3)
 		rec.Expires = d.Int()
 		rec.ParentLease = readInt(d)
 	case KindRelease, KindExpire:
@@ -243,7 +266,7 @@ func decodeRecord(payload []byte) (*Record, error) {
 	return rec, nil
 }
 
-func decodeState(d *wirefmt.Dec) *State {
+func decodeState(d *wirefmt.Dec, v3 bool) *State {
 	st := &State{Declared: d.Bytes()}
 	if n := d.Count(minNameSize); n > 0 {
 		st.Names = make([]string, n)
@@ -264,7 +287,7 @@ func decodeState(d *wirefmt.Dec) *State {
 		for i := range st.Leases {
 			ls := &st.Leases[i]
 			ls.Token = readInt(d)
-			ls.Sources, ls.Takes = d.SparseFloat64s()
+			ls.Sources, ls.Takes = readTakes(d, v3)
 			ls.Expires = d.Int()
 			ls.ParentLease = readInt(d)
 		}

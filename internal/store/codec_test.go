@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -109,38 +110,154 @@ func TestRecordRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/all_kinds/wal.log from the encoder")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/all_kinds_v3/wal.log from the encoder")
 
-// TestBinaryFormatGolden pins the bytes: testdata/all_kinds/wal.log is
+// Two logs of allKinds: the first binary encoding wrote v2Golden, whose
+// takes are protocol version 2's 8-byte runs, and this one writes
+// v3Golden. Nothing writes the first any more; it stays to be read.
+var (
+	v2Golden = filepath.Join("testdata", "all_kinds", walName)
+	v3Golden = filepath.Join("testdata", "all_kinds_v3", walName)
+)
+
+// TestBinaryFormatGolden pins the bytes: testdata/all_kinds_v3/wal.log is
 // allKinds as this encoding first wrote them. A round trip cannot see two
 // fields swapped in encoder and decoder alike; a log on someone's disk
 // can. Change the file only with a new kind or a deliberate, versioned
-// change of format (go test ./internal/store -run Golden -update).
+// change of format (go test ./internal/store -run Golden -update), and
+// keep the file it replaces as a log that must still be read, as
+// TestV2BinaryLogStillReads keeps testdata/all_kinds/wal.log.
 func TestBinaryFormatGolden(t *testing.T) {
-	path := filepath.Join("testdata", "all_kinds", walName)
 	var now []byte
 	for _, rec := range allKinds() {
 		now = append(now, binaryFrame(t, rec)...)
 	}
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(v3Golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, now, 0o644); err != nil {
+		if err := os.WriteFile(v3Golden, now, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	golden, err := os.ReadFile(path)
+	golden, err := os.ReadFile(v3Golden)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(now, golden) {
-		t.Fatalf("the encoder no longer writes %s byte for byte: logs in the field would be misread", path)
+		t.Fatalf("the encoder no longer writes %s byte for byte: logs in the field would be misread", v3Golden)
 	}
 	got, n, err := DecodeRecords(bytes.NewReader(golden))
 	if err != nil || n != int64(len(golden)) || !reflect.DeepEqual(got, allKinds()) {
-		t.Fatalf("%s decodes to %d records, %d of %d bytes (%v)", path, len(got), n, len(golden), err)
+		t.Fatalf("%s decodes to %d records, %d of %d bytes (%v)", v3Golden, len(got), n, len(golden), err)
 	}
+}
+
+// TestV2BinaryLogStillReads: the log the first binary encoding wrote of
+// allKinds — its alloc and state records unmarked, their takes 8 bytes
+// each — decodes to allKinds, and is written again as v3Golden.
+func TestV2BinaryLogStillReads(t *testing.T) {
+	raw, err := os.ReadFile(v2Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, n, err := DecodeRecords(bytes.NewReader(raw))
+	if err != nil || n != int64(len(raw)) || !reflect.DeepEqual(got, allKinds()) {
+		t.Fatalf("%s decodes to %d records, %d of %d bytes (%v)", v2Golden, len(got), n, len(raw), err)
+	}
+	if n := v2TakesRecords(raw); n != 4 {
+		t.Errorf("%s holds %d version 2 alloc and state records, want 4", v2Golden, n)
+	}
+	var again []byte
+	for _, rec := range got {
+		again = append(again, binaryFrame(t, rec)...)
+	}
+	if golden, err := os.ReadFile(v3Golden); err != nil || !bytes.Equal(again, golden) {
+		t.Errorf("%s re-encodes to %d bytes that are not %s (%v)", v2Golden, len(again), v3Golden, err)
+	}
+	if len(again) >= len(raw) {
+		t.Errorf("written again in %d bytes, from %d", len(again), len(raw))
+	}
+}
+
+// TestV2LogAppendsAndCompactsToV3: a directory whose WAL the first binary
+// encoding wrote is opened, appended to and compacted by this build; it
+// replays the same records at every step, the appends land behind the old
+// bytes, and after Compact no record on disk is in the old spelling.
+func TestV2LogAppendsAndCompactsToV3(t *testing.T) {
+	dir := t.TempDir()
+	old, err := os.ReadFile(v2Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walName), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenFileLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := allKinds()
+	if got := replayAll(t, l); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the version 2 log replays as %+v", got)
+	}
+	tail := []*Record{
+		{Seq: 1<<62 + 2, Kind: KindAlloc, Principal: 2, Amount: 12.5, Lease: 80, Sources: []int{0, 1, 3}, Takes: []float64{10, 2, 0.5}},
+		{Seq: 1<<62 + 3, Kind: KindAlloc, Principal: 1, Amount: math.Pi, Lease: 81, Sources: []int{0}, Takes: []float64{math.Pi}},
+		{Seq: 1<<62 + 4, Kind: KindRelease, Lease: 80},
+	}
+	var v3 []byte
+	for _, rec := range tail {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		v3 = append(v3, binaryFrame(t, rec)...)
+	}
+	want = append(want, tail...)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if onDisk, err := os.ReadFile(filepath.Join(dir, walName)); err != nil || !bytes.Equal(onDisk, append(old, v3...)) {
+		t.Fatalf("WAL is not the version 2 log followed by the appended frames (%v)", err)
+	}
+	if l, err = OpenFileLog(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := replayAll(t, l); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened, the mixed log replays as %+v", got)
+	}
+	folded := &Record{Seq: 1<<62 + 5, Kind: KindState, State: want[12].State}
+	if err := l.Compact(folded); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayAll(t, l); !reflect.DeepEqual(got, []*Record{folded}) {
+		t.Fatalf("compacted directory replays as %+v", got)
+	}
+	for _, name := range []string{snapName, walName} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := v2TakesRecords(raw); n != 0 {
+			t.Errorf("%s still holds %d version 2 records after Compact", name, n)
+		}
+	}
+}
+
+// v2TakesRecords counts the frames of a log whose kind byte is that of an
+// alloc or state record as the first binary encoding wrote it, without
+// takesV3.
+func v2TakesRecords(raw []byte) int {
+	n := 0
+	for rest := raw; len(rest) > 0; {
+		size := wirefmt.FrameHeaderSize + int(binary.LittleEndian.Uint32(rest))
+		if k := Kind(rest[wirefmt.FrameHeaderSize]); k == KindAlloc || k == KindState {
+			n++
+		}
+		rest = rest[size:]
+	}
+	return n
 }
 
 // TestDenseTakesWrittenAsPairs: the dense input form is stored as its
@@ -223,15 +340,39 @@ func samePairs(got, want *Record) bool {
 	return reflect.DeepEqual(&g, &w)
 }
 
-// TestLegacyAndMixedLogs: a JSON log, a binary log and a JSON log with a
-// binary tail all decode to the same records, and each stops cleanly at
-// the last whole frame when its tail is cut or a bit in it flips.
+// v2ThenV3 is the log of allKinds the first binary encoding wrote with
+// the same records appended by this one, sequenced after it, and the
+// records it holds.
+func v2ThenV3(t testing.TB) ([]byte, []*Record) {
+	raw, err := os.ReadFile(v2Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := allKinds()
+	for i, rec := range allKinds() {
+		rec.Seq = 1<<62 + 2 + uint64(i)
+		raw = append(raw, binaryFrame(t, rec)...)
+		recs = append(recs, rec)
+	}
+	return raw, recs
+}
+
+// TestLegacyAndMixedLogs: a JSON log, a binary log, a JSON log with a
+// binary tail and a log of the first binary encoding with a tail of this
+// one all decode to the records written, and each stops cleanly at the
+// last whole frame when its tail is cut or a bit in it flips.
 func TestLegacyAndMixedLogs(t *testing.T) {
-	logs, want := legacyAndBinary(t)
+	logs, records := legacyAndBinary(t)
 	if len(logs["binary"])*2 > len(logs["json"]) {
 		t.Errorf("binary log is %d bytes, JSON %d: expected under half", len(logs["binary"]), len(logs["json"]))
 	}
+	wants := map[string][]*Record{}
+	logs["v2 then v3"], wants["v2 then v3"] = v2ThenV3(t)
 	for name, raw := range logs {
+		want := records
+		if w, ok := wants[name]; ok {
+			want = w
+		}
 		got, n, err := DecodeRecords(bytes.NewReader(raw))
 		if err != nil || n != int64(len(raw)) || len(got) != len(want) {
 			t.Fatalf("%s: %d records, %d of %d bytes (%v)", name, len(got), n, len(raw), err)

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"reflect"
 	"testing"
 
@@ -27,8 +28,10 @@ func fuzzPrefix(t testing.TB) ([]byte, []*Record) {
 // FuzzLogDecode feeds arbitrary bytes through the frame decoder. The
 // decoder must never panic, must treat any corruption as a clean stop at
 // the last valid record, must read nothing from a binary frame that it
-// would not write back byte for byte, and must always recover the intact
-// prefix when garbage is appended after valid frames.
+// would not write back byte for byte — or, from a frame of the first
+// binary encoding, nothing that this one does not write and read back
+// the same — and must always recover the intact prefix when garbage is
+// appended after valid frames.
 func FuzzLogDecode(f *testing.F) {
 	prefix, _ := fuzzPrefix(f)
 	f.Add([]byte{})
@@ -45,6 +48,13 @@ func FuzzLogDecode(f *testing.F) {
 		every = append(every, binaryFrame(f, rec)...)
 	}
 	f.Add(every)
+	v2, err := os.ReadFile(v2Golden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
+	mixed, _ := v2ThenV3(f)
+	f.Add(mixed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Raw bytes: any outcome but a panic or a read error is fine, and
 		// the reported valid length must cover exactly the decoded frames.
@@ -67,10 +77,23 @@ func FuzzLogDecode(f *testing.F) {
 			size := wirefmt.FrameHeaderSize + int(binary.LittleEndian.Uint32(rest))
 			frame := rest[:size]
 			rest = rest[size:]
-			if frame[wirefmt.FrameHeaderSize] == legacyJSONLead {
+			lead := frame[wirefmt.FrameHeaderSize]
+			if lead == legacyJSONLead {
 				continue
 			}
 			again, err := appendFrame(nil, rec)
+			if k := Kind(lead); k == KindAlloc || k == KindState {
+				// The first binary encoding: its record is written in
+				// this one, and that frame must read back as itself.
+				back, _, derr := DecodeRecords(bytes.NewReader(again))
+				if err != nil || derr != nil || len(back) != 1 {
+					t.Fatalf("record %d (%v) accepted from % x is not written again (%v, %v)", i, k, frame, err, derr)
+				}
+				if twice, err := appendFrame(nil, back[0]); err != nil || !bytes.Equal(twice, again) {
+					t.Fatalf("record %d (%v) from % x is written as % x, which reads back as % x (%v)", i, k, frame, again, twice, err)
+				}
+				continue
+			}
 			if err != nil || !bytes.Equal(again, frame) {
 				t.Fatalf("record %d (%v) accepted from % x re-encodes to % x (%v)", i, rec.Kind, frame, again, err)
 			}

@@ -12,17 +12,20 @@
 //
 // Fields. Integers are minimal-length uvarints (zigzag for signed values),
 // float64s are 8-byte little-endian IEEE 754 bits, strings and byte and
-// float slices are length-prefixed, and a sparse float64 vector is
-// run-length encoded (AppendSparseFloat64s). Every value has exactly one
-// accepted spelling: Dec refuses padded uvarints and split runs, and Done
-// refuses trailing bytes, so a payload a decoder accepts re-encodes to
-// the bytes it was decoded from.
+// float slices are length-prefixed, and a sparse float64 vector — an
+// allocation's takes, on the wire and in the log alike — is run-length
+// encoded with each value's trailing zero bytes dropped when that is
+// shorter (AppendTakes). Every value has exactly one accepted spelling:
+// Dec refuses padded uvarints, split runs, padded values and the longer
+// of a vector's two forms, and Done refuses trailing bytes, so a payload
+// a decoder accepts re-encodes to the bytes it was decoded from.
 package wirefmt
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -71,37 +74,87 @@ func AppendFloat64s(dst []byte, xs []float64) []byte {
 	return dst
 }
 
-// AppendSparseFloat64s appends a sparse float64 vector: vals[k] sits at
-// index idx[k], and idx is strictly ascending and non-negative. The
-// entries are grouped into runs of consecutive indices:
+// AppendTakes appends a sparse float64 vector — an allocation's takes,
+// vals[k] at index idx[k] — in the one spelling this package writes for
+// it. Pairs no decoder would read back are refused, with dst handed back
+// as it came: unequal lengths, or an index that is negative or not above
+// the one before it. The layout is
 //
-//	uvarint(len(idx))
-//	per run: uvarint(gap) uvarint(run length) run length × 8-byte floats
+//	uvarint(len(idx)<<1 | trimmed)
+//	if trimmed: ⌈len(idx)/2⌉ bytes of nibbles, the stored length (0–8) of
+//	            entry 2k in the low nibble of byte k and of entry 2k+1 in
+//	            the high one; an odd count leaves the last high nibble 0
+//	per run:    uvarint(gap) uvarint(run length) the run's values
 //
 // where gap is the distance from the end of the previous run (from index
-// 0 for the first) to the start of this one. A vector with every index
-// present is one run and costs two bytes more than AppendFloat64s; an
-// isolated entry costs its float plus a gap and a length byte or two, so
-// the form is never meaningfully worse than dense and shrinks with the
-// number of entries, not with the highest index.
-func AppendSparseFloat64s(dst []byte, idx []int, vals []float64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(idx)))
+// 0 for the first) to the start of this one. A value is its 8-byte
+// little-endian IEEE 754 bits, or, in the trimmed form, those bytes
+// without the trailing zero ones: the 8 − tz high-order bytes, lowest
+// first, so a stored value never starts with a zero byte and +0 stores
+// none. The trimmed form is written exactly when it is shorter — a
+// nibble plus the stored bytes per value against 8 — so a vector has one
+// spelling, and below 64 entries the flag costs no byte.
+//
+// A vector with every index present is one run and costs two bytes more
+// than its values; an isolated entry costs its value plus a gap and a
+// length byte or two, so the form shrinks with the number of entries,
+// not with the highest index.
+func AppendTakes(dst []byte, idx []int, vals []float64) ([]byte, error) {
+	if len(idx) != len(vals) {
+		return dst, fmt.Errorf("wirefmt: encode takes: %d indices for %d values", len(idx), len(vals))
+	}
+	stored := 0
+	for k, i := range idx {
+		if i < 0 || (k > 0 && i <= idx[k-1]) {
+			return dst, fmt.Errorf("wirefmt: encode takes: index %d (entry %d) is negative or out of order", i, k)
+		}
+		stored += storedLen(math.Float64bits(vals[k]))
+	}
+	n := len(idx)
+	trimmed := trimmedShorter(uint64(n), uint64(stored))
+	if !trimmed {
+		dst = binary.AppendUvarint(dst, uint64(n)<<1)
+	} else {
+		dst = binary.AppendUvarint(dst, uint64(n)<<1|1)
+		for k := 0; k < n; k += 2 {
+			b := byte(storedLen(math.Float64bits(vals[k])))
+			if k+1 < n {
+				b |= byte(storedLen(math.Float64bits(vals[k+1]))) << 4
+			}
+			dst = append(dst, b)
+		}
+	}
 	next := 0 // one past the previous run's last index
-	for k := 0; k < len(idx); {
+	for k := 0; k < n; {
 		end := k + 1
-		for end < len(idx) && idx[end] == idx[end-1]+1 {
+		for end < n && idx[end] == idx[end-1]+1 {
 			end++
 		}
 		dst = binary.AppendUvarint(dst, uint64(idx[k]-next))
 		dst = binary.AppendUvarint(dst, uint64(end-k))
 		for _, x := range vals[k:end] {
-			dst = AppendFloat64(dst, x)
+			if !trimmed {
+				dst = AppendFloat64(dst, x)
+				continue
+			}
+			b := math.Float64bits(x)
+			drop := 8 - storedLen(b)
+			dst = binary.LittleEndian.AppendUint64(dst, b>>(8*drop))
+			dst = dst[:len(dst)-drop]
 		}
 		next = idx[end-1] + 1
 		k = end
 	}
-	return dst
+	return dst, nil
 }
+
+// storedLen is how many bytes the trimmed form keeps of a value with
+// these bits: all but its trailing zero bytes.
+func storedLen(b uint64) int { return 8 - bits.TrailingZeros64(b)/8 }
+
+// trimmedShorter reports whether n values keeping stored bytes in all are
+// shorter trimmed — a nibble each plus those bytes — than at 8 bytes each.
+func trimmedShorter(n, stored uint64) bool { return (n+1)/2+stored < 8*n }
 
 // Dec is a cursor over a payload. Reads past the end or malformed fields
 // latch an error and return zero values, so decoders can read a whole
@@ -242,54 +295,138 @@ func (d *Dec) Float64s() []float64 {
 	return xs
 }
 
-// SparseFloat64s reads one sparse float64 vector written by
-// AppendSparseFloat64s and returns it as parallel slices: strictly
-// ascending non-negative indices and their values (both nil when empty).
-// The count is checked against the bytes that remain before anything is
-// allocated, and only the canonical run structure is accepted — no empty
-// run, no run past the count, no two runs that touch (they would be one
-// run), no index beyond the int range.
-func (d *Dec) SparseFloat64s() (idx []int, vals []float64) {
-	idx, vals = d.AppendSparseFloat64s(nil, nil)
+// Takes reads one vector written by AppendTakes and returns it as
+// parallel slices: strictly ascending non-negative indices and their
+// values (both nil when empty). The count is checked against the bytes
+// that remain before anything is allocated — 8 a value in the full form;
+// in the trimmed form its nibbles, and then the bytes they say are
+// stored — and only the encoder's spelling is read: no empty run, no run
+// past the count, no two runs that touch (they would be one run), no
+// index beyond the int range, no stored length above 8, no non-zero
+// filler nibble, no stored value that starts with a zero byte, and the
+// trimmed form exactly when it is the shorter one.
+func (d *Dec) Takes() (idx []int, vals []float64) {
+	idx, vals = d.AppendTakes(nil, nil)
 	if len(idx) == 0 {
 		return nil, nil
 	}
 	return idx, vals
 }
 
-// AppendSparseFloat64s is SparseFloat64s appending to idx and vals, so a
-// caller with room for the vector decodes it without allocating. It reads
-// and refuses exactly what SparseFloat64s does, and a refusal hands idx
-// and vals back at the length they came with. Slices without room for the
-// count are copied once, into exactly the room needed.
-func (d *Dec) AppendSparseFloat64s(idx []int, vals []float64) ([]int, []float64) {
-	n := uint64(d.Count(8))
-	if n == 0 {
+// AppendTakes is Takes appending to idx and vals, so a caller with room
+// for the vector decodes it without allocating. It reads and refuses
+// exactly what Takes does, and a refusal hands idx and vals back at the
+// length they came with. Slices without room for the count are copied
+// once, into exactly the room needed.
+func (d *Dec) AppendTakes(idx []int, vals []float64) ([]int, []float64) {
+	head := d.Uvarint()
+	if d.err != nil {
 		return idx, vals
+	}
+	n := head >> 1
+	var lens []byte // the nibbles of the trimmed form; nil in the full one
+	if head&1 == 0 {
+		if n > uint64(len(d.buf))/8 {
+			d.fail("takes count")
+			return idx, vals
+		}
+	} else {
+		if (n+1)/2 > uint64(len(d.buf)) {
+			d.fail("takes count")
+			return idx, vals
+		}
+		lens = d.buf[:(n+1)/2]
+		stored, longest := uint64(0), uint64(0)
+		for k := uint64(0); k < n; k++ {
+			l := nibble(lens, k)
+			stored, longest = stored+l, max(longest, l)
+		}
+		if longest > 8 || n&1 == 1 && lens[n/2]>>4 != 0 ||
+			stored > uint64(len(d.buf)-len(lens)) || !trimmedShorter(n, stored) {
+			d.fail("takes lengths")
+			return idx, vals
+		}
+		d.buf = d.buf[len(lens):]
+	}
+	base := len(idx)
+	idx, vals, stored := d.runs(idx, vals, n, lens)
+	if d.err == nil && lens == nil && trimmedShorter(n, stored) {
+		d.fail("takes form") // the trimmed spelling was the shorter one
+	}
+	if d.err != nil {
+		return idx[:base], vals[:base]
+	}
+	return idx, vals
+}
+
+// nibble is entry k's nibble: its stored length in the trimmed form.
+func nibble(lens []byte, k uint64) uint64 { return uint64(lens[k/2]>>(4*(k&1))) & 0xF }
+
+// SparseFloat64s reads one sparse vector of protocol version 2, which
+// the write-ahead log still holds in records written before AppendTakes:
+// AppendTakes's full form with the bare count, uvarint(len), in front.
+// Nothing writes it any more. Its checks are AppendTakes's run rules.
+func (d *Dec) SparseFloat64s() (idx []int, vals []float64) {
+	idx, vals, _ = d.runs(nil, nil, uint64(d.Count(8)), nil)
+	if len(idx) == 0 {
+		return nil, nil
+	}
+	return idx, vals
+}
+
+// runs reads the runs of n entries, appending them to idx and vals: each
+// value 8 bytes when lens is nil, else as many as its nibble in lens
+// says. It returns the bytes the values would keep trimmed (counted only
+// in the full form). On a refusal the slices are handed back at their
+// length on entry.
+func (d *Dec) runs(idx []int, vals []float64, n uint64, lens []byte) ([]int, []float64, uint64) {
+	if n == 0 || d.err != nil {
+		return idx, vals, 0
 	}
 	base := len(idx)
 	idx, vals = grow(idx, int(n)), grow(vals, int(n))
-	next := uint64(0) // one past the previous run's last index
+	next, stored := uint64(0), uint64(0) // next: one past the previous run's last index
 	for got := uint64(0); got < n; got = uint64(len(idx) - base) {
 		gap, run := d.Uvarint(), d.Uvarint()
 		if d.err != nil {
-			return idx[:base], vals[:base]
+			return idx[:base], vals[:base], 0
 		}
 		if run == 0 || run > n-got || (gap == 0 && got > 0) ||
-			gap > math.MaxInt-next || run > math.MaxInt-(next+gap) ||
-			run > uint64(len(d.buf))/8 {
-			d.fail("sparse float64 run")
-			return idx[:base], vals[:base]
+			gap > math.MaxInt-next || run > math.MaxInt-(next+gap) {
+			d.fail("takes run")
+			return idx[:base], vals[:base], 0
 		}
-		start := next + gap
+		start, buf := next+gap, d.buf
 		for i := uint64(0); i < run; i++ {
+			var b uint64
+			if lens == nil {
+				if len(buf) < 8 {
+					d.fail("takes value")
+					return idx[:base], vals[:base], 0
+				}
+				b, buf = binary.LittleEndian.Uint64(buf), buf[8:]
+				stored += uint64(storedLen(b))
+			} else {
+				l := nibble(lens, got+i)
+				if uint64(len(buf)) < l || l > 0 && buf[0] == 0 { // short, or padded: a zero low byte is dropped
+					d.fail("takes value")
+					return idx[:base], vals[:base], 0
+				}
+				if len(buf) >= 8 { // the bytes past the value shift out
+					b = binary.LittleEndian.Uint64(buf)
+				} else {
+					var w [8]byte
+					copy(w[:], buf)
+					b = binary.LittleEndian.Uint64(w[:])
+				}
+				b, buf = b<<(8*(8-l)), buf[l:]
+			}
 			idx = append(idx, int(start+i))
-			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(d.buf[8*i:])))
+			vals = append(vals, math.Float64frombits(b))
 		}
-		d.buf = d.buf[8*run:]
-		next = start + run
+		d.buf, next = buf, start+run
 	}
-	return idx, vals
+	return idx, vals, stored
 }
 
 // grow returns s with room for n more elements, copying it into exactly
