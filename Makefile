@@ -5,8 +5,9 @@
 # protocol layer's reconnect/reaper/federation paths, the store, the
 # closure's parallel row kernel (transitive's workers share one step
 # meter and a pool of scratch sets; par is their pool), and the planner
-# (core's skeleton slots and workspace pool are shared by every allocator
-# a share or revoke derives; its leg is -short, as transitive's is).
+# (core's skeleton slots and workspace pool are shared by every plan a
+# server runs between its in-place writes; its leg is -short, as
+# transitive's is).
 
 GO ?= go
 
@@ -58,13 +59,18 @@ scenarios:
 # checked-in snapshot. Invalid example snapshots live under
 # testdata/invalid/ and are exercised by tests. The grep keeps the gob
 # codec deleted: one wire is served, and a second cannot come back as an
-# unreviewed import. The go lists keep the served binaries off the paper's
-# library and off the test oracles: nothing grm, grmd or lrmd builds may
-# import internal/planners, or internal/modeltest with its reference simplex.
+# unreviewed import. The second grep keeps one write path: the planner is
+# written in place (PatchShare, PatchEdge), and the copying SetShare and
+# UpdateEdge are left only for the layer benchmark in bench/, so no other
+# non-test file may call them. The go lists keep the served binaries off
+# the paper's library and off the test oracles: nothing grm, grmd or lrmd
+# builds may import internal/planners, or internal/modeltest with its
+# reference simplex.
 lint:
 	$(GO) run ./cmd/sharingvet ./...
 	$(GO) run ./cmd/agreements lint testdata/*.json
 	! grep -rl '"encoding/gob"' --include='*.go' .
+	! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench -e '\.SetShare(' -e '\.UpdateEdge(' .
 	! $(GO) list -deps ./internal/grm/... ./cmd/grmd ./cmd/lrmd | grep -x 'repro/internal/planners'
 	! $(GO) list -deps ./internal/grm/... ./cmd/grmd ./cmd/lrmd | grep -x 'repro/internal/modeltest'
 
@@ -86,8 +92,9 @@ FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFe
 # skeleton build, a closure delta, a column patch, an allocate+release pair
 # (in process and over the wire, on both sides of the grant box's
 # capacity), a lone release, a renew, a reap pass (TestReapAllocs), a
-# register, a re-attach, a share, a value-only share+revoke written in
-# place (nothing) and one that flips S's pattern, a whole churn cycle, what the shard router adds to each kind it routes, a sparse
+# register, a register that grows a cached planner in place
+# (TestRegisterPlannedAllocs), a re-attach, a share, a value-only
+# share+revoke written in place (nothing) and one that flips S's pattern, a whole churn cycle, what the shard router adds to each kind it routes, a sparse
 # decode into room for it and a pipelined frame through the transport may
 # heap-allocate. Run
 # alone, uncached and without -race (the detector's instrumentation
@@ -97,19 +104,23 @@ allocs:
 	$(GO) test -count=1 -run 'Allocs$$|AllocatesNothing$$' ./internal/lp/ ./internal/transitive/ ./internal/core/ ./internal/grm/ ./internal/grm/transport/ ./internal/wirefmt/
 
 # The line ratchets (ROADMAP item 10): the non-test lines of lp, core and
-# grm — what a request runs through — and of the paper's library in
-# internal/planners may not grow past the recorded counts. A PR that
-# shrinks either lowers its MAX to what it prints; raising one is a
-# reviewed diff of its line, for a simplicity PR to argue. Two lines, so
-# code cannot leave the serving count by moving into the library unseen.
-SERVING_LOC_MAX = 6457
+# grm — what a request runs through — of the transitive closure they patch,
+# and of the paper's library in internal/planners may not grow past the
+# recorded counts. A PR that shrinks one lowers its MAX to what it prints;
+# raising one is a reviewed diff of its line, for a simplicity PR to argue.
+# Three lines, so code cannot leave the serving count by moving into the
+# closure or the library unseen.
+SERVING_LOC_MAX = 6401
+TRANSITIVE_LOC_MAX = 1469
 LIBRARY_LOC_MAX = 1049
 loc:
 	@n=$$(ls internal/lp/*.go internal/core/*.go internal/grm/*.go | grep -v _test | xargs cat | wc -l); \
+	c=$$(ls internal/transitive/*.go | grep -v _test | xargs cat | wc -l); \
 	l=$$(ls internal/planners/*.go | grep -v _test | xargs cat | wc -l); \
 	echo "serving lines (lp+core+grm, non-test): $$n (max $(SERVING_LOC_MAX))"; \
+	echo "closure lines (transitive, non-test): $$c (max $(TRANSITIVE_LOC_MAX))"; \
 	echo "library lines (planners, non-test): $$l (max $(LIBRARY_LOC_MAX))"; \
-	test $$n -le $(SERVING_LOC_MAX) && test $$l -le $(LIBRARY_LOC_MAX)
+	test $$n -le $(SERVING_LOC_MAX) && test $$c -le $(TRANSITIVE_LOC_MAX) && test $$l -le $(LIBRARY_LOC_MAX)
 
 check: build
 	$(GO) vet ./...

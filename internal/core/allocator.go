@@ -99,15 +99,13 @@ const fullLevel = 1 << 30
 // would.
 const exactBudget = 50_000_000
 
-// Allocator enforces sharing agreements by linear programming. Only
-// PatchShare and PatchAgreement change it, for a sole owner (mutate.go);
-// otherwise it is safe for concurrent use: the lazily built LP skeletons
-// and the pooled plan workspaces are internally synchronized.
+// Allocator enforces sharing agreements by linear programming. It owns
+// every row and column it holds, and only PatchShare, PatchAgreement and
+// Grow change it, in place, for its one owner (mutate.go); between writes
+// it is safe for concurrent use: the lazily built LP skeletons and the
+// pooled plan workspaces are internally synchronized.
 type Allocator struct {
-	// epoch marks the columns it may write over (mutate.go); first, so
-	// sync/atomic finds it 64-bit aligned.
-	epoch uint64
-	n     int
+	n int
 	// aCols/aVals hold the absolute agreement matrix A in row-sparse form
 	// (ascending columns, values aligned); hasA records whether an A was
 	// supplied at all — an explicitly passed all-zero matrix still counts,
@@ -127,9 +125,9 @@ type Allocator struct {
 	skel []atomic.Pointer[planSkeleton]
 	// clo is the transitive closure, which a mutation patches by rows.
 	clo *transitive.Closure
-	// pool recycles plan workspaces (*planWS), shared by every derived and
-	// grown allocator: nothing in one is sized by the population, and the
-	// simplex scratch is the largest thing a plan allocates.
+	// pool recycles plan workspaces (*planWS): nothing in one is sized by
+	// the population, and the simplex scratch is the largest thing a plan
+	// allocates.
 	pool *sync.Pool
 }
 
@@ -146,12 +144,11 @@ type flowRow struct {
 // (K_ki ≠ 0 or A_ki ≠ 0), ascending, with their K_ki and A_ki: what a
 // capacity sum reads, bit-identical to the dense scan, whose other terms are
 // exactly zero. Columns are views of an int32 and a float64 arena, laid out
-// by a build (transposeColumns) or by a mutation for the columns it moves;
-// epoch is that of the allocator whose mutation laid it out, 0 for a build's.
+// by a build (transposeColumns) or by a mutation for the columns whose
+// pattern it flips.
 type column struct {
-	idx   []int32
-	k, a  []float64
-	epoch uint64
+	idx  []int32
+	k, a []float64
 }
 
 // planSkeleton is the reusable part of requester r's substituted LP: the
@@ -198,8 +195,8 @@ type capFlowRef struct {
 // belongs to principal vars[x] — so a plan costs its component; the two
 // emitters (appendPairs, scatter) read it from there. Beside the result it
 // keeps the rebindable model clones of the requesters it has planned for
-// (each with the skeleton it came from: an allocator down the lineage that
-// rebuilt the skeleton re-clones) and the LP solver workspace. Nothing in
+// (each with the skeleton it came from: a plan after a write that dropped
+// the skeleton re-clones) and the LP solver workspace. Nothing in
 // it is sized by the population; the full formulation's vectors are,
 // because its vars are everyone.
 type planWS struct {
@@ -252,8 +249,8 @@ func NewAllocator(s [][]float64, a [][]float64, cfg Config) (*Allocator, error) 
 
 // NewAllocatorSparse builds an allocator straight from CSR agreement
 // matrices (the agreement.SparseMatrices form) without materializing any
-// dense n×n array: S's rows seed the incremental closure directly and A
-// is stored row-sparse. a may be nil. The result is bit-identical to
+// dense n×n array: the closure copies S's rows, A's are copied here, so no
+// write reaches s or a. a may be nil. The result is bit-identical to
 // NewAllocator over the dense exports — the sparse kernels read the same
 // floats in the same order.
 func NewAllocatorSparse(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cfg Config) (*Allocator, error) {
@@ -267,8 +264,13 @@ func NewAllocatorSparse(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cf
 		if a.N() != n {
 			return nil, fmt.Errorf("core: A is %d×%d, S is %d×%d", a.N(), a.N(), n, n)
 		}
+		cols, vals := make([]int32, 0, a.NNZ()), make([]float64, 0, a.NNZ())
 		for i := 0; i < n; i++ {
-			aCols[i], aVals[i] = a.Row(i)
+			rc, rv := a.Row(i)
+			lo := len(cols)
+			cols, vals = append(cols, rc...), append(vals, rv...)
+			// Full slice expressions: a row never grows into its neighbour.
+			aCols[i], aVals[i] = cols[lo:len(cols):len(cols)], vals[lo:len(vals):len(vals)]
 		}
 	}
 	return newAllocatorRows(n, sCols, sVals, aCols, aVals, a != nil, cfg)
@@ -297,7 +299,10 @@ func newAllocatorRows(n int, sCols [][]int32, sVals [][]float64, aCols [][]int32
 	if err != nil {
 		return nil, fmt.Errorf("core: exact transitive closure would exceed %d steps for this agreement graph; set Config.Approx or lower Config.Level: %w", exactBudget, err)
 	}
-	return finishAllocator(n, clo, aCols, aVals, hasA, cfg), nil
+	al := &Allocator{n: n, aCols: aCols, aVals: aVals, hasA: hasA, cfg: cfg, clo: clo,
+		pool: &sync.Pool{New: func() any { return &planWS{clones: map[int]modelClone{}} }}}
+	al.index()
+	return al, nil
 }
 
 // effectiveLevel resolves Config.Level: non-positive requests the
@@ -310,18 +315,16 @@ func effectiveLevel(cfg Config) int {
 	return cfg.Level
 }
 
-// finishAllocator builds the derived caches shared by both constructors,
-// each in one pass over the stored entries of T and A.
-func finishAllocator(n int, clo *transitive.Closure, aCols [][]int32, aVals [][]float64, hasA bool, cfg Config) *Allocator {
-	al := &Allocator{epoch: epochs.Add(1), n: n, aCols: aCols, aVals: aVals, hasA: hasA, cfg: cfg, clo: clo}
-	al.flow = make([]flowRow, n)
+// index builds what the allocator derives from its closure and A — the K
+// rows with their sums, the columns and empty skeleton slots — each in one
+// pass over the stored entries of T and A.
+func (al *Allocator) index() {
+	al.flow = make([]flowRow, al.n)
 	for i := range al.flow {
-		al.flow[i] = flowRowOf(clo, i)
+		al.flow[i] = flowRowOf(al.clo, i)
 	}
 	al.transposeColumns()
-	al.skel = make([]atomic.Pointer[planSkeleton], n)
-	al.pool = newPlanPool()
-	return al
+	al.skel = make([]atomic.Pointer[planSkeleton], al.n)
 }
 
 // capRow applies the overdraft rule K = min(T, 1) to one row's values: the
@@ -455,12 +458,7 @@ func (col *column) append(k int32, kv, av float64) {
 // the view never grows into whatever follows it.
 func (col column) since(from int) column {
 	end := len(col.idx)
-	return column{idx: col.idx[from:end:end], k: col.k[from:end:end], a: col.a[from:end:end], epoch: col.epoch}
-}
-
-// newPlanPool returns a workspace pool for one allocator lineage.
-func newPlanPool() *sync.Pool {
-	return &sync.Pool{New: func() any { return &planWS{clones: map[int]modelClone{}} }}
+	return column{idx: col.idx[from:end:end], k: col.k[from:end:end], a: col.a[from:end:end]}
 }
 
 // N returns the number of principals.
@@ -494,9 +492,8 @@ func (al *Allocator) Bytes() int {
 		}
 		b += 12*len(al.aCols[i]) + 20*len(al.cols[i].idx)
 	}
-	// Per principal: a flow row, an A row, a column with its epoch and a
-	// skeleton slot.
-	return b + al.n*(6*24+3*8)
+	// Per principal: a flow row, an A row, a column and a skeleton slot.
+	return b + al.n*(6*24+2*8)
 }
 
 // Capacities returns C_i = V_i + Σ_k U_ki for the current availability.

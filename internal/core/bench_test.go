@@ -352,23 +352,21 @@ func BenchmarkNewAllocator100(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateEdge100 mutates a single agreement edge through the
-// delta-closure path: the allocator derived per iteration shares every
-// cache the edge cannot reach.
+// BenchmarkUpdateEdge100 patches a single agreement edge in place through
+// the delta-closure path (PatchShare), moving its value and back on
+// alternate iterations: every cache the edge cannot reach is left alone.
 func BenchmarkUpdateEdge100(b *testing.B) {
 	s, _ := incrementalScenario(100)
-	cur, err := NewAllocator(s, nil, Config{Level: 5})
+	al, err := NewAllocator(s, nil, Config{Level: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
 	vals := [2]float64{s[3][4], 0.45}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := cur.SetShare(3, 4, vals[i%2], vals[(i+1)%2])
-		if err != nil {
+		if err := al.PatchShare(3, 4, vals[i%2], vals[(i+1)%2]); err != nil {
 			b.Fatal(err)
 		}
-		cur = d
 	}
 }
 
@@ -518,24 +516,36 @@ func BenchmarkNewAllocatorSparse4096(b *testing.B) {
 	}
 }
 
-// BenchmarkGrowSparse4096 registers one principal: O(n) slice headers,
-// every row and column shared with the receiver.
+// BenchmarkGrowSparse4096 registers one principal, in place: an amortized
+// append to every per-principal table and the skeleton slots cleared. The
+// planner is rebuilt at 4 096, untimed, every 1 024 registrations, so each
+// one lands in a population between 4 096 and 5 120 and the tables' growth
+// is paid at its amortized rate.
 func BenchmarkGrowSparse4096(b *testing.B) {
 	s, a, _ := sparseBlocksScenario(4096)
-	al, err := NewAllocatorSparse(s, a, Config{ComponentLP: true})
-	if err != nil {
-		b.Fatal(err)
+	var al *Allocator
+	build := func() {
+		var err error
+		if al, err = NewAllocatorSparse(s, a, Config{ComponentLP: true}); err != nil {
+			b.Fatal(err)
+		}
 	}
+	build()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i > 0 && i%1024 == 0 {
+			b.StopTimer()
+			build()
+			b.StartTimer()
+		}
 		al.Grow(1)
 	}
 }
 
 // The write path at the benchmark's churn128 shape: every share and every
-// revoke derives an allocator (SetShare) and drops skeletons, and the next
-// plan rebuilds the requester's.
+// revoke patches the allocator in place (PatchShare), and one that flips a
+// cell drops the skeletons, so the next plan rebuilds the requester's.
 
 // churn128Allocator is that shape: 16 blocks of eight principals, each a
 // chain of relative agreements closed by one absolute back-edge, under the
@@ -623,28 +633,10 @@ func BenchmarkBuildSkeleton128(b *testing.B) {
 	}
 }
 
-// BenchmarkSetShareChurn128 is a churn cycle's two writes: a block's head
-// shares a further 0.005 with a neighbour down its chain (one T row and up
-// to seven K columns move) and revokes it.
-func BenchmarkSetShareChurn128(b *testing.B) {
-	cur := churn128Allocator(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		to := 1 + i%7
-		old := cur.Share(0, to)
-		shared, err := cur.SetShare(0, to, old, old+0.005)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cur, err = shared.SetShare(0, to, old+0.005, old); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// patchSharePair is that share and revoke as the grm server makes them:
-// both patch al in place, the i-th pair sharing with neighbour 1 + i%7. Six
+// patchSharePair is a churn cycle's two writes as the grm server makes
+// them: a block's head shares a further 0.005 with a neighbour down its
+// chain (one T row and up to seven K columns move) and revokes it, both
+// patching al in place, the i-th pair sharing with neighbour 1 + i%7. Six
 // pairs in seven add an S entry and remove it again (flipSharePair); the
 // seventh moves a value only (valueSharePair).
 func patchSharePair(al *Allocator, i int) error { return sharePair(al, 0, 1+i%7) }
@@ -668,10 +660,10 @@ func sharePair(al *Allocator, from, to int) error {
 	return al.PatchShare(from, to, old+0.005, old)
 }
 
-// BenchmarkPatchShareChurn128 is BenchmarkSetShareChurn128's two writes
-// patched in place: no table is copied, and the T row and the columns,
-// whose values alone move, are written over, so what is left is the S row
-// of the six pairs in seven that add an entry and remove it.
+// BenchmarkPatchShareChurn128 is patchSharePair at churn128: no table is
+// copied, and the T row and the columns, whose values alone move, are
+// written over, so what is left is the S row of the six pairs in seven that
+// add an entry and remove it.
 func BenchmarkPatchShareChurn128(b *testing.B) { benchPatchShare(b, churn128Allocator(b)) }
 
 // BenchmarkPatchShare4096 is the same pair in a population of 4 096: it
@@ -681,8 +673,8 @@ func BenchmarkPatchShare4096(b *testing.B) { benchPatchShare(b, churnAllocator(b
 
 // BenchmarkPatchShareValues128 is the served write as churn128's
 // sequential window makes it: a share on an edge that already exists and
-// its revoke (valueSharePair), which move values only and, once the
-// allocator has laid out the rows and columns they touch, allocate nothing.
+// its revoke (valueSharePair), which move values only and allocate
+// nothing.
 func BenchmarkPatchShareValues128(b *testing.B) {
 	benchPairs(b, churn128Allocator(b), valueSharePair)
 }
@@ -712,33 +704,32 @@ func benchPairs(b *testing.B, al *Allocator, pair func(*Allocator, int) error) {
 
 // BenchmarkChurnCycle128 is what a churn128 cycle asks of the planner: a
 // block's head shares a further 0.005 with a neighbour down its chain,
-// plans, revokes the share and plans again — two writes that move only
-// values, each followed by the plan it leaves to pay.
+// plans, revokes the share and plans again — two writes patched in place
+// (PatchShare), each followed by the plan it leaves to pay.
 func BenchmarkChurnCycle128(b *testing.B) {
-	cur := churn128Allocator(b)
+	al := churn128Allocator(b)
 	_, _, v := sparseBlockScenario(128, 1)
 	var sources []int
 	var takes []float64
-	plan := func(al *Allocator) {
+	plan := func() {
 		var err error
 		if sources, takes, _, err = al.PlanPairs(sources[:0], takes[:0], v, 0, 1.5); err != nil {
 			b.Fatal(err)
 		}
 	}
-	plan(cur)
+	plan()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		to := 1 + i%7
-		old := cur.Share(0, to)
-		shared, err := cur.SetShare(0, to, old, old+0.005)
-		if err != nil {
+		old := al.Share(0, to)
+		if err := al.PatchShare(0, to, old, old+0.005); err != nil {
 			b.Fatal(err)
 		}
-		plan(shared)
-		if cur, err = shared.SetShare(0, to, old+0.005, old); err != nil {
+		plan()
+		if err := al.PatchShare(0, to, old+0.005, old); err != nil {
 			b.Fatal(err)
 		}
-		plan(cur)
+		plan()
 	}
 }

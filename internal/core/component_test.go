@@ -135,8 +135,9 @@ func TestComponentLPDenseScenario(t *testing.T) {
 
 // TestComponentLPMutations pins the skeleton-invalidation discipline:
 // after relative value moves, relative sparsity flips, and absolute
-// flips — interleaved with plans that populate the caches — the
-// component allocator must keep matching a freshly built full one.
+// flips, patched in place and interleaved with plans that populate the
+// caches, the component allocator must keep matching a freshly built full
+// one.
 func TestComponentLPMutations(t *testing.T) {
 	s, a, v := sparseBlockScenario(48, 11)
 	comp, err := NewAllocatorSparse(s, a, Config{Level: 5, ComponentLP: true})
@@ -156,37 +157,32 @@ func TestComponentLPMutations(t *testing.T) {
 	check("initial")
 
 	// Relative value move inside an existing edge.
-	comp, err = comp.SetShare(0, 1, comp.Share(0, 1), 0.35)
-	if err != nil {
+	if err := comp.PatchShare(0, 1, comp.Share(0, 1), 0.35); err != nil {
 		t.Fatal(err)
 	}
 	check("share value move")
 
 	// Relative sparsity flip: a brand-new cross-block edge.
-	comp, err = comp.SetShare(8, 40, 0, 0.2)
-	if err != nil {
+	if err := comp.PatchShare(8, 40, 0, 0.2); err != nil {
 		t.Fatal(err)
 	}
 	check("share flip on")
 
 	// Absolute sparsity flip on: requester 1 gains a new source column
 	// entry, which must rebuild its component skeleton.
-	comp, err = comp.SetAgreement(40, 1, 0, 2.5)
-	if err != nil {
+	if err := comp.PatchAgreement(40, 1, 0, 2.5); err != nil {
 		t.Fatal(err)
 	}
 	check("agreement flip on")
 
 	// Absolute value-only move: skeletons survive, RHS refolds per solve.
-	comp, err = comp.SetAgreement(40, 1, 2.5, 4)
-	if err != nil {
+	if err := comp.PatchAgreement(40, 1, 2.5, 4); err != nil {
 		t.Fatal(err)
 	}
 	check("agreement value move")
 
 	// Absolute flip off again.
-	comp, err = comp.SetAgreement(40, 1, 4, 0)
-	if err != nil {
+	if err := comp.PatchAgreement(40, 1, 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	check("agreement flip off")

@@ -208,159 +208,75 @@ func TestNormalizeTakesAllAtCapReportsResidual(t *testing.T) {
 	}
 }
 
-// TestConcurrentPlansAcrossValueChurn races PlanPairs on an allocator and on
-// two value-only derivations of it (run under -race in `make race` and
-// `make check`). The three share the skeleton slots and the workspace pool,
-// so a model clone one plan rebound to its allocator's values may next serve
-// another's; every plan must still equal, bit for bit, the same plan on a
-// fresh NewAllocatorSparse over its own allocator's agreements.
+// TestConcurrentPlansAcrossValueChurn races PlanPairs on an allocator (run
+// under -race in `make race` and `make check`) before and after each of two
+// value-only writes patched in place — a share halved, an absolute
+// agreement raised — which keep the skeletons, so a model clone a plan
+// rebound before a write may serve another after it. Every plan must
+// equal, bit for bit, the same plan on a fresh NewAllocatorSparse over the
+// allocator's agreements as they stand.
 func TestConcurrentPlansAcrossValueChurn(t *testing.T) {
-	s, a, v := sparseBlockScenario(32, 5)
-	for _, cfg := range []Config{{}, {ComponentLP: true}} {
-		base, err := NewAllocatorSparse(s, a, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		halved, err := base.SetShare(0, 1, base.Share(0, 1), base.Share(0, 1)/2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raised, err := halved.SetAgreement(7, 0, halved.Agreement(7, 0), halved.Agreement(7, 0)+2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		als := []*Allocator{base, halved, raised}
-		if !sameSkeletons(halved, base) || !sameSkeletons(raised, base) {
-			t.Fatalf("%+v: value-only derivations dropped the skeletons", cfg)
-		}
-		type pairs struct {
-			sources []int
-			takes   []float64
-			theta   float64
-		}
-		want := make([][]pairs, len(als))
-		for k, al := range als {
-			fresh := rebuilt(t, al)
-			for r := range v {
-				sources, takes, theta, err := fresh.PlanPairs(nil, nil, v, r, 2.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[k] = append(want[k], pairs{sources, takes, theta})
-			}
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 6; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				var sources []int
-				var takes []float64
-				for round := 0; round < 20; round++ {
-					for r := range v {
-						k := (g + round + r) % len(als)
-						var theta float64
-						var err error
-						if sources, takes, theta, err = als[k].PlanPairs(sources[:0], takes[:0], v, r, 2.5); err != nil {
-							t.Error(err)
-							return
-						}
-						w := want[k][r]
-						if !slices.Equal(sources, w.sources) || !sameBits(takes, w.takes) || !sameBits([]float64{theta}, []float64{w.theta}) {
-							t.Errorf("%+v: allocator %d, requester %d plans %v %v θ=%v, a fresh build %v %v θ=%v",
-								cfg, k, r, sources, takes, theta, w.sources, w.takes, w.theta)
-							return
-						}
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-	}
-}
-
-// TestPlansBesideInPlacePatches races PlanPairs on a SetShare derivation
-// against value-only PatchShare moves on its receiver (run under -race in
-// `make race` and `make check`). Before the derivation the receiver has
-// written rows and columns of its own, which the derivation then shares;
-// afterwards the receiver writes over the values of the rows and columns it
-// lays out anew, in place, while the derivation plans from the ones they
-// shared. Each side plans, bit for bit, as a fresh NewAllocatorSparse over
-// its own agreements does.
-func TestPlansBesideInPlacePatches(t *testing.T) {
 	s, a, v := sparseBlockScenario(32, 5)
 	for _, cfg := range []Config{{}, {ComponentLP: true}} {
 		al, err := NewAllocatorSparse(s, a, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		move := func(step int) {
-			from := step % 3
-			x := al.Share(from, from+1)
-			if err := al.PatchShare(from, from+1, x, x*(0.8+0.1*float64(step%3))); err != nil {
+		writes := []func() error{
+			func() error { return nil },
+			func() error { return al.PatchShare(0, 1, al.Share(0, 1), al.Share(0, 1)/2) },
+			func() error { return al.PatchAgreement(7, 0, al.Agreement(7, 0), al.Agreement(7, 0)+2) },
+		}
+		var built []*planSkeleton
+		for k, write := range writes {
+			if err := write(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		for step := 0; step < 3; step++ {
-			move(step)
-		}
-		d, err := al.SetShare(9, 10, al.Share(9, 10), al.Share(9, 10)/2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		type pairs struct {
-			sources []int
-			takes   []float64
-			theta   float64
-		}
-		planAll := func(al *Allocator) []pairs {
-			var out []pairs
+			if k > 0 && !slices.Equal(skeletons(al), built) {
+				t.Fatalf("%+v, write %d: a value-only write dropped the skeletons", cfg, k)
+			}
+			type pairs struct {
+				sources []int
+				takes   []float64
+				theta   float64
+			}
+			fresh := rebuilt(t, al)
+			var want []pairs
 			for r := range v {
-				sources, takes, theta, err := al.PlanPairs(nil, nil, v, r, 2.5)
+				sources, takes, theta, err := fresh.PlanPairs(nil, nil, v, r, 2.5)
 				if err != nil {
-					t.Error(err)
+					t.Fatal(err)
 				}
-				out = append(out, pairs{sources, takes, theta})
+				want = append(want, pairs{sources, takes, theta})
 			}
-			return out
+			var wg sync.WaitGroup
+			for g := 0; g < 6; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					var sources []int
+					var takes []float64
+					for round := 0; round < 20; round++ {
+						for r := range v {
+							r := (r + g) % len(v)
+							var theta float64
+							var err error
+							if sources, takes, theta, err = al.PlanPairs(sources[:0], takes[:0], v, r, 2.5); err != nil {
+								t.Error(err)
+								return
+							}
+							w := want[r]
+							if !slices.Equal(sources, w.sources) || !sameBits(takes, w.takes) || !sameBits([]float64{theta}, []float64{w.theta}) {
+								t.Errorf("%+v, write %d: requester %d plans %v %v θ=%v, a fresh build %v %v θ=%v",
+									cfg, k, r, sources, takes, theta, w.sources, w.takes, w.theta)
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			built = skeletons(al)
 		}
-		// differ returns the first requester whose plans differ, -1 for none.
-		differ := func(got, want []pairs) int {
-			for r, w := range want {
-				if !slices.Equal(got[r].sources, w.sources) || !sameBits(got[r].takes, w.takes) ||
-					!sameBits([]float64{got[r].theta}, []float64{w.theta}) {
-					return r
-				}
-			}
-			return -1
-		}
-		want := planAll(rebuilt(t, d))
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if got := planAll(d); differ(got, want) >= 0 {
-					r := differ(got, want)
-					t.Errorf("%+v: requester %d: the derivation plans %v, a fresh build %v", cfg, r, got[r], want[r])
-					return
-				}
-			}
-		}()
-		for step := 3; step < 12; step++ {
-			move(step)
-			if got, fresh := planAll(al), planAll(rebuilt(t, al)); differ(got, fresh) >= 0 {
-				r := differ(got, fresh)
-				t.Errorf("%+v, step %d: requester %d: the patched receiver plans %v, a fresh build %v", cfg, step, r, got[r], fresh[r])
-			}
-		}
-		close(stop)
-		wg.Wait()
 	}
 }

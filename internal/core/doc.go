@@ -45,13 +45,13 @@
 //
 // # What a write costs
 //
-// SetShare, SetAgreement and Grow derive an Allocator copy-on-write, and
-// PatchShare and PatchAgreement patch one in place (see mutate.go); each
-// drops the skeletons a flip reaches, and the next plan rebuilds its
-// requester's. Both halves cost what moved: a patch writes over the values
-// of rows and columns its receiver owns, replaced columns come out of one
-// arena per mutation, a skeleton is built in one pass into one arena, names
-// on demand, nothing population-sized under ComponentLP.
+// An Allocator has one owner, which writes it under the lock it plans
+// under: PatchShare, PatchAgreement and Grow change it in place (see
+// mutate.go), each dropping the skeletons a flip reaches, and the next plan
+// rebuilds its requester's. A write costs what moved: values are written
+// over, a column whose pattern flips is laid out anew in one arena, Grow
+// appends, and a skeleton is built in one pass into one arena, names on
+// demand, nothing population-sized under ComponentLP.
 //
 // # Library
 //

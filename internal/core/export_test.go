@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Helpers shared with the external core_test package, whose tests drive
 // core through package planners.
 var (
@@ -8,12 +10,11 @@ var (
 	Churn128Allocator   = churn128Allocator
 	Ring64Allocator     = ring64Allocator
 	SparseBlockScenario = sparseBlockScenario
-	SharesSkeletons     = sameSkeletons
 )
 
-// StructCopy copies al's struct as it stands: its tables are al's own, so it
-// serves to ask later whether a patch of al replaced a table, not to plan.
-func (al *Allocator) StructCopy() *Allocator {
-	d := *al
-	return &d
+// SkeletonsKept reads what al's skeleton slots hold and returns a report of
+// whether they still hold exactly those skeletons.
+func SkeletonsKept(al *Allocator) func() bool {
+	built := skeletons(al)
+	return func() bool { return slices.Equal(skeletons(al), built) }
 }

@@ -15,38 +15,19 @@ import (
 // transitive closure, and only the caches the change reaches invalidated,
 // instead of a full NewAllocator rebuild and its exact chain enumeration.
 //
-// Each mutation is one patch with two entry points. SetShare, SetAgreement
-// and Grow are copy-on-write: the result owns clones of the tables its
-// patch writes and shares every row, the skeleton table and the workspace
-// pool, so the receiver stays valid under in-flight Plans. PatchShare and
-// PatchAgreement write into the receiver itself — the grm server's path —
-// so their receiver needs one owner, planning under its writes' lock, and
-// no allocator in use may share a table it writes: PatchShare's are the
-// closure's, flow and cols, PatchAgreement's A's and cols. SetShare's
-// result shares A's with its receiver, SetAgreement's the closure and flow;
-// a constructor's or Grow's, none. After an error the receiver is partly
-// patched and must be discarded.
+// One owner, one write path. PatchShare, PatchAgreement and Grow write
+// into the receiver itself, which owns every row and column it holds: its
+// owner — the grm server — plans and writes under one lock, so no plan is
+// in flight across a write. A value whose cell stays stored is written
+// over in place. A cell that appears or vanishes lays out a new row or
+// column, since a pattern — an S, T, K or A row's column list, a column's
+// idx — never changes once a skeleton may have read it (full-formulation
+// skeletons alias col.idx), and drops the skeletons. After an error the
+// receiver is partly patched and must be discarded.
 //
-// The ownership rule. A pattern — an S, T or K row's column list, a
-// column's idx — never changes once published: full-formulation skeletons
-// alias col.idx. A value array — an S or T row's values, a column's k and
-// a — is written in place by its owner alone, and ownership is tracked:
-// each closure and allocator holds an epoch from a process-wide counter,
-// each row and column the epoch of whichever allocated its values, and
-// every derivation (Clone, UpdateEdge, UpdateRow, SetShare, SetAgreement,
-// Grow) gives both sides fresh epochs, so neither owns what they share.
-// Constructor input and a build's column arena carry epoch 0, owned by
-// none. What a write allocates for what it changes (A rows, and K rows the
-// overdraft cap copies, are always laid out anew):
-//
-//	          values moved, owned  values moved, not owned    pattern flipped
-//	S, T row  nothing              a value slice, cols shared a new row
-//	columns   nothing              one int32 and one float64 arena for them all
-//
-// What each cache depends on, what a mutation pays to refresh it, and when
-// it survives. Every cost is in stored entries of the rows and columns that
-// moved; only a persistent mutator's clones are O(n), one table per
-// structure:
+// What each cache depends on, what a write pays to refresh it, and when it
+// survives. Every cost is in stored entries of the rows and columns that
+// moved:
 //
 //	cache     depends on                  refreshed by             survives
 //	───────── ─────────────────────────── ──────────────────────── ─────────────────────────
@@ -57,51 +38,36 @@ import (
 //	          conn: K row sums            an entry > 1; one walk   unless the cap bites
 //	cols      K and A columns (pattern    the moved cells written  columns no moved cell
 //	          and values)                 over, or merged anew     falls in
-//	skel[r]   K and A patterns only:      one fresh slice of nil   every change that flips
-//	          every number is rebound     slots; r's next Plan     no K or A cell between
+//	skel[r]   K and A patterns only:      every slot cleared in    every change that flips
+//	          every number is rebound     place; r's next Plan     no K or A cell between
 //	          per solve                   builds it in one pass    zero and nonzero
 //
 // A mutated allocator plans bit-identically to a fresh NewAllocator over
 // the mutated matrices (pinned by the incremental equivalence tests):
-// shared rows are identical, patched rows replay NewAllocator's per-row
+// untouched rows are identical, patched rows replay NewAllocator's per-row
 // computations, and a kept skeleton is rebound to the fresh numbers.
 
-// epochs hands out allocator epochs from 1.
-var epochs atomic.Uint64
-
-// renew gives al a fresh epoch, atomically: derivations of one receiver
-// may run concurrently (a patch, owning its receiver, reads it plainly).
-func (al *Allocator) renew() { atomic.StoreUint64(&al.epoch, epochs.Add(1)) }
-
-// fork returns a copy of al sharing every table, both taking fresh epochs.
-// It copies field by field: reading al.epoch would race with a renewal.
-func (al *Allocator) fork() *Allocator {
-	d := &Allocator{n: al.n, aCols: al.aCols, aVals: al.aVals, hasA: al.hasA, flow: al.flow, cfg: al.cfg,
-		cols: al.cols, skel: al.skel, clo: al.clo, pool: al.pool}
-	al.renew()
-	d.renew()
-	return d
-}
-
-// SetShare derives an allocator with the relative agreement S[from][to]
-// changed from oldVal to newVal: PatchShare on a copy owning the closure,
-// flow and column tables. A no-op change returns the receiver.
+// SetShare is PatchShare on a copy of al, for a caller that keeps al, which
+// stays as it was: the copy owns its closure, A's values and every cache
+// built from them, and shares A's column lists, which never change once
+// stored, and the workspace pool. Only the layer benchmark, which times
+// it, still calls it.
 func (al *Allocator) SetShare(from, to int, oldVal, newVal float64) (*Allocator, error) {
-	d := al // a patch that changes nothing writes nothing: it only checks
-	if !num.IsZero(oldVal - newVal) {
-		d = al.fork()
-		d.clo, d.flow, d.cols = al.clo.Clone(), slices.Clone(al.flow), slices.Clone(al.cols)
+	d := &Allocator{n: al.n, aCols: slices.Clone(al.aCols), aVals: make([][]float64, al.n), hasA: al.hasA, cfg: al.cfg,
+		clo: al.clo.Clone(), pool: al.pool}
+	for i, vals := range al.aVals {
+		d.aVals[i] = slices.Clone(vals)
 	}
+	d.index()
 	if err := d.PatchShare(from, to, oldVal, newVal); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// PatchShare changes S[from][to] from oldVal to newVal in the receiver,
-// under the ownership rule above. It refuses a stale oldVal and, with
-// transitive.ErrBudget, a graph densified past the enumeration budget, as
-// NewAllocator would.
+// PatchShare changes S[from][to] from oldVal to newVal in the receiver.
+// It refuses a stale oldVal and, with transitive.ErrBudget, a graph
+// densified past the enumeration budget, as NewAllocator would.
 func (al *Allocator) PatchShare(from, to int, oldVal, newVal float64) error {
 	ps := patchPool.Get().(*patchScratch)
 	defer func() { clear(ps.old); patchPool.Put(ps) }()
@@ -152,10 +118,9 @@ func rowMoves(out []cellMove, r int, oc []int32, ov []float64, nc []int32, nv []
 // replaceColumns merges moves — sorted by column, ascending by row within
 // one — into d's columns: a moved row takes its new K value and d's current
 // A value and stays listed only while one of them is nonzero; every other
-// source is copied. A column d owns whose moved rows all stay listed is
-// written over (overwrite); the others come out of one int32 and one
-// float64 arena, sized first, and are d's. The old columns stay shared,
-// unmodified.
+// source is copied. A column whose moved rows all stay listed is written
+// over (overwrite); the others come out of one int32 and one float64 arena,
+// sized first, and their old layouts are left as they were.
 func (d *Allocator) replaceColumns(moves []cellMove) {
 	rest, size := moves[:0], 0
 	for len(moves) > 0 {
@@ -174,7 +139,7 @@ func (d *Allocator) replaceColumns(moves []cellMove) {
 	}
 	moves = rest
 	vals := make([]float64, 2*size)
-	out := column{idx: make([]int32, 0, size), k: vals[:0:size], a: vals[size:size], epoch: d.epoch}
+	out := column{idx: make([]int32, 0, size), k: vals[:0:size], a: vals[size:size]}
 	for len(moves) > 0 {
 		c, from := int(moves[0].c), len(out.idx)
 		old := d.cols[c]
@@ -196,14 +161,11 @@ func (d *Allocator) replaceColumns(moves []cellMove) {
 	}
 }
 
-// overwrite writes moves, all in column c, over the column's values if d
-// owns it and every moved row but the diagonal stays listed, so its idx
-// holds, and reports whether it did.
+// overwrite writes moves, all in column c, over the column's values if
+// every moved row but the diagonal stays listed, so its idx holds, and
+// reports whether it did.
 func (d *Allocator) overwrite(c int, moves []cellMove) bool {
 	col := d.cols[c]
-	if col.epoch != d.epoch {
-		return false
-	}
 	for _, mv := range moves {
 		_, listed := slices.BinarySearch(col.idx, mv.r)
 		if int(mv.r) != c && (!listed || num.IsZero(mv.k) && num.IsZero(d.aAt(int(mv.r), c))) {
@@ -250,30 +212,16 @@ func (d *Allocator) applyClosureDelta(ps *patchScratch) {
 	slices.SortStableFunc(moves, func(a, b cellMove) int { return cmp.Compare(a.c, b.c) })
 	d.replaceColumns(moves)
 	if flipped {
-		d.skel = make([]atomic.Pointer[planSkeleton], d.n)
+		clear(d.skel)
 	}
-}
-
-// SetAgreement derives an allocator with the absolute agreement
-// A[from][to] changed from oldVal to newVal: PatchAgreement on a copy
-// owning A's and the column tables. A no-op change returns the receiver.
-func (al *Allocator) SetAgreement(from, to int, oldVal, newVal float64) (*Allocator, error) {
-	d := al // a patch that changes nothing writes nothing: it only checks
-	if !num.IsZero(oldVal - newVal) {
-		d = al.fork()
-		d.aCols, d.aVals, d.cols = slices.Clone(al.aCols), slices.Clone(al.aVals), slices.Clone(al.cols)
-	}
-	if err := d.PatchAgreement(from, to, oldVal, newVal); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // PatchAgreement changes A[from][to] from oldVal to newVal in the
-// receiver, under the ownership rule above (making A if there was none). A
-// never enters the closure: a value-only change replaces column `to` and
-// keeps every other cache, numbers being rebound per solve, and a flip
-// between zero and positive also drops the skeletons linearizing the entry.
+// receiver (making A if there was none). A never enters the closure: a
+// value-only change writes over the entry and column `to` and keeps every
+// other cache, numbers being rebound per solve, and a flip between zero
+// and positive also lays column `to` out anew and drops the skeletons
+// linearizing the entry.
 func (al *Allocator) PatchAgreement(from, to int, oldVal, newVal float64) error {
 	n := al.n
 	if from < 0 || from >= n || to < 0 || to >= n || newVal < 0 {
@@ -297,7 +245,7 @@ func (al *Allocator) PatchAgreement(from, to int, oldVal, newVal float64) error 
 		// requester `to`'s own, which under ComponentLP goes too, its live
 		// set being column `to`'s pattern.
 		kept := al.skel[to].Load()
-		al.skel = make([]atomic.Pointer[planSkeleton], n)
+		clear(al.skel)
 		if !al.cfg.ComponentLP {
 			al.skel[to].Store(kept)
 		}
@@ -305,37 +253,36 @@ func (al *Allocator) PatchAgreement(from, to int, oldVal, newVal float64) error 
 	return nil
 }
 
-// Grow derives an allocator extended by extra principals holding no
-// agreements, whose rows and columns are empty: it copies O(n) slice
-// headers and shares every row and column with the receiver, with no
-// enumeration, and drops every skeleton, each model's variable count
-// changing. (An Approx closure whose clamped level rises recomputes its
-// rows, and the caches are rebuilt from them as a constructor would.)
-func (al *Allocator) Grow(extra int) *Allocator {
+// Grow extends the allocator in place by extra principals holding no
+// agreements, whose rows and columns are empty: every per-principal table
+// is appended to with amortized capacity, no entry is touched and nothing
+// enumerated, and every skeleton slot is cleared in place, each model's
+// variable count changing. (An Approx closure whose clamped level rises
+// recomputes its rows, and the caches are rebuilt from them as a
+// constructor would.)
+func (al *Allocator) Grow(extra int) {
 	if extra <= 0 {
-		return al
+		return
 	}
-	n := al.n + extra
-	al.renew()
-	clo := al.clo.Grow(extra)
-	aCols, aVals := grown(al.aCols, n), grown(al.aVals, n)
-	if al.cfg.Approx && clo.Level() != al.clo.Level() {
-		return finishAllocator(n, clo, aCols, aVals, al.hasA, al.cfg)
+	level := al.clo.Level()
+	al.clo.Grow(extra)
+	al.n += extra
+	al.aCols, al.aVals = append(al.aCols, make([][]int32, extra)...), append(al.aVals, make([][]float64, extra)...)
+	if al.cfg.Approx && al.clo.Level() != level {
+		al.index()
+		return
 	}
-	return &Allocator{epoch: epochs.Add(1), n: n, cfg: al.cfg, hasA: al.hasA, clo: clo, aCols: aCols, aVals: aVals,
-		flow: grown(al.flow, n), cols: grown(al.cols, n),
-		skel: make([]atomic.Pointer[planSkeleton], n), pool: al.pool}
-}
-
-// grown copies xs into a slice of n elements, the new tail zero.
-func grown[T any](xs []T, n int) []T {
-	out := make([]T, n)
-	copy(out, xs)
-	return out
+	al.flow, al.cols = append(al.flow, make([]flowRow, extra)...), append(al.cols, make([]column, extra)...)
+	if cap(al.skel) < al.n {
+		al.skel = make([]atomic.Pointer[planSkeleton], al.n, 2*al.n) // every slot is dropped: nothing to copy
+		return
+	}
+	al.skel = al.skel[:al.n]
+	clear(al.skel)
 }
 
 // Share returns S[from][to], the old value callers pass back into
-// SetShare: a binary search over the closure's row `from`.
+// PatchShare: a binary search over the closure's row `from`.
 func (al *Allocator) Share(from, to int) float64 { return al.clo.Edge(from, to) }
 
 // Agreement returns A[from][to], zero when the allocator holds no A.

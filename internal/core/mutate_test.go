@@ -69,8 +69,8 @@ func growSquare(m [][]float64, nn int) [][]float64 {
 	return out
 }
 
-// requirePlansIdentical pins a derived allocator's cold Plan output
-// bit-for-bit to a freshly built one across several requesters.
+// requirePlansIdentical pins a patched allocator's Plan output bit-for-bit
+// to a freshly built one across several requesters.
 func requirePlansIdentical(t *testing.T, got, want *Allocator, v []float64, label string) {
 	t.Helper()
 	n := want.N()
@@ -97,9 +97,9 @@ func requirePlansIdentical(t *testing.T, got, want *Allocator, v []float64, labe
 }
 
 // TestSetShareMatchesRebuild drives a random schedule of relative
-// agreement edits and pins the derived allocator — flow coefficients,
-// capacities, and full Plan output — bit-for-bit to NewAllocator over
-// the mutated matrix at every step.
+// agreement edits patched in place (PatchShare) and pins the allocator —
+// flow coefficients, capacities, and full Plan output — bit-for-bit to
+// NewAllocator over the mutated matrix at every step.
 func TestSetShareMatchesRebuild(t *testing.T) {
 	for _, cfg := range []Config{{Level: 3}, {}, {Approx: true}} {
 		rng := rand.New(rand.NewSource(11))
@@ -119,40 +119,38 @@ func TestSetShareMatchesRebuild(t *testing.T) {
 			} else {
 				nv = 0.05 + 0.4*rng.Float64()
 			}
-			d, err := al.SetShare(from, to, s[from][to], nv)
-			if err != nil {
-				t.Fatalf("cfg %+v step %d: SetShare: %v", cfg, step, err)
+			if err := al.PatchShare(from, to, s[from][to], nv); err != nil {
+				t.Fatalf("cfg %+v step %d: PatchShare: %v", cfg, step, err)
 			}
 			s[from][to] = nv
 			rebuilt, err := NewAllocator(cloneMatrix(s), nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			kd, kw := d.FlowCoefficients(), rebuilt.FlowCoefficients()
+			kd, kw := al.FlowCoefficients(), rebuilt.FlowCoefficients()
 			for i := range kw {
 				if !floatsIdentical(kd[i], kw[i]) {
 					t.Fatalf("cfg %+v step %d: K row %d diverged", cfg, step, i)
 				}
 			}
 			for i := range rebuilt.flow {
-				if !num.IsZero(d.flow[i].conn - rebuilt.flow[i].conn) {
+				if !num.IsZero(al.flow[i].conn - rebuilt.flow[i].conn) {
 					t.Fatalf("cfg %+v step %d: conn[%d] diverged", cfg, step, i)
 				}
 			}
-			if !floatsIdentical(d.Capacities(v), rebuilt.Capacities(v)) {
+			if !floatsIdentical(al.Capacities(v), rebuilt.Capacities(v)) {
 				t.Fatalf("cfg %+v step %d: capacities diverged", cfg, step)
 			}
 			if step%5 == 0 {
-				requirePlansIdentical(t, d, rebuilt, v, "SetShare")
+				requirePlansIdentical(t, al, rebuilt, v, "PatchShare")
 			}
-			al = d
 		}
 	}
 }
 
-// TestSetAgreementMatchesRebuild covers absolute-agreement mutations:
-// growing A from nil, value-only moves (which must share every
-// skeleton), and sparsity flips.
+// TestSetAgreementMatchesRebuild covers absolute-agreement mutations
+// patched in place (PatchAgreement): growing A from nil, value-only moves
+// (which must keep every skeleton), and sparsity flips.
 func TestSetAgreementMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s, v := mutateScenario(rng, 10, 16)
@@ -178,36 +176,29 @@ func TestSetAgreementMatchesRebuild(t *testing.T) {
 			nv = 1 + 6*rng.Float64()
 		}
 		valueOnly := a[from][to] > 0 && nv > 0
-		d, err := al.SetAgreement(from, to, a[from][to], nv)
-		if err != nil {
-			t.Fatalf("step %d: SetAgreement: %v", step, err)
+		before := skeletons(al)
+		if err := al.PatchAgreement(from, to, a[from][to], nv); err != nil {
+			t.Fatalf("step %d: PatchAgreement: %v", step, err)
 		}
-		if valueOnly && d != al {
-			for i := 0; i < 10; i++ {
-				// The slot itself is shared, so a skeleton either side
-				// builds later serves both.
-				if &d.skel[i] != &al.skel[i] {
-					t.Fatalf("step %d: value-only A change rebuilt skeleton %d", step, i)
-				}
-			}
+		if valueOnly && !slices.Equal(skeletons(al), before) {
+			t.Fatalf("step %d: a value-only A change dropped skeletons", step)
 		}
 		a[from][to] = nv
 		rebuilt, err := NewAllocator(cloneMatrix(s), cloneMatrix(a), Config{Level: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !floatsIdentical(d.Capacities(v), rebuilt.Capacities(v)) {
+		if !floatsIdentical(al.Capacities(v), rebuilt.Capacities(v)) {
 			t.Fatalf("step %d: capacities diverged", step)
 		}
 		if step%4 == 0 {
-			requirePlansIdentical(t, d, rebuilt, v, "SetAgreement")
+			requirePlansIdentical(t, al, rebuilt, v, "PatchAgreement")
 		}
-		al = d
 	}
 }
 
-// TestGrowMatchesRebuild extends an allocator by fresh principals and
-// pins it to a rebuild over the zero-extended matrices, then mutates an
+// TestGrowMatchesRebuild extends an allocator in place by fresh principals
+// and pins it to a rebuild over the zero-extended matrices, then patches an
 // edge touching the new principal.
 func TestGrowMatchesRebuild(t *testing.T) {
 	for _, cfg := range []Config{{}, {Approx: true}} {
@@ -217,9 +208,9 @@ func TestGrowMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := al.Grow(2)
-		if d.N() != 10 {
-			t.Fatalf("cfg %+v: grew to %d principals, want 10", cfg, d.N())
+		al.Grow(2)
+		if al.N() != 10 {
+			t.Fatalf("cfg %+v: grew to %d principals, want 10", cfg, al.N())
 		}
 		sBig := growSquare(s, 10)
 		v := make([]float64, 10)
@@ -230,11 +221,10 @@ func TestGrowMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requirePlansIdentical(t, d, rebuilt, v, "Grow")
+		requirePlansIdentical(t, al, rebuilt, v, "Grow")
 
 		// The new principal starts sharing: goes through the delta path.
-		d2, err := d.SetShare(9, 0, 0, 0.35)
-		if err != nil {
+		if err := al.PatchShare(9, 0, 0, 0.35); err != nil {
 			t.Fatal(err)
 		}
 		sBig[9][0] = 0.35
@@ -242,53 +232,32 @@ func TestGrowMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requirePlansIdentical(t, d2, rebuilt2, v, "Grow+SetShare")
-	}
-}
-
-// TestMutatorCOW checks the receiver of a mutation stays fully valid:
-// its plans still match a rebuild over the *old* matrices.
-func TestMutatorCOW(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	s, v := mutateScenario(rng, 10, 18)
-	al, err := NewAllocator(cloneMatrix(s), nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	from, to := 1, 6
-	if _, err := al.SetShare(from, to, s[from][to], 0.44); err != nil {
-		t.Fatal(err)
-	}
-	rebuiltOld, err := NewAllocator(cloneMatrix(s), nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requirePlansIdentical(t, al, rebuiltOld, v, "receiver after SetShare")
-	if !num.IsZero(al.Share(from, to) - s[from][to]) {
-		t.Fatalf("receiver S mutated: %v", al.Share(from, to))
+		requirePlansIdentical(t, al, rebuilt2, v, "Grow+PatchShare")
 	}
 }
 
 // TestSetShareErrors covers staleness detection and the budget refusal.
 func TestSetShareErrors(t *testing.T) {
-	s, _ := mutateScenario(rand.New(rand.NewSource(1)), 6, 10)
+	s, sv := mutateScenario(rand.New(rand.NewSource(1)), 6, 10)
 	al, err := NewAllocator(cloneMatrix(s), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := al.SetShare(0, 1, s[0][1]+0.2, 0.3); err == nil {
+	if err := al.PatchShare(0, 1, s[0][1]+0.2, 0.3); err == nil {
 		t.Fatal("stale old value accepted")
 	}
-	if _, err := al.SetShare(0, 0, 0, 0.3); err == nil {
+	if err := al.PatchShare(0, 0, 0, 0.3); err == nil {
 		t.Fatal("diagonal share accepted")
 	}
-	if d, err := al.SetShare(0, 1, s[0][1], s[0][1]); err != nil || d != al {
-		t.Fatalf("no-op share: d=%p al=%p err=%v", d, al, err)
+	if err := al.PatchShare(0, 1, s[0][1], s[0][1]); err != nil {
+		t.Fatalf("no-op share: %v", err)
 	}
+	requirePlansIdentical(t, al, rebuilt(t, al), sv, "after the refusals and the no-op")
 
 	// Densify an exact allocator past the budget: the mutation must be
 	// refused with ErrBudget, like NewAllocator refuses to build the
-	// densified graph, and the receiver must go on planning. The seed is a
+	// densified graph — patched in place, and through SetShare, whose
+	// receiver must go on planning. The seed is a
 	// complete graph of 12 principals (5 M steps: its rows are summed by
 	// the subset DP) beside a chain of 5; one share from the clique to the
 	// chain's head makes every clique row reach 17 principals, past the
@@ -313,6 +282,13 @@ func TestSetShareErrors(t *testing.T) {
 	if _, err := cur.SetShare(0, 12, 0, 0.07); !errors.Is(err, transitive.ErrBudget) {
 		t.Fatalf("densify: %v, want ErrBudget", err)
 	}
+	patched, err := NewAllocator(cloneMatrix(dense), nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := patched.PatchShare(0, 12, 0, 0.07); !errors.Is(err, transitive.ErrBudget) {
+		t.Fatalf("densify in place: %v, want ErrBudget", err)
+	}
 	dense[0][12] = 0.07
 	_, err = NewAllocator(dense, nil, Config{})
 	if !errors.Is(err, transitive.ErrBudget) || !strings.Contains(err.Error(), "would exceed 50000000 steps for this agreement graph; set Config.Approx or lower Config.Level") {
@@ -331,9 +307,16 @@ func TestSetShareErrors(t *testing.T) {
 // look at — the full formulation and ComponentLP, with the blocks' absolute
 // back-edges and without — over two blocks of eight, each a chain of
 // relative agreements, after every requester has planned once, so every
-// skeleton slot is filled.
+// skeleton slot is filled. Whatever fn writes into them, the matrices they
+// were built from must stay as they were, bit for bit.
 func churnVariants(t *testing.T, fn func(label string, al *Allocator, v []float64)) {
 	s, a, v := sparseBlockScenario(16, 3)
+	inS, inA := denseOf(s.N(), s.At), denseOf(a.N(), a.At)
+	defer func() {
+		if !slices.EqualFunc(denseOf(s.N(), s.At), inS, sameBits) || !slices.EqualFunc(denseOf(a.N(), a.At), inA, sameBits) {
+			t.Errorf("the writes reached the matrices the allocators were built from")
+		}
+	}()
 	for _, comp := range []bool{false, true} {
 		for _, withA := range []bool{false, true} {
 			sa := a
@@ -375,46 +358,39 @@ func rebuilt(t *testing.T, al *Allocator) *Allocator {
 	return fresh
 }
 
-// sameSkeletons reports whether d holds al's skeleton table: the same slots,
-// so every skeleton either builds serves both.
-func sameSkeletons(d, al *Allocator) bool { return &d.skel[0] == &al.skel[0] }
+// skeletons returns what al's skeleton slots hold, nil for an empty one.
+func skeletons(al *Allocator) []*planSkeleton {
+	out := make([]*planSkeleton, len(al.skel))
+	for r := range out {
+		out[r] = al.skel[r].Load()
+	}
+	return out
+}
 
-// TestValueChurnKeepsSkeletons moves agreement values without flipping a
-// cell between zero and nonzero — a chain's head sharing half as much, which
-// moves K and conn in all eight columns of its block, and an absolute
-// back-edge raised — in every variant: the derived allocator keeps the
-// receiver's skeleton table, the model clones built from it are rebound, and
-// every plan equals a fresh build's bit for bit.
+// TestValueChurnKeepsSkeletons moves agreement values in place without
+// flipping a cell between zero and nonzero — a chain's head sharing half as
+// much, which moves K and conn in all eight columns of its block, and an
+// absolute back-edge raised — in every variant: the allocator keeps every
+// skeleton, the model clones built from them are rebound, and every plan
+// equals a fresh build's bit for bit.
 func TestValueChurnKeepsSkeletons(t *testing.T) {
 	churnVariants(t, func(label string, al *Allocator, v []float64) {
-		built := make([]*planSkeleton, al.n)
-		for r := range built {
-			built[r] = al.skel[r].Load()
-		}
-		step := func(what string, d *Allocator, err error) {
+		built := skeletons(al)
+		step := func(what string, err error) {
 			t.Helper()
 			if err != nil {
 				t.Fatalf("%s, %s: %v", label, what, err)
 			}
-			if !sameSkeletons(d, al) {
-				t.Fatalf("%s, %s: the derived allocator dropped the skeletons", label, what)
+			if !slices.Equal(skeletons(al), built) {
+				t.Fatalf("%s, %s: a skeleton was dropped or replaced", label, what)
 			}
-			for r, sk := range built {
-				if d.skel[r].Load() != sk {
-					t.Fatalf("%s, %s: skeleton %d was replaced", label, what, r)
-				}
-			}
-			requirePlansIdentical(t, d, rebuilt(t, d), v, label+", "+what)
-			al = d
+			requirePlansIdentical(t, al, rebuilt(t, al), v, label+", "+what)
 		}
-		d, err := al.SetShare(0, 1, al.Share(0, 1), al.Share(0, 1)/2)
-		step("a share halved", d, err)
+		step("a share halved", al.PatchShare(0, 1, al.Share(0, 1), al.Share(0, 1)/2))
 		if al.hasA {
-			d, err = al.SetAgreement(7, 0, al.Agreement(7, 0), al.Agreement(7, 0)+1)
-			step("an absolute agreement raised", d, err)
+			step("an absolute agreement raised", al.PatchAgreement(7, 0, al.Agreement(7, 0), al.Agreement(7, 0)+1))
 		}
-		d, err = al.SetShare(9, 10, al.Share(9, 10), 0.95)
-		step("a share raised in the other block", d, err)
+		step("a share raised in the other block", al.PatchShare(9, 10, al.Share(9, 10), 0.95))
 	})
 }
 
@@ -422,270 +398,44 @@ func TestValueChurnKeepsSkeletons(t *testing.T) {
 // cell — a K entry appearing and vanishing, under a cap_flow row too (the
 // last principal of a block closing its chain into a ring, where the
 // block's absolute back-edge already is), an absolute agreement appearing
-// and vanishing, and Grow — and checks each drops the skeleton table, the
-// derived allocator planning every requester as a fresh build does.
+// and vanishing, and Grow, twice — in place, and checks each clears the
+// skeleton slots, the allocator planning every requester as a fresh build
+// does.
 func TestPatternFlipDropsSkeletons(t *testing.T) {
 	churnVariants(t, func(label string, al *Allocator, v []float64) {
-		step := func(what string, d *Allocator, err error, kept int) {
+		step := func(what string, err error, kept int) {
 			t.Helper()
 			if err != nil {
 				t.Fatalf("%s, %s: %v", label, what, err)
 			}
-			if sameSkeletons(d, al) {
-				t.Fatalf("%s, %s: the derived allocator kept the skeleton table", label, what)
-			}
-			for r := range d.skel {
-				if sk := d.skel[r].Load(); sk != nil && r != kept {
-					t.Fatalf("%s, %s: skeleton %d survived", label, what, r)
+			for r, sk := range skeletons(al) {
+				if (sk != nil) != (r == kept) {
+					t.Fatalf("%s, %s: skeleton %d survived = %v, want %v", label, what, r, sk != nil, r == kept)
 				}
 			}
-			if len(v) < d.n {
+			if len(v) < al.n {
 				v = append(v, 6.5)
 			}
-			requirePlansIdentical(t, d, rebuilt(t, d), v, label+", "+what)
+			requirePlansIdentical(t, al, rebuilt(t, al), v, label+", "+what)
 			for r := range v {
-				if _, err := d.Plan(v, r, 1.5); err != nil { // refill the slots for the next step
+				if _, err := al.Plan(v, r, 1.5); err != nil { // refill the slots for the next step
 					t.Fatal(err)
 				}
 			}
-			al = d
 		}
-		d, err := al.SetShare(7, 0, 0, 0.25)
-		step("a ring closed", d, err, -1)
-		d, err = al.SetShare(7, 0, 0.25, 0)
-		step("the ring opened again", d, err, -1)
-		d, err = al.SetShare(3, 4, al.Share(3, 4), 0)
-		step("a chain cut", d, err, -1)
-		d, err = al.SetShare(7, 8, 0, 0.2)
-		step("two blocks bridged", d, err, -1)
+		step("a ring closed", al.PatchShare(7, 0, 0, 0.25), -1)
+		step("the ring opened again", al.PatchShare(7, 0, 0.25, 0), -1)
+		step("a chain cut", al.PatchShare(3, 4, al.Share(3, 4), 0), -1)
+		step("two blocks bridged", al.PatchShare(7, 8, 0, 0.2), -1)
 		kept := 5 // requester 5 has no perturb_5 row; its live set is column 5 under ComponentLP
 		if al.cfg.ComponentLP {
 			kept = -1
 		}
-		d, err = al.SetAgreement(2, 5, 0, 1.5)
-		step("an absolute agreement made", d, err, kept)
-		d, err = al.SetAgreement(2, 5, 1.5, 0)
-		step("an absolute agreement revoked", d, err, kept)
-		step("a principal registered", al.Grow(1), nil, -1)
-	})
-}
-
-// TestPatchLeavesDerivationsAlone takes persistent derivations of an
-// allocator — SetShare's before it is patched with PatchShare, and
-// SetAgreement's before PatchAgreement, as the ownership rule allows: each
-// result owns what the patch writes — and
-// then patches the receiver in place through value moves and pattern flips
-// on the very rows and columns the derivations share with it: a ring closed
-// and opened, a chain cut, two blocks bridged, an absolute agreement made,
-// raised and revoked. Every derivation must still plan as a fresh build of
-// its matrices taken before the patches did, bit for bit, and still hold
-// those matrices; the patched allocator must plan as a fresh build of its
-// own.
-//
-// Then it takes every kind of derivation mid-chain — Clone, UpdateEdge and
-// UpdateRow of the closure, SetShare, SetAgreement and Grow — each after
-// the receiver has written rows and columns of its own, and has the
-// receiver move values in those same rows and columns three more times, in
-// place. A derivation shares them with its receiver until one of the two
-// writes, so it must give both fresh epochs: its S, T, K, columns and plans
-// must stay as they were, bit for bit, and the rows the build was given
-// must be untouched.
-func TestPatchLeavesDerivationsAlone(t *testing.T) {
-	churnVariants(t, func(label string, al *Allocator, v []float64) {
-		type derivation struct {
-			what    string
-			d, want *Allocator
-		}
-		var kept []derivation
-		derive := func(what string) func(*Allocator, error) {
-			return func(d *Allocator, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("%s, %s: %v", label, what, err)
-				}
-				for r := range v {
-					if _, err := d.Plan(v, r, 1.5); err != nil { // fill the skeleton slots it shares
-						t.Fatal(err)
-					}
-				}
-				kept = append(kept, derivation{what, d, rebuilt(t, d)})
-			}
-		}
-		patch := func(what string, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("%s, %s: %v", label, what, err)
-			}
-			for _, k := range kept {
-				requirePlansIdentical(t, k.d, k.want, v, label+", "+k.what+" after the patch "+what)
-				requirePlansIdentical(t, rebuilt(t, k.d), k.want, v, label+", the matrices of "+k.what+" after the patch "+what)
-			}
-			requirePlansIdentical(t, al, rebuilt(t, al), v, label+", patched: "+what)
-		}
-		derive("a share moved")(al.SetShare(0, 1, al.Share(0, 1), al.Share(0, 1)/2))
-		derive("a ring closed")(al.SetShare(7, 0, 0, 0.25))
-		patch("a share moved", al.PatchShare(0, 1, al.Share(0, 1), al.Share(0, 1)*0.75))
-		patch("a ring closed", al.PatchShare(7, 0, 0, 0.3))
-		patch("the ring opened", al.PatchShare(7, 0, 0.3, 0))
-		patch("a chain cut", al.PatchShare(3, 4, al.Share(3, 4), 0))
-		patch("two blocks bridged", al.PatchShare(7, 8, 0, 0.2))
-		// SetShare's results share A's tables with al, which PatchAgreement
-		// writes: the rule has them dropped first.
-		kept = kept[:0]
-		derive("an absolute agreement made")(al.SetAgreement(2, 5, 0, 1.5))
-		derive("an absolute agreement raised")(al.SetAgreement(15, 8, al.Agreement(15, 8), al.Agreement(15, 8)+1))
-		patch("an absolute agreement made", al.PatchAgreement(2, 5, 0, 2.5))
-		patch("an absolute agreement raised", al.PatchAgreement(15, 8, al.Agreement(15, 8), al.Agreement(15, 8)+2))
-		patch("an absolute agreement revoked", al.PatchAgreement(2, 5, 2.5, 0))
-	})
-	derivationsMidChain(t)
-}
-
-// derivationsMidChain is the second half of TestPatchLeavesDerivationsAlone.
-func derivationsMidChain(t *testing.T) {
-	s, a, v := sparseBlockScenario(16, 3)
-	inS, inA := denseOf(s.N(), s.At), denseOf(a.N(), a.At)
-	for _, cfg := range []Config{{}, {ComponentLP: true}} {
-		al, err := NewAllocatorSparse(s, a, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		must := func(what string, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("%+v: %s: %v", cfg, what, err)
-			}
-		}
-		// The moves the receiver makes: shares down block 0's chain (T rows
-		// 0..2 and columns 1..7 move), and the blocks' absolute back-edges
-		// raised (columns 0 and 8). Each returns a value it wrote over in
-		// place if the receiver owns it, so a move writing in place leaves
-		// the pointer where it was.
-		shareMoves := func() *float64 {
-			for from := 0; from < 3; from++ {
-				x := al.Share(from, from+1)
-				must("a share moved", al.PatchShare(from, from+1, x, x*0.75))
-			}
-			_, tv := al.clo.FlowRow(0)
-			return &tv[0]
-		}
-		agreementMoves := func() *float64 {
-			for _, e := range [][2]int{{7, 0}, {15, 8}} {
-				x := al.Agreement(e[0], e[1])
-				must("an absolute agreement raised", al.PatchAgreement(e[0], e[1], x, x+0.5))
-			}
-			return &al.cols[0].a[0]
-		}
-		halvedRow := func(i, j int) []float64 {
-			row := make([]float64, al.n)
-			for k := range row {
-				row[k] = al.Share(i, k)
-			}
-			row[j] /= 2
-			return row
-		}
-		kinds := []struct {
-			name             string
-			share, agreement bool // the patches the rule allows beside the derivation
-			derive           func() (*transitive.Closure, *Allocator, error)
-		}{
-			{"Clone", true, false, func() (*transitive.Closure, *Allocator, error) { return al.clo.Clone(), nil, nil }},
-			{"UpdateEdge", true, false, func() (*transitive.Closure, *Allocator, error) {
-				c, _, err := al.clo.UpdateEdge(9, 10, al.Share(9, 10), al.Share(9, 10)/2)
-				return c, nil, err
-			}},
-			{"UpdateRow", true, false, func() (*transitive.Closure, *Allocator, error) {
-				c, _, err := al.clo.UpdateRow(9, halvedRow(9, 10))
-				return c, nil, err
-			}},
-			{"SetShare", true, false, func() (*transitive.Closure, *Allocator, error) {
-				d, err := al.SetShare(9, 10, al.Share(9, 10), al.Share(9, 10)/2)
-				return nil, d, err
-			}},
-			{"SetAgreement", false, true, func() (*transitive.Closure, *Allocator, error) {
-				d, err := al.SetAgreement(15, 8, al.Agreement(15, 8), al.Agreement(15, 8)+1)
-				return nil, d, err
-			}},
-			{"Grow", true, true, func() (*transitive.Closure, *Allocator, error) { return nil, al.Grow(1), nil }},
-		}
-		for _, k := range kinds {
-			label := fmt.Sprintf("%+v, %s", cfg, k.name)
-			moves := func() (written []*float64) {
-				if k.share {
-					written = append(written, shareMoves())
-				}
-				if k.agreement {
-					written = append(written, agreementMoves())
-				}
-				return written
-			}
-			moves() // the receiver writes rows and columns of its own
-			c, d, err := k.derive()
-			must(k.name, err)
-			state := func() plannerState { return closureState(c) }
-			var want *Allocator
-			vd := v
-			if d != nil {
-				state = func() plannerState { return allocatorState(d) }
-				want = rebuilt(t, d)
-				for len(vd) < d.n {
-					vd = append(vd, 6.5)
-				}
-			}
-			before := state()
-			var last []*float64
-			for m := 0; m < 3; m++ {
-				written := moves()
-				if m > 0 && !slices.Equal(written, last) {
-					t.Fatalf("%s: the receiver's value moves after the first did not write in place", label)
-				}
-				last = written
-			}
-			if !sameState(state(), before) {
-				t.Fatalf("%s: the receiver's value moves changed the derivation's S, A, T, K or columns", label)
-			}
-			if d != nil {
-				requirePlansIdentical(t, d, want, vd, label+": the derivation after the receiver's moves")
-			}
-			requirePlansIdentical(t, al, rebuilt(t, al), v, label+": the receiver after its moves")
-		}
-		if !slices.EqualFunc(denseOf(s.N(), s.At), inS, sameBits) || !slices.EqualFunc(denseOf(a.N(), a.At), inA, sameBits) {
-			t.Fatalf("%+v: the patches wrote the rows the build was given", cfg)
-		}
-	}
-}
-
-// plannerState is a deep copy of what a planner plans from: S, A, T and K
-// as dense matrices, each flow row's conn and every column with its values.
-// A bare closure's holds S and T only.
-type plannerState struct {
-	s, a, t, k [][]float64
-	conn       []float64
-	cols       []column
-}
-
-func closureState(c *transitive.Closure) plannerState {
-	return plannerState{s: denseOf(c.N(), c.Edge), t: c.T()}
-}
-
-func allocatorState(al *Allocator) plannerState {
-	st := closureState(al.clo)
-	st.a, st.k = denseOf(al.n, al.Agreement), al.FlowCoefficients()
-	for i, col := range al.cols {
-		st.conn = append(st.conn, al.flow[i].conn)
-		st.cols = append(st.cols, column{idx: slices.Clone(col.idx), k: slices.Clone(col.k), a: slices.Clone(col.a)})
-	}
-	return st
-}
-
-// sameState reports whether two states hold the same numbers, bit for bit.
-func sameState(x, y plannerState) bool {
-	for _, m := range [][2][][]float64{{x.s, y.s}, {x.a, y.a}, {x.t, y.t}, {x.k, y.k}} {
-		if !slices.EqualFunc(m[0], m[1], sameBits) {
-			return false
-		}
-	}
-	return sameBits(x.conn, y.conn) && slices.EqualFunc(x.cols, y.cols, func(p, q column) bool {
-		return slices.Equal(p.idx, q.idx) && sameBits(p.k, q.k) && sameBits(p.a, q.a)
+		step("an absolute agreement made", al.PatchAgreement(2, 5, 0, 1.5), kept)
+		step("an absolute agreement revoked", al.PatchAgreement(2, 5, 1.5, 0), kept)
+		al.Grow(1)
+		step("a principal registered", nil, -1)
+		al.Grow(1) // into the room the first left: the slots are cleared in place
+		step("a second principal registered", nil, -1)
 	})
 }

@@ -94,17 +94,16 @@ func TestSkeletonEqualsReference(t *testing.T) {
 }
 
 // TestDerivationChainEqualsFresh walks every variant through a chain of
-// agreement changes twice over — once through the persistent SetShare,
-// SetAgreement and Grow derivations, once patching one allocator in place
-// with PatchShare and PatchAgreement (Grow between) — and after every step
-// requires both to hold the column lists a fresh NewAllocatorSparse over the
-// mutated matrices builds, the skeletons the reference builds, and to plan
-// as it does, bit for bit. The schedule moves values and flips patterns:
-// edges created, halved, moved and removed; a ring closed and opened;
-// quantities created, raised and removed (A made where the variant had
-// none); a principal added, its block bridged to the rest and cut off
-// again. Value-only steps, which flip no cell, must also keep the skeletons
-// the plans before them built: the plans after them run on those, rebound.
+// agreement changes, patching one allocator in place with PatchShare and
+// PatchAgreement (Grow between), and after every step requires it to hold
+// the column lists a fresh NewAllocatorSparse over the mutated matrices
+// builds, the skeletons the reference builds, and to plan as it does, bit
+// for bit. The schedule moves values and flips patterns: edges created,
+// halved, moved and removed; a ring closed and opened; quantities created,
+// raised and removed (A made where the variant had none); a principal
+// added, its block bridged to the rest and cut off again. Value-only steps,
+// which flip no cell, must also keep the skeletons the plans before them
+// built: the plans after them run on those, rebound.
 func TestDerivationChainEqualsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cases := 40
@@ -114,7 +113,7 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 	seen := map[string]int{}
 	for c := 0; c < cases; c++ {
 		g := modeltest.Generate(rng)
-		skeletonVariants(g, func(a [][]float64, cfg core.Config, al *core.Allocator) {
+		skeletonVariants(g, func(a [][]float64, cfg core.Config, _ *core.Allocator) {
 			n := g.N
 			s := cloneSquare(g.S, n)
 			hasA := a != nil
@@ -132,69 +131,53 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 				}
 				return f
 			}
-			in := fresh("the start") // patched in place; shares no table with al
+			in := fresh("the start")
 			check := func(step string) {
 				t.Helper()
 				seen[step]++
 				want := fresh(step)
-				for _, got := range []struct {
-					how string
-					al  *core.Allocator
-				}{{"derived", al}, {"patched", in}} {
-					if diff := core.ColumnsDiff(got.al, want); diff != "" {
-						t.Fatalf("case %d %+v after %s, %s: %s\n%s", c, cfg, step, got.how, diff, g)
-					}
-					for r := 0; r < n; r++ {
-						if diff := got.al.SkeletonDiff(r); diff != "" {
-							t.Fatalf("case %d %+v after %s, %s, requester %d: %s\n%s", c, cfg, step, got.how, r, diff, g)
-						}
-					}
-					samePlans(t, got.how+" against fresh after "+step, got.al, want, v)
+				if diff := core.ColumnsDiff(in, want); diff != "" {
+					t.Fatalf("case %d %+v after %s: %s\n%s", c, cfg, step, diff, g)
 				}
+				for r := 0; r < n; r++ {
+					if diff := in.SkeletonDiff(r); diff != "" {
+						t.Fatalf("case %d %+v after %s, requester %d: %s\n%s", c, cfg, step, r, diff, g)
+					}
+				}
+				samePlans(t, "patched against fresh after "+step, in, want, v)
 			}
 			setShare := func(i, j int, next float64) bool {
-				d, err := al.SetShare(i, j, s[i][j], next)
-				perr := in.PatchShare(i, j, s[i][j], next)
-				if (err == nil) != (perr == nil) {
-					t.Fatalf("case %d %+v: S[%d][%d] %v → %v: SetShare says %v, PatchShare %v", c, cfg, i, j, s[i][j], next, err, perr)
-				}
-				if err != nil {
+				if err := in.PatchShare(i, j, s[i][j], next); err != nil {
 					in = fresh("a refused share") // a refused patch leaves in to discard
 					return false                  // the enumeration budget refused the denser graph
 				}
-				al, s[i][j] = d, next
+				s[i][j] = next
 				return true
 			}
 			setAgreement := func(i, j int, next float64) {
-				d, err := al.SetAgreement(i, j, a[i][j], next)
-				if err == nil {
-					err = in.PatchAgreement(i, j, a[i][j], next)
-				}
-				if err != nil {
+				if err := in.PatchAgreement(i, j, a[i][j], next); err != nil {
 					t.Fatalf("case %d %+v: A[%d][%d] %v → %v: %v", c, cfg, i, j, a[i][j], next, err)
 				}
-				al, a[i][j], hasA = d, next, true
+				a[i][j], hasA = next, true
 			}
 			i, j := rng.Intn(n), rng.Intn(n)
 			if i == j {
 				j = (i + 1) % n
 			}
-			// valueOnly checks a step that moved values only.
-			valueOnly := func(step string, prev, prevIn *core.Allocator) {
+			// valueOnly checks a step that moved values only; kept reports
+			// whether in's slots hold the skeletons they held before it.
+			valueOnly := func(step string, kept func() bool) {
 				t.Helper()
-				if !core.SharesSkeletons(al, prev) || !core.SharesSkeletons(in, prevIn) {
+				if !kept() {
 					t.Fatalf("case %d %+v: %s dropped the skeletons\n%s", c, cfg, step, g)
 				}
 				check(step)
 			}
-			// keep holds in's tables as they stand, to compare with after a
-			// value-only patch: in itself is the same pointer.
-			keep := func() *core.Allocator { return in.StructCopy() }
 			if setShare(i, j, s[i][j]/2+0.125) {
 				check("SetShare")
 			}
-			if prev, prevIn := al, keep(); s[i][j] > 0 && setShare(i, j, s[i][j]*0.75) {
-				valueOnly("SetShare moving a value", prev, prevIn)
+			if kept := core.SkeletonsKept(in); s[i][j] > 0 && setShare(i, j, s[i][j]*0.75) {
+				valueOnly("SetShare moving a value", kept)
 			}
 			// A ring i → j → k → i: open it if it is closed, close it, open it.
 			if k := (j + 1) % n; k != i && setShare(j, k, s[j][k]+0.0625) {
@@ -210,10 +193,11 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 			}
 			setAgreement(j, i, a[j][i]+1.5)
 			check("SetAgreement creating an entry")
-			prev, prevIn := al, keep()
+			kept := core.SkeletonsKept(in)
 			setAgreement(j, i, a[j][i]+0.25)
-			valueOnly("SetAgreement moving a value", prev, prevIn)
-			al, in, n = al.Grow(2), in.Grow(2), n+2
+			valueOnly("SetAgreement moving a value", kept)
+			in.Grow(2)
+			n += 2
 			s, a, v = cloneSquare(s, n), cloneSquare(a, n), append(v, 6.5, 3.25)
 			check("Grow")
 			// The two new principals are a block of their own; bridge it to
@@ -223,8 +207,8 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 			}
 			if setShare(n-1, i, 0.25) && setShare(j, n-2, 0.125) {
 				check("SetShare bridging two blocks")
-				if prev, prevIn := al, keep(); setShare(n-1, i, 0.5) {
-					valueOnly("SetShare moving the bridge's share", prev, prevIn)
+				if kept := core.SkeletonsKept(in); setShare(n-1, i, 0.5) {
+					valueOnly("SetShare moving the bridge's share", kept)
 				}
 				if setShare(n-1, i, 0) && setShare(j, n-2, 0) {
 					check("SetShare cutting the bridge")

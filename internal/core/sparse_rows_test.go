@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -32,59 +31,6 @@ func TestFootprintTracksEdges(t *testing.T) {
 	}
 	if dense := 2 * 8 * 4096 * 4096; p4 > dense/100 {
 		t.Errorf("planner holds %d bytes at n=4096, more than 1%% of the dense T+K (%d)", p4, dense)
-	}
-}
-
-// TestGrowCopiesHeadersOnly registers one principal on a 2048-principal
-// planner: the derived allocator may allocate O(n) bytes of slice headers
-// and nothing else, and it must plan exactly as a fresh build over the
-// extended population does.
-func TestGrowCopiesHeadersOnly(t *testing.T) {
-	const n = 2048
-	s, a, v := sparseBlocksScenario(n)
-	cfg := Config{ComponentLP: true}
-	al, err := NewAllocatorSparse(s, a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(10, func() { al.Grow(1) }); allocs > 24 {
-		t.Errorf("Grow(1) made %.0f allocations, want a fixed handful of header slices", allocs)
-	}
-	const runs = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		al.Grow(1)
-	}
-	runtime.ReadMemStats(&after)
-	perGrow := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("Grow(1) at n=%d allocates %d bytes (%d per principal)", n, perGrow, perGrow/n)
-	if perGrow > 512*n {
-		t.Errorf("Grow(1) allocated %d bytes, want O(n) headers (≤ %d); dense T and K were %d", perGrow, 512*n, 2*8*n*n)
-	}
-
-	grown := al.Grow(1)
-	sg, ag, _ := sparseBlocksScenario(n + 1) // the same blocks plus one principal alone in the last
-	fresh, err := NewAllocatorSparse(sg, ag, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vg := append(append([]float64(nil), v...), 75)
-	for _, r := range []int{0, 7, 1000, n - 1, n} {
-		amount := fresh.Capacities(vg)[r] * 0.4
-		pg, eg := grown.Plan(vg, r, amount)
-		pf, ef := fresh.Plan(vg, r, amount)
-		if eg != nil || ef != nil {
-			t.Fatalf("requester %d: grown err %v, fresh err %v", r, eg, ef)
-		}
-		if pg.Theta != pf.Theta { //lint:ignore sharingvet/floateq the test pins bit-identical plans
-			t.Fatalf("requester %d: θ = %v grown, %v fresh", r, pg.Theta, pf.Theta)
-		}
-		for i := range pf.Take {
-			if pg.Take[i] != pf.Take[i] { //lint:ignore sharingvet/floateq the test pins bit-identical plans
-				t.Fatalf("requester %d: Take[%d] = %v grown, %v fresh", r, i, pg.Take[i], pf.Take[i])
-			}
-		}
 	}
 }
 
@@ -184,7 +130,7 @@ func TestConcurrentFirstPlansShareOneSkeleton(t *testing.T) {
 }
 
 // TestKRowAliasesTUnlessCapped walks one row across the overdraft cap and
-// back through SetShare: K is the T slice itself while no coefficient
+// back through PatchShare: K is the T slice itself while no coefficient
 // exceeds 1, a clamped copy while one does.
 func TestKRowAliasesTUnlessCapped(t *testing.T) {
 	s := [][]float64{
@@ -196,7 +142,7 @@ func TestKRowAliasesTUnlessCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(al *Allocator, wantK01 float64, wantAlias bool) {
+	check := func(wantK01 float64, wantAlias bool) {
 		t.Helper()
 		_, tv, kv := al.FlowRow(0)
 		if got := al.kAt(0, 1); !num.Eq(got, wantK01) {
@@ -206,16 +152,13 @@ func TestKRowAliasesTUnlessCapped(t *testing.T) {
 			t.Fatalf("K row 0 aliases its T row = %v, want %v (T = %v)", alias, wantAlias, tv)
 		}
 	}
-	check(al, 0.5+0.9*0.2, true)
-	over, err := al.SetShare(2, 1, 0.2, 0.9) // T[0][1] = 0.5 + 0.81 > 1
-	if err != nil {
+	check(0.5+0.9*0.2, true)
+	if err := al.PatchShare(2, 1, 0.2, 0.9); err != nil { // T[0][1] = 0.5 + 0.81 > 1
 		t.Fatal(err)
 	}
-	check(over, 1, false)
-	check(al, 0.5+0.9*0.2, true) // the receiver is untouched
-	back, err := over.SetShare(2, 1, 0.9, 0.2)
-	if err != nil {
+	check(1, false)
+	if err := al.PatchShare(2, 1, 0.9, 0.2); err != nil {
 		t.Fatal(err)
 	}
-	check(back, 0.5+0.9*0.2, true)
+	check(0.5+0.9*0.2, true)
 }

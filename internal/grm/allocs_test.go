@@ -5,6 +5,7 @@ package grm
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -61,6 +62,57 @@ func TestRegisterShareAllocs(t *testing.T) {
 		if c.got > c.want {
 			t.Errorf("a %s makes %v allocations, want at most %v", c.op, c.got, c.want)
 		}
+	}
+}
+
+// TestRegisterPlannedAllocs pins a register to a Server whose planner is
+// cached — one allocation has run — which grows the planner in place: an
+// amortized append to each of its per-principal tables and the skeleton
+// slots cleared. Registering as many principals again as there are, a
+// register makes at most one allocation more than TestRegisterShareAllocs
+// allows one with no planner, and allocates the same bytes on average,
+// within a quarter, in a population of 4 096 and of 16 384: nothing is
+// copied per register that grows with the population. The planner is
+// never rebuilt.
+func TestRegisterPlannedAllocs(t *testing.T) {
+	perRegister := map[int]float64{}
+	for _, n := range []int{4096, 16384} {
+		// ComponentLP: the allocation's LP is its requester's component, not
+		// the population.
+		s := NewServer(core.Config{ComponentLP: true}, nil)
+		for _, name := range nameList("p", n) {
+			registerAs(t, s, name, 10)
+		}
+		if resp := s.Handle(&Request{Alloc: &AllocRequest{Principal: 3, Amount: 1}}); resp.Alloc == nil {
+			t.Fatal(resp.Err)
+		}
+		fresh := nameList("q", n)
+		register := &Request{Register: &RegisterRequest{Capacity: 10}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k, name := range fresh {
+			register.Register.Name = name
+			if resp := s.Handle(register); resp.Register == nil || resp.Register.Principal != n+k {
+				t.Fatalf("register: %+v", resp)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		allocs := float64(after.Mallocs-before.Mallocs) / float64(n)
+		perRegister[n] = float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+		s.mu.Lock()
+		cached, builds := s.planner != nil, s.plannerBuilds
+		s.mu.Unlock()
+		t.Logf("n=%d: a register with the planner cached makes %.3f allocations and %.0f bytes", n, allocs, perRegister[n])
+		if !cached || builds != 1 {
+			t.Errorf("n=%d: after the registers the planner is cached = %v after %d builds, want cached after 1", n, cached, builds)
+		}
+		if allocs > 3 {
+			t.Errorf("n=%d: a register with the planner cached makes %.3f allocations, want at most 3", n, allocs)
+		}
+		s.Close()
+	}
+	if small, large := perRegister[4096], perRegister[16384]; large > 1.25*small {
+		t.Errorf("a register with the planner cached allocates %.0f bytes at n=4096 and %.0f at n=16384, want the same within a quarter", small, large)
 	}
 }
 

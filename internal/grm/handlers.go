@@ -75,10 +75,10 @@ func (s *Server) registerLocked(name string, capacity float64) (int, error) {
 		s.reported = append(s.reported, capacity)
 		s.names = append(s.names, name)
 		if s.planner != nil {
-			// A fresh principal holds no agreements: extend the planner by a
-			// zero row/column instead of discarding it — Grow's closure is a
-			// zero-extension, no chain re-enumeration.
-			s.planner = s.planner.Grow(1)
+			// A fresh principal holds no agreements: extend the planner in
+			// place by a zero row/column instead of discarding it — Grow's
+			// closure is a zero-extension, no chain re-enumeration.
+			s.planner.Grow(1)
 		}
 	}
 	s.appendLocked(store.Record{Kind: store.KindRegister, Principal: pid, Name: name, Capacity: capacity})

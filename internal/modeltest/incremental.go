@@ -21,11 +21,11 @@ import (
 // rebinds them, and writes over the values of the rows and columns earlier
 // steps laid out; each cycle plans one requester throughout, so the plans
 // after the moves run on the skeleton the plans before them built. At one
-// step, picked from the graph, the schedule also takes a persistent
-// derivation, Grow(1), which shares every row and column with the patched
-// allocator: from then on the derivation must plan as a fresh build of the
-// matrices it was taken over, at every step, however the allocator is
-// patched beside it. The schedule is derived deterministically from the
+// step, picked from the graph, the schedule also registers a principal:
+// Grow(1) extends the allocator in place, and its next relative step shares
+// from the new principal and its next absolute step to it, so the patches
+// of grown tables are checked against a fresh build at every later step.
+// The schedule is derived deterministically from the
 // graph itself (row-major pair walk, kind cycling by step), so replaying a
 // failing seed reruns the identical schedule and the shrinker minimizes the
 // divergent schedule simply by minimizing the graph; the check stops at the
@@ -61,11 +61,11 @@ func (c *checker) checkIncrementalPlan() error {
 	if n < 2 {
 		return nil // no pair to edit
 	}
-	// The persistent derivation: Grow(1) at step deriveAt, over the matrices
-	// then in force, grown by an unconnected principal.
-	deriveAt := int(math.Float64bits(v[0]) % uint64(min(maxIncrementalSteps, n*(n-1))))
-	var grown *core.Allocator
-	var grownS, grownA [][]float64
+	// The registration: Grow(1) at step growAt, in the first cycle, adds an
+	// unconnected principal that the next relative and absolute steps, both
+	// within the schedule, connect.
+	growAt := int(math.Float64bits(v[0]) % uint64(min(incrementalCycle, n*(n-1))))
+	relNew, absNew := false, false
 
 	step := 0
 	relI, relJ, absI, absJ := -1, -1, -1, -1 // the last pairs steps 0 and 1 edited
@@ -81,12 +81,24 @@ func (c *checker) checkIncrementalPlan() error {
 			if i == j {
 				continue
 			}
-			if step == deriveAt {
-				grown, grownS, grownA = cur.Grow(1), growSquare(s, n+1), growSquare(a, n+1)
+			if step == growAt {
+				cur.Grow(1)
+				n++
+				s, a, v = growSquare(s, n), growSquare(a, n), append(v, 1)
+				relNew, absNew = true, true
+			}
+			// other is the principal of the pair that is not the registered one.
+			other := i
+			if i == n-1 {
+				other = j
 			}
 			var err error
 			switch step % incrementalCycle {
 			case 0: // relative edge update: halve a live edge or create one
+				i, j := i, j
+				if relNew { // from the registered principal
+					i, j, relNew = n-1, other, false
+				}
 				next := 0.25
 				if s[i][j] > 0 {
 					next = s[i][j] / 2
@@ -96,6 +108,10 @@ func (c *checker) checkIncrementalPlan() error {
 			case 1: // absolute agreement update (creates A when absent)
 				if a == nil {
 					a = zeroMatrix(n)
+				}
+				i, j := i, j
+				if absNew { // to the registered principal
+					i, j, absNew = other, n-1, false
 				}
 				err = patch("PatchAgreement", i, j, a[i][j], a[i][j]+0.5, cur.PatchAgreement)
 				a[i][j], absI, absJ = a[i][j]+0.5, i, j
@@ -123,11 +139,6 @@ func (c *checker) checkIncrementalPlan() error {
 			}
 			if err := checkSparseRows(cur); err != nil {
 				return fmt.Errorf("after step %d: %w", step, err)
-			}
-			if grown != nil {
-				if err := compareIncremental(grown, grownS, grownA, append(v[:n:n], 1), c.g.Level, requester); err != nil {
-					return fmt.Errorf("the allocator Grow derived at step %d diverged from a fresh build of its matrices after step %d: %w", deriveAt, step, err)
-				}
 			}
 			step++
 		}

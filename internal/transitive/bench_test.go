@@ -96,8 +96,9 @@ func BenchmarkClosureComplete12(b *testing.B) { benchClosureComplete(b, 12) }
 func BenchmarkClosureComplete14(b *testing.B) { benchClosureComplete(b, 14) }
 
 // BenchmarkClosureUpdateEdgeComplete10 is one Share on the paper's case
-// study as the closure sees it: every row reaches the edited edge, so the
-// update is the blast fallback's full rebuild under the budget.
+// study as the closure sees it, patched in place (PatchEdge) and taken back
+// on alternate iterations: every row reaches the edited edge, so the update
+// is the blast fallback's full rebuild under the budget.
 func BenchmarkClosureUpdateEdgeComplete10(b *testing.B) {
 	s := benchMatrix(10, 1)
 	_, adj, vals := csrOf(s)
@@ -105,10 +106,14 @@ func BenchmarkClosureUpdateEdgeComplete10(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	edge := [2]float64{s[0][1], s[0][1] + 0.05}
+	var changed []int
+	var old [][]int32
+	var held []float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.UpdateEdge(0, 1, s[0][1], s[0][1]+0.05); err != nil {
+		if changed, old, held, err = c.PatchEdge(0, 1, edge[i%2], edge[(i+1)%2], changed[:0], old[:0], held[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

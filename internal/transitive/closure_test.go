@@ -117,10 +117,9 @@ func TestClosureUpdateEdgeMatchesFull(t *testing.T) {
 // and past the blast-radius threshold, and after each requires both to hold
 // NewClosure's rows bit for bit and the same agreement entries, to report
 // the same changed rows, and PatchEdge to hand back the columns and the
-// values each of those rows held. A Clone taken before every third patch
-// shares every row with the patched closure; it must keep its T as it
-// was. Between clones the patched closure owns the rows it wrote, and
-// writes the values of those whose pattern holds in place.
+// values each of those rows held. The patched closure writes the values of
+// the rows whose pattern holds in place; a Clone taken before every third
+// patch must keep its S and T as they were.
 func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -218,56 +217,9 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 	}
 }
 
-// TestClosureUpdateRowMatchesFull replaces whole rows and pins the
-// result to the full recompute.
-func TestClosureUpdateRowMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 12
-	s := randomSparse(rng, n, 30)
-	c := NewClosure(s, n-1, false)
-	for step := 0; step < 20; step++ {
-		src := rng.Intn(n)
-		row := make([]float64, n)
-		for j := range row {
-			if j != src && rng.Intn(3) == 0 {
-				row[j] = 0.05 + 0.4*rng.Float64()
-			}
-		}
-		next, _, err := c.UpdateRow(src, row)
-		if err != nil {
-			t.Fatalf("step %d: UpdateRow(%d): %v", step, src, err)
-		}
-		copy(s[src], row)
-		requireBitEqual(t, next.T(), Exact(s, n-1), "incremental T after UpdateRow")
-		c = next
-	}
-}
-
-// TestClosureCOW checks that mutation leaves the receiver's matrix
-// intact — the property the server's snapshot-solve concurrency needs.
-func TestClosureCOW(t *testing.T) {
-	s := [][]float64{
-		{0, 0.5, 0},
-		{0, 0, 0.5},
-		{0, 0, 0},
-	}
-	c := NewClosure(s, 2, false)
-	before := Exact(s, 2)
-	next, changed, err := c.UpdateEdge(0, 1, 0.5, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(changed) == 0 {
-		t.Fatal("expected changed rows")
-	}
-	requireBitEqual(t, c.T(), before, "receiver mutated by UpdateEdge")
-	s[0][1] = 0.9
-	requireBitEqual(t, next.T(), Exact(s, 2), "derived closure")
-}
-
-// TestClosureGrow pins zero-extension growth to a full rebuild, for both
-// kernels, including the approx case where growing raises the clamped
-// level of a full-transitivity request.
+// TestClosureGrow pins zero-extension growth in place to a full rebuild,
+// for both kernels, including the approx case where growing raises the
+// clamped level of a full-transitivity request.
 func TestClosureGrow(t *testing.T) {
 	for _, approx := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(5))
@@ -275,8 +227,8 @@ func TestClosureGrow(t *testing.T) {
 		s := randomSparse(rng, n, 22)
 		// 1<<20 requests full transitivity at any size, so the clamped
 		// level rises as the closure grows.
-		c := NewClosure(s, 1<<20, approx)
-		grown := c.Grow(2)
+		grown := NewClosure(s, 1<<20, approx)
+		grown.Grow(2)
 		sg := growRows(s, n+2)
 		var want [][]float64
 		if approx {
@@ -290,8 +242,7 @@ func TestClosureGrow(t *testing.T) {
 		}
 		// The grown closure must keep working incrementally: connect a new
 		// principal and recheck.
-		next, _, err := grown.UpdateEdge(n, 0, 0, 0.3)
-		if err != nil {
+		if _, _, _, err := grown.PatchEdge(n, 0, 0, 0.3, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		sg[n][0] = 0.3
@@ -300,7 +251,7 @@ func TestClosureGrow(t *testing.T) {
 		} else {
 			want = Exact(sg, 1<<20)
 		}
-		requireBitEqual(t, next.T(), want, "update after grow")
+		requireBitEqual(t, grown.T(), want, "update after grow")
 	}
 }
 
@@ -348,7 +299,7 @@ func TestClosureBlastFallback(t *testing.T) {
 // TestClosureBlastFallbackSharesUnchangedRows trips the fallback on a
 // graph where part of the population cannot reach the edited edge: the
 // full rebuild recomputes those rows too, finds them identical, and must
-// hand back the receiver's own slices and leave them out of the report.
+// leave them in place and out of the report.
 func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
 	const n = 10
 	s := zeros(n)
@@ -360,33 +311,21 @@ func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
 	if got := len(c.affected(getScratch(n), 5)); blastDenominator*got <= n {
 		t.Fatalf("affected=%d of n=%d does not trip the fallback", got, n)
 	}
-	next, changed, err := c.UpdateEdge(5, 6, 0.5, 0.25)
+	held := make([]sparseRow, n)
+	copy(held, c.t)
+	changed, _, _, err := c.PatchEdge(5, 6, 0.5, 0.25, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s[5][6] = 0.25
-	requireBitEqual(t, next.T(), Exact(s, n-1), "fallback T")
-	want := []int{0, 1, 2, 3, 4, 5}
-	if len(changed) != len(want) {
+	requireBitEqual(t, c.T(), Exact(s, n-1), "fallback T")
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(changed, want) {
 		t.Fatalf("changed rows %v, want %v", changed, want)
 	}
-	for x, r := range want {
-		if changed[x] != r {
-			t.Fatalf("changed rows %v, want %v", changed, want)
-		}
-	}
 	for _, r := range []int{7, 8, 9} {
-		nc, nv := next.FlowRow(r)
-		oc, ov := c.FlowRow(r)
-		if &nc[0] != &oc[0] || &nv[0] != &ov[0] {
-			t.Fatalf("row %d was recomputed to the same values but no longer shares the receiver's slices", r)
-		}
-	}
-	for _, r := range want {
-		nc, _ := next.FlowRow(r)
-		oc, _ := c.FlowRow(r)
-		if &nc[0] == &oc[0] {
-			t.Fatalf("changed row %d still shares the receiver's slices", r)
+		nc, nv := c.FlowRow(r)
+		if &nc[0] != &held[r].cols[0] || &nv[0] != &held[r].vals[0] {
+			t.Fatalf("row %d was recomputed to the same values but no longer holds its slices", r)
 		}
 	}
 }
@@ -439,7 +378,7 @@ func TestClosureRowsAreExactSize(t *testing.T) {
 	}
 }
 
-// TestClosureUpdateEdgeErrors covers the validation and staleness
+// TestClosureUpdateEdgeErrors covers PatchEdge's validation and staleness
 // errors, and the no-op path.
 func TestClosureUpdateEdgeErrors(t *testing.T) {
 	s := [][]float64{
@@ -447,28 +386,26 @@ func TestClosureUpdateEdgeErrors(t *testing.T) {
 		{0, 0},
 	}
 	c := NewClosure(s, 1, false)
-	if _, _, err := c.UpdateEdge(0, 2, 0, 0.1); err == nil {
-		t.Fatal("out-of-range dst accepted")
+	for _, e := range []struct {
+		what           string
+		src, dst       int
+		oldVal, newVal float64
+	}{
+		{"out-of-range dst", 0, 2, 0, 0.1},
+		{"diagonal update", 1, 1, 0, 0.1},
+		{"negative value", 0, 1, 0.5, -0.1},
+		{"stale old value", 0, 1, 0.4, 0.6},
+	} {
+		if _, _, _, err := c.PatchEdge(e.src, e.dst, e.oldVal, e.newVal, nil, nil, nil); err == nil {
+			t.Fatalf("%s accepted", e.what)
+		}
 	}
-	if _, _, err := c.UpdateEdge(1, 1, 0, 0.1); err == nil {
-		t.Fatal("diagonal update accepted")
+	before := c.T()
+	changed, old, vals, err := c.PatchEdge(0, 1, 0.5, 0.5, nil, nil, nil)
+	if err != nil || changed != nil || old != nil || vals != nil {
+		t.Fatalf("no-op update: changed=%v old=%v vals=%v err=%v, want nothing", changed, old, vals, err)
 	}
-	if _, _, err := c.UpdateEdge(0, 1, 0.5, -0.1); err == nil {
-		t.Fatal("negative value accepted")
-	}
-	if _, _, err := c.UpdateEdge(0, 1, 0.4, 0.6); err == nil {
-		t.Fatal("stale old value accepted")
-	}
-	next, changed, err := c.UpdateEdge(0, 1, 0.5, 0.5)
-	if err != nil || next != c || changed != nil {
-		t.Fatalf("no-op update: next=%p changed=%v err=%v, want receiver back", next, changed, err)
-	}
-	if _, _, err := c.UpdateRow(0, []float64{0.1, 0}); err == nil {
-		t.Fatal("non-zero diagonal row accepted")
-	}
-	if _, _, err := c.UpdateRow(0, []float64{0}); err == nil {
-		t.Fatal("short row accepted")
-	}
+	requireBitEqual(t, c.T(), before, "T after a no-op update")
 }
 
 // TestClosureBudget pins the ErrBudget refusal: a dense exact closure

@@ -141,14 +141,10 @@ func adjacency(s [][]float64) (g []sparseRow, edges int) {
 
 // sparseRow is one row of a sparse matrix — S's out-edges of a principal or
 // T's flow coefficients — as the ascending columns of its entries and their
-// values. A matrix is one slice of rows, so a copy-on-write derivation
-// copies one table of them. epoch is that of the closure that allocated
-// vals, the one closure that may write them in place while it holds that
-// epoch (see Closure); cols are never written once stored.
+// values. cols are never written once stored.
 type sparseRow struct {
-	cols  []int32
-	vals  []float64
-	epoch uint64
+	cols []int32
+	vals []float64
 }
 
 // rowsOf pairs CSR column and value lists into rows, sharing their slices.
@@ -184,14 +180,18 @@ func At(cols []int32, vals []float64, j int) float64 {
 	return 0
 }
 
-// SetEntry returns a sparse row (ascending cols, aligned vals) with
-// column j set to v — inserted, replaced, or removed (exact zeros are
-// unstored). The input slices are never modified: they stay shared with
-// whoever else holds the row.
+// SetEntry sets column j of a sparse row (ascending cols, aligned vals)
+// to v and returns the row. A value whose column stays stored is written
+// over in place; an entry inserted or removed (exact zeros are unstored)
+// lays out a new row and leaves the input as it was, so a column list
+// never changes once stored.
 func SetEntry(cols []int32, vals []float64, j int, v float64) ([]int32, []float64) {
 	k := sort.Search(len(cols), func(k int) bool { return cols[k] >= int32(j) })
 	present := k < len(cols) && cols[k] == int32(j)
 	switch {
+	case present && !num.IsZero(v):
+		vals[k] = v
+		return cols, vals
 	case num.IsZero(v) && !present:
 		return cols, vals
 	case num.IsZero(v): // remove
@@ -200,10 +200,6 @@ func SetEntry(cols []int32, vals []float64, j int, v float64) ([]int32, []float6
 		nc = append(append(nc, cols[:k]...), cols[k+1:]...)
 		nv = append(append(nv, vals[:k]...), vals[k+1:]...)
 		return nc, nv
-	case present: // replace: the columns are unchanged and stay shared
-		nv := append([]float64(nil), vals...)
-		nv[k] = v
-		return cols, nv
 	default: // insert at k
 		nc := make([]int32, 0, len(cols)+1)
 		nv := make([]float64, 0, len(vals)+1)
