@@ -62,15 +62,19 @@ scenarios:
 # unreviewed import. The second grep keeps one write path: the planner is
 # written in place (PatchShare, PatchEdge), and the copying SetShare and
 # UpdateEdge are left only for the layer benchmark in bench/, so no other
-# non-test file may call them. The go lists keep the served binaries off
-# the paper's library and off the test oracles: nothing grm, grmd or lrmd
-# builds may import internal/planners, or internal/modeltest with its
-# reference simplex.
+# non-test file may call them. The third keeps one agreement-matrix format:
+# NewAllocatorSparse (NewAllocator's old name), NewClosureCSR and the dense
+# CapacitiesInto are left only for that benchmark too, so outside their own
+# definitions no non-test file may call them. The go lists keep the served
+# binaries off the paper's library and off the test oracles: nothing grm,
+# grmd or lrmd builds may import internal/planners, or internal/modeltest
+# with its reference simplex and dense references.
 lint:
 	$(GO) run ./cmd/sharingvet ./...
 	$(GO) run ./cmd/agreements lint testdata/*.json
 	! grep -rl '"encoding/gob"' --include='*.go' .
 	! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench -e '\.SetShare(' -e '\.UpdateEdge(' .
+	! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench -e 'NewAllocatorSparse(' -e 'NewClosureCSR(' -e 'CapacitiesInto(' . | grep -v -e ':func NewAllocatorSparse(' -e ':func NewClosureCSR(' -e ':func CapacitiesInto('
 	! $(GO) list -deps ./internal/grm/... ./cmd/grmd ./cmd/lrmd | grep -x 'repro/internal/planners'
 	! $(GO) list -deps ./internal/grm/... ./cmd/grmd ./cmd/lrmd | grep -x 'repro/internal/modeltest'
 
@@ -110,9 +114,9 @@ allocs:
 # raising one is a reviewed diff of its line, for a simplicity PR to argue.
 # Three lines, so code cannot leave the serving count by moving into the
 # closure or the library unseen.
-SERVING_LOC_MAX = 6401
-TRANSITIVE_LOC_MAX = 1469
-LIBRARY_LOC_MAX = 1049
+SERVING_LOC_MAX = 6372
+TRANSITIVE_LOC_MAX = 1262
+LIBRARY_LOC_MAX = 1040
 loc:
 	@n=$$(ls internal/lp/*.go internal/core/*.go internal/grm/*.go | grep -v _test | xargs cat | wc -l); \
 	c=$$(ls internal/transitive/*.go | grep -v _test | xargs cat | wc -l); \

@@ -118,7 +118,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "agreements: valuation: %v\n", err)
 			os.Exit(1)
 		}
-		m, err := sys.Matrices(typ)
+		m, err := sys.SparseMatrices(typ)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "agreements: %v\n", err)
 			os.Exit(1)

@@ -14,6 +14,7 @@ import (
 	"log"
 	"math/rand"
 
+	"repro/internal/agreement"
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/planners"
@@ -60,7 +61,11 @@ func main() {
 	fmt.Println("the other's peak — the same effect as the web-proxy case study.")
 }
 
-func planner(s [][]float64) planners.Planner {
+func planner(dense [][]float64) planners.Planner {
+	s, err := agreement.SparseOf(dense)
+	if err != nil {
+		log.Fatal(err)
+	}
 	al, err := core.NewAllocator(s, nil, core.Config{})
 	if err != nil {
 		log.Fatal(err)

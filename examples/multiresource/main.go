@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/planners"
 )
@@ -28,15 +29,16 @@ import (
 func main() {
 	const n = 6
 	// Everyone shares 60% with everyone (complete graph) for both types.
-	s := make([][]float64, n)
-	for i := range s {
-		s[i] = make([]float64, n)
-		for j := range s[i] {
+	dense := make([][]float64, n)
+	for i := range dense {
+		dense[i] = make([]float64, n)
+		for j := range dense[i] {
 			if i != j {
-				s[i][j] = 0.6 / (n - 1)
+				dense[i][j] = 0.6 / (n - 1)
 			}
 		}
 	}
+	s := sparseOf(dense)
 
 	// --- 1. multi-type request ------------------------------------
 	mu := planners.NewMulti(n)
@@ -96,9 +98,9 @@ func main() {
 	// --- 4. multi-view resource -----------------------------------
 	// Principal 1 shares its disks generously for reads (80%) but keeps
 	// writes close (20%); both views drain the same physical pool.
-	views := map[string][][]float64{
-		"disk-read":  {{0, 0}, {0.8, 0}},
-		"disk-write": {{0, 0}, {0.2, 0}},
+	views := map[string]*agreement.SparseMatrix{
+		"disk-read":  sparseOf([][]float64{{0, 0}, {0.8, 0}}),
+		"disk-write": sparseOf([][]float64{{0, 0}, {0.2, 0}}),
 	}
 	mv, err := planners.NewMultiView(views, core.Config{})
 	if err != nil {
@@ -128,4 +130,12 @@ func check(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// sparseOf imports a dense agreement literal in the CSR form the planners
+// take.
+func sparseOf(dense [][]float64) *agreement.SparseMatrix {
+	s, err := agreement.SparseOf(dense)
+	check(err)
+	return s
 }

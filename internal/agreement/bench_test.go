@@ -55,11 +55,11 @@ func BenchmarkValuesIterative100(b *testing.B) {
 	}
 }
 
-func BenchmarkMatrices20(b *testing.B) {
+func BenchmarkSparseMatrices20(b *testing.B) {
 	s := benchSystem(20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Matrices(disk); err != nil {
+		if _, err := s.SparseMatrices(disk); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,10 +33,11 @@
 //
 // # Export to the enforcement engine
 //
-// Matrices() collapses the currency graph (contracting virtual currencies)
-// into the paper's per-principal model: capacities V, the relative
-// agreement matrix S (S[i][j] = fraction of i's resources shared with j)
-// and the absolute agreement matrix A. Granting agreements (where the
-// grantor gives up the resource) move capacity between principals before
-// export.
+// SparseMatrices() collapses the currency graph (contracting virtual
+// currencies) into the paper's per-principal model: capacities V, the
+// relative agreement matrix S (S[i][j] = fraction of i's resources shared
+// with j) and the absolute agreement matrix A, both in CSR form
+// (SparseMatrix). Granting agreements (where the grantor gives up the
+// resource) move capacity between principals before export. SparseOf is
+// the one import of a dense matrix, for callers that write one literally.
 package agreement

@@ -44,11 +44,11 @@ func TestSnapshotRoundTripExample1(t *testing.T) {
 		}
 	}
 	// Matrices must round-trip too.
-	origM, err := s.Matrices(disk)
+	origM, err := matricesOf(s, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newM, err := restored.Matrices(disk)
+	newM, err := matricesOf(restored, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSnapshotGranting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := restored.Matrices(disk)
+	m, err := matricesOf(restored, disk)
 	if err != nil {
 		t.Fatal(err)
 	}

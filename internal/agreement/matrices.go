@@ -6,21 +6,12 @@ import (
 	"repro/internal/num"
 )
 
-// Matrices is the principal-level view of one resource type that the
-// enforcement engine (Section 3 of the paper) consumes: capacities V, the
-// relative agreement matrix S (S[i][j] = fraction of principal i's
-// resources shared with principal j), and the absolute agreement matrix A
-// (A[i][j] = fixed quantity i shares with j). All are indexed by
-// PrincipalID.
-type Matrices struct {
-	Type ResourceType
-	V    []float64
-	S    [][]float64
-	A    [][]float64
-}
-
-// Matrices collapses the currency/ticket graph for one resource type into
-// the paper's principal-level model:
+// SparseMatrices collapses the currency/ticket graph for one resource type
+// into the paper's principal-level model, the view the enforcement engine
+// (Section 3 of the paper) consumes: capacities V, the relative agreement
+// matrix S (S[i][j] = fraction of principal i's resources shared with
+// principal j) and the absolute agreement matrix A (A[i][j] = fixed
+// quantity i shares with j), all indexed by PrincipalID. The collapse:
 //
 //   - relative agreement chains through virtual currencies multiply their
 //     fractions (a 50% ticket into a virtual currency that re-issues 30%
@@ -36,23 +27,9 @@ type Matrices struct {
 // Virtual currencies must form a DAG; a backing cycle through virtual
 // currencies yields ErrVirtualCycle.
 //
-// Matrices is the dense export of SparseMatrices — the sparse build is
-// the primary path, and both accumulate identical per-cell contribution
-// sequences, so the two views are bit-identical.
-func (s *System) Matrices(typ ResourceType) (*Matrices, error) {
-	sm, err := s.SparseMatrices(typ)
-	if err != nil {
-		return nil, err
-	}
-	return sm.Dense(), nil
-}
-
-// SparseMatrices collapses the currency/ticket graph for one resource
-// type into the paper's principal-level model in CSR form. It performs
-// the same collapse as Matrices (which is now a wrapper) without ever
-// allocating the dense n×n S/A arrays: per-cell contributions accumulate
-// in ticket order into a SparseBuilder, and the per-currency flow
-// vectors skip principals with no flow (adding frac·0 to a non-negative
+// No dense n×n array is allocated: per-cell contributions accumulate in
+// ticket order into a SparseBuilder, and the per-currency flow vectors
+// skip principals with no flow (adding frac·0 to a non-negative
 // accumulator cannot change its bits, so skipping is exact).
 func (s *System) SparseMatrices(typ ResourceType) (*SparseMatrices, error) {
 	n := len(s.principals)

@@ -8,9 +8,24 @@ import (
 	"testing/quick"
 )
 
+// denseMatrices is what SparseMatrices returns with S and A exported
+// dense, for tests that read cells by index.
+type denseMatrices struct {
+	V    []float64
+	S, A [][]float64
+}
+
+func matricesOf(s *System, typ ResourceType) (*denseMatrices, error) {
+	m, err := s.SparseMatrices(typ)
+	if err != nil {
+		return nil, err
+	}
+	return &denseMatrices{V: m.V, S: m.S.Dense(), A: m.A.Dense()}, nil
+}
+
 func TestMatricesExample1(t *testing.T) {
 	s, p := paperExample1(t)
-	m, err := s.Matrices(disk)
+	m, err := matricesOf(s, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +56,7 @@ func TestMatricesExample1(t *testing.T) {
 
 func TestMatricesExample2VirtualCollapse(t *testing.T) {
 	s, p, _ := paperExample2(t)
-	m, err := s.Matrices(disk)
+	m, err := matricesOf(s, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +92,7 @@ func TestMatricesChainedVirtual(t *testing.T) {
 	if _, err := s.ShareRelative(v2, s.CurrencyOf(b), 1000); err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.Matrices(disk)
+	m, err := matricesOf(s, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +128,7 @@ func TestMatricesAbsoluteThroughVirtual(t *testing.T) {
 	if _, err := s.ShareRelative(v1, s.CurrencyOf(b), 500); err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.Matrices(disk)
+	m, err := matricesOf(s, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +154,7 @@ func TestMatricesVirtualCycle(t *testing.T) {
 	if _, err := s.ShareRelative(v2, v1, 100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Matrices(disk); !errors.Is(err, ErrVirtualCycle) {
+	if _, err := matricesOf(s, disk); !errors.Is(err, ErrVirtualCycle) {
 		t.Error("cycle through virtual currencies should be reported")
 	}
 }
@@ -158,7 +173,7 @@ func TestMatricesSelfShareDropped(t *testing.T) {
 	if _, err := s.ShareRelative(v1, s.CurrencyOf(a), 1000); err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.Matrices(disk)
+	m, err := matricesOf(s, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +195,7 @@ func TestMatricesIgnoreOtherTypes(t *testing.T) {
 	if _, err := s.ShareAbsolute(s.CurrencyOf(b), s.CurrencyOf(a), "cpu", 2, Sharing); err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.Matrices(disk)
+	m, err := matricesOf(s, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +205,7 @@ func TestMatricesIgnoreOtherTypes(t *testing.T) {
 	if m.A[b][a] != 0 {
 		t.Errorf("A[B][A] for disk = %g, want 0 (agreement is for cpu)", m.A[b][a])
 	}
-	mc, err := s.Matrices("cpu")
+	mc, err := matricesOf(s, "cpu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +220,7 @@ func TestMatricesRowSumMatchesIssuedShare(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomSystem(rng, 2+rng.Intn(8))
-		m, err := s.Matrices(disk)
+		m, err := matricesOf(s, disk)
 		if err != nil {
 			return false
 		}
@@ -235,7 +250,7 @@ func TestMatricesRevokedExcluded(t *testing.T) {
 		}
 	}
 	s.Revoke(ab)
-	m, err := s.Matrices(disk)
+	m, err := matricesOf(s, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,5 +331,60 @@ func TestDirectAgreementMatchesMatrices(t *testing.T) {
 		if _, _, ok := s.DirectAgreement(0, 1, General); ok {
 			t.Fatalf("trial %d: DirectAgreement answered beside a virtual currency", trial)
 		}
+	}
+}
+
+// TestSparseOf pins the one dense import: nil is no matrix, a non-square
+// matrix is refused, exact zeros of either sign are left unstored, and
+// Dense gives back the input bit for bit.
+func TestSparseOf(t *testing.T) {
+	if m, err := SparseOf(nil); m != nil || err != nil {
+		t.Fatalf("SparseOf(nil) = %v, %v; want nil, nil", m, err)
+	}
+	for _, bad := range [][][]float64{
+		{{0, 0.3}},
+		{{0, 0.3}, {0.2}},
+		{{0, 0.3, 0}, {0.2, 0, 0}},
+	} {
+		if _, err := SparseOf(bad); err == nil {
+			t.Errorf("SparseOf(%v) accepted a non-square matrix", bad)
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	in := [][]float64{
+		{0, 0.25, negZero, 1e-300},
+		{negZero, 0, 0, 0},
+		{0.5, 0.125, 0, 3},
+		{0, 0, 0, 0},
+	}
+	m, err := SparseOf(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.N() != 4 || m.NNZ() != 5 {
+		t.Fatalf("n = %d, nnz = %d; want 4 and 5 (zeros and -0 unstored)", m.N(), m.NNZ())
+	}
+	if cols, _ := m.Row(1); len(cols) != 0 {
+		t.Errorf("row 1 stores %v, want nothing", cols)
+	}
+	if cols, vals := m.Row(2); len(cols) != 3 || cols[0] != 0 || cols[1] != 1 || cols[2] != 3 || vals[2] != 3 {
+		t.Errorf("row 2 = %v %v, want ascending columns 0 1 3", cols, vals)
+	}
+	out := m.Dense()
+	// Every stored value round-trips bit for bit; an unstored one is +0.
+	for i := range in {
+		for j := range in[i] {
+			want := in[i][j]
+			if want == 0 {
+				want = 0 // −0 is unstored and comes back as +0
+			}
+			if math.Float64bits(out[i][j]) != math.Float64bits(want) {
+				t.Errorf("Dense[%d][%d] bits %x, want %x", i, j, math.Float64bits(out[i][j]), math.Float64bits(want))
+			}
+		}
+	}
+	empty, err := SparseOf([][]float64{})
+	if err != nil || empty == nil || empty.N() != 0 {
+		t.Errorf("SparseOf(empty) = %v, %v; want an empty matrix", empty, err)
 	}
 }

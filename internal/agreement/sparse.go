@@ -1,6 +1,7 @@
 package agreement
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/num"
@@ -44,8 +45,33 @@ func (m *SparseMatrix) At(i, j int) float64 {
 	return 0
 }
 
-// Dense materializes the full n×n matrix. Unstored entries come out as
-// +0, exactly what the dense construction leaves in untouched cells.
+// SparseOf imports a dense square matrix, the one conversion from dense
+// input: row by row, the entries that are not exactly zero (num.IsZero,
+// so −0 too) in ascending column order. A nil matrix gives nil — no
+// matrix, as a nil A means "no absolute agreements" — and a non-square
+// one is refused. Dense round-trips it bit for bit.
+func SparseOf(m [][]float64) (*SparseMatrix, error) {
+	if m == nil {
+		return nil, nil
+	}
+	n := len(m)
+	out := &SparseMatrix{n: n, rowStart: make([]int32, n+1)}
+	for i, row := range m {
+		if len(row) != n {
+			return nil, fmt.Errorf("agreement: matrix is not square: row %d has %d entries, want %d", i, len(row), n)
+		}
+		for j, v := range row {
+			if !num.IsZero(v) {
+				out.cols, out.vals = append(out.cols, int32(j)), append(out.vals, v)
+			}
+		}
+		out.rowStart[i+1] = int32(len(out.cols))
+	}
+	return out, nil
+}
+
+// Dense materializes the full n×n matrix, for tests and the benchmark.
+// Unstored entries come out as +0.
 func (m *SparseMatrix) Dense() [][]float64 {
 	out := make([][]float64, m.n)
 	for i := 0; i < m.n; i++ {
@@ -143,20 +169,12 @@ func (r rowByCol) Swap(i, j int) {
 	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
 }
 
-// SparseMatrices is the sparse-first principal-level model: capacities V
-// stay dense (O(n)), the relative and absolute agreement matrices are
-// CSR. Matrices() is its dense export.
+// SparseMatrices is the principal-level model of one resource type:
+// capacities V stay dense (O(n)), the relative and absolute agreement
+// matrices are CSR.
 type SparseMatrices struct {
 	Type ResourceType
 	V    []float64
 	S    *SparseMatrix
 	A    *SparseMatrix
-}
-
-// Dense exports the dense Matrices view used by snapshots, validation,
-// and the dense planner constructors. Cell values are bit-identical to
-// the historical dense construction: both accumulate the same per-cell
-// contribution sequences.
-func (m *SparseMatrices) Dense() *Matrices {
-	return &Matrices{Type: m.Type, V: m.V, S: m.S.Dense(), A: m.A.Dense()}
 }

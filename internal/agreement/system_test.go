@@ -214,7 +214,7 @@ func TestGrantingMovesCapacity(t *testing.T) {
 	if got := v[s.CurrencyOf(b)]; math.Abs(got-4) > 1e-9 {
 		t.Errorf("value(B) = %g, want 4", got)
 	}
-	m, err := s.Matrices(disk)
+	m, err := matricesOf(s, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +252,8 @@ func TestOvergrantingDetected(t *testing.T) {
 	if _, err := s.Grant(s.CurrencyOf(a), s.CurrencyOf(b), disk, 25); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Matrices(disk); err == nil {
-		t.Error("Matrices should reject a principal that granted more than it owns")
+	if _, err := matricesOf(s, disk); err == nil {
+		t.Error("SparseMatrices should reject a principal that granted more than it owns")
 	}
 }
 

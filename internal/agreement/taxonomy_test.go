@@ -14,7 +14,7 @@ func TestBuildComplete(t *testing.T) {
 	if len(ids) != 5 {
 		t.Fatalf("got %d principals", len(ids))
 	}
-	m, err := s.Matrices(General)
+	m, err := matricesOf(s, General)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestBuildLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.Matrices(General)
+	m, err := matricesOf(s, General)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestBuildSparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.Matrices(General)
+	m, err := matricesOf(s, General)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestBuildDistanceDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.Matrices(General)
+	m, err := matricesOf(s, General)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBuildHierarchical(t *testing.T) {
 	if len(ids) != 12 {
 		t.Fatalf("got %d principals, want 12", len(ids))
 	}
-	m, err := s.Matrices(General)
+	m, err := matricesOf(s, General)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,17 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/planners"
 )
 
 func isolatedPlanner(t *testing.T, n int) planners.Planner {
 	t.Helper()
-	s := make([][]float64, n)
-	for i := range s {
-		s[i] = make([]float64, n)
-	}
-	al, err := core.NewAllocator(s, nil, core.Config{})
+	al, err := core.NewAllocator(agreement.NewSparseBuilder(n).Build(), nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,9 +20,12 @@ func isolatedPlanner(t *testing.T, n int) planners.Planner {
 
 func reciprocalPlanner(t *testing.T, share float64) planners.Planner {
 	t.Helper()
-	s := [][]float64{
+	s, err := agreement.SparseOf([][]float64{
 		{0, share},
 		{share, 0},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	al, err := core.NewAllocator(s, nil, core.Config{})
 	if err != nil {

@@ -217,47 +217,27 @@ type modelClone struct {
 	of    *planSkeleton
 }
 
-// NewAllocator builds an allocator from a relative agreement matrix S and
-// an optional absolute agreement matrix A (nil for none). The transitive
-// flow coefficients are computed once here — they depend only on S and the
-// level, not on the fluctuating capacities. It is an adapter: the dense
-// inputs are converted to row-sparse form and built like
-// NewAllocatorSparse's, which skips the dense detour entirely.
-func NewAllocator(s [][]float64, a [][]float64, cfg Config) (*Allocator, error) {
-	if err := transitive.Validate(s); err != nil {
-		return nil, err
-	}
-	n := len(s)
-	sCols, sVals := make([][]int32, n), make([][]float64, n)
-	for i, row := range s {
-		sCols[i], sVals[i] = transitive.RowOf(row)
-	}
-	aCols, aVals := make([][]int32, n), make([][]float64, n)
-	if a != nil {
-		if len(a) != n {
-			return nil, fmt.Errorf("core: A is %d×?, S is %d×%d", len(a), n, n)
-		}
-		for i, row := range a {
-			if len(row) != n {
-				return nil, fmt.Errorf("core: A row %d has %d entries, want %d", i, len(row), n)
-			}
-			aCols[i], aVals[i] = transitive.RowOf(row)
-		}
-	}
-	return newAllocatorRows(n, sCols, sVals, aCols, aVals, a != nil, cfg)
-}
-
-// NewAllocatorSparse builds an allocator straight from CSR agreement
-// matrices (the agreement.SparseMatrices form) without materializing any
-// dense n×n array: the closure copies S's rows, A's are copied here, so no
-// write reaches s or a. a may be nil. The result is bit-identical to
-// NewAllocator over the dense exports — the sparse kernels read the same
-// floats in the same order.
-func NewAllocatorSparse(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cfg Config) (*Allocator, error) {
+// NewAllocator builds an allocator from the CSR relative agreement matrix
+// S and an optional absolute agreement matrix A (nil for none), the
+// agreement.SparseMatrices form; callers holding dense matrices import them
+// with agreement.SparseOf. The transitive flow coefficients are computed
+// once here — they depend only on S and the level, not on the fluctuating
+// capacities. The closure copies S's rows and A's are copied here, so no
+// write reaches s or a, and no dense n×n array is materialized. S needs a
+// zero diagonal, S and A non-negative entries, and an exact closure within
+// the enumeration budget.
+func NewAllocator(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cfg Config) (*Allocator, error) {
 	n := s.N()
-	sCols, sVals := make([][]int32, n), make([][]float64, n)
 	for i := 0; i < n; i++ {
-		sCols[i], sVals[i] = s.Row(i)
+		cols, vals := s.Row(i)
+		for k, j := range cols {
+			if int(j) == i {
+				return nil, fmt.Errorf("core: S[%d][%d] = %g, diagonal must be zero", i, i, vals[k])
+			}
+			if vals[k] < 0 {
+				return nil, fmt.Errorf("core: S[%d][%d] = %g, entries must be non-negative", i, j, vals[k])
+			}
+		}
 	}
 	aCols, aVals := make([][]int32, n), make([][]float64, n)
 	if a != nil {
@@ -267,42 +247,31 @@ func NewAllocatorSparse(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cf
 		cols, vals := make([]int32, 0, a.NNZ()), make([]float64, 0, a.NNZ())
 		for i := 0; i < n; i++ {
 			rc, rv := a.Row(i)
+			for k, j := range rc {
+				if rv[k] < 0 {
+					return nil, fmt.Errorf("core: A[%d][%d] = %g, must be non-negative", i, j, rv[k])
+				}
+			}
 			lo := len(cols)
 			cols, vals = append(cols, rc...), append(vals, rv...)
 			// Full slice expressions: a row never grows into its neighbour.
 			aCols[i], aVals[i] = cols[lo:len(cols):len(cols)], vals[lo:len(vals):len(vals)]
 		}
 	}
-	return newAllocatorRows(n, sCols, sVals, aCols, aVals, a != nil, cfg)
-}
-
-// newAllocatorRows validates row-sparse S and A, refuses an exact closure
-// past the enumeration budget, and builds the allocator.
-func newAllocatorRows(n int, sCols [][]int32, sVals [][]float64, aCols [][]int32, aVals [][]float64, hasA bool, cfg Config) (*Allocator, error) {
-	for i := 0; i < n; i++ {
-		for k, j := range sCols[i] {
-			if int(j) == i {
-				return nil, fmt.Errorf("core: S[%d][%d] = %g, diagonal must be zero", i, i, sVals[i][k])
-			}
-			if sVals[i][k] < 0 {
-				return nil, fmt.Errorf("core: S[%d][%d] = %g, entries must be non-negative", i, j, sVals[i][k])
-			}
-		}
-		for k, j := range aCols[i] {
-			if aVals[i][k] < 0 {
-				return nil, fmt.Errorf("core: A[%d][%d] = %g, must be non-negative", i, j, aVals[i][k])
-			}
-		}
-	}
-	level := effectiveLevel(cfg)
-	clo, err := transitive.NewClosureBudget(n, sCols, sVals, level, cfg.Approx, exactBudget)
+	clo, err := transitive.NewClosureBudget(s, effectiveLevel(cfg), cfg.Approx, exactBudget)
 	if err != nil {
 		return nil, fmt.Errorf("core: exact transitive closure would exceed %d steps for this agreement graph; set Config.Approx or lower Config.Level: %w", exactBudget, err)
 	}
-	al := &Allocator{n: n, aCols: aCols, aVals: aVals, hasA: hasA, cfg: cfg, clo: clo,
+	al := &Allocator{n: n, aCols: aCols, aVals: aVals, hasA: a != nil, cfg: cfg, clo: clo,
 		pool: &sync.Pool{New: func() any { return &planWS{clones: map[int]modelClone{}} }}}
 	al.index()
 	return al, nil
+}
+
+// NewAllocatorSparse is NewAllocator, under the name the layer benchmark
+// still calls.
+func NewAllocatorSparse(s, a *agreement.SparseMatrix, cfg Config) (*Allocator, error) {
+	return NewAllocator(s, a, cfg)
 }
 
 // effectiveLevel resolves Config.Level: non-positive requests the
@@ -518,7 +487,7 @@ func (al *Allocator) Capacity(v []float64, i int) float64 {
 
 // capacity computes C_i = V_i + Σ_{k≠i} U_ki walking column i. Sources
 // it skips have K_ki = 0 and A_ki = 0, so their U_ki is exactly zero and the
-// sum is bit-identical to the dense transitive.Capacities scan. It panics
+// sum is bit-identical to the dense scan (modeltest.Capacities). It panics
 // on an invalid availability among the entries it reads: every entry of v a
 // plan touches passes through here first, so a plan validates what it
 // reads and nothing else.

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/agreement"
 )
 
 func almost(t *testing.T, got, want, tol float64, what string) {
@@ -15,6 +17,16 @@ func almost(t *testing.T, got, want, tol float64, what string) {
 	if math.Abs(got-want) > tol {
 		t.Errorf("%s = %g, want %g", what, got, want)
 	}
+}
+
+// sparse imports a dense test literal with agreement.SparseOf; nil stays
+// nil.
+func sparse(m [][]float64) *agreement.SparseMatrix {
+	out, err := agreement.SparseOf(m)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // twoNodeSystem: principal 1 shares 50% with principal 0.
@@ -26,7 +38,7 @@ func twoNodeSystem() [][]float64 {
 }
 
 func TestCapacities(t *testing.T) {
-	al, err := NewAllocator(twoNodeSystem(), nil, Config{})
+	al, err := NewAllocator(sparse(twoNodeSystem()), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +50,7 @@ func TestCapacities(t *testing.T) {
 func TestPlanOwnResourcesFirstWhenNeutral(t *testing.T) {
 	// With no agreements at all, the only source is the requester.
 	s := [][]float64{{0, 0}, {0, 0}}
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +66,7 @@ func TestPlanOwnResourcesFirstWhenNeutral(t *testing.T) {
 func TestPlanRespectsSourceCaps(t *testing.T) {
 	// Principal 1 shares 50% of 20 = 10 with 0; a request for 25 must take
 	// at most 10 from principal 1.
-	al, err := NewAllocator(twoNodeSystem(), nil, Config{})
+	al, err := NewAllocator(sparse(twoNodeSystem()), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +82,7 @@ func TestPlanRespectsSourceCaps(t *testing.T) {
 }
 
 func TestPlanInsufficient(t *testing.T) {
-	al, err := NewAllocator(twoNodeSystem(), nil, Config{})
+	al, err := NewAllocator(sparse(twoNodeSystem()), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +93,7 @@ func TestPlanInsufficient(t *testing.T) {
 }
 
 func TestPlanZeroAmount(t *testing.T) {
-	al, err := NewAllocator(twoNodeSystem(), nil, Config{})
+	al, err := NewAllocator(sparse(twoNodeSystem()), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +121,7 @@ func TestPlanMinimizesPerturbation(t *testing.T) {
 		{1, 0, 0, 0.5},
 		{0, 0, 0, 0},
 	}
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +147,7 @@ func TestPlanBalancesWhenSymmetric(t *testing.T) {
 		{0, 0, 0, 0, 0, 0, 0},
 		{0, 0, 0, 0, 0, 0, 0},
 	}
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +172,14 @@ func TestPlanTransitivityLevels(t *testing.T) {
 	}
 	v := []float64{0, 0, 10}
 
-	lvl1, err := NewAllocator(s, nil, Config{Level: 1})
+	lvl1, err := NewAllocator(sparse(s), nil, Config{Level: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := lvl1.Plan(v, 0, 5); !errors.Is(err, ErrInsufficient) {
 		t.Errorf("level 1 should not reach principal 2's resources, got %v", err)
 	}
-	lvl2, err := NewAllocator(s, nil, Config{Level: 2})
+	lvl2, err := NewAllocator(sparse(s), nil, Config{Level: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +194,7 @@ func TestPlanAbsoluteAgreements(t *testing.T) {
 	// Principal 1 has only an absolute agreement of 6 with 0.
 	s := [][]float64{{0, 0}, {0, 0}}
 	a := [][]float64{{0, 0}, {6, 0}}
-	al, err := NewAllocator(s, a, Config{})
+	al, err := NewAllocator(sparse(s), sparse(a), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,19 +212,19 @@ func TestPlanAbsoluteAgreements(t *testing.T) {
 }
 
 func TestNewAllocatorValidation(t *testing.T) {
-	if _, err := NewAllocator([][]float64{{0.5}}, nil, Config{}); err == nil {
+	if _, err := NewAllocator(sparse([][]float64{{0.5}}), nil, Config{}); err == nil {
 		t.Error("nonzero diagonal accepted")
 	}
-	if _, err := NewAllocator(twoNodeSystem(), [][]float64{{0}}, Config{}); err == nil {
+	if _, err := NewAllocator(sparse(twoNodeSystem()), sparse([][]float64{{0}}), Config{}); err == nil {
 		t.Error("mismatched A accepted")
 	}
-	if _, err := NewAllocator(twoNodeSystem(), [][]float64{{0, -1}, {0, 0}}, Config{}); err == nil {
+	if _, err := NewAllocator(sparse(twoNodeSystem()), sparse([][]float64{{0, -1}, {0, 0}}), Config{}); err == nil {
 		t.Error("negative A accepted")
 	}
 }
 
 func TestPlanNegativeAmount(t *testing.T) {
-	al, err := NewAllocator(twoNodeSystem(), nil, Config{})
+	al, err := NewAllocator(sparse(twoNodeSystem()), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +234,7 @@ func TestPlanNegativeAmount(t *testing.T) {
 }
 
 func TestFlowCoefficientsCopy(t *testing.T) {
-	al, err := NewAllocator(twoNodeSystem(), nil, Config{})
+	al, err := NewAllocator(sparse(twoNodeSystem()), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +277,7 @@ func TestQuickPlanInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s, v, requester, amount := randomScenario(rng)
-		al, err := NewAllocator(s, nil, Config{})
+		al, err := NewAllocator(sparse(s), nil, Config{})
 		if err != nil {
 			return false
 		}
@@ -324,11 +336,11 @@ func TestConfigFields(t *testing.T) {
 
 func TestApproxConfig(t *testing.T) {
 	s, v, _, _ := randomScenario(rand.New(rand.NewSource(7)))
-	exact, err := NewAllocator(s, nil, Config{})
+	exact, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := NewAllocator(s, nil, Config{Approx: true})
+	approx, err := NewAllocator(sparse(s), nil, Config{Approx: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,13 +363,13 @@ func TestNewAllocatorRefusesExplosiveExact(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewAllocator(s, nil, Config{}); err == nil {
+	if _, err := NewAllocator(sparse(s), nil, Config{}); err == nil {
 		t.Fatal("dense 20-principal exact closure should be refused")
 	}
-	if _, err := NewAllocator(s, nil, Config{Approx: true}); err != nil {
+	if _, err := NewAllocator(sparse(s), nil, Config{Approx: true}); err != nil {
 		t.Fatalf("approx mode should work: %v", err)
 	}
-	if _, err := NewAllocator(s, nil, Config{Level: 2}); err != nil {
+	if _, err := NewAllocator(sparse(s), nil, Config{Level: 2}); err != nil {
 		t.Fatalf("low level should keep exact mode affordable: %v", err)
 	}
 }

@@ -169,7 +169,7 @@ func TestSetShareAllocs(t *testing.T) {
 		for j := 2; j < n; j++ {
 			sb.Add(1, j, 0.9/float64(leaves))
 		}
-		al, err := NewAllocatorSparse(sb.Build(), nil, Config{})
+		al, err := NewAllocator(sb.Build(), nil, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestGrowCopiesHeadersOnly(t *testing.T) {
 	const n = 2048
 	s, a, v := sparseBlocksScenario(n)
 	cfg := Config{ComponentLP: true}
-	al, err := NewAllocatorSparse(s, a, cfg)
+	al, err := NewAllocator(s, a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestGrowCopiesHeadersOnly(t *testing.T) {
 	}
 
 	N := 2 * n
-	fresh, err := NewAllocatorSparse(padded(s, N), padded(a, N), cfg)
+	fresh, err := NewAllocator(padded(s, N), padded(a, N), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func commitTakes(cur []float64, take []float64) {
 func batchScenario(t *testing.T) (*Allocator, []float64) {
 	t.Helper()
 	s, v := benchScenario(8)
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func benchPlan(b *testing.B, al *Allocator, v []float64) {
 
 func BenchmarkPlanSubstituted10(b *testing.B) {
 	s, v := benchScenario(10)
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func benchPlanPrinted(b *testing.B, al *Allocator, v []float64) {
 
 func BenchmarkPlanFaithful10(b *testing.B) {
 	s, v := benchScenario(10)
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func BenchmarkPlanFaithful10(b *testing.B) {
 // demonstrates).
 func BenchmarkPlanSubstituted30(b *testing.B) {
 	s, v := benchScenario(30)
-	al, err := NewAllocator(s, nil, Config{Approx: true})
+	al, err := NewAllocator(sparse(s), nil, Config{Approx: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func BenchmarkPlanSubstituted30(b *testing.B) {
 
 func BenchmarkPlanFaithful30(b *testing.B) {
 	s, v := benchScenario(30)
-	al, err := NewAllocator(s, nil, Config{Approx: true})
+	al, err := NewAllocator(sparse(s), nil, Config{Approx: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func benchLoopScenario(n int) (s [][]float64, v []float64) {
 
 func BenchmarkPlanLoop10(b *testing.B) {
 	s, v := benchLoopScenario(10)
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func BenchmarkPlanLoop10(b *testing.B) {
 
 func BenchmarkPlanLoop30(b *testing.B) {
 	s, v := benchLoopScenario(30)
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func BenchmarkPlanLoop30(b *testing.B) {
 // scale instead of serializing on a shared model.
 func BenchmarkPlanParallel10(b *testing.B) {
 	s, v := benchScenario(10)
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func BenchmarkPlanParallel10(b *testing.B) {
 
 func BenchmarkPlanFlat40(b *testing.B) {
 	s, v := benchScenario(40)
-	al, err := NewAllocator(s, nil, Config{Approx: true})
+	al, err := NewAllocator(sparse(s), nil, Config{Approx: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -163,7 +163,8 @@ func BenchmarkPlanFlat40(b *testing.B) {
 }
 
 func BenchmarkNewAllocator10(b *testing.B) {
-	s, _ := benchScenario(10)
+	dense, _ := benchScenario(10)
+	s := sparse(dense)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewAllocator(s, nil, Config{}); err != nil {
@@ -174,7 +175,7 @@ func BenchmarkNewAllocator10(b *testing.B) {
 
 func BenchmarkCapacities10(b *testing.B) {
 	s, v := benchScenario(10)
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func batchBenchRequests() []BatchRequest {
 // benchmark stays as the baseline PlanBatch8 is compared against.
 func BenchmarkPlanSequential8(b *testing.B) {
 	s, v := benchScenario(8)
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func BenchmarkPlanSequential8(b *testing.B) {
 // count, so the two differ only in per-call overhead.
 func BenchmarkPlanChained8(b *testing.B) {
 	s, v := benchScenario(8)
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func BenchmarkPlanChained8(b *testing.B) {
 // batch shares one workspace and bulk result arrays.
 func BenchmarkPlanBatch8(b *testing.B) {
 	s, v := benchScenario(8)
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func BenchmarkPlanColdRebuild100(b *testing.B) {
 	s, v := incrementalScenario(100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		al, err := NewAllocator(s, nil, Config{Level: 5})
+		al, err := NewAllocator(sparse(s), nil, Config{Level: 5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -343,7 +344,8 @@ func BenchmarkPlanColdRebuild100(b *testing.B) {
 
 // BenchmarkNewAllocator100 isolates the rebuild cost without a solve.
 func BenchmarkNewAllocator100(b *testing.B) {
-	s, _ := incrementalScenario(100)
+	dense, _ := incrementalScenario(100)
+	s := sparse(dense)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewAllocator(s, nil, Config{Level: 5}); err != nil {
@@ -357,7 +359,7 @@ func BenchmarkNewAllocator100(b *testing.B) {
 // alternate iterations: every cache the edge cannot reach is left alone.
 func BenchmarkUpdateEdge100(b *testing.B) {
 	s, _ := incrementalScenario(100)
-	al, err := NewAllocator(s, nil, Config{Level: 5})
+	al, err := NewAllocator(sparse(s), nil, Config{Level: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -412,7 +414,7 @@ func sparseBlocksScenario(n int) (s, a *agreement.SparseMatrix, v []float64) {
 // exactly what ComponentLP (next bench) removes.
 func BenchmarkPlanSparse1000(b *testing.B) {
 	s, a, v := sparse1000Scenario()
-	al, err := NewAllocatorSparse(s, a, Config{Level: 5})
+	al, err := NewAllocator(s, a, Config{Level: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -427,7 +429,7 @@ func BenchmarkPlanSparse1000(b *testing.B) {
 // the sharded GRM tree runs at scale.
 func BenchmarkPlanSparseComponent1000(b *testing.B) {
 	s, a, v := sparse1000Scenario()
-	al, err := NewAllocatorSparse(s, a, Config{Level: 5, ComponentLP: true})
+	al, err := NewAllocator(s, a, Config{Level: 5, ComponentLP: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -442,7 +444,7 @@ func BenchmarkPlanSparseComponent1000(b *testing.B) {
 // block, not the 4 096, and allocates nothing.
 func BenchmarkPlanPairsComponent4096(b *testing.B) {
 	s, a, v := sparseBlocksScenario(4096)
-	al, err := NewAllocatorSparse(s, a, Config{Level: 5, ComponentLP: true})
+	al, err := NewAllocator(s, a, Config{Level: 5, ComponentLP: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -461,7 +463,7 @@ func BenchmarkPlanPairsComponent4096(b *testing.B) {
 // handlers pay: one pass over the column triples, O(n + nnz).
 func BenchmarkCapacitiesSparse1000(b *testing.B) {
 	s, a, v := sparse1000Scenario()
-	al, err := NewAllocatorSparse(s, a, Config{Level: 5})
+	al, err := NewAllocator(s, a, Config{Level: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -480,21 +482,7 @@ func BenchmarkNewAllocatorSparse1000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewAllocatorSparse(s, a, Config{Level: 5}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNewAllocatorDense1000 is the same build fed dense n² inputs —
-// the conversion and validation overhead the sparse entry point removes.
-func BenchmarkNewAllocatorDense1000(b *testing.B) {
-	s, a, _ := sparse1000Scenario()
-	sd, ad := s.Dense(), a.Dense()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewAllocator(sd, ad, Config{Level: 5}); err != nil {
+		if _, err := NewAllocator(s, a, Config{Level: 5}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -510,7 +498,7 @@ func BenchmarkNewAllocatorSparse4096(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewAllocatorSparse(s, a, Config{ComponentLP: true}); err != nil {
+		if _, err := NewAllocator(s, a, Config{ComponentLP: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -526,7 +514,7 @@ func BenchmarkGrowSparse4096(b *testing.B) {
 	var al *Allocator
 	build := func() {
 		var err error
-		if al, err = NewAllocatorSparse(s, a, Config{ComponentLP: true}); err != nil {
+		if al, err = NewAllocator(s, a, Config{ComponentLP: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -556,7 +544,7 @@ func churn128Allocator(t testing.TB) *Allocator { return churnAllocator(t, 128) 
 func churnAllocator(t testing.TB, n int) *Allocator {
 	t.Helper()
 	s, a, _ := sparseBlockScenario(n, 1)
-	al, err := NewAllocatorSparse(s, a, Config{})
+	al, err := NewAllocator(s, a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +565,7 @@ func ring64Allocator(t testing.TB) (*Allocator, []float64) {
 		sb.Add(i, (i+1)%n, 0.38+0.04*rng.Float64())
 		sb.Add(i, (i+n-1)%n, 0.38+0.04*rng.Float64())
 	}
-	al, err := NewAllocatorSparse(sb.Build(), nil, Config{})
+	al, err := NewAllocator(sb.Build(), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

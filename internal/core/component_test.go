@@ -95,11 +95,11 @@ func comparePlans(t *testing.T, full, comp *Allocator, v []float64, requester in
 
 func TestComponentLPMatchesFull(t *testing.T) {
 	s, a, v := sparseBlockScenario(200, 23)
-	full, err := NewAllocatorSparse(s, a, Config{Level: 5})
+	full, err := NewAllocator(s, a, Config{Level: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := NewAllocatorSparse(s, a, Config{Level: 5, ComponentLP: true})
+	comp, err := NewAllocator(s, a, Config{Level: 5, ComponentLP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestComponentLPMatchesFull(t *testing.T) {
 // degenerates to the full one and must still agree.
 func TestComponentLPDenseScenario(t *testing.T) {
 	s, v := benchScenario(10)
-	full, err := NewAllocator(s, nil, Config{})
+	full, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := NewAllocator(s, nil, Config{ComponentLP: true})
+	comp, err := NewAllocator(sparse(s), nil, Config{ComponentLP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +140,13 @@ func TestComponentLPDenseScenario(t *testing.T) {
 // one.
 func TestComponentLPMutations(t *testing.T) {
 	s, a, v := sparseBlockScenario(48, 11)
-	comp, err := NewAllocatorSparse(s, a, Config{Level: 5, ComponentLP: true})
+	comp, err := NewAllocator(s, a, Config{Level: 5, ComponentLP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check := func(stage string) {
 		t.Helper()
-		full, err := NewAllocator(denseOf(comp.N(), comp.Share), denseOf(comp.N(), comp.Agreement), Config{Level: 5})
+		full, err := NewAllocator(sparse(denseOf(comp.N(), comp.Share)), sparse(denseOf(comp.N(), comp.Agreement)), Config{Level: 5})
 		if err != nil {
 			t.Fatalf("%s: rebuild: %v", stage, err)
 		}

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-
-	"repro/internal/transitive"
 )
 
 // TestPlanConcurrentDeterministic hammers one shared Allocator from many
@@ -21,7 +19,7 @@ func TestPlanConcurrentDeterministic(t *testing.T) {
 		{0, 0.6, 0, 0.2},
 		{0.25, 0, 0.5, 0},
 	}
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,55 +79,6 @@ func TestPlanConcurrentDeterministic(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestCapsIntoMatchesDense pins the sparse-column-index capacity sum to
-// transitive.Capacities bit-for-bit, with and without absolute agreements.
-func TestCapsIntoMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(10)
-		s := make([][]float64, n)
-		var a [][]float64
-		if trial%2 == 1 {
-			a = make([][]float64, n)
-		}
-		for i := range s {
-			s[i] = make([]float64, n)
-			if a != nil {
-				a[i] = make([]float64, n)
-			}
-			for j := range s[i] {
-				if i == j {
-					continue
-				}
-				if rng.Float64() < 0.4 {
-					s[i][j] = rng.Float64()
-				}
-				if a != nil && rng.Float64() < 0.3 {
-					a[i][j] = rng.Float64() * 2
-				}
-			}
-		}
-		al, err := NewAllocator(s, a, Config{Level: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = 10 * rng.Float64()
-		}
-		want := transitive.Capacities(v, al.FlowCoefficients(), a)
-		got := al.Capacities(v)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: Capacities[%d]=%v, dense=%v", trial, i, got[i], want[i])
-			}
-			if one := al.Capacity(v, i); one != want[i] {
-				t.Fatalf("trial %d: Capacity(%d)=%v, dense=%v", trial, i, one, want[i])
-			}
-		}
 	}
 }
 
@@ -213,12 +162,12 @@ func TestNormalizeTakesAllAtCapReportsResidual(t *testing.T) {
 // value-only writes patched in place — a share halved, an absolute
 // agreement raised — which keep the skeletons, so a model clone a plan
 // rebound before a write may serve another after it. Every plan must
-// equal, bit for bit, the same plan on a fresh NewAllocatorSparse over the
+// equal, bit for bit, the same plan on a fresh NewAllocator over the
 // allocator's agreements as they stand.
 func TestConcurrentPlansAcrossValueChurn(t *testing.T) {
 	s, a, v := sparseBlockScenario(32, 5)
 	for _, cfg := range []Config{{}, {ComponentLP: true}} {
-		al, err := NewAllocatorSparse(s, a, cfg)
+		al, err := NewAllocator(s, a, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 // Package core implements the paper's agreement-enforcement engine
 // (Section 3): given the principal-level view of one resource type —
-// capacities V, relative agreement matrix S, absolute agreement matrix A —
-// it answers the two scheduling questions posed in the paper:
+// capacities V, and the relative and absolute agreement matrices S and A
+// in CSR form (agreement.SparseMatrix, what NewAllocator, the one
+// constructor, takes) — it answers the two scheduling questions posed in
+// the paper:
 //
 //  1. Does the requesting principal have enough resources available,
 //     directly or transitively (capacity C_A)?

@@ -10,6 +10,7 @@ var (
 	Churn128Allocator   = churn128Allocator
 	Ring64Allocator     = ring64Allocator
 	SparseBlockScenario = sparseBlockScenario
+	Sparse              = sparse
 )
 
 // SkeletonsKept reads what al's skeleton slots hold and returns a report of

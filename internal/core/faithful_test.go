@@ -125,7 +125,7 @@ func TestQuickFaithfulMatchesSubstituted(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s, v, requester, amount := randomScenario(rng)
-		al, err := NewAllocator(s, nil, Config{})
+		al, err := NewAllocator(sparse(s), nil, Config{})
 		if err != nil {
 			return false
 		}
@@ -152,7 +152,7 @@ func TestQuickFaithfulMatchesSubstituted(t *testing.T) {
 
 	// Absolute agreements are outside the printed LP: the served form plans
 	// with them, the reference says it cannot.
-	al, err := NewAllocator(twoNodeSystem(), [][]float64{{0, 0}, {3, 0}}, Config{})
+	al, err := NewAllocator(sparse(twoNodeSystem()), sparse([][]float64{{0, 0}, {3, 0}}), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestKeepRequesterConstraint(t *testing.T) {
 		{0, 0, 0, 0},
 	}
 	v := []float64{0, 10, 10, 0}
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func FuzzPlan(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, seed int64, reqRaw uint8, fracRaw uint16) {
 		g := modeltest.Generate(rand.New(rand.NewSource(seed)))
-		al, err := core.NewAllocator(g.S, g.A, core.Config{Level: g.Level})
+		al, err := core.NewAllocator(core.Sparse(g.S), core.Sparse(g.A), core.Config{Level: g.Level})
 		if err != nil {
 			t.Fatalf("generator produced an unconstructible graph: %v\n%s", err, g)
 		}

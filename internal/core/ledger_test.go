@@ -13,7 +13,7 @@ import (
 func newTestLedger(t *testing.T) *planners.Ledger {
 	t.Helper()
 	// Principal 1 shares 50% with 0.
-	al, err := core.NewAllocator([][]float64{{0, 0}, {0.5, 0}}, nil, core.Config{})
+	al, err := core.NewAllocator(core.Sparse([][]float64{{0, 0}, {0.5, 0}}), nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestLedgerConcurrentAcquireRelease(t *testing.T) {
 			}
 		}
 	}
-	al, err := core.NewAllocator(s, nil, core.Config{})
+	al, err := core.NewAllocator(core.Sparse(s), nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestLedgerOutstandingFor(t *testing.T) {
 }
 
 func TestNewLedgerValidation(t *testing.T) {
-	al, err := core.NewAllocator([][]float64{{0, 0}, {0, 0}}, nil, core.Config{})
+	al, err := core.NewAllocator(core.Sparse([][]float64{{0, 0}, {0, 0}}), nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,10 @@ func TestMultiPlan(t *testing.T) {
 	sCPU := [][]float64{{0, 0}, {0.5, 0}}
 	sDisk := [][]float64{{0, 0}, {0.8, 0}}
 	mu := planners.NewMulti(2)
-	if err := mu.AddType("cpu", sCPU, nil, core.Config{}); err != nil {
+	if err := mu.AddType("cpu", core.Sparse(sCPU), nil, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mu.AddType("disk", sDisk, nil, core.Config{}); err != nil {
+	if err := mu.AddType("disk", core.Sparse(sDisk), nil, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	v := map[string][]float64{
@@ -50,10 +50,10 @@ func TestMultiPlan(t *testing.T) {
 func TestMultiPlanAtomicFailure(t *testing.T) {
 	s := [][]float64{{0, 0}, {0.5, 0}}
 	mu := planners.NewMulti(2)
-	if err := mu.AddType("cpu", s, nil, core.Config{}); err != nil {
+	if err := mu.AddType("cpu", core.Sparse(s), nil, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mu.AddType("disk", s, nil, core.Config{}); err != nil {
+	if err := mu.AddType("disk", core.Sparse(s), nil, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	v := map[string][]float64{
@@ -69,13 +69,13 @@ func TestMultiPlanAtomicFailure(t *testing.T) {
 func TestMultiErrors(t *testing.T) {
 	mu := planners.NewMulti(2)
 	s := [][]float64{{0, 0}, {0.5, 0}}
-	if err := mu.AddType("cpu", s, nil, core.Config{}); err != nil {
+	if err := mu.AddType("cpu", core.Sparse(s), nil, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mu.AddType("cpu", s, nil, core.Config{}); err == nil {
+	if err := mu.AddType("cpu", core.Sparse(s), nil, core.Config{}); err == nil {
 		t.Error("duplicate type accepted")
 	}
-	if err := mu.AddType("bad", [][]float64{{0}}, nil, core.Config{}); err == nil {
+	if err := mu.AddType("bad", core.Sparse([][]float64{{0}}), nil, core.Config{}); err == nil {
 		t.Error("wrong-size matrix accepted")
 	}
 	if _, err := mu.Plan(map[string][]float64{}, 0, map[string]float64{"gpu": 1}); err == nil {
@@ -98,7 +98,7 @@ func TestMultiErrors(t *testing.T) {
 func TestCoupledPlan(t *testing.T) {
 	// A bundle consumes 2 cpu + 1 mem. Principal 1 shares 100% with 0.
 	s := [][]float64{{0, 0}, {1, 0}}
-	c, err := planners.NewCoupled(s, nil, core.Config{}, map[string]float64{"cpu": 2, "mem": 1})
+	c, err := planners.NewCoupled(core.Sparse(s), nil, core.Config{}, map[string]float64{"cpu": 2, "mem": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCoupledPlan(t *testing.T) {
 
 func TestCoupledInsufficient(t *testing.T) {
 	s := [][]float64{{0, 0}, {1, 0}}
-	c, err := planners.NewCoupled(s, nil, core.Config{}, map[string]float64{"cpu": 1})
+	c, err := planners.NewCoupled(core.Sparse(s), nil, core.Config{}, map[string]float64{"cpu": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +147,13 @@ func TestCoupledInsufficient(t *testing.T) {
 
 func TestCoupledValidation(t *testing.T) {
 	s := [][]float64{{0, 0}, {1, 0}}
-	if _, err := planners.NewCoupled(s, nil, core.Config{}, nil); err == nil {
+	if _, err := planners.NewCoupled(core.Sparse(s), nil, core.Config{}, nil); err == nil {
 		t.Error("empty rates accepted")
 	}
-	if _, err := planners.NewCoupled(s, nil, core.Config{}, map[string]float64{"cpu": -1}); err == nil {
+	if _, err := planners.NewCoupled(core.Sparse(s), nil, core.Config{}, map[string]float64{"cpu": -1}); err == nil {
 		t.Error("negative rate accepted")
 	}
-	c, err := planners.NewCoupled(s, nil, core.Config{}, map[string]float64{"cpu": 1})
+	c, err := planners.NewCoupled(core.Sparse(s), nil, core.Config{}, map[string]float64{"cpu": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestCoupledValidation(t *testing.T) {
 func TestHierarchyFastPathStaysLocal(t *testing.T) {
 	// Two groups of two; requester's own group has plenty.
 	s := complete(4, 0.5)
-	h, err := planners.NewHierarchy(s, nil, [][]int{{0, 1}, {2, 3}}, core.Config{})
+	h, err := planners.NewHierarchy(core.Sparse(s), nil, [][]int{{0, 1}, {2, 3}}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestHierarchyFastPathStaysLocal(t *testing.T) {
 
 func TestHierarchyCrossGroup(t *testing.T) {
 	s := complete(4, 0.5)
-	h, err := planners.NewHierarchy(s, nil, [][]int{{0, 1}, {2, 3}}, core.Config{})
+	h, err := planners.NewHierarchy(core.Sparse(s), nil, [][]int{{0, 1}, {2, 3}}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +210,11 @@ func TestHierarchyCrossGroup(t *testing.T) {
 
 func TestHierarchyMatchesFlatFeasibility(t *testing.T) {
 	s := complete(6, 0.3)
-	h, err := planners.NewHierarchy(s, nil, [][]int{{0, 1, 2}, {3, 4, 5}}, core.Config{})
+	h, err := planners.NewHierarchy(core.Sparse(s), nil, [][]int{{0, 1, 2}, {3, 4, 5}}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := core.NewAllocator(s, nil, core.Config{})
+	flat, err := core.NewAllocator(core.Sparse(s), nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestHierarchyMatchesFlatFeasibility(t *testing.T) {
 
 func TestHierarchyInsufficient(t *testing.T) {
 	s := complete(4, 0.1)
-	h, err := planners.NewHierarchy(s, nil, [][]int{{0, 1}, {2, 3}}, core.Config{})
+	h, err := planners.NewHierarchy(core.Sparse(s), nil, [][]int{{0, 1}, {2, 3}}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestHierarchyValidation(t *testing.T) {
 		{{0, 1}, {2, 9}},     // out of range
 	}
 	for i, groups := range cases {
-		if _, err := planners.NewHierarchy(s, nil, groups, core.Config{}); err == nil {
+		if _, err := planners.NewHierarchy(core.Sparse(s), nil, groups, core.Config{}); err == nil {
 			t.Errorf("case %d: invalid grouping accepted", i)
 		}
 	}
@@ -280,7 +280,7 @@ func TestProportionalIgnoresAvailability(t *testing.T) {
 		{0.5, 0, 0},
 		{0.5, 0, 0},
 	}
-	p, err := planners.NewProportional(s, nil)
+	p, err := planners.NewProportional(core.Sparse(s), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestProportionalIgnoresAvailability(t *testing.T) {
 
 func TestProportionalOwnFirst(t *testing.T) {
 	s := [][]float64{{0, 0}, {0.5, 0}}
-	p, err := planners.NewProportional(s, nil)
+	p, err := planners.NewProportional(core.Sparse(s), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestGreedyTakesFromLargestHeadroom(t *testing.T) {
 		{1, 0, 0},
 		{1, 0, 0},
 	}
-	g, err := planners.NewGreedy(s, nil, core.Config{})
+	g, err := planners.NewGreedy(core.Sparse(s), nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestGreedyTakesFromLargestHeadroom(t *testing.T) {
 
 func TestGreedyInsufficient(t *testing.T) {
 	s := [][]float64{{0, 0}, {0.5, 0}}
-	g, err := planners.NewGreedy(s, nil, core.Config{})
+	g, err := planners.NewGreedy(core.Sparse(s), nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestGreedyInsufficient(t *testing.T) {
 
 func TestGreedyRespectsCaps(t *testing.T) {
 	s := [][]float64{{0, 0}, {0.4, 0}}
-	g, err := planners.NewGreedy(s, nil, core.Config{})
+	g, err := planners.NewGreedy(core.Sparse(s), nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func complete(n int, share float64) [][]float64 {
 func TestProportionalAbsoluteWeights(t *testing.T) {
 	s := [][]float64{{0, 0}, {0, 0}}
 	a := [][]float64{{0, 0}, {5, 0}}
-	p, err := planners.NewProportional(s, a)
+	p, err := planners.NewProportional(core.Sparse(s), core.Sparse(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,10 +396,10 @@ func TestPlannersSatisfyInterface(t *testing.T) {
 	// dynamic path through the interface.
 	var all []planners.Planner
 	s := complete(3, 0.2)
-	al, _ := core.NewAllocator(s, nil, core.Config{})
-	pr, _ := planners.NewProportional(s, nil)
-	gr, _ := planners.NewGreedy(s, nil, core.Config{})
-	hi, _ := planners.NewHierarchy(s, nil, [][]int{{0}, {1}, {2}}, core.Config{})
+	al, _ := core.NewAllocator(core.Sparse(s), nil, core.Config{})
+	pr, _ := planners.NewProportional(core.Sparse(s), nil)
+	gr, _ := planners.NewGreedy(core.Sparse(s), nil, core.Config{})
+	hi, _ := planners.NewHierarchy(core.Sparse(s), nil, [][]int{{0}, {1}, {2}}, core.Config{})
 	all = append(all, al, pr, gr, hi)
 	v := []float64{5, 5, 5}
 	for i, p := range all {

@@ -7,15 +7,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/planners"
 )
 
 // diskViews: principal 1 shares reads generously but writes stingily.
-func diskViews() map[string][][]float64 {
-	return map[string][][]float64{
-		"read":  {{0, 0}, {0.8, 0}},
-		"write": {{0, 0}, {0.2, 0}},
+func diskViews() map[string]*agreement.SparseMatrix {
+	return map[string]*agreement.SparseMatrix{
+		"read":  core.Sparse([][]float64{{0, 0}, {0.8, 0}}),
+		"write": core.Sparse([][]float64{{0, 0}, {0.2, 0}}),
 	}
 }
 
@@ -39,9 +40,9 @@ func TestMultiViewPlanRespectsPerViewAgreements(t *testing.T) {
 func TestMultiViewSharedPhysicalPool(t *testing.T) {
 	// Reads and writes both come out of the same 10 units: asking for 6
 	// reads and 6 writes must fail even though each view alone allows it.
-	views := map[string][][]float64{
-		"read":  {{0, 0}, {1, 0}},
-		"write": {{0, 0}, {1, 0}},
+	views := map[string]*agreement.SparseMatrix{
+		"read":  core.Sparse([][]float64{{0, 0}, {1, 0}}),
+		"write": core.Sparse([][]float64{{0, 0}, {1, 0}}),
 	}
 	mv, err := planners.NewMultiView(views, core.Config{})
 	if err != nil {
@@ -79,9 +80,9 @@ func TestMultiViewValidation(t *testing.T) {
 	if _, err := planners.NewMultiView(nil, core.Config{}); err == nil {
 		t.Error("empty views accepted")
 	}
-	if _, err := planners.NewMultiView(map[string][][]float64{
-		"a": {{0, 0}, {0.5, 0}},
-		"b": {{0}},
+	if _, err := planners.NewMultiView(map[string]*agreement.SparseMatrix{
+		"a": core.Sparse([][]float64{{0, 0}, {0.5, 0}}),
+		"b": core.Sparse([][]float64{{0}}),
 	}, core.Config{}); err == nil {
 		t.Error("mismatched view sizes accepted")
 	}
@@ -112,11 +113,11 @@ func TestMultiViewSingleViewMatchesAllocator(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s, v, requester, amount := randomScenario(rng)
-		al, err := core.NewAllocator(s, nil, core.Config{})
+		al, err := core.NewAllocator(core.Sparse(s), nil, core.Config{})
 		if err != nil {
 			return false
 		}
-		mv, err := planners.NewMultiView(map[string][][]float64{"only": s}, core.Config{})
+		mv, err := planners.NewMultiView(map[string]*agreement.SparseMatrix{"only": core.Sparse(s)}, core.Config{})
 		if err != nil {
 			return false
 		}

@@ -104,7 +104,7 @@ func TestSetShareMatchesRebuild(t *testing.T) {
 	for _, cfg := range []Config{{Level: 3}, {}, {Approx: true}} {
 		rng := rand.New(rand.NewSource(11))
 		s, v := mutateScenario(rng, 12, 20)
-		al, err := NewAllocator(cloneMatrix(s), nil, cfg)
+		al, err := NewAllocator(sparse(cloneMatrix(s)), nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestSetShareMatchesRebuild(t *testing.T) {
 				t.Fatalf("cfg %+v step %d: PatchShare: %v", cfg, step, err)
 			}
 			s[from][to] = nv
-			rebuilt, err := NewAllocator(cloneMatrix(s), nil, cfg)
+			rebuilt, err := NewAllocator(sparse(cloneMatrix(s)), nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func TestSetAgreementMatchesRebuild(t *testing.T) {
 	}
 	a[2][7] = 5
 	a[4][1] = 3
-	al, err := NewAllocator(cloneMatrix(s), cloneMatrix(a), Config{Level: 2})
+	al, err := NewAllocator(sparse(cloneMatrix(s)), sparse(cloneMatrix(a)), Config{Level: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSetAgreementMatchesRebuild(t *testing.T) {
 			t.Fatalf("step %d: a value-only A change dropped skeletons", step)
 		}
 		a[from][to] = nv
-		rebuilt, err := NewAllocator(cloneMatrix(s), cloneMatrix(a), Config{Level: 2})
+		rebuilt, err := NewAllocator(sparse(cloneMatrix(s)), sparse(cloneMatrix(a)), Config{Level: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestGrowMatchesRebuild(t *testing.T) {
 	for _, cfg := range []Config{{}, {Approx: true}} {
 		rng := rand.New(rand.NewSource(3))
 		s, _ := mutateScenario(rng, 8, 14)
-		al, err := NewAllocator(cloneMatrix(s), nil, cfg)
+		al, err := NewAllocator(sparse(cloneMatrix(s)), nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestGrowMatchesRebuild(t *testing.T) {
 		for i := range v {
 			v[i] = 15 + 30*rng.Float64()
 		}
-		rebuilt, err := NewAllocator(cloneMatrix(sBig), nil, cfg)
+		rebuilt, err := NewAllocator(sparse(cloneMatrix(sBig)), nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestGrowMatchesRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		sBig[9][0] = 0.35
-		rebuilt2, err := NewAllocator(cloneMatrix(sBig), nil, cfg)
+		rebuilt2, err := NewAllocator(sparse(cloneMatrix(sBig)), nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestGrowMatchesRebuild(t *testing.T) {
 // TestSetShareErrors covers staleness detection and the budget refusal.
 func TestSetShareErrors(t *testing.T) {
 	s, sv := mutateScenario(rand.New(rand.NewSource(1)), 6, 10)
-	al, err := NewAllocator(cloneMatrix(s), nil, Config{})
+	al, err := NewAllocator(sparse(cloneMatrix(s)), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,14 +275,14 @@ func TestSetShareErrors(t *testing.T) {
 			dense[i][i+1] = 0.5
 		}
 	}
-	cur, err := NewAllocator(cloneMatrix(dense), nil, Config{})
+	cur, err := NewAllocator(sparse(cloneMatrix(dense)), nil, Config{})
 	if err != nil {
 		t.Fatalf("clique seed refused: %v", err)
 	}
 	if _, err := cur.SetShare(0, 12, 0, 0.07); !errors.Is(err, transitive.ErrBudget) {
 		t.Fatalf("densify: %v, want ErrBudget", err)
 	}
-	patched, err := NewAllocator(cloneMatrix(dense), nil, Config{})
+	patched, err := NewAllocator(sparse(cloneMatrix(dense)), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestSetShareErrors(t *testing.T) {
 		t.Fatalf("densify in place: %v, want ErrBudget", err)
 	}
 	dense[0][12] = 0.07
-	_, err = NewAllocator(dense, nil, Config{})
+	_, err = NewAllocator(sparse(dense), nil, Config{})
 	if !errors.Is(err, transitive.ErrBudget) || !strings.Contains(err.Error(), "would exceed 50000000 steps for this agreement graph; set Config.Approx or lower Config.Level") {
 		t.Fatalf("building the densified graph: %v, want the budget refusal", err)
 	}
@@ -323,7 +323,7 @@ func churnVariants(t *testing.T, fn func(label string, al *Allocator, v []float6
 			if !withA {
 				sa = nil
 			}
-			al, err := NewAllocatorSparse(s, sa, Config{ComponentLP: comp})
+			al, err := NewAllocator(s, sa, Config{ComponentLP: comp})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,7 +337,7 @@ func churnVariants(t *testing.T, fn func(label string, al *Allocator, v []float6
 	}
 }
 
-// rebuilt is a fresh NewAllocatorSparse over al's current agreements.
+// rebuilt is a fresh NewAllocator over al's current agreements.
 func rebuilt(t *testing.T, al *Allocator) *Allocator {
 	t.Helper()
 	sb, ab := agreement.NewSparseBuilder(al.n), agreement.NewSparseBuilder(al.n)
@@ -351,7 +351,7 @@ func rebuilt(t *testing.T, al *Allocator) *Allocator {
 	if al.hasA {
 		a = ab.Build()
 	}
-	fresh, err := NewAllocatorSparse(sb.Build(), a, al.cfg)
+	fresh, err := NewAllocator(sb.Build(), a, al.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

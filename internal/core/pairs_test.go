@@ -43,7 +43,7 @@ func embeddedComponent(t testing.TB, n int) (*Allocator, []float64, []int) {
 	for i := range v {
 		v[i] = 20.1 + float64(i%13)/7
 	}
-	al, err := NewAllocatorSparse(sb.Build(), ab.Build(), Config{ComponentLP: true})
+	al, err := NewAllocator(sb.Build(), ab.Build(), Config{ComponentLP: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func planBitsCases(t *testing.T) map[string]string {
 		g := modeltest.Generate(rand.New(rand.NewSource(seed)))
 		for _, cfg := range []core.Config{{Level: g.Level}, {Level: g.Level, ComponentLP: true}} {
 			name := fmt.Sprintf("gen%d/component=%v", seed, cfg.ComponentLP)
-			al, err := core.NewAllocator(g.S, g.A, cfg)
+			al, err := core.NewAllocator(core.Sparse(g.S), core.Sparse(g.A), cfg)
 			if err != nil {
 				got[name] = "refused"
 				continue

@@ -30,7 +30,7 @@ func skeletonVariants(g *modeltest.Graph, fn func(a [][]float64, cfg core.Config
 	for _, a := range [][][]float64{nil, withA} {
 		for _, comp := range []bool{false, true} {
 			cfg := core.Config{Level: g.Level, ComponentLP: comp}
-			al, err := core.NewAllocator(g.S, a, cfg)
+			al, err := core.NewAllocator(core.Sparse(g.S), core.Sparse(a), cfg)
 			if err != nil {
 				continue // the closure budget refused the graph
 			}
@@ -96,7 +96,7 @@ func TestSkeletonEqualsReference(t *testing.T) {
 // TestDerivationChainEqualsFresh walks every variant through a chain of
 // agreement changes, patching one allocator in place with PatchShare and
 // PatchAgreement (Grow between), and after every step requires it to hold
-// the column lists a fresh NewAllocatorSparse over the mutated matrices
+// the column lists a fresh NewAllocator over the mutated matrices
 // builds, the skeletons the reference builds, and to plan as it does, bit
 // for bit. The schedule moves values and flips patterns: edges created,
 // halved, moved and removed; a ring closed and opened; quantities created,
@@ -123,9 +123,9 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 				t.Helper()
 				var sa *agreement.SparseMatrix
 				if hasA {
-					sa = toSparse(a)
+					sa = core.Sparse(a)
 				}
-				f, err := core.NewAllocatorSparse(toSparse(s), sa, cfg)
+				f, err := core.NewAllocator(core.Sparse(s), sa, cfg)
 				if err != nil {
 					t.Fatalf("case %d %+v after %s: fresh build refused what the mutators accepted: %v\n%s", c, cfg, step, err, g)
 				}
@@ -241,16 +241,4 @@ func cloneSquare(m [][]float64, n int) [][]float64 {
 		}
 	}
 	return out
-}
-
-func toSparse(m [][]float64) *agreement.SparseMatrix {
-	b := agreement.NewSparseBuilder(len(m))
-	for i, row := range m {
-		for j, x := range row {
-			if x != 0 {
-				b.Add(i, j, x)
-			}
-		}
-	}
-	return b.Build()
 }

@@ -14,7 +14,7 @@ import (
 func TestFootprintTracksEdges(t *testing.T) {
 	bytesAt := func(n int) (planner, closure int) {
 		s, a, _ := sparseBlocksScenario(n)
-		al, err := NewAllocatorSparse(s, a, Config{ComponentLP: true})
+		al, err := NewAllocator(s, a, Config{ComponentLP: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestFootprintTracksEdges(t *testing.T) {
 // notice.
 func TestDenseExportsAreCopies(t *testing.T) {
 	s, v := mutateScenario(rand.New(rand.NewSource(9)), 10, 18)
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDenseExportsAreCopies(t *testing.T) {
 			t.Fatalf("row %d of a dense export changed after a caller wrote to an earlier one", i)
 		}
 	}
-	fresh, err := NewAllocator(s, nil, Config{})
+	fresh, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDenseExportsAreCopies(t *testing.T) {
 func TestConcurrentFirstPlansShareOneSkeleton(t *testing.T) {
 	s, v := mutateScenario(rand.New(rand.NewSource(9)), 12, 22)
 	for trial := 0; trial < 20; trial++ {
-		al, err := NewAllocator(s, nil, Config{})
+		al, err := NewAllocator(sparse(s), nil, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestKRowAliasesTUnlessCapped(t *testing.T) {
 		{0, 0, 0},
 		{0, 0.2, 0},
 	}
-	al, err := NewAllocator(s, nil, Config{})
+	al, err := NewAllocator(sparse(s), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func (s *Server) shareLocked(fromP, toP int, fraction, quantity float64) (int, e
 // s.planner is read only under s.mu (processBatch, Status, caps, register's
 // Grow), so no plan is in flight across a patch and no older planner kept.
 //
-// Bit-equality with the rebuild path: agreement.Matrices accumulates
+// Bit-equality with the rebuild path: System.SparseMatrices accumulates
 // S[from][to] += Face/FaceValue (and A[from][to] += quantity) walking
 // tickets in creation order, and this ticket is the newest, so its
 // increment is the final addition — old value plus one addition is
@@ -200,7 +200,7 @@ func (s *Server) patchPlannerShareLocked(fromP, toP int, fraction, quantity floa
 	}
 	rel, abs := al.Share(fromP, toP), al.Agreement(fromP, toP)
 	if fraction > 0 {
-		// The same Face/FaceValue division Matrices performs on the ticket.
+		// The same Face/FaceValue division SparseMatrices performs on the ticket.
 		face := s.sys.Currency(s.sys.CurrencyOf(agreement.PrincipalID(fromP))).FaceValue
 		rel += (fraction * face) / face
 	} else {

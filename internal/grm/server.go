@@ -438,7 +438,7 @@ func (s *Server) currentPlannerLocked() (*core.Allocator, error) {
 	s.plannerBuilds++
 	m, err := s.sys.SparseMatrices(agreement.General)
 	if err == nil {
-		s.planner, err = core.NewAllocatorSparse(m.S, m.A, s.cfg)
+		s.planner, err = core.NewAllocator(m.S, m.A, s.cfg)
 	}
 	if err != nil {
 		s.planner, s.plannerErr = nil, err

@@ -54,7 +54,7 @@ func (c *checker) checkIncrementalPlan() error {
 		a = cloneSquare(c.g.A)
 	}
 	v := append([]float64(nil), c.g.V...)
-	cur, err := core.NewAllocator(s, a, core.Config{Level: c.g.Level})
+	cur, err := core.NewAllocator(sparse(s), sparse(a), core.Config{Level: c.g.Level})
 	if err != nil {
 		return fmt.Errorf("allocator construction: %w", err)
 	}
@@ -165,7 +165,7 @@ func growSquare(m [][]float64, nn int) [][]float64 {
 // incremental paths replay NewAllocator's exact per-row arithmetic, so this
 // is equality, not tolerance).
 func compareIncremental(cur *core.Allocator, s, a [][]float64, v []float64, level, requester int) error {
-	fresh, err := core.NewAllocator(s, a, core.Config{Level: level})
+	fresh, err := core.NewAllocator(sparse(s), sparse(a), core.Config{Level: level})
 	if err != nil {
 		return fmt.Errorf("fresh rebuild refused matrices the mutators accepted: %w", err)
 	}

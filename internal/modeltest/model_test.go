@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/num"
-	"repro/internal/transitive"
 )
 
 var (
@@ -156,11 +155,11 @@ func TestModelOracleTransitiveKnownValues(t *testing.T) {
 	}
 }
 
-// TestExactMatchesOracleOnCliques holds transitive.Exact to the recursive
-// oracle on complete graphs of 3 to 9 principals at every level: the dense
-// end of the space, where the generator's graphs rarely go and where
-// Exact sums a row by subset DP instead of enumerating it (from 7
-// principals up at full level). Shares are unequal and some exceed 1.
+// TestExactMatchesOracleOnCliques holds the exact closure, read through
+// Closure.FlowRow, to the recursive oracle on complete graphs of 3 to 9
+// principals at every level: the dense end of the space, where the
+// generator's graphs rarely go and where the closure sums a row by subset
+// DP instead of enumerating it (from 7 principals up at full level). Shares are unequal and some exceed 1.
 // The two add the same chains in different orders and must agree to
 // num.ChainSumTol.
 func TestExactMatchesOracleOnCliques(t *testing.T) {
@@ -175,7 +174,7 @@ func TestExactMatchesOracleOnCliques(t *testing.T) {
 			}
 		}
 		for level := 1; level < n; level++ {
-			got, want := transitive.Exact(s, level), RefTransitive(s, level)
+			got, want := closureT(s, level, false), RefTransitive(s, level)
 			for i := range want {
 				for j := range want[i] {
 					if !num.EqChainSum(got[i][j], want[i][j]) {

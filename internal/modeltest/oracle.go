@@ -13,8 +13,8 @@ import (
 // paper's recursive definition, transcribed as directly as possible: for
 // every source, walk every cycle-free chain of at most maxLen agreements,
 // multiplying the shares along the way. No iteration-order tricks, no
-// bitmasks, no parallelism — this is the oracle the optimized
-// transitive.Exact is judged against. maxLen outside [1, n-1] means full
+// bitmasks, no parallelism — this is the oracle the exact
+// transitive.Closure is judged against. maxLen outside [1, n-1] means full
 // closure.
 func RefTransitive(s [][]float64, maxLen int) [][]float64 {
 	n := len(s)

@@ -32,7 +32,7 @@ func TestPairPlanProperty(t *testing.T) {
 		g := Generate(rng)
 		for _, comp := range []bool{false, true} {
 			cfg := core.Config{Level: g.Level, ComponentLP: comp}
-			al, err := core.NewAllocator(g.S, g.A, cfg)
+			al, err := core.NewAllocator(sparse(g.S), sparse(g.A), cfg)
 			if err != nil {
 				continue // the closure budget refused the graph
 			}

@@ -44,7 +44,7 @@ const (
 	MutNone Mutation = iota
 	// MutTransitive emulates a transitive-layer bug: the cycle-free
 	// restriction is forgotten, so flow coefficients are computed over
-	// walks (transitive.Approx) instead of simple paths and capacities
+	// walks (Approx) instead of simple paths and capacities
 	// are inflated on any cyclic graph.
 	MutTransitive
 	// MutLP emulates an LP-layer bug: the solver returns a feasible but
@@ -128,13 +128,13 @@ type checker struct {
 }
 
 func newChecker(g *Graph, mut Mutation) (*checker, error) {
-	al, err := core.NewAllocator(g.S, g.A, core.Config{Level: g.Level})
+	al, err := core.NewAllocator(sparse(g.S), sparse(g.A), core.Config{Level: g.Level})
 	if err != nil {
 		return nil, fmt.Errorf("allocator construction: %w", err)
 	}
 	c := &checker{g: g, o: NewOracle(g), al: al, mut: mut}
 	if mut == MutLP {
-		c.greedy, err = planners.NewGreedy(g.S, g.A, core.Config{Level: g.Level})
+		c.greedy, err = planners.NewGreedy(sparse(g.S), sparse(g.A), core.Config{Level: g.Level})
 		if err != nil {
 			return nil, fmt.Errorf("greedy construction: %w", err)
 		}
@@ -147,8 +147,7 @@ func (c *checker) sutCapacities(v []float64) []float64 {
 	if c.mut == MutTransitive {
 		// Bug model: coefficients computed over walks instead of
 		// cycle-free chains — Approx standing in where Exact belongs.
-		t := transitive.Approx(c.g.S, c.g.maxLevel())
-		return transitive.Capacities(v, transitive.Cap(t), c.g.A)
+		return Capacities(v, Cap(Approx(c.g.S, c.g.maxLevel())), c.g.A)
 	}
 	return c.al.Capacities(v)
 }
@@ -183,8 +182,23 @@ func mutateDropResidual(plan *core.Allocation) {
 	plan.NewV[best] += d
 }
 
+// closureT builds the served closure of s (transitive.Closure, exact or
+// approximate) at the given level and reads its T back through FlowRow,
+// densely: how the properties see the row kernels as served.
+func closureT(s [][]float64, level int, approx bool) [][]float64 {
+	c, _ := transitive.NewClosureBudget(sparse(s), level, approx, 0) // no budget, no refusal
+	t := zeroMatrix(len(s))
+	for i := range t {
+		fc, fv := c.FlowRow(i)
+		for k, j := range fc {
+			t[i][j] = fv[k]
+		}
+	}
+	return t
+}
+
 func (c *checker) checkTransitiveOracle() error {
-	got := transitive.Exact(c.g.S, c.g.maxLevel())
+	got := closureT(c.g.S, c.g.maxLevel(), false)
 	want := c.o.T
 	for i := range want {
 		for j := range want[i] {
@@ -197,7 +211,7 @@ func (c *checker) checkTransitiveOracle() error {
 }
 
 func (c *checker) checkApproxUpperBound() error {
-	approx := transitive.Approx(c.g.S, c.g.maxLevel())
+	approx := closureT(c.g.S, c.g.maxLevel(), true)
 	for i := range approx {
 		for j := range approx[i] {
 			if approx[i][j] < c.o.T[i][j]-1e-9*(1+c.o.T[i][j]) {
@@ -357,7 +371,7 @@ func (c *checker) checkPermutation() error {
 		perm[i] = (i + 1) % n
 	}
 	pg := permuteGraph(c.g, perm)
-	pal, err := core.NewAllocator(pg.S, pg.A, core.Config{Level: pg.Level})
+	pal, err := core.NewAllocator(sparse(pg.S), sparse(pg.A), core.Config{Level: pg.Level})
 	if err != nil {
 		return fmt.Errorf("permuted allocator: %w", err)
 	}

@@ -9,22 +9,25 @@ import (
 	"repro/internal/core"
 )
 
-// Sparse-vs-dense bit-equality: an allocator built from CSR inputs
-// (NewAllocatorSparse) must be indistinguishable — to the last bit —
-// from one built from the equivalent dense matrices, across the whole
-// generated taxonomy. Closure rows, capacities, and every Plan outcome
-// are compared with ==, not a tolerance: the sparse path reorders no
-// arithmetic, so drift of even one ulp is a refactor bug. The same
-// equality must hold with ComponentLP on (both allocators then share the
-// component formulation, so their LPs pivot identically).
+// Import-vs-builder bit-equality: an allocator built from a dense matrix
+// imported with agreement.SparseOf must be indistinguishable — to the last
+// bit — from one built from the same entries accumulated through an
+// agreement.SparseBuilder, the path System.SparseMatrices takes, across
+// the whole generated taxonomy. Closure rows, capacities, and every Plan
+// outcome are compared with ==, not a tolerance: the two CSR forms hold
+// the same floats in the same order, so drift of even one ulp is a bug in
+// one of them. The same equality must hold with ComponentLP on.
 
-// toSparse converts a dense matrix to the CSR builder form, dropping
-// exact zeros — the inverse of SparseMatrix.Dense.
-func toSparse(m [][]float64, n int) *agreement.SparseMatrix {
-	b := agreement.NewSparseBuilder(n)
+// built accumulates m's non-zero entries, row by row, through a
+// SparseBuilder; nil stays nil.
+func built(m [][]float64) *agreement.SparseMatrix {
+	if m == nil {
+		return nil
+	}
+	b := agreement.NewSparseBuilder(len(m))
 	for i, row := range m {
 		for j, v := range row {
-			if v != 0 {
+			if v != 0 { //lint:ignore sharingvet/floateq exact zeros are unstored
 				b.Add(i, j, v)
 			}
 		}
@@ -32,15 +35,15 @@ func toSparse(m [][]float64, n int) *agreement.SparseMatrix {
 	return b.Build()
 }
 
-func bitEqualVec(t *testing.T, what string, dense, sparse []float64) {
+func bitEqualVec(t *testing.T, what string, imported, twin []float64) {
 	t.Helper()
-	if len(dense) != len(sparse) {
-		t.Fatalf("%s: length %d (dense) vs %d (sparse)", what, len(dense), len(sparse))
+	if len(imported) != len(twin) {
+		t.Fatalf("%s: length %d (SparseOf) vs %d (SparseBuilder)", what, len(imported), len(twin))
 	}
-	for i := range dense {
-		if dense[i] != sparse[i] {
-			t.Fatalf("%s[%d]: %v (dense) vs %v (sparse) — paths diverged by %g",
-				what, i, dense[i], sparse[i], dense[i]-sparse[i])
+	for i := range imported {
+		if imported[i] != twin[i] {
+			t.Fatalf("%s[%d]: %v (SparseOf) vs %v (SparseBuilder) — paths diverged by %g",
+				what, i, imported[i], twin[i], imported[i]-twin[i])
 		}
 	}
 }
@@ -55,43 +58,39 @@ func TestSparseDenseBitEquality(t *testing.T) {
 		g := Generate(rng)
 		for _, componentLP := range []bool{false, true} {
 			cfg := core.Config{Level: g.Level, ComponentLP: componentLP}
-			dense, derr := core.NewAllocator(g.S, g.A, cfg)
-			var sa *agreement.SparseMatrix
-			if g.A != nil {
-				sa = toSparse(g.A, g.N)
-			}
-			sparse, serr := core.NewAllocatorSparse(toSparse(g.S, g.N), sa, cfg)
+			imported, derr := core.NewAllocator(sparse(g.S), sparse(g.A), cfg)
+			twin, serr := core.NewAllocator(built(g.S), built(g.A), cfg)
 			if (derr == nil) != (serr == nil) {
-				t.Fatalf("case %d: construction disagrees: dense %v, sparse %v\n%s", c, derr, serr, g)
+				t.Fatalf("case %d: construction disagrees: SparseOf %v, SparseBuilder %v\n%s", c, derr, serr, g)
 			}
 			if derr != nil {
 				continue // both refused (e.g. closure budget); nothing to compare
 			}
 
-			dk, sk := dense.FlowCoefficients(), sparse.FlowCoefficients()
+			dk, sk := imported.FlowCoefficients(), twin.FlowCoefficients()
 			for i := range dk {
 				bitEqualVec(t, "closure row", dk[i], sk[i])
 			}
-			bitEqualVec(t, "capacities", dense.Capacities(g.V), sparse.Capacities(g.V))
+			bitEqualVec(t, "capacities", imported.Capacities(g.V), twin.Capacities(g.V))
 
-			caps := dense.Capacities(g.V)
+			caps := imported.Capacities(g.V)
 			for r := 0; r < g.N; r++ {
 				for _, amount := range []float64{0.5, caps[r], caps[r] * 1.5} {
 					if amount <= 0 {
 						continue
 					}
-					dp, dpErr := dense.Plan(g.V, r, amount)
-					sp, spErr := sparse.Plan(g.V, r, amount)
+					dp, dpErr := imported.Plan(g.V, r, amount)
+					sp, spErr := twin.Plan(g.V, r, amount)
 					if (dpErr == nil) != (spErr == nil) ||
 						errors.Is(dpErr, core.ErrInsufficient) != errors.Is(spErr, core.ErrInsufficient) {
-						t.Fatalf("case %d componentLP=%v: Plan(%d, %g) disagrees: dense %v, sparse %v\n%s",
+						t.Fatalf("case %d componentLP=%v: Plan(%d, %g) disagrees: SparseOf %v, SparseBuilder %v\n%s",
 							c, componentLP, r, amount, dpErr, spErr, g)
 					}
 					if dpErr != nil {
 						continue
 					}
 					if dp.Theta != sp.Theta {
-						t.Fatalf("case %d componentLP=%v: Plan(%d, %g) theta %v (dense) vs %v (sparse)\n%s",
+						t.Fatalf("case %d componentLP=%v: Plan(%d, %g) theta %v (SparseOf) vs %v (SparseBuilder)\n%s",
 							c, componentLP, r, amount, dp.Theta, sp.Theta, g)
 					}
 					bitEqualVec(t, "take", dp.Take, sp.Take)

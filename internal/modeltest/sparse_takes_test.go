@@ -32,7 +32,7 @@ func TestSparseTakesWireProperty(t *testing.T) {
 	vectors := 0
 	for c := 0; c < cases; c++ {
 		g := Generate(rng)
-		al, err := core.NewAllocator(g.S, g.A, core.Config{Level: g.Level})
+		al, err := core.NewAllocator(sparse(g.S), sparse(g.A), core.Config{Level: g.Level})
 		if err != nil {
 			continue // the closure budget refused the graph
 		}

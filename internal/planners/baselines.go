@@ -3,8 +3,8 @@ package planners
 import (
 	"fmt"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
-	"repro/internal/num"
 	"repro/internal/transitive"
 )
 
@@ -38,7 +38,7 @@ type Proportional struct {
 }
 
 // NewProportional builds the endpoint-proportional baseline planner.
-func NewProportional(s [][]float64, a [][]float64) (*Proportional, error) {
+func NewProportional(s, a *agreement.SparseMatrix) (*Proportional, error) {
 	al, err := core.NewAllocator(s, a, core.Config{Level: 1})
 	if err != nil {
 		return nil, err
@@ -66,11 +66,7 @@ func (p *Proportional) Plan(v []float64, requester int, amount float64) (*core.A
 	out := &core.Allocation{Take: make([]float64, n), NewV: append([]float64(nil), v...)}
 
 	// Own resources first.
-	own := amount
-	if own > v[requester] {
-		own = v[requester]
-	}
-	remaining := amount - own
+	remaining := amount - min(amount, v[requester])
 
 	weights := make([]float64, n)
 	var totalW float64
@@ -86,11 +82,8 @@ func (p *Proportional) Plan(v []float64, requester int, amount float64) (*core.A
 		totalW += w
 	}
 	if remaining > 0 && totalW > 0 {
-		for k := 0; k < n; k++ {
-			if num.IsZero(weights[k]) {
-				continue
-			}
-			out.Take[k] = remaining * weights[k] / totalW
+		for k, w := range weights {
+			out.Take[k] = remaining * w / totalW // +0 off the agreements
 		}
 	}
 	var placed float64
@@ -102,11 +95,8 @@ func (p *Proportional) Plan(v []float64, requester int, amount float64) (*core.A
 	// Whatever could not be placed stays home, possibly exceeding the
 	// requester's availability (overload).
 	out.Take[requester] = amount - placed
-	for k := 0; k < n; k++ {
-		out.NewV[k] = v[k] - out.Take[k]
-		if out.NewV[k] < 0 {
-			out.NewV[k] = 0
-		}
+	for k := range out.NewV {
+		out.NewV[k] = max(v[k]-out.Take[k], 0)
 	}
 	out.Theta = perturbation(p.al, v, out.NewV, requester)
 	return out, nil
@@ -123,7 +113,7 @@ type Greedy struct {
 
 // NewGreedy builds the greedy baseline with the same transitive
 // coefficients as the LP allocator (level and approximation from cfg).
-func NewGreedy(s [][]float64, a [][]float64, cfg core.Config) (*Greedy, error) {
+func NewGreedy(s, a *agreement.SparseMatrix, cfg core.Config) (*Greedy, error) {
 	al, err := core.NewAllocator(s, a, cfg)
 	if err != nil {
 		return nil, err

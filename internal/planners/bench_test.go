@@ -41,7 +41,7 @@ func benchPlan(b *testing.B, planner planners.Planner, v []float64) {
 
 func BenchmarkPlanGreedy10(b *testing.B) {
 	s, v := benchScenario(10)
-	g, err := planners.NewGreedy(s, nil, core.Config{})
+	g, err := planners.NewGreedy(sparse(s), nil, core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func BenchmarkPlanGreedy10(b *testing.B) {
 
 func BenchmarkPlanProportional10(b *testing.B) {
 	s, v := benchScenario(10)
-	p, err := planners.NewProportional(s, nil)
+	p, err := planners.NewProportional(sparse(s), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func BenchmarkPlanHierarchy40(b *testing.B) {
 			groups[g] = append(groups[g], g*5+k)
 		}
 	}
-	h, err := planners.NewHierarchy(s, nil, groups, core.Config{Approx: true})
+	h, err := planners.NewHierarchy(sparse(s), nil, groups, core.Config{Approx: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package planners_test
 import (
 	"fmt"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/planners"
 )
@@ -10,7 +11,7 @@ import (
 // The four scenarios of examples/multiresource, on its 6-principal
 // community where everyone shares 60% with everyone.
 
-func sixShares() [][]float64 {
+func sixShares() *agreement.SparseMatrix {
 	const n = 6
 	s := make([][]float64, n)
 	for i := range s {
@@ -21,7 +22,7 @@ func sixShares() [][]float64 {
 			}
 		}
 	}
-	return s
+	return sparse(s)
 }
 
 func round(xs []float64) []float64 {
@@ -107,9 +108,9 @@ func ExampleHierarchy() {
 func ExampleMultiView() {
 	// Principal 1 shares its disks generously for reads (80%) but keeps
 	// writes close (20%); both views drain the same physical pool.
-	mv, err := planners.NewMultiView(map[string][][]float64{
-		"disk-read":  {{0, 0}, {0.8, 0}},
-		"disk-write": {{0, 0}, {0.2, 0}},
+	mv, err := planners.NewMultiView(map[string]*agreement.SparseMatrix{
+		"disk-read":  sparse([][]float64{{0, 0}, {0.8, 0}}),
+		"disk-write": sparse([][]float64{{0, 0}, {0.2, 0}}),
 	}, core.Config{})
 	if err != nil {
 		panic(err)

@@ -3,6 +3,7 @@ package planners
 import (
 	"fmt"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/lp"
 	"repro/internal/num"
@@ -28,7 +29,7 @@ type Hierarchy struct {
 
 // NewHierarchy builds a hierarchical planner over the full agreement
 // matrices with the given disjoint groups covering all principals.
-func NewHierarchy(s, a [][]float64, groups [][]int, cfg core.Config) (*Hierarchy, error) {
+func NewHierarchy(s, a *agreement.SparseMatrix, groups [][]int, cfg core.Config) (*Hierarchy, error) {
 	full, err := core.NewAllocator(s, a, cfg)
 	if err != nil {
 		return nil, err
@@ -58,7 +59,9 @@ func NewHierarchy(s, a [][]float64, groups [][]int, cfg core.Config) (*Hierarchy
 		}
 	}
 
-	// Coarse matrices: average member-to-member share between groups.
+	// Coarse matrices: average member-to-member share between groups,
+	// accumulated over the stored entries in row order (an unstored zero
+	// adds nothing) and imported once.
 	ng := len(groups)
 	sg := make([][]float64, ng)
 	var ag [][]float64
@@ -72,14 +75,20 @@ func NewHierarchy(s, a [][]float64, groups [][]int, cfg core.Config) (*Hierarchy
 		}
 	}
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			gi, gj := of[i], of[j]
-			if gi == gj {
-				continue
+		gi := of[i]
+		cols, vals := s.Row(i)
+		for k, j := range cols {
+			if gj := of[j]; gj != gi {
+				sg[gi][gj] += vals[k] / float64(len(groups[gi]))
 			}
-			sg[gi][gj] += s[i][j] / float64(len(groups[gi]))
-			if ag != nil {
-				ag[gi][gj] += a[i][j]
+		}
+		if a == nil {
+			continue
+		}
+		cols, vals = a.Row(i)
+		for k, j := range cols {
+			if gj := of[j]; gj != gi {
+				ag[gi][gj] += vals[k]
 			}
 		}
 	}
@@ -96,7 +105,9 @@ func NewHierarchy(s, a [][]float64, groups [][]int, cfg core.Config) (*Hierarchy
 			}
 		}
 	}
-	coarse, err := core.NewAllocator(sg, ag, core.Config{Level: cfg.Level, Approx: cfg.Approx})
+	coarseS, _ := agreement.SparseOf(sg) // square by construction
+	coarseA, _ := agreement.SparseOf(ag)
+	coarse, err := core.NewAllocator(coarseS, coarseA, core.Config{Level: cfg.Level, Approx: cfg.Approx})
 	if err != nil {
 		return nil, fmt.Errorf("planners: NewHierarchy: coarse allocator: %w", err)
 	}

@@ -78,13 +78,7 @@ func (l *Ledger) SetCapacity(principal int, capacity float64) error {
 	}
 	delta := capacity - l.base[principal]
 	l.base[principal] = capacity
-	l.avail[principal] += delta
-	if l.avail[principal] < 0 {
-		l.avail[principal] = 0
-	}
-	if l.avail[principal] > capacity {
-		l.avail[principal] = capacity
-	}
+	l.avail[principal] = min(max(l.avail[principal]+delta, 0), capacity)
 	return nil
 }
 
@@ -106,10 +100,7 @@ func (l *Ledger) Acquire(requester int, amount float64) (*Lease, error) {
 	}
 	l.nextID++
 	for i, take := range plan.Take {
-		l.avail[i] -= take
-		if l.avail[i] < 0 {
-			l.avail[i] = 0
-		}
+		l.avail[i] = max(l.avail[i]-take, 0)
 	}
 	l.leases[lease.ID] = lease
 	return lease, nil
@@ -127,10 +118,7 @@ func (l *Ledger) Release(id int) error {
 	}
 	delete(l.leases, id)
 	for i, take := range lease.Take {
-		l.avail[i] += take
-		if l.avail[i] > l.base[i] {
-			l.avail[i] = l.base[i]
-		}
+		l.avail[i] = min(l.avail[i]+take, l.base[i])
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 )
 
@@ -24,12 +25,12 @@ func NewMulti(n int) *Multi {
 }
 
 // AddType registers the agreement matrices for one resource type.
-func (mu *Multi) AddType(name string, s, a [][]float64, cfg core.Config) error {
+func (mu *Multi) AddType(name string, s, a *agreement.SparseMatrix, cfg core.Config) error {
 	if _, dup := mu.planners[name]; dup {
 		return fmt.Errorf("planners: resource type %q already registered", name)
 	}
-	if len(s) != mu.n {
-		return fmt.Errorf("planners: type %q has %d principals, planner has %d", name, len(s), mu.n)
+	if s.N() != mu.n {
+		return fmt.Errorf("planners: type %q has %d principals, planner has %d", name, s.N(), mu.n)
 	}
 	al, err := core.NewAllocator(s, a, cfg)
 	if err != nil {
@@ -103,7 +104,7 @@ type Coupled struct {
 // component type consumed per bundle unit (all positive); s and a are the
 // agreement matrices governing the bundle (the paper treats the bound
 // combination as a new resource type with its own agreements).
-func NewCoupled(s, a [][]float64, cfg core.Config, rates map[string]float64) (*Coupled, error) {
+func NewCoupled(s, a *agreement.SparseMatrix, cfg core.Config, rates map[string]float64) (*Coupled, error) {
 	if len(rates) == 0 {
 		return nil, fmt.Errorf("planners: NewCoupled: empty rate table")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/lp"
 	"repro/internal/num"
@@ -30,7 +31,7 @@ type MultiView struct {
 
 // NewMultiView builds a multi-view planner. Every view's matrix must
 // cover the same n principals.
-func NewMultiView(views map[string][][]float64, cfg core.Config) (*MultiView, error) {
+func NewMultiView(views map[string]*agreement.SparseMatrix, cfg core.Config) (*MultiView, error) {
 	if len(views) == 0 {
 		return nil, fmt.Errorf("planners: NewMultiView: no views")
 	}
@@ -39,11 +40,11 @@ func NewMultiView(views map[string][][]float64, cfg core.Config) (*MultiView, er
 		mv.views = append(mv.views, name)
 	}
 	sort.Strings(mv.views)
-	mv.n = len(views[mv.views[0]])
+	mv.n = views[mv.views[0]].N()
 	for _, name := range mv.views {
 		s := views[name]
-		if len(s) != mv.n {
-			return nil, fmt.Errorf("planners: NewMultiView: view %q has %d principals, want %d", name, len(s), mv.n)
+		if s.N() != mv.n {
+			return nil, fmt.Errorf("planners: NewMultiView: view %q has %d principals, want %d", name, s.N(), mv.n)
 		}
 		al, err := core.NewAllocator(s, nil, cfg)
 		if err != nil {

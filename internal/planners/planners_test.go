@@ -6,9 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/planners"
-	"repro/internal/transitive"
 )
 
 // randomScenario draws a small agreement graph with row sums below 1, an
@@ -45,11 +45,11 @@ func TestQuickLPThetaBeatsBaselines(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s, v, requester, amount := randomScenario(rng)
-		al, err := core.NewAllocator(s, nil, core.Config{})
+		al, err := core.NewAllocator(sparse(s), nil, core.Config{})
 		if err != nil {
 			return false
 		}
-		gr, err := planners.NewGreedy(s, nil, core.Config{})
+		gr, err := planners.NewGreedy(sparse(s), nil, core.Config{})
 		if err != nil {
 			return false
 		}
@@ -69,86 +69,12 @@ func TestQuickLPThetaBeatsBaselines(t *testing.T) {
 	}
 }
 
-// TestMatchesDenseReference pins the planners to the dense computation
-// they once carried: capacities from transitive.Capacities over
-// Cap(Exact(S, level)), and θ recomputed from those capacities, must equal
-// what the planners report bit for bit, with and without absolute
-// agreements. (MultiView's θ is its LP's optimum, not a recomputation.)
-func TestMatchesDenseReference(t *testing.T) {
-	for seed := int64(0); seed < 300; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s, v, requester, amount := randomScenario(rng)
-		n := len(s)
-		var a [][]float64
-		if seed%2 == 1 {
-			a = make([][]float64, n)
-			for i := range a {
-				a[i] = make([]float64, n)
-				for j := range a[i] {
-					if i != j && rng.Float64() < 0.3 {
-						a[i][j] = rng.Float64() * 5
-					}
-				}
-			}
-		}
-		direct := transitive.Cap(transitive.Exact(s, 1))
-		full := transitive.Cap(transitive.Exact(s, n-1))
-
-		pr, err := planners.NewProportional(s, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gr, err := planners.NewGreedy(s, a, core.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := planners.NewHierarchy(s, a, [][]int{seq(0, n/2), seq(n/2, n)}, core.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mv, err := planners.NewMultiView(map[string][][]float64{"only": s}, core.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBits(t, seed, "Proportional.Capacities", pr.Capacities(v), transitive.Capacities(v, direct, a))
-		requireBits(t, seed, "Greedy.Capacities", gr.Capacities(v), transitive.Capacities(v, full, a))
-		requireBits(t, seed, "MultiView.Capacities", mv.Capacities(v)["only"], transitive.Capacities(v, full, nil))
-		for _, c := range []struct {
-			name string
-			p    planners.Planner
-			k    [][]float64
-		}{{"Proportional", pr, direct}, {"Greedy", gr, full}, {"Hierarchy", h, full}} {
-			plan, err := c.p.Plan(v, requester, amount)
-			if err != nil {
-				continue // a refusal has no θ
-			}
-			before, after := transitive.Capacities(v, c.k, a), transitive.Capacities(plan.NewV, c.k, a)
-			want := 0.0
-			for i := range before {
-				if d := before[i] - after[i]; i != requester && d > want {
-					want = d
-				}
-			}
-			if plan.Theta != want {
-				t.Errorf("seed %d: %s θ = %v, dense recomputation %v", seed, c.name, plan.Theta, want)
-			}
-		}
-	}
-}
-
-func seq(lo, hi int) []int {
-	var out []int
-	for i := lo; i < hi; i++ {
-		out = append(out, i)
+// sparse imports a dense test literal with agreement.SparseOf; nil stays
+// nil.
+func sparse(m [][]float64) *agreement.SparseMatrix {
+	out, err := agreement.SparseOf(m)
+	if err != nil {
+		panic(err)
 	}
 	return out
-}
-
-func requireBits(t *testing.T, seed int64, what string, got, want []float64) {
-	t.Helper()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("seed %d: %s[%d] = %v, dense %v", seed, what, i, got[i], want[i])
-		}
-	}
 }

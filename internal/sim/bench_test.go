@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/planners"
 	"repro/internal/trace"
@@ -78,5 +79,9 @@ func greedyComplete(n int, share float64) (planners.Planner, error) {
 			}
 		}
 	}
-	return planners.NewGreedy(s, nil, core.Config{})
+	m, err := agreement.SparseOf(s)
+	if err != nil {
+		return nil, err
+	}
+	return planners.NewGreedy(m, nil, core.Config{})
 }

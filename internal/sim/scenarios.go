@@ -83,7 +83,7 @@ func DistanceDecayProportional(n int) (planners.Planner, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := sys.Matrices(agreement.General)
+	m, err := sys.SparseMatrices(agreement.General)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func DistanceDecayProportional(n int) (planners.Planner, error) {
 // the LP allocator. The dynamic availability V is supplied per consult by
 // the simulator; only the structure (S, A) is taken from the system.
 func plannerFromSystem(sys *agreement.System, cfg core.Config) (planners.Planner, error) {
-	m, err := sys.Matrices(agreement.General)
+	m, err := sys.SparseMatrices(agreement.General)
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,8 @@ import (
 
 // Ablation bench: the exact closure (enumeration or subset DP, chosen per
 // row) vs the matrix-power approximation (DESIGN.md calls this choice
-// out). Exact is exponential in dense graphs but exact; Approx is
-// O(level·n³).
+// out). The exact build is exponential in dense graphs but exact; the
+// approximate one is polynomial.
 
 func benchMatrix(n int, density float64) [][]float64 {
 	rng := rand.New(rand.NewSource(7))
@@ -24,68 +24,49 @@ func benchMatrix(n int, density float64) [][]float64 {
 	return s
 }
 
-func BenchmarkExactComplete10(b *testing.B) {
-	s := benchMatrix(10, 1)
+// benchBuild times an unbudgeted closure build, exact or approximate, of
+// the dense bench matrix at the given level; the CSR import is untimed.
+func benchBuild(b *testing.B, s [][]float64, level int, approx bool) {
+	m := sparseOf(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Exact(s, 9)
+		NewClosureBudget(m, level, approx, 0)
 	}
 }
 
-func BenchmarkExactComplete11(b *testing.B) {
-	// Each added node multiplies the dense-graph path count by ~n (~2 s/op
-	// when this size was enumerated) and the DP's cost by ~2.
-	s := benchMatrix(11, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Exact(s, 10)
-	}
-}
+func BenchmarkExactComplete10(b *testing.B) { benchBuild(b, benchMatrix(10, 1), 9, false) }
 
-func BenchmarkExactSparse30(b *testing.B) {
-	s := benchMatrix(30, 0.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Exact(s, 29)
-	}
-}
+// BenchmarkExactComplete11: each added node multiplies the dense-graph
+// path count by ~n (~2 s/op when this size was enumerated) and the DP's
+// cost by ~2.
+func BenchmarkExactComplete11(b *testing.B) { benchBuild(b, benchMatrix(11, 1), 10, false) }
 
-func BenchmarkApproxComplete10(b *testing.B) {
-	s := benchMatrix(10, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Approx(s, 9)
-	}
-}
+func BenchmarkExactSparse30(b *testing.B)     { benchBuild(b, benchMatrix(30, 0.1), 29, false) }
+func BenchmarkApproxComplete10(b *testing.B)  { benchBuild(b, benchMatrix(10, 1), 9, true) }
+func BenchmarkApproxComplete100(b *testing.B) { benchBuild(b, benchMatrix(100, 1), 99, true) }
 
-func BenchmarkApproxComplete100(b *testing.B) {
-	s := benchMatrix(100, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Approx(s, 99)
-	}
-}
-
+// BenchmarkCapacities10 times CapacitiesInto over the capped exact flow
+// matrix of the complete graph of 10.
 func BenchmarkCapacities10(b *testing.B) {
-	s := benchMatrix(10, 1)
-	t := Cap(Exact(s, 9))
+	t := capped(flows(benchMatrix(10, 1), 9, false))
 	v := make([]float64, 10)
 	for i := range v {
 		v[i] = float64(i + 1)
 	}
+	dst := make([]float64, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Capacities(v, t, nil)
+		CapacitiesInto(dst, v, t, nil)
 	}
 }
 
 // benchClosureComplete builds the closure of a complete graph the way the
 // server does: CSR rows, full level, the serving budget's one pass.
 func benchClosureComplete(b *testing.B, n int) {
-	_, adj, vals := csrOf(benchMatrix(n, 1))
+	m := sparseOf(benchMatrix(n, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewClosureBudget(n, adj, vals, n-1, false, 50_000_000); err != nil {
+		if _, err := NewClosureBudget(m, n-1, false, 50_000_000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,8 +82,7 @@ func BenchmarkClosureComplete14(b *testing.B) { benchClosureComplete(b, 14) }
 // is the blast fallback's full rebuild under the budget.
 func BenchmarkClosureUpdateEdgeComplete10(b *testing.B) {
 	s := benchMatrix(10, 1)
-	_, adj, vals := csrOf(s)
-	c, err := NewClosureBudget(10, adj, vals, 9, false, 50_000_000)
+	c, err := NewClosureBudget(sparseOf(s), 9, false, 50_000_000)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/agreement"
 	"repro/internal/num"
 	"repro/internal/par"
 )
@@ -17,8 +18,8 @@ import (
 var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 
 // Closure maintains a flow-coefficient matrix T^(level) incrementally
-// under single-edge agreement mutations. A full Exact (or Approx)
-// recompute touches every source row; an edge change, however, can only
+// under single-edge agreement mutations. A full build, exact or
+// approximate, touches every source row; an edge change, however, can only
 // alter the rows of principals that can reach the edge's source, so the
 // delta path recomputes exactly those rows and keeps the rest.
 //
@@ -30,7 +31,7 @@ var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 // edit: any walk ending at src that traverses (src,dst) visited src
 // before the edge, so its prefix is a shorter walk to src that avoids it
 // — the edge can never change a shortest path TO its own source. The same
-// argument covers Approx (walk counting).
+// argument covers the approximate closure (walk counting).
 //
 // Recomputed rows run the same per-row kernel a full build runs
 // (rowScratch.row), so an untouched-or-recomputed row is bit-for-bit
@@ -46,9 +47,11 @@ var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 // never n². The kernels accumulate into a per-worker dense scratch row and
 // emit exact-size rows; they read the same floats in the same order a
 // dense scan would, and every sum is non-negative, so skipping an unstored
-// +0 keeps each result bit-identical to the dense library functions
-// (Exact, Approx). T() is a dense export for tests and the bench; nothing
-// on the serving path calls it.
+// +0 keeps each result bit-identical to the dense references in package
+// modeltest (RefTransitive's chain enumeration, Approx's matrix powers).
+// The package takes and returns no dense matrix but for T() and
+// CapacitiesInto, kept for the layer benchmark; nothing on the serving path
+// calls them.
 //
 // A Closure has one owner, which writes it under the lock it reads it
 // under: the grm server plans and patches its planner under one state
@@ -75,46 +78,42 @@ type Closure struct {
 // blastDenominator sets the delta fallback threshold: once an update's
 // affected set covers more than 1/blastDenominator of the rows, the
 // parallel full recompute is at least as cheap as the serial per-row
-// delta and the Closure falls back to Exact/Approx wholesale.
+// delta and the Closure falls back to a full build.
 const blastDenominator = 2
 
-// NewClosure computes the full closure of s at the given level and wraps
-// it in an incremental handle. Like Exact/Approx it panics if Validate(s)
-// fails; validate untrusted input first. Level values beyond n-1 request
-// full transitivity and keep requesting it as the closure grows.
-func NewClosure(s [][]float64, level int, approx bool) *Closure {
-	if err := Validate(s); err != nil {
-		panic(err)
-	}
-	g, edges := adjacency(s)
-	c, _ := newClosureFromRows(len(s), g, edges, level, approx, 0)
-	return c
-}
-
-// NewClosureCSR is NewClosure over CSR rows: cols holds each row's
-// ascending non-zero column indices, vals the matching values (rows may
-// be nil). The closure copies the rows. Invalid input (diagonal or
-// negative entries) panics, mirroring NewClosure.
+// NewClosureCSR is newClosureCSR with no budget. Only the layer
+// benchmark, which times it, still calls it.
 func NewClosureCSR(n int, cols [][]int32, vals [][]float64, level int, approx bool) *Closure {
-	c, _ := NewClosureBudget(n, cols, vals, level, approx, 0)
+	c, _ := newClosureCSR(n, cols, vals, level, approx, 0)
 	return c
 }
 
-// NewClosureBudget is NewClosureCSR under a step budget: an exact build
-// charges its DFS steps and DP cell updates as it works and is abandoned
-// with ErrBudget once they pass budget (0 = no cap), so a refused graph
-// costs about the budget, not its enumeration. The closure keeps the
-// budget for PatchEdge (see WithBudget). Approx closures are polynomial
-// and never refused.
-func NewClosureBudget(n int, cols [][]int32, vals [][]float64, level int, approx bool, budget int) (*Closure, error) {
+// NewClosureBudget computes the full closure of the agreement matrix S at
+// the given level and wraps it in an incremental handle; the closure
+// copies S's rows. S with a diagonal or negative entry panics; validate
+// untrusted input first. Level values beyond n-1 request full
+// transitivity and keep requesting it as the closure grows. An exact
+// build charges its DFS steps and DP cell updates as it works and is
+// abandoned with ErrBudget once they pass budget (0 = no cap), so a
+// refused graph costs about the budget, not its enumeration. The closure
+// keeps the budget for PatchEdge (see WithBudget). Approx closures are
+// polynomial and never refused.
+func NewClosureBudget(s *agreement.SparseMatrix, level int, approx bool, budget int) (*Closure, error) {
+	cols, vals := make([][]int32, s.N()), make([][]float64, s.N())
+	for i := range cols {
+		cols[i], vals[i] = s.Row(i)
+	}
+	return newClosureCSR(s.N(), cols, vals, level, approx, budget)
+}
+
+// newClosureCSR is NewClosureBudget over raw CSR rows: cols holds each
+// row's ascending column indices, vals the matching values (rows may be
+// nil, and may store zeros).
+func newClosureCSR(n int, cols [][]int32, vals [][]float64, level int, approx bool, budget int) (*Closure, error) {
 	if err := validateCSR(n, cols, vals); err != nil {
 		panic(err)
 	}
 	g, edges := own(rowsOf(cols, vals))
-	return newClosureFromRows(n, g, edges, level, approx, budget)
-}
-
-func newClosureFromRows(n int, g []sparseRow, edges, level int, approx bool, budget int) (*Closure, error) {
 	t, ok := sparseRows(n, g, level, approx, par.Workers(n), newMeter(budget))
 	if !ok {
 		return nil, budgetErr(budget)
@@ -146,9 +145,8 @@ func (c *Closure) N() int { return c.n }
 func (c *Closure) Level() int { return clampLevel(c.reqLevel, c.n) }
 
 // T materializes the current flow-coefficient matrix as fresh dense rows
-// — the export for tests and the bench; unstored entries come out as +0
-// exactly. It costs n² floats per call: the serving path reads FlowRow
-// instead.
+// — the export for the layer benchmark; unstored entries come out as +0
+// exactly. It costs n² floats per call: everything else reads FlowRow.
 func (c *Closure) T() [][]float64 { return denseOf(c.n, c.t) }
 
 // FlowRow returns row src of T as ascending non-zero column indices and

@@ -70,7 +70,7 @@ func TestClosureUpdateEdgeMatchesFull(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			s := randomSparse(rng, tc.n, tc.edges)
-			c := NewClosure(s, tc.level, tc.approx)
+			c := newClosure(s, tc.level, tc.approx)
 			for step := 0; step < 40; step++ {
 				src, dst := rng.Intn(tc.n), rng.Intn(tc.n)
 				if src == dst {
@@ -91,11 +91,11 @@ func TestClosureUpdateEdgeMatchesFull(t *testing.T) {
 				s[src][dst] = nv
 				var want [][]float64
 				if tc.approx {
-					want = Approx(s, tc.level)
+					want = flows(s, tc.level, true)
 				} else {
-					want = Exact(s, tc.level)
+					want = flows(s, tc.level, false)
 				}
-				requireBitEqual(t, next.T(), want, "incremental T")
+				requireBitEqual(t, rowsT(next), want, "incremental T")
 				// Rows not reported as changed must be the previous rows.
 				changedSet := map[int]bool{}
 				for _, r := range changed {
@@ -103,7 +103,7 @@ func TestClosureUpdateEdgeMatchesFull(t *testing.T) {
 				}
 				for i := 0; i < tc.n; i++ {
 					if !changedSet[i] {
-						requireBitEqual(t, [][]float64{next.T()[i]}, [][]float64{c.T()[i]}, "unchanged row drifted")
+						requireBitEqual(t, [][]float64{rowsT(next)[i]}, [][]float64{rowsT(c)[i]}, "unchanged row drifted")
 					}
 				}
 				c = next
@@ -139,7 +139,7 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(11))
 		s := randomSparse(rng, tc.n, tc.edges)
-		up, p := NewClosure(s, tc.level, tc.approx), NewClosure(s, tc.level, tc.approx)
+		up, p := newClosure(s, tc.level, tc.approx), newClosure(s, tc.level, tc.approx)
 		prevCols, prevVals, prevPtr := make([][]int32, tc.n), make([][]float64, tc.n), make([]*float64, tc.n)
 		for step := 0; step < 40; step++ {
 			src, dst := rng.Intn(tc.n), rng.Intn(tc.n)
@@ -168,7 +168,7 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 			var cloneT, cloneS [][]float64
 			if step%3 == 0 {
 				clone = p.Clone()
-				cloneT, cloneS = clone.T(), edgesOf(clone)
+				cloneT, cloneS = rowsT(clone), edgesOf(clone)
 			}
 			next, changed, err := up.UpdateEdge(src, dst, ov, nv)
 			if err != nil {
@@ -180,12 +180,12 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 			}
 			s[src][dst] = nv
 			label := fmt.Sprintf("%s step %d (%s path)", tc.name, step, path)
-			want := NewClosure(s, tc.level, tc.approx).T()
-			requireBitEqual(t, next.T(), want, label+": UpdateEdge")
-			requireBitEqual(t, p.T(), want, label+": PatchEdge")
+			want := rowsT(newClosure(s, tc.level, tc.approx))
+			requireBitEqual(t, rowsT(next), want, label+": UpdateEdge")
+			requireBitEqual(t, rowsT(p), want, label+": PatchEdge")
 			requireBitEqual(t, edgesOf(p), s, label+": PatchEdge's agreement entries")
 			if clone != nil {
-				requireBitEqual(t, clone.T(), cloneT, label+": a Clone taken before the patch")
+				requireBitEqual(t, rowsT(clone), cloneT, label+": a Clone taken before the patch")
 				requireBitEqual(t, edgesOf(clone), cloneS, label+": the agreement entries of a Clone taken before the patch")
 			}
 			if !slices.Equal(changed, patched) || len(old) != len(patched) {
@@ -227,16 +227,16 @@ func TestClosureGrow(t *testing.T) {
 		s := randomSparse(rng, n, 22)
 		// 1<<20 requests full transitivity at any size, so the clamped
 		// level rises as the closure grows.
-		grown := NewClosure(s, 1<<20, approx)
+		grown := newClosure(s, 1<<20, approx)
 		grown.Grow(2)
 		sg := growRows(s, n+2)
 		var want [][]float64
 		if approx {
-			want = Approx(sg, 1<<20)
+			want = flows(sg, 1<<20, true)
 		} else {
-			want = Exact(sg, 1<<20)
+			want = flows(sg, 1<<20, false)
 		}
-		requireBitEqual(t, grown.T(), want, "grown closure")
+		requireBitEqual(t, rowsT(grown), want, "grown closure")
 		if grown.N() != n+2 {
 			t.Fatalf("grown N = %d, want %d", grown.N(), n+2)
 		}
@@ -247,11 +247,11 @@ func TestClosureGrow(t *testing.T) {
 		}
 		sg[n][0] = 0.3
 		if approx {
-			want = Approx(sg, 1<<20)
+			want = flows(sg, 1<<20, true)
 		} else {
-			want = Exact(sg, 1<<20)
+			want = flows(sg, 1<<20, false)
 		}
-		requireBitEqual(t, grown.T(), want, "update after grow")
+		requireBitEqual(t, rowsT(grown), want, "update after grow")
 	}
 }
 
@@ -269,7 +269,7 @@ func TestClosureBlastFallback(t *testing.T) {
 			}
 		}
 	}
-	c := NewClosure(s, 3, false)
+	c := newClosure(s, 3, false)
 	next, changed, err := c.UpdateEdge(4, 7, s[4][7], 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestClosureBlastFallback(t *testing.T) {
 		t.Fatalf("test graph too sparse: affected=%d of n=%d does not trip the fallback", got, n)
 	}
 	s[4][7] = 0.9
-	requireBitEqual(t, next.T(), Exact(s, 3), "fallback T")
+	requireBitEqual(t, rowsT(next), flows(s, 3, false), "fallback T")
 	changedSet := map[int]bool{}
 	for _, r := range changed {
 		changedSet[r] = true
@@ -286,7 +286,7 @@ func TestClosureBlastFallback(t *testing.T) {
 	for i := 0; i < n; i++ {
 		same := true
 		for j := 0; j < n; j++ {
-			if next.T()[i][j] != c.T()[i][j] { //lint:ignore sharingvet/floateq bit-level row diff
+			if rowsT(next)[i][j] != rowsT(c)[i][j] { //lint:ignore sharingvet/floateq bit-level row diff
 				same = false
 			}
 		}
@@ -307,7 +307,7 @@ func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
 		s[i][i+1] = 0.5
 	}
 	s[7][8], s[8][9], s[9][7] = 0.3, 0.3, 0.3 // a ring that never reaches it
-	c := NewClosure(s, n-1, false)
+	c := newClosure(s, n-1, false)
 	if got := len(c.affected(getScratch(n), 5)); blastDenominator*got <= n {
 		t.Fatalf("affected=%d of n=%d does not trip the fallback", got, n)
 	}
@@ -318,7 +318,7 @@ func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	s[5][6] = 0.25
-	requireBitEqual(t, c.T(), Exact(s, n-1), "fallback T")
+	requireBitEqual(t, rowsT(c), flows(s, n-1, false), "fallback T")
 	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(changed, want) {
 		t.Fatalf("changed rows %v, want %v", changed, want)
 	}
@@ -333,20 +333,16 @@ func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
 // TestClosureRowsAreExactSize pins the emit contract of the row kernels
 // on both variants (n <= 64 bitmask, n > 64 scratch stacks) and both
 // closures: ascending columns, no stored zero, no spare capacity, nil for
-// an empty row — and the dense export of the same kernel (ExactCSR,
-// ApproxCSR) holds the same entries.
+// an empty row — and the same kernels run on one worker and scattered
+// dense hold the same entries.
 func TestClosureRowsAreExactSize(t *testing.T) {
 	for _, n := range []int{12, 90} {
 		for _, approx := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(int64(n)))
 			s := randomSparse(rng, n, 2*n)
-			c := NewClosure(s, 4, approx)
-			_, adj, vals := csrOf(s)
-			dense := ExactCSR(n, adj, vals, 4)
-			if approx {
-				dense = ApproxCSR(n, adj, vals, 4)
-			}
-			requireBitEqual(t, c.T(), dense, "dense export of the sparse kernel")
+			c := newClosure(s, 4, approx)
+			dense := workersT(s, 4, approx, 1)
+			requireBitEqual(t, rowsT(c), dense, "the kernels on one worker")
 			for i := 0; i < n; i++ {
 				cols, vals := c.FlowRow(i)
 				if len(cols) == 0 && (cols != nil || vals != nil) {
@@ -371,7 +367,7 @@ func TestClosureRowsAreExactSize(t *testing.T) {
 					}
 				}
 				if stored != 0 {
-					t.Fatalf("n=%d approx=%v: row %d stores a different entry count than its dense export holds", n, approx, i)
+					t.Fatalf("n=%d approx=%v: row %d stores a different entry count than the kernels hold", n, approx, i)
 				}
 			}
 		}
@@ -385,7 +381,7 @@ func TestClosureUpdateEdgeErrors(t *testing.T) {
 		{0, 0.5},
 		{0, 0},
 	}
-	c := NewClosure(s, 1, false)
+	c := newClosure(s, 1, false)
 	for _, e := range []struct {
 		what           string
 		src, dst       int
@@ -400,12 +396,12 @@ func TestClosureUpdateEdgeErrors(t *testing.T) {
 			t.Fatalf("%s accepted", e.what)
 		}
 	}
-	before := c.T()
+	before := rowsT(c)
 	changed, old, vals, err := c.PatchEdge(0, 1, 0.5, 0.5, nil, nil, nil)
 	if err != nil || changed != nil || old != nil || vals != nil {
 		t.Fatalf("no-op update: changed=%v old=%v vals=%v err=%v, want nothing", changed, old, vals, err)
 	}
-	requireBitEqual(t, c.T(), before, "T after a no-op update")
+	requireBitEqual(t, rowsT(c), before, "T after a no-op update")
 }
 
 // TestClosureBudget pins the ErrBudget refusal: a dense exact closure
@@ -422,7 +418,7 @@ func TestClosureBudget(t *testing.T) {
 			}
 		}
 	}
-	c := NewClosure(s, n-1, false).WithBudget(50)
+	c := newClosure(s, n-1, false).WithBudget(50)
 	_, _, err := c.UpdateEdge(0, 1, 0.1, 0.2)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("dense update under budget 50: err = %v, want ErrBudget", err)
@@ -437,13 +433,13 @@ func TestClosureBudget(t *testing.T) {
 		t.Fatalf("unbounded update: %v", err)
 	}
 	s[0][1] = 0.2
-	want := NewClosure(s, n-1, false)
-	requireBitEqual(t, d.T(), want.T(), "post-budget-lift closure")
+	want := newClosure(s, n-1, false)
+	requireBitEqual(t, rowsT(d), rowsT(want), "post-budget-lift closure")
 
 	// A sparse graph with a generous budget must not trip.
 	rng := rand.New(rand.NewSource(3))
 	sp := randomSparse(rng, 12, 18)
-	cs := NewClosure(sp, 4, false).WithBudget(1_000_000)
+	cs := newClosure(sp, 4, false).WithBudget(1_000_000)
 	if _, _, err := cs.UpdateEdge(1, 2, sp[1][2], 0.3); err != nil {
 		t.Fatalf("sparse update under ample budget: %v", err)
 	}

@@ -10,6 +10,15 @@ import (
 	"repro/internal/num"
 )
 
+// takeDense scatters the accumulated row into an all-zero dense row and
+// clears the scratch for the next row.
+func (sc *rowScratch) takeDense(row []float64) {
+	for _, j := range sc.touched {
+		row[j] = sc.acc[j]
+	}
+	sc.discard()
+}
+
 // dfsRows computes T^(maxLen) with every row enumerated by the DFS, cap
 // or no cap: the parent commit's kernel.
 func dfsRows(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
@@ -208,13 +217,14 @@ func TestKernelsAgree(t *testing.T) {
 				dp := dpRows(t, n, adj, vals, level)
 				worst = math.Max(worst, worstRel(t, dp, dfs, label("DP vs DFS")))
 				// The served kernel is one or the other, row by row.
-				got := ExactCSR(n, adj, vals, level)
+				c, _ := newClosureCSR(n, adj, vals, level, false, 0)
+				got := rowsT(c)
 				for i, useDP := range dpChosen(n, adj, vals, level) {
 					want := dfs[i]
 					if useDP {
 						want = dp[i]
 					}
-					requireBitEqual(t, [][]float64{got[i]}, [][]float64{want}, label("ExactCSR row"))
+					requireBitEqual(t, [][]float64{got[i]}, [][]float64{want}, label("closure row"))
 				}
 			}
 		}
@@ -226,7 +236,7 @@ func TestKernelsAgree(t *testing.T) {
 	n, adj, vals := csrOf(s)
 	for _, level := range []int{1, 2, 5, 8, 9, n - 1} {
 		dfs := dfsRows(n, adj, vals, level)
-		got := Exact(s, level)
+		got := flows(s, level, false)
 		worst = math.Max(worst, worstRel(t, got, dfs, "block of 10 in 80"))
 		chosen := dpChosen(n, adj, vals, level)
 		for i := range chosen {
@@ -272,7 +282,7 @@ func TestKernelChoiceIsPerRow(t *testing.T) {
 				t.Errorf("%s: row %d is handed to the DP", name, i)
 			}
 		}
-		requireBitEqual(t, Exact(g.s, g.level), exactRecursive(g.s, g.level), name)
+		requireBitEqual(t, flows(g.s, g.level, false), exactRecursive(g.s, g.level), name)
 	}
 
 	// A clique beside a ring: the clique's rows go to the DP, the ring's
@@ -547,13 +557,11 @@ func TestChainFloor(t *testing.T) {
 func TestExactWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	s := randomGraph(rng, 12, 1.0)
-	want := exactWorkers(s, 11, 1)
+	want := workersT(s, 11, false, 1)
 	for _, workers := range []int{2, 8} {
-		requireBitEqual(t, exactWorkers(s, 11, workers), want, "workers")
+		requireBitEqual(t, workersT(s, 11, false, workers), want, "workers")
 	}
-	n, adj, vals := csrOf(s)
-	requireBitEqual(t, ExactCSR(n, adj, vals, 11), want, "ExactCSR")
-	requireBitEqual(t, NewClosure(s, 11, false).T(), want, "Closure rows")
+	requireBitEqual(t, rowsT(newClosure(s, 11, false)), want, "Closure rows")
 }
 
 // TestUpdateEdgeAcrossKernelChoice edits a graph into and out of a
@@ -570,7 +578,7 @@ func TestUpdateEdgeAcrossKernelChoice(t *testing.T) {
 			}
 		}
 	}
-	c := NewClosure(s, n-1, false)
+	c := newClosure(s, n-1, false)
 	flips := 0
 	set := func(i, j int, v float64) {
 		t.Helper()
@@ -587,7 +595,7 @@ func TestUpdateEdgeAcrossKernelChoice(t *testing.T) {
 				flips++
 			}
 		}
-		requireBitEqual(t, next.T(), NewClosure(s, n-1, false).T(), "delta vs rebuild")
+		requireBitEqual(t, rowsT(next), rowsT(newClosure(s, n-1, false)), "delta vs rebuild")
 		c = next
 	}
 	// Thin the clique until every row is enumerated, then fill it back.
@@ -685,7 +693,7 @@ func TestBudgetAdmitsK14(t *testing.T) {
 	for _, k := range sizes {
 		const share = 0.07
 		n, adj, vals := csrOf(complete(k, share))
-		c, err := NewClosureBudget(n, adj, vals, k-1, false, serving)
+		c, err := newClosureCSR(n, adj, vals, k-1, false, serving)
 		if k > 15 {
 			if !errors.Is(err, ErrBudget) || c != nil {
 				t.Fatalf("K%d under the serving budget: closure %v, err %v; want ErrBudget", k, c != nil, err)
@@ -702,7 +710,7 @@ func TestBudgetAdmitsK14(t *testing.T) {
 			want += paths * math.Pow(share, float64(l))
 			paths *= float64(k - 1 - l)
 		}
-		for _, got := range c.T()[3][:3] {
+		for _, got := range rowsT(c)[3][:3] {
 			if !num.EqChainSum(got, want) {
 				t.Fatalf("K%d entry %v, closed form %v", k, got, want)
 			}
@@ -730,8 +738,8 @@ func TestRefusalLeavesReceiverUntouched(t *testing.T) {
 		s[i][i+1] = 0.5
 	}
 	for _, level := range []int{2, n - 1} { // level 2: delta; full: every clique row
-		c := NewClosure(s, level, false)
-		before := c.T()
+		c := newClosure(s, level, false)
+		before := rowsT(c)
 		rows := make([]*float64, n)
 		for i := range rows {
 			if _, tv := c.FlowRow(i); len(tv) > 0 {
@@ -750,7 +758,7 @@ func TestRefusalLeavesReceiverUntouched(t *testing.T) {
 				t.Fatalf("level %d budget %d: UpdateEdge returned a closure %v, rows %v, err %v; want ErrBudget and nothing else", level, budget, d != nil, changed, err)
 			}
 		}
-		requireBitEqual(t, c.T(), before, "receiver rows after refused updates")
+		requireBitEqual(t, rowsT(c), before, "receiver rows after refused updates")
 		requireBitEqual(t, edgesOf(c), s, "receiver edges after refused updates")
 		for i := range rows {
 			if _, tv := c.FlowRow(i); len(tv) > 0 && &tv[0] != rows[i] {
@@ -758,13 +766,13 @@ func TestRefusalLeavesReceiverUntouched(t *testing.T) {
 			}
 		}
 		// The same scratch, after the abandoned rows, builds clean.
-		requireBitEqual(t, NewClosure(s, level, false).T(), before, "rebuild after refusals")
+		requireBitEqual(t, rowsT(newClosure(s, level, false)), before, "rebuild after refusals")
 		d, _, err := c.WithBudget(0).UpdateEdge(0, 1, 0.1, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s[0][1] = 0.2
-		requireBitEqual(t, d.T(), NewClosure(s, level, false).T(), "update once the budget is lifted")
+		requireBitEqual(t, rowsT(d), rowsT(newClosure(s, level, false)), "update once the budget is lifted")
 		s[0][1] = 0.1
 	}
 }

@@ -41,23 +41,12 @@ func exactRecursive(s [][]float64, maxLen int) [][]float64 {
 	return t
 }
 
-// approxSerial is the original single-threaded matrix-power sum.
-func approxSerial(s [][]float64, maxLen int) [][]float64 {
-	n := len(s)
-	maxLen = clampLevel(maxLen, n)
-	sum := zeros(n)
-	power := zeros(n)
-	for i := range power {
-		copy(power[i], s[i])
-	}
-	add(sum, power)
-	next := zeros(n)
-	for k := 2; k <= maxLen; k++ {
-		matmulInto(next, power, s, 1)
-		power, next = next, power
-		add(sum, power)
-	}
-	return sum
+// workersT computes every row of T^(level) of a dense test literal on a
+// pinned number of workers (sparseRows, unbudgeted) and scatters it dense.
+func workersT(s [][]float64, level int, approx bool, workers int) [][]float64 {
+	n, adj, vals := csrOf(s)
+	t, _ := sparseRows(n, rowsOf(adj, vals), level, approx, workers, nil)
+	return denseOf(n, t)
 }
 
 // randomGraph builds an n-principal agreement matrix where each off-
@@ -119,12 +108,12 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 				levels = append(levels, n-1)
 			}
 			for _, level := range levels {
-				serial := exactWorkers(s, level, 1)
-				requireMatchesRecursive(t, serial, exactRecursive(s, level), s, level, "Exact")
+				serial := workersT(s, level, false, 1)
+				requireMatchesRecursive(t, serial, exactRecursive(s, level), s, level, "exact")
 				for _, workers := range []int{2, 4, 8} {
-					requireBitIdentical(t, exactWorkers(s, level, workers), serial, "Exact on more workers")
+					requireBitIdentical(t, workersT(s, level, false, workers), serial, "exact on more workers")
 				}
-				requireBitIdentical(t, Exact(s, level), serial, "Exact(default)")
+				requireBitIdentical(t, flows(s, level, false), serial, "closure")
 			}
 		}
 	}
@@ -136,43 +125,27 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 func TestExactParallelPaperGraph(t *testing.T) {
 	n := 10
 	s := complete(n, 0.1)
-	serial := exactWorkers(s, n-1, 1)
-	requireMatchesRecursive(t, serial, exactRecursive(s, n-1), s, n-1, "Exact(complete10)")
+	serial := workersT(s, n-1, false, 1)
+	requireMatchesRecursive(t, serial, exactRecursive(s, n-1), s, n-1, "complete10")
 	for _, workers := range []int{2, 4} {
-		requireBitIdentical(t, exactWorkers(s, n-1, workers), serial, "Exact(complete10) on more workers")
+		requireBitIdentical(t, workersT(s, n-1, false, workers), serial, "complete10 on more workers")
 	}
 }
 
+// TestApproxParallelMatchesSerial pins the approximate build on every
+// worker count, and the closure, to the serial build bit for bit. That
+// build's agreement with the dense matrix-power sum is held in package
+// modeltest, beside that reference.
 func TestApproxParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 3, 10, 40} {
 		s := randomGraph(rng, n, 0.4)
 		for _, level := range []int{1, 2, n - 1} {
-			want := approxSerial(s, level)
-			for _, workers := range []int{1, 2, 4, 8} {
-				got := approxWorkers(s, level, workers)
-				requireBitIdentical(t, got, want, "Approx")
+			want := workersT(s, level, true, 1)
+			for _, workers := range []int{2, 4, 8} {
+				requireBitIdentical(t, workersT(s, level, true, workers), want, "approx on more workers")
 			}
-			requireBitIdentical(t, Approx(s, level), want, "Approx(default)")
-		}
-	}
-}
-
-func TestCapacitiesIntoMatchesCapacities(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := randomGraph(rng, 12, 0.5)
-	tm := Approx(s, 3)
-	a := randomGraph(rng, 12, 0.2)
-	v := make([]float64, 12)
-	for i := range v {
-		v[i] = rng.Float64() * 100
-	}
-	want := Capacities(v, tm, a)
-	got := make([]float64, 12)
-	CapacitiesInto(got, v, tm, a)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CapacitiesInto[%d] = %v, want %v", i, got[i], want[i])
+			requireBitIdentical(t, flows(s, level, true), want, "closure")
 		}
 	}
 }

@@ -18,16 +18,17 @@
 // enumerate; a dense group is summed without enumerating, which admits
 // complete graphs of up to 15 principals under the serving budget (the
 // paper's K10 builds in ~0.4 ms, K14 in ~25 ms, on two cores). Denser or
-// larger cliques are refused (ErrBudget). An Approx variant uses plain
-// matrix powers, which overcounts cycles but scales polynomially; the two
-// agree on cycle-free graphs and Approx is always an upper bound.
+// larger cliques are refused (ErrBudget). An approximate closure sums
+// matrix powers instead, which overcounts cycles but scales polynomially;
+// the two agree on cycle-free graphs and the approximation is always an
+// upper bound.
 //
-// The package also implements the two extensions of Section 3.2:
-//
-//   - overdraft capping K_ij = min(T_ij, 1), used when the Σ_k S_ik <= 1
-//     restriction is lifted, so nobody can receive more than a source owns;
-//   - the absolute-agreement cap U_ki = min(I_ki + A_ki, V_k) and the
-//     resulting capacity C_i = V_i + Σ_{k≠i} U_ki.
+// S comes in row-sparse (NewClosureBudget takes an agreement.SparseMatrix)
+// and T goes out the same way (FlowRow): a build costs the edges it reads. Section 3.2's overdraft capping
+// K = min(T, 1) and the capacities C_i built on it are package core's,
+// over these rows; the dense references the kernels and those formulas
+// are checked against (RefTransitive, Approx, Cap, Capacities) are
+// package modeltest's.
 package transitive
 
 import (
@@ -43,69 +44,10 @@ import (
 	"repro/internal/par"
 )
 
-// Validate checks that S is a square agreement matrix with a zero
-// diagonal and non-negative entries. It does NOT enforce row sums <= 1;
-// the paper's overdraft extension deliberately lifts that restriction and
-// capping handles it.
-func Validate(s [][]float64) error {
-	n := len(s)
-	for i, row := range s {
-		if len(row) != n {
-			return fmt.Errorf("transitive: S is not square: row %d has %d entries, want %d", i, len(row), n)
-		}
-		if !num.IsZero(row[i]) {
-			return fmt.Errorf("transitive: S[%d][%d] = %g, diagonal must be zero", i, i, row[i])
-		}
-		for j, v := range row {
-			if v < 0 {
-				return fmt.Errorf("transitive: S[%d][%d] = %g, entries must be non-negative", i, j, v)
-			}
-		}
-	}
-	return nil
-}
-
-// Exact computes the flow-coefficient matrix T^(maxLen) by enumerating
-// every cycle-free agreement chain of at most maxLen edges. maxLen is the
-// paper's "level of transitivity": 1 enforces only direct agreements, and
-// n-1 is the full transitive closure. Values of maxLen < 1 or > n-1 are
-// clamped. Exact panics if Validate(s) fails; validate untrusted input
-// first.
-//
-// Rows are independent and are distributed over a pool of GOMAXPROCS
-// workers; each is a pure function of its own graph (exactRow), so the
-// result is bit-for-bit identical regardless of the worker count. Exact is
-// the dense export of the row kernel a Closure is built with.
-func Exact(s [][]float64, maxLen int) [][]float64 {
-	return exactWorkers(s, maxLen, par.Workers(len(s)))
-}
-
-// exactWorkers is Exact with an explicit worker count (tests pin it to
-// compare serial and parallel runs on any machine).
-func exactWorkers(s [][]float64, maxLen, workers int) [][]float64 {
-	if err := Validate(s); err != nil {
-		panic(err)
-	}
-	g, _ := adjacency(s)
-	return denseRows(len(s), g, maxLen, false, workers)
-}
-
-// ExactCSR is Exact over a CSR agreement matrix: adj holds each row's
-// ascending non-zero column indices and vals the matching values. It is
-// the dense export of the sparse row kernel a Closure is built with, and
-// that kernel visits the same non-zero edges in the same ascending order
-// as the dense scan, so the result is bit-identical to
-// Exact(dense(adj, vals), maxLen). Rows may be nil (no out-edges).
-// Diagonal or negative entries panic, mirroring Validate.
-func ExactCSR(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
-	if err := validateCSR(n, adj, vals); err != nil {
-		panic(err)
-	}
-	return denseRows(n, rowsOf(adj, vals), maxLen, false, par.Workers(n))
-}
-
-// validateCSR is Validate for CSR rows: square shape is implied, so only
-// the zero diagonal and non-negative entries need checking.
+// validateCSR checks CSR agreement rows: n rows of matching column and
+// value lists, a zero diagonal and non-negative entries. Row sums above 1
+// are not refused: the paper's overdraft extension lifts that restriction
+// and capping handles it.
 func validateCSR(n int, adj [][]int32, vals [][]float64) error {
 	if len(adj) != n || len(vals) != n {
 		return fmt.Errorf("transitive: CSR has %d/%d rows, want %d", len(adj), len(vals), n)
@@ -126,19 +68,6 @@ func validateCSR(n int, adj [][]int32, vals [][]float64) error {
 	return nil
 }
 
-// adjacency returns, per node, the ascending list of non-zero out-edges
-// with the matching edge values, plus the total edge count. The DFS
-// iterates lists in index order, matching the dense j-loop order of the
-// definition (zero entries contribute nothing).
-func adjacency(s [][]float64) (g []sparseRow, edges int) {
-	g = make([]sparseRow, len(s))
-	for i, row := range s {
-		g[i].cols, g[i].vals = RowOf(row)
-		edges += len(g[i].cols)
-	}
-	return g, edges
-}
-
 // sparseRow is one row of a sparse matrix — S's out-edges of a principal or
 // T's flow coefficients — as the ascending columns of its entries and their
 // values. cols are never written once stored.
@@ -154,20 +83,6 @@ func rowsOf(cols [][]int32, vals [][]float64) []sparseRow {
 		g[i] = sparseRow{cols: cols[i], vals: vals[i]}
 	}
 	return g
-}
-
-// RowOf converts one dense row into its sparse form: ascending non-zero
-// columns plus values.
-func RowOf(row []float64) ([]int32, []float64) {
-	var cols []int32
-	var vals []float64
-	for j, v := range row {
-		if !num.IsZero(v) {
-			cols = append(cols, int32(j))
-			vals = append(vals, v)
-		}
-	}
-	return cols, vals
 }
 
 // At returns entry j of a sparse row (ascending cols, aligned vals): a
@@ -213,7 +128,7 @@ func SetEntry(cols []int32, vals []float64, j int, v float64) ([]int32, []float6
 // accumulator with the list of columns written, so that one row of T
 // costs its own chains and entries, never a pass over the population.
 // Between rows acc and dp are all zero and mark and visited all false;
-// take, emit, takeDense and discard restore that. Scratch sets are pooled
+// take, emit and discard restore that. Scratch sets are pooled
 // and handed out one per worker (forRows), so a build holds at most
 // GOMAXPROCS of them.
 type rowScratch struct {
@@ -405,15 +320,6 @@ func (sc *rowScratch) note(i int, held sparseRow) {
 	sc.changed, sc.old, sc.oldVals = append(sc.changed, i), append(sc.old, held.cols), append(sc.oldVals, held.vals...)
 }
 
-// takeDense scatters the accumulated row into an all-zero dense row and
-// clears the scratch for the next row.
-func (sc *rowScratch) takeDense(row []float64) {
-	for _, j := range sc.touched {
-		row[j] = sc.acc[j]
-	}
-	sc.discard()
-}
-
 // discard drops the accumulated row, leaving the scratch clear.
 func (sc *rowScratch) discard() {
 	for _, j := range sc.touched {
@@ -436,19 +342,6 @@ func sparseRows(n int, g []sparseRow, level int, approx bool, workers int, m *me
 		return true
 	})
 	return t, ok
-}
-
-// denseRows is sparseRows scattered into a dense matrix, with no budget:
-// the export behind Exact, ExactCSR and ApproxCSR.
-func denseRows(n int, g []sparseRow, level int, approx bool, workers int) [][]float64 {
-	maxLen := clampLevel(level, n)
-	t := zeros(n)
-	forRows(n, workers, func(sc *rowScratch, src int) bool {
-		sc.row(g, src, maxLen, approx, nil)
-		sc.takeDense(t[src])
-		return true
-	})
-	return t
 }
 
 // maxDPReach is the largest reach (source included) the subset DP takes
@@ -858,11 +751,11 @@ func (sc *rowScratch) exactRowDP(g []sparseRow, src, maxLen int, m *meter) bool 
 
 // approxRow accumulates row src of Σ_{k=1..maxLen} S^k. Row src of S^k
 // depends only on row src of S^(k-1), so the row iterates a vector-matrix
-// product over the non-zero entries of the current power row — in
-// matmulInto's per-row operation order (ascending k, ascending j within
+// product over the non-zero entries of the current power row — in a dense
+// row-by-row multiply's operation order (ascending k, ascending j within
 // each S row, the powers added in order), which makes the result
-// bit-identical to Approx: every term skipped is an exact +0 added to a
-// non-negative sum. Once a power row is empty so are all later ones, and
+// bit-identical to modeltest.Approx: every term skipped is an exact +0
+// added to a non-negative sum. Once a power row is empty so are all later ones, and
 // the loop stops.
 func (sc *rowScratch) approxRow(g []sparseRow, src, maxLen int) {
 	if len(sc.p) < len(sc.acc) {
@@ -916,64 +809,6 @@ func (sc *rowScratch) approxRow(g []sparseRow, src, maxLen int) {
 	sc.p, sc.nx, sc.pCols, sc.nxCols = p, nx, pCols, nxCols
 }
 
-// Approx computes Σ_{k=1..maxLen} S^k — the matrix-power approximation of
-// T^(maxLen). It counts walks rather than simple paths, so on cyclic
-// graphs it overcounts (it is an upper bound on Exact); on DAGs the two
-// are identical. Cost is O(maxLen · n³), with each multiply parallelized
-// over row blocks (rows are independent, so the result is bit-for-bit
-// identical to a serial multiply). Approx panics if Validate(s) fails.
-func Approx(s [][]float64, maxLen int) [][]float64 {
-	return approxWorkers(s, maxLen, par.Workers(len(s)))
-}
-
-// approxWorkers is Approx with an explicit worker count (pinned by tests).
-func approxWorkers(s [][]float64, maxLen, workers int) [][]float64 {
-	if err := Validate(s); err != nil {
-		panic(err)
-	}
-	n := len(s)
-	maxLen = clampLevel(maxLen, n)
-	sum := zeros(n)
-	power := zeros(n)
-	for i := range power {
-		copy(power[i], s[i])
-	}
-	add(sum, power)
-	next := zeros(n) // double buffer: matmul reads power, writes next
-	for k := 2; k <= maxLen; k++ {
-		matmulInto(next, power, s, workers)
-		power, next = next, power
-		add(sum, power)
-	}
-	return sum
-}
-
-// ApproxCSR is Approx over a CSR agreement matrix: the dense export of
-// the sparse row kernel (approxRow). Skipping a zero column of S in the
-// multiply drops only exact `+= aik·0` terms, so the result is
-// bit-identical to Approx on the dense export.
-func ApproxCSR(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
-	if err := validateCSR(n, adj, vals); err != nil {
-		panic(err)
-	}
-	return denseRows(n, rowsOf(adj, vals), maxLen, true, par.Workers(n))
-}
-
-// Cap applies the overdraft rule of Section 3.2: K_ij = min(T_ij, 1). The
-// input is not modified.
-func Cap(t [][]float64) [][]float64 {
-	out := zeros(len(t))
-	for i, row := range t {
-		for j, v := range row {
-			if v > 1 {
-				v = 1
-			}
-			out[i][j] = v
-		}
-	}
-	return out
-}
-
 // sourceCap returns U_ki = min(V_k·T_ki + A_ki, V_k) for k != i.
 func sourceCap(v []float64, t, a [][]float64, k, i int) float64 {
 	u := v[k] * t[k][i]
@@ -986,20 +821,11 @@ func sourceCap(v []float64, t, a [][]float64, k, i int) float64 {
 	return u
 }
 
-// Capacities returns C_i = V_i + Σ_{k≠i} U_ki: the total resource amount
-// available to each principal, directly and transitively. A may be nil.
-func Capacities(v []float64, t, a [][]float64) []float64 {
-	out := make([]float64, len(v))
-	CapacitiesInto(out, v, t, a)
-	return out
-}
-
-// CapacitiesInto computes Capacities into dst (len(v) entries) without
-// allocating: the U entries are accumulated on the fly instead of being
-// materialized as a matrix. The summation order matches Capacities', so
-// the results are bit-for-bit identical. It is the enforcement hot path's
-// entry point — Plan recomputes capacities twice per request (before and
-// after the candidate allocation).
+// CapacitiesInto computes C_i = V_i + Σ_{k≠i} U_ki over dense T and A (A
+// may be nil) into dst (len(v) entries) without allocating: the U entries
+// are accumulated on the fly instead of being materialized as a matrix.
+// Only the layer benchmark, which times it, still calls it; core sums
+// capacities over its sparse columns.
 func CapacitiesInto(dst, v []float64, t, a [][]float64) {
 	n := len(v)
 	if len(t) != n || (a != nil && len(a) != n) || len(dst) != n {
@@ -1035,35 +861,4 @@ func zeros(n int) [][]float64 {
 		out[i] = make([]float64, n)
 	}
 	return out
-}
-
-func add(dst, src [][]float64) {
-	for i := range dst {
-		for j := range dst[i] {
-			dst[i][j] += src[i][j]
-		}
-	}
-}
-
-// matmulInto computes out = a·b, distributing rows over the worker pool.
-// Each out row depends only on one a row, so the parallel result is
-// identical to a serial multiply. out must not alias a or b.
-func matmulInto(out, a, b [][]float64, workers int) {
-	n := len(a)
-	par.Do(n, workers, func(i int) {
-		row := out[i]
-		for j := range row {
-			row[j] = 0
-		}
-		for k := 0; k < n; k++ {
-			aik := a[i][k]
-			if num.IsZero(aik) {
-				continue
-			}
-			bk := b[k]
-			for j := 0; j < n; j++ {
-				row[j] += aik * bk[j]
-			}
-		}
-	})
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/agreement"
 )
 
 func almost(t *testing.T, got, want, tol float64, what string) {
@@ -15,20 +17,24 @@ func almost(t *testing.T, got, want, tol float64, what string) {
 	}
 }
 
+// TestValidate pins validateCSR, which every closure constructor runs on
+// its agreement rows: a zero diagonal and non-negative entries, in n rows
+// whose column and value lists match. Row sums above 1 are legal.
 func TestValidate(t *testing.T) {
-	ok := [][]float64{{0, 0.3}, {0.2, 0}}
-	if err := Validate(ok); err != nil {
-		t.Errorf("valid matrix rejected: %v", err)
+	if err := validateCSR(2, [][]int32{{1}, {0}}, [][]float64{{1.3}, {0.2}}); err != nil {
+		t.Errorf("valid rows rejected: %v", err)
 	}
-	bad := [][][]float64{
-		{{0, 0.3}},                 // not square
-		{{0.1, 0.3}, {0.2, 0}},     // diagonal
-		{{0, -0.3}, {0.2, 0}},      // negative
-		{{0, 0.3, 0}, {0.2, 0, 0}}, // ragged
-	}
-	for i, s := range bad {
-		if err := Validate(s); err == nil {
-			t.Errorf("case %d: invalid matrix accepted", i)
+	for i, c := range []struct {
+		cols [][]int32
+		vals [][]float64
+	}{
+		{[][]int32{{1}}, [][]float64{{0.3}}},                     // a row short
+		{[][]int32{{0, 1}, {0}}, [][]float64{{0.1, 0.3}, {0.2}}}, // diagonal
+		{[][]int32{{1}, {0}}, [][]float64{{-0.3}, {0.2}}},        // negative
+		{[][]int32{{1}, {0}}, [][]float64{{0.3, 0}, {0.2}}},      // ragged
+	} {
+		if err := validateCSR(2, c.cols, c.vals); err == nil {
+			t.Errorf("case %d: invalid rows accepted", i)
 		}
 	}
 }
@@ -36,7 +42,7 @@ func TestValidate(t *testing.T) {
 func TestExactTwoNodeChain(t *testing.T) {
 	// 0 -> 1 at 30%: T[0][1] = 0.3 at every level, T[1][0] = 0.
 	s := [][]float64{{0, 0.3}, {0, 0}}
-	tm := Exact(s, 1)
+	tm := flows(s, 1, false)
 	almost(t, tm[0][1], 0.3, 1e-12, "T[0][1]")
 	almost(t, tm[1][0], 0, 1e-12, "T[1][0]")
 }
@@ -48,9 +54,9 @@ func TestExactThreeNodeChainLevels(t *testing.T) {
 		{0, 0, 0.4},
 		{0, 0, 0},
 	}
-	lvl1 := Exact(s, 1)
+	lvl1 := flows(s, 1, false)
 	almost(t, lvl1[0][2], 0, 1e-12, "level-1 T[0][2]")
-	lvl2 := Exact(s, 2)
+	lvl2 := flows(s, 2, false)
 	almost(t, lvl2[0][2], 0.2, 1e-12, "level-2 T[0][2]")
 	almost(t, lvl2[0][1], 0.5, 1e-12, "level-2 T[0][1]")
 }
@@ -64,14 +70,14 @@ func TestExactPaperOverdraftExample(t *testing.T) {
 		{0, 0, 1.0},
 		{0, 0, 0},
 	}
-	tm := Exact(s, 2)
+	tm := flows(s, 2, false)
 	almost(t, tm[0][2], 1.2, 1e-12, "T[A][C]")
-	k := Cap(tm)
+	k := capped(tm)
 	almost(t, k[0][2], 1.0, 1e-12, "K[A][C]")
 	v := []float64{10, 0, 0}
-	c := Capacities(v, k, nil)
+	c := capacities(v, k, nil)
 	almost(t, c[2], 10, 1e-12, "C capacity with cap")
-	cUncapped := Capacities(v, tm, nil)
+	cUncapped := capacities(v, tm, nil)
 	// Even uncapped, SourceCaps clamps at V_k = 10.
 	almost(t, cUncapped[2], 10, 1e-12, "C capacity clamped by V_k")
 }
@@ -80,7 +86,7 @@ func TestExactCycleExcluded(t *testing.T) {
 	// Two-node mutual agreement: chains cannot revisit the source, so
 	// T[0][1] is exactly S[0][1] at any level.
 	s := [][]float64{{0, 0.5}, {0.5, 0}}
-	tm := Exact(s, 5)
+	tm := flows(s, 5, false)
 	almost(t, tm[0][1], 0.5, 1e-12, "T[0][1]")
 	almost(t, tm[1][0], 0.5, 1e-12, "T[1][0]")
 }
@@ -89,10 +95,10 @@ func TestExactLoopStructure(t *testing.T) {
 	// Ring of 4, each sharing 80% with the next.
 	n := 4
 	s := ring(n, 0.8)
-	lvl1 := Exact(s, 1)
+	lvl1 := flows(s, 1, false)
 	almost(t, lvl1[0][1], 0.8, 1e-12, "level-1 next")
 	almost(t, lvl1[0][2], 0, 1e-12, "level-1 two hops")
-	lvl3 := Exact(s, 3)
+	lvl3 := flows(s, 3, false)
 	almost(t, lvl3[0][1], 0.8, 1e-12, "level-3 next")
 	almost(t, lvl3[0][2], 0.64, 1e-12, "level-3 two hops")
 	almost(t, lvl3[0][3], 0.512, 1e-12, "level-3 three hops")
@@ -108,8 +114,8 @@ func TestApproxEqualsExactOnDAG(t *testing.T) {
 		{0, 0, 0, 0},
 	}
 	for level := 1; level <= 3; level++ {
-		e := Exact(s, level)
-		a := Approx(s, level)
+		e := flows(s, level, false)
+		a := flows(s, level, true)
 		for i := range e {
 			for j := range e[i] {
 				almost(t, a[i][j], e[i][j], 1e-12, "DAG approx vs exact")
@@ -123,8 +129,8 @@ func TestApproxUpperBoundsExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomAgreements(rng, 2+rng.Intn(6))
 		level := 1 + rng.Intn(len(s))
-		e := Exact(s, level)
-		a := Approx(s, level)
+		e := flows(s, level, false)
+		a := flows(s, level, true)
 		for i := range e {
 			for j := range e[i] {
 				if a[i][j] < e[i][j]-1e-9 {
@@ -144,9 +150,9 @@ func TestExactMonotoneInLevel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomAgreements(rng, 2+rng.Intn(6))
 		n := len(s)
-		prev := Exact(s, 1)
+		prev := flows(s, 1, false)
 		for level := 2; level < n; level++ {
-			cur := Exact(s, level)
+			cur := flows(s, level, false)
 			for i := range cur {
 				for j := range cur[i] {
 					if cur[i][j] < prev[i][j]-1e-12 {
@@ -171,7 +177,7 @@ func TestCapacitiesAtLeastOwn(t *testing.T) {
 		for i := range v {
 			v[i] = rng.Float64() * 100
 		}
-		c := Capacities(v, Cap(Exact(s, len(s)-1)), nil)
+		c := capacities(v, capped(flows(s, len(s)-1, false)), nil)
 		for i := range c {
 			if c[i] < v[i]-1e-9 {
 				return false
@@ -195,7 +201,7 @@ func TestCapacitiesBoundedByTotal(t *testing.T) {
 			v[i] = rng.Float64() * 100
 			total += v[i]
 		}
-		c := Capacities(v, Cap(Exact(s, len(s)-1)), nil)
+		c := capacities(v, capped(flows(s, len(s)-1, false)), nil)
 		for i := range c {
 			if c[i] > total+1e-9 {
 				return false
@@ -221,14 +227,14 @@ func TestAbsoluteAgreements(t *testing.T) {
 		{0, 0, 0},
 	}
 	v := []float64{10, 0, 5}
-	tm := Exact(s, 2)
-	c := Capacities(v, tm, a)
+	tm := flows(s, 2, false)
+	c := capacities(v, tm, a)
 	almost(t, c[2], 8, 1e-12, "C = 5 own + 3 absolute")
 	almost(t, c[0], 10, 1e-12, "A keeps 10")
 
 	// Absolute promise larger than the source owns is clamped to V_k.
 	a[0][2] = 25
-	c = Capacities(v, tm, a)
+	c = capacities(v, tm, a)
 	almost(t, c[2], 15, 1e-12, "C clamped to 5 + V_A")
 }
 
@@ -237,16 +243,16 @@ func TestAbsolutePlusRelativeClamp(t *testing.T) {
 	s := [][]float64{{0, 0.6}, {0, 0}}
 	a := [][]float64{{0, 7}, {0, 0}}
 	v := []float64{10, 1}
-	c := Capacities(v, Exact(s, 1), a)
+	c := capacities(v, flows(s, 1, false), a)
 	almost(t, c[1], 11, 1e-12, "B = 1 own + min(6+7, 10)")
 }
 
 func TestLevelClamping(t *testing.T) {
 	s := ring(5, 0.5)
-	full := Exact(s, 4)
-	over := Exact(s, 100)
-	under := Exact(s, 0)
-	lvl1 := Exact(s, 1)
+	full := flows(s, 4, false)
+	over := flows(s, 100, false)
+	under := flows(s, 0, false)
+	lvl1 := flows(s, 1, false)
 	for i := range full {
 		for j := range full[i] {
 			almost(t, over[i][j], full[i][j], 1e-12, "level > n-1 clamps to n-1")
@@ -257,17 +263,14 @@ func TestLevelClamping(t *testing.T) {
 
 func TestPanicsOnBadInput(t *testing.T) {
 	bad := [][]float64{{1}}
-	for name, f := range map[string]func(){
-		"Exact":  func() { Exact(bad, 1) },
-		"Approx": func() { Approx(bad, 1) },
-	} {
+	for _, approx := range []bool{false, true} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s should panic on bad input", name)
+					t.Errorf("approx=%v: a build should panic on a non-zero diagonal", approx)
 				}
 			}()
-			f()
+			newClosure(bad, 1, approx)
 		}()
 	}
 }
@@ -294,29 +297,84 @@ func randomAgreements(rng *rand.Rand, n int) [][]float64 {
 	return s
 }
 
-// csrOf is the row-sparse form of a dense matrix.
-func csrOf(s [][]float64) (int, [][]int32, [][]float64) {
-	adj, vals := make([][]int32, len(s)), make([][]float64, len(s))
-	for i, row := range s {
-		adj[i], vals[i] = RowOf(row)
+// sparseOf imports a dense test literal with agreement.SparseOf.
+func sparseOf(s [][]float64) *agreement.SparseMatrix {
+	m, err := agreement.SparseOf(s)
+	if err != nil {
+		panic(err)
 	}
-	return len(s), adj, vals
+	return m
+}
+
+// csrOf splits a dense test literal, imported with sparseOf, into the
+// per-row column and value lists the kernels take.
+func csrOf(s [][]float64) (int, [][]int32, [][]float64) {
+	m := sparseOf(s)
+	adj, vals := make([][]int32, m.N()), make([][]float64, m.N())
+	for i := range adj {
+		c, v := m.Row(i)
+		adj[i], vals[i] = c[:len(c):len(c)], v[:len(v):len(v)]
+	}
+	return m.N(), adj, vals
+}
+
+// newClosure builds the unbudgeted closure of a dense test literal.
+func newClosure(s [][]float64, level int, approx bool) *Closure {
+	c, _ := NewClosureBudget(sparseOf(s), level, approx, 0) // no budget, no refusal
+	return c
+}
+
+// rowsT reads a closure's T back through FlowRow into a dense matrix:
+// the tests' one view of the rows a closure serves.
+func rowsT(c *Closure) [][]float64 {
+	t := zeros(c.N())
+	for i := range t {
+		cols, vals := c.FlowRow(i)
+		for k, j := range cols {
+			t[i][j] = vals[k]
+		}
+	}
+	return t
+}
+
+// flows is T^(level) of a dense test literal, exact or approximate, as a
+// closure serves it.
+func flows(s [][]float64, level int, approx bool) [][]float64 {
+	return rowsT(newClosure(s, level, approx))
+}
+
+// capped is the overdraft rule K = min(T, 1) over a dense T.
+func capped(t [][]float64) [][]float64 {
+	k := zeros(len(t))
+	for i, row := range t {
+		for j, v := range row {
+			k[i][j] = min(v, 1)
+		}
+	}
+	return k
+}
+
+// capacities is CapacitiesInto into a fresh vector.
+func capacities(v []float64, t, a [][]float64) []float64 {
+	out := make([]float64, len(v))
+	CapacitiesInto(out, v, t, a)
+	return out
 }
 
 func TestWithinBudget(t *testing.T) {
 	n, adj, vals := csrOf(ring(5, 0.5))
-	if _, err := NewClosureBudget(n, adj, vals, 4, false, 1000); err != nil {
+	if _, err := newClosureCSR(n, adj, vals, 4, false, 1000); err != nil {
 		t.Errorf("small ring should fit a 1000-step budget: %v", err)
 	}
 	// A complete 20-node graph is past the DP's reach, so it enumerates
 	// until the budget stops it — promptly, whatever the graph would cost.
 	n, adj, vals = csrOf(complete(20, 0.1))
-	c, err := NewClosureBudget(n, adj, vals, 19, false, 100000)
+	c, err := newClosureCSR(n, adj, vals, 19, false, 100000)
 	if !errors.Is(err, ErrBudget) || c != nil {
 		t.Errorf("dense 20-node graph under a 100k-step budget: closure %v, err %v, want ErrBudget", c, err)
 	}
 	// Approx is polynomial and never refused.
-	if _, err := NewClosureBudget(n, adj, vals, 19, true, 1); err != nil {
+	if _, err := newClosureCSR(n, adj, vals, 19, true, 1); err != nil {
 		t.Errorf("approx build refused: %v", err)
 	}
 }
@@ -327,12 +385,12 @@ func TestWithinBudgetMatchesExactCost(t *testing.T) {
 	// admitted closure is the unbudgeted one.
 	s := ring(8, 0.9)
 	n, adj, vals := csrOf(s)
-	c, err := NewClosureBudget(n, adj, vals, 7, false, 56)
+	c, err := newClosureCSR(n, adj, vals, 7, false, 56)
 	if err != nil {
 		t.Fatalf("ring under its exact cost: %v", err)
 	}
-	requireBitEqual(t, c.T(), Exact(s, 7), "budgeted build")
-	if _, err := NewClosureBudget(n, adj, vals, 7, false, 55); !errors.Is(err, ErrBudget) {
+	requireBitEqual(t, rowsT(c), flows(s, 7, false), "budgeted build")
+	if _, err := newClosureCSR(n, adj, vals, 7, false, 55); !errors.Is(err, ErrBudget) {
 		t.Fatalf("ring one step short: err = %v, want ErrBudget", err)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/planners"
-	"repro/internal/transitive"
 )
 
 // Principal identifies a participant of the community.
@@ -272,7 +271,7 @@ func (c *Community) FlowCoefficients(typ string) ([][]float64, error) {
 // plannerFor returns (building if needed) the allocator for a type plus
 // the current availability vector.
 func (c *Community) plannerFor(typ string) (*core.Allocator, []float64, error) {
-	m, err := c.sys.Matrices(agreement.ResourceType(typ))
+	m, err := c.sys.SparseMatrices(agreement.ResourceType(typ))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -293,9 +292,18 @@ func (c *Community) invalidate() {
 	}
 }
 
-// Validate re-exports the agreement-matrix sanity check for callers
-// driving core directly.
-func Validate(s [][]float64) error { return transitive.Validate(s) }
+// Validate is the agreement-matrix sanity check for callers driving core
+// directly: S must be square with a zero diagonal and non-negative
+// entries. Row sums above 1 are legal (the paper's overdraft extension);
+// enforcement caps them.
+func Validate(s [][]float64) error {
+	m, err := agreement.SparseOf(s)
+	if err != nil || m == nil {
+		return err
+	}
+	_, err = core.NewAllocator(m, nil, core.Config{Level: 1})
+	return err
+}
 
 // Ledger returns a lease-tracking allocator over one resource type,
 // seeded with the current capacities: Acquire plans and admits an

@@ -354,3 +354,30 @@ func TestLedgerFacade(t *testing.T) {
 	almost(t, avail[p[0]], 10, 1e-9, "A restored")
 	almost(t, avail[p[1]], 15, 1e-9, "B restored")
 }
+
+// TestValidate fixes the facade's matrix check: a square matrix with a
+// zero diagonal and non-negative entries passes, overdraft (a row summing
+// past 1) included, and a non-square matrix, a non-zero diagonal or a
+// negative entry is refused.
+func TestValidate(t *testing.T) {
+	for _, ok := range [][][]float64{
+		nil,
+		{},
+		{{0, 0.3}, {0.2, 0}},
+		{{0, 0.7, 0.6}, {0, 0, 1}, {0, 0, 0}},
+	} {
+		if err := Validate(ok); err != nil {
+			t.Errorf("Validate(%v) = %v, want nil", ok, err)
+		}
+	}
+	for name, bad := range map[string][][]float64{
+		"non-square":        {{0, 0.3}},
+		"ragged":            {{0, 0.3, 0}, {0.2, 0, 0}, {0, 0}},
+		"non-zero diagonal": {{0.1, 0.3}, {0.2, 0}},
+		"negative entry":    {{0, -0.3}, {0.2, 0}},
+	} {
+		if err := Validate(bad); err == nil {
+			t.Errorf("%s: Validate(%v) accepted it", name, bad)
+		}
+	}
+}
