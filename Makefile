@@ -184,10 +184,12 @@ loadgen-json:
 	$(GO) run ./cmd/loadgen -json BENCH_transport.json -duration $(LOADGEN_DURATION)
 
 # Short local fuzz passes over the snapshot, scenario-bundle, take-vector,
-# wire envelope and write-ahead-log decoders, and lpsolve's model parser.
+# frame, wire envelope and write-ahead-log decoders, and lpsolve's model
+# parser.
 fuzz:
 	$(GO) test ./internal/agreement/ -fuzz FuzzSnapshotDecode -fuzztime 30s
 	$(GO) test ./internal/wirefmt/ -run '^$$' -fuzz FuzzTakes -fuzztime 30s
+	$(GO) test ./internal/wirefmt/ -run '^$$' -fuzz FuzzFrame -fuzztime 30s
 	$(GO) test ./internal/scenario/ -fuzz FuzzBundleDecode -fuzztime 30s
 	$(GO) test ./internal/grm/ -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLogDecode -fuzztime 30s

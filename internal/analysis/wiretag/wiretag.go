@@ -12,9 +12,11 @@
 //
 //   - every package-scope constant named kind* and its value;
 //   - for appendRequest and appendResponse, the Append* call sequence of
-//     each switch case, keyed by the kind tag the case emits, plus the
-//     prelude calls before the switch (the response's leading error
-//     string).
+//     each switch case, keyed by the kind tag the case emits or, in a
+//     codec that writes the tag once before its switch, by the payloads
+//     the case tests (`case resp.Alloc != nil:` is kindAlloc's), plus the
+//     prelude calls before the switch (the tag or lead, the response's
+//     error).
 //
 // and compares it against wire_manifest.json in the package directory.
 // Renumbered tags, reused tag values, removed kinds, and changed field
@@ -54,7 +56,7 @@ type Manifest struct {
 	// Kinds maps each kind constant to its wire value.
 	Kinds map[string]int64 `json:"kinds"`
 	// RequestPrelude / ResponsePrelude are the Append* ops emitted before
-	// the kind switch (the response's error string).
+	// the kind switch (a tag or lead written once, the response's error).
 	RequestPrelude  []string `json:"request_prelude,omitempty"`
 	ResponsePrelude []string `json:"response_prelude,omitempty"`
 	// Request / Response map each kind to the ordered Append* ops of its
@@ -139,7 +141,8 @@ func Extract(files []*ast.File, info *types.Info) (*Manifest, *positions) {
 
 // extractCases walks one append function: ops before the switch form the
 // prelude; each case contributes its kind (first tagged Append) and the
-// ordered field ops after it.
+// ordered field ops after it, or, when it emits no tag, every op it
+// makes for each kind its payload tests name.
 func extractCases(fd *ast.FuncDecl, info *types.Info, kinds map[string]int64, out map[string][]string, at map[string]token.Pos) (prelude []string) {
 	for _, st := range fd.Body.List {
 		sw, isSwitch := st.(*ast.SwitchStmt)
@@ -157,15 +160,20 @@ func extractCases(fd *ast.FuncDecl, info *types.Info, kinds map[string]int64, ou
 			for _, s := range cc.Body {
 				ops = append(ops, opsIn(s, info, kinds, &kind)...)
 			}
-			if kind == "" {
-				continue // a case that emits no envelope (error return)
+			if kind != "" {
+				// ops[0] is the kind tag itself; the rest are the fields.
+				out[kind], at[kind] = append([]string{}, ops[1:]...), cc.Pos()
+				continue
 			}
-			// ops[0] is the kind tag itself; the rest are the fields.
-			out[kind] = ops[1:]
-			if len(out[kind]) == 0 {
-				out[kind] = []string{}
+			// The tag was written before the switch; a case with no
+			// payload test emits no envelope (an error return).
+			ops = []string{}
+			for _, s := range cc.Body {
+				ops = append(ops, opsIn(s, info, kinds, nil)...)
 			}
-			at[kind] = cc.Pos()
+			for _, k := range testedKinds(cc, kinds) {
+				out[k], at[k] = ops, cc.Pos()
+			}
 		}
 		break
 	}
@@ -198,6 +206,26 @@ func opsIn(n ast.Node, info *types.Info, kinds map[string]int64, kind *string) [
 		return true
 	})
 	return ops
+}
+
+// testedKinds returns the kinds whose payloads cc's expressions test:
+// kindX for every `env.X != nil` when kindX is a kind constant.
+func testedKinds(cc *ast.CaseClause, kinds map[string]int64) []string {
+	var out []string
+	for _, e := range cc.List {
+		cmp, ok := ast.Unparen(e).(*ast.BinaryExpr)
+		if !ok || cmp.Op != token.NEQ {
+			continue
+		}
+		sel, ok := ast.Unparen(cmp.X).(*ast.SelectorExpr)
+		if nilID, isID := ast.Unparen(cmp.Y).(*ast.Ident); !ok || !isID || nilID.Name != "nil" {
+			continue
+		}
+		if _, ok := kinds["kind"+sel.Sel.Name]; ok {
+			out = append(out, "kind"+sel.Sel.Name)
+		}
+	}
+	return out
 }
 
 func calleeName(call *ast.CallExpr) string {

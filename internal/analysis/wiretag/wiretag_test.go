@@ -3,6 +3,7 @@ package wiretag_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -111,5 +112,84 @@ func TestMutationRenumberedTag(t *testing.T) {
 	}
 	if renumbered != 2 {
 		t.Fatalf("want both swapped tags reported as renumbered, got %d; diagnostics: %v", renumbered, diags)
+	}
+}
+
+// leadOnceSrc is a mini codec that writes the tag once, before its
+// switch, as internal/grm/codec.go does: its cases are keyed by the
+// payload they test, several payloads may share one, and the ops before
+// the switch are the prelude.
+const leadOnceSrc = `package m
+
+type Request struct {
+	Get  *GetRequest
+	Put  *PutRequest
+	Ping *PingRequest
+}
+
+type GetRequest struct{ Key string }
+
+type PutRequest struct {
+	Key string
+	N   int64
+}
+
+type PingRequest struct{}
+
+const (
+	kindNone = iota
+	kindGet
+	kindPut
+	kindPing
+)
+
+func AppendUvarint(dst []byte, v uint64) []byte { return dst }
+func AppendString(dst []byte, s string) []byte  { return dst }
+func AppendInt(dst []byte, v int64) []byte      { return dst }
+
+func (req *Request) kind() uint64 { return kindNone }
+
+func appendRequest(dst []byte, req *Request) ([]byte, error) {
+	dst = AppendUvarint(dst, req.kind())
+	switch {
+	case req.Get != nil, req.Ping != nil:
+	case req.Put != nil:
+		dst = AppendString(dst, req.Put.Key)
+		dst = AppendInt(dst, req.Put.N)
+	}
+	return dst, nil
+}
+`
+
+// TestLeadOnceCasesKeyedByPayload: in a codec that writes the tag once,
+// every kind still gets its field layout — empty for the payloads that
+// share a case with no fields — and swapping two fields of a case is
+// caught.
+func TestLeadOnceCasesKeyedByPayload(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "m.go"), []byte(leadOnceSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loader := analysis.NewLoader()
+	pkg, err := loader.LoadDir(dir, "m")
+	if err != nil {
+		t.Fatalf("load package: %v", err)
+	}
+	m, _ := wiretag.Extract(pkg.Files, pkg.Info)
+	want := map[string][]string{"kindGet": {}, "kindPing": {}, "kindPut": {"String", "Int"}}
+	if !reflect.DeepEqual(m.Request, want) || !reflect.DeepEqual(m.RequestPrelude, []string{"Uvarint"}) {
+		t.Fatalf("extracted prelude %v and layouts %v; want [Uvarint] and %v", m.RequestPrelude, m.Request, want)
+	}
+	if err := wiretag.WriteManifest(pkg.Files, pkg.Info, filepath.Join(dir, wiretag.ManifestName)); err != nil {
+		t.Fatal(err)
+	}
+	swapped := strings.Replace(leadOnceSrc, "\t\tdst = AppendString(dst, req.Put.Key)\n\t\tdst = AppendInt(dst, req.Put.N)\n",
+		"\t\tdst = AppendInt(dst, req.Put.N)\n\t\tdst = AppendString(dst, req.Put.Key)\n", 1)
+	if swapped == leadOnceSrc {
+		t.Fatal("mutation did not apply")
+	}
+	diags := runOnSource(t, dir, swapped)
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "field layout for kindPut changed") {
+		t.Fatalf("want the swapped fields of kindPut reported, got %v", diags)
 	}
 }

@@ -428,7 +428,7 @@ type binWire struct {
 	nextID  uint64
 	freeIDs []uint64
 	pending map[uint64]*binCall // nil once the reader exited
-	err     error
+	err     error               // set under mu; final once done is closed
 
 	done chan struct{} // closed when the reader exits
 	fr   *transport.FrameReader
@@ -618,6 +618,11 @@ func (w *binWire) do(req *Request, timeout time.Duration) (Response, error) {
 	w.wmu.Unlock()
 	if err != nil {
 		w.forget(id, call)
+		select {
+		case <-w.done: // the reader closed the connection under the write, and its cause is the error
+			return Response{}, fmt.Errorf("%w (send: %v)", w.err, err)
+		default:
+		}
 		// A failed or torn write poisons the frame stream; sever the
 		// connection so every waiter unblocks and the LRM redials.
 		w.conn.Close()
@@ -636,10 +641,7 @@ func (w *binWire) do(req *Request, timeout time.Duration) (Response, error) {
 			return resp, nil
 		default:
 		}
-		w.mu.Lock()
-		err := w.err
-		w.mu.Unlock()
-		return Response{}, err
+		return Response{}, w.err
 	case <-timeoutC:
 		w.forget(id, call)
 		return Response{}, wireTimeout{}

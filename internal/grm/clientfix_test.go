@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -132,7 +133,7 @@ func TestRetryAfterRestartRebindsPrincipal(t *testing.T) {
 
 // handshakeStub listens, reads a hello off every accepted connection and
 // lets answer reply before hanging up — a peer that does not speak
-// protocol v3.
+// protocol v4.
 func handshakeStub(t *testing.T, answer func(c net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -157,11 +158,11 @@ func handshakeStub(t *testing.T, answer func(c net.Conn)) string {
 	return ln.Addr().String()
 }
 
-// TestDialPreV2PeerSaysWhy dials peers that predate protocol v3: one that
+// TestDialPreV2PeerSaysWhy dials peers that predate protocol v4: one that
 // hangs up on the hello (what a gob decoder does with it), one that
-// answers with bytes that are not the magic, one that settles on version
-// 1 and one on version 2. Each costs exactly one connection, and the
-// error tells an operator which address failed to speak which protocol.
+// answers with bytes that are not the magic, and ones that settle on
+// version 1, 2 or 3. Each costs exactly one connection, and the error
+// tells an operator which address failed to speak which protocol.
 func TestDialPreV2PeerSaysWhy(t *testing.T) {
 	for name, tc := range map[string]struct {
 		answer func(c net.Conn)
@@ -183,6 +184,10 @@ func TestDialPreV2PeerSaysWhy(t *testing.T) {
 			answer: func(c net.Conn) { transport.WriteHello(c, 2) },
 			check:  func(err error) bool { return strings.Contains(err.Error(), "protocol version 2") },
 		},
+		"settles on v3": {
+			answer: func(c net.Conn) { transport.WriteHello(c, 3) },
+			check:  func(err error) bool { return strings.Contains(err.Error(), "protocol version 3") },
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			addr := handshakeStub(t, tc.answer)
@@ -194,13 +199,13 @@ func TestDialPreV2PeerSaysWhy(t *testing.T) {
 			}
 			_, err := DialWithConfig(addr, "new", 10, cfg)
 			if err == nil {
-				t.Fatal("connected to a peer that does not speak protocol v3")
+				t.Fatal("connected to a peer that does not speak protocol v4")
 			}
 			if !tc.check(err) {
 				t.Errorf("err = %v: the cause is lost", err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, addr) || !strings.Contains(msg, "binary protocol v3") {
-				t.Errorf("err = %q, want it to name %s and binary protocol v3", msg, addr)
+			if msg := err.Error(); !strings.Contains(msg, addr) || !strings.Contains(msg, "binary protocol v4") {
+				t.Errorf("err = %q, want it to name %s and binary protocol v4", msg, addr)
 			}
 			if n := dials.Load(); n != 1 {
 				t.Errorf("%d connections dialed, want 1: a failed handshake is not retried on another wire", n)
@@ -764,5 +769,64 @@ func TestTimedOutIDIsNotReused(t *testing.T) {
 		if id == ids[1] {
 			t.Fatalf("ids %v: id %d went back into use after its call timed out", ids, id)
 		}
+	}
+}
+
+// stallConn is a connection whose write stalls until the connection is
+// closed — a link slower than the read deadline — and whose read times
+// out as soon as that write is under way.
+type stallConn struct {
+	net.Conn  // nil: only the methods below are called
+	writing   chan struct{}
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func newStallConn() *stallConn {
+	return &stallConn{writing: make(chan struct{}), closed: make(chan struct{})}
+}
+
+func (c *stallConn) Write(p []byte) (int, error) {
+	close(c.writing)
+	<-c.closed
+	return 0, &net.OpError{Op: "write", Net: "tcp", Err: net.ErrClosed}
+}
+
+func (c *stallConn) Read(p []byte) (int, error) {
+	<-c.writing
+	return 0, &net.OpError{Op: "read", Net: "tcp", Err: os.ErrDeadlineExceeded}
+}
+
+func (c *stallConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return nil
+}
+
+func (c *stallConn) SetDeadline(time.Time) error      { return nil }
+func (c *stallConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *stallConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestSendAfterReaderTimeoutKeepsCause: the reader's deadline fires while
+// a request is still being written, and the reader closes the connection
+// under the write. The call reports the timeout that closed it, not the
+// closed connection the write then ran into.
+func TestSendAfterReaderTimeoutKeepsCause(t *testing.T) {
+	conn := newStallConn()
+	w := &binWire{
+		conn:    conn,
+		timeout: time.Second,
+		fw:      transport.NewFrameWriter(conn),
+		fr:      transport.NewFrameReader(bufio.NewReader(conn)),
+		pending: map[uint64]*binCall{},
+		done:    make(chan struct{}),
+	}
+	go w.readLoop()
+	_, err := w.do(&Request{Ping: &PingRequest{}}, time.Second)
+	var nerr net.Error
+	if !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Fatalf("err = %v, want the reader's timeout", err)
+	}
+	if !strings.Contains(err.Error(), "send") {
+		t.Errorf("err = %v, want it to say the send failed too", err)
 	}
 }

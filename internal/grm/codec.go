@@ -2,9 +2,9 @@ package grm
 
 // Binary envelope layout (transport wire.go documents the frame around
 // it). A request is a kind tag followed by that kind's fields in
-// declaration order; a response is the error string, then the kind tag
-// of its payload (kindNone when the response carries only the error),
-// then the payload fields. Every field uses the transport encoding
+// declaration order; a response is one uvarint, kind<<1 | failed (kind is
+// kindNone when it carries only an error), the error string and code when
+// failed, then the payload fields. Every field uses the transport encoding
 // primitives — uvarint/zigzag integers, 8-byte little-endian floats,
 // length-prefixed strings and slices, takes as wirefmt.AppendTakes spells
 // them — so the layout is deterministic byte for byte.
@@ -36,11 +36,21 @@ const (
 )
 
 // kind is the envelope tag appendRequest gives req: that of its first
-// payload, kindNone when it has none. The payloads are declared in tag
-// order, which TestCodecCarriesEveryField holds.
+// payload, kindNone when it has none. The payloads of both envelopes are
+// declared in tag order, which TestCodecCarriesEveryField holds.
 func (req *Request) kind() uint64 {
-	set := [...]bool{req.Register != nil, req.Report != nil, req.Share != nil, req.Revoke != nil, req.Alloc != nil,
-		req.Release != nil, req.Renew != nil, req.Caps != nil, req.Peers != nil, req.Ping != nil}
+	return firstKind(req.Register != nil, req.Report != nil, req.Share != nil, req.Revoke != nil, req.Alloc != nil,
+		req.Release != nil, req.Renew != nil, req.Caps != nil, req.Peers != nil, req.Ping != nil)
+}
+
+// kind is Request.kind's twin: the tag appendResponse gives resp.
+func (resp *Response) kind() uint64 {
+	return firstKind(resp.Register != nil, resp.Report != nil, resp.Share != nil, resp.Revoke != nil, resp.Alloc != nil,
+		resp.Release != nil, resp.Renew != nil, resp.Caps != nil, resp.Peers != nil, resp.Ping != nil)
+}
+
+// firstKind is the tag of the first payload set, in tag order.
+func firstKind(set ...bool) uint64 {
 	for k, ok := range set {
 		if ok {
 			return kindRegister + uint64(k)
@@ -49,45 +59,36 @@ func (req *Request) kind() uint64 {
 	return kindNone
 }
 
-// appendRequest appends req's binary envelope to dst. Exactly one
-// request field must be non-nil.
+// appendRequest appends req's binary envelope to dst: its tag, then the
+// payload's fields (none for Caps, Peers and Ping).
 func appendRequest(dst []byte, req *Request) ([]byte, error) {
+	kind := req.kind()
+	if kind == kindNone {
+		return nil, fmt.Errorf("grm: encode request with no payload")
+	}
+	dst = wirefmt.AppendUvarint(dst, kind)
 	switch {
 	case req.Register != nil:
-		dst = wirefmt.AppendUvarint(dst, kindRegister)
 		dst = wirefmt.AppendString(dst, req.Register.Name)
 		dst = wirefmt.AppendFloat64(dst, req.Register.Capacity)
 	case req.Report != nil:
-		dst = wirefmt.AppendUvarint(dst, kindReport)
 		dst = wirefmt.AppendInt(dst, int64(req.Report.Principal))
 		dst = wirefmt.AppendFloat64(dst, req.Report.Available)
 	case req.Share != nil:
-		dst = wirefmt.AppendUvarint(dst, kindShare)
 		dst = wirefmt.AppendInt(dst, int64(req.Share.From))
 		dst = wirefmt.AppendInt(dst, int64(req.Share.To))
 		dst = wirefmt.AppendFloat64(dst, req.Share.Fraction)
 		dst = wirefmt.AppendFloat64(dst, req.Share.Quantity)
 	case req.Revoke != nil:
-		dst = wirefmt.AppendUvarint(dst, kindRevoke)
 		dst = wirefmt.AppendInt(dst, int64(req.Revoke.Ticket))
 	case req.Alloc != nil:
-		dst = wirefmt.AppendUvarint(dst, kindAlloc)
 		dst = wirefmt.AppendInt(dst, int64(req.Alloc.Principal))
 		dst = wirefmt.AppendFloat64(dst, req.Alloc.Amount)
 	case req.Release != nil:
-		dst = wirefmt.AppendUvarint(dst, kindRelease)
 		dst = wirefmt.AppendInt(dst, int64(req.Release.Lease))
 	case req.Renew != nil:
-		dst = wirefmt.AppendUvarint(dst, kindRenew)
 		dst = wirefmt.AppendInt(dst, int64(req.Renew.Lease))
-	case req.Caps != nil:
-		dst = wirefmt.AppendUvarint(dst, kindCaps)
-	case req.Peers != nil:
-		dst = wirefmt.AppendUvarint(dst, kindPeers)
-	case req.Ping != nil:
-		dst = wirefmt.AppendUvarint(dst, kindPing)
-	default:
-		return nil, fmt.Errorf("grm: encode request with no payload")
+	case req.Caps != nil, req.Peers != nil, req.Ping != nil: // the tag alone
 	}
 	return dst, nil
 }
@@ -154,21 +155,22 @@ func (c *wireCall) decode(data []byte) error {
 
 // appendResponse appends resp's binary envelope to dst.
 func appendResponse(dst []byte, resp *Response) ([]byte, error) {
-	dst = wirefmt.AppendString(dst, resp.Err)
-	dst = wirefmt.AppendUvarint(dst, resp.Code)
+	var failed uint64
+	if resp.Err != "" {
+		failed = 1
+	}
+	dst = wirefmt.AppendUvarint(dst, resp.kind()<<1|failed)
+	if failed == 1 {
+		dst = wirefmt.AppendString(dst, resp.Err)
+		dst = wirefmt.AppendUvarint(dst, resp.Code)
+	}
 	switch {
 	case resp.Register != nil:
-		dst = wirefmt.AppendUvarint(dst, kindRegister)
 		dst = wirefmt.AppendInt(dst, int64(resp.Register.Principal))
-	case resp.Report != nil:
-		dst = wirefmt.AppendUvarint(dst, kindReport)
+	case resp.Report != nil, resp.Revoke != nil, resp.Release != nil, resp.Ping != nil: // the lead alone
 	case resp.Share != nil:
-		dst = wirefmt.AppendUvarint(dst, kindShare)
 		dst = wirefmt.AppendInt(dst, int64(resp.Share.Ticket))
-	case resp.Revoke != nil:
-		dst = wirefmt.AppendUvarint(dst, kindRevoke)
 	case resp.Alloc != nil:
-		dst = wirefmt.AppendUvarint(dst, kindAlloc)
 		var err error
 		if dst, err = wirefmt.AppendTakes(dst, resp.Alloc.Sources, resp.Alloc.Takes); err != nil {
 			return nil, fmt.Errorf("grm: encode alloc reply: %w", err)
@@ -176,25 +178,16 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 		dst = wirefmt.AppendFloat64(dst, resp.Alloc.Theta)
 		dst = wirefmt.AppendInt(dst, int64(resp.Alloc.Lease))
 		dst = wirefmt.AppendInt(dst, int64(resp.Alloc.TTL))
-	case resp.Release != nil:
-		dst = wirefmt.AppendUvarint(dst, kindRelease)
 	case resp.Renew != nil:
-		dst = wirefmt.AppendUvarint(dst, kindRenew)
 		dst = wirefmt.AppendInt(dst, int64(resp.Renew.TTL))
 	case resp.Caps != nil:
-		dst = wirefmt.AppendUvarint(dst, kindCaps)
 		dst = wirefmt.AppendFloat64s(dst, resp.Caps.Available)
 		dst = wirefmt.AppendFloat64s(dst, resp.Caps.Capacities)
 	case resp.Peers != nil:
-		dst = wirefmt.AppendUvarint(dst, kindPeers)
 		dst = wirefmt.AppendUvarint(dst, uint64(len(resp.Peers.Names)))
 		for _, name := range resp.Peers.Names {
 			dst = wirefmt.AppendString(dst, name)
 		}
-	case resp.Ping != nil:
-		dst = wirefmt.AppendUvarint(dst, kindPing)
-	default:
-		dst = wirefmt.AppendUvarint(dst, kindNone)
 	}
 	return dst, nil
 }
@@ -212,9 +205,14 @@ type allocReplyBox struct {
 // none). The payloads are fresh: a caller may keep them.
 func (resp *Response) decode(data []byte) (uint64, error) {
 	d := wirefmt.NewDec(data)
-	*resp = Response{Err: d.String()}
-	resp.Code = d.Uvarint()
-	kind := d.Uvarint()
+	*resp = Response{}
+	lead := d.Uvarint()
+	if lead&1 != 0 {
+		if resp.Err, resp.Code = d.String(), d.Uvarint(); resp.Err == "" && d.Err() == nil {
+			return 0, fmt.Errorf("grm: decode response: a failed reply with no error")
+		}
+	}
+	kind := lead >> 1
 	switch kind {
 	case kindNone:
 	case kindRegister:

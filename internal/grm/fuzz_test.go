@@ -50,8 +50,10 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		f.Add(enc[:len(enc)-1]) // torn
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0x00, 0x00, 0x05, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // alloc reply claiming 2^63 takes
-	f.Add([]byte{0x00, 0x00, 0x05, 0x01, 0x80, 0x00, 0x01})                               // padded gap uvarint
+	f.Add([]byte{0x0a, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // alloc reply claiming 2^63 takes
+	f.Add([]byte{0x0a, 0x01, 0x80, 0x00, 0x01})                               // padded gap uvarint
+	f.Add([]byte{0x01, 0x00, 0x00})                                           // failed, with no error
+	f.Add([]byte{0x08, 0x01})                                                 // an acknowledgement with a trailing byte
 
 	// Dirty from the start: every payload of the reused records is set.
 	var call wireCall

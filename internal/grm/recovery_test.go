@@ -2,8 +2,10 @@ package grm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -382,25 +384,51 @@ func TestRecoverLegacyDenseLog(t *testing.T) {
 }
 
 // jsonFrame frames rec the way logs were written before the binary record
-// encoding: the Record as encoding/json text inside the CRC frame. Only
-// such a log can hold pairs that are out of order or do not line up; the
-// binary writer refuses them and its reader cannot produce them.
+// encoding: the Record as encoding/json text inside a CRC frame with the
+// legacy fixed 8-byte header. Only such a log can hold pairs that are out
+// of order or do not line up; the binary writer refuses them and its
+// reader cannot produce them.
 func jsonFrame(t *testing.T, rec *store.Record) []byte {
 	t.Helper()
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := append(wirefmt.BeginFrame(nil), payload...)
-	if err := wirefmt.EndFrame(frame, 0); err != nil {
-		t.Fatal(err)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
+}
+
+// v2Takes reports whether raw holds a frame with an alloc or state kind
+// byte as version 2 wrote it, without the mark of the current spelling.
+func v2Takes(raw []byte) bool {
+	for _, payload := range legacyPayloads(raw) {
+		if k := store.Kind(payload[0]); k == store.KindAlloc || k == store.KindState {
+			return true
+		}
 	}
-	return frame
+	return false
+}
+
+// legacyPayloads returns the payloads of raw's frames read with the
+// legacy 8-byte header: none for a file of this build, whose magic no
+// legacy reader takes for a length.
+func legacyPayloads(raw []byte) [][]byte {
+	var out [][]byte
+	fr := wirefmt.NewLegacyReader(bytes.NewReader(raw), int64(len(raw)))
+	for {
+		payload, err := fr.Next()
+		if err != nil {
+			return out
+		}
+		out = append(out, bytes.Clone(payload))
+	}
 }
 
 // TestRecoverRejectsMalformedTakes: the log is input. Pairs that are out
 // of order, name a principal the replay has not registered, or do not
-// line up one source to one take must stop recovery, not index the books.
+// line up one source to one take must stop recovery — at the open's
+// rewrite of a legacy log, or in Recover — not index the books.
 func TestRecoverRejectsMalformedTakes(t *testing.T) {
 	cases := map[string]store.Record{
 		"out of order":         {Sources: []int{1, 0}, Takes: []float64{1, 1}},
@@ -425,14 +453,16 @@ func TestRecoverRejectsMalformedTakes(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "wal.log"), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// Pairs the binary encoder refuses already stop the open, which
+		// rewrites the legacy log in that encoding; the rest reach Recover.
 		wal, err := store.OpenFileLog(dir)
-		if err != nil {
-			t.Fatal(err)
+		if err == nil {
+			err = NewServer(core.Config{}, nil).Recover(wal)
+			wal.Close()
 		}
-		if err := NewServer(core.Config{}, nil).Recover(wal); err == nil {
+		if err == nil {
 			t.Errorf("%s: recovery accepted takes %v from %v", name, rec.Takes, rec.Sources)
 		}
-		wal.Close()
 
 		// The binary log refuses to write most of these; what it does
 		// hold (a source nobody registered) recovery must still refuse.
@@ -564,21 +594,6 @@ func TestRecoverJSONLogThroughAppendAndCompact(t *testing.T) {
 // in its own spelling, compact it, and land on identical books after
 // every reopen.
 func TestRecoverV2BinaryLogThroughAppendAndCompact(t *testing.T) {
-	// v2Takes reports whether raw holds a frame with an alloc or state
-	// kind byte as version 2 wrote it, without the mark of the current
-	// spelling.
-	v2Takes := func(raw []byte) bool {
-		fr := wirefmt.NewReader(bytes.NewReader(raw), int64(len(raw)))
-		for {
-			payload, err := fr.Next()
-			if err != nil {
-				return false
-			}
-			if k := store.Kind(payload[0]); k == store.KindAlloc || k == store.KindState {
-				return true
-			}
-		}
-	}
 	recoverOldLog(t, oldLog{
 		dir: "binary_v2_wal",
 		isOld: func(raw []byte) bool {
@@ -607,6 +622,41 @@ func TestRecoverV2BinaryLogThroughAppendAndCompact(t *testing.T) {
 	})
 }
 
+// TestRecoverV3LegacyHeaderLogThroughAppendAndCompact replays
+// testdata/binary_v3_wal, a log directory written by the last build whose
+// frames had the fixed 8-byte header and whose files no magic: a snapshot
+// of a star of six with a chain among its spokes (a revoked share, two
+// leases) and a tail of a report, two allocations, a renewal, a release, a
+// share and a revocation. This build must read it, rewrite its WAL at
+// open, append to it, compact it, and land on identical books after every
+// reopen.
+func TestRecoverV3LegacyHeaderLogThroughAppendAndCompact(t *testing.T) {
+	legacy := func(raw []byte) bool { return len(legacyPayloads(raw)) > 0 }
+	recoverOldLog(t, oldLog{
+		dir: "binary_v3_wal",
+		isOld: func(raw []byte) bool {
+			return legacy(raw) && !v2Takes(raw) && !bytes.Contains(raw, []byte(`"seq"`))
+		},
+		stale:  legacy,
+		clock:  time.Unix(1_000_000_060, 0),
+		avail:  []float64{45.1672684674753, 0, 72.94325991189424, 35.61674008810576, 120.5727315325247, 28.65},
+		leases: 3, agreements: 13,
+		// A report, a registration, the newcomer's allocation and one
+		// across the chain, a renewal of a tail lease, a release of
+		// another, the revocation of the tail's share.
+		appends: []*Request{
+			{Report: &ReportRequest{Principal: 4, Available: 140}},
+			{Register: &RegisterRequest{Name: "solo", Capacity: 50}},
+			{Alloc: &AllocRequest{Principal: 6, Amount: 20}},
+			{Alloc: &AllocRequest{Principal: 2, Amount: 33.5}},
+			{Renew: &RenewRequest{Lease: 4}},
+			{Release: &ReleaseRequest{Lease: 5}},
+			{Revoke: &RevokeRequest{Ticket: 14}},
+		},
+		held: []int{1, 4, 6, 7},
+	})
+}
+
 // oldLog is a log directory in testdata written by an older build, and
 // what its writer's books read when it stopped.
 type oldLog struct {
@@ -625,7 +675,8 @@ type oldLog struct {
 // compacts it and reopens it again, and requires the books of a server
 // that never restarted at every step — and once more after every held
 // lease is released, which is where a wrong source would credit the
-// wrong principal.
+// wrong principal. The first open rewrites the WAL whole in this build's
+// spelling; the snapshot keeps the old one until Compact replaces it.
 func recoverOldLog(t *testing.T, old oldLog) {
 	dir := t.TempDir() // OpenFileLog opens for append; keep testdata read-only
 	for _, name := range []string{"snapshot.wal", "wal.log"} {
@@ -679,9 +730,12 @@ func recoverOldLog(t *testing.T, old oldLog) {
 		}
 	}
 
-	oldTail, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	rewritten, err := os.ReadFile(filepath.Join(dir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if old.stale(rewritten) {
+		t.Fatalf("the open left a record in the old format in the WAL")
 	}
 	for _, req := range old.appends {
 		must(live.Handle(req))
@@ -691,24 +745,27 @@ func recoverOldLog(t *testing.T, old oldLog) {
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	grown, err := os.ReadFile(filepath.Join(dir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(mixed, oldTail) || len(mixed) == len(oldTail) || old.stale(mixed[len(oldTail):]) {
-		t.Fatalf("WAL is not the old tail followed by frames of this build")
+	if !bytes.HasPrefix(grown, rewritten) || len(grown) == len(rewritten) || old.stale(grown) {
+		t.Fatalf("WAL is not the rewritten tail followed by frames of this build")
+	}
+	if _, valid, err := store.DecodeRecords(bytes.NewReader(grown)); err != nil || valid != int64(len(grown)) {
+		t.Fatalf("%d of the WAL's %d bytes read in one spelling (%v)", valid, len(grown), err)
 	}
 
-	fromMixed, wal := reopen()
-	defer fromMixed.Close()
-	if got := statusJSON(t, fromMixed); got != want {
-		t.Fatalf("recovered from the mixed log:\n%s\nwant\n%s", got, want)
+	fromAppended, wal := reopen()
+	defer fromAppended.Close()
+	if got := statusJSON(t, fromAppended); got != want {
+		t.Fatalf("recovered from the rewritten log and its appends:\n%s\nwant\n%s", got, want)
 	}
-	leasesEqual(t, live, fromMixed)
-	if err := fromMixed.Compact(); err != nil {
+	leasesEqual(t, live, fromAppended)
+	if err := fromAppended.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := statusJSON(t, fromMixed); got != want {
+	if got := statusJSON(t, fromAppended); got != want {
 		t.Fatalf("books moved under Compact:\n%s\nwant\n%s", got, want)
 	}
 	if err := wal.Close(); err != nil {

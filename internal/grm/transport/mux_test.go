@@ -177,8 +177,8 @@ func expectHangUp(t *testing.T, addr string, opener []byte) net.Conn {
 	return conn
 }
 
-// TestNonHelloOpenerRefused: a peer that opens with anything but the v3
-// hello — the gob stream this listener used to serve, or a v1 or v2
+// TestNonHelloOpenerRefused: a peer that opens with anything but the v4
+// hello — the gob stream this listener used to serve, or a v1, v2 or v3
 // hello — is closed without a reply, the refusal says why and to whom,
 // and the server keeps serving.
 func TestNonHelloOpenerRefused(t *testing.T) {
@@ -188,10 +188,10 @@ func TestNonHelloOpenerRefused(t *testing.T) {
 	// What gob.NewEncoder(conn).Encode(&echoReq{}) opens with: a positive
 	// message-length uvarint, then type descriptors.
 	gobish := expectHangUp(t, addr, []byte{0x1f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x07, 'e', 'c', 'h', 'o', 'R', 'e', 'q'})
-	if want := gobish.LocalAddr().String() + " is not speaking protocol v3 (legacy gob peer or garbage)"; !strings.Contains(logs.String(), want) {
+	if want := gobish.LocalAddr().String() + " is not speaking protocol v4 (legacy gob peer or garbage)"; !strings.Contains(logs.String(), want) {
 		t.Errorf("log %q does not name the refusal %q", logs.String(), want)
 	}
-	for _, old := range []byte{1, 2} {
+	for _, old := range []byte{1, 2, 3} {
 		expectHangUp(t, addr, []byte{0x00, 'G', 'R', 'M', old})
 		if want := fmt.Sprintf("protocol version %d is no longer spoken", old); !strings.Contains(logs.String(), want) {
 			t.Errorf("log %q does not name the v%d refusal", logs.String(), old)
@@ -270,12 +270,12 @@ func TestSetTimeoutsArmsDeadlineOnLiveConn(t *testing.T) {
 }
 
 // TestOlderBinaryVersionRefused: a client proposing a version this
-// package no longer writes — v2, whose takes were 8 bytes each, or v1 —
-// gets no accept: the server hangs up, which the client sees as a failed
-// handshake read.
+// package no longer writes — v3, whose frames had 4-byte lengths, v2,
+// whose takes were 8 bytes each, or v1 — gets no accept: the server hangs
+// up, which the client sees as a failed handshake read.
 func TestOlderBinaryVersionRefused(t *testing.T) {
 	_, addr := startEcho(t, transport.Options{})
-	for _, old := range []byte{transport.Version - 1, 1} {
+	for _, old := range []byte{3, 2, 1} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)

@@ -8,7 +8,7 @@
 // lockedio analyzer enforces).
 //
 // One protocol is served (wire.go documents the format): a peer opens
-// with the version-2 hello, then exchanges CRC-framed envelopes tagged
+// with the hello of protocol version 4 (Version), then exchanges CRC-framed envelopes tagged
 // with request ids and may pipeline: the connection's reader hands each
 // decoded request to one of the connection's handler workers and a single
 // writer goroutine serializes the replies, so responses return in

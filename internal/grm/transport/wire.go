@@ -1,6 +1,6 @@
 package transport
 
-// The wire format (protocol version 3), the only one served:
+// The wire format (protocol version 4), the only one served:
 //
 // Handshake. A client opens with the 5-byte hello
 //
@@ -9,19 +9,20 @@ package transport
 // and the server answers with the same magic and the version it accepts
 // (the minimum of the client's proposal and its own maximum). A proposal
 // below Version is refused by closing the connection: version 1 framed
-// allocation replies as population-sized vectors and version 2 spelled
-// every take in 8 bytes, neither of which this package writes any more.
-// A connection that does not open with the lead byte 0x00 is refused the
-// same way after one peeked byte — that is what the gob stream this
-// protocol replaced looks like (its first byte is a message-length
-// uvarint and can never be zero), and a reply whose meaning depends on
-// the vintage of the peer's decoder is not served.
+// allocation replies as population-sized vectors, version 2 spelled every
+// take in 8 bytes and version 3 gave every frame a 4-byte length and every
+// reply an error string and code, none of which this package writes any
+// more. A connection that does not open with the lead byte 0x00 is
+// refused the same way after one peeked byte — that is what the gob
+// stream this protocol replaced looks like (its first byte is a
+// message-length uvarint and can never be zero), and a reply whose
+// meaning depends on the vintage of the peer's decoder is not served.
 //
 // Frames. After the handshake every message in both directions is one
 // CRC frame of internal/wirefmt — the layout the write-ahead log of
 // internal/store shares — whose payload leads with a request id:
 //
-//	[4B LE payload length][4B LE CRC-32 (IEEE) of payload][payload]
+//	[uvarint payload length][4B LE CRC-32 (IEEE) of payload][payload]
 //	payload = [uvarint request id][envelope bytes]
 //
 // The request id correlates replies with requests: a client may have
@@ -41,10 +42,12 @@ import (
 
 const (
 	// Version is the binary protocol version this package speaks, and the
-	// only one: version 3 spells an allocation's takes without their
-	// trailing zero bytes (wirefmt.AppendTakes), version 2 sent them as
-	// sparse runs of 8-byte floats and version 1 one float per principal.
-	Version = 3
+	// only one: version 4 spells a frame's length as a uvarint and opens a
+	// reply with one uvarint of its kind and outcome; version 3 framed
+	// with a fixed 4-byte length and gave every reply an error string and
+	// code, version 2 sent an allocation's takes as sparse runs of 8-byte
+	// floats and version 1 one float per principal.
+	Version = 4
 	// MaxFramePayload bounds one frame's payload (wirefmt.MaxFramePayload).
 	MaxFramePayload = wirefmt.MaxFramePayload
 	// helloSize is the fixed length of the handshake hello/accept.
@@ -126,10 +129,11 @@ func (fw *FrameWriter) WriteFrame(id uint64, enc func([]byte) ([]byte, error)) e
 		return err
 	}
 	fw.buf = buf // keep the grown buffer even on error paths below
-	if err := wirefmt.EndFrame(buf, 0); err != nil {
+	frame, err := wirefmt.EndFrame(buf, 0)
+	if err != nil {
 		return fmt.Errorf("transport: write frame: %w", err)
 	}
-	if _, err := fw.w.Write(buf); err != nil {
+	if _, err := fw.w.Write(frame); err != nil {
 		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil
@@ -142,7 +146,7 @@ type FrameReader struct {
 }
 
 // NewFrameReader reads frames from r (wrap in a bufio.Reader first when
-// r is a raw connection — the header and payload are read separately).
+// r is a raw connection — the length is read a byte at a time).
 func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{fr: wirefmt.NewReader(r, -1)}
 }

@@ -117,9 +117,8 @@ func TestFrameCRCMismatch(t *testing.T) {
 }
 
 func TestFrameRejectsOversizedLength(t *testing.T) {
-	var header [8]byte
-	binary.LittleEndian.PutUint32(header[0:4], transport.MaxFramePayload+1)
-	_, _, err := transport.NewFrameReader(bytes.NewReader(header[:])).ReadFrame()
+	header := append(binary.AppendUvarint(nil, transport.MaxFramePayload+1), 0, 0, 0, 0)
+	_, _, err := transport.NewFrameReader(bytes.NewReader(header)).ReadFrame()
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("oversized frame: err = %v", err)
 	}

@@ -7,9 +7,10 @@ import (
 	"repro/internal/wirefmt"
 )
 
-// Record encoding. A log is a sequence of wirefmt CRC frames
+// Record encoding. A log file is a file magic and then a sequence of
+// wirefmt CRC frames
 //
-//	[4B LE payload length][4B LE CRC-32 (IEEE) of payload][payload]
+//	"GWAL" · [uvarint payload length][4B LE CRC-32 (IEEE) of payload][payload] · …
 //
 // and a payload is one Record in wirefmt's field primitives:
 //
@@ -39,19 +40,22 @@ import (
 // (Sources, Takes) — pairs only: a record handed over in the dense form
 // (nil Sources) is written as its non-zero pairs and read back that way.
 // A field outside its kind's row is not stored. The decoder is strict (no
-// padded uvarint, no split run, no padded take, no trailing byte), so a
-// payload it accepts re-encodes to its own bytes.
+// padded length or uvarint, no split run, no padded take, no trailing
+// byte), so a frame it accepts re-encodes to its own bytes.
 //
-// Older logs stay readable, told apart by the first payload byte of each
-// frame, so a log may mix them: it is read as it is, appended to in this
-// encoding and rewritten by its next Compact. A record of the first binary
-// encoding is an alloc or state kind byte without takesV3, and its takes
-// are protocol version 2's sparse runs (wirefmt's SparseFloat64s); every
-// other kind is spelled as it is now. A record from before the binary
-// encoding is the Record as JSON, whose '{' (0x7B) is no kind byte. Those
-// branches of decodeRecord can be deleted once no deployment holds a
-// wal.log or snapshot.wal last compacted by a build older than this
-// encoding.
+// Older files stay readable. A file that does not open with the magic is
+// legacy: its frames have wirefmt's fixed 8-byte legacy header
+// (NewLegacyReader), and each frame's first payload byte tells its
+// encoding, so one legacy file may mix three. A record of the first
+// binary encoding is an alloc or state kind byte without takesV3, and its
+// takes are protocol version 2's sparse runs (wirefmt's SparseFloat64s);
+// every other kind is spelled as it is now. A record from before the
+// binary encoding is the Record as JSON, whose '{' (0x7B) is no kind byte.
+// A file with the magic holds only this encoding. OpenFileLog rewrites a
+// legacy wal.log in this spelling before it appends, and Compact replaces
+// a legacy snapshot.wal, so the legacy branches of this file and of
+// wirefmt can be deleted once no deployment holds a snapshot.wal last
+// compacted, or a wal.log last opened, by a build older than the magic.
 
 const (
 	// legacyJSONLead is the first payload byte of a JSON-era record.
@@ -61,14 +65,18 @@ const (
 	takesV3 = 0x80
 )
 
+// fileMagic opens every log file this build writes. Its first four bytes
+// read as a legacy frame's length are 0x4C415747, far beyond
+// wirefmt.MaxFramePayload, so no legacy file can open with it.
+const fileMagic = "GWAL"
+
 // appendFrame appends rec to dst as one frame.
 func appendFrame(dst []byte, rec *Record) ([]byte, error) {
-	start := len(dst)
 	buf, err := appendRecord(wirefmt.BeginFrame(dst), rec)
 	if err != nil {
 		return dst, err
 	}
-	if err := wirefmt.EndFrame(buf, start); err != nil {
+	if buf, err = wirefmt.EndFrame(buf, len(dst)); err != nil {
 		return dst, fmt.Errorf("store: encode %v record: %w", rec.Kind, err)
 	}
 	return buf, nil
@@ -199,9 +207,10 @@ const (
 	minBorrowSize = 1 + 8      // parent lease, amount
 )
 
-// decodeRecord parses one frame payload, binary or legacy JSON.
-func decodeRecord(payload []byte) (*Record, error) {
-	if len(payload) > 0 && payload[0] == legacyJSONLead {
+// decodeRecord parses one frame payload. Only a frame of a legacy file
+// may be JSON or hold version 2 takes.
+func decodeRecord(payload []byte, legacy bool) (*Record, error) {
+	if legacy && len(payload) > 0 && payload[0] == legacyJSONLead {
 		rec := &Record{}
 		if err := json.Unmarshal(payload, rec); err != nil {
 			return nil, fmt.Errorf("store: decode legacy record: %w", err)
@@ -214,8 +223,10 @@ func decodeRecord(payload []byte) (*Record, error) {
 	d := wirefmt.NewDec(payload)
 	lead := d.Byte()
 	rec := &Record{Kind: Kind(lead &^ takesV3), Seq: d.Uvarint()}
-	v3 := lead&takesV3 != 0
-	if v3 && rec.Kind != KindAlloc && rec.Kind != KindState {
+	// takesV3 marks the kinds that carry takes, save where a legacy file
+	// holds them in version 2's spelling.
+	v3, hasTakes := lead&takesV3 != 0, rec.Kind == KindAlloc || rec.Kind == KindState
+	if v3 && !hasTakes || !v3 && hasTakes && !legacy {
 		return nil, fmt.Errorf("store: decode record: invalid kind byte %#x", lead)
 	}
 	switch rec.Kind {

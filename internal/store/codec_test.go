@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -19,19 +21,34 @@ import (
 	"repro/internal/wirefmt"
 )
 
+// legacyFrame frames payload the way every log was written before the
+// file magic: behind a fixed 4-byte length and the CRC.
+func legacyFrame(payload []byte) []byte {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
+}
+
 // jsonFrame frames rec the way every log was written before the binary
-// encoding: the Record as encoding/json text inside the CRC frame.
+// encoding: the Record as encoding/json text inside a legacy frame.
 func jsonFrame(t testing.TB, rec *Record) []byte {
 	t.Helper()
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := append(wirefmt.BeginFrame(nil), payload...)
-	if err := wirefmt.EndFrame(frame, 0); err != nil {
+	return legacyFrame(payload)
+}
+
+// legacyBinaryFrame frames rec's payload in this encoding inside a legacy
+// frame, as the last build before the file magic wrote it.
+func legacyBinaryFrame(t testing.TB, rec *Record) []byte {
+	t.Helper()
+	payload, err := appendRecord(nil, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return frame
+	return legacyFrame(payload)
 }
 
 func binaryFrame(t testing.TB, rec *Record) []byte {
@@ -41,6 +58,26 @@ func binaryFrame(t testing.TB, rec *Record) []byte {
 		t.Fatal(err)
 	}
 	return frame
+}
+
+// logOf is the log file this build writes holding frames.
+func logOf(frames ...[]byte) []byte {
+	return append([]byte(fileMagic), bytes.Join(frames, nil)...)
+}
+
+// payloads returns the payloads of the frames of a legacy log file, or
+// none when raw opens with the file magic (whose first four bytes no
+// legacy reader accepts as a length).
+func payloads(raw []byte) [][]byte {
+	var out [][]byte
+	fr := wirefmt.NewLegacyReader(bytes.NewReader(raw), int64(len(raw)))
+	for {
+		payload, err := fr.Next()
+		if err != nil {
+			return out
+		}
+		out = append(out, bytes.Clone(payload))
+	}
 }
 
 // allKinds is one record of every kind, each using every field of its
@@ -89,8 +126,8 @@ func TestRecordRoundTripAllKinds(t *testing.T) {
 	for _, rec := range allKinds() {
 		seen[rec.Kind] = true
 		frame := binaryFrame(t, rec)
-		got, n, err := DecodeRecords(bytes.NewReader(frame))
-		if err != nil || n != int64(len(frame)) || len(got) != 1 {
+		got, n, err := DecodeRecords(bytes.NewReader(logOf(frame)))
+		if err != nil || n != int64(len(logOf(frame))) || len(got) != 1 {
 			t.Fatalf("%v: decoded %d records, %d of %d bytes (%v)", rec.Kind, len(got), n, len(frame), err)
 		}
 		if !reflect.DeepEqual(got[0], rec) {
@@ -110,52 +147,61 @@ func TestRecordRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/all_kinds_v3/wal.log from the encoder")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/all_kinds_v4/wal.log from the encoder")
 
-// Two logs of allKinds: the first binary encoding wrote v2Golden, whose
-// takes are protocol version 2's 8-byte runs, and this one writes
-// v3Golden. Nothing writes the first any more; it stays to be read.
+// Three logs of allKinds. The first binary encoding wrote v2Golden, whose
+// takes are protocol version 2's 8-byte runs, and the next v3Golden; both
+// have the legacy 8-byte frame header and no file magic. This one writes
+// v4Golden. Nothing writes the first two any more; they stay to be read.
 var (
 	v2Golden = filepath.Join("testdata", "all_kinds", walName)
 	v3Golden = filepath.Join("testdata", "all_kinds_v3", walName)
+	v4Golden = filepath.Join("testdata", "all_kinds_v4", walName)
 )
 
-// TestBinaryFormatGolden pins the bytes: testdata/all_kinds_v3/wal.log is
+// TestBinaryFormatGolden pins the bytes: testdata/all_kinds_v4/wal.log is
 // allKinds as this encoding first wrote them. A round trip cannot see two
 // fields swapped in encoder and decoder alike; a log on someone's disk
 // can. Change the file only with a new kind or a deliberate, versioned
 // change of format (go test ./internal/store -run Golden -update), and
 // keep the file it replaces as a log that must still be read, as
-// TestV2BinaryLogStillReads keeps testdata/all_kinds/wal.log.
+// TestV2BinaryLogStillReads and TestV3LegacyHeaderLogStillReads keep
+// testdata/all_kinds and testdata/all_kinds_v3.
 func TestBinaryFormatGolden(t *testing.T) {
-	var now []byte
-	for _, rec := range allKinds() {
-		now = append(now, binaryFrame(t, rec)...)
-	}
+	now := reencoded(t, allKinds())
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(v3Golden), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(v4Golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(v3Golden, now, 0o644); err != nil {
+		if err := os.WriteFile(v4Golden, now, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	golden, err := os.ReadFile(v3Golden)
+	golden, err := os.ReadFile(v4Golden)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(now, golden) {
-		t.Fatalf("the encoder no longer writes %s byte for byte: logs in the field would be misread", v3Golden)
+		t.Fatalf("the encoder no longer writes %s byte for byte: logs in the field would be misread", v4Golden)
 	}
 	got, n, err := DecodeRecords(bytes.NewReader(golden))
 	if err != nil || n != int64(len(golden)) || !reflect.DeepEqual(got, allKinds()) {
-		t.Fatalf("%s decodes to %d records, %d of %d bytes (%v)", v3Golden, len(got), n, len(golden), err)
+		t.Fatalf("%s decodes to %d records, %d of %d bytes (%v)", v4Golden, len(got), n, len(golden), err)
 	}
+}
+
+// reencoded is the log this build writes of recs.
+func reencoded(t testing.TB, recs []*Record) []byte {
+	var frames [][]byte
+	for _, rec := range recs {
+		frames = append(frames, binaryFrame(t, rec))
+	}
+	return logOf(frames...)
 }
 
 // TestV2BinaryLogStillReads: the log the first binary encoding wrote of
 // allKinds — its alloc and state records unmarked, their takes 8 bytes
-// each — decodes to allKinds, and is written again as v3Golden.
+// each — decodes to allKinds, and is written again as v4Golden.
 func TestV2BinaryLogStillReads(t *testing.T) {
 	raw, err := os.ReadFile(v2Golden)
 	if err != nil {
@@ -168,22 +214,48 @@ func TestV2BinaryLogStillReads(t *testing.T) {
 	if n := v2TakesRecords(raw); n != 4 {
 		t.Errorf("%s holds %d version 2 alloc and state records, want 4", v2Golden, n)
 	}
-	var again []byte
-	for _, rec := range got {
-		again = append(again, binaryFrame(t, rec)...)
-	}
-	if golden, err := os.ReadFile(v3Golden); err != nil || !bytes.Equal(again, golden) {
-		t.Errorf("%s re-encodes to %d bytes that are not %s (%v)", v2Golden, len(again), v3Golden, err)
+	again := reencoded(t, got)
+	if golden, err := os.ReadFile(v4Golden); err != nil || !bytes.Equal(again, golden) {
+		t.Errorf("%s re-encodes to %d bytes that are not %s (%v)", v2Golden, len(again), v4Golden, err)
 	}
 	if len(again) >= len(raw) {
 		t.Errorf("written again in %d bytes, from %d", len(again), len(raw))
 	}
 }
 
+// TestV3LegacyHeaderLogStillReads: the log of allKinds the last build
+// before the file magic wrote — this record encoding behind 8-byte frame
+// headers — decodes to allKinds and is written again as v4Golden, a
+// header of 5 or 6 bytes a frame and the magic in front.
+func TestV3LegacyHeaderLogStillReads(t *testing.T) {
+	raw, err := os.ReadFile(v3Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, n, err := DecodeRecords(bytes.NewReader(raw))
+	if err != nil || n != int64(len(raw)) || !reflect.DeepEqual(got, allKinds()) {
+		t.Fatalf("%s decodes to %d records, %d of %d bytes (%v)", v3Golden, len(got), n, len(raw), err)
+	}
+	if n := len(payloads(raw)); n != len(got) {
+		t.Fatalf("%s holds %d legacy frames, want %d", v3Golden, n, len(got))
+	}
+	golden, err := os.ReadFile(v4Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := reencoded(t, got); !bytes.Equal(again, golden) {
+		t.Errorf("%s re-encodes to %d bytes that are not %s", v3Golden, len(again), v4Golden)
+	}
+	if saved := len(raw) - len(golden); saved < 2*len(got)-len(fileMagic) {
+		t.Errorf("the varint header saves %d bytes over %d frames", saved, len(got))
+	}
+}
+
 // TestV2LogAppendsAndCompactsToV3: a directory whose WAL the first binary
 // encoding wrote is opened, appended to and compacted by this build; it
-// replays the same records at every step, the appends land behind the old
-// bytes, and after Compact no record on disk is in the old spelling.
+// replays the same records at every step, the open rewrites the WAL in
+// this build's spelling (v4Golden) and the appends land behind it, and
+// after Compact no record on disk is in the old spelling.
 func TestV2LogAppendsAndCompactsToV3(t *testing.T) {
 	dir := t.TempDir()
 	old, err := os.ReadFile(v2Golden)
@@ -217,8 +289,12 @@ func TestV2LogAppendsAndCompactsToV3(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if onDisk, err := os.ReadFile(filepath.Join(dir, walName)); err != nil || !bytes.Equal(onDisk, append(old, v3...)) {
-		t.Fatalf("WAL is not the version 2 log followed by the appended frames (%v)", err)
+	golden, err := os.ReadFile(v4Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onDisk, err := os.ReadFile(filepath.Join(dir, walName)); err != nil || !bytes.Equal(onDisk, append(golden, v3...)) {
+		t.Fatalf("WAL is not the version 2 log rewritten followed by the appended frames (%v)", err)
 	}
 	if l, err = OpenFileLog(dir); err != nil {
 		t.Fatal(err)
@@ -247,15 +323,13 @@ func TestV2LogAppendsAndCompactsToV3(t *testing.T) {
 
 // v2TakesRecords counts the frames of a log whose kind byte is that of an
 // alloc or state record as the first binary encoding wrote it, without
-// takesV3.
+// takesV3. Only a legacy file can hold one.
 func v2TakesRecords(raw []byte) int {
 	n := 0
-	for rest := raw; len(rest) > 0; {
-		size := wirefmt.FrameHeaderSize + int(binary.LittleEndian.Uint32(rest))
-		if k := Kind(rest[wirefmt.FrameHeaderSize]); k == KindAlloc || k == KindState {
+	for _, payload := range payloads(raw) {
+		if k := Kind(payload[0]); k == KindAlloc || k == KindState {
 			n++
 		}
-		rest = rest[size:]
 	}
 	return n
 }
@@ -308,24 +382,25 @@ func TestAppendRefusesUnreadableRecords(t *testing.T) {
 
 // legacyAndBinary builds the three logs recovery has to read: one in the
 // JSON encoding (pair-form and dense takes, as the last JSON build wrote
-// them), one binary, and a JSON log that was appended to in binary.
+// them), one binary as this build writes it, and a JSON log that a build
+// before the file magic appended to in binary.
 func legacyAndBinary(t testing.TB) (logs map[string][]byte, want []*Record) {
 	recs := sampleRecords()
 	recs = append(recs, &Record{Seq: 7, Kind: KindAlloc, Lease: 2, Sources: []int{1}, Takes: []float64{4}})
 	dense := *recs[4]
 	dense.Sources, dense.Takes = nil, []float64{30, 10}
-	logs = map[string][]byte{}
+	logs = map[string][]byte{"binary": []byte(fileMagic)}
 	for i, rec := range recs {
-		bin, js := binaryFrame(t, rec), jsonFrame(t, rec)
+		js := jsonFrame(t, rec)
 		if i == 4 {
 			js = jsonFrame(t, &dense)
 		}
-		logs["binary"] = append(logs["binary"], bin...)
+		logs["binary"] = append(logs["binary"], binaryFrame(t, rec)...)
 		logs["json"] = append(logs["json"], js...)
 		if i < 5 {
 			logs["mixed"] = append(logs["mixed"], js...)
 		} else {
-			logs["mixed"] = append(logs["mixed"], bin...)
+			logs["mixed"] = append(logs["mixed"], legacyBinaryFrame(t, rec)...)
 		}
 	}
 	return logs, recs
@@ -341,8 +416,8 @@ func samePairs(got, want *Record) bool {
 }
 
 // v2ThenV3 is the log of allKinds the first binary encoding wrote with
-// the same records appended by this one, sequenced after it, and the
-// records it holds.
+// the same records appended by the last build before the file magic,
+// sequenced after it, and the records it holds.
 func v2ThenV3(t testing.TB) ([]byte, []*Record) {
 	raw, err := os.ReadFile(v2Golden)
 	if err != nil {
@@ -351,15 +426,15 @@ func v2ThenV3(t testing.TB) ([]byte, []*Record) {
 	recs := allKinds()
 	for i, rec := range allKinds() {
 		rec.Seq = 1<<62 + 2 + uint64(i)
-		raw = append(raw, binaryFrame(t, rec)...)
+		raw = append(raw, legacyBinaryFrame(t, rec)...)
 		recs = append(recs, rec)
 	}
 	return raw, recs
 }
 
 // TestLegacyAndMixedLogs: a JSON log, a binary log, a JSON log with a
-// binary tail and a log of the first binary encoding with a tail of this
-// one all decode to the records written, and each stops cleanly at the
+// binary tail and a log of the first binary encoding with a tail of the
+// next all decode to the records written, and each stops cleanly at the
 // last whole frame when its tail is cut or a bit in it flips.
 func TestLegacyAndMixedLogs(t *testing.T) {
 	logs, records := legacyAndBinary(t)
@@ -405,7 +480,8 @@ func TestLegacyAndMixedLogs(t *testing.T) {
 
 // TestMixedFileLogCompacts: a directory holding a JSON snapshot and WAL is
 // opened, appended to and compacted by this build; every step replays to
-// the same records, and after Compact nothing on disk is JSON.
+// the same records, the open rewrites the WAL in binary, and after
+// Compact nothing on disk is JSON.
 func TestMixedFileLogCompacts(t *testing.T) {
 	dir := t.TempDir()
 	recs := sampleRecords()
@@ -440,8 +516,8 @@ func TestMixedFileLogCompacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(onDisk, append(wal, binaryFrame(t, recs[5])...)) {
-		t.Fatalf("WAL is not the JSON prefix plus one binary frame")
+	if !bytes.Equal(onDisk, logOf(binaryFrame(t, recs[3]), binaryFrame(t, recs[4]), binaryFrame(t, recs[5]))) {
+		t.Fatalf("WAL is not the JSON records rewritten plus one binary frame")
 	}
 	folded := &Record{Seq: 7, Kind: KindState, State: state.State}
 	if err := l.Compact(folded); err != nil {
@@ -457,6 +533,115 @@ func TestMixedFileLogCompacts(t *testing.T) {
 		}
 		if bytes.Contains(raw, []byte(`"seq"`)) {
 			t.Errorf("%s still holds JSON after Compact", name)
+		}
+	}
+}
+
+// TestLegacyWALRewrittenAtOpen: opening a directory whose WAL has the
+// legacy header rewrites it whole in this build's spelling before the
+// first append — the torn tail dropped, every record and seq kept — and
+// DumpJSON, which only reads, leaves a legacy directory as it found it.
+func TestLegacyWALRewrittenAtOpen(t *testing.T) {
+	raw, err := os.ReadFile(v3Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, walName)
+	torn := append(append([]byte(nil), raw...), legacyBinaryFrame(t, &Record{Seq: 1<<62 + 2, Kind: KindRepay})[:5]...)
+	if err := os.WriteFile(walPath, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := DumpJSON(dir, io.Discard); err == nil {
+		t.Error("DumpJSON read past a torn legacy tail")
+	}
+	if onDisk, err := os.ReadFile(walPath); err != nil || !bytes.Equal(onDisk, torn) {
+		t.Fatalf("DumpJSON changed the legacy WAL (%v)", err)
+	}
+	l, err := OpenFileLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	golden, err := os.ReadFile(v4Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := os.ReadFile(walPath)
+	if err != nil || !bytes.Equal(onDisk, golden) {
+		t.Fatalf("the legacy WAL was opened as %d bytes, not rewritten as %s (%v)", len(onDisk), v4Golden, err)
+	}
+	if l.size != int64(len(golden)) {
+		t.Fatalf("the log appends at byte %d of %d", l.size, len(golden))
+	}
+	if got := replayAll(t, l); !reflect.DeepEqual(got, allKinds()) {
+		t.Fatalf("the rewritten WAL replays as %+v", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, walTmpName)); !os.IsNotExist(err) {
+		t.Errorf("the rewrite left %s behind (%v)", walTmpName, err)
+	}
+}
+
+// TestCrashMidRewrite: a crash while the legacy WAL was being rewritten
+// leaves the temp file part-written beside the untouched legacy log. The
+// next open drops the temp file and rewrites the log from the start.
+func TestCrashMidRewrite(t *testing.T) {
+	raw, err := os.ReadFile(v2Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(v4Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walTmpName), golden[:len(golden)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenFileLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if onDisk, err := os.ReadFile(filepath.Join(dir, walName)); err != nil || !bytes.Equal(onDisk, golden) {
+		t.Fatalf("after the crash the WAL was opened as %d bytes, not rewritten whole (%v)", len(onDisk), err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, walTmpName)); !os.IsNotExist(err) {
+		t.Errorf("the half-written %s survived the open (%v)", walTmpName, err)
+	}
+	if got := replayAll(t, l); !reflect.DeepEqual(got, allKinds()) {
+		t.Fatalf("replays as %+v", got)
+	}
+}
+
+// TestCurrentLogHoldsOneSpelling: behind the file magic only this
+// encoding is read — a JSON record or version 2 takes, which a legacy file
+// may hold, stop the scan there.
+func TestCurrentLogHoldsOneSpelling(t *testing.T) {
+	reg := binaryFrame(t, &Record{Seq: 1, Kind: KindRegister, Name: "A", Capacity: 10})
+	jsPayload, err := json.Marshal(&Record{Seq: 2, Kind: KindReport, Available: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Payload, err := appendRecord(nil, &Record{Seq: 2, Kind: KindAlloc, Lease: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Payload[0] &^= takesV3 // no takes: the same bytes in either spelling
+	for name, payload := range map[string][]byte{"json": jsPayload, "version 2 takes": v2Payload} {
+		frame, err := wirefmt.EndFrame(append(wirefmt.BeginFrame(nil), payload...), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, n, err := DecodeRecords(bytes.NewReader(logOf(reg, frame)))
+		if err != nil || len(got) != 1 || n != int64(len(logOf(reg))) {
+			t.Errorf("%s behind the magic: %d records, %d bytes (%v); want the register alone", name, len(got), n, err)
+		}
+		if got, _, err := DecodeRecords(bytes.NewReader(legacyFrame(payload))); err != nil || len(got) != 1 {
+			t.Errorf("%s in a legacy file: %d records (%v)", name, len(got), err)
 		}
 	}
 }
@@ -546,8 +731,8 @@ func TestFileLogSurvivesFailedWrite(t *testing.T) {
 // TestDecodeRefusesLengthBeyondSource: a length field is checked against
 // what the source still holds before a payload buffer is sized by it.
 func TestDecodeRefusesLengthBeyondSource(t *testing.T) {
-	prefix := binaryFrame(t, sampleRecords()[0])
-	lying := append(append([]byte(nil), prefix...), 0x00, 0x00, 0x80, 0x00, 1, 2, 3, 4, 'x') // claims 8 MB, holds 1 byte
+	prefix := logOf(binaryFrame(t, sampleRecords()[0]))
+	lying := append(append([]byte(nil), prefix...), 0x80, 0x80, 0x80, 0x04, 1, 2, 3, 4, 'x') // claims 8 MB, holds 1 byte
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	recs, n, err := DecodeRecords(bytes.NewReader(lying))

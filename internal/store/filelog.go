@@ -13,16 +13,19 @@ import (
 	"repro/internal/wirefmt"
 )
 
-// On disk a log is a sequence of CRC frames, one Record each (codec.go
-// has the layout). The CRC catches torn or bit-rotted frames; a short
-// header or payload marks the point a crash truncated the file. Decoding
-// stops at the first frame that fails any check — everything before it is
-// the recovered prefix, and the file is truncated back to that point on
-// open so later appends never follow garbage.
+// On disk a log is the file magic and then a sequence of CRC frames, one
+// Record each (codec.go has the layout). The CRC catches torn or
+// bit-rotted frames; a short header or payload marks the point a crash
+// truncated the file. Decoding stops at the first frame that fails any
+// check — everything before it is the recovered prefix, and the file is
+// truncated back to that point on open so later appends never follow
+// garbage. A file is written whole in one header spelling: a legacy WAL
+// is rewritten at open, a legacy snapshot replaced by the next Compact.
 const (
-	walName  = "wal.log"
-	snapName = "snapshot.wal"
-	tmpName  = "snapshot.tmp"
+	walName    = "wal.log"
+	snapName   = "snapshot.wal"
+	tmpName    = "snapshot.tmp"
+	walTmpName = "wal.tmp"
 )
 
 // walFile is what FileLog needs of its WAL file; *os.File in production,
@@ -53,28 +56,99 @@ type FileLog struct {
 
 // OpenFileLog opens (creating if needed) the log directory. The WAL
 // tail is scanned and truncated back to its last valid record, so a
-// file torn by a crash is safe to append to immediately.
+// file torn by a crash is safe to append to immediately. A WAL an older
+// build wrote without the file magic is first rewritten in this build's
+// spelling, records and their seq unchanged, through a temp file that is
+// fsynced and renamed over it as Compact installs a snapshot.
 func OpenFileLog(dir string) (*FileLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	// A crash between writing snapshot.tmp and renaming it leaves a tmp
-	// file that was never activated; drop it.
+	// A crash between writing a temp file and renaming it leaves a file
+	// that was never activated; drop it.
 	os.Remove(filepath.Join(dir, tmpName))
+	os.Remove(filepath.Join(dir, walTmpName))
 	walPath := filepath.Join(dir, walName)
-	valid, _, err := scanFile(walPath, nil)
+	valid, _, legacy, err := scanFile(walPath, nil)
 	if err != nil {
 		return nil, err
+	}
+	if legacy && valid > 0 {
+		if valid, err = rewriteLegacy(dir); err != nil {
+			return nil, err
+		}
 	}
 	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", walPath, err)
+	}
+	if valid < int64(len(fileMagic)) { // new, or nothing in it to keep
+		if _, err := f.WriteAt([]byte(fileMagic), 0); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("store: open %s: %w", walPath, err)
+		}
+		valid = int64(len(fileMagic))
 	}
 	if err := f.Truncate(valid); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: truncate %s to %d: %w", walPath, valid, err)
 	}
 	return &FileLog{dir: dir, wal: f, size: valid, open: true}, nil
+}
+
+// rewriteLegacy writes the valid records of the directory's legacy WAL
+// in this build's spelling and installs them as the WAL. It returns the
+// new file's size.
+func rewriteLegacy(dir string) (int64, error) {
+	var size int64
+	err := install(dir, walTmpName, walName, func(w io.Writer) error {
+		var buf []byte
+		_, _, _, err := scanFile(filepath.Join(dir, walName), func(rec *Record) error {
+			var err error
+			if buf, err = appendFrame(buf[:0], rec); err != nil {
+				return fmt.Errorf("seq %d: %w", rec.Seq, err)
+			}
+			size += int64(len(buf))
+			_, err = w.Write(buf)
+			return err
+		})
+		return err
+	})
+	if err != nil {
+		return 0, fmt.Errorf("store: rewrite legacy %s: %w", walName, err)
+	}
+	return int64(len(fileMagic)) + size, nil
+}
+
+// install writes the file name of dir through the temp file tmp: the
+// magic and what write adds go to tmp, which is fsynced and renamed over
+// name, so a crash at any point leaves either file whole.
+func install(dir, tmp, name string, write func(io.Writer) error) error {
+	tmpPath := filepath.Join(dir, tmp)
+	f, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	w.WriteString(fileMagic)
+	if err = write(w); err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", tmp, err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("sync %s: %w", tmp, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("close %s: %w", tmp, err)
+	}
+	if err := os.Rename(tmpPath, filepath.Join(dir, name)); err != nil {
+		return fmt.Errorf("rename %s: %w", tmp, err)
+	}
+	return nil
 }
 
 // Dir returns the log directory.
@@ -112,14 +186,14 @@ func (fl *FileLog) Append(rec *Record) error {
 // decoded.
 func (fl *FileLog) Replay(fn func(*Record) error) error {
 	var foldSeq uint64
-	_, _, err := scanFile(filepath.Join(fl.dir, snapName), func(rec *Record) error {
+	_, _, _, err := scanFile(filepath.Join(fl.dir, snapName), func(rec *Record) error {
 		foldSeq = max(foldSeq, rec.Seq)
 		return fn(rec)
 	})
 	if err != nil {
 		return err
 	}
-	_, _, err = scanFile(filepath.Join(fl.dir, walName), func(rec *Record) error {
+	_, _, _, err = scanFile(filepath.Join(fl.dir, walName), func(rec *Record) error {
 		if rec.Seq <= foldSeq {
 			// Already folded into the snapshot: a crash between the
 			// snapshot rename and the WAL truncate leaves such records.
@@ -132,8 +206,8 @@ func (fl *FileLog) Replay(fn func(*Record) error) error {
 
 // Compact atomically replaces the log's contents with the single state
 // record: the snapshot is written to a temp file, fsynced, renamed over
-// the old snapshot, and only then is the WAL truncated. A crash at any
-// point leaves a log that replays to the same state.
+// the old snapshot, and only then is the WAL truncated back to its magic.
+// A crash at any point leaves a log that replays to the same state.
 func (fl *FileLog) Compact(state *Record) error {
 	if state.Kind != KindState {
 		return fmt.Errorf("store: Compact with %v record, want state", state.Kind)
@@ -147,30 +221,18 @@ func (fl *FileLog) Compact(state *Record) error {
 	if !fl.open {
 		return fmt.Errorf("store: compact closed log")
 	}
-	tmp := filepath.Join(fl.dir, tmpName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := install(fl.dir, tmpName, snapName, func(w io.Writer) error {
+		_, err := w.Write(frame)
+		return err
+	}); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compact write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compact sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: compact close: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(fl.dir, snapName)); err != nil {
-		return fmt.Errorf("store: compact rename: %w", err)
-	}
 	// The snapshot is durable; the WAL tail it folded in can go.
-	if err := fl.wal.Truncate(0); err != nil {
+	magic := int64(len(fileMagic))
+	if err := fl.wal.Truncate(magic); err != nil {
 		return fmt.Errorf("store: compact truncate: %w", err)
 	}
-	fl.size = 0
+	fl.size = magic
 	return nil
 }
 
@@ -206,10 +268,11 @@ func (fl *FileLog) Close() error {
 	return nil
 }
 
-// DecodeRecords reads frames from r until it hits EOF or the first
-// invalid frame (short header, a payload length beyond the limit or
-// beyond what r holds, short payload, CRC mismatch, a payload the record
-// decoder refuses, or a sequence regression). It returns the valid
+// DecodeRecords reads the log file r holds, in the header spelling its
+// first bytes name, until it hits EOF or the first invalid frame (short
+// header, a padded length, a payload length beyond the limit or beyond
+// what r holds, short payload, CRC mismatch, a payload the record decoder
+// refuses, or a sequence regression). It returns the valid
 // prefix's records and its byte length; corruption is a stop condition,
 // never an error — recovery resumes from the last valid record. The only
 // error returned is a non-EOF read failure.
@@ -218,7 +281,7 @@ func DecodeRecords(r io.Reader) (recs []*Record, validLen int64, err error) {
 	if sized, ok := r.(interface{ Len() int }); ok { // bytes.Reader, bytes.Buffer
 		size = int64(sized.Len())
 	}
-	validLen, err = scanFrames(r, size, func(rec *Record) error {
+	validLen, _, err = scanFrames(r, size, func(rec *Record) error {
 		recs = append(recs, rec)
 		return nil
 	})
@@ -227,52 +290,69 @@ func DecodeRecords(r io.Reader) (recs []*Record, validLen int64, err error) {
 
 // scanFrames is DecodeRecords' loop: it hands each valid record to fn as
 // it is decoded (a nil fn only validates) and returns the byte length of
-// the valid prefix. size is how many bytes r holds, negative if unknown.
-// An fn error stops the scan and is returned.
-func scanFrames(r io.Reader, size int64, fn func(*Record) error) (validLen int64, err error) {
-	fr := wirefmt.NewReader(bufio.NewReader(r), size)
+// the valid prefix, the file magic included, and whether r holds a legacy
+// file, one without the magic. size is how many bytes r holds, negative
+// if unknown. An fn error stops the scan and is returned.
+func scanFrames(r io.Reader, size int64, fn func(*Record) error) (validLen int64, legacy bool, err error) {
+	br := bufio.NewReader(r)
+	head, err := br.Peek(len(fileMagic))
+	if err != nil && err != io.EOF {
+		return 0, false, fmt.Errorf("store: scan: %w", err)
+	}
+	var fr *wirefmt.Reader
+	if legacy = string(head) != fileMagic; legacy {
+		fr = wirefmt.NewLegacyReader(br, size)
+	} else {
+		br.Discard(len(fileMagic))
+		validLen = int64(len(fileMagic))
+		if size >= 0 {
+			size -= validLen
+		}
+		fr = wirefmt.NewReader(br, size)
+	}
+	base := validLen
 	var lastSeq uint64
 	for {
 		payload, err := fr.Next()
 		if err != nil {
 			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, wirefmt.ErrCorrupt) {
-				return validLen, nil
+				return validLen, legacy, nil
 			}
-			return validLen, fmt.Errorf("store: scan: %w", err)
+			return validLen, legacy, fmt.Errorf("store: scan: %w", err)
 		}
-		rec, err := decodeRecord(payload)
-		if err != nil || (validLen > 0 && rec.Seq <= lastSeq) {
+		rec, err := decodeRecord(payload, legacy)
+		if err != nil || (validLen > base && rec.Seq <= lastSeq) {
 			// A sequence regression means the tail predates the prefix
 			// (e.g. a recycled file); stop at the consistent prefix.
-			return validLen, nil
+			return validLen, legacy, nil
 		}
 		lastSeq = rec.Seq
 		if fn != nil {
 			if err := fn(rec); err != nil {
-				return validLen, err
+				return validLen, legacy, err
 			}
 		}
-		validLen += wirefmt.FrameHeaderSize + int64(len(payload))
+		validLen = base + fr.Offset()
 	}
 }
 
 // scanFile runs scanFrames over the named file and also returns the
 // file's size. A missing file is an empty log.
-func scanFile(path string, fn func(*Record) error) (validLen, size int64, err error) {
+func scanFile(path string, fn func(*Record) error) (validLen, size int64, legacy bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, 0, nil
+			return 0, 0, false, nil
 		}
-		return 0, 0, fmt.Errorf("store: open %s: %w", path, err)
+		return 0, 0, false, fmt.Errorf("store: open %s: %w", path, err)
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return 0, 0, fmt.Errorf("store: stat %s: %w", path, err)
+		return 0, 0, false, fmt.Errorf("store: stat %s: %w", path, err)
 	}
-	validLen, err = scanFrames(f, info.Size(), fn)
-	return validLen, info.Size(), err
+	validLen, legacy, err = scanFrames(f, info.Size(), fn)
+	return validLen, info.Size(), legacy, err
 }
 
 // DumpJSON prints every record of the log directory — the snapshot, then
@@ -283,7 +363,7 @@ func DumpJSON(dir string, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, name := range []string{snapName, walName} {
 		path := filepath.Join(dir, name)
-		valid, size, err := scanFile(path, func(rec *Record) error {
+		valid, size, _, err := scanFile(path, func(rec *Record) error {
 			if err := enc.Encode(rec); err != nil {
 				return fmt.Errorf("store: dump seq %d (%v): %w", rec.Seq, rec.Kind, err)
 			}

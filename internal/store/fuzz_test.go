@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"reflect"
 	"testing"
@@ -18,41 +17,43 @@ func fuzzPrefix(t testing.TB) ([]byte, []*Record) {
 		{Seq: 2, Kind: KindReport, Principal: 0, Available: 55.5},
 		{Seq: 3, Kind: KindAlloc, Lease: 1, Sources: []int{0}, Takes: []float64{10}, Expires: 42},
 	}
-	var buf []byte
+	var frames [][]byte
 	for _, r := range recs {
-		buf = append(buf, binaryFrame(t, r)...)
+		frames = append(frames, binaryFrame(t, r))
 	}
-	return buf, recs
+	return logOf(frames...), recs
 }
 
-// FuzzLogDecode feeds arbitrary bytes through the frame decoder. The
-// decoder must never panic, must treat any corruption as a clean stop at
-// the last valid record, must read nothing from a binary frame that it
-// would not write back byte for byte — or, from a frame of the first
-// binary encoding, nothing that this one does not write and read back
-// the same — and must always recover the intact prefix when garbage is
-// appended after valid frames.
+// FuzzLogDecode feeds arbitrary bytes through the log decoder, as a file
+// of this build (the magic first) or a legacy one. The decoder must never
+// panic, must treat any corruption as a clean stop at the last valid
+// record, and must always recover the intact prefix when garbage is
+// appended after valid frames. It must read nothing it would not write
+// back: a frame of a current file re-encodes to its own bytes, header
+// included; the binary payload of a legacy frame is the one this encoding
+// writes for its record — or, from a record of the first binary encoding,
+// one this encoding writes and reads back the same.
 func FuzzLogDecode(f *testing.F) {
 	prefix, _ := fuzzPrefix(f)
 	f.Add([]byte{})
+	f.Add([]byte(fileMagic))
 	f.Add(prefix)
 	f.Add(prefix[:len(prefix)-3])                // torn tail
 	f.Add(append([]byte{0xFF, 0xFF}, prefix...)) // garbage header
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
+	f.Add(append([]byte(fileMagic), 0x83, 0x00, 0, 0, 0, 0, 1, 2, 3)) // padded length
 	logs, _ := legacyAndBinary(f)
 	f.Add(logs["binary"])
 	f.Add(logs["json"])
 	f.Add(logs["mixed"]) // JSON with a binary tail
-	var every []byte
-	for _, rec := range allKinds() {
-		every = append(every, binaryFrame(f, rec)...)
+	f.Add(reencoded(f, allKinds()))
+	for _, golden := range []string{v2Golden, v3Golden} {
+		raw, err := os.ReadFile(golden)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
 	}
-	f.Add(every)
-	v2, err := os.ReadFile(v2Golden)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2)
 	mixed, _ := v2ThenV3(f)
 	f.Add(mixed)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -70,32 +71,45 @@ func FuzzLogDecode(f *testing.F) {
 			t.Fatalf("valid prefix not self-consistent: %d records/%d bytes vs %d/%d (%v)",
 				len(reDecoded), n2, len(recs), n, err)
 		}
-		// One spelling per record: an accepted binary frame is the frame
-		// the encoder writes for the record it decoded to.
-		rest := data[:n]
+		// One spelling per record.
+		valid, base := data[:n], 0
+		legacy := !bytes.HasPrefix(valid, []byte(fileMagic))
+		fr := wirefmt.NewLegacyReader(bytes.NewReader(valid), n)
+		if !legacy {
+			base = len(fileMagic)
+			fr = wirefmt.NewReader(bytes.NewReader(valid[base:]), n-int64(base))
+		}
 		for i, rec := range recs {
-			size := wirefmt.FrameHeaderSize + int(binary.LittleEndian.Uint32(rest))
-			frame := rest[:size]
-			rest = rest[size:]
-			lead := frame[wirefmt.FrameHeaderSize]
-			if lead == legacyJSONLead {
+			start := base + int(fr.Offset())
+			payload, err := fr.Next()
+			if err != nil {
+				t.Fatalf("record %d: the frame it was decoded from does not read: %v", i, err)
+			}
+			frame := valid[start : base+int(fr.Offset())]
+			if !legacy {
+				if again, err := appendFrame(nil, rec); err != nil || !bytes.Equal(again, frame) {
+					t.Fatalf("record %d (%v) accepted from % x re-encodes to % x (%v)", i, rec.Kind, frame, again, err)
+				}
 				continue
 			}
-			again, err := appendFrame(nil, rec)
-			if k := Kind(lead); k == KindAlloc || k == KindState {
+			if payload[0] == legacyJSONLead {
+				continue
+			}
+			again, err := appendRecord(nil, rec)
+			if k := Kind(payload[0]); k == KindAlloc || k == KindState {
 				// The first binary encoding: its record is written in
-				// this one, and that frame must read back as itself.
-				back, _, derr := DecodeRecords(bytes.NewReader(again))
+				// this one, and that must read back as itself.
+				back, _, derr := DecodeRecords(bytes.NewReader(logOf(binaryFrame(t, rec))))
 				if err != nil || derr != nil || len(back) != 1 {
-					t.Fatalf("record %d (%v) accepted from % x is not written again (%v, %v)", i, k, frame, err, derr)
+					t.Fatalf("record %d (%v) accepted from % x is not written again (%v, %v)", i, k, payload, err, derr)
 				}
-				if twice, err := appendFrame(nil, back[0]); err != nil || !bytes.Equal(twice, again) {
-					t.Fatalf("record %d (%v) from % x is written as % x, which reads back as % x (%v)", i, k, frame, again, twice, err)
+				if twice, err := appendRecord(nil, back[0]); err != nil || !bytes.Equal(twice, again) {
+					t.Fatalf("record %d (%v) from % x is written as % x, which reads back as % x (%v)", i, k, payload, again, twice, err)
 				}
 				continue
 			}
-			if err != nil || !bytes.Equal(again, frame) {
-				t.Fatalf("record %d (%v) accepted from % x re-encodes to % x (%v)", i, rec.Kind, frame, again, err)
+			if err != nil || !bytes.Equal(again, payload) {
+				t.Fatalf("record %d (%v) accepted from legacy payload % x re-encodes to % x (%v)", i, rec.Kind, payload, again, err)
 			}
 		}
 

@@ -242,7 +242,7 @@ type Log interface {
 // through. The zero value is ready to use.
 type MemLog struct {
 	mu     sync.Mutex
-	frames []byte // the whole log, frame after frame
+	frames []byte // the whole log as a file holds it: the magic, then frame after frame
 	n      int    // how many
 }
 
@@ -253,6 +253,9 @@ func NewMemLog() *MemLog { return &MemLog{} }
 func (m *MemLog) Append(rec *Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if len(m.frames) == 0 {
+		m.frames = append(m.frames, fileMagic...)
+	}
 	frames, err := appendFrame(m.frames, rec)
 	if err != nil {
 		return err
@@ -268,7 +271,7 @@ func (m *MemLog) Replay(fn func(*Record) error) error {
 	m.mu.Lock()
 	frames := m.frames[:len(m.frames):len(m.frames)] // later appends reallocate or write past this view, never into it
 	m.mu.Unlock()
-	_, err := scanFrames(bytes.NewReader(frames), int64(len(frames)), fn)
+	_, _, err := scanFrames(bytes.NewReader(frames), int64(len(frames)), fn)
 	return err
 }
 
@@ -277,7 +280,7 @@ func (m *MemLog) Compact(state *Record) error {
 	if state.Kind != KindState {
 		return fmt.Errorf("store: Compact with %v record, want state", state.Kind)
 	}
-	frames, err := appendFrame(nil, state)
+	frames, err := appendFrame([]byte(fileMagic), state)
 	if err != nil {
 		return err
 	}

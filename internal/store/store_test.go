@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/wirefmt"
 )
 
 func sampleRecords() []*Record {
@@ -153,7 +151,7 @@ func TestFileLogStaleTailSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapName), frame, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapName), logOf(frame), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got := replayAll(t, l)
@@ -241,13 +239,13 @@ func TestFileLogCorruptMiddle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a byte inside the third frame's payload.
-	var off int64
-	for i := 0; i < 2; i++ {
+	// Corrupt the last byte of the third frame's payload.
+	off := len(fileMagic)
+	for i := 0; i < 3; i++ {
 		fr, _ := appendFrame(nil, recs[i])
-		off += int64(len(fr))
+		off += len(fr)
 	}
-	full[off+wirefmt.FrameHeaderSize+2] ^= 0xFF
+	full[off-1] ^= 0xFF
 	if err := os.WriteFile(walPath, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -263,10 +261,15 @@ func TestFileLogCorruptMiddle(t *testing.T) {
 }
 
 func TestDecodeRecordsRejectsOversizedLength(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
-	recs, n, err := DecodeRecords(&buf)
-	if err != nil || len(recs) != 0 || n != 0 {
-		t.Fatalf("DecodeRecords = %v, %d, %v; want clean empty stop", recs, n, err)
+	for name, raw := range map[string][]byte{
+		"legacy":  {0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0},
+		"current": append([]byte(fileMagic), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0),
+	} {
+		var buf bytes.Buffer
+		buf.Write(raw)
+		recs, n, err := DecodeRecords(&buf)
+		if want := len(raw) - 8; err != nil || len(recs) != 0 || n != int64(want) {
+			t.Fatalf("%s: DecodeRecords = %v, %d, %v; want clean stop after %d bytes", name, recs, n, err, want)
+		}
 	}
 }

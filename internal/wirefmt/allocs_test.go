@@ -31,3 +31,19 @@ func TestAppendTakesAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestEndFrameAllocatesNothing: a frame is completed in the buffer it was
+// begun in, its header placed and its payload slid down without a copy
+// elsewhere.
+func TestEndFrameAllocatesNothing(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(200, func() {
+		frame, err := EndFrame(append(BeginFrame(buf[:0]), "payload"...), 0)
+		if err != nil || len(frame) != 5+len("payload") {
+			t.Fatalf("frame % x, %v", frame, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("EndFrame makes %v allocations, want none", allocs)
+	}
+}

@@ -6,9 +6,13 @@
 //
 // Frames. Every message on a connection and every record in a log file is
 //
-//	[4B LE payload length][4B LE CRC-32 (IEEE) of payload][payload]
+//	[uvarint payload length][4B LE CRC-32 (IEEE) of payload][payload]
 //
-// built in place by BeginFrame/EndFrame and read back by Reader.
+// built in place by BeginFrame/EndFrame and read back by Reader. The
+// length is minimal (at most 4 bytes, as MaxFramePayload needs): Reader
+// refuses a padded one, so a frame it accepts is the one EndFrame writes
+// for its payload. Logs written before lengths were uvarints spell the
+// header as a fixed [4B LE length][4B LE CRC]; NewLegacyReader reads them.
 //
 // Fields. Integers are minimal-length uvarints (zigzag for signed values),
 // float64s are 8-byte little-endian IEEE 754 bits, strings and byte and

@@ -4,35 +4,40 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/iotest"
 )
 
-func frameOf(t *testing.T, payload string) []byte {
+func frameOf(t testing.TB, payload string) []byte {
 	t.Helper()
-	buf := append(BeginFrame(nil), payload...)
-	if err := EndFrame(buf, 0); err != nil {
+	buf, err := EndFrame(append(BeginFrame(nil), payload...), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return buf
 }
 
 // TestFramesBuiltInPlace: frames begun one after the other in one buffer
-// read back in order, and Reader's errors tell a clean end from a torn
-// frame from a corrupt one.
+// lie back to back and read back in order, and Reader's errors tell a
+// clean end from a torn frame from a corrupt one.
 func TestFramesBuiltInPlace(t *testing.T) {
 	var buf []byte
-	payloads := []string{"first", "", "third, longer than the two before it"}
+	payloads := []string{"first", "", "third, longer than the two before it", strings.Repeat("y", 200)}
 	for _, p := range payloads {
-		start := len(buf)
-		buf = append(BeginFrame(buf), p...)
-		if err := EndFrame(buf, start); err != nil {
+		var err error
+		if buf, err = EndFrame(append(BeginFrame(buf), p...), len(buf)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Three 5-byte headers, one of 6 for the payload past 127 bytes.
+	if want := 3*5 + 6 + len(strings.Join(payloads, "")); len(buf) != want {
+		t.Fatalf("four frames take %d bytes: the headers are not the lengths' own", len(buf))
 	}
 	for _, size := range []int64{int64(len(buf)), -1} {
 		fr := NewReader(iotest.OneByteReader(bytes.NewReader(buf)), size)
@@ -44,6 +49,9 @@ func TestFramesBuiltInPlace(t *testing.T) {
 		}
 		if _, err := fr.Next(); err != io.EOF {
 			t.Fatalf("size %d: after the last frame err = %v, want io.EOF itself", size, err)
+		}
+		if fr.Offset() != int64(len(buf)) {
+			t.Fatalf("size %d: Offset %d after every frame of %d bytes", size, fr.Offset(), len(buf))
 		}
 	}
 
@@ -59,9 +67,43 @@ func TestFramesBuiltInPlace(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader(flipped), -1).Next(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("flipped payload bit: err = %v, want ErrCorrupt", err)
 	}
-	failing := io.MultiReader(bytes.NewReader(whole[:10]), iotest.ErrReader(io.ErrClosedPipe))
+	failing := io.MultiReader(bytes.NewReader(whole[:6]), iotest.ErrReader(io.ErrClosedPipe))
 	if _, err := NewReader(failing, -1).Next(); !errors.Is(err, io.ErrClosedPipe) || errors.Is(err, ErrCorrupt) {
 		t.Errorf("failing source: err = %v, want the source's error", err)
+	}
+}
+
+// TestFrameHeaderSpelling pins the header byte for byte: the length is
+// the payload's minimal uvarint, 1 to 4 bytes, then the CRC, and EndFrame
+// leaves the frame at the offset it was begun at however short its
+// header came out.
+func TestFrameHeaderSpelling(t *testing.T) {
+	if got, want := frameOf(t, "ab"), []byte{0x02, 0x6d, 0x48, 0x83, 0x9e, 'a', 'b'}; !bytes.Equal(got, want) {
+		t.Fatalf("frame of \"ab\" = % x, want % x", got, want)
+	}
+	if got, want := frameOf(t, ""), []byte{0, 0, 0, 0, 0}; !bytes.Equal(got, want) {
+		t.Fatalf("empty frame = % x, want % x", got, want)
+	}
+	for _, tc := range []struct{ n, header int }{{127, 5}, {128, 6}, {1<<14 - 1, 6}, {1 << 14, 7}, {1<<21 - 1, 7}, {1 << 21, 8}, {MaxFramePayload, 8}} {
+		payload := make([]byte, tc.n)
+		payload[tc.n-1] = 0xAB
+		lead := []byte("lead")
+		frame, err := EndFrame(append(BeginFrame(lead), payload...), len(lead))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(frame) - len(lead) - tc.n; got != tc.header {
+			t.Errorf("payload of %d bytes: %d-byte header, want %d", tc.n, got, tc.header)
+		}
+		if !bytes.Equal(frame[:len(lead)], lead) || !bytes.Equal(frame[len(lead)+tc.header:], payload) {
+			t.Errorf("payload of %d bytes: the bytes before the frame or its payload moved", tc.n)
+		}
+		if n, k := binary.Uvarint(frame[len(lead):]); n != uint64(tc.n) || k != tc.header-4 {
+			t.Errorf("payload of %d bytes: length field reads %d in %d bytes", tc.n, n, k)
+		}
+	}
+	if _, err := EndFrame(append(BeginFrame(nil), make([]byte, MaxFramePayload+1)...), 0); err == nil {
+		t.Error("a payload over the limit was framed")
 	}
 }
 
@@ -69,8 +111,8 @@ func TestFramesBuiltInPlace(t *testing.T) {
 // limit, or beyond what a sized source still holds, is refused without a
 // buffer being made for it.
 func TestReaderRefusesLengthBeforeSizing(t *testing.T) {
-	lying := frameOf(t, "x")
-	lying[2] = 0x80 // claims 8 MB
+	header := func(n uint64) []byte { return append(binary.AppendUvarint(nil, n), 1, 2, 3, 4) }
+	lying := append(header(8<<20), 'x') // claims 8 MB
 	fr := NewReader(bytes.NewReader(lying), int64(len(lying)))
 	if _, err := fr.Next(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("length beyond the source: err = %v, want ErrCorrupt", err)
@@ -78,10 +120,15 @@ func TestReaderRefusesLengthBeforeSizing(t *testing.T) {
 	if cap(fr.buf) != 0 {
 		t.Errorf("a %d-byte buffer was sized by the refused length", cap(fr.buf))
 	}
-	over := frameOf(t, "x")
-	over[3] = 0x7F
-	if _, err := NewReader(bytes.NewReader(over), -1).Next(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("length beyond the limit: err = %v, want ErrCorrupt", err)
+	for name, over := range map[string][]byte{
+		"over the limit":      header(MaxFramePayload + 1),
+		"a fifth length byte": {0x80, 0x80, 0x80, 0x80, 0x00, 1, 2, 3, 4},
+		"64-bit length":       header(1 << 62),
+	} {
+		fr := NewReader(bytes.NewReader(over), -1)
+		if _, err := fr.Next(); !errors.Is(err, ErrCorrupt) || cap(fr.buf) != 0 {
+			t.Errorf("%s: err = %v, buffer of %d bytes; want ErrCorrupt and none", name, err, cap(fr.buf))
+		}
 	}
 	// The second frame of a sized source is measured against what the
 	// first left.
@@ -93,6 +140,134 @@ func TestReaderRefusesLengthBeforeSizing(t *testing.T) {
 	if _, err := fr.Next(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("second frame past the stated size: err = %v, want ErrCorrupt", err)
 	}
+}
+
+// TestReaderRefusesPaddedLength: a length spelled in more bytes than it
+// needs is refused even when the CRC matches, so a frame has one
+// spelling.
+func TestReaderRefusesPaddedLength(t *testing.T) {
+	good := frameOf(t, "abc")
+	for _, pad := range [][]byte{{0x83, 0x00}, {0x83, 0x80, 0x00}, {0x83, 0x80, 0x80, 0x00}} {
+		frame := append(append([]byte(nil), pad...), good[1:]...)
+		if _, err := NewReader(bytes.NewReader(frame), int64(len(frame))).Next(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("length spelled % x: err = %v, want ErrCorrupt", pad, err)
+		}
+	}
+	if _, err := NewReader(bytes.NewReader([]byte{0x80, 0x00, 0, 0, 0, 0}), -1).Next(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("empty frame with a padded length: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// legacyFrame is a frame as logs were written before lengths were
+// uvarints: a fixed 4-byte length.
+func legacyFrame(payload string) []byte {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE([]byte(payload)))
+	return append(frame, payload...)
+}
+
+// TestLegacyReader: frames with the fixed 8-byte header read back with
+// the same checks, and a frame of this spelling is not one of them.
+func TestLegacyReader(t *testing.T) {
+	raw := append(legacyFrame("first"), legacyFrame("")...)
+	fr := NewLegacyReader(bytes.NewReader(raw), int64(len(raw)))
+	for _, want := range []string{"first", ""} {
+		if got, err := fr.Next(); err != nil || string(got) != want {
+			t.Fatalf("Next = %q, %v; want %q", got, err, want)
+		}
+	}
+	if _, err := fr.Next(); err != io.EOF || fr.Offset() != int64(len(raw)) {
+		t.Fatalf("after the last frame: err %v, offset %d of %d", err, fr.Offset(), len(raw))
+	}
+	for cut := 1; cut < len(raw)-8; cut++ {
+		if _, err := NewLegacyReader(bytes.NewReader(raw[:cut]), -1).Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("cut at %d: err = %v", cut, err)
+		}
+	}
+	over := binary.LittleEndian.AppendUint32(nil, MaxFramePayload+1)
+	if _, err := NewLegacyReader(bytes.NewReader(append(over, 0, 0, 0, 0)), -1).Next(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("legacy length over the limit: err = %v, want ErrCorrupt", err)
+	}
+	current := frameOf(t, "first")
+	if got, err := NewLegacyReader(bytes.NewReader(current), int64(len(current))).Next(); err == nil {
+		t.Errorf("a frame of this spelling read as a legacy frame %q", got)
+	}
+}
+
+// FuzzFrame feeds arbitrary bytes to the frame readers. They must never
+// panic or size a buffer beyond what a sized source holds; a frame they
+// accept must be the frame EndFrame writes for its payload, byte for
+// byte; a sized and an unsized reader must accept the same frames; and
+// frames built from pieces of the input must read back as those pieces.
+func FuzzFrame(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(frameOf(f, "payload"))
+	f.Add(append(frameOf(f, ""), frameOf(f, strings.Repeat("z", 300))...))
+	f.Add([]byte{0x83, 0x00, 1, 2, 3, 4, 'a', 'b', 'c'})          // padded length
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})             // a length over the limit
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}) // a length in eight bytes
+	f.Add(legacyFrame("legacy"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sized := NewReader(bytes.NewReader(data), int64(len(data)))
+		unsized := NewReader(bytes.NewReader(data), -1)
+		for {
+			start := sized.Offset()
+			payload, err := sized.Next()
+			if cap(sized.buf) > len(data) {
+				t.Fatalf("a %d-byte buffer sized over a %d-byte source", cap(sized.buf), len(data))
+			}
+			other, otherErr := unsized.Next()
+			if (err == nil) != (otherErr == nil) {
+				t.Fatalf("at byte %d the sized reader says %v, the unsized one %v", start, err, otherErr)
+			}
+			if err != nil {
+				if err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("at byte %d: error %v is neither an end nor corruption", start, err)
+				}
+				break
+			}
+			if !bytes.Equal(payload, other) || sized.Offset() != unsized.Offset() {
+				t.Fatalf("at byte %d the readers read different frames", start)
+			}
+			accepted := data[start:sized.Offset()]
+			if again := frameOf(t, string(payload)); !bytes.Equal(again, accepted) {
+				t.Fatalf("frame % x accepted; its payload is framed as % x", accepted, again)
+			}
+		}
+		legacy := NewLegacyReader(bytes.NewReader(data), int64(len(data)))
+		for {
+			if _, err := legacy.Next(); err != nil {
+				break
+			}
+		}
+		if cap(legacy.buf) > len(data) {
+			t.Fatalf("legacy reader sized a %d-byte buffer over a %d-byte source", cap(legacy.buf), len(data))
+		}
+
+		// The input cut into pieces, each framed after the last in one
+		// buffer, reads back piece by piece.
+		var pieces []string
+		for rest := data; len(rest) > 0; {
+			n := min(int(rest[0])+1, len(rest))
+			pieces, rest = append(pieces, string(rest[:n])), rest[n:]
+		}
+		var buf []byte
+		for _, p := range pieces {
+			var err error
+			if buf, err = EndFrame(append(BeginFrame(buf), p...), len(buf)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fr := NewReader(bytes.NewReader(buf), int64(len(buf)))
+		for i, want := range pieces {
+			if got, err := fr.Next(); err != nil || string(got) != want {
+				t.Fatalf("piece %d read back as %q, %v; want %q", i, got, err, want)
+			}
+		}
+		if _, err := fr.Next(); err != io.EOF || fr.Offset() != int64(len(buf)) {
+			t.Fatalf("after %d pieces: err %v at offset %d of %d", len(pieces), err, fr.Offset(), len(buf))
+		}
+	})
 }
 
 // appendV2 spells a vector the way protocol version 2 did, which nothing
