@@ -68,7 +68,11 @@ scenarios:
 # definitions no non-test file may call them. The go lists keep the served
 # binaries off the paper's library and off the test oracles: nothing grm,
 # grmd or lrmd builds may import internal/planners, or internal/modeltest
-# with its reference simplex and dense references.
+# with its reference simplex and dense references. The last two keep one
+# log format in the server: nothing grm, store, grmd or lrmd builds may
+# import internal/store/legacy, the readers of the logs written before the
+# file magic that only cmd/walupgrade runs, and no non-test file of
+# internal/store may use encoding/json but DumpJSON's encoder.
 lint:
 	$(GO) run ./cmd/sharingvet ./...
 	$(GO) run ./cmd/agreements lint testdata/*.json
@@ -77,6 +81,8 @@ lint:
 	! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench -e 'NewAllocatorSparse(' -e 'NewClosureCSR(' -e 'CapacitiesInto(' . | grep -v -e ':func NewAllocatorSparse(' -e ':func NewClosureCSR(' -e ':func CapacitiesInto('
 	! $(GO) list -deps ./internal/grm/... ./cmd/grmd ./cmd/lrmd | grep -x 'repro/internal/planners'
 	! $(GO) list -deps ./internal/grm/... ./cmd/grmd ./cmd/lrmd | grep -x 'repro/internal/modeltest'
+	! $(GO) list -deps ./internal/grm/... ./internal/store ./cmd/grmd ./cmd/lrmd | grep -x 'repro/internal/store/legacy'
+	! grep -n --exclude='*_test.go' -e 'json\.' internal/store/*.go | grep -v -x 'internal/store/filelog.go:[0-9]*:[[:space:]]*enc := json.NewEncoder(w)'
 
 # Regenerate the golden wire manifest after a deliberate protocol change.
 # The wiretag analyzer diffs internal/grm/codec.go against this file, so
@@ -109,22 +115,27 @@ allocs:
 
 # The line ratchets (ROADMAP item 10): the non-test lines of lp, core and
 # grm — what a request runs through — of the transitive closure they patch,
-# and of the paper's library in internal/planners may not grow past the
-# recorded counts. A PR that shrinks one lowers its MAX to what it prints;
-# raising one is a reviewed diff of its line, for a simplicity PR to argue.
-# Three lines, so code cannot leave the serving count by moving into the
-# closure or the library unseen.
+# of the paper's library in internal/planners, and of the log store and
+# the encoding it shares with the wire (internal/store and internal/wirefmt;
+# the offline upgrader in internal/store/legacy is not counted) may not grow
+# past the recorded counts. A PR that shrinks one lowers its MAX to what it
+# prints; raising one is a reviewed diff of its line, for a simplicity PR
+# to argue. Four lines, so code cannot leave the serving count by moving
+# into the closure, the library or the store unseen.
 SERVING_LOC_MAX = 6372
 TRANSITIVE_LOC_MAX = 1262
 LIBRARY_LOC_MAX = 1040
+STORE_LOC_MAX = 1611
 loc:
 	@n=$$(ls internal/lp/*.go internal/core/*.go internal/grm/*.go | grep -v _test | xargs cat | wc -l); \
 	c=$$(ls internal/transitive/*.go | grep -v _test | xargs cat | wc -l); \
 	l=$$(ls internal/planners/*.go | grep -v _test | xargs cat | wc -l); \
+	s=$$(ls internal/store/*.go internal/wirefmt/*.go | grep -v _test | xargs cat | wc -l); \
 	echo "serving lines (lp+core+grm, non-test): $$n (max $(SERVING_LOC_MAX))"; \
 	echo "closure lines (transitive, non-test): $$c (max $(TRANSITIVE_LOC_MAX))"; \
 	echo "library lines (planners, non-test): $$l (max $(LIBRARY_LOC_MAX))"; \
-	test $$n -le $(SERVING_LOC_MAX) && test $$c -le $(TRANSITIVE_LOC_MAX) && test $$l -le $(LIBRARY_LOC_MAX)
+	echo "store lines (store+wirefmt, non-test): $$s (max $(STORE_LOC_MAX))"; \
+	test $$n -le $(SERVING_LOC_MAX) && test $$c -le $(TRANSITIVE_LOC_MAX) && test $$l -le $(LIBRARY_LOC_MAX) && test $$s -le $(STORE_LOC_MAX)
 
 check: build
 	$(GO) vet ./...
@@ -184,8 +195,11 @@ loadgen-json:
 	$(GO) run ./cmd/loadgen -json BENCH_transport.json -duration $(LOADGEN_DURATION)
 
 # Short local fuzz passes over the snapshot, scenario-bundle, take-vector,
-# frame, wire envelope and write-ahead-log decoders, and lpsolve's model
-# parser.
+# frame, wire envelope and write-ahead-log decoders, the upgrader of the
+# logs written before the file magic, and lpsolve's model parser. Every
+# FuzzUpgrade input writes and fsyncs a log directory, so its minimization
+# of each new input is cut to 3 s; the default 60 s would take the whole
+# pass.
 fuzz:
 	$(GO) test ./internal/agreement/ -fuzz FuzzSnapshotDecode -fuzztime 30s
 	$(GO) test ./internal/wirefmt/ -run '^$$' -fuzz FuzzTakes -fuzztime 30s
@@ -193,6 +207,7 @@ fuzz:
 	$(GO) test ./internal/scenario/ -fuzz FuzzBundleDecode -fuzztime 30s
 	$(GO) test ./internal/grm/ -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLogDecode -fuzztime 30s
+	$(GO) test ./internal/store/legacy/ -run '^$$' -fuzz FuzzUpgrade -fuzztime 30s -fuzzminimizetime 3s
 	$(GO) test ./cmd/lpsolve/ -run '^$$' -fuzz FuzzParseModel -fuzztime 30s
 
 clean:

@@ -43,6 +43,11 @@
 // prints the snapshot and then the WAL tail as one JSON object per line,
 // and exits non-zero naming the byte offset if a file ends in a torn or
 // corrupt frame. It only reads, so it is safe beside a running grmd.
+//
+// grmd reads one log format. A log directory written by a build older
+// than the GWAL file magic is refused, by -wal-dir at boot and by
+// -wal-dump alike, until cmd/walupgrade has rewritten it (with grmd
+// stopped; a sharded -wal-dir one shard<i>/ directory at a time).
 package main
 
 import (
@@ -97,7 +102,7 @@ func main() {
 		walDir       = flag.String("wal-dir", "", "directory for the write-ahead log; state is replayed from it on boot (empty = volatile)")
 		snapInterval = flag.Duration("snapshot-interval", 0, "fold the WAL into a compacted snapshot this often (0 = never; requires -wal-dir)")
 		record       = flag.String("record", "", "capture live traffic into a scenario bundle written to this directory on shutdown (see SCENARIOS.md)")
-		walDump      = flag.String("wal-dump", "", "print the records of this log directory (snapshot, then WAL tail; one shard<i>/ of a sharded -wal-dir) as JSON lines and exit; non-zero with the byte offset if a file is torn")
+		walDump      = flag.String("wal-dump", "", "print the records of this log directory (snapshot, then WAL tail; one shard<i>/ of a sharded -wal-dir) as JSON lines and exit; non-zero with the byte offset if a file is torn, or naming walupgrade if an older build wrote it")
 	)
 	flag.Parse()
 

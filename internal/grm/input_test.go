@@ -1,6 +1,7 @@
 package grm
 
 import (
+	"io"
 	"math"
 	"net"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/store/legacy"
 )
 
 // TestNonFiniteQuantitiesRefused: a float off the wire is any bit pattern.
@@ -235,6 +237,9 @@ func TestStatusAgreementsIsCounted(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := legacy.Upgrade(dir, io.Discard); err != nil {
+			t.Fatal(err)
 		}
 		wal, err := store.OpenFileLog(dir)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,8 +15,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/store/legacy"
 	"repro/internal/vclock"
-	"repro/internal/wirefmt"
 )
 
 // driveWorkload runs a representative mix of transitions through the
@@ -281,16 +282,18 @@ func TestRecoverSurfacesUnresolvedBorrows(t *testing.T) {
 // TestRecoverLegacyDenseLog replays testdata/legacy_wal, a log directory
 // written by the commit before takes became pairs: a compacted snapshot
 // holding one lease and a tail holding another, every takes vector dense
-// and no record with a "src" key. Recovery must read it, and must land on
+// and no record with a "src" key. Once upgraded, recovery must land on
 // the books its pair-form twin — the same records with each takes vector
 // rewritten as (src, takes) — lands on: the same status after recovery,
 // and the same status again once both held leases are released, which is
-// where a wrong source would credit the wrong principal.
+// where a wrong source would credit the wrong principal. The releases are
+// journaled behind the upgraded log, and a compaction and a reopen keep
+// the books.
 func TestRecoverLegacyDenseLog(t *testing.T) {
-	dir := t.TempDir() // OpenFileLog opens for append; keep testdata read-only
+	dir := t.TempDir() // the upgrade rewrites the directory; keep testdata read-only
 	twin := store.NewMemLog()
 	pairForms := 0
-	for _, name := range []string{"snapshot.wal", "wal.log"} {
+	for _, name := range []string{store.SnapshotName, store.WALName} {
 		raw, err := os.ReadFile(filepath.Join("testdata", "legacy_wal", name))
 		if err != nil {
 			t.Fatal(err)
@@ -301,9 +304,9 @@ func TestRecoverLegacyDenseLog(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		recs, valid, err := store.DecodeRecords(bytes.NewReader(raw))
-		if err != nil || valid != int64(len(raw)) {
-			t.Fatalf("%s: %d of %d bytes decode (%v)", name, valid, len(raw), err)
+		recs, valid := legacy.Decode(raw)
+		if valid != int64(len(raw)) {
+			t.Fatalf("%s: %d of %d bytes decode", name, valid, len(raw))
 		}
 		for _, rec := range recs {
 			if rec.Kind == store.KindAlloc {
@@ -325,28 +328,30 @@ func TestRecoverLegacyDenseLog(t *testing.T) {
 	if pairForms != 3 {
 		t.Fatalf("rewrote %d takes vectors, the fixture holds 3", pairForms)
 	}
+	if err := legacy.Upgrade(dir, io.Discard); err != nil {
+		t.Fatal(err)
+	}
 
-	legacyLog, err := store.OpenFileLog(dir)
+	wal, err := store.OpenFileLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := NewServer(core.Config{}, nil)
-	if err := legacy.Recover(legacyLog); err != nil {
-		t.Fatalf("legacy log: %v", err)
+	upgraded := NewServer(core.Config{}, nil)
+	if err := upgraded.Recover(wal); err != nil {
+		t.Fatalf("upgraded log: %v", err)
 	}
-	defer legacy.Close()
-	defer legacyLog.Close()
+	defer upgraded.Close()
 	pairs := NewServer(core.Config{}, nil)
 	if err := pairs.Recover(twin); err != nil {
 		t.Fatalf("pair-form twin: %v", err)
 	}
 	defer pairs.Close()
 
-	if l, p := statusJSON(t, legacy), statusJSON(t, pairs); l != p {
-		t.Fatalf("recovered books differ\nlegacy: %s\npairs:  %s", l, p)
+	if l, p := statusJSON(t, upgraded), statusJSON(t, pairs); l != p {
+		t.Fatalf("recovered books differ\nupgraded: %s\npairs:    %s", l, p)
 	}
-	leasesEqual(t, pairs, legacy)
-	st, err := legacy.Status()
+	leasesEqual(t, pairs, upgraded)
+	st, err := upgraded.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,16 +368,17 @@ func TestRecoverLegacyDenseLog(t *testing.T) {
 	}
 
 	for _, lease := range []int{1, 3} {
-		for _, srv := range []*Server{legacy, pairs} {
+		for _, srv := range []*Server{upgraded, pairs} {
 			if resp := srv.Handle(&Request{Release: &ReleaseRequest{Lease: lease}}); resp.Err != "" {
 				t.Fatalf("release %d: %s", lease, resp.Err)
 			}
 		}
 	}
-	if l, p := statusJSON(t, legacy), statusJSON(t, pairs); l != p {
-		t.Fatalf("books differ after the releases\nlegacy: %s\npairs:  %s", l, p)
+	want := statusJSON(t, pairs)
+	if got := statusJSON(t, upgraded); got != want {
+		t.Fatalf("books differ after the releases\nupgraded: %s\npairs:    %s", got, want)
 	}
-	if st, err = legacy.Status(); err != nil {
+	if st, err = upgraded.Status(); err != nil {
 		t.Fatal(err)
 	}
 	wantAvail = []float64{100, 75, 120, 130, 140, 90}
@@ -381,6 +387,27 @@ func TestRecoverLegacyDenseLog(t *testing.T) {
 			t.Fatalf("availability %v at principal %d after the releases, want %v", ps.Available, i, wantAvail[i])
 		}
 	}
+
+	if err := upgraded.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	upgraded.SetLog(nil)
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if wal, err = store.OpenFileLog(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	reopened := NewServer(core.Config{}, nil)
+	defer reopened.Close()
+	if err := reopened.Recover(wal); err != nil {
+		t.Fatal(err)
+	}
+	if got := statusJSON(t, reopened); got != want {
+		t.Fatalf("recovered from the compacted log:\n%s\nwant\n%s", got, want)
+	}
+	leasesEqual(t, pairs, reopened)
 }
 
 // jsonFrame frames rec the way logs were written before the binary record
@@ -410,25 +437,32 @@ func v2Takes(raw []byte) bool {
 	return false
 }
 
-// legacyPayloads returns the payloads of raw's frames read with the
-// legacy 8-byte header: none for a file of this build, whose magic no
-// legacy reader takes for a length.
+// legacyPayloads returns the payloads of raw's frames read behind the
+// legacy 8-byte header, up to the first that does not fit: none for a
+// file of this build, whose magic read as a length runs past any file.
 func legacyPayloads(raw []byte) [][]byte {
 	var out [][]byte
-	fr := wirefmt.NewLegacyReader(bytes.NewReader(raw), int64(len(raw)))
-	for {
-		payload, err := fr.Next()
-		if err != nil {
-			return out
+	for len(raw) >= 8 {
+		n := uint64(binary.LittleEndian.Uint32(raw))
+		if n > uint64(len(raw)-8) {
+			break
 		}
-		out = append(out, bytes.Clone(payload))
+		out, raw = append(out, raw[8:8+n]), raw[8+n:]
 	}
+	return out
+}
+
+// wholeCurrentLog reports whether raw is a log file of this build that
+// reads whole.
+func wholeCurrentLog(raw []byte) bool {
+	_, valid, err := store.DecodeRecords(bytes.NewReader(raw))
+	return err == nil && valid == int64(len(raw)) && len(raw) > 0
 }
 
 // TestRecoverRejectsMalformedTakes: the log is input. Pairs that are out
 // of order, name a principal the replay has not registered, or do not
-// line up one source to one take must stop recovery — at the open's
-// rewrite of a legacy log, or in Recover — not index the books.
+// line up one source to one take must stop recovery — at the upgrade of a
+// legacy log, or in Recover — not index the books.
 func TestRecoverRejectsMalformedTakes(t *testing.T) {
 	cases := map[string]store.Record{
 		"out of order":         {Sources: []int{1, 0}, Takes: []float64{1, 1}},
@@ -453,10 +487,14 @@ func TestRecoverRejectsMalformedTakes(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "wal.log"), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// Pairs the binary encoder refuses already stop the open, which
-		// rewrites the legacy log in that encoding; the rest reach Recover.
-		wal, err := store.OpenFileLog(dir)
+		// Pairs the binary encoder refuses already stop the upgrade, which
+		// writes the legacy log in that encoding; the rest reach Recover.
+		err := legacy.Upgrade(dir, io.Discard)
 		if err == nil {
+			var wal *store.FileLog
+			if wal, err = store.OpenFileLog(dir); err != nil {
+				t.Fatal(err)
+			}
 			err = NewServer(core.Config{}, nil).Recover(wal)
 			wal.Close()
 		}
@@ -560,15 +598,14 @@ func TestJournalTakesArePairs(t *testing.T) {
 // log directory written by the last build that journaled JSON: a snapshot
 // (declared agreements, a revoked share, one lease in pair form and one
 // dense) and a tail holding both forms again, a renewal and a release.
-// This build must read it, append to it in binary, compact it, and land
-// on identical books after every reopen.
+// Once upgraded, this build must read it, append to it in binary, compact
+// it, and land on identical books after every reopen.
 func TestRecoverJSONLogThroughAppendAndCompact(t *testing.T) {
 	recoverOldLog(t, oldLog{
 		dir: "json_wal",
 		isOld: func(raw []byte) bool {
 			return bytes.Contains(raw, []byte(`"src":[`)) && bytes.Contains(raw, []byte(`"takes":[0,0,0,`))
 		},
-		stale: func(raw []byte) bool { return bytes.Contains(raw, []byte(`"seq"`)) },
 		clock: time.Unix(1_000_000_060, 0),
 		avail: []float64{98.88888888888891, 56.111111111111086, 0, 2.842170943040401e-14, 66.66666666666666,
 			106.66666666666666, 116.66666666666666, 140, 150, 0, 170, 180, 23.25},
@@ -590,16 +627,15 @@ func TestRecoverJSONLogThroughAppendAndCompact(t *testing.T) {
 // testdata/binary_v2_wal, a log directory written by the last build whose
 // takes were protocol version 2's 8-byte runs: a snapshot of a ring of
 // eight (a revoked share, three leases) and a tail of two allocations, a
-// renewal, a release and a share. This build must read it, append to it
-// in its own spelling, compact it, and land on identical books after
-// every reopen.
+// renewal, a release and a share. Once upgraded, this build must read it,
+// append to it in its own spelling, compact it, and land on identical
+// books after every reopen.
 func TestRecoverV2BinaryLogThroughAppendAndCompact(t *testing.T) {
 	recoverOldLog(t, oldLog{
 		dir: "binary_v2_wal",
 		isOld: func(raw []byte) bool {
 			return v2Takes(raw) && !bytes.Contains(raw, []byte(`"seq"`))
 		},
-		stale: v2Takes,
 		clock: time.Unix(1_000_000_060, 0),
 		avail: []float64{9.89500492000864, 21.763549739906836, 41.066522907339724, 60.31164578852651,
 			11.927795602485538, 81.25915063945924, 39.29975413289319, 90.97829661038794},
@@ -627,17 +663,14 @@ func TestRecoverV2BinaryLogThroughAppendAndCompact(t *testing.T) {
 // frames had the fixed 8-byte header and whose files no magic: a snapshot
 // of a star of six with a chain among its spokes (a revoked share, two
 // leases) and a tail of a report, two allocations, a renewal, a release, a
-// share and a revocation. This build must read it, rewrite its WAL at
-// open, append to it, compact it, and land on identical books after every
-// reopen.
+// share and a revocation. Once upgraded, this build must read it, append
+// to it, compact it, and land on identical books after every reopen.
 func TestRecoverV3LegacyHeaderLogThroughAppendAndCompact(t *testing.T) {
-	legacy := func(raw []byte) bool { return len(legacyPayloads(raw)) > 0 }
 	recoverOldLog(t, oldLog{
 		dir: "binary_v3_wal",
 		isOld: func(raw []byte) bool {
-			return legacy(raw) && !v2Takes(raw) && !bytes.Contains(raw, []byte(`"seq"`))
+			return len(legacyPayloads(raw)) > 0 && !v2Takes(raw) && !bytes.Contains(raw, []byte(`"seq"`))
 		},
-		stale:  legacy,
 		clock:  time.Unix(1_000_000_060, 0),
 		avail:  []float64{45.1672684674753, 0, 72.94325991189424, 35.61674008810576, 120.5727315325247, 28.65},
 		leases: 3, agreements: 13,
@@ -662,7 +695,6 @@ func TestRecoverV3LegacyHeaderLogThroughAppendAndCompact(t *testing.T) {
 type oldLog struct {
 	dir        string
 	isOld      func(raw []byte) bool // the file is in the old format
-	stale      func(raw []byte) bool // raw still holds a record in the old format
 	clock      time.Time             // where the writer's clock stood
 	avail      []float64             // the writer's Status availabilities
 	leases     int
@@ -671,14 +703,13 @@ type oldLog struct {
 	held       []int      // the leases outstanding after appends
 }
 
-// recoverOldLog reads old's directory, appends to it, reopens it,
-// compacts it and reopens it again, and requires the books of a server
-// that never restarted at every step — and once more after every held
-// lease is released, which is where a wrong source would credit the
-// wrong principal. The first open rewrites the WAL whole in this build's
-// spelling; the snapshot keeps the old one until Compact replaces it.
+// recoverOldLog upgrades a copy of old's directory, then recovers it,
+// appends to it, reopens it, compacts it and reopens it again, and
+// requires the books of a server that never restarted at every step — and
+// once more after every held lease is released, which is where a wrong
+// source would credit the wrong principal.
 func recoverOldLog(t *testing.T, old oldLog) {
-	dir := t.TempDir() // OpenFileLog opens for append; keep testdata read-only
+	dir := t.TempDir() // the upgrade rewrites the directory; keep testdata read-only
 	for _, name := range []string{"snapshot.wal", "wal.log"} {
 		raw, err := os.ReadFile(filepath.Join("testdata", old.dir, name))
 		if err != nil {
@@ -689,6 +720,14 @@ func recoverOldLog(t *testing.T, old oldLog) {
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+	if err := legacy.Upgrade(dir, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"snapshot.wal", "wal.log"} {
+		if raw, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !wholeCurrentLog(raw) {
+			t.Fatalf("%s was not upgraded to a log of this build (%v)", name, err)
 		}
 	}
 	vc := vclock.NewVirtual(old.clock)
@@ -730,12 +769,9 @@ func recoverOldLog(t *testing.T, old oldLog) {
 		}
 	}
 
-	rewritten, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	upgraded, err := os.ReadFile(filepath.Join(dir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if old.stale(rewritten) {
-		t.Fatalf("the open left a record in the old format in the WAL")
 	}
 	for _, req := range old.appends {
 		must(live.Handle(req))
@@ -749,17 +785,14 @@ func recoverOldLog(t *testing.T, old oldLog) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(grown, rewritten) || len(grown) == len(rewritten) || old.stale(grown) {
-		t.Fatalf("WAL is not the rewritten tail followed by frames of this build")
-	}
-	if _, valid, err := store.DecodeRecords(bytes.NewReader(grown)); err != nil || valid != int64(len(grown)) {
-		t.Fatalf("%d of the WAL's %d bytes read in one spelling (%v)", valid, len(grown), err)
+	if !bytes.HasPrefix(grown, upgraded) || len(grown) == len(upgraded) || !wholeCurrentLog(grown) {
+		t.Fatalf("WAL is not the upgraded tail followed by frames of this build")
 	}
 
 	fromAppended, wal := reopen()
 	defer fromAppended.Close()
 	if got := statusJSON(t, fromAppended); got != want {
-		t.Fatalf("recovered from the rewritten log and its appends:\n%s\nwant\n%s", got, want)
+		t.Fatalf("recovered from the upgraded log and its appends:\n%s\nwant\n%s", got, want)
 	}
 	leasesEqual(t, live, fromAppended)
 	if err := fromAppended.Compact(); err != nil {
@@ -776,8 +809,8 @@ func recoverOldLog(t *testing.T, old oldLog) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if old.stale(raw) {
-			t.Errorf("%s still holds a record in the old format after Compact", name)
+		if !wholeCurrentLog(raw) {
+			t.Errorf("%s is not a whole log of this build after Compact", name)
 		}
 	}
 

@@ -289,9 +289,10 @@ func TestSparseFloat64sRoundTrip(t *testing.T) {
 }
 
 // TestSparseFloat64sRejectsMalformed: in version 2's spelling, which the
-// log still reads, the count is checked against the bytes present before
-// anything is sized by it, and of the many ways to spell one vector as
-// runs only the encoder's was read. Its run rules are the wire's.
+// log upgrader still reads through Dec.Runs, the count is checked against
+// the bytes present before anything is sized by it, and of the many ways
+// to spell one vector as runs only the encoder's was read. Its run rules
+// are the wire's.
 func TestSparseFloat64sRejectsMalformed(t *testing.T) {
 	uv := wirefmt.AppendUvarint
 	f8 := func(dst []byte, n int) []byte {
@@ -314,7 +315,7 @@ func TestSparseFloat64sRejectsMalformed(t *testing.T) {
 	}
 	for name, enc := range cases {
 		d := wirefmt.NewDec(enc)
-		idx, vals := d.SparseFloat64s()
+		idx, vals := d.Runs(d.Uvarint())
 		if d.Err() == nil {
 			t.Errorf("%s: accepted % x as %v at %v", name, enc, vals, idx)
 		}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/wirefmt"
@@ -43,27 +42,15 @@ import (
 // padded length or uvarint, no split run, no padded take, no trailing
 // byte), so a frame it accepts re-encodes to its own bytes.
 //
-// Older files stay readable. A file that does not open with the magic is
-// legacy: its frames have wirefmt's fixed 8-byte legacy header
-// (NewLegacyReader), and each frame's first payload byte tells its
-// encoding, so one legacy file may mix three. A record of the first
-// binary encoding is an alloc or state kind byte without takesV3, and its
-// takes are protocol version 2's sparse runs (wirefmt's SparseFloat64s);
-// every other kind is spelled as it is now. A record from before the
-// binary encoding is the Record as JSON, whose '{' (0x7B) is no kind byte.
-// A file with the magic holds only this encoding. OpenFileLog rewrites a
-// legacy wal.log in this spelling before it appends, and Compact replaces
-// a legacy snapshot.wal, so the legacy branches of this file and of
-// wirefmt can be deleted once no deployment holds a snapshot.wal last
-// compacted, or a wal.log last opened, by a build older than the magic.
+// This is the one format the store reads: a file without the magic is
+// refused, never read as an empty log. Logs written before the magic are
+// rewritten in this format offline, by cmd/walupgrade (the readers of
+// every older vintage live in internal/store/legacy), and a change to this
+// format adds one step there (DESIGN.md §7b has the policy).
 
-const (
-	// legacyJSONLead is the first payload byte of a JSON-era record.
-	legacyJSONLead = '{'
-	// takesV3 marks the kind byte of a record whose takes are spelled by
-	// wirefmt.AppendTakes.
-	takesV3 = 0x80
-)
+// takesV3 marks the kind byte of the two kinds that carry takes, alloc and
+// state; their bare bytes were the first binary encoding's.
+const takesV3 = 0x80
 
 // fileMagic opens every log file this build writes. Its first four bytes
 // read as a legacy frame's length are 0x4C415747, far beyond
@@ -156,14 +143,6 @@ func appendTakes(dst []byte, sources []int, takes []float64) ([]byte, error) {
 	return dst, nil
 }
 
-// readTakes reads takes in the spelling the kind byte named.
-func readTakes(d *wirefmt.Dec, v3 bool) ([]int, []float64) {
-	if v3 {
-		return d.Takes()
-	}
-	return d.SparseFloat64s()
-}
-
 func appendState(dst []byte, st *State) ([]byte, error) {
 	dst = wirefmt.AppendBytes(dst, st.Declared)
 	dst = wirefmt.AppendUvarint(dst, uint64(len(st.Names)))
@@ -207,31 +186,19 @@ const (
 	minBorrowSize = 1 + 8      // parent lease, amount
 )
 
-// decodeRecord parses one frame payload. Only a frame of a legacy file
-// may be JSON or hold version 2 takes.
-func decodeRecord(payload []byte, legacy bool) (*Record, error) {
-	if legacy && len(payload) > 0 && payload[0] == legacyJSONLead {
-		rec := &Record{}
-		if err := json.Unmarshal(payload, rec); err != nil {
-			return nil, fmt.Errorf("store: decode legacy record: %w", err)
-		}
-		if !rec.Kind.Valid() {
-			return nil, fmt.Errorf("store: decode legacy record: invalid kind %d", uint8(rec.Kind))
-		}
-		return rec, nil
-	}
+// DecodeRecord parses one frame payload of this format. The strict
+// decoder refuses any other spelling, so a payload it accepts re-encodes
+// to its own bytes.
+func DecodeRecord(payload []byte) (*Record, error) {
 	d := wirefmt.NewDec(payload)
 	lead := d.Byte()
 	rec := &Record{Kind: Kind(lead &^ takesV3), Seq: d.Uvarint()}
-	// takesV3 marks the kinds that carry takes, save where a legacy file
-	// holds them in version 2's spelling.
-	v3, hasTakes := lead&takesV3 != 0, rec.Kind == KindAlloc || rec.Kind == KindState
-	if v3 && !hasTakes || !v3 && hasTakes && !legacy {
+	if v3, hasTakes := lead&takesV3 != 0, rec.Kind == KindAlloc || rec.Kind == KindState; v3 != hasTakes {
 		return nil, fmt.Errorf("store: decode record: invalid kind byte %#x", lead)
 	}
 	switch rec.Kind {
 	case KindState:
-		rec.State = decodeState(d, v3)
+		rec.State = decodeState(d)
 	case KindSnapshotLoad:
 		rec.Snapshot = d.Bytes()
 	case KindRegister:
@@ -253,7 +220,7 @@ func decodeRecord(payload []byte, legacy bool) (*Record, error) {
 		rec.Principal = readInt(d)
 		rec.Amount = d.Float64()
 		rec.Lease = readInt(d)
-		rec.Sources, rec.Takes = readTakes(d, v3)
+		rec.Sources, rec.Takes = d.Takes()
 		rec.Expires = d.Int()
 		rec.ParentLease = readInt(d)
 	case KindRelease, KindExpire:
@@ -277,7 +244,7 @@ func decodeRecord(payload []byte, legacy bool) (*Record, error) {
 	return rec, nil
 }
 
-func decodeState(d *wirefmt.Dec, v3 bool) *State {
+func decodeState(d *wirefmt.Dec) *State {
 	st := &State{Declared: d.Bytes()}
 	if n := d.Count(minNameSize); n > 0 {
 		st.Names = make([]string, n)
@@ -298,7 +265,7 @@ func decodeState(d *wirefmt.Dec, v3 bool) *State {
 		for i := range st.Leases {
 			ls := &st.Leases[i]
 			ls.Token = readInt(d)
-			ls.Sources, ls.Takes = readTakes(d, v3)
+			ls.Sources, ls.Takes = d.Takes()
 			ls.Expires = d.Int()
 			ls.ParentLease = readInt(d)
 		}

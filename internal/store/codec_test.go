@@ -7,7 +7,6 @@ import (
 	"errors"
 	"flag"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -29,28 +28,6 @@ func legacyFrame(payload []byte) []byte {
 	return append(frame, payload...)
 }
 
-// jsonFrame frames rec the way every log was written before the binary
-// encoding: the Record as encoding/json text inside a legacy frame.
-func jsonFrame(t testing.TB, rec *Record) []byte {
-	t.Helper()
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return legacyFrame(payload)
-}
-
-// legacyBinaryFrame frames rec's payload in this encoding inside a legacy
-// frame, as the last build before the file magic wrote it.
-func legacyBinaryFrame(t testing.TB, rec *Record) []byte {
-	t.Helper()
-	payload, err := appendRecord(nil, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return legacyFrame(payload)
-}
-
 func binaryFrame(t testing.TB, rec *Record) []byte {
 	t.Helper()
 	frame, err := appendFrame(nil, rec)
@@ -63,21 +40,6 @@ func binaryFrame(t testing.TB, rec *Record) []byte {
 // logOf is the log file this build writes holding frames.
 func logOf(frames ...[]byte) []byte {
 	return append([]byte(fileMagic), bytes.Join(frames, nil)...)
-}
-
-// payloads returns the payloads of the frames of a legacy log file, or
-// none when raw opens with the file magic (whose first four bytes no
-// legacy reader accepts as a length).
-func payloads(raw []byte) [][]byte {
-	var out [][]byte
-	fr := wirefmt.NewLegacyReader(bytes.NewReader(raw), int64(len(raw)))
-	for {
-		payload, err := fr.Next()
-		if err != nil {
-			return out
-		}
-		out = append(out, bytes.Clone(payload))
-	}
 }
 
 // allKinds is one record of every kind, each using every field of its
@@ -149,24 +111,26 @@ func TestRecordRoundTripAllKinds(t *testing.T) {
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/all_kinds_v4/wal.log from the encoder")
 
-// Three logs of allKinds. The first binary encoding wrote v2Golden, whose
-// takes are protocol version 2's 8-byte runs, and the next v3Golden; both
-// have the legacy 8-byte frame header and no file magic. This one writes
-// v4Golden. Nothing writes the first two any more; they stay to be read.
+// The log of allKinds in each vintage: v2Golden as the first binary
+// encoding wrote it, whose takes are protocol version 2's 8-byte runs, and
+// v3Golden as the next did, both behind the 8-byte frame header and no
+// file magic; v4Golden as this build writes it. The first two are read
+// only by the upgrader (upgrade_test.go).
 var (
-	v2Golden = filepath.Join("testdata", "all_kinds", walName)
-	v3Golden = filepath.Join("testdata", "all_kinds_v3", walName)
-	v4Golden = filepath.Join("testdata", "all_kinds_v4", walName)
+	v2Golden = filepath.Join("testdata", "all_kinds", WALName)
+	v3Golden = filepath.Join("testdata", "all_kinds_v3", WALName)
+	v4Golden = filepath.Join("testdata", "all_kinds_v4", WALName)
 )
 
 // TestBinaryFormatGolden pins the bytes: testdata/all_kinds_v4/wal.log is
 // allKinds as this encoding first wrote them. A round trip cannot see two
 // fields swapped in encoder and decoder alike; a log on someone's disk
 // can. Change the file only with a new kind or a deliberate, versioned
-// change of format (go test ./internal/store -run Golden -update), and
-// keep the file it replaces as a log that must still be read, as
-// TestV2BinaryLogStillReads and TestV3LegacyHeaderLogStillReads keep
-// testdata/all_kinds and testdata/all_kinds_v3.
+// change of format (go test ./internal/store -run Golden -update), which
+// adds its upgrader step and keeps the file it replaces as the input that
+// step must read, as testdata/all_kinds and testdata/all_kinds_v3 are
+// kept for the upgrader (TestV2BinaryLogStillReads,
+// TestV3LegacyHeaderLogStillReads).
 func TestBinaryFormatGolden(t *testing.T) {
 	now := reencoded(t, allKinds())
 	if *updateGolden {
@@ -197,141 +161,6 @@ func reencoded(t testing.TB, recs []*Record) []byte {
 		frames = append(frames, binaryFrame(t, rec))
 	}
 	return logOf(frames...)
-}
-
-// TestV2BinaryLogStillReads: the log the first binary encoding wrote of
-// allKinds — its alloc and state records unmarked, their takes 8 bytes
-// each — decodes to allKinds, and is written again as v4Golden.
-func TestV2BinaryLogStillReads(t *testing.T) {
-	raw, err := os.ReadFile(v2Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, n, err := DecodeRecords(bytes.NewReader(raw))
-	if err != nil || n != int64(len(raw)) || !reflect.DeepEqual(got, allKinds()) {
-		t.Fatalf("%s decodes to %d records, %d of %d bytes (%v)", v2Golden, len(got), n, len(raw), err)
-	}
-	if n := v2TakesRecords(raw); n != 4 {
-		t.Errorf("%s holds %d version 2 alloc and state records, want 4", v2Golden, n)
-	}
-	again := reencoded(t, got)
-	if golden, err := os.ReadFile(v4Golden); err != nil || !bytes.Equal(again, golden) {
-		t.Errorf("%s re-encodes to %d bytes that are not %s (%v)", v2Golden, len(again), v4Golden, err)
-	}
-	if len(again) >= len(raw) {
-		t.Errorf("written again in %d bytes, from %d", len(again), len(raw))
-	}
-}
-
-// TestV3LegacyHeaderLogStillReads: the log of allKinds the last build
-// before the file magic wrote — this record encoding behind 8-byte frame
-// headers — decodes to allKinds and is written again as v4Golden, a
-// header of 5 or 6 bytes a frame and the magic in front.
-func TestV3LegacyHeaderLogStillReads(t *testing.T) {
-	raw, err := os.ReadFile(v3Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, n, err := DecodeRecords(bytes.NewReader(raw))
-	if err != nil || n != int64(len(raw)) || !reflect.DeepEqual(got, allKinds()) {
-		t.Fatalf("%s decodes to %d records, %d of %d bytes (%v)", v3Golden, len(got), n, len(raw), err)
-	}
-	if n := len(payloads(raw)); n != len(got) {
-		t.Fatalf("%s holds %d legacy frames, want %d", v3Golden, n, len(got))
-	}
-	golden, err := os.ReadFile(v4Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again := reencoded(t, got); !bytes.Equal(again, golden) {
-		t.Errorf("%s re-encodes to %d bytes that are not %s", v3Golden, len(again), v4Golden)
-	}
-	if saved := len(raw) - len(golden); saved < 2*len(got)-len(fileMagic) {
-		t.Errorf("the varint header saves %d bytes over %d frames", saved, len(got))
-	}
-}
-
-// TestV2LogAppendsAndCompactsToV3: a directory whose WAL the first binary
-// encoding wrote is opened, appended to and compacted by this build; it
-// replays the same records at every step, the open rewrites the WAL in
-// this build's spelling (v4Golden) and the appends land behind it, and
-// after Compact no record on disk is in the old spelling.
-func TestV2LogAppendsAndCompactsToV3(t *testing.T) {
-	dir := t.TempDir()
-	old, err := os.ReadFile(v2Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, walName), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenFileLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := allKinds()
-	if got := replayAll(t, l); !reflect.DeepEqual(got, want) {
-		t.Fatalf("the version 2 log replays as %+v", got)
-	}
-	tail := []*Record{
-		{Seq: 1<<62 + 2, Kind: KindAlloc, Principal: 2, Amount: 12.5, Lease: 80, Sources: []int{0, 1, 3}, Takes: []float64{10, 2, 0.5}},
-		{Seq: 1<<62 + 3, Kind: KindAlloc, Principal: 1, Amount: math.Pi, Lease: 81, Sources: []int{0}, Takes: []float64{math.Pi}},
-		{Seq: 1<<62 + 4, Kind: KindRelease, Lease: 80},
-	}
-	var v3 []byte
-	for _, rec := range tail {
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-		v3 = append(v3, binaryFrame(t, rec)...)
-	}
-	want = append(want, tail...)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	golden, err := os.ReadFile(v4Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if onDisk, err := os.ReadFile(filepath.Join(dir, walName)); err != nil || !bytes.Equal(onDisk, append(golden, v3...)) {
-		t.Fatalf("WAL is not the version 2 log rewritten followed by the appended frames (%v)", err)
-	}
-	if l, err = OpenFileLog(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if got := replayAll(t, l); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reopened, the mixed log replays as %+v", got)
-	}
-	folded := &Record{Seq: 1<<62 + 5, Kind: KindState, State: want[12].State}
-	if err := l.Compact(folded); err != nil {
-		t.Fatal(err)
-	}
-	if got := replayAll(t, l); !reflect.DeepEqual(got, []*Record{folded}) {
-		t.Fatalf("compacted directory replays as %+v", got)
-	}
-	for _, name := range []string{snapName, walName} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := v2TakesRecords(raw); n != 0 {
-			t.Errorf("%s still holds %d version 2 records after Compact", name, n)
-		}
-	}
-}
-
-// v2TakesRecords counts the frames of a log whose kind byte is that of an
-// alloc or state record as the first binary encoding wrote it, without
-// takesV3. Only a legacy file can hold one.
-func v2TakesRecords(raw []byte) int {
-	n := 0
-	for _, payload := range payloads(raw) {
-		if k := Kind(payload[0]); k == KindAlloc || k == KindState {
-			n++
-		}
-	}
-	return n
 }
 
 // TestDenseTakesWrittenAsPairs: the dense input form is stored as its
@@ -380,246 +209,10 @@ func TestAppendRefusesUnreadableRecords(t *testing.T) {
 	}
 }
 
-// legacyAndBinary builds the three logs recovery has to read: one in the
-// JSON encoding (pair-form and dense takes, as the last JSON build wrote
-// them), one binary as this build writes it, and a JSON log that a build
-// before the file magic appended to in binary.
-func legacyAndBinary(t testing.TB) (logs map[string][]byte, want []*Record) {
-	recs := sampleRecords()
-	recs = append(recs, &Record{Seq: 7, Kind: KindAlloc, Lease: 2, Sources: []int{1}, Takes: []float64{4}})
-	dense := *recs[4]
-	dense.Sources, dense.Takes = nil, []float64{30, 10}
-	logs = map[string][]byte{"binary": []byte(fileMagic)}
-	for i, rec := range recs {
-		js := jsonFrame(t, rec)
-		if i == 4 {
-			js = jsonFrame(t, &dense)
-		}
-		logs["binary"] = append(logs["binary"], binaryFrame(t, rec)...)
-		logs["json"] = append(logs["json"], js...)
-		if i < 5 {
-			logs["mixed"] = append(logs["mixed"], js...)
-		} else {
-			logs["mixed"] = append(logs["mixed"], legacyBinaryFrame(t, rec)...)
-		}
-	}
-	return logs, recs
-}
-
-// samePairs compares records with their takes normalised to pairs, the
-// one difference a legacy dense record is allowed to show.
-func samePairs(got, want *Record) bool {
-	g, w := *got, *want
-	g.Sources, g.Takes = SparseTakes(g.Sources, g.Takes)
-	w.Sources, w.Takes = SparseTakes(w.Sources, w.Takes)
-	return reflect.DeepEqual(&g, &w)
-}
-
-// v2ThenV3 is the log of allKinds the first binary encoding wrote with
-// the same records appended by the last build before the file magic,
-// sequenced after it, and the records it holds.
-func v2ThenV3(t testing.TB) ([]byte, []*Record) {
-	raw, err := os.ReadFile(v2Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := allKinds()
-	for i, rec := range allKinds() {
-		rec.Seq = 1<<62 + 2 + uint64(i)
-		raw = append(raw, legacyBinaryFrame(t, rec)...)
-		recs = append(recs, rec)
-	}
-	return raw, recs
-}
-
-// TestLegacyAndMixedLogs: a JSON log, a binary log, a JSON log with a
-// binary tail and a log of the first binary encoding with a tail of the
-// next all decode to the records written, and each stops cleanly at the
-// last whole frame when its tail is cut or a bit in it flips.
-func TestLegacyAndMixedLogs(t *testing.T) {
-	logs, records := legacyAndBinary(t)
-	if len(logs["binary"])*2 > len(logs["json"]) {
-		t.Errorf("binary log is %d bytes, JSON %d: expected under half", len(logs["binary"]), len(logs["json"]))
-	}
-	wants := map[string][]*Record{}
-	logs["v2 then v3"], wants["v2 then v3"] = v2ThenV3(t)
-	for name, raw := range logs {
-		want := records
-		if w, ok := wants[name]; ok {
-			want = w
-		}
-		got, n, err := DecodeRecords(bytes.NewReader(raw))
-		if err != nil || n != int64(len(raw)) || len(got) != len(want) {
-			t.Fatalf("%s: %d records, %d of %d bytes (%v)", name, len(got), n, len(raw), err)
-		}
-		for i := range want {
-			if !samePairs(got[i], want[i]) {
-				t.Errorf("%s record %d:\ngot  %+v\nwant %+v", name, i, got[i], want[i])
-			}
-		}
-		lastStart := int64(0)
-		if _, lastStart, err = DecodeRecords(bytes.NewReader(raw[:len(raw)-1])); err != nil {
-			t.Fatal(err)
-		}
-		for cut := int(lastStart) + 1; cut < len(raw); cut++ {
-			got, n, err := DecodeRecords(bytes.NewReader(raw[:cut]))
-			if err != nil || n != lastStart || len(got) != len(want)-1 {
-				t.Fatalf("%s cut at %d: %d records, %d bytes (%v); want %d, %d", name, cut, len(got), n, err, len(want)-1, lastStart)
-			}
-		}
-		for bit := int(lastStart) * 8; bit < len(raw)*8; bit += 5 {
-			flipped := append([]byte(nil), raw...)
-			flipped[bit/8] ^= 1 << (bit % 8)
-			got, n, err := DecodeRecords(bytes.NewReader(flipped))
-			if err != nil || n != lastStart || len(got) != len(want)-1 {
-				t.Fatalf("%s bit %d flipped: %d records, %d bytes (%v); want %d, %d", name, bit, len(got), n, err, len(want)-1, lastStart)
-			}
-		}
-	}
-}
-
-// TestMixedFileLogCompacts: a directory holding a JSON snapshot and WAL is
-// opened, appended to and compacted by this build; every step replays to
-// the same records, the open rewrites the WAL in binary, and after
-// Compact nothing on disk is JSON.
-func TestMixedFileLogCompacts(t *testing.T) {
-	dir := t.TempDir()
-	recs := sampleRecords()
-	state := &Record{Seq: 3, Kind: KindState, State: &State{Names: []string{"A", "B"}, Reported: []float64{100, 80}, Avail: []float64{100, 80}, Shares: []ShareState{{From: 1, To: 0, Fraction: 0.5}}}}
-	var wal []byte
-	for _, rec := range recs[3:5] {
-		wal = append(wal, jsonFrame(t, rec)...)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapName), jsonFrame(t, state), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenFileLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	want := []*Record{state, recs[3], recs[4]}
-	if got := replayAll(t, l); !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy directory replays as %+v", got)
-	}
-	if err := l.Append(recs[5]); err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, recs[5])
-	if got := replayAll(t, l); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after a binary append the directory replays as %+v", got)
-	}
-	onDisk, err := os.ReadFile(filepath.Join(dir, walName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(onDisk, logOf(binaryFrame(t, recs[3]), binaryFrame(t, recs[4]), binaryFrame(t, recs[5]))) {
-		t.Fatalf("WAL is not the JSON records rewritten plus one binary frame")
-	}
-	folded := &Record{Seq: 7, Kind: KindState, State: state.State}
-	if err := l.Compact(folded); err != nil {
-		t.Fatal(err)
-	}
-	if got := replayAll(t, l); !reflect.DeepEqual(got, []*Record{folded}) {
-		t.Fatalf("compacted directory replays as %+v", got)
-	}
-	for _, name := range []string{snapName, walName} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Contains(raw, []byte(`"seq"`)) {
-			t.Errorf("%s still holds JSON after Compact", name)
-		}
-	}
-}
-
-// TestLegacyWALRewrittenAtOpen: opening a directory whose WAL has the
-// legacy header rewrites it whole in this build's spelling before the
-// first append — the torn tail dropped, every record and seq kept — and
-// DumpJSON, which only reads, leaves a legacy directory as it found it.
-func TestLegacyWALRewrittenAtOpen(t *testing.T) {
-	raw, err := os.ReadFile(v3Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, walName)
-	torn := append(append([]byte(nil), raw...), legacyBinaryFrame(t, &Record{Seq: 1<<62 + 2, Kind: KindRepay})[:5]...)
-	if err := os.WriteFile(walPath, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := DumpJSON(dir, io.Discard); err == nil {
-		t.Error("DumpJSON read past a torn legacy tail")
-	}
-	if onDisk, err := os.ReadFile(walPath); err != nil || !bytes.Equal(onDisk, torn) {
-		t.Fatalf("DumpJSON changed the legacy WAL (%v)", err)
-	}
-	l, err := OpenFileLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	golden, err := os.ReadFile(v4Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := os.ReadFile(walPath)
-	if err != nil || !bytes.Equal(onDisk, golden) {
-		t.Fatalf("the legacy WAL was opened as %d bytes, not rewritten as %s (%v)", len(onDisk), v4Golden, err)
-	}
-	if l.size != int64(len(golden)) {
-		t.Fatalf("the log appends at byte %d of %d", l.size, len(golden))
-	}
-	if got := replayAll(t, l); !reflect.DeepEqual(got, allKinds()) {
-		t.Fatalf("the rewritten WAL replays as %+v", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, walTmpName)); !os.IsNotExist(err) {
-		t.Errorf("the rewrite left %s behind (%v)", walTmpName, err)
-	}
-}
-
-// TestCrashMidRewrite: a crash while the legacy WAL was being rewritten
-// leaves the temp file part-written beside the untouched legacy log. The
-// next open drops the temp file and rewrites the log from the start.
-func TestCrashMidRewrite(t *testing.T) {
-	raw, err := os.ReadFile(v2Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := os.ReadFile(v4Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, walName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, walTmpName), golden[:len(golden)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenFileLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if onDisk, err := os.ReadFile(filepath.Join(dir, walName)); err != nil || !bytes.Equal(onDisk, golden) {
-		t.Fatalf("after the crash the WAL was opened as %d bytes, not rewritten whole (%v)", len(onDisk), err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, walTmpName)); !os.IsNotExist(err) {
-		t.Errorf("the half-written %s survived the open (%v)", walTmpName, err)
-	}
-	if got := replayAll(t, l); !reflect.DeepEqual(got, allKinds()) {
-		t.Fatalf("replays as %+v", got)
-	}
-}
-
 // TestCurrentLogHoldsOneSpelling: behind the file magic only this
 // encoding is read — a JSON record or version 2 takes, which a legacy file
-// may hold, stop the scan there.
+// may hold, stop the scan there — and a legacy file holding them is
+// refused whole, not read as an empty log.
 func TestCurrentLogHoldsOneSpelling(t *testing.T) {
 	reg := binaryFrame(t, &Record{Seq: 1, Kind: KindRegister, Name: "A", Capacity: 10})
 	jsPayload, err := json.Marshal(&Record{Seq: 2, Kind: KindReport, Available: 5})
@@ -640,8 +233,8 @@ func TestCurrentLogHoldsOneSpelling(t *testing.T) {
 		if err != nil || len(got) != 1 || n != int64(len(logOf(reg))) {
 			t.Errorf("%s behind the magic: %d records, %d bytes (%v); want the register alone", name, len(got), n, err)
 		}
-		if got, _, err := DecodeRecords(bytes.NewReader(legacyFrame(payload))); err != nil || len(got) != 1 {
-			t.Errorf("%s in a legacy file: %d records (%v)", name, len(got), err)
+		if got, n, err := DecodeRecords(bytes.NewReader(legacyFrame(payload))); !errors.Is(err, ErrNoMagic) || len(got) != 0 || n != 0 {
+			t.Errorf("%s in a legacy file: %d records, %d bytes (%v); want ErrNoMagic", name, len(got), n, err)
 		}
 	}
 }
@@ -719,7 +312,7 @@ func TestFileLogSurvivesFailedWrite(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, walName))
+	raw, err := os.ReadFile(filepath.Join(dir, WALName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,7 +380,7 @@ func TestDumpJSON(t *testing.T) {
 		}
 	}
 
-	walPath := filepath.Join(dir, walName)
+	walPath := filepath.Join(dir, WALName)
 	raw, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)

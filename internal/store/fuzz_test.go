@@ -2,7 +2,7 @@ package store
 
 import (
 	"bytes"
-	"os"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -24,47 +24,55 @@ func fuzzPrefix(t testing.TB) ([]byte, []*Record) {
 	return logOf(frames...), recs
 }
 
-// FuzzLogDecode feeds arbitrary bytes through the log decoder, as a file
-// of this build (the magic first) or a legacy one. The decoder must never
-// panic, must treat any corruption as a clean stop at the last valid
-// record, and must always recover the intact prefix when garbage is
-// appended after valid frames. It must read nothing it would not write
-// back: a frame of a current file re-encodes to its own bytes, header
-// included; the binary payload of a legacy frame is the one this encoding
-// writes for its record — or, from a record of the first binary encoding,
-// one this encoding writes and reads back the same.
+// FuzzLogDecode feeds arbitrary bytes through the log decoder as a log
+// file. The decoder must never panic, must refuse bytes that do not open
+// with the file magic rather than read them as an empty log, must treat
+// any corruption as a clean stop at the last valid record, and must always
+// recover the intact prefix when garbage is appended after valid frames.
+// It must read nothing it would not write back: every frame it accepts
+// re-encodes to its own bytes, header included.
 func FuzzLogDecode(f *testing.F) {
 	prefix, _ := fuzzPrefix(f)
-	f.Add([]byte{})
-	f.Add([]byte(fileMagic))
-	f.Add(prefix)
-	f.Add(prefix[:len(prefix)-3])                // torn tail
-	f.Add(append([]byte{0xFF, 0xFF}, prefix...)) // garbage header
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
-	f.Add(append([]byte(fileMagic), 0x83, 0x00, 0, 0, 0, 0, 1, 2, 3)) // padded length
-	logs, _ := legacyAndBinary(f)
-	f.Add(logs["binary"])
-	f.Add(logs["json"])
-	f.Add(logs["mixed"]) // JSON with a binary tail
-	f.Add(reencoded(f, allKinds()))
-	for _, golden := range []string{v2Golden, v3Golden} {
-		raw, err := os.ReadFile(golden)
+	golden := reencoded(f, allKinds())
+	frame := func(payload []byte) []byte {
+		frame, err := wirefmt.EndFrame(append(wirefmt.BeginFrame(nil), payload...), 0)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(raw)
+		return frame
 	}
-	mixed, _ := v2ThenV3(f)
-	f.Add(mixed)
+	jsPayload := []byte(`{"seq":4,"kind":4,"available":5}`)
+	v2Payload, err := appendRecord(nil, &Record{Seq: 4, Kind: KindAlloc, Lease: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	v2Payload[0] &^= takesV3
+	f.Add([]byte{})
+	f.Add([]byte(fileMagic))
+	f.Add(prefix)
+	f.Add(prefix[:len(prefix)-3])                                           // torn tail
+	f.Add(append([]byte(fileMagic+"\xFF\xFF"), prefix[len(fileMagic):]...)) // garbage header
+	f.Add(append([]byte(fileMagic), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0))    // a length over the limit
+	f.Add(append([]byte(fileMagic), 0x83, 0x00, 0, 0, 0, 0, 1, 2, 3))       // padded length
+	f.Add(reencoded(f, append(sampleRecords(), &Record{Seq: 7, Kind: KindAlloc, Lease: 2, Sources: []int{1}, Takes: []float64{4}})))
+	f.Add(golden)
+	f.Add(golden[:len(golden)-5])                                             // torn inside the last state record
+	f.Add(reencoded(f, allKinds()[12:13]))                                    // a compacted snapshot
+	f.Add(append(append([]byte(nil), prefix...), frame(jsPayload)...))        // a JSON payload behind the magic
+	f.Add(append(append([]byte(nil), prefix...), frame(v2Payload)...))        // version 2 takes behind the magic
+	f.Add(append(append([]byte(nil), golden...), prefix[len(fileMagic):]...)) // a sequence regression
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Raw bytes: any outcome but a panic or a read error is fine, and
 		// the reported valid length must cover exactly the decoded frames.
+		// Bytes that do not open with the magic, or a torn prefix of it,
+		// are refused whole.
 		recs, n, err := DecodeRecords(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("in-memory decode errored: %v", err)
+		head := data[:min(len(data), len(fileMagic))]
+		if refused := string(head) != fileMagic[:len(head)]; refused != (err != nil) || err != nil && !errors.Is(err, ErrNoMagic) {
+			t.Fatalf("a file opening % x: err = %v", head, err)
 		}
-		if n < 0 || n > int64(len(data)) {
-			t.Fatalf("valid length %d outside [0, %d]", n, len(data))
+		if n < 0 || n > int64(len(data)) || err != nil && (n != 0 || len(recs) != 0) {
+			t.Fatalf("valid length %d outside [0, %d], %d records (%v)", n, len(data), len(recs), err)
 		}
 		reDecoded, n2, err := DecodeRecords(bytes.NewReader(data[:n]))
 		if err != nil || n2 != n || len(reDecoded) != len(recs) {
@@ -72,44 +80,19 @@ func FuzzLogDecode(f *testing.F) {
 				len(reDecoded), n2, len(recs), n, err)
 		}
 		// One spelling per record.
-		valid, base := data[:n], 0
-		legacy := !bytes.HasPrefix(valid, []byte(fileMagic))
-		fr := wirefmt.NewLegacyReader(bytes.NewReader(valid), n)
-		if !legacy {
-			base = len(fileMagic)
-			fr = wirefmt.NewReader(bytes.NewReader(valid[base:]), n-int64(base))
+		valid := data[:n]
+		if n > 0 {
+			valid = valid[len(fileMagic):]
 		}
+		fr := wirefmt.NewReader(bytes.NewReader(valid), int64(len(valid)))
 		for i, rec := range recs {
-			start := base + int(fr.Offset())
-			payload, err := fr.Next()
-			if err != nil {
+			start := fr.Offset()
+			if _, err := fr.Next(); err != nil {
 				t.Fatalf("record %d: the frame it was decoded from does not read: %v", i, err)
 			}
-			frame := valid[start : base+int(fr.Offset())]
-			if !legacy {
-				if again, err := appendFrame(nil, rec); err != nil || !bytes.Equal(again, frame) {
-					t.Fatalf("record %d (%v) accepted from % x re-encodes to % x (%v)", i, rec.Kind, frame, again, err)
-				}
-				continue
-			}
-			if payload[0] == legacyJSONLead {
-				continue
-			}
-			again, err := appendRecord(nil, rec)
-			if k := Kind(payload[0]); k == KindAlloc || k == KindState {
-				// The first binary encoding: its record is written in
-				// this one, and that must read back as itself.
-				back, _, derr := DecodeRecords(bytes.NewReader(logOf(binaryFrame(t, rec))))
-				if err != nil || derr != nil || len(back) != 1 {
-					t.Fatalf("record %d (%v) accepted from % x is not written again (%v, %v)", i, k, payload, err, derr)
-				}
-				if twice, err := appendRecord(nil, back[0]); err != nil || !bytes.Equal(twice, again) {
-					t.Fatalf("record %d (%v) from % x is written as % x, which reads back as % x (%v)", i, k, payload, again, twice, err)
-				}
-				continue
-			}
-			if err != nil || !bytes.Equal(again, payload) {
-				t.Fatalf("record %d (%v) accepted from legacy payload % x re-encodes to % x (%v)", i, rec.Kind, payload, again, err)
+			frame := valid[start:fr.Offset()]
+			if again, err := appendFrame(nil, rec); err != nil || !bytes.Equal(again, frame) {
+				t.Fatalf("record %d (%v) accepted from % x re-encodes to % x (%v)", i, rec.Kind, frame, again, err)
 			}
 		}
 

@@ -109,9 +109,9 @@ type Record struct {
 	// Alloc / Release / Renew / Expire / Borrow / Repay. An allocation's
 	// takes are pairs: Takes[k] was drawn from principal Sources[k], with
 	// Sources strictly ascending. nil Sources is the dense form — Takes is
-	// indexed by principal id — which JSON-era logs can hold and a caller
-	// may still hand to Append (it is stored as its pairs); readers take
-	// either through SparseTakes.
+	// indexed by principal id — which JSON-era logs hold (the upgrader
+	// writes it as pairs) and a caller may still hand to Append (it is
+	// stored as its pairs); readers take either through SparseTakes.
 	Lease       int       `json:"lease,omitempty"`
 	Sources     []int     `json:"src,omitempty"`
 	Takes       []float64 `json:"takes,omitempty"`
@@ -271,7 +271,7 @@ func (m *MemLog) Replay(fn func(*Record) error) error {
 	m.mu.Lock()
 	frames := m.frames[:len(m.frames):len(m.frames)] // later appends reallocate or write past this view, never into it
 	m.mu.Unlock()
-	_, _, err := scanFrames(bytes.NewReader(frames), int64(len(frames)), fn)
+	_, err := scanFrames(bytes.NewReader(frames), int64(len(frames)), fn)
 	return err
 }
 

@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -151,7 +154,7 @@ func TestFileLogStaleTailSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapName), logOf(frame), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, SnapshotName), logOf(frame), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got := replayAll(t, l)
@@ -179,7 +182,7 @@ func TestFileLogTruncatedTail(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	walPath := filepath.Join(dir, walName)
+	walPath := filepath.Join(dir, WALName)
 	full, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +195,7 @@ func TestFileLogTruncatedTail(t *testing.T) {
 
 	for cut := prefixLen + 1; cut < len(full); cut += 3 {
 		sub := t.TempDir()
-		if err := os.WriteFile(filepath.Join(sub, walName), full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(sub, WALName), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		tl, err := OpenFileLog(sub)
@@ -234,7 +237,7 @@ func TestFileLogCorruptMiddle(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	walPath := filepath.Join(dir, walName)
+	walPath := filepath.Join(dir, WALName)
 	full, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -260,6 +263,9 @@ func TestFileLogCorruptMiddle(t *testing.T) {
 	}
 }
 
+// TestDecodeRecordsRejectsOversizedLength: a length past the limit is a
+// clean stop behind the magic; the same bytes without it, which a legacy
+// reader would have taken for an oversized length, are no log at all.
 func TestDecodeRecordsRejectsOversizedLength(t *testing.T) {
 	for name, raw := range map[string][]byte{
 		"legacy":  {0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0},
@@ -268,8 +274,126 @@ func TestDecodeRecordsRejectsOversizedLength(t *testing.T) {
 		var buf bytes.Buffer
 		buf.Write(raw)
 		recs, n, err := DecodeRecords(&buf)
-		if want := len(raw) - 8; err != nil || len(recs) != 0 || n != int64(want) {
+		if legacy := name == "legacy"; legacy != errors.Is(err, ErrNoMagic) || !legacy && err != nil {
+			t.Fatalf("%s: err = %v", name, err)
+		}
+		if want := max(len(raw)-8, 0); len(recs) != 0 || n != int64(want) {
 			t.Fatalf("%s: DecodeRecords = %v, %d, %v; want clean stop after %d bytes", name, recs, n, err, want)
+		}
+	}
+}
+
+// orderFile records the truncations FileLog makes of its WAL file.
+type orderFile struct {
+	walFile
+	events *[]string
+}
+
+func (f orderFile) Truncate(size int64) error {
+	*f.events = append(*f.events, "truncate WAL")
+	return f.walFile.Truncate(size)
+}
+
+// TestCompactSyncsDirBeforeTruncate: Compact fsyncs the log directory once
+// the new snapshot is renamed into it and before it truncates the WAL, so
+// power loss cannot keep the truncate and lose the rename, and the records
+// it folded with it. When the directory will not sync, the WAL is kept.
+func TestCompactSyncsDirBeforeTruncate(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenFileLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, r := range sampleRecords() {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var events []string
+	l.wal = orderFile{walFile: l.wal, events: &events}
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	orig := syncDir
+	failSync, syncs := errors.New("directory sync failed"), 0
+	syncDir = func(d string) error {
+		syncs++
+		if _, err := os.Stat(filepath.Join(d, SnapshotName)); err != nil {
+			t.Errorf("directory synced before the snapshot was renamed into it: %v", err)
+		}
+		events = append(events, "sync "+d)
+		if syncs == 1 {
+			return failSync
+		}
+		return orig(d)
+	}
+	state := &Record{Seq: 6, Kind: KindState, State: &State{Names: []string{"A", "B"}}}
+	if err := l.Compact(state); !errors.Is(err, failSync) {
+		t.Fatalf("Compact with a failing directory sync: err = %v", err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, WALName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, _, err := DecodeRecords(bytes.NewReader(raw)); err != nil || len(recs) != len(sampleRecords()) {
+		t.Fatalf("after a failed directory sync the WAL holds %d records (%v), want all %d", len(recs), err, len(sampleRecords()))
+	}
+	events = events[:0]
+	if err := l.Compact(state); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"sync " + dir, "truncate WAL"}; !reflect.DeepEqual(events, want) {
+		t.Fatalf("Compact did %q, want %q", events, want)
+	}
+}
+
+// TestFileWithoutMagicRefused: a WAL or snapshot that holds bytes but does
+// not open with the magic is refused where it is read — by OpenFileLog,
+// Replay and DumpJSON, each naming the directory and walupgrade — and
+// left as it was, never read as an empty log; an empty WAL, or one holding
+// a torn prefix of the magic, is a new log.
+func TestFileWithoutMagicRefused(t *testing.T) {
+	garbage := []byte("not a log at all")
+	refused := func(what, dir string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrNoMagic) || !strings.Contains(err.Error(), "walupgrade "+dir) {
+			t.Errorf("%s: err = %v, want ErrNoMagic naming walupgrade %s", what, err, dir)
+		}
+	}
+	for _, name := range []string{WALName, SnapshotName} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, garbage, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenFileLog(dir)
+		if name == WALName {
+			refused("OpenFileLog of a "+name, dir, err)
+		} else if err != nil {
+			t.Fatal(err)
+		} else {
+			refused("Replay of a "+name, dir, l.Replay(func(*Record) error { return nil }))
+			l.Close()
+		}
+		refused("DumpJSON of a "+name, dir, DumpJSON(dir, io.Discard))
+		if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, garbage) {
+			t.Errorf("refusing the %s changed it to %q (%v)", name, raw, err)
+		}
+	}
+	for _, head := range []string{"", "G", "GWA"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, WALName), []byte(head), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenFileLog(dir)
+		if err != nil {
+			t.Fatalf("a WAL of %q: %v", head, err)
+		}
+		if got := replayAll(t, l); len(got) != 0 {
+			t.Errorf("a WAL of %q replays %d records", head, len(got))
+		}
+		l.Close()
+		if raw, err := os.ReadFile(filepath.Join(dir, WALName)); err != nil || string(raw) != fileMagic {
+			t.Errorf("a WAL of %q was opened as %q (%v)", head, raw, err)
 		}
 	}
 }

@@ -16,7 +16,7 @@ const (
 	MaxFramePayload = 16 << 20
 	// MaxFrameHeader is the longest header a frame can have, and what
 	// BeginFrame reserves: the uvarint of MaxFramePayload (4 bytes) and
-	// the CRC. It is also the fixed header of a legacy frame.
+	// the CRC.
 	MaxFrameHeader = 8
 
 	// maxLengthBytes is the length of the uvarint of MaxFramePayload.
@@ -59,12 +59,11 @@ func EndFrame(buf []byte, start int) ([]byte, error) {
 
 // Reader reads frames from a stream, reusing one payload buffer.
 type Reader struct {
-	r      byteReader
-	legacy bool  // fixed 8-byte headers
-	left   int64 // bytes the source still holds; negative when unknown
-	off    int64 // bytes of the whole frames Next has returned
-	header [MaxFrameHeader]byte
-	buf    []byte
+	r    byteReader
+	left int64 // bytes the source still holds; negative when unknown
+	off  int64 // bytes of the whole frames Next has returned
+	sum  [crcSize]byte
+	buf  []byte
 }
 
 // NewReader reads frames from r. The length is read a byte at a time,
@@ -85,15 +84,6 @@ type byteReader interface {
 	io.ByteReader
 }
 
-// NewLegacyReader is NewReader for the frames written before lengths
-// were uvarints, [4B LE payload length][4B LE CRC-32 of payload][payload],
-// which only write-ahead logs of that vintage hold.
-func NewLegacyReader(r io.Reader, size int64) *Reader {
-	fr := NewReader(r, size)
-	fr.legacy = true
-	return fr
-}
-
 // Offset returns how many bytes the frames Next has returned span,
 // headers included.
 func (fr *Reader) Offset() int64 { return fr.off }
@@ -104,10 +94,21 @@ func (fr *Reader) Offset() int64 { return fr.off }
 // ErrCorrupt when the frame fails a check; anything else is the source's
 // own read error.
 func (fr *Reader) Next() ([]byte, error) {
-	n, h, err := fr.readHeader()
+	n, h, crc, err := fr.readHeader()
 	if err != nil {
 		return nil, err
 	}
+	return fr.ReadPayload(n, h, crc)
+}
+
+// ReadPayload reads the payload of a frame whose header the caller has
+// already read from the Reader's source (one NewReader reads directly, an
+// io.ByteReader): h bytes stating a payload of n bytes and its CRC-32. It
+// makes Next's checks on it — the limit, the bytes the source holds, the
+// CRC — and reports them as Next does, so a reader of another header
+// spelling (the fixed 8-byte header of the write-ahead logs written before
+// the file magic) shares them.
+func (fr *Reader) ReadPayload(n uint64, h int, crc uint32) ([]byte, error) {
 	if n > MaxFramePayload {
 		return nil, fmt.Errorf("%w: payload %d bytes exceeds limit", ErrCorrupt, n)
 	}
@@ -126,56 +127,46 @@ func (fr *Reader) Next() ([]byte, error) {
 		}
 		return nil, fmt.Errorf("wirefmt: read frame payload: %w", err)
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(fr.header[h-crcSize:h]) {
+	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
 	fr.off += int64(h) + int64(n)
 	return payload, nil
 }
 
-// readHeader reads one frame header into fr.header and returns the
-// payload length it states and the header's size. The uvarint length is
-// refused as soon as it runs past MaxFramePayload or its fourth byte, and
-// when it is padded: only the shortest spelling of a length is a header.
-func (fr *Reader) readHeader() (n uint64, h int, err error) {
-	if fr.legacy {
-		if _, err := io.ReadFull(fr.r, fr.header[:]); err != nil {
-			if err == io.EOF {
-				return 0, 0, io.EOF
-			}
-			return 0, 0, fmt.Errorf("wirefmt: read frame header: %w", err)
-		}
-		return uint64(binary.LittleEndian.Uint32(fr.header[:4])), MaxFrameHeader, nil
-	}
+// readHeader reads one frame header and returns the payload length and
+// CRC it states and the header's size. The uvarint length is refused as
+// soon as it runs past MaxFramePayload or its fourth byte, and when it is
+// padded: only the shortest spelling of a length is a header.
+func (fr *Reader) readHeader() (n uint64, h int, crc uint32, err error) {
 	for h < maxLengthBytes {
 		b, err := fr.r.ReadByte()
 		if err != nil {
 			if err == io.EOF {
 				if h == 0 {
-					return 0, 0, io.EOF
+					return 0, 0, 0, io.EOF
 				}
 				err = io.ErrUnexpectedEOF
 			}
-			return 0, 0, fmt.Errorf("wirefmt: read frame header: %w", err)
+			return 0, 0, 0, fmt.Errorf("wirefmt: read frame header: %w", err)
 		}
-		fr.header[h] = b
 		n |= uint64(b&0x7f) << (7 * h)
 		h++
 		if n > MaxFramePayload {
-			return 0, 0, fmt.Errorf("%w: payload length exceeds limit", ErrCorrupt)
+			return 0, 0, 0, fmt.Errorf("%w: payload length exceeds limit", ErrCorrupt)
 		}
 		if b < 0x80 {
 			if b == 0 && h > 1 {
-				return 0, 0, fmt.Errorf("%w: padded payload length", ErrCorrupt)
+				return 0, 0, 0, fmt.Errorf("%w: padded payload length", ErrCorrupt)
 			}
-			if _, err := io.ReadFull(fr.r, fr.header[h:h+crcSize]); err != nil {
+			if _, err := io.ReadFull(fr.r, fr.sum[:]); err != nil {
 				if err == io.EOF {
 					err = io.ErrUnexpectedEOF
 				}
-				return 0, 0, fmt.Errorf("wirefmt: read frame header: %w", err)
+				return 0, 0, 0, fmt.Errorf("wirefmt: read frame header: %w", err)
 			}
-			return n, h + crcSize, nil
+			return n, h + crcSize, binary.LittleEndian.Uint32(fr.sum[:]), nil
 		}
 	}
-	return 0, 0, fmt.Errorf("%w: payload length runs past %d bytes", ErrCorrupt, maxLengthBytes)
+	return 0, 0, 0, fmt.Errorf("%w: payload length runs past %d bytes", ErrCorrupt, maxLengthBytes)
 }

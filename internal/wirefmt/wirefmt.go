@@ -11,8 +11,7 @@
 // built in place by BeginFrame/EndFrame and read back by Reader. The
 // length is minimal (at most 4 bytes, as MaxFramePayload needs): Reader
 // refuses a padded one, so a frame it accepts is the one EndFrame writes
-// for its payload. Logs written before lengths were uvarints spell the
-// header as a fixed [4B LE length][4B LE CRC]; NewLegacyReader reads them.
+// for its payload.
 //
 // Fields. Integers are minimal-length uvarints (zigzag for signed values),
 // float64s are 8-byte little-endian IEEE 754 bits, strings and byte and
@@ -366,12 +365,17 @@ func (d *Dec) AppendTakes(idx []int, vals []float64) ([]int, []float64) {
 // nibble is entry k's nibble: its stored length in the trimmed form.
 func nibble(lens []byte, k uint64) uint64 { return uint64(lens[k/2]>>(4*(k&1))) & 0xF }
 
-// SparseFloat64s reads one sparse vector of protocol version 2, which
-// the write-ahead log still holds in records written before AppendTakes:
-// AppendTakes's full form with the bare count, uvarint(len), in front.
-// Nothing writes it any more. Its checks are AppendTakes's run rules.
-func (d *Dec) SparseFloat64s() (idx []int, vals []float64) {
-	idx, vals, _ = d.runs(nil, nil, uint64(d.Count(8)), nil)
+// Runs reads n entries spelled as the runs of AppendTakes's full form,
+// the part that follows its head, under the same run rules, and refuses an
+// n the remaining bytes cannot hold before anything is sized by it. Both
+// are nil when n is 0 or the read fails. It is the seam for the takes of
+// protocol version 2, these runs behind a bare count, which only
+// write-ahead logs written before AppendTakes hold.
+func (d *Dec) Runs(n uint64) (idx []int, vals []float64) {
+	if d.err == nil && n > uint64(len(d.buf))/8 {
+		d.fail("takes count")
+	}
+	idx, vals, _ = d.runs(nil, nil, n, nil)
 	if len(idx) == 0 {
 		return nil, nil
 	}

@@ -166,35 +166,64 @@ func legacyFrame(payload string) []byte {
 	return append(frame, payload...)
 }
 
-// TestLegacyReader: frames with the fixed 8-byte header read back with
-// the same checks, and a frame of this spelling is not one of them.
+// legacyNext reads one frame with the fixed 8-byte header from r, which fr
+// reads too, the way the reader of the logs written before the file magic
+// does: the header itself, the payload through ReadPayload.
+func legacyNext(r io.Reader, fr *Reader) ([]byte, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	return fr.ReadPayload(uint64(binary.LittleEndian.Uint32(hdr[:4])), len(hdr), binary.LittleEndian.Uint32(hdr[4:]))
+}
+
+// legacyErr is what reading raw's first legacy frame returns, from a
+// source of the given size as NewReader takes it.
+func legacyErr(raw []byte, size int64) error {
+	r := bytes.NewReader(raw)
+	_, err := legacyNext(r, NewReader(r, size))
+	return err
+}
+
+// TestLegacyReader: a reader of another header spelling gets Next's checks
+// through ReadPayload — the limit, the size of the source, the CRC, a torn
+// payload — and an offset that counts its headers; a frame of this
+// spelling is not one of its frames.
 func TestLegacyReader(t *testing.T) {
 	raw := append(legacyFrame("first"), legacyFrame("")...)
-	fr := NewLegacyReader(bytes.NewReader(raw), int64(len(raw)))
+	r := bytes.NewReader(raw)
+	fr := NewReader(r, int64(len(raw)))
 	for _, want := range []string{"first", ""} {
-		if got, err := fr.Next(); err != nil || string(got) != want {
-			t.Fatalf("Next = %q, %v; want %q", got, err, want)
+		if got, err := legacyNext(r, fr); err != nil || string(got) != want {
+			t.Fatalf("read %q, %v; want %q", got, err, want)
 		}
 	}
-	if _, err := fr.Next(); err != io.EOF || fr.Offset() != int64(len(raw)) {
+	if _, err := legacyNext(r, fr); err != io.EOF || fr.Offset() != int64(len(raw)) {
 		t.Fatalf("after the last frame: err %v, offset %d of %d", err, fr.Offset(), len(raw))
 	}
 	for cut := 1; cut < len(raw)-8; cut++ {
-		if _, err := NewLegacyReader(bytes.NewReader(raw[:cut]), -1).Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if err := legacyErr(raw[:cut], -1); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("cut at %d: err = %v", cut, err)
+		}
+		if err := legacyErr(raw[:cut], int64(cut)); cut >= 8 && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("cut at %d of a sized source: err = %v, want ErrCorrupt", cut, err)
 		}
 	}
 	over := binary.LittleEndian.AppendUint32(nil, MaxFramePayload+1)
-	if _, err := NewLegacyReader(bytes.NewReader(append(over, 0, 0, 0, 0)), -1).Next(); !errors.Is(err, ErrCorrupt) {
+	if err := legacyErr(append(over, 0, 0, 0, 0), -1); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("legacy length over the limit: err = %v, want ErrCorrupt", err)
 	}
-	current := frameOf(t, "first")
-	if got, err := NewLegacyReader(bytes.NewReader(current), int64(len(current))).Next(); err == nil {
-		t.Errorf("a frame of this spelling read as a legacy frame %q", got)
+	flipped := legacyFrame("first")
+	flipped[len(flipped)-1] ^= 1
+	if err := legacyErr(flipped, -1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a flipped payload bit: err = %v, want ErrCorrupt", err)
+	}
+	if current := frameOf(t, "first"); legacyErr(current, int64(len(current))) == nil {
+		t.Errorf("a frame of this spelling read as a legacy frame")
 	}
 }
 
-// FuzzFrame feeds arbitrary bytes to the frame readers. They must never
+// FuzzFrame feeds arbitrary bytes to the frame reader. It must never
 // panic or size a buffer beyond what a sized source holds; a frame they
 // accept must be the frame EndFrame writes for its payload, byte for
 // byte; a sized and an unsized reader must accept the same frames; and
@@ -234,15 +263,6 @@ func FuzzFrame(f *testing.F) {
 				t.Fatalf("frame % x accepted; its payload is framed as % x", accepted, again)
 			}
 		}
-		legacy := NewLegacyReader(bytes.NewReader(data), int64(len(data)))
-		for {
-			if _, err := legacy.Next(); err != nil {
-				break
-			}
-		}
-		if cap(legacy.buf) > len(data) {
-			t.Fatalf("legacy reader sized a %d-byte buffer over a %d-byte source", cap(legacy.buf), len(data))
-		}
 
 		// The input cut into pieces, each framed after the last in one
 		// buffer, reads back piece by piece.
@@ -271,8 +291,8 @@ func FuzzFrame(f *testing.F) {
 }
 
 // appendV2 spells a vector the way protocol version 2 did, which nothing
-// writes any more and the log still reads: AppendTakes's full form behind
-// the bare count.
+// writes any more and the log upgrader reads through Runs: AppendTakes's
+// full form behind the bare count.
 func appendV2(dst []byte, idx []int, vals []float64) []byte {
 	dst = AppendUvarint(dst, uint64(len(idx)))
 	next := 0
@@ -472,7 +492,7 @@ func TestTakesRoundTripRandom(t *testing.T) {
 			t.Fatalf("%d entries: %d bytes, version 2 spelled them in %d", n, len(enc), len(v2))
 		}
 		d = NewDec(v2)
-		if v2Idx, v2Vals := d.SparseFloat64s(); d.Done() != nil || !slices.Equal(v2Idx, idx) || !sameBits(v2Vals, vals) {
+		if v2Idx, v2Vals := d.Runs(d.Uvarint()); d.Done() != nil || !slices.Equal(v2Idx, idx) || !sameBits(v2Vals, vals) {
 			t.Fatalf("version 2 spelling % x reads as %v at %v (%v)", v2, v2Vals, v2Idx, d.Err())
 		}
 	}
