@@ -121,21 +121,28 @@ allocs:
 # past the recorded counts. A PR that shrinks one lowers its MAX to what it
 # prints; raising one is a reviewed diff of its line, for a simplicity PR
 # to argue. Four lines, so code cannot leave the serving count by moving
-# into the closure, the library or the store unseen.
+# into the closure, the library or the store unseen. The fifth holds the
+# test harness: the running-tree harness and the bundle format in
+# internal/scenario plus the model checker and its runners in
+# internal/modeltest, so a new op source adds lines to neither a second
+# harness nor a copy of one.
 SERVING_LOC_MAX = 6372
 TRANSITIVE_LOC_MAX = 1262
 LIBRARY_LOC_MAX = 1040
 STORE_LOC_MAX = 1611
+HARNESS_LOC_MAX = 5058
 loc:
 	@n=$$(ls internal/lp/*.go internal/core/*.go internal/grm/*.go | grep -v _test | xargs cat | wc -l); \
 	c=$$(ls internal/transitive/*.go | grep -v _test | xargs cat | wc -l); \
 	l=$$(ls internal/planners/*.go | grep -v _test | xargs cat | wc -l); \
 	s=$$(ls internal/store/*.go internal/wirefmt/*.go | grep -v _test | xargs cat | wc -l); \
+	h=$$(ls internal/scenario/*.go internal/modeltest/*.go | grep -v _test | xargs cat | wc -l); \
 	echo "serving lines (lp+core+grm, non-test): $$n (max $(SERVING_LOC_MAX))"; \
 	echo "closure lines (transitive, non-test): $$c (max $(TRANSITIVE_LOC_MAX))"; \
 	echo "library lines (planners, non-test): $$l (max $(LIBRARY_LOC_MAX))"; \
 	echo "store lines (store+wirefmt, non-test): $$s (max $(STORE_LOC_MAX))"; \
-	test $$n -le $(SERVING_LOC_MAX) && test $$c -le $(TRANSITIVE_LOC_MAX) && test $$l -le $(LIBRARY_LOC_MAX) && test $$s -le $(STORE_LOC_MAX)
+	echo "harness lines (scenario+modeltest, non-test): $$h (max $(HARNESS_LOC_MAX))"; \
+	test $$n -le $(SERVING_LOC_MAX) && test $$c -le $(TRANSITIVE_LOC_MAX) && test $$l -le $(LIBRARY_LOC_MAX) && test $$s -le $(STORE_LOC_MAX) && test $$h -le $(HARNESS_LOC_MAX)
 
 check: build
 	$(GO) vet ./...

@@ -191,6 +191,9 @@ func cmdRebless(args []string) error {
 		if err != nil {
 			return err
 		}
+		if res.Divergence != nil {
+			return fmt.Errorf("rebless %s: %w", dir, res.Divergence)
+		}
 		b.Expected = res.Actual
 		if err := scenario.WriteBundle(dir, b); err != nil {
 			return err

@@ -31,10 +31,10 @@ import (
 // artifact is the JSON document written to -out on failure — everything
 // needed to reproduce the run without the original logs.
 type artifact struct {
-	Kind    string                    `json:"kind"` // "graph" or "cluster"
-	Replay  string                    `json:"replay"`
-	Graph   *modeltest.Failure        `json:"graph,omitempty"`
-	Cluster *modeltest.ClusterFailure `json:"cluster,omitempty"`
+	Kind    string                `json:"kind"` // "graph" or "cluster"
+	Replay  string                `json:"replay"`
+	Graph   *modeltest.Failure    `json:"graph,omitempty"`
+	Cluster *modeltest.RunFailure `json:"cluster,omitempty"`
 }
 
 func writeArtifact(path string, a *artifact) {

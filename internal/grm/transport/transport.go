@@ -134,9 +134,18 @@ func (t *Server) Addr() net.Addr {
 }
 
 // Serve accepts connections on l until Close. It always returns a
-// non-nil error (net.ErrClosed after a clean shutdown).
+// non-nil error (net.ErrClosed after a clean shutdown). A Serve called
+// after Close closes l and returns net.ErrClosed at once: Close found no
+// listener to close, so nothing else would.
 func (t *Server) Serve(l net.Listener) error {
 	t.mu.Lock()
+	select {
+	case <-t.closed:
+		t.mu.Unlock()
+		l.Close()
+		return net.ErrClosed
+	default:
+	}
 	t.listener = l
 	t.mu.Unlock()
 	for {
@@ -153,9 +162,11 @@ func (t *Server) Serve(l net.Listener) error {
 		select {
 		case <-t.closed:
 			// Raced with Close after it snapshotted live connections:
-			// drop the straggler rather than leak a handler past Close.
+			// drop the straggler rather than leak a handler past Close,
+			// and the listener with it.
 			t.mu.Unlock()
 			conn.Close()
+			l.Close()
 			return net.ErrClosed
 		default:
 		}

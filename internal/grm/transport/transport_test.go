@@ -103,6 +103,38 @@ func TestCloseUnblocksServeAndSeversConns(t *testing.T) {
 	}
 }
 
+// TestServeAfterCloseReturns: a Serve that starts after Close must not
+// sit in Accept with a listener nobody closes. It returns net.ErrClosed
+// at once and closes the listener, so a dial to it is refused.
+func TestServeAfterCloseReturns(t *testing.T) {
+	srv := transport.NewServer(nil,
+		transport.HandlerFunc(func(req any) any { return &echoResp{} }),
+		transport.Options{Codec: echoCodec{}},
+	)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	select {
+	case err := <-done:
+		if err != net.ErrClosed {
+			t.Errorf("Serve after Close returned %v, want net.ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		l.Close()
+		t.Fatal("Serve after Close still accepting after 2s")
+	}
+	if c, err := net.DialTimeout("tcp", l.Addr().String(), time.Second); err == nil {
+		c.Close()
+		t.Error("dial to the listener of a Serve after Close succeeded")
+	}
+}
+
 func TestIdleTimeoutDropsQuietConn(t *testing.T) {
 	srv, addr := startEcho(t, transport.Options{IdleTimeout: 30 * time.Millisecond})
 	conn, err := net.Dial("tcp", addr)

@@ -4,17 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
+	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/grm"
-	"repro/internal/grm/faultnet"
-	"repro/internal/grm/transport"
 	"repro/internal/scenario"
-	"repro/internal/store"
-	"repro/internal/vclock"
 )
 
 // ClusterOptions configures one deterministic protocol-level run: a real
@@ -39,18 +34,29 @@ type ClusterOptions struct {
 	Tap grm.Tap
 }
 
-// ClusterFailure pinpoints an invariant violation in a cluster run.
-type ClusterFailure struct {
+func (o *ClusterOptions) defaults() {
+	if o.Steps <= 0 {
+		o.Steps = 100
+	}
+	if o.TTL <= 0 {
+		o.TTL = 10 * time.Second
+	}
+}
+
+// RunFailure pinpoints an invariant violation in a cluster or tree run.
+type RunFailure struct {
 	Seed int64  `json:"seed"`
 	Step int    `json:"step"`
 	Op   string `json:"op"`
 	Msg  string `json:"msg"`
+	// run names the runner, "cluster" or "tree", and so its seed flag.
+	run string
 }
 
 // Error formats the failure with its replay seed.
-func (f *ClusterFailure) Error() string {
-	return fmt.Sprintf("modeltest: cluster step %d (%s) violated an invariant (replay: -cluster-seed %d): %s",
-		f.Step, f.Op, f.Seed, f.Msg)
+func (f *RunFailure) Error() string {
+	return fmt.Sprintf("modeltest: %s step %d (%s) violated an invariant (replay: -%s-seed %d): %s",
+		f.run, f.Step, f.Op, f.run, f.Seed, f.Msg)
 }
 
 // ClusterReport is the outcome of RunCluster.
@@ -62,7 +68,7 @@ type ClusterReport struct {
 	// produce byte-identical traces — the determinism test compares them.
 	Trace []string
 	// Failure is the first invariant violation, nil when the run is clean.
-	Failure *ClusterFailure
+	Failure *RunFailure
 }
 
 // ledger is the runner's independent model of the GRM's books, built from
@@ -118,15 +124,11 @@ func (ld *ledger) expire(now time.Time) int {
 
 // clusterNode is one principal's client-side state.
 type clusterNode struct {
-	lrm      *grm.LRM
+	*scenario.Node
 	capacity float64
 	// lastReport mirrors the LRM's replay-on-reconnect state.
 	hasReport  bool
 	lastReport float64
-	// conns receives every connection this node dials; lastConn is the
-	// most recent one (the live one), the kill target.
-	conns    chan *faultnet.Conn
-	lastConn *faultnet.Conn
 	// killed marks that the live connection was severed, so the node's
 	// next operation will transparently reconnect: re-register, then
 	// replay lastReport. The ledger applies those effects at that moment.
@@ -138,69 +140,33 @@ type clusterNode struct {
 // runs on a vclock.Virtual: leases expire exactly when the schedule's
 // "advance" steps move the clock, never because the test machine was slow.
 func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
-	if opts.Steps <= 0 {
-		opts.Steps = 100
-	}
-	if opts.TTL <= 0 {
-		opts.TTL = 10 * time.Second
-	}
+	opts.defaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	rep := &ClusterReport{}
 
-	vc := vclock.NewVirtual(time.Unix(1_000_000_000, 0))
 	// The in-memory log is the run's durable medium: it survives the
 	// schedule's GRM restarts the way a WAL directory survives a crash.
-	wal := store.NewMemLog()
-	srv := grm.NewServer(core.Config{}, nil)
-	srv.SetClock(vc)
-	srv.SetTap(opts.Tap)
-	if err := srv.Recover(wal); err != nil {
-		return nil, fmt.Errorf("modeltest: cluster attach wal: %w", err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	h, err := scenario.Start(scenario.Topology{TTL: opts.TTL, Tap: opts.Tap})
 	if err != nil {
-		return nil, fmt.Errorf("modeltest: cluster listen: %w", err)
+		return nil, fmt.Errorf("modeltest: cluster: %w", err)
 	}
-	go srv.Serve(l)
-	defer func() { srv.Close() }()
-	addr := l.Addr().String()
+	defer h.Close()
 
-	// Register the principals. Dialing (and the server accepting) before
-	// SetLeaseTTL keeps the background reaper off: Serve only starts it
-	// when a TTL is already configured, so the schedule's explicit Reap
-	// calls are the one and only reaper — expiry counts are exact.
 	n := 3 + rng.Intn(3)
 	nodes := make([]*clusterNode, n)
 	for p := 0; p < n; p++ {
-		node := &clusterNode{
-			capacity: 1 + grid(rng.Float64()*9),
-			conns:    make(chan *faultnet.Conn, 8),
-		}
-		cfg := grm.DialConfig{
-			Timeout:    10 * time.Second,
-			RetryMax:   5,
-			Backoff:    time.Millisecond,
-			MaxBackoff: 4 * time.Millisecond,
-			Dialer:     faultnet.Dialer(nil, node.conns),
-		}
-		lrm, err := grm.DialWithConfig(addr, fmt.Sprintf("p%d", p), node.capacity, cfg)
+		capacity := 1 + grid(rng.Float64()*9)
+		node, err := h.Dial(0, fmt.Sprintf("p%d", p), capacity)
 		if err != nil {
 			return nil, fmt.Errorf("modeltest: cluster dial p%d: %w", p, err)
 		}
-		node.lrm = lrm
-		defer lrm.Close()
-		nodes[p] = node
+		nodes[p] = &clusterNode{Node: node, capacity: capacity}
 	}
-	srv.SetLeaseTTL(opts.TTL)
 
-	ld := &ledger{
-		avail:    make([]float64, n),
-		reported: make([]float64, n),
-		leases:   map[int]*ledgerLease{},
-	}
-	for p, node := range nodes {
-		ld.avail[p] = node.capacity
-		ld.reported[p] = node.capacity
+	ld := &ledger{leases: map[int]*ledgerLease{}}
+	for _, node := range nodes {
+		ld.avail = append(ld.avail, node.capacity)
+		ld.reported = append(ld.reported, node.capacity)
 	}
 
 	// A random agreement graph: up to two outgoing relative agreements per
@@ -214,7 +180,7 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 				continue
 			}
 			budget -= frac
-			if _, err := nodes[p].lrm.ShareRelative(to, frac); err != nil {
+			if _, err := nodes[p].ShareRelative(to, frac); err != nil {
 				return nil, fmt.Errorf("modeltest: cluster setup share p%d->p%d: %w", p, to, err)
 			}
 		}
@@ -237,46 +203,21 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 			ld.reported[p] = math.Max(ld.reported[p], node.lastReport)
 		}
 	}
-	drainConns := func(p int) {
-		for {
-			select {
-			case c := <-nodes[p].conns:
-				nodes[p].lastConn = c
-			default:
-				return
-			}
-		}
-	}
-	// pingOnce proves the restarted server's accept loop is live: a
-	// completed hello exchange means Serve already read the
-	// (still zero) lease TTL, so enabling the TTL afterwards keeps the
-	// background reaper off and expiry stays under the schedule's explicit
-	// Reap calls — same invariant as the initial dial-before-SetLeaseTTL.
-	pingOnce := func() error {
-		c, err := net.Dial("tcp", addr)
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		if err := transport.WriteHello(c, transport.Version); err != nil {
-			return err
-		}
-		_, err = transport.ReadHello(c)
-		return err
-	}
 	fail := func(step int, op, format string, args ...any) *ClusterReport {
 		rep.Steps = step + 1
-		rep.Failure = &ClusterFailure{Seed: opts.Seed, Step: step, Op: op, Msg: fmt.Sprintf(format, args...)}
+		rep.Failure = &RunFailure{Seed: opts.Seed, Step: step, Op: op, Msg: fmt.Sprintf(format, args...), run: "cluster"}
 		return rep
 	}
 	const tol = 1e-6
 
-	// checkBooks compares the server's status view with the ledger.
+	// checkBooks runs the harness's books check and compares the
+	// server's status view it read with the ledger.
 	checkBooks := func() error {
-		st, err := srv.Status()
+		books, err := h.Check()
 		if err != nil {
-			return fmt.Errorf("status: %w", err)
+			return err
 		}
+		st := books.Status[0][0]
 		if len(st.Principals) != n {
 			return fmt.Errorf("status lists %d principals, want %d", len(st.Principals), n)
 		}
@@ -286,9 +227,6 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 			}
 			if math.Abs(ps.Reported-ld.reported[i]) > tol {
 				return fmt.Errorf("principal %d reported = %g, ledger says %g", i, ps.Reported, ld.reported[i])
-			}
-			if ps.Available < -tol || ps.Available > ps.Reported+tol {
-				return fmt.Errorf("principal %d available %g outside [0, reported %g]", i, ps.Available, ps.Reported)
 			}
 		}
 		if st.Leases != len(ld.leases) {
@@ -303,11 +241,7 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 			out = append(out, t)
 		}
 		// Map order is random; sort so token picks depend only on the rng.
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j] < out[j-1]; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
-		}
+		slices.Sort(out)
 		return out
 	}
 
@@ -319,7 +253,7 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 		case 0, 1, 2: // report
 			x := grid(rng.Float64() * node.capacity * 1.2)
 			reconnectEffects(p)
-			if err := node.lrm.Report(x); err != nil {
+			if err := node.Report(x); err != nil {
 				return fail(step, "report", "Report(%g): %v", x, err), nil
 			}
 			node.hasReport, node.lastReport = true, x
@@ -329,7 +263,7 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 
 		case 3, 4, 5: // alloc
 			reconnectEffects(p)
-			availSrv, caps, err := node.lrm.Capacities()
+			availSrv, caps, err := node.Capacities()
 			if err != nil {
 				return fail(step, "alloc", "Capacities: %v", err), nil
 			}
@@ -343,8 +277,7 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 				line = fmt.Sprintf("alloc p%d skipped (no capacity)", p)
 				break
 			}
-			before := append([]float64(nil), ld.avail...)
-			reply, err := node.lrm.Allocate(amount)
+			reply, err := node.Allocate(amount)
 			if err != nil {
 				if strings.Contains(err.Error(), "insufficient") {
 					// Legitimate refusal (capacity moved between the caps
@@ -368,8 +301,8 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 				if t <= 0 {
 					return fail(step, "alloc", "take[%d] = %g is not positive", i, t), nil
 				}
-				if t > before[i]+tol {
-					return fail(step, "alloc", "take[%d] = %g exceeds available %g", i, t, before[i]), nil
+				if t > ld.avail[i]+tol {
+					return fail(step, "alloc", "take[%d] = %g exceeds available %g", i, t, ld.avail[i]), nil
 				}
 				sum += t
 			}
@@ -386,7 +319,7 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 			ld.debit(takes)
 			ld.leases[reply.Lease] = &ledgerLease{
 				takes:   takes,
-				expires: vc.Now().Add(opts.TTL),
+				expires: h.Clock().Now().Add(opts.TTL),
 			}
 			line = fmt.Sprintf("alloc p%d %g lease=%d theta=%.9g", p, amount, reply.Lease, reply.Theta)
 
@@ -396,14 +329,14 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 			if len(ts) == 0 {
 				// Nothing outstanding: a bogus token must be refused
 				// without touching the books.
-				if err := node.lrm.Release(1 << 30); err == nil {
+				if err := node.Release(1 << 30); err == nil {
 					return fail(step, "release", "bogus lease accepted"), nil
 				}
 				line = fmt.Sprintf("release p%d bogus refused", p)
 				break
 			}
 			token := ts[rng.Intn(len(ts))]
-			if err := node.lrm.Release(token); err != nil {
+			if err := node.Release(token); err != nil {
 				return fail(step, "release", "Release(%d): %v", token, err), nil
 			}
 			ld.credit(ld.leases[token].takes)
@@ -420,24 +353,21 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 			}
 			reconnectEffects(p)
 			token := ts[rng.Intn(len(ts))]
-			ttl, err := node.lrm.Renew(token)
+			ttl, err := node.Renew(token)
 			if err != nil {
 				return fail(step, "renew", "Renew(%d): %v", token, err), nil
 			}
 			if ttl != opts.TTL {
 				return fail(step, "renew", "renewed TTL = %v, want %v", ttl, opts.TTL), nil
 			}
-			ld.leases[token].expires = vc.Now().Add(opts.TTL)
+			ld.leases[token].expires = h.Clock().Now().Add(opts.TTL)
 			line = fmt.Sprintf("renew p%d lease=%d", p, token)
 
 		case 8: // kill the live connection; next op reconnects
-			drainConns(p)
-			if node.lastConn == nil {
+			if !node.Kill() {
 				line = fmt.Sprintf("kill p%d skipped (no conn)", p)
 				break
 			}
-			node.lastConn.Kill()
-			node.lastConn = nil
 			node.killed = true
 			line = fmt.Sprintf("kill p%d", p)
 
@@ -447,9 +377,9 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 			// sub-millisecond advance would shift lease-expiry boundaries
 			// between a recording and its replay.
 			d := (opts.TTL / 3 * time.Duration(1+rng.Intn(5))).Truncate(time.Millisecond)
-			vc.Advance(d)
-			now := vc.Now()
-			reaped := srv.Reap()
+			h.Clock().Advance(d)
+			now := h.Clock().Now()
+			reaped := h.Reap()
 			expired := ld.expire(now)
 			if reaped != expired {
 				return fail(step, "advance", "server reaped %d leases at +%v, ledger expired %d", reaped, d, expired), nil
@@ -458,36 +388,14 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 
 		case 10: // kill the whole GRM and recover it from the WAL
 			compacted := rng.Intn(2) == 0
-			if compacted {
-				if err := srv.Compact(); err != nil {
-					return fail(step, "restart", "Compact: %v", err), nil
-				}
-			}
-			if err := srv.Close(); err != nil {
-				return fail(step, "restart", "Close: %v", err), nil
+			if _, err := h.Restart(0, compacted); err != nil {
+				return fail(step, "restart", "%v", err), nil
 			}
 			// Every live connection died with the server; each node's next
 			// RPC transparently reconnects (re-register + replay report).
-			for q := range nodes {
-				drainConns(q)
-				nodes[q].lastConn = nil
-				nodes[q].killed = true
+			for _, node := range nodes {
+				node.killed = true
 			}
-			srv = grm.NewServer(core.Config{}, nil)
-			srv.SetClock(vc)
-			srv.SetTap(opts.Tap)
-			if err := srv.Recover(wal); err != nil {
-				return fail(step, "restart", "Recover: %v", err), nil
-			}
-			l, err := net.Listen("tcp", addr)
-			if err != nil {
-				return fail(step, "restart", "relisten %s: %v", addr, err), nil
-			}
-			go srv.Serve(l)
-			if err := pingOnce(); err != nil {
-				return fail(step, "restart", "post-restart ping: %v", err), nil
-			}
-			srv.SetLeaseTTL(opts.TTL)
 			line = fmt.Sprintf("restart compact=%v leases=%d", compacted, len(ld.leases))
 		}
 
@@ -505,12 +413,7 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 // report. The schedule is single-threaded, so the recording
 // replays exactly. `created` stamps the bundle's Created field.
 func RecordCluster(opts ClusterOptions, created time.Time) (*scenario.Bundle, *ClusterReport, error) {
-	if opts.Steps <= 0 {
-		opts.Steps = 100
-	}
-	if opts.TTL <= 0 {
-		opts.TTL = 10 * time.Second
-	}
+	opts.defaults()
 	rec := scenario.NewRecorder(scenario.Meta{
 		Name:    fmt.Sprintf("cluster-seed%d", opts.Seed),
 		Title:   fmt.Sprintf("recorded modeltest cluster schedule (seed %d, %d steps)", opts.Seed, opts.Steps),

@@ -6,12 +6,11 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"net"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/grm"
-	"repro/internal/store"
+	"repro/internal/scenario"
 )
 
 // TreeOptions configures one deterministic tree-cluster run: a root GRM,
@@ -43,41 +42,17 @@ type TreeOptions struct {
 }
 
 func (o *TreeOptions) defaults() {
-	if o.Steps <= 0 {
-		o.Steps = 50
+	for _, d := range []struct {
+		field *int
+		value int
+	}{
+		{&o.Steps, 50}, {&o.Mids, 2}, {&o.LeavesPerMid, 1}, {&o.ShardsPerLeaf, 2}, {&o.Principals, 300}, {&o.LRMs, 12},
+	} {
+		if *d.field <= 0 {
+			*d.field = d.value
+		}
 	}
-	if o.Mids <= 0 {
-		o.Mids = 2
-	}
-	if o.LeavesPerMid <= 0 {
-		o.LeavesPerMid = 1
-	}
-	if o.ShardsPerLeaf <= 0 {
-		o.ShardsPerLeaf = 2
-	}
-	if o.Principals <= 0 {
-		o.Principals = 300
-	}
-	if o.LRMs <= 0 {
-		o.LRMs = 12
-	}
-	if o.LRMs > o.Principals {
-		o.LRMs = o.Principals
-	}
-}
-
-// TreeFailure pinpoints an invariant violation in a tree run.
-type TreeFailure struct {
-	Seed int64  `json:"seed"`
-	Step int    `json:"step"`
-	Op   string `json:"op"`
-	Msg  string `json:"msg"`
-}
-
-// Error formats the failure with its replay seed.
-func (f *TreeFailure) Error() string {
-	return fmt.Sprintf("modeltest: tree step %d (%s) violated an invariant (replay: -tree-seed %d): %s",
-		f.Step, f.Op, f.Seed, f.Msg)
+	o.LRMs = min(o.LRMs, o.Principals)
 }
 
 // TreeReport is the outcome of RunTree.
@@ -100,18 +75,14 @@ type TreeReport struct {
 	// same options must produce byte-identical traces.
 	Trace []string
 	// Failure is the first invariant violation, nil when the run is clean.
-	Failure *TreeFailure
+	Failure *RunFailure
 }
 
-// treeLeaf is one sharded leaf cluster and its durable medium.
+// treeLeaf is where the run places one leaf cluster's principals.
 type treeLeaf struct {
-	name    string
-	midAddr string
-	cluster *grm.Sharded
-	logs    []store.Log
-	addr    string
+	name string
 	// prefixes[s] is a subtree prefix the router maps to shard s, so the
-	// harness can place principals and keep agreements intra-shard.
+	// run can place principals and keep agreements intra-shard.
 	prefixes []string
 	// bulk holds the in-process principals' global ids, grouped by shard
 	// prefix so agreement blocks stay on one shard.
@@ -120,16 +91,14 @@ type treeLeaf struct {
 
 // treeLRM is one wire client of a leaf cluster.
 type treeLRM struct {
-	lrm      *grm.LRM
+	*scenario.Node
 	leaf     int
 	capacity float64
 }
 
 // treeLease is one outstanding allocation made by the LRM fleet.
 type treeLease struct {
-	leaf  int
-	lrm   int
-	token int
+	lrm, token int
 }
 
 // treeConfig is the allocator configuration every server in the tree
@@ -149,101 +118,47 @@ func RunTree(opts TreeOptions) (*TreeReport, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	rep := &TreeReport{Levels: 3}
 
-	// Root level. No lease TTL anywhere: the tree run keeps every server's
-	// background reaper off, so the only transitions are the schedule's.
-	root := grm.NewServer(treeConfig, nil)
-	rl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("modeltest: tree root listen: %w", err)
-	}
-	go root.Serve(rl)
-	defer root.Close()
-
-	// Mid level, each mid an LRM of the root.
-	mids := make([]*grm.Server, opts.Mids)
-	midAddrs := make([]string, opts.Mids)
-	for m := range mids {
-		mid := grm.NewServer(treeConfig, nil)
-		ml, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("modeltest: tree mid %d listen: %w", m, err)
-		}
-		go mid.Serve(ml)
-		defer mid.Close()
-		if err := mid.AttachParent(rl.Addr().String(), fmt.Sprintf("mid%d", m)); err != nil {
-			return nil, fmt.Errorf("modeltest: tree mid %d attach: %w", m, err)
-		}
-		mids[m] = mid
-		midAddrs[m] = ml.Addr().String()
-	}
-
-	// Leaf level: sharded clusters, each an LRM of its mid, each shard
-	// journaling into its own write-ahead log.
-	newCluster := func(lf *treeLeaf, recover bool) error {
-		c := grm.NewSharded(opts.ShardsPerLeaf, treeConfig, nil)
-		if recover {
-			if err := c.RecoverShards(lf.logs); err != nil {
-				return fmt.Errorf("recover %s: %w", lf.name, err)
-			}
-		} else if err := c.SetLogs(lf.logs); err != nil {
-			return err
-		}
-		lf.cluster = c
-		return nil
-	}
-	startCluster := func(lf *treeLeaf) error {
-		var l net.Listener
-		var err error
-		if lf.addr == "" {
-			l, err = net.Listen("tcp", "127.0.0.1:0")
-		} else {
-			// A restart reclaims the cluster's old address so the LRM
-			// fleet's transparent reconnects find it.
-			l, err = net.Listen("tcp", lf.addr)
-		}
-		if err != nil {
-			return fmt.Errorf("listen %s: %w", lf.name, err)
-		}
-		lf.addr = l.Addr().String()
-		go lf.cluster.Serve(l)
-		if err := lf.cluster.AttachParent(lf.midAddr, lf.name); err != nil {
-			return fmt.Errorf("attach %s: %w", lf.name, err)
-		}
-		return nil
-	}
+	// Root, mids each an LRM of the root, and sharded leaf clusters each
+	// an LRM of its mid, every shard journaling into its own log. No
+	// lease TTL anywhere: every server's background reaper stays off, so
+	// the only transitions are the schedule's.
 	nleaves := opts.Mids * opts.LeavesPerMid
+	leafNames, midNames := make([]string, nleaves), make([]string, opts.Mids)
+	for i := range leafNames {
+		leafNames[i] = fmt.Sprintf("leaf%d", i)
+	}
+	for m := range midNames {
+		midNames[m] = fmt.Sprintf("mid%d", m)
+	}
+	h, err := scenario.Start(scenario.Topology{
+		Config: treeConfig,
+		Shards: opts.ShardsPerLeaf,
+		Parents: []scenario.Level{
+			{Config: treeConfig, Width: opts.Mids, Children: leafNames},
+			{Config: treeConfig, Children: midNames},
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("modeltest: tree: %w", err)
+	}
+	defer h.Close()
+
+	// Probe subtree prefixes until every shard of every leaf has one.
 	leaves := make([]*treeLeaf, nleaves)
 	for i := range leaves {
-		mid := i / opts.LeavesPerMid
-		lf := &treeLeaf{
-			name:    fmt.Sprintf("leaf%d", i),
-			midAddr: midAddrs[mid],
-			logs:    make([]store.Log, opts.ShardsPerLeaf),
-		}
-		for s := range lf.logs {
-			lf.logs[s] = store.NewMemLog()
-		}
-		if err := newCluster(lf, false); err != nil {
-			return nil, fmt.Errorf("modeltest: tree: %w", err)
-		}
-		defer func() { lf.cluster.Close() }()
-		// Probe subtree prefixes until every shard has one.
-		lf.prefixes = make([]string, opts.ShardsPerLeaf)
-		lf.bulk = make([][]int, opts.ShardsPerLeaf)
+		router := h.Leaf(i).(*grm.Sharded)
+		lf := &treeLeaf{name: leafNames[i], prefixes: make([]string, opts.ShardsPerLeaf), bulk: make([][]int, opts.ShardsPerLeaf)}
+		leaves[i] = lf
 		for found, p := 0, 0; found < opts.ShardsPerLeaf; p++ {
 			if p > 100_000 {
 				return nil, fmt.Errorf("modeltest: tree: no prefix for every shard of %s", lf.name)
 			}
 			name := fmt.Sprintf("b%d", p)
-			if s := lf.cluster.ShardOf(name + "/probe"); lf.prefixes[s] == "" {
+			if s := router.ShardOf(name + "/probe"); lf.prefixes[s] == "" {
 				lf.prefixes[s] = name
 				found++
 			}
 		}
-		if err := startCluster(lf); err != nil {
-			return nil, fmt.Errorf("modeltest: tree: %w", err)
-		}
-		leaves[i] = lf
 	}
 
 	// Bulk population, registered in-process through each router. The
@@ -253,7 +168,7 @@ func RunTree(opts TreeOptions) (*TreeReport, error) {
 		lf := leaves[k%nleaves]
 		shard := (k / nleaves) % opts.ShardsPerLeaf
 		name := fmt.Sprintf("%s/p%d", lf.prefixes[shard], k)
-		resp := lf.cluster.Handle(&grm.Request{Register: &grm.RegisterRequest{
+		resp := h.Leaf(k % nleaves).Handle(&grm.Request{Register: &grm.RegisterRequest{
 			Name:     name,
 			Capacity: 1 + grid(rng.Float64()*9),
 		}})
@@ -268,26 +183,19 @@ func RunTree(opts TreeOptions) (*TreeReport, error) {
 	// closing each block — sparse rows, small closure components, and
 	// every edge intra-shard by construction.
 	const blockSize = 8
-	for _, lf := range leaves {
+	for li, lf := range leaves {
 		for _, ids := range lf.bulk {
 			for start := 0; start < len(ids); start += blockSize {
-				end := start + blockSize
-				if end > len(ids) {
-					end = len(ids)
-				}
+				end := min(start+blockSize, len(ids))
+				var shares []*grm.ShareRequest
 				for j := start; j+1 < end; j++ {
-					resp := lf.cluster.Handle(&grm.Request{Share: &grm.ShareRequest{
-						From: ids[j], To: ids[j+1], Fraction: grid(0.1 + rng.Float64()*0.3),
-					}})
-					if resp.Err != "" {
-						return nil, fmt.Errorf("modeltest: tree share: %s", resp.Err)
-					}
+					shares = append(shares, &grm.ShareRequest{From: ids[j], To: ids[j+1], Fraction: grid(0.1 + rng.Float64()*0.3)})
 				}
 				if end-start >= 2 {
-					resp := lf.cluster.Handle(&grm.Request{Share: &grm.ShareRequest{
-						From: ids[end-1], To: ids[start], Quantity: grid(1 + rng.Float64()*3),
-					}})
-					if resp.Err != "" {
+					shares = append(shares, &grm.ShareRequest{From: ids[end-1], To: ids[start], Quantity: grid(1 + rng.Float64()*3)})
+				}
+				for _, share := range shares {
+					if resp := h.Leaf(li).Handle(&grm.Request{Share: share}); resp.Err != "" {
 						return nil, fmt.Errorf("modeltest: tree share: %s", resp.Err)
 					}
 				}
@@ -297,140 +205,39 @@ func RunTree(opts TreeOptions) (*TreeReport, error) {
 
 	// The LRM fleet, spread round-robin over leaves and shard prefixes.
 	lrms := make([]*treeLRM, opts.LRMs)
-	cfg := grm.DefaultDialConfig()
 	for i := range lrms {
 		leaf := i % nleaves
 		lf := leaves[leaf]
 		prefix := lf.prefixes[(i/nleaves)%opts.ShardsPerLeaf]
 		capacity := 1 + grid(rng.Float64()*9)
-		lrm, err := grm.DialWithConfig(lf.addr, fmt.Sprintf("%s/lrm%d", prefix, i), capacity, cfg)
+		node, err := h.Dial(leaf, fmt.Sprintf("%s/lrm%d", prefix, i), capacity)
 		if err != nil {
 			return nil, fmt.Errorf("modeltest: tree dial lrm%d: %w", i, err)
 		}
-		defer lrm.Close()
-		lrms[i] = &treeLRM{lrm: lrm, leaf: leaf, capacity: capacity}
+		lrms[i] = &treeLRM{Node: node, leaf: leaf, capacity: capacity}
 		rep.Principals++
 		rep.LRMs++
 	}
 
-	// Seed the upper levels' books with the leaves' aggregates.
-	for _, lf := range leaves {
-		if err := lf.cluster.ReportUpstream(); err != nil {
-			return nil, fmt.Errorf("modeltest: tree %s report upstream: %w", lf.name, err)
-		}
-	}
-	for m, mid := range mids {
-		if err := mid.ReportUpstream(); err != nil {
-			return nil, fmt.Errorf("modeltest: tree mid %d report upstream: %w", m, err)
+	// Seed the upper levels' books with the leaves', then the mids',
+	// aggregates.
+	for level, names := range [][]string{leafNames, midNames} {
+		for i, name := range names {
+			if err := h.Upstream(level, i); err != nil {
+				return nil, fmt.Errorf("modeltest: tree %s report upstream: %w", name, err)
+			}
 		}
 	}
 
 	const tol = 1e-6
 	fail := func(step int, op, format string, args ...any) *TreeReport {
 		rep.Steps = step + 1
-		rep.Failure = &TreeFailure{Seed: opts.Seed, Step: step, Op: op, Msg: fmt.Sprintf(format, args...)}
+		rep.Failure = &RunFailure{Seed: opts.Seed, Step: step, Op: op, Msg: fmt.Sprintf(format, args...), run: "tree"}
 		return rep
 	}
 
-	// booksDigest folds every level's books into one FNV-1a digest —
-	// availability and computed capacities at each leaf (through the
-	// routers' merged caps) and at each upper server. It also enforces
-	// the non-negativity invariants while it walks.
-	var buf [8]byte
-	writeF := func(h interface{ Write([]byte) (int, error) }, x float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		h.Write(buf[:])
-	}
-	booksDigest := func() (uint64, error) {
-		h := fnv.New64a()
-		for _, lf := range leaves {
-			resp := lf.cluster.Handle(&grm.Request{Caps: &grm.CapsRequest{}})
-			if resp.Err != "" {
-				return 0, fmt.Errorf("%s caps: %s", lf.name, resp.Err)
-			}
-			for i, a := range resp.Caps.Available {
-				c := resp.Caps.Capacities[i]
-				if a < -tol {
-					return 0, fmt.Errorf("%s principal %d available %g negative", lf.name, i, a)
-				}
-				if c < a-tol {
-					return 0, fmt.Errorf("%s principal %d capacity %g below available %g", lf.name, i, c, a)
-				}
-				writeF(h, a)
-				writeF(h, c)
-			}
-		}
-		for _, srv := range append([]*grm.Server{root}, mids...) {
-			st, err := srv.Status()
-			if err != nil {
-				return 0, fmt.Errorf("status: %w", err)
-			}
-			for _, ps := range st.Principals {
-				if ps.Available < -tol {
-					return 0, fmt.Errorf("upper principal %q available %g negative", ps.Name, ps.Available)
-				}
-				writeF(h, ps.Available)
-				writeF(h, ps.Capacity)
-			}
-		}
-		return h.Sum64(), nil
-	}
-
-	// leafDigest folds one leaf cluster's merged status — books, leases,
-	// agreements, and borrow balances — for the restart recovery check.
-	// Borrow liveness flags are excluded: recovery cannot resurrect the
-	// parent links themselves, only the balances.
-	leafDigest := func(lf *treeLeaf) (uint64, error) {
-		st, err := lf.cluster.Status()
-		if err != nil {
-			return 0, err
-		}
-		h := fnv.New64a()
-		fmt.Fprintf(h, "leases=%d agreements=%d\n", st.Leases, st.Agreements)
-		for _, ps := range st.Principals {
-			fmt.Fprintf(h, "p%d %s ", ps.Principal, ps.Name)
-			writeF(h, ps.Available)
-			writeF(h, ps.Reported)
-			writeF(h, ps.Capacity)
-		}
-		for _, b := range st.Federation.Borrows {
-			fmt.Fprintf(h, "borrow %d ", b.ParentLease)
-			writeF(h, b.Amount)
-		}
-		return h.Sum64(), nil
-	}
-
 	var leases []treeLease
-	seenTokens := make([]map[int]bool, nleaves)
-	for i := range seenTokens {
-		seenTokens[i] = map[int]bool{}
-	}
-
-	restartLeaf := func(step int, li int) (string, *TreeReport) {
-		lf := leaves[li]
-		before, err := leafDigest(lf)
-		if err != nil {
-			return "", fail(step, "restart", "pre-restart digest %s: %v", lf.name, err)
-		}
-		if err := lf.cluster.Close(); err != nil {
-			return "", fail(step, "restart", "close %s: %v", lf.name, err)
-		}
-		if err := newCluster(lf, true); err != nil {
-			return "", fail(step, "restart", "%v", err)
-		}
-		after, err := leafDigest(lf)
-		if err != nil {
-			return "", fail(step, "restart", "post-recovery digest %s: %v", lf.name, err)
-		}
-		if after != before {
-			return "", fail(step, "restart", "%s recovered books digest %016x, want %016x", lf.name, after, before)
-		}
-		if err := startCluster(lf); err != nil {
-			return "", fail(step, "restart", "%v", err)
-		}
-		rep.Restarts++
-		return fmt.Sprintf("restart %s digest=%016x", lf.name, before), nil
-	}
+	seenTokens := map[[2]int]bool{} // by leaf and lease token
 
 	for step := 0; step < opts.Steps; step++ {
 		var line string
@@ -444,7 +251,7 @@ func RunTree(opts TreeOptions) (*TreeReport, error) {
 		case 0, 1, 2: // report via a wire client
 			i := rng.Intn(len(lrms))
 			x := grid(rng.Float64() * lrms[i].capacity * 1.2)
-			if err := lrms[i].lrm.Report(x); err != nil {
+			if err := lrms[i].Report(x); err != nil {
 				return fail(step, "report", "lrm%d Report(%g): %v", i, x, err), nil
 			}
 			line = fmt.Sprintf("report lrm%d %g", i, x)
@@ -460,7 +267,7 @@ func RunTree(opts TreeOptions) (*TreeReport, error) {
 				amount = grid(tl.capacity * (2 + rng.Float64()*2))
 				kind = "deep"
 			}
-			reply, err := tl.lrm.Allocate(amount)
+			reply, err := tl.Allocate(amount)
 			if err != nil {
 				if strings.Contains(err.Error(), "insufficient") || strings.Contains(err.Error(), "short of") {
 					// Legitimate refusal: even the root ran dry. The books
@@ -484,11 +291,12 @@ func RunTree(opts TreeOptions) (*TreeReport, error) {
 			if math.Abs(sum-amount) > tol {
 				return fail(step, "alloc", "lrm%d Σ takes = %g, requested %g", i, sum, amount), nil
 			}
-			if seenTokens[tl.leaf][reply.Lease] {
+			seen := [2]int{tl.leaf, reply.Lease}
+			if seenTokens[seen] {
 				return fail(step, "alloc", "leaf%d lease token %d reused", tl.leaf, reply.Lease), nil
 			}
-			seenTokens[tl.leaf][reply.Lease] = true
-			leases = append(leases, treeLease{leaf: tl.leaf, lrm: i, token: reply.Lease})
+			seenTokens[seen] = true
+			leases = append(leases, treeLease{lrm: i, token: reply.Lease})
 			line = fmt.Sprintf("alloc lrm%d %g %s lease=%d theta=%.9g", i, amount, kind, reply.Lease, reply.Theta)
 
 		case 7: // release an outstanding lease (repays any borrow behind it)
@@ -498,14 +306,15 @@ func RunTree(opts TreeOptions) (*TreeReport, error) {
 			}
 			j := rng.Intn(len(leases))
 			le := leases[j]
-			if err := lrms[le.lrm].lrm.Release(le.token); err != nil {
+			if err := lrms[le.lrm].Release(le.token); err != nil {
 				return fail(step, "release", "lrm%d Release(%d): %v", le.lrm, le.token, err), nil
 			}
 			leases = append(leases[:j], leases[j+1:]...)
 			line = fmt.Sprintf("release lrm%d lease=%d", le.lrm, le.token)
 
 		case 8: // in-process report for a bulk principal
-			lf := leaves[rng.Intn(nleaves)]
+			li := rng.Intn(nleaves)
+			lf := leaves[li]
 			ids := lf.bulk[rng.Intn(opts.ShardsPerLeaf)]
 			if len(ids) == 0 {
 				line = "bulkreport skipped (no bulk principals)"
@@ -513,7 +322,7 @@ func RunTree(opts TreeOptions) (*TreeReport, error) {
 			}
 			id := ids[rng.Intn(len(ids))]
 			x := grid(rng.Float64() * 10)
-			resp := lf.cluster.Handle(&grm.Request{Report: &grm.ReportRequest{Principal: id, Available: x}})
+			resp := h.Leaf(li).Handle(&grm.Request{Report: &grm.ReportRequest{Principal: id, Available: x}})
 			if resp.Err != "" {
 				return fail(step, "bulkreport", "%s p%d: %s", lf.name, id, resp.Err), nil
 			}
@@ -522,39 +331,67 @@ func RunTree(opts TreeOptions) (*TreeReport, error) {
 		case 9, 10: // refresh the upper levels' aggregate views
 			li := rng.Intn(nleaves)
 			lf := leaves[li]
-			if err := lf.cluster.ReportUpstream(); err != nil {
+			if err := h.Upstream(0, li); err != nil {
 				return fail(step, "upstream", "%s: %v", lf.name, err), nil
 			}
 			mid := li / opts.LeavesPerMid
-			if err := mids[mid].ReportUpstream(); err != nil {
+			if err := h.Upstream(1, mid); err != nil {
 				return fail(step, "upstream", "mid%d: %v", mid, err), nil
 			}
 			line = fmt.Sprintf("upstream %s mid%d", lf.name, mid)
 
 		case 11: // restart a leaf cluster, recovering its per-shard WALs
 			li := rng.Intn(nleaves)
-			var failed *TreeReport
-			line, failed = restartLeaf(step, li)
-			if failed != nil {
-				return failed, nil
+			digest, err := h.Restart(li, false)
+			if err != nil {
+				return fail(step, "restart", "%s: %v", leaves[li].name, err), nil
 			}
+			rep.Restarts++
+			line = fmt.Sprintf("restart %s digest=%016x", leaves[li].name, digest)
 		}
 
-		digest, err := booksDigest()
+		books, err := h.Check()
 		if err != nil {
 			return fail(step, "invariant", "after %q: %v", line, err), nil
 		}
-		rep.Trace = append(rep.Trace, fmt.Sprintf("%4d %s | h=%016x", step, line, digest))
+		rep.Trace = append(rep.Trace, fmt.Sprintf("%4d %s | h=%016x", step, line, digestBooks(books)))
 		rep.Steps = step + 1
 	}
 
 	// The leaves' closing borrow balances, for the report.
-	for _, lf := range leaves {
-		st, err := lf.cluster.Status()
+	for li := range leaves {
+		st, err := h.Leaf(li).Status()
 		if err != nil {
 			return nil, fmt.Errorf("modeltest: tree closing status: %w", err)
 		}
 		rep.Borrowed += st.Federation.TotalBorrowed
 	}
 	return rep, nil
+}
+
+// digestBooks folds the books one check read into one FNV-1a digest:
+// availability and computed capacity at each leaf (through the routers'
+// merged caps), then at each upper server, root first.
+func digestBooks(b *scenario.Books) uint64 {
+	d := fnv.New64a()
+	var buf [8]byte
+	put := func(xs ...float64) {
+		for _, x := range xs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+			d.Write(buf[:])
+		}
+	}
+	for _, caps := range b.Caps {
+		for i, a := range caps.Available {
+			put(a, caps.Capacities[i])
+		}
+	}
+	for k := len(b.Status) - 1; k > 0; k-- {
+		for _, st := range b.Status[k] {
+			for _, ps := range st.Principals {
+				put(ps.Available, ps.Capacity)
+			}
+		}
+	}
+	return d.Sum64()
 }
