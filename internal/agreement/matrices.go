@@ -194,3 +194,100 @@ func (s *System) virtualTopoOrder() ([]CurrencyID, error) {
 	}
 	return order, nil
 }
+
+// Base is what a served GRM keeps of a declared agreement graph once its
+// System is dropped: the principal-level S and A of the General resource
+// and each declared principal's default-currency face value. Every later
+// agreement is a Share layered on top of it (Fold, Cell, AddShare). A nil
+// Base declares nothing: every principal then has the face value
+// AddPrincipal gives a new currency.
+//
+// The layering is bit-identical to SparseMatrices over a System that holds
+// the declared graph and then one ticket per Share, in order. That build
+// sums each cell left to right in ticket-creation order; a snapshot's
+// tickets all precede the tickets made after it, so a cell is its declared
+// sum — the Base's entry — followed by the later shares' terms in their
+// order. A relative Share of Fraction is the ticket Fraction·face, whose
+// term is (Fraction·face)/face; an absolute one is its Quantity. Shares
+// never touch a virtual currency or a granting agreement, so nothing they
+// add is routed, and they leave V as declared.
+type Base struct {
+	S, A *SparseMatrix
+	Face []float64
+}
+
+// Share is one agreement between two distinct principals' default
+// currencies made after a Base, the only kind a GRM's wire makes: relative,
+// of Fraction of From's face value, when Fraction is positive, else
+// absolute, of Quantity of the General resource in Sharing mode.
+type Share struct {
+	From, To           int
+	Fraction, Quantity float64
+}
+
+// face returns principal p's default-currency face value.
+func (b *Base) face(p int) float64 {
+	if b != nil && p < len(b.Face) {
+		return b.Face[p]
+	}
+	return defaultFaceValue
+}
+
+// Cell returns the declared S and A entries at (from, to): 0 for a
+// principal past the declared ones, or with no Base.
+func (b *Base) Cell(from, to int) (rel, abs float64) {
+	if b == nil || from >= len(b.Face) || to >= len(b.Face) {
+		return 0, 0
+	}
+	return b.S.At(from, to), b.A.At(from, to)
+}
+
+// AddShare adds sh's term to rel and abs, the S and A cells of its pair:
+// the addition SparseMatrices makes for sh's ticket.
+func (b *Base) AddShare(rel, abs float64, sh Share) (float64, float64) {
+	if sh.Fraction > 0 {
+		face := b.face(sh.From)
+		return rel + (sh.Fraction*face)/face, abs
+	}
+	return rel, abs + sh.Quantity
+}
+
+// Fold accumulates S and A over a Base and the shares added to it.
+type Fold struct {
+	b      *Base
+	sb, ab *SparseBuilder
+}
+
+// Fold starts S and A over n principals, n at least the declared ones,
+// from b's entries.
+func (b *Base) Fold(n int) *Fold {
+	f := &Fold{b: b, sb: NewSparseBuilder(n), ab: NewSparseBuilder(n)}
+	if b != nil {
+		f.sb.addAll(b.S)
+		f.ab.addAll(b.A)
+	}
+	return f
+}
+
+// addAll adds every stored entry of m, a matrix of at most b's dimension.
+func (b *SparseBuilder) addAll(m *SparseMatrix) {
+	for i := 0; i < m.N(); i++ {
+		cols, vals := m.Row(i)
+		for k, c := range cols {
+			b.Add(i, int(c), vals[k])
+		}
+	}
+}
+
+// Add adds sh's term to its cell, after every term added before it.
+func (f *Fold) Add(sh Share) {
+	if sh.Fraction > 0 {
+		face := f.b.face(sh.From)
+		f.sb.Add(sh.From, sh.To, (sh.Fraction*face)/face)
+	} else {
+		f.ab.Add(sh.From, sh.To, sh.Quantity)
+	}
+}
+
+// Build returns the folded S and A.
+func (f *Fold) Build() (S, A *SparseMatrix) { return f.sb.Build(), f.ab.Build() }

@@ -259,81 +259,6 @@ func TestMatricesRevokedExcluded(t *testing.T) {
 	}
 }
 
-// TestDirectAgreementMatchesMatrices pins the single-cell accessor to the
-// matrix build bit for bit across random share/revoke histories —
-// repeated tickets on one pair, other resource types, granting tickets
-// and an inflated currency included — and checks it declines once a
-// virtual currency exists.
-func TestDirectAgreementMatchesMatrices(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 50; trial++ {
-		s := NewSystem()
-		const n = 5
-		for p := 0; p < n; p++ {
-			pid := s.AddPrincipal(string(rune('A' + p)))
-			if _, err := s.AddResource("r", General, pid, 100); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Inflate(s.CurrencyOf(2), 3000); err != nil {
-			t.Fatal(err)
-		}
-		var tickets []TicketID
-		for step := 0; step < 40; step++ {
-			from, to := PrincipalID(rng.Intn(n)), PrincipalID(rng.Intn(n))
-			if from == to {
-				continue
-			}
-			fc, tc := s.CurrencyOf(from), s.CurrencyOf(to)
-			var tid TicketID
-			var err error
-			switch rng.Intn(5) {
-			case 0, 1:
-				tid, err = s.ShareRelative(fc, tc, 1+rng.Float64()*99)
-			case 2:
-				tid, err = s.ShareAbsolute(fc, tc, General, 0.1+rng.Float64(), Sharing)
-			case 3:
-				if rng.Intn(2) == 0 {
-					tid, err = s.ShareAbsolute(fc, tc, "disk", 1, Sharing)
-				} else {
-					tid, err = s.Grant(fc, tc, General, 0.5)
-				}
-			default:
-				if len(tickets) > 0 {
-					s.Revoke(tickets[rng.Intn(len(tickets))])
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			tickets = append(tickets, tid)
-		}
-		m, err := s.SparseMatrices(General)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				rel, abs, ok := s.DirectAgreement(PrincipalID(i), PrincipalID(j), General)
-				if !ok {
-					t.Fatalf("trial %d: no virtual currency, yet DirectAgreement declined", trial)
-				}
-				if rel != m.S.At(i, j) || abs != m.A.At(i, j) {
-					t.Fatalf("trial %d: cell (%d,%d) = (%v, %v), matrices hold (%v, %v)",
-						trial, i, j, rel, abs, m.S.At(i, j), m.A.At(i, j))
-				}
-			}
-		}
-		if _, err := s.NewVirtualCurrency("v", s.CurrencyOf(0), 100, 1000); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, ok := s.DirectAgreement(0, 1, General); ok {
-			t.Fatalf("trial %d: DirectAgreement answered beside a virtual currency", trial)
-		}
-	}
-}
-
 // TestSparseOf pins the one dense import: nil is no matrix, a non-square
 // matrix is refused, exact zeros of either sign are left unstored, and
 // Dense gives back the input bit for bit.

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // startServer launches a GRM on a loopback port and returns it with its
@@ -231,17 +232,39 @@ func TestAbsoluteShareOverNetwork(t *testing.T) {
 }
 
 func TestProtocolErrors(t *testing.T) {
-	_, addr := startServer(t, core.Config{})
+	srv, addr := startServer(t, core.Config{})
+	wal := store.NewMemLog()
+	srv.SetLog(wal)
 	a, err := Dial(addr, "A", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	b, err := Dial(addr, "B", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
 	if _, err := a.ShareRelative(99, 0.5); err == nil {
 		t.Error("share with unknown principal accepted")
 	}
+	// A self-share is refused before anything is written: no record, no
+	// ticket token, no agreement.
+	records := wal.Len()
 	if _, err := a.ShareRelative(a.Principal(), 0.5); err == nil {
 		t.Error("self-share accepted")
+	}
+	if _, err := a.ShareAbsolute(a.Principal(), 3); err == nil {
+		t.Error("absolute self-share accepted")
+	}
+	if got := wal.Len(); got != records {
+		t.Errorf("refused self-shares journaled %d records", got-records)
+	}
+	if st, err := srv.Status(); err != nil || st.Agreements != 0 {
+		t.Errorf("after refused self-shares Status = %+v, %v; want 0 agreements", st, err)
+	}
+	if ticket, err := a.ShareRelative(b.Principal(), 0.5); err != nil || ticket != 0 {
+		t.Errorf("the first share after refused self-shares got ticket %d, %v; want 0", ticket, err)
 	}
 	if _, err := a.ShareRelative(a.Principal()+1, 2); err == nil {
 		t.Error("fraction > 1 accepted")
@@ -934,44 +957,65 @@ func TestRefusedPlannerBuildIsRemembered(t *testing.T) {
 	}
 }
 
-// TestRevokeBesideVirtualCurrencyRebuilds pins the fallback: with a
-// virtual currency in the books a cell may collect routed contributions,
-// so a revoke discards the planner and the next plan rebuilds it.
-func TestRevokeBesideVirtualCurrencyRebuilds(t *testing.T) {
-	srv, addr := startServer(t, core.Config{})
-	a, err := Dial(addr, "A", 10)
-	if err != nil {
-		t.Fatal(err)
+// TestRevokeBesideVirtualCurrencyPatches pins a revoke beside a declared
+// virtual currency: B funds a virtual currency that re-issues a fifth of
+// itself to A, so the cell S[B][A] holds a routed contribution before B's
+// wire share to A joins it. The revoke re-derives the cell from the
+// declared base and the surviving shares, so it keeps the planner, and the
+// next plan is a fresh server's, bit for bit.
+func TestRevokeBesideVirtualCurrencyPatches(t *testing.T) {
+	snap := &agreement.Snapshot{
+		Principals: []agreement.PrincipalSnapshot{{Name: "A"}, {Name: "B"}},
+		Currencies: []agreement.CurrencySnapshot{{Name: "B-side", Source: "B", Units: 100, FaceValue: 1000}},
+		Resources: []agreement.ResourceSnapshot{
+			{Name: "rA", Type: "general", Owner: "A", Capacity: 10},
+			{Name: "rB", Type: "general", Owner: "B", Capacity: 90},
+		},
+		Agreements: []agreement.AgreementSnapshot{{From: "B-side", To: "A", Fraction: 0.2}},
 	}
-	defer a.Close()
-	b, err := Dial(addr, "B", 90)
-	if err != nil {
-		t.Fatal(err)
+	open := func() *Server {
+		s := NewServer(core.Config{}, nil)
+		if err := s.LoadSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
 	}
-	defer b.Close()
+	do := func(s *Server, req *Request) *Response {
+		t.Helper()
+		resp := s.Handle(req)
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		return resp
+	}
+	srv := open()
+	ticket := do(srv, &Request{Share: &ShareRequest{From: 1, To: 0, Fraction: 0.5}}).Share.Ticket
+	lease := do(srv, &Request{Alloc: &AllocRequest{Principal: 0, Amount: 20}}).Alloc.Lease
+	do(srv, &Request{Release: &ReleaseRequest{Lease: lease}})
 	srv.mu.Lock()
-	_, err = srv.sys.NewVirtualCurrency("B-side", srv.sys.CurrencyOf(1), 100, 1000)
+	builds := srv.plannerBuilds
 	srv.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ticket, err := b.ShareRelative(a.Principal(), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Allocate(20); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Revoke(ticket); err != nil {
-		t.Fatal(err)
-	}
+	do(srv, &Request{Revoke: &RevokeRequest{Ticket: ticket}})
 	srv.mu.Lock()
-	discarded := srv.planner == nil
+	kept, after := srv.planner != nil, srv.plannerBuilds
+	rel := srv.planner.Share(1, 0)
 	srv.mu.Unlock()
-	if !discarded {
-		t.Fatal("revoke beside a virtual currency kept the planner")
+	if !kept || after != builds {
+		t.Fatalf("revoke beside a virtual currency: planner kept = %v, builds %d -> %d; want kept, unchanged", kept, builds, after)
 	}
-	if _, err := a.Allocate(50); err == nil {
-		t.Error("allocation should fail after revocation")
+	if funded, reissued := 0.1, 0.2; rel != reissued*funded { //lint:ignore sharingvet/floateq the routed cell is declared, bit for bit
+		t.Fatalf("S[B][A] after the revoke = %v, want the declared %v", rel, reissued*funded)
+	}
+	fresh := open()
+	for _, s := range []*Server{srv, fresh} {
+		if resp := s.Handle(&Request{Alloc: &AllocRequest{Principal: 0, Amount: 50}}); resp.Alloc != nil {
+			t.Error("allocation should fail after revocation")
+		}
+	}
+	got := do(srv, &Request{Alloc: &AllocRequest{Principal: 0, Amount: 11}}).Alloc
+	want := do(fresh, &Request{Alloc: &AllocRequest{Principal: 0, Amount: 11}}).Alloc
+	if fmt.Sprint(got.Sources, got.Takes) != fmt.Sprint(want.Sources, want.Takes) {
+		t.Fatalf("plan after the revoke %v %v, a fresh server's %v %v", got.Sources, got.Takes, want.Sources, want.Takes)
 	}
 }

@@ -54,7 +54,7 @@ func (s *Server) register(r *RegisterRequest) *Response {
 // registerLocked binds name to a principal: an existing principal (one
 // declared by a preloaded snapshot, or a previous registration; byName
 // finds it) is re-attached with the fresh capacity, otherwise a new
-// principal and its general resource are created. Callers hold s.mu.
+// principal is appended to the books. Callers hold s.mu.
 func (s *Server) registerLocked(name string, capacity float64) (int, error) {
 	if err := checkQuantity("capacity", capacity); err != nil {
 		return 0, err
@@ -64,13 +64,8 @@ func (s *Server) registerLocked(name string, capacity float64) (int, error) {
 		s.avail[pid] = capacity
 		s.reported[pid] = max(s.reported[pid], capacity)
 	} else {
-		p := s.sys.AddPrincipal(name)
-		rid, err := s.sys.AddResource(name, agreement.General, p, capacity)
-		if err != nil {
-			return 0, err
-		}
-		pid, s.byName[name] = int(p), int(p)
-		s.resources = append(s.resources, rid)
+		pid, s.byName[name] = len(s.names), len(s.names)
+		s.issued = append(s.issued, shareList{-1, -1})
 		s.avail = append(s.avail, capacity)
 		s.reported = append(s.reported, capacity)
 		s.names = append(s.names, name)
@@ -143,8 +138,9 @@ func (s *Server) share(r *ShareRequest) *Response {
 
 // shareLocked creates one agreement — relative when fraction is positive,
 // absolute otherwise — and returns its wire ticket token (an index into
-// the ordered share history). Callers hold s.mu and have validated the
-// principals and that exactly one of fraction/quantity is positive.
+// the ordered share history). A share the books cannot hold — a self-share,
+// an unknown principal, no positive term — is refused before anything is
+// written. Callers hold s.mu.
 func (s *Server) shareLocked(fromP, toP int, fraction, quantity float64) (int, error) {
 	if err := checkQuantity("fraction", fraction); err != nil {
 		return 0, err
@@ -152,82 +148,72 @@ func (s *Server) shareLocked(fromP, toP int, fraction, quantity float64) (int, e
 	if err := checkQuantity("quantity", quantity); err != nil {
 		return 0, err
 	}
-	from := s.sys.CurrencyOf(agreement.PrincipalID(fromP))
-	to := s.sys.CurrencyOf(agreement.PrincipalID(toP))
-	var tid agreement.TicketID
-	var err error
-	if fraction > 0 {
-		units := fraction * s.sys.Currency(from).FaceValue
-		tid, err = s.sys.ShareRelative(from, to, units)
+	switch {
+	case fromP < 0 || toP < 0 || fromP >= len(s.avail) || toP >= len(s.avail):
+		return 0, fmt.Errorf("unknown principal in %d -> %d", fromP, toP)
+	case fromP == toP:
+		return 0, fmt.Errorf("principal %d cannot share with itself", fromP)
+	case fraction == 0 && quantity == 0:
+		return 0, fmt.Errorf("a share needs a positive fraction or quantity")
+	}
+	ticket := len(s.shareHist)
+	s.shareHist = append(s.shareHist, shareInfo{Share: agreement.Share{From: fromP, To: toP,
+		Fraction: fraction, Quantity: quantity}, next: -1})
+	if l := &s.issued[fromP]; l.last < 0 {
+		l.first, l.last = int32(ticket), int32(ticket)
 	} else {
-		tid, err = s.sys.ShareAbsolute(from, to, agreement.General, quantity, agreement.Sharing)
+		s.shareHist[l.last].next, l.last = int32(ticket), int32(ticket)
 	}
-	if err != nil {
-		return 0, err
-	}
-	s.shareHist = append(s.shareHist, shareInfo{tid: tid, from: fromP, to: toP, fraction: fraction, quantity: quantity})
 	s.liveShares++
-	s.patchPlannerShareLocked(fromP, toP, fraction, quantity)
-	ticket := len(s.shareHist) - 1
+	s.patchPlannerShareLocked(s.shareHist[ticket].Share)
 	s.appendLocked(store.Record{Kind: store.KindShare, From: fromP, To: toP,
 		Fraction: fraction, Quantity: quantity, Ticket: ticket})
 	return ticket, nil
 }
 
-// patchPlannerShareLocked applies one new share ticket to the cached
-// planner in place, so agreement churn skips a full NewAllocator rebuild.
-// Core patches only for a sole owner planning under its writes' lock:
-// s.planner is read only under s.mu (processBatch, Status, caps, register's
-// Grow), so no plan is in flight across a patch and no older planner kept.
+// patchPlannerShareLocked applies one new share to the cached planner in
+// place, so agreement churn skips a full NewAllocator rebuild. Core
+// patches only for a sole owner planning under its writes' lock: s.planner
+// is read only under s.mu (processBatch, Status, caps, register's Grow),
+// so no plan is in flight across a patch and no older planner kept.
 //
-// Bit-equality with the rebuild path: System.SparseMatrices accumulates
-// S[from][to] += Face/FaceValue (and A[from][to] += quantity) walking
-// tickets in creation order, and this ticket is the newest, so its
-// increment is the final addition — old value plus one addition is
-// bit-identical to the rebuilt sum. Revocation has no such property
-// ((x+f)−f ≠ x in floats); patchPlannerRevokeLocked re-derives the cell
-// from the surviving tickets instead. A refused patch discards the
-// planner; the rebuild then surfaces the same refusal, once
-// (currentPlannerLocked). Callers hold s.mu.
-func (s *Server) patchPlannerShareLocked(fromP, toP int, fraction, quantity float64) {
+// Bit-equality with the rebuild path: the rebuild folds the declared base
+// and then the live shares in token order (agreement.Base), and this share
+// is the newest, so its term is the final addition — the old cell plus one
+// addition is bit-identical to the rebuilt sum. Revocation has no such
+// property ((x+f)−f ≠ x in floats); patchPlannerRevokeLocked re-derives the
+// cell instead. A refused patch discards the planner; the rebuild then
+// surfaces the same refusal, once (currentPlannerLocked). Callers hold s.mu.
+func (s *Server) patchPlannerShareLocked(sh agreement.Share) {
 	al := s.planner
 	if al == nil {
 		s.dropPlannerLocked() // the graph changed: a remembered refusal is stale
 		return
 	}
-	if fromP == toP {
-		return // self-shares never reach S/A (S_ii = 0 by definition)
-	}
-	rel, abs := al.Share(fromP, toP), al.Agreement(fromP, toP)
-	if fraction > 0 {
-		// The same Face/FaceValue division SparseMatrices performs on the ticket.
-		face := s.sys.Currency(s.sys.CurrencyOf(agreement.PrincipalID(fromP))).FaceValue
-		rel += (fraction * face) / face
-	} else {
-		abs += quantity
-	}
-	s.setPlannerCellsLocked("share", fromP, toP, rel, abs)
+	rel, abs := s.declared.AddShare(al.Share(sh.From, sh.To), al.Agreement(sh.From, sh.To), sh)
+	s.setPlannerCellsLocked("share", sh.From, sh.To, rel, abs)
 }
 
-// patchPlannerRevokeLocked applies a revocation (already made in s.sys)
-// to the cached planner. The rebuilt S and A cells for the ticket's pair
-// are the sums, in ticket order, of the surviving tickets between the two
-// default currencies, which DirectAgreement computes: setting the cells
-// to them is bit-identical to the rebuild. The planner is discarded
-// instead beside a virtual currency (a preloaded snapshot: cells then
-// collect routed contributions too). Callers hold s.mu.
+// patchPlannerRevokeLocked applies a revocation (the share already
+// unlinked from its issuer's live list) to the cached planner. The rebuilt
+// S and A cells for the share's pair are the declared cell plus the pair's
+// surviving shares in token order — the issuer's live list, filtered to
+// the pair — so setting the cells to that sum is bit-identical to the
+// rebuild, beside a declared virtual currency too: what a virtual currency
+// routes into the cell is inside the declared cell. Callers hold s.mu.
 func (s *Server) patchPlannerRevokeLocked(ticket int) {
 	if s.planner == nil {
 		s.dropPlannerLocked() // the graph changed: a remembered refusal is stale
 		return
 	}
-	sh := s.shareHist[ticket]
-	rel, abs, ok := s.sys.DirectAgreement(agreement.PrincipalID(sh.from), agreement.PrincipalID(sh.to), agreement.General)
-	if !ok {
-		s.dropPlannerLocked()
-		return
+	sh := s.shareHist[ticket].Share
+	rel, abs := s.declared.Cell(sh.From, sh.To)
+	for t := s.issued[sh.From].first; t >= 0; t = s.shareHist[t].next {
+		if o := s.shareHist[t].Share; o.To == sh.To {
+			rel, abs = s.declared.AddShare(rel, abs, o)
+		}
 	}
-	s.setPlannerCellsLocked("revoke", sh.from, sh.to, rel, abs)
+	s.setPlannerCellsLocked("revoke", sh.From, sh.To, rel, abs)
 }
 
 // setPlannerCellsLocked patches the planner's S[from][to] to rel and
@@ -252,16 +238,24 @@ func (s *Server) revoke(r *RevokeRequest) *Response {
 	return revokeAck
 }
 
-// revokeLocked revokes an agreement by its validated ticket token. A
-// ticket already revoked — an LRM retrying after a lost reply, or an older
-// log that journaled such retries — is answered and changes nothing: no
-// second record, no planner patch. Callers hold s.mu.
+// revokeLocked revokes an agreement by its validated ticket token and
+// unlinks it from its issuer's live shares. A ticket already revoked — an
+// LRM retrying after a lost reply, or an older log that journaled such
+// retries — is answered and changes nothing: no second record, no planner
+// patch. Callers hold s.mu.
 func (s *Server) revokeLocked(ticket int) {
-	tid := s.shareHist[ticket].tid
-	if s.sys.Ticket(tid).Revoked {
+	if s.shareHist[ticket].revoked {
 		return
 	}
-	s.sys.Revoke(tid)
+	s.shareHist[ticket].revoked = true
+	l := &s.issued[s.shareHist[ticket].From]
+	link, prev := &l.first, int32(-1)
+	for *link != int32(ticket) {
+		prev, link = *link, &s.shareHist[*link].next
+	}
+	if *link = s.shareHist[ticket].next; l.last == int32(ticket) {
+		l.last = prev
+	}
 	s.liveShares--
 	s.patchPlannerRevokeLocked(ticket)
 	s.appendLocked(store.Record{Kind: store.KindRevoke, Ticket: ticket})

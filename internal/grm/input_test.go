@@ -101,31 +101,57 @@ func TestRecoverRefusesNonFiniteRecord(t *testing.T) {
 		"share":    {Kind: store.KindShare, From: 0, To: 1, Quantity: math.Inf(1)},
 		"alloc":    {Kind: store.KindAlloc, Lease: 1, Sources: []int{0}, Takes: []float64{math.NaN()}},
 	} {
-		dir := t.TempDir()
-		wal, err := store.OpenFileLog(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad.Seq = 3
-		for _, rec := range []*store.Record{
-			{Seq: 1, Kind: store.KindRegister, Principal: 0, Name: "A", Capacity: 10},
-			{Seq: 2, Kind: store.KindRegister, Principal: 1, Name: "B", Capacity: 10},
-			bad,
-		} {
-			if err := wal.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wal.Close()
-		if wal, err = store.OpenFileLog(dir); err != nil {
-			t.Fatal(err)
-		}
-		err = NewServer(core.Config{}, nil).Recover(wal)
-		wal.Close()
+		err := recoverAfterTwoRegisters(t, bad)
 		if err == nil || !strings.Contains(err.Error(), "seq 3") || !strings.Contains(err.Error(), "non-finite") {
 			t.Errorf("%s: Recover = %v, want a refusal naming seq 3 and the non-finite value", name, err)
 		}
 	}
+}
+
+// TestRecoverRefusesImpossibleShare: a journaled share the books cannot
+// hold — naming a principal they do not have, sharing with itself, or
+// carrying no positive term — stops recovery at that record, by seq, as
+// the wire refuses it, instead of indexing past the books.
+func TestRecoverRefusesImpossibleShare(t *testing.T) {
+	for name, c := range map[string]struct {
+		rec  *store.Record
+		want string
+	}{
+		"unknown principal": {&store.Record{Kind: store.KindShare, From: 0, To: 7, Fraction: 0.5}, "unknown principal"},
+		"self-share":        {&store.Record{Kind: store.KindShare, From: 1, To: 1, Fraction: 0.5}, "itself"},
+		"no term":           {&store.Record{Kind: store.KindShare, From: 0, To: 1}, "positive"},
+	} {
+		err := recoverAfterTwoRegisters(t, c.rec)
+		if err == nil || !strings.Contains(err.Error(), "seq 3") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Recover = %v, want a refusal naming seq 3 and %q", name, err, c.want)
+		}
+	}
+}
+
+// recoverAfterTwoRegisters journals the registers of A and B and then bad
+// as seq 3 to a file log, and recovers a fresh server from it.
+func recoverAfterTwoRegisters(t *testing.T, bad *store.Record) error {
+	dir := t.TempDir()
+	wal, err := store.OpenFileLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Seq = 3
+	for _, rec := range []*store.Record{
+		{Seq: 1, Kind: store.KindRegister, Principal: 0, Name: "A", Capacity: 10},
+		{Seq: 2, Kind: store.KindRegister, Principal: 1, Name: "B", Capacity: 10},
+		bad,
+	} {
+		if err := wal.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal.Close()
+	if wal, err = store.OpenFileLog(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	return NewServer(core.Config{}, nil).Recover(wal)
 }
 
 // liveTickets counts the unrevoked wire agreements the slow way: the walk
@@ -135,7 +161,7 @@ func liveTickets(s *Server) int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, sh := range s.shareHist {
-		if !s.sys.Ticket(sh.tid).Revoked {
+		if !sh.revoked {
 			n++
 		}
 	}

@@ -210,8 +210,7 @@ func (s *Server) recoveredLease(sources []int, takes []float64, expires int64, p
 // ordered share history (so ticket tokens — indexes — line up), and
 // installs the books and outstanding leases.
 func (s *Server) applyStateLocked(st *store.State) error {
-	s.sys = agreement.NewSystem()
-	s.resources = nil
+	s.declared, s.issued = nil, nil
 	s.shareHist, s.liveShares = nil, 0
 	s.names, s.byName = nil, map[string]int{}
 	s.avail = nil
@@ -299,11 +298,11 @@ func (s *Server) stateLocked() *store.State {
 	}
 	for _, sh := range s.shareHist {
 		st.Shares = append(st.Shares, store.ShareState{
-			From:     sh.from,
-			To:       sh.to,
-			Fraction: sh.fraction,
-			Quantity: sh.quantity,
-			Revoked:  s.sys.Ticket(sh.tid).Revoked,
+			From:     sh.From,
+			To:       sh.To,
+			Fraction: sh.Fraction,
+			Quantity: sh.Quantity,
+			Revoked:  sh.revoked,
 		})
 	}
 	tokens := make([]int, 0, len(s.leases))

@@ -42,19 +42,22 @@ type lease struct {
 	parentLease int         // parent lease token to repay; 0 when nothing borrowed
 }
 
-// shareInfo is one wire-created agreement: its ticket in the agreement
-// system, and the wire parameters, so compacted snapshots can carry the full
-// ordered share history (ticket tokens are indexes into it).
+// shareInfo is one wire-created agreement as compacted snapshots carry it
+// (ticket tokens index the history), and the link that threads its
+// issuer's live shares in token order.
 type shareInfo struct {
-	tid      agreement.TicketID
-	from, to int
-	fraction float64
-	quantity float64
+	agreement.Share
+	next    int32 // token of the issuer's next live share; -1 for none
+	revoked bool
 }
 
-// Server is the Global Resource Manager: it stores sharing agreements in a
-// ticket-and-currency system, tracks availability reported by LRMs, and
-// answers allocation requests with the LP scheduler.
+// shareList is one principal's live issued shares, oldest and newest
+// token, -1 when there is none: what a revoke walks to re-derive a cell.
+type shareList struct{ first, last int32 }
+
+// Server is the Global Resource Manager: it keeps sharing agreements as a
+// declared base plus the wire's share history, tracks availability reported
+// by LRMs, and answers allocation requests with the LP scheduler.
 type Server struct {
 	cfg core.Config
 
@@ -65,14 +68,14 @@ type Server struct {
 	// the journaled books (never replayed), but still shadow them, so
 	// writes must stay inside *Locked helpers too.
 	mu        sync.Mutex
-	sys       *agreement.System      // wal:journaled
-	resources []agreement.ResourceID // wal:journaled
-	shareHist []shareInfo            // ticket token -> system ticket and wire parameters; wal:journaled
-	avail     []float64              // wal:journaled
-	reported  []float64              // last reported capacity per principal (release cap); wal:journaled
-	names     []string               // wal:journaled
-	byName    map[string]int         // names inverted, so a register is one lookup; wal:derived
-	planner   *core.Allocator        // rebuilt lazily after structural changes; wal:derived
+	declared  *agreement.Base // a loaded snapshot's S, A and face values; nil when none; wal:journaled
+	shareHist []shareInfo     // ticket token -> wire parameters; wal:journaled
+	issued    []shareList     // per principal: its live shares in shareHist; wal:derived
+	avail     []float64       // wal:journaled
+	reported  []float64       // last reported capacity per principal (release cap); wal:journaled
+	names     []string        // wal:journaled
+	byName    map[string]int  // names inverted, so a register is one lookup; wal:derived
+	planner   *core.Allocator // rebuilt lazily after structural changes; wal:derived
 	// plannerErr is why the last rebuild of a nil planner was refused (an
 	// agreement graph past the exact-closure budget), kept until the next
 	// agreement mutation so the refusal is paid once and not by every
@@ -152,7 +155,6 @@ func NewServer(cfg core.Config, logger *log.Logger) *Server {
 	}
 	s := &Server{
 		cfg:       cfg,
-		sys:       agreement.NewSystem(),
 		closed:    make(chan struct{}),
 		logger:    logger,
 		byName:    map[string]int{},
@@ -262,10 +264,10 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// LoadSnapshot replaces the server's agreement system with one restored
-// from a snapshot (cmd/grmd -agreements). Declared principals are
-// pre-registered; LRMs that later register under a declared name bind to
-// the declared principal. Call before Serve.
+// LoadSnapshot declares the server's agreements from a snapshot (cmd/grmd
+// -agreements). Declared principals are pre-registered; LRMs that later
+// register under a declared name bind to the declared principal. Call
+// before Serve.
 func (s *Server) LoadSnapshot(snap *agreement.Snapshot) error {
 	findings := snap.Validate()
 	if err := agreement.FindingsError(findings); err != nil {
@@ -288,12 +290,12 @@ func (s *Server) LoadSnapshot(snap *agreement.Snapshot) error {
 	return nil
 }
 
-// installSnapshotLocked restores the agreement system from a validated
-// snapshot and seeds the books from its declared capacities. raw is the
-// snapshot's JSON, kept for compaction. It appends nothing itself: both
-// callers journal the whole snapshot — LoadSnapshot appends the
-// KindSnapshotLoad record right after, and replay re-derives the state
-// from that record. Callers hold s.mu.
+// installSnapshotLocked declares a validated snapshot's agreements — its
+// System lives only here, the books keep its agreement.Base — and seeds the
+// books from its declared capacities. raw is the snapshot's JSON, kept for
+// compaction. It appends nothing itself: both callers journal the whole
+// snapshot — LoadSnapshot appends the KindSnapshotLoad record right after,
+// and replay re-derives the state from that record. Callers hold s.mu.
 //
 //lint:ignore sharingvet/waljournal callers journal the full snapshot as one KindSnapshotLoad record
 func (s *Server) installSnapshotLocked(snap *agreement.Snapshot, raw []byte) error {
@@ -304,22 +306,22 @@ func (s *Server) installSnapshotLocked(snap *agreement.Snapshot, raw []byte) err
 	if len(s.names) > 0 {
 		return fmt.Errorf("grm: LoadSnapshot: principals already registered")
 	}
-	s.sys = sys
-	s.names = make([]string, len(principals))
-	s.byName = make(map[string]int, len(principals))
-	s.avail = make([]float64, len(principals))
-	s.reported = make([]float64, len(principals))
-	for name, pid := range principals {
-		s.names[pid], s.byName[name] = name, int(pid)
-	}
-	// Seed availability from the declared "general" capacities; only V is
-	// read, so the sparse collapse, never the dense n×n S and A.
 	m, err := sys.SparseMatrices(agreement.General)
 	if err != nil {
 		return fmt.Errorf("grm: LoadSnapshot: %w", err)
 	}
-	copy(s.avail, m.V)
-	copy(s.reported, m.V)
+	n := len(principals)
+	s.declared = &agreement.Base{S: m.S, A: m.A, Face: make([]float64, n)}
+	s.names, s.byName = make([]string, n), make(map[string]int, n)
+	s.issued = make([]shareList, n)
+	for name, pid := range principals {
+		s.names[pid], s.byName[name] = name, int(pid)
+		s.declared.Face[pid] = sys.Currency(sys.CurrencyOf(pid)).FaceValue
+		s.issued[pid] = shareList{-1, -1}
+	}
+	// Seed availability from the declared "general" capacities.
+	s.avail = append([]float64(nil), m.V...)
+	s.reported = append([]float64(nil), m.V...)
 	s.declaredSnap = append([]byte(nil), raw...)
 	s.dropPlannerLocked()
 	return nil
@@ -418,10 +420,10 @@ func (s *Server) dispatchInner(req *Request) *Response {
 }
 
 // currentPlannerLocked rebuilds the allocator when no patch covered the
-// last structural change (snapshot install, replayed state, a revocation
-// beside virtual currencies, or a refused patch). Registration, share and
-// revoke churn keep s.planner patched, so this full rebuild — an exact
-// closure of the whole graph — is the slow path. A refused build (up to
+// last structural change (snapshot install, replayed state, or a refused
+// patch), folding every live share in token order over the declared base.
+// Registration, share and revoke churn keep s.planner patched, so this
+// full rebuild — an exact closure of the whole graph — is the slow path. A refused build (up to
 // the closure budget's ~0.7 s under s.mu) is remembered until an agreement
 // changes, so later callers get the same error without building. Callers
 // hold s.mu.
@@ -436,11 +438,15 @@ func (s *Server) currentPlannerLocked() (*core.Allocator, error) {
 		return nil, s.plannerErr
 	}
 	s.plannerBuilds++
-	m, err := s.sys.SparseMatrices(agreement.General)
-	if err == nil {
-		s.planner, err = core.NewAllocator(m.S, m.A, s.cfg)
+	f := s.declared.Fold(len(s.avail))
+	for _, sh := range s.shareHist {
+		if !sh.revoked {
+			f.Add(sh.Share)
+		}
 	}
-	if err != nil {
+	S, A := f.Build()
+	var err error
+	if s.planner, err = core.NewAllocator(S, A, s.cfg); err != nil {
 		s.planner, s.plannerErr = nil, err
 		return nil, err
 	}
