@@ -5,7 +5,7 @@
 # protocol layer's reconnect/reaper/federation paths, the store, the
 # closure's parallel row kernel (transitive's workers share one step
 # meter and a pool of scratch sets; par is their pool), and the planner
-# (core's skeleton slots and workspace pool are shared by every plan a
+# (core's skeleton slots and workspace free list are shared by every plan a
 # server runs between its in-place writes; its leg is -short, as
 # transitive's is).
 
@@ -108,7 +108,8 @@ FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFe
 
 # The allocation pins: the `//go:build !race` tests (named ...Allocs or
 # ...AllocatesNothing) that hold what a reserved model build, a steady plan,
-# a plan after a value-only write, a refusal for want of capacity, a
+# a plan after a value-only write, a plan and an allocate+release pair after
+# two collections, a refusal for want of capacity, a
 # skeleton build, a closure delta, a column patch, an allocate+release pair
 # (in process and over the wire, on both sides of the grant box's
 # capacity), a lone release, a renew, a reap pass (TestReapAllocs), a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -103,7 +104,7 @@ const exactBudget = 50_000_000
 // every row and column it holds, and only PatchShare, PatchAgreement and
 // Grow change it, in place, for its one owner (mutate.go); between writes
 // it is safe for concurrent use: the lazily built LP skeletons and the
-// pooled plan workspaces are internally synchronized.
+// free list of plan workspaces are internally synchronized.
 type Allocator struct {
 	n int
 	// aCols/aVals hold the absolute agreement matrix A in row-sparse form
@@ -125,10 +126,12 @@ type Allocator struct {
 	skel []atomic.Pointer[planSkeleton]
 	// clo is the transitive closure, which a mutation patches by rows.
 	clo *transitive.Closure
-	// pool recycles plan workspaces (*planWS): nothing in one is sized by
-	// the population, and the simplex scratch is the largest thing a plan
-	// allocates.
-	pool *sync.Pool
+	// free holds idle plan workspaces: nothing in one is sized by the
+	// population, and the simplex scratch is the largest thing a plan
+	// allocates. It holds at most GOMAXPROCS of them — as many as can plan
+	// at once — and, unlike a sync.Pool, keeps them across collections, so
+	// a plan after an idle spell reuses its tableau instead of regrowing it.
+	free chan *planWS
 }
 
 // flowRow is row i of the capped flow coefficients K = min(T, 1), aligned
@@ -190,15 +193,16 @@ type capFlowRef struct {
 	k, i int32
 }
 
-// planWS is the per-Plan scratch recycled through Allocator.pool. plan
-// leaves one request's result in it, indexed by variable position — entry x
-// belongs to principal vars[x] — so a plan costs its component; the two
-// emitters (appendPairs, scatter) read it from there. Beside the result it
-// keeps the rebindable model clones of the requesters it has planned for
-// (each with the skeleton it came from: a plan after a write that dropped
-// the skeleton re-clones) and the LP solver workspace. Nothing in
-// it is sized by the population; the full formulation's vectors are,
-// because its vars are everyone.
+// planWS is the per-Plan scratch kept on Allocator.free, across plans and
+// collections alike. plan leaves one request's result in it, indexed by
+// variable position — entry x belongs to principal vars[x] — so a plan costs
+// its component; the two emitters (appendPairs, scatter) read it from there.
+// Beside the result it keeps the rebindable model clones of the requesters
+// it has planned for (each with the skeleton it came from: a plan after a
+// write that dropped the skeleton re-clones) and the LP solver workspace,
+// whose tableau grows once to the largest LP it solves. Nothing in it is
+// sized by the population; the full formulation's vectors are, because its
+// vars are everyone.
 type planWS struct {
 	vars   []int32   // the planned skeleton's live principals; empty for a zero-amount plan
 	uCol   []float64 // U_{vars[x]→requester} (v for the requester itself)
@@ -263,7 +267,7 @@ func NewAllocator(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cfg Conf
 		return nil, fmt.Errorf("core: exact transitive closure would exceed %d steps for this agreement graph; set Config.Approx or lower Config.Level: %w", exactBudget, err)
 	}
 	al := &Allocator{n: n, aCols: aCols, aVals: aVals, hasA: a != nil, cfg: cfg, clo: clo,
-		pool: &sync.Pool{New: func() any { return &planWS{clones: map[int]modelClone{}} }}}
+		free: make(chan *planWS, runtime.GOMAXPROCS(0))}
 	al.index()
 	return al, nil
 }
@@ -452,7 +456,7 @@ func (al *Allocator) FlowCoefficients() [][]float64 {
 // Bytes returns the memory the agreement-derived planner state holds: the
 // closure's rows, the K rows that do not alias their T row, the A rows,
 // the column lists and the per-principal vectors and slots — not the LP
-// skeletons (built on first use) or pooled plan workspaces.
+// skeletons (built on first use) or the plan workspaces on the free list.
 func (al *Allocator) Bytes() int {
 	b := al.clo.Bytes()
 	for i, r := range al.flow {
@@ -544,8 +548,8 @@ func (al *Allocator) capacityAfter(v []float64, pr compRow, newV []float64) floa
 func (al *Allocator) Plan(v []float64, requester int, amount float64) (*Allocation, error) {
 	al.checkV(v)
 	al.checkRequester(requester)
-	ws := al.pool.Get().(*planWS)
-	defer al.pool.Put(ws)
+	ws := al.getWS()
+	defer al.putWS(ws)
 	if err := al.plan(ws, v, requester, amount); err != nil {
 		return nil, err
 	}
@@ -565,13 +569,32 @@ func (al *Allocator) Plan(v []float64, requester int, amount float64) (*Allocati
 func (al *Allocator) PlanPairs(sources []int, takes []float64, v []float64, requester int, amount float64) ([]int, []float64, float64, error) {
 	al.checkLen(v)
 	al.checkRequester(requester)
-	ws := al.pool.Get().(*planWS)
-	defer al.pool.Put(ws)
+	ws := al.getWS()
+	defer al.putWS(ws)
 	if err := al.plan(ws, v, requester, amount); err != nil {
 		return sources, takes, 0, err
 	}
 	sources, takes = ws.appendPairs(sources, takes)
 	return sources, takes, ws.theta, nil
+}
+
+// getWS takes an idle workspace off the free list, or makes one when every
+// workspace is in use.
+func (al *Allocator) getWS() *planWS {
+	select {
+	case ws := <-al.free:
+		return ws
+	default:
+		return &planWS{clones: map[int]modelClone{}}
+	}
+}
+
+// putWS returns ws to the free list, or drops it when the list is full.
+func (al *Allocator) putWS(ws *planWS) {
+	select {
+	case al.free <- ws:
+	default:
+	}
 }
 
 // appendPairs is the pair emitter: the planned non-zero takes, ascending

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -44,18 +43,47 @@ func TestPlanPairsAllocatesNothing(t *testing.T) {
 	}
 }
 
-// steadyBytes returns the bytes runs calls of fn allocate in all, exactly:
-// the least of three readings, since a runtime goroutine may allocate
-// during one, with the collector off and on one P. Two collections empty a
-// sync.Pool, after which the next plan rebuilds its workspace (83
-// allocations, 43 KB at n=64); testing.Benchmark forces one per round, so
-// its bytes per operation read 1 about one run in three. And a goroutine
-// the scheduler moves to another P puts its workspace back into that P's
-// part of the pool, which may have to allocate its first chain link
-// (176 B).
-func steadyBytes(runs int, fn func()) uint64 {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+// TestPlanAfterCollectionAllocatesNothing pins the workspace across
+// collections at the churn128 shape, whose full-formulation tableau is the
+// largest scratch a served plan keeps: after two collections — what Go's
+// forced collections do to an idle server within four minutes — the next
+// PlanPairs still allocates nothing, because the allocator's free list
+// holds its workspace and a collection does not empty it. The plans run on
+// one P, so no other goroutine allocates between the two readings.
+func TestPlanAfterCollectionAllocatesNothing(t *testing.T) {
+	al := churn128Allocator(t)
+	_, _, v := sparseBlockScenario(128, 1)
+	sources, takes := make([]int, 0, 128), make([]float64, 0, 128)
+	plan := func() {
+		var err error
+		if sources, takes, _, err = al.PlanPairs(sources[:0], takes[:0], v, 5, 1.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan() // the skeleton, the model clone and the tableau exist
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		plan()
+		runtime.ReadMemStats(&after)
+		if mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; mallocs != 0 || bytes != 0 {
+			t.Fatalf("round %d: a PlanPairs after two collections makes %d allocations, %d bytes, want 0 and 0", i, mallocs, bytes)
+		}
+	}
+}
+
+// steadyBytes returns the bytes runs calls of fn allocate in all, exactly:
+// the least of three readings, with the collector on, as in a server. A
+// reading may count what is not fn's: a runtime goroutine may allocate
+// during it, and the write path's scratch still lives in sync.Pools (core's
+// patch lists, transitive's row sets), which two collections in one reading
+// empty and a goroutine the scheduler moves to a new P makes allocate that
+// P's first chain link. Each spoils a reading, seldom all three. A plan's own
+// workspace sits on the allocator's free list, which no collection touches.
+func steadyBytes(runs int, fn func()) uint64 {
 	least := uint64(math.MaxUint64)
 	for reading := 0; reading < 3; reading++ {
 		var before, after runtime.MemStats
@@ -76,7 +104,7 @@ func steadyBytes(runs int, fn func()) uint64 {
 func TestSolveChurn128AllocatesNothing(t *testing.T) {
 	al := churn128Allocator(t)
 	_, _, v := sparseBlockScenario(128, 1)
-	ws := al.pool.Get().(*planWS)
+	ws := al.getWS()
 	if err := al.plan(ws, v, 5, 1.5); err != nil {
 		t.Fatal(err)
 	}

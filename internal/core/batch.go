@@ -17,7 +17,7 @@ type BatchResult struct {
 // vector, committing each successful allocation before planning the
 // next with the GRM's commit rule (avail[i] -= Take[i], clamped at 0).
 // The results are bit-identical to calling Plan once per request with
-// that rule applied between calls; the batch shares one pooled workspace
+// that rule applied between calls; the batch shares one workspace
 // and two bulk-allocated backing arrays instead of paying Plan's per-call
 // allocations. It is an export for the simulator, the oracles and the
 // benchmark, and the reference the served path is tested against: the GRM
@@ -38,8 +38,8 @@ func (al *Allocator) PlanBatch(v []float64, reqs []BatchRequest) []BatchResult {
 	if len(reqs) == 0 {
 		return results
 	}
-	ws := al.pool.Get().(*planWS)
-	defer al.pool.Put(ws)
+	ws := al.getWS()
+	defer al.putWS(ws)
 
 	// One backing array per field for the whole batch.
 	takeBuf := make([]float64, 2*len(reqs)*n)

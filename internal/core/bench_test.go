@@ -133,7 +133,7 @@ func BenchmarkPlanLoop30(b *testing.B) {
 }
 
 // BenchmarkPlanParallel10 measures Plan throughput when hammered from all
-// P goroutines at once: the skeleton cache and pooled workspaces should
+// P goroutines at once: the skeleton cache and the workspace free list should
 // scale instead of serializing on a shared model.
 func BenchmarkPlanParallel10(b *testing.B) {
 	s, v := benchScenario(10)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 // TestPlanConcurrentDeterministic hammers one shared Allocator from many
 // goroutines and checks every result is bit-identical to a serial solve of
-// the same request: the skeleton cache, model clones, and pooled LP
+// the same request: the skeleton cache, model clones, and recycled LP
 // workspaces must neither race (run under -race) nor leak state between
 // requests.
 func TestPlanConcurrentDeterministic(t *testing.T) {
@@ -227,5 +228,72 @@ func TestConcurrentPlansAcrossValueChurn(t *testing.T) {
 			wg.Wait()
 			built = skeletons(al)
 		}
+	}
+}
+
+// TestConcurrentPlansOverflowFreeList races 4×GOMAXPROCS goroutines
+// planning at once on one allocator (run under -race in `make race` and
+// `make check`), more than its free list of workspaces holds. The test
+// keeps every listed workspace out while they plan, so the first plans find
+// the list empty and make fresh workspaces, and puts them back after, when
+// the plans have refilled the list and at least one is dropped. Every plan
+// must equal, bit for bit, the same plan made before on its own.
+func TestConcurrentPlansOverflowFreeList(t *testing.T) {
+	s, a, v := sparseBlockScenario(32, 5)
+	al, err := NewAllocator(s, a, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pairs struct {
+		sources []int
+		takes   []float64
+		theta   float64
+	}
+	want := make([]pairs, len(v))
+	for r := range v {
+		sources, takes, theta, err := al.PlanPairs(nil, nil, v, r, 2.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[r] = pairs{sources, takes, theta}
+	}
+	held := make([]*planWS, cap(al.free))
+	for i := range held {
+		held[i] = al.getWS()
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4*runtime.GOMAXPROCS(0); g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			var sources []int
+			var takes []float64
+			for round := 0; round < 5; round++ {
+				for r := range v {
+					r := (r + g) % len(v)
+					var theta float64
+					var err error
+					if sources, takes, theta, err = al.PlanPairs(sources[:0], takes[:0], v, r, 2.5); err != nil {
+						t.Error(err)
+						return
+					}
+					if w := want[r]; !slices.Equal(sources, w.sources) || !sameBits(takes, w.takes) || !sameBits([]float64{theta}, []float64{w.theta}) {
+						t.Errorf("goroutine %d: requester %d plans %v %v θ=%v, alone %v %v θ=%v",
+							g, r, sources, takes, theta, w.sources, w.takes, w.theta)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for _, ws := range held {
+		al.putWS(ws)
+	}
+	if len(al.free) != cap(al.free) {
+		t.Errorf("the free list holds %d workspaces after the burst, want its capacity %d", len(al.free), cap(al.free))
 	}
 }

@@ -50,11 +50,11 @@ import (
 // SetShare is PatchShare on a copy of al, for a caller that keeps al, which
 // stays as it was: the copy owns its closure, A's values and every cache
 // built from them, and shares A's column lists, which never change once
-// stored, and the workspace pool. Only the layer benchmark, which times
+// stored, and the workspace free list. Only the layer benchmark, which times
 // it, still calls it.
 func (al *Allocator) SetShare(from, to int, oldVal, newVal float64) (*Allocator, error) {
 	d := &Allocator{n: al.n, aCols: slices.Clone(al.aCols), aVals: make([][]float64, al.n), hasA: al.hasA, cfg: al.cfg,
-		clo: al.clo.Clone(), pool: al.pool}
+		clo: al.clo.Clone(), free: al.free}
 	for i, vals := range al.aVals {
 		d.aVals[i] = slices.Clone(vals)
 	}

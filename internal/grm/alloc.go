@@ -61,8 +61,13 @@ type allocJob struct {
 // starting the scheduler if Serve has not already.
 func (s *Server) alloc(r *AllocRequest) *Response {
 	s.startScheduler()
-	job := s.jobs.Get().(*allocJob)
-	*job = allocJob{req: *r, resp: job.resp}
+	var job *allocJob
+	select {
+	case job = <-s.jobs:
+		*job = allocJob{req: *r, resp: job.resp}
+	default:
+		job = &allocJob{req: *r, resp: make(chan *Response, 1)}
+	}
 	select {
 	case s.allocQ <- job:
 		s.mQueueDepth.Set(float64(len(s.allocQ)))
@@ -71,7 +76,10 @@ func (s *Server) alloc(r *AllocRequest) *Response {
 	}
 	select {
 	case resp := <-job.resp:
-		s.jobs.Put(job)
+		select {
+		case s.jobs <- job:
+		default: // the free list is full
+		}
 		return resp
 	case <-s.closed:
 		// A job already in a batch is still answered while the server

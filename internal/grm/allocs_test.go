@@ -4,6 +4,7 @@ package grm
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"testing"
@@ -167,9 +168,56 @@ func TestHandleAllocReleaseAllocs(t *testing.T) {
 	s := blockServer(t, core.Config{ComponentLP: true}, 4)
 	defer s.Close()
 	s.SetLog(store.NewMemLog())
+	pair := handlePair(t, s)
+	for i := 0; i < 10; i++ {
+		pair()
+	}
+	got := testing.AllocsPerRun(200, pair)
+	t.Logf("an allocate+release pair through Handle makes %v allocations", got)
+	if got > 1 {
+		t.Fatalf("allocate+release pair makes %v allocations, want at most 1", got)
+	}
+}
+
+// TestHandleAllocAfterCollectionAllocs is TestHandleAllocReleaseAllocs at
+// the churn128 shape, 128 principals under the full formulation, with two
+// collections before every pair: a server that sat idle through Go's forced
+// collections plans its next request with the workspace and the job it
+// already had, so the pair still makes its one allocation and rebuilds no
+// simplex scratch. The pin reads the least of 20 rounds: the runtime's own
+// goroutines (the unique package's cleanup after each collection, for one)
+// allocate during some rounds and only ever add, while anything a
+// collection empties would be rebuilt in every round.
+func TestHandleAllocAfterCollectionAllocs(t *testing.T) {
+	s := blockServer(t, core.Config{}, 16)
+	defer s.Close()
+	s.SetLog(store.NewMemLog())
+	pair := handlePair(t, s)
+	for i := 0; i < 10; i++ {
+		pair()
+	}
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pair()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("an allocate+release pair after two collections makes %d allocations", least)
+	if least > 1 {
+		t.Fatalf("an allocate+release pair after two collections makes %d allocations, want at most 1", least)
+	}
+}
+
+// handlePair returns an allocate+release pair through s.Handle: principal
+// 9 allocates 12.5 and releases the lease at once.
+func handlePair(t *testing.T, s *Server) func() {
 	alloc := &Request{Alloc: &AllocRequest{Principal: 9, Amount: 12.5}}
 	release := &Request{Release: &ReleaseRequest{}}
-	pair := func() {
+	return func() {
 		resp := s.Handle(alloc)
 		if resp.Alloc == nil {
 			t.Fatal(resp.Err)
@@ -178,14 +226,6 @@ func TestHandleAllocReleaseAllocs(t *testing.T) {
 		if resp := s.Handle(release); resp.Err != "" {
 			t.Fatal(resp.Err)
 		}
-	}
-	for i := 0; i < 10; i++ {
-		pair()
-	}
-	got := testing.AllocsPerRun(200, pair)
-	t.Logf("an allocate+release pair through Handle makes %v allocations", got)
-	if got > 1 {
-		t.Fatalf("allocate+release pair makes %v allocations, want at most 1", got)
 	}
 }
 

@@ -128,7 +128,10 @@ type Server struct {
 	// replies per request.
 	allocQ     chan *allocJob
 	schedStart sync.Once
-	jobs       sync.Pool // answered *allocJob values, reply channel included
+	// jobs is a free list of answered jobs, reply channel included, as
+	// many as the admission queue holds; unlike a sync.Pool, a collection
+	// does not empty it.
+	jobs chan *allocJob
 
 	mQueueDepth  metrics.Gauge   // current admission-queue depth
 	mBatches     metrics.Counter // batches committed
@@ -162,9 +165,9 @@ func NewServer(cfg core.Config, logger *log.Logger) *Server {
 		borrows:   map[int]float64{},
 		nextLease: 1,
 		allocQ:    make(chan *allocJob, allocQueueCap),
+		jobs:      make(chan *allocJob, allocQueueCap),
 		clock:     vclock.Real{},
 	}
-	s.jobs.New = func() any { return &allocJob{resp: make(chan *Response, 1)} }
 	s.tr = serveRequests(s.Handle, logger)
 	return s
 }
