@@ -5,9 +5,8 @@
 # protocol layer's reconnect/reaper/federation paths, the store, the
 # closure's parallel row kernel (transitive's workers share one step
 # meter and a pool of scratch sets; par is their pool), and the planner
-# (core's skeleton slots and workspace free list are shared by every plan a
-# server runs between its in-place writes; its leg is -short, as
-# transitive's is).
+# (core's workspace free list is shared by every plan a server runs
+# between its in-place writes; its leg is -short, as transitive's is).
 
 GO ?= go
 
@@ -108,9 +107,10 @@ FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFe
 
 # The allocation pins: the `//go:build !race` tests (named ...Allocs or
 # ...AllocatesNothing) that hold what a reserved model build, a steady plan,
-# a plan after a value-only write, a plan and an allocate+release pair after
-# two collections, a refusal for want of capacity, a
-# skeleton build, a closure delta, a column patch, an allocate+release pair
+# a requester's first plan, a plan after a value-only write, a plan and an
+# allocate+release pair after two collections, a fresh workspace's tableau
+# (allocated once), a refusal for want of capacity, a closure delta, a
+# column patch, an allocate+release pair
 # (in process and over the wire, on both sides of the grant box's
 # capacity), a lone release, a renew, a reap pass (TestReapAllocs), a
 # register, a register that grows a cached planner in place
@@ -138,7 +138,7 @@ allocs:
 # internal/scenario plus the model checker and its runners in
 # internal/modeltest, so a new op source adds lines to neither a second
 # harness nor a copy of one.
-SERVING_LOC_MAX = 6371
+SERVING_LOC_MAX = 6235
 TRANSITIVE_LOC_MAX = 1262
 LIBRARY_LOC_MAX = 1040
 STORE_LOC_MAX = 1611

@@ -5,10 +5,8 @@ import (
 	"testing"
 )
 
-// Ablation bench: direct linear-solve valuation vs Gauss–Seidel iteration
-// (DESIGN.md calls this choice out). Direct is O(n³) but exact; iteration
-// is O(edges) per sweep and converges geometrically on contractive
-// systems.
+// Valuation benches: the direct linear solve Values serves with, O(n³) but
+// exact.
 
 func benchSystem(n int) *System {
 	rng := rand.New(rand.NewSource(3))
@@ -30,26 +28,6 @@ func BenchmarkValuesDirect100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Values(disk); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkValuesIterative20(b *testing.B) {
-	s := benchSystem(20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.ValuesIterative(disk, 10000, 1e-10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkValuesIterative100(b *testing.B) {
-	s := benchSystem(100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.ValuesIterative(disk, 10000, 1e-10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,9 +25,9 @@
 //
 //	value(c) = Σ absolute backing + Σ share·value(issuer)
 //
-// which package agreement solves either directly (Gaussian elimination) or
-// iteratively (Gauss–Seidel); mutual agreements create genuine cycles, so
-// a topological pass is not sufficient. Valuation is computed per resource
+// which package agreement solves directly (Gaussian elimination; its tests
+// check it against Gauss–Seidel iteration); mutual agreements create
+// genuine cycles, so a topological pass is not sufficient. Valuation is computed per resource
 // type: relative tickets propagate every type proportionally, absolute
 // tickets carry a single type.
 //

@@ -13,10 +13,6 @@ import (
 // value into itself, so the fixed point diverges.
 var ErrSingularValuation = errors.New("agreement: currency valuation has no unique solution (non-contractive backing cycle)")
 
-// ErrNoConvergence is returned by ValuesIterative when Gauss–Seidel does
-// not reach the requested tolerance within the iteration budget.
-var ErrNoConvergence = errors.New("agreement: iterative valuation did not converge")
-
 // Values computes the value of every currency for one resource type by
 // solving the linear fixed point
 //
@@ -73,40 +69,6 @@ func (s *System) Values(typ ResourceType) ([]float64, error) {
 	return v, nil
 }
 
-// ValuesIterative computes currency values by Gauss–Seidel iteration,
-// converging whenever every backing cycle is contractive (re-injects < 100%
-// of value). It is the streaming-friendly alternative to Values and is
-// cross-checked against it in tests.
-func (s *System) ValuesIterative(typ ResourceType, maxIter int, tol float64) ([]float64, error) {
-	n := len(s.currencies)
-	base, shares := s.valuationSystem(typ)
-
-	// Group incoming shares by target for the sweep.
-	in := make([][]share, n)
-	for _, sh := range shares {
-		in[sh.to] = append(in[sh.to], sh)
-	}
-	v := make([]float64, n)
-	copy(v, base)
-	for iter := 0; iter < maxIter; iter++ {
-		worst := 0.0
-		for c := 0; c < n; c++ {
-			next := base[c]
-			for _, sh := range in[c] {
-				next += sh.frac * v[sh.from]
-			}
-			if d := math.Abs(next - v[c]); d > worst {
-				worst = d
-			}
-			v[c] = next
-		}
-		if worst <= tol {
-			return v, nil
-		}
-	}
-	return v, fmt.Errorf("%w after %d iterations", ErrNoConvergence, maxIter)
-}
-
 type share struct {
 	from, to int
 	frac     float64
@@ -141,7 +103,7 @@ func (s *System) valuationSystem(typ ResourceType) (base []float64, shares []sha
 // TicketValue returns the real value of a ticket for a resource type:
 // absolute tickets are worth their face value (for their own type),
 // relative tickets are worth value(issuer) * face / faceValue(issuer).
-// The currency values must come from Values or ValuesIterative.
+// The currency values must come from Values.
 func (s *System) TicketValue(t TicketID, typ ResourceType, values []float64) float64 {
 	s.checkTicket(t)
 	tk := s.tickets[t]

@@ -6,8 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/agreement"
 	"repro/internal/lp"
@@ -63,15 +61,15 @@ type Config struct {
 	// Approx switches the flow coefficients to the matrix-power
 	// approximation (walks instead of simple paths). Default exact.
 	Approx bool
-	// ComponentLP restricts each plan skeleton to the requester's
-	// agreement component: only the V'_i a plan can actually move — the
-	// requester and its sparse source column — become LP variables, and
-	// only the perturb rows one of those sources feeds stay in the model.
-	// Every other V'_k is pinned to v_k by its bounds in the full
-	// formulation (its U toward the requester is exactly zero), so its
-	// terms fold into the right-hand sides at solve time: the feasible
-	// set and the optimum value are unchanged, but the tableau shrinks
-	// from O(n²) cells to the agreement neighborhood. The pivot sequence
+	// ComponentLP restricts each plan's LP to the requester's agreement
+	// component: only the V'_i a plan can actually move — the requester
+	// and its sparse source column — become LP variables, and only the
+	// perturb rows one of those sources feeds stay in the model. Every
+	// other V'_k is pinned to v_k by its bounds in the full formulation
+	// (its U toward the requester is exactly zero), so its terms fold into
+	// the right-hand sides as the plan builds its LP: the feasible set and
+	// the optimum value are unchanged, but the tableau shrinks from O(n²)
+	// cells to the agreement neighborhood. The pivot sequence
 	// differs from the full model's, so on degenerate ties the realized
 	// take vector may be a different (equally optimal) vertex — off by
 	// default. The bench's tree_sharded workload, cmd/loadgen's sharded
@@ -103,8 +101,8 @@ const exactBudget = 50_000_000
 // Allocator enforces sharing agreements by linear programming. It owns
 // every row and column it holds, and only PatchShare, PatchAgreement and
 // Grow change it, in place, for its one owner (mutate.go); between writes
-// it is safe for concurrent use: the lazily built LP skeletons and the
-// free list of plan workspaces are internally synchronized.
+// it is safe for concurrent use: a plan reads it and writes only into a
+// workspace of its own, taken off a channel.
 type Allocator struct {
 	n int
 	// aCols/aVals hold the absolute agreement matrix A in row-sparse form
@@ -118,19 +116,14 @@ type Allocator struct {
 	flow  []flowRow // flow[i] is row i of K with its row sum
 	cfg   Config
 	cols  []column // cols[i] is column i of K∪A, what capacity sums walk
-	// skel[r] caches the LP skeleton for requester r: a shape, which follows
-	// the sparsity patterns of K and A alone while rebind writes every number
-	// in it per solve, so allocators whose patterns agree share one table.
-	// Slots stay nil until a requester first plans, so invalidating every
-	// skeleton is one fresh slice.
-	skel []atomic.Pointer[planSkeleton]
 	// clo is the transitive closure, which a mutation patches by rows.
 	clo *transitive.Closure
 	// free holds idle plan workspaces: nothing in one is sized by the
-	// population, and the simplex scratch is the largest thing a plan
-	// allocates. It holds at most GOMAXPROCS of them — as many as can plan
-	// at once — and, unlike a sync.Pool, keeps them across collections, so
-	// a plan after an idle spell reuses its tableau instead of regrowing it.
+	// population but the full formulation's LP, and the simplex scratch is
+	// the largest thing a plan allocates. It holds at most GOMAXPROCS of
+	// them — as many as can plan at once — and, unlike a sync.Pool, keeps
+	// them across collections, so a plan after an idle spell reuses its
+	// model and tableau instead of regrowing them.
 	free chan *planWS
 }
 
@@ -154,32 +147,10 @@ type column struct {
 	k, a []float64
 }
 
-// planSkeleton is the reusable part of requester r's substituted LP: the
-// model's shape, and where rebind finds its numbers. Built once per
-// requester on first use, and sized by its variables: a ComponentLP
-// skeleton costs its component wherever in a population it is.
-type planSkeleton struct {
-	once       sync.Once
-	model      *lp.Model
-	consumeRow int
-	// capFlowRows lists the cap_flow_k_i rows in the order rebind meets
-	// them. The j-th one's auxiliary variable u_k_i is model variable
-	// len(vars)+1+j and its cap_own_k_i row the next row.
-	capFlowRows []capFlowRef
-	// vars lists the live principals in ascending order — variable x of
-	// the model is V'_vars[x], then theta: everyone in the full
-	// formulation, the requester's agreement component under
-	// cfg.ComponentLP (the rest fold into the right-hand sides). req is the
-	// requester's position in it; rows lists the perturb rows the model
-	// keeps, ascending by principal and by model row.
-	vars []int32
-	req  int
-	rows []compRow
-}
-
-// compRow locates one kept perturb row of a skeleton. self is i's variable
+// compRow locates one kept perturb row of a plan's LP. self is i's variable
 // position and src[x] that of source cols[i].idx[x], -1 for the pinned: the
-// column itself where everyone is live, else a view of one position arena.
+// column itself where everyone is live, else a view of the workspace's
+// position arena.
 type compRow struct {
 	row  int
 	i    int32
@@ -194,31 +165,45 @@ type capFlowRef struct {
 }
 
 // planWS is the per-Plan scratch kept on Allocator.free, across plans and
-// collections alike. plan leaves one request's result in it, indexed by
-// variable position — entry x belongs to principal vars[x] — so a plan costs
-// its component; the two emitters (appendPairs, scatter) read it from there.
-// Beside the result it keeps the rebindable model clones of the requesters
-// it has planned for (each with the skeleton it came from: a plan after a
-// write that dropped the skeleton re-clones) and the LP solver workspace,
-// whose tableau grows once to the largest LP it solves. Nothing in it is
-// sized by the population; the full formulation's vectors are, because its
-// vars are everyone.
+// collections alike. plan lays one request's LP out in it and leaves the
+// result there, indexed by variable position — entry x belongs to principal
+// vars[x] — so a plan costs its component; the two emitters (appendPairs,
+// scatter) read it from there. Nothing survives from one plan to the next
+// but capacity: every slice, the model and the LP solver workspace, whose
+// tableau grows once to the largest LP it solves. Nothing in it is sized by
+// the population but the full formulation's LP, whose vars are everyone.
 type planWS struct {
-	vars   []int32   // the planned skeleton's live principals; empty for a zero-amount plan
-	uCol   []float64 // U_{vars[x]→requester} (v for the requester itself)
-	take   []float64 // V_i − V'_i
-	newV   []float64 // V'_i
-	theta  float64   // realized max perturbation over the skeleton's rows
-	caps   []float64 // C_i before the allocation, one per kept perturb row
-	clones map[int]modelClone
-	lpws   lp.Workspace
+	// vars lists the plan's live principals in ascending order — variable x
+	// of the model is V'_vars[x], then theta: everyone in the full
+	// formulation, the requester's agreement component under cfg.ComponentLP
+	// (the rest fold into the right-hand sides); empty for a zero-amount
+	// plan. req is the requester's position in it; rows lists the perturb
+	// rows the model keeps, ascending by principal and by model row, and
+	// capFlowRows the cap_flow_k_i rows in the order build emits them: the
+	// j-th one's auxiliary variable u_k_i is model variable len(vars)+1+j and
+	// its cap_own_k_i row the next row.
+	vars        []int32
+	req         int
+	rows        []compRow
+	capFlowRows []capFlowRef
+	uCol        []float64 // U_{vars[x]→requester} (v for the requester itself)
+	take        []float64 // V_i − V'_i
+	newV        []float64 // V'_i
+	theta       float64   // realized max perturbation over the kept rows
+	caps        []float64 // C_i before the allocation, one per kept perturb row
+	kept        []int32   // build's scratch: the principals whose row stays
+	pos         []int32   // the arena compRow.src views under ComponentLP
+	terms       []lp.Term // build's scratch: the row being added
+	model       lp.Model
+	lpws        lp.Workspace
 }
 
-// modelClone is a workspace's private, rebindable copy of a skeleton's
-// model.
-type modelClone struct {
-	model *lp.Model
-	of    *planSkeleton
+// newPlanWS returns an empty workspace whose model names its variables and
+// rows on demand from the plan it holds.
+func newPlanWS() *planWS {
+	ws := new(planWS)
+	ws.model.NameWith(ws.varName, ws.rowName)
+	return ws
 }
 
 // NewAllocator builds an allocator from the CSR relative agreement matrix
@@ -289,15 +274,14 @@ func effectiveLevel(cfg Config) int {
 }
 
 // index builds what the allocator derives from its closure and A — the K
-// rows with their sums, the columns and empty skeleton slots — each in one
-// pass over the stored entries of T and A.
+// rows with their sums and the columns — each in one pass over the stored
+// entries of T and A.
 func (al *Allocator) index() {
 	al.flow = make([]flowRow, al.n)
 	for i := range al.flow {
 		al.flow[i] = flowRowOf(al.clo, i)
 	}
 	al.transposeColumns()
-	al.skel = make([]atomic.Pointer[planSkeleton], al.n)
 }
 
 // capRow applies the overdraft rule K = min(T, 1) to one row's values: the
@@ -455,8 +439,8 @@ func (al *Allocator) FlowCoefficients() [][]float64 {
 
 // Bytes returns the memory the agreement-derived planner state holds: the
 // closure's rows, the K rows that do not alias their T row, the A rows,
-// the column lists and the per-principal vectors and slots — not the LP
-// skeletons (built on first use) or the plan workspaces on the free list.
+// the column lists and the per-principal vectors — not the plan workspaces
+// on the free list.
 func (al *Allocator) Bytes() int {
 	b := al.clo.Bytes()
 	for i, r := range al.flow {
@@ -465,8 +449,8 @@ func (al *Allocator) Bytes() int {
 		}
 		b += 12*len(al.aCols[i]) + 20*len(al.cols[i].idx)
 	}
-	// Per principal: a flow row, an A row, a column and a skeleton slot.
-	return b + al.n*(6*24+2*8)
+	// Per principal: a flow row, an A row and a column.
+	return b + al.n*(6*24+8)
 }
 
 // Capacities returns C_i = V_i + Σ_k U_ki for the current availability.
@@ -561,11 +545,11 @@ func (al *Allocator) Plan(v []float64, requester int, amount float64) (*Allocati
 // PlanPairs is Plan for a caller that keeps an allocation as its takes: it
 // appends the plan's non-zero takes to sources and takes — takes[k] drawn
 // from principal sources[k], ascending, exactly the non-zero entries of
-// Plan's Take — and returns the grown slices with θ. Nothing of population
-// size is read, written or allocated on the way: the plan costs its
-// skeleton's variables and rows, and with capacity in the two slices a
-// steady-state call allocates nothing. It validates the entries of v the
-// plan reads, not the whole vector. On error the slices come back as given.
+// Plan's Take — and returns the grown slices with θ. Nothing outside the
+// plan's LP is read or written on the way — under ComponentLP nothing of
+// population size — and with capacity in the two slices a steady-state
+// call allocates nothing. It validates the entries of v the plan reads, not
+// the whole vector. On error the slices come back as given.
 func (al *Allocator) PlanPairs(sources []int, takes []float64, v []float64, requester int, amount float64) ([]int, []float64, float64, error) {
 	al.checkLen(v)
 	al.checkRequester(requester)
@@ -585,7 +569,7 @@ func (al *Allocator) getWS() *planWS {
 	case ws := <-al.free:
 		return ws
 	default:
-		return &planWS{clones: map[int]modelClone{}}
+		return newPlanWS()
 	}
 }
 
@@ -622,10 +606,9 @@ func (ws *planWS) scatter(out *Allocation, v []float64) {
 
 // plan plans one request and leaves the result in ws — the one computation
 // behind Plan, PlanBatch and PlanPairs. It reads v at the requester, the
-// planned skeleton's variables and the sources of its rows, and nowhere
-// else.
+// plan's variables and the sources of its rows, and nowhere else.
 func (al *Allocator) plan(ws *planWS, v []float64, requester int, amount float64) error {
-	ws.vars, ws.theta = nil, 0
+	ws.vars, ws.theta = ws.vars[:0], 0
 	if amount < 0 {
 		return fmt.Errorf("core: negative request %g", amount)
 	}
@@ -635,78 +618,42 @@ func (al *Allocator) plan(ws *planWS, v []float64, requester int, amount float64
 	if num.IsZero(amount) {
 		return nil // the empty plan: no take, V' = V, θ = 0
 	}
-	sk := al.skeleton(requester)
-	c := ws.clones[requester]
-	if c.of != sk {
-		c = modelClone{model: sk.model.Clone(), of: sk}
-		ws.clones[requester] = c
-	}
-	al.bindPlan(ws, sk, v, requester)
-	al.rebind(c.model, sk, v, amount, ws)
-	sol, err := c.model.SolveWithWorkspace(lp.Tableau, &ws.lpws)
+	al.build(ws, v, requester, amount)
+	sol, err := ws.model.SolveWithWorkspace(lp.Tableau, &ws.lpws)
 	if err != nil {
 		return fmt.Errorf("core: allocation LP failed: %w", err)
 	}
 	ws.readNewV(sol)
-	return al.finishPlan(ws, sk, v, amount)
-}
-
-// bindPlan sizes ws for a plan over sk and fills what the rebinding and the
-// finish read: the requester's U column by variable position, and C_i for
-// every kept row.
-func (al *Allocator) bindPlan(ws *planWS, sk *planSkeleton, v []float64, requester int) {
-	live := len(sk.vars)
-	ws.vars = sk.vars
-	ws.uCol, ws.take, ws.newV = sized(ws.uCol, live), sized(ws.take, live), sized(ws.newV, live)
-	ws.caps = sized(ws.caps, len(sk.rows))
-	// The requester's U column, computed once: it bounds V'_i from below
-	// in the LP and caps each source's take during normalization. Live
-	// principals outside the requester's column have K = A = 0, so their U
-	// is exactly 0 — zero-filling and walking the sparse column matches the
-	// dense scan.
-	clear(ws.uCol)
-	col := &al.cols[requester]
-	y := 0
-	for x, k := range col.idx {
-		for sk.vars[y] != k {
-			y++ // vars holds the whole column, both ascending
-		}
-		ws.uCol[y] = al.sourceCap(col, x, v[k])
-	}
-	ws.uCol[sk.req] = v[requester]
-	for r, pr := range sk.rows {
-		ws.caps[r] = al.capacity(v, int(pr.i))
-	}
+	return al.finishPlan(ws, v, amount)
 }
 
 // sized returns buf with length n, reallocating only when it must grow;
 // the contents are unspecified.
-func sized(buf []float64, n int) []float64 {
+func sized[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
 
-// buildSkeleton constructs requester's substituted LP structure, in the
-// variable and constraint order of the historical per-call construction, so
-// solves over a rebound skeleton pivot identically. What it emits depends on
-// the patterns of K and A alone; rebind overwrites every number. A write
-// that flips a cell drops skeletons, so a build is a counting walk over the
-// kept rows' column lengths and one pass into a model reserved to that
-// count: every slice is made once, terms go through one scratch, and no
-// name is formatted (varName and rowName give them on demand).
+// build lays requester's substituted LP out in ws.model, every number
+// included, in the variable and constraint order of the historical per-call
+// construction, so its solves pivot identically, and fills what the finish
+// reads: the requester's U column by variable position and C_i for every
+// kept row. It is a counting walk over the kept rows' column lengths and one
+// pass into the model reserved to that count: every buffer is the
+// workspace's, reused from plan to plan, terms go through one scratch, and
+// no name is formatted (varName and rowName give them on demand).
 //
-// Under cfg.ComponentLP only the requester and its source column are
-// live variables. In the full formulation every other V'_k is pinned by
-// its bounds (lo = v_k − U_k,req = v_k = up, because its U toward the
-// requester is exactly zero), so those variables and every perturb row
-// none of the live variables feeds are constants: folding them into the
-// right-hand sides (rebind) leaves the feasible set and the optimum value
-// unchanged while the tableau shrinks to the agreement neighborhood. The
-// full formulation is the same construction with every principal live and
-// nothing to fold.
-func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
+// Under cfg.ComponentLP only the requester and its source column are live
+// variables. In the full formulation every other V'_k is pinned by its
+// bounds (lo = v_k − U_k,req = v_k = up, because its U toward the requester
+// is exactly zero), so those variables and every perturb row none of the
+// live variables feeds are constants: folding them into the right-hand
+// sides leaves the feasible set and the optimum value unchanged while the
+// tableau shrinks to the agreement neighborhood. The full formulation is the
+// same construction with every principal live and nothing to fold.
+func (al *Allocator) build(ws *planWS, v []float64, requester int, amount float64) {
 	comp, reqCol := al.cfg.ComponentLP, al.cols[requester].idx
 	// kept lists the principals whose perturb row survives, ascending: a
 	// row stays only if a live variable appears in it — its own V' is
@@ -714,37 +661,35 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 	// inequality any θ ≥ 0 already satisfies.
 	var kept []int32
 	if comp {
-		// The requester merged into its ascending source column.
-		sk.req, _ = slices.BinarySearch(reqCol, int32(requester))
-		sk.vars = append(append(append(make([]int32, 0, len(reqCol)+1), reqCol[:sk.req]...), int32(requester)), reqCol[sk.req:]...)
-		reach := len(sk.vars)
-		for _, k := range sk.vars {
-			reach += len(al.flow[k].k) + len(al.aCols[k])
-		}
-		kept = append(make([]int32, 0, reach), sk.vars...)
-		for _, k := range sk.vars {
+		// The requester merged into its ascending source column, then each
+		// live variable's ascending K and A rows merged into the kept set.
+		ws.req, _ = slices.BinarySearch(reqCol, int32(requester))
+		ws.vars = append(append(append(ws.vars[:0], reqCol[:ws.req]...), int32(requester)), reqCol[ws.req:]...)
+		kept = append(ws.kept[:0], ws.vars...)
+		for _, k := range ws.vars {
 			kc, _, kv := al.FlowRow(int(k))
+			z := 0
 			for x, j := range kc {
 				if j != k && !num.IsZero(kv[x]) {
-					kept = append(kept, j)
+					kept, z = insertFrom(kept, z, j)
 				}
 			}
+			z = 0
 			for x, j := range al.aCols[k] {
 				if j != k && al.aVals[k][x] > 0 {
-					kept = append(kept, j)
+					kept, z = insertFrom(kept, z, j)
 				}
 			}
 		}
-		slices.Sort(kept)
-		kept = slices.Compact(kept)
+		ws.kept = kept
 	} else {
-		sk.vars, sk.req = make([]int32, al.n), requester
-		for i := range sk.vars {
-			sk.vars[i] = int32(i)
+		ws.vars, ws.req = sized(ws.vars, al.n), requester
+		for i := range ws.vars {
+			ws.vars[i] = int32(i)
 		}
-		kept = sk.vars
+		kept = ws.vars
 	}
-	live, nRows, nAux, nSrc := len(sk.vars), 0, 0, 0
+	live, nRows, nAux, nSrc := len(ws.vars), 0, 0, 0
 	for _, i := range kept {
 		if int(i) == requester { // eq. 6 spares the requester: see the package comment
 			continue
@@ -757,27 +702,36 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 			}
 		}
 	}
-	m := lp.NewModel(lp.Minimize)
+	m := &ws.model
+	m.Reset()
 	m.Reserve(live+1+nAux, 1+nRows+2*nAux, live+2*nRows+nSrc+4*nAux)
-	m.NameWith(sk.varName, sk.rowName)
-	sk.rows = make([]compRow, 0, nRows)
-	sk.capFlowRows = make([]capFlowRef, 0, nAux)
-	var pos []int32 // the arena compRow.src views under ComponentLP
+	ws.rows, ws.capFlowRows = ws.rows[:0], ws.capFlowRows[:0]
+	ws.take, ws.newV, ws.caps = sized(ws.take, live), sized(ws.newV, live), sized(ws.caps, nRows)
+	al.uColumn(ws, v, requester)
+	pos := ws.pos[:0]
 	if comp {
-		pos = make([]int32, 0, nSrc)
+		pos = slices.Grow(pos, nSrc)
 	}
-	terms := make([]lp.Term, 0, live+1) // no row is longer: a V' or u per live principal, and theta
+	terms := slices.Grow(ws.terms[:0], live+1) // no row is longer: a V' or u per live principal, and theta
 
-	for x, i := range sk.vars {
-		m.AddVar("", 0, 0, al.tieBreak(i))
+	var sumLive float64
+	for x, i := range ws.vars {
+		lo := v[i] - ws.uCol[x]
+		if lo < 0 {
+			lo = 0
+		}
+		m.AddVar("", lo, v[i], al.tieBreak(i))
 		terms = append(terms, lp.Term{Var: lp.VarID(x), Coeff: 1})
+		sumLive += v[i]
 	}
 	theta := m.AddVar("", 0, lp.Inf, 1)
 	// Σ_{live} V'_i = Σ_{live} V_i − amount (eq. 5 with the pinned
-	// variables cancelled from both sides).
-	sk.consumeRow = m.AddConstraint("", terms, lp.EQ, 0)
+	// variables cancelled from both sides): row 0.
+	m.AddConstraint("", terms, lp.EQ, sumLive-amount)
 
-	// C'_i ≥ C_i − θ for the non-requesting principals (eq. 6).
+	// C'_i ≥ C_i − θ for the non-requesting principals (eq. 6), the pinned
+	// terms folded into the right-hand side: C_i less V_i where i's own V'
+	// is pinned, less each pinned source's flow.
 	for _, i := range kept {
 		if int(i) == requester {
 			continue
@@ -786,45 +740,96 @@ func (al *Allocator) buildSkeleton(sk *planSkeleton, requester int) {
 		pr := compRow{i: i, self: i, src: col.idx}
 		if comp {
 			end := len(pos) + len(col.idx)
-			pr.self, pr.src, pos = sk.find(i), pos[len(pos):end:end], pos[:end]
+			pr.self, pr.src, pos = ws.find(i), pos[len(pos):end:end], pos[:end]
+			y := 0 // vars and the column are both ascending: one merge walk
 			for x, k := range col.idx {
-				pr.src[x] = sk.find(k)
+				for y < live && ws.vars[y] < k {
+					y++
+				}
+				pr.src[x] = -1
+				if y < live && ws.vars[y] == k {
+					pr.src[x] = int32(y)
+				}
 			}
 		}
+		c := al.capacity(v, int(i))
+		ws.caps[len(ws.rows)] = c
 		terms = terms[:0]
 		if pr.self >= 0 {
 			terms = append(terms, lp.Term{Var: lp.VarID(pr.self), Coeff: 1})
+		} else {
+			c -= v[i]
 		}
 		terms = append(terms, lp.Term{Var: theta, Coeff: 1})
 		// Walk the sparse column: it lists exactly the k ≠ i with K_ki ≠ 0
 		// or A_ki ≠ 0, ascending — the same sources the dense k-loop would
 		// admit, in the same order. When absolute agreements are present,
 		// min(V'_k·K_ki + A_ki, V'_k) is linearized with auxiliary variables
-		// u_ki (its superlevel set is convex). Every K term is nonzero, so
-		// AddConstraint keeps each where rebind finds it.
+		// u_ki (its superlevel set is convex).
 		for x, at := range pr.src {
-			vk := lp.VarID(at)
+			vk, kv, hasAbs := lp.VarID(at), col.k[x], al.hasA && col.a[x] > 0
 			switch {
-			case at < 0: // pinned source: folded into the RHS per solve
-			case al.hasA && col.a[x] > 0:
+			case at >= 0 && hasAbs:
 				u := m.AddVar("", 0, lp.Inf, 0)
-				capFlow := m.AddConstraint("", []lp.Term{{Var: u, Coeff: 1}, {Var: vk, Coeff: -col.k[x]}}, lp.LE, col.a[x])
-				sk.capFlowRows = append(sk.capFlowRows, capFlowRef{row: capFlow, k: col.idx[x], i: i})
+				capFlow := m.AddConstraint("", []lp.Term{{Var: u, Coeff: 1}, {Var: vk, Coeff: -kv}}, lp.LE, col.a[x])
+				ws.capFlowRows = append(ws.capFlowRows, capFlowRef{row: capFlow, k: col.idx[x], i: i})
 				m.AddConstraint("", []lp.Term{{Var: u, Coeff: 1}, {Var: vk, Coeff: -1}}, lp.LE, 0)
 				terms = append(terms, lp.Term{Var: u, Coeff: 1})
-			case !num.IsZero(col.k[x]):
-				terms = append(terms, lp.Term{Var: vk, Coeff: col.k[x]})
+			case at >= 0:
+				if !num.IsZero(kv) {
+					terms = append(terms, lp.Term{Var: vk, Coeff: kv})
+				}
+			case hasAbs:
+				// The pinned flow takes its LP maximum min(v_k·K + A, v_k):
+				// u_ki appears only positively in this ≥ row, so any optimum
+				// admits it at its cap.
+				c -= al.sourceCap(col, x, v[col.idx[x]])
+			case !num.IsZero(kv):
+				c -= kv * v[col.idx[x]]
 			}
 		}
-		pr.row = m.AddConstraint("", terms, lp.GE, 0)
-		sk.rows = append(sk.rows, pr)
+		pr.row = m.AddConstraint("", terms, lp.GE, c)
+		ws.rows = append(ws.rows, pr)
 	}
-	sk.model = m
+	ws.pos, ws.terms = pos, terms
+}
+
+// insertFrom adds j to the ascending, duplicate-free s unless s holds it,
+// looking from position z on, and returns s with the position past j: a
+// caller adding an ascending run passes it back, so the run costs one walk
+// of s.
+func insertFrom(s []int32, z int, j int32) ([]int32, int) {
+	for z < len(s) && s[z] < j {
+		z++
+	}
+	if z == len(s) || s[z] != j {
+		s = slices.Insert(s, z, j)
+	}
+	return s, z + 1
+}
+
+// uColumn fills ws.uCol with the requester's U column by variable position:
+// it bounds V'_i from below in the LP and caps each source's take during
+// normalization. Live principals outside the requester's column have
+// K = A = 0, so their U is exactly 0 — zero-filling and walking the sparse
+// column matches the dense scan.
+func (al *Allocator) uColumn(ws *planWS, v []float64, requester int) {
+	ws.uCol = sized(ws.uCol, len(ws.vars))
+	clear(ws.uCol)
+	col := &al.cols[requester]
+	y := 0
+	for x, k := range col.idx {
+		for ws.vars[y] != k {
+			y++ // vars holds the whole column, both ascending
+		}
+		ws.uCol[y] = al.sourceCap(col, x, v[k])
+	}
+	ws.uCol[ws.req] = v[requester]
 }
 
 // find returns principal i's position in the ascending vars, -1 when pinned.
-func (sk *planSkeleton) find(i int32) int32 {
-	if x, ok := slices.BinarySearch(sk.vars, i); ok {
+func (ws *planWS) find(i int32) int32 {
+	if x, ok := slices.BinarySearch(ws.vars, i); ok {
 		return int32(x)
 	}
 	return -1
@@ -832,28 +837,29 @@ func (sk *planSkeleton) find(i int32) int32 {
 
 // varName names model variable v on demand: the V'_i in vars' order, theta,
 // then one u_k_i per capFlowRows entry.
-func (sk *planSkeleton) varName(v lp.VarID) string {
-	switch x := int(v) - len(sk.vars); {
+func (ws *planWS) varName(v lp.VarID) string {
+	switch x := int(v) - len(ws.vars); {
 	case x < 0:
-		return fmt.Sprintf("V'_%d", sk.vars[v])
+		return fmt.Sprintf("V'_%d", ws.vars[v])
 	case x == 0:
 		return "theta"
 	default:
-		return fmt.Sprintf("u_%d_%d", sk.capFlowRows[x-1].k, sk.capFlowRows[x-1].i)
+		return fmt.Sprintf("u_%d_%d", ws.capFlowRows[x-1].k, ws.capFlowRows[x-1].i)
 	}
 }
 
-// rowName names model row r on demand: perturb rows and cap_flow rows are
-// both ascending by row, and a cap_own row follows its cap_flow row.
-func (sk *planSkeleton) rowName(r int) string {
-	if r == sk.consumeRow {
+// rowName names model row r on demand: row 0 consumes, perturb rows and
+// cap_flow rows are both ascending by row, and a cap_own row follows its
+// cap_flow row.
+func (ws *planWS) rowName(r int) string {
+	if r == 0 {
 		return "consume"
 	}
-	if x, ok := slices.BinarySearchFunc(sk.rows, r, func(pr compRow, r int) int { return pr.row - r }); ok {
-		return fmt.Sprintf("perturb_%d", sk.rows[x].i)
+	if x, ok := slices.BinarySearchFunc(ws.rows, r, func(pr compRow, r int) int { return pr.row - r }); ok {
+		return fmt.Sprintf("perturb_%d", ws.rows[x].i)
 	}
-	x, _ := slices.BinarySearchFunc(sk.capFlowRows, r-1, func(cf capFlowRef, r int) int { return cf.row - r })
-	cf := sk.capFlowRows[x]
+	x, _ := slices.BinarySearchFunc(ws.capFlowRows, r-1, func(cf capFlowRef, r int) int { return cf.row - r })
+	cf := ws.capFlowRows[x]
 	if cf.row == r {
 		return fmt.Sprintf("cap_flow_%d_%d", cf.k, cf.i)
 	}
@@ -865,78 +871,6 @@ func (sk *planSkeleton) rowName(r int) string {
 func (al *Allocator) tieBreak(i int32) float64 {
 	const eps = 1e-6
 	return -eps * al.flow[i].conn
-}
-
-// rebind writes every number of plan's model m from the current agreements,
-// availability and request: bounds and objective, the consume row, each kept
-// perturb row's K terms and RHS (re-folding its pinned sources; with everyone
-// live the RHS is C_i) and each cap_flow row's −K term and RHS. It finds
-// terms where buildSkeleton emitted them, which the patterns fix, so m comes
-// out as a fresh build's, whichever allocator last rebound it.
-func (al *Allocator) rebind(m *lp.Model, sk *planSkeleton, v []float64, amount float64, ws *planWS) {
-	var sumLive float64
-	for x, i := range sk.vars {
-		lo := v[i] - ws.uCol[x]
-		if lo < 0 {
-			lo = 0
-		}
-		m.SetBounds(lp.VarID(x), lo, v[i])
-		m.SetObj(lp.VarID(x), al.tieBreak(i))
-		sumLive += v[i]
-	}
-	m.SetRHS(sk.consumeRow, sumLive-amount)
-	aux := 0 // the next capFlowRows entry
-	for r, pr := range sk.rows {
-		i := int(pr.i)
-		rhs := ws.caps[r]
-		term := 2 // the next term: past V'_i's and theta's
-		if pr.self < 0 {
-			rhs, term = rhs-v[i], 1 // pinned self term
-		}
-		col := &al.cols[i]
-		for x, k := range col.idx {
-			kv, hasAbs := col.k[x], al.hasA && col.a[x] > 0
-			switch {
-			case pr.src[x] >= 0 && hasAbs: // u_ki's term; its cap_flow row holds the K
-				cf := sk.capFlowRows[aux].row
-				aux, term = aux+1, term+1
-				if !num.IsZero(kv) {
-					m.SetCoeff(cf, 1, -kv)
-				}
-				m.SetRHS(cf, col.a[x])
-			case pr.src[x] >= 0:
-				if !num.IsZero(kv) {
-					m.SetCoeff(pr.row, term, kv)
-					term++
-				}
-			case hasAbs:
-				// The pinned flow takes its LP maximum min(v_k·K + A, v_k):
-				// u_ki appears only positively in this ≥ row, so any optimum
-				// admits it at its cap.
-				rhs -= al.sourceCap(col, x, v[k])
-			case !num.IsZero(kv):
-				rhs -= kv * v[k]
-			}
-		}
-		m.SetRHS(pr.row, rhs)
-	}
-}
-
-// skeleton returns requester's LP skeleton, building it on first use.
-func (al *Allocator) skeleton(requester int) *planSkeleton {
-	sk := slotOf(&al.skel[requester])
-	sk.once.Do(func() { al.buildSkeleton(sk, requester) })
-	return sk
-}
-
-// slotOf returns the value of a lazily filled slot, installing an empty
-// one on first use; racing first users all get the one that won the CAS.
-func slotOf[T any](slot *atomic.Pointer[T]) *T {
-	if v := slot.Load(); v != nil {
-		return v
-	}
-	slot.CompareAndSwap(nil, new(T))
-	return slot.Load()
 }
 
 // readNewV copies V'_x for every live variable out of a solution; variable
@@ -951,12 +885,12 @@ func (ws *planWS) readNewV(sol *lp.Solution) {
 // clamped into [0, V_i], round-off cleaned so the takes sum to amount
 // exactly, and θ recomputed from first principles — max over i ≠ requester
 // of C_i − C'_i, including the exact min-caps the LP linearized. Only the
-// skeleton's rows are looked at (the requester has none): a principal
+// LP's rows are looked at (the requester has none): a principal
 // outside them has every source pinned at V_k, its C'_i is the same sum over
 // the same numbers as C_i, and its difference is exactly 0, which the
 // maximum already starts from.
-func (al *Allocator) finishPlan(ws *planWS, sk *planSkeleton, v []float64, amount float64) error {
-	for x, i := range sk.vars {
+func (al *Allocator) finishPlan(ws *planWS, v []float64, amount float64) error {
+	for x, i := range ws.vars {
 		nv := ws.newV[x]
 		if nv < 0 {
 			nv = 0
@@ -967,7 +901,7 @@ func (al *Allocator) finishPlan(ws *planWS, sk *planSkeleton, v []float64, amoun
 		ws.newV[x] = nv
 		ws.take[x] = v[i] - nv
 	}
-	if resid := normalizeTakes(ws.take, ws.newV, sk.vars, v, amount, ws.uCol, al.n); math.Abs(resid) > 1e-9*math.Max(1, amount) {
+	if resid := normalizeTakes(ws.take, ws.newV, ws.vars, v, amount, ws.uCol, al.n); math.Abs(resid) > 1e-9*math.Max(1, amount) {
 		// Every source with a take is pinned at its agreement cap and the
 		// solution still misses the request: the plan cannot be repaired
 		// within the agreements. Surface it instead of returning an
@@ -976,7 +910,7 @@ func (al *Allocator) finishPlan(ws *planWS, sk *planSkeleton, v []float64, amoun
 			resid, amount, ErrInfeasible)
 	}
 	worst := 0.0
-	for r, pr := range sk.rows {
+	for r, pr := range ws.rows {
 		if d := ws.caps[r] - al.capacityAfter(v, pr, ws.newV); d > worst {
 			worst = d
 		}

@@ -32,7 +32,7 @@ func TestPlanPairsAllocatesNothing(t *testing.T) {
 			r++
 		}
 		for range member {
-			plan() // every requester's skeleton and model clone exists
+			plan() // the workspace's buffers fit every member's LP
 		}
 		if got := testing.AllocsPerRun(100, plan); got != 0 {
 			t.Errorf("n=%d: a steady-state PlanPairs makes %v allocations, want 0", n, got)
@@ -60,7 +60,7 @@ func TestPlanAfterCollectionAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plan() // the skeleton, the model clone and the tableau exist
+	plan() // the workspace's model and tableau fit the plan
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < 20; i++ {
 		runtime.GC()
@@ -99,8 +99,8 @@ func steadyBytes(runs int, fn func()) uint64 {
 
 // TestSolveChurn128AllocatesNothing pins the served solve at the churn128
 // shape, the largest LP a benchmark workload serves: once a workspace has
-// solved the rebound model, solving it again — standard form, both phases
-// and every pivot — allocates nothing.
+// solved the model a plan built, solving it again — standard form, both
+// phases and every pivot — allocates nothing.
 func TestSolveChurn128AllocatesNothing(t *testing.T) {
 	al := churn128Allocator(t)
 	_, _, v := sparseBlockScenario(128, 1)
@@ -108,7 +108,7 @@ func TestSolveChurn128AllocatesNothing(t *testing.T) {
 	if err := al.plan(ws, v, 5, 1.5); err != nil {
 		t.Fatal(err)
 	}
-	model := ws.clones[5].model
+	model := &ws.model
 	var pivots int
 	solve := func() {
 		sol, err := model.SolveWithWorkspace(lp.Tableau, &ws.lpws)
@@ -125,61 +125,91 @@ func TestSolveChurn128AllocatesNothing(t *testing.T) {
 	}
 }
 
-// buildCost measures one buildSkeleton for requester: its allocations and
-// the bytes they hold.
-func buildCost(al *Allocator, requester int) (allocs float64, bytes int64) {
-	sk := new(planSkeleton) // the slot, which skeleton() allocates once per requester
-	build := func() {
-		*sk = planSkeleton{}
-		al.buildSkeleton(sk, requester)
-	}
-	allocs = testing.AllocsPerRun(50, build)
-	// The least of a few readings: the runtime's own background allocations
-	// land in TotalAlloc too, and only ever add.
-	const runs = 20
-	bytes = math.MaxInt64
-	for reading := 0; reading < 5; reading++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			build()
+// firstPlanCost plans requester on a fresh workspace that has planned
+// warm first, in turn, and returns the allocations and bytes of requester's
+// plan alone. Its caller runs on one P, so no other goroutine allocates
+// between the two readings.
+func firstPlanCost(t *testing.T, al *Allocator, v []float64, warm []int, requester int, amount float64) (mallocs, bytes uint64) {
+	t.Helper()
+	ws := newPlanWS()
+	for _, r := range warm {
+		if err := al.plan(ws, v, r, amount); err != nil {
+			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		bytes = min(bytes, int64(after.TotalAlloc-before.TotalAlloc)/runs)
 	}
-	return allocs, bytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := al.plan(ws, v, requester, amount)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// TestBuildSkeletonAllocs pins what a mutation that flips a cell leaves
-// the next plan to pay. Such a share or revoke drops skeletons, so a build
-// is on the write path: at the churn128 shape (129 variables, 143 rows
-// under the full formulation) it makes a dozen allocations — the slices of
-// the skeleton and of the model, each once — not one per name, row and
-// term list; and under ComponentLP the same nine-principal component costs
-// the same allocations and the same bytes in a population of 64 and in one
-// of 8 192.
-func TestBuildSkeletonAllocs(t *testing.T) {
+// except returns rs without r.
+func except(rs []int, r int) []int {
+	return slices.DeleteFunc(slices.Clone(rs), func(x int) bool { return x == r })
+}
+
+// TestFirstPlanAllocatesNothing pins the first plan for a requester a
+// workspace has never planned: a plan keeps nothing per requester, and its
+// LP is built into buffers the workspace reuses, so once the workspace has
+// planned the others — among them a model at least as large in every
+// dimension — the newcomer's plan allocates nothing. At the churn128 shape
+// (the full formulation over 128 principals, every block of eight the same
+// pattern) and for each member of one nine-principal ComponentLP component
+// in populations of 64 and of 8 192.
+func TestFirstPlanAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	al := churn128Allocator(t)
+	_, _, v := sparseBlockScenario(128, 1)
+	all := make([]int, al.n)
+	for r := range all {
+		all[r] = r
+	}
 	for _, r := range []int{0, 5, 127} {
-		got, bytes := buildCost(al, r)
-		t.Logf("full formulation, n=128, requester %d: %v allocations, %d bytes", r, got, bytes)
-		if got > 12 {
-			t.Errorf("full formulation, n=128, requester %d: buildSkeleton makes %v allocations, want <= 12", r, got)
+		if mallocs, bytes := firstPlanCost(t, al, v, except(all, r), r, 1.5); mallocs != 0 || bytes != 0 {
+			t.Errorf("full formulation, n=128: the first plan for requester %d makes %d allocations, %d bytes, want 0 and 0", r, mallocs, bytes)
 		}
 	}
-	small, _, member := embeddedComponent(t, 64)
-	large, _, _ := embeddedComponent(t, 8192)
-	for _, r := range member {
-		sa, sb := buildCost(small, r)
-		la, lb := buildCost(large, r)
-		t.Logf("ComponentLP requester %d: %v allocations, %d bytes", r, sa, sb)
-		if sa != la || sb != lb {
-			t.Errorf("ComponentLP requester %d: a build costs %v allocations and %d bytes at n=64, %v and %d at n=8192",
-				r, sa, sb, la, lb)
+	for _, n := range []int{64, 8192} {
+		al, v, member := embeddedComponent(t, n)
+		for _, r := range member {
+			if mallocs, bytes := firstPlanCost(t, al, v, except(member, r), r, 19.3); mallocs != 0 || bytes != 0 {
+				t.Errorf("ComponentLP, n=%d: the first plan for member %d makes %d allocations, %d bytes, want 0 and 0", n, r, mallocs, bytes)
+			}
 		}
-		if sa > 13 {
-			t.Errorf("ComponentLP requester %d: buildSkeleton makes %v allocations, want <= 13", r, sa)
+	}
+}
+
+// TestFreshWorkspaceTableauAllocs pins the simplex scratch of a fresh
+// workspace at the churn128 shape. Planning requesters 0..127 in turn, whose
+// tableaus differ by a few columns (286×510 up to 286×512 float64s, about
+// 1.2 MB), it allocates the tableau's backing array once: exactly one plan
+// allocates a megabyte or more, where a tableau sized to each model exactly
+// is allocated again when a wider one comes. The plans run on one P, so no
+// other goroutine allocates between the readings.
+func TestFreshWorkspaceTableauAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	al := churn128Allocator(t)
+	_, _, v := sparseBlockScenario(128, 1)
+	ws := newPlanWS()
+	var big []int
+	for r := 0; r < al.n; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := al.plan(ws, v, r, 1.5)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if after.TotalAlloc-before.TotalAlloc >= 1<<20 {
+			big = append(big, r)
+		}
+	}
+	if len(big) != 1 {
+		t.Errorf("a fresh workspace planning requesters 0..127 allocates a megabyte or more in the plans for %v, want in one: the tableau's backing, once", big)
 	}
 }
 
@@ -262,8 +292,7 @@ func TestPatchShareAllocs(t *testing.T) {
 // (flipSharePair): a block's head shares with a principal down its chain it
 // does not share with yet, and revokes it. Each write lays out a new S row,
 // two slices, while the T row and the columns, whose values alone move, are
-// written over and the skeleton slots cleared in place; the pair makes at
-// most 4 allocations and allocates the same bytes, within 5 %, in a
+// written over; the pair makes at most 4 allocations and allocates the same bytes, within 5 %, in a
 // population of 128 and of 4 096.
 func TestPatchFlipAllocs(t *testing.T) {
 	const runs = 200
@@ -293,9 +322,8 @@ func TestPatchFlipAllocs(t *testing.T) {
 // the next plan to pay, in every variant of the churn blocks: nothing. A
 // share moved, or an absolute agreement raised, in place and back on
 // alternate calls, and then a PlanPairs makes exactly the allocations of
-// the write alone — the plan reuses the skeleton and the model clone the
-// plans before the write left, rebound to the new values — and plans as a
-// fresh build does.
+// the write alone — the plan builds its LP into the workspace the plans
+// before the write left — and plans as a fresh build does.
 func TestValueChurnPlanAllocatesNothing(t *testing.T) {
 	churnVariants(t, func(label string, al *Allocator, v []float64) {
 		sources, takes := make([]int, 0, 16), make([]float64, 0, 16)

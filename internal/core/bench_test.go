@@ -133,8 +133,9 @@ func BenchmarkPlanLoop30(b *testing.B) {
 }
 
 // BenchmarkPlanParallel10 measures Plan throughput when hammered from all
-// P goroutines at once: the skeleton cache and the workspace free list should
-// scale instead of serializing on a shared model.
+// P goroutines at once: each plan builds its LP in a workspace of its own
+// off the free list, so plans should scale instead of serializing on a
+// shared model.
 func BenchmarkPlanParallel10(b *testing.B) {
 	s, v := benchScenario(10)
 	al, err := NewAllocator(sparse(s), nil, Config{})
@@ -424,7 +425,7 @@ func BenchmarkPlanSparse1000(b *testing.B) {
 }
 
 // BenchmarkPlanSparseComponent1000 is the same solve with ComponentLP:
-// the skeleton keeps only the requester's agreement component, so the
+// the LP keeps only the requester's agreement component, so the
 // tableau is a handful of variables instead of n+1 — the configuration
 // the sharded GRM tree runs at scale.
 func BenchmarkPlanSparseComponent1000(b *testing.B) {
@@ -454,6 +455,44 @@ func BenchmarkPlanPairsComponent4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if sources, takes, _, err = al.PlanPairs(sources[:0], takes[:0], v, 0, 40); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanPairsLRM4096 is the plan tree_sharded's LRMs allocate
+// through: the blocks-of-eight population of 4 096 under ComponentLP, plus
+// one principal that every member of the first block shares 0.3 with, which
+// plans. Its LP has nine variables and the block's rows, where
+// BenchmarkPlanPairsComponent4096's requester has one source.
+func BenchmarkPlanPairsLRM4096(b *testing.B) {
+	const n = 4096
+	s, a, v := sparseBlocksScenario(n)
+	sb, ab := agreement.NewSparseBuilder(n+1), agreement.NewSparseBuilder(n+1)
+	for i := 0; i < n; i++ {
+		cols, vals := s.Row(i)
+		for x, j := range cols {
+			sb.Add(i, int(j), vals[x])
+		}
+		cols, vals = a.Row(i)
+		for x, j := range cols {
+			ab.Add(i, int(j), vals[x])
+		}
+	}
+	for j := 0; j < 8; j++ {
+		sb.Add(j, n, 0.3)
+	}
+	al, err := NewAllocator(sb.Build(), ab.Build(), Config{ComponentLP: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v = append(v, 20)
+	var sources []int
+	var takes []float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sources, takes, _, err = al.PlanPairs(sources[:0], takes[:0], v, n, 1.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -505,7 +544,7 @@ func BenchmarkNewAllocatorSparse4096(b *testing.B) {
 }
 
 // BenchmarkGrowSparse4096 registers one principal, in place: an amortized
-// append to every per-principal table and the skeleton slots cleared. The
+// append to every per-principal table. The
 // planner is rebuilt at 4 096, untimed, every 1 024 registrations, so each
 // one lands in a population between 4 096 and 5 120 and the tables' growth
 // is paid at its amortized rate.
@@ -532,8 +571,8 @@ func BenchmarkGrowSparse4096(b *testing.B) {
 }
 
 // The write path at the benchmark's churn128 shape: every share and every
-// revoke patches the allocator in place (PatchShare), and one that flips a
-// cell drops the skeletons, so the next plan rebuilds the requester's.
+// revoke patches the allocator in place (PatchShare), and the next plan
+// builds its requester's LP from what the write left.
 
 // churn128Allocator is that shape: 16 blocks of eight principals, each a
 // chain of relative agreements closed by one absolute back-edge, under the
@@ -573,8 +612,9 @@ func ring64Allocator(t testing.TB) (*Allocator, []float64) {
 }
 
 // benchPlanPairs times the served plan, PlanPairs into reused slices, for
-// every requester in turn after each has planned once (so its skeleton and
-// model clone exist): the simplex is most of what it measures.
+// every requester in turn after each has planned once (so the workspace's
+// buffers fit every requester's LP): the simplex is most of what it
+// measures.
 func benchPlanPairs(b *testing.B, al *Allocator, v []float64, amount float64) {
 	var sources []int
 	var takes []float64
@@ -608,16 +648,20 @@ func BenchmarkPlanPairsRing64(b *testing.B) {
 	benchPlanPairs(b, al, v, 10)
 }
 
-// BenchmarkBuildSkeleton128 builds one requester's 129-variable skeleton
-// under the full formulation.
-func BenchmarkBuildSkeleton128(b *testing.B) {
+// BenchmarkBuildLP128 builds one requester's 129-variable LP, numbers
+// included, under the full formulation, into a workspace that has built
+// them all before: the part of a plan that precedes the solve.
+func BenchmarkBuildLP128(b *testing.B) {
 	al := churn128Allocator(b)
-	sk := new(planSkeleton)
+	_, _, v := sparseBlockScenario(128, 1)
+	ws := newPlanWS()
+	for r := 0; r < al.n; r++ {
+		al.build(ws, v, r, 1.5)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		*sk = planSkeleton{}
-		al.buildSkeleton(sk, i%al.n)
+		al.build(ws, v, i%al.n, 1.5)
 	}
 }
 

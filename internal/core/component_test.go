@@ -133,11 +133,10 @@ func TestComponentLPDenseScenario(t *testing.T) {
 	}
 }
 
-// TestComponentLPMutations pins the skeleton-invalidation discipline:
+// TestComponentLPMutations pins the component formulation across writes:
 // after relative value moves, relative sparsity flips, and absolute
-// flips, patched in place and interleaved with plans that populate the
-// caches, the component allocator must keep matching a freshly built full
-// one.
+// flips, patched in place and interleaved with plans, the component
+// allocator must keep matching a freshly built full one.
 func TestComponentLPMutations(t *testing.T) {
 	s, a, v := sparseBlockScenario(48, 11)
 	comp, err := NewAllocator(s, a, Config{Level: 5, ComponentLP: true})
@@ -169,13 +168,13 @@ func TestComponentLPMutations(t *testing.T) {
 	check("share flip on")
 
 	// Absolute sparsity flip on: requester 1 gains a new source column
-	// entry, which must rebuild its component skeleton.
+	// entry, which its next LP must make live.
 	if err := comp.PatchAgreement(40, 1, 0, 2.5); err != nil {
 		t.Fatal(err)
 	}
 	check("agreement flip on")
 
-	// Absolute value-only move: skeletons survive, RHS refolds per solve.
+	// Absolute value-only move: the next LP folds the new value.
 	if err := comp.PatchAgreement(40, 1, 2.5, 4); err != nil {
 		t.Fatal(err)
 	}

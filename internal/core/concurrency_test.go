@@ -10,9 +10,9 @@ import (
 
 // TestPlanConcurrentDeterministic hammers one shared Allocator from many
 // goroutines and checks every result is bit-identical to a serial solve of
-// the same request: the skeleton cache, model clones, and recycled LP
-// workspaces must neither race (run under -race) nor leak state between
-// requests.
+// the same request: the recycled plan workspaces — each plan's model, its
+// bookkeeping and the LP scratch — must neither race (run under -race) nor
+// leak state between requests.
 func TestPlanConcurrentDeterministic(t *testing.T) {
 	s := [][]float64{
 		{0, 0.5, 0.2, 0},
@@ -161,10 +161,9 @@ func TestNormalizeTakesAllAtCapReportsResidual(t *testing.T) {
 // TestConcurrentPlansAcrossValueChurn races PlanPairs on an allocator (run
 // under -race in `make race` and `make check`) before and after each of two
 // value-only writes patched in place — a share halved, an absolute
-// agreement raised — which keep the skeletons, so a model clone a plan
-// rebound before a write may serve another after it. Every plan must
-// equal, bit for bit, the same plan on a fresh NewAllocator over the
-// allocator's agreements as they stand.
+// agreement raised — so a workspace that planned before a write plans
+// again after it. Every plan must equal, bit for bit, the same plan on a
+// fresh NewAllocator over the allocator's agreements as they stand.
 func TestConcurrentPlansAcrossValueChurn(t *testing.T) {
 	s, a, v := sparseBlockScenario(32, 5)
 	for _, cfg := range []Config{{}, {ComponentLP: true}} {
@@ -177,13 +176,9 @@ func TestConcurrentPlansAcrossValueChurn(t *testing.T) {
 			func() error { return al.PatchShare(0, 1, al.Share(0, 1), al.Share(0, 1)/2) },
 			func() error { return al.PatchAgreement(7, 0, al.Agreement(7, 0), al.Agreement(7, 0)+2) },
 		}
-		var built []*planSkeleton
 		for k, write := range writes {
 			if err := write(); err != nil {
 				t.Fatal(err)
-			}
-			if k > 0 && !slices.Equal(skeletons(al), built) {
-				t.Fatalf("%+v, write %d: a value-only write dropped the skeletons", cfg, k)
 			}
 			type pairs struct {
 				sources []int
@@ -226,7 +221,6 @@ func TestConcurrentPlansAcrossValueChurn(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			built = skeletons(al)
 		}
 	}
 }

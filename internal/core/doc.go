@@ -34,10 +34,12 @@
 //
 // # One plan, two forms
 //
-// A plan is computed once, over the variables and rows of the requester's
-// LP skeleton and nothing else — under Config.ComponentLP that is the
-// requester's agreement component, in the full formulation everyone — and
-// leaves in one of two forms. PlanPairs appends the non-zero (source, take)
+// A plan builds the requester's LP, every number included, in one pass into
+// a workspace it reuses from plan to plan, solves it there and keeps
+// nothing per requester. It is computed once, over that LP's variables and
+// rows and nothing else — under Config.ComponentLP the requester's
+// agreement component, in the full formulation everyone — and leaves in
+// one of two forms. PlanPairs appends the non-zero (source, take)
 // pairs and θ to slices the caller owns: what the GRM serves from, costing
 // the component and allocating nothing in the steady state. Plan and
 // PlanBatch scatter the same result into a dense Allocation, two vectors
@@ -49,11 +51,11 @@
 //
 // An Allocator has one owner, which writes it under the lock it plans
 // under: PatchShare, PatchAgreement and Grow change it in place (see
-// mutate.go), each dropping the skeletons a flip reaches, and the next plan
-// rebuilds its requester's. A write costs what moved: values are written
-// over, a column whose pattern flips is laid out anew in one arena, Grow
-// appends, and a skeleton is built in one pass into one arena, names on
-// demand, nothing population-sized under ComponentLP.
+// mutate.go). A write costs what moved: values are written over, a column
+// whose pattern flips is laid out anew in one arena, and Grow appends. No
+// plan state outlives its plan, so a write invalidates nothing: the next
+// plan builds its LP from what the write left, names on demand, nothing
+// population-sized under ComponentLP.
 //
 // # Library
 //

@@ -1,7 +1,5 @@
 package core
 
-import "slices"
-
 // Helpers shared with the external core_test package, whose tests drive
 // core through package planners.
 var (
@@ -12,10 +10,3 @@ var (
 	SparseBlockScenario = sparseBlockScenario
 	Sparse              = sparse
 )
-
-// SkeletonsKept reads what al's skeleton slots hold and returns a report of
-// whether they still hold exactly those skeletons.
-func SkeletonsKept(al *Allocator) func() bool {
-	built := skeletons(al)
-	return func() bool { return slices.Equal(skeletons(al), built) }
-}

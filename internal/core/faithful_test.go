@@ -28,17 +28,17 @@ func planPrinted(al *Allocator, v []float64, requester int, amount float64, requ
 	}
 	al.checkV(v)
 	n := al.n
-	// The shape a substituted skeleton has with everyone live: variable i
-	// is V'_i, and eq. 6 keeps a row per non-requesting principal.
-	sk := &planSkeleton{vars: make([]int32, n), req: requester}
-	for i := range sk.vars {
-		sk.vars[i] = int32(i)
+	// The bookkeeping the substituted LP has with everyone live: variable i
+	// is V'_i, and eq. 6 keeps a row per non-requesting principal, at C_i.
+	ws := &planWS{vars: make([]int32, n), req: requester, take: make([]float64, n), newV: make([]float64, n)}
+	for i := range ws.vars {
+		ws.vars[i] = int32(i)
 		if i != requester {
-			sk.rows = append(sk.rows, compRow{i: int32(i), self: int32(i), src: al.cols[i].idx})
+			ws.rows = append(ws.rows, compRow{i: int32(i), self: int32(i), src: al.cols[i].idx})
+			ws.caps = append(ws.caps, al.capacity(v, i))
 		}
 	}
-	ws := &planWS{}
-	al.bindPlan(ws, sk, v, requester)
+	al.uColumn(ws, v, requester)
 	m := lp.NewModel(lp.Minimize)
 
 	const eps = 1e-6
@@ -95,7 +95,7 @@ func planPrinted(al *Allocator, v []float64, requester int, amount float64, requ
 		m.AddConstraint(fmt.Sprintf("perturb_hi_%d", i),
 			[]lp.Term{{Var: cp[i], Coeff: 1}}, lp.LE, c)
 	}
-	for r, pr := range sk.rows {
+	for r, pr := range ws.rows {
 		perturb(int(pr.i), ws.caps[r])
 	}
 	if requesterRow {
@@ -113,7 +113,7 @@ func planPrinted(al *Allocator, v []float64, requester int, amount float64, requ
 		return nil, 0, fmt.Errorf("core: printed allocation LP failed: %w", err)
 	}
 	ws.readNewV(sol)
-	if err := al.finishPlan(ws, sk, v, amount); err != nil {
+	if err := al.finishPlan(ws, v, amount); err != nil {
 		return nil, 0, err
 	}
 	out := &Allocation{Take: make([]float64, n), NewV: make([]float64, n)}

@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/num"
 	"repro/internal/transitive"
 )
 
 // This file implements agreement mutations: S/A patched through the delta
-// transitive closure, and only the caches the change reaches invalidated,
+// transitive closure, and only the caches the change reaches refreshed,
 // instead of a full NewAllocator rebuild and its exact chain enumeration.
 //
 // One owner, one write path. PatchShare, PatchAgreement and Grow write
@@ -20,10 +19,9 @@ import (
 // owner — the grm server — plans and writes under one lock, so no plan is
 // in flight across a write. A value whose cell stays stored is written
 // over in place. A cell that appears or vanishes lays out a new row or
-// column, since a pattern — an S, T, K or A row's column list, a column's
-// idx — never changes once a skeleton may have read it (full-formulation
-// skeletons alias col.idx), and drops the skeletons. After an error the
-// receiver is partly patched and must be discarded.
+// column. After an error the receiver is partly patched and must be
+// discarded. No plan state outlives its plan, so a write has no LP to
+// invalidate: the next plan builds its requester's from what the write left.
 //
 // What each cache depends on, what a write pays to refresh it, and when it
 // survives. Every cost is in stored entries of the rows and columns that
@@ -38,14 +36,11 @@ import (
 //	          conn: K row sums            an entry > 1; one walk   unless the cap bites
 //	cols      K and A columns (pattern    the moved cells written  columns no moved cell
 //	          and values)                 over, or merged anew     falls in
-//	skel[r]   K and A patterns only:      every slot cleared in    every change that flips
-//	          every number is rebound     place; r's next Plan     no K or A cell between
-//	          per solve                   builds it in one pass    zero and nonzero
 //
 // A mutated allocator plans bit-identically to a fresh NewAllocator over
 // the mutated matrices (pinned by the incremental equivalence tests):
-// untouched rows are identical, patched rows replay NewAllocator's per-row
-// computations, and a kept skeleton is rebound to the fresh numbers.
+// untouched rows are identical, and patched rows replay NewAllocator's
+// per-row computations.
 
 // SetShare is PatchShare on a copy of al, for a caller that keeps al, which
 // stays as it was: the copy owns its closure, A's values and every cache
@@ -180,17 +175,16 @@ func (d *Allocator) overwrite(c int, moves []cellMove) bool {
 	return true
 }
 
-// applyClosureDelta patches the flow rows, the columns and the skeleton
-// table after the closure changed T rows ps.rows (ascending), which held
-// columns ps.old and values ps.vals, per the dependency table above.
+// applyClosureDelta patches the flow rows and the columns after the closure
+// changed T rows ps.rows (ascending), which held columns ps.old and values
+// ps.vals, per the dependency table above.
 func (d *Allocator) applyClosureDelta(ps *patchScratch) {
 	// Each changed T row gets its K row rebuilt (an uncapped one is the T
 	// row's own slice) and its conn re-summed in NewAllocator's order, the
 	// old K row read from its slot first — or, where it aliased a T row the
 	// closure wrote over, from the values handed back; the cells whose
-	// capped value moved decide all downstream, and a row whose columns
-	// moved flipped a cell.
-	moves, flipped, off := ps.moves[:0], false, 0
+	// capped value moved decide all downstream.
+	moves, off := ps.moves[:0], 0
 	for x, r := range ps.rows {
 		oc, ov := ps.old[x], d.flow[r].k
 		if _, tv := d.clo.FlowRow(r); sameArray(ov, tv) {
@@ -199,7 +193,7 @@ func (d *Allocator) applyClosureDelta(ps *patchScratch) {
 		off += len(oc)
 		d.flow[r] = flowRowOf(d.clo, r)
 		cols, _, kv := d.FlowRow(r)
-		moves, flipped = rowMoves(moves, r, oc, ov, cols, kv), flipped || !slices.Equal(oc, cols)
+		moves = rowMoves(moves, r, oc, ov, cols, kv)
 	}
 	ps.moves = moves
 	if len(moves) == 0 {
@@ -211,17 +205,13 @@ func (d *Allocator) applyClosureDelta(ps *patchScratch) {
 	// cells ascending by row.
 	slices.SortStableFunc(moves, func(a, b cellMove) int { return cmp.Compare(a.c, b.c) })
 	d.replaceColumns(moves)
-	if flipped {
-		clear(d.skel)
-	}
 }
 
 // PatchAgreement changes A[from][to] from oldVal to newVal in the
 // receiver (making A if there was none). A never enters the closure: a
 // value-only change writes over the entry and column `to` and keeps every
-// other cache, numbers being rebound per solve, and a flip between zero
-// and positive also lays column `to` out anew and drops the skeletons
-// linearizing the entry.
+// other cache, and a flip between zero and positive also lays column `to`
+// out anew.
 func (al *Allocator) PatchAgreement(from, to int, oldVal, newVal float64) error {
 	n := al.n
 	if from < 0 || from >= n || to < 0 || to >= n || newVal < 0 {
@@ -240,26 +230,14 @@ func (al *Allocator) PatchAgreement(from, to int, oldVal, newVal float64) error 
 	}
 	// Column `to` caches A's values, so any value move stales it.
 	al.replaceColumns([]cellMove{{c: int32(to), r: int32(from), k: al.kAt(from, to)}})
-	if (oldVal > 0) != (newVal > 0) {
-		// u_{from,to} sits in every skeleton with a perturb_to row: all but
-		// requester `to`'s own, which under ComponentLP goes too, its live
-		// set being column `to`'s pattern.
-		kept := al.skel[to].Load()
-		clear(al.skel)
-		if !al.cfg.ComponentLP {
-			al.skel[to].Store(kept)
-		}
-	}
 	return nil
 }
 
 // Grow extends the allocator in place by extra principals holding no
 // agreements, whose rows and columns are empty: every per-principal table
 // is appended to with amortized capacity, no entry is touched and nothing
-// enumerated, and every skeleton slot is cleared in place, each model's
-// variable count changing. (An Approx closure whose clamped level rises
-// recomputes its rows, and the caches are rebuilt from them as a
-// constructor would.)
+// enumerated. (An Approx closure whose clamped level rises recomputes its
+// rows, and the caches are rebuilt from them as a constructor would.)
 func (al *Allocator) Grow(extra int) {
 	if extra <= 0 {
 		return
@@ -273,12 +251,6 @@ func (al *Allocator) Grow(extra int) {
 		return
 	}
 	al.flow, al.cols = append(al.flow, make([]flowRow, extra)...), append(al.cols, make([]column, extra)...)
-	if cap(al.skel) < al.n {
-		al.skel = make([]atomic.Pointer[planSkeleton], al.n, 2*al.n) // every slot is dropped: nothing to copy
-		return
-	}
-	al.skel = al.skel[:al.n]
-	clear(al.skel)
 }
 
 // Share returns S[from][to], the old value callers pass back into

@@ -14,7 +14,7 @@ import (
 )
 
 // mutateScenario builds a sparse random agreement system large enough
-// that skeleton/closure sharing matters but small enough for exact
+// that patching rows in place matters but small enough for exact
 // enumeration at the given level.
 func mutateScenario(rng *rand.Rand, n, edges int) (s [][]float64, v []float64) {
 	s = make([][]float64, n)
@@ -150,7 +150,7 @@ func TestSetShareMatchesRebuild(t *testing.T) {
 
 // TestSetAgreementMatchesRebuild covers absolute-agreement mutations
 // patched in place (PatchAgreement): growing A from nil, value-only moves
-// (which must keep every skeleton), and sparsity flips.
+// and sparsity flips.
 func TestSetAgreementMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s, v := mutateScenario(rng, 10, 16)
@@ -175,13 +175,8 @@ func TestSetAgreementMatchesRebuild(t *testing.T) {
 		if rng.Intn(3) > 0 {
 			nv = 1 + 6*rng.Float64()
 		}
-		valueOnly := a[from][to] > 0 && nv > 0
-		before := skeletons(al)
 		if err := al.PatchAgreement(from, to, a[from][to], nv); err != nil {
 			t.Fatalf("step %d: PatchAgreement: %v", step, err)
-		}
-		if valueOnly && !slices.Equal(skeletons(al), before) {
-			t.Fatalf("step %d: a value-only A change dropped skeletons", step)
 		}
 		a[from][to] = nv
 		rebuilt, err := NewAllocator(sparse(cloneMatrix(s)), sparse(cloneMatrix(a)), Config{Level: 2})
@@ -303,11 +298,10 @@ func TestSetShareErrors(t *testing.T) {
 	}
 }
 
-// churnVariants calls fn with the four allocators the invalidation tests
-// look at — the full formulation and ComponentLP, with the blocks' absolute
+// churnVariants calls fn with the four allocators the write tests look at —
+// the full formulation and ComponentLP, with the blocks' absolute
 // back-edges and without — over two blocks of eight, each a chain of
-// relative agreements, after every requester has planned once, so every
-// skeleton slot is filled. Whatever fn writes into them, the matrices they
+// relative agreements, after every requester has planned once. Whatever fn writes into them, the matrices they
 // were built from must stay as they were, bit for bit.
 func churnVariants(t *testing.T, fn func(label string, al *Allocator, v []float64)) {
 	s, a, v := sparseBlockScenario(16, 3)
@@ -358,31 +352,19 @@ func rebuilt(t *testing.T, al *Allocator) *Allocator {
 	return fresh
 }
 
-// skeletons returns what al's skeleton slots hold, nil for an empty one.
-func skeletons(al *Allocator) []*planSkeleton {
-	out := make([]*planSkeleton, len(al.skel))
-	for r := range out {
-		out[r] = al.skel[r].Load()
-	}
-	return out
-}
-
 // TestValueChurnKeepsSkeletons moves agreement values in place without
 // flipping a cell between zero and nonzero — a chain's head sharing half as
 // much, which moves K and conn in all eight columns of its block, and an
-// absolute back-edge raised — in every variant: the allocator keeps every
-// skeleton, the model clones built from them are rebound, and every plan
-// equals a fresh build's bit for bit.
+// absolute back-edge raised — in every variant, after every requester has
+// planned: every plan equals a fresh build's bit for bit. (The name is
+// historical: the plans once kept per-requester LP skeletons, which a
+// value-only write had to keep.)
 func TestValueChurnKeepsSkeletons(t *testing.T) {
 	churnVariants(t, func(label string, al *Allocator, v []float64) {
-		built := skeletons(al)
 		step := func(what string, err error) {
 			t.Helper()
 			if err != nil {
 				t.Fatalf("%s, %s: %v", label, what, err)
-			}
-			if !slices.Equal(skeletons(al), built) {
-				t.Fatalf("%s, %s: a skeleton was dropped or replaced", label, what)
 			}
 			requirePlansIdentical(t, al, rebuilt(t, al), v, label+", "+what)
 		}
@@ -398,44 +380,36 @@ func TestValueChurnKeepsSkeletons(t *testing.T) {
 // cell — a K entry appearing and vanishing, under a cap_flow row too (the
 // last principal of a block closing its chain into a ring, where the
 // block's absolute back-edge already is), an absolute agreement appearing
-// and vanishing, and Grow, twice — in place, and checks each clears the
-// skeleton slots, the allocator planning every requester as a fresh build
-// does.
+// and vanishing, and Grow, twice — in place, each after every requester has
+// planned, and checks the allocator then plans every requester as a fresh
+// build does. (The name is historical: such a write once dropped the
+// per-requester LP skeletons the plans kept.)
 func TestPatternFlipDropsSkeletons(t *testing.T) {
 	churnVariants(t, func(label string, al *Allocator, v []float64) {
-		step := func(what string, err error, kept int) {
+		step := func(what string, err error) {
 			t.Helper()
 			if err != nil {
 				t.Fatalf("%s, %s: %v", label, what, err)
-			}
-			for r, sk := range skeletons(al) {
-				if (sk != nil) != (r == kept) {
-					t.Fatalf("%s, %s: skeleton %d survived = %v, want %v", label, what, r, sk != nil, r == kept)
-				}
 			}
 			if len(v) < al.n {
 				v = append(v, 6.5)
 			}
 			requirePlansIdentical(t, al, rebuilt(t, al), v, label+", "+what)
 			for r := range v {
-				if _, err := al.Plan(v, r, 1.5); err != nil { // refill the slots for the next step
+				if _, err := al.Plan(v, r, 1.5); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		step("a ring closed", al.PatchShare(7, 0, 0, 0.25), -1)
-		step("the ring opened again", al.PatchShare(7, 0, 0.25, 0), -1)
-		step("a chain cut", al.PatchShare(3, 4, al.Share(3, 4), 0), -1)
-		step("two blocks bridged", al.PatchShare(7, 8, 0, 0.2), -1)
-		kept := 5 // requester 5 has no perturb_5 row; its live set is column 5 under ComponentLP
-		if al.cfg.ComponentLP {
-			kept = -1
-		}
-		step("an absolute agreement made", al.PatchAgreement(2, 5, 0, 1.5), kept)
-		step("an absolute agreement revoked", al.PatchAgreement(2, 5, 1.5, 0), kept)
+		step("a ring closed", al.PatchShare(7, 0, 0, 0.25))
+		step("the ring opened again", al.PatchShare(7, 0, 0.25, 0))
+		step("a chain cut", al.PatchShare(3, 4, al.Share(3, 4), 0))
+		step("two blocks bridged", al.PatchShare(7, 8, 0, 0.2))
+		step("an absolute agreement made", al.PatchAgreement(2, 5, 0, 1.5))
+		step("an absolute agreement revoked", al.PatchAgreement(2, 5, 1.5, 0))
 		al.Grow(1)
-		step("a principal registered", nil, -1)
-		al.Grow(1) // into the room the first left: the slots are cleared in place
-		step("a second principal registered", nil, -1)
+		step("a principal registered", nil)
+		al.Grow(1) // into the room the first left
+		step("a second principal registered", nil)
 	})
 }

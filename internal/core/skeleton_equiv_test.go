@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -39,15 +40,22 @@ func skeletonVariants(g *modeltest.Graph, fn func(a [][]float64, cfg core.Config
 	}
 }
 
+// planPairs is the signature of PlanPairs and ReferencePlanPairs.
+type planPairs func(sources []int, takes []float64, v []float64, requester int, amount float64) ([]int, []float64, float64, error)
+
+// amounts are the requests the equivalence tests make of a requester with
+// capacity c: nothing, parts of it, all of it, and more than it.
+func amounts(c float64) []float64 { return []float64{0, c / 4, c / 2, c, c + 3} }
+
 // samePlans fails unless got and want plan every requester the same, bit
-// for bit: same sources, takes and θ, or the same refusal.
-func samePlans(t *testing.T, label string, got, want *core.Allocator, v []float64) {
+// for bit: same sources, takes and θ, or the same refusal. caps are the
+// requesters' capacities.
+func samePlans(t *testing.T, label string, got, want planPairs, caps, v []float64) {
 	t.Helper()
-	caps := want.Capacities(v)
 	for r := range v {
-		for _, amount := range []float64{0, caps[r] / 4, caps[r] / 2, caps[r], caps[r] + 3} {
-			gs, gt, gth, gerr := got.PlanPairs(nil, nil, v, r, amount)
-			ws, wt, wth, werr := want.PlanPairs(nil, nil, v, r, amount)
+		for _, amount := range amounts(caps[r]) {
+			gs, gt, gth, gerr := got(nil, nil, v, r, amount)
+			ws, wt, wth, werr := want(nil, nil, v, r, amount)
 			if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
 				t.Fatalf("%s: requester %d amount %v: %v, reference %v", label, r, amount, gerr, werr)
 			}
@@ -59,13 +67,15 @@ func samePlans(t *testing.T, label string, got, want *core.Allocator, v []float6
 	}
 }
 
-// TestSkeletonEqualsReference checks the one-pass, one-arena builder against
-// the builder it replaced (kept in skeleton_ref_test.go) over the generated
-// taxonomy — all five shapes × {full, ComponentLP} × with/without A: the
+// TestSkeletonEqualsReference checks the one-pass build of a plan's LP,
+// numbers included, against the two steps it replaced (kept in
+// skeleton_ref_test.go): the reference skeleton builder, then rebind. Over
+// the generated taxonomy — all five shapes × {full, ComponentLP} ×
+// with/without A — and every requester and amount, the two models have the
 // same variables in the same order with the same names, bounds and
-// objective, the same rows term for term with the same relation, right-hand
-// side and name, the same row bookkeeping; and every plan through it equal
-// bit for bit to the plan through the reference's.
+// objective bits, the same rows term for term with the same relation,
+// right-hand side and name, and the same row bookkeeping; and every plan
+// through the one equals bit for bit the plan through the other.
 func TestSkeletonEqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	cases := 150
@@ -73,37 +83,49 @@ func TestSkeletonEqualsReference(t *testing.T) {
 		cases = 40
 	}
 	shapes := map[modeltest.Shape]int{}
-	skeletons := 0
+	models := 0
 	for c := 0; c < cases; c++ {
 		g := modeltest.Generate(rng)
 		shapes[g.Shape]++
 		skeletonVariants(g, func(a [][]float64, cfg core.Config, al *core.Allocator) {
-			for r := 0; r < g.N; r++ {
-				if diff := al.SkeletonDiff(r); diff != "" {
-					t.Fatalf("case %d %+v (A: %v) requester %d: %s\n%s", c, cfg, a != nil, r, diff, g)
-				}
-				skeletons++
-			}
-			samePlans(t, "served against reference skeletons", al, al.WithReferenceSkeletons(), g.V)
+			models += sameModels(t, fmt.Sprintf("case %d %+v (A: %v)", c, cfg, a != nil), al, g.V, g)
+			samePlans(t, "served against reference models", al.PlanPairs, al.ReferencePlanPairs, al.Capacities(g.V), g.V)
 		})
 	}
 	if len(shapes) != 5 {
 		t.Fatalf("generator covered shapes %v, want all five", shapes)
 	}
-	t.Logf("%d skeletons equal over shapes %v", skeletons, shapes)
+	t.Logf("%d models equal over shapes %v", models, shapes)
+}
+
+// sameModels fails unless al builds every requester's LP over v, for every
+// positive amount the equivalence tests request, as the reference does,
+// and returns how many models it compared; g is the case, for the report.
+func sameModels(t *testing.T, label string, al *core.Allocator, v []float64, g *modeltest.Graph) int {
+	t.Helper()
+	models := 0
+	caps := al.Capacities(v)
+	for r := 0; r < al.N(); r++ {
+		for _, amount := range amounts(caps[r])[1:] {
+			if diff := al.ModelDiff(v, r, amount); diff != "" {
+				t.Fatalf("%s requester %d amount %v: %s\n%s", label, r, amount, diff, g)
+			}
+			models++
+		}
+	}
+	return models
 }
 
 // TestDerivationChainEqualsFresh walks every variant through a chain of
 // agreement changes, patching one allocator in place with PatchShare and
 // PatchAgreement (Grow between), and after every step requires it to hold
-// the column lists a fresh NewAllocator over the mutated matrices
-// builds, the skeletons the reference builds, and to plan as it does, bit
-// for bit. The schedule moves values and flips patterns: edges created,
-// halved, moved and removed; a ring closed and opened; quantities created,
-// raised and removed (A made where the variant had none); a principal
-// added, its block bridged to the rest and cut off again. Value-only steps,
-// which flip no cell, must also keep the skeletons the plans before them
-// built: the plans after them run on those, rebound.
+// the column lists a fresh NewAllocator over the mutated matrices builds,
+// to build every requester's LP as the reference skeleton builder and
+// rebind do, and to plan as the fresh allocator does, bit for bit. The
+// schedule moves values and flips patterns: edges created, halved, moved
+// and removed; a ring closed and opened; quantities created, raised and
+// removed (A made where the variant had none); a principal added, its block
+// bridged to the rest and cut off again.
 func TestDerivationChainEqualsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cases := 40
@@ -139,12 +161,8 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 				if diff := core.ColumnsDiff(in, want); diff != "" {
 					t.Fatalf("case %d %+v after %s: %s\n%s", c, cfg, step, diff, g)
 				}
-				for r := 0; r < n; r++ {
-					if diff := in.SkeletonDiff(r); diff != "" {
-						t.Fatalf("case %d %+v after %s, requester %d: %s\n%s", c, cfg, step, r, diff, g)
-					}
-				}
-				samePlans(t, "patched against fresh after "+step, in, want, v)
+				sameModels(t, fmt.Sprintf("case %d %+v after %s,", c, cfg, step), in, v, g)
+				samePlans(t, "patched against fresh after "+step, in.PlanPairs, want.PlanPairs, want.Capacities(v), v)
 			}
 			setShare := func(i, j int, next float64) bool {
 				if err := in.PatchShare(i, j, s[i][j], next); err != nil {
@@ -164,20 +182,11 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 			if i == j {
 				j = (i + 1) % n
 			}
-			// valueOnly checks a step that moved values only; kept reports
-			// whether in's slots hold the skeletons they held before it.
-			valueOnly := func(step string, kept func() bool) {
-				t.Helper()
-				if !kept() {
-					t.Fatalf("case %d %+v: %s dropped the skeletons\n%s", c, cfg, step, g)
-				}
-				check(step)
-			}
 			if setShare(i, j, s[i][j]/2+0.125) {
 				check("SetShare")
 			}
-			if kept := core.SkeletonsKept(in); s[i][j] > 0 && setShare(i, j, s[i][j]*0.75) {
-				valueOnly("SetShare moving a value", kept)
+			if s[i][j] > 0 && setShare(i, j, s[i][j]*0.75) {
+				check("SetShare moving a value")
 			}
 			// A ring i → j → k → i: open it if it is closed, close it, open it.
 			if k := (j + 1) % n; k != i && setShare(j, k, s[j][k]+0.0625) {
@@ -193,9 +202,8 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 			}
 			setAgreement(j, i, a[j][i]+1.5)
 			check("SetAgreement creating an entry")
-			kept := core.SkeletonsKept(in)
 			setAgreement(j, i, a[j][i]+0.25)
-			valueOnly("SetAgreement moving a value", kept)
+			check("SetAgreement moving a value")
 			in.Grow(2)
 			n += 2
 			s, a, v = cloneSquare(s, n), cloneSquare(a, n), append(v, 6.5, 3.25)
@@ -207,8 +215,8 @@ func TestDerivationChainEqualsFresh(t *testing.T) {
 			}
 			if setShare(n-1, i, 0.25) && setShare(j, n-2, 0.125) {
 				check("SetShare bridging two blocks")
-				if kept := core.SkeletonsKept(in); setShare(n-1, i, 0.5) {
-					valueOnly("SetShare moving the bridge's share", kept)
+				if setShare(n-1, i, 0.5) {
+					check("SetShare moving the bridge's share")
 				}
 				if setShare(n-1, i, 0) && setShare(j, n-2, 0) {
 					check("SetShare cutting the bridge")

@@ -2,24 +2,38 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/lp"
 	"repro/internal/num"
 )
 
-// This file keeps the skeleton builder as it was before builds went into
-// one arena — a name formatted per variable and row, a population-sized
-// inverse index and reach mask, terms grown row by row — as the reference
-// the served builder is checked against, and exports the comparisons to the
-// external test package (which can reach internal/modeltest's generator).
+// This file keeps the two steps a plan's LP was once built in as the
+// reference the served build (Allocator.build) is checked against: the
+// skeleton builder as it was before builds went into one arena — a name
+// formatted per variable and row, a population-sized inverse index and
+// reach mask, terms grown row by row — and rebind, which wrote every number
+// into a copy of that shape by term position. It exports the comparisons to
+// the external test package (which can reach internal/modeltest's
+// generator).
 
-// refSkeleton builds requester's skeleton the old way. The result plans
-// like a served one: self and src are read off the inverse index.
-func (al *Allocator) refSkeleton(requester int) *planSkeleton {
+// refSkeleton is requester's LP shape as the reference builds it: the model
+// with its skeleton-time numbers, and where rebind finds the numbers it
+// writes.
+type refSkeleton struct {
+	model       *lp.Model
+	consumeRow  int
+	capFlowRows []capFlowRef
+	vars        []int32
+	req         int
+	rows        []compRow
+}
+
+// buildRefSkeleton builds requester's skeleton the old way.
+func (al *Allocator) buildRefSkeleton(requester int) *refSkeleton {
 	n := al.n
-	sk := &planSkeleton{}
+	sk := &refSkeleton{}
 	var live []int32
 	if al.cfg.ComponentLP {
 		merged := false
@@ -114,51 +128,207 @@ func (al *Allocator) refSkeleton(requester int) *planSkeleton {
 		sk.rows = append(sk.rows, pr)
 	}
 	sk.model = m
-	sk.once.Do(func() {})
 	return sk
 }
 
-// SkeletonDiff builds requester's skeleton with the served builder and with
-// the reference and describes the first difference, "" when there is none.
-// The models are compared through String, which prints every objective
-// coefficient, every row's terms in order with its relation, right-hand
-// side and name, and every variable's name and bounds, floats in %g (which
-// round-trips them): equal strings are equal models, on-demand names
-// included.
-func (al *Allocator) SkeletonDiff(requester int) string {
-	got, want := &planSkeleton{}, al.refSkeleton(requester)
-	al.buildSkeleton(got, requester)
-	switch {
-	case !slices.Equal(got.vars, want.vars) || got.req != want.req:
-		return fmt.Sprintf("vars %v (requester at %d), reference %v (at %d)", got.vars, got.req, want.vars, want.req)
-	case got.consumeRow != want.consumeRow:
-		return fmt.Sprintf("consume row %d, reference %d", got.consumeRow, want.consumeRow)
-	case !slices.Equal(got.capFlowRows, want.capFlowRows):
-		return fmt.Sprintf("cap_flow rows %v, reference %v", got.capFlowRows, want.capFlowRows)
-	case len(got.rows) != len(want.rows):
-		return fmt.Sprintf("%d perturb rows, reference %d", len(got.rows), len(want.rows))
+// bindRef points ws at sk and fills what rebind and the finish read: the
+// requester's U column by variable position, and C_i for every kept row.
+func (al *Allocator) bindRef(ws *planWS, sk *refSkeleton, v []float64, requester int) {
+	live := len(sk.vars)
+	ws.vars, ws.req, ws.rows, ws.capFlowRows = sk.vars, sk.req, sk.rows, sk.capFlowRows
+	ws.take, ws.newV, ws.caps = make([]float64, live), make([]float64, live), make([]float64, len(sk.rows))
+	al.uColumn(ws, v, requester)
+	for r, pr := range sk.rows {
+		ws.caps[r] = al.capacity(v, int(pr.i))
 	}
-	for r, pr := range got.rows {
-		w := want.rows[r]
-		if pr.row != w.row || pr.i != w.i || pr.self != w.self || !slices.Equal(pr.src, w.src) {
-			return fmt.Sprintf("perturb row %d is %+v, reference %+v", r, pr, w)
+}
+
+// flatModel is an LP written out through lp.Model's accessors: every
+// variable's name, bounds and objective coefficient, and every row's name,
+// terms in order, relation and right-hand side. rebind writes into one, and
+// two compare bit for bit.
+type flatModel struct {
+	vars []flatVar
+	rows []flatRow
+}
+
+type flatVar struct {
+	name        string
+	lo, hi, obj float64
+}
+
+type flatRow struct {
+	name  string
+	terms []lp.Term
+	rel   lp.Relation
+	rhs   float64
+}
+
+// flatten writes m out.
+func flatten(m *lp.Model) *flatModel {
+	f := &flatModel{}
+	for v := lp.VarID(0); int(v) < m.NumVars(); v++ {
+		lo, hi := m.Bounds(v)
+		f.vars = append(f.vars, flatVar{name: m.VarName(v), lo: lo, hi: hi, obj: m.ObjCoeff(v)})
+	}
+	for r := 0; r < m.NumConstraints(); r++ {
+		terms, rel, rhs := m.Constraint(r)
+		f.rows = append(f.rows, flatRow{name: m.ConstraintName(r), terms: slices.Clone(terms), rel: rel, rhs: rhs})
+	}
+	return f
+}
+
+// model builds f back into an lp.Model.
+func (f *flatModel) model() *lp.Model {
+	m := lp.NewModel(lp.Minimize)
+	for _, v := range f.vars {
+		m.AddVar(v.name, v.lo, v.hi, v.obj)
+	}
+	for _, r := range f.rows {
+		m.AddConstraint(r.name, r.terms, r.rel, r.rhs)
+	}
+	return m
+}
+
+// diff describes the first difference between f and g, floats compared by
+// their bits, "" when there is none.
+func (f *flatModel) diff(g *flatModel) string {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if len(f.vars) != len(g.vars) || len(f.rows) != len(g.rows) {
+		return fmt.Sprintf("%d variables and %d rows, reference %d and %d", len(f.vars), len(f.rows), len(g.vars), len(g.rows))
+	}
+	for x, v := range f.vars {
+		if w := g.vars[x]; v.name != w.name || !same(v.lo, w.lo) || !same(v.hi, w.hi) || !same(v.obj, w.obj) {
+			return fmt.Sprintf("variable %d is %+v, reference %+v", x, v, w)
 		}
 	}
-	if g, w := got.model.String(), want.model.String(); g != w {
-		return fmt.Sprintf("model\n%s\nreference\n%s", g, w)
+	for r, row := range f.rows {
+		w := g.rows[r]
+		sameTerms := slices.EqualFunc(row.terms, w.terms, func(a, b lp.Term) bool { return a.Var == b.Var && same(a.Coeff, b.Coeff) })
+		if row.name != w.name || !sameTerms || row.rel != w.rel || !same(row.rhs, w.rhs) {
+			return fmt.Sprintf("row %d is %+v, reference %+v", r, row, w)
+		}
 	}
 	return ""
 }
 
-// WithReferenceSkeletons returns an allocator over al's agreements whose
-// every skeleton came from the reference builder.
-func (al *Allocator) WithReferenceSkeletons() *Allocator {
-	ref := *al
-	ref.skel = make([]atomic.Pointer[planSkeleton], al.n)
-	for r := range ref.skel {
-		ref.skel[r].Store(al.refSkeleton(r))
+// rebind writes every number of the plan's model f from the current
+// agreements, availability and request: bounds and objective, the consume
+// row, each kept perturb row's K terms and RHS (re-folding its pinned
+// sources; with everyone live the RHS is C_i) and each cap_flow row's −K
+// term and RHS. It finds terms where buildRefSkeleton emitted them, which the
+// patterns fix.
+func (al *Allocator) rebind(f *flatModel, sk *refSkeleton, v []float64, amount float64, ws *planWS) {
+	var sumLive float64
+	for x, i := range sk.vars {
+		lo := v[i] - ws.uCol[x]
+		if lo < 0 {
+			lo = 0
+		}
+		f.vars[x].lo, f.vars[x].hi, f.vars[x].obj = lo, v[i], al.tieBreak(i)
+		sumLive += v[i]
 	}
-	return &ref
+	f.rows[sk.consumeRow].rhs = sumLive - amount
+	aux := 0 // the next capFlowRows entry
+	for r, pr := range sk.rows {
+		i := int(pr.i)
+		rhs := ws.caps[r]
+		term := 2 // the next term: past V'_i's and theta's
+		if pr.self < 0 {
+			rhs, term = rhs-v[i], 1 // pinned self term
+		}
+		col := &al.cols[i]
+		for x, k := range col.idx {
+			kv, hasAbs := col.k[x], al.hasA && col.a[x] > 0
+			switch {
+			case pr.src[x] >= 0 && hasAbs: // u_ki's term; its cap_flow row holds the K
+				cf := sk.capFlowRows[aux].row
+				aux, term = aux+1, term+1
+				if !num.IsZero(kv) {
+					f.rows[cf].terms[1].Coeff = -kv
+				}
+				f.rows[cf].rhs = col.a[x]
+			case pr.src[x] >= 0:
+				if !num.IsZero(kv) {
+					f.rows[pr.row].terms[term].Coeff = kv
+					term++
+				}
+			case hasAbs:
+				rhs -= al.sourceCap(col, x, v[k])
+			case !num.IsZero(kv):
+				rhs -= kv * v[k]
+			}
+		}
+		f.rows[pr.row].rhs = rhs
+	}
+}
+
+// referencePlan builds requester's LP the reference way — buildRefSkeleton, then
+// rebind — and returns it with the workspace bindRef filled for it.
+func (al *Allocator) referencePlan(v []float64, requester int, amount float64) (*flatModel, *planWS) {
+	sk := al.buildRefSkeleton(requester)
+	ws := newPlanWS()
+	al.bindRef(ws, sk, v, requester)
+	f := flatten(sk.model)
+	al.rebind(f, sk, v, amount, ws)
+	return f, ws
+}
+
+// ModelDiff builds requester's LP for amount with the served build and with
+// the reference and describes the first difference, "" when there is none:
+// the models variable by variable and row by row, names included, floats by
+// their bits, and the bookkeeping the finish and the namers read — the live
+// principals, the kept rows with their source positions, the cap_flow rows,
+// the U column and the capacities C_i.
+func (al *Allocator) ModelDiff(v []float64, requester int, amount float64) string {
+	ws := newPlanWS()
+	al.build(ws, v, requester, amount)
+	want, ref := al.referencePlan(v, requester, amount)
+	switch {
+	case !slices.Equal(ws.vars, ref.vars) || ws.req != ref.req:
+		return fmt.Sprintf("vars %v (requester at %d), reference %v (at %d)", ws.vars, ws.req, ref.vars, ref.req)
+	case !slices.Equal(ws.capFlowRows, ref.capFlowRows):
+		return fmt.Sprintf("cap_flow rows %v, reference %v", ws.capFlowRows, ref.capFlowRows)
+	case len(ws.rows) != len(ref.rows):
+		return fmt.Sprintf("%d perturb rows, reference %d", len(ws.rows), len(ref.rows))
+	case !sameBits(ws.uCol, ref.uCol) || !sameBits(ws.caps, ref.caps):
+		return fmt.Sprintf("U column %v and capacities %v, reference %v and %v", ws.uCol, ws.caps, ref.uCol, ref.caps)
+	}
+	for r, pr := range ws.rows {
+		w := ref.rows[r]
+		if pr.row != w.row || pr.i != w.i || pr.self != w.self || !slices.Equal(pr.src, w.src) {
+			return fmt.Sprintf("perturb row %d is %+v, reference %+v", r, pr, w)
+		}
+	}
+	if d := flatten(&ws.model).diff(want); d != "" {
+		return fmt.Sprintf("%s\nmodel\n%s\nreference\n%s", d, ws.model.String(), want.model())
+	}
+	return ""
+}
+
+// ReferencePlanPairs is PlanPairs through the reference's LP: the same
+// refusals, then buildRefSkeleton and rebind, a solve, and the served finish.
+func (al *Allocator) ReferencePlanPairs(sources []int, takes []float64, v []float64, requester int, amount float64) ([]int, []float64, float64, error) {
+	if amount < 0 {
+		return sources, takes, 0, fmt.Errorf("core: negative request %g", amount)
+	}
+	if c := al.capacity(v, requester); c < amount-1e-9 {
+		return sources, takes, 0, &shortfall{principal: requester, capacity: c, amount: amount}
+	}
+	if num.IsZero(amount) {
+		return sources, takes, 0, nil
+	}
+	f, ws := al.referencePlan(v, requester, amount)
+	sol, err := f.model().Solve()
+	if err != nil {
+		return sources, takes, 0, fmt.Errorf("core: allocation LP failed: %w", err)
+	}
+	ws.readNewV(sol)
+	if err := al.finishPlan(ws, v, amount); err != nil {
+		return sources, takes, 0, err
+	}
+	sources, takes = ws.appendPairs(sources, takes)
+	return sources, takes, ws.theta, nil
 }
 
 // SameBits is sameBits for the external test package.

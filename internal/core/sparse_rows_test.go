@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/num"
@@ -76,56 +75,6 @@ func TestDenseExportsAreCopies(t *testing.T) {
 	}
 	if !floatsIdentical(again.Take, want.Take) || !floatsIdentical(got.Take, want.Take) {
 		t.Fatalf("plan moved after the exports were overwritten: %v, fresh %v, before %v", again.Take, got.Take, want.Take)
-	}
-}
-
-// TestConcurrentFirstPlansShareOneSkeleton races first Plans for one
-// requester (under -race in `make race`): the lazily installed skeleton
-// must come out unique, and every plan identical.
-func TestConcurrentFirstPlansShareOneSkeleton(t *testing.T) {
-	s, v := mutateScenario(rand.New(rand.NewSource(9)), 12, 22)
-	for trial := 0; trial < 20; trial++ {
-		al, err := NewAllocator(sparse(s), nil, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		amount := al.Capacities(v)[5] * 0.5
-		const racers = 8
-		plans := make([]*Allocation, racers)
-		skels := make([]*planSkeleton, racers)
-		var start, done sync.WaitGroup
-		start.Add(1)
-		for g := 0; g < racers; g++ {
-			done.Add(1)
-			go func(g int) {
-				defer done.Done()
-				start.Wait()
-				p, err := al.Plan(v, 5, amount)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				plans[g], skels[g] = p, al.skel[5].Load()
-			}(g)
-		}
-		start.Done()
-		done.Wait()
-		if t.Failed() {
-			return
-		}
-		for g := 1; g < racers; g++ {
-			if skels[g] != skels[0] || skels[g] == nil {
-				t.Fatalf("trial %d: racer %d saw skeleton %p, racer 0 saw %p", trial, g, skels[g], skels[0])
-			}
-			if !floatsIdentical(plans[g].Take, plans[0].Take) {
-				t.Fatalf("trial %d: racer %d Take = %v, racer 0 %v", trial, g, plans[g].Take, plans[0].Take)
-			}
-		}
-		for r := range al.skel {
-			if r != 5 && al.skel[r].Load() != nil {
-				t.Fatalf("trial %d: requester %d never planned but has a slot", trial, r)
-			}
-		}
 	}
 }
 

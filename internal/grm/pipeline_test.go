@@ -320,7 +320,7 @@ func TestAllocAfterCloseRefused(t *testing.T) {
 // blockServer builds an in-process server over blocks of 8 principals,
 // each block a chain of relative shares closed by one absolute share, with
 // capacities no float represents exactly, and plans once so the planner and
-// its skeletons exist.
+// a plan workspace exist.
 func blockServer(t testing.TB, cfg core.Config, blocks int) *Server {
 	t.Helper()
 	s := NewServer(cfg, nil)

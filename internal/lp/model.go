@@ -78,10 +78,10 @@ type constraint struct {
 	rhs   float64
 }
 
-// Model is a mutable linear program. Construct one with NewModel, add
-// variables and constraints, then call Solve. A Model is not safe for
-// concurrent mutation; Solve does not mutate the model and may be called
-// repeatedly.
+// Model is a mutable linear program. Construct one with NewModel (the zero
+// Model is an empty minimization), add variables and constraints, then call
+// Solve. A Model is not safe for concurrent mutation; Solve does not mutate
+// the model and may be called repeatedly.
 type Model struct {
 	sense Sense
 	vars  []variable
@@ -141,23 +141,9 @@ func (m *Model) Reserve(vars, rows, terms int) {
 
 // NameWith installs the functions that name, on demand, what was added with
 // an empty name: a model built on a hot path formats no string until one is
-// asked for (VarName, ConstraintName, String, a panic). Clones share them.
+// asked for (VarName, ConstraintName, String, a panic). Reset keeps them.
 func (m *Model) NameWith(varName func(VarID) string, rowName func(int) string) {
 	m.varName, m.rowName = varName, rowName
-}
-
-// SetBounds replaces the bounds of v, with the same validation as AddVar.
-// Together with SetRHS, SetObj, SetCoeff and Clone it supports the
-// skeleton-rebinding pattern: build the constraint structure once, then per
-// solve only rebind the numbers.
-func (m *Model) SetBounds(v VarID, lo, hi float64) {
-	if math.IsNaN(lo) || math.IsNaN(hi) {
-		panic(fmt.Sprintf("lp: SetBounds(%q): NaN bound", m.VarName(v)))
-	}
-	if lo > hi {
-		panic(fmt.Sprintf("lp: SetBounds(%q): lower bound %g exceeds upper bound %g", m.VarName(v), lo, hi))
-	}
-	m.vars[v].lo, m.vars[v].hi = lo, hi
 }
 
 // SetRHS replaces the right-hand side of constraint row i.
@@ -168,46 +154,13 @@ func (m *Model) SetRHS(i int, rhs float64) {
 	m.cons[i].rhs = rhs
 }
 
-// SetObj replaces the objective coefficient of v.
-func (m *Model) SetObj(v VarID, obj float64) {
-	if math.IsNaN(obj) {
-		panic(fmt.Sprintf("lp: SetObj(%q): NaN objective", m.VarName(v)))
-	}
-	m.vars[v].obj = obj
-}
-
-// SetCoeff replaces the coefficient of the k-th term of row i, counted in
-// the order Constraint returns them: what AddConstraint kept, merged
-// duplicates at their first place. The term keeps its variable, and a zero
-// coefficient stays stored.
-func (m *Model) SetCoeff(i, k int, coeff float64) {
-	if math.IsNaN(coeff) {
-		panic(fmt.Sprintf("lp: SetCoeff(%q): NaN coefficient", m.ConstraintName(i)))
-	}
-	m.cons[i].terms[k].Coeff = coeff
-}
-
-// Clone returns a model that shares its names and namers with the receiver
-// and owns everything else — variables, constraints and their terms, copied
-// into one arena — so bounds, objective coefficients, right-hand sides and
-// term coefficients can be rebound on either without the other seeing it.
-// AddVar/AddConstraint on the clone are safe: its new rows go into a chunk of
-// its own.
-func (m *Model) Clone() *Model {
-	out := &Model{sense: m.sense, varName: m.varName, rowName: m.rowName}
-	out.vars = append(make([]variable, 0, len(m.vars)), m.vars...)
-	out.cons = append(make([]constraint, 0, len(m.cons)), m.cons...)
-	size := 0
-	for _, c := range m.cons {
-		size += len(c.terms)
-	}
-	out.arena = make([]Term, 0, size)
-	for i, c := range m.cons {
-		start := len(out.arena)
-		out.arena = append(out.arena, c.terms...)
-		out.cons[i].terms = out.arena[start:len(out.arena):len(out.arena)]
-	}
-	return out
+// Reset empties the model of its variables and constraints and keeps the
+// rest: its sense, its namers and the capacity of every slice, the term
+// arena included. A builder that lays a model out per solve resets it, then
+// reserves and adds, and once it has built a model at least as large it
+// allocates nothing. Term views Constraint returned before are invalid.
+func (m *Model) Reset() {
+	m.vars, m.cons, m.arena, m.seen = m.vars[:0], m.cons[:0], m.arena[:0], m.seen[:0]
 }
 
 // VarName returns the name v was registered with, NameWith's if that is empty.

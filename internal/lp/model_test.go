@@ -154,102 +154,59 @@ func TestAddConstraintMergeMatchesReference(t *testing.T) {
 	t.Logf("%d rows equal the reference (%d terms merged or dropped), %d panics equal", rows, merges, panics)
 }
 
-// TestCloneAddConstraintLeavesParentRows adds rows to a clone and to its
-// parent in turn and checks neither ever changes a row the other holds:
-// the clone copies the parent's rows and lays its own into a chunk of its
-// own, whatever room the parent's arena has left.
-func TestCloneAddConstraintLeavesParentRows(t *testing.T) {
-	for _, reserve := range []int{0, 6, 1000} {
-		parent := NewModel(Minimize)
-		parent.Reserve(4, 8, reserve)
-		var vs []VarID
-		for v := 0; v < 4; v++ {
-			vs = append(vs, parent.AddVar("", 0, 10, 1))
-		}
-		parent.NameWith(func(v VarID) string { return fmt.Sprintf("v%d", v) }, func(r int) string { return fmt.Sprintf("r%d", r) })
-		parent.AddConstraint("", []Term{{vs[0], 1}, {vs[1], 2}}, LE, 4)
-		parent.AddConstraint("", []Term{{vs[2], 3}, {vs[3], 4}, {vs[2], 1}}, GE, 1)
-		before := parent.String()
-
-		clone := parent.Clone()
-		clone.AddConstraint("", []Term{{vs[0], 7}, {vs[1], 7}, {vs[2], 7}}, LE, 70)
-		clone.AddConstraint("", []Term{{vs[3], 9}}, LE, 9)
-		if got := parent.String(); got != before {
-			t.Fatalf("reserve %d: rows added to the clone changed the parent:\n%s\nwas\n%s", reserve, got, before)
-		}
-		cloned := clone.String()
-		if !strings.HasPrefix(cloned, strings.SplitAfter(before, "[r1]\n")[0]) {
-			t.Fatalf("reserve %d: the clone does not start with the parent's rows:\n%s\nparent\n%s", reserve, cloned, before)
-		}
-		parent.AddConstraint("", []Term{{vs[1], 5}, {vs[0], 5}}, GE, 5)
-		parent.AddConstraint("", []Term{{vs[2], 6}}, GE, 6)
-		if got := clone.String(); got != cloned {
-			t.Fatalf("reserve %d: rows added to the parent changed the clone:\n%s\nwas\n%s", reserve, got, cloned)
-		}
-		if !strings.Contains(clone.String(), "7*v0 + 7*v1 + 7*v2 <= 70  [r2]") || !strings.Contains(parent.String(), "5*v1 + 5*v0 >= 5  [r2]") {
-			t.Fatalf("reserve %d: row 2 of clone and parent:\n%s\n%s", reserve, clone, parent)
-		}
-		// A solve reads what the strings show.
-		if _, err := clone.Solve(); err != nil {
-			t.Fatalf("reserve %d: clone: %v", reserve, err)
-		}
-		if _, err := parent.Solve(); err != nil {
-			t.Fatalf("reserve %d: parent: %v", reserve, err)
-		}
-	}
-}
-
-// TestCloneRebindsAlone rewrites every number of a clone — bounds, objective
-// coefficients, right-hand sides and each stored term — into another model's:
-// the clone then renders and solves as that model does, and the parent it
-// was cloned from is untouched.
-func TestCloneRebindsAlone(t *testing.T) {
-	build := func(scale float64) *Model {
-		m := NewModel(Maximize)
+// TestResetRebuildsAlone builds one model, resets it and builds another,
+// larger one into it, and back: each build renders and solves as a fresh
+// model of the same content does, whatever the reset model held — its
+// rows, their terms and its variables — and the rebuild of the smaller
+// model allocates nothing.
+func TestResetRebuildsAlone(t *testing.T) {
+	build := func(m *Model, scale float64, extra int) {
 		x := m.AddVar("x", 0, 4*scale, 1*scale)
 		y := m.AddVar("y", 0, 3, 2)
 		m.AddConstraint("c0", []Term{{x, 1 * scale}, {y, 2}, {x, 1}}, LE, 6*scale) // x's terms merge
 		m.AddConstraint("c1", []Term{{y, 3 * scale}, {x, 0}}, GE, scale)           // the zero is dropped
+		for e := 0; e < extra; e++ {
+			z := m.AddVar(fmt.Sprintf("z%d", e), 0, 1, 0.5)
+			m.AddConstraint(fmt.Sprintf("e%d", e), []Term{{z, 1}, {x, 0.25}, {y, float64(e)}}, LE, 5)
+		}
+	}
+	fresh := func(scale float64, extra int) *Model {
+		m := NewModel(Maximize)
+		build(m, scale, extra)
 		return m
 	}
-	parent, want := build(1), build(2)
-	before := parent.String()
-	clone := parent.Clone()
-	for v := VarID(0); v < VarID(want.NumVars()); v++ {
-		lo, hi := want.Bounds(v)
-		clone.SetBounds(v, lo, hi)
-		clone.SetObj(v, want.ObjCoeff(v))
-	}
-	for i := 0; i < want.NumConstraints(); i++ {
-		terms, _, rhs := want.Constraint(i)
-		for k, term := range terms {
-			clone.SetCoeff(i, k, term.Coeff)
+	m := NewModel(Maximize)
+	for _, step := range []struct {
+		scale float64
+		extra int
+	}{{1, 0}, {2, 3}, {1, 0}, {0.5, 2}} {
+		m.Reset()
+		build(m, step.scale, step.extra)
+		want := fresh(step.scale, step.extra)
+		if got := m.String(); got != want.String() {
+			t.Fatalf("scale %v, %d extra rows: the rebuilt model renders\n%s\nwant\n%s", step.scale, step.extra, got, want)
 		}
-		clone.SetRHS(i, rhs)
+		got, err := m.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := want.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Values(), got.Objective) != fmt.Sprint(ref.Values(), ref.Objective) {
+			t.Fatalf("scale %v, %d extra rows: the rebuilt model solves to %v %v, a fresh one %v %v", step.scale, step.extra, got.Values(), got.Objective, ref.Values(), ref.Objective)
+		}
 	}
-	if got := clone.String(); got != want.String() {
-		t.Fatalf("rebound clone renders\n%s\nwant\n%s", got, want)
-	}
-	if got := parent.String(); got != before {
-		t.Fatalf("rebinding the clone changed its parent:\n%s\nwas\n%s", got, before)
-	}
-	got, err := clone.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := want.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got.Values(), got.Objective) != fmt.Sprint(ref.Values(), ref.Objective) {
-		t.Fatalf("rebound clone solves to %v %v, the model it was rebound to %v %v", got.Values(), got.Objective, ref.Values(), ref.Objective)
+	if got := testing.AllocsPerRun(10, func() { m.Reset(); build(m, 1, 0) }); got != 0 {
+		t.Errorf("rebuilding a smaller model into a reset one makes %v allocations, want 0", got)
 	}
 }
 
 // TestOnDemandNames checks that a model built without names answers with
 // NameWith's wherever a name shows — VarName, ConstraintName, String, the
-// rebinding panics — that a given name wins over them,
-// and that a model with neither still renders.
+// panics — that a given name wins over them, that Reset keeps them, and
+// that a model with neither still renders.
 func TestOnDemandNames(t *testing.T) {
 	m := NewModel(Maximize)
 	x := m.AddVar("", 0, 4, 1)
@@ -264,8 +221,8 @@ func TestOnDemandNames(t *testing.T) {
 		t.Fatalf("names %q %q %q %q", m.VarName(x), m.VarName(y), m.ConstraintName(0), m.ConstraintName(1))
 	}
 	want := "maximize 1*V'_40 + 2*given\nsubject to\n  1*V'_40 + 1*given <= 5  [perturb_40]\n  1*given <= 3  [cap]\n  0 <= V'_40 <= 4\n  0 <= given <= 4\n"
-	if got := m.Clone().String(); got != want {
-		t.Fatalf("a clone renders\n%s\nwant\n%s", got, want)
+	if got := m.String(); got != want {
+		t.Fatalf("the model renders\n%s\nwant\n%s", got, want)
 	}
 	sol, err := m.Solve()
 	if err != nil {
@@ -275,20 +232,22 @@ func TestOnDemandNames(t *testing.T) {
 		t.Fatalf("solution %s", got)
 	}
 	for msg, fn := range map[string]func(){
-		`lp: SetBounds("V'_40"): NaN bound`:                           func() { m.SetBounds(x, math.NaN(), 1) },
-		`lp: SetBounds("V'_40"): lower bound 2 exceeds upper bound 1`: func() { m.SetBounds(x, 2, 1) },
-		`lp: SetRHS("perturb_40"): NaN right-hand side`:               func() { m.SetRHS(0, math.NaN()) },
-		`lp: SetObj("V'_40"): NaN objective`:                          func() { m.SetObj(x, math.NaN()) },
-		`lp: SetCoeff("perturb_40"): NaN coefficient`:                 func() { m.SetCoeff(0, 1, math.NaN()) },
-		`lp: AddConstraint("late"): NaN coefficient for V'_40`:        func() { m.AddConstraint("late", []Term{{x, math.NaN()}}, LE, 0) },
-		`lp: AddConstraint("late"): unknown variable 2`:               func() { m.AddConstraint("late", []Term{{2, 1}}, LE, 0) },
-		`lp: AddVar("z"): lower bound 3 exceeds upper bound 1`:        func() { m.AddVar("z", 3, 1, 0) },
-		`lp: Eval: point has 1 entries, model has 2 variables`:        func() { m.Eval([]float64{1}) },
-		`lp: AddConstraint("late"): NaN right-hand side`:              func() { m.AddConstraint("late", nil, LE, math.NaN()) },
+		`lp: SetRHS("perturb_40"): NaN right-hand side`:        func() { m.SetRHS(0, math.NaN()) },
+		`lp: AddConstraint("late"): NaN coefficient for V'_40`: func() { m.AddConstraint("late", []Term{{x, math.NaN()}}, LE, 0) },
+		`lp: AddConstraint("late"): unknown variable 2`:        func() { m.AddConstraint("late", []Term{{2, 1}}, LE, 0) },
+		`lp: AddVar("z"): lower bound 3 exceeds upper bound 1`: func() { m.AddVar("z", 3, 1, 0) },
+		`lp: Eval: point has 1 entries, model has 2 variables`: func() { m.Eval([]float64{1}) },
+		`lp: AddConstraint("late"): NaN right-hand side`:       func() { m.AddConstraint("late", nil, LE, math.NaN()) },
 	} {
 		if got := panicOf(fn); got != msg {
 			t.Errorf("panic %q, want %q", got, msg)
 		}
+	}
+	m.Reset()
+	m.AddVar("", 0, 1, 1)
+	m.AddConstraint("", []Term{{0, 1}}, LE, 1)
+	if m.VarName(0) != "V'_40" || m.ConstraintName(0) != "perturb_40" {
+		t.Fatalf("after Reset: names %q %q, want NameWith's", m.VarName(0), m.ConstraintName(0))
 	}
 }
 

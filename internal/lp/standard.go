@@ -64,10 +64,13 @@ type standardForm struct {
 }
 
 // grow returns buf at length n, reusing its backing array when it is large
-// enough; the contents are unspecified.
+// enough; the contents are unspecified. A reallocation leaves an eighth of
+// headroom: the models one workspace solves differ by a few columns, and the
+// tableau, the largest buffer here, is then allocated once, not once per
+// column its models gain.
 func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, n+n/8)
 	}
 	return buf[:n]
 }

@@ -17,10 +17,10 @@ import (
 // survives) — must be indistinguishable from a freshly built NewAllocator
 // over the mutated matrices at every step of the schedule: same
 // capacities, same plan takes, same θ, bit for bit. Value moves flip no
-// cell, so the allocator keeps the skeletons earlier steps built and
-// rebinds them, and writes over the values of the rows and columns earlier
-// steps laid out; each cycle plans one requester throughout, so the plans
-// after the moves run on the skeleton the plans before them built. At one
+// cell, so the allocator writes over the values of the rows and columns
+// earlier steps laid out; each cycle plans one requester throughout, so
+// the plans after the moves build their LP into the workspace the plans
+// before them used, from what the moves left. At one
 // step, picked from the graph, the schedule also registers a principal:
 // Grow(1) extends the allocator in place, and its next relative step shares
 // from the new principal and its next absolute step to it, so the patches

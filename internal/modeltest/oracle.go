@@ -189,9 +189,9 @@ func (o *Oracle) CheckAllocation(v []float64, requester int, amount float64, a *
 
 // PlanTheta solves the allocation problem with an independently
 // constructed LP — the substituted formulation written straight from the
-// printed equations, built fresh per call (no skeleton cache, no clone
-// rebinding, no pooled workspace) and solved with RefSolve rather than the
-// allocator's tableau — then returns the brute-force realized θ of its
+// printed equations, built fresh per call (no reused workspace, no folded
+// right-hand sides) and solved with RefSolve rather than the allocator's
+// tableau — then returns the brute-force realized θ of its
 // solution. Within tolerance this is the true minimum perturbation for the
 // request.
 func (o *Oracle) PlanTheta(v []float64, requester int, amount float64) (float64, error) {
