@@ -67,10 +67,7 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "lint" {
 		os.Exit(lint(os.Args[2:]))
 	}
-	var (
-		level  = flag.Int("level", 0, "transitivity level (0 = full closure)")
-		approx = flag.Bool("approx", false, "use matrix-power approximation")
-	)
+	level := flag.Int("level", 0, "transitivity level (0 = full closure)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: agreements [-level N] <snapshot.json>")
@@ -123,7 +120,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "agreements: %v\n", err)
 			os.Exit(1)
 		}
-		planner, err := core.NewAllocator(m.S, m.A, core.Config{Level: *level, Approx: *approx})
+		planner, err := core.NewAllocator(m.S, m.A, core.Config{Level: *level})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "agreements: %v\n", err)
 			os.Exit(1)

@@ -88,7 +88,6 @@ func main() {
 	var (
 		listen       = flag.String("listen", ":7070", "address to listen on")
 		level        = flag.Int("level", 0, "transitivity level (0 = full closure)")
-		approx       = flag.Bool("approx", false, "use matrix-power approximation for flow coefficients")
 		shards       = flag.Int("shards", 1, "shard the books across this many principal subtrees (per-shard WAL and pipeline; 1 = unsharded)")
 		parent       = flag.String("parent", "", "optional parent GRM address for multi-level operation")
 		name         = flag.String("name", "cluster", "cluster name when attaching to a parent")
@@ -130,10 +129,10 @@ func main() {
 	var cluster *grm.Sharded
 	var single *grm.Server
 	if *shards > 1 {
-		cluster = grm.NewSharded(*shards, core.Config{Level: *level, Approx: *approx}, logger)
+		cluster = grm.NewSharded(*shards, core.Config{Level: *level}, logger)
 		server = cluster
 	} else {
-		single = grm.NewServer(core.Config{Level: *level, Approx: *approx}, logger)
+		single = grm.NewServer(core.Config{Level: *level}, logger)
 		server = single
 	}
 	server.SetLeaseTTL(*leaseTTL)
@@ -148,11 +147,10 @@ func main() {
 		recorder = scenario.NewRecorder(scenario.Meta{
 			Name:    filepath.Base(*record),
 			Title:   "grmd live recording",
-			Source:  fmt.Sprintf("grmd -record (level=%d approx=%v)", *level, *approx),
+			Source:  fmt.Sprintf("grmd -record (level=%d)", *level),
 			Created: time.Now().UTC().Format(time.RFC3339),
 			TTLMS:   leaseTTL.Milliseconds(),
 			Level:   *level,
-			Approx:  *approx,
 		})
 		single.SetTap(recorder.Tap)
 		logger.Printf("recording traffic into scenario bundle %s", *record)
@@ -248,7 +246,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "grmd: %v\n", err)
 		os.Exit(1)
 	}
-	logger.Printf("listening on %s (level=%d approx=%v)", l.Addr(), *level, *approx)
+	logger.Printf("listening on %s (level=%d)", l.Addr(), *level)
 
 	if *status != "" {
 		go func() {

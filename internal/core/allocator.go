@@ -58,8 +58,8 @@ type Config struct {
 	// Level is the transitivity level m: 1 enforces only direct
 	// agreements, n−1 (or 0, meaning "full") the complete closure.
 	Level int
-	// Approx switches the flow coefficients to the matrix-power
-	// approximation (walks instead of simple paths). Default exact.
+	// Approx is refused by NewAllocator: a compile shim for the layer
+	// benchmark, which passes it and never sets it (DESIGN.md §5).
 	Approx bool
 	// ComponentLP restricts each plan's LP to the requester's agreement
 	// component: only the V'_i a plan can actually move — the requester
@@ -214,8 +214,11 @@ func newPlanWS() *planWS {
 // capacities. The closure copies S's rows and A's are copied here, so no
 // write reaches s or a, and no dense n×n array is materialized. S needs a
 // zero diagonal, S and A non-negative entries, and an exact closure within
-// the enumeration budget.
+// the enumeration budget; Approx set is refused.
 func NewAllocator(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cfg Config) (*Allocator, error) {
+	if cfg.Approx {
+		return nil, errors.New("core: Config.Approx is refused: walk sums overcount cycles and grant past the agreements; lower Config.Level (grmd -level) to bound the exact closure")
+	}
 	n := s.N()
 	for i := 0; i < n; i++ {
 		cols, vals := s.Row(i)
@@ -247,9 +250,9 @@ func NewAllocator(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cfg Conf
 			aCols[i], aVals[i] = cols[lo:len(cols):len(cols)], vals[lo:len(vals):len(vals)]
 		}
 	}
-	clo, err := transitive.NewClosureBudget(s, effectiveLevel(cfg), cfg.Approx, exactBudget)
+	clo, err := transitive.NewClosureBudget(s, effectiveLevel(cfg), exactBudget)
 	if err != nil {
-		return nil, fmt.Errorf("core: exact transitive closure would exceed %d steps for this agreement graph; set Config.Approx or lower Config.Level: %w", exactBudget, err)
+		return nil, fmt.Errorf("core: exact transitive closure would exceed %d steps for this agreement graph; lower Config.Level (grmd -level): %w", exactBudget, err)
 	}
 	al := &Allocator{n: n, aCols: aCols, aVals: aVals, hasA: a != nil, cfg: cfg, clo: clo,
 		free: make(chan *planWS, runtime.GOMAXPROCS(0))}

@@ -10,7 +10,7 @@ import (
 // Ablation benches for the design choices DESIGN.md calls out: the
 // substituted n+1-variable LP vs the paper's literal n²+n+1-variable
 // formulation, and flat planning over the 40 principals package planners
-// refines by multi-grid (its BenchmarkPlanHierarchy40).
+// refines by multi-grid (its BenchmarkPlanHierarchy40Level3).
 
 func benchScenario(n int) (s [][]float64, v []float64) {
 	rng := rand.New(rand.NewSource(11))
@@ -70,13 +70,12 @@ func BenchmarkPlanFaithful10(b *testing.B) {
 	benchPlanPrinted(b, al, v)
 }
 
-// The 30-principal variants use the matrix-power approximation: exact
-// simple-path enumeration on a dense 30-node graph is astronomically
-// exponential (that cliff is exactly what the transitive ablation bench
-// demonstrates).
-func BenchmarkPlanSubstituted30(b *testing.B) {
+// The 30-principal variants plan over the exact closure at level 4, the
+// deepest the serving budget admits on a complete graph of 30: level 5 is
+// refused, and the full closure's chains are astronomically many.
+func BenchmarkPlanSubstituted30Level4(b *testing.B) {
 	s, v := benchScenario(30)
-	al, err := NewAllocator(sparse(s), nil, Config{Approx: true})
+	al, err := NewAllocator(sparse(s), nil, Config{Level: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -84,9 +83,9 @@ func BenchmarkPlanSubstituted30(b *testing.B) {
 	benchPlan(b, al, v)
 }
 
-func BenchmarkPlanFaithful30(b *testing.B) {
+func BenchmarkPlanFaithful30Level4(b *testing.B) {
 	s, v := benchScenario(30)
-	al, err := NewAllocator(sparse(s), nil, Config{Approx: true})
+	al, err := NewAllocator(sparse(s), nil, Config{Level: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -153,9 +152,11 @@ func BenchmarkPlanParallel10(b *testing.B) {
 	})
 }
 
-func BenchmarkPlanFlat40(b *testing.B) {
+// BenchmarkPlanFlat40Level3 plans over the exact closure of a complete
+// graph of 40 at level 3, the deepest the serving budget admits.
+func BenchmarkPlanFlat40Level3(b *testing.B) {
 	s, v := benchScenario(40)
-	al, err := NewAllocator(sparse(s), nil, Config{Approx: true})
+	al, err := NewAllocator(sparse(s), nil, Config{Level: 3})
 	if err != nil {
 		b.Fatal(err)
 	}

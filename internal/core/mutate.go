@@ -236,20 +236,14 @@ func (al *Allocator) PatchAgreement(from, to int, oldVal, newVal float64) error 
 // Grow extends the allocator in place by extra principals holding no
 // agreements, whose rows and columns are empty: every per-principal table
 // is appended to with amortized capacity, no entry is touched and nothing
-// enumerated. (An Approx closure whose clamped level rises recomputes its
-// rows, and the caches are rebuilt from them as a constructor would.)
+// enumerated.
 func (al *Allocator) Grow(extra int) {
 	if extra <= 0 {
 		return
 	}
-	level := al.clo.Level()
 	al.clo.Grow(extra)
 	al.n += extra
 	al.aCols, al.aVals = append(al.aCols, make([][]int32, extra)...), append(al.aVals, make([][]float64, extra)...)
-	if al.cfg.Approx && al.clo.Level() != level {
-		al.index()
-		return
-	}
 	al.flow, al.cols = append(al.flow, make([]flowRow, extra)...), append(al.cols, make([]column, extra)...)
 }
 

@@ -101,7 +101,7 @@ func requirePlansIdentical(t *testing.T, got, want *Allocator, v []float64, labe
 // flow coefficients, capacities, and full Plan output — bit-for-bit to
 // NewAllocator over the mutated matrix at every step.
 func TestSetShareMatchesRebuild(t *testing.T) {
-	for _, cfg := range []Config{{Level: 3}, {}, {Approx: true}} {
+	for _, cfg := range []Config{{Level: 3}, {}} {
 		rng := rand.New(rand.NewSource(11))
 		s, v := mutateScenario(rng, 12, 20)
 		al, err := NewAllocator(sparse(cloneMatrix(s)), nil, cfg)
@@ -196,7 +196,7 @@ func TestSetAgreementMatchesRebuild(t *testing.T) {
 // and pins it to a rebuild over the zero-extended matrices, then patches an
 // edge touching the new principal.
 func TestGrowMatchesRebuild(t *testing.T) {
-	for _, cfg := range []Config{{}, {Approx: true}} {
+	for _, cfg := range []Config{{}, {Level: 3}} {
 		rng := rand.New(rand.NewSource(3))
 		s, _ := mutateScenario(rng, 8, 14)
 		al, err := NewAllocator(sparse(cloneMatrix(s)), nil, cfg)
@@ -286,7 +286,7 @@ func TestSetShareErrors(t *testing.T) {
 	}
 	dense[0][12] = 0.07
 	_, err = NewAllocator(sparse(dense), nil, Config{})
-	if !errors.Is(err, transitive.ErrBudget) || !strings.Contains(err.Error(), "would exceed 50000000 steps for this agreement graph; set Config.Approx or lower Config.Level") {
+	if !errors.Is(err, transitive.ErrBudget) || !strings.Contains(err.Error(), "would exceed 50000000 steps for this agreement graph; lower Config.Level (grmd -level)") {
 		t.Fatalf("building the densified graph: %v, want the budget refusal", err)
 	}
 	v := make([]float64, n)

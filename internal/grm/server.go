@@ -149,7 +149,7 @@ type Server struct {
 }
 
 // NewServer creates a GRM whose LP allocator uses the given configuration
-// (transitivity level, approximation, ...). logger may be nil to discard
+// (transitivity level, component LP). logger may be nil to discard
 // diagnostics. Leases do not expire and connections have no idle limit
 // until SetLeaseTTL / SetTimeouts say otherwise.
 func NewServer(cfg core.Config, logger *log.Logger) *Server {

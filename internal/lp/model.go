@@ -190,18 +190,10 @@ func (m *Model) Constraint(i int) (terms []Term, rel Relation, rhs float64) {
 // AddConstraint adds the linear constraint sum(terms) rel rhs and returns
 // its zero-based row index. Terms referencing the same variable accumulate
 // at the first one's place; terms that are or cancel to zero are dropped. It
-// panics on unknown variables or NaN coefficients, before writing anything.
+// panics on unknown variables or NaN coefficients, storing nothing.
 func (m *Model) AddConstraint(name string, terms []Term, rel Relation, rhs float64) int {
 	if math.IsNaN(rhs) {
 		panic(fmt.Sprintf("lp: AddConstraint(%q): NaN right-hand side", name))
-	}
-	for _, t := range terms {
-		if t.Var < 0 || int(t.Var) >= len(m.vars) {
-			panic(fmt.Sprintf("lp: AddConstraint(%q): unknown variable %d", name, t.Var))
-		}
-		if math.IsNaN(t.Coeff) {
-			panic(fmt.Sprintf("lp: AddConstraint(%q): NaN coefficient for %s", name, m.VarName(t.Var)))
-		}
 	}
 	if cap(m.arena)-len(m.arena) < len(terms) {
 		m.arena = make([]Term, 0, max(len(terms), 2*cap(m.arena)))
@@ -210,6 +202,15 @@ func (m *Model) AddConstraint(name string, terms []Term, rel Relation, rhs float
 	start := len(m.arena)
 	row := m.arena[start:start]
 	for _, t := range terms {
+		if t.Var < 0 || int(t.Var) >= len(m.vars) || math.IsNaN(t.Coeff) {
+			for _, r := range row { // the marks written so far
+				m.seen[r.Var] = 0
+			}
+			if t.Var < 0 || int(t.Var) >= len(m.vars) {
+				panic(fmt.Sprintf("lp: AddConstraint(%q): unknown variable %d", name, t.Var))
+			}
+			panic(fmt.Sprintf("lp: AddConstraint(%q): NaN coefficient for %s", name, m.VarName(t.Var)))
+		}
 		if at := m.seen[t.Var]; at != 0 {
 			row[at-1].Coeff += t.Coeff
 		} else {

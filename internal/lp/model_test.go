@@ -154,6 +154,27 @@ func TestAddConstraintMergeMatchesReference(t *testing.T) {
 	t.Logf("%d rows equal the reference (%d terms merged or dropped), %d panics equal", rows, merges, panics)
 }
 
+// TestAddConstraintRecoversMidRow panics AddConstraint on a bad term after
+// good ones have been merged — an unknown variable, then a NaN coefficient —
+// and requires the next row over the same variables to merge as on a fresh
+// model: the merge marks the refused row wrote are cleared before the panic.
+func TestAddConstraintRecoversMidRow(t *testing.T) {
+	for _, bad := range []Term{{Var: 7, Coeff: 1}, {Var: 1, Coeff: math.NaN()}} {
+		m := NewModel(Minimize)
+		x, y := m.AddVar("x", 0, 1, 0), m.AddVar("y", 0, 1, 0)
+		if msg := panicOf(func() { m.AddConstraint("bad", []Term{{x, 1}, {y, 2}, bad, {x, 3}}, LE, 1) }); msg == "" {
+			t.Fatalf("AddConstraint with %v did not panic", bad)
+		}
+		if m.NumConstraints() != 0 {
+			t.Fatalf("a refused row was stored: %d rows", m.NumConstraints())
+		}
+		i := m.AddConstraint("good", []Term{{y, 1}, {x, 2}, {y, 4}}, LE, 1)
+		if got, _, _ := m.Constraint(i); !sameTerms(got, []Term{{y, 5}, {x, 2}}) {
+			t.Fatalf("after a panic on %v, the next row merged to %v, want [{y 5} {x 2}]", bad, got)
+		}
+	}
+}
+
 // TestResetRebuildsAlone builds one model, resets it and builds another,
 // larger one into it, and back: each build renders and solves as a fresh
 // model of the same content does, whatever the reset model held — its

@@ -214,6 +214,26 @@ func TestSolveDuals(t *testing.T) {
 	almost(t, yb, sol.Objective, 1e-6, "dual objective")
 }
 
+// TestDualIsObjectiveSlope pins Dual's sign: ∂objective/∂rhs in either
+// sense, not the objective's improvement. Raising the floor of x raises
+// min x by 1 a unit and lowers max −x by 1 a unit.
+func TestDualIsObjectiveSlope(t *testing.T) {
+	for _, c := range []struct {
+		sense Sense
+		obj   float64
+		want  float64
+	}{{Minimize, 1, 1}, {Maximize, -1, -1}} {
+		m := NewModel(c.sense)
+		x := m.AddVar("x", 0, Inf, c.obj)
+		row := m.AddConstraint("floor", []Term{{x, 1}}, GE, 2)
+		sol, err := m.Solve()
+		if err != nil {
+			t.Fatalf("%v: Solve: %v", c.sense, err)
+		}
+		almost(t, sol.Dual(row), c.want, 1e-9, c.sense.String()+" dual")
+	}
+}
+
 func TestSolveZeroObjective(t *testing.T) {
 	// Pure feasibility problem.
 	m := NewModel(Minimize)

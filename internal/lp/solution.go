@@ -57,9 +57,10 @@ type Solution struct {
 	Objective float64
 	// values holds one entry per model variable.
 	values []float64
-	// duals holds one shadow price per constraint row (sign convention:
-	// value by which the objective would improve per unit increase of the
-	// row's right-hand side, in the model's sense).
+	// duals holds one shadow price per constraint row: the rate at which
+	// the optimal objective changes per unit increase of the row's
+	// right-hand side, ∂objective/∂rhs, in either sense (minimizing
+	// min x s.t. x ≥ 2 gives +1; maximizing −x under the same row, −1).
 	duals []float64
 	// Pivots is the total number of simplex pivots across both phases.
 	Pivots int
@@ -77,7 +78,7 @@ func (s *Solution) Values() []float64 {
 	return out
 }
 
-// Dual returns the shadow price of constraint row i.
+// Dual returns the shadow price of constraint row i, ∂objective/∂rhs.
 func (s *Solution) Dual(i int) float64 {
 	return s.duals[i]
 }

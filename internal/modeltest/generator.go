@@ -58,7 +58,7 @@ func Generate(rng *rand.Rand) *Graph {
 	if rng.Intn(2) == 0 {
 		g.Level = 0
 	} else {
-		g.Level = 1 + rng.Intn(maxInt(n-1, 1))
+		g.Level = 1 + rng.Intn(max(n-1, 1))
 	}
 	return g
 }
@@ -81,7 +81,7 @@ func relativeMatrix(rng *rand.Rand, n int, shape Shape, overdraft bool) [][]floa
 			}
 		}
 	case Sparse:
-		degree := 1 + rng.Intn(maxInt(n/2, 1))
+		degree := 1 + rng.Intn(max(n/2, 1))
 		for i := 0; i < n; i++ {
 			perm := rng.Perm(n)
 			added := 0
@@ -102,10 +102,10 @@ func relativeMatrix(rng *rand.Rand, n int, shape Shape, overdraft bool) [][]floa
 		if n >= 6 && rng.Intn(2) == 0 {
 			groupSize = 3
 		}
-		groups := maxInt(n/groupSize, 1)
+		groups := max(n/groupSize, 1)
 		for g := 0; g < groups; g++ {
 			base := g * groupSize
-			hi := minInt(base+groupSize, n)
+			hi := min(base+groupSize, n)
 			for a := base; a < hi; a++ {
 				for b := base; b < hi; b++ {
 					edge(a, b)
@@ -172,18 +172,4 @@ func grid(x float64) float64 {
 // rescaling cannot overshoot back above 1).
 func gridDown(x float64) float64 {
 	return math.Floor(x/valueGrid) * valueGrid
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

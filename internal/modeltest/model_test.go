@@ -174,7 +174,7 @@ func TestExactMatchesOracleOnCliques(t *testing.T) {
 			}
 		}
 		for level := 1; level < n; level++ {
-			got, want := closureT(s, level, false), RefTransitive(s, level)
+			got, want := closureT(s, level), RefTransitive(s, level)
 			for i := range want {
 				for j := range want[i] {
 					if !num.EqChainSum(got[i][j], want[i][j]) {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/num"
 	"repro/internal/planners"
 	"repro/internal/transitive"
 )
@@ -99,10 +100,10 @@ func CheckGraphMutated(g *Graph, mut Mutation) *Failure {
 		fn   func() error
 	}{
 		{"transitive-oracle", c.checkTransitiveOracle},
-		{"approx-upper-bound", c.checkApproxUpperBound},
 		{"capacity-oracle", c.checkCapacityOracle},
 		{"plan-equations", c.checkPlans},
 		{"plan-insufficient", c.checkInsufficient},
+		{"exact-source-cap", c.checkSourceCaps},
 		{"scale-invariance", c.checkScaling},
 		{"monotonic-funding", c.checkMonotonicity},
 		{"permutation-invariance", c.checkPermutation},
@@ -182,11 +183,11 @@ func mutateDropResidual(plan *core.Allocation) {
 	plan.NewV[best] += d
 }
 
-// closureT builds the served closure of s (transitive.Closure, exact or
-// approximate) at the given level and reads its T back through FlowRow,
-// densely: how the properties see the row kernels as served.
-func closureT(s [][]float64, level int, approx bool) [][]float64 {
-	c, _ := transitive.NewClosureBudget(sparse(s), level, approx, 0) // no budget, no refusal
+// closureT builds the served closure of s (transitive.Closure) at the
+// given level and reads its T back through FlowRow, densely: how the
+// properties see the row kernels as served.
+func closureT(s [][]float64, level int) [][]float64 {
+	c, _ := transitive.NewClosureBudget(sparse(s), level, 0) // no budget, no refusal
 	t := zeroMatrix(len(s))
 	for i := range t {
 		fc, fv := c.FlowRow(i)
@@ -198,25 +199,12 @@ func closureT(s [][]float64, level int, approx bool) [][]float64 {
 }
 
 func (c *checker) checkTransitiveOracle() error {
-	got := closureT(c.g.S, c.g.maxLevel(), false)
+	got := closureT(c.g.S, c.g.maxLevel())
 	want := c.o.T
 	for i := range want {
 		for j := range want[i] {
 			if math.Abs(got[i][j]-want[i][j]) > 1e-9*(1+math.Abs(want[i][j])) {
 				return fmt.Errorf("T[%d][%d] = %g, recursive oracle says %g", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
-	return nil
-}
-
-func (c *checker) checkApproxUpperBound() error {
-	approx := closureT(c.g.S, c.g.maxLevel(), true)
-	for i := range approx {
-		for j := range approx[i] {
-			if approx[i][j] < c.o.T[i][j]-1e-9*(1+c.o.T[i][j]) {
-				return fmt.Errorf("Approx[%d][%d] = %g below Exact %g (walks must dominate simple paths)",
-					i, j, approx[i][j], c.o.T[i][j])
 			}
 		}
 	}
@@ -287,6 +275,42 @@ func (c *checker) checkInsufficient() error {
 			// that IS the failure), so %v is the right verb here.
 			//lint:ignore sharingvet/errwrap property-failure description, not error propagation; err may be nil
 			return fmt.Errorf("Plan(requester=%d, amount=%g > C=%g) = %v, want ErrInsufficient", r, over, caps[r], err)
+		}
+	}
+	return nil
+}
+
+// servedConfigs are the Configs a server accepts: the complete closure and
+// a partial level, each with and without ComponentLP.
+var servedConfigs = []core.Config{{}, {Level: 3}, {ComponentLP: true}, {Level: 3, ComponentLP: true}}
+
+// checkSourceCaps: under every served Config, no plan takes more from a
+// source than the agreements allow — from the requester, its availability;
+// from any other k, the exact U_kr at that Config's level. Requests are
+// sized from the capacity the planner itself reports, so a planner whose
+// coefficients overcount chains (walks summed around a cycle) is asked
+// for what it claims and caught granting it from sources past their U.
+func (c *checker) checkSourceCaps() error {
+	for _, cfg := range servedConfigs {
+		al, err := core.NewAllocator(sparse(c.g.S), sparse(c.g.A), cfg)
+		if err != nil {
+			return fmt.Errorf("%+v: %w", cfg, err)
+		}
+		o := NewOracle(&Graph{N: c.g.N, S: c.g.S, A: c.g.A, Level: cfg.Level})
+		caps := al.Capacities(c.g.V)
+		for r := range caps {
+			for _, frac := range planFractions {
+				amount := caps[r] * frac
+				plan, err := al.Plan(c.g.V, r, amount)
+				if err != nil {
+					continue // a refusal grants nothing
+				}
+				for k, take := range plan.Take {
+					if u := o.requesterCap(c.g.V, k, r); take > u && !num.EqSolve(take, u) {
+						return fmt.Errorf("%+v: Plan(%d, %g) takes %g from %d, exact U = %g", cfg, r, amount, take, k, u)
+					}
+				}
+			}
 		}
 	}
 	return nil

@@ -14,11 +14,8 @@ import (
 // levels past n-1 mean n-1, as the served closure clamps them. Cost is
 // O(maxLen · n³).
 //
-// It is the reference the served approximate closure (transitive.Closure
-// built with approx set) is held to bit for bit: that closure's row kernel
-// adds the same products in the same order and skips only exact +0 terms.
-// It is also the MutTransitive bug model, a closure that forgot the
-// cycle-free rule.
+// Nothing serves it: it is DESIGN.md §7's ablation reference and the
+// MutTransitive bug model, a closure that forgot the cycle-free rule.
 func Approx(s [][]float64, maxLen int) [][]float64 {
 	n := len(s)
 	maxLen = min(max(maxLen, 1), max(n-1, 1))

@@ -35,26 +35,6 @@ func randomShares(rng *rand.Rand, n int, density, scale float64) [][]float64 {
 	return s
 }
 
-// TestApproxClosureMatchesReference holds the served approximate closure,
-// read through Closure.FlowRow, to the dense matrix-power sum bit for bit,
-// across sizes (either side of the n = 64 kernel boundary), densities and
-// levels: the row kernel adds the products Approx adds, in its order, and
-// skips only exact +0 terms.
-func TestApproxClosureMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 3, 10, 40, 70} {
-		for _, density := range []float64{0.1, 0.4, 1} {
-			s := randomShares(rng, n, density, 1)
-			for _, level := range []int{0, 1, 2, 5, n - 1} {
-				want, got := Approx(s, level), closureT(s, level, true)
-				for i := range want {
-					requireBitsEqual(t, "approximate closure row", got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestCapsIntoMatchesDense pins core's sparse-column capacity sum to the
 // dense capacity formula bit for bit, with and without absolute
 // agreements, for the whole vector and one principal at a time.
@@ -131,8 +111,8 @@ func TestMatchesDenseReference(t *testing.T) {
 		if seed%2 == 1 {
 			a = randomShares(rng, n, 0.3, 5)
 		}
-		direct := Cap(closureT(s, 1, false))
-		full := Cap(closureT(s, n-1, false))
+		direct := Cap(closureT(s, 1))
+		full := Cap(closureT(s, n-1))
 
 		pr, err := planners.NewProportional(sparse(s), sparse(a))
 		if err != nil {

@@ -112,7 +112,7 @@ type Greedy struct {
 }
 
 // NewGreedy builds the greedy baseline with the same transitive
-// coefficients as the LP allocator (level and approximation from cfg).
+// coefficients as the LP allocator (the level from cfg).
 func NewGreedy(s, a *agreement.SparseMatrix, cfg core.Config) (*Greedy, error) {
 	al, err := core.NewAllocator(s, a, cfg)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 
 // The baselines and the multi-grid refinement against the LP scheme:
 // internal/core benches the flat allocator on the same scenarios
-// (BenchmarkPlanSubstituted10, BenchmarkPlanFlat40).
+// (BenchmarkPlanSubstituted10, BenchmarkPlanFlat40Level3).
 
 func benchScenario(n int) (s [][]float64, v []float64) {
 	rng := rand.New(rand.NewSource(11))
@@ -59,7 +59,7 @@ func BenchmarkPlanProportional10(b *testing.B) {
 	benchPlan(b, p, v)
 }
 
-func BenchmarkPlanHierarchy40(b *testing.B) {
+func BenchmarkPlanHierarchy40Level3(b *testing.B) {
 	s, v := benchScenario(40)
 	groups := make([][]int, 8)
 	for g := range groups {
@@ -67,7 +67,7 @@ func BenchmarkPlanHierarchy40(b *testing.B) {
 			groups[g] = append(groups[g], g*5+k)
 		}
 	}
-	h, err := planners.NewHierarchy(sparse(s), nil, groups, core.Config{Approx: true})
+	h, err := planners.NewHierarchy(sparse(s), nil, groups, core.Config{Level: 3})
 	if err != nil {
 		b.Fatal(err)
 	}

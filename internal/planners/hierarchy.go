@@ -107,7 +107,7 @@ func NewHierarchy(s, a *agreement.SparseMatrix, groups [][]int, cfg core.Config)
 	}
 	coarseS, _ := agreement.SparseOf(sg) // square by construction
 	coarseA, _ := agreement.SparseOf(ag)
-	coarse, err := core.NewAllocator(coarseS, coarseA, core.Config{Level: cfg.Level, Approx: cfg.Approx})
+	coarse, err := core.NewAllocator(coarseS, coarseA, core.Config{Level: cfg.Level})
 	if err != nil {
 		return nil, fmt.Errorf("planners: NewHierarchy: coarse allocator: %w", err)
 	}

@@ -22,7 +22,7 @@ func TestGoldenISPTenProxyMatchesProxysim(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read corpus bundle: %v", err)
 	}
-	planner, err := sim.CompletePlanner(10, 0.1, core.Config{Level: b.Meta.Level, Approx: b.Meta.Approx})
+	planner, err := sim.CompletePlanner(10, 0.1, core.Config{Level: b.Meta.Level})
 	if err != nil {
 		t.Fatalf("build proxysim planner: %v", err)
 	}

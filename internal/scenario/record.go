@@ -31,7 +31,7 @@ type Recorder struct {
 
 // NewRecorder starts an empty recording. The meta's Format, Created and
 // Events fields are managed by the recorder; the caller sets identity
-// and replay configuration (Name, TTLMS, Level, Approx).
+// and replay configuration (Name, TTLMS, Level).
 func NewRecorder(meta Meta) *Recorder {
 	return &Recorder{meta: meta, actual: make(map[int]*Outcome)}
 }

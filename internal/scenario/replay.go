@@ -72,7 +72,7 @@ func Replay(b *Bundle, opts ReplayOptions) (*Result, error) {
 	if tol <= 0 {
 		tol = DefaultTolerance
 	}
-	h, err := Start(Topology{Config: core.Config{Level: b.Meta.Level, Approx: b.Meta.Approx}, TTL: ttl})
+	h, err := Start(Topology{Config: core.Config{Level: b.Meta.Level}, TTL: ttl})
 	if err != nil {
 		return nil, fmt.Errorf("scenario: replay: %w", err)
 	}

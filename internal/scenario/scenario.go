@@ -61,10 +61,9 @@ type Meta struct {
 	// expire). Armed after the first register so the background reaper
 	// stays off and expiry happens only on the schedule's clock.
 	TTLMS int64 `json:"ttl_ms,omitempty"`
-	// Level and Approx configure the replay server's allocator
-	// (core.Config), mirroring grmd's -level/-approx flags.
-	Level  int  `json:"level,omitempty"`
-	Approx bool `json:"approx,omitempty"`
+	// Level configures the replay server's allocator (core.Config),
+	// mirroring grmd's -level flag.
+	Level int `json:"level,omitempty"`
 	// Tolerance is the float comparison tolerance for expectations
 	// (takes, theta, availability). 0 uses DefaultTolerance.
 	Tolerance float64 `json:"tolerance,omitempty"`

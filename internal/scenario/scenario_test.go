@@ -58,6 +58,7 @@ func TestDecodeBundleRejections(t *testing.T) {
 		{"bad meta json", `{`, "", "", "unexpected EOF"},
 		{"meta trailing data", `{"format":1,"name":"x","events":0} {"x":1}`, "", "", "trailing data"},
 		{"unknown meta field", `{"format":1,"name":"x","events":0,"bogus":3}`, "", "", "bogus"},
+		{"approx meta field", `{"format":1,"name":"x","events":0,"approx":true}`, "", "", "approx"},
 		{"wrong format", `{"format":2,"name":"x","events":0}`, "", "", "unsupported format"},
 		{"empty name", `{"format":1,"name":"","events":0}`, "", "", "empty name"},
 		{"negative events", `{"format":1,"name":"x","events":-1}`, "", "", "negative event count"},

@@ -75,12 +75,6 @@ func (b *builder) rep(t int64, p int, v float64) {
 func (b *builder) shr(t int64, from, to int, fraction float64) {
 	b.add(t, Event{Op: OpShare, P: from, To: to, Fraction: fraction})
 }
-func (b *builder) sha(t int64, from, to int, quantity float64) {
-	b.add(t, Event{Op: OpShare, P: from, To: to, Quantity: quantity})
-}
-func (b *builder) rvk(t int64, ticket int) {
-	b.add(t, Event{Op: OpRevoke, Ticket: ticket})
-}
 func (b *builder) alc(t int64, p int, amount float64) {
 	b.add(t, Event{Op: OpAlloc, P: p, Amount: amount})
 }

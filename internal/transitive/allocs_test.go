@@ -24,7 +24,7 @@ func TestUpdateEdgeAllocs(t *testing.T) {
 				cols[j], vals[j] = []int32{int32(j + 1)}, []float64{0.1 + float64(j%5)/20}
 			}
 		}
-		c, err := newClosureCSR(n, cols, vals, 1<<30, false, 50_000_000)
+		c, err := newClosureCSR(n, cols, vals, 1<<30, 50_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// Ablation bench: the exact closure (enumeration or subset DP, chosen per
-// row) vs the matrix-power approximation (DESIGN.md calls this choice
-// out). The exact build is exponential in dense graphs but exact; the
-// approximate one is polynomial.
+// Closure builds: the exact kernels (enumeration or subset DP, chosen per
+// row) on complete and sparse graphs. A dense build is exponential in the
+// level; a lower level bounds it.
 
 func benchMatrix(n int, density float64) [][]float64 {
 	rng := rand.New(rand.NewSource(7))
@@ -24,31 +23,29 @@ func benchMatrix(n int, density float64) [][]float64 {
 	return s
 }
 
-// benchBuild times an unbudgeted closure build, exact or approximate, of
-// the dense bench matrix at the given level; the CSR import is untimed.
-func benchBuild(b *testing.B, s [][]float64, level int, approx bool) {
+// benchBuild times an unbudgeted closure build of the dense bench matrix
+// at the given level; the CSR import is untimed.
+func benchBuild(b *testing.B, s [][]float64, level int) {
 	m := sparseOf(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewClosureBudget(m, level, approx, 0)
+		NewClosureBudget(m, level, 0)
 	}
 }
 
-func BenchmarkExactComplete10(b *testing.B) { benchBuild(b, benchMatrix(10, 1), 9, false) }
+func BenchmarkExactComplete10(b *testing.B) { benchBuild(b, benchMatrix(10, 1), 9) }
 
 // BenchmarkExactComplete11: each added node multiplies the dense-graph
 // path count by ~n (~2 s/op when this size was enumerated) and the DP's
 // cost by ~2.
-func BenchmarkExactComplete11(b *testing.B) { benchBuild(b, benchMatrix(11, 1), 10, false) }
+func BenchmarkExactComplete11(b *testing.B) { benchBuild(b, benchMatrix(11, 1), 10) }
 
-func BenchmarkExactSparse30(b *testing.B)     { benchBuild(b, benchMatrix(30, 0.1), 29, false) }
-func BenchmarkApproxComplete10(b *testing.B)  { benchBuild(b, benchMatrix(10, 1), 9, true) }
-func BenchmarkApproxComplete100(b *testing.B) { benchBuild(b, benchMatrix(100, 1), 99, true) }
+func BenchmarkExactSparse30(b *testing.B) { benchBuild(b, benchMatrix(30, 0.1), 29) }
 
 // BenchmarkCapacities10 times CapacitiesInto over the capped exact flow
 // matrix of the complete graph of 10.
 func BenchmarkCapacities10(b *testing.B) {
-	t := capped(flows(benchMatrix(10, 1), 9, false))
+	t := capped(flows(benchMatrix(10, 1), 9))
 	v := make([]float64, 10)
 	for i := range v {
 		v[i] = float64(i + 1)
@@ -66,7 +63,7 @@ func benchClosureComplete(b *testing.B, n int) {
 	m := sparseOf(benchMatrix(n, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewClosureBudget(m, n-1, false, 50_000_000); err != nil {
+		if _, err := NewClosureBudget(m, n-1, 50_000_000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +79,7 @@ func BenchmarkClosureComplete14(b *testing.B) { benchClosureComplete(b, 14) }
 // is the blast fallback's full rebuild under the budget.
 func BenchmarkClosureUpdateEdgeComplete10(b *testing.B) {
 	s := benchMatrix(10, 1)
-	c, err := NewClosureBudget(sparseOf(s), 9, false, 50_000_000)
+	c, err := NewClosureBudget(sparseOf(s), 9, 50_000_000)
 	if err != nil {
 		b.Fatal(err)
 	}

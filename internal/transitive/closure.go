@@ -18,10 +18,10 @@ import (
 var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 
 // Closure maintains a flow-coefficient matrix T^(level) incrementally
-// under single-edge agreement mutations. A full build, exact or
-// approximate, touches every source row; an edge change, however, can only
-// alter the rows of principals that can reach the edge's source, so the
-// delta path recomputes exactly those rows and keeps the rest.
+// under single-edge agreement mutations. A full build touches every
+// source row; an edge change, however, can only alter the rows of
+// principals that can reach the edge's source, so the delta path
+// recomputes exactly those rows and keeps the rest.
 //
 // The affected-set argument: a cycle-free chain out of row x uses edge
 // (src,dst) only if the chain visits src first, i.e. x has a simple path
@@ -30,11 +30,10 @@ var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 // whose chain set mentions the edge. The set itself is stable across the
 // edit: any walk ending at src that traverses (src,dst) visited src
 // before the edge, so its prefix is a shorter walk to src that avoids it
-// — the edge can never change a shortest path TO its own source. The same
-// argument covers the approximate closure (walk counting).
+// — the edge can never change a shortest path TO its own source.
 //
 // Recomputed rows run the same per-row kernel a full build runs
-// (rowScratch.row), so an untouched-or-recomputed row is bit-for-bit
+// (rowScratch.exactRow), so an untouched-or-recomputed row is bit-for-bit
 // identical to a from-scratch rebuild — pinned by the
 // closure tests and the modeltest incremental-equivalence property.
 //
@@ -48,7 +47,7 @@ var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 // emit exact-size rows; they read the same floats in the same order a
 // dense scan would, and every sum is non-negative, so skipping an unstored
 // +0 keeps each result bit-identical to the dense references in package
-// modeltest (RefTransitive's chain enumeration, Approx's matrix powers).
+// modeltest (RefTransitive's chain enumeration).
 // The package takes and returns no dense matrix but for T() and
 // CapacitiesInto, kept for the layer benchmark; nothing on the serving path
 // calls them.
@@ -64,7 +63,6 @@ type Closure struct {
 	// before clamping; clamping is redone against the current n so a
 	// full-transitivity closure (level >= n-1) stays full after Grow.
 	reqLevel int
-	approx   bool
 	n        int
 	t        []sparseRow // T's rows
 	s        []sparseRow // S's rows, the out-edges of each principal
@@ -82,9 +80,14 @@ type Closure struct {
 const blastDenominator = 2
 
 // NewClosureCSR is newClosureCSR with no budget. Only the layer
-// benchmark, which times it, still calls it.
+// benchmark, which times it, still calls it. approx is a compile shim for
+// that benchmark, which passes core's Approx field and never sets it: the
+// walk kernel it once selected is gone, so true panics.
 func NewClosureCSR(n int, cols [][]int32, vals [][]float64, level int, approx bool) *Closure {
-	c, _ := newClosureCSR(n, cols, vals, level, approx, 0)
+	if approx {
+		panic("transitive: NewClosureCSR: the walk approximation is gone; closures are exact")
+	}
+	c, _ := newClosureCSR(n, cols, vals, level, 0)
 	return c
 }
 
@@ -96,29 +99,28 @@ func NewClosureCSR(n int, cols [][]int32, vals [][]float64, level int, approx bo
 // build charges its DFS steps and DP cell updates as it works and is
 // abandoned with ErrBudget once they pass budget (0 = no cap), so a
 // refused graph costs about the budget, not its enumeration. The closure
-// keeps the budget for PatchEdge (see WithBudget). Approx closures are
-// polynomial and never refused.
-func NewClosureBudget(s *agreement.SparseMatrix, level int, approx bool, budget int) (*Closure, error) {
+// keeps the budget for PatchEdge (see WithBudget).
+func NewClosureBudget(s *agreement.SparseMatrix, level, budget int) (*Closure, error) {
 	cols, vals := make([][]int32, s.N()), make([][]float64, s.N())
 	for i := range cols {
 		cols[i], vals[i] = s.Row(i)
 	}
-	return newClosureCSR(s.N(), cols, vals, level, approx, budget)
+	return newClosureCSR(s.N(), cols, vals, level, budget)
 }
 
 // newClosureCSR is NewClosureBudget over raw CSR rows: cols holds each
 // row's ascending column indices, vals the matching values (rows may be
 // nil, and may store zeros).
-func newClosureCSR(n int, cols [][]int32, vals [][]float64, level int, approx bool, budget int) (*Closure, error) {
+func newClosureCSR(n int, cols [][]int32, vals [][]float64, level, budget int) (*Closure, error) {
 	if err := validateCSR(n, cols, vals); err != nil {
 		panic(err)
 	}
 	g, edges := own(rowsOf(cols, vals))
-	t, ok := sparseRows(n, g, level, approx, par.Workers(n), newMeter(budget))
+	t, ok := sparseRows(n, g, level, par.Workers(n), newMeter(budget))
 	if !ok {
 		return nil, budgetErr(budget)
 	}
-	return &Closure{reqLevel: level, approx: approx, n: n, t: t, s: g, edges: edges, budget: budget}, nil
+	return &Closure{reqLevel: level, n: n, t: t, s: g, edges: edges, budget: budget}, nil
 }
 
 // own copies the columns and values of every row into one int32 and one
@@ -266,20 +268,15 @@ func (c *Closure) PatchEdge(src, dst int, oldVal, newVal float64, changed []int,
 // Grow extends c in place by k principals with no agreements. A fresh
 // principal has no edges, so no chain among the existing rows can use it:
 // the exact closure is the old one with k empty rows, appended with
-// amortized capacity — no entry touched, no enumeration. Approx closures
-// recompute in the one corner case where growing raises the clamped level
-// (a full-transitivity request on a cyclic graph gains longer walks).
+// amortized capacity — no entry touched, no enumeration. A raised clamped
+// level changes nothing either: a chain visits each principal once, so
+// none among the old rows is longer than the old n-1.
 func (c *Closure) Grow(k int) {
 	if k <= 0 {
 		return
 	}
-	level := c.Level()
 	c.n += k
 	c.s = append(c.s, make([]sparseRow, k)...)
-	if c.approx && c.Level() != level {
-		c.t, _ = sparseRows(c.n, c.s, c.reqLevel, true, par.Workers(c.n), nil)
-		return
-	}
 	c.t = append(c.t, make([]sparseRow, k)...)
 }
 
@@ -335,13 +332,9 @@ func (c *Closure) affected(sc *rowScratch, src int) []int {
 // clear.
 func (c *Closure) recompute(rows []int, sc *rowScratch) error {
 	n := c.n
-	budget := c.budget
-	if c.approx {
-		budget = 0 // walk counting is polynomial and never refused
-	}
 	sc.changed, sc.old, sc.oldVals = sc.changed[:0], sc.old[:0], sc.oldVals[:0]
 	if blastDenominator*len(rows) > n {
-		t, ok := sparseRows(n, c.s, c.reqLevel, c.approx, par.Workers(n), newMeter(budget))
+		t, ok := sparseRows(n, c.s, c.reqLevel, par.Workers(n), newMeter(c.budget))
 		if !ok {
 			return budgetErr(c.budget)
 		}
@@ -354,9 +347,9 @@ func (c *Closure) recompute(rows []int, sc *rowScratch) error {
 		return nil
 	}
 	maxLen := c.Level()
-	m := newMeter(budget) // charged by this goroutine alone, so it stays on the stack
+	m := newMeter(c.budget) // charged by this goroutine alone, so it stays on the stack
 	for _, src := range rows {
-		if !sc.row(c.s, src, maxLen, c.approx, m) {
+		if !sc.exactRow(c.s, src, maxLen, m) {
 			return budgetErr(c.budget)
 		}
 		c.store(sc, src)

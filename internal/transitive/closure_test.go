@@ -50,27 +50,24 @@ func requireBitEqual(t *testing.T, got, want [][]float64, label string) {
 
 // TestClosureUpdateEdgeMatchesFull drives random edge-update schedules
 // and pins the incremental closure bit-for-bit to a from-scratch
-// recompute at every step, across both kernels (exact, approx), both row
-// variants (n <= 64 bitmask, n > 64 big fallback), and several levels.
+// recompute at every step, across both row variants (n <= 64 bitmask,
+// n > 64 big fallback), and several levels.
 func TestClosureUpdateEdgeMatchesFull(t *testing.T) {
 	cases := []struct {
-		name   string
-		n      int
-		edges  int
-		level  int
-		approx bool
+		name  string
+		n     int
+		edges int
+		level int
 	}{
-		{"exact-small-full", 8, 14, 7, false},
-		{"exact-small-level2", 8, 14, 2, false},
-		{"exact-big-level4", 80, 160, 4, false},
-		{"approx-small-full", 10, 25, 9, true},
-		{"approx-big-level6", 70, 200, 6, true},
+		{"exact-small-full", 8, 14, 7},
+		{"exact-small-level2", 8, 14, 2},
+		{"exact-big-level4", 80, 160, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			s := randomSparse(rng, tc.n, tc.edges)
-			c := newClosure(s, tc.level, tc.approx)
+			c := newClosure(s, tc.level)
 			for step := 0; step < 40; step++ {
 				src, dst := rng.Intn(tc.n), rng.Intn(tc.n)
 				if src == dst {
@@ -89,13 +86,7 @@ func TestClosureUpdateEdgeMatchesFull(t *testing.T) {
 					t.Fatalf("step %d: UpdateEdge(%d,%d,%v,%v): %v", step, src, dst, ov, nv, err)
 				}
 				s[src][dst] = nv
-				var want [][]float64
-				if tc.approx {
-					want = flows(s, tc.level, true)
-				} else {
-					want = flows(s, tc.level, false)
-				}
-				requireBitEqual(t, rowsT(next), want, "incremental T")
+				requireBitEqual(t, rowsT(next), flows(s, tc.level), "incremental T")
 				// Rows not reported as changed must be the previous rows.
 				changedSet := map[int]bool{}
 				for _, r := range changed {
@@ -122,24 +113,21 @@ func TestClosureUpdateEdgeMatchesFull(t *testing.T) {
 // patch must keep its S and T as they were.
 func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 	cases := []struct {
-		name   string
-		n      int
-		edges  int
-		level  int
-		approx bool
+		name  string
+		n     int
+		edges int
+		level int
 	}{
-		{"exact-small-full", 8, 14, 7, false},
-		{"exact-small-level2", 8, 14, 2, false},
-		{"exact-big-level4", 80, 160, 4, false},
-		{"exact-big-full", 70, 90, 69, false},
-		{"approx-small-full", 10, 25, 9, true},
-		{"approx-big-level6", 70, 200, 6, true},
+		{"exact-small-full", 8, 14, 7},
+		{"exact-small-level2", 8, 14, 2},
+		{"exact-big-level4", 80, 160, 4},
+		{"exact-big-full", 70, 90, 69},
 	}
 	paths := map[string]int{}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(11))
 		s := randomSparse(rng, tc.n, tc.edges)
-		up, p := newClosure(s, tc.level, tc.approx), newClosure(s, tc.level, tc.approx)
+		up, p := newClosure(s, tc.level), newClosure(s, tc.level)
 		prevCols, prevVals, prevPtr := make([][]int32, tc.n), make([][]float64, tc.n), make([]*float64, tc.n)
 		for step := 0; step < 40; step++ {
 			src, dst := rng.Intn(tc.n), rng.Intn(tc.n)
@@ -180,7 +168,7 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 			}
 			s[src][dst] = nv
 			label := fmt.Sprintf("%s step %d (%s path)", tc.name, step, path)
-			want := rowsT(newClosure(s, tc.level, tc.approx))
+			want := rowsT(newClosure(s, tc.level))
 			requireBitEqual(t, rowsT(next), want, label+": UpdateEdge")
 			requireBitEqual(t, rowsT(p), want, label+": PatchEdge")
 			requireBitEqual(t, edgesOf(p), s, label+": PatchEdge's agreement entries")
@@ -218,41 +206,28 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 }
 
 // TestClosureGrow pins zero-extension growth in place to a full rebuild,
-// for both kernels, including the approx case where growing raises the
-// clamped level of a full-transitivity request.
+// including where growing raises the clamped level of a full-transitivity
+// request.
 func TestClosureGrow(t *testing.T) {
-	for _, approx := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(5))
-		n := 9
-		s := randomSparse(rng, n, 22)
-		// 1<<20 requests full transitivity at any size, so the clamped
-		// level rises as the closure grows.
-		grown := newClosure(s, 1<<20, approx)
-		grown.Grow(2)
-		sg := growRows(s, n+2)
-		var want [][]float64
-		if approx {
-			want = flows(sg, 1<<20, true)
-		} else {
-			want = flows(sg, 1<<20, false)
-		}
-		requireBitEqual(t, rowsT(grown), want, "grown closure")
-		if grown.N() != n+2 {
-			t.Fatalf("grown N = %d, want %d", grown.N(), n+2)
-		}
-		// The grown closure must keep working incrementally: connect a new
-		// principal and recheck.
-		if _, _, _, err := grown.PatchEdge(n, 0, 0, 0.3, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		sg[n][0] = 0.3
-		if approx {
-			want = flows(sg, 1<<20, true)
-		} else {
-			want = flows(sg, 1<<20, false)
-		}
-		requireBitEqual(t, rowsT(grown), want, "update after grow")
+	rng := rand.New(rand.NewSource(5))
+	n := 9
+	s := randomSparse(rng, n, 22)
+	// 1<<20 requests full transitivity at any size, so the clamped level
+	// rises as the closure grows.
+	grown := newClosure(s, 1<<20)
+	grown.Grow(2)
+	sg := growRows(s, n+2)
+	requireBitEqual(t, rowsT(grown), flows(sg, 1<<20), "grown closure")
+	if grown.N() != n+2 {
+		t.Fatalf("grown N = %d, want %d", grown.N(), n+2)
 	}
+	// The grown closure must keep working incrementally: connect a new
+	// principal and recheck.
+	if _, _, _, err := grown.PatchEdge(n, 0, 0, 0.3, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	sg[n][0] = 0.3
+	requireBitEqual(t, rowsT(grown), flows(sg, 1<<20), "update after grow")
 }
 
 // TestClosureBlastFallback forces the full-recompute fallback (a hub
@@ -269,7 +244,7 @@ func TestClosureBlastFallback(t *testing.T) {
 			}
 		}
 	}
-	c := newClosure(s, 3, false)
+	c := newClosure(s, 3)
 	next, changed, err := c.UpdateEdge(4, 7, s[4][7], 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +253,7 @@ func TestClosureBlastFallback(t *testing.T) {
 		t.Fatalf("test graph too sparse: affected=%d of n=%d does not trip the fallback", got, n)
 	}
 	s[4][7] = 0.9
-	requireBitEqual(t, rowsT(next), flows(s, 3, false), "fallback T")
+	requireBitEqual(t, rowsT(next), flows(s, 3), "fallback T")
 	changedSet := map[int]bool{}
 	for _, r := range changed {
 		changedSet[r] = true
@@ -307,7 +282,7 @@ func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
 		s[i][i+1] = 0.5
 	}
 	s[7][8], s[8][9], s[9][7] = 0.3, 0.3, 0.3 // a ring that never reaches it
-	c := newClosure(s, n-1, false)
+	c := newClosure(s, n-1)
 	if got := len(c.affected(getScratch(n), 5)); blastDenominator*got <= n {
 		t.Fatalf("affected=%d of n=%d does not trip the fallback", got, n)
 	}
@@ -318,7 +293,7 @@ func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	s[5][6] = 0.25
-	requireBitEqual(t, rowsT(c), flows(s, n-1, false), "fallback T")
+	requireBitEqual(t, rowsT(c), flows(s, n-1), "fallback T")
 	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(changed, want) {
 		t.Fatalf("changed rows %v, want %v", changed, want)
 	}
@@ -331,44 +306,42 @@ func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
 }
 
 // TestClosureRowsAreExactSize pins the emit contract of the row kernels
-// on both variants (n <= 64 bitmask, n > 64 scratch stacks) and both
-// closures: ascending columns, no stored zero, no spare capacity, nil for
-// an empty row — and the same kernels run on one worker and scattered
-// dense hold the same entries.
+// on both variants (n <= 64 bitmask, n > 64 scratch stacks): ascending
+// columns, no stored zero, no spare capacity, nil for an empty row — and
+// the same kernels run on one worker and scattered dense hold the same
+// entries.
 func TestClosureRowsAreExactSize(t *testing.T) {
 	for _, n := range []int{12, 90} {
-		for _, approx := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(int64(n)))
-			s := randomSparse(rng, n, 2*n)
-			c := newClosure(s, 4, approx)
-			dense := workersT(s, 4, approx, 1)
-			requireBitEqual(t, rowsT(c), dense, "the kernels on one worker")
-			for i := 0; i < n; i++ {
-				cols, vals := c.FlowRow(i)
-				if len(cols) == 0 && (cols != nil || vals != nil) {
-					t.Fatalf("n=%d approx=%v: empty row %d is not nil", n, approx, i)
+		rng := rand.New(rand.NewSource(int64(n)))
+		s := randomSparse(rng, n, 2*n)
+		c := newClosure(s, 4)
+		dense := workersT(s, 4, 1)
+		requireBitEqual(t, rowsT(c), dense, "the kernels on one worker")
+		for i := 0; i < n; i++ {
+			cols, vals := c.FlowRow(i)
+			if len(cols) == 0 && (cols != nil || vals != nil) {
+				t.Fatalf("n=%d: empty row %d is not nil", n, i)
+			}
+			if cap(cols) != len(cols) || cap(vals) != len(vals) || len(cols) != len(vals) {
+				t.Fatalf("n=%d: row %d has len/cap %d/%d cols, %d/%d vals", n, i, len(cols), cap(cols), len(vals), cap(vals))
+			}
+			stored := 0
+			for x, j := range cols {
+				if x > 0 && cols[x-1] >= j {
+					t.Fatalf("n=%d: row %d columns not ascending: %v", n, i, cols)
 				}
-				if cap(cols) != len(cols) || cap(vals) != len(vals) || len(cols) != len(vals) {
-					t.Fatalf("n=%d approx=%v: row %d has len/cap %d/%d cols, %d/%d vals", n, approx, i, len(cols), cap(cols), len(vals), cap(vals))
+				if vals[x] == 0 { //lint:ignore sharingvet/floateq rows store no exact zero
+					t.Fatalf("n=%d: row %d stores a zero at column %d", n, i, j)
 				}
-				stored := 0
-				for x, j := range cols {
-					if x > 0 && cols[x-1] >= j {
-						t.Fatalf("n=%d approx=%v: row %d columns not ascending: %v", n, approx, i, cols)
-					}
-					if vals[x] == 0 { //lint:ignore sharingvet/floateq rows store no exact zero
-						t.Fatalf("n=%d approx=%v: row %d stores a zero at column %d", n, approx, i, j)
-					}
-					stored++
+				stored++
+			}
+			for _, v := range dense[i] {
+				if v != 0 { //lint:ignore sharingvet/floateq counting exact non-zeros
+					stored--
 				}
-				for _, v := range dense[i] {
-					if v != 0 { //lint:ignore sharingvet/floateq counting exact non-zeros
-						stored--
-					}
-				}
-				if stored != 0 {
-					t.Fatalf("n=%d approx=%v: row %d stores a different entry count than the kernels hold", n, approx, i)
-				}
+			}
+			if stored != 0 {
+				t.Fatalf("n=%d: row %d stores a different entry count than the kernels hold", n, i)
 			}
 		}
 	}
@@ -381,7 +354,7 @@ func TestClosureUpdateEdgeErrors(t *testing.T) {
 		{0, 0.5},
 		{0, 0},
 	}
-	c := newClosure(s, 1, false)
+	c := newClosure(s, 1)
 	for _, e := range []struct {
 		what           string
 		src, dst       int
@@ -418,7 +391,7 @@ func TestClosureBudget(t *testing.T) {
 			}
 		}
 	}
-	c := newClosure(s, n-1, false).WithBudget(50)
+	c := newClosure(s, n-1).WithBudget(50)
 	_, _, err := c.UpdateEdge(0, 1, 0.1, 0.2)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("dense update under budget 50: err = %v, want ErrBudget", err)
@@ -433,13 +406,13 @@ func TestClosureBudget(t *testing.T) {
 		t.Fatalf("unbounded update: %v", err)
 	}
 	s[0][1] = 0.2
-	want := newClosure(s, n-1, false)
+	want := newClosure(s, n-1)
 	requireBitEqual(t, rowsT(d), rowsT(want), "post-budget-lift closure")
 
 	// A sparse graph with a generous budget must not trip.
 	rng := rand.New(rand.NewSource(3))
 	sp := randomSparse(rng, 12, 18)
-	cs := newClosure(sp, 4, false).WithBudget(1_000_000)
+	cs := newClosure(sp, 4).WithBudget(1_000_000)
 	if _, _, err := cs.UpdateEdge(1, 2, sp[1][2], 0.3); err != nil {
 		t.Fatalf("sparse update under ample budget: %v", err)
 	}

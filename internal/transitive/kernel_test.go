@@ -217,7 +217,7 @@ func TestKernelsAgree(t *testing.T) {
 				dp := dpRows(t, n, adj, vals, level)
 				worst = math.Max(worst, worstRel(t, dp, dfs, label("DP vs DFS")))
 				// The served kernel is one or the other, row by row.
-				c, _ := newClosureCSR(n, adj, vals, level, false, 0)
+				c, _ := newClosureCSR(n, adj, vals, level, 0)
 				got := rowsT(c)
 				for i, useDP := range dpChosen(n, adj, vals, level) {
 					want := dfs[i]
@@ -236,7 +236,7 @@ func TestKernelsAgree(t *testing.T) {
 	n, adj, vals := csrOf(s)
 	for _, level := range []int{1, 2, 5, 8, 9, n - 1} {
 		dfs := dfsRows(n, adj, vals, level)
-		got := flows(s, level, false)
+		got := flows(s, level)
 		worst = math.Max(worst, worstRel(t, got, dfs, "block of 10 in 80"))
 		chosen := dpChosen(n, adj, vals, level)
 		for i := range chosen {
@@ -282,7 +282,7 @@ func TestKernelChoiceIsPerRow(t *testing.T) {
 				t.Errorf("%s: row %d is handed to the DP", name, i)
 			}
 		}
-		requireBitEqual(t, flows(g.s, g.level, false), exactRecursive(g.s, g.level), name)
+		requireBitEqual(t, flows(g.s, g.level), exactRecursive(g.s, g.level), name)
 	}
 
 	// A clique beside a ring: the clique's rows go to the DP, the ring's
@@ -557,11 +557,11 @@ func TestChainFloor(t *testing.T) {
 func TestExactWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	s := randomGraph(rng, 12, 1.0)
-	want := workersT(s, 11, false, 1)
+	want := workersT(s, 11, 1)
 	for _, workers := range []int{2, 8} {
-		requireBitEqual(t, workersT(s, 11, false, workers), want, "workers")
+		requireBitEqual(t, workersT(s, 11, workers), want, "workers")
 	}
-	requireBitEqual(t, rowsT(newClosure(s, 11, false)), want, "Closure rows")
+	requireBitEqual(t, rowsT(newClosure(s, 11)), want, "Closure rows")
 }
 
 // TestUpdateEdgeAcrossKernelChoice edits a graph into and out of a
@@ -578,7 +578,7 @@ func TestUpdateEdgeAcrossKernelChoice(t *testing.T) {
 			}
 		}
 	}
-	c := newClosure(s, n-1, false)
+	c := newClosure(s, n-1)
 	flips := 0
 	set := func(i, j int, v float64) {
 		t.Helper()
@@ -595,7 +595,7 @@ func TestUpdateEdgeAcrossKernelChoice(t *testing.T) {
 				flips++
 			}
 		}
-		requireBitEqual(t, rowsT(next), rowsT(newClosure(s, n-1, false)), "delta vs rebuild")
+		requireBitEqual(t, rowsT(next), rowsT(newClosure(s, n-1)), "delta vs rebuild")
 		c = next
 	}
 	// Thin the clique until every row is enumerated, then fill it back.
@@ -630,7 +630,7 @@ func TestUpdateEdgeAcrossKernelChoice(t *testing.T) {
 // under a counting meter and returns what the build charged.
 func stepsCharged(n int, adj [][]int32, vals [][]float64, level, workers int) int64 {
 	m := &meter{limit: math.MaxInt64}
-	sparseRows(n, rowsOf(adj, vals), level, false, workers, m)
+	sparseRows(n, rowsOf(adj, vals), level, workers, m)
 	return m.spent.Load()
 }
 
@@ -671,10 +671,10 @@ func TestBudgetRefusalIsDeterministic(t *testing.T) {
 	n, adj, vals := csrOf(s)
 	cost := int(stepsCharged(n, adj, vals, 10, 1))
 	for _, workers := range []int{1, 2, 8} {
-		if _, ok := sparseRows(n, rowsOf(adj, vals), 10, false, workers, newMeter(cost)); !ok {
+		if _, ok := sparseRows(n, rowsOf(adj, vals), 10, workers, newMeter(cost)); !ok {
 			t.Fatalf("%d workers: refused at its exact cost %d", workers, cost)
 		}
-		if _, ok := sparseRows(n, rowsOf(adj, vals), 10, false, workers, newMeter(cost-1)); ok {
+		if _, ok := sparseRows(n, rowsOf(adj, vals), 10, workers, newMeter(cost-1)); ok {
 			t.Fatalf("%d workers: admitted one step under its cost %d", workers, cost)
 		}
 	}
@@ -693,7 +693,7 @@ func TestBudgetAdmitsK14(t *testing.T) {
 	for _, k := range sizes {
 		const share = 0.07
 		n, adj, vals := csrOf(complete(k, share))
-		c, err := newClosureCSR(n, adj, vals, k-1, false, serving)
+		c, err := newClosureCSR(n, adj, vals, k-1, serving)
 		if k > 15 {
 			if !errors.Is(err, ErrBudget) || c != nil {
 				t.Fatalf("K%d under the serving budget: closure %v, err %v; want ErrBudget", k, c != nil, err)
@@ -738,7 +738,7 @@ func TestRefusalLeavesReceiverUntouched(t *testing.T) {
 		s[i][i+1] = 0.5
 	}
 	for _, level := range []int{2, n - 1} { // level 2: delta; full: every clique row
-		c := newClosure(s, level, false)
+		c := newClosure(s, level)
 		before := rowsT(c)
 		rows := make([]*float64, n)
 		for i := range rows {
@@ -766,13 +766,13 @@ func TestRefusalLeavesReceiverUntouched(t *testing.T) {
 			}
 		}
 		// The same scratch, after the abandoned rows, builds clean.
-		requireBitEqual(t, rowsT(newClosure(s, level, false)), before, "rebuild after refusals")
+		requireBitEqual(t, rowsT(newClosure(s, level)), before, "rebuild after refusals")
 		d, _, err := c.WithBudget(0).UpdateEdge(0, 1, 0.1, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s[0][1] = 0.2
-		requireBitEqual(t, rowsT(d), rowsT(newClosure(s, level, false)), "update once the budget is lifted")
+		requireBitEqual(t, rowsT(d), rowsT(newClosure(s, level)), "update once the budget is lifted")
 		s[0][1] = 0.1
 	}
 }

@@ -43,9 +43,9 @@ func exactRecursive(s [][]float64, maxLen int) [][]float64 {
 
 // workersT computes every row of T^(level) of a dense test literal on a
 // pinned number of workers (sparseRows, unbudgeted) and scatters it dense.
-func workersT(s [][]float64, level int, approx bool, workers int) [][]float64 {
+func workersT(s [][]float64, level, workers int) [][]float64 {
 	n, adj, vals := csrOf(s)
-	t, _ := sparseRows(n, rowsOf(adj, vals), level, approx, workers, nil)
+	t, _ := sparseRows(n, rowsOf(adj, vals), level, workers, nil)
 	return denseOf(n, t)
 }
 
@@ -108,12 +108,12 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 				levels = append(levels, n-1)
 			}
 			for _, level := range levels {
-				serial := workersT(s, level, false, 1)
+				serial := workersT(s, level, 1)
 				requireMatchesRecursive(t, serial, exactRecursive(s, level), s, level, "exact")
 				for _, workers := range []int{2, 4, 8} {
-					requireBitIdentical(t, workersT(s, level, false, workers), serial, "exact on more workers")
+					requireBitIdentical(t, workersT(s, level, workers), serial, "exact on more workers")
 				}
-				requireBitIdentical(t, flows(s, level, false), serial, "closure")
+				requireBitIdentical(t, flows(s, level), serial, "closure")
 			}
 		}
 	}
@@ -125,27 +125,9 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 func TestExactParallelPaperGraph(t *testing.T) {
 	n := 10
 	s := complete(n, 0.1)
-	serial := workersT(s, n-1, false, 1)
+	serial := workersT(s, n-1, 1)
 	requireMatchesRecursive(t, serial, exactRecursive(s, n-1), s, n-1, "complete10")
 	for _, workers := range []int{2, 4} {
-		requireBitIdentical(t, workersT(s, n-1, false, workers), serial, "complete10 on more workers")
-	}
-}
-
-// TestApproxParallelMatchesSerial pins the approximate build on every
-// worker count, and the closure, to the serial build bit for bit. That
-// build's agreement with the dense matrix-power sum is held in package
-// modeltest, beside that reference.
-func TestApproxParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 3, 10, 40} {
-		s := randomGraph(rng, n, 0.4)
-		for _, level := range []int{1, 2, n - 1} {
-			want := workersT(s, level, true, 1)
-			for _, workers := range []int{2, 4, 8} {
-				requireBitIdentical(t, workersT(s, level, true, workers), want, "approx on more workers")
-			}
-			requireBitIdentical(t, flows(s, level, true), want, "closure")
-		}
+		requireBitIdentical(t, workersT(s, n-1, workers), serial, "complete10 on more workers")
 	}
 }

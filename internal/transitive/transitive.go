@@ -18,17 +18,17 @@
 // enumerate; a dense group is summed without enumerating, which admits
 // complete graphs of up to 15 principals under the serving budget (the
 // paper's K10 builds in ~0.4 ms, K14 in ~25 ms, on two cores). Denser or
-// larger cliques are refused (ErrBudget). An approximate closure sums
-// matrix powers instead, which overcounts cycles but scales polynomially;
-// the two agree on cycle-free graphs and the approximation is always an
-// upper bound.
+// larger cliques are refused (ErrBudget) at the level asked for; a lower
+// level bounds the chains and admits them. There is no other kernel: a
+// sum over walks would count every cycle, and coefficients above the
+// chains' would grant more than the agreements allow.
 //
 // S comes in row-sparse (NewClosureBudget takes an agreement.SparseMatrix)
 // and T goes out the same way (FlowRow): a build costs the edges it reads. Section 3.2's overdraft capping
 // K = min(T, 1) and the capacities C_i built on it are package core's,
 // over these rows; the dense references the kernels and those formulas
-// are checked against (RefTransitive, Approx, Cap, Capacities) are
-// package modeltest's.
+// are checked against (RefTransitive, Cap, Capacities) are package
+// modeltest's.
 package transitive
 
 import (
@@ -133,7 +133,7 @@ func SetEntry(cols []int32, vals []float64, j int, v float64) ([]int32, []float6
 // GOMAXPROCS of them.
 type rowScratch struct {
 	acc     []float64 // row accumulator
-	mark    []bool    // acc[j] was written this row (n > 64, and approx)
+	mark    []bool    // acc[j] was written this row (n > 64)
 	touched []int32   // columns written, ascending once a kernel returns
 	// Exact kernels: the reach pass's seen set, which is also the
 	// visited set of the n > 64 DFS, and that DFS's suspended frames.
@@ -150,10 +150,6 @@ type rowScratch struct {
 	dpStart []int32
 	dpEdges []dpEdge
 	dp      []float64
-	// Approx kernel: the current and next power rows as dense values plus
-	// their non-zero column lists.
-	p, nx         []float64
-	pCols, nxCols []int32
 	// Closure.affected's rows, which the kernels never touch: a delta
 	// recomputes them with this same scratch. Of those, the rows that
 	// changed, the column lists they held and their values back to back.
@@ -245,18 +241,6 @@ func forRows(n, workers int, fn func(sc *rowScratch, src int) bool) bool {
 	return !stopped.Load()
 }
 
-// row accumulates row src of T^(maxLen) into the scratch: the exact sum
-// over chains, or the walk-counting approximation. maxLen is already
-// clamped. It reports false, with the scratch cleared, when the exact
-// sum ran m out of budget.
-func (sc *rowScratch) row(g []sparseRow, src, maxLen int, approx bool, m *meter) bool {
-	if approx {
-		sc.approxRow(g, src, maxLen)
-		return true
-	}
-	return sc.exactRow(g, src, maxLen, m)
-}
-
 // take emits the accumulated row at exact size, holding every entry that
 // is not exactly zero — nil slices for an empty row — and clears the
 // scratch for the next row.
@@ -331,11 +315,11 @@ func (sc *rowScratch) discard() {
 // sparseRows computes every row of T^(level) over the agreement rows g —
 // the form a Closure stores — charging m. It reports false when the budget
 // ran out.
-func sparseRows(n int, g []sparseRow, level int, approx bool, workers int, m *meter) ([]sparseRow, bool) {
+func sparseRows(n int, g []sparseRow, level, workers int, m *meter) ([]sparseRow, bool) {
 	maxLen := clampLevel(level, n)
 	t := make([]sparseRow, n)
 	ok := forRows(n, workers, func(sc *rowScratch, src int) bool {
-		if !sc.row(g, src, maxLen, approx, m) {
+		if !sc.exactRow(g, src, maxLen, m) {
 			return false
 		}
 		t[src] = sc.take()
@@ -354,7 +338,9 @@ const maxDPReach = 16
 // noCap is the DFS step cap of a row the DP cannot take.
 const noCap = math.MaxInt
 
-// exactRow accumulates row src of the exact T^(maxLen). Two kernels sum
+// exactRow accumulates row src of the exact T^(maxLen) into the scratch
+// (maxLen already clamped); it reports false, with the scratch cleared,
+// when the sum ran m out of budget. Two kernels sum
 // the same chains: the DFS enumerates them, at a cost of one step per
 // chain, and the DP adds them up by (visited set, end) state, at a cost
 // that depends on the reach r and the edges within it and not on how
@@ -747,66 +733,6 @@ func (sc *rowScratch) exactRowDP(g []sparseRow, src, maxLen int, m *meter) bool 
 		return false
 	}
 	return true
-}
-
-// approxRow accumulates row src of Σ_{k=1..maxLen} S^k. Row src of S^k
-// depends only on row src of S^(k-1), so the row iterates a vector-matrix
-// product over the non-zero entries of the current power row — in a dense
-// row-by-row multiply's operation order (ascending k, ascending j within
-// each S row, the powers added in order), which makes the result
-// bit-identical to modeltest.Approx: every term skipped is an exact +0
-// added to a non-negative sum. Once a power row is empty so are all later ones, and
-// the loop stops.
-func (sc *rowScratch) approxRow(g []sparseRow, src, maxLen int) {
-	if len(sc.p) < len(sc.acc) {
-		sc.p, sc.nx = make([]float64, len(sc.acc)), make([]float64, len(sc.acc))
-	}
-	p, nx, pCols, nxCols := sc.p, sc.nx, sc.pCols[:0], sc.nxCols[:0]
-	sum, mark := sc.acc, sc.mark
-	pCols = append(pCols, g[src].cols...)
-	for k, j := range pCols {
-		p[j] = g[src].vals[k]
-	}
-	for k := 1; ; k++ {
-		for _, j := range pCols {
-			sum[j] += p[j]
-			if !mark[j] {
-				mark[j] = true
-				sc.touched = append(sc.touched, j)
-			}
-		}
-		if k == maxLen || len(pCols) == 0 {
-			break
-		}
-		// nx = p·S. A column joins nxCols on its first write; nx[j] is
-		// still zero then unless the product underflowed, in which case
-		// the column is listed twice and deduplicated below.
-		nxCols = nxCols[:0]
-		for _, kk := range pCols {
-			aik := p[kk]
-			if num.IsZero(aik) {
-				continue
-			}
-			cols, vs := g[kk].cols, g[kk].vals
-			for idx, j := range cols {
-				if num.IsZero(nx[j]) {
-					nxCols = append(nxCols, j)
-				}
-				nx[j] += aik * vs[idx]
-			}
-		}
-		for _, j := range pCols {
-			p[j] = 0
-		}
-		slices.Sort(nxCols)
-		nxCols = slices.Compact(nxCols)
-		p, nx, pCols, nxCols = nx, p, nxCols, pCols
-	}
-	for _, j := range pCols {
-		p[j] = 0
-	}
-	slices.Sort(sc.touched)
-	sc.p, sc.nx, sc.pCols, sc.nxCols = p, nx, pCols, nxCols
 }
 
 // sourceCap returns U_ki = min(V_k·T_ki + A_ki, V_k) for k != i.

@@ -42,7 +42,7 @@ func TestValidate(t *testing.T) {
 func TestExactTwoNodeChain(t *testing.T) {
 	// 0 -> 1 at 30%: T[0][1] = 0.3 at every level, T[1][0] = 0.
 	s := [][]float64{{0, 0.3}, {0, 0}}
-	tm := flows(s, 1, false)
+	tm := flows(s, 1)
 	almost(t, tm[0][1], 0.3, 1e-12, "T[0][1]")
 	almost(t, tm[1][0], 0, 1e-12, "T[1][0]")
 }
@@ -54,9 +54,9 @@ func TestExactThreeNodeChainLevels(t *testing.T) {
 		{0, 0, 0.4},
 		{0, 0, 0},
 	}
-	lvl1 := flows(s, 1, false)
+	lvl1 := flows(s, 1)
 	almost(t, lvl1[0][2], 0, 1e-12, "level-1 T[0][2]")
-	lvl2 := flows(s, 2, false)
+	lvl2 := flows(s, 2)
 	almost(t, lvl2[0][2], 0.2, 1e-12, "level-2 T[0][2]")
 	almost(t, lvl2[0][1], 0.5, 1e-12, "level-2 T[0][1]")
 }
@@ -70,7 +70,7 @@ func TestExactPaperOverdraftExample(t *testing.T) {
 		{0, 0, 1.0},
 		{0, 0, 0},
 	}
-	tm := flows(s, 2, false)
+	tm := flows(s, 2)
 	almost(t, tm[0][2], 1.2, 1e-12, "T[A][C]")
 	k := capped(tm)
 	almost(t, k[0][2], 1.0, 1e-12, "K[A][C]")
@@ -86,7 +86,7 @@ func TestExactCycleExcluded(t *testing.T) {
 	// Two-node mutual agreement: chains cannot revisit the source, so
 	// T[0][1] is exactly S[0][1] at any level.
 	s := [][]float64{{0, 0.5}, {0.5, 0}}
-	tm := flows(s, 5, false)
+	tm := flows(s, 5)
 	almost(t, tm[0][1], 0.5, 1e-12, "T[0][1]")
 	almost(t, tm[1][0], 0.5, 1e-12, "T[1][0]")
 }
@@ -95,10 +95,10 @@ func TestExactLoopStructure(t *testing.T) {
 	// Ring of 4, each sharing 80% with the next.
 	n := 4
 	s := ring(n, 0.8)
-	lvl1 := flows(s, 1, false)
+	lvl1 := flows(s, 1)
 	almost(t, lvl1[0][1], 0.8, 1e-12, "level-1 next")
 	almost(t, lvl1[0][2], 0, 1e-12, "level-1 two hops")
-	lvl3 := flows(s, 3, false)
+	lvl3 := flows(s, 3)
 	almost(t, lvl3[0][1], 0.8, 1e-12, "level-3 next")
 	almost(t, lvl3[0][2], 0.64, 1e-12, "level-3 two hops")
 	almost(t, lvl3[0][3], 0.512, 1e-12, "level-3 three hops")
@@ -106,53 +106,14 @@ func TestExactLoopStructure(t *testing.T) {
 	almost(t, lvl3[0][0], 0, 1e-12, "self flow")
 }
 
-func TestApproxEqualsExactOnDAG(t *testing.T) {
-	s := [][]float64{
-		{0, 0.5, 0.2, 0},
-		{0, 0, 0.3, 0.1},
-		{0, 0, 0, 0.7},
-		{0, 0, 0, 0},
-	}
-	for level := 1; level <= 3; level++ {
-		e := flows(s, level, false)
-		a := flows(s, level, true)
-		for i := range e {
-			for j := range e[i] {
-				almost(t, a[i][j], e[i][j], 1e-12, "DAG approx vs exact")
-			}
-		}
-	}
-}
-
-func TestApproxUpperBoundsExact(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := randomAgreements(rng, 2+rng.Intn(6))
-		level := 1 + rng.Intn(len(s))
-		e := flows(s, level, false)
-		a := flows(s, level, true)
-		for i := range e {
-			for j := range e[i] {
-				if a[i][j] < e[i][j]-1e-9 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestExactMonotoneInLevel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomAgreements(rng, 2+rng.Intn(6))
 		n := len(s)
-		prev := flows(s, 1, false)
+		prev := flows(s, 1)
 		for level := 2; level < n; level++ {
-			cur := flows(s, level, false)
+			cur := flows(s, level)
 			for i := range cur {
 				for j := range cur[i] {
 					if cur[i][j] < prev[i][j]-1e-12 {
@@ -177,7 +138,7 @@ func TestCapacitiesAtLeastOwn(t *testing.T) {
 		for i := range v {
 			v[i] = rng.Float64() * 100
 		}
-		c := capacities(v, capped(flows(s, len(s)-1, false)), nil)
+		c := capacities(v, capped(flows(s, len(s)-1)), nil)
 		for i := range c {
 			if c[i] < v[i]-1e-9 {
 				return false
@@ -201,7 +162,7 @@ func TestCapacitiesBoundedByTotal(t *testing.T) {
 			v[i] = rng.Float64() * 100
 			total += v[i]
 		}
-		c := capacities(v, capped(flows(s, len(s)-1, false)), nil)
+		c := capacities(v, capped(flows(s, len(s)-1)), nil)
 		for i := range c {
 			if c[i] > total+1e-9 {
 				return false
@@ -227,7 +188,7 @@ func TestAbsoluteAgreements(t *testing.T) {
 		{0, 0, 0},
 	}
 	v := []float64{10, 0, 5}
-	tm := flows(s, 2, false)
+	tm := flows(s, 2)
 	c := capacities(v, tm, a)
 	almost(t, c[2], 8, 1e-12, "C = 5 own + 3 absolute")
 	almost(t, c[0], 10, 1e-12, "A keeps 10")
@@ -243,16 +204,16 @@ func TestAbsolutePlusRelativeClamp(t *testing.T) {
 	s := [][]float64{{0, 0.6}, {0, 0}}
 	a := [][]float64{{0, 7}, {0, 0}}
 	v := []float64{10, 1}
-	c := capacities(v, flows(s, 1, false), a)
+	c := capacities(v, flows(s, 1), a)
 	almost(t, c[1], 11, 1e-12, "B = 1 own + min(6+7, 10)")
 }
 
 func TestLevelClamping(t *testing.T) {
 	s := ring(5, 0.5)
-	full := flows(s, 4, false)
-	over := flows(s, 100, false)
-	under := flows(s, 0, false)
-	lvl1 := flows(s, 1, false)
+	full := flows(s, 4)
+	over := flows(s, 100)
+	under := flows(s, 0)
+	lvl1 := flows(s, 1)
 	for i := range full {
 		for j := range full[i] {
 			almost(t, over[i][j], full[i][j], 1e-12, "level > n-1 clamps to n-1")
@@ -262,17 +223,25 @@ func TestLevelClamping(t *testing.T) {
 }
 
 func TestPanicsOnBadInput(t *testing.T) {
-	bad := [][]float64{{1}}
-	for _, approx := range []bool{false, true} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("approx=%v: a build should panic on a non-zero diagonal", approx)
-				}
-			}()
-			newClosure(bad, 1, approx)
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a build should panic on a non-zero diagonal")
+		}
+	}()
+	newClosure([][]float64{{1}}, 1)
+}
+
+// TestNewClosureCSRRefusesApprox pins the layer benchmark's shim: the walk
+// kernel its approx argument once selected is gone, so true panics rather
+// than build a closure that is not the one asked for.
+func TestNewClosureCSRRefusesApprox(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewClosureCSR(..., true) should panic")
+		}
+	}()
+	n, adj, vals := csrOf(ring(4, 0.5))
+	NewClosureCSR(n, adj, vals, 3, true)
 }
 
 func ring(n int, share float64) [][]float64 {
@@ -319,8 +288,8 @@ func csrOf(s [][]float64) (int, [][]int32, [][]float64) {
 }
 
 // newClosure builds the unbudgeted closure of a dense test literal.
-func newClosure(s [][]float64, level int, approx bool) *Closure {
-	c, _ := NewClosureBudget(sparseOf(s), level, approx, 0) // no budget, no refusal
+func newClosure(s [][]float64, level int) *Closure {
+	c, _ := NewClosureBudget(sparseOf(s), level, 0) // no budget, no refusal
 	return c
 }
 
@@ -337,10 +306,9 @@ func rowsT(c *Closure) [][]float64 {
 	return t
 }
 
-// flows is T^(level) of a dense test literal, exact or approximate, as a
-// closure serves it.
-func flows(s [][]float64, level int, approx bool) [][]float64 {
-	return rowsT(newClosure(s, level, approx))
+// flows is T^(level) of a dense test literal as a closure serves it.
+func flows(s [][]float64, level int) [][]float64 {
+	return rowsT(newClosure(s, level))
 }
 
 // capped is the overdraft rule K = min(T, 1) over a dense T.
@@ -363,19 +331,15 @@ func capacities(v []float64, t, a [][]float64) []float64 {
 
 func TestWithinBudget(t *testing.T) {
 	n, adj, vals := csrOf(ring(5, 0.5))
-	if _, err := newClosureCSR(n, adj, vals, 4, false, 1000); err != nil {
+	if _, err := newClosureCSR(n, adj, vals, 4, 1000); err != nil {
 		t.Errorf("small ring should fit a 1000-step budget: %v", err)
 	}
 	// A complete 20-node graph is past the DP's reach, so it enumerates
 	// until the budget stops it — promptly, whatever the graph would cost.
 	n, adj, vals = csrOf(complete(20, 0.1))
-	c, err := newClosureCSR(n, adj, vals, 19, false, 100000)
+	c, err := newClosureCSR(n, adj, vals, 19, 100000)
 	if !errors.Is(err, ErrBudget) || c != nil {
 		t.Errorf("dense 20-node graph under a 100k-step budget: closure %v, err %v, want ErrBudget", c, err)
-	}
-	// Approx is polynomial and never refused.
-	if _, err := newClosureCSR(n, adj, vals, 19, true, 1); err != nil {
-		t.Errorf("approx build refused: %v", err)
 	}
 }
 
@@ -385,12 +349,12 @@ func TestWithinBudgetMatchesExactCost(t *testing.T) {
 	// admitted closure is the unbudgeted one.
 	s := ring(8, 0.9)
 	n, adj, vals := csrOf(s)
-	c, err := newClosureCSR(n, adj, vals, 7, false, 56)
+	c, err := newClosureCSR(n, adj, vals, 7, 56)
 	if err != nil {
 		t.Fatalf("ring under its exact cost: %v", err)
 	}
-	requireBitEqual(t, rowsT(c), flows(s, 7, false), "budgeted build")
-	if _, err := newClosureCSR(n, adj, vals, 7, false, 55); !errors.Is(err, ErrBudget) {
+	requireBitEqual(t, rowsT(c), flows(s, 7), "budgeted build")
+	if _, err := newClosureCSR(n, adj, vals, 7, 55); !errors.Is(err, ErrBudget) {
 		t.Fatalf("ring one step short: err = %v, want ErrBudget", err)
 	}
 }

@@ -6,8 +6,8 @@
 // A Community holds principals, their resources and their agreements.
 // Expression follows Section 2 of the paper (absolute/relative tickets,
 // per-principal and virtual currencies); enforcement follows Section 3
-// (transitive capacity computation and allocation minimizing the global
-// perturbation metric θ):
+// (transitive capacity computation over exact cycle-free agreement chains,
+// and allocation minimizing the global perturbation metric θ):
 //
 //	c := sharing.NewCommunity()
 //	a := c.AddPrincipal("A")
@@ -51,12 +51,12 @@ type Allocation struct {
 // Config tunes enforcement.
 type Config struct {
 	// Level is the transitivity level (0 = full closure, 1 = direct
-	// agreements only, m = chains of at most m agreements).
+	// agreements only, m = chains of at most m agreements). Flow
+	// coefficients are always exact sums over cycle-free chains. A
+	// community too dense to sum at the level asked for is refused; a
+	// lower Level admits it, and grants less than full transitivity,
+	// never more.
 	Level int
-	// Approx switches the flow coefficients from exact cycle-free chain
-	// enumeration to the polynomial matrix-power upper bound; use it for
-	// communities with hundreds of principals.
-	Approx bool
 }
 
 // Community is a set of principals bound by resource sharing agreements.
@@ -277,7 +277,7 @@ func (c *Community) plannerFor(typ string) (*core.Allocator, []float64, error) {
 	}
 	planner, ok := c.planner[typ]
 	if !ok {
-		planner, err = core.NewAllocator(m.S, m.A, core.Config{Level: c.cfg.Level, Approx: c.cfg.Approx})
+		planner, err = core.NewAllocator(m.S, m.A, core.Config{Level: c.cfg.Level})
 		if err != nil {
 			return nil, nil, err
 		}
