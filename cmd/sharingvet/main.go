@@ -29,17 +29,22 @@
 //
 //	//lint:ignore sharingvet/<analyzer> reason
 //
-// (one directive may name several comma-separated analyzers). With
-// -json, findings are emitted as a JSON array on stdout for CI
-// artifacts. Exit status: 0 clean, 1 findings, 2 load/internal errors.
+// (one directive may name several comma-separated analyzers). A
+// directive that suppresses nothing, or that names an analyzer not run on
+// its package, is a finding itself. With -json, findings are emitted as a
+// JSON array on stdout for CI artifacts. Exit status: 0 clean, 1
+// findings, 2 load/internal errors, among them a pattern that matches no
+// package.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -95,7 +100,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	os.Exit(run(patterns, *verbose, *jsonOut, *writeManifest))
+	os.Exit(run(os.Stdout, os.Stderr, patterns, *verbose, *jsonOut, *writeManifest))
 }
 
 // jsonFinding is the -json output shape, one element per finding.
@@ -107,20 +112,20 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-func run(patterns []string, verbose, jsonOut, writeManifest bool) int {
+func run(stdout, stderr io.Writer, patterns []string, verbose, jsonOut, writeManifest bool) int {
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sharingvet:", err)
+		fmt.Fprintln(stderr, "sharingvet:", err)
 		return 2
 	}
 	root, modPath, err := analysis.FindModule(cwd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sharingvet:", err)
+		fmt.Fprintln(stderr, "sharingvet:", err)
 		return 2
 	}
 	pkgs, err := analysis.ResolvePatterns(root, modPath, patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sharingvet:", err)
+		fmt.Fprintln(stderr, "sharingvet:", err)
 		return 2
 	}
 	loader := analysis.NewLoader()
@@ -129,81 +134,68 @@ func run(patterns []string, verbose, jsonOut, writeManifest bool) int {
 	for _, pk := range pkgs {
 		dir, ip := pk[0], pk[1]
 		rel := strings.TrimPrefix(strings.TrimPrefix(ip, modPath), "/")
-		var active []check
+		var active []*analysis.Analyzer
 		for _, c := range checks() {
 			if c.scope(rel) {
-				active = append(active, c)
+				active = append(active, c.analyzer)
 			}
 		}
-		if len(active) == 0 {
+		if writeManifest && !slices.Contains(active, wiretag.Analyzer) {
 			continue
 		}
-		if writeManifest {
-			inScope := false
-			for _, c := range active {
-				if c.analyzer == wiretag.Analyzer {
-					inScope = true
-				}
-			}
-			if !inScope {
-				continue
-			}
-		}
 		if verbose {
-			fmt.Fprintf(os.Stderr, "sharingvet: %s\n", ip)
+			fmt.Fprintf(stderr, "sharingvet: %s\n", ip)
 		}
 		p, err := loader.LoadDir(dir, ip)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sharingvet: %s: %v\n", ip, err)
+			fmt.Fprintf(stderr, "sharingvet: %s: %v\n", ip, err)
 			status = 2
 			continue
 		}
 		for _, terr := range p.TypeErrors {
-			fmt.Fprintf(os.Stderr, "sharingvet: %s: typecheck: %v\n", ip, terr)
+			fmt.Fprintf(stderr, "sharingvet: %s: typecheck: %v\n", ip, terr)
 			status = 2
 		}
 		if writeManifest {
 			path := filepath.Join(dir, wiretag.ManifestName)
 			if err := wiretag.WriteManifest(p.Files, p.Info, path); err != nil {
-				fmt.Fprintf(os.Stderr, "sharingvet: %s: %v\n", ip, err)
+				fmt.Fprintf(stderr, "sharingvet: %s: %v\n", ip, err)
 				status = 2
 				continue
 			}
-			fmt.Fprintf(os.Stderr, "sharingvet: wrote %s\n", path)
+			fmt.Fprintf(stderr, "sharingvet: wrote %s\n", path)
 			continue
 		}
-		for _, c := range active {
-			diags, err := analysis.Run(c.analyzer, loader.Fset, p.Files, p.Types, p.Info)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sharingvet: %v\n", err)
-				status = 2
-				continue
+		diags, err := analysis.Check(active, loader.Fset, p.Files, p.Types, p.Info)
+		if err != nil {
+			fmt.Fprintf(stderr, "sharingvet: %s: %v\n", ip, err)
+			status = 2
+			continue
+		}
+		for _, d := range diags {
+			if jsonOut {
+				findings = append(findings, jsonFinding{
+					File:     d.Pos.Filename,
+					Line:     d.Pos.Line,
+					Column:   d.Pos.Column,
+					Analyzer: d.Analyzer,
+					Message:  d.Message,
+				})
+			} else {
+				fmt.Fprintln(stdout, d)
 			}
-			for _, d := range diags {
-				if jsonOut {
-					findings = append(findings, jsonFinding{
-						File:     d.Pos.Filename,
-						Line:     d.Pos.Line,
-						Column:   d.Pos.Column,
-						Analyzer: d.Analyzer,
-						Message:  d.Message,
-					})
-				} else {
-					fmt.Println(d)
-				}
-				if status == 0 {
-					status = 1
-				}
+			if status == 0 {
+				status = 1
 			}
 		}
 	}
 	if jsonOut && !writeManifest {
 		out, err := json.MarshalIndent(findings, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sharingvet:", err)
+			fmt.Fprintln(stderr, "sharingvet:", err)
 			return 2
 		}
-		fmt.Println(string(out))
+		fmt.Fprintln(stdout, string(out))
 	}
 	return status
 }

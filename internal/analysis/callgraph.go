@@ -17,9 +17,10 @@ package analysis
 //     in-package named type whose method set satisfies the interface.
 //
 // Calls through plain function values, externally declared interfaces,
-// and the bodies of function literals are outside the graph — the same
-// deliberate blind spots the per-function analyzers have, documented in
-// each analyzer's package comment.
+// the bodies of function literals and go statements are outside the
+// graph: a goroutine's calls are not its spawner's — the same deliberate
+// blind spots the per-function analyzers have, documented in each
+// analyzer's package comment. A deferred call is the function's own.
 
 import (
 	"go/ast"
@@ -59,27 +60,6 @@ func (g *CallGraph) Decls() map[*types.Func]*ast.FuncDecl { return g.decls }
 
 // CalleesOf returns the resolved call sites inside f's body.
 func (g *CallGraph) CalleesOf(f *types.Func) []CallSite { return g.out[f] }
-
-// CallersOf returns the resolved call sites targeting f.
-func (g *CallGraph) CallersOf(f *types.Func) []CallSite { return g.in[f] }
-
-// ReachableFrom returns the set of in-package functions reachable from
-// f through resolved edges, including f itself.
-func (g *CallGraph) ReachableFrom(f *types.Func) map[*types.Func]bool {
-	seen := map[*types.Func]bool{}
-	var walk func(*types.Func)
-	walk = func(n *types.Func) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, site := range g.out[n] {
-			walk(site.Callee)
-		}
-	}
-	walk(f)
-	return seen
-}
 
 // ReachesAnyOf returns the set of functions from which at least one of
 // the targets is reachable (the reverse-reachable set, including the
@@ -170,8 +150,9 @@ func BuildCallGraph(files []*ast.File, pkg *types.Package, info *types.Info) *Ca
 	for _, caller := range g.funcs {
 		fd := g.decls[caller]
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false // literals run on their own schedule
+			switch n.(type) {
+			case *ast.FuncLit, *ast.GoStmt:
+				return false // these run on their own schedule
 			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -113,38 +114,35 @@ func FindModule(dir string) (root, modPath string, err error) {
 }
 
 // ResolvePatterns expands Go-style package patterns ("./...",
-// "./internal/...", "./cmd/sharingvet") into (dir, importPath) pairs for
-// every directory under the module root that contains non-test Go files.
+// "./internal/...", "./cmd/sharingvet", "./cmd/sharingvet/") into
+// (dir, importPath) pairs for every directory under the module root that
+// contains non-test Go files. A pattern that matches no such directory is
+// an error: a lint run over nothing must not read as clean.
 func ResolvePatterns(root, modPath string, patterns []string) ([][2]string, error) {
 	type rule struct {
-		prefix string // relative dir, "" = root
-		tree   bool   // trailing /...
+		pat     string
+		prefix  string // relative dir, "" = root
+		tree    bool   // trailing /...
+		matched bool
 	}
-	var rules []rule
+	var rules []*rule
 	for _, pat := range patterns {
-		pat = filepath.ToSlash(pat)
-		pat = strings.TrimPrefix(pat, "./")
-		if pat == "..." || pat == "" {
-			rules = append(rules, rule{"", true})
-			continue
+		r := &rule{pat: pat, prefix: path.Clean(filepath.ToSlash(pat))}
+		r.prefix, r.tree = strings.CutSuffix(r.prefix, "...")
+		r.prefix = strings.TrimSuffix(r.prefix, "/")
+		if r.prefix == "." {
+			r.prefix = ""
 		}
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			rules = append(rules, rule{rest, true})
-			continue
-		}
-		rules = append(rules, rule{pat, false})
+		rules = append(rules, r)
 	}
-	match := func(rel string) bool {
+	matching := func(rel string) []*rule {
+		var hit []*rule
 		for _, r := range rules {
-			if r.tree {
-				if r.prefix == "" || rel == r.prefix || strings.HasPrefix(rel, r.prefix+"/") {
-					return true
-				}
-			} else if rel == r.prefix {
-				return true
+			if rel == r.prefix || r.tree && (r.prefix == "" || strings.HasPrefix(rel, r.prefix+"/")) {
+				hit = append(hit, r)
 			}
 		}
-		return false
+		return hit
 	}
 	var out [][2]string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -166,7 +164,8 @@ func ResolvePatterns(root, modPath string, patterns []string) ([][2]string, erro
 		if rel == "." {
 			rel = ""
 		}
-		if !match(rel) {
+		hit := matching(rel)
+		if len(hit) == 0 {
 			return nil
 		}
 		entries, err := os.ReadDir(path)
@@ -181,6 +180,9 @@ func ResolvePatterns(root, modPath string, patterns []string) ([][2]string, erro
 					ip = modPath + "/" + rel
 				}
 				out = append(out, [2]string{path, ip})
+				for _, r := range hit {
+					r.matched = true
+				}
 				break
 			}
 		}
@@ -188,6 +190,11 @@ func ResolvePatterns(root, modPath string, patterns []string) ([][2]string, erro
 	})
 	if err != nil {
 		return nil, err
+	}
+	for _, r := range rules {
+		if !r.matched {
+			return nil, fmt.Errorf("pattern %s matches no package", r.pat)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][1] < out[j][1] })
 	return out, nil

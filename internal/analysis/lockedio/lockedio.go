@@ -9,20 +9,22 @@
 // name contains "Dial", json Encode/Decode (the stream under it may be a
 // conn), blocking channel sends, and — one level
 // deeper — calls to same-package functions that transitively do any of
-// the above. Function literals and go/defer statements are not analyzed
-// (they run outside the lexical lock region or asynchronously).
+// the above, summarized over the package call graph. Function literals
+// and go/defer statements are not analyzed (they run outside the lexical
+// lock region or asynchronously).
 //
-// The lock region tracking is lexical with branch merging: a mutex is
-// considered held after a conditional if any non-returning branch leaves
-// it held. Intentional hold-lock-across-I/O designs (the LRM client
-// serializes its wire protocol under l.mu) are suppressed with
-// //lint:ignore sharingvet/lockedio <reason>.
+// The lock region is the may-held view of the framework's lock walker
+// (analysis.WalkLocks): a mutex is considered held after a conditional if
+// any non-returning branch leaves it held. Intentional hold-lock-across-I/O
+// designs (the LRM client serializes its wire protocol under l.mu) carry a
+// justified suppression directive.
 package lockedio
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -33,18 +35,6 @@ var Analyzer = &analysis.Analyzer{
 	Name: "lockedio",
 	Doc:  "flags conn I/O, dials, json codec calls and channel sends while a sync.Mutex/RWMutex is held",
 	Run:  run,
-}
-
-var lockCalls = map[string]bool{
-	"(*sync.Mutex).Lock":    true,
-	"(*sync.RWMutex).Lock":  true,
-	"(*sync.RWMutex).RLock": true,
-}
-
-var unlockCalls = map[string]bool{
-	"(*sync.Mutex).Unlock":    true,
-	"(*sync.RWMutex).Unlock":  true,
-	"(*sync.RWMutex).RUnlock": true,
 }
 
 var dialFuncs = map[string]bool{
@@ -85,8 +75,13 @@ type checker struct {
 	pass     *analysis.Pass
 	conn     *types.Interface // net.Conn, nil when unreachable
 	listener *types.Interface // net.Listener
-	doesIO   map[*types.Func]bool
-	ioWhy    map[*types.Func]string
+}
+
+// heldCall is an in-package call made while a mutex may be held: a
+// finding once the I/O summaries say the callee does I/O.
+type heldCall struct {
+	call *ast.CallExpr
+	held string
 }
 
 func run(pass *analysis.Pass) error {
@@ -94,110 +89,101 @@ func run(pass *analysis.Pass) error {
 		pass:     pass,
 		conn:     analysis.LookupIface(pass.Pkg, "net", "Conn"),
 		listener: analysis.LookupIface(pass.Pkg, "net", "Listener"),
-		doesIO:   map[*types.Func]bool{},
-		ioWhy:    map[*types.Func]string{},
 	}
-	c.buildSummaries()
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	cg := pass.CallGraph()
+	// ioWhy says, for each function that does I/O, what: first its own
+	// I/O, found by the one walk of its body that also finds the I/O it
+	// does under a mutex; then, by the call graph's fixpoint, the I/O of
+	// the callees it reaches.
+	ioWhy := map[*types.Func]string{}
+	var calls []heldCall
+	for _, f := range cg.Funcs() {
+		analysis.WalkLocks(pass.TypesInfo, cg.DeclOf(f).Body, analysis.LockState{}, analysis.LockHooks{
+			Leaf: func(n ast.Node, st analysis.LockState) {
+				held := heldNames(st)
+				c.inspectForIO(n, func(pos token.Pos, desc string) {
+					if _, ok := ioWhy[f]; !ok {
+						ioWhy[f] = desc
+					}
+					if held != "" {
+						pass.Reportf(pos, "%s while holding %s", desc, held)
+					}
+				}, func(call *ast.CallExpr) {
+					if held != "" {
+						calls = append(calls, heldCall{call, held})
+					}
+				})
+			},
+		})
+	}
+	cg.Fixpoint(func(f *types.Func) bool {
+		if _, ok := ioWhy[f]; ok {
+			return false
+		}
+		for _, site := range cg.CalleesOf(f) {
+			if why, ok := ioWhy[site.Callee]; ok {
+				ioWhy[f] = "calls " + site.Callee.Name() + " which " + why
+				return true
 			}
-			c.walkBlock(fd.Body.List, map[string]token.Pos{})
+		}
+		return false
+	})
+	for _, hc := range calls {
+		for _, site := range analysis.ResolveCall(pass.Pkg, pass.TypesInfo, hc.call, cg.Decls()) {
+			if why, ok := ioWhy[site.Callee]; ok {
+				pass.Reportf(hc.call.Pos(), "call to %s which %s while holding %s", site.Callee.Name(), why, hc.held)
+				break
+			}
 		}
 	}
 	return nil
 }
 
-// buildSummaries computes, for every function declared in this package,
-// whether calling it performs I/O — directly or through same-package
-// callees (fixpoint over the in-package call graph).
-func (c *checker) buildSummaries() {
-	type fn struct {
-		obj   *types.Func
-		body  *ast.BlockStmt
-		calls []*types.Func
+// heldNames lists the mutexes that may be held, sorted, or "" for none.
+func heldNames(st analysis.LockState) string {
+	names := make([]string, 0, len(st.May))
+	for mu := range st.May {
+		names = append(names, mu)
 	}
-	var fns []*fn
-	for _, f := range c.pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := c.pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			entry := &fn{obj: obj, body: fd.Body}
-			c.inspectForIO(fd.Body, func(pos token.Pos, desc string) {
-				if !c.doesIO[obj] {
-					c.doesIO[obj] = true
-					c.ioWhy[obj] = desc
-				}
-			}, func(callee *types.Func, _ token.Pos) {
-				entry.calls = append(entry.calls, callee)
-			})
-			fns = append(fns, entry)
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, f := range fns {
-			if c.doesIO[f.obj] {
-				continue
-			}
-			for _, callee := range f.calls {
-				if c.doesIO[callee] {
-					c.doesIO[f.obj] = true
-					c.ioWhy[f.obj] = "calls " + callee.Name() + " which " + c.ioWhy[callee]
-					changed = true
-					break
-				}
-			}
-		}
-	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
 }
 
-// inspectForIO walks a subtree reporting direct I/O sites and
-// same-package call edges. Function literals, go statements and defers
-// are skipped; selects with a default clause have their (non-blocking)
-// comm statements skipped but their bodies walked.
-func (c *checker) inspectForIO(root ast.Node, report func(token.Pos, string), edge func(*types.Func, token.Pos)) {
+// inspectForIO inspects one leaf of the lock walk, reporting its direct
+// I/O sites and handing every other call it makes to call. Function
+// literals are skipped. A select statement stands
+// for its communications: a send blocks unless the select has a default.
+func (c *checker) inspectForIO(root ast.Node, report func(token.Pos, string), call func(*ast.CallExpr)) {
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+		case *ast.FuncLit:
 			return false
 		case *ast.SendStmt:
 			report(n.Arrow, "blocking channel send")
-			return true
 		case *ast.SelectStmt:
-			hasDefault := false
+			blocking := true
 			for _, cl := range n.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
-				return true
+				blocking = blocking && cl.(*ast.CommClause).Comm != nil
 			}
 			for _, cl := range n.Body.List {
-				cc := cl.(*ast.CommClause)
-				for _, st := range cc.Body {
-					c.inspectForIO(st, report, edge)
+				switch comm := cl.(*ast.CommClause).Comm.(type) {
+				case *ast.SendStmt:
+					if blocking {
+						report(comm.Arrow, "blocking channel send in select")
+					}
+					c.inspectForIO(comm.Chan, report, call)
+					c.inspectForIO(comm.Value, report, call)
+				case ast.Stmt:
+					c.inspectForIO(comm, report, call)
 				}
 			}
 			return false
 		case *ast.CallExpr:
 			if pos, desc, ok := c.directIO(n); ok {
 				report(pos, desc)
-				return true
+			} else {
+				call(n)
 			}
-			if callee := analysis.Callee(c.pass.TypesInfo, n); callee != nil && callee.Pkg() == c.pass.Pkg && edge != nil {
-				edge(callee, n.Pos())
-			}
-			return true
 		}
 		return true
 	})
@@ -248,199 +234,4 @@ func calleeName(e ast.Expr) string {
 		return e.Sel.Name
 	}
 	return ""
-}
-
-// walkBlock interprets a statement list tracking which mutexes are held
-// (keyed by receiver expression, e.g. "s.mu"). It returns the lock set at
-// fall-through exit and whether the block always terminates (returns).
-func (c *checker) walkBlock(stmts []ast.Stmt, held map[string]token.Pos) (map[string]token.Pos, bool) {
-	for _, st := range stmts {
-		var terminated bool
-		held, terminated = c.walkStmt(st, held)
-		if terminated {
-			return held, true
-		}
-	}
-	return held, false
-}
-
-func (c *checker) walkStmt(st ast.Stmt, held map[string]token.Pos) (map[string]token.Pos, bool) {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if mu, kind := c.lockOp(call); kind != 0 {
-				held = clone(held)
-				if kind > 0 {
-					held[mu] = call.Pos()
-				} else {
-					delete(held, mu)
-				}
-				return held, false
-			}
-			if isTerminator(c.pass.TypesInfo, call) {
-				return held, true
-			}
-		}
-		c.checkSimple(st, held)
-		return held, false
-	case *ast.BlockStmt:
-		return c.walkBlock(st.List, held)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			c.checkSimple(st.Init, held)
-		}
-		c.checkSimple(st.Cond, held)
-		thenExit, thenTerm := c.walkBlock(st.Body.List, clone(held))
-		elseExit, elseTerm := clone(held), false
-		if st.Else != nil {
-			elseExit, elseTerm = c.walkStmt(st.Else, clone(held))
-		}
-		return merge2(thenExit, thenTerm, elseExit, elseTerm, held), false
-	case *ast.ForStmt:
-		if st.Init != nil {
-			c.checkSimple(st.Init, held)
-		}
-		if st.Cond != nil {
-			c.checkSimple(st.Cond, held)
-		}
-		bodyExit, _ := c.walkBlock(st.Body.List, clone(held))
-		return union(held, bodyExit), false
-	case *ast.RangeStmt:
-		c.checkSimple(st.X, held)
-		bodyExit, _ := c.walkBlock(st.Body.List, clone(held))
-		return union(held, bodyExit), false
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		var body *ast.BlockStmt
-		if sw, ok := st.(*ast.SwitchStmt); ok {
-			if sw.Tag != nil {
-				c.checkSimple(sw.Tag, held)
-			}
-			body = sw.Body
-		} else {
-			body = st.(*ast.TypeSwitchStmt).Body
-		}
-		exit := clone(held)
-		for _, cl := range body.List {
-			cc := cl.(*ast.CaseClause)
-			clExit, clTerm := c.walkBlock(cc.Body, clone(held))
-			if !clTerm {
-				exit = union(exit, clExit)
-			}
-		}
-		return exit, false
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, cl := range st.Body.List {
-			if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		exit := clone(held)
-		for _, cl := range st.Body.List {
-			cc := cl.(*ast.CommClause)
-			if cc.Comm != nil && !hasDefault && len(held) > 0 {
-				if send, ok := cc.Comm.(*ast.SendStmt); ok {
-					c.report(send.Arrow, "blocking channel send in select", held)
-				}
-			}
-			clExit, clTerm := c.walkBlock(cc.Body, clone(held))
-			if !clTerm {
-				exit = union(exit, clExit)
-			}
-		}
-		return exit, false
-	case *ast.LabeledStmt:
-		return c.walkStmt(st.Stmt, held)
-	case *ast.GoStmt, *ast.DeferStmt:
-		return held, false
-	case *ast.ReturnStmt:
-		c.checkSimple(st, held)
-		return held, true
-	default:
-		c.checkSimple(st, held)
-		return held, false
-	}
-}
-
-// checkSimple reports I/O inside a non-control-flow statement (or a
-// condition expression wrapped in one) when any mutex is held.
-func (c *checker) checkSimple(n ast.Node, held map[string]token.Pos) {
-	if len(held) == 0 {
-		return
-	}
-	c.inspectForIO(n, func(pos token.Pos, desc string) {
-		c.report(pos, desc, held)
-	}, func(callee *types.Func, pos token.Pos) {
-		if c.doesIO[callee] {
-			c.report(pos, "call to "+callee.Name()+" which "+c.ioWhy[callee], held)
-		}
-	})
-}
-
-func (c *checker) report(pos token.Pos, desc string, held map[string]token.Pos) {
-	names := make([]string, 0, len(held))
-	for mu := range held {
-		names = append(names, mu)
-	}
-	c.pass.Reportf(pos, "%s while holding %s", desc, strings.Join(names, ", "))
-}
-
-// lockOp classifies a call as +1 (lock), -1 (unlock) or 0, returning the
-// mutex key.
-func (c *checker) lockOp(call *ast.CallExpr) (string, int) {
-	full := analysis.MethodFullName(c.pass.TypesInfo, call)
-	var kind int
-	switch {
-	case lockCalls[full]:
-		kind = 1
-	case unlockCalls[full]:
-		kind = -1
-	default:
-		return "", 0
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", 0
-	}
-	return types.ExprString(sel.X), kind
-}
-
-func isTerminator(info *types.Info, call *ast.CallExpr) bool {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			return true
-		}
-	}
-	return analysis.MethodFullName(info, call) == "os.Exit"
-}
-
-func clone(m map[string]token.Pos) map[string]token.Pos {
-	out := make(map[string]token.Pos, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func union(a, b map[string]token.Pos) map[string]token.Pos {
-	out := clone(a)
-	for k, v := range b {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func merge2(a map[string]token.Pos, aTerm bool, b map[string]token.Pos, bTerm bool, entry map[string]token.Pos) map[string]token.Pos {
-	switch {
-	case aTerm && bTerm:
-		return clone(entry)
-	case aTerm:
-		return b
-	case bTerm:
-		return a
-	default:
-		return union(a, b)
-	}
 }

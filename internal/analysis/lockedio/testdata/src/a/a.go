@@ -145,8 +145,8 @@ func solve(v []float64) float64 {
 	return x
 }
 
-// unlockSolveRelock is the GRM's optimistic-concurrency shape: snapshot
-// under the lock, drop it for the solve, and re-acquire to commit. No
+// unlockSolveRelock is the optimistic-concurrency shape: snapshot under
+// the lock, drop it for the solve, and re-acquire to commit. No
 // diagnostic — the solve runs outside the lock region, and a pure
 // computation is not I/O even when a later relocked section follows.
 func unlockSolveRelock(s *S, v []float64) float64 {
@@ -178,4 +178,36 @@ func relockThenIO(s *S, c net.Conn, buf []byte) {
 	s.mu.Lock()
 	c.Read(buf) // want "conn read while holding s.mu"
 	s.mu.Unlock()
+}
+
+// A switch's Init, a for statement's Post and a type switch's Assign run
+// under the lock like any other statement.
+
+func badSwitchInit(s *S, c net.Conn, buf []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch n, _ := c.Read(buf); n { // want "conn read while holding s.mu"
+	case 0:
+	}
+}
+
+func badForPost(s *S, c net.Conn, buf []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := 0; i < 2; c.Read(buf) { // want "conn read while holding s.mu"
+		i++
+	}
+}
+
+func writeAny(c net.Conn, buf []byte) any {
+	c.Write(buf)
+	return nil
+}
+
+func badTypeSwitchAssign(s *S, c net.Conn, buf []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch writeAny(c, buf).(type) { // want "call to writeAny which conn write while holding s.mu"
+	case nil:
+	}
 }

@@ -28,19 +28,20 @@
 //     still carries an inherited requirement is reported — external
 //     callers cannot hold an unexported mutex.
 //
-// Held-ness is must-hold: lexical tracking with intersection at branch
-// joins, so a mutex released on any path is not considered held. The
-// optimistic unlock-solve-relock pattern in the GRM allocation paths is
-// therefore reported (the analyzer cannot see the path correlation
-// through the `locked` flag) and suppressed there with a justified
-// //lint:ignore. Function literals and go/defer statements are not
-// walked — the same blind spots the other sharingvet walkers have.
+// Held-ness is the must-held view of the framework's lock walker
+// (analysis.WalkLocks): intersection at branch joins, so a mutex released
+// on any path is not considered held. A lock state correlated with a flag
+// — released on one branch and re-acquired on a later one guarded by the
+// same flag — therefore reads as not held, and a *Locked call after it is
+// reported; the GRM plans under s.mu and has no such shape. Function
+// literals and go/defer statements are not walked.
 package lockorder
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
@@ -53,27 +54,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc:  "builds the mutex-acquisition graph; flags cycles, double acquisition, and *Locked-suffix convention violations",
 	Run:  run,
 }
-
-var lockCalls = map[string]bool{
-	"(*sync.Mutex).Lock":    true,
-	"(*sync.RWMutex).Lock":  true,
-	"(*sync.RWMutex).RLock": true,
-}
-
-var unlockCalls = map[string]bool{
-	"(*sync.Mutex).Unlock":    true,
-	"(*sync.RWMutex).Unlock":  true,
-	"(*sync.RWMutex).RUnlock": true,
-}
-
-// heldInfo describes one must-held mutex.
-type heldInfo struct {
-	pos   token.Pos
-	expr  string // source expression that locked it ("s.mu")
-	entry bool   // held by the *Locked entry convention, not a Lock call
-}
-
-type lockState map[string]heldInfo
 
 // edge is one acquisition-order edge with a witness position.
 type edge struct {
@@ -90,7 +70,7 @@ type checker struct {
 	mayAcq    map[*types.Func]map[string]token.Pos
 	// requires maps each function to the mutexes its callers must hold:
 	// seeded by the *Locked suffix, propagated through pass-through
-	// callers by walkAll in propagate mode.
+	// callers by walkAll before the reporting pass.
 	requires map[*types.Func]map[string]bool
 	// edges is the acquisition graph: edges[A] holds every B acquired
 	// while A was must-held.
@@ -114,10 +94,10 @@ func run(pass *analysis.Pass) error {
 	// Propagate inherited requirements to a fixpoint, then report.
 	for c.changed = true; c.changed; {
 		c.changed = false
-		c.walkAll(false)
+		c.walkAll()
 	}
 	c.report = true
-	c.walkAll(true)
+	c.walkAll()
 	c.reportExportedRequires()
 	c.reportCycles()
 	return nil
@@ -127,25 +107,14 @@ func run(pass *analysis.Pass) error {
 func (c *checker) buildAcquireSets() {
 	for _, f := range c.cg.Funcs() {
 		acq := map[string]token.Pos{}
-		ast.Inspect(c.cg.DeclOf(f).Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
-				return false
-			case *ast.CallExpr:
-				if key, _, kind := c.lockOp(n); kind > 0 {
-					if _, ok := acq[key]; !ok {
-						acq[key] = n.Pos()
-					}
+		analysis.WalkLocks(c.pass.TypesInfo, c.cg.DeclOf(f).Body, analysis.LockState{}, analysis.LockHooks{
+			Lock: func(l analysis.HeldLock, _ analysis.LockState) {
+				if _, ok := acq[l.Key]; !ok {
+					acq[l.Key] = l.Pos
 				}
-			}
-			return true
+			},
 		})
-		c.directAcq[f] = acq
-		may := make(map[string]token.Pos, len(acq))
-		for k, v := range acq {
-			may[k] = v
-		}
-		c.mayAcq[f] = may
+		c.directAcq[f], c.mayAcq[f] = acq, maps.Clone(acq)
 	}
 	c.cg.Fixpoint(func(f *types.Func) bool {
 		changed := false
@@ -182,11 +151,11 @@ func (c *checker) seedRequires() {
 }
 
 // walkAll interprets every function body tracking the must-held set.
-func (c *checker) walkAll(report bool) {
+func (c *checker) walkAll() {
 	for _, f := range c.cg.Funcs() {
-		entry := lockState{}
+		decl := c.cg.DeclOf(f)
+		entry := map[string]analysis.HeldLock{}
 		if req := c.requires[f]; len(req) > 0 {
-			decl := c.cg.DeclOf(f)
 			recvName := ""
 			if decl.Recv != nil && len(decl.Recv.List) > 0 && len(decl.Recv.List[0].Names) > 0 {
 				recvName = decl.Recv.List[0].Names[0].Name
@@ -196,190 +165,52 @@ func (c *checker) walkAll(report bool) {
 				if i := strings.IndexByte(key, '.'); i >= 0 && recvName != "" {
 					expr = recvName + key[i:]
 				}
-				entry[key] = heldInfo{pos: decl.Name.Pos(), expr: expr, entry: true}
+				entry[key] = analysis.HeldLock{Key: key, Expr: expr, Pos: decl.Name.Pos(), Entry: true}
 			}
 		}
-		c.walkBlock(f, c.cg.DeclOf(f).Body.List, entry)
+		analysis.WalkLocks(c.pass.TypesInfo, decl.Body, analysis.LockState{Must: entry}, analysis.LockHooks{
+			Lock: func(l analysis.HeldLock, st analysis.LockState) { c.onAcquire(f, l, st.Must) },
+			Leaf: func(n ast.Node, st analysis.LockState) { c.checkCalls(f, n, st.Must) },
+		})
 	}
-}
-
-// walkBlock interprets a statement list; it returns the must-held set at
-// fall-through exit and whether the block always terminates.
-func (c *checker) walkBlock(f *types.Func, stmts []ast.Stmt, held lockState) (lockState, bool) {
-	for _, st := range stmts {
-		var terminated bool
-		held, terminated = c.walkStmt(f, st, held)
-		if terminated {
-			return held, true
-		}
-	}
-	return held, false
-}
-
-func (c *checker) walkStmt(f *types.Func, st ast.Stmt, held lockState) (lockState, bool) {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if key, expr, kind := c.lockOp(call); kind != 0 {
-				held = clone(held)
-				if kind > 0 {
-					c.onAcquire(f, key, expr, call.Pos(), held)
-					held[key] = heldInfo{pos: call.Pos(), expr: expr}
-				} else {
-					delete(held, key)
-				}
-				return held, false
-			}
-			if isTerminator(c.pass.TypesInfo, call) {
-				return held, true
-			}
-		}
-		c.checkCalls(f, st, held)
-		return held, false
-	case *ast.BlockStmt:
-		return c.walkBlock(f, st.List, held)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			c.checkCalls(f, st.Init, held)
-		}
-		c.checkCalls(f, st.Cond, held)
-		thenExit, thenTerm := c.walkBlock(f, st.Body.List, clone(held))
-		if st.Else == nil {
-			if thenTerm {
-				return held, false
-			}
-			return intersect(thenExit, held), false
-		}
-		elseExit, elseTerm := c.walkStmt(f, st.Else, clone(held))
-		switch {
-		case thenTerm && elseTerm:
-			return held, true
-		case thenTerm:
-			return elseExit, false
-		case elseTerm:
-			return thenExit, false
-		default:
-			return intersect(thenExit, elseExit), false
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			c.checkCalls(f, st.Init, held)
-		}
-		if st.Cond != nil {
-			c.checkCalls(f, st.Cond, held)
-		}
-		bodyExit, _ := c.walkBlock(f, st.Body.List, clone(held))
-		return intersect(held, bodyExit), false
-	case *ast.RangeStmt:
-		c.checkCalls(f, st.X, held)
-		bodyExit, _ := c.walkBlock(f, st.Body.List, clone(held))
-		return intersect(held, bodyExit), false
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		var body *ast.BlockStmt
-		if sw, ok := st.(*ast.SwitchStmt); ok {
-			if sw.Init != nil {
-				c.checkCalls(f, sw.Init, held)
-			}
-			if sw.Tag != nil {
-				c.checkCalls(f, sw.Tag, held)
-			}
-			body = sw.Body
-		} else {
-			body = st.(*ast.TypeSwitchStmt).Body
-		}
-		return c.walkClauses(f, body, held, false)
-	case *ast.SelectStmt:
-		return c.walkClauses(f, st.Body, held, true)
-	case *ast.LabeledStmt:
-		return c.walkStmt(f, st.Stmt, held)
-	case *ast.GoStmt, *ast.DeferStmt:
-		return held, false
-	case *ast.ReturnStmt:
-		c.checkCalls(f, st, held)
-		return held, true
-	default:
-		c.checkCalls(f, st, held)
-		return held, false
-	}
-}
-
-// walkClauses merges a switch or select body: the must-held exit is the
-// intersection over non-terminating clauses, plus the entry state when a
-// switch has no default (the no-match path falls through unchanged).
-func (c *checker) walkClauses(f *types.Func, body *ast.BlockStmt, held lockState, isSelect bool) (lockState, bool) {
-	var exits []lockState
-	hasDefault := false
-	for _, cl := range body.List {
-		var stmts []ast.Stmt
-		switch cl := cl.(type) {
-		case *ast.CaseClause:
-			if cl.List == nil {
-				hasDefault = true
-			}
-			stmts = cl.Body
-		case *ast.CommClause:
-			if cl.Comm == nil {
-				hasDefault = true
-			} else {
-				c.checkCalls(f, cl.Comm, held)
-			}
-			stmts = cl.Body
-		}
-		clExit, clTerm := c.walkBlock(f, stmts, clone(held))
-		if !clTerm {
-			exits = append(exits, clExit)
-		}
-	}
-	if !hasDefault && !isSelect {
-		exits = append(exits, held)
-	}
-	if isSelect && !hasDefault && len(exits) == 0 && len(body.List) > 0 {
-		return held, true
-	}
-	if len(exits) == 0 {
-		if len(body.List) == 0 {
-			return held, false
-		}
-		if hasDefault {
-			return held, true
-		}
-		return held, false
-	}
-	out := exits[0]
-	for _, e := range exits[1:] {
-		out = intersect(out, e)
-	}
-	return out, false
 }
 
 // onAcquire handles one direct Lock: double-acquisition and acquisition
 // edges from every must-held mutex.
-func (c *checker) onAcquire(f *types.Func, key, expr string, pos token.Pos, held lockState) {
+func (c *checker) onAcquire(f *types.Func, l analysis.HeldLock, held map[string]analysis.HeldLock) {
 	if !c.report {
 		return
 	}
-	if prev, ok := held[key]; ok && prev.expr == expr {
-		if prev.entry {
-			c.pass.Reportf(pos, "%s is a *Locked helper: it must not acquire %s, which its caller already holds by convention", f.Name(), key)
+	if prev, ok := held[l.Key]; ok && prev.Expr == l.Expr {
+		if prev.Entry {
+			c.pass.Reportf(l.Pos, "%s is a *Locked helper: it must not acquire %s, which its caller already holds by convention", f.Name(), l.Key)
 		} else {
-			c.pass.Reportf(pos, "%s acquired again while already held (not reentrant; first acquired at %s)", key, c.pass.Fset.Position(prev.pos))
+			c.pass.Reportf(l.Pos, "%s acquired again while already held (not reentrant; first acquired at %s)", l.Key, c.pass.Fset.Position(prev.Pos))
 		}
 		return
 	}
 	for heldKey := range held {
-		if heldKey != key {
-			c.edges[heldKey] = append(c.edges[heldKey], edge{to: key, pos: pos})
+		if heldKey != l.Key {
+			c.edges[heldKey] = append(c.edges[heldKey], edge{to: l.Key, pos: l.Pos})
 		}
 	}
 }
 
-// checkCalls inspects a statement or expression subtree for resolved
-// calls, applying the requires check and recording acquisition edges
-// through callee may-acquire sets.
-func (c *checker) checkCalls(f *types.Func, n ast.Node, held lockState) {
+// checkCalls inspects one leaf of the lock walk for resolved calls,
+// applying the requires check and recording acquisition edges through
+// callee may-acquire sets. A select statement stands for its
+// communications.
+func (c *checker) checkCalls(f *types.Func, n ast.Node, held map[string]analysis.HeldLock) {
 	ast.Inspect(n, func(node ast.Node) bool {
 		switch node := node.(type) {
-		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+		case *ast.FuncLit:
+			return false
+		case *ast.SelectStmt:
+			for _, cl := range node.Body.List {
+				if comm := cl.(*ast.CommClause).Comm; comm != nil {
+					c.checkCalls(f, comm, held)
+				}
+			}
 			return false
 		case *ast.CallExpr:
 			for _, site := range analysis.ResolveCall(c.pass.Pkg, c.pass.TypesInfo, node, c.cg.Decls()) {
@@ -390,7 +221,7 @@ func (c *checker) checkCalls(f *types.Func, n ast.Node, held lockState) {
 	})
 }
 
-func (c *checker) checkCallSite(f, callee *types.Func, pos token.Pos, held lockState) {
+func (c *checker) checkCallSite(f, callee *types.Func, pos token.Pos, held map[string]analysis.HeldLock) {
 	for key := range c.requires[callee] {
 		if _, ok := held[key]; ok {
 			continue
@@ -504,65 +335,4 @@ func canonicalCycle(cycle []string) string {
 	}
 	rotated := append(append([]string(nil), cycle[min:]...), cycle[:min]...)
 	return strings.Join(rotated, "→")
-}
-
-// lockOp classifies a call as +1 (lock) / -1 (unlock), returning the
-// type-qualified mutex key ("Server.mu") and the source expression.
-func (c *checker) lockOp(call *ast.CallExpr) (key, expr string, kind int) {
-	full := analysis.MethodFullName(c.pass.TypesInfo, call)
-	switch {
-	case lockCalls[full]:
-		kind = 1
-	case unlockCalls[full]:
-		kind = -1
-	default:
-		return "", "", 0
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", "", 0
-	}
-	expr = types.ExprString(sel.X)
-	key = expr
-	// A mutex that is a struct field is keyed by its owning type, so
-	// "s.mu" and "srv.mu" in different functions name the same lock.
-	if fieldSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-		if tv, ok := c.pass.TypesInfo.Types[fieldSel.X]; ok {
-			t := tv.Type
-			if ptr, isPtr := t.(*types.Pointer); isPtr {
-				t = ptr.Elem()
-			}
-			if named, isNamed := t.(*types.Named); isNamed {
-				key = named.Obj().Name() + "." + fieldSel.Sel.Name
-			}
-		}
-	}
-	return key, expr, kind
-}
-
-func isTerminator(info *types.Info, call *ast.CallExpr) bool {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			return true
-		}
-	}
-	return analysis.MethodFullName(info, call) == "os.Exit"
-}
-
-func clone(m lockState) lockState {
-	out := make(lockState, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func intersect(a, b lockState) lockState {
-	out := lockState{}
-	for k, v := range a {
-		if _, ok := b[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
 }

@@ -103,8 +103,7 @@ func (s *S) optimistic(stale bool) {
 	s.mu.Unlock()
 }
 
-// optimisticJustified is the same pattern with the suppression the real
-// allocation paths carry.
+// optimisticJustified is the same pattern with a justified suppression.
 func (s *S) optimisticJustified(stale bool) {
 	s.mu.Lock()
 	if !stale {
@@ -219,5 +218,29 @@ func (s *S) branchRelease(ok bool) {
 		return
 	}
 	s.bumpLocked()
+	s.mu.Unlock()
+}
+
+// --- a for statement's Post and a type switch's Assign run under the lock ---
+
+func (s *S) forPostRelock() {
+	s.mu.Lock()
+	for i := 0; i < 2; s.relock() { // want `call to relock may acquire S\.mu, which is already held`
+		i++
+	}
+	s.mu.Unlock()
+}
+
+func (s *S) snapshot() any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
+}
+
+func (s *S) typeSwitchRelock() {
+	s.mu.Lock()
+	switch s.snapshot().(type) { // want `call to snapshot may acquire S\.mu, which is already held`
+	case int:
+	}
 	s.mu.Unlock()
 }

@@ -417,7 +417,7 @@ func TestGrowCopiesHeadersOnly(t *testing.T) {
 		if eg != nil || ef != nil {
 			t.Fatalf("requester %d: grown err %v, fresh err %v", r, eg, ef)
 		}
-		if pg.Theta != pf.Theta { //lint:ignore sharingvet/floateq the test pins bit-identical plans
+		if pg.Theta != pf.Theta {
 			t.Fatalf("requester %d: θ = %v grown, %v fresh", r, pg.Theta, pf.Theta)
 		}
 		if !sameBits(pg.Take, pf.Take) {

@@ -85,12 +85,12 @@ func requirePlansIdentical(t *testing.T, got, want *Allocator, v []float64, labe
 			continue
 		}
 		for i := 0; i < n; i++ {
-			if pg.Take[i] != pw.Take[i] || pg.NewV[i] != pw.NewV[i] { //lint:ignore sharingvet/floateq the test pins bit-identical plans
+			if pg.Take[i] != pw.Take[i] || pg.NewV[i] != pw.NewV[i] {
 				t.Fatalf("%s: requester %d: Take[%d]=%v NewV[%d]=%v, rebuild %v / %v",
 					label, r, i, pg.Take[i], i, pg.NewV[i], pw.Take[i], pw.NewV[i])
 			}
 		}
-		if pg.Theta != pw.Theta { //lint:ignore sharingvet/floateq the test pins bit-identical plans
+		if pg.Theta != pw.Theta {
 			t.Fatalf("%s: requester %d: Theta %v, rebuild %v", label, r, pg.Theta, pw.Theta)
 		}
 	}

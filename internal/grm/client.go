@@ -158,8 +158,6 @@ func (l *LRM) dialWire() (*binWire, error) {
 // to the existing principal on a reconnect), and replays the last
 // availability report so the GRM's view survives the outage. Callers hold
 // l.mu.
-//
-//lint:ignore sharingvet/lockedio l.mu intentionally serializes the reconnect dial + register/replay exchange; each step is bounded by cfg.Timeout and no other lock nests under l.mu
 func (l *LRM) connectLocked() error {
 	w, err := l.dialWire()
 	if err != nil {

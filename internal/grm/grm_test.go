@@ -1004,7 +1004,7 @@ func TestRevokeBesideVirtualCurrencyPatches(t *testing.T) {
 	if !kept || after != builds {
 		t.Fatalf("revoke beside a virtual currency: planner kept = %v, builds %d -> %d; want kept, unchanged", kept, builds, after)
 	}
-	if funded, reissued := 0.1, 0.2; rel != reissued*funded { //lint:ignore sharingvet/floateq the routed cell is declared, bit for bit
+	if funded, reissued := 0.1, 0.2; rel != reissued*funded {
 		t.Fatalf("S[B][A] after the revoke = %v, want the declared %v", rel, reissued*funded)
 	}
 	fresh := open()

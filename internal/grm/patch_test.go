@@ -144,7 +144,7 @@ func patchWorker(t *testing.T, w, block, rounds int, handle func(*Request) *Resp
 		for _, p := range st.Principals {
 			if p.Principal == ids[0] {
 				found = true
-				if p.Available != reported { //lint:ignore sharingvet/floateq a report sets the bits
+				if p.Available != reported {
 					fail("round %d: status shows %v available at %d, which reported %v", r, p.Available, ids[0], reported)
 				}
 			}

@@ -217,7 +217,7 @@ func deadline(d *atomic.Int64) time.Time {
 }
 
 // serveConn admits one accepted connection: its first byte must open the
-// version-2 hello (wire.go), anything else is refused by hanging up. The
+// hello (wire.go), anything else is refused by hanging up. The
 // peek runs under the idle deadline so a silent peer is still dropped.
 func (t *Server) serveConn(conn net.Conn) {
 	defer conn.Close()

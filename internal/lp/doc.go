@@ -36,5 +36,5 @@
 // the tableau itself is dense.
 //
 // The model-based tests judge this solver against an independent one,
-// modeltest.RefSolve; the text format cmd/lpsolve reads lives there.
+// modeltest.RefSolve.
 package lp

@@ -171,7 +171,6 @@ func compareIncremental(cur *core.Allocator, s, a [][]float64, v []float64, leve
 	}
 	for i := range s {
 		for j := range s[i] {
-			//lint:ignore sharingvet/floateq incremental results are pinned bit-identical to the rebuild
 			if cur.Share(i, j) != s[i][j] || cur.Agreement(i, j) != fresh.Agreement(i, j) {
 				return fmt.Errorf("S[%d][%d], A[%d][%d] = %g, %g incremental, %g, %g fresh",
 					i, j, i, j, cur.Share(i, j), cur.Agreement(i, j), s[i][j], fresh.Agreement(i, j))
@@ -186,7 +185,6 @@ func compareIncremental(cur *core.Allocator, s, a [][]float64, v []float64, leve
 	gotCaps := cur.Capacities(v)
 	wantCaps := fresh.Capacities(v)
 	for i := range wantCaps {
-		//lint:ignore sharingvet/floateq incremental results are pinned bit-identical to the rebuild
 		if gotCaps[i] != wantCaps[i] {
 			return fmt.Errorf("C[%d] = %g incremental, %g fresh", i, gotCaps[i], wantCaps[i])
 		}
@@ -204,12 +202,10 @@ func compareIncremental(cur *core.Allocator, s, a [][]float64, v []float64, leve
 	if gotErr != nil {
 		return nil
 	}
-	//lint:ignore sharingvet/floateq incremental results are pinned bit-identical to the rebuild
 	if got.Theta != want.Theta {
 		return fmt.Errorf("Plan(requester=%d, amount=%g): θ = %g incremental, %g fresh", requester, amount, got.Theta, want.Theta)
 	}
 	for i := range want.Take {
-		//lint:ignore sharingvet/floateq incremental results are pinned bit-identical to the rebuild
 		if got.Take[i] != want.Take[i] || got.NewV[i] != want.NewV[i] {
 			return fmt.Errorf("Plan(requester=%d, amount=%g): take[%d] = (%g, %g) incremental, (%g, %g) fresh",
 				requester, amount, i, got.Take[i], got.NewV[i], want.Take[i], want.NewV[i])
@@ -257,7 +253,6 @@ func checkSparseRows(al *core.Allocator) error {
 			if want > 1 {
 				want, capped = 1, true
 			}
-			//lint:ignore sharingvet/floateq K is the exact elementwise cap of T
 			if k[x] != want {
 				return fmt.Errorf("row %d: K[%d] = %g, want min(T, 1) = %g", i, j, k[x], want)
 			}

@@ -131,7 +131,6 @@ func TestIncrementalEquivalenceAfterRecover(t *testing.T) {
 		t.Fatalf("capacity vectors: live %d, recovered %d, want %d", len(liveCaps), len(recCaps), n)
 	}
 	for i := 0; i < n; i++ {
-		//lint:ignore sharingvet/floateq recovery replay is pinned bit-identical to the live incremental state
 		if recAvail[i] != liveAvail[i] || recCaps[i] != liveCaps[i] {
 			t.Errorf("principal %d: live (avail=%g, cap=%g), recovered (avail=%g, cap=%g)",
 				i, liveAvail[i], liveCaps[i], recAvail[i], recCaps[i])
@@ -150,7 +149,6 @@ func TestIncrementalEquivalenceAfterRecover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovered allocate: %v", err)
 	}
-	//lint:ignore sharingvet/floateq recovery replay is pinned bit-identical to the live incremental state
 	if recPlan.Theta != livePlan.Theta {
 		t.Errorf("θ = %g live, %g recovered", livePlan.Theta, recPlan.Theta)
 	}
@@ -158,7 +156,6 @@ func TestIncrementalEquivalenceAfterRecover(t *testing.T) {
 		t.Fatalf("takes: live %d entries from %v, recovered %d from %v", len(livePlan.Takes), livePlan.Sources, len(recPlan.Takes), recPlan.Sources)
 	}
 	for i := range livePlan.Takes {
-		//lint:ignore sharingvet/floateq recovery replay is pinned bit-identical to the live incremental state
 		if recPlan.Takes[i] != livePlan.Takes[i] {
 			t.Errorf("take[%d] = %g live, %g recovered", i, livePlan.Takes[i], recPlan.Takes[i])
 		}

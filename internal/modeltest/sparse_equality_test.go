@@ -27,7 +27,7 @@ func built(m [][]float64) *agreement.SparseMatrix {
 	b := agreement.NewSparseBuilder(len(m))
 	for i, row := range m {
 		for j, v := range row {
-			if v != 0 { //lint:ignore sharingvet/floateq exact zeros are unstored
+			if v != 0 {
 				b.Add(i, j, v)
 			}
 		}

@@ -15,7 +15,7 @@ const Eps = 1e-9
 // Eq reports whether a and b are equal within Eps, scaled by the larger
 // magnitude (relative for large values, absolute near zero).
 func Eq(a, b float64) bool {
-	if a == b { //lint:ignore sharingvet/floateq the helper the analyzer points to
+	if a == b {
 		return true
 	}
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
@@ -28,7 +28,7 @@ func Eq(a, b float64) bool {
 // would silently drop small but real values. Use Eq(x, 0) when you mean
 // "numerically negligible".
 func IsZero(x float64) bool {
-	return x == 0 //lint:ignore sharingvet/floateq exact zero is the documented contract
+	return x == 0
 }
 
 // SolveTol is the documented tolerance for a quantity that comes out of
@@ -50,7 +50,7 @@ const SolveTol = 1e-6
 // larger magnitude. This is the comparison bench/check.go makes on every
 // reply and every status.
 func EqSolve(a, b float64) bool {
-	if a == b { //lint:ignore sharingvet/floateq the helper the analyzer points to
+	if a == b {
 		return true
 	}
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
@@ -93,7 +93,7 @@ const ChainSumTol = 1e-10
 // coefficient is a sum of products of shares and can be legitimately
 // tiny.
 func EqChainSum(a, b float64) bool {
-	if a == b { //lint:ignore sharingvet/floateq the helper the analyzer points to
+	if a == b {
 		return true
 	}
 	return math.Abs(a-b) <= ChainSumTol*math.Max(math.Abs(a), math.Abs(b))

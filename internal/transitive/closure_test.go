@@ -41,7 +41,7 @@ func requireBitEqual(t *testing.T, got, want [][]float64, label string) {
 	}
 	for i := range want {
 		for j := range want[i] {
-			if got[i][j] != want[i][j] { //lint:ignore sharingvet/floateq the test pins bit-identical results
+			if got[i][j] != want[i][j] {
 				t.Fatalf("%s: [%d][%d] = %v, want %v", label, i, j, got[i][j], want[i][j])
 			}
 		}
@@ -50,8 +50,8 @@ func requireBitEqual(t *testing.T, got, want [][]float64, label string) {
 
 // TestClosureUpdateEdgeMatchesFull drives random edge-update schedules
 // and pins the incremental closure bit-for-bit to a from-scratch
-// recompute at every step, across both row variants (n <= 64 bitmask,
-// n > 64 big fallback), and several levels.
+// recompute at every step, across populations either side of 64 and
+// several levels.
 func TestClosureUpdateEdgeMatchesFull(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -193,7 +193,7 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 			if len(oldVals) != 0 {
 				t.Fatalf("%s: PatchEdge handed back %d values beyond the rows' columns", label, len(oldVals))
 			}
-			if ov != nv { //lint:ignore sharingvet/floateq counts edits that moved a value
+			if ov != nv {
 				paths[path]++
 			}
 			up = next
@@ -261,7 +261,7 @@ func TestClosureBlastFallback(t *testing.T) {
 	for i := 0; i < n; i++ {
 		same := true
 		for j := 0; j < n; j++ {
-			if rowsT(next)[i][j] != rowsT(c)[i][j] { //lint:ignore sharingvet/floateq bit-level row diff
+			if rowsT(next)[i][j] != rowsT(c)[i][j] {
 				same = false
 			}
 		}
@@ -306,7 +306,7 @@ func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
 }
 
 // TestClosureRowsAreExactSize pins the emit contract of the row kernels
-// on both variants (n <= 64 bitmask, n > 64 scratch stacks): ascending
+// on a small and a large population: ascending
 // columns, no stored zero, no spare capacity, nil for an empty row — and
 // the same kernels run on one worker and scattered dense hold the same
 // entries.
@@ -330,13 +330,13 @@ func TestClosureRowsAreExactSize(t *testing.T) {
 				if x > 0 && cols[x-1] >= j {
 					t.Fatalf("n=%d: row %d columns not ascending: %v", n, i, cols)
 				}
-				if vals[x] == 0 { //lint:ignore sharingvet/floateq rows store no exact zero
+				if vals[x] == 0 {
 					t.Fatalf("n=%d: row %d stores a zero at column %d", n, i, j)
 				}
 				stored++
 			}
 			for _, v := range dense[i] {
-				if v != 0 { //lint:ignore sharingvet/floateq counting exact non-zeros
+				if v != 0 {
 					stored--
 				}
 			}
@@ -397,7 +397,7 @@ func TestClosureBudget(t *testing.T) {
 		t.Fatalf("dense update under budget 50: err = %v, want ErrBudget", err)
 	}
 	// The receiver is untouched and still answers queries.
-	if c.Edge(0, 1) != 0.1 { //lint:ignore sharingvet/floateq exact state check
+	if c.Edge(0, 1) != 0.1 {
 		t.Fatalf("receiver mutated by refused update: edge = %v", c.Edge(0, 1))
 	}
 	// Lifting the budget lets the same mutation through.

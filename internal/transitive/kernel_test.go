@@ -27,12 +27,8 @@ func dfsRows(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
 	sc := getScratch(n)
 	for src := 0; src < n; src++ {
 		st := newSteps(noCap, nil)
-		if n <= 64 {
-			exactRowSparse64(g, src, maxLen, t[src], &st)
-		} else {
-			sc.exactRowBig(g, src, maxLen, &st)
-			sc.takeDense(t[src])
-		}
+		sc.exactRowDFS(g, src, maxLen, &st)
+		sc.takeDense(t[src])
 	}
 	scratchPool.Put(sc)
 	return t
@@ -63,13 +59,8 @@ func dpRows(t *testing.T, n int, adj [][]int32, vals [][]float64, maxLen int) []
 // left clear.
 func enumerate(sc *rowScratch, g []sparseRow, src, maxLen, limit int) (int, dfsEnd) {
 	st := newSteps(limit, nil)
-	var end dfsEnd
-	if len(g) <= 64 {
-		_, end = exactRowSparse64(g, src, maxLen, make([]float64, len(g)), &st)
-	} else {
-		end = sc.exactRowBig(g, src, maxLen, &st)
-		sc.discard()
-	}
+	end := sc.exactRowDFS(g, src, maxLen, &st)
+	sc.discard()
 	return st.n, end
 }
 
@@ -189,8 +180,7 @@ func worstRel(t *testing.T, got, want [][]float64, label string) float64 {
 // definition's order, and the DP within num.ChainSumTol. The variants
 // cover unequal shares, shares above 1 (the overdraft extension lifts the
 // row-sum restriction), zero-valued edges stored in the rows, and a
-// complete block of 10 inside a population past 64, where the DFS is the
-// bool-slice variant.
+// complete block of 10 inside a population of 80.
 func TestKernelsAgree(t *testing.T) {
 	type variant struct {
 		name  string
@@ -500,9 +490,9 @@ func TestCompleteRowsSkipTheDFS(t *testing.T) {
 		check(fmt.Sprintf("K%d", k), n, adj, vals, k >= 7)
 	}
 
-	// And exactRow acts on it: past 64 principals the DFS is the
-	// bool-slice variant, which makes its frame stacks on first use, so a
-	// fresh scratch that has summed every row of a K10 block keeps none.
+	// And exactRow acts on it: the DFS makes its frame stacks on first
+	// use, so a fresh scratch that has summed every row of a K10 block
+	// keeps none.
 	s := zeros(70)
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {

@@ -93,8 +93,8 @@ func requireMatchesRecursive(t *testing.T, got, want [][]float64, s [][]float64,
 }
 
 // TestExactParallelMatchesSerial pins the parallel build to the recursive
-// reference on randomized graphs across sizes (crossing the n=64
-// bitmask/bool-slice boundary), densities, levels and worker counts, and
+// reference on randomized graphs across sizes (either side of 64),
+// densities, levels and worker counts, and
 // every worker count to the serial build bit for bit.
 func TestExactParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

@@ -133,10 +133,10 @@ func SetEntry(cols []int32, vals []float64, j int, v float64) ([]int32, []float6
 // GOMAXPROCS of them.
 type rowScratch struct {
 	acc     []float64 // row accumulator
-	mark    []bool    // acc[j] was written this row (n > 64)
+	mark    []bool    // acc[j] was written this row
 	touched []int32   // columns written, ascending once a kernel returns
 	// Exact kernels: the reach pass's seen set, which is also the
-	// visited set of the n > 64 DFS, and that DFS's suspended frames.
+	// DFS's visited set, and that DFS's suspended frames.
 	visited []bool
 	nodeStk []int32
 	idxStk  []int32
@@ -375,17 +375,8 @@ func (sc *rowScratch) exactRow(g []sparseRow, src, maxLen int, m *meter) bool {
 // sums it by the DP instead if the DFS hits the cap.
 func (sc *rowScratch) cappedRow(g []sparseRow, src, maxLen, limit int, m *meter) bool {
 	st := newSteps(limit, m)
-	var end dfsEnd
-	if len(g) <= 64 {
-		var reached uint64
-		reached, end = exactRowSparse64(g, src, maxLen, sc.acc, &st)
-		for ; reached != 0; reached &= reached - 1 {
-			sc.touched = append(sc.touched, int32(bits.TrailingZeros64(reached)))
-		}
-	} else {
-		end = sc.exactRowBig(g, src, maxLen, &st)
-		slices.Sort(sc.touched)
-	}
+	end := sc.exactRowDFS(g, src, maxLen, &st)
+	slices.Sort(sc.touched)
 	if !st.settle() {
 		end = dfsOverBudget
 	}
@@ -539,61 +530,12 @@ func (st *steps) settle() bool {
 	return ok
 }
 
-// exactRowSparse64 is the n <= 64 bitmask DFS walking adjacency lists,
-// skipping zero edges entirely. Edge values come from the values aligned
-// with each row's columns — the same floats a dense row lookup would read,
-// multiplied in the same order. It returns the set of columns it added
-// to, complete or not.
-func exactRowSparse64(g []sparseRow, src, maxLen int, row []float64, st *steps) (reached uint64, end dfsEnd) {
-	var (
-		nodeStk [64]int32
-		idxStk  [64]int32
-		prodStk [64]float64
-	)
-	node, idx, product, depth := int32(src), int32(0), 1.0, 0
-	visited := uint64(1) << src
-	edges, vrow := g[node].cols, g[node].vals
-outer:
-	for {
-		if depth < maxLen {
-			for int(idx) < len(edges) {
-				next := edges[idx]
-				v := vrow[idx]
-				idx++
-				if visited&(1<<next) != 0 {
-					continue
-				}
-				if st.n == st.stop {
-					if end := st.checkpoint(); end != dfsDone {
-						return reached, end
-					}
-				}
-				st.n++
-				p := product * v
-				row[next] += p
-				visited |= 1 << next
-				reached |= 1 << next
-				nodeStk[depth], idxStk[depth], prodStk[depth] = node, idx, product
-				depth++
-				node, idx, product = next, 0, p
-				edges, vrow = g[node].cols, g[node].vals
-				continue outer
-			}
-		}
-		if depth == 0 {
-			return reached, dfsDone
-		}
-		visited &^= 1 << node
-		depth--
-		node, idx, product = nodeStk[depth], idxStk[depth], prodStk[depth]
-		edges, vrow = g[node].cols, g[node].vals
-	}
-}
-
-// exactRowBig is the bool-slice DFS for n > 64. The visited set and the
-// frame stacks live in the scratch; columns are recorded in touched on
-// their first write.
-func (sc *rowScratch) exactRowBig(g []sparseRow, src, maxLen int, st *steps) dfsEnd {
+// exactRowDFS enumerates the chains out of src depth first, walking each
+// principal's out-edges in column order, and adds every chain's product
+// to the accumulator at its end. The visited set and the frame stacks
+// live in the scratch; columns are recorded in touched on their first
+// write, in the order the search reaches them.
+func (sc *rowScratch) exactRowDFS(g []sparseRow, src, maxLen int, st *steps) dfsEnd {
 	if len(sc.nodeStk) < maxLen+1 {
 		sc.nodeStk = make([]int32, maxLen+1)
 		sc.idxStk = make([]int32, maxLen+1)
