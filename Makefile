@@ -121,9 +121,11 @@ FEDERATION_TIMING_TESTS = ^(TestFederationBorrowSurvivesShrinkingCapacity|TestFe
 # register, a register that grows a cached planner in place
 # (TestRegisterPlannedAllocs), the live bytes the books keep a principal
 # (TestBooksHeapAllocs), a re-attach, a share, a value-only
-# share+revoke written in place (nothing) and one that flips S's pattern, a whole churn cycle, what the shard router adds to each kind it routes, a sparse
+# share+revoke written in place (nothing) and one that flips S's pattern (nothing
+# either, once its first share has moved the row), a whole churn cycle, what the shard router adds to each kind it routes, a sparse
 # decode into room for it and a pipelined frame through the transport may
-# heap-allocate. Run
+# heap-allocate, and a planner build at 4 096 principals (TestNewAllocatorAllocs)
+# may make. Run
 # alone, uncached and without -race (the detector's instrumentation
 # allocates), so a pin that breaks says so by name here and not somewhere
 # inside `go test ./...`.
@@ -146,12 +148,12 @@ allocs:
 # framework and its analyzers in internal/analysis plus the sharingvet
 # command (tests and golden testdata not counted), so a new analyzer or a
 # second lock walker is a reviewed diff of its line.
-SERVING_LOC_MAX = 6232
-TRANSITIVE_LOC_MAX = 1123
+SERVING_LOC_MAX = 6231
+TRANSITIVE_LOC_MAX = 1319
 LIBRARY_LOC_MAX = 1040
 STORE_LOC_MAX = 1611
 HARNESS_LOC_MAX = 5053
-TOOLS_LOC_MAX = 2861
+TOOLS_LOC_MAX = 2859
 loc:
 	@n=$$(ls internal/lp/*.go internal/core/*.go internal/grm/*.go | grep -v _test | xargs cat | wc -l); \
 	c=$$(ls internal/transitive/*.go | grep -v _test | xargs cat | wc -l); \

@@ -1,7 +1,9 @@
 package agreement
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/num"
@@ -88,85 +90,79 @@ func (m *SparseMatrix) Dense() [][]float64 {
 // SparseMatrix. Repeated Add calls on the same cell sum in call order —
 // the same per-cell accumulation sequence a dense `m[i][j] += v` loop
 // performs, which is what keeps the sparse build bit-identical to the
-// dense one.
+// dense one. It keeps the contributions as one list of triplets and folds
+// them in one counted pass at Build.
 type SparseBuilder struct {
-	n    int
-	rows []sparseRowAcc
+	n     int
+	cells []cell
 }
 
-type sparseRowAcc struct {
-	cols []int32
-	vals []float64
-	idx  map[int32]int32 // col → position, allocated once the row grows past linear-scan size
+// cell is one Add: v for the entry (row, col).
+type cell struct {
+	row, col int32
+	v        float64
 }
-
-// builderMapThreshold is the per-row entry count past which Add switches
-// from linear scan to a column→index map.
-const builderMapThreshold = 32
 
 // NewSparseBuilder returns a builder for an n×n matrix.
 func NewSparseBuilder(n int) *SparseBuilder {
-	return &SparseBuilder{n: n, rows: make([]sparseRowAcc, n)}
+	return &SparseBuilder{n: n}
 }
 
 // Add accumulates v into cell (i, j).
 func (b *SparseBuilder) Add(i, j int, v float64) {
-	r := &b.rows[i]
-	jc := int32(j)
-	if r.idx != nil {
-		if k, ok := r.idx[jc]; ok {
-			r.vals[k] += v
-			return
-		}
-	} else {
-		for k, c := range r.cols {
-			if c == jc {
-				r.vals[k] += v
-				return
-			}
-		}
+	if i < 0 || i >= b.n {
+		panic(fmt.Sprintf("agreement: SparseBuilder.Add: row %d out of range [0,%d)", i, b.n))
 	}
-	r.cols = append(r.cols, jc)
-	r.vals = append(r.vals, v)
-	if r.idx != nil {
-		r.idx[jc] = int32(len(r.cols) - 1)
-	} else if len(r.cols) > builderMapThreshold {
-		r.idx = make(map[int32]int32, 2*len(r.cols))
-		for k, c := range r.cols {
-			r.idx[c] = int32(k)
-		}
-	}
+	b.cells = append(b.cells, cell{row: int32(i), col: int32(j), v: v})
 }
 
-// Build sorts each row by column, drops entries whose accumulated value
-// is exactly zero, and freezes the result as a CSR matrix.
+// Build folds the contributions into a CSR matrix: it counting-sorts them
+// by row, sorts each row stably by column, so a cell's contributions stay
+// in Add order, sums each cell's run in that order, drops the sums that
+// are exactly zero, and copies the rest out at exact size. The builder is
+// left as it was.
 func (b *SparseBuilder) Build() *SparseMatrix {
-	m := &SparseMatrix{n: b.n, rowStart: make([]int32, b.n+1)}
-	for i := range b.rows {
-		r := &b.rows[i]
-		sort.Sort(rowByCol{r.cols, r.vals})
-		for k, c := range r.cols {
-			if num.IsZero(r.vals[k]) {
-				continue
+	n := b.n
+	m := &SparseMatrix{n: n, rowStart: make([]int32, n+1)}
+	start := m.rowStart
+	for _, c := range b.cells {
+		start[c.row+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	// Place each cell at its row's cursor, start[row], which ends at the
+	// next row's start; shifting the cursors back restores the starts.
+	byRow := make([]cell, len(b.cells))
+	for _, c := range b.cells {
+		byRow[start[c.row]] = c
+		start[c.row]++
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	// Sum each row's runs of one column over the row's own front.
+	kept := 0
+	for i := 0; i < n; i++ {
+		row := byRow[start[i]:start[i+1]]
+		slices.SortStableFunc(row, func(x, y cell) int { return cmp.Compare(x.col, y.col) })
+		start[i] = int32(kept)
+		for k := 0; k < len(row); {
+			c := row[k]
+			for k++; k < len(row) && row[k].col == c.col; k++ {
+				c.v += row[k].v
 			}
-			m.cols = append(m.cols, c)
-			m.vals = append(m.vals, r.vals[k])
+			if !num.IsZero(c.v) {
+				byRow[kept] = c
+				kept++
+			}
 		}
-		m.rowStart[i+1] = int32(len(m.cols))
+	}
+	start[n] = int32(kept)
+	m.cols, m.vals = make([]int32, kept), make([]float64, kept)
+	for k, c := range byRow[:kept] {
+		m.cols[k], m.vals[k] = c.col, c.v
 	}
 	return m
-}
-
-type rowByCol struct {
-	cols []int32
-	vals []float64
-}
-
-func (r rowByCol) Len() int           { return len(r.cols) }
-func (r rowByCol) Less(i, j int) bool { return r.cols[i] < r.cols[j] }
-func (r rowByCol) Swap(i, j int) {
-	r.cols[i], r.cols[j] = r.cols[j], r.cols[i]
-	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
 }
 
 // SparseMatrices is the principal-level model of one resource type:

@@ -1,9 +1,11 @@
 // Package netdeadline implements the sharingvet netdeadline analyzer:
 // every raw network operation in the GRM protocol layer must be covered
-// by a deadline. A Read or Write (or a json Encode/Decode whose
-// stream is a conn) with no SetDeadline/SetReadDeadline/SetWriteDeadline
-// call earlier in the same function blocks forever when the peer stalls
-// — the hang class PR 1 eliminated; the analyzer keeps it eliminated.
+// by a deadline in its own direction. A write (Write, WriteFrame,
+// WriteHello, a json Encode whose stream is a conn) needs a SetDeadline or
+// SetWriteDeadline call earlier in the same function, a read (Read,
+// ReadFrame, ReadHello, json Decode) a SetDeadline or SetReadDeadline:
+// without one it blocks forever when the peer stalls, and a deadline armed
+// for the other direction does not bound it.
 //
 // The "earlier" test is lexical from function entry, which matches how
 // the codebase writes deadlines (a guarded `if timeout > 0 { SetDeadline
@@ -16,6 +18,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/internal/analysis"
 )
@@ -27,22 +30,22 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-var codecOps = map[string]bool{
-	"(*encoding/json.Encoder).Encode": true,
-	"(*encoding/json.Decoder).Decode": true,
+// dirs gives each network operation the direction it blocks in, and each
+// deadline call the directions it bounds: 1 a read, 2 a write, 3 both. The
+// operations are raw conn methods, json codec calls, and the binary wire
+// path's framed exchange and version handshake (transport wire.go), which
+// block on the conn the FrameReader/FrameWriter wraps; those are
+// classified by callee package name + function name, like lockedio's
+// transport table. Only the deadlines and raw Read and Write go unqualified.
+var dirs = map[string]int{
+	"SetDeadline": 3, "SetReadDeadline": 1, "SetWriteDeadline": 2,
+	"Read": 1, "Write": 2,
+	"(*encoding/json.Decoder).Decode": 1, "(*encoding/json.Encoder).Encode": 2,
+	"transport.ReadFrame": 1, "transport.ReadHello": 1, "transport.WriteFrame": 2, "transport.WriteHello": 2,
 }
 
-// frameOps are the binary wire path's I/O entry points (transport
-// wire.go): framed request/response exchange and the version handshake
-// block on the conn the FrameReader/FrameWriter wraps, so they need the
-// same deadline coverage as a raw Read/Write. Classified by callee
-// package name + function name, like lockedio's transport table.
-var frameOps = map[string]bool{
-	"WriteFrame": true,
-	"ReadFrame":  true,
-	"WriteHello": true,
-	"ReadHello":  true,
-}
+// wants names the deadline calls that bound each direction.
+var wants = [...]string{1: "SetDeadline or SetReadDeadline", 2: "SetDeadline or SetWriteDeadline"}
 
 func run(pass *analysis.Pass) error {
 	conn := analysis.LookupIface(pass.Pkg, "net", "Conn")
@@ -62,20 +65,22 @@ func run(pass *analysis.Pass) error {
 }
 
 func checkFunc(pass *analysis.Pass, conn *types.Interface, fd *ast.FuncDecl) {
-	// Pass 1: find every deadline anchor and whether any conn-typed value
-	// flows through the function (if none, codec calls encode to files,
-	// HTTP responses, buffers, ... and are not network ops).
-	var anchors []token.Pos
+	// Pass 1: find every deadline anchor, with the directions it bounds,
+	// and whether any conn-typed value flows through the function (if
+	// none, codec calls encode to files, HTTP responses, buffers, ... and
+	// are not network ops).
+	type anchor struct {
+		pos token.Pos
+		dir int
+	}
+	var anchors []anchor
 	connInScope := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				switch sel.Sel.Name {
-				case "SetDeadline", "SetReadDeadline", "SetWriteDeadline":
-					if recv := analysis.RecvType(pass.TypesInfo, n); analysis.Implements(recv, conn) {
-						anchors = append(anchors, n.Pos())
-					}
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && strings.HasPrefix(sel.Sel.Name, "Set") && dirs[sel.Sel.Name] != 0 {
+				if recv := analysis.RecvType(pass.TypesInfo, n); analysis.Implements(recv, conn) {
+					anchors = append(anchors, anchor{n.Pos(), dirs[sel.Sel.Name]})
 				}
 			}
 		case ast.Expr:
@@ -85,9 +90,9 @@ func checkFunc(pass *analysis.Pass, conn *types.Interface, fd *ast.FuncDecl) {
 		}
 		return true
 	})
-	anchored := func(pos token.Pos) bool {
+	anchored := func(pos token.Pos, dir int) bool {
 		for _, a := range anchors {
-			if a < pos {
+			if a.pos < pos && a.dir&dir != 0 {
 				return true
 			}
 		}
@@ -99,17 +104,13 @@ func checkFunc(pass *analysis.Pass, conn *types.Interface, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		full := analysis.MethodFullName(pass.TypesInfo, call)
-		if codecOps[full] {
-			if connInScope && !anchored(call.Pos()) {
-				pass.Reportf(call.Pos(), "conn-backed %s with no Set*Deadline earlier in the function: a stalled peer blocks forever", full)
-			}
-			return true
+		name := analysis.MethodFullName(pass.TypesInfo, call)
+		if callee := analysis.Callee(pass.TypesInfo, call); callee != nil && callee.Pkg() != nil && callee.Pkg().Name() == "transport" {
+			name = "transport." + callee.Name()
 		}
-		if callee := analysis.Callee(pass.TypesInfo, call); callee != nil &&
-			callee.Pkg() != nil && callee.Pkg().Name() == "transport" && frameOps[callee.Name()] {
-			if connInScope && !anchored(call.Pos()) {
-				pass.Reportf(call.Pos(), "conn-backed %s with no Set*Deadline earlier in the function: a stalled peer blocks forever", callee.Name())
+		if dir := dirs[name]; dir != 0 {
+			if connInScope && !anchored(call.Pos(), dir) {
+				pass.Reportf(call.Pos(), "conn-backed %s with no %s earlier in the function: a stalled peer blocks forever", strings.TrimPrefix(name, "transport."), wants[dir])
 			}
 			return true
 		}
@@ -118,14 +119,11 @@ func checkFunc(pass *analysis.Pass, conn *types.Interface, fd *ast.FuncDecl) {
 			return true
 		}
 		recv := analysis.RecvType(pass.TypesInfo, call)
-		if recv == nil || !analysis.Implements(recv, conn) {
+		if recv == nil || !analysis.Implements(recv, conn) || exemptWrapper(recv) {
 			return true
 		}
-		if exemptWrapper(recv) {
-			return true
-		}
-		if !anchored(call.Pos()) {
-			pass.Reportf(call.Pos(), "conn.%s with no Set*Deadline earlier in the function: a stalled peer blocks forever", sel.Sel.Name)
+		if dir := dirs[sel.Sel.Name]; !anchored(call.Pos(), dir) {
+			pass.Reportf(call.Pos(), "conn.%s with no %s earlier in the function: a stalled peer blocks forever", sel.Sel.Name, wants[dir])
 		}
 		return true
 	})

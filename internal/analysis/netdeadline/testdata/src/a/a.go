@@ -55,3 +55,18 @@ func suppressed(c net.Conn, buf []byte) {
 	//lint:ignore sharingvet/netdeadline the caller set the deadline
 	c.Read(buf)
 }
+
+func writeUnderReadDeadline(c net.Conn, buf []byte, timeout time.Duration) {
+	c.SetReadDeadline(time.Now().Add(timeout))
+	c.Write(buf) // want "conn.Write with no SetDeadline or SetWriteDeadline"
+}
+
+func readUnderWriteDeadline(c net.Conn, buf []byte, timeout time.Duration) {
+	c.SetWriteDeadline(time.Now().Add(timeout))
+	c.Read(buf) // want "conn.Read with no SetDeadline or SetReadDeadline"
+}
+
+func encodeUnderReadDeadline(c net.Conn, timeout time.Duration) error {
+	c.SetReadDeadline(time.Now().Add(timeout))
+	return json.NewEncoder(c).Encode(1) // want "conn-backed .*Encode with no SetDeadline or SetWriteDeadline"
+}

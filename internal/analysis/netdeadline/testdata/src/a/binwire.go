@@ -65,3 +65,34 @@ func (w *binWire) badHandshake() error {
 func fileFrames(fw *transport.FrameWriter, id uint64) error {
 	return fw.WriteFrame(id, nil)
 }
+
+// writeUnderReadDeadline arms only the read direction: the hello it
+// writes is still unbounded.
+func (w *binWire) writeUnderReadDeadline(timeout time.Duration) error {
+	w.conn.SetReadDeadline(time.Now().Add(timeout))
+	if _, err := transport.ReadHello(w.conn); err != nil {
+		return err
+	}
+	return transport.WriteHello(w.conn, 1) // want "conn-backed WriteHello with no SetDeadline or SetWriteDeadline"
+}
+
+// readUnderWriteDeadline arms only the write direction: the frame it
+// reads is still unbounded.
+func (w *binWire) readUnderWriteDeadline(timeout time.Duration) error {
+	w.conn.SetWriteDeadline(time.Now().Add(timeout))
+	if err := w.fw.WriteFrame(1, nil); err != nil {
+		return err
+	}
+	_, _, err := w.fr.ReadFrame() // want "conn-backed ReadFrame with no SetDeadline or SetReadDeadline"
+	return err
+}
+
+// bothUnderOneDeadline: SetDeadline bounds a write and a read alike.
+func (w *binWire) bothUnderOneDeadline(timeout time.Duration) error {
+	w.conn.SetDeadline(time.Now().Add(timeout))
+	if err := w.fw.WriteFrame(1, nil); err != nil {
+		return err
+	}
+	_, _, err := w.fr.ReadFrame()
+	return err
+}

@@ -105,17 +105,24 @@ const exactBudget = 50_000_000
 // workspace of its own, taken off a channel.
 type Allocator struct {
 	n int
-	// aCols/aVals hold the absolute agreement matrix A in row-sparse form
-	// (ascending columns, values aligned); hasA records whether an A was
-	// supplied at all — an explicitly passed all-zero matrix still counts,
-	// preserving the historical `a != nil` behavior. The relative matrix S
-	// lives inside clo's CSR rows; neither dense n×n array is materialized.
-	aCols [][]int32
-	aVals [][]float64
-	hasA  bool
-	flow  []flowRow // flow[i] is row i of K with its row sum
-	cfg   Config
-	cols  []column // cols[i] is column i of K∪A, what capacity sums walk
+	// Every table is a transitive.Table, rows as offsets into owned arenas,
+	// a read of one valid until the next write. a holds the absolute
+	// agreement matrix A's rows; hasA records whether an A was supplied at
+	// all — an explicitly passed all-zero matrix still counts, preserving
+	// the historical `a != nil` behavior. The relative matrix S lives in
+	// clo; neither dense n×n array is materialized.
+	a    transitive.Table
+	hasA bool
+	// k holds row i of K = min(T, 1), aligned with T's row, where an entry
+	// of T's exceeds 1; an empty row of k reads T's (FlowRow). conn[i] is
+	// row i of K summed off the diagonal: how much of i's capacity others
+	// can reach, the weight of i's tie-break.
+	k    transitive.Table
+	conn []float64
+	cfg  Config
+	// cols holds column i of K∪A as row i, what capacity sums walk: its
+	// sources, then their K and their A values at one offset (column).
+	cols transitive.Table
 	// clo is the transitive closure, which a mutation patches by rows.
 	clo *transitive.Closure
 	// free holds idle plan workspaces: nothing in one is sized by the
@@ -127,24 +134,21 @@ type Allocator struct {
 	free chan *planWS
 }
 
-// flowRow is row i of the capped flow coefficients K = min(T, 1), aligned
-// with the closure's FlowRow(i) columns (a row the cap does not bite is the
-// closure's own value slice), and conn, its sum off the diagonal: how much
-// of i's capacity others can reach, the weight of i's tie-break.
-type flowRow struct {
-	k    []float64
-	conn float64
-}
-
 // column lists the sources k ≠ i with a nonzero flow into principal i
 // (K_ki ≠ 0 or A_ki ≠ 0), ascending, with their K_ki and A_ki: what a
 // capacity sum reads, bit-identical to the dense scan, whose other terms are
-// exactly zero. Columns are views of an int32 and a float64 arena, laid out
-// by a build (transposeColumns) or by a mutation for the columns whose
-// pattern it flips.
+// exactly zero. It is a view of row i of Allocator.cols, built on the stack
+// (column) and valid until the next write.
 type column struct {
 	idx  []int32
 	k, a []float64
+}
+
+// column returns column i of K∪A.
+func (al *Allocator) column(i int) column {
+	idx, v := al.cols.Row(i)
+	n := len(idx)
+	return column{idx: idx, k: v[:n:n], a: v[n:]}
 }
 
 // compRow locates one kept perturb row of a plan's LP. self is i's variable
@@ -214,7 +218,8 @@ func newPlanWS() *planWS {
 // capacities. The closure copies S's rows and A's are copied here, so no
 // write reaches s or a, and no dense n×n array is materialized. S needs a
 // zero diagonal, S and A non-negative entries, and an exact closure within
-// the enumeration budget; Approx set is refused.
+// the enumeration budget; Approx set is refused. Each table is written in
+// one counted pass into arenas allocated once.
 func NewAllocator(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cfg Config) (*Allocator, error) {
 	if cfg.Approx {
 		return nil, errors.New("core: Config.Approx is refused: walk sums overcount cycles and grant past the agreements; lower Config.Level (grmd -level) to bound the exact closure")
@@ -231,12 +236,11 @@ func NewAllocator(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cfg Conf
 			}
 		}
 	}
-	aCols, aVals := make([][]int32, n), make([][]float64, n)
+	rowA := func(int) ([]int32, []float64) { return nil, nil }
 	if a != nil {
 		if a.N() != n {
 			return nil, fmt.Errorf("core: A is %d×%d, S is %d×%d", a.N(), a.N(), n, n)
 		}
-		cols, vals := make([]int32, 0, a.NNZ()), make([]float64, 0, a.NNZ())
 		for i := 0; i < n; i++ {
 			rc, rv := a.Row(i)
 			for k, j := range rc {
@@ -244,17 +248,14 @@ func NewAllocator(s *agreement.SparseMatrix, a *agreement.SparseMatrix, cfg Conf
 					return nil, fmt.Errorf("core: A[%d][%d] = %g, must be non-negative", i, j, rv[k])
 				}
 			}
-			lo := len(cols)
-			cols, vals = append(cols, rc...), append(vals, rv...)
-			// Full slice expressions: a row never grows into its neighbour.
-			aCols[i], aVals[i] = cols[lo:len(cols):len(cols)], vals[lo:len(vals):len(vals)]
 		}
+		rowA = a.Row
 	}
 	clo, err := transitive.NewClosureBudget(s, effectiveLevel(cfg), exactBudget)
 	if err != nil {
 		return nil, fmt.Errorf("core: exact transitive closure would exceed %d steps for this agreement graph; lower Config.Level (grmd -level): %w", exactBudget, err)
 	}
-	al := &Allocator{n: n, aCols: aCols, aVals: aVals, hasA: a != nil, cfg: cfg, clo: clo,
+	al := &Allocator{n: n, a: transitive.TableOf(n, 1, rowA), hasA: a != nil, cfg: cfg, clo: clo,
 		free: make(chan *planWS, runtime.GOMAXPROCS(0))}
 	al.index()
 	return al, nil
@@ -277,57 +278,75 @@ func effectiveLevel(cfg Config) int {
 }
 
 // index builds what the allocator derives from its closure and A — the K
-// rows with their sums and the columns — each in one pass over the stored
-// entries of T and A.
+// rows the cap bites, every row's conn and the columns — each table in one
+// counted pass over the stored entries of T and A.
 func (al *Allocator) index() {
-	al.flow = make([]flowRow, al.n)
-	for i := range al.flow {
-		al.flow[i] = flowRowOf(al.clo, i)
+	al.k = transitive.Layout(al.n, 1, func(i int) int {
+		if _, tv := al.clo.FlowRow(i); capped(tv) {
+			return len(tv)
+		}
+		return 0
+	})
+	al.conn = make([]float64, al.n)
+	for i := range al.conn {
+		cols, tv := al.clo.FlowRow(i)
+		if kc, kv := al.k.Row(i); len(kc) > 0 {
+			copy(kc, cols)
+			capInto(kv, tv)
+		}
+		al.conn[i] = connOf(i, cols, al.flowK(i, tv))
 	}
 	al.transposeColumns()
 }
 
-// capRow applies the overdraft rule K = min(T, 1) to one row's values: the
-// row itself when no entry exceeds 1 (K shares T's memory), else a copy.
-func capRow(tv []float64) []float64 {
-	for x, v := range tv {
+// capped reports whether the overdraft rule K = min(T, 1) bites in a row of
+// T: whether some entry exceeds 1.
+func capped(tv []float64) bool {
+	for _, v := range tv {
 		if v > 1 {
-			out := append([]float64(nil), tv...)
-			for y := x; y < len(out); y++ {
-				if out[y] > 1 {
-					out[y] = 1
-				}
-			}
-			return out
+			return true
 		}
 	}
-	return tv
+	return false
 }
 
-// flowRowOf derives row i of K from the closure's T row, its conn summed off
-// the diagonal, ascending — the dense row sum minus its exact zeros.
-func flowRowOf(clo *transitive.Closure, i int) flowRow {
-	cols, tv := clo.FlowRow(i)
-	r := flowRow{k: capRow(tv)}
+// capInto writes min(T, 1) of the row tv into k, which has room for it.
+func capInto(k, tv []float64) {
+	for x, v := range tv {
+		k[x] = min(v, 1)
+	}
+}
+
+// connOf sums row i of K off the diagonal, ascending — the dense row sum
+// minus its exact zeros.
+func connOf(i int, cols []int32, kv []float64) float64 {
+	var conn float64
 	for x, j := range cols {
 		if int(j) != i {
-			r.conn += r.k[x]
+			conn += kv[x]
 		}
 	}
-	return r
+	return conn
+}
+
+// flowK returns row i of K given T's values tv there: k's row where the
+// cap bites, else tv itself.
+func (al *Allocator) flowK(i int, tv []float64) []float64 {
+	if _, kv := al.k.Row(i); len(kv) > 0 {
+		return kv
+	}
+	return tv
 }
 
 // FlowRow returns row i of the flow coefficients as stored: the ascending
 // columns with a nonzero coefficient, the transitive coefficients T there,
 // and the capped ones K = min(T, 1) — the same slice as t unless some
-// entry exceeds 1. All three are shared with the allocator and read-only.
+// entry exceeds 1. All three are windows into the allocator's tables,
+// read-only and valid until the next write.
 func (al *Allocator) FlowRow(i int) (cols []int32, t, k []float64) {
 	cols, t = al.clo.FlowRow(i)
-	return cols, t, al.flow[i].k
+	return cols, t, al.flowK(i, t)
 }
-
-// sameArray reports whether two non-empty slices start at one element.
-func sameArray(a, b []float64) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 // kAt returns K[k][i] — a binary search over row k's columns, 0 when
 // unstored.
@@ -339,7 +358,8 @@ func (al *Allocator) kAt(k, i int) float64 {
 // aAt returns A[k][i] — a binary search over row k's sparse columns, 0
 // when unstored.
 func (al *Allocator) aAt(k, i int) float64 {
-	return transitive.At(al.aCols[k], al.aVals[k], i)
+	cols, vals := al.a.Row(k)
+	return transitive.At(cols, vals, i)
 }
 
 // mergeCols walks two ascending column lists together, calling fn once
@@ -367,13 +387,14 @@ func mergeCols(a, b []int32, fn func(c int32, x, y int)) {
 // so these are the (kk → c) pairs with a nonzero flow.
 func (al *Allocator) eachInflow(kk int, fn func(c int32, kv, av float64)) {
 	kc, _, kv := al.FlowRow(kk)
-	mergeCols(kc, al.aCols[kk], func(c int32, x, y int) {
+	ac, av := al.a.Row(kk)
+	mergeCols(kc, ac, func(c int32, x, y int) {
 		var k, a float64
 		if x >= 0 {
 			k = kv[x]
 		}
 		if y >= 0 {
-			a = al.aVals[kk][y]
+			a = av[y]
 		}
 		if int(c) != kk {
 			fn(c, k, a)
@@ -382,43 +403,23 @@ func (al *Allocator) eachInflow(kk int, fn func(c int32, kv, av float64)) {
 }
 
 // transposeColumns builds every column with one counting transpose of K∪A:
-// count each column's sources, lay the columns out back to back (K values in
-// the float arena's first half, A in its second), then fill them walking the
-// rows in ascending order, so every column lists its sources ascending.
+// count each column's sources, lay the columns out back to back, then fill
+// them walking the rows in ascending order, each column's count reset to
+// serve as its cursor, so every column lists its sources ascending.
 func (al *Allocator) transposeColumns() {
 	n := al.n
-	start := make([]int, n+1)
+	count := make([]int32, n)
 	for kk := 0; kk < n; kk++ {
-		al.eachInflow(kk, func(c int32, _, _ float64) { start[c+1]++ })
+		al.eachInflow(kk, func(c int32, _, _ float64) { count[c]++ })
 	}
-	for c := 0; c < n; c++ {
-		start[c+1] += start[c]
-	}
-	idx, vals := make([]int32, start[n]), make([]float64, 2*start[n])
-	ks, as := vals[:start[n]], vals[start[n]:]
-	al.cols = make([]column, n)
-	for c := range al.cols {
-		lo, hi := start[c], start[c+1]
-		// Full slice expressions: a column never grows into its neighbour.
-		al.cols[c] = column{idx: idx[lo:lo:hi], k: ks[lo:lo:hi], a: as[lo:lo:hi]}
-	}
+	al.cols = transitive.Layout(n, 2, func(c int) int { return int(count[c]) })
+	clear(count)
 	for kk := 0; kk < n; kk++ {
 		al.eachInflow(kk, func(c int32, kv, av float64) {
-			al.cols[c].append(int32(kk), kv, av)
+			al.cols.Put(int(c), int(count[c]), int32(kk), kv, av)
+			count[c]++
 		})
 	}
-}
-
-// append adds source k with its K and A values to the column.
-func (col *column) append(k int32, kv, av float64) {
-	col.idx, col.k, col.a = append(col.idx, k), append(col.k, kv), append(col.a, av)
-}
-
-// since returns the column's entries from position from on, cap-limited so
-// the view never grows into whatever follows it.
-func (col column) since(from int) column {
-	end := len(col.idx)
-	return column{idx: col.idx[from:end:end], k: col.k[from:end:end], a: col.a[from:end:end]}
 }
 
 // N returns the number of principals.
@@ -441,19 +442,10 @@ func (al *Allocator) FlowCoefficients() [][]float64 {
 }
 
 // Bytes returns the memory the agreement-derived planner state holds: the
-// closure's rows, the K rows that do not alias their T row, the A rows,
-// the column lists and the per-principal vectors — not the plan workspaces
-// on the free list.
+// closure's tables, the A, K and column tables, their arenas' dead slots
+// included, and conn — not the plan workspaces on the free list.
 func (al *Allocator) Bytes() int {
-	b := al.clo.Bytes()
-	for i, r := range al.flow {
-		if _, tv := al.clo.FlowRow(i); !sameArray(r.k, tv) {
-			b += 8 * len(r.k)
-		}
-		b += 12*len(al.aCols[i]) + 20*len(al.cols[i].idx)
-	}
-	// Per principal: a flow row, an A row and a column.
-	return b + al.n*(6*24+8)
+	return al.clo.Bytes() + al.a.Bytes() + al.k.Bytes() + al.cols.Bytes() + 8*cap(al.conn)
 }
 
 // Capacities returns C_i = V_i + Σ_k U_ki for the current availability.
@@ -487,13 +479,13 @@ func (al *Allocator) capacity(v []float64, i int) float64 {
 	if !(c >= 0) {
 		panic(invalidV(i, c))
 	}
-	col := &al.cols[i]
+	col := al.column(i)
 	for x, k := range col.idx {
 		vk := v[k]
 		if !(vk >= 0) {
 			panic(invalidV(int(k), vk))
 		}
-		c += al.sourceCap(col, x, vk)
+		c += al.sourceCap(&col, x, vk)
 	}
 	return c
 }
@@ -517,13 +509,13 @@ func (al *Allocator) capacityAfter(v []float64, pr compRow, newV []float64) floa
 	if pr.self >= 0 {
 		c = newV[pr.self]
 	}
-	col := &al.cols[pr.i]
+	col := al.column(int(pr.i))
 	for x, k := range col.idx {
 		vk := v[k]
 		if y := pr.src[x]; y >= 0 {
 			vk = newV[y]
 		}
-		c += al.sourceCap(col, x, vk)
+		c += al.sourceCap(&col, x, vk)
 	}
 	return c
 }
@@ -657,7 +649,7 @@ func sized[T any](buf []T, n int) []T {
 // tableau shrinks to the agreement neighborhood. The full formulation is the
 // same construction with every principal live and nothing to fold.
 func (al *Allocator) build(ws *planWS, v []float64, requester int, amount float64) {
-	comp, reqCol := al.cfg.ComponentLP, al.cols[requester].idx
+	comp, reqCol := al.cfg.ComponentLP, al.column(requester).idx
 	// kept lists the principals whose perturb row survives, ascending: a
 	// row stays only if a live variable appears in it — its own V' is
 	// live, or a live source feeds it. Everything else is a constant
@@ -678,8 +670,9 @@ func (al *Allocator) build(ws *planWS, v []float64, requester int, amount float6
 				}
 			}
 			z = 0
-			for x, j := range al.aCols[k] {
-				if j != k && al.aVals[k][x] > 0 {
+			ac, av := al.a.Row(int(k))
+			for x, j := range ac {
+				if j != k && av[x] > 0 {
 					kept, z = insertFrom(kept, z, j)
 				}
 			}
@@ -698,8 +691,9 @@ func (al *Allocator) build(ws *planWS, v []float64, requester int, amount float6
 			continue
 		}
 		nRows++
-		nSrc += len(al.cols[i].idx)
-		for _, a := range al.cols[i].a {
+		col := al.column(int(i))
+		nSrc += len(col.idx)
+		for _, a := range col.a {
 			if al.hasA && a > 0 {
 				nAux++ // an upper bound under ComponentLP: a pinned source gets no u
 			}
@@ -739,7 +733,7 @@ func (al *Allocator) build(ws *planWS, v []float64, requester int, amount float6
 		if int(i) == requester {
 			continue
 		}
-		col := &al.cols[i]
+		col := al.column(int(i))
 		pr := compRow{i: i, self: i, src: col.idx}
 		if comp {
 			end := len(pos) + len(col.idx)
@@ -786,7 +780,7 @@ func (al *Allocator) build(ws *planWS, v []float64, requester int, amount float6
 				// The pinned flow takes its LP maximum min(v_k·K + A, v_k):
 				// u_ki appears only positively in this ≥ row, so any optimum
 				// admits it at its cap.
-				c -= al.sourceCap(col, x, v[col.idx[x]])
+				c -= al.sourceCap(&col, x, v[col.idx[x]])
 			case !num.IsZero(kv):
 				c -= kv * v[col.idx[x]]
 			}
@@ -819,13 +813,13 @@ func insertFrom(s []int32, z int, j int32) ([]int32, int) {
 func (al *Allocator) uColumn(ws *planWS, v []float64, requester int) {
 	ws.uCol = sized(ws.uCol, len(ws.vars))
 	clear(ws.uCol)
-	col := &al.cols[requester]
+	col := al.column(requester)
 	y := 0
 	for x, k := range col.idx {
 		for ws.vars[y] != k {
 			y++ // vars holds the whole column, both ascending
 		}
-		ws.uCol[y] = al.sourceCap(col, x, v[k])
+		ws.uCol[y] = al.sourceCap(&col, x, v[k])
 	}
 	ws.uCol[ws.req] = v[requester]
 }
@@ -873,7 +867,7 @@ func (ws *planWS) rowName(r int) string {
 // connected sources, whose capacity matters least to everyone else, wins.
 func (al *Allocator) tieBreak(i int32) float64 {
 	const eps = 1e-6
-	return -eps * al.flow[i].conn
+	return -eps * al.conn[i]
 }
 
 // readNewV copies V'_x for every live variable out of a solution; variable

@@ -219,7 +219,9 @@ func TestFreshWorkspaceTableauAllocs(t *testing.T) {
 // with the hub (PatchShare) and stops again, so its T and K rows gain and
 // lose an entry in the hub's column and every leaf's while only that one T
 // row changes: the closure's own work is the same at every size, and the
-// difference would be the column patching's.
+// difference would be the column patching's. The first share moves the
+// rows and columns that grow to their arenas' tails with headroom; every
+// later pair shrinks and regrows them in place, so it allocates nothing.
 func TestSetShareAllocs(t *testing.T) {
 	patchAllocs := func(leaves int) float64 {
 		n := leaves + 2
@@ -232,14 +234,17 @@ func TestSetShareAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		var moved int
+		before := make([]int, n)
 		allocs := testing.AllocsPerRun(50, func() {
-			before := slices.Clone(al.cols)
+			for c := range before {
+				before[c] = al.cols.Len(c)
+			}
 			if err := al.PatchShare(0, 1, 0, 0.5); err != nil {
 				t.Fatal(err)
 			}
 			moved = 0
-			for c, col := range al.cols {
-				if len(col.idx) != len(before[c].idx) {
+			for c, n := range before {
+				if al.cols.Len(c) != n {
 					moved++
 				}
 			}
@@ -257,8 +262,8 @@ func TestSetShareAllocs(t *testing.T) {
 	if few != many {
 		t.Errorf("relaying 2 columns makes %v allocations, relaying 41 makes %v: a write should not pay per column", few, many)
 	}
-	if many > 9 {
-		t.Errorf("a share and revoke relaying 41 columns make %v allocations, want <= 9: new S and T rows and one int32 and one float64 arena for the columns", many)
+	if many != 0 {
+		t.Errorf("a share and revoke relaying 41 columns make %v allocations, want 0: the S and T rows and the columns grow back into the headroom the first share left them", many)
 	}
 }
 
@@ -290,10 +295,11 @@ func TestPatchShareAllocs(t *testing.T) {
 
 // TestPatchFlipAllocs pins a pair of writes that flip a pattern
 // (flipSharePair): a block's head shares with a principal down its chain it
-// does not share with yet, and revokes it. Each write lays out a new S row,
-// two slices, while the T row and the columns, whose values alone move, are
-// written over; the pair makes at most 4 allocations and allocates the same bytes, within 5 %, in a
-// population of 128 and of 4 096.
+// does not share with yet, and revokes it. The first share moves the head's
+// S row to its arena's tail with headroom; from then on each share grows it
+// into that headroom and each revoke shrinks it, in place, while the T row
+// and the columns, whose values alone move, are written over: the pair
+// allocates nothing, no bytes, in a population of 128 and of 4 096 alike.
 func TestPatchFlipAllocs(t *testing.T) {
 	const runs = 200
 	perPair := map[int]float64{}
@@ -309,12 +315,56 @@ func TestPatchFlipAllocs(t *testing.T) {
 		got := testing.AllocsPerRun(runs, pair)
 		perPair[n] = float64(steadyBytes(runs, pair)) / runs
 		t.Logf("n=%d: a pattern-flipping share+revoke pair makes %v allocations, %.0f bytes", n, got, perPair[n])
-		if got > 4 {
-			t.Errorf("n=%d: a pattern-flipping share+revoke pair makes %v allocations, want at most 4", n, got)
+		if got != 0 || perPair[n] != 0 {
+			t.Errorf("n=%d: a pattern-flipping share+revoke pair makes %v allocations, %.0f bytes, want 0 and 0", n, got, perPair[n])
 		}
 	}
-	if small, large := perPair[128], perPair[4096]; large > 1.05*small || small > 1.05*large {
-		t.Errorf("a pattern-flipping pair allocates %.0f bytes at n=128 and %.0f at n=4096, want the same within 5%%", small, large)
+}
+
+// TestNewAllocatorAllocs pins a build at the 4 096-principal block shape
+// (TestFootprintTracksEdges's) at a few dozen allocations: every table — S,
+// T, A, K and the columns — is laid out in one counted pass into arenas
+// allocated once, and the closure's workers pack the rows they compute into
+// a pack each, so nothing is allocated per row. (A run after a collection
+// emptied the scratch pools also remakes the closure's worker scratch,
+// about a dozen more.)
+func TestNewAllocatorAllocs(t *testing.T) {
+	s, a, _ := sparseBlocksScenario(4096)
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := NewAllocator(s, a, Config{ComponentLP: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("NewAllocator over 4 096 principals in blocks of eight makes %v allocations", got)
+	if got > 50 {
+		t.Errorf("NewAllocator over 4 096 principals makes %v allocations, want at most 50: a table is one counted pass, not a row at a time", got)
+	}
+}
+
+// TestBytesMatchesHeap holds Allocator.Bytes to what a build of the
+// 4 096-principal block shape leaves live on the heap, measured across two
+// collections on each side (the build's pooled scratch goes with them):
+// the tables' offsets and arenas are the planner, and Bytes counts them.
+func TestBytesMatchesHeap(t *testing.T) {
+	s, a, _ := sparseBlocksScenario(4096)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	al, err := NewAllocator(s, a, Config{ComponentLP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew, counted := int(after.HeapAlloc)-int(before.HeapAlloc), al.Bytes()
+	runtime.KeepAlive(al)
+	runtime.KeepAlive(s) // the inputs stay live across both readings
+	runtime.KeepAlive(a)
+	t.Logf("a 4 096-principal build: Bytes %d, live heap grew %d", counted, grew)
+	if d := counted - grew; d < -grew/20 || d > grew/20 {
+		t.Errorf("Bytes counts %d bytes, the build left %d live: want them within 5%%", counted, grew)
 	}
 }
 

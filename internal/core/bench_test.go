@@ -544,6 +544,40 @@ func BenchmarkNewAllocatorSparse4096(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildShard2049 is what a tree_sharded leaf shard pays to build
+// its planner from its books: the fold of 2 056 shares over 2 049
+// principals — 256 blocks of eight, each a chain of relative shares closed
+// by an absolute one, and the eight members of one block sharing with the
+// shard's LRM principal — into S and A, and NewAllocator over them under
+// ComponentLP.
+func BenchmarkBuildShard2049(b *testing.B) {
+	const n, block = 2049, 8
+	rng := rand.New(rand.NewSource(1))
+	var shares []agreement.Share
+	for first := 0; first+block <= n-1; first += block {
+		for j := first; j+1 < first+block; j++ {
+			shares = append(shares, agreement.Share{From: j, To: j + 1, Fraction: 0.1 + 0.3*rng.Float64()})
+		}
+		shares = append(shares, agreement.Share{From: first + block - 1, To: first, Quantity: 1 + 3*rng.Float64()})
+	}
+	for j := 0; j < block; j++ {
+		shares = append(shares, agreement.Share{From: j, To: n - 1, Fraction: 0.25 + 0.1*rng.Float64()})
+	}
+	var base *agreement.Base
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := base.Fold(n)
+		for _, sh := range shares {
+			f.Add(sh)
+		}
+		s, a := f.Build()
+		if _, err := NewAllocator(s, a, Config{ComponentLP: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGrowSparse4096 registers one principal, in place: an amortized
 // append to every per-principal table. The
 // planner is rebuilt at 4 096, untimed, every 1 024 registrations, so each

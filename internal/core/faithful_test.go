@@ -34,7 +34,7 @@ func planPrinted(al *Allocator, v []float64, requester int, amount float64, requ
 	for i := range ws.vars {
 		ws.vars[i] = int32(i)
 		if i != requester {
-			ws.rows = append(ws.rows, compRow{i: int32(i), self: int32(i), src: al.cols[i].idx})
+			ws.rows = append(ws.rows, compRow{i: int32(i), self: int32(i), src: al.column(i).idx})
 			ws.caps = append(ws.caps, al.capacity(v, i))
 		}
 	}
@@ -44,7 +44,7 @@ func planPrinted(al *Allocator, v []float64, requester int, amount float64, requ
 	const eps = 1e-6
 	vp := make([]lp.VarID, n)
 	for i := 0; i < n; i++ {
-		vp[i] = m.AddVar(fmt.Sprintf("V'_%d", i), math.Max(0, v[i]-ws.uCol[i]), v[i], -eps*al.flow[i].conn)
+		vp[i] = m.AddVar(fmt.Sprintf("V'_%d", i), math.Max(0, v[i]-ws.uCol[i]), v[i], -eps*al.conn[i])
 	}
 	cp := make([]lp.VarID, n)
 	for i := 0; i < n; i++ {

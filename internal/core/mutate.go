@@ -18,10 +18,13 @@ import (
 // into the receiver itself, which owns every row and column it holds: its
 // owner — the grm server — plans and writes under one lock, so no plan is
 // in flight across a write. A value whose cell stays stored is written
-// over in place. A cell that appears or vanishes lays out a new row or
-// column. After an error the receiver is partly patched and must be
-// discarded. No plan state outlives its plan, so a write has no LP to
-// invalidate: the next plan builds its requester's from what the write left.
+// over in place. A row or column a cell appears in or vanishes from is
+// rewritten as a transitive.Table write does: in place where its length
+// holds or it ends its arena, else at the arena's tail, its old slot dead
+// until the table repacks. After an error the receiver is partly patched
+// and must be discarded. No plan state outlives its plan, so a write has
+// no LP to invalidate: the next plan builds its requester's from what the
+// write left.
 //
 // What each cache depends on, what a write pays to refresh it, and when it
 // survives. Every cost is in stored entries of the rows and columns that
@@ -31,9 +34,9 @@ import (
 //	───────── ─────────────────────────── ──────────────────────── ─────────────────────────
 //	clo (T)   S values, level             re-enumerating the       rows that cannot reach
 //	                                      affected rows            the edited edge's source
-//	flow: K,  T rows (values capped at 1, capRow per changed T     rows whose T row held;
-//	conn      columns shared with T);     row, aliasing it unless  K rows alias T rows
-//	          conn: K row sums            an entry > 1; one walk   unless the cap bites
+//	K, conn   T rows (values capped at 1, a K row stored per      rows whose T row held;
+//	          columns shared with T);     changed T row where an   K rows read T rows
+//	          conn: K row sums            entry > 1; one walk      unless the cap bites
 //	cols      K and A columns (pattern    the moved cells written  columns no moved cell
 //	          and values)                 over, or merged anew     falls in
 //
@@ -43,16 +46,11 @@ import (
 // per-row computations.
 
 // SetShare is PatchShare on a copy of al, for a caller that keeps al, which
-// stays as it was: the copy owns its closure, A's values and every cache
-// built from them, and shares A's column lists, which never change once
-// stored, and the workspace free list. Only the layer benchmark, which times
-// it, still calls it.
+// stays as it was: the copy owns its closure, A and every cache built from
+// them, and shares the workspace free list. Only the layer benchmark, which
+// times it, still calls it.
 func (al *Allocator) SetShare(from, to int, oldVal, newVal float64) (*Allocator, error) {
-	d := &Allocator{n: al.n, aCols: slices.Clone(al.aCols), aVals: make([][]float64, al.n), hasA: al.hasA, cfg: al.cfg,
-		clo: al.clo.Clone(), free: al.free}
-	for i, vals := range al.aVals {
-		d.aVals[i] = slices.Clone(vals)
-	}
+	d := &Allocator{n: al.n, a: al.a.Clone(), hasA: al.hasA, cfg: al.cfg, clo: al.clo.Clone(), free: al.free}
 	d.index()
 	if err := d.PatchShare(from, to, oldVal, newVal); err != nil {
 		return nil, err
@@ -65,24 +63,23 @@ func (al *Allocator) SetShare(from, to int, oldVal, newVal float64) (*Allocator,
 // densified past the enumeration budget, as NewAllocator would.
 func (al *Allocator) PatchShare(from, to int, oldVal, newVal float64) error {
 	ps := patchPool.Get().(*patchScratch)
-	defer func() { clear(ps.old); patchPool.Put(ps) }()
-	var err error
-	ps.rows, ps.old, ps.vals, err = al.clo.PatchEdge(from, to, oldVal, newVal, ps.rows[:0], ps.old[:0], ps.vals[:0])
-	if err != nil {
+	defer patchPool.Put(ps)
+	if err := al.clo.PatchEdge(from, to, oldVal, newVal, &ps.delta); err != nil {
 		return fmt.Errorf("core: PatchShare: %w", err)
 	}
 	al.applyClosureDelta(ps)
 	return nil
 }
 
-// patchScratch holds a patch's lists — the T rows changed, the columns
-// and the values each held (the closure may have written over the latter),
-// the K cells moved — pooled: struct copies would share a field.
+// patchScratch holds a patch's lists — the T rows changed with copies of
+// what each held, the K cells moved, and the K row or column being laid
+// out — pooled: struct copies would share a field.
 type patchScratch struct {
-	rows  []int
-	old   [][]int32
-	vals  []float64
+	delta transitive.Delta
 	moves []cellMove
+	idx   []int32
+	k, a  []float64
+	vals  []float64
 }
 
 var patchPool = sync.Pool{New: func() any { return new(patchScratch) }}
@@ -113,58 +110,51 @@ func rowMoves(out []cellMove, r int, oc []int32, ov []float64, nc []int32, nv []
 // replaceColumns merges moves — sorted by column, ascending by row within
 // one — into d's columns: a moved row takes its new K value and d's current
 // A value and stays listed only while one of them is nonzero; every other
-// source is copied. A column whose moved rows all stay listed is written
-// over (overwrite); the others come out of one int32 and one float64 arena,
-// sized first, and their old layouts are left as they were.
-func (d *Allocator) replaceColumns(moves []cellMove) {
-	rest, size := moves[:0], 0
+// source is kept. A column whose moved rows all stay listed is written
+// over in place; any other is merged in ps and written back as a Table
+// write does (patchColumn).
+func (d *Allocator) replaceColumns(ps *patchScratch, moves []cellMove) {
 	for len(moves) > 0 {
 		x, c := 1, int(moves[0].c)
 		for x < len(moves) && int(moves[x].c) == c {
 			x++
 		}
-		if !d.overwrite(c, moves[:x]) {
-			size += len(d.cols[c].idx) + x
-			rest = append(rest, moves[:x]...) // never ahead of what it copies
-		}
+		d.patchColumn(ps, c, moves[:x])
 		moves = moves[x:]
-	}
-	if len(rest) == 0 {
-		return
-	}
-	moves = rest
-	vals := make([]float64, 2*size)
-	out := column{idx: make([]int32, 0, size), k: vals[:0:size], a: vals[size:size]}
-	for len(moves) > 0 {
-		c, from := int(moves[0].c), len(out.idx)
-		old := d.cols[c]
-		x := 0
-		for ; len(moves) > 0 && int(moves[0].c) == c; moves = moves[1:] {
-			mv := moves[0]
-			for ; x < len(old.idx) && old.idx[x] < mv.r; x++ {
-				out.append(old.idx[x], old.k[x], old.a[x])
-			}
-			if x < len(old.idx) && old.idx[x] == mv.r {
-				x++
-			}
-			if av := d.aAt(int(mv.r), c); int(mv.r) != c && (!num.IsZero(mv.k) || !num.IsZero(av)) {
-				out.append(mv.r, mv.k, av)
-			}
-		}
-		out.idx, out.k, out.a = append(out.idx, old.idx[x:]...), append(out.k, old.k[x:]...), append(out.a, old.a[x:]...)
-		d.cols[c] = out.since(from)
 	}
 }
 
-// overwrite writes moves, all in column c, over the column's values if
+// mergeColumn lays column c out anew with its moved cells, all in c.
+func (d *Allocator) mergeColumn(ps *patchScratch, c int, moves []cellMove) {
+	old := d.column(c)
+	idx, ks, as := ps.idx[:0], ps.k[:0], ps.a[:0]
+	x := 0
+	for _, mv := range moves {
+		for ; x < len(old.idx) && old.idx[x] < mv.r; x++ {
+			idx, ks, as = append(idx, old.idx[x]), append(ks, old.k[x]), append(as, old.a[x])
+		}
+		if x < len(old.idx) && old.idx[x] == mv.r {
+			x++
+		}
+		if av := d.aAt(int(mv.r), c); int(mv.r) != c && (!num.IsZero(mv.k) || !num.IsZero(av)) {
+			idx, ks, as = append(idx, mv.r), append(ks, mv.k), append(as, av)
+		}
+	}
+	idx, ks, as = append(idx, old.idx[x:]...), append(ks, old.k[x:]...), append(as, old.a[x:]...)
+	ps.idx, ps.k, ps.a, ps.vals = idx, ks, as, append(append(ps.vals[:0], ks...), as...)
+	d.cols.Set(c, idx, ps.vals)
+}
+
+// patchColumn writes moves, all in column c, over the column's values if
 // every moved row but the diagonal stays listed, so its idx holds, and
-// reports whether it did.
-func (d *Allocator) overwrite(c int, moves []cellMove) bool {
-	col := d.cols[c]
+// else merges them into the column anew.
+func (d *Allocator) patchColumn(ps *patchScratch, c int, moves []cellMove) {
+	col := d.column(c)
 	for _, mv := range moves {
 		_, listed := slices.BinarySearch(col.idx, mv.r)
 		if int(mv.r) != c && (!listed || num.IsZero(mv.k) && num.IsZero(d.aAt(int(mv.r), c))) {
-			return false
+			d.mergeColumn(ps, c, moves)
+			return
 		}
 	}
 	for _, mv := range moves {
@@ -172,28 +162,38 @@ func (d *Allocator) overwrite(c int, moves []cellMove) bool {
 			col.k[x], col.a[x] = mv.k, d.aAt(int(mv.r), c)
 		}
 	}
-	return true
 }
 
-// applyClosureDelta patches the flow rows and the columns after the closure
-// changed T rows ps.rows (ascending), which held columns ps.old and values
-// ps.vals, per the dependency table above.
+// applyClosureDelta patches the K rows, conn and the columns after the
+// closure changed the T rows ps.delta reports, per the dependency table
+// above.
 func (d *Allocator) applyClosureDelta(ps *patchScratch) {
-	// Each changed T row gets its K row rebuilt (an uncapped one is the T
-	// row's own slice) and its conn re-summed in NewAllocator's order, the
-	// old K row read from its slot first — or, where it aliased a T row the
-	// closure wrote over, from the values handed back; the cells whose
-	// capped value moved decide all downstream.
-	moves, off := ps.moves[:0], 0
-	for x, r := range ps.rows {
-		oc, ov := ps.old[x], d.flow[r].k
-		if _, tv := d.clo.FlowRow(r); sameArray(ov, tv) {
-			ov = ps.vals[off : off+len(oc)]
+	// Each changed T row gets its K row rebuilt — stored where the cap
+	// bites, else read from T — and its conn re-summed in NewAllocator's
+	// order. The old K row is read from its stored slot first, else from
+	// the T values the closure handed back; the cells whose capped value
+	// moved decide all downstream.
+	moves := ps.moves[:0]
+	for x, r := range ps.delta.Rows {
+		oc, ov := ps.delta.Held(x)
+		if _, kv := d.k.Row(r); len(kv) > 0 {
+			ov = kv
 		}
-		off += len(oc)
-		d.flow[r] = flowRowOf(d.clo, r)
-		cols, _, kv := d.FlowRow(r)
+		cols, tv := d.clo.FlowRow(r)
+		kv, bites := tv, capped(tv)
+		if bites {
+			ps.k = append(ps.k[:0], tv...)
+			capInto(ps.k, tv)
+			kv = ps.k
+		}
 		moves = rowMoves(moves, r, oc, ov, cols, kv)
+		switch {
+		case bites:
+			d.k.Set(r, cols, kv)
+		case d.k.Len(r) > 0:
+			d.k.Set(r, nil, nil)
+		}
+		d.conn[r] = connOf(r, cols, kv)
 	}
 	ps.moves = moves
 	if len(moves) == 0 {
@@ -204,7 +204,7 @@ func (d *Allocator) applyClosureDelta(ps *patchScratch) {
 	// visited ascending, so a stable sort by column leaves each column's
 	// cells ascending by row.
 	slices.SortStableFunc(moves, func(a, b cellMove) int { return cmp.Compare(a.c, b.c) })
-	d.replaceColumns(moves)
+	d.replaceColumns(ps, moves)
 }
 
 // PatchAgreement changes A[from][to] from oldVal to newVal in the
@@ -224,12 +224,15 @@ func (al *Allocator) PatchAgreement(from, to int, oldVal, newVal float64) error 
 		return nil
 	}
 	al.hasA = true
-	al.aCols[from], al.aVals[from] = transitive.SetEntry(al.aCols[from], al.aVals[from], to, newVal)
+	al.a.SetEntry(from, to, newVal)
 	if from == to {
 		return nil // diagonal entries are read by nothing
 	}
 	// Column `to` caches A's values, so any value move stales it.
-	al.replaceColumns([]cellMove{{c: int32(to), r: int32(from), k: al.kAt(from, to)}})
+	ps := patchPool.Get().(*patchScratch)
+	defer patchPool.Put(ps)
+	ps.moves = append(ps.moves[:0], cellMove{c: int32(to), r: int32(from), k: al.kAt(from, to)})
+	al.replaceColumns(ps, ps.moves)
 	return nil
 }
 
@@ -243,8 +246,10 @@ func (al *Allocator) Grow(extra int) {
 	}
 	al.clo.Grow(extra)
 	al.n += extra
-	al.aCols, al.aVals = append(al.aCols, make([][]int32, extra)...), append(al.aVals, make([][]float64, extra)...)
-	al.flow, al.cols = append(al.flow, make([]flowRow, extra)...), append(al.cols, make([]column, extra)...)
+	al.a.Grow(extra)
+	al.k.Grow(extra)
+	al.cols.Grow(extra)
+	al.conn = append(al.conn, make([]float64, extra)...)
 }
 
 // Share returns S[from][to], the old value callers pass back into

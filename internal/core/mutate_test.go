@@ -133,8 +133,8 @@ func TestSetShareMatchesRebuild(t *testing.T) {
 					t.Fatalf("cfg %+v step %d: K row %d diverged", cfg, step, i)
 				}
 			}
-			for i := range rebuilt.flow {
-				if !num.IsZero(al.flow[i].conn - rebuilt.flow[i].conn) {
+			for i := range rebuilt.conn {
+				if !num.IsZero(al.conn[i] - rebuilt.conn[i]) {
 					t.Fatalf("cfg %+v step %d: conn[%d] diverged", cfg, step, i)
 				}
 			}

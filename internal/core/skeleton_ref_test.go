@@ -37,7 +37,7 @@ func (al *Allocator) buildRefSkeleton(requester int) *refSkeleton {
 	var live []int32
 	if al.cfg.ComponentLP {
 		merged := false
-		for _, k := range al.cols[requester].idx {
+		for _, k := range al.column(requester).idx {
 			if !merged && int(k) > requester {
 				live = append(live, int32(requester))
 				merged = true
@@ -66,7 +66,7 @@ func (al *Allocator) buildRefSkeleton(requester int) *refSkeleton {
 	const eps = 1e-6
 	vp := make([]lp.VarID, len(live))
 	for x, i := range live {
-		vp[x] = m.AddVar(fmt.Sprintf("V'_%d", i), 0, 0, -eps*al.flow[i].conn)
+		vp[x] = m.AddVar(fmt.Sprintf("V'_%d", i), 0, 0, -eps*al.conn[i])
 	}
 	theta := m.AddVar("theta", 0, lp.Inf, 1)
 
@@ -86,8 +86,9 @@ func (al *Allocator) buildRefSkeleton(requester int) *refSkeleton {
 			}
 		}
 		if al.hasA {
-			for x, j := range al.aCols[k] {
-				if j != k && al.aVals[k][x] > 0 {
+			ac, av := al.a.Row(int(k))
+			for x, j := range ac {
+				if j != k && av[x] > 0 {
 					touched[j] = true
 				}
 			}
@@ -102,7 +103,8 @@ func (al *Allocator) buildRefSkeleton(requester int) *refSkeleton {
 			terms = append(terms, lp.Term{Var: vp[x], Coeff: 1})
 		}
 		terms = append(terms, lp.Term{Var: theta, Coeff: 1})
-		idx, ks, as := al.cols[i].idx, al.cols[i].k, al.cols[i].a
+		col := al.column(i)
+		idx, ks, as := col.idx, col.k, col.a
 		pr := compRow{i: int32(i), self: varOf[i]}
 		for x, k := range idx {
 			pr.src = append(pr.src, varOf[k])
@@ -237,7 +239,7 @@ func (al *Allocator) rebind(f *flatModel, sk *refSkeleton, v []float64, amount f
 		if pr.self < 0 {
 			rhs, term = rhs-v[i], 1 // pinned self term
 		}
-		col := &al.cols[i]
+		col := al.column(int(i))
 		for x, k := range col.idx {
 			kv, hasAbs := col.k[x], al.hasA && col.a[x] > 0
 			switch {
@@ -254,7 +256,7 @@ func (al *Allocator) rebind(f *flatModel, sk *refSkeleton, v []float64, amount f
 					term++
 				}
 			case hasAbs:
-				rhs -= al.sourceCap(col, x, v[k])
+				rhs -= al.sourceCap(&col, x, v[k])
 			case !num.IsZero(kv):
 				rhs -= kv * v[k]
 			}
@@ -342,7 +344,7 @@ func ColumnsDiff(a, b *Allocator) string {
 		return fmt.Sprintf("%d principals against %d", a.n, b.n)
 	}
 	for c := 0; c < a.n; c++ {
-		ac, bc := a.cols[c], b.cols[c]
+		ac, bc := a.column(c), b.column(c)
 		if !slices.Equal(ac.idx, bc.idx) || !sameBits(ac.k, bc.k) || !sameBits(ac.a, bc.a) {
 			return fmt.Sprintf("column %d: %v %v %v against %v %v %v", c, ac.idx, ac.k, ac.a, bc.idx, bc.k, bc.a)
 		}

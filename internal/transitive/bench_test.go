@@ -84,13 +84,11 @@ func BenchmarkClosureUpdateEdgeComplete10(b *testing.B) {
 		b.Fatal(err)
 	}
 	edge := [2]float64{s[0][1], s[0][1] + 0.05}
-	var changed []int
-	var old [][]int32
-	var held []float64
+	var delta Delta
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if changed, old, held, err = c.PatchEdge(0, 1, edge[i%2], edge[(i+1)%2], changed[:0], old[:0], held[:0]); err != nil {
+		if err = c.PatchEdge(0, 1, edge[i%2], edge[(i+1)%2], &delta); err != nil {
 			b.Fatal(err)
 		}
 	}

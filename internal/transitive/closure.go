@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/agreement"
 	"repro/internal/num"
@@ -38,16 +37,17 @@ var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 // closure tests and the modeltest incremental-equivalence property.
 //
 // Everything is row-sparse: the agreement matrix S and the flow matrix T
-// are each one table of rows, a row the ascending columns of exactly the
-// entries that are not exactly zero, with their values. Between principals
-// with no agreement chain T is zero, so a closure over many small
-// communities costs O(n) row headers plus its stored entries, and every
-// pass here (build, delta, compare, Grow) costs the entries it visits,
-// never n². The kernels accumulate into a per-worker dense scratch row and
-// emit exact-size rows; they read the same floats in the same order a
-// dense scan would, and every sum is non-negative, so skipping an unstored
-// +0 keeps each result bit-identical to the dense references in package
-// modeltest (RefTransitive's chain enumeration).
+// are each one Table, a row the ascending columns of exactly the entries
+// that are not exactly zero, with their values, in one column and one
+// value arena per table. Between principals with no agreement chain T is
+// zero, so a closure over many small communities costs 16 bytes of row
+// offsets a principal plus its stored entries, and every pass here (build,
+// delta, compare, Grow) costs the entries it visits, never n². The kernels
+// accumulate into a per-worker dense scratch row and pack it; a build lays
+// the packed rows out in row order. They read the same floats in the same
+// order a dense scan would, and every sum is non-negative, so skipping an
+// unstored +0 keeps each result bit-identical to the dense references in
+// package modeltest (RefTransitive's chain enumeration).
 // The package takes and returns no dense matrix but for T() and
 // CapacitiesInto, kept for the layer benchmark; nothing on the serving path
 // calls them.
@@ -55,18 +55,17 @@ var ErrBudget = errors.New("transitive: exact enumeration exceeds step budget")
 // A Closure has one owner, which writes it under the lock it reads it
 // under: the grm server plans and patches its planner under one state
 // lock. It owns every row it holds — the constructors copy their input —
-// so PatchEdge writes a value whose column stays stored in place, and lays
-// out a new row only where an entry appears or vanishes. A row's column
-// list never changes once it is stored: later readers alias it.
+// and PatchEdge writes the rows it changes into its tables as a Table
+// write does: in place where the length holds, at the arena's tail where
+// a row grows. A read (FlowRow, Edge) is valid until the next write.
 type Closure struct {
 	// reqLevel is the level of transitivity as requested at construction,
 	// before clamping; clamping is redone against the current n so a
 	// full-transitivity closure (level >= n-1) stays full after Grow.
 	reqLevel int
 	n        int
-	t        []sparseRow // T's rows
-	s        []sparseRow // S's rows, the out-edges of each principal
-	edges    int
+	t        Table // T's rows
+	s        Table // S's rows, the out-edges of each principal
 	// budget caps the steps (DFS steps plus DP cell updates) one exact
 	// build or delta may charge (0 = no cap); past it the build or the
 	// mutation is abandoned with ErrBudget.
@@ -101,11 +100,7 @@ func NewClosureCSR(n int, cols [][]int32, vals [][]float64, level int, approx bo
 // refused graph costs about the budget, not its enumeration. The closure
 // keeps the budget for PatchEdge (see WithBudget).
 func NewClosureBudget(s *agreement.SparseMatrix, level, budget int) (*Closure, error) {
-	cols, vals := make([][]int32, s.N()), make([][]float64, s.N())
-	for i := range cols {
-		cols[i], vals[i] = s.Row(i)
-	}
-	return newClosureCSR(s.N(), cols, vals, level, budget)
+	return closureOf(TableOf(s.N(), 1, s.Row), level, budget)
 }
 
 // newClosureCSR is NewClosureBudget over raw CSR rows: cols holds each
@@ -115,29 +110,23 @@ func newClosureCSR(n int, cols [][]int32, vals [][]float64, level, budget int) (
 	if err := validateCSR(n, cols, vals); err != nil {
 		panic(err)
 	}
-	g, edges := own(rowsOf(cols, vals))
-	t, ok := sparseRows(n, g, level, par.Workers(n), newMeter(budget))
+	return closureOf(TableOf(n, 1, func(i int) ([]int32, []float64) { return cols[i], vals[i] }), level, budget)
+}
+
+// closureOf builds the closure of the agreement rows g, which it keeps.
+func closureOf(g Table, level, budget int) (*Closure, error) {
+	n := g.N()
+	for i := 0; i < n; i++ {
+		cols, vals := g.Row(i)
+		if err := validateRow(i, cols, vals); err != nil {
+			panic(err)
+		}
+	}
+	t, ok := sparseRows(n, &g, level, par.Workers(n), newMeter(budget))
 	if !ok {
 		return nil, budgetErr(budget)
 	}
-	return &Closure{reqLevel: level, n: n, t: t, s: g, edges: edges, budget: budget}, nil
-}
-
-// own copies the columns and values of every row into one int32 and one
-// float64 arena, in place in rows, each row capped at its length so none
-// grows into the next, and returns them with their entry count.
-func own(rows []sparseRow) ([]sparseRow, int) {
-	size := 0
-	for _, row := range rows {
-		size += len(row.cols)
-	}
-	cols, vals := make([]int32, 0, size), make([]float64, 0, size)
-	for i, row := range rows {
-		lo := len(cols)
-		cols, vals = append(cols, row.cols...), append(vals, row.vals...)
-		rows[i] = sparseRow{cols: cols[lo:len(cols):len(cols)], vals: vals[lo:len(vals):len(vals)]}
-	}
-	return rows, size
+	return &Closure{reqLevel: level, n: n, t: t, s: g, budget: budget}, nil
 }
 
 // N returns the number of principals.
@@ -149,36 +138,35 @@ func (c *Closure) Level() int { return clampLevel(c.reqLevel, c.n) }
 // T materializes the current flow-coefficient matrix as fresh dense rows
 // — the export for the layer benchmark; unstored entries come out as +0
 // exactly. It costs n² floats per call: everything else reads FlowRow.
-func (c *Closure) T() [][]float64 { return denseOf(c.n, c.t) }
+func (c *Closure) T() [][]float64 { return denseOf(c.n, &c.t) }
 
 // FlowRow returns row src of T as ascending non-zero column indices and
-// their coefficients. The slices are shared with the closure and must be
-// treated as read-only.
-func (c *Closure) FlowRow(src int) ([]int32, []float64) {
-	return c.t[src].cols, c.t[src].vals
-}
+// their coefficients: windows into the closure's arenas, read-only and
+// valid until the next write.
+func (c *Closure) FlowRow(src int) ([]int32, []float64) { return c.t.Row(src) }
 
-// Bytes returns the memory the closure's rows hold: 12 bytes per stored
-// S and T entry plus an S and a T row per principal, two slice headers
-// each.
-func (c *Closure) Bytes() int {
-	entries := c.edges
-	for _, row := range c.t {
-		entries += len(row.cols)
-	}
-	return 12*entries + 2*2*24*c.n
-}
+// Bytes returns the memory the closure's tables hold: their row offsets
+// and their arenas, dead slots included.
+func (c *Closure) Bytes() int { return c.s.Bytes() + c.t.Bytes() }
+
+// Tables returns the closure's S and T tables, to read: the layout a
+// caller checks against a fresh build's.
+func (c *Closure) Tables() (s, t *Table) { return &c.s, &c.t }
 
 // Edge returns the current agreement entry S[src][dst]: a binary search
 // over row src's sorted column list, 0 when unstored.
-func (c *Closure) Edge(src, dst int) float64 { return At(c.s[src].cols, c.s[src].vals, dst) }
+func (c *Closure) Edge(src, dst int) float64 {
+	cols, vals := c.s.Row(src)
+	return At(cols, vals, dst)
+}
 
-// denseOf scatters sparse rows into a fresh dense n×n matrix.
-func denseOf(n int, g []sparseRow) [][]float64 {
+// denseOf scatters a table into a fresh dense n×n matrix.
+func denseOf(n int, g *Table) [][]float64 {
 	out := zeros(n)
-	for i, row := range g {
-		for k, j := range row.cols {
-			out[i][j] = row.vals[k]
+	for i := 0; i < n; i++ {
+		cols, vals := g.Row(i)
+		for k, j := range cols {
+			out[i][j] = vals[k]
 		}
 	}
 	return out
@@ -198,8 +186,7 @@ func (c *Closure) WithBudget(steps int) *Closure {
 // leaves the other as it was.
 func (c *Closure) Clone() *Closure {
 	d := *c
-	d.s, _ = own(slices.Clone(c.s))
-	d.t, _ = own(slices.Clone(c.t))
+	d.s, d.t = c.s.Clone(), c.t.Clone()
 	return &d
 }
 
@@ -227,42 +214,62 @@ func (c *Closure) checkEdge(src, dst int, oldVal, newVal float64) error {
 // it, still calls it.
 func (c *Closure) UpdateEdge(src, dst int, oldVal, newVal float64) (*Closure, []int, error) {
 	d := c.Clone()
-	changed, _, _, err := d.PatchEdge(src, dst, oldVal, newVal, nil, nil, nil)
-	if err != nil {
+	var delta Delta
+	if err := d.PatchEdge(src, dst, oldVal, newVal, &delta); err != nil {
 		return nil, nil, err
 	}
-	return d, changed, nil
+	return d, delta.Rows, nil
+}
+
+// Delta is what PatchEdge reports: Rows, the T rows it changed, ascending
+// — rows recomputed to bit-identical values are left out and left alone —
+// and a copy of the columns and values each held before, which the patch
+// may have written over. A Delta is reused from patch to patch.
+type Delta struct {
+	Rows []int
+	ends []int // row Rows[x] held cols and vals [ends[x-1], ends[x])
+	cols []int32
+	vals []float64
+}
+
+// Held returns the columns and values row Rows[x] held before the patch.
+func (d *Delta) Held(x int) ([]int32, []float64) {
+	lo := 0
+	if x > 0 {
+		lo = d.ends[x-1]
+	}
+	return d.cols[lo:d.ends[x]], d.vals[lo:d.ends[x]]
+}
+
+// note records that T's row i changed, copying the columns and values it
+// held.
+func (d *Delta) note(i int, cols []int32, vals []float64) {
+	d.Rows, d.cols, d.vals = append(d.Rows, i), append(d.cols, cols...), append(d.vals, vals...)
+	d.ends = append(d.ends, len(d.cols))
 }
 
 // PatchEdge changes S[src][dst] from oldVal to newVal in c and recomputes
-// only the affected T rows. It appends the T rows that changed, ascending,
-// to changed — rows recomputed to bit-identical values are left out and
-// left alone — the column list each held before to old, and the values
-// each held to vals, back to back (row x's are the len(old[x]) after row
-// x-1's): a row whose columns held is written over in place, so the values
-// it held survive only in vals. oldVal must match the current entry; the
-// mismatch error catches callers whose shadow copy of S has drifted from
-// the closure's. After an error c is partly patched and must be
-// discarded. A no-op change writes nothing.
-func (c *Closure) PatchEdge(src, dst int, oldVal, newVal float64, changed []int, old [][]int32, vals []float64) ([]int, [][]int32, []float64, error) {
+// only the affected T rows, reporting them in d, which it clears first. oldVal must match the current entry; the mismatch error
+// catches callers whose shadow copy of S has drifted from the closure's.
+// After an error c is partly patched and must be discarded. A no-op change
+// writes nothing.
+func (c *Closure) PatchEdge(src, dst int, oldVal, newVal float64, d *Delta) error {
+	d.Rows, d.ends, d.cols, d.vals = d.Rows[:0], d.ends[:0], d.cols[:0], d.vals[:0]
 	if err := c.checkEdge(src, dst, oldVal, newVal); err != nil {
-		return changed, old, vals, fmt.Errorf("transitive: PatchEdge(%d, %d): %w", src, dst, err)
+		return fmt.Errorf("transitive: PatchEdge(%d, %d): %w", src, dst, err)
 	}
 	if num.IsZero(oldVal - newVal) {
-		return changed, old, vals, nil
+		return nil
 	}
-	row := c.s[src]
-	cols, rv := SetEntry(row.cols, row.vals, dst, newVal)
-	c.edges += len(cols) - len(row.cols)
-	c.s[src] = sparseRow{cols: cols, vals: rv}
+	c.s.SetEntry(src, dst, newVal)
+	sc := getScratch(c.n)
+	defer scratchPool.Put(sc)
 	// The affected set reads patterns only, and the edit cannot change it
 	// (see Closure).
-	sc := getScratch(c.n)
-	defer sc.put()
-	if err := c.recompute(c.affected(sc, src), sc); err != nil {
-		return changed, old, vals, fmt.Errorf("transitive: PatchEdge(%d, %d): %w", src, dst, err)
+	if err := c.recompute(c.affected(sc, src), sc, d); err != nil {
+		return fmt.Errorf("transitive: PatchEdge(%d, %d): %w", src, dst, err)
 	}
-	return append(changed, sc.changed...), append(old, sc.old...), append(vals, sc.oldVals...), nil
+	return nil
 }
 
 // Grow extends c in place by k principals with no agreements. A fresh
@@ -276,15 +283,15 @@ func (c *Closure) Grow(k int) {
 		return
 	}
 	c.n += k
-	c.s = append(c.s, make([]sparseRow, k)...)
-	c.t = append(c.t, make([]sparseRow, k)...)
+	c.s.Grow(k)
+	c.t.Grow(k)
 }
 
 // hasEdge reports whether S[x][u] is stored (non-zero).
 func (c *Closure) hasEdge(x, u int) bool {
-	cols := c.s[x].cols
-	k := sort.Search(len(cols), func(k int) bool { return cols[k] >= int32(u) })
-	return k < len(cols) && cols[k] == int32(u)
+	cols, _ := c.s.Row(x)
+	_, ok := slices.BinarySearch(cols, int32(u))
+	return ok
 }
 
 // affected returns, ascending, the rows whose chain enumeration can
@@ -316,32 +323,31 @@ func (c *Closure) affected(sc *rowScratch, src int) []int {
 	for _, x := range out {
 		seen[x] = false
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	sc.rows = out
 	return out
 }
 
 // recompute refreshes the given rows of c's T against c's agreement rows,
 // comparing each against the row c holds before it stores anything (see
-// store). sc.changed lists the changed rows, ascending, and sc.old and
-// sc.oldVals what each held. Past the blast-radius threshold it abandons
-// the delta and recomputes every row with the parallel full build, keeping
-// c's table until it has compared and replacing each row that changed.
-// Either way the work is charged to c's budget as it is done, and
-// ErrBudget abandons c. The delta runs its rows through sc, which must be
-// clear.
-func (c *Closure) recompute(rows []int, sc *rowScratch) error {
+// store), and notes each row that changed in d, ascending. Past the
+// blast-radius threshold it abandons the delta and recomputes every row
+// with the parallel full build, keeping c's table until it has compared
+// and writing over it each row that changed. Either way the work is
+// charged to c's budget as it is done, and ErrBudget abandons c. The delta
+// runs its rows through sc, which must be clear.
+func (c *Closure) recompute(rows []int, sc *rowScratch, d *Delta) error {
 	n := c.n
-	sc.changed, sc.old, sc.oldVals = sc.changed[:0], sc.old[:0], sc.oldVals[:0]
 	if blastDenominator*len(rows) > n {
-		t, ok := sparseRows(n, c.s, c.reqLevel, par.Workers(n), newMeter(c.budget))
+		t, ok := sparseRows(n, &c.s, c.reqLevel, par.Workers(n), newMeter(c.budget))
 		if !ok {
 			return budgetErr(c.budget)
 		}
-		for i, row := range t {
-			if !rowsEqual(c.t[i], row) {
-				sc.note(i, c.t[i])
-				c.t[i] = row
+		for i := 0; i < n; i++ {
+			hc, hv := c.t.Row(i)
+			if cols, vals := t.Row(i); !rowsEqual(hc, hv, cols, vals) {
+				d.note(i, hc, hv)
+				c.t.Set(i, cols, vals)
 			}
 		}
 		return nil
@@ -349,41 +355,43 @@ func (c *Closure) recompute(rows []int, sc *rowScratch) error {
 	maxLen := c.Level()
 	m := newMeter(c.budget) // charged by this goroutine alone, so it stays on the stack
 	for _, src := range rows {
-		if !sc.exactRow(c.s, src, maxLen, m) {
+		if !sc.exactRow(&c.s, src, maxLen, m) {
 			return budgetErr(c.budget)
 		}
-		c.store(sc, src)
+		c.store(sc, src, d)
 	}
 	return nil
 }
 
 // store settles T's row i against the row sc accumulated, comparing before
-// it copies: an identical row costs nothing; one whose values alone moved
-// is written over the held values; any other row is taken at exact size.
-// A changed row is noted in sc.
-func (c *Closure) store(sc *rowScratch, i int) {
-	held := c.t[i]
-	pattern, same := sc.matches(held)
+// it writes: an identical row costs nothing; one whose values alone moved
+// is written over the held values; any other row is packed and written as
+// a Table write does. A changed row is noted in d.
+func (c *Closure) store(sc *rowScratch, i int, d *Delta) {
+	hc, hv := c.t.Row(i)
+	pattern, same := sc.matches(hc, hv)
 	switch {
 	case same:
 		sc.discard()
 	case pattern:
-		sc.note(i, held)
-		sc.emit(held.vals)
+		d.note(i, hc, hv)
+		sc.emit(hv)
 	default:
-		sc.note(i, held)
-		c.t[i] = sc.take()
+		d.note(i, hc, hv)
+		sc.packCols, sc.packVals = sc.packCols[:0], sc.packVals[:0]
+		sc.take()
+		c.t.Set(i, sc.packCols, sc.packVals)
 	}
 }
 
 // rowsEqual reports whether two sparse rows hold identical values. Rows
 // store no exact zero, so a differing pattern is a differing value.
-func rowsEqual(a, b sparseRow) bool {
-	if len(a.cols) != len(b.cols) {
+func rowsEqual(ac []int32, av []float64, bc []int32, bv []float64) bool {
+	if len(ac) != len(bc) {
 		return false
 	}
-	for k := range a.cols {
-		if a.cols[k] != b.cols[k] || !num.IsZero(a.vals[k]-b.vals[k]) {
+	for k := range ac {
+		if ac[k] != bc[k] || !num.IsZero(av[k]-bv[k]) {
 			return false
 		}
 	}

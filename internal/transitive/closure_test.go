@@ -144,10 +144,10 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 			if blastDenominator*len(p.affected(sc, src)) > tc.n {
 				path = "blast"
 			}
-			sc.put()
+			scratchPool.Put(sc)
 			for i := range prevCols {
 				cols, vals := p.FlowRow(i)
-				prevCols[i], prevVals[i], prevPtr[i] = cols, slices.Clone(vals), nil
+				prevCols[i], prevVals[i], prevPtr[i] = slices.Clone(cols), slices.Clone(vals), nil
 				if len(vals) > 0 {
 					prevPtr[i] = &vals[0]
 				}
@@ -162,7 +162,9 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s step %d: UpdateEdge(%d,%d,%v,%v): %v", tc.name, step, src, dst, ov, nv, err)
 			}
-			patched, old, oldVals, err := p.PatchEdge(src, dst, ov, nv, nil, nil, nil)
+			var delta Delta
+			err = p.PatchEdge(src, dst, ov, nv, &delta)
+			patched := delta.Rows
 			if err != nil {
 				t.Fatalf("%s step %d: PatchEdge(%d,%d,%v,%v): %v", tc.name, step, src, dst, ov, nv, err)
 			}
@@ -176,22 +178,18 @@ func TestPatchEdgeMatchesUpdateEdge(t *testing.T) {
 				requireBitEqual(t, rowsT(clone), cloneT, label+": a Clone taken before the patch")
 				requireBitEqual(t, edgesOf(clone), cloneS, label+": the agreement entries of a Clone taken before the patch")
 			}
-			if !slices.Equal(changed, patched) || len(old) != len(patched) {
-				t.Fatalf("%s: UpdateEdge changed rows %v, PatchEdge %v with %d old column lists", label, changed, patched, len(old))
+			if !slices.Equal(changed, patched) {
+				t.Fatalf("%s: UpdateEdge changed rows %v, PatchEdge %v", label, changed, patched)
 			}
 			for x, r := range patched {
-				if !slices.Equal(old[x], prevCols[r]) {
-					t.Fatalf("%s: row %d held columns %v, PatchEdge handed back %v", label, r, prevCols[r], old[x])
+				old, held := delta.Held(x)
+				if !slices.Equal(old, prevCols[r]) {
+					t.Fatalf("%s: row %d held columns %v, PatchEdge handed back %v", label, r, prevCols[r], old)
 				}
-				held := oldVals[:len(old[x])]
-				oldVals = oldVals[len(old[x]):]
 				requireBitEqual(t, [][]float64{held}, [][]float64{prevVals[r]}, label+": the values PatchEdge handed back")
 				if _, vals := p.FlowRow(r); len(vals) > 0 && &vals[0] == prevPtr[r] {
 					paths["in place"]++
 				}
-			}
-			if len(oldVals) != 0 {
-				t.Fatalf("%s: PatchEdge handed back %d values beyond the rows' columns", label, len(oldVals))
 			}
 			if ov != nv {
 				paths[path]++
@@ -223,7 +221,7 @@ func TestClosureGrow(t *testing.T) {
 	}
 	// The grown closure must keep working incrementally: connect a new
 	// principal and recheck.
-	if _, _, _, err := grown.PatchEdge(n, 0, 0, 0.3, nil, nil, nil); err != nil {
+	if err := grown.PatchEdge(n, 0, 0, 0.3, new(Delta)); err != nil {
 		t.Fatal(err)
 	}
 	sg[n][0] = 0.3
@@ -286,12 +284,15 @@ func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
 	if got := len(c.affected(getScratch(n), 5)); blastDenominator*got <= n {
 		t.Fatalf("affected=%d of n=%d does not trip the fallback", got, n)
 	}
-	held := make([]sparseRow, n)
-	copy(held, c.t)
-	changed, _, _, err := c.PatchEdge(5, 6, 0.5, 0.25, nil, nil, nil)
-	if err != nil {
+	heldCols, heldVals := make([][]int32, n), make([][]float64, n)
+	for r := range heldCols {
+		heldCols[r], heldVals[r] = c.FlowRow(r)
+	}
+	var delta Delta
+	if err := c.PatchEdge(5, 6, 0.5, 0.25, &delta); err != nil {
 		t.Fatal(err)
 	}
+	changed := delta.Rows
 	s[5][6] = 0.25
 	requireBitEqual(t, rowsT(c), flows(s, n-1), "fallback T")
 	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(changed, want) {
@@ -299,7 +300,7 @@ func TestClosureBlastFallbackSharesUnchangedRows(t *testing.T) {
 	}
 	for _, r := range []int{7, 8, 9} {
 		nc, nv := c.FlowRow(r)
-		if &nc[0] != &held[r].cols[0] || &nv[0] != &held[r].vals[0] {
+		if &nc[0] != &heldCols[r][0] || &nv[0] != &heldVals[r][0] {
 			t.Fatalf("row %d was recomputed to the same values but no longer holds its slices", r)
 		}
 	}
@@ -365,14 +366,14 @@ func TestClosureUpdateEdgeErrors(t *testing.T) {
 		{"negative value", 0, 1, 0.5, -0.1},
 		{"stale old value", 0, 1, 0.4, 0.6},
 	} {
-		if _, _, _, err := c.PatchEdge(e.src, e.dst, e.oldVal, e.newVal, nil, nil, nil); err == nil {
+		if err := c.PatchEdge(e.src, e.dst, e.oldVal, e.newVal, new(Delta)); err == nil {
 			t.Fatalf("%s accepted", e.what)
 		}
 	}
 	before := rowsT(c)
-	changed, old, vals, err := c.PatchEdge(0, 1, 0.5, 0.5, nil, nil, nil)
-	if err != nil || changed != nil || old != nil || vals != nil {
-		t.Fatalf("no-op update: changed=%v old=%v vals=%v err=%v, want nothing", changed, old, vals, err)
+	delta := Delta{Rows: []int{7}}
+	if err := c.PatchEdge(0, 1, 0.5, 0.5, &delta); err != nil || len(delta.Rows) != 0 {
+		t.Fatalf("no-op update: changed=%v err=%v, want nothing", delta.Rows, err)
 	}
 	requireBitEqual(t, rowsT(c), before, "T after a no-op update")
 }

@@ -23,7 +23,7 @@ func (sc *rowScratch) takeDense(row []float64) {
 // or no cap: the parent commit's kernel.
 func dfsRows(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
 	maxLen = clampLevel(maxLen, n)
-	t, g := zeros(n), rowsOf(adj, vals)
+	t, g := zeros(n), tableOf(adj, vals)
 	sc := getScratch(n)
 	for src := 0; src < n; src++ {
 		st := newSteps(noCap, nil)
@@ -39,7 +39,7 @@ func dfsRows(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
 func dpRows(t *testing.T, n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
 	t.Helper()
 	maxLen = clampLevel(maxLen, n)
-	out, g := zeros(n), rowsOf(adj, vals)
+	out, g := zeros(n), tableOf(adj, vals)
 	sc := getScratch(n)
 	for src := 0; src < n; src++ {
 		if sc.reach(g, src, maxLen) == noCap {
@@ -54,10 +54,16 @@ func dpRows(t *testing.T, n int, adj [][]int32, vals [][]float64, maxLen int) []
 	return out
 }
 
+// tableOf lays CSR rows out as the table the kernels read.
+func tableOf(cols [][]int32, vals [][]float64) *Table {
+	t := TableOf(len(cols), 1, func(i int) ([]int32, []float64) { return cols[i], vals[i] })
+	return &t
+}
+
 // enumerate runs the DFS of row src under the given step cap and no
 // meter, and returns the steps it took and how it stopped; the scratch is
 // left clear.
-func enumerate(sc *rowScratch, g []sparseRow, src, maxLen, limit int) (int, dfsEnd) {
+func enumerate(sc *rowScratch, g *Table, src, maxLen, limit int) (int, dfsEnd) {
 	st := newSteps(limit, nil)
 	end := sc.exactRowDFS(g, src, maxLen, &st)
 	sc.discard()
@@ -68,7 +74,7 @@ func enumerate(sc *rowScratch, g []sparseRow, src, maxLen, limit int) (int, dfsE
 // capped at the DP's cost runs out of steps.
 func dpChosen(n int, adj [][]int32, vals [][]float64, maxLen int) []bool {
 	maxLen = clampLevel(maxLen, n)
-	out, g := make([]bool, n), rowsOf(adj, vals)
+	out, g := make([]bool, n), tableOf(adj, vals)
 	sc := getScratch(n)
 	for src := 0; src < n; src++ {
 		_, end := enumerate(sc, g, src, maxLen, sc.reach(g, src, maxLen))
@@ -101,7 +107,7 @@ func rowsBy(t *testing.T, n, rows, maxLen int, kernel func(sc *rowScratch, src, 
 // DFS capped at its DP's cost, and one that hits the cap is cleared and
 // summed by the DP.
 func parentRule(adj [][]int32, vals [][]float64) func(*rowScratch, int, int, *meter) bool {
-	g := rowsOf(adj, vals)
+	g := tableOf(adj, vals)
 	return func(sc *rowScratch, src, maxLen int, m *meter) bool {
 		return sc.cappedRow(g, src, maxLen, sc.reach(g, src, maxLen), m)
 	}
@@ -109,7 +115,7 @@ func parentRule(adj [][]int32, vals [][]float64) func(*rowScratch, int, int, *me
 
 // servedRule is exactRow, the kernel choice every build and delta makes.
 func servedRule(adj [][]int32, vals [][]float64) func(*rowScratch, int, int, *meter) bool {
-	g := rowsOf(adj, vals)
+	g := tableOf(adj, vals)
 	return func(sc *rowScratch, src, maxLen int, m *meter) bool {
 		return sc.exactRow(g, src, maxLen, m)
 	}
@@ -196,7 +202,7 @@ func TestKernelsAgree(t *testing.T) {
 		for k := 3; k <= 9; k++ {
 			rng := rand.New(rand.NewSource(int64(k)))
 			n, adj, vals := v.build(rng, k)
-			dense := denseOf(n, rowsOf(adj, vals))
+			dense := denseOf(n, tableOf(adj, vals))
 			for level := 1; level < k; level++ {
 				label := func(what string) string {
 					return fmt.Sprintf("%s K%d level %d: %s", v.name, k, level, what)
@@ -413,7 +419,7 @@ func cliqueBesideRing() [][]float64 {
 func TestRouterIsTheParentRule(t *testing.T) {
 	routed, undecided, enumerated := 0, 0, 0
 	for _, g := range routerGraphs(testing.Short()) {
-		sc, rows := getScratch(g.n), rowsOf(g.adj, g.vals)
+		sc, rows := getScratch(g.n), tableOf(g.adj, g.vals)
 		for level := 1; level < g.n; level++ {
 			if level > maxDPReach && level < g.n-1 {
 				continue
@@ -471,7 +477,7 @@ func TestRouterIsTheParentRule(t *testing.T) {
 func TestCompleteRowsSkipTheDFS(t *testing.T) {
 	check := func(name string, n int, adj [][]int32, vals [][]float64, want bool) {
 		t.Helper()
-		sc, g := getScratch(n), rowsOf(adj, vals)
+		sc, g := getScratch(n), tableOf(adj, vals)
 		defer scratchPool.Put(sc)
 		for src := 0; src < n; src++ {
 			if got := sc.overCap(n-1, sc.reach(g, src, n-1)); got != want {
@@ -502,7 +508,7 @@ func TestCompleteRowsSkipTheDFS(t *testing.T) {
 		}
 	}
 	n, adj, vals = csrOf(s)
-	g := rowsOf(adj, vals)
+	g := tableOf(adj, vals)
 	sc := &rowScratch{acc: make([]float64, n), mark: make([]bool, n), visited: make([]bool, n)}
 	for src := 0; src < 10; src++ {
 		if !sc.exactRow(g, src, n-1, nil) {
@@ -620,7 +626,7 @@ func TestUpdateEdgeAcrossKernelChoice(t *testing.T) {
 // under a counting meter and returns what the build charged.
 func stepsCharged(n int, adj [][]int32, vals [][]float64, level, workers int) int64 {
 	m := &meter{limit: math.MaxInt64}
-	sparseRows(n, rowsOf(adj, vals), level, workers, m)
+	sparseRows(n, tableOf(adj, vals), level, workers, m)
 	return m.spent.Load()
 }
 
@@ -631,7 +637,7 @@ func stepsCharged(n int, adj [][]int32, vals [][]float64, level, workers int) in
 func TestBuildChargesOneEnumeration(t *testing.T) {
 	n, adj, vals := csrOf(complete(10, 0.1))
 	sc := getScratch(n)
-	bound := int64(sc.reach(rowsOf(adj, vals), 0, 9))
+	bound := int64(sc.reach(tableOf(adj, vals), 0, 9))
 	scratchPool.Put(sc)
 	got := stepsCharged(n, adj, vals, 9, 1)
 	if got <= 10*bound || got > 2*10*bound {
@@ -661,10 +667,10 @@ func TestBudgetRefusalIsDeterministic(t *testing.T) {
 	n, adj, vals := csrOf(s)
 	cost := int(stepsCharged(n, adj, vals, 10, 1))
 	for _, workers := range []int{1, 2, 8} {
-		if _, ok := sparseRows(n, rowsOf(adj, vals), 10, workers, newMeter(cost)); !ok {
+		if _, ok := sparseRows(n, tableOf(adj, vals), 10, workers, newMeter(cost)); !ok {
 			t.Fatalf("%d workers: refused at its exact cost %d", workers, cost)
 		}
-		if _, ok := sparseRows(n, rowsOf(adj, vals), 10, workers, newMeter(cost-1)); ok {
+		if _, ok := sparseRows(n, tableOf(adj, vals), 10, workers, newMeter(cost-1)); ok {
 			t.Fatalf("%d workers: admitted one step under its cost %d", workers, cost)
 		}
 	}

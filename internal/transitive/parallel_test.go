@@ -45,8 +45,8 @@ func exactRecursive(s [][]float64, maxLen int) [][]float64 {
 // pinned number of workers (sparseRows, unbudgeted) and scatters it dense.
 func workersT(s [][]float64, level, workers int) [][]float64 {
 	n, adj, vals := csrOf(s)
-	t, _ := sparseRows(n, rowsOf(adj, vals), level, workers, nil)
-	return denseOf(n, t)
+	t, _ := sparseRows(n, tableOf(adj, vals), level, workers, nil)
+	return denseOf(n, &t)
 }
 
 // randomGraph builds an n-principal agreement matrix where each off-

@@ -56,33 +56,25 @@ func validateCSR(n int, adj [][]int32, vals [][]float64) error {
 		if len(adj[i]) != len(vals[i]) {
 			return fmt.Errorf("transitive: CSR row %d has %d cols but %d vals", i, len(adj[i]), len(vals[i]))
 		}
-		for k, j := range adj[i] {
-			if int(j) == i && !num.IsZero(vals[i][k]) {
-				return fmt.Errorf("transitive: S[%d][%d] = %g, diagonal must be zero", i, i, vals[i][k])
-			}
-			if vals[i][k] < 0 {
-				return fmt.Errorf("transitive: S[%d][%d] = %g, entries must be non-negative", i, j, vals[i][k])
-			}
+		if err := validateRow(i, adj[i], vals[i]); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// sparseRow is one row of a sparse matrix — S's out-edges of a principal or
-// T's flow coefficients — as the ascending columns of its entries and their
-// values. cols are never written once stored.
-type sparseRow struct {
-	cols []int32
-	vals []float64
-}
-
-// rowsOf pairs CSR column and value lists into rows, sharing their slices.
-func rowsOf(cols [][]int32, vals [][]float64) []sparseRow {
-	g := make([]sparseRow, len(cols))
-	for i := range g {
-		g[i] = sparseRow{cols: cols[i], vals: vals[i]}
+// validateRow checks agreement row i: a zero diagonal and non-negative
+// entries.
+func validateRow(i int, cols []int32, vals []float64) error {
+	for k, j := range cols {
+		if int(j) == i && !num.IsZero(vals[k]) {
+			return fmt.Errorf("transitive: S[%d][%d] = %g, diagonal must be zero", i, i, vals[k])
+		}
+		if vals[k] < 0 {
+			return fmt.Errorf("transitive: S[%d][%d] = %g, entries must be non-negative", i, j, vals[k])
+		}
 	}
-	return g
+	return nil
 }
 
 // At returns entry j of a sparse row (ascending cols, aligned vals): a
@@ -93,35 +85,6 @@ func At(cols []int32, vals []float64, j int) float64 {
 		return vals[k]
 	}
 	return 0
-}
-
-// SetEntry sets column j of a sparse row (ascending cols, aligned vals)
-// to v and returns the row. A value whose column stays stored is written
-// over in place; an entry inserted or removed (exact zeros are unstored)
-// lays out a new row and leaves the input as it was, so a column list
-// never changes once stored.
-func SetEntry(cols []int32, vals []float64, j int, v float64) ([]int32, []float64) {
-	k := sort.Search(len(cols), func(k int) bool { return cols[k] >= int32(j) })
-	present := k < len(cols) && cols[k] == int32(j)
-	switch {
-	case present && !num.IsZero(v):
-		vals[k] = v
-		return cols, vals
-	case num.IsZero(v) && !present:
-		return cols, vals
-	case num.IsZero(v): // remove
-		nc := make([]int32, 0, len(cols)-1)
-		nv := make([]float64, 0, len(vals)-1)
-		nc = append(append(nc, cols[:k]...), cols[k+1:]...)
-		nv = append(append(nv, vals[:k]...), vals[k+1:]...)
-		return nc, nv
-	default: // insert at k
-		nc := make([]int32, 0, len(cols)+1)
-		nv := make([]float64, 0, len(vals)+1)
-		nc = append(append(append(nc, cols[:k]...), int32(j)), cols[k:]...)
-		nv = append(append(append(nv, vals[:k]...), v), vals[k:]...)
-		return nc, nv
-	}
 }
 
 // rowScratch is one worker's state for the sparse row kernels: a dense
@@ -150,22 +113,16 @@ type rowScratch struct {
 	dpStart []int32
 	dpEdges []dpEdge
 	dp      []float64
+	// The rows take has emitted and not yet handed on: a build's rows, in
+	// the order this worker computed them, or a delta's one row.
+	packCols []int32
+	packVals []float64
 	// Closure.affected's rows, which the kernels never touch: a delta
-	// recomputes them with this same scratch. Of those, the rows that
-	// changed, the column lists they held and their values back to back.
-	rows    []int
-	changed []int
-	old     [][]int32
-	oldVals []float64
+	// recomputes them with this same scratch.
+	rows []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
-
-// put returns sc to the pool, letting go of the replaced column lists.
-func (sc *rowScratch) put() {
-	clear(sc.old)
-	scratchPool.Put(sc)
-}
 
 // getScratch returns a pooled scratch set sized for n principals.
 func getScratch(n int) *rowScratch {
@@ -215,72 +172,58 @@ func budgetErr(budget int) error {
 	return fmt.Errorf("%w (budget %d)", ErrBudget, budget)
 }
 
-// forRows runs fn for every row in [0, n) on up to `workers` goroutines,
-// each holding one scratch set for all the rows it takes. A false return
-// from fn stops every worker at its next row; forRows reports whether
-// all rows ran.
-func forRows(n, workers int, fn func(sc *rowScratch, src int) bool) bool {
-	if workers < 1 {
-		workers = 1
-	}
+// forRows runs fn(w, src) for every row src in [0, n) on one goroutine
+// per scratch set, worker w holding scs[w] for all the rows it takes. A
+// false return from fn stops every worker at its next row; forRows reports
+// whether all rows ran.
+func forRows(scs []*rowScratch, n int, fn func(w, src int) bool) bool {
 	var next atomic.Int64
 	var stopped atomic.Bool
-	par.Do(workers, workers, func(int) {
-		sc := getScratch(n)
+	par.Do(len(scs), len(scs), func(w int) {
 		for !stopped.Load() {
 			src := int(next.Add(1)) - 1
 			if src >= n {
 				break
 			}
-			if !fn(sc, src) {
+			if !fn(w, src) {
 				stopped.Store(true)
 			}
 		}
-		scratchPool.Put(sc)
 	})
 	return !stopped.Load()
 }
 
-// take emits the accumulated row at exact size, holding every entry that
-// is not exactly zero — nil slices for an empty row — and clears the
+// take appends the accumulated row's entries that are not exactly zero to
+// the scratch's pack, returns where they landed there, and clears the
 // scratch for the next row.
-func (sc *rowScratch) take() sparseRow {
-	nnz := 0
-	for _, j := range sc.touched {
-		if !num.IsZero(sc.acc[j]) {
-			nnz++
-		}
-	}
-	var cols []int32
-	var vals []float64
-	if nnz > 0 {
-		cols, vals = make([]int32, 0, nnz), make([]float64, 0, nnz)
-	}
+func (sc *rowScratch) take() span {
+	lo := len(sc.packCols)
 	for _, j := range sc.touched {
 		if v := sc.acc[j]; !num.IsZero(v) {
-			cols, vals = append(cols, j), append(vals, v)
+			sc.packCols, sc.packVals = append(sc.packCols, j), append(sc.packVals, v)
 		}
 	}
 	sc.discard()
-	return sparseRow{cols: cols, vals: vals}
+	return span{start: int32(lo), n: int32(len(sc.packCols) - lo)}
 }
 
-// matches compares the accumulated row with row: whether it stores the
-// same columns, and whether also the same values.
-func (sc *rowScratch) matches(row sparseRow) (pattern, same bool) {
+// matches compares the accumulated row with the row of columns cols and
+// values vals: whether it stores the same columns, and whether also the
+// same values.
+func (sc *rowScratch) matches(cols []int32, vals []float64) (pattern, same bool) {
 	x, same := 0, true
 	for _, j := range sc.touched {
 		v := sc.acc[j]
 		if num.IsZero(v) {
 			continue
 		}
-		if x == len(row.cols) || row.cols[x] != j {
+		if x == len(cols) || cols[x] != j {
 			return false, false
 		}
-		same = same && num.IsZero(v-row.vals[x])
+		same = same && num.IsZero(v-vals[x])
 		x++
 	}
-	if x != len(row.cols) {
+	if x != len(cols) {
 		return false, false
 	}
 	return true, same
@@ -299,11 +242,6 @@ func (sc *rowScratch) emit(vals []float64) {
 	sc.discard()
 }
 
-// note records that T's row i changed, and the columns and values it held.
-func (sc *rowScratch) note(i int, held sparseRow) {
-	sc.changed, sc.old, sc.oldVals = append(sc.changed, i), append(sc.old, held.cols), append(sc.oldVals, held.vals...)
-}
-
 // discard drops the accumulated row, leaving the scratch clear.
 func (sc *rowScratch) discard() {
 	for _, j := range sc.touched {
@@ -313,18 +251,42 @@ func (sc *rowScratch) discard() {
 }
 
 // sparseRows computes every row of T^(level) over the agreement rows g —
-// the form a Closure stores — charging m. It reports false when the budget
-// ran out.
-func sparseRows(n int, g []sparseRow, level, workers int, m *meter) ([]sparseRow, bool) {
+// the table a Closure stores — charging m. It reports false when the
+// budget ran out. Each worker packs the rows it computes into its
+// scratch's pack, which keeps its capacity in the pool from build to
+// build; the table is then laid out in row order from the packs.
+func sparseRows(n int, g *Table, level, workers int, m *meter) (Table, bool) {
 	maxLen := clampLevel(level, n)
-	t := make([]sparseRow, n)
-	ok := forRows(n, workers, func(sc *rowScratch, src int) bool {
-		if !sc.exactRow(g, src, maxLen, m) {
+	scs := make([]*rowScratch, max(workers, 1))
+	for w := range scs {
+		scs[w] = getScratch(n)
+		scs[w].packCols, scs[w].packVals = scs[w].packCols[:0], scs[w].packVals[:0]
+	}
+	type packed struct {
+		w int32
+		span
+	}
+	at := make([]packed, n)
+	ok := forRows(scs, n, func(w, src int) bool {
+		if !scs[w].exactRow(g, src, maxLen, m) {
 			return false
 		}
-		t[src] = sc.take()
+		at[src] = packed{w: int32(w), span: scs[w].take()}
 		return true
 	})
+	var t Table
+	if ok {
+		t = Layout(n, 1, func(i int) int { return int(at[i].n) })
+		for i, p := range at {
+			cols, vals := t.Row(i)
+			sc := scs[p.w]
+			copy(cols, sc.packCols[p.start:])
+			copy(vals, sc.packVals[p.start:])
+		}
+	}
+	for _, sc := range scs {
+		scratchPool.Put(sc)
+	}
 	return t, ok
 }
 
@@ -363,7 +325,7 @@ const noCap = math.MaxInt
 // the step count — reads only the out-edges of principals within
 // maxLen-1 hops of src, which is exactly the set whose edits
 // Closure.affected maps back to this row.
-func (sc *rowScratch) exactRow(g []sparseRow, src, maxLen int, m *meter) bool {
+func (sc *rowScratch) exactRow(g *Table, src, maxLen int, m *meter) bool {
 	limit := sc.reach(g, src, maxLen)
 	if sc.overCap(maxLen, limit) {
 		return m.charge(limit) && sc.exactRowDP(g, src, maxLen, m)
@@ -373,7 +335,7 @@ func (sc *rowScratch) exactRow(g []sparseRow, src, maxLen int, m *meter) bool {
 
 // cappedRow enumerates row src by the DFS under the given step cap, and
 // sums it by the DP instead if the DFS hits the cap.
-func (sc *rowScratch) cappedRow(g []sparseRow, src, maxLen, limit int, m *meter) bool {
+func (sc *rowScratch) cappedRow(g *Table, src, maxLen, limit int, m *meter) bool {
 	st := newSteps(limit, m)
 	end := sc.exactRowDFS(g, src, maxLen, &st)
 	slices.Sort(sc.touched)
@@ -401,7 +363,7 @@ func (sc *rowScratch) cappedRow(g []sparseRow, src, maxLen, limit int, m *meter)
 // least out-degree among the expanded principals, counted as the DFS
 // counts steps: a stored zero-valued edge counts, a stored zero diagonal
 // entry does not.
-func (sc *rowScratch) reach(g []sparseRow, src, maxLen int) int {
+func (sc *rowScratch) reach(g *Table, src, maxLen int) int {
 	seen := sc.visited
 	reached := append(sc.reached[:0], int32(src))
 	seen[src] = true
@@ -410,9 +372,10 @@ search:
 	for depth := 0; depth < maxLen && lo < len(reached); depth++ {
 		hi := len(reached)
 		for _, u := range reached[lo:hi] {
-			out := len(g[u].cols)
+			cols, _ := g.Row(int(u))
+			out := len(cols)
 			edges += out
-			for _, y := range g[u].cols {
+			for _, y := range cols {
 				if seen[y] {
 					if y == u {
 						out--
@@ -535,7 +498,7 @@ func (st *steps) settle() bool {
 // to the accumulator at its end. The visited set and the frame stacks
 // live in the scratch; columns are recorded in touched on their first
 // write, in the order the search reaches them.
-func (sc *rowScratch) exactRowDFS(g []sparseRow, src, maxLen int, st *steps) dfsEnd {
+func (sc *rowScratch) exactRowDFS(g *Table, src, maxLen int, st *steps) dfsEnd {
 	if len(sc.nodeStk) < maxLen+1 {
 		sc.nodeStk = make([]int32, maxLen+1)
 		sc.idxStk = make([]int32, maxLen+1)
@@ -543,13 +506,16 @@ func (sc *rowScratch) exactRowDFS(g []sparseRow, src, maxLen int, st *steps) dfs
 	}
 	row, mark, visited := sc.acc, sc.mark, sc.visited
 	nodeStk, idxStk, prodStk := sc.nodeStk, sc.idxStk, sc.prodStk
-	node, idx, product, depth := int32(src), int32(0), 1.0, 0
+	// A frame walks its node's out-edges by position in g's arenas (one
+	// value per entry), idx up to end, so a step slices nothing.
+	spans, edges, vrow := g.spans, g.cols, g.vals
+	node, product, depth := int32(src), 1.0, 0
+	idx, end := spans[src].start, spans[src].start+spans[src].n
 	visited[src] = true
-	edges, vrow := g[node].cols, g[node].vals
 outer:
 	for {
 		if depth < maxLen {
-			for int(idx) < len(edges) {
+			for idx < end {
 				next := edges[idx]
 				v := vrow[idx]
 				idx++
@@ -557,14 +523,14 @@ outer:
 					continue
 				}
 				if st.n == st.stop {
-					if end := st.checkpoint(); end != dfsDone {
+					if stop := st.checkpoint(); stop != dfsDone {
 						// Unwind: the chain so far is src, the suspended
 						// frames' nodes, and node.
 						visited[node] = false
 						for _, u := range nodeStk[:depth] {
 							visited[u] = false
 						}
-						return end
+						return stop
 					}
 				}
 				st.n++
@@ -577,8 +543,8 @@ outer:
 				visited[next] = true
 				nodeStk[depth], idxStk[depth], prodStk[depth] = node, idx, product
 				depth++
-				node, idx, product = next, 0, p
-				edges, vrow = g[node].cols, g[node].vals
+				node, product = next, p
+				idx, end = spans[node].start, spans[node].start+spans[node].n
 				continue outer
 			}
 		}
@@ -589,7 +555,7 @@ outer:
 		visited[node] = false
 		depth--
 		node, idx, product = nodeStk[depth], idxStk[depth], prodStk[depth]
-		edges, vrow = g[node].cols, g[node].vals
+		end = spans[node].start + spans[node].n
 	}
 }
 
@@ -604,7 +570,7 @@ outer:
 // a chain of maxLen edges and is not extended. The table is zeroed as it
 // is read, so it is clear again on return. It reports false, with the
 // scratch cleared, when the updates ran m out of budget.
-func (sc *rowScratch) exactRowDP(g []sparseRow, src, maxLen int, m *meter) bool {
+func (sc *rowScratch) exactRowDP(g *Table, src, maxLen int, m *meter) bool {
 	nodes := sc.reached[1:]
 	slices.Sort(nodes)
 	k := len(nodes)
@@ -613,9 +579,10 @@ func (sc *rowScratch) exactRowDP(g []sparseRow, src, maxLen int, m *meter) bool 
 	start, edges := sc.dpStart[:0], sc.dpEdges[:0]
 	for _, u := range nodes {
 		start = append(start, int32(len(edges)))
-		for x, y := range g[u].cols {
+		cols, vals := g.Row(int(u))
+		for x, y := range cols {
 			if l, ok := slices.BinarySearch(nodes, y); ok {
-				edges = append(edges, dpEdge{bit: 1 << l, cell: k<<l + l, val: g[u].vals[x]})
+				edges = append(edges, dpEdge{bit: 1 << l, cell: k<<l + l, val: vals[x]})
 			}
 		}
 	}
@@ -627,12 +594,13 @@ func (sc *rowScratch) exactRowDP(g []sparseRow, src, maxLen int, m *meter) bool 
 		sc.dp = make([]float64, size)
 	}
 	f, acc := sc.dp[:size], sc.acc
-	for x, y := range g[src].cols {
+	srcCols, srcVals := g.Row(src)
+	for x, y := range srcCols {
 		if l, ok := slices.BinarySearch(nodes, y); ok {
-			f[(k<<l)+l] = g[src].vals[x]
+			f[(k<<l)+l] = srcVals[x]
 		}
 	}
-	updates := len(g[src].cols)
+	updates := len(srcCols)
 	for mask := 1; mask < 1<<k; mask++ {
 		length := bits.OnesCount(uint(mask))
 		if length > maxLen {
