@@ -72,9 +72,9 @@ type Config struct {
 	// cells to the agreement neighborhood. The pivot sequence
 	// differs from the full model's, so on degenerate ties the realized
 	// take vector may be a different (equally optimal) vertex — off by
-	// default. The bench's tree_sharded workload, cmd/loadgen's sharded
-	// suite and the modeltest tree turn it on to make allocation cost scale
-	// with agreement density instead of population; no grmd flag does.
+	// default. The bench's tree_sharded workload and the modeltest tree
+	// turn it on to make allocation cost scale with agreement density
+	// instead of population; no grmd flag does.
 	ComponentLP bool
 }
 

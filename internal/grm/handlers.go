@@ -1,8 +1,10 @@
 package grm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/agreement"
@@ -353,18 +355,16 @@ func (s *Server) Reap() int {
 	return s.reapExpired(s.clock.Now())
 }
 
-// reapExpired collects every lease past its expiry, credits its takes
-// back, and repays parent leases outside the lock.
+// reapExpired returns every lease past its expiry to the pool and
+// journals it, then repays parent leases outside the lock.
 func (s *Server) reapExpired(now time.Time) int {
 	s.mu.Lock()
 	var repay []*lease
-	reaped := 0
-	for token, le := range s.leases {
-		if le.expires.IsZero() || now.Before(le.expires) {
-			continue
-		}
+	expired := s.expiredLocked(now)
+	for _, e := range expired {
+		token := int(e.token)
+		le := s.leases[token]
 		s.removeLeaseLocked(store.KindExpire, token, le)
-		reaped++
 		if le.parentLease != 0 && le.parentLink != nil {
 			s.noteRepayLocked(le.parentLease)
 			repay = append(repay, le)
@@ -377,7 +377,27 @@ func (s *Server) reapExpired(now time.Time) int {
 	for _, le := range repay {
 		s.repayParent(le.parentLink, le.parentLease)
 	}
-	return reaped
+	return len(expired)
+}
+
+// expiry is a lease's place in the reap order: expiry (Unix ns), then token.
+type expiry struct{ at, token int64 }
+
+// expiredLocked gathers the leases expired at now into s.expired, sorted
+// by (expires, token): map order is random and the credits are float
+// sums, so this order is what makes two runs of one schedule write one
+// log and keep one set of books. Callers hold s.mu.
+func (s *Server) expiredLocked(now time.Time) []expiry {
+	s.expired = s.expired[:0]
+	for token, le := range s.leases {
+		if !le.expires.IsZero() && !now.Before(le.expires) {
+			s.expired = append(s.expired, expiry{le.expires.UnixNano(), int64(token)})
+		}
+	}
+	slices.SortFunc(s.expired, func(a, b expiry) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.token, b.token))
+	})
+	return s.expired
 }
 
 func (s *Server) caps() *Response {

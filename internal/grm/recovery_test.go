@@ -231,6 +231,98 @@ func TestRecoverLeaseExpiry(t *testing.T) {
 	}
 }
 
+// TestReapJournalsInExpiryOrder runs one schedule with simultaneous
+// expiries several times: the reaper must credit and journal them in
+// (expires, token) order, so every run writes the same log byte for byte
+// and leaves the same books. Sixteen leases expire in one pass, eight of
+// them renewed into the second expiry group, so the order is neither the
+// grant order nor the map's.
+func TestReapJournalsInExpiryOrder(t *testing.T) {
+	const runs, leases, ttl = 5, 16, time.Minute
+	run := func() (wal []byte, status string) {
+		dir := t.TempDir()
+		l, err := store.OpenFileLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vc := vclock.NewVirtual(time.Unix(1_000_000_000, 0))
+		s := NewServer(core.Config{}, nil)
+		defer s.Close()
+		s.SetClock(vc)
+		s.SetLeaseTTL(ttl)
+		s.SetLog(l)
+		handle := func(req *Request) *Response {
+			t.Helper()
+			resp := s.Handle(req)
+			if resp.Err != "" {
+				t.Fatal(resp.Err)
+			}
+			return resp
+		}
+		for _, name := range []string{"A", "B", "C", "D"} {
+			handle(&Request{Register: &RegisterRequest{Name: name, Capacity: 10}})
+		}
+		handle(&Request{Share: &ShareRequest{From: 1, To: 0, Fraction: 0.3}})
+		handle(&Request{Share: &ShareRequest{From: 2, To: 0, Fraction: 0.7}})
+		tokens := make([]int, 0, leases)
+		for i := 0; i < leases; i++ {
+			if i == leases/2 {
+				vc.Advance(time.Second)
+			}
+			amount := 0.1 + 0.07*float64(i)
+			tokens = append(tokens, handle(&Request{Alloc: &AllocRequest{Principal: i % 4, Amount: amount}}).Alloc.Lease)
+		}
+		for i := 0; i < leases/2; i += 2 {
+			handle(&Request{Renew: &RenewRequest{Lease: tokens[i]}})
+		}
+		vc.Advance(ttl + time.Second)
+		if n := s.Reap(); n != leases {
+			t.Fatalf("reaped %d leases, want %d", n, leases)
+		}
+		status = statusJSON(t, s)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if wal, err = os.ReadFile(filepath.Join(dir, "wal.log")); err != nil {
+			t.Fatal(err)
+		}
+
+		// The expiries reach the log as the first group's unrenewed leases,
+		// then the second group, each by token.
+		recs, _, err := store.DecodeRecords(bytes.NewReader(wal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want []int
+		for _, rec := range recs {
+			if rec.Kind == store.KindExpire {
+				got = append(got, rec.Lease)
+			}
+		}
+		for i := 1; i < leases/2; i += 2 {
+			want = append(want, tokens[i])
+		}
+		for i := 0; i < leases/2; i += 2 {
+			want = append(want, tokens[i])
+		}
+		want = append(want, tokens[leases/2:]...)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("expiries journaled in order %v, want %v", got, want)
+		}
+		return wal, status
+	}
+	firstWAL, firstStatus := run()
+	for i := 1; i < runs; i++ {
+		wal, status := run()
+		if !bytes.Equal(wal, firstWAL) {
+			t.Errorf("run %d wrote a %d-byte log that differs from run 0's %d bytes", i, len(wal), len(firstWAL))
+		}
+		if status != firstStatus {
+			t.Errorf("run %d left the books\n %s\nwant\n %s", i, status, firstStatus)
+		}
+	}
+}
+
 func TestRecoverRequiresPristineServer(t *testing.T) {
 	wal := store.NewMemLog()
 	s := NewServer(core.Config{}, nil)

@@ -2,6 +2,7 @@ package grm
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"sync"
@@ -353,6 +354,35 @@ func TestLeaseRenewKeepsLeaseAlive(t *testing.T) {
 	}
 	if _, err := a.Renew(999); err == nil {
 		t.Error("renewing an unknown lease succeeded")
+	}
+}
+
+// BenchmarkReapIdle times one reap pass that finds nothing expired, at
+// 10^3, 10^4 and 10^5 outstanding leases: the scan of the whole lease
+// table that every reaper tick pays under s.mu.
+func BenchmarkReapIdle(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("leases=%d", n), func(b *testing.B) {
+			s := NewServer(core.Config{}, nil)
+			defer s.Close()
+			s.SetClock(vclock.NewVirtual(time.Unix(0, 0)))
+			s.SetLeaseTTL(time.Hour)
+			if resp := s.Handle(&Request{Register: &RegisterRequest{Name: "A", Capacity: float64(n)}}); resp.Err != "" {
+				b.Fatal(resp.Err)
+			}
+			alloc := &Request{Alloc: &AllocRequest{Principal: 0, Amount: 1}}
+			for i := 0; i < n; i++ {
+				if resp := s.Handle(alloc); resp.Err != "" {
+					b.Fatal(resp.Err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if reaped := s.Reap(); reaped != 0 {
+					b.Fatalf("reaped %d leases, want none", reaped)
+				}
+			}
+		})
 	}
 }
 

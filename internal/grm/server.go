@@ -85,6 +85,7 @@ type Server struct {
 	attaching  bool           // AttachParent reservation held across the parent dial
 	leases     map[int]*lease // wal:journaled
 	nextLease  int            // wal:journaled
+	expired    []expiry       // the reaper's scratch: one pass's expired leases in reap order; wal:derived
 	liveShares int            // unrevoked entries of shareHist, what Status.Agreements reads; wal:derived
 	// borrows is this level's federation borrow balance: parent lease
 	// token → amount still outstanding at the parent. In a multi-level GRM

@@ -1,9 +1,6 @@
 package grm
 
-import (
-	"runtime"
-	"time"
-)
+import "time"
 
 // WireBenchResult is the measured cost of carrying one request/response
 // exchange through the codec as self-contained messages — no stream
@@ -12,9 +9,7 @@ import (
 // and reorderable, which is what makes pipelining and out-of-order
 // replies possible.
 type WireBenchResult struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerMsg int     `json:"bytes_per_msg"`
+	NsPerOp float64
 }
 
 // benchExchange is the representative traffic one op encodes and
@@ -36,59 +31,37 @@ func benchExchange() ([]*Request, []*Response) {
 }
 
 // BenchWireCodec measures codec cost for iters self-contained exchanges
-// (see WireBenchResult) on the calling goroutine. cmd/loadgen uses it to
-// populate the codec section of BENCH_transport.json. The unnamed
-// parameter is a compile shim for frozen bench/ (ROADMAP item 1f).
+// (see WireBenchResult) on the calling goroutine. The unnamed parameter
+// is a compile shim for frozen bench/ (ROADMAP item 1f).
 func BenchWireCodec(_ WireCodec, iters int) (WireBenchResult, error) {
-	if iters <= 0 {
-		iters = 1
-	}
+	iters = max(iters, 1)
 	reqs, resps := benchExchange()
 	var buf []byte
 	// Decoded in place, the way a connection's pooled record and the
 	// client's reader decode them.
 	var call wireCall
 	var reply Response
-	oneOp := func() (int, error) {
-		msgBytes := 0
+	var start time.Time
+	// Exchange 0 warms up (buffer growth), so the timed ones see steady state.
+	for n := 0; n <= iters; n++ {
+		if n == 1 {
+			start = time.Now()
+		}
 		for i := range reqs {
 			var err error
 			if buf, err = appendRequest(buf[:0], reqs[i]); err != nil {
-				return 0, err
+				return WireBenchResult{}, err
 			}
-			msgBytes += len(buf)
 			if err = call.decode(buf); err != nil {
-				return 0, err
+				return WireBenchResult{}, err
 			}
 			if buf, err = appendResponse(buf[:0], resps[i]); err != nil {
-				return 0, err
+				return WireBenchResult{}, err
 			}
-			msgBytes += len(buf)
 			if _, err = reply.decode(buf); err != nil {
-				return 0, err
+				return WireBenchResult{}, err
 			}
 		}
-		return msgBytes, nil
 	}
-
-	// Warm up (buffer growth) so the measured window sees steady state.
-	msgBytes, err := oneOp()
-	if err != nil {
-		return WireBenchResult{}, err
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := oneOp(); err != nil {
-			return WireBenchResult{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return WireBenchResult{
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(iters),
-		BytesPerMsg: msgBytes / (2 * len(reqs)),
-	}, nil
+	return WireBenchResult{NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(iters)}, nil
 }
