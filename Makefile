@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint allocs loc check modeltest scale scenarios figures bench bench-json bench-compare fuzz wire-manifest clean
+.PHONY: build test race lint nofma allocs loc check modeltest scale scenarios figures bench bench-json bench-compare fuzz wire-manifest clean
 
 build:
 	$(GO) build ./...
@@ -97,6 +97,28 @@ lint:
 	! $(GO) list -deps ./internal/grm/... ./internal/store ./cmd/grmd ./cmd/lrmd | grep -x 'repro/internal/store/legacy'
 	! grep -n --exclude='*_test.go' -e 'json\.' internal/store/*.go | grep -v -x 'internal/store/filelog.go:[0-9]*:[[:space:]]*enc := json.NewEncoder(w)'
 	! grep -n --exclude='*_test.go' -e 'agreement\.NewSystem' -e '\*agreement\.System\b' -e '\.AddPrincipal(' -e '\.AddResource(' -e '$(SYSTEM_SHARE_CALL)' internal/grm/*.go
+	$(MAKE) nofma
+
+# Bit-identity off amd64 (ROADMAP item 29): Go may fuse x*y + z into one
+# multiply-add on arm64, ppc64le, s390x and riscv64, which rounds once
+# where amd64 rounds twice, so the packages whose floats must match amd64
+# bit for bit round every product explicitly (float64(x*y)). This leg
+# cross-compiles them for those architectures with the assembly listed
+# and fails on any fused instruction, naming its file:line; lint ends with
+# it, and CI runs it as a step of its own. Go builds the standard library
+# for each architecture from its own sources: nothing is downloaded. A
+# package joins NOFMA_PKGS in the change that rounds its products.
+NOFMA_PKGS = ./internal/transitive
+NOFMA_ARCHS = arm64 ppc64le s390x riscv64
+nofma:
+	@for a in $(NOFMA_ARCHS); do \
+		GOARCH=$$a $(GO) build -gcflags=-S $(NOFMA_PKGS) 2>&1 | awk -v arch=$$a -v root='$(CURDIR)/' ' \
+			/ STEXT / { listed++ } \
+			/\.go:[0-9]+:[0-9]+: / { print; failed = 1 } \
+			$$4 ~ /^FN?M(ADD|SUB)[DS]?$$/ { at = $$3; gsub(/[()]/, "", at); sub(root, "", at); print "fused multiply-add on " arch " at " at ": " $$4; failed = 1 } \
+			END { if (!listed) print "nofma: " arch ": the build listed no assembly"; exit failed || !listed }' || exit 1; \
+		echo "nofma: $$a: no fused multiply-add in $(NOFMA_PKGS)"; \
+	done
 
 # Regenerate the golden wire manifest after a deliberate protocol change.
 # The wiretag analyzer diffs internal/grm/codec.go against this file, so
@@ -152,7 +174,7 @@ allocs:
 # deleted tool, or a second load generator, cannot come back as a new
 # command without a reviewed diff of its line.
 SERVING_LOC_MAX = 6225
-TRANSITIVE_LOC_MAX = 1319
+TRANSITIVE_LOC_MAX = 1318
 LIBRARY_LOC_MAX = 1040
 STORE_LOC_MAX = 1611
 HARNESS_LOC_MAX = 5053

@@ -51,3 +51,28 @@ func TestUpdateEdgeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestClosureBuildAllocs pins a warm rebuild of the exact closure of a
+// complete graph of 10 (the paper's ISPs) and of 14, as the server builds
+// it: every row is summed by the subset DP, whose table, weights and
+// neighbour sets live in the pooled scratch, so a build allocates the
+// closure it returns and the build's bookkeeping, and nothing a row.
+// AllocsPerRun measures on one P, so one worker: 15 objects, where the
+// benchmarks' two workers read 19.
+func TestClosureBuildAllocs(t *testing.T) {
+	const most = 15
+	for _, n := range []int{10, 14} {
+		m := sparseOf(benchMatrix(n, 1))
+		build := func() {
+			if _, err := NewClosureBudget(m, n-1, 50_000_000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build()
+		got := testing.AllocsPerRun(20, build)
+		t.Logf("K%d: a warm closure build makes %v allocations", n, got)
+		if got > most {
+			t.Errorf("K%d: a warm closure build makes %v allocations, want at most %d", n, got, most)
+		}
+	}
+}

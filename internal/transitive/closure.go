@@ -66,7 +66,7 @@ type Closure struct {
 	n        int
 	t        Table // T's rows
 	s        Table // S's rows, the out-edges of each principal
-	// budget caps the steps (DFS steps plus DP cell updates) one exact
+	// budget caps the steps (DFS steps plus DP edge reads) one exact
 	// build or delta may charge (0 = no cap); past it the build or the
 	// mutation is abandoned with ErrBudget.
 	budget int
@@ -95,7 +95,7 @@ func NewClosureCSR(n int, cols [][]int32, vals [][]float64, level int, approx bo
 // copies S's rows. S with a diagonal or negative entry panics; validate
 // untrusted input first. Level values beyond n-1 request full
 // transitivity and keep requesting it as the closure grows. An exact
-// build charges its DFS steps and DP cell updates as it works and is
+// build charges its DFS steps and DP edge reads as it works and is
 // abandoned with ErrBudget once they pass budget (0 = no cap), so a
 // refused graph costs about the budget, not its enumeration. The closure
 // keeps the budget for PatchEdge (see WithBudget).

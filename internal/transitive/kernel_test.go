@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/num"
@@ -34,9 +36,13 @@ func dfsRows(n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
 	return t
 }
 
-// dpRows computes T^(maxLen) with every row summed by the subset DP. The
-// reach of every row must fit it.
-func dpRows(t *testing.T, n int, adj [][]int32, vals [][]float64, maxLen int) [][]float64 {
+// dpKernel is a subset DP row kernel: the served gather
+// ((*rowScratch).exactRowDP) or the scatter reference.
+type dpKernel func(sc *rowScratch, g *Table, src, maxLen int, m *meter) bool
+
+// dpRows computes T^(maxLen) with every row summed by the given subset DP.
+// The reach of every row must fit it.
+func dpRows(t *testing.T, n int, adj [][]int32, vals [][]float64, maxLen int, kernel dpKernel) [][]float64 {
 	t.Helper()
 	maxLen = clampLevel(maxLen, n)
 	out, g := zeros(n), tableOf(adj, vals)
@@ -45,13 +51,92 @@ func dpRows(t *testing.T, n int, adj [][]int32, vals [][]float64, maxLen int) []
 		if sc.reach(g, src, maxLen) == noCap {
 			t.Fatalf("row %d reaches more than %d principals", src, maxDPReach)
 		}
-		if !sc.exactRowDP(g, src, maxLen, nil) {
+		if !kernel(sc, g, src, maxLen, nil) {
 			t.Fatalf("row %d: unbudgeted DP refused", src)
 		}
 		sc.takeDense(out[src])
 	}
 	scratchPool.Put(sc)
 	return out
+}
+
+// dpEdge is one edge among a scatter DP row's reach, by its head's local
+// number l: the head's bit in a visited set, and where the state
+// (mask|bit, l) sits relative to mask's own cells, k<<l + l.
+type dpEdge struct {
+	bit, cell int
+	val       float64
+}
+
+// scatterRowDP is the subset DP as it was before the served kernel
+// gathered: each state, once complete, is added to the row and pushed
+// along e's out-edges into the states one principal larger, in a table of
+// its own that starts zeroed. It reads sc.reached as exactRowDP does,
+// charges m the same steps at the same mask boundaries, and reports false,
+// with the scratch cleared, when they run m out of budget.
+func (sc *rowScratch) scatterRowDP(g *Table, src, maxLen int, m *meter) bool {
+	nodes := sc.reached[1:]
+	slices.Sort(nodes)
+	k := len(nodes)
+	start, edges := []int32{}, []dpEdge{}
+	for _, u := range nodes {
+		start = append(start, int32(len(edges)))
+		cols, vals := g.Row(int(u))
+		for x, y := range cols {
+			if l, ok := slices.BinarySearch(nodes, y); ok {
+				edges = append(edges, dpEdge{bit: 1 << l, cell: k<<l + l, val: vals[x]})
+			}
+		}
+	}
+	start = append(start, int32(len(edges)))
+	f, acc := make([]float64, k<<k), sc.acc
+	srcCols, srcVals := g.Row(src)
+	for x, y := range srcCols {
+		if l, ok := slices.BinarySearch(nodes, y); ok {
+			f[(k<<l)+l] = srcVals[x]
+		}
+	}
+	updates := len(srcCols)
+	for mask := 1; mask < 1<<k; mask++ {
+		length := bits.OnesCount(uint(mask))
+		if length > maxLen {
+			continue
+		}
+		base := mask * k
+		extend := length < maxLen
+		for rest := mask; rest != 0; rest &= rest - 1 {
+			e := bits.TrailingZeros(uint(rest))
+			w := f[base+e]
+			if num.IsZero(w) {
+				continue
+			}
+			acc[nodes[e]] += w
+			if !extend {
+				continue
+			}
+			for _, ed := range edges[start[e]:start[e+1]] {
+				if mask&ed.bit == 0 {
+					f[base+ed.cell] += float64(w * ed.val)
+					updates++
+				}
+			}
+		}
+		if updates >= meterChunk {
+			if !m.charge(updates) {
+				for _, y := range nodes {
+					acc[y] = 0
+				}
+				return false
+			}
+			updates = 0
+		}
+	}
+	sc.touched = append(sc.touched, nodes...)
+	if !m.charge(updates) {
+		sc.discard()
+		return false
+	}
+	return true
 }
 
 // tableOf lays CSR rows out as the table the kernels read.
@@ -183,7 +268,8 @@ func worstRel(t *testing.T, got, want [][]float64, label string) float64 {
 // recursive definition (exactRecursive is modeltest.RefTransitive's
 // recursion, which this package cannot import) on complete graphs of 3 to
 // 9 principals at every level: the DFS bit for bit, as it adds in the
-// definition's order, and the DP within num.ChainSumTol. The variants
+// definition's order, the served DP within num.ChainSumTol, and the served
+// DP to the scatter DP it replaced (scatterRowDP) bit for bit. The variants
 // cover unequal shares, shares above 1 (the overdraft extension lifts the
 // row-sum restriction), zero-valued edges stored in the rows, and a
 // complete block of 10 inside a population of 80.
@@ -210,7 +296,9 @@ func TestKernelsAgree(t *testing.T) {
 				ref := exactRecursive(dense, level)
 				dfs := dfsRows(n, adj, vals, level)
 				requireBitEqual(t, dfs, ref, label("DFS vs recursive definition"))
-				dp := dpRows(t, n, adj, vals, level)
+				dp := dpRows(t, n, adj, vals, level, (*rowScratch).exactRowDP)
+				scatter := dpRows(t, n, adj, vals, level, (*rowScratch).scatterRowDP)
+				requireBitEqual(t, dp, scatter, label("DP vs the scatter DP"))
 				worst = math.Max(worst, worstRel(t, dp, dfs, label("DP vs DFS")))
 				// The served kernel is one or the other, row by row.
 				c, _ := newClosureCSR(n, adj, vals, level, 0)
@@ -245,6 +333,115 @@ func TestKernelsAgree(t *testing.T) {
 		}
 	}
 	t.Logf("worst relative difference between the kernels: %.2g (num.ChainSumTol %.0g)", worst, num.ChainSumTol)
+}
+
+// dpGraph builds a random directed graph of n principals for the DP
+// kernels, which take rows as they are stored: each ordered pair,
+// self-loops and edges back to any source included, is an edge with the
+// given probability, and a fifth of the edges hold 0.
+func dpGraph(rng *rand.Rand, n int, density float64) *Table {
+	adj, vals := make([][]int32, n), make([][]float64, n)
+	scale := 0.1 + 1.4*rng.Float64()
+	for i := range adj {
+		for j := 0; j < n; j++ {
+			if rng.Float64() >= density {
+				continue
+			}
+			v := 0.0
+			if rng.Intn(5) != 0 {
+				v = scale * (0.01 + rng.Float64())
+			}
+			adj[i], vals[i] = append(adj[i], int32(j)), append(vals[i], v)
+		}
+	}
+	return tableOf(adj, vals)
+}
+
+// requireClear fails unless the scratch is as a row leaves it: nothing
+// accumulated, marked, touched or visited.
+func requireClear(t *testing.T, sc *rowScratch, label string) {
+	t.Helper()
+	if len(sc.touched) != 0 {
+		t.Fatalf("%s: %d columns left touched", label, len(sc.touched))
+	}
+	for j := range sc.acc {
+		if sc.acc[j] != 0 || sc.mark[j] || sc.visited[j] {
+			t.Fatalf("%s: column %d left acc %v, mark %v, visited %v", label, j, sc.acc[j], sc.mark[j], sc.visited[j])
+		}
+	}
+}
+
+// TestGatherDPIsTheScatterDP holds the served DP, which gathers each state
+// from the states one principal smaller, to the scatter DP it replaced on
+// random graphs of 2 to 16 principals (12 under -short) at densities from
+// 0.2 to 1, with stored zero-valued edges, self-loops and edges back to
+// the source, at every level: every row is the same bit for bit, both
+// charge their meters the same total, and a budget that runs out part way
+// through a row — at its last charge, and half way — refuses in both with
+// the same steps charged and the scratch left clear. Past 12 principals
+// only the first row of each graph is swept.
+func TestGatherDPIsTheScatterDP(t *testing.T) {
+	maxN := 16
+	if testing.Short() {
+		maxN = 12
+	}
+	rng := rand.New(rand.NewSource(52))
+	rowsChecked, refusals := 0, 0
+	for n := 2; n <= maxN; n++ {
+		for _, density := range []float64{0.2, 0.45, 0.7, 0.9, 1} {
+			g := dpGraph(rng, n, density)
+			sc := getScratch(n)
+			rows := n
+			if n > 12 {
+				rows = 1
+			}
+			for level := 1; level < n; level++ {
+				for src := 0; src < rows; src++ {
+					label := fmt.Sprintf("n=%d density %.2f level %d row %d", n, density, level, src)
+					run := func(gather bool, m *meter) (bool, []float64) {
+						row := make([]float64, n)
+						sc.reach(g, src, level)
+						kernel := sc.scatterRowDP
+						if gather {
+							kernel = sc.exactRowDP
+						}
+						ok := kernel(g, src, level, m)
+						if ok {
+							sc.takeDense(row)
+						}
+						requireClear(t, sc, label)
+						return ok, row
+					}
+					gm, sm := &meter{limit: math.MaxInt64}, &meter{limit: math.MaxInt64}
+					_, got := run(true, gm)
+					_, want := run(false, sm)
+					requireBitEqual(t, [][]float64{got}, [][]float64{want}, label)
+					charged := sm.spent.Load()
+					if gm.spent.Load() != charged {
+						t.Fatalf("%s: the gather charged %d steps, the scatter %d", label, gm.spent.Load(), charged)
+					}
+					rowsChecked++
+					for _, budget := range []int64{charged - 1, charged / 2} {
+						if budget < 1 {
+							continue
+						}
+						gm, sm := newMeter(int(budget)), newMeter(int(budget))
+						gok, _ := run(true, gm)
+						sok, _ := run(false, sm)
+						if gok || sok {
+							t.Fatalf("%s budget %d of %d: gather admitted %v, scatter admitted %v", label, budget, charged, gok, sok)
+						}
+						if gm.spent.Load() != sm.spent.Load() {
+							t.Fatalf("%s budget %d: refused after %d steps by the gather, %d by the scatter", label, budget, gm.spent.Load(), sm.spent.Load())
+						}
+						refusals++
+					}
+				}
+			}
+			scratchPool.Put(sc)
+		}
+	}
+	t.Logf("%d rows bit-equal with equal charges, %d refusals alike", rowsChecked, refusals)
 }
 
 // TestKernelChoiceIsPerRow pins the rule's two promises on sparse graphs:

@@ -17,7 +17,7 @@
 // Sparse graphs of any size — rings, trees, many small communities —
 // enumerate; a dense group is summed without enumerating, which admits
 // complete graphs of up to 15 principals under the serving budget (the
-// paper's K10 builds in ~0.4 ms, K14 in ~25 ms, on two cores). Denser or
+// paper's K10 builds in ~0.2 ms, K14 in ~6 ms, on two cores). Denser or
 // larger cliques are refused (ErrBudget) at the level asked for; a lower
 // level bounds the chains and admits them. There is no other kernel: a
 // sum over walks would count every cycle, and coefficients above the
@@ -90,10 +90,10 @@ func At(cols []int32, vals []float64, j int) float64 {
 // rowScratch is one worker's state for the sparse row kernels: a dense
 // accumulator with the list of columns written, so that one row of T
 // costs its own chains and entries, never a pass over the population.
-// Between rows acc and dp are all zero and mark and visited all false;
-// take, emit and discard restore that. Scratch sets are pooled
-// and handed out one per worker (forRows), so a build holds at most
-// GOMAXPROCS of them.
+// Between rows acc is all zero and mark and visited all false (take, emit
+// and discard restore that); the DP's arrays keep what the last row wrote.
+// Scratch sets are pooled and handed out one per worker (forRows), so a
+// build holds at most GOMAXPROCS of them.
 type rowScratch struct {
 	acc     []float64 // row accumulator
 	mark    []bool    // acc[j] was written this row
@@ -106,12 +106,14 @@ type rowScratch struct {
 	prodStk []float64
 	// Exact kernels, reach of at most maxDPReach: the principals the
 	// source reaches, the least out-degree among those the reach pass
-	// expanded, the edges among them in local numbering, and the
-	// (visited set, end) table of the subset DP.
+	// expanded, the edges among them in local numbering — each head's
+	// in-edge weights by tail, and every principal's in- and out-neighbour
+	// sets — and the (visited set, end) table of the subset DP.
 	reached []int32
 	minOut  int
-	dpStart []int32
-	dpEdges []dpEdge
+	dpW     [maxDPReach - 1][maxDPReach - 1]float64
+	dpIn    [maxDPReach - 1]uint32
+	dpOut   [maxDPReach - 1]uint32
 	dp      []float64
 	// The rows take has emitted and not yet handed on: a build's rows, in
 	// the order this worker computed them, or a delta's one row.
@@ -134,7 +136,7 @@ func getScratch(n int) *rowScratch {
 }
 
 // meter is the one step budget a build or an update charges as it works:
-// DFS steps and DP cell updates, a chunk at a time, from every worker.
+// DFS steps and DP edge reads, a chunk at a time, from every worker.
 // The total a finished build has charged is a sum over its rows of a
 // function of each row's graph, so whether it passes the limit — and so
 // whether the build is refused — does not depend on how rows were
@@ -294,8 +296,11 @@ func sparseRows(n int, g *Table, level, workers int, m *meter) (Table, bool) {
 // on: its table holds (r-1)·2^(r-1) floats, 3.9 MB a worker at 16 and
 // doubling with each principal after. It is sized by that table, not
 // tuned: under the serving budget the DP's own cost already refuses a
-// complete graph of 16.
+// complete graph of 16. The DP's sets of principals are uint32 bitsets;
+// the constant after it stops compiling once the reach outgrows them.
 const maxDPReach = 16
+
+const _ uint32 = 1<<(maxDPReach-1) - 1
 
 // noCap is the DFS step cap of a row the DP cannot take.
 const noCap = math.MaxInt
@@ -304,9 +309,10 @@ const noCap = math.MaxInt
 // (maxLen already clamped); it reports false, with the scratch cleared,
 // when the sum ran m out of budget. Two kernels sum
 // the same chains: the DFS enumerates them, at a cost of one step per
-// chain, and the DP adds them up by (visited set, end) state, at a cost
-// that depends on the reach r and the edges within it and not on how
-// many chains there are (dpCost). The choice is a function of the row's
+// chain, and the DP adds them up by (visited set, end) state, each state
+// gathered from the states one principal smaller, at a cost that depends
+// on the reach r and the edges within it and not on how many chains there
+// are (dpCost). The choice is a function of the row's
 // graph alone: when the source reaches at most maxDPReach principals the
 // row's kernel is the DP if it has more chains than the DP's cost (the
 // cap), and the DFS otherwise. When the out-degrees alone prove the row
@@ -433,20 +439,14 @@ func chainFloor(delta, maxLen, ceiling int) int {
 
 // dpCost bounds the work of the subset DP over a reach of r principals
 // (source included) with the given number of edges among them: each of
-// the table's (r-1)·2^(r-1) cells is read once, and an edge updates a
-// cell for every visited set that holds its tail and not its head, a
-// quarter of the 2^(r-1) sets — edges·2^(r-3) updates, which is exact for
-// a complete graph at full level.
+// the table's (r-1)·2^(r-1) cells is computed once, and an edge is read by
+// the sum of every state whose visited set holds both its ends, a quarter
+// of the 2^(r-1) sets — edges·2^(r-3) reads, which is exact for a complete
+// graph at full level. The meter charges those reads from their tail's
+// side: each non-zero state that may be extended is charged one step per
+// out-edge to a principal outside its set.
 func dpCost(r, edges int) int {
 	return (4*(r-1) + edges) << r >> 3
-}
-
-// dpEdge is one edge among a DP row's reach, by its head's local number
-// l: the head's bit in a visited set, and where the state (mask|bit, l)
-// sits relative to mask's own cells, k<<l + l.
-type dpEdge struct {
-	bit, cell int
-	val       float64
 }
 
 // dfsEnd is how an exact DFS stopped.
@@ -534,7 +534,7 @@ outer:
 					}
 				}
 				st.n++
-				p := product * v
+				p := float64(product * v)
 				row[next] += p
 				if !mark[next] {
 					mark[next] = true
@@ -562,45 +562,51 @@ outer:
 // exactRowDP sums the chains out of src by dynamic programming over the
 // principals src reaches (sc.reached, at most maxDPReach), numbered
 // 0..k-1 in ascending order without src. f[mask][e] is the summed weight
-// of the chains from src that visit exactly the set mask and end at e;
-// each state is added to the row and pushed along e's out-edges into the
-// states one principal larger, masks ascending and ends ascending within
-// a mask (Held–Karp order), so a state is complete before it is read and
-// every sum is taken in one fixed order. A state of maxLen principals is
-// a chain of maxLen edges and is not extended. The table is zeroed as it
-// is read, so it is clear again on return. It reports false, with the
-// scratch cleared, when the updates ran m out of budget.
+// of the chains from src that visit exactly the set mask and end at e: the
+// sum, over e's in-neighbours u in mask∖e in ascending order, of
+// f[mask∖e][u] times the weight of u→e, every product rounded on its own.
+// States are computed masks ascending and ends ascending within a mask
+// (Held–Karp order), so the states one principal smaller are complete
+// before they are read, and each is added to the row as it is done. A
+// state of maxLen principals is a chain of maxLen edges and is not
+// extended; sets of more are skipped. Every cell a row reads it has
+// written, so the table is never cleared. It reports false, with the
+// scratch cleared, when the charges ran m out of budget.
 func (sc *rowScratch) exactRowDP(g *Table, src, maxLen int, m *meter) bool {
 	nodes := sc.reached[1:]
 	slices.Sort(nodes)
 	k := len(nodes)
-	// The edges among the reach, by local number; an edge back to src
-	// closes a cycle and is dropped.
-	start, edges := sc.dpStart[:0], sc.dpEdges[:0]
-	for _, u := range nodes {
-		start = append(start, int32(len(edges)))
+	// The edges among the reach, by local number: w[h][t] weighs t→h, in[h]
+	// holds t and out[t] holds h. An edge back to src is dropped.
+	w, in, out := &sc.dpW, &sc.dpIn, &sc.dpOut
+	clear(in[:k])
+	for t, u := range nodes {
+		out[t] = 0
 		cols, vals := g.Row(int(u))
 		for x, y := range cols {
-			if l, ok := slices.BinarySearch(nodes, y); ok {
-				edges = append(edges, dpEdge{bit: 1 << l, cell: k<<l + l, val: vals[x]})
+			if h, ok := slices.BinarySearch(nodes, y); ok {
+				out[t] |= 1 << h
+				in[h] |= 1 << t
+				w[h][t] = vals[x]
 			}
 		}
 	}
-	start = append(start, int32(len(edges)))
-	sc.dpStart, sc.dpEdges = start, edges
 
 	size := k << k
 	if len(sc.dp) < size {
 		sc.dp = make([]float64, size)
 	}
 	f, acc := sc.dp[:size], sc.acc
+	for l := range k {
+		f[k<<l+l] = 0
+	}
 	srcCols, srcVals := g.Row(src)
 	for x, y := range srcCols {
 		if l, ok := slices.BinarySearch(nodes, y); ok {
-			f[(k<<l)+l] = srcVals[x]
+			f[k<<l+l] = srcVals[x]
 		}
 	}
-	updates := len(srcCols)
+	reads := len(srcCols)
 	for mask := 1; mask < 1<<k; mask++ {
 		length := bits.OnesCount(uint(mask))
 		if length > maxLen {
@@ -610,35 +616,36 @@ func (sc *rowScratch) exactRowDP(g *Table, src, maxLen int, m *meter) bool {
 		extend := length < maxLen
 		for rest := mask; rest != 0; rest &= rest - 1 {
 			e := bits.TrailingZeros(uint(rest))
-			w := f[base+e]
-			if num.IsZero(w) {
-				continue
-			}
-			f[base+e] = 0
-			acc[nodes[e]] += w
-			if !extend {
-				continue
-			}
-			for _, ed := range edges[start[e]:start[e+1]] {
-				if mask&ed.bit == 0 {
-					f[base+ed.cell] += w * ed.val
-					updates++
+			v := f[base+e]
+			if length > 1 {
+				prev := mask &^ (1 << e)
+				from, we := f[prev*k:prev*k+k], &w[e]
+				v = 0
+				for p := uint32(prev) & in[e]; p != 0; p &= p - 1 {
+					u := bits.TrailingZeros32(p)
+					v += float64(from[u] * we[u])
 				}
+				f[base+e] = v
+			}
+			if num.IsZero(v) {
+				continue
+			}
+			acc[nodes[e]] += v
+			if extend {
+				reads += bits.OnesCount32(out[e] &^ uint32(mask))
 			}
 		}
-		if updates >= meterChunk {
-			if !m.charge(updates) {
-				clear(f[base:])
-				for _, y := range nodes {
-					acc[y] = 0
-				}
+		if reads >= meterChunk {
+			if !m.charge(reads) {
+				sc.touched = append(sc.touched, nodes...)
+				sc.discard()
 				return false
 			}
-			updates = 0
+			reads = 0
 		}
 	}
 	sc.touched = append(sc.touched, nodes...)
-	if !m.charge(updates) {
+	if !m.charge(reads) {
 		sc.discard()
 		return false
 	}
@@ -647,7 +654,7 @@ func (sc *rowScratch) exactRowDP(g *Table, src, maxLen int, m *meter) bool {
 
 // sourceCap returns U_ki = min(V_k·T_ki + A_ki, V_k) for k != i.
 func sourceCap(v []float64, t, a [][]float64, k, i int) float64 {
-	u := v[k] * t[k][i]
+	u := float64(v[k] * t[k][i])
 	if a != nil {
 		u += a[k][i]
 	}
@@ -678,17 +685,9 @@ func CapacitiesInto(dst, v []float64, t, a [][]float64) {
 	}
 }
 
+// clampLevel clamps a requested level to [1, n-1], and to 1 when n <= 1.
 func clampLevel(level, n int) int {
-	if level < 1 {
-		return 1
-	}
-	if level > n-1 {
-		if n <= 1 {
-			return 1
-		}
-		return n - 1
-	}
-	return level
+	return max(1, min(level, n-1))
 }
 
 func zeros(n int) [][]float64 {
