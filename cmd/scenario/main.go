@@ -6,15 +6,14 @@
 //	scenario run <bundle-dir>
 //	scenario verify [-report file] <dir|dir/...> ...
 //	scenario record [-seed N] [-steps N] [-ttl D] -o <bundle-dir>
-//	scenario rebless <bundle-dir> ...
-//	scenario seed [-dir scenarios]
+//	scenario rebless <dir|dir/...> ...
 //
 // run replays one bundle and prints its trace; verify replays many and
 // reports the first divergence of each (exit 1 if any diverged); record
 // captures a seeded modeltest cluster schedule into a new bundle through
 // the server tap; rebless re-runs bundles and rewrites their
-// expected.jsonl from the live outcomes; seed regenerates the built-in
-// corpus.
+// expected.jsonl from the live outcomes, the one way the checked-in
+// corpus's expectations are rewritten.
 package main
 
 import (
@@ -42,8 +41,6 @@ func main() {
 		err = cmdRecord(os.Args[2:])
 	case "rebless":
 		err = cmdRebless(os.Args[2:])
-	case "seed":
-		err = cmdSeed(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 		return
@@ -63,8 +60,7 @@ func usage() {
   scenario run <bundle-dir>
   scenario verify [-report file] <dir|dir/...> ...
   scenario record [-seed N] [-steps N] [-ttl D] -o <bundle-dir>
-  scenario rebless <bundle-dir> ...
-  scenario seed [-dir scenarios]`)
+  scenario rebless <dir|dir/...> ...`)
 }
 
 func cmdRun(args []string) error {
@@ -176,7 +172,7 @@ func cmdRebless(args []string) error {
 	fs := flag.NewFlagSet("rebless", flag.ExitOnError)
 	fs.Parse(args)
 	if fs.NArg() == 0 {
-		return fmt.Errorf("rebless: want at least one bundle directory")
+		return fmt.Errorf("rebless: want at least one bundle path (dir or dir/...)")
 	}
 	dirs, err := scenario.Discover(fs.Args())
 	if err != nil {
@@ -201,15 +197,4 @@ func cmdRebless(args []string) error {
 		fmt.Printf("reblessed %s (%d events)\n", dir, res.Events)
 	}
 	return nil
-}
-
-func cmdSeed(args []string) error {
-	fs := flag.NewFlagSet("seed", flag.ExitOnError)
-	dir := fs.String("dir", "scenarios", "corpus directory to (re)generate")
-	fs.Parse(args)
-	written, err := scenario.Seed(*dir)
-	for _, w := range written {
-		fmt.Printf("seeded %s\n", w)
-	}
-	return err
 }

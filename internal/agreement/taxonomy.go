@@ -34,16 +34,24 @@ func BuildComplete(n int, typ ResourceType, capacity, share float64) (*System, [
 }
 
 // BuildLoop wires principal i to share `share` of its resources with
-// principal (i+1) mod n only — the cyclic-loop structure of Figures 9–11
-// (which use 80% shares). The time-zone "skip" of those figures lives in
-// the workload (which proxy gets which phase), not in the agreement graph.
-func BuildLoop(n int, typ ResourceType, capacity, share float64) (*System, []PrincipalID, error) {
+// principal (i+skip) mod n only — the cyclic-loop structure of Figures
+// 9–11 (which use 80% shares). With one time zone between adjacent
+// principals, skip is the paper's time-zone gap between sharing
+// neighbors. It must lie in (0, n) and be coprime with n, or the
+// agreements would form several disjoint cycles instead of one loop.
+func BuildLoop(n int, typ ResourceType, capacity, share float64, skip int) (*System, []PrincipalID, error) {
+	if skip <= 0 || skip >= n {
+		return nil, nil, fmt.Errorf("agreement: BuildLoop: skip %d out of range (0, %d)", skip, n)
+	}
+	if g := gcd(skip, n); g != 1 {
+		return nil, nil, fmt.Errorf("agreement: BuildLoop: skip %d shares a factor with %d principals; agreements would form %d disjoint cycles", skip, n, g)
+	}
 	s, ids, err := buildPrincipals(n, typ, capacity)
 	if err != nil {
 		return nil, nil, err
 	}
 	for i := 0; i < n; i++ {
-		if err := shareFraction(s, ids[i], ids[(i+1)%n], share); err != nil {
+		if err := shareFraction(s, ids[i], ids[(i+skip)%n], share); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -186,4 +194,11 @@ func circularDistance(i, j, n int) int {
 		d = n - d
 	}
 	return d
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }

@@ -38,24 +38,31 @@ func TestBuildComplete(t *testing.T) {
 }
 
 func TestBuildLoop(t *testing.T) {
-	s, ids, err := BuildLoop(4, General, 50, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := matricesOf(s, General)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids {
-		next := (i + 1) % 4
-		for j := range ids {
-			want := 0.0
-			if j == next {
-				want = 0.8
+	for _, tc := range []struct{ n, skip int }{{4, 1}, {4, 3}, {10, 3}} {
+		s, ids, err := BuildLoop(tc.n, General, 50, 0.8, tc.skip)
+		if err != nil {
+			t.Fatalf("n=%d skip=%d: %v", tc.n, tc.skip, err)
+		}
+		m, err := matricesOf(s, General)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ids {
+			next := (i + tc.skip) % tc.n
+			for j := range ids {
+				want := 0.0
+				if j == next {
+					want = 0.8
+				}
+				if math.Abs(m.S[i][j]-want) > 1e-12 {
+					t.Errorf("n=%d skip=%d: S[%d][%d] = %g, want %g", tc.n, tc.skip, i, j, m.S[i][j], want)
+				}
 			}
-			if math.Abs(m.S[i][j]-want) > 1e-12 {
-				t.Errorf("S[%d][%d] = %g, want %g", i, j, m.S[i][j], want)
-			}
+		}
+	}
+	for _, tc := range []struct{ n, skip int }{{4, 0}, {4, 4}, {4, -1}, {10, 5}, {1, 1}} {
+		if _, _, err := BuildLoop(tc.n, General, 50, 0.8, tc.skip); err == nil {
+			t.Errorf("n=%d skip=%d accepted", tc.n, tc.skip)
 		}
 	}
 }

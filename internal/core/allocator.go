@@ -84,18 +84,18 @@ type Config struct {
 const fullLevel = 1 << 30
 
 // exactBudget caps the steps an exact closure may charge: one per chain
-// a row enumerates, one per cell update where a row is summed by the
+// a row enumerates, one per edge read where a row is summed by the
 // subset DP (transitive.exactRow picks per row). Exact closure is
 // exponential on dense graphs either way; refuse plainly instead of
 // hanging (a dense 20-principal graph has ~10^17 cycle-free chains). The
 // build charges the budget as it works and stops when it runs out, so a
-// refusal costs at most the budget (~0.1 s for K16, ~0.7 s for K20). It
-// admits complete graphs of up to 15 principals at full closure — the
-// paper's K10 charges 0.25 M steps and builds in ~0.4 ms, K12 1.8 M and
-// ~4 ms, K14 11 M and ~24 ms, K15 28 M — and refuses K16 (67 M) and
-// anything denser or larger; sparse graphs are charged their chains. It
-// meters the closure's delta path too, refusing a mutation as a build
-// would.
+// refusal costs at most the budget (~0.02–0.05 s for K16, 1–4 s for K20
+// on two busy cores). It admits complete graphs of up to 15 principals
+// at full closure — the paper's K10 charges 0.25 M steps and builds in
+// ~0.2–0.4 ms, K12 1.8 M and ~0.8–1.5 ms, K14 11 M and ~6–8 ms, K15 28 M —
+// and refuses K16 (67 M) and anything denser or larger; sparse graphs
+// are charged their chains. It meters the closure's delta path too,
+// refusing a mutation as a build would.
 const exactBudget = 50_000_000
 
 // Allocator enforces sharing agreements by linear programming. It owns

@@ -428,7 +428,7 @@ func (s *Server) dispatchInner(req *Request) *Response {
 // patch), folding every live share in token order over the declared base.
 // Registration, share and revoke churn keep s.planner patched, so this
 // full rebuild — an exact closure of the whole graph — is the slow path. A refused build (up to
-// the closure budget's ~0.7 s under s.mu) is remembered until an agreement
+// the closure budget's 1–4 s under s.mu) is remembered until an agreement
 // changes, so later callers get the same error without building. Callers
 // hold s.mu.
 func (s *Server) currentPlannerLocked() (*core.Allocator, error) {

@@ -1,7 +1,7 @@
 // Package metrics provides the small statistics toolkit used by the
 // simulator and benchmark harness: streaming mean/variance, percentiles,
-// histograms, and fixed-width time-series binning (the paper reports
-// averages per 10-minute slot of a 24-hour day).
+// and fixed-width time-series binning (the paper reports averages per
+// 10-minute slot of a 24-hour day).
 package metrics
 
 import (
@@ -170,48 +170,4 @@ func (ts *TimeSeries) MaxMean() (slot int, mean float64) {
 		}
 	}
 	return slot, mean
-}
-
-// Histogram counts observations in equal-width buckets over [lo, hi);
-// outliers land in the first/last bucket.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int
-	total   int
-}
-
-// NewHistogram creates a histogram with n buckets over [lo, hi). It panics
-// when n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic(fmt.Sprintf("metrics: NewHistogram(%g, %g, %d): invalid shape", lo, hi, n))
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i]++
-	h.total++
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the share of observations in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.buckets[i]) / float64(h.total)
 }

@@ -150,39 +150,3 @@ func TestTimeSeriesPanics(t *testing.T) {
 	}()
 	NewTimeSeries(0, 1)
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0.5, 1, 3, 5, 7, 9, 11, -1} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	// Buckets: [0,2): 0.5, 1, -1 -> 3; [2,4): 3; [4,6): 5; [6,8): 7; [8,10): 9, 11 -> 2.
-	want := []int{3, 1, 1, 1, 2}
-	for i, w := range want {
-		if h.Bucket(i) != w {
-			t.Errorf("Bucket(%d) = %d, want %d", i, h.Bucket(i), w)
-		}
-	}
-	if math.Abs(h.Fraction(0)-3.0/8) > 1e-12 {
-		t.Errorf("Fraction(0) = %g", h.Fraction(0))
-	}
-}
-
-func TestHistogramEmptyFraction(t *testing.T) {
-	h := NewHistogram(0, 1, 2)
-	if h.Fraction(0) != 0 {
-		t.Error("Fraction on empty histogram should be 0")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram(1, 0, 2) should panic")
-		}
-	}()
-	NewHistogram(1, 0, 2)
-}

@@ -1,6 +1,7 @@
 package modeltest
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -108,18 +109,23 @@ func (ld *ledger) debit(takes []float64) {
 }
 
 // expire removes and credits every lease at or past its expiry, returning
-// how many it reclaimed.
+// how many it reclaimed. It credits in the server's reap order, (expires,
+// token): credit is a capped float sum, so the order is part of the books.
 func (ld *ledger) expire(now time.Time) int {
-	n := 0
+	var due []int
 	for token, le := range ld.leases {
-		if now.Before(le.expires) {
-			continue
+		if !now.Before(le.expires) {
+			due = append(due, token)
 		}
-		delete(ld.leases, token)
-		ld.credit(le.takes)
-		n++
 	}
-	return n
+	slices.SortFunc(due, func(a, b int) int {
+		return cmp.Or(ld.leases[a].expires.Compare(ld.leases[b].expires), cmp.Compare(a, b))
+	})
+	for _, token := range due {
+		ld.credit(ld.leases[token].takes)
+		delete(ld.leases, token)
+	}
+	return len(due)
 }
 
 // clusterNode is one principal's client-side state.

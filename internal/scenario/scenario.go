@@ -5,14 +5,14 @@
 // bundle against a real grm.Server on a virtual clock, diffing live
 // outcomes against the checkpoints with first-divergence reporting.
 //
-// Bundles come from three sources: hand-authored or programmatically
-// seeded corpora (seed.go, the checked-in scenarios/ directory), live
-// traffic captured through the grm record tap (Recorder, grmd -record),
-// and seeded modeltest cluster schedules (cmd/scenario record). Whatever
-// the source, replay is deterministic: the server runs on vclock.Virtual,
-// event timestamps drive the clock, and leases expire exactly when the
-// log says time passed — so a bundle that replays cleanly today is a
-// permanent regression test.
+// Bundles come from three sources: hand-authored bundles (the checked-in
+// scenarios/ directory, whose expectations cmd/scenario rebless writes),
+// live traffic captured through the grm record tap (Recorder, grmd
+// -record), and seeded modeltest cluster schedules (cmd/scenario record).
+// Whatever the source, replay is deterministic: the server runs on
+// vclock.Virtual, event timestamps drive the clock, and leases expire
+// exactly when the log says time passed — so a bundle that replays
+// cleanly today is a permanent regression test.
 package scenario
 
 import (

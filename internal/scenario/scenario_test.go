@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,13 +11,24 @@ import (
 
 // minimalBundle is a tiny well-formed bundle for codec tests.
 func minimalBundle() *Bundle {
-	b := newBuilder("mini", "two peers, one share, one alloc", "test")
-	b.reg(0, "a", 2)
-	b.reg(0, "b", 3)
-	b.shr(10, 0, 1, 0.5)
-	b.alc(100, 1, 2.5)
-	b.rel(200, 1)
-	return b.bundle()
+	events := []Event{
+		{T: 0, Op: OpRegister, Name: "a", Capacity: 2},
+		{T: 0, Op: OpRegister, Name: "b", Capacity: 3},
+		{T: 10, Op: OpShare, P: 0, To: 1, Fraction: 0.5},
+		{T: 100, Op: OpAlloc, P: 1, Amount: 2.5},
+		{T: 200, Op: OpRelease, Lease: 1},
+	}
+	return &Bundle{
+		Meta: Meta{
+			Format: FormatVersion,
+			Name:   "mini",
+			Title:  "two peers, one share, one alloc",
+			Source: "test",
+			Events: len(events),
+		},
+		Events:   events,
+		Expected: map[int]*Outcome{},
+	}
 }
 
 func TestBundleWriteReadRoundTrip(t *testing.T) {
@@ -184,7 +197,10 @@ func TestMutationSmoke(t *testing.T) {
 
 // TestSeededCorpusReplays replays the checked-in corpus — the same gate
 // CI runs through cmd/scenario, kept in `go test` so plain test runs
-// catch a behavior change that invalidates the corpus.
+// catch a behavior change that invalidates the corpus. The committed
+// bundles are the corpus's only source, so each must also be a fixed
+// point of `scenario rebless`: re-blessed and written out, it must give
+// back its committed files byte for byte.
 func TestSeededCorpusReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus replay spins real servers; skipped in -short")
@@ -212,6 +228,42 @@ func TestSeededCorpusReplays(t *testing.T) {
 			if res.Trace != b.Trace() {
 				t.Error("clean replay trace differs from the blessed trace")
 			}
+
+			blessed, err := Replay(b, ReplayOptions{Bless: true})
+			if err != nil {
+				t.Fatalf("bless: %v", err)
+			}
+			b.Expected = blessed.Actual
+			out := filepath.Join(t.TempDir(), b.Meta.Name)
+			if err := WriteBundle(out, b); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			for _, file := range []string{MetaFile, EventsFile, ExpectedFile} {
+				want, err := os.ReadFile(filepath.Join(dir, file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(filepath.Join(out, file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s is not what rebless writes; first differing line:\n  committed: %s\n  reblessed: %s",
+						file, firstDiff(want, got), firstDiff(got, want))
+				}
+			}
 		})
 	}
+}
+
+// firstDiff returns a's first line that differs from b's line at the same
+// position, or a note that a ran out of lines first.
+func firstDiff(a, b []byte) string {
+	al, bl := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+	for i, line := range al {
+		if i >= len(bl) || line != bl[i] {
+			return fmt.Sprintf("line %d: %s", i+1, line)
+		}
+	}
+	return fmt.Sprintf("(ends after %d lines)", len(al))
 }

@@ -36,31 +36,14 @@ func CompletePlanner(n int, share float64, cfg core.Config) (planners.Planner, e
 
 // LoopPlanner builds the LP planner for the cyclic-loop structure of
 // Figures 9–11: proxy i shares `share` of its resources with proxy
-// (i+skip) mod n. With time zones of one hour between adjacent proxies,
-// skip is exactly the paper's "time zone gap between sharing neighbors".
-// skip must be coprime with n for the agreements to form a single loop.
+// (i+skip) mod n (agreement.BuildLoop, which refuses a skip that is out
+// of range or not coprime with n). With time zones of one hour between
+// adjacent proxies, skip is exactly the paper's "time zone gap between
+// sharing neighbors".
 func LoopPlanner(n, skip int, share float64, cfg core.Config) (planners.Planner, error) {
-	if skip <= 0 || skip >= n {
-		return nil, fmt.Errorf("sim: loop skip %d out of range (0, %d)", skip, n)
-	}
-	if gcd(skip, n) != 1 {
-		return nil, fmt.Errorf("sim: loop skip %d shares a factor with %d proxies; agreements would form %d disjoint cycles", skip, n, gcd(skip, n))
-	}
-	sys := agreement.NewSystem()
-	ids := make([]agreement.PrincipalID, n)
-	for i := 0; i < n; i++ {
-		ids[i] = sys.AddPrincipal(fmt.Sprintf("ISP%d", i))
-		if _, err := sys.AddResource(fmt.Sprintf("cap%d", i), agreement.General, ids[i], 1); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < n; i++ {
-		from := sys.CurrencyOf(ids[i])
-		to := sys.CurrencyOf(ids[(i+skip)%n])
-		units := share * sys.Currency(from).FaceValue
-		if _, err := sys.ShareRelative(from, to, units); err != nil {
-			return nil, err
-		}
+	sys, _, err := agreement.BuildLoop(n, agreement.General, 1, share, skip)
+	if err != nil {
+		return nil, err
 	}
 	return plannerFromSystem(sys, cfg)
 }
@@ -116,11 +99,4 @@ func ScaleWorkload(p trace.Profile, m trace.ServiceModel, k float64) (trace.Prof
 	m.B *= k
 	m.C *= k
 	return p, m
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
