@@ -12,11 +12,11 @@
 //	grmd -wal-dump /var/lib/grmd
 //
 // With -parent, the GRM attaches to a higher-level GRM as one aggregated
-// principal, realizing the paper's multi-level GRM architecture; the
-// attach is retried with backoff while the parent comes up, and the link
-// reconnects (re-registering under the same cluster name) if it later
-// dies. -lease-ttl reclaims allocations whose holder vanished without
-// releasing; clients keep long-lived leases with Renew.
+// principal (the paper's multi-level GRM architecture), retrying with
+// backoff while the parent comes up. Its aggregate free capacity is
+// registered once, at the attach: grmd sends no later report, and a link
+// that reconnects re-registers that figure under the same cluster name.
+// -lease-ttl reclaims unreleased leases; holders keep theirs with Renew.
 //
 // With -shards N, the books are partitioned across N independent shards
 // by the first '/'-segment of each principal's name (so one subtree —

@@ -2,8 +2,13 @@ package grm
 
 import (
 	"fmt"
+	"net"
+	"sync"
+	"time"
 
+	"repro/internal/grm/transport"
 	"repro/internal/store"
+	"repro/internal/vclock"
 )
 
 // parentLink is a child GRM's registration with a parent GRM, through
@@ -12,102 +17,209 @@ type parentLink struct {
 	lrm *LRM
 }
 
+// front is what both server shapes put in front of their books: the
+// listener, the serving lifecycle and the one parent link. A plain Server
+// fronts itself; the shard router fronts its shards. Each book keeps its
+// own parent pointer, read under its own mu by the allocation pipeline;
+// the front sets those pointers and owns the link they share.
+type front struct {
+	tr    *transport.Server
+	books []*Server
+
+	// linkMu guards link, attaching and done. It is never held while a
+	// book's mu is taken.
+	linkMu    sync.Mutex
+	link      *parentLink
+	attaching bool // the attach reservation, held across the parent dial
+	done      bool // Close has closed the link; no attach may publish another
+}
+
+// Serve accepts LRM connections on l until Close is called, starting
+// every book's lease reaper (when a TTL is configured) and batch
+// scheduler first. It always returns a non-nil error (net.ErrClosed after
+// a clean shutdown).
+func (f *front) Serve(l net.Listener) error {
+	for _, b := range f.books {
+		b.startBackground()
+	}
+	return f.tr.Serve(l)
+}
+
+// Addr returns the listener address (once Serve has been called).
+func (f *front) Addr() net.Addr { return f.tr.Addr() }
+
+// SetTimeouts configures per-connection deadlines: idle is the maximum
+// quiet time between requests on an LRM connection (0 = unlimited), write
+// the per-response write deadline (0 = none).
+func (f *front) SetTimeouts(idle, write time.Duration) {
+	f.tr.SetTimeouts(idle, write)
+}
+
+// SetLeaseTTL makes every lease granted from now on expire after ttl
+// unless renewed or released; a background reaper per book (started by
+// Serve) returns expired takes to the pool and repays any federation
+// borrow. ttl <= 0 disables expiry. Call before Serve.
+func (f *front) SetLeaseTTL(ttl time.Duration) {
+	ttl = max(ttl, 0)
+	var every time.Duration
+	if ttl > 0 {
+		every = max(ttl/4, time.Millisecond)
+	}
+	for _, b := range f.books {
+		b.mu.Lock()
+		b.leaseTTL, b.reapEvery = ttl, every
+		b.mu.Unlock()
+	}
+}
+
+// SetClock replaces the clock driving lease expiry and the reaper of
+// every book. Injecting a vclock.Virtual makes the whole lease lifecycle
+// deterministic: leases expire exactly when the test advances the clock
+// past their TTL, never because a wall-clock sleep ran long. Call before
+// Serve.
+func (f *front) SetClock(c vclock.Clock) {
+	for _, b := range f.books {
+		b.mu.Lock()
+		b.clock = c
+		b.mu.Unlock()
+	}
+}
+
 // AttachParent registers this GRM as an LRM of a parent GRM, realizing
 // the paper's multi-level GRM architecture: the parent sees the whole
-// cluster as one principal whose capacity is the cluster's aggregate free
-// capacity. Call after local LRMs have registered; ReportUpstream keeps
-// the parent's view fresh.
-func (s *Server) AttachParent(addr, name string) error {
-	return s.AttachParentConfig(addr, name, DefaultDialConfig())
+// cluster — every book behind this front — as one principal whose
+// capacity is the cluster's aggregate free capacity, and every book
+// borrows and repays through the one link (the LRM client is safe for
+// concurrent use). Call after local LRMs have registered; ReportUpstream
+// keeps the parent's view fresh.
+func (f *front) AttachParent(addr, name string) error {
+	return f.AttachParentConfig(addr, name, DefaultDialConfig())
 }
 
 // AttachParentConfig is AttachParent with explicit dial/retry behavior for
 // the parent connection. A reservation is held across the dial so that
 // concurrent attach attempts cannot each register at the parent and leak
 // the loser's connection: exactly one caller dials, the rest fail fast.
-func (s *Server) AttachParentConfig(addr, name string, cfg DialConfig) error {
-	s.mu.Lock()
-	if s.parent != nil || s.attaching {
-		s.mu.Unlock()
+func (f *front) AttachParentConfig(addr, name string, cfg DialConfig) error {
+	f.linkMu.Lock()
+	if f.link != nil || f.attaching {
+		f.linkMu.Unlock()
 		return fmt.Errorf("grm: parent already attached")
 	}
-	s.attaching = true
-	var total float64
-	for _, a := range s.avail {
-		total += a
-	}
-	s.mu.Unlock()
+	f.attaching = true
+	f.linkMu.Unlock()
 
+	link, err := f.dialParent(addr, name, cfg)
+	f.linkMu.Lock()
+	f.attaching = false
+	if err == nil && f.done {
+		err = fmt.Errorf("grm: attach parent: server closed")
+	}
+	if err == nil {
+		f.link = link
+	}
+	f.linkMu.Unlock()
+	if err != nil && link != nil {
+		f.relink(link, nil)
+		link.lrm.Close()
+	}
+	return err
+}
+
+// dialParent registers the books' aggregate at the parent and points
+// every book at the new link. Availability reported while the dial was in
+// flight is not in the registered capacity, so the aggregate is summed
+// again once the books hold the link and re-reported when it has moved.
+// On a failed refresh it returns the link with the error, for the caller
+// to unwind.
+func (f *front) dialParent(addr, name string, cfg DialConfig) (*parentLink, error) {
+	total := f.aggregate()
 	lrm, err := DialWithConfig(addr, name, total, cfg)
-	s.mu.Lock()
-	s.attaching = false
 	if err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("grm: attach parent: %w", err)
+		return nil, fmt.Errorf("grm: attach parent: %w", err)
 	}
-	s.parent = &parentLink{lrm: lrm}
-	// Availability reported while the dial was in flight (the lock is
-	// released across it) is not in the registered capacity; recompute
-	// under the same lock that admits reports and refresh the parent's
-	// view so those reports are not lost.
-	var fresh float64
-	for _, a := range s.avail {
-		fresh += a
-	}
-	s.mu.Unlock()
-	if fresh != total {
-		if rerr := lrm.Report(fresh); rerr != nil {
-			s.mu.Lock()
-			s.parent = nil
-			s.mu.Unlock()
-			lrm.Close()
-			return fmt.Errorf("grm: attach parent: refresh aggregate: %w", rerr)
+	link := &parentLink{lrm: lrm}
+	f.relink(nil, link)
+	if fresh := f.aggregate(); fresh != total {
+		if err := lrm.Report(fresh); err != nil {
+			return link, fmt.Errorf("grm: attach parent: refresh aggregate: %w", err)
 		}
 	}
-	return nil
+	return link, nil
+}
+
+// relink moves every book whose parent is from onto to.
+func (f *front) relink(from, to *parentLink) {
+	for _, b := range f.books {
+		b.mu.Lock()
+		if b.parent == from {
+			b.parent = to
+		}
+		b.mu.Unlock()
+	}
+}
+
+// aggregate sums the free capacity of every book.
+func (f *front) aggregate() float64 {
+	var total float64
+	for _, b := range f.books {
+		b.mu.Lock()
+		for _, a := range b.avail {
+			total += a
+		}
+		b.mu.Unlock()
+	}
+	return total
 }
 
 // Parent returns the LRM this GRM uses to talk to its parent (nil when
 // not attached). The caller may use it to create inter-cluster sharing
 // agreements with sibling clusters.
-func (s *Server) Parent() *LRM {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.parent == nil {
+func (f *front) Parent() *LRM {
+	f.linkMu.Lock()
+	defer f.linkMu.Unlock()
+	if f.link == nil {
 		return nil
 	}
-	return s.parent.lrm
+	return f.link.lrm
 }
 
 // ReportUpstream sends the cluster's current aggregate free capacity to
-// the parent GRM.
-func (s *Server) ReportUpstream() error {
-	s.mu.Lock()
-	p := s.parent
-	var total float64
-	for _, a := range s.avail {
-		total += a
-	}
-	s.mu.Unlock()
-	if p == nil {
+// the parent GRM as one report.
+func (f *front) ReportUpstream() error {
+	f.linkMu.Lock()
+	link := f.link
+	f.linkMu.Unlock()
+	if link == nil {
 		return fmt.Errorf("grm: no parent attached")
 	}
-	return p.lrm.Report(total)
+	return link.lrm.Report(f.aggregate())
 }
 
 // DetachParent closes the parent connection. Leases that borrowed through
 // the link keep a reference to it, so repayment on a later Release still
 // reaches the (now re-dialed, if the link's LRM reconnects) parent; a
 // repayment after Close simply fails and is logged.
-func (s *Server) DetachParent() error {
-	s.mu.Lock()
-	p := s.parent
-	s.parent = nil
-	s.mu.Unlock()
-	if p == nil {
+func (f *front) DetachParent() error {
+	f.linkMu.Lock()
+	link := f.link
+	f.link = nil
+	f.linkMu.Unlock()
+	if link == nil {
 		return nil
 	}
-	return p.lrm.Close()
+	f.relink(link, nil)
+	return link.lrm.Close()
+}
+
+// closeLink ends a Close: it closes the link this front attached, after
+// every book has drained, so queued borrows were still repaid through it,
+// and refuses any later attach.
+func (f *front) closeLink() {
+	f.linkMu.Lock()
+	f.done = true
+	f.linkMu.Unlock()
+	f.DetachParent()
 }
 
 // noteBorrowLocked records a federation borrow on this level's balance

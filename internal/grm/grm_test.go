@@ -429,22 +429,26 @@ func TestFederationBorrow(t *testing.T) {
 }
 
 func TestAttachParentTwice(t *testing.T) {
-	_, parentAddr := startServer(t, core.Config{})
-	child, childAddr := startServer(t, core.Config{})
-	l, err := Dial(childAddr, "n", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := child.AttachParent(parentAddr, "c"); err != nil {
-		t.Fatal(err)
-	}
-	defer child.DetachParent()
-	if err := child.AttachParent(parentAddr, "c2"); err == nil {
-		t.Error("second AttachParent accepted")
-	}
-	if err := child.ReportUpstream(); err != nil {
-		t.Errorf("ReportUpstream: %v", err)
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			_, parentAddr := startServer(t, core.Config{})
+			child, childAddr := shape.start(t)
+			l, err := Dial(childAddr, "n", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if err := child.AttachParent(parentAddr, "c"); err != nil {
+				t.Fatal(err)
+			}
+			defer child.DetachParent()
+			if err := child.AttachParent(parentAddr, "c2"); err == nil {
+				t.Error("second AttachParent accepted")
+			}
+			if err := child.ReportUpstream(); err != nil {
+				t.Errorf("ReportUpstream: %v", err)
+			}
+		})
 	}
 }
 

@@ -182,14 +182,14 @@ func (s *Server) applyLocked(rec *store.Record) error {
 	}
 }
 
-// recoveredLease rebuilds a lease from its journaled takes — pairs, or
-// the dense vector some JSON-era logs hold — and checks the pairs against
+// recoveredLease rebuilds a lease from its journaled takes, always pairs
+// (a log replays through the strict decoder; JSON-era dense vectors reach
+// a server only rewritten by cmd/walupgrade), and checks the pairs against
 // the books the replay has rebuilt so far: the log is outside input, and
 // debit and credit index the availability view by source without looking.
 // The record's slices are kept, not copied; replayed records are not
 // written to again.
 func (s *Server) recoveredLease(sources []int, takes []float64, expires int64, parentLease int) (*lease, error) {
-	sources, takes = store.SparseTakes(sources, takes)
 	if len(sources) != len(takes) {
 		return nil, fmt.Errorf("%d sources for %d takes", len(sources), len(takes))
 	}

@@ -32,6 +32,64 @@ func startServerWith(t *testing.T, cfg core.Config, setup func(*Server)) (*Serve
 	return s, l.Addr().String()
 }
 
+// attachNode is the parent-link surface the front gives both server
+// shapes.
+type attachNode interface {
+	AttachParent(addr, name string) error
+	AttachParentConfig(addr, name string, cfg DialConfig) error
+	Parent() *LRM
+	ReportUpstream() error
+	DetachParent() error
+	Close() error
+}
+
+// shapes are the two server shapes, each started on a loopback port: a
+// plain Server and a 2-shard router.
+var shapes = []struct {
+	name  string
+	start func(t *testing.T) (attachNode, string)
+}{
+	{"plain", func(t *testing.T) (attachNode, string) { return startServer(t, core.Config{}) }},
+	{"sharded", func(t *testing.T) (attachNode, string) {
+		g := NewSharded(2, core.Config{}, nil)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go g.Serve(l)
+		t.Cleanup(func() { g.Close() })
+		return g, l.Addr().String()
+	}},
+}
+
+// TestCloseClosesParentLink: Close ends by closing the parent link its
+// front attached, so a restarted server leaves no old incarnation
+// connected at its parent.
+func TestCloseClosesParentLink(t *testing.T) {
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			_, parentAddr := startServer(t, core.Config{})
+			child, _ := shape.start(t)
+			if err := child.AttachParent(parentAddr, "cluster"); err != nil {
+				t.Fatal(err)
+			}
+			link := child.Parent()
+			if err := child.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if child.Parent() != nil {
+				t.Error("Parent() is still set after Close")
+			}
+			if err := link.Ping(); err == nil {
+				t.Error("the old parent link still answers a Ping after Close")
+			}
+			if err := child.AttachParent(parentAddr, "again"); err == nil || child.Parent() != nil {
+				t.Errorf("attach after Close: err %v, link kept %t", err, child.Parent() != nil)
+			}
+		})
+	}
+}
+
 func TestCloseTwice(t *testing.T) {
 	s, _ := startServer(t, core.Config{})
 	err1 := s.Close()
@@ -76,38 +134,42 @@ func TestCloseSeversLiveConnections(t *testing.T) {
 }
 
 func TestConcurrentAttachParent(t *testing.T) {
-	_, parentAddr := startServer(t, core.Config{})
-	child, _ := startServer(t, core.Config{})
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			_, parentAddr := startServer(t, core.Config{})
+			child, _ := shape.start(t)
 
-	const n = 8
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = child.AttachParent(parentAddr, "cluster")
-		}(i)
+			const n = 8
+			var wg sync.WaitGroup
+			errs := make([]error, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = child.AttachParent(parentAddr, "cluster")
+				}(i)
+			}
+			wg.Wait()
+			var ok int
+			for _, err := range errs {
+				if err == nil {
+					ok++
+				}
+			}
+			if ok != 1 {
+				t.Fatalf("%d AttachParent calls succeeded, want exactly 1", ok)
+			}
+			// The losers must not have leaked registrations at the parent.
+			names, err := child.Parent().Peers()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(names) != 1 {
+				t.Errorf("parent sees %d principals (%v), want 1 — losers leaked connections", len(names), names)
+			}
+			child.DetachParent()
+		})
 	}
-	wg.Wait()
-	var ok int
-	for _, err := range errs {
-		if err == nil {
-			ok++
-		}
-	}
-	if ok != 1 {
-		t.Fatalf("%d AttachParent calls succeeded, want exactly 1", ok)
-	}
-	// The losers must not have leaked registrations at the parent.
-	names, err := child.Parent().Peers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 {
-		t.Errorf("parent sees %d principals (%v), want 1 — losers leaked connections", len(names), names)
-	}
-	child.DetachParent()
 }
 
 func TestClientTimeoutOnInjectedLatency(t *testing.T) {
@@ -738,58 +800,62 @@ func TestServerIdleTimeoutDisconnectsQuietClients(t *testing.T) {
 // so availability reported while the dial is in flight must be
 // re-reported to the parent once attached, not silently lost.
 func TestAttachParentRefreshesAggregate(t *testing.T) {
-	_, paddr := startServer(t, core.Config{})
-	child, caddr := startServer(t, core.Config{})
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			_, paddr := startServer(t, core.Config{})
+			child, caddr := shape.start(t)
 
-	leaf, err := Dial(caddr, "leaf", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
-	if err := leaf.Report(10); err != nil {
-		t.Fatal(err)
-	}
+			leaf, err := Dial(caddr, "leaf", 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer leaf.Close()
+			if err := leaf.Report(10); err != nil {
+				t.Fatal(err)
+			}
 
-	// The dialer hook lands a fresh availability report in the window
-	// between the aggregate snapshot and the registration at the parent.
-	var once sync.Once
-	cfg := DefaultDialConfig()
-	cfg.Dialer = func(addr string) (net.Conn, error) {
-		once.Do(func() {
-			if err := leaf.Report(25); err != nil {
-				t.Errorf("interleaved report: %v", err)
+			// The dialer hook lands a fresh availability report in the window
+			// between the aggregate snapshot and the registration at the parent.
+			var once sync.Once
+			cfg := DefaultDialConfig()
+			cfg.Dialer = func(addr string) (net.Conn, error) {
+				once.Do(func() {
+					if err := leaf.Report(25); err != nil {
+						t.Errorf("interleaved report: %v", err)
+					}
+				})
+				return net.DialTimeout("tcp", addr, time.Second)
+			}
+			if err := child.AttachParentConfig(paddr, "cluster", cfg); err != nil {
+				t.Fatal(err)
+			}
+			defer child.DetachParent()
+
+			probe, err := Dial(paddr, "probe", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer probe.Close()
+			names, err := probe.Peers()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cluster := -1
+			for i, name := range names {
+				if name == "cluster" {
+					cluster = i
+				}
+			}
+			if cluster < 0 {
+				t.Fatalf("cluster principal not registered at parent: %v", names)
+			}
+			avail, _, err := probe.Capacities()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(avail[cluster]-25) > 1e-9 {
+				t.Fatalf("parent sees cluster availability %g, want the refreshed 25 (stale snapshot was 10)", avail[cluster])
 			}
 		})
-		return net.DialTimeout("tcp", addr, time.Second)
-	}
-	if err := child.AttachParentConfig(paddr, "cluster", cfg); err != nil {
-		t.Fatal(err)
-	}
-	defer child.DetachParent()
-
-	probe, err := Dial(paddr, "probe", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer probe.Close()
-	names, err := probe.Peers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster := -1
-	for i, name := range names {
-		if name == "cluster" {
-			cluster = i
-		}
-	}
-	if cluster < 0 {
-		t.Fatalf("cluster principal not registered at parent: %v", names)
-	}
-	avail, _, err := probe.Capacities()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(avail[cluster]-25) > 1e-9 {
-		t.Fatalf("parent sees cluster availability %g, want the refreshed 25 (stale snapshot was 10)", avail[cluster])
 	}
 }

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"sync"
 	"time"
 
 	"repro/internal/agreement"
 	"repro/internal/core"
-	"repro/internal/grm/transport"
 	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/vclock"
@@ -57,8 +55,12 @@ type shareList struct{ first, last int32 }
 
 // Server is the Global Resource Manager: it keeps sharing agreements as a
 // declared base plus the wire's share history, tracks availability reported
-// by LRMs, and answers allocation requests with the LP scheduler.
+// by LRMs, and answers allocation requests with the LP scheduler. It is
+// one book behind its own front (federation.go), which serves it, attaches
+// it to a parent GRM and closes that link at the end of Close; the shard
+// router puts one front before many of them.
 type Server struct {
+	front
 	cfg core.Config
 
 	// Fields marked wal:journaled are the durable state: every mutation
@@ -80,9 +82,8 @@ type Server struct {
 	// agreement graph past the exact-closure budget), kept until the next
 	// agreement mutation so the refusal is paid once and not by every
 	// request that finds no planner.
-	plannerErr error // wal:derived
-	parent     *parentLink
-	attaching  bool           // AttachParent reservation held across the parent dial
+	plannerErr error          // wal:derived
+	parent     *parentLink    // set by the front serving this book; nil when detached
 	leases     map[int]*lease // wal:journaled
 	nextLease  int            // wal:journaled
 	expired    []expiry       // the reaper's scratch: one pass's expired leases in reap order; wal:derived
@@ -140,7 +141,6 @@ type Server struct {
 	mMaxBatch    metrics.Gauge   // largest batch so far (scheduler-only writer)
 	mBatchPlanNS metrics.Counter // cumulative nanoseconds of batch critical sections: validate, solve, commit, journal
 
-	tr         *transport.Server
 	wg         sync.WaitGroup
 	closed     chan struct{}
 	closeOnce  sync.Once
@@ -169,56 +169,14 @@ func NewServer(cfg core.Config, logger *log.Logger) *Server {
 		jobs:      make(chan *allocJob, allocQueueCap),
 		clock:     vclock.Real{},
 	}
-	s.tr = serveRequests(s.Handle, logger)
+	s.books, s.tr = []*Server{s}, serveRequests(s.Handle, logger)
 	return s
 }
 
-// SetClock replaces the clock driving lease expiry and the reaper.
-// Injecting a vclock.Virtual makes the whole lease lifecycle
-// deterministic: leases expire exactly when the test advances the clock
-// past their TTL, never because a wall-clock sleep ran long. Call before
-// Serve.
-func (s *Server) SetClock(c vclock.Clock) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock = c
-}
-
-// SetLeaseTTL makes every lease granted from now on expire after ttl
-// unless renewed or released; a background reaper (started by Serve)
-// returns expired takes to the pool and repays any federation borrow.
-// ttl <= 0 disables expiry. Call before Serve.
-func (s *Server) SetLeaseTTL(ttl time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ttl <= 0 {
-		s.leaseTTL, s.reapEvery = 0, 0
-		return
-	}
-	s.leaseTTL = ttl
-	s.reapEvery = max(ttl/4, time.Millisecond)
-}
-
-// SetTimeouts configures per-connection deadlines: idle is the maximum
-// quiet time between requests on an LRM connection (0 = unlimited), write
-// the per-response write deadline (0 = none).
-func (s *Server) SetTimeouts(idle, write time.Duration) {
-	s.tr.SetTimeouts(idle, write)
-}
-
-// Serve accepts LRM connections on l until Close is called. It always
-// returns a non-nil error (net.ErrClosed after a clean shutdown). Serving
-// starts the lease reaper (when a TTL is configured) and the batch
-// scheduler that drains the allocation admission queue.
-func (s *Server) Serve(l net.Listener) error {
-	s.startBackground()
-	return s.tr.Serve(l)
-}
-
 // startBackground launches the lease reaper (when a TTL is configured)
-// and the batch scheduler. Serve calls it; the shard router calls it
-// directly because shard servers handle requests without listeners of
-// their own. Idempotent.
+// and the batch scheduler. The front's Serve calls it for every book it
+// fronts, so shard servers start theirs without listeners of their own.
+// Idempotent.
 func (s *Server) startBackground() {
 	s.mu.Lock()
 	ttl := s.leaseTTL
@@ -232,23 +190,13 @@ func (s *Server) startBackground() {
 	s.startScheduler()
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("grm: listen %s: %w", addr, err)
-	}
-	return s.Serve(l)
-}
-
-// Addr returns the listener address (once Serve has been called).
-func (s *Server) Addr() net.Addr { return s.tr.Addr() }
-
 // Close stops the accept loop, severs live LRM connections, waits for
 // in-flight handlers, the batch scheduler with its federation round
 // trips, and the lease reaper, repays the borrow of any request still
-// queued, then flushes the write-ahead log. Safe to call more than once;
-// repeated calls return the first call's error.
+// queued, flushes the write-ahead log, and last closes the parent link
+// its own front attached (a shard has none of its own: the router's
+// stays open). Safe to call more than once; repeated calls return the
+// first call's error.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.schedStart.Do(func() {}) // a scheduler not yet started never starts
@@ -264,6 +212,7 @@ func (s *Server) Close() error {
 				s.logger.Printf("grm: close: wal sync: %v", err)
 			}
 		}
+		s.closeLink()
 	})
 	return s.closeErr
 }

@@ -4,16 +4,12 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/grm/transport"
 	"repro/internal/store"
-	"repro/internal/vclock"
 )
 
 // Sharded fronts nshards independent GRM servers behind one wire
@@ -35,17 +31,18 @@ import (
 // and tickets), so the router can decode the owning shard from any
 // identifier without a translation table — nothing to journal, nothing
 // to recover.
+//
+// The router is its shards' front (federation.go): it serves, attaches
+// the whole cluster to a parent GRM as one principal and closes that link
+// with the same code as a plain Server. What is its own is routing and
+// the renaming of identifiers.
 type Sharded struct {
+	front
 	nshards int
 	// shards are the per-shard servers; each journals its own durable
 	// state through its own WAL (attach with SetLogs / RecoverShards).
 	shards []*Server // wal:sharded
 
-	mu        sync.Mutex
-	parent    *parentLink
-	attaching bool
-
-	tr        *transport.Server
 	logger    *log.Logger
 	closeOnce sync.Once
 	closeErr  error
@@ -63,7 +60,7 @@ func NewSharded(nshards int, cfg core.Config, logger *log.Logger) *Sharded {
 		shards[i] = NewServer(cfg, logger)
 	}
 	g := &Sharded{nshards: nshards, shards: shards, logger: logger}
-	g.tr = serveRequests(g.Handle, logger)
+	g.books, g.tr = shards, serveRequests(g.Handle, logger)
 	return g
 }
 
@@ -282,29 +279,9 @@ func (g *Sharded) mergedNames() []string {
 	return names
 }
 
-// Serve accepts LRM connections on l until Close, starting every shard's
-// lease reaper and batch scheduler.
-func (g *Sharded) Serve(l net.Listener) error {
-	for _, sh := range g.shards {
-		sh.startBackground()
-	}
-	return g.tr.Serve(l)
-}
-
-// ListenAndServe listens on addr and serves until Close.
-func (g *Sharded) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("grm: listen %s: %w", addr, err)
-	}
-	return g.Serve(l)
-}
-
-// Addr returns the listener address (once Serve has been called).
-func (g *Sharded) Addr() net.Addr { return g.tr.Addr() }
-
-// Close stops the router's accept loop and closes every shard (which
-// flushes each per-shard WAL). Safe to call more than once.
+// Close stops the router's accept loop, closes every shard (which drains
+// each pipeline and flushes each per-shard WAL), and last closes the
+// parent link. Safe to call more than once.
 func (g *Sharded) Close() error {
 	g.closeOnce.Do(func() {
 		g.closeErr = g.tr.Close()
@@ -313,34 +290,9 @@ func (g *Sharded) Close() error {
 				g.closeErr = err
 			}
 		}
-		g.mu.Lock()
-		p := g.parent
-		g.parent = nil
-		g.mu.Unlock()
-		if p != nil {
-			p.lrm.Close()
-		}
+		g.closeLink()
 	})
 	return g.closeErr
-}
-
-// SetLeaseTTL forwards the lease TTL to every shard. Call before Serve.
-func (g *Sharded) SetLeaseTTL(ttl time.Duration) {
-	for _, sh := range g.shards {
-		sh.SetLeaseTTL(ttl)
-	}
-}
-
-// SetClock forwards the clock to every shard. Call before Serve.
-func (g *Sharded) SetClock(c vclock.Clock) {
-	for _, sh := range g.shards {
-		sh.SetClock(c)
-	}
-}
-
-// SetTimeouts configures the router's per-connection deadlines.
-func (g *Sharded) SetTimeouts(idle, write time.Duration) {
-	g.tr.SetTimeouts(idle, write)
 }
 
 // SetLogs attaches one write-ahead log per shard (logs[i] records shard
@@ -382,99 +334,6 @@ func (g *Sharded) Compact() error {
 		}
 	}
 	return nil
-}
-
-// AttachParent registers this sharded GRM as one LRM of a parent GRM:
-// the parent sees the whole sharded cluster as a single principal. All
-// shards borrow and repay through the one shared link (the LRM client is
-// safe for concurrent use), so the parent's books stay per-cluster.
-func (g *Sharded) AttachParent(addr, name string) error {
-	return g.AttachParentConfig(addr, name, DefaultDialConfig())
-}
-
-// AttachParentConfig is AttachParent with explicit dial behavior.
-func (g *Sharded) AttachParentConfig(addr, name string, cfg DialConfig) error {
-	g.mu.Lock()
-	if g.parent != nil || g.attaching {
-		g.mu.Unlock()
-		return fmt.Errorf("grm: parent already attached")
-	}
-	g.attaching = true
-	g.mu.Unlock()
-
-	lrm, err := DialWithConfig(addr, name, g.aggregateAvail(), cfg)
-	g.mu.Lock()
-	g.attaching = false
-	if err != nil {
-		g.mu.Unlock()
-		return fmt.Errorf("grm: attach parent: %w", err)
-	}
-	link := &parentLink{lrm: lrm}
-	g.parent = link
-	g.mu.Unlock()
-	for _, sh := range g.shards {
-		sh.mu.Lock()
-		sh.parent = link
-		sh.mu.Unlock()
-	}
-	// Reports that raced the dial are folded in by a fresh aggregate.
-	if err := lrm.Report(g.aggregateAvail()); err != nil {
-		g.detachLink(link)
-		return fmt.Errorf("grm: attach parent: refresh aggregate: %w", err)
-	}
-	return nil
-}
-
-// detachLink removes a link from the router and every shard, closing it.
-func (g *Sharded) detachLink(link *parentLink) {
-	g.mu.Lock()
-	if g.parent == link {
-		g.parent = nil
-	}
-	g.mu.Unlock()
-	for _, sh := range g.shards {
-		sh.mu.Lock()
-		if sh.parent == link {
-			sh.parent = nil
-		}
-		sh.mu.Unlock()
-	}
-	link.lrm.Close()
-}
-
-// Parent returns the shared parent LRM (nil when not attached).
-func (g *Sharded) Parent() *LRM {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.parent == nil {
-		return nil
-	}
-	return g.parent.lrm
-}
-
-// aggregateAvail sums availability across every shard.
-func (g *Sharded) aggregateAvail() float64 {
-	var total float64
-	for _, sh := range g.shards {
-		sh.mu.Lock()
-		for _, a := range sh.avail {
-			total += a
-		}
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// ReportUpstream sends the cluster's aggregate free capacity to the
-// parent GRM as one report.
-func (g *Sharded) ReportUpstream() error {
-	g.mu.Lock()
-	p := g.parent
-	g.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("grm: no parent attached")
-	}
-	return p.lrm.Report(g.aggregateAvail())
 }
 
 // Status merges every shard's status into one view: counters sum,

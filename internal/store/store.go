@@ -109,9 +109,9 @@ type Record struct {
 	// Alloc / Release / Renew / Expire / Borrow / Repay. An allocation's
 	// takes are pairs: Takes[k] was drawn from principal Sources[k], with
 	// Sources strictly ascending. nil Sources is the dense form — Takes is
-	// indexed by principal id — which JSON-era logs hold (the upgrader
-	// writes it as pairs) and a caller may still hand to Append (it is
-	// stored as its pairs); readers take either through SparseTakes.
+	// indexed by principal id — which JSON-era logs hold and a caller may
+	// still hand to Append (the upgrader does): it is stored as its pairs,
+	// so a record a log replays always carries pairs.
 	Lease       int       `json:"lease,omitempty"`
 	Sources     []int     `json:"src,omitempty"`
 	Takes       []float64 `json:"takes,omitempty"`
