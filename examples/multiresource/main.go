@@ -54,7 +54,7 @@ func main() {
 	}
 	fmt.Println("multi-type request (4 cpu + 20 disk for principal 0):")
 	for _, typ := range mu.Types() {
-		fmt.Printf("  %s takes: %v\n", typ, round(plans[typ].Take))
+		fmt.Printf("  %s takes: %v\n", typ, round(scatter(n, plans[typ].Sources, plans[typ].Takes)))
 	}
 
 	// --- 2. coupled bundle -----------------------------------------
@@ -77,7 +77,7 @@ func main() {
 	}
 	fmt.Println("allocating 3 bundles for principal 0 (components stay on one machine):")
 	for _, typ := range []string{"cpu", "mem"} {
-		fmt.Printf("  %s takes: %v\n", typ, round(bundlePlan[typ].Take))
+		fmt.Printf("  %s takes: %v\n", typ, round(scatter(n, bundlePlan[typ].Sources, bundlePlan[typ].Takes)))
 	}
 
 	// --- 3. hierarchical multi-grid -------------------------------
@@ -87,12 +87,12 @@ func main() {
 		log.Fatal(err)
 	}
 	vh := []float64{1, 1, 1, 30, 30, 30} // home group drained
-	plan, err := h.Plan(vh, 0, 8)
+	sources, takes, _, err := h.PlanPairs(nil, nil, vh, 0, 8)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nhierarchical allocation of 8 for principal 0 (home group nearly empty):\n")
-	fmt.Printf("  takes: %v\n", round(plan.Take))
+	fmt.Printf("  takes: %v\n", round(scatter(n, sources, takes)))
 	fmt.Printf("  coarse grid sent the request across groups; fine grids picked the sources\n")
 
 	// --- 4. multi-view resource -----------------------------------
@@ -112,10 +112,23 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nmulti-view disks (10 units at principal 1, read 80%% / write 20%% agreements):\n")
+	var drawn float64
 	for _, view := range mv.Views() {
-		fmt.Printf("  %s takes: %v\n", view, round(viewPlan[view].Take))
+		take := scatter(len(pool), viewPlan[view].Sources, viewPlan[view].Takes)
+		fmt.Printf("  %s takes: %v\n", view, round(take))
+		drawn += take[1]
 	}
-	fmt.Printf("  remaining physical pool at principal 1: %.1f\n", viewPlan["disk-read"].NewV[1])
+	fmt.Printf("  remaining physical pool at principal 1: %.1f\n", max(pool[1]-drawn, 0))
+}
+
+// scatter spreads a plan's (source, take) pairs over n principals for
+// printing.
+func scatter(n int, sources []int, takes []float64) []float64 {
+	out := make([]float64, n)
+	for k, i := range sources {
+		out[i] = takes[k]
+	}
+	return out
 }
 
 func round(xs []float64) []float64 {

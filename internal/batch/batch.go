@@ -97,9 +97,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.QueueWait.Add(t - j.Arrival)
 		res.PerOwner[j.Owner].Add(t - j.Arrival)
-		for i, take := range lease.Take {
+		for k, i := range lease.Sources {
 			if i != j.Owner {
-				res.Borrowed += take * j.Duration
+				res.Borrowed += lease.Takes[k] * j.Duration
 			}
 		}
 		heap.Push(events, batchEvent{t: t + j.Duration, lease: lease.ID, arrival: false})

@@ -14,7 +14,7 @@ import (
 	"repro/internal/num"
 )
 
-// ErrInsufficient is wrapped by Plan when the requester's capacity C_A is
+// ErrInsufficient is wrapped by a plan when the requester's capacity C_A is
 // smaller than the requested amount.
 var ErrInsufficient = errors.New("core: insufficient capacity for request")
 
@@ -30,17 +30,16 @@ func (e *shortfall) Error() string {
 	return fmt.Sprintf("%v: principal %d has capacity %g, requested %g", ErrInsufficient, e.principal, e.capacity, e.amount)
 }
 
-// ErrInfeasible is wrapped by Plan when the LP solution cannot be repaired
+// ErrInfeasible is wrapped by a plan when the LP solution cannot be repaired
 // into an exact allocation: round-off cleanup left a residual with every
 // contributing source already at its agreement cap, so delivering the
 // requested amount would violate an agreement.
 var ErrInfeasible = errors.New("core: allocation infeasible within agreement caps")
 
-// Allocation is the outcome of planning one request in dense form: two
-// vectors over the whole population. It is what Plan and PlanBatch export
-// for the simulator, package planners, the oracles and the benchmark; the
-// GRM serves requests from PlanPairs, which emits the same plan as the
-// (source, take) pairs it stores and never builds these vectors.
+// Allocation is a plan in dense form: two vectors over the whole
+// population. With Plan and PlanBatch it is only a compile shim for the
+// frozen layer benchmark in bench/ (ROADMAP item 1f deletes them); every
+// other caller plans through PlanPairs.
 type Allocation struct {
 	// Take[i] is the amount drawn from principal i's resources
 	// (V_i − V'_i ≥ 0); it sums to the requested amount.
@@ -520,10 +519,8 @@ func (al *Allocator) capacityAfter(v []float64, pr compRow, newV []float64) floa
 	return c
 }
 
-// Plan chooses the allocation minimizing the maximum capacity perturbation
-// θ across the other principals (the paper's global metric), subject to
-// the agreement-derived per-source caps. It returns ErrInsufficient
-// (wrapped, with the shortfall) if C_requester < amount.
+// Plan is PlanPairs scattered into a dense Allocation: a compile shim for
+// the frozen layer benchmark in bench/, which ROADMAP item 1f deletes.
 func (al *Allocator) Plan(v []float64, requester int, amount float64) (*Allocation, error) {
 	al.checkV(v)
 	al.checkRequester(requester)
@@ -537,14 +534,17 @@ func (al *Allocator) Plan(v []float64, requester int, amount float64) (*Allocati
 	return out, nil
 }
 
-// PlanPairs is Plan for a caller that keeps an allocation as its takes: it
+// PlanPairs chooses the allocation minimizing the maximum capacity
+// perturbation θ across the other principals (the paper's global metric),
+// subject to the agreement-derived per-source caps, or returns
+// ErrInsufficient (wrapped, with the shortfall) if C_requester < amount. It
 // appends the plan's non-zero takes to sources and takes — takes[k] drawn
-// from principal sources[k], ascending, exactly the non-zero entries of
-// Plan's Take — and returns the grown slices with θ. Nothing outside the
-// plan's LP is read or written on the way — under ComponentLP nothing of
-// population size — and with capacity in the two slices a steady-state
-// call allocates nothing. It validates the entries of v the plan reads, not
-// the whole vector. On error the slices come back as given.
+// from principal sources[k], ascending — and returns the grown slices with
+// θ. Nothing outside the plan's LP is read or written on the way — under
+// ComponentLP nothing of population size — and with capacity in the two
+// slices a steady-state call allocates nothing. It validates the entries of
+// v the plan reads, not the whole vector. On error the slices come back as
+// given.
 func (al *Allocator) PlanPairs(sources []int, takes []float64, v []float64, requester int, amount float64) ([]int, []float64, float64, error) {
 	al.checkLen(v)
 	al.checkRequester(requester)
@@ -587,10 +587,9 @@ func (ws *planWS) appendPairs(sources []int, takes []float64) ([]int, []float64)
 	return sources, takes
 }
 
-// scatter is the dense emitter: the plan written over the whole population
-// into out, whose Take and NewV are freshly made vectors of n entries.
-// Everyone outside vars keeps exactly v_i and the zero take out.Take
-// already holds.
+// scatter is the dense emitter of the bench/ shims: the plan written over
+// the whole population into out, whose Take and NewV are freshly made
+// vectors of n entries, everyone outside vars keeping v_i and a zero take.
 func (ws *planWS) scatter(out *Allocation, v []float64) {
 	copy(out.NewV, v)
 	for x, i := range ws.vars {
@@ -972,7 +971,7 @@ func normalizeTakes(take, newV []float64, vars []int32, v []float64, amount floa
 }
 
 // checkV panics unless v is a valid availability vector for this
-// allocator: the whole-vector check of the dense exports.
+// allocator: the whole-vector check of the dense exports and shims.
 func (al *Allocator) checkV(v []float64) {
 	al.checkLen(v)
 	for i, x := range v {

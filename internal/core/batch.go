@@ -13,21 +13,15 @@ type BatchResult struct {
 	Err   error
 }
 
-// PlanBatch plans a sequence of requests against one availability
-// vector, committing each successful allocation before planning the
-// next with the GRM's commit rule (avail[i] -= Take[i], clamped at 0).
-// The results are bit-identical to calling Plan once per request with
-// that rule applied between calls; the batch shares one workspace
-// and two bulk-allocated backing arrays instead of paying Plan's per-call
-// allocations. It is an export for the simulator, the oracles and the
-// benchmark, and the reference the served path is tested against: the GRM
-// plans each request with PlanPairs against its own books and commits it
-// before the next, which is this chain without the dense vectors.
-//
-// A failed request (insufficient capacity, infeasible repair, negative
-// amount) consumes nothing and does not stop the batch; its BatchResult
-// carries the error and planning continues with the availability
-// unchanged, exactly as a sequence of independent Plan calls would.
+// PlanBatch plans a sequence of requests against one availability vector,
+// committing each successful allocation before planning the next with the
+// GRM's commit rule (avail[i] -= Take[i], clamped at 0), bit-identical to
+// Plan once per request with that rule applied between calls. A failed
+// request consumes nothing and does not stop the batch. Like Plan it is
+// only a compile shim for the frozen layer benchmark in bench/, which
+// ROADMAP item 1f deletes with this file: the GRM plans each request with
+// PlanPairs against its own books and commits it before the next, this
+// chain without the dense vectors.
 func (al *Allocator) PlanBatch(v []float64, reqs []BatchRequest) []BatchResult {
 	al.checkV(v)
 	n := al.n

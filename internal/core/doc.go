@@ -32,20 +32,19 @@
 // discriminating (TestKeepRequesterConstraint shows both optima). A small
 // connectivity-weighted secondary term breaks ties deterministically.
 //
-// # One plan, two forms
+// # One plan, one form
 //
 // A plan builds the requester's LP, every number included, in one pass into
 // a workspace it reuses from plan to plan, solves it there and keeps
 // nothing per requester. It is computed once, over that LP's variables and
 // rows and nothing else — under Config.ComponentLP the requester's
-// agreement component, in the full formulation everyone — and leaves in
-// one of two forms. PlanPairs appends the non-zero (source, take)
-// pairs and θ to slices the caller owns: what the GRM serves from, costing
-// the component and allocating nothing in the steady state. Plan and
-// PlanBatch scatter the same result into a dense Allocation, two vectors
-// over the whole population, for the simulator, package planners, the
-// oracles and the benchmark; they are exports, bit-identical to the pairs,
-// not the served path.
+// agreement component, in the full formulation everyone — and PlanPairs
+// appends its non-zero (source, take) pairs and θ to slices the caller
+// owns, costing the component and allocating nothing in the steady state.
+// The GRM, the simulator, package planners and the oracles all take a plan
+// in that form. Plan and PlanBatch, which scatter it into a dense
+// Allocation, are left only as compile shims for the frozen layer benchmark
+// in bench/.
 //
 // # What a write costs
 //

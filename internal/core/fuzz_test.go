@@ -11,7 +11,7 @@ import (
 
 // FuzzPlan feeds the allocator randomized agreement graphs (decoded from
 // the fuzz seed through the model-based generator, so every input is a
-// well-formed system) and checks that Plan never panics and that every
+// well-formed system) and checks that PlanPairs never panics and that every
 // successful allocation satisfies the paper's equations 1–6 against the
 // brute-force oracle. This lives in the external test package so it can
 // use internal/modeltest without an import cycle.
@@ -42,7 +42,7 @@ func FuzzPlan(f *testing.F) {
 		frac := float64(fracRaw) / (1 << 16) * 1.3
 		amount := caps[requester] * frac
 
-		plan, err := al.Plan(g.V, requester, amount)
+		plan, err := modeltest.PlanDense(al, g.V, requester, amount)
 		switch {
 		case err == nil:
 			if cerr := oracle.CheckAllocation(g.V, requester, amount, plan); cerr != nil {

@@ -34,7 +34,7 @@ func TestLedgerAcquireRelease(t *testing.T) {
 		t.Errorf("Outstanding = %d", l.Outstanding())
 	}
 	var total float64
-	for _, take := range lease.Take {
+	for _, take := range lease.Takes {
 		total += take
 	}
 	almost(t, total, 15, 1e-6, "lease takes")
@@ -65,6 +65,41 @@ func TestLedgerInsufficient(t *testing.T) {
 	}
 	if _, err := l.Acquire(0, 7); !errors.Is(err, core.ErrInsufficient) {
 		t.Errorf("second acquire should fail (capacity is now 6), got %v", err)
+	}
+}
+
+// TestLedgerReleaseCreditsWhatAcquireDebited: Proportional splits a
+// request by agreement, blind to availability, so it can plan a take larger
+// than what a source has left. Acquire debits only what is there, and
+// Release must credit back exactly that, not the whole take: otherwise a
+// release hands out capacity another live lease still holds.
+func TestLedgerReleaseCreditsWhatAcquireDebited(t *testing.T) {
+	pr, err := planners.NewProportional(core.Sparse([][]float64{{0, 0.5}, {0.5, 0}}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := planners.NewLedger(pr, []float64{10, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Acquire(1, 8); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Available(); got[0] != 10 || got[1] != 2 {
+		t.Fatalf("after principal 1 leases 8: availability %v, want [10 2]", got)
+	}
+	lease, err := l.Acquire(0, 20) // takes 10 from each; principal 1 has 2 left
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Available(); got[0] != 0 || got[1] != 0 {
+		t.Fatalf("after principal 0 leases 20: availability %v, want [0 0]", got)
+	}
+	if err := l.Release(lease.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Available(); got[0] != 10 || got[1] != 2 {
+		t.Errorf("after principal 0 releases, with principal 1's lease of 8 live: availability %v, want [10 2]", got)
 	}
 }
 

@@ -6,8 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/modeltest"
 	"repro/internal/planners"
+	"repro/internal/store"
 )
+
+// dense scatters a pair-form plan over n principals.
+func dense(p *planners.Pairs, n int) []float64 { return store.DenseTakes(p.Sources, p.Takes, n) }
 
 // This file, multiview_test.go and ledger_test.go drive core through the
 // library in package planners. They are external tests so that they can
@@ -37,10 +42,10 @@ func TestMultiPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cpuSum, diskSum float64
-	for _, x := range plans["cpu"].Take {
+	for _, x := range dense(plans["cpu"], 2) {
 		cpuSum += x
 	}
-	for _, x := range plans["disk"].Take {
+	for _, x := range dense(plans["disk"], 2) {
 		diskSum += x
 	}
 	almost(t, cpuSum, 5, 1e-6, "cpu total")
@@ -120,16 +125,16 @@ func TestCoupledPlan(t *testing.T) {
 	}
 	// Components must be proportional per principal: cpu take = 2×mem take.
 	for i := 0; i < 2; i++ {
-		almost(t, plans["cpu"].Take[i], 2*plans["mem"].Take[i], 1e-9, "coupled ratio")
+		almost(t, dense(plans["cpu"], 2)[i], 2*dense(plans["mem"], 2)[i], 1e-9, "coupled ratio")
 	}
 	var bundles float64
 	for i := 0; i < 2; i++ {
-		bundles += plans["mem"].Take[i]
+		bundles += dense(plans["mem"], 2)[i]
 	}
 	almost(t, bundles, 6, 1e-6, "bundle total")
 	// Principal 0 can contribute at most 2 bundles.
-	if plans["mem"].Take[0] > 2+1e-9 {
-		t.Errorf("principal 0 contributed %g bundles, cap 2", plans["mem"].Take[0])
+	if dense(plans["mem"], 2)[0] > 2+1e-9 {
+		t.Errorf("principal 0 contributed %g bundles, cap 2", dense(plans["mem"], 2)[0])
 	}
 }
 
@@ -173,7 +178,7 @@ func TestHierarchyFastPathStaysLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := []float64{10, 10, 10, 10}
-	plan, err := h.Plan(v, 0, 8)
+	plan, err := modeltest.PlanDense(h, v, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +194,7 @@ func TestHierarchyCrossGroup(t *testing.T) {
 	}
 	// Home group nearly empty; must pull from group 1.
 	v := []float64{1, 2, 10, 10}
-	plan, err := h.Plan(v, 0, 8)
+	plan, err := modeltest.PlanDense(h, v, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +224,11 @@ func TestHierarchyMatchesFlatFeasibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := []float64{2, 2, 2, 8, 8, 8}
-	hp, err := h.Plan(v, 0, 9)
+	hp, err := modeltest.PlanDense(h, v, 0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := flat.Plan(v, 0, 9)
+	fp, err := modeltest.PlanDense(flat, v, 0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +256,7 @@ func TestHierarchyInsufficient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Plan([]float64{1, 1, 1, 1}, 0, 50); !errors.Is(err, core.ErrInsufficient) {
+	if _, err := modeltest.PlanDense(h, []float64{1, 1, 1, 1}, 0, 50); !errors.Is(err, core.ErrInsufficient) {
 		t.Errorf("want core.ErrInsufficient, got %v", err)
 	}
 }
@@ -285,7 +290,7 @@ func TestProportionalIgnoresAvailability(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := []float64{0, 0.5, 100}
-	plan, err := p.Plan(v, 0, 10)
+	plan, err := modeltest.PlanDense(p, v, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +308,7 @@ func TestProportionalOwnFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := p.Plan([]float64{10, 10}, 0, 6)
+	plan, err := modeltest.PlanDense(p, []float64{10, 10}, 0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +327,7 @@ func TestGreedyTakesFromLargestHeadroom(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := []float64{0, 3, 9}
-	plan, err := g.Plan(v, 0, 5)
+	plan, err := modeltest.PlanDense(g, v, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +341,7 @@ func TestGreedyInsufficient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Plan([]float64{1, 2}, 0, 10); !errors.Is(err, core.ErrInsufficient) {
+	if _, err := modeltest.PlanDense(g, []float64{1, 2}, 0, 10); !errors.Is(err, core.ErrInsufficient) {
 		t.Errorf("want core.ErrInsufficient, got %v", err)
 	}
 }
@@ -347,7 +352,7 @@ func TestGreedyRespectsCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := g.Plan([]float64{2, 10}, 0, 6)
+	plan, err := modeltest.PlanDense(g, []float64{2, 10}, 0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +382,7 @@ func TestProportionalAbsoluteWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := p.Plan([]float64{0, 10}, 0, 4)
+	plan, err := modeltest.PlanDense(p, []float64{0, 10}, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,8 +397,8 @@ func TestProportionalAbsoluteWeights(t *testing.T) {
 }
 
 func TestPlannersSatisfyInterface(t *testing.T) {
-	// Compile-time checks live in package planners; this exercises the
-	// dynamic path through the interface.
+	// Appending each planner to []planners.Planner is the compile-time
+	// check; the loop exercises the dynamic path through the interface.
 	var all []planners.Planner
 	s := complete(3, 0.2)
 	al, _ := core.NewAllocator(core.Sparse(s), nil, core.Config{})
@@ -406,17 +411,16 @@ func TestPlannersSatisfyInterface(t *testing.T) {
 		if p == nil {
 			t.Fatalf("planner %d is nil", i)
 		}
-		caps := p.Capacities(v)
-		if len(caps) != 3 {
-			t.Errorf("planner %d: capacities %v", i, caps)
+		if c := p.Capacity(v, 0); c < 2 {
+			t.Errorf("planner %d: capacity %g", i, c)
 		}
-		plan, err := p.Plan(v, 0, 2)
+		_, takes, _, err := p.PlanPairs(nil, nil, v, 0, 2)
 		if err != nil {
 			t.Errorf("planner %d: %v", i, err)
 			continue
 		}
 		var sum float64
-		for _, x := range plan.Take {
+		for _, x := range takes {
 			sum += x
 		}
 		if math.Abs(sum-2) > 1e-6 {

@@ -30,10 +30,10 @@ func TestMultiViewPlanRespectsPerViewAgreements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, sum(plans["read"].Take), 5, 1e-6, "read total")
-	almost(t, sum(plans["write"].Take), 2, 1e-6, "write total")
-	if plans["write"].Take[1] > 2+1e-9 {
-		t.Errorf("write take %g exceeds 20%% agreement cap 2", plans["write"].Take[1])
+	almost(t, sum(dense(plans["read"], 2)), 5, 1e-6, "read total")
+	almost(t, sum(dense(plans["write"], 2)), 2, 1e-6, "write total")
+	if dense(plans["write"], 2)[1] > 2+1e-9 {
+		t.Errorf("write take %g exceeds 20%% agreement cap 2", dense(plans["write"], 2)[1])
 	}
 }
 
@@ -57,11 +57,11 @@ func TestMultiViewSharedPhysicalPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	physical := plans["read"].Take[1] + plans["write"].Take[1]
+	physical := dense(plans["read"], 2)[1] + dense(plans["write"], 2)[1]
 	if physical > 10+1e-6 {
 		t.Errorf("physical draw %g exceeds pool", physical)
 	}
-	almost(t, plans["read"].NewV[1], 0, 1e-6, "pool drained")
+	almost(t, v[1]-physical, 0, 1e-6, "pool drained")
 }
 
 func TestMultiViewInsufficientPerView(t *testing.T) {
@@ -121,7 +121,7 @@ func TestMultiViewSingleViewMatchesAllocator(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p1, e1 := al.Plan(v, requester, amount)
+		_, takes, _, e1 := al.PlanPairs(nil, nil, v, requester, amount)
 		p2, e2 := mv.Plan(v, requester, map[string]float64{"only": amount})
 		if (e1 == nil) != (e2 == nil) {
 			// The multi-view LP also enforces the physical constraint on
@@ -134,8 +134,8 @@ func TestMultiViewSingleViewMatchesAllocator(t *testing.T) {
 		}
 		// Both must place the full amount; the θ optima can differ only
 		// within tolerance since the formulations are equivalent here.
-		return math.Abs(sum(p1.Take)-amount) < 1e-6 &&
-			math.Abs(sum(p2["only"].Take)-amount) < 1e-6
+		return math.Abs(sum(takes)-amount) < 1e-6 &&
+			math.Abs(sum(p2["only"].Takes)-amount) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -254,13 +254,12 @@ func (s *Server) processBatch(jobs []*allocJob, sc *batchScratch) {
 // allocLocked plans one request against the availability view itself and,
 // when the plan succeeds, commits it. Under s.mu nothing else moves the
 // books, so planning and committing a batch's requests one after the other
-// is the chain core.PlanBatch computes over a copy — each plan sees the
-// availability the earlier commits left, debited under the same clamp —
-// without the copy. A request that rejoined the queue with a borrowed
-// credit is lent the credit on its own entry for the length of its plan, so
-// no other plan draws on capacity that is not on the books; the entry is
-// put back, not subtracted back, because (x + c) − c need not be x.
-// Callers hold s.mu.
+// chains them — each plan sees the availability the earlier commits left,
+// debited under the same clamp — with no copy of the books. A request that
+// rejoined the queue with a borrowed credit is lent the credit on its own
+// entry for the length of its plan, so no other plan draws on capacity that
+// is not on the books; the entry is put back, not subtracted back, because
+// (x + c) − c need not be x. Callers hold s.mu.
 func (s *Server) allocLocked(planner *core.Allocator, job *allocJob, sc *batchScratch) (*Response, error) {
 	p := job.req.Principal
 	own := s.avail[p]

@@ -75,9 +75,13 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// zeroed is grow with every entry zero.
+// zeroed is grow with every entry zero: a buffer grow makes comes zeroed,
+// so only a reused one is cleared.
 func zeroed[T any](buf []T, n int) []T {
-	buf = grow(buf, n)
+	if cap(buf) < n {
+		return grow(buf, n)
+	}
+	buf = buf[:n]
 	clear(buf)
 	return buf
 }

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/lp"
 	"repro/internal/num"
+	"repro/internal/planners"
+	"repro/internal/store"
 )
 
 // RefTransitive computes the flow-coefficient matrix T^(maxLen) by the
@@ -142,15 +143,34 @@ func (o *Oracle) tieTolerance(v []float64) float64 {
 	return 1e-6 * tol
 }
 
+// DensePlan is a plan scattered over the whole population, the one dense
+// form left for the oracles that compare whole vectors: Take[i] is drawn
+// from principal i. Everything under test plans in (source, take) pairs.
+type DensePlan struct {
+	Take  []float64
+	Theta float64
+}
+
+// PlanDense plans through p's pairs and scatters them into a DensePlan of
+// len(v) takes.
+func PlanDense(p planners.Planner, v []float64, requester int, amount float64) (*DensePlan, error) {
+	sources, takes, theta, err := p.PlanPairs(nil, nil, v, requester, amount)
+	if err != nil {
+		return nil, err
+	}
+	return &DensePlan{Take: store.DenseTakes(sources, takes, len(v)), Theta: theta}, nil
+}
+
 // CheckAllocation verifies that an allocation satisfies the paper's
-// equations 1–6 against the oracle's coefficients: take/newV consistency,
-// per-source caps U_ki, flow conservation Σ takes = amount, availability
-// bounds, and that the reported θ matches the brute-force recomputation.
-// It returns nil when every equation holds within tolerance.
-func (o *Oracle) CheckAllocation(v []float64, requester int, amount float64, a *core.Allocation) error {
+// equations 1–6 against the oracle's coefficients: per-source caps U_ki
+// (the requester's own availability for itself, so V' = V − take stays in
+// [0, V]), flow conservation Σ takes = amount, and that the reported θ
+// matches the brute-force recomputation at V' = V − take. It returns nil
+// when every equation holds within tolerance.
+func (o *Oracle) CheckAllocation(v []float64, requester int, amount float64, a *DensePlan) error {
 	n := o.g.N
-	if len(a.Take) != n || len(a.NewV) != n {
-		return fmt.Errorf("allocation has %d takes / %d newV for %d principals", len(a.Take), len(a.NewV), n)
+	if len(a.Take) != n {
+		return fmt.Errorf("allocation has %d takes for %d principals", len(a.Take), n)
 	}
 	scale := 1 + amount
 	for _, x := range v {
@@ -158,20 +178,15 @@ func (o *Oracle) CheckAllocation(v []float64, requester int, amount float64, a *
 	}
 	tol := 1e-7 * scale
 	var sum float64
-	for i := 0; i < n; i++ {
-		take, nv := a.Take[i], a.NewV[i]
+	newV := make([]float64, n)
+	for i, take := range a.Take {
 		if take < -tol {
 			return fmt.Errorf("take[%d] = %g is negative", i, take)
-		}
-		if nv < -tol || nv > v[i]+tol {
-			return fmt.Errorf("newV[%d] = %g outside [0, %g]", i, nv, v[i])
-		}
-		if math.Abs(v[i]-take-nv) > tol {
-			return fmt.Errorf("newV[%d] = %g inconsistent with V−take = %g", i, nv, v[i]-take)
 		}
 		if limit := o.requesterCap(v, i, requester); take > limit+tol {
 			return fmt.Errorf("take[%d] = %g exceeds per-source cap U = %g (eq. 4)", i, take, limit)
 		}
+		newV[i] = v[i] - take
 		sum += take
 	}
 	if math.Abs(sum-amount) > tol {
@@ -180,7 +195,7 @@ func (o *Oracle) CheckAllocation(v []float64, requester int, amount float64, a *
 	// θ as reported must match the brute-force recomputation. The
 	// allocator computes it from its own (possibly buggy) coefficients, so
 	// a mutated transitive layer shows up here even when the LP is fine.
-	ref := o.RealizedTheta(v, a.NewV, requester)
+	ref := o.RealizedTheta(v, newV, requester)
 	if math.Abs(ref-a.Theta) > 1e-6*scale {
 		return fmt.Errorf("reported θ = %g, oracle recomputes %g", a.Theta, ref)
 	}

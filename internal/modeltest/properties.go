@@ -154,11 +154,11 @@ func (c *checker) sutCapacities(v []float64) []float64 {
 }
 
 // sutPlan returns the system under test's allocation for a request.
-func (c *checker) sutPlan(v []float64, requester int, amount float64) (*core.Allocation, error) {
+func (c *checker) sutPlan(v []float64, requester int, amount float64) (*DensePlan, error) {
 	if c.mut == MutLP {
-		return c.greedy.Plan(v, requester, amount)
+		return PlanDense(c.greedy, v, requester, amount)
 	}
-	plan, err := c.al.Plan(v, requester, amount)
+	plan, err := PlanDense(c.al, v, requester, amount)
 	if err == nil && c.mut == MutCore {
 		mutateDropResidual(plan)
 	}
@@ -168,7 +168,7 @@ func (c *checker) sutPlan(v []float64, requester int, amount float64) (*core.All
 // mutateDropResidual models a normalizeTakes bug: the largest take
 // silently loses a sliver without the allocation being reported
 // infeasible.
-func mutateDropResidual(plan *core.Allocation) {
+func mutateDropResidual(plan *DensePlan) {
 	best, bestTake := -1, 0.0
 	for i, t := range plan.Take {
 		if t > bestTake {
@@ -178,9 +178,7 @@ func mutateDropResidual(plan *core.Allocation) {
 	if best < 0 {
 		return
 	}
-	d := math.Min(bestTake, 0.01+bestTake/8)
-	plan.Take[best] -= d
-	plan.NewV[best] += d
+	plan.Take[best] -= math.Min(bestTake, 0.01+bestTake/8)
 }
 
 // closureT builds the served closure of s (transitive.Closure) at the
@@ -269,7 +267,7 @@ func (c *checker) checkInsufficient() error {
 	caps := c.o.Capacities(c.g.V)
 	for r := 0; r < c.g.N; r++ {
 		over := caps[r]*1.01 + 1
-		_, err := c.al.Plan(c.g.V, r, over)
+		_, _, _, err := c.al.PlanPairs(nil, nil, c.g.V, r, over)
 		if !errors.Is(err, core.ErrInsufficient) {
 			// The error is reported, not propagated (it may even be nil —
 			// that IS the failure), so %v is the right verb here.
@@ -301,12 +299,12 @@ func (c *checker) checkSourceCaps() error {
 		for r := range caps {
 			for _, frac := range planFractions {
 				amount := caps[r] * frac
-				plan, err := al.Plan(c.g.V, r, amount)
+				sources, takes, _, err := al.PlanPairs(nil, nil, c.g.V, r, amount)
 				if err != nil {
 					continue // a refusal grants nothing
 				}
-				for k, take := range plan.Take {
-					if u := o.requesterCap(c.g.V, k, r); take > u && !num.EqSolve(take, u) {
+				for x, k := range sources {
+					if take, u := takes[x], o.requesterCap(c.g.V, k, r); take > u && !num.EqSolve(take, u) {
 						return fmt.Errorf("%+v: Plan(%d, %g) takes %g from %d, exact U = %g", cfg, r, amount, take, k, u)
 					}
 				}
@@ -420,17 +418,17 @@ func (c *checker) checkPermutation() error {
 		if amount <= 0 {
 			continue
 		}
-		plan, err := c.al.Plan(c.g.V, r, amount)
+		_, _, theta, err := c.al.PlanPairs(nil, nil, c.g.V, r, amount)
 		if err != nil {
 			return fmt.Errorf("plan (requester %d): %w", r, err)
 		}
-		pplan, err := pal.Plan(pg.V, perm[r], amount)
+		_, _, ptheta, err := pal.PlanPairs(nil, nil, pg.V, perm[r], amount)
 		if err != nil {
 			return fmt.Errorf("permuted plan (requester %d): %w", perm[r], err)
 		}
-		if math.Abs(plan.Theta-pplan.Theta) > tieTol {
+		if math.Abs(theta-ptheta) > tieTol {
 			return fmt.Errorf("requester %d: θ = %g but permuted θ = %g (identity must not matter)",
-				r, plan.Theta, pplan.Theta)
+				r, theta, ptheta)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package modeltest
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/agreement"
@@ -9,6 +10,15 @@ import (
 	"repro/internal/planners"
 	"repro/internal/transitive"
 )
+
+// capacitiesOf reads every principal's capacity from p, one at a time.
+func capacitiesOf(p planners.Planner, v []float64) []float64 {
+	out := make([]float64, len(v))
+	for i := range out {
+		out[i] = p.Capacity(v, i)
+	}
+	return out
+}
 
 // requireBitsEqual fails unless got and want hold the same floats.
 func requireBitsEqual(t *testing.T, what string, got, want []float64) {
@@ -135,27 +145,31 @@ func TestMatchesDenseReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireBitsEqual(t, "Proportional.Capacities", pr.Capacities(v), Capacities(v, direct, a))
-		requireBitsEqual(t, "Greedy.Capacities", gr.Capacities(v), Capacities(v, full, a))
+		requireBitsEqual(t, "Proportional.Capacity", capacitiesOf(pr, v), Capacities(v, direct, a))
+		requireBitsEqual(t, "Greedy.Capacity", capacitiesOf(gr, v), Capacities(v, full, a))
 		requireBitsEqual(t, "MultiView.Capacities", mv.Capacities(v)["only"], Capacities(v, full, nil))
 		for _, c := range []struct {
 			name string
 			p    planners.Planner
 			k    [][]float64
 		}{{"Proportional", pr, direct}, {"Greedy", gr, full}, {"Hierarchy", h, full}} {
-			plan, err := c.p.Plan(v, requester, amount)
+			sources, takes, theta, err := c.p.PlanPairs(nil, nil, v, requester, amount)
 			if err != nil {
 				continue // a refusal has no θ
 			}
-			before, after := Capacities(v, c.k, a), Capacities(plan.NewV, c.k, a)
+			newV := slices.Clone(v)
+			for x, i := range sources {
+				newV[i] = max(v[i]-takes[x], 0)
+			}
+			before, after := Capacities(v, c.k, a), Capacities(newV, c.k, a)
 			want := 0.0
 			for i := range before {
 				if d := before[i] - after[i]; i != requester && d > want {
 					want = d
 				}
 			}
-			if plan.Theta != want {
-				t.Errorf("seed %d: %s θ = %v, dense recomputation %v", seed, c.name, plan.Theta, want)
+			if theta != want {
+				t.Errorf("seed %d: %s θ = %v, dense recomputation %v", seed, c.name, theta, want)
 			}
 		}
 	}

@@ -5,25 +5,29 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/num"
 	"repro/internal/transitive"
 )
 
-// Planner is the common interface of the LP allocator and the baseline
-// schemes: decide where to take `amount` units for `requester` given the
-// current per-principal capacities v.
+// Planner is the common interface of the LP allocator, which satisfies it
+// as it is, and the baseline schemes: decide where to take `amount` units
+// for `requester` given the current per-principal availability v.
 type Planner interface {
-	// Plan returns the allocation for a request, or core.ErrInsufficient.
-	Plan(v []float64, requester int, amount float64) (*core.Allocation, error)
-	// Capacities returns C_i for every principal at availability v.
-	Capacities(v []float64) []float64
+	// PlanPairs appends the plan's non-zero takes, ascending by source, and
+	// returns the grown slices with θ, or the slices as given and an error
+	// (core.ErrInsufficient among them).
+	PlanPairs(sources []int, takes []float64, v []float64, requester int, amount float64) ([]int, []float64, float64, error)
+	// Capacity returns C_i at availability v.
+	Capacity(v []float64, i int) float64
 }
 
-var (
-	_ Planner = (*core.Allocator)(nil)
-	_ Planner = (*Proportional)(nil)
-	_ Planner = (*Greedy)(nil)
-	_ Planner = (*Hierarchy)(nil)
-)
+// Pairs is one plan in pair form: Takes[k] drawn from principal
+// Sources[k], ascending and non-zero, and θ.
+type Pairs struct {
+	Sources []int
+	Takes   []float64
+	Theta   float64
+}
 
 // Proportional is the paper's "endpoint enforcement" baseline (Figure 13):
 // the request is split across sources in proportion to the *direct*
@@ -46,24 +50,24 @@ func NewProportional(s, a *agreement.SparseMatrix) (*Proportional, error) {
 	return &Proportional{al: al}, nil
 }
 
-// Capacities reports direct-agreement capacities (level 1): endpoints
+// Capacity reports a direct-agreement capacity (level 1): endpoints
 // cannot see transitive chains.
-func (p *Proportional) Capacities(v []float64) []float64 { return p.al.Capacities(v) }
+func (p *Proportional) Capacity(v []float64, i int) float64 { return p.al.Capacity(v, i) }
 
-// Plan splits the amount proportionally to direct agreement shares,
+// PlanPairs splits the amount proportionally to direct agreement shares,
 // availability-blind: the paper's endpoint scheme "tends to redistribute
 // requests to nearby ISPs no matter whether they are busy or not", so a
 // drained source still receives its proportional share (and the work
 // queues there). Only what no agreement covers stays home.
-func (p *Proportional) Plan(v []float64, requester int, amount float64) (*core.Allocation, error) {
+func (p *Proportional) PlanPairs(sources []int, takes []float64, v []float64, requester int, amount float64) ([]int, []float64, float64, error) {
 	n := p.al.N()
 	if len(v) != n {
 		panic(fmt.Sprintf("planners: got %d capacities for %d principals", len(v), n))
 	}
 	if amount < 0 {
-		return nil, fmt.Errorf("planners: negative request %g", amount)
+		return sources, takes, 0, fmt.Errorf("planners: negative request %g", amount)
 	}
-	out := &core.Allocation{Take: make([]float64, n), NewV: append([]float64(nil), v...)}
+	take, newV := make([]float64, n), make([]float64, n)
 
 	// Own resources first.
 	remaining := amount - min(amount, v[requester])
@@ -81,25 +85,21 @@ func (p *Proportional) Plan(v []float64, requester int, amount float64) (*core.A
 		weights[k] = w
 		totalW += w
 	}
+	var placed float64 // the requester's weight is 0, so it adds +0
 	if remaining > 0 && totalW > 0 {
 		for k, w := range weights {
-			out.Take[k] = remaining * w / totalW // +0 off the agreements
-		}
-	}
-	var placed float64
-	for k := 0; k < n; k++ {
-		if k != requester {
-			placed += out.Take[k]
+			take[k] = remaining * w / totalW // +0 off the agreements
+			placed += take[k]
 		}
 	}
 	// Whatever could not be placed stays home, possibly exceeding the
 	// requester's availability (overload).
-	out.Take[requester] = amount - placed
-	for k := range out.NewV {
-		out.NewV[k] = max(v[k]-out.Take[k], 0)
+	take[requester] = amount - placed
+	for k := range newV {
+		newV[k] = max(v[k]-take[k], 0)
 	}
-	out.Theta = perturbation(p.al, v, out.NewV, requester)
-	return out, nil
+	sources, takes = appendPairs(sources, takes, take)
+	return sources, takes, perturbation(p.al, v, newV, requester), nil
 }
 
 // Greedy is an availability-aware but myopic planner: it draws from the
@@ -121,28 +121,28 @@ func NewGreedy(s, a *agreement.SparseMatrix, cfg core.Config) (*Greedy, error) {
 	return &Greedy{al: al}, nil
 }
 
-// Capacities returns C_i with the configured transitivity level.
-func (g *Greedy) Capacities(v []float64) []float64 { return g.al.Capacities(v) }
+// Capacity returns C_i with the configured transitivity level.
+func (g *Greedy) Capacity(v []float64, i int) float64 { return g.al.Capacity(v, i) }
 
-// Plan takes from the requester first, then from sources in decreasing
+// PlanPairs takes from the requester first, then from sources in decreasing
 // order of available headroom. Returns core.ErrInsufficient when capacity
 // is short.
-func (g *Greedy) Plan(v []float64, requester int, amount float64) (*core.Allocation, error) {
+func (g *Greedy) PlanPairs(sources []int, takes []float64, v []float64, requester int, amount float64) ([]int, []float64, float64, error) {
 	n := g.al.N()
 	if len(v) != n {
 		panic(fmt.Sprintf("planners: got %d capacities for %d principals", len(v), n))
 	}
 	if amount < 0 {
-		return nil, fmt.Errorf("planners: negative request %g", amount)
+		return sources, takes, 0, fmt.Errorf("planners: negative request %g", amount)
 	}
 	if c := g.al.Capacity(v, requester); c < amount-1e-9 {
-		return nil, fmt.Errorf("%w: principal %d has capacity %g, requested %g",
+		return sources, takes, 0, fmt.Errorf("%w: principal %d has capacity %g, requested %g",
 			core.ErrInsufficient, requester, c, amount)
 	}
-	out := &core.Allocation{Take: make([]float64, n), NewV: append([]float64(nil), v...)}
+	take, newV := make([]float64, n), append([]float64(nil), v...)
 	remaining := amount
 
-	take := func(i int, cap float64) {
+	draw := func(i int, cap float64) {
 		amt := cap
 		if amt > remaining {
 			amt = remaining
@@ -150,18 +150,18 @@ func (g *Greedy) Plan(v []float64, requester int, amount float64) (*core.Allocat
 		if amt <= 0 {
 			return
 		}
-		out.Take[i] += amt
-		out.NewV[i] -= amt
+		take[i] += amt
+		newV[i] -= amt
 		remaining -= amt
 	}
-	take(requester, v[requester])
+	draw(requester, v[requester])
 	for remaining > 1e-12 {
 		best, bestCap := -1, 0.0
 		for k := 0; k < n; k++ {
 			if k == requester {
 				continue
 			}
-			u := g.headroom(out.NewV, k, requester, out.Take[k])
+			u := g.headroom(newV, k, requester, take[k])
 			if u > bestCap {
 				best, bestCap = k, u
 			}
@@ -169,10 +169,10 @@ func (g *Greedy) Plan(v []float64, requester int, amount float64) (*core.Allocat
 		if best < 0 {
 			break // numerical residue; caps said feasible
 		}
-		take(best, bestCap)
+		draw(best, bestCap)
 	}
-	out.Theta = perturbation(g.al, v, out.NewV, requester)
-	return out, nil
+	sources, takes = appendPairs(sources, takes, take)
+	return sources, takes, perturbation(g.al, v, newV, requester), nil
 }
 
 // headroom is U_kA evaluated at the current residual availability, minus
@@ -190,6 +190,17 @@ func (g *Greedy) headroom(v []float64, k, requester int, alreadyTaken float64) f
 		u = 0
 	}
 	return u
+}
+
+// appendPairs appends the non-zero entries of the dense take vector to
+// sources and takes, ascending by source.
+func appendPairs(sources []int, takes []float64, take []float64) ([]int, []float64) {
+	for i, t := range take {
+		if !num.IsZero(t) {
+			sources, takes = append(sources, i), append(takes, t)
+		}
+	}
+	return sources, takes
 }
 
 // perturbation recomputes θ = max_{i≠requester} (C_i − C'_i) from first

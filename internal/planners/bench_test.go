@@ -32,8 +32,11 @@ func benchScenario(n int) (s [][]float64, v []float64) {
 
 func benchPlan(b *testing.B, planner planners.Planner, v []float64) {
 	b.Helper()
+	var sources []int
+	var takes []float64
 	for i := 0; i < b.N; i++ {
-		if _, err := planner.Plan(v, 0, 40); err != nil {
+		var err error
+		if sources, takes, _, err = planner.PlanPairs(sources[:0], takes[:0], v, 0, 40); err != nil {
 			b.Fatal(err)
 		}
 	}

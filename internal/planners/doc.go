@@ -4,8 +4,9 @@
 // API — an Allocator's plans, capacities, flow rows and agreement entries
 // — and keeps no closure, capacity or flow code of its own.
 //
-//   - Planner is the dense interface the simulator, the batch runner and
-//     Ledger plan through; *core.Allocator satisfies it.
+//   - Planner is the pair-form interface the simulator, the batch runner
+//     and Ledger plan through: PlanPairs and Capacity, exactly the methods
+//     *core.Allocator serves the GRM with, so it satisfies it as it is.
 //   - Proportional is the "endpoint enforcement" baseline of Figure 13: it
 //     splits a request in proportion to direct agreement quantities,
 //     ignoring availability. Greedy is availability-aware but myopic.
@@ -18,7 +19,8 @@
 //
 // Nothing served imports this package: the GRM plans with
 // core.Allocator.PlanPairs against its own books, and `make lint` fails if
-// grm, grmd or lrmd come to depend on it. So code here may stay dense and
-// simple — an n×n plan is fine for a figure or an example — without
-// counting against the serving code's line ratchet or allocation pins.
+// grm, grmd or lrmd come to depend on it. So code here may work densely
+// inside a plan — an n×n LP is fine for a figure or an example — without
+// counting against the serving code's line ratchet or allocation pins; what
+// it hands back is pairs.
 package planners

@@ -6,6 +6,7 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/planners"
+	"repro/internal/store"
 )
 
 // The four scenarios of examples/multiresource, on its 6-principal
@@ -52,7 +53,7 @@ func ExampleMulti() {
 	}
 	fmt.Println("multi-type request (4 cpu + 20 disk for principal 0):")
 	for _, typ := range mu.Types() {
-		fmt.Printf("  %s takes: %v\n", typ, round(plans[typ].Take))
+		fmt.Printf("  %s takes: %v\n", typ, round(store.DenseTakes(plans[typ].Sources, plans[typ].Takes, 6)))
 	}
 	// Output:
 	// multi-type request (4 cpu + 20 disk for principal 0):
@@ -80,7 +81,7 @@ func ExampleCoupled() {
 	}
 	fmt.Println("allocating 3 bundles for principal 0 (components stay on one machine):")
 	for _, typ := range []string{"cpu", "mem"} {
-		fmt.Printf("  %s takes: %v\n", typ, round(plan[typ].Take))
+		fmt.Printf("  %s takes: %v\n", typ, round(store.DenseTakes(plan[typ].Sources, plan[typ].Takes, 6)))
 	}
 	// Output:
 	// coupled bundles (2 cpu + 4 mem each) available per principal: [1 2.5 10 10 10 10]
@@ -94,12 +95,12 @@ func ExampleHierarchy() {
 	if err != nil {
 		panic(err)
 	}
-	plan, err := h.Plan([]float64{1, 1, 1, 30, 30, 30}, 0, 8) // home group drained
+	sources, takes, _, err := h.PlanPairs(nil, nil, []float64{1, 1, 1, 30, 30, 30}, 0, 8) // home group drained
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("hierarchical allocation of 8 for principal 0 (home group nearly empty):\n")
-	fmt.Printf("  takes: %v\n", round(plan.Take))
+	fmt.Printf("  takes: %v\n", round(store.DenseTakes(sources, takes, 6)))
 	// Output:
 	// hierarchical allocation of 8 for principal 0 (home group nearly empty):
 	//   takes: [1 0.2 0.2 2.2 2.2 2.2]
@@ -115,15 +116,19 @@ func ExampleMultiView() {
 	if err != nil {
 		panic(err)
 	}
-	plan, err := mv.Plan([]float64{0, 10}, 0, map[string]float64{"disk-read": 5, "disk-write": 2})
+	pool := []float64{0, 10}
+	plan, err := mv.Plan(pool, 0, map[string]float64{"disk-read": 5, "disk-write": 2})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("multi-view disks (10 units at principal 1, read 80%% / write 20%% agreements):\n")
+	var drawn float64
 	for _, view := range mv.Views() {
-		fmt.Printf("  %s takes: %v\n", view, round(plan[view].Take))
+		take := store.DenseTakes(plan[view].Sources, plan[view].Takes, len(pool))
+		fmt.Printf("  %s takes: %v\n", view, round(take))
+		drawn += take[1]
 	}
-	fmt.Printf("  remaining physical pool at principal 1: %.1f\n", plan["disk-read"].NewV[1])
+	fmt.Printf("  remaining physical pool at principal 1: %.1f\n", max(pool[1]-drawn, 0))
 	// Output:
 	// multi-view disks (10 units at principal 1, read 80% / write 20% agreements):
 	//   disk-read takes: [0 5]

@@ -114,31 +114,30 @@ func NewHierarchy(s, a *agreement.SparseMatrix, groups [][]int, cfg core.Config)
 	return &Hierarchy{full: full, groups: groups, of: of, coarse: coarse}, nil
 }
 
-// Capacities reports the exact (full-matrix) capacities.
-func (h *Hierarchy) Capacities(v []float64) []float64 { return h.full.Capacities(v) }
+// Capacity reports the exact (full-matrix) capacity.
+func (h *Hierarchy) Capacity(v []float64, i int) float64 { return h.full.Capacity(v, i) }
 
-// Plan allocates using multi-grid refinement. If the requester's own group
-// can satisfy the request it never leaves the group; otherwise the coarse
-// LP splits the request across groups and a fine LP inside each
+// PlanPairs allocates using multi-grid refinement. If the requester's own
+// group can satisfy the request it never leaves the group; otherwise the
+// coarse LP splits the request across groups and a fine LP inside each
 // contributing group picks the actual sources.
-func (h *Hierarchy) Plan(v []float64, requester int, amount float64) (*core.Allocation, error) {
+func (h *Hierarchy) PlanPairs(sources []int, takes []float64, v []float64, requester int, amount float64) ([]int, []float64, float64, error) {
 	if amount < 0 {
-		return nil, fmt.Errorf("planners: negative request %g", amount)
+		return sources, takes, 0, fmt.Errorf("planners: negative request %g", amount)
 	}
-	n := h.full.N()
-	out := &core.Allocation{Take: make([]float64, n), NewV: append([]float64(nil), v...)}
 	if num.IsZero(amount) {
-		return out, nil
+		return sources, takes, 0, nil
 	}
+	take, newV := make([]float64, h.full.N()), append([]float64(nil), v...)
 	g := h.of[requester]
 
 	// Fine-only fast path: can the home group cover the request?
 	if h.groupHeadroom(v, g, requester) >= amount-1e-9 {
-		if err := h.refineGroup(v, out, g, requester, amount); err != nil {
-			return nil, err
+		if err := h.refineGroup(v, take, newV, g, requester, amount); err != nil {
+			return sources, takes, 0, err
 		}
-		out.Theta = perturbation(h.full, v, out.NewV, requester)
-		return out, nil
+		sources, takes = appendPairs(sources, takes, take)
+		return sources, takes, perturbation(h.full, v, newV, requester), nil
 	}
 
 	// Coarse grid: distribute the request across groups.
@@ -150,11 +149,11 @@ func (h *Hierarchy) Plan(v []float64, requester int, amount float64) (*core.Allo
 		reachable += vg[gi]
 	}
 	if reachable < amount-1e-9 {
-		return nil, fmt.Errorf("%w: groups can supply %g of requested %g", core.ErrInsufficient, reachable, amount)
+		return sources, takes, 0, fmt.Errorf("%w: groups can supply %g of requested %g", core.ErrInsufficient, reachable, amount)
 	}
 	groupTake, err := h.coarsePlan(vg, g, amount)
 	if err != nil {
-		return nil, fmt.Errorf("planners: hierarchy coarse grid: %w", err)
+		return sources, takes, 0, fmt.Errorf("planners: hierarchy coarse grid: %w", err)
 	}
 
 	// Fine grid: refine inside each contributing group.
@@ -163,12 +162,12 @@ func (h *Hierarchy) Plan(v []float64, requester int, amount float64) (*core.Allo
 		if want <= 1e-12 {
 			continue
 		}
-		if err := h.refineGroup(v, out, gi, requester, want); err != nil {
-			return nil, err
+		if err := h.refineGroup(v, take, newV, gi, requester, want); err != nil {
+			return sources, takes, 0, err
 		}
 	}
-	out.Theta = perturbation(h.full, v, out.NewV, requester)
-	return out, nil
+	sources, takes = appendPairs(sources, takes, take)
+	return sources, takes, perturbation(h.full, v, newV, requester), nil
 }
 
 // coarsePlan distributes `amount` across groups: take_g ∈ [0, vg_g],
@@ -210,9 +209,9 @@ func (h *Hierarchy) groupHeadroom(v []float64, g, requester int) float64 {
 
 // refineGroup solves the fine-grid LP over one group: take `amount` from
 // its members, minimizing the worst member-capacity perturbation, honoring
-// each member's agreement cap toward the requester. It updates out in
-// place.
-func (h *Hierarchy) refineGroup(v []float64, out *core.Allocation, g, requester int, amount float64) error {
+// each member's agreement cap toward the requester. It adds to take and
+// subtracts from newV in place.
+func (h *Hierarchy) refineGroup(v, take, newV []float64, g, requester int, amount float64) error {
 	members := h.groups[g]
 	if have := h.groupHeadroom(v, g, requester); have < amount-1e-9 {
 		return fmt.Errorf("%w: group %d can supply %g of requested %g", core.ErrInsufficient, g, have, amount)
@@ -221,14 +220,14 @@ func (h *Hierarchy) refineGroup(v []float64, out *core.Allocation, g, requester 
 	for idx, p := range members {
 		caps[idx] = capToward(h.full, v, p, requester)
 	}
-	takes, err := gridLP(h.full, members, caps, requester, amount)
+	solved, err := gridLP(h.full, members, caps, requester, amount)
 	if err != nil {
 		return fmt.Errorf("planners: hierarchy fine grid (group %d): %w", g, err)
 	}
 	for idx, p := range members {
-		amt := min(max(takes[idx], 0), out.NewV[p])
-		out.Take[p] += amt
-		out.NewV[p] -= amt
+		amt := min(max(solved[idx], 0), newV[p])
+		take[p] += amt
+		newV[p] -= amt
 	}
 	return nil
 }

@@ -22,12 +22,16 @@ type Ledger struct {
 	nextID int
 }
 
-// Lease is one outstanding allocation.
+// Lease is one outstanding allocation, Takes[k] drawn from Sources[k].
 type Lease struct {
 	ID        int
 	Requester int
 	Amount    float64
-	Take      []float64
+	Sources   []int
+	Takes     []float64
+	// debits[k] = min(Takes[k], availability) is what Acquire took off
+	// Sources[k] and Release credits back: a planner may draw past it.
+	debits []float64
 }
 
 // NewLedger wraps a planner with lifecycle tracking; capacity is each
@@ -58,9 +62,12 @@ func (l *Ledger) Available() []float64 {
 // Capacities returns C_i at the current availability.
 func (l *Ledger) Capacities() []float64 {
 	l.mu.Lock()
-	v := append([]float64(nil), l.avail...)
-	l.mu.Unlock()
-	return l.planner.Capacities(v)
+	defer l.mu.Unlock()
+	out := make([]float64, len(l.avail))
+	for i := range out {
+		out[i] = l.planner.Capacity(l.avail, i)
+	}
+	return out
 }
 
 // SetCapacity updates a principal's reported capacity. Availability is
@@ -87,8 +94,7 @@ func (l *Ledger) SetCapacity(principal int, capacity float64) error {
 func (l *Ledger) Acquire(requester int, amount float64) (*Lease, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	v := append([]float64(nil), l.avail...)
-	plan, err := l.planner.Plan(v, requester, amount)
+	sources, takes, _, err := l.planner.PlanPairs(nil, nil, l.avail, requester, amount)
 	if err != nil {
 		return nil, err
 	}
@@ -96,11 +102,14 @@ func (l *Ledger) Acquire(requester int, amount float64) (*Lease, error) {
 		ID:        l.nextID,
 		Requester: requester,
 		Amount:    amount,
-		Take:      append([]float64(nil), plan.Take...),
+		Sources:   sources,
+		Takes:     takes,
+		debits:    make([]float64, len(takes)),
 	}
 	l.nextID++
-	for i, take := range plan.Take {
-		l.avail[i] = max(l.avail[i]-take, 0)
+	for k, i := range sources {
+		lease.debits[k] = min(takes[k], l.avail[i])
+		l.avail[i] = max(l.avail[i]-takes[k], 0)
 	}
 	l.leases[lease.ID] = lease
 	return lease, nil
@@ -117,8 +126,8 @@ func (l *Ledger) Release(id int) error {
 		return fmt.Errorf("planners: Release: unknown lease %d", id)
 	}
 	delete(l.leases, id)
-	for i, take := range lease.Take {
-		l.avail[i] = min(l.avail[i]+take, l.base[i])
+	for k, i := range lease.Sources {
+		l.avail[i] = min(l.avail[i]+lease.debits[k], l.base[i])
 	}
 	return nil
 }

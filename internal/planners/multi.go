@@ -12,16 +12,16 @@ import (
 // Multi plans requests that span several resource types at once
 // (Section 3.2: "a request for k types of resources is in the form of a
 // vector <r_1, ..., r_k>; we solve k linear systems, one per resource").
-// Each type has its own agreement matrices and its own Planner; a request
-// either plans every type or fails atomically.
+// Each type has its own agreement matrices and its own allocator; a
+// request either plans every type or fails atomically.
 type Multi struct {
-	planners map[string]Planner
+	planners map[string]*core.Allocator
 	n        int
 }
 
 // NewMulti returns an empty multi-resource planner for n principals.
 func NewMulti(n int) *Multi {
-	return &Multi{planners: map[string]Planner{}, n: n}
+	return &Multi{planners: map[string]*core.Allocator{}, n: n}
 }
 
 // AddType registers the agreement matrices for one resource type.
@@ -53,7 +53,7 @@ func (mu *Multi) Types() []string {
 // Plan allocates a multi-type request: request[t] units of each type t for
 // the requester, given availability v[t] per type. If any type cannot be
 // satisfied the whole request fails and nothing is reported as allocated.
-func (mu *Multi) Plan(v map[string][]float64, requester int, request map[string]float64) (map[string]*core.Allocation, error) {
+func (mu *Multi) Plan(v map[string][]float64, requester int, request map[string]float64) (map[string]*Pairs, error) {
 	// Deterministic order, and validation before any planning.
 	types := make([]string, 0, len(request))
 	for t := range request {
@@ -66,13 +66,13 @@ func (mu *Multi) Plan(v map[string][]float64, requester int, request map[string]
 		types = append(types, t)
 	}
 	sort.Strings(types)
-	out := make(map[string]*core.Allocation, len(types))
+	out := make(map[string]*Pairs, len(types))
 	for _, t := range types {
-		alloc, err := mu.planners[t].Plan(v[t], requester, request[t])
+		sources, takes, theta, err := mu.planners[t].PlanPairs(nil, nil, v[t], requester, request[t])
 		if err != nil {
 			return nil, fmt.Errorf("planners: type %q: %w", t, err)
 		}
-		out[t] = alloc
+		out[t] = &Pairs{Sources: sources, Takes: takes, Theta: theta}
 	}
 	return out, nil
 }
@@ -150,29 +150,24 @@ func (c *Coupled) BundleAvailability(v map[string][]float64) ([]float64, error) 
 }
 
 // Plan allocates `bundles` coupled units for the requester and expands the
-// result into per-component takes. Every component of a bundle comes from
-// the same principal by construction.
-func (c *Coupled) Plan(v map[string][]float64, requester int, bundles float64) (map[string]*core.Allocation, error) {
+// result into per-component takes over the bundle plan's one Sources
+// slice: every component of a bundle comes from the same principal.
+func (c *Coupled) Plan(v map[string][]float64, requester int, bundles float64) (map[string]*Pairs, error) {
 	avail, err := c.BundleAvailability(v)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := c.alloc.Plan(avail, requester, bundles)
+	sources, takes, theta, err := c.alloc.PlanPairs(nil, nil, avail, requester, bundles)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*core.Allocation, len(c.types))
+	out := make(map[string]*Pairs, len(c.types))
 	for _, t := range c.types {
-		a := &core.Allocation{
-			Take:  make([]float64, len(plan.Take)),
-			NewV:  make([]float64, len(plan.Take)),
-			Theta: plan.Theta,
+		p := &Pairs{Sources: sources, Takes: make([]float64, len(takes)), Theta: theta}
+		for k, x := range takes {
+			p.Takes[k] = x * c.rates[t]
 		}
-		for i := range plan.Take {
-			a.Take[i] = plan.Take[i] * c.rates[t]
-			a.NewV[i] = v[t][i] - a.Take[i]
-		}
-		out[t] = a
+		out[t] = p
 	}
 	return out, nil
 }

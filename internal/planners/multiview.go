@@ -78,9 +78,9 @@ func (mv *MultiView) Capacities(v []float64) map[string][]float64 {
 //	Σ_v take[v][i]          <= v[i]             physical capacity
 //	Σ_k K^v[k][j]·Σ_w take[w][k] <= θ           perturbation, each (j, v)
 //
-// minimizing θ. Returns one Allocation per view; the per-view takes sum
-// to the request and jointly respect the physical pools.
-func (mv *MultiView) Plan(v []float64, requester int, request map[string]float64) (map[string]*core.Allocation, error) {
+// minimizing θ. Returns one plan per view (takes below 1e-12 dropped); the
+// per-view takes sum to the request and jointly respect the physical pools.
+func (mv *MultiView) Plan(v []float64, requester int, request map[string]float64) (map[string]*Pairs, error) {
 	if len(v) != mv.n {
 		panic(fmt.Sprintf("planners: MultiView.Plan: %d capacities for %d principals", len(v), mv.n))
 	}
@@ -163,31 +163,15 @@ func (mv *MultiView) Plan(v []float64, requester int, request map[string]float64
 	if err != nil {
 		return nil, fmt.Errorf("planners: multi-view LP failed: %w", err)
 	}
-	out := make(map[string]*core.Allocation, len(asked))
+	out := make(map[string]*Pairs, len(asked))
 	for _, name := range asked {
-		alloc := &core.Allocation{Take: make([]float64, mv.n), NewV: make([]float64, mv.n), Theta: sol.Objective}
+		p := &Pairs{Theta: sol.Objective}
 		for i := 0; i < mv.n; i++ {
-			x := sol.Value(take[name][i])
-			if x < 1e-12 {
-				x = 0
+			if x := sol.Value(take[name][i]); x >= 1e-12 {
+				p.Sources, p.Takes = append(p.Sources, i), append(p.Takes, x)
 			}
-			alloc.Take[i] = x
 		}
-		out[name] = alloc
-	}
-	// NewV reflects the joint physical draw.
-	for i := 0; i < mv.n; i++ {
-		var drawn float64
-		for _, name := range asked {
-			drawn += out[name].Take[i]
-		}
-		left := v[i] - drawn
-		if left < 0 {
-			left = 0
-		}
-		for _, name := range asked {
-			out[name].NewV[i] = left
-		}
+		out[name] = p
 	}
 	return out, nil
 }

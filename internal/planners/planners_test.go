@@ -53,13 +53,13 @@ func TestQuickLPThetaBeatsBaselines(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lpPlan, e1 := al.Plan(v, requester, amount)
-		grPlan, e2 := gr.Plan(v, requester, amount)
+		_, _, lpTheta, e1 := al.PlanPairs(nil, nil, v, requester, amount)
+		_, _, grTheta, e2 := gr.PlanPairs(nil, nil, v, requester, amount)
 		if e1 != nil || e2 != nil {
 			return errors.Is(e1, core.ErrInsufficient) == errors.Is(e2, core.ErrInsufficient)
 		}
-		if lpPlan.Theta > grPlan.Theta+1e-6 {
-			t.Logf("seed %d: LP theta %g > greedy theta %g", seed, lpPlan.Theta, grPlan.Theta)
+		if lpTheta > grTheta+1e-6 {
+			t.Logf("seed %d: LP theta %g > greedy theta %g", seed, lpTheta, grTheta)
 			return false
 		}
 		return true

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // TestGoldenISPTenProxyMatchesProxysim cross-checks the checked-in
@@ -43,19 +44,20 @@ func TestGoldenISPTenProxyMatchesProxysim(t *testing.T) {
 			continue // refusals carry no takes to cross-check
 		}
 		v := append([]float64(nil), prev.Avail...)
-		plan, err := planner.Plan(v, ev.P, ev.Amount)
+		sources, takes, theta, err := planner.PlanPairs(nil, nil, v, ev.P, ev.Amount)
 		if err != nil {
 			t.Fatalf("event %d: proxysim refused alloc(p%d, %g) the server granted: %v", i, ev.P, ev.Amount, err)
 		}
-		if !vecClose(plan.Take, want.Takes, tol) {
-			t.Errorf("event %d: takes diverge\nproxysim: %v\ncorpus:   %v", i, plan.Take, want.Takes)
+		dense := store.DenseTakes(sources, takes, len(v))
+		if !vecClose(dense, want.Takes, tol) {
+			t.Errorf("event %d: takes diverge\nproxysim: %v\ncorpus:   %v", i, dense, want.Takes)
 		}
-		if want.Theta == nil || math.Abs(plan.Theta-*want.Theta) > tol {
-			t.Errorf("event %d: theta diverges: proxysim %g, corpus %v", i, plan.Theta, want.Theta)
+		if want.Theta == nil || math.Abs(theta-*want.Theta) > tol {
+			t.Errorf("event %d: theta diverges: proxysim %g, corpus %v", i, theta, want.Theta)
 		}
 		// The ledger debits exactly the takes (no clamping can trigger:
 		// takes never exceed availability on a granted request).
-		for j, take := range plan.Take {
+		for j, take := range dense {
 			if math.Abs(want.Avail[j]-(prev.Avail[j]-take)) > tol {
 				t.Errorf("event %d: post-alloc avail[%d] = %g, want %g - %g", i, j, want.Avail[j], prev.Avail[j], take)
 			}

@@ -363,6 +363,10 @@ type engine struct {
 	eq       *eventQueue
 	res      *Result
 	meanCost float64 // mean per-request work, for forecasting
+	// sources and takes hold the last consult's plan, reused from one
+	// consult to the next.
+	sources []int
+	takes   []float64
 }
 
 // arrive handles a request arriving at proxy p. home is the proxy whose
@@ -527,36 +531,34 @@ func (e *engine) maybeShed(t float64, pIdx int) {
 		return
 	}
 	// The planner cannot place more than the requester's capacity.
-	caps := planner.Capacities(v)
-	ask := excess
-	if ask > caps[pIdx] {
-		ask = caps[pIdx]
-	}
+	ask := min(excess, planner.Capacity(v, pIdx))
 	if ask <= 0 {
 		return
 	}
-	plan, err := planner.Plan(v, pIdx, ask)
+	var err error
+	e.sources, e.takes, _, err = planner.PlanPairs(e.sources[:0], e.takes[:0], v, pIdx, ask)
 	if err != nil {
 		if !errors.Is(err, core.ErrInsufficient) {
 			e.res.PlanFailures++
 		}
 		return
 	}
-	e.shed(t, pIdx, plan)
+	e.shed(t, pIdx)
 }
 
 // shed moves queued requests from proxy p to the targets chosen by the
-// plan. Requests are taken from the tail of the queue (latest arrivals),
-// so the earliest-waiting clients keep their local positions.
-func (e *engine) shed(t float64, pIdx int, plan *core.Allocation) {
+// plan in e.sources and e.takes. Requests are taken from the tail of the
+// queue (latest arrivals), so the earliest-waiting clients keep their
+// local positions.
+func (e *engine) shed(t float64, pIdx int) {
 	p := e.proxies[pIdx]
 	budget := make([]float64, len(e.proxies))
-	order := make([]int, 0, len(e.proxies))
-	for j := range e.proxies {
-		if j == pIdx || plan.Take[j] <= 0 {
+	order := make([]int, 0, len(e.sources))
+	for k, j := range e.sources {
+		if j == pIdx || e.takes[k] <= 0 {
 			continue
 		}
-		budget[j] = plan.Take[j]
+		budget[j] = e.takes[k]
 		order = append(order, j)
 	}
 	if len(order) == 0 {

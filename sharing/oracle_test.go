@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/modeltest"
 	"repro/sharing"
 )
@@ -114,16 +113,7 @@ func TestFacadeAllocationsSatisfyEquations(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Allocate(p=%d, %g of C=%g): %v", fc.name, p, amount, caps[p], err)
 				}
-				// The facade reports takes and θ; reconstruct NewV for the
-				// oracle's full equation check.
-				full := &core.Allocation{
-					Take:  plan.Take,
-					NewV:  make([]float64, fc.g.N),
-					Theta: plan.Theta,
-				}
-				for i, take := range plan.Take {
-					full.NewV[i] = fc.g.V[i] - take
-				}
+				full := &modeltest.DensePlan{Take: plan.Take, Theta: plan.Theta}
 				if err := oracle.CheckAllocation(fc.g.V, p, amount, full); err != nil {
 					t.Errorf("%s: p=%d amount=%g: %v", fc.name, p, amount, err)
 				}

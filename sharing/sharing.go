@@ -223,11 +223,15 @@ func (c *Community) Allocate(p Principal, typ string, amount float64) (*Allocati
 	if err != nil {
 		return nil, err
 	}
-	plan, err := planner.Plan(v, int(p), amount)
+	sources, takes, theta, err := planner.PlanPairs(nil, nil, v, int(p), amount)
 	if err != nil {
 		return nil, err
 	}
-	return &Allocation{Take: plan.Take, Theta: plan.Theta}, nil
+	take := make([]float64, len(v))
+	for k, i := range sources {
+		take[i] = takes[k]
+	}
+	return &Allocation{Take: take, Theta: theta}, nil
 }
 
 // Consume permanently removes an allocation's takes from the owners'
